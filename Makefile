@@ -5,9 +5,10 @@
 #         kernel and the fabric dispatchers move work across goroutines),
 #         and `bench-check`, the bench-regression gate: every experiment
 #         harness (E1-E17) runs at -benchtime 3x -benchmem and FAILS the
-#         build if any harness's ns/op regressed more than 25% against the
-#         committed BENCH_baseline.json (alloc regressions warn; new
-#         benches are allowed and reported). `make bench-smoke` is the
+#         build if any harness's ns/op regressed more than 25%, or its
+#         allocs/op more than 5%, against the committed BENCH_baseline.json
+#         (allocation counts are deterministic, so their gate is narrow;
+#         B/op regressions warn; new benches are allowed and reported). `make bench-smoke` is the
 #         cheaper 1x-iteration harness check when you only want "does it
 #         still run". `make telemetry-smoke` runs the E16 observability
 #         experiment end-to-end and writes its telemetry export
@@ -24,9 +25,15 @@
 #         (chaos-repro.log) is archived. `make chaos` is the long sweep.
 # CI:     .github/workflows/ci.yml runs exactly `make ci` on push/PR with
 #         Go module caching, so the same gate holds outside laptops.
+#         `make profile-fleet` profiles the 1,024-tenant fleet workload of
+#         ./benchmark for 5 s and leaves cpu.pprof and mem.pprof (CI
+#         archives both): `go tool pprof -sample_index=alloc_objects -top
+#         mem.pprof` names the allocation sites behind E11's allocs/op.
 # Update: `make baseline` regenerates BENCH_baseline.json (ns/op, B/op,
 #         allocs/op per harness) — rerun it, eyeball the diff, and commit
-#         it whenever a PR intentionally moves the wall-cost needle.
+#         it whenever a PR intentionally moves the wall-cost or allocation
+#         needle (a lower floor should be ratcheted in, or the gate keeps
+#         defending the old one).
 #
 # The committed baseline records absolute wall costs and is therefore
 # machine-specific: the gate is meaningful on hardware comparable to
@@ -39,7 +46,7 @@ GO ?= go
 # committed baseline).
 BENCH_THRESHOLD ?= 0.25
 
-.PHONY: ci fmt vet build test test-race bench-smoke bench-check baseline telemetry-smoke autopilot-smoke chaos-smoke chaos
+.PHONY: ci fmt vet build test test-race bench-smoke bench-check baseline profile-fleet telemetry-smoke autopilot-smoke chaos-smoke chaos
 
 ci: fmt vet build test test-race bench-check telemetry-smoke autopilot-smoke chaos-smoke
 
@@ -66,8 +73,8 @@ bench-smoke:
 
 # The bench-regression gate: run the harnesses 3 times, then compare each
 # harness's best (minimum ns/op) run against the committed baseline with
-# cmd/benchcheck (fails >25% ns/op regressions, warns on alloc
-# regressions). Two steps so a bench failure isn't masked by the pipe.
+# cmd/benchcheck (fails >25% ns/op and >5% allocs/op regressions, warns on
+# B/op regressions). Two steps so a bench failure isn't masked by the pipe.
 # The comparison is also written to bench-report.json — CI archives it as a
 # build artifact so regressions can be inspected without re-running.
 bench-check:
@@ -76,6 +83,13 @@ bench-check:
 	@$(GO) run ./cmd/benchcheck -baseline BENCH_baseline.json -threshold $(BENCH_THRESHOLD) \
 		-json bench-report.json < bench.out; \
 		status=$$?; rm -f bench.out; exit $$status
+
+# Profile the fleet workload (fleet_seq: 1,024 tenants on the sequential
+# kernel) for 5 s of measured iterations. The heap profile is cumulative
+# over the run, so alloc_objects / alloc_space attribute allocs_per_op and
+# alloc_mb_per_op to call sites.
+profile-fleet:
+	$(GO) run ./benchmark --workload fleet_seq --seconds 5 -cpuprofile cpu.pprof -memprofile mem.pprof
 
 # E16 smoke: run the observability experiment (churning fleet with the full
 # telemetry plane on, probed RPO cross-validated against the fleet sampler)

@@ -1,9 +1,14 @@
 // Command benchcheck is the CI bench-regression gate: it parses `go test
 // -bench` output from stdin, compares each harness against the committed
-// BENCH_baseline.json, and exits non-zero when any harness's ns/op regressed
-// past the threshold. Benchmarks not in the baseline are reported as "new"
-// (allowed — commit a fresh baseline to start tracking them); alloc and
-// bytes-per-op regressions only warn, since wall cost is the gate.
+// BENCH_baseline.json, and exits non-zero when any harness's ns/op or
+// allocs/op regressed past its threshold. The two gates have different
+// widths because the two numbers have different noise: wall cost on a shared
+// box needs 25%, while the simulation is deterministic and its allocation
+// counts repeat to under 0.1%, so a 5% rise in allocs/op is a real change
+// somebody must own. Benchmarks not in the baseline are reported as "new"
+// (allowed — commit a fresh baseline to start tracking them); bytes-per-op
+// regressions only warn (slice growth policy moves them without the program
+// doing more work).
 //
 // Runs repeated with -count are collapsed to each benchmark's MINIMUM
 // ns/op — the standard noise-robust statistic for a shared CI box — and
@@ -46,7 +51,7 @@ type Entry struct {
 // Verdict classifies one benchmark against the baseline.
 type Verdict struct {
 	Name     string `json:"name"`
-	Status   string `json:"status"` // "ok", "regressed", "alloc-warn", "new", "missing"
+	Status   string `json:"status"` // "ok", "regressed", "alloc-regressed", "alloc-warn", "new", "missing"
 	Detail   string `json:"detail"`
 	Blocking bool   `json:"blocking"`
 }
@@ -246,9 +251,10 @@ func deltaSummary(baseline, current []Entry) string {
 }
 
 // compare classifies every current benchmark against the baseline. ns/op
-// regressions beyond nsThreshold block; alloc/bytes regressions beyond
-// allocThreshold warn; baseline entries absent from the run warn as
-// "missing" (a renamed or deleted harness needs a fresh baseline).
+// regressions beyond nsThreshold and allocs/op regressions beyond
+// allocThreshold block; B/op regressions beyond allocThreshold warn;
+// baseline entries absent from the run warn as "missing" (a renamed or
+// deleted harness needs a fresh baseline).
 func compare(baseline, current []Entry, nsThreshold, allocThreshold float64) []Verdict {
 	base := make(map[string]Entry, len(baseline))
 	for _, e := range baseline {
@@ -271,9 +277,9 @@ func compare(baseline, current []Entry, nsThreshold, allocThreshold float64) []V
 			continue
 		}
 		if b.AllocsPerOp > 0 && cur.AllocsPerOp > b.AllocsPerOp*(1+allocThreshold) {
-			out = append(out, Verdict{Name: cur.Name, Status: "alloc-warn",
-				Detail: fmt.Sprintf("allocs/op %.0f -> %.0f (%s) — warning only",
-					b.AllocsPerOp, cur.AllocsPerOp, ratio(cur.AllocsPerOp, b.AllocsPerOp))})
+			out = append(out, Verdict{Name: cur.Name, Status: "alloc-regressed", Blocking: true,
+				Detail: fmt.Sprintf("allocs/op %.0f -> %.0f (%s, threshold +%.0f%%)",
+					b.AllocsPerOp, cur.AllocsPerOp, ratio(cur.AllocsPerOp, b.AllocsPerOp), allocThreshold*100)})
 			continue
 		}
 		if b.BytesPerOp > 0 && cur.BytesPerOp > b.BytesPerOp*(1+allocThreshold) {
@@ -297,7 +303,7 @@ func compare(baseline, current []Entry, nsThreshold, allocThreshold float64) []V
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "committed baseline to compare against")
 	nsThreshold := flag.Float64("threshold", 0.25, "blocking ns/op regression threshold (fraction)")
-	allocThreshold := flag.Float64("alloc-threshold", 0.25, "warn-only allocs/op regression threshold (fraction)")
+	allocThreshold := flag.Float64("alloc-threshold", 0.05, "blocking allocs/op (and warn-only B/op) regression threshold (fraction)")
 	update := flag.Bool("update", false, "rewrite the baseline from the bench run on stdin instead of comparing")
 	jsonPath := flag.String("json", "", "also write the comparison as a JSON report to this path (CI artifact)")
 	flag.Parse()
@@ -342,7 +348,7 @@ func main() {
 		}
 	}
 	if blocking > 0 {
-		fmt.Fprintf(os.Stderr, "benchcheck: FAIL — %d benchmark(s) regressed past the ns/op threshold; %s\n",
+		fmt.Fprintf(os.Stderr, "benchcheck: FAIL — %d benchmark(s) regressed past the ns/op or allocs/op threshold; %s\n",
 			blocking, summary)
 		os.Exit(1)
 	}

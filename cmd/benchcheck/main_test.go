@@ -78,7 +78,7 @@ func TestCompareClassifiesRegressionsNewAndMissing(t *testing.T) {
 	current := []Entry{
 		{Name: "BenchA", NsPerOp: 1200, AllocsPerOp: 100},                   // +20% — within 25%
 		{Name: "BenchB", NsPerOp: 1300, AllocsPerOp: 100},                   // +30% — blocks
-		{Name: "BenchC", NsPerOp: 1000, AllocsPerOp: 200},                   // alloc doubled — warns only
+		{Name: "BenchC", NsPerOp: 1000, AllocsPerOp: 200},                   // alloc doubled — blocks
 		{Name: "BenchNew", NsPerOp: 500, AllocsPerOp: 100},                  // not in baseline — allowed
 		{Name: "BenchD", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 3000}, // B/op tripled — warns only
 	}
@@ -90,8 +90,8 @@ func TestCompareClassifiesRegressionsNewAndMissing(t *testing.T) {
 	if v := verdictFor(t, vs, "BenchB"); v.Status != "regressed" || !v.Blocking {
 		t.Errorf("BenchB = %+v", v)
 	}
-	if v := verdictFor(t, vs, "BenchC"); v.Status != "alloc-warn" || v.Blocking {
-		t.Errorf("BenchC = %+v (alloc regressions must warn, not fail)", v)
+	if v := verdictFor(t, vs, "BenchC"); v.Status != "alloc-regressed" || !v.Blocking {
+		t.Errorf("BenchC = %+v (allocs/op regressions must fail)", v)
 	}
 	if v := verdictFor(t, vs, "BenchNew"); v.Status != "new" || v.Blocking {
 		t.Errorf("BenchNew = %+v (new benches are allowed)", v)
@@ -114,6 +114,22 @@ func TestCompareBoundaryExactlyAtThresholdPasses(t *testing.T) {
 	vs = compare(baseline, []Entry{{Name: "B", NsPerOp: 1251}}, 0.25, 0.25)
 	if v := verdictFor(t, vs, "B"); !v.Blocking {
 		t.Errorf("past-threshold not blocked: %+v", v)
+	}
+}
+
+// Allocation counts are deterministic, so their gate is narrow: past +5% an
+// allocs/op rise blocks even when ns/op is flat, exactly +5% does not, and
+// a drop never does.
+func TestCompareBlocksAllocRegressionPastFivePercent(t *testing.T) {
+	baseline := []Entry{{Name: "B", NsPerOp: 1000, AllocsPerOp: 100000}}
+	for _, tc := range []struct {
+		allocs   float64
+		blocking bool
+	}{{50000, false}, {105000, false}, {105001, true}} {
+		vs := compare(baseline, []Entry{{Name: "B", NsPerOp: 1000, AllocsPerOp: tc.allocs}}, 0.25, 0.05)
+		if v := verdictFor(t, vs, "B"); v.Blocking != tc.blocking {
+			t.Errorf("allocs/op 100000 -> %.0f: %+v, want blocking=%v", tc.allocs, v, tc.blocking)
+		}
 	}
 }
 

@@ -56,16 +56,15 @@ func (r Report) String() string {
 // Verify checks a recovered backup image pair against the main site's
 // ground-truth commit orders (workload.Shop provides them).
 func Verify(sales, stock CommitSet, salesOrder, stockOrder []uint64) Report {
-	rep := Report{
-		SalesTxns: len(sales.CommittedTxns()),
-		StockTxns: len(stock.CommittedTxns()),
-	}
-	for _, tx := range stock.CommittedTxns() {
+	// One sorted listing per image: each call builds and sorts a fresh slice.
+	salesTxns, stockTxns := sales.CommittedTxns(), stock.CommittedTxns()
+	rep := Report{SalesTxns: len(salesTxns), StockTxns: len(stockTxns)}
+	for _, tx := range stockTxns {
 		if !sales.HasCommitted(tx) {
 			rep.OrphanStock = append(rep.OrphanStock, tx)
 		}
 	}
-	for _, tx := range sales.CommittedTxns() {
+	for _, tx := range salesTxns {
 		if !stock.HasCommitted(tx) {
 			rep.DanglingSales = append(rep.DanglingSales, tx)
 		}

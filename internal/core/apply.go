@@ -56,10 +56,10 @@ func (sys *System) ApplyTenant(p *sim.Proc, spec platform.TenantSpec) error {
 		if err != nil {
 			return err
 		}
-		tn := obj.(*platform.Tenant)
-		if reflect.DeepEqual(tn.Spec, spec) {
+		if reflect.DeepEqual(obj.(*platform.Tenant).Spec, spec) {
 			return nil
 		}
+		tn := obj.DeepCopy().(*platform.Tenant)
 		tn.Spec = spec
 		err = sys.Main.API.Update(p, tn)
 		if errors.Is(err, platform.ErrConflict) {

@@ -429,7 +429,7 @@ func (sys *System) DisableBackup(p *sim.Proc, namespace string) error {
 	if err != nil {
 		return err
 	}
-	ns := nsObj.(*platform.Namespace)
+	ns := nsObj.DeepCopy().(*platform.Namespace)
 	delete(ns.Labels, operator.Tag)
 	return sys.Main.API.Update(p, ns)
 }

@@ -46,30 +46,27 @@ func tenantKey(namespace string) platform.ObjectKey {
 // pre-declarative experiment paths) never cost a reconcile.
 func (sys *System) newTenantControllers() []*platform.Controller {
 	rec := platform.ReconcilerFunc(sys.reconcileTenant)
-	managedKey := func(ns string) []platform.ObjectKey {
-		if !sys.managedTenants[ns] {
-			return nil
-		}
-		return []platform.ObjectKey{tenantKey(ns)}
+	managedKey := func(ns string) (platform.ObjectKey, bool) {
+		return tenantKey(ns), sys.managedTenants[ns]
 	}
 	cc := platform.ControllerConfig{Telemetry: sys.Telemetry}
 	return []*platform.Controller{
 		platform.NewController(sys.Env, sys.Main.API, "tenant-controller",
 			platform.KindTenant, nil, rec, cc),
 		platform.NewController(sys.Env, sys.Main.API, "tenant-controller-rg",
-			platform.KindReplicationGroup, func(ev platform.Event) []platform.ObjectKey {
+			platform.KindReplicationGroup, func(ev platform.Event) (platform.ObjectKey, bool) {
 				ns, ok := operator.NamespaceOfGroup(ev.Object.GetMeta().Name)
 				if !ok {
-					return nil
+					return platform.ObjectKey{}, false
 				}
 				return managedKey(ns)
 			}, rec, cc),
 		platform.NewController(sys.Env, sys.Main.API, "tenant-controller-pvc",
-			platform.KindPVC, func(ev platform.Event) []platform.ObjectKey {
+			platform.KindPVC, func(ev platform.Event) (platform.ObjectKey, bool) {
 				return managedKey(ev.Object.GetMeta().Namespace)
 			}, rec, cc),
 		platform.NewController(sys.Env, sys.Main.API, "tenant-controller-ns",
-			platform.KindNamespace, func(ev platform.Event) []platform.ObjectKey {
+			platform.KindNamespace, func(ev platform.Event) (platform.ObjectKey, bool) {
 				return managedKey(ev.Object.GetMeta().Name)
 			}, rec, cc),
 	}
@@ -148,9 +145,12 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 		}
 	}
 
-	// Labels: the backup tag and the per-tenant shard-count override.
-	if sys.reconcileTenantLabels(nsCur, tn.Spec) {
-		if err := sys.Main.API.Update(p, nsCur); err != nil {
+	// Labels: the backup tag and the per-tenant shard-count override. The
+	// stored namespace is read-only; only a drifted one is copied and edited.
+	if tenantLabelsDrifted(nsCur.Labels, tn.Spec) {
+		next := nsCur.DeepCopy().(*platform.Namespace)
+		setTenantLabels(next, tn.Spec)
+		if err := sys.Main.API.Update(p, next); err != nil {
 			return err // conflict: retry with the fresh version
 		}
 	}
@@ -163,37 +163,40 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 	return sys.setTenantStatus(p, tn, phase, msg)
 }
 
-// reconcileTenantLabels brings the namespace's controller-owned labels in
-// line with the spec, reporting whether anything changed. User labels are
-// left alone.
-func (sys *System) reconcileTenantLabels(ns *platform.Namespace, spec platform.TenantSpec) bool {
+// wantShardsLabel is the ShardsLabel value the spec declares ("" = none).
+func wantShardsLabel(spec platform.TenantSpec) string {
+	if spec.JournalShards > 0 {
+		return strconv.Itoa(spec.JournalShards)
+	}
+	return ""
+}
+
+// tenantLabelsDrifted reports whether the namespace's controller-owned
+// labels differ from what the spec declares. User labels are left alone.
+func tenantLabelsDrifted(labels map[string]string, spec platform.TenantSpec) bool {
+	tag, tagged := labels[operator.Tag]
+	if spec.Backup != tagged || (tagged && tag != operator.TagValue) {
+		return true
+	}
+	return labels[operator.ShardsLabel] != wantShardsLabel(spec)
+}
+
+// setTenantLabels brings the namespace's controller-owned labels in line
+// with the spec. ns must be the caller's own copy.
+func setTenantLabels(ns *platform.Namespace, spec platform.TenantSpec) {
 	if ns.Labels == nil {
 		ns.Labels = map[string]string{}
 	}
-	changed := false
-	if spec.Backup && ns.Labels[operator.Tag] != operator.TagValue {
+	if spec.Backup {
 		ns.Labels[operator.Tag] = operator.TagValue
-		changed = true
+	} else {
+		delete(ns.Labels, operator.Tag)
 	}
-	if !spec.Backup {
-		if _, ok := ns.Labels[operator.Tag]; ok {
-			delete(ns.Labels, operator.Tag)
-			changed = true
-		}
+	if want := wantShardsLabel(spec); want == "" {
+		delete(ns.Labels, operator.ShardsLabel)
+	} else {
+		ns.Labels[operator.ShardsLabel] = want
 	}
-	wantShards := ""
-	if spec.JournalShards > 0 {
-		wantShards = strconv.Itoa(spec.JournalShards)
-	}
-	if got := ns.Labels[operator.ShardsLabel]; got != wantShards {
-		if wantShards == "" {
-			delete(ns.Labels, operator.ShardsLabel)
-		} else {
-			ns.Labels[operator.ShardsLabel] = wantShards
-		}
-		changed = true
-	}
-	return changed
 }
 
 // tenantPhase computes the tenant's current phase: with Backup, the
@@ -246,10 +249,10 @@ func (sys *System) setTenantStatus(p *sim.Proc, tn *platform.Tenant, phase platf
 		if err != nil {
 			return err
 		}
-		cur := obj.(*platform.Tenant)
-		if cur.Status.Phase == phase && cur.Status.Message == msg {
+		if st := obj.(*platform.Tenant).Status; st.Phase == phase && st.Message == msg {
 			return nil
 		}
+		cur := obj.DeepCopy().(*platform.Tenant)
 		cur.Status.Phase = phase
 		cur.Status.Message = msg
 		if phase == platform.TenantReady && cur.Status.ReadyAt == 0 {

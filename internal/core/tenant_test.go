@@ -286,7 +286,7 @@ func TestTenantSpecDriftRepaired(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		ns := obj.(*platform.Namespace)
+		ns := obj.DeepCopy().(*platform.Namespace)
 		delete(ns.Labels, "backup")
 		if err := sys.Main.API.Update(p, ns); err != nil {
 			t.Error(err)

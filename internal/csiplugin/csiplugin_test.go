@@ -518,7 +518,7 @@ func (f *twoSites) setRGShards(t *testing.T, name string, shards int) {
 			t.Error(err)
 			return
 		}
-		rg := obj.(*platform.ReplicationGroup)
+		rg := obj.DeepCopy().(*platform.ReplicationGroup)
 		rg.Spec.JournalShards = shards
 		if err := f.sites.MainAPI.Update(p, rg); err != nil {
 			t.Error(err)
@@ -686,6 +686,7 @@ func TestReplicationPluginUnchangedReconcileIsNoop(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		obj = obj.DeepCopy()
 		if err := f.sites.MainAPI.Update(p, obj); err != nil {
 			t.Error(err)
 			return

@@ -64,12 +64,12 @@ func (pr *Provisioner) Provisioned() int64 { return pr.provisioned }
 
 // VolumeIDForClaim is the deterministic array volume name for a claim.
 func VolumeIDForClaim(namespace, name string) storage.VolumeID {
-	return storage.VolumeID(fmt.Sprintf("pvc-%s-%s", namespace, name))
+	return storage.VolumeID("pvc-" + namespace + "-" + name)
 }
 
 // PVNameForClaim is the deterministic PV object name for a claim.
 func PVNameForClaim(namespace, name string) string {
-	return fmt.Sprintf("pv-%s-%s", namespace, name)
+	return "pv-" + namespace + "-" + name
 }
 
 func (pr *Provisioner) reconcile(p *sim.Proc, key platform.ObjectKey) error {
@@ -82,10 +82,10 @@ func (pr *Provisioner) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 	if err != nil {
 		return err
 	}
-	claim := obj.(*platform.PersistentVolumeClaim)
-	if claim.Status.Phase == platform.ClaimBound {
+	if obj.(*platform.PersistentVolumeClaim).Status.Phase == platform.ClaimBound {
 		return nil
 	}
+	claim := obj.DeepCopy().(*platform.PersistentVolumeClaim) // bound and written back below
 	scObj, err := pr.api.Get(p, platform.ObjectKey{Kind: platform.KindStorageClass, Name: claim.Spec.StorageClassName})
 	if err != nil {
 		return fmt.Errorf("csiplugin: claim %s: storage class: %w", key, err)

@@ -367,7 +367,7 @@ func (rp *ReplicationPlugin) finishReady(p *sim.Proc, key platform.ObjectKey, rg
 	if err != nil {
 		return err
 	}
-	rg = cur.(*platform.ReplicationGroup)
+	rg = cur.DeepCopy().(*platform.ReplicationGroup)
 	rg.Status.Phase = platform.GroupReady
 	rg.Status.Message = "replication running"
 	if rg.Spec.ConsistencyGroup {
@@ -405,22 +405,20 @@ func (rp *ReplicationPlugin) teardown(p *sim.Proc, name string) error {
 }
 
 // setPhase patches the CR status, tolerating concurrent updates by
-// re-reading on conflict.
+// re-reading on conflict. rg (a shared read-only object) only names the CR;
+// callers that go on to write it re-read it.
 func (rp *ReplicationPlugin) setPhase(p *sim.Proc, rg *platform.ReplicationGroup, phase platform.GroupPhase, msg string) error {
 	for {
 		cur, err := rp.sites.MainAPI.Get(p, rg.Key())
 		if err != nil {
 			return err
 		}
-		c := cur.(*platform.ReplicationGroup)
+		c := cur.DeepCopy().(*platform.ReplicationGroup)
 		c.Status.Phase = phase
 		c.Status.Message = msg
 		err = rp.sites.MainAPI.Update(p, c)
 		if errors.Is(err, platform.ErrConflict) {
 			continue
-		}
-		if err == nil {
-			*rg = *c
 		}
 		return err
 	}

@@ -68,10 +68,10 @@ func (sc *SnapshotController) reconcileSingle(p *sim.Proc, key platform.ObjectKe
 	if err != nil {
 		return err
 	}
-	snap := obj.(*platform.VolumeSnapshot)
-	if snap.Status.Ready {
+	if obj.(*platform.VolumeSnapshot).Status.Ready {
 		return nil
 	}
+	snap := obj.DeepCopy().(*platform.VolumeSnapshot) // status written back below
 	pv, err := resolveClaimVolume(p, sc.api, snap.Namespace, snap.Spec.PVCName)
 	if err != nil {
 		return err
@@ -98,17 +98,18 @@ func (sc *SnapshotController) reconcileGroup(p *sim.Proc, key platform.ObjectKey
 	if err != nil {
 		return err
 	}
-	snap := obj.(*platform.VolumeGroupSnapshot)
-	if snap.Status.Ready {
+	status := obj.(*platform.VolumeGroupSnapshot).Status
+	if status.Ready {
 		return nil
 	}
+	if !sc.gates.VolumeGroupSnapshot && status.Message == ErrFeatureGateDisabled.Error() {
+		return nil // refusal already recorded
+	}
+	snap := obj.DeepCopy().(*platform.VolumeGroupSnapshot) // status written back below
 	if !sc.gates.VolumeGroupSnapshot {
 		// The paper's reality: alpha feature unsupported; the user must
 		// operate the array directly. Record the refusal in status and do
 		// not retry (the condition is permanent until the gate flips).
-		if snap.Status.Message == ErrFeatureGateDisabled.Error() {
-			return nil
-		}
 		snap.Status.Message = ErrFeatureGateDisabled.Error()
 		sc.refused++
 		return sc.api.Update(p, snap)

@@ -229,11 +229,14 @@ func (d *DB) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 	return row.Val, true, nil
 }
 
-// Scan visits every row in page order; fn returning false stops the scan.
+// Scan visits every row in page order; fn returning false stops the scan. A
+// Row's Val is only valid during the callback: it points into the page.
 func (d *DB) Scan(p *sim.Proc, fn func(Row) bool) error {
 	// Sequential scan: pull any uncached part of the data region with one
 	// fused range read instead of one random read per page. Cached (and in
-	// particular dirty) pages are kept.
+	// particular dirty) pages are kept. The range is borrowed from the volume
+	// and the page cache is written by commits, so pages entering the cache
+	// are copied — into one backing buffer for all of them.
 	if rr, ok := d.vol.(blockRangeReader); ok {
 		missing := false
 		for b := d.dataBase; b < d.dataBase+d.dataPages; b++ {
@@ -247,11 +250,19 @@ func (d *DB) Scan(p *sim.Proc, fn func(Row) bool) error {
 			if err != nil {
 				return err
 			}
+			var backing []byte
 			for i, blk := range blocks {
 				b := d.dataBase + int64(i)
-				if _, ok := d.pages[b]; !ok {
-					d.pages[b] = blk
+				if _, ok := d.pages[b]; ok {
+					continue
 				}
+				if len(backing) == 0 {
+					backing = make([]byte, (len(blocks)-i)*d.blockSize)
+				}
+				pg := backing[:d.blockSize:d.blockSize]
+				backing = backing[d.blockSize:]
+				copy(pg, blk) // nil = never written: the page stays zero
+				d.pages[b] = pg
 			}
 		}
 	}
@@ -260,10 +271,8 @@ func (d *DB) Scan(p *sim.Proc, fn func(Row) bool) error {
 		if err != nil {
 			return err
 		}
-		for _, row := range pageRows(page) {
-			if !fn(row) {
-				return nil
-			}
+		if !pageEach(page, fn) {
+			return nil
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,7 +36,8 @@ type Row struct {
 
 func slotsPerPage(blockSize int) int { return blockSize / slotSize }
 
-// pageLookup scans a page for key; it returns the row and true when found.
+// pageLookup scans a page for key; it returns the row (with its own copy of
+// the value) and true when found. A nil page (never written) holds no rows.
 func pageLookup(page []byte, key uint64) (Row, bool) {
 	n := slotsPerPage(len(page))
 	for i := 0; i < n; i++ {
@@ -46,7 +48,9 @@ func pageLookup(page []byte, key uint64) (Row, bool) {
 		if binary.LittleEndian.Uint64(page[off+1:off+9]) != key {
 			continue
 		}
-		return decodeSlot(page, off), true
+		row := slotRow(page, off)
+		row.Val = bytes.Clone(row.Val)
+		return row, true
 	}
 	return Row{}, false
 }
@@ -81,18 +85,21 @@ func pageUpsert(page []byte, row Row) error {
 	return nil
 }
 
-// pageRows returns every occupied row in slot order.
-func pageRows(page []byte) []Row {
+// pageEach calls fn with every occupied row in slot order until fn returns
+// false, which it reports by returning false itself. Row.Val points into
+// the page. A nil page (never written) holds no rows.
+func pageEach(page []byte, fn func(Row) bool) bool {
 	n := slotsPerPage(len(page))
-	var out []Row
 	for i := 0; i < n; i++ {
 		off := i * slotSize
 		if page[off]&slotUsed == 0 {
 			continue
 		}
-		out = append(out, decodeSlot(page, off))
+		if !fn(slotRow(page, off)) {
+			return false
+		}
 	}
-	return out
+	return true
 }
 
 func encodeSlot(page []byte, off int, row Row) {
@@ -100,18 +107,19 @@ func encodeSlot(page []byte, off int, row Row) {
 	binary.LittleEndian.PutUint64(page[off+1:off+9], row.Key)
 	binary.LittleEndian.PutUint64(page[off+9:off+17], row.TxID)
 	binary.LittleEndian.PutUint16(page[off+17:off+19], uint16(len(row.Val)))
-	copy(page[off+19:off+19+MaxValLen], make([]byte, MaxValLen))
+	clear(page[off+19 : off+19+MaxValLen])
 	copy(page[off+19:], row.Val)
 }
 
-func decodeSlot(page []byte, off int) Row {
-	key := binary.LittleEndian.Uint64(page[off+1 : off+9])
-	txid := binary.LittleEndian.Uint64(page[off+9 : off+17])
+// slotRow decodes the slot at off. Val points into the page.
+func slotRow(page []byte, off int) Row {
 	vlen := int(binary.LittleEndian.Uint16(page[off+17 : off+19]))
 	if vlen > MaxValLen {
 		vlen = MaxValLen
 	}
-	val := make([]byte, vlen)
-	copy(val, page[off+19:off+19+vlen])
-	return Row{Key: key, TxID: txid, Val: val}
+	return Row{
+		Key:  binary.LittleEndian.Uint64(page[off+1 : off+9]),
+		TxID: binary.LittleEndian.Uint64(page[off+9 : off+17]),
+		Val:  page[off+19 : off+19+vlen : off+19+vlen],
+	}
 }

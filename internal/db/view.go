@@ -22,7 +22,9 @@ type BlockReader interface {
 // blockRangeReader is the optional fused sequential-scan interface
 // (storage.Volume and storage.Snapshot implement it). The WAL replay reads
 // the whole log region through it in one scheduler step instead of one per
-// block.
+// block. Ranges are sparse and borrowed: a nil block is a never-written
+// (all-zero) one, and a non-nil block may be the reader's own storage, so
+// it must not be modified — code that needs a page it can write copies it.
 type blockRangeReader interface {
 	ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error)
 }
@@ -46,7 +48,9 @@ func readBlockRange(p *sim.Proc, vol BlockReader, start int64, count int) ([][]b
 
 // View is a read-only database opened from any BlockReader. It runs the
 // same WAL replay as Open but keeps redone pages in a memory overlay, so
-// the underlying image (typically a snapshot) is untouched.
+// the underlying image (typically a snapshot) is untouched. Only pages the
+// replay is about to change are copied into the overlay; everything else is
+// read in place from the image.
 type View struct {
 	name      string
 	vol       BlockReader
@@ -55,12 +59,12 @@ type View struct {
 	walBase   int64
 	dataBase  int64
 	dataPages int64
-	overlay   map[int64][]byte // replayed pages
+	overlay   map[int64][]byte // owned pages: replayed, or read one at a time
+	image     [][]byte         // the data region once Scan preloaded it (borrowed; nil = zero page)
 	committed map[uint64]bool
 	recovered int
 	replayDur time.Duration
 	torn      bool
-	preloaded bool
 }
 
 // OpenView attaches read-only to a formatted volume image and replays its
@@ -130,10 +134,16 @@ func (v *View) pageBlock(key uint64) int64 {
 	return v.dataBase + int64(key%uint64(v.dataPages))
 }
 
-// loadPage returns the overlay page, populating it from the image on miss.
+// loadPage returns the page for reading: the overlay's if the replay touched
+// it, else the preloaded image's (nil for a never-written page, which holds
+// no rows), else a copy read from the volume and kept. OpenView upserts only
+// into pages loaded before any preload, all of which the overlay owns.
 func (v *View) loadPage(p *sim.Proc, block int64) ([]byte, error) {
 	if pg, ok := v.overlay[block]; ok {
 		return pg, nil
+	}
+	if v.image != nil {
+		return v.image[block-v.dataBase], nil
 	}
 	pg, err := v.vol.Read(p, block)
 	if err != nil {
@@ -165,7 +175,8 @@ func (v *View) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 // Scan visits every row in page order; fn returning false stops the scan.
 // A scan is sequential by nature, so the data region is preloaded with one
 // fused range read (when the image supports it) instead of one random read
-// per page.
+// per page. A Row's Val is only valid during the callback: it points into
+// the page.
 func (v *View) Scan(p *sim.Proc, fn func(Row) bool) error {
 	if err := v.preload(p); err != nil {
 		return err
@@ -175,37 +186,27 @@ func (v *View) Scan(p *sim.Proc, fn func(Row) bool) error {
 		if err != nil {
 			return err
 		}
-		for _, row := range pageRows(page) {
-			if !fn(row) {
-				return nil
-			}
+		if !pageEach(page, fn) {
+			return nil
 		}
 	}
 	return nil
 }
 
-// preload pulls every data page not already in the overlay with one fused
-// sequential read. Pages replayed from the WAL keep their overlay content.
+// preload pulls the data region with one fused sequential read, kept as the
+// sparse borrowed range the reader returned. Pages replayed from the WAL
+// keep their overlay content.
 func (v *View) preload(p *sim.Proc) error {
-	if v.preloaded {
+	if v.image != nil {
 		return nil
 	}
-	v.preloaded = true
 	rr, ok := v.vol.(blockRangeReader)
 	if !ok {
-		return nil // per-page loads below
+		return nil // per-page loads in Scan
 	}
-	blocks, err := rr.ReadRange(p, v.dataBase, int(v.dataPages))
-	if err != nil {
-		return err
-	}
-	for i, blk := range blocks {
-		b := v.dataBase + int64(i)
-		if _, ok := v.overlay[b]; !ok {
-			v.overlay[b] = blk
-		}
-	}
-	return nil
+	image, err := rr.ReadRange(p, v.dataBase, int(v.dataPages))
+	v.image = image
+	return err
 }
 
 // CommittedTxns returns the transaction IDs whose commit record was in the

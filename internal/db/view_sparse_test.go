@@ -1,0 +1,153 @@
+package db
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/storage"
+)
+
+// sparseImage builds a database of `rows` rows on a volume of sizeBlocks
+// blocks — half of them checkpointed into data pages, half still only in
+// the WAL — and snapshots it. Almost every data page was never written.
+func sparseImage(tb testing.TB, sizeBlocks int64, rows int) (*sim.Env, *storage.Snapshot) {
+	tb.Helper()
+	env := sim.NewEnv(1)
+	a := storage.NewArray(env, "arr", storage.Config{})
+	vol, err := a.CreateVolume("v", sizeBlocks)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var snap *storage.Snapshot
+	env.Process("build", func(p *sim.Proc) {
+		d, err := Open(p, "sales", vol, Config{})
+		if err != nil {
+			tb.Error(err)
+			return
+		}
+		for i := 1; i <= rows; i++ {
+			tx := d.Begin()
+			tx.Put(uint64(i), []byte(fmt.Sprintf("row-%d", i)))
+			if err := tx.Commit(p); err != nil {
+				tb.Error(err)
+			}
+			if i == rows/2 {
+				d.Checkpoint(p)
+			}
+		}
+		snap, err = a.CreateSnapshot("s", "v")
+		if err != nil {
+			tb.Error(err)
+		}
+	})
+	env.Run(0)
+	return env, snap
+}
+
+// openAndScan opens a view on the image and scans it, returning the rows.
+func openAndScan(tb testing.TB, env *sim.Env, snap *storage.Snapshot) map[uint64]string {
+	rows := map[uint64]string{}
+	env.Process("view", func(p *sim.Proc) {
+		v, err := OpenView(p, "analytics", snap, Config{})
+		if err != nil {
+			tb.Error(err)
+			return
+		}
+		if err := v.Scan(p, func(r Row) bool {
+			rows[r.Key] = string(r.Val)
+			return true
+		}); err != nil {
+			tb.Error(err)
+		}
+		// After the preload, a key homed on a never-written page is a clean
+		// miss, not a read of a nil page.
+		if _, found, err := v.Get(p, 100); found || err != nil {
+			tb.Errorf("Get of an absent key after Scan: found=%v err=%v", found, err)
+		}
+	})
+	env.Run(0)
+	return rows
+}
+
+// A view over a mostly-empty image must cost what the image holds, not what
+// the volume could hold: never-written pages are nil in the sparse range and
+// are neither materialised nor copied. Sixteen times the volume, same rows:
+// same allocations (one range slice either way).
+func TestViewScanCostFollowsWrittenPagesNotVolumeSize(t *testing.T) {
+	const rows = 8
+	cost := func(sizeBlocks int64) float64 {
+		env, snap := sparseImage(t, sizeBlocks, rows)
+		if got := openAndScan(t, env, snap); len(got) != rows || got[3] != "row-3" || got[rows] != fmt.Sprintf("row-%d", rows) {
+			t.Fatalf("%d-block image: scan saw %v", sizeBlocks, got)
+		}
+		return testing.AllocsPerRun(10, func() { openAndScan(t, env, snap) })
+	}
+	small, large := cost(256), cost(4096)
+	if large > small+2 {
+		t.Fatalf("OpenView+Scan allocates %v times on a 256-block image but %v on a 4096-block one holding the same %d rows",
+			small, large, rows)
+	}
+}
+
+// The view replays the WAL into pages it copied and reads everything else in
+// place, so opening and scanning it must leave the borrowed image untouched.
+func TestViewLeavesBorrowedImageUntouched(t *testing.T) {
+	env, snap := sparseImage(t, 256, 8)
+	before := make([][]byte, snap.SizeBlocks())
+	for b := range before {
+		before[b] = snap.Peek(int64(b))
+	}
+	openAndScan(t, env, snap)
+	for b := range before {
+		if !bytes.Equal(before[b], snap.Peek(int64(b))) {
+			t.Fatalf("block %d of the snapshot changed under the view", b)
+		}
+	}
+}
+
+// A live database's Scan caches the data region from a borrowed range, and
+// commits write into cached pages: the cache must own copies, or a commit
+// would edit the volume's stored block behind its back (no-force: data pages
+// reach the volume only at Checkpoint).
+func TestScanCachesCopiesOfBorrowedPages(t *testing.T) {
+	withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
+		d, _ := Open(p, "sales", vol, Config{})
+		tx := d.Begin()
+		tx.Put(7, []byte("old"))
+		tx.Commit(p)
+		d.Checkpoint(p)
+
+		d2, err := Open(p, "sales", vol, Config{}) // empty page cache
+		if err != nil {
+			t.Fatal(err)
+		}
+		d2.Scan(p, func(Row) bool { return true })
+		page := d2.pageBlock(7)
+		onDisk := vol.Peek(page)
+		tx = d2.Begin()
+		tx.Put(7, []byte("new"))
+		if err := tx.Commit(p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(onDisk, vol.Peek(page)) {
+			t.Fatal("a commit after Scan changed the volume's data page before any checkpoint")
+		}
+		if v, _, _ := d2.Get(p, 7); string(v) != "new" {
+			t.Fatalf("cached page reads %q, want new", v)
+		}
+	})
+}
+
+// BenchmarkOpenViewSparse: one op opens a view on a 256-block snapshot
+// holding 8 rows and scans it — the fleet's per-tenant verify step.
+func BenchmarkOpenViewSparse(b *testing.B) {
+	env, snap := sparseImage(b, 256, 8)
+	openAndScan(b, env, snap)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		openAndScan(b, env, snap)
+	}
+}

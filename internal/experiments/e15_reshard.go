@@ -273,7 +273,7 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 			}
 			rgKey := platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: "backup-" + e15Namespace}
 			if obj, err := sys.Main.API.Get(p, rgKey); err == nil {
-				if err := sys.Main.API.Update(p, obj); err != nil {
+				if err := sys.Main.API.Update(p, obj.DeepCopy()); err != nil {
 					fail(err)
 					return
 				}

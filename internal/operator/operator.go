@@ -72,8 +72,8 @@ func New(env *sim.Env, api *platform.APIServer, cfg Config) *Operator {
 	o.ctrl = platform.NewController(env, api, "namespace-operator", platform.KindNamespace,
 		nil, platform.ReconcilerFunc(o.reconcile), platform.ControllerConfig{Telemetry: cfg.Telemetry})
 	o.pvcCtrl = platform.NewController(env, api, "namespace-operator-pvc", platform.KindPVC,
-		func(ev platform.Event) []platform.ObjectKey {
-			return []platform.ObjectKey{{Kind: platform.KindNamespace, Name: ev.Object.GetMeta().Namespace}}
+		func(ev platform.Event) (platform.ObjectKey, bool) {
+			return platform.ObjectKey{Kind: platform.KindNamespace, Name: ev.Object.GetMeta().Namespace}, true
 		}, platform.ReconcilerFunc(o.reconcile), platform.ControllerConfig{Telemetry: cfg.Telemetry})
 	return o
 }
@@ -98,7 +98,7 @@ func (o *Operator) Removed() int64 { return o.removed }
 
 // GroupNameFor returns the ReplicationGroup name the operator uses for a
 // namespace.
-func GroupNameFor(namespace string) string { return fmt.Sprintf("backup-%s", namespace) }
+func GroupNameFor(namespace string) string { return "backup-" + namespace }
 
 // NamespaceOfGroup inverts GroupNameFor: the namespace a ReplicationGroup
 // name was derived from, with ok=false for names this operator did not
@@ -146,10 +146,10 @@ func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 		// Keep the CR's spec current: a new claim may have appeared, and a
 		// ShardsLabel change must propagate so the replication plugin drives
 		// a live reshard instead of the label being silently ignored.
-		rg := existing.(*platform.ReplicationGroup)
-		if equalStrings(rg.Spec.PVCNames, pvcNames) && rg.Spec.JournalShards == shards {
+		if spec := existing.(*platform.ReplicationGroup).Spec; equalStrings(spec.PVCNames, pvcNames) && spec.JournalShards == shards {
 			return nil
 		}
+		rg := existing.DeepCopy().(*platform.ReplicationGroup)
 		rg.Spec.PVCNames = pvcNames
 		rg.Spec.JournalShards = shards
 		return o.api.Update(p, rg)

@@ -67,7 +67,7 @@ func (f *fixture) setLabel(t *testing.T, ns string, labels map[string]string) {
 			t.Error(err)
 			return
 		}
-		n := obj.(*platform.Namespace)
+		n := obj.DeepCopy().(*platform.Namespace)
 		n.Labels = labels
 		if err := f.api.Update(p, n); err != nil {
 			t.Error(err)
@@ -275,7 +275,7 @@ func TestShardsLabelUpdatePropagates(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			ns := obj.(*platform.Namespace)
+			ns := obj.DeepCopy().(*platform.Namespace)
 			if val == "" {
 				delete(ns.Labels, ShardsLabel)
 			} else {

@@ -3,18 +3,43 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/sim"
 )
 
-// API errors.
+// API errors. Calls that fail on a particular object return a *StatusError
+// wrapping one of these; test with errors.Is.
 var (
 	ErrNotFound = errors.New("platform: object not found")
 	ErrExists   = errors.New("platform: object already exists")
 	ErrConflict = errors.New("platform: resource version conflict")
 )
+
+// StatusError is an API failure on one object: which sentinel, and which
+// key. Reconcilers probe for objects that are usually absent (Get, then
+// create on ErrNotFound), so a miss must cost next to nothing — the key is
+// carried as a value and formatted only if somebody prints the error.
+type StatusError struct {
+	Err error // ErrNotFound, ErrExists or ErrConflict
+	Key ObjectKey
+	// Have and Stored are the caller's and the store's resource versions
+	// (ErrConflict only).
+	Have, Stored int64
+}
+
+func (e *StatusError) Error() string {
+	if e.Err == ErrConflict {
+		return fmt.Sprintf("%v: %s (have %d, store %d)", e.Err, e.Key, e.Have, e.Stored)
+	}
+	return e.Err.Error() + ": " + e.Key.String()
+}
+
+// Unwrap returns the sentinel so errors.Is(err, ErrNotFound) holds.
+func (e *StatusError) Unwrap() error { return e.Err }
 
 // EventType classifies watch events.
 type EventType string
@@ -26,7 +51,9 @@ const (
 	Deleted  EventType = "DELETED"
 )
 
-// Event is one watch notification carrying a deep copy of the object.
+// Event is one watch notification. Object is the stored object itself (for
+// Deleted, the last stored version), shared with the store, every other
+// watcher and every reader: it is read-only — DeepCopy before mutating.
 type Event struct {
 	Type   EventType
 	Object Object
@@ -48,14 +75,23 @@ func (c APIConfig) withDefaults() APIConfig {
 
 // APIServer is the platform's object store: create/update/get/list/delete
 // with optimistic concurrency plus watches.
+//
+// Ownership follows the client-go lister contract. A stored object is
+// immutable: every write installs a new object (the one copy Create/Update
+// take to detach the caller's), and that same pointer is what Get, List and
+// watch events hand to every reader. Readers must treat what they receive
+// as read-only and DeepCopy before a read-modify-write; in exchange reads
+// copy nothing.
 type APIServer struct {
 	env     *sim.Env
 	cfg     APIConfig
 	objects map[ObjectKey]Object
-	// byKind indexes the store per kind so List and Names scan only the
-	// kind's objects — at fleet scale a whole-store scan per List call is
-	// quadratic in tenants.
-	byKind  map[Kind]map[ObjectKey]Object
+	// byKind indexes the store per kind, each slice kept sorted by
+	// (namespace, name) on write: a namespace's objects are one contiguous
+	// run found by binary search, so List costs O(log n + result) with no
+	// per-call key collection or sort — at fleet scale a whole-kind scan per
+	// List call is quadratic in tenants.
+	byKind  map[Kind][]Object
 	rv      int64
 	watches []*Watch
 	// keyed holds single-object watches bucketed by key, so a notify
@@ -71,24 +107,39 @@ func NewAPIServer(env *sim.Env, cfg APIConfig) *APIServer {
 		env:     env,
 		cfg:     cfg.withDefaults(),
 		objects: make(map[ObjectKey]Object),
-		byKind:  make(map[Kind]map[ObjectKey]Object),
+		byKind:  make(map[Kind][]Object),
 		keyed:   make(map[ObjectKey][]*Watch),
 	}
 }
 
+// indexOf returns where key sorts in its kind's index and whether an object
+// with that key is there.
+func (s *APIServer) indexOf(key ObjectKey) (int, bool) {
+	return slices.BinarySearchFunc(s.byKind[key.Kind], key, func(o Object, k ObjectKey) int {
+		m := o.GetMeta()
+		if c := strings.Compare(m.Namespace, k.Namespace); c != 0 {
+			return c
+		}
+		return strings.Compare(m.Name, k.Name)
+	})
+}
+
+// indexPut installs obj under key, replacing the previous version if any.
 func (s *APIServer) indexPut(key ObjectKey, obj Object) {
 	s.objects[key] = obj
-	kindMap, ok := s.byKind[key.Kind]
-	if !ok {
-		kindMap = make(map[ObjectKey]Object)
-		s.byKind[key.Kind] = kindMap
+	i, found := s.indexOf(key)
+	if found {
+		s.byKind[key.Kind][i] = obj
+		return
 	}
-	kindMap[key] = obj
+	s.byKind[key.Kind] = slices.Insert(s.byKind[key.Kind], i, obj)
 }
 
 func (s *APIServer) indexDelete(key ObjectKey) {
 	delete(s.objects, key)
-	delete(s.byKind[key.Kind], key)
+	if i, found := s.indexOf(key); found {
+		s.byKind[key.Kind] = slices.Delete(s.byKind[key.Kind], i, i+1)
+	}
 }
 
 // Calls returns the number of API calls served (the operator-automation
@@ -100,80 +151,85 @@ func (s *APIServer) charge(p *sim.Proc) {
 	p.Sleep(s.cfg.CallLatency)
 }
 
-// Create stores a new object, assigning its first resource version.
+// Create stores a new object, assigning its first resource version (written
+// back to obj). The store keeps its own copy: obj stays the caller's.
 func (s *APIServer) Create(p *sim.Proc, obj Object) error {
 	s.charge(p)
 	m := obj.GetMeta()
 	key := m.Key()
 	if key.Name == "" || key.Kind == "" {
-		return fmt.Errorf("platform: object needs kind and name")
+		return errors.New("platform: object needs kind and name")
 	}
 	if _, ok := s.objects[key]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, key)
+		return &StatusError{Err: ErrExists, Key: key}
 	}
 	s.rv++
 	m.ResourceVersion = s.rv
 	m.CreatedAt = s.env.Now()
 	stored := obj.DeepCopy()
 	s.indexPut(key, stored)
-	s.notify(Event{Type: Added, Object: stored.DeepCopy()})
+	s.notify(Event{Type: Added, Object: stored})
 	return nil
 }
 
 // Update replaces an object; the caller's copy must carry the current
-// resource version or the update fails with ErrConflict.
+// resource version or the update fails with ErrConflict. On success obj
+// carries the new resource version and the store holds its own copy, so the
+// caller may keep mutating and re-submitting obj. Passing the stored object
+// itself (a Get result mutated in place) breaks the read-only contract and
+// panics.
 func (s *APIServer) Update(p *sim.Proc, obj Object) error {
 	s.charge(p)
-	key := obj.GetMeta().Key()
+	m := obj.GetMeta()
+	key := m.Key()
 	cur, ok := s.objects[key]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, key)
+		return &StatusError{Err: ErrNotFound, Key: key}
 	}
-	if cur.GetMeta().ResourceVersion != obj.GetMeta().ResourceVersion {
-		return fmt.Errorf("%w: %s (have %d, store %d)", ErrConflict, key,
-			obj.GetMeta().ResourceVersion, cur.GetMeta().ResourceVersion)
+	if cur == obj {
+		panic("platform: Update of " + key.String() + " with the stored object itself; DeepCopy before mutating")
+	}
+	cm := cur.GetMeta()
+	if cm.ResourceVersion != m.ResourceVersion {
+		return &StatusError{Err: ErrConflict, Key: key, Have: m.ResourceVersion, Stored: cm.ResourceVersion}
 	}
 	s.rv++
-	obj.GetMeta().ResourceVersion = s.rv
-	obj.GetMeta().CreatedAt = cur.GetMeta().CreatedAt
+	m.ResourceVersion = s.rv
+	m.CreatedAt = cm.CreatedAt
 	stored := obj.DeepCopy()
 	s.indexPut(key, stored)
-	s.notify(Event{Type: Modified, Object: stored.DeepCopy()})
+	s.notify(Event{Type: Modified, Object: stored})
 	return nil
 }
 
-// Get returns a deep copy of the object.
+// Get returns the stored object — shared and read-only; DeepCopy it before
+// mutating.
 func (s *APIServer) Get(p *sim.Proc, key ObjectKey) (Object, error) {
 	s.charge(p)
 	cur, ok := s.objects[key]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
+		return nil, &StatusError{Err: ErrNotFound, Key: key}
 	}
-	return cur.DeepCopy(), nil
+	return cur, nil
 }
 
-// List returns deep copies of all objects of a kind, optionally restricted
-// to a namespace (empty string = all), sorted by key for determinism.
+// List returns all objects of a kind, optionally restricted to a namespace
+// (empty string = all), sorted by (namespace, name). The slice is the
+// caller's; the objects are the stored ones — shared and read-only.
 func (s *APIServer) List(p *sim.Proc, kind Kind, namespace string) []Object {
 	s.charge(p)
-	var keys []ObjectKey
-	for k := range s.byKind[kind] {
-		if namespace != "" && k.Namespace != namespace {
-			continue
-		}
-		keys = append(keys, k)
+	all := s.byKind[kind]
+	if namespace == "" {
+		return slices.Clone(all)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Namespace != keys[j].Namespace {
-			return keys[i].Namespace < keys[j].Namespace
-		}
-		return keys[i].Name < keys[j].Name
-	})
-	out := make([]Object, len(keys))
-	for i, k := range keys {
-		out[i] = s.objects[k].DeepCopy()
+	// The empty name sorts before every name, so this is the namespace's
+	// first slot whether or not anything is in it.
+	lo, _ := s.indexOf(ObjectKey{Kind: kind, Namespace: namespace})
+	hi := lo
+	for hi < len(all) && all[hi].GetMeta().Namespace == namespace {
+		hi++
 	}
-	return out
+	return slices.Clone(all[lo:hi])
 }
 
 // Delete removes the object.
@@ -181,10 +237,10 @@ func (s *APIServer) Delete(p *sim.Proc, key ObjectKey) error {
 	s.charge(p)
 	cur, ok := s.objects[key]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, key)
+		return &StatusError{Err: ErrNotFound, Key: key}
 	}
 	s.indexDelete(key)
-	s.notify(Event{Type: Deleted, Object: cur.DeepCopy()})
+	s.notify(Event{Type: Deleted, Object: cur})
 	return nil
 }
 
@@ -194,6 +250,15 @@ func (s *APIServer) Delete(p *sim.Proc, key ObjectKey) error {
 // watches that every notify must skip forever — the watch leak.
 func (s *APIServer) notify(ev Event) {
 	m := ev.Object.GetMeta()
+	// Boxed once, on the first delivery: every watcher's queue holds the
+	// same interface value, and an event nobody watches allocates nothing.
+	var boxed interface{}
+	deliver := func(w *Watch) {
+		if boxed == nil {
+			boxed = ev
+		}
+		w.ch.Put(boxed)
+	}
 	kept := s.watches[:0]
 	for _, w := range s.watches {
 		if w.stopped {
@@ -203,7 +268,7 @@ func (s *APIServer) notify(ev Event) {
 		if w.kind != m.Kind {
 			continue
 		}
-		w.ch.Put(ev)
+		deliver(w)
 	}
 	for i := len(kept); i < len(s.watches); i++ {
 		s.watches[i] = nil // release the stopped watch for GC
@@ -217,7 +282,7 @@ func (s *APIServer) notify(ev Event) {
 				continue
 			}
 			keptK = append(keptK, w)
-			w.ch.Put(ev)
+			deliver(w)
 		}
 		if len(keptK) == 0 {
 			delete(s.keyed, key)
@@ -231,8 +296,9 @@ func (s *APIServer) notify(ev Event) {
 }
 
 // Watch streams events for one kind — optionally for one object key only.
-// Events carry deep copies; the watch starts empty (list first for existing
-// state, the standard contract).
+// Events carry the stored objects themselves (read-only, see Event); the
+// watch starts empty (list first for existing state, the standard
+// contract).
 type Watch struct {
 	kind    Kind
 	keyed   bool
@@ -262,11 +328,29 @@ func (s *APIServer) WatchKey(key ObjectKey) *Watch {
 // modeled API call.
 func (s *APIServer) Names(kind Kind) []string {
 	var out []string
-	for k := range s.byKind[kind] {
-		out = append(out, k.Name)
+	for _, o := range s.byKind[kind] {
+		out = append(out, o.GetMeta().Name)
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Each calls fn with every stored object, kinds in name order and each
+// kind's objects in (namespace, name) order — an uncharged introspection
+// helper like Names, for invariant checks that audit the store itself (the
+// read-only contract: an object's content never changes under one
+// resource version). fn must not mutate what it is shown.
+func (s *APIServer) Each(fn func(Object)) {
+	kinds := make([]Kind, 0, len(s.byKind))
+	for k := range s.byKind {
+		kinds = append(kinds, k)
+	}
+	slices.Sort(kinds)
+	for _, k := range kinds {
+		for _, o := range s.byKind[k] {
+			fn(o)
+		}
+	}
 }
 
 // WatchCount returns the number of registered watches still delivering

@@ -3,6 +3,7 @@ package platform
 import (
 	"time"
 
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -50,10 +51,10 @@ type Controller struct {
 	env     *sim.Env
 	api     *APIServer
 	kind    Kind
-	mapFn   func(Event) []ObjectKey
+	mapFn   func(Event) (ObjectKey, bool)
 	rec     Reconciler
 	cfg     ControllerConfig
-	queue   []ObjectKey
+	queue   ring.Ring[ObjectKey]
 	queued  map[ObjectKey]bool
 	wake    *sim.Event
 	stop    *sim.Event
@@ -70,12 +71,12 @@ type Controller struct {
 }
 
 // NewController builds a controller for kind on the API server. mapFn
-// converts each watch event into reconcile keys; nil maps events to their
-// own object key.
+// converts each watch event into the key to reconcile (false = none);
+// nil maps events to their own object key.
 func NewController(env *sim.Env, api *APIServer, name string, kind Kind,
-	mapFn func(Event) []ObjectKey, rec Reconciler, cfg ControllerConfig) *Controller {
+	mapFn func(Event) (ObjectKey, bool), rec Reconciler, cfg ControllerConfig) *Controller {
 	if mapFn == nil {
-		mapFn = func(ev Event) []ObjectKey { return []ObjectKey{ev.Object.GetMeta().Key()} }
+		mapFn = func(ev Event) (ObjectKey, bool) { return ev.Object.GetMeta().Key(), true }
 	}
 	c := &Controller{
 		name:   name,
@@ -104,10 +105,8 @@ func (c *Controller) Enqueue(key ObjectKey) {
 		return
 	}
 	c.queued[key] = true
-	c.queue = append(c.queue, key)
-	if !c.wake.Triggered() {
-		c.wake.Trigger()
-	}
+	c.queue.Push(key)
+	c.wake.Trigger()
 }
 
 // Start launches the watch pump and the worker.
@@ -121,24 +120,22 @@ func (c *Controller) Start() {
 					return
 				}
 			}
-			ev := w.Next(p)
-			for _, key := range c.mapFn(ev) {
+			if key, ok := c.mapFn(w.Next(p)); ok {
 				c.Enqueue(key)
 			}
 		}
 	})
 	c.env.Process(c.name+":worker", func(p *sim.Proc) {
 		for {
-			for len(c.queue) == 0 {
+			for c.queue.Len() == 0 {
 				if c.wake.Triggered() {
-					c.wake = c.env.NewEvent()
+					c.wake = c.wake.Renew() // only this worker ever waits on it
 				}
 				if p.WaitAny(c.wake, c.stop) == 1 {
 					return
 				}
 			}
-			key := c.queue[0]
-			c.queue = c.queue[1:]
+			key, _ := c.queue.Pop()
 			delete(c.queued, key)
 			c.reconciles++
 			var sp telemetry.Span
@@ -186,7 +183,7 @@ func (c *Controller) Reconciles() int64 { return c.reconciles }
 func (c *Controller) Errors() int64 { return c.errors }
 
 // QueueLen returns the number of keys waiting.
-func (c *Controller) QueueLen() int { return len(c.queue) }
+func (c *Controller) QueueLen() int { return c.queue.Len() }
 
 // watchAvail adapts a Watch's availability to an event WaitAny can select
 // on: it returns an event that triggers when the watch has pending items.

@@ -7,7 +7,6 @@
 package platform
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/storage"
@@ -61,12 +60,14 @@ type ObjectKey struct {
 
 func (k ObjectKey) String() string {
 	if k.Namespace == "" {
-		return fmt.Sprintf("%s/%s", k.Kind, k.Name)
+		return string(k.Kind) + "/" + k.Name
 	}
-	return fmt.Sprintf("%s/%s/%s", k.Kind, k.Namespace, k.Name)
+	return string(k.Kind) + "/" + k.Namespace + "/" + k.Name
 }
 
-// Object is any API object.
+// Object is any API object. Objects obtained from the API server (Get, List,
+// watch events) are shared and read-only; DeepCopy is how a reader gets one
+// it may mutate.
 type Object interface {
 	GetMeta() *Meta
 	DeepCopy() Object

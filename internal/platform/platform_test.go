@@ -60,16 +60,52 @@ func TestCreateValidation(t *testing.T) {
 	})
 }
 
-func TestGetReturnsDeepCopy(t *testing.T) {
+// The store detaches the writer (one copy per write) and shares with every
+// reader: mutating what was passed to Create/Update never reaches the store,
+// and reads hand out the stored object itself.
+func TestWritesDetachCallerReadsShare(t *testing.T) {
+	run(t, func(p *sim.Proc, env *sim.Env, api *APIServer) {
+		mine := pvc("shop", "sales", "fast", 100)
+		api.Create(p, mine)
+		key := mine.Key()
+		mine.Spec.SizeBlocks = 999 // still the caller's object
+		a, _ := api.Get(p, key)
+		if a.(*PersistentVolumeClaim).Spec.SizeBlocks != 100 {
+			t.Fatal("store aliased the object passed to Create")
+		}
+		if b, _ := api.Get(p, key); b != a {
+			t.Fatal("two reads of one version returned different objects")
+		}
+		if l := api.List(p, KindPVC, "shop"); len(l) != 1 || l[0] != a {
+			t.Fatal("List did not return the stored object")
+		}
+		mine.Spec.SizeBlocks = 200
+		if err := api.Update(p, mine); err != nil {
+			t.Fatal(err)
+		}
+		mine.Spec.SizeBlocks = 999
+		c, _ := api.Get(p, key)
+		if c == a || c.(*PersistentVolumeClaim).Spec.SizeBlocks != 200 {
+			t.Fatal("Update did not install a fresh detached object")
+		}
+		if a.(*PersistentVolumeClaim).Spec.SizeBlocks != 100 {
+			t.Fatal("Update mutated the previous stored version in place")
+		}
+	})
+}
+
+// Writing back a Get result mutated in place is the one misuse the store can
+// see; it must be loud.
+func TestUpdateWithStoredObjectPanics(t *testing.T) {
 	run(t, func(p *sim.Proc, env *sim.Env, api *APIServer) {
 		api.Create(p, pvc("shop", "sales", "fast", 100))
-		key := ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "sales"}
-		a, _ := api.Get(p, key)
-		a.(*PersistentVolumeClaim).Spec.SizeBlocks = 999 // mutate the copy
-		b, _ := api.Get(p, key)
-		if b.(*PersistentVolumeClaim).Spec.SizeBlocks != 100 {
-			t.Fatal("store aliased the returned object")
-		}
+		obj, _ := api.Get(p, ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "sales"})
+		defer func() {
+			if recover() == nil {
+				t.Error("Update with the stored object did not panic")
+			}
+		}()
+		api.Update(p, obj)
 	})
 }
 
@@ -77,8 +113,8 @@ func TestUpdateConflictOnStaleRV(t *testing.T) {
 	run(t, func(p *sim.Proc, env *sim.Env, api *APIServer) {
 		api.Create(p, pvc("shop", "sales", "fast", 100))
 		key := ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "sales"}
-		a, _ := api.Get(p, key)
-		b, _ := api.Get(p, key)
+		cur, _ := api.Get(p, key)
+		a, b := cur.DeepCopy(), cur.DeepCopy()
 		a.(*PersistentVolumeClaim).Status.Phase = ClaimBound
 		if err := api.Update(p, a); err != nil {
 			t.Fatal(err)
@@ -148,6 +184,7 @@ func TestWatchDeliversLifecycle(t *testing.T) {
 		api.Create(p, pvc("shop", "sales", "fast", 1))
 		key := ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "sales"}
 		obj, _ := api.Get(p, key)
+		obj = obj.DeepCopy()
 		obj.(*PersistentVolumeClaim).Status.Phase = ClaimBound
 		api.Update(p, obj)
 		api.Delete(p, key)
@@ -178,24 +215,27 @@ func TestWatchFiltersKind(t *testing.T) {
 	}
 }
 
-func TestWatchEventCarriesCopy(t *testing.T) {
+// Every watcher of a write — kind-wide or keyed — receives the stored object
+// itself, detached from the writer.
+func TestWatchEventCarriesStoredObject(t *testing.T) {
 	env := sim.NewEnv(1)
 	api := NewAPIServer(env, APIConfig{})
-	w := api.Watch(KindPVC)
+	mine := pvc("shop", "sales", "fast", 100)
+	ws := []*Watch{api.Watch(KindPVC), api.Watch(KindPVC), api.WatchKey(mine.Key())}
 	env.Process("driver", func(p *sim.Proc) {
-		api.Create(p, pvc("shop", "sales", "fast", 100))
+		api.Create(p, mine)
+		mine.Spec.SizeBlocks = 1
 	})
 	env.Run(0)
-	var got *PersistentVolumeClaim
-	env.Process("watcher", func(p *sim.Proc) {
-		got = w.Next(p).Object.(*PersistentVolumeClaim)
-	})
-	env.Run(0)
-	got.Spec.SizeBlocks = 1
 	env.Process("check", func(p *sim.Proc) {
-		cur, _ := api.Get(p, ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "sales"})
+		cur, _ := api.Get(p, mine.Key())
+		for i, w := range ws {
+			if got := w.Next(p).Object; got != cur {
+				t.Errorf("watcher %d: event object is not the stored object", i)
+			}
+		}
 		if cur.(*PersistentVolumeClaim).Spec.SizeBlocks != 100 {
-			t.Error("watch event aliased store object")
+			t.Error("watch event aliased the writer's object")
 		}
 	})
 	env.Run(0)
@@ -303,8 +343,8 @@ func TestControllerCustomMapFn(t *testing.T) {
 	api := NewAPIServer(env, APIConfig{})
 	rec := &countingReconciler{}
 	// Map namespace events to a ReplicationGroup key — the NSO pattern.
-	mapFn := func(ev Event) []ObjectKey {
-		return []ObjectKey{{Kind: KindReplicationGroup, Name: ev.Object.GetMeta().Name}}
+	mapFn := func(ev Event) (ObjectKey, bool) {
+		return ObjectKey{Kind: KindReplicationGroup, Name: ev.Object.GetMeta().Name}, true
 	}
 	c := NewController(env, api, "nso", KindNamespace, mapFn, rec, ControllerConfig{})
 	c.Start()

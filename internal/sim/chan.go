@@ -1,6 +1,10 @@
 package sim
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/ring"
+)
 
 // Chan is an unbounded FIFO queue carrying values between simulated
 // processes. Put never blocks; Get blocks the calling process until an item
@@ -8,7 +12,7 @@ import "time"
 // are served in arrival order.
 type Chan struct {
 	env   *Env
-	items []interface{}
+	items ring.Ring[interface{}]
 	avail *Event // triggered whenever items transitions from empty
 }
 
@@ -19,25 +23,30 @@ func (e *Env) NewChan() *Chan {
 
 // Put appends v to the queue and wakes one round of waiters.
 func (c *Chan) Put(v interface{}) {
-	c.items = append(c.items, v)
+	c.items.Push(v)
 	c.avail.Trigger()
 }
 
 // Len returns the number of queued items.
-func (c *Chan) Len() int { return len(c.items) }
+func (c *Chan) Len() int { return c.items.Len() }
 
 // Avail returns an event that triggers when the channel next becomes
 // non-empty (already triggered if it is now). Use with Proc.WaitAny to
-// select between data arrival and other conditions.
+// select between data arrival and other conditions. Wait on it before
+// calling the channel again: the channel re-arms the same event once the
+// queue has emptied and every process the event woke has resumed.
 func (c *Chan) Avail() *Event {
-	if len(c.items) > 0 {
-		if !c.avail.Triggered() {
-			c.avail.Trigger()
-		}
+	if c.items.Len() > 0 {
+		c.avail.Trigger()
 		return c.avail
 	}
-	if c.avail.Triggered() {
-		c.avail = c.env.NewEvent()
+	return c.armed()
+}
+
+// armed returns the availability event of an empty channel, untriggered.
+func (c *Chan) armed() *Event {
+	if c.avail.triggered {
+		c.avail = c.avail.Renew()
 	}
 	return c.avail
 }
@@ -45,15 +54,10 @@ func (c *Chan) Avail() *Event {
 // Get removes and returns the head item, blocking the process until one is
 // available.
 func (c *Chan) Get(p *Proc) interface{} {
-	for len(c.items) == 0 {
-		if c.avail.Triggered() {
-			c.avail = c.env.NewEvent()
-		}
-		p.Wait(c.avail)
+	for c.items.Len() == 0 {
+		p.Wait(c.armed())
 	}
-	v := c.items[0]
-	c.items[0] = nil
-	c.items = c.items[1:]
+	v, _ := c.items.Pop()
 	return v
 }
 
@@ -61,22 +65,14 @@ func (c *Chan) Get(p *Proc) interface{} {
 // before an item arrived.
 func (c *Chan) GetTimeout(p *Proc, d time.Duration) (v interface{}, ok bool) {
 	deadline := p.Now() + d
-	for len(c.items) == 0 {
+	for c.items.Len() == 0 {
 		remain := deadline - p.Now()
 		if remain <= 0 {
 			return nil, false
 		}
-		if c.avail.Triggered() {
-			c.avail = c.env.NewEvent()
-		}
-		if !p.WaitTimeout(c.avail, remain) {
-			if len(c.items) == 0 {
-				return nil, false
-			}
+		if !p.WaitTimeout(c.armed(), remain) && c.items.Len() == 0 {
+			return nil, false
 		}
 	}
-	v = c.items[0]
-	c.items[0] = nil
-	c.items = c.items[1:]
-	return v, true
+	return c.items.Pop()
 }

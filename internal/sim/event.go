@@ -3,22 +3,21 @@ package sim
 // Event is a one-shot condition processes can wait on. The zero value is not
 // usable; create events with Env.NewEvent. Triggering an already-triggered
 // event is a no-op, which makes completion signalling idempotent.
+//
+// Waiters are the blocked processes themselves, in arrival order. The first
+// one is held inline — most events only ever have one — and a process's
+// timeout entry and WaitAny siblings live on the Proc (it can be blocked in
+// only one wait at a time), so registering on an event allocates nothing
+// once rest has grown to the event's usual crowd.
 type Event struct {
 	env       *Env
 	triggered bool
-	waiters   []waiter
-}
-
-// waiter pairs a blocked process with its optional timeout entry so that a
-// trigger can cancel the pending timer (0 = no timer; refs are only valid
-// while the entry is pending, which holds because the process stays blocked
-// until either the timer pops or the trigger cancels it). For WaitAny, group
-// lists the sibling events the process is simultaneously registered on, so
-// the first trigger can deregister the rest and prevent double resumption.
-type waiter struct {
-	proc  *Proc
-	timer entryRef
-	group []*Event
+	first     *Proc
+	rest      []*Proc
+	// wakes counts processes this event's trigger scheduled that have not
+	// resumed yet: each will read triggered when it does, so the event
+	// cannot be reset under them (see Renew).
+	wakes int
 }
 
 // NewEvent returns an untriggered event bound to the environment.
@@ -38,53 +37,88 @@ func (ev *Event) Trigger() {
 	if ev.triggered {
 		return
 	}
-	if ev.env.inRound && len(ev.waiters) > 0 {
+	if ev.env.inRound && ev.first != nil {
 		panic("sim: Event.Trigger with waiters during a parallel round; use Proc.Trigger")
 	}
-	ev.triggered = true
-	for _, w := range ev.waiters {
-		if w.timer != 0 {
-			ev.env.cancelEntry(w.timer)
-		}
-		for _, other := range w.group {
-			if other != ev {
-				other.remove(w.proc)
-			}
-		}
-		ev.env.schedule(w.proc, ev.env.now)
-	}
-	ev.waiters = nil
+	ev.fire(nil)
 }
 
-// triggerVia is Trigger with every kernel effect (timer cancels, waiter
-// resumes) attributed to p's current effect segment; Proc.Trigger routes
-// here during parallel rounds.
-func (ev *Event) triggerVia(p *Proc) {
-	if ev.triggered {
+// fire triggers the event with every kernel effect (timer cancels, waiter
+// resumes) attributed to via's current effect segment; via is nil outside
+// parallel rounds. Proc.Trigger routes here during rounds.
+func (ev *Event) fire(via *Proc) {
+	ev.triggered = true
+	if ev.first == nil {
 		return
 	}
-	ev.triggered = true
-	for _, w := range ev.waiters {
-		if w.timer != 0 {
-			ev.env.cancelVia(p, w.timer)
-		}
-		for _, other := range w.group {
-			if other != ev {
-				other.remove(w.proc)
-			}
-		}
-		ev.env.scheduleVia(p, w.proc, ev.env.now)
+	ev.wake(via, ev.first)
+	ev.first = nil
+	for i, w := range ev.rest {
+		ev.wake(via, w)
+		ev.rest[i] = nil
 	}
-	ev.waiters = nil
+	ev.rest = ev.rest[:0]
+}
+
+// wake resumes one waiter: cancel its pending timeout, deregister it from
+// its WaitAny siblings so a later trigger cannot resume it twice, and
+// schedule it now.
+func (ev *Event) wake(via, w *Proc) {
+	if w.timer != 0 {
+		ev.env.cancelVia(via, w.timer)
+		w.timer = 0
+	}
+	w.leaveGroup(ev)
+	w.wokenBy = ev
+	ev.wakes++
+	ev.env.scheduleVia(via, w, ev.env.now)
+}
+
+// Renew returns an untriggered event to use in place of a triggered one
+// whose owner wants to wait again: ev itself, reset, when every process its
+// trigger woke has already resumed — nothing can still observe the old
+// firing — and a fresh event otherwise. Only the event's owner may call it,
+// and only for events it does not hand out for others to keep: a holder of
+// the old pointer would see it untriggered again.
+func (ev *Event) Renew() *Event {
+	if ev.wakes > 0 {
+		return ev.env.NewEvent()
+	}
+	ev.triggered = false
+	return ev
+}
+
+// add registers p as the event's newest waiter.
+func (ev *Event) add(p *Proc) {
+	if ev.first == nil {
+		ev.first = p
+		return
+	}
+	ev.rest = append(ev.rest, p)
 }
 
 // remove deregisters p from the waiter list (used after a timeout fires so a
 // later Trigger does not resume a process that already moved on).
 func (ev *Event) remove(p *Proc) {
-	for i, w := range ev.waiters {
-		if w.proc == p {
-			ev.waiters = append(ev.waiters[:i], ev.waiters[i+1:]...)
+	if ev.first == p {
+		ev.first = nil
+		if len(ev.rest) > 0 {
+			ev.first = ev.rest[0]
+			ev.dropRest(0)
+		}
+		return
+	}
+	for i, w := range ev.rest {
+		if w == p {
+			ev.dropRest(i)
 			return
 		}
 	}
+}
+
+func (ev *Event) dropRest(i int) {
+	n := len(ev.rest) - 1
+	copy(ev.rest[i:], ev.rest[i+1:])
+	ev.rest[n] = nil
+	ev.rest = ev.rest[:n]
 }

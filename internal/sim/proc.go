@@ -19,9 +19,25 @@ type Proc struct {
 	// seg is non-nil exactly while the process executes inside a parallel
 	// round: kernel effects are buffered here and committed in step order.
 	seg *stepSeg
+
+	// Wait registration. A process blocks in one wait at a time, so what a
+	// trigger needs to know about a waiter lives here and not in a
+	// per-registration record: timer is the pending WaitTimeout entry (0 =
+	// none; the ref is only valid while the entry is pending, which holds
+	// because the process stays blocked until either the timer pops or the
+	// trigger cancels it); group lists the events of the WaitAny in progress
+	// (the two-event form every caller uses fits inline, wider ones spill to
+	// groupMore) so the first trigger can deregister the rest; wokenBy is
+	// the event whose trigger scheduled the pending resume.
+	timer     entryRef
+	group     [2]*Event
+	groupMore []*Event
+	wokenBy   *Event
+
 	// Done triggers when the process function returns; other processes can
 	// Wait on it to join.
-	Done *Event
+	Done   *Event
+	doneEv Event
 }
 
 func (e *Env) newProc(name string) *Proc {
@@ -29,8 +45,9 @@ func (e *Env) newProc(name string) *Proc {
 		env:    e,
 		name:   name,
 		resume: make(chan struct{}),
+		doneEv: Event{env: e},
 	}
-	p.Done = e.NewEvent()
+	p.Done = &p.doneEv
 	return p
 }
 
@@ -117,7 +134,9 @@ func (p *Proc) Trigger(ev *Event) {
 		ev.Trigger()
 		return
 	}
-	ev.triggerVia(p)
+	if !ev.triggered {
+		ev.fire(p)
+	}
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
@@ -136,16 +155,45 @@ func (p *Proc) block() {
 	<-p.resume
 }
 
+// park blocks the process on the events it has registered with (or on a
+// Resource queue) until a trigger, a handoff or its timer resumes it.
+func (p *Proc) park() {
+	p.env.blocked.Add(1)
+	p.block()
+	p.env.blocked.Add(-1)
+	if ev := p.wokenBy; ev != nil {
+		ev.wakes--
+		p.wokenBy = nil
+	}
+}
+
+// leaveGroup ends the WaitAny in progress (a no-op when there is none): p is
+// deregistered from every event of the group except from, the one whose
+// trigger is resuming it and which drops its whole waiter list itself.
+func (p *Proc) leaveGroup(from *Event) {
+	for i, ev := range p.group {
+		if ev != nil && ev != from {
+			ev.remove(p)
+		}
+		p.group[i] = nil
+	}
+	for i, ev := range p.groupMore {
+		if ev != from {
+			ev.remove(p)
+		}
+		p.groupMore[i] = nil
+	}
+	p.groupMore = p.groupMore[:0]
+}
+
 // Wait suspends the process until ev triggers. If ev has already triggered,
 // Wait returns immediately without advancing time.
 func (p *Proc) Wait(ev *Event) {
 	if ev.triggered {
 		return
 	}
-	ev.waiters = append(ev.waiters, waiter{proc: p})
-	p.env.blocked.Add(1)
-	p.block()
-	p.env.blocked.Add(-1)
+	ev.add(p)
+	p.park()
 }
 
 // WaitAny suspends the process until any of the given events triggers and
@@ -157,12 +205,14 @@ func (p *Proc) WaitAny(evs ...*Event) int {
 			return i
 		}
 	}
+	// evs is copied, not kept: the caller's variadic slice stays on its
+	// stack.
+	p.groupMore = append(p.groupMore, evs[min(len(evs), len(p.group)):]...)
+	copy(p.group[:], evs)
 	for _, ev := range evs {
-		ev.waiters = append(ev.waiters, waiter{proc: p, group: evs})
+		ev.add(p)
 	}
-	p.env.blocked.Add(1)
-	p.block()
-	p.env.blocked.Add(-1)
+	p.park()
 	for i, ev := range evs {
 		if ev.triggered {
 			return i
@@ -177,11 +227,9 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) bool {
 	if ev.triggered {
 		return true
 	}
-	timer := p.env.scheduleVia(p, p, p.env.now+d)
-	ev.waiters = append(ev.waiters, waiter{proc: p, timer: timer})
-	p.env.blocked.Add(1)
-	p.block()
-	p.env.blocked.Add(-1)
+	p.timer = p.env.scheduleVia(p, p, p.env.now+d)
+	ev.add(p)
+	p.park()
 	// Exactly one of the two sources resumed us: a trigger (which canceled
 	// the timer while it was still pending) or the timer pop (which can only
 	// happen while the event is untriggered — a later trigger cannot run
@@ -191,6 +239,7 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) bool {
 	if ev.triggered {
 		return true
 	}
+	p.timer = 0
 	ev.remove(p)
 	return false
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "repro/internal/ring"
+
 // Resource is a counted resource (semaphore) with FIFO admission. It models
 // service stations with limited parallelism: disk heads, controller CPUs,
 // replication apply slots. Acquire blocks the process until a unit is free.
@@ -7,7 +9,7 @@ type Resource struct {
 	env      *Env
 	capacity int
 	inUse    int
-	waitq    []*Event
+	waitq    ring.Ring[*Proc] // blocked acquirers, longest-waiting first
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -20,25 +22,31 @@ func (e *Env) NewResource(capacity int) *Resource {
 
 // Acquire obtains one unit, blocking in FIFO order when none are free.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && len(r.waitq) == 0 {
+	if r.inUse < r.capacity && r.waitq.Len() == 0 {
 		r.inUse++
 		return
 	}
-	ev := r.env.NewEvent()
-	r.waitq = append(r.waitq, ev)
-	p.Wait(ev)
+	r.waitq.Push(p)
+	p.park()
 	// Ownership was transferred by Release; inUse already accounts for us.
 }
 
-// Release returns one unit, handing it directly to the longest waiter if any.
+// Release returns one unit, handing it directly to the longest waiter if any
+// (one resume scheduled at the current instant, exactly what triggering a
+// per-acquire event cost in kernel operations).
+//
+// Like Event.Trigger, Release must not hand off from inside a parallel
+// round: the resume cannot be attributed to a step. Resources contended
+// across domains therefore stay on domain 0.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release without Acquire")
 	}
-	if len(r.waitq) > 0 {
-		next := r.waitq[0]
-		r.waitq = r.waitq[1:]
-		next.Trigger() // unit stays in use, transferred to the waiter
+	if next, ok := r.waitq.Pop(); ok {
+		if r.env.inRound {
+			panic("sim: Resource.Release with waiters during a parallel round")
+		}
+		r.env.schedule(next, r.env.now) // unit stays in use, transferred to the waiter
 		return
 	}
 	r.inUse--
@@ -48,4 +56,4 @@ func (r *Resource) Release() {
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting for a unit.
-func (r *Resource) QueueLen() int { return len(r.waitq) }
+func (r *Resource) QueueLen() int { return r.waitq.Len() }

@@ -143,9 +143,13 @@ func (s *Snapshot) Read(p *sim.Proc, block int64) ([]byte, error) {
 	return s.peek(block), nil
 }
 
-// ReadRange returns copies of count consecutive snapshot blocks starting at
-// start — one fused sequential scan, like Volume.ReadRange: the controller
-// is held once and the service time of count reads is charged in one step.
+// ReadRange reads count consecutive snapshot blocks starting at start — one
+// fused sequential scan, sparse and borrowed like Volume.ReadRange: the
+// controller is held once, the service time of count reads is charged in
+// one step, blocks unwritten at the snapshot instant are nil, and the rest
+// are the stored slices (a preserved original, or the parent's block the
+// parent has not overwritten since — which a later overwrite replaces
+// rather than modifies).
 func (s *Snapshot) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
 	if count < 0 || start < 0 || start+int64(count) > s.parent.sizeBlocks {
 		return nil, fmt.Errorf("%w: snapshot %s[%d..%d)", ErrOutOfRange, s.id, start, start+int64(count))
@@ -156,14 +160,9 @@ func (s *Snapshot) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, err
 	a.controller.Release()
 	s.reads += int64(count)
 	a.readOps.Add(int64(count))
-	// One contiguous backing buffer for the range (see Volume.ReadRange).
-	bs := a.cfg.BlockSize
-	backing := make([]byte, count*bs)
 	out := make([][]byte, count)
 	for i := range out {
-		dst := backing[i*bs : (i+1)*bs : (i+1)*bs]
-		s.peekInto(dst, start+int64(i))
-		out[i] = dst
+		out[i] = s.stored(start + int64(i))
 	}
 	return out, nil
 }
@@ -172,21 +171,21 @@ func (s *Snapshot) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, err
 // time (verification helper).
 func (s *Snapshot) Peek(block int64) []byte { return s.peek(block) }
 
+// peek returns a copy of the snapshot-time block content.
 func (s *Snapshot) peek(block int64) []byte {
 	out := make([]byte, s.parent.array.cfg.BlockSize)
-	s.peekInto(out, block)
+	copy(out, s.stored(block)) // nil = zeroes
 	return out
 }
 
-// peekInto writes the snapshot-time block content into dst (assumed zeroed).
-func (s *Snapshot) peekInto(dst []byte, block int64) {
+// stored returns the slice holding the snapshot-time content of the block:
+// the preserved original if the parent has overwritten it since, otherwise
+// the parent's current block; nil when the block was unwritten.
+func (s *Snapshot) stored(block int64) []byte {
 	if orig, saved := s.saved[block]; saved {
-		copy(dst, orig) // nil orig = zeroes, already satisfied
-		return
+		return orig
 	}
-	if cur, ok := s.parent.blocks[block]; ok {
-		copy(dst, cur)
-	}
+	return s.parent.blocks[block]
 }
 
 // SnapshotGroup is a set of snapshots created atomically across multiple

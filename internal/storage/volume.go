@@ -194,20 +194,17 @@ func (v *Volume) commit(p *sim.Proc, now time.Duration, block int64, data []byte
 	return ack
 }
 
-// preserveForSnapshots copies the current block content into every snapshot
-// that has not yet saved it (copy-on-write).
+// preserveForSnapshots hands the current block to every snapshot that has
+// not yet saved it (copy-on-write). The caller is about to install a fresh
+// slice for the block and stored slices are never written into, so the
+// snapshot keeps the old slice itself; the copy the array would make is
+// counted, not performed.
 func (v *Volume) preserveForSnapshots(block int64) {
 	for _, s := range v.snapshots {
 		if _, saved := s.saved[block]; saved {
 			continue
 		}
-		cur := v.blocks[block]
-		var orig []byte
-		if cur != nil {
-			orig = make([]byte, len(cur))
-			copy(orig, cur)
-		}
-		s.saved[block] = orig // nil means "was unwritten (zeroes)"
+		s.saved[block] = v.blocks[block] // nil means "was unwritten (zeroes)"
 		v.cowCopies++
 	}
 }
@@ -226,11 +223,17 @@ func (v *Volume) Read(p *sim.Proc, block int64) ([]byte, error) {
 	return v.copyBlock(block), nil
 }
 
-// ReadRange returns copies of count consecutive blocks starting at start —
-// one fused sequential scan: the service queue is held once for the whole
-// range and the service time of count reads is charged in a single step.
-// The completion time matches count back-to-back Reads on an uncontended
-// queue while costing one scheduler step instead of count.
+// ReadRange reads count consecutive blocks starting at start as one fused
+// sequential scan: the service queue is held once for the whole range and
+// the service time of count reads is charged in a single step. The
+// completion time matches count back-to-back Reads on an uncontended queue
+// while costing one scheduler step instead of count.
+//
+// The result is sparse and borrowed: a never-written block (which reads as
+// zeroes) is nil, and a written block is the stored slice itself, not a
+// copy. Borrowing is sound because the volume never writes into a stored
+// block — every write installs a fresh slice — so a borrowed block keeps the
+// content it had when it was read; the caller in turn must not modify it.
 func (v *Volume) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
 	if count < 0 || start < 0 || start+int64(count) > v.sizeBlocks {
 		return nil, fmt.Errorf("%w: %s[%d..%d)", ErrOutOfRange, v.id, start, start+int64(count))
@@ -240,18 +243,9 @@ func (v *Volume) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error
 	v.releaseService()
 	v.reads += int64(count)
 	v.array.readOps.Add(int64(count))
-	// One contiguous backing buffer for the whole range: a fleet-scale scan
-	// otherwise allocates count small blocks, and the allocator/GC cost of
-	// those dominated host profiles.
-	bs := v.array.cfg.BlockSize
-	backing := make([]byte, count*bs)
 	out := make([][]byte, count)
 	for i := range out {
-		dst := backing[i*bs : (i+1)*bs : (i+1)*bs]
-		if cur, ok := v.blocks[start+int64(i)]; ok {
-			copy(dst, cur)
-		}
-		out[i] = dst
+		out[i] = v.blocks[start+int64(i)]
 	}
 	return out, nil
 }

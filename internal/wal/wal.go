@@ -99,7 +99,10 @@ func AppendEncode(dst []byte, r Record) []byte {
 
 // Decode reads one record from the front of buf, returning the record and
 // the number of bytes consumed. A zero first byte yields ErrEndOfLog; any
-// framing or checksum violation yields ErrCorrupt.
+// framing or checksum violation yields ErrCorrupt. The record's Val points
+// into buf: replay applies records straight from log blocks it only
+// borrowed, and a scan that copied every value would cost more than the
+// redo it feeds.
 func Decode(buf []byte) (Record, int, error) {
 	if len(buf) == 0 || buf[0] == 0 {
 		return Record{}, 0, ErrEndOfLog
@@ -126,8 +129,7 @@ func Decode(buf []byte) (Record, int, error) {
 	if crc32.ChecksumIEEE(buf[:headerSize+vlen]) != want {
 		return Record{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	val := make([]byte, vlen)
-	copy(val, buf[headerSize:headerSize+vlen])
+	val := buf[headerSize : headerSize+vlen : headerSize+vlen]
 	return Record{Type: typ, Epoch: epoch, TxID: txid, Key: key, Val: val}, total, nil
 }
 
@@ -225,9 +227,15 @@ func (b *BlockBuilder) NextSeq() uint32 { return b.nextSeq }
 // against the wanted epoch and sequence number. ok reports whether the
 // header matched (if not, the live log ends before this block).
 func ScanBlock(block []byte, epoch, seq uint32) (recs []Record, ok bool, err error) {
+	return appendScanBlock(nil, block, epoch, seq)
+}
+
+// appendScanBlock is ScanBlock appending to recs, so a log scan grows one
+// record slice instead of one per block plus the concatenation.
+func appendScanBlock(recs []Record, block []byte, epoch, seq uint32) ([]Record, bool, error) {
 	e, s, hdrOK := ReadBlockHeader(block)
 	if !hdrOK || e != epoch || s != seq {
-		return nil, false, nil
+		return recs, false, nil
 	}
 	off := BlockHeaderSize
 	for off < len(block) {
@@ -249,18 +257,21 @@ func ScanBlock(block []byte, epoch, seq uint32) (recs []Record, ok bool, err err
 
 // ScanLog decodes current-epoch records across consecutive blocks until the
 // valid prefix ends: a block whose header does not carry the expected epoch
-// and consecutive sequence number, or a torn record. It returns all records
+// and consecutive sequence number (a nil block — a sparse range's
+// never-written one — ends it like the zeroed block it stands for), or a
+// torn record. Record values point into the blocks. It returns all records
 // in the valid prefix; the error is nil for a clean end and ErrCorrupt when
 // the prefix ends in a torn record (the records before the tear are still
 // returned — recovery uses them).
 func ScanLog(blocks [][]byte, epoch uint32) ([]Record, error) {
 	var out []Record
 	for i, blk := range blocks {
-		recs, ok, err := ScanBlock(blk, epoch, uint32(i))
+		var ok bool
+		var err error
+		out, ok, err = appendScanBlock(out, blk, epoch, uint32(i))
 		if !ok {
 			break
 		}
-		out = append(out, recs...)
 		if err != nil {
 			return out, err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -246,6 +247,46 @@ func TestScanLogReportsTornTail(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].TxID != 1 {
 		t.Fatalf("prefix before tear = %+v", recs)
+	}
+}
+
+// A sparse range read hands the scanner nil for never-written blocks. The
+// scan must treat them as the zero blocks they stand for: same records, same
+// error, wherever the nil blocks sit — tail, whole region, or a hole in
+// front of stale blocks.
+func TestScanLogNilBlocksScanLikeZeroBlocks(t *testing.T) {
+	b := NewBlockBuilder(256, 1, 0)
+	for i := uint64(0); i < 12; i++ {
+		b.Append(Record{Type: TypeUpdate, Epoch: 1, TxID: i, Key: i, Val: make([]byte, 30)})
+	}
+	live := b.Blocks()
+	stale := NewBlockBuilder(256, 1, uint32(len(live)+1)) // seq continues past a hole
+	stale.Append(Record{Type: TypeCommit, Epoch: 1, TxID: 99})
+	for name, sparse := range map[string][][]byte{
+		"tail":                   append(slices.Clone(live), nil, nil),
+		"whole region":           {nil, nil, nil},
+		"hole then stale blocks": append(append(slices.Clone(live), nil), stale.Blocks()...),
+	} {
+		zeroed := slices.Clone(sparse)
+		for i, blk := range sparse {
+			if blk == nil {
+				zeroed[i] = make([]byte, 256)
+			}
+		}
+		got, gotErr := ScanLog(sparse, 1)
+		want, wantErr := ScanLog(zeroed, 1)
+		if gotErr != wantErr || len(got) != len(want) {
+			t.Fatalf("%s: sparse scan = %d records, %v; zeroed scan = %d records, %v",
+				name, len(got), gotErr, len(want), wantErr)
+		}
+		for i := range got {
+			if got[i].TxID != want[i].TxID || !bytes.Equal(got[i].Val, want[i].Val) {
+				t.Fatalf("%s: record %d differs: %+v vs %+v", name, i, got[i], want[i])
+			}
+		}
+		if name == "tail" && len(got) != 12 {
+			t.Fatalf("tail: scanned %d records, want 12", len(got))
+		}
 	}
 }
 
