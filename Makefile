@@ -19,6 +19,9 @@
 #         end-to-end and writes its decision log (e17-decisions.log) —
 #         the byte-exact audit trail of every reshard/derate/restore/
 #         placement the control loop actuated; CI archives it too.
+#         `make tables-check` diffs every experiment table (-quick -seed 1)
+#         against testdata/experiments-quick-seed1.golden: a refactor that
+#         claims "same simulation outcomes" proves it with an empty diff.
 #         `make chaos-smoke` sweeps 25 seeded random fault schedules
 #         against the invariant checkers under -race; failures print a
 #         one-line repro and a shrunk minimal schedule, and the replay log
@@ -46,9 +49,9 @@ GO ?= go
 # committed baseline).
 BENCH_THRESHOLD ?= 0.25
 
-.PHONY: ci fmt vet build test test-race bench-smoke bench-check baseline profile-fleet telemetry-smoke autopilot-smoke chaos-smoke chaos
+.PHONY: ci fmt vet build test test-race tables-check bench-smoke bench-check baseline profile-fleet telemetry-smoke autopilot-smoke chaos-smoke chaos
 
-ci: fmt vet build test test-race bench-check telemetry-smoke autopilot-smoke chaos-smoke
+ci: fmt vet build test test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -65,6 +68,14 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The simulation-outcome gate: every table of `cmd/experiments` at -quick
+# -seed 1 must equal the committed golden byte for byte (stdout is
+# deterministic per seed). A PR that means to move a table regenerates the
+# golden with the same command and explains each changed line.
+tables-check:
+	@$(GO) run ./cmd/experiments -run all -quick -seed 1 | diff -u testdata/experiments-quick-seed1.golden - || \
+		{ echo "tables-check: experiment tables differ from testdata/experiments-quick-seed1.golden"; exit 1; }
 
 # One iteration of every experiment benchmark: catches harness regressions
 # without paying for a statistically meaningful measurement.
