@@ -8,11 +8,22 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
 )
+
+// knownID reports whether id names an experiment (e1..e18) or is "all".
+func knownID(id string) bool {
+	for n := 1; n <= 18; n++ {
+		if id == "e"+strconv.Itoa(n) {
+			return true
+		}
+	}
+	return id == "all"
+}
 
 func main() {
 	run := flag.String("run", "all", "comma-separated experiment IDs (e1,e2,...,e18) or 'all'")
@@ -27,7 +38,12 @@ func main() {
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(strings.ToLower(*run), ",") {
-		want[strings.TrimSpace(id)] = true
+		id = strings.TrimSpace(id)
+		if !knownID(id) {
+			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q; -run takes e1..e18 or all\n", id)
+			os.Exit(2)
+		}
+		want[id] = true
 	}
 	all := want["all"]
 	sel := func(id string) bool { return all || want[id] }

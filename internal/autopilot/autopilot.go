@@ -32,7 +32,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/platform"
-	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -70,7 +69,8 @@ type Config struct {
 	// RestorePatience is how many consecutive all-healthy ticks a shedable
 	// class must see before each restore step (default 4). Restoring is a
 	// probe — giving rate back can re-breach the protected classes — so it
-	// is paced far slower than derating, which acts on the next tick.
+	// is paced far slower than derating, which acts on the first breaching
+	// tick and then once per Window.
 	RestorePatience int
 	// Placement chooses the fabric member link for each new drain lane.
 	// Nil installs LeastLoaded. Every PlaceLane answer is recorded in the
@@ -143,6 +143,9 @@ type Autopilot struct {
 	demandBps map[string]float64 // peak measured throughput of the class
 	lastBytes map[string]int64   // ClassStats.Bytes at the previous tick
 	healthy   map[string]int     // consecutive all-healthy ticks while capped
+	// lastDerate is when the class was last halved; the next halving waits
+	// for the RPO window to hold only samples taken under it.
+	lastDerate map[string]time.Duration
 }
 
 // New wires an autopilot to the system. The system must have the telemetry
@@ -164,6 +167,7 @@ func New(sys *core.System, cfg Config) (*Autopilot, error) {
 		demandBps:   make(map[string]float64),
 		lastBytes:   make(map[string]int64),
 		healthy:     make(map[string]int),
+		lastDerate:  make(map[string]time.Duration),
 	}
 	a.inner = a.cfg.Placement
 	if a.inner == nil {
@@ -300,10 +304,8 @@ func (a *Autopilot) reshardStep(p *sim.Proc, now time.Duration, ns string, cls p
 	if g.FailedOver() || g.Stopped() {
 		return
 	}
-	// A plain 1-lane engine is upgraded live by the reconcile loop, so only
-	// an open migration window on a sharded engine defers the step.
-	if sg, ok := g.(*replication.ShardedGroup); ok && sg.Resharding() {
-		return
+	if g.Resharding() {
+		return // an open migration window defers the step
 	}
 	cur := g.Lanes()
 	target := shardTarget(cls, a.cfg.ScaleUpFraction, a.cfg.ScaleDownFraction, cur, winRPO)
@@ -395,7 +397,16 @@ func (a *Autopilot) admissionStep(now time.Duration, worstFrac map[string]float6
 			if capped && next == cap {
 				break // already at the floor: nothing new to declare
 			}
+			if capped && now-a.lastDerate[fc] <= a.cfg.Window {
+				// The window still holds samples from before the last
+				// halving: its effect is not observable yet, and halving again
+				// on the same evidence drives the cap far below the class's
+				// arrival rate — the backlog that builds then bursts out at
+				// the restore and breaches the protected class all over again.
+				break
+			}
 			if fwd.SetClassRate(fc, next) {
+				a.lastDerate[fc] = now
 				a.capBps[fc] = next
 				a.record(now, fc, "derate", fmt.Sprintf("rate -> %.0f B/s (demand %.0f B/s)", next, deltaBps))
 			}

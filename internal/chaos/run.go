@@ -14,7 +14,6 @@ import (
 	"repro/internal/invariants"
 	"repro/internal/netlink"
 	"repro/internal/platform"
-	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -446,51 +445,23 @@ func (r *runner) squeeze(p *sim.Proc, f Fault) {
 		return
 	}
 	r.logf(p, "fault #%02d squeeze %s: capacity -> %dB for %v", f.Seq, t.ns, f.Bytes, f.Dur)
-	switch eng := gs[0].(type) {
-	case *replication.ShardedGroup:
-		sj := eng.Journal()
-		sj.SetCapacityPerShard(f.Bytes)
-		p.Sleep(f.Dur)
-		r.stopWorkload(p, t)
-		if sj.Overflowed() {
-			// The group froze: the fail-closed invariant must hold NOW.
-			r.violations(p, invariants.CheckFailClosedSharded(t.ns, r.sys.Main.Array, sj))
-			sj.SetCapacityPerShard(0)
-			r.sys.CatchUp(p, t.ns) // drain what was journaled before the freeze
-			if err := eng.InitialCopy(p, r.sys.Main.Array); err != nil {
-				r.fail(p, fmt.Errorf("squeeze recovery %s: %w", t.ns, err))
-				return
-			}
-			sj.ClearOverflow()
-			r.logf(p, "fault #%02d squeeze %s: overflowed (x%d), recovered by full re-copy", f.Seq, t.ns, sj.Overflows())
-		} else {
-			sj.SetCapacityPerShard(0)
-			r.logf(p, "fault #%02d squeeze %s: backlog stayed under capacity", f.Seq, t.ns)
-		}
-	case *replication.Group:
-		j, err := r.sys.Main.Array.Journal(eng.JournalID())
-		if err != nil {
-			r.fail(p, fmt.Errorf("squeeze %s: %w", t.ns, err))
+	eng := gs[0]
+	sj := eng.Journal()
+	sj.SetCapacityPerShard(f.Bytes)
+	p.Sleep(f.Dur)
+	r.stopWorkload(p, t)
+	if sj.Overflowed() {
+		// The group froze: the fail-closed invariant must hold NOW.
+		r.violations(p, invariants.CheckFailClosed(t.ns, r.sys.Main.Array, sj))
+		sj.SetCapacityPerShard(0)
+		if err := eng.Resync(p, r.sys.Main.Array, 10); err != nil {
+			r.fail(p, fmt.Errorf("squeeze resync %s: %w", t.ns, err))
 			return
 		}
-		j.SetCapacityBytes(f.Bytes)
-		p.Sleep(f.Dur)
-		r.stopWorkload(p, t)
-		if j.Overflowed() {
-			r.violations(p, invariants.CheckFailClosed(t.ns, r.sys.Main.Array, j))
-			j.SetCapacityBytes(0)
-			if err := eng.Resync(p, r.sys.Main.Array, 10); err != nil {
-				r.fail(p, fmt.Errorf("squeeze resync %s: %w", t.ns, err))
-				return
-			}
-			r.logf(p, "fault #%02d squeeze %s: overflowed (x%d), recovered by delta resync", f.Seq, t.ns, j.Overflows())
-		} else {
-			j.SetCapacityBytes(0)
-			r.logf(p, "fault #%02d squeeze %s: backlog stayed under capacity", f.Seq, t.ns)
-		}
-	default:
-		r.logf(p, "fault #%02d squeeze %s: unknown engine type, skipped", f.Seq, t.ns)
-		return
+		r.logf(p, "fault #%02d squeeze %s: overflowed (x%d), recovered by delta resync", f.Seq, t.ns, sj.Overflows())
+	} else {
+		sj.SetCapacityPerShard(0)
+		r.logf(p, "fault #%02d squeeze %s: backlog stayed under capacity", f.Seq, t.ns)
 	}
 	// Recovery must be lossless: the workload was quiesced, capacity is
 	// restored, so after a catch-up the backup holds every commit.
@@ -605,15 +576,8 @@ func (r *runner) checkpoint(p *sim.Proc, label string) {
 			continue
 		}
 		for _, g := range r.sys.Groups(t.ns) {
-			switch eng := g.(type) {
-			case *replication.ShardedGroup:
-				r.violations(p, invariants.CheckEpochBoundary(t.ns, eng))
-				r.violations(p, invariants.CheckFailClosedSharded(t.ns, r.sys.Main.Array, eng.Journal()))
-			case *replication.Group:
-				if j, err := r.sys.Main.Array.Journal(eng.JournalID()); err == nil {
-					r.violations(p, invariants.CheckFailClosed(t.ns, r.sys.Main.Array, j))
-				}
-			}
+			r.violations(p, invariants.CheckEpochBoundary(t.ns, g))
+			r.violations(p, invariants.CheckFailClosed(t.ns, r.sys.Main.Array, g.Journal()))
 		}
 		rep, err := r.verifyTenant(p, t, fmt.Sprintf("chk%03d", r.res.Checks))
 		if err != nil {

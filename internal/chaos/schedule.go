@@ -48,8 +48,8 @@ const (
 	FaultReshard
 	// FaultSqueeze drops the tenant's journal capacity to Bytes for Dur so
 	// the backlog overflows, asserts the fail-closed invariant, then
-	// restores capacity and recovers (resync or full re-copy) with zero
-	// loss verified.
+	// restores capacity and recovers by delta resync with zero loss
+	// verified.
 	FaultSqueeze
 	// FaultLinkLoss degrades one fabric member link for Dur with a
 	// transient loss/jitter burst (frames retransmit instead of being cut
@@ -132,7 +132,7 @@ type TenantPlan struct {
 	Orders       int
 	ThinkTime    time.Duration
 	ReadFraction float64
-	Shards       int // initial JournalShards (1 = plain shared journal)
+	Shards       int // initial JournalShards (1 = the single shared journal)
 	JoinAt       time.Duration
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/operator"
 	"repro/internal/platform"
-	"repro/internal/replication"
 	"repro/internal/sim"
 )
 
@@ -196,12 +195,8 @@ func (sys *System) waitResharded(p *sim.Proc, namespace string, shards int, time
 			return err
 		}
 		if gs := sys.Groups(namespace); len(gs) == 1 {
-			g := gs[0]
-			if g.Lanes() == shards {
-				sg, sharded := g.(*replication.ShardedGroup)
-				if !sharded || !sg.Resharding() {
-					return nil
-				}
+			if g := gs[0]; g.Lanes() == shards && !g.Resharding() {
+				return nil
 			}
 		}
 		if p.Now() >= deadline {

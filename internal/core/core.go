@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/csiplugin"
@@ -71,8 +72,8 @@ type Config struct {
 	ConsistencyGroup *bool
 	// JournalShards, when > 1, shards each consistency group's journal so
 	// the replication plugin drains it on that many lanes, each on its own
-	// fabric path (experiment E13). 0 or 1 keeps the paper's single shared
-	// journal — a strict passthrough.
+	// fabric path (experiment E13). 0 or 1 is the paper's single shared
+	// journal on one lane.
 	JournalShards int
 	// Telemetry, when set, enables the sim-time observability plane: a
 	// registry of instruments (per-tenant RPO probes, lane staging, fabric
@@ -145,12 +146,10 @@ type System struct {
 	Provisioner *csiplugin.Provisioner
 	Replication *csiplugin.ReplicationPlugin
 
-	// Per-namespace fabric paths (lazily created; one forward for the ADC
-	// drain, one reverse for failback, and — for sharded journals — one
-	// forward path per drain lane).
-	paths     map[string]*fabric.TenantPath
-	revPaths  map[string]*fabric.TenantPath
+	// Per-namespace fabric paths (lazily created; one forward path per ADC
+	// drain lane, one reverse for failback).
 	lanePaths map[string][]*fabric.TenantPath
+	revPaths  map[string]*fabric.TenantPath
 
 	// Tenant lifecycle (tenant.go): the controllers reconciling Tenant
 	// specs, the set of namespaces they manage, and the per-tenant QoS
@@ -190,9 +189,8 @@ func NewSystem(cfg Config) *System {
 			API:   platform.NewAPIServer(env, cfg.API),
 			Array: storage.NewArray(env, "vsp-backup", cfg.Storage),
 		},
-		paths:             make(map[string]*fabric.TenantPath),
-		revPaths:          make(map[string]*fabric.TenantPath),
 		lanePaths:         make(map[string][]*fabric.TenantPath),
+		revPaths:          make(map[string]*fabric.TenantPath),
 		managedTenants:    make(map[string]bool),
 		tenantClass:       make(map[string]string),
 		tenantLaneClasses: make(map[string][]string),
@@ -229,8 +227,7 @@ func NewSystem(cfg Config) *System {
 		BackupAPI:   sys.Backup.API,
 		MainArray:   sys.Main.Array,
 		BackupArray: sys.Backup.Array,
-		PathFor:     func(namespace string) fabric.Path { return sys.PathFor(namespace) },
-		LanePathFor: func(namespace string, lane int) fabric.Path { return sys.LanePathFor(namespace, lane) },
+		LanePaths:   sys.lanePathsFor,
 		Telemetry:   sys.Telemetry,
 	}, cfg.Replication)
 	sys.Operator = operator.New(env, sys.Main.API, operator.Config{
@@ -446,10 +443,9 @@ func (sys *System) classFor(namespace string) string {
 	return sys.Cfg.PathClass(namespace)
 }
 
-// laneClassFor resolves the QoS class for one drain lane of a sharded
-// journal: a TenantSpec's per-lane LaneClasses entry wins, falling back to
-// the tenant's class — so by default every lane rides the tenant's class,
-// exactly as before per-shard QoS existed.
+// laneClassFor resolves the QoS class for one drain lane: a TenantSpec's
+// per-lane LaneClasses entry wins, falling back to the tenant's class — so
+// by default every lane rides the tenant's class.
 func (sys *System) laneClassFor(namespace string, lane int) string {
 	if cs := sys.tenantLaneClasses[namespace]; lane < len(cs) && cs[lane] != "" {
 		return cs[lane]
@@ -495,28 +491,29 @@ func (sys *System) SLOClasses() []platform.SLOClass {
 	return out
 }
 
-// newForwardPath creates one forward fabric path, consulting the placement
-// policy for a member-link pin.
-func (sys *System) newForwardPath(class, owner, namespace string, lane int) *fabric.TenantPath {
-	if sys.placement != nil {
-		if li := sys.placement.PlaceLane(namespace, lane, sys.Fabric.Forward); li >= 0 {
-			return sys.Fabric.Forward.PathOn(class, owner, li)
+// lanePathsFor returns the namespace's forward (main→backup) fabric paths for
+// drain lanes 0..lanes-1, creating the missing ones — consulting the
+// placement policy for a member-link pin as it does. Each lane gets its own
+// counted path so per-lane bytes, queueing delay, and drops stay observable.
+func (sys *System) lanePathsFor(namespace string, lanes int) []fabric.Path {
+	ps := sys.lanePaths[namespace]
+	for lane := len(ps); lane < lanes; lane++ {
+		class, owner := sys.laneClassFor(namespace, lane), "adc:"+namespace
+		if lane > 0 {
+			owner += ":s" + strconv.Itoa(lane)
 		}
+		link := -1
+		if sys.placement != nil {
+			link = sys.placement.PlaceLane(namespace, lane, sys.Fabric.Forward)
+		}
+		ps = append(ps, sys.Fabric.Forward.PathOn(class, owner, link))
 	}
-	return sys.Fabric.Forward.Path(class, owner)
-}
-
-// PathFor returns the namespace's forward (main→backup) fabric path,
-// creating it on first use. The replication plugin drains each namespace's
-// journal through this path, so per-tenant bytes, queueing delay, and
-// drops are observable on it.
-func (sys *System) PathFor(namespace string) *fabric.TenantPath {
-	if tp, ok := sys.paths[namespace]; ok {
-		return tp
+	sys.lanePaths[namespace] = ps
+	out := make([]fabric.Path, lanes)
+	for i := range out {
+		out[i] = ps[i]
 	}
-	tp := sys.newForwardPath(sys.classFor(namespace), "adc:"+namespace, namespace, 0)
-	sys.paths[namespace] = tp
-	return tp
+	return out
 }
 
 // ReversePathFor returns the namespace's reverse (backup→main) fabric
@@ -530,30 +527,24 @@ func (sys *System) ReversePathFor(namespace string) *fabric.TenantPath {
 	return tp
 }
 
-// LanePathFor returns the namespace's forward fabric path for drain lane
-// `lane` of a sharded journal, creating it on first use. Each lane gets its
-// own counted path so per-lane bytes and queueing stay observable.
-func (sys *System) LanePathFor(namespace string, lane int) *fabric.TenantPath {
-	ps := sys.lanePaths[namespace]
-	for len(ps) <= lane {
-		ps = append(ps, nil)
+// TenantPath returns the forward fabric path of a namespace that has only
+// ever drained on one lane (nil otherwise) — the per-tenant interference
+// counters. A namespace that has run more lanes reports all of them through
+// TenantLanePaths instead, so summing both accessors counts every path once.
+func (sys *System) TenantPath(namespace string) *fabric.TenantPath {
+	if ps := sys.lanePaths[namespace]; len(ps) == 1 {
+		return ps[0]
 	}
-	if ps[lane] == nil {
-		ps[lane] = sys.newForwardPath(sys.laneClassFor(namespace, lane),
-			fmt.Sprintf("adc:%s:s%d", namespace, lane), namespace, lane)
-	}
-	sys.lanePaths[namespace] = ps
-	return ps[lane]
+	return nil
 }
 
-// TenantPath returns the namespace's forward fabric path if one was
-// created (nil otherwise) — the per-tenant interference counters.
-func (sys *System) TenantPath(namespace string) *fabric.TenantPath { return sys.paths[namespace] }
-
-// TenantLanePaths returns the namespace's per-lane forward paths (nil when
-// the namespace never drained through sharded lanes).
+// TenantLanePaths returns the per-lane forward paths of a namespace that has
+// run more than one drain lane (nil otherwise; see TenantPath).
 func (sys *System) TenantLanePaths(namespace string) []*fabric.TenantPath {
-	return sys.lanePaths[namespace]
+	if ps := sys.lanePaths[namespace]; len(ps) > 1 {
+		return ps
+	}
+	return nil
 }
 
 // Groups returns the running replication engines for a namespace.

@@ -6,12 +6,11 @@ import (
 	"time"
 
 	"repro/internal/platform"
-	"repro/internal/replication"
 	"repro/internal/sim"
 )
 
 // TestReshardTenantEndToEnd drives the full reshard chain from the Tenant
-// spec: 1 -> 4 upgrades the paper's plain engine to a four-lane sharded one
+// spec: 1 -> 4 widens the paper's one-lane engine to four lanes in place
 // while OLTP commits keep flowing, 4 -> 2 shrinks it live, and the tenant's
 // backup image stays a consistent cut throughout (verified by snapshot
 // analytics after each transition).
@@ -24,12 +23,15 @@ func TestReshardTenantEndToEnd(t *testing.T) {
 			t.Errorf("provision: %v", err)
 			return
 		}
-		if _, ok := sys.Groups("shop")[0].(*replication.Group); !ok {
-			t.Errorf("shards=1 engine is %T, want the plain engine", sys.Groups("shop")[0])
-			return
-		}
+		engine := sys.Groups("shop")[0]
 		if err := bp.Shop.Run(p, 6); err != nil {
 			t.Error(err)
+			return
+		}
+		sys.CatchUp(p, "shop")
+		if engine.Lanes() != 1 || engine.AppliedRecords() == 0 || engine.EpochCommits() != 0 {
+			t.Errorf("shards=1 engine: lanes=%d applied=%d epoch commits=%d, want one lane committing its own batches",
+				engine.Lanes(), engine.AppliedRecords(), engine.EpochCommits())
 			return
 		}
 
@@ -37,9 +39,8 @@ func TestReshardTenantEndToEnd(t *testing.T) {
 			t.Errorf("reshard 1->4: %v", err)
 			return
 		}
-		sg, ok := sys.Groups("shop")[0].(*replication.ShardedGroup)
-		if !ok || sg.Lanes() != 4 || sg.Resharding() {
-			t.Errorf("after 1->4: %T lanes=%d resharding=%v", sys.Groups("shop")[0], sg.Lanes(), sg.Resharding())
+		if sg := sys.Groups("shop")[0]; sg != engine || sg.Lanes() != 4 || sg.Resharding() {
+			t.Errorf("after 1->4: same engine=%v lanes=%d resharding=%v", sg == engine, sg.Lanes(), sg.Resharding())
 			return
 		}
 		if err := bp.Shop.Run(p, 6); err != nil {
@@ -109,8 +110,7 @@ func TestReshardTenantUnchangedSpecIsZeroMigration(t *testing.T) {
 
 // TestFailbackShardedSentinel is the satellite regression: Failback on a
 // system whose failed-over group is sharded must refuse with the typed
-// sentinel BEFORE touching anything — the failed-over plain group is not
-// resynced, and an unrelated sharded tenant keeps draining healthily.
+// sentinel BEFORE touching anything — no failed-over group is resynced, and an unrelated sharded tenant keeps draining healthily.
 func TestFailbackShardedSentinel(t *testing.T) {
 	runSystem(t, Config{JournalShards: 2}, func(p *sim.Proc, sys *System) {
 		// Tenant A: sharded, failed over. Tenant B: sharded, still draining.

@@ -98,11 +98,11 @@ type FailoverResult struct {
 }
 
 // ErrShardedFailback reports a Failback attempt that found a failed-over
-// sharded group. Sharded failback is an open design problem (the delta
-// resync needs a per-shard REVERSE group layout — see DESIGN.md "Dynamic
-// resharding"); until it exists, Failback refuses before touching anything,
-// so every group — failed-over or still draining — is left exactly as it
-// was.
+// group running more than one lane. Sharded failback is an open design
+// problem (the delta resync needs a per-shard REVERSE lane layout — see
+// DESIGN.md "Dynamic resharding"); until it exists, Failback refuses before
+// touching anything, so every group — failed-over or still draining — is
+// left exactly as it was.
 var ErrShardedFailback = errors.New("core: failback of a sharded group is not supported")
 
 // FailbackResult reports a completed failback resynchronization.
@@ -124,20 +124,19 @@ func (sys *System) Failback(p *sim.Proc) (*FailbackResult, error) {
 	// Refuse before touching anything: sharded failback is an open
 	// follow-up (see ROADMAP), and discovering that mid-loop would leave
 	// earlier groups resynced with reverse replication already running.
-	var failedOver []*replication.Group
+	var failedOver []replication.Replicator
 	for _, g := range sys.Replication.AllGroups() {
 		if !g.FailedOver() {
 			continue
 		}
-		ag, ok := g.(*replication.Group)
-		if !ok {
+		if g.Lanes() > 1 {
 			return nil, fmt.Errorf("%w: %s", ErrShardedFailback, g.Name())
 		}
-		failedOver = append(failedOver, ag)
+		failedOver = append(failedOver, g)
 	}
-	for _, ag := range failedOver {
-		reverse, stats, err := replication.Failback(p, ag, sys.Main.Array,
-			sys.ReversePathFor(sys.Replication.NamespaceOf(ag)), sys.Cfg.Replication)
+	for _, g := range failedOver {
+		reverse, stats, err := g.Failback(p, sys.Main.Array,
+			sys.ReversePathFor(sys.Replication.NamespaceOf(g)), sys.Cfg.Replication)
 		if err != nil {
 			return nil, err
 		}

@@ -99,7 +99,7 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 	// still converges to teardown of whatever was already created.
 	sys.managedTenants[ns] = true
 	// Register the tenant's fabric QoS before any drain path exists for the
-	// namespace, so the replication plugin's first PathFor lands in class.
+	// namespace, so the replication plugin's first lane path lands in class.
 	// An SLO class supplies the fabric class when the spec pins none.
 	qos := tn.Spec.QoSClass
 	if qos == "" && tn.Spec.SLOClass != "" {
@@ -347,9 +347,8 @@ func (sys *System) teardownTenant(p *sim.Proc, ns string) error {
 	if !sys.managedTenants[ns] {
 		return nil
 	}
-	delete(sys.paths, ns)
-	delete(sys.revPaths, ns)
 	delete(sys.lanePaths, ns)
+	delete(sys.revPaths, ns)
 	delete(sys.tenantClass, ns)
 	delete(sys.tenantLaneClasses, ns)
 	delete(sys.managedTenants, ns)

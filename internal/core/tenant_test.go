@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/platform"
-	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -149,8 +148,8 @@ func TestDecommissionShardedTenantReclaimsShards(t *testing.T) {
 			t.Errorf("groups = %d", len(groups))
 			return
 		}
-		if _, ok := groups[0].(*replication.ShardedGroup); !ok {
-			t.Errorf("engine = %T, want sharded (spec shards ignored)", groups[0])
+		if groups[0].Lanes() != spec.JournalShards {
+			t.Errorf("engine runs %d lanes, want %d (spec shards ignored)", groups[0].Lanes(), spec.JournalShards)
 			return
 		}
 		if err := bp.Shop.Run(p, 6); err != nil {

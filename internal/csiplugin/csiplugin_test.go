@@ -387,10 +387,7 @@ func TestReplicationPluginShardedJournal(t *testing.T) {
 	if len(groups) != 1 {
 		t.Fatalf("groups = %d, want 1", len(groups))
 	}
-	sg, ok := groups[0].(*replication.ShardedGroup)
-	if !ok {
-		t.Fatalf("engine is %T, want *replication.ShardedGroup", groups[0])
-	}
+	sg := groups[0]
 	if sg.Lanes() != 4 {
 		t.Fatalf("lanes = %d, want 4", sg.Lanes())
 	}
@@ -466,7 +463,7 @@ func TestProvisionerUnwindsDeletedClaim(t *testing.T) {
 	// Attach the stock volume to a journal: its unwind must stall (retry)
 	// until the journal releases it.
 	if _, err := f.sites.MainArray.CreateConsistencyGroup("jnl-hold",
-		[]storage.VolumeID{VolumeIDForClaim("shop", "stock")}); err != nil {
+		[]storage.VolumeID{VolumeIDForClaim("shop", "stock")}, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	f.env.Process("delete", func(p *sim.Proc) {
@@ -484,10 +481,7 @@ func TestProvisionerUnwindsDeletedClaim(t *testing.T) {
 		t.Fatal("attached stock volume deleted while journaled")
 	}
 	// Release the journal: the provisioner's backoff retry finishes the job.
-	if err := f.sites.MainArray.DetachJournal(VolumeIDForClaim("shop", "stock")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.sites.MainArray.DeleteJournal("jnl-hold"); err != nil {
+	if err := f.sites.MainArray.DeleteShardedJournal("jnl-hold"); err != nil {
 		t.Fatal(err)
 	}
 	f.env.Run(f.env.Now() + 5*time.Second)
@@ -536,7 +530,7 @@ func TestReplicationPluginReshardsOnSpecChange(t *testing.T) {
 	pvcs := []string{"d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"}
 	f.createClaims(t, "shop", pvcs...)
 	rp := f.createShardedRG(t, "backup-shop", 2, pvcs...)
-	before := rp.Groups("backup-shop")[0].(*replication.ShardedGroup)
+	before := rp.Groups("backup-shop")[0].(*replication.Group)
 	if before.Lanes() != 2 {
 		t.Fatalf("lanes = %d, want 2", before.Lanes())
 	}
@@ -544,7 +538,7 @@ func TestReplicationPluginReshardsOnSpecChange(t *testing.T) {
 	f.setRGShards(t, "backup-shop", 4)
 	after := rp.Groups("backup-shop")[0]
 	if after != replication.Replicator(before) {
-		t.Fatal("grow replaced the engine; a sharded engine must reshard in place")
+		t.Fatal("grow replaced the engine; it must reshard in place")
 	}
 	if before.Lanes() != 4 {
 		t.Fatalf("lanes after grow = %d, want 4", before.Lanes())
@@ -589,21 +583,21 @@ func TestReplicationPluginReshardsOnSpecChange(t *testing.T) {
 	}
 }
 
-// TestReplicationPluginUpgradesPlainEngine reshards a group that started on
-// the paper's plain single-journal path (shards=1): the plugin must hand
-// the journal off losslessly to a sharded engine and widen it, with writes
-// from before and after the upgrade all reaching the backup.
-func TestReplicationPluginUpgradesPlainEngine(t *testing.T) {
+// TestReplicationPluginGrowsFromOneLane reshards a group that started on
+// the paper's single-journal, single-lane configuration (shards=1): the same
+// engine must widen in place, with writes from before and after the grow all
+// reaching the backup.
+func TestReplicationPluginGrowsFromOneLane(t *testing.T) {
 	f := newTwoSites(t)
 	pvcs := []string{"d0", "d1", "d2", "d3"}
 	f.createClaims(t, "shop", pvcs...)
 	rp := f.createShardedRG(t, "backup-shop", 1, pvcs...)
-	old, ok := rp.Groups("backup-shop")[0].(*replication.Group)
-	if !ok {
-		t.Fatalf("shards=1 engine is %T, want the plain *replication.Group", rp.Groups("backup-shop")[0])
+	sg := rp.Groups("backup-shop")[0].(*replication.Group)
+	if sg.Lanes() != 1 {
+		t.Fatalf("shards=1 engine runs %d lanes", sg.Lanes())
 	}
 
-	// Backlog some writes so the handoff happens with records pending.
+	// Backlog some writes so the grow happens with records pending.
 	f.env.Process("pre-writes", func(p *sim.Proc) {
 		buf := make([]byte, f.sites.MainArray.Config().BlockSize)
 		for i, name := range pvcs {
@@ -615,20 +609,20 @@ func TestReplicationPluginUpgradesPlainEngine(t *testing.T) {
 		}
 	})
 	f.env.Run(0)
+	if sg.AppliedRecords() != int64(len(pvcs)) || sg.EpochCommits() != 0 {
+		t.Fatalf("one lane applied %d records in %d epoch commits, want %d in 0 (the lane commits its own batches)",
+			sg.AppliedRecords(), sg.EpochCommits(), len(pvcs))
+	}
 
 	f.setRGShards(t, "backup-shop", 4)
-	sg, ok := rp.Groups("backup-shop")[0].(*replication.ShardedGroup)
-	if !ok {
-		t.Fatalf("engine after upgrade is %T, want *replication.ShardedGroup", rp.Groups("backup-shop")[0])
+	if rp.Groups("backup-shop")[0] != replication.Replicator(sg) {
+		t.Fatal("grow from one lane replaced the engine; it must reshard in place")
 	}
 	if sg.Lanes() != 4 {
 		t.Fatalf("lanes = %d, want 4", sg.Lanes())
 	}
-	if !old.Detached() {
-		t.Fatal("plain engine was not detached (records may have been dropped as lost)")
-	}
 	if rp.NamespaceOf(sg) != "shop" {
-		t.Fatal("namespace mapping lost across the engine swap")
+		t.Fatal("namespace mapping lost across the grow")
 	}
 	f.env.Process("post-writes", func(p *sim.Proc) {
 		buf := make([]byte, f.sites.MainArray.Config().BlockSize)
@@ -639,22 +633,22 @@ func TestReplicationPluginUpgradesPlainEngine(t *testing.T) {
 			return
 		}
 		if !sg.AwaitReshard(p) || !sg.CatchUp(p) {
-			t.Error("upgraded engine never caught up")
+			t.Error("widened engine never caught up")
 		}
 	})
 	f.env.Run(0)
 	for i, name := range pvcs {
 		tv, _ := f.sites.BackupArray.Volume(VolumeIDForClaim("shop", name))
 		if got := tv.Peek(int64(i)); got[0] != byte(0x10+i) {
-			t.Fatalf("pre-upgrade write to %s lost: %x", name, got[0])
+			t.Fatalf("pre-grow write to %s lost: %x", name, got[0])
 		}
 	}
 	tv, _ := f.sites.BackupArray.Volume(VolumeIDForClaim("shop", "d0"))
 	if got := tv.Peek(17); got[0] != 0x99 {
-		t.Fatalf("post-upgrade write lost: %x", got[0])
+		t.Fatalf("post-grow write lost: %x", got[0])
 	}
 
-	// Teardown after the upgrade reclaims the converted journal too.
+	// Teardown after the grow reclaims every shard journal.
 	f.env.Process("delete", func(p *sim.Proc) {
 		f.sites.MainAPI.Delete(p, platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: "backup-shop"})
 	})
@@ -722,7 +716,7 @@ func TestReplicationPluginTeardownMidReshard(t *testing.T) {
 	pvcs := []string{"d0", "d1", "d2", "d3", "d4", "d5"}
 	f.createClaims(t, "shop", pvcs...)
 	rp := f.createShardedRG(t, "backup-shop", 4, pvcs...)
-	sg := rp.Groups("backup-shop")[0].(*replication.ShardedGroup)
+	sg := rp.Groups("backup-shop")[0]
 	// Backlog writes, then shrink and delete immediately — the retired
 	// shards are still waiting on their staged records when the CR goes.
 	f.env.Process("churn", func(p *sim.Proc) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/fabric"
 	"repro/internal/platform"
@@ -19,37 +20,29 @@ type SitePair struct {
 	BackupAPI   *platform.APIServer
 	MainArray   *storage.Array
 	BackupArray *storage.Array
-	// Path is the inter-site transfer path every group shares (a raw
-	// *netlink.Link works). PathFor, when set, takes precedence and hands
-	// each namespace its own path — how per-tenant QoS classes attach.
-	Path    fabric.Path
-	PathFor func(namespace string) fabric.Path
-	// LanePathFor, when set, hands each drain lane of a namespace's
-	// sharded group its own path (lane k drains journal shard k). Without
-	// it every lane shares the namespace path, which serializes transfers
-	// and forfeits most of the sharding win.
-	LanePathFor func(namespace string, lane int) fabric.Path
+	// Path is the inter-site transfer path every drain lane shares (a raw
+	// *netlink.Link works). LanePaths, when set, takes precedence and hands
+	// the drain lanes of a namespace's group one path each (lane k drains
+	// journal shard k) — how per-tenant QoS classes attach, and what lets
+	// lanes transfer concurrently instead of serializing on one path.
+	Path      fabric.Path
+	LanePaths func(namespace string, lanes int) []fabric.Path
 	// Telemetry, when set, has every created engine register its RPO and
 	// lane probes under the source namespace, and instruments the plugin's
 	// own controller.
 	Telemetry *telemetry.Registry
 }
 
-// pathFor resolves the transfer path for a namespace's groups.
-func (s SitePair) pathFor(namespace string) fabric.Path {
-	if s.PathFor != nil {
-		return s.PathFor(namespace)
+// lanePaths resolves one transfer path per drain lane of a namespace's group.
+func (s SitePair) lanePaths(namespace string, lanes int) []fabric.Path {
+	if s.LanePaths != nil {
+		return s.LanePaths(namespace, lanes)
 	}
-	return s.Path
-}
-
-// pathForLane resolves the transfer path for one drain lane of a
-// namespace's sharded group.
-func (s SitePair) pathForLane(namespace string, lane int) fabric.Path {
-	if s.LanePathFor != nil {
-		return s.LanePathFor(namespace, lane)
+	paths := make([]fabric.Path, lanes)
+	for k := range paths {
+		paths[k] = s.Path
 	}
-	return s.pathFor(namespace)
+	return paths
 }
 
 // ReplicationPlugin reconciles ReplicationGroup custom resources on the
@@ -63,9 +56,7 @@ type ReplicationPlugin struct {
 	ctrl  *platform.Controller
 
 	// groups tracks the running replication engines per CR name. With
-	// ConsistencyGroup=true there is exactly one (a Group, or a
-	// ShardedGroup when the spec shards the journal); otherwise one Group
-	// per volume.
+	// ConsistencyGroup=true there is exactly one; otherwise one per volume.
 	groups map[string][]replication.Replicator
 	// nsByGroup remembers which namespace each group replicates, so
 	// site-wide operations (failback) can pick that tenant's fabric path.
@@ -196,87 +187,48 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 		return err
 	}
 
-	var created []replication.Replicator
-	var journalIDs []string
-
-	// Sharded layout: one consistency group whose journal is split across
-	// JournalShards shards, drained by a multi-lane engine with one fabric
-	// path per lane. Single-shard groups keep the plain path below so the
-	// paper's configuration stays byte-for-byte unchanged.
-	if rg.Spec.ConsistencyGroup && rg.Spec.JournalShards > 1 {
-		journalID := fmt.Sprintf("jnl-%s-0", rg.Name)
-		vols := make([]storage.VolumeID, len(members))
-		mapping := make(map[storage.VolumeID]storage.VolumeID, len(members))
-		for i, m := range members {
-			vols[i] = m.volID
-			mapping[m.volID] = m.volID
-		}
-		sj, err := rp.sites.MainArray.CreateShardedConsistencyGroup(journalID, vols, rg.Spec.JournalShards)
-		if errors.Is(err, storage.ErrJournalExists) {
-			sj, err = rp.sites.MainArray.ShardedJournal(journalID)
-		}
-		if err != nil {
-			return err
-		}
-		paths := make([]fabric.Path, sj.ShardCount())
-		for k := range paths {
-			paths[k] = rp.sites.pathForLane(rg.Spec.SourceNamespace, k)
-		}
-		g, err := replication.NewShardedGroup(rp.env, fmt.Sprintf("%s-0", rg.Name), sj,
-			rp.sites.BackupArray, mapping, paths, rp.cfg)
-		if err != nil {
-			return err
-		}
-		if err := g.InitialCopy(p, rp.sites.MainArray); err != nil {
-			return err
-		}
-		g.Instrument(rp.sites.Telemetry, rg.Spec.SourceNamespace)
-		g.Start()
-		created = append(created, g)
-		rp.nsByGroup[g] = rg.Spec.SourceNamespace
-		journalIDs = append(journalIDs, journalID)
-		return rp.finishReady(p, key, rg, created, journalIDs)
-	}
-
-	// Journal layout: one shared journal (consistency group) or one per
-	// volume (the collapse-prone configuration E6 measures).
-	var journalSets [][]member
-	if rg.Spec.ConsistencyGroup {
-		journalSets = [][]member{members}
-	} else {
-		for _, m := range members {
-			journalSets = append(journalSets, []member{m})
+	// Journal layout: one consistency group over every member, its journal
+	// split across JournalShards shards and drained on as many lanes, each on
+	// its own fabric path — or one single-shard group per volume (the
+	// collapse-prone configuration E6 measures).
+	shards := max(rg.Spec.JournalShards, 1)
+	journalSets := [][]member{members}
+	if !rg.Spec.ConsistencyGroup {
+		shards = 1
+		journalSets = make([][]member, len(members))
+		for i := range members {
+			journalSets[i] = members[i : i+1]
 		}
 	}
+	created := make([]replication.Replicator, 0, len(journalSets))
+	journalIDs := make([]string, 0, len(journalSets))
 	for i, set := range journalSets {
-		journalID := fmt.Sprintf("jnl-%s-%d", rg.Name, i)
+		suffix := "-" + strconv.Itoa(i)
+		journalID := "jnl-" + rg.Name + suffix
 		vols := make([]storage.VolumeID, len(set))
 		mapping := make(map[storage.VolumeID]storage.VolumeID, len(set))
 		for j, m := range set {
 			vols[j] = m.volID
 			mapping[m.volID] = m.volID
 		}
-		journal, err := rp.sites.MainArray.CreateConsistencyGroup(journalID, vols)
-		if err != nil && !errors.Is(err, storage.ErrJournalExists) {
+		journal, err := rp.sites.MainArray.CreateConsistencyGroup(journalID, vols, shards, 0)
+		if errors.Is(err, storage.ErrJournalExists) {
+			journal, err = rp.sites.MainArray.ShardedJournal(journalID)
+		}
+		if err != nil {
 			return err
 		}
-		if journal == nil {
-			journal, err = rp.sites.MainArray.Journal(journalID)
-			if err != nil {
-				return err
-			}
-		}
-		g, err := replication.NewGroup(rp.env, fmt.Sprintf("%s-%d", rg.Name, i), journal,
-			rp.sites.BackupArray, mapping, rp.sites.pathFor(rg.Spec.SourceNamespace), rp.cfg)
+		g, err := replication.NewGroup(rp.env, rg.Name+suffix, journal, rp.sites.BackupArray,
+			mapping, rp.sites.lanePaths(rg.Spec.SourceNamespace, journal.ShardCount()), rp.cfg)
 		if err != nil {
 			return err
 		}
 		if err := g.InitialCopy(p, rp.sites.MainArray); err != nil {
 			return err
 		}
-		// Per-volume journal layouts (the collapse-prone E6 configuration)
-		// would fold several engines into one tenant key, so only the
-		// consistency-group layout registers the namespace's probes.
+		// Per-volume journal layouts would fold several engines into one
+		// tenant key, so only the consistency-group layout registers the
+		// namespace's probes.
 		if rg.Spec.ConsistencyGroup {
 			g.Instrument(rp.sites.Telemetry, rg.Spec.SourceNamespace)
 		}
@@ -289,14 +241,11 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 }
 
 // maybeReshard diffs the CR's declared shard count against the running
-// engine's lane count and, when they differ, drives the live reshard: a
-// sharded engine reconfigures its lane set in place (epoch-barrier
-// migration, untouched lanes keep draining); the paper's plain single-lane
-// engine is upgraded through a planned handoff — Detach at a batch boundary
-// (no records lost), the journal converted in place to a one-shard group,
-// and a sharded engine adopting the backlog before widening. The reconcile
-// does not wait for the migration window to settle — the engine drains it
-// in the background and callers observe Resharding()/Lanes().
+// engine's lane count and, when they differ, has the engine reconfigure its
+// lane set in place (epoch-barrier migration, untouched lanes keep
+// draining). The reconcile does not wait for the migration window to settle
+// — the engine drains it in the background and callers observe
+// Resharding()/Lanes().
 func (rp *ReplicationPlugin) maybeReshard(p *sim.Proc, rg *platform.ReplicationGroup) error {
 	if !rg.Spec.ConsistencyGroup {
 		return nil // per-volume journals have no shard structure to reshape
@@ -306,52 +255,13 @@ func (rp *ReplicationPlugin) maybeReshard(p *sim.Proc, rg *platform.ReplicationG
 		return nil
 	}
 	cur := groups[0]
-	want := rg.Spec.JournalShards
-	if want < 1 {
-		want = 1
-	}
+	want := max(rg.Spec.JournalShards, 1)
 	if cur.Lanes() == want || cur.Stopped() || cur.FailedOver() {
 		return nil
 	}
-	ns := rg.Spec.SourceNamespace
 	from := cur.Lanes()
-	paths := make([]fabric.Path, want)
-	for k := range paths {
-		paths[k] = rp.sites.pathForLane(ns, k)
-	}
-	if _, err := cur.Reshard(p, paths); err != nil {
-		if !errors.Is(err, replication.ErrReshardUnsupported) {
-			return err
-		}
-		old := cur.(*replication.Group)
-		if err := old.Detach(p); err != nil {
-			return err
-		}
-		sj, err := rp.sites.MainArray.ConvertToSharded(old.JournalID())
-		if errors.Is(err, storage.ErrJournalExists) {
-			// A previous attempt converted but failed later; adopt it.
-			sj, err = rp.sites.MainArray.ShardedJournal(old.JournalID())
-		}
-		if err != nil {
-			return err
-		}
-		sg, err := replication.NewShardedGroup(rp.env, old.Name(), sj, rp.sites.BackupArray,
-			old.Mapping(), paths[:sj.ShardCount()], rp.cfg)
-		if err != nil {
-			return err
-		}
-		// The upgrade rebinds the tenant's probes from the detached plain
-		// engine to its successor: one continuous timeline across the swap.
-		sg.Instrument(rp.sites.Telemetry, ns)
-		sg.Start()
-		rp.groups[rg.Name] = []replication.Replicator{sg}
-		delete(rp.nsByGroup, old)
-		rp.nsByGroup[sg] = ns
-		if sg.Lanes() != want {
-			if _, err := sg.Reshard(p, paths); err != nil {
-				return err
-			}
-		}
+	if _, err := cur.Reshard(p, rp.sites.lanePaths(rg.Spec.SourceNamespace, want)); err != nil {
+		return err
 	}
 	return rp.setPhase(p, rg, platform.GroupReady,
 		fmt.Sprintf("replication running (resharded %d -> %d lanes)", from, want))
@@ -386,17 +296,7 @@ func (rp *ReplicationPlugin) teardown(p *sim.Proc, name string) error {
 	for _, g := range groups {
 		g.Stop()
 		delete(rp.nsByGroup, g)
-		for src := range g.Mapping() {
-			if err := rp.sites.MainArray.DetachJournal(src); err != nil {
-				return err
-			}
-		}
-		id := g.JournalID()
-		if _, err := rp.sites.MainArray.ShardedJournal(id); err == nil {
-			if err := rp.sites.MainArray.DeleteShardedJournal(id); err != nil {
-				return err
-			}
-		} else if err := rp.sites.MainArray.DeleteJournal(id); err != nil && !errors.Is(err, storage.ErrNoSuchJournal) {
+		if err := rp.sites.MainArray.DeleteShardedJournal(g.JournalID()); err != nil && !errors.Is(err, storage.ErrNoSuchJournal) {
 			return err
 		}
 	}

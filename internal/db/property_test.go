@@ -141,8 +141,8 @@ func TestRecoveryFromReplicatedImageProperty(t *testing.T) {
 		a := storage.NewArray(env, "arr", storage.Config{})
 		src, _ := a.CreateVolume("src", 300)
 		twin, _ := a.CreateVolume("twin", 300)
-		j, _ := a.CreateJournal("j")
-		a.AttachJournal("src", "j")
+		sj, _ := a.CreateConsistencyGroup("j", []storage.VolumeID{"src"}, 1, 0)
+		j := sj.Shards()[0]
 		cfg := Config{WALBlocks: 8}
 
 		var commitSeq []uint64

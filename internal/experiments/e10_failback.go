@@ -90,7 +90,7 @@ func E10Failback(seed int64, outageOrders []int) ([]FailbackResult, error) {
 		var fbErr error
 		r.env.Process("failback", func(p *sim.Proc) {
 			start := p.Now()
-			reverse, stats, err := replication.Failback(p, r.groups[0], r.main, r.links.Reverse, replication.Config{})
+			reverse, stats, err := r.groups[0].Failback(p, r.main, r.links.Reverse, replication.Config{})
 			if err != nil {
 				fbErr = err
 				return

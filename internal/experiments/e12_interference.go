@@ -163,17 +163,12 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 			return res, err
 		}
 	}
-	vj, err := main.CreateConsistencyGroup("cg-victim", []storage.VolumeID{"v-sales", "v-stock"})
-	if err != nil {
-		return res, err
-	}
 	victimPath := fab.Path(e12Gold, "victim")
-	vg, err := replication.NewGroup(env, "victim", vj, backup,
-		ident("v-sales", "v-stock"), victimPath, replication.Config{BatchMax: 16})
+	vg, err := startADC(env, main, backup, "victim", []storage.VolumeID{"v-sales", "v-stock"},
+		victimPath, replication.Config{BatchMax: 16})
 	if err != nil {
 		return res, err
 	}
-	vg.Start()
 
 	// Noisy neighbor: independent single-volume copy sessions that flood.
 	noisyPath := fab.Path(e12Bulk, "noisy")
@@ -185,16 +180,11 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 			if err := mkPair(id, 512); err != nil {
 				return res, err
 			}
-			j, err := main.CreateConsistencyGroup("cg-"+string(id), []storage.VolumeID{id})
+			g, err := startADC(env, main, backup, string(id), []storage.VolumeID{id},
+				noisyPath, replication.Config{BatchMax: 64})
 			if err != nil {
 				return res, err
 			}
-			g, err := replication.NewGroup(env, string(id), j, backup,
-				ident(id), noisyPath, replication.Config{BatchMax: 64})
-			if err != nil {
-				return res, err
-			}
-			g.Start()
 			others = append(others, g)
 			noisyVols = append(noisyVols, id)
 		}
@@ -207,16 +197,11 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 		if err := mkPair(id, 512); err != nil {
 			return res, err
 		}
-		j, err := main.CreateConsistencyGroup("cg-"+string(id), []storage.VolumeID{id})
+		g, err := startADC(env, main, backup, string(id), []storage.VolumeID{id},
+			fab.Path(e12Silver, string(id)), replication.Config{BatchMax: 16})
 		if err != nil {
 			return res, err
 		}
-		g, err := replication.NewGroup(env, string(id), j, backup,
-			ident(id), fab.Path(e12Silver, string(id)), replication.Config{BatchMax: 16})
-		if err != nil {
-			return res, err
-		}
-		g.Start()
 		others = append(others, g)
 		bgVols = append(bgVols, id)
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/invariants"
 	"repro/internal/metrics"
 	"repro/internal/netlink"
-	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -131,12 +130,9 @@ func e13Run(seed int64, shards, writes int, failover bool, res *ShardedThroughpu
 			return
 		}
 		g := groups[0]
-		if shards > 1 {
-			sg, ok := g.(*replication.ShardedGroup)
-			if !ok || sg.Lanes() != shards {
-				runErr = fmt.Errorf("engine %T with %d lanes, want sharded with %d", g, shards, shards)
-				return
-			}
+		if g.Lanes() != shards {
+			runErr = fmt.Errorf("engine with %d lanes, want %d", g.Lanes(), shards)
+			return
 		}
 
 		vols := make([]*storage.Volume, e13Volumes)
@@ -166,9 +162,7 @@ func e13Run(seed int64, shards, writes int, failover bool, res *ShardedThroughpu
 		g.CatchUp(p)
 		res.DrainTime = p.Now() - start
 		res.Bytes = g.AppliedBytes()
-		if sg, ok := g.(*replication.ShardedGroup); ok {
-			res.EpochCommits = sg.EpochCommits()
-		}
+		res.EpochCommits = g.EpochCommits()
 	})
 	if failover {
 		sys.Env.Process("disaster", func(p *sim.Proc) {

@@ -139,24 +139,6 @@ func e15Provision(p *sim.Proc, sys *core.System) ([]*storage.Volume, []*core.Bus
 	return vols, bg, nil
 }
 
-// e15AppliedBytes sums committed backup bytes across engine generations:
-// the 1→4 upgrade swaps the plain engine for a sharded one, and the plain
-// engine's counters freeze at the (lossless) handoff.
-func e15AppliedBytes(sys *core.System, old replication.Replicator) int64 {
-	var n int64
-	seen := false
-	for _, g := range sys.Groups(e15Namespace) {
-		n += g.AppliedBytes()
-		if g == old {
-			seen = true
-		}
-	}
-	if !seen && old != nil {
-		n += old.AppliedBytes()
-	}
-	return n
-}
-
 func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 	sys := e15System(seed, writes)
 	var runErr error
@@ -171,7 +153,7 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 	ready := sys.Env.NewEvent()
 	var vols []*storage.Volume
 	var bg []*core.BusinessProcess
-	var firstEngine replication.Replicator
+	var engine replication.Replicator
 	var startWrites time.Duration
 
 	sys.Env.Process("driver", func(p *sim.Proc) {
@@ -186,9 +168,9 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 			fail(fmt.Errorf("groups = %d, want 1", len(groups)))
 			return
 		}
-		firstEngine = groups[0]
-		if _, ok := firstEngine.(*replication.Group); !ok {
-			fail(fmt.Errorf("shards=1 engine is %T, want the plain engine", firstEngine))
+		engine = groups[0]
+		if engine.Lanes() != 1 {
+			fail(fmt.Errorf("shards=1 engine runs %d lanes", engine.Lanes()))
 			return
 		}
 		startWrites = p.Now()
@@ -220,7 +202,7 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 	if !failover {
 		sys.Env.Process("reshard", func(p *sim.Proc) {
 			p.Wait(halfway)
-			preBytes := e15AppliedBytes(sys, firstEngine)
+			preBytes := engine.AppliedBytes()
 			declaredAt := p.Now()
 			res.PreMBps = mbps(preBytes, declaredAt-startWrites)
 			if err := sys.UpdateTenantSpec(p, e15Namespace, func(s *platform.TenantSpec) {
@@ -235,16 +217,10 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 			}
 			settledAt := p.Now()
 			res.StallTime = settledAt - declaredAt
-			res.DuringMBps = mbps(e15AppliedBytes(sys, firstEngine)-preBytes, settledAt-declaredAt)
-			groups := sys.Groups(e15Namespace)
-			sg, ok := groups[0].(*replication.ShardedGroup)
-			if !ok || sg.Lanes() != e15ToShards {
-				fail(fmt.Errorf("post-reshard engine %T", groups[0]))
-				return
-			}
-			sj, err := sys.Main.Array.ShardedJournal(sg.JournalID())
-			if err != nil {
-				fail(err)
+			res.DuringMBps = mbps(engine.AppliedBytes()-preBytes, settledAt-declaredAt)
+			sg, sj := engine, engine.Journal()
+			if sg.Lanes() != e15ToShards {
+				fail(fmt.Errorf("post-reshard engine runs %d lanes", sg.Lanes()))
 				return
 			}
 			res.BarrierEpoch = sg.MigrationBarrier()
@@ -254,9 +230,9 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 			// Post window: drain the remaining backlog on four lanes.
 			p.Wait(writerDone)
 			postStart := p.Now()
-			postBase := e15AppliedBytes(sys, firstEngine)
+			postBase := engine.AppliedBytes()
 			sg.CatchUp(p)
-			res.PostMBps = mbps(e15AppliedBytes(sys, firstEngine)-postBase, p.Now()-postStart)
+			res.PostMBps = mbps(engine.AppliedBytes()-postBase, p.Now()-postStart)
 
 			// Unchanged reconcile: re-declare the same count and touch the
 			// CR so every controller runs once more — zero migration.
@@ -280,7 +256,7 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 			}
 			p.Sleep(100 * time.Millisecond)
 			res.NoopZeroMigration = sj.Reshards() == reshards && sj.MovedRecords() == moved &&
-				sys.Groups(e15Namespace)[0] == replication.Replicator(sg)
+				sys.Groups(e15Namespace)[0] == sg
 
 			for i := range bg {
 				sys.CatchUp(p, fmt.Sprintf("bystander-%d", i))
@@ -298,12 +274,11 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 		})
 		sys.Env.Process("disaster", func(p *sim.Proc) {
 			p.Wait(halfway)
-			// Strike while the migration window is open: wait for the
-			// sharded engine to appear with its window unsettled.
+			// Strike while the migration window is open.
 			deadline := p.Now() + 30*time.Second
 			for {
 				if gs := sys.Groups(e15Namespace); len(gs) == 1 {
-					if sg, ok := gs[0].(*replication.ShardedGroup); ok && sg.Resharding() {
+					if sg := gs[0]; sg.Resharding() {
 						res.RacedWindow = true
 						res.CutPreBarrier = sg.CommittedEpoch() < sg.MigrationBarrier()
 						if _, err := sg.Failover(); err != nil {

@@ -122,27 +122,17 @@ func E9CGScale(seed int64, volumeCounts []int, writesPerVol int) ([]CGScaleResul
 			}
 			var groups []*replication.Group
 			if shared {
-				j, err := main.CreateConsistencyGroup("cg", vols)
+				g, err := startADC(env, main, backup, "cg", vols, link, replication.Config{})
 				if err != nil {
 					return nil, err
 				}
-				g, err := replication.NewGroup(env, "cg", j, backup, ident(vols...), link, replication.Config{})
-				if err != nil {
-					return nil, err
-				}
-				g.Start()
 				groups = append(groups, g)
 			} else {
 				for _, v := range vols {
-					j, err := main.CreateConsistencyGroup("j-"+string(v), []storage.VolumeID{v})
+					g, err := startADC(env, main, backup, string(v), []storage.VolumeID{v}, link, replication.Config{})
 					if err != nil {
 						return nil, err
 					}
-					g, err := replication.NewGroup(env, "g-"+string(v), j, backup, ident(v), link, replication.Config{})
-					if err != nil {
-						return nil, err
-					}
-					g.Start()
 					groups = append(groups, g)
 				}
 			}

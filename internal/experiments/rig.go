@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/db"
+	"repro/internal/fabric"
 	"repro/internal/netlink"
 	"repro/internal/platform"
 	"repro/internal/replication"
@@ -115,16 +116,11 @@ func (r *rig) bootstrap(p *sim.Proc, params rigParams) error {
 	switch r.mode {
 	case ModeNone:
 	case ModeADC:
-		j, err := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"})
+		g, err := startADC(r.env, r.main, r.backup, "cg", []storage.VolumeID{"sales", "stock"},
+			r.links.Forward, params.repl)
 		if err != nil {
 			return err
 		}
-		g, err := replication.NewGroup(r.env, "cg", j, r.backup,
-			ident("sales", "stock"), r.links.Forward, params.repl)
-		if err != nil {
-			return err
-		}
-		g.Start()
 		r.groups = []*replication.Group{g}
 	case ModeADCNoCG:
 		// Without a consistency group each volume pair is an independent
@@ -133,17 +129,11 @@ func (r *rig) bootstrap(p *sim.Proc, params rigParams) error {
 		// independently). The divergence between sessions is exactly what
 		// lets the backup collapse.
 		for _, vol := range []storage.VolumeID{"sales", "stock"} {
-			j, err := r.main.CreateConsistencyGroup("j-"+string(vol), []storage.VolumeID{vol})
+			g, err := startADC(r.env, r.main, r.backup, string(vol), []storage.VolumeID{vol},
+				netlink.New(r.env, params.link), params.repl)
 			if err != nil {
 				return err
 			}
-			session := netlink.New(r.env, params.link)
-			g, err := replication.NewGroup(r.env, "g-"+string(vol), j, r.backup,
-				ident(vol), session, params.repl)
-			if err != nil {
-				return err
-			}
-			g.Start()
 			r.groups = append(r.groups, g)
 		}
 	case ModeSDC:
@@ -200,6 +190,22 @@ func provisionClaims(p *sim.Proc, sys *core.System, namespace string, pvcs []str
 		}
 	}
 	return nil
+}
+
+// startADC wires vols (same IDs on both arrays) into a one-lane consistency
+// group replicated over path, and starts its drain.
+func startADC(env *sim.Env, main, backup *storage.Array, name string, vols []storage.VolumeID,
+	path fabric.Path, cfg replication.Config) (*replication.Group, error) {
+	j, err := main.CreateConsistencyGroup("cg-"+name, vols, 1, 0)
+	if err != nil {
+		return nil, err
+	}
+	g, err := replication.NewGroup(env, name, j, backup, ident(vols...), []fabric.Path{path}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	g.Start()
+	return g, nil
 }
 
 // ident builds an identity volume mapping.

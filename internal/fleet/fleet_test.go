@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/netlink"
-	"repro/internal/replication"
 )
 
 func testConfig(tenants, orders int) Config {
@@ -181,8 +180,8 @@ func TestFleetShardedJournals(t *testing.T) {
 	}
 	for _, tn := range f.Tenants {
 		for _, g := range f.Sys.Groups(tn.Namespace) {
-			if _, ok := g.(*replication.ShardedGroup); !ok {
-				t.Fatalf("%s engine is %T, want sharded", tn.Namespace, g)
+			if g.Lanes() != cfg.JournalShards {
+				t.Fatalf("%s engine runs %d lanes, want %d", tn.Namespace, g.Lanes(), cfg.JournalShards)
 			}
 		}
 	}

@@ -18,14 +18,14 @@
 //   - stamped prefix: a failed-over volume set holds exactly the blocks
 //     {1..K} of the sequence-stamped write order (E13/E15's write-heavy
 //     tenants) — nothing leaked past the barrier;
-//   - epoch boundary: a sharded group's backup image never exposes a
-//     record from an epoch newer than the last committed barrier;
+//   - epoch boundary: a group's backup image is an exact ack-order prefix
+//     and never exposes a record from an epoch newer than the last
+//     committed one;
 //   - zero residue: a decommissioned tenant left nothing behind on either
 //     array (volumes, journals, snapshots);
-//   - fail-closed overflow: a journal over its declared capacity has
-//     overflowed, a sharded group overflows all-or-none, and every member
-//     volume of an overflowed journal is change tracking (the resync delta
-//     is being accumulated);
+//   - fail-closed overflow: a journal shard over its declared capacity has
+//     overflowed its group, and every member volume of an overflowed group
+//     is change tracking (the resync delta is being accumulated);
 //   - no orphan groups: every registered replication engine belongs to a
 //     live tenant;
 //   - no leaked watches: an API server has no watch registrations left
@@ -110,25 +110,37 @@ func CheckConsistentCut(tenant string, rep consistency.Report) []Violation {
 	return out
 }
 
-// CheckEpochBoundary asserts that a sharded group's backup image is bounded
-// by its epoch barrier: no applied record carries an epoch newer than the
-// last committed one. Installs and the committed-epoch advance happen in
-// the same scheduler step (replication.ShardedGroup.commitEpoch), so this
-// holds at every step boundary — a violation means the barrier leaked.
-func CheckEpochBoundary(tenant string, sg *replication.ShardedGroup) []Violation {
-	committed := sg.CommittedEpoch()
-	maxApplied := int64(0)
-	for _, r := range sg.ApplyLog() {
-		if r.Epoch > maxApplied {
-			maxApplied = r.Epoch
+// CheckEpochBoundary asserts the bound both commit rules keep on a group's
+// backup image. The image is an exact ack-order prefix: every applied record
+// was acked before every record still unapplied (a lane commit extends the
+// prefix batch by batch, a barrier commit epoch by epoch). And while the
+// barrier rule is in force nothing of an unsealed epoch is exposed: no
+// applied record carries an epoch newer than the last committed one — or
+// than the migration barrier, the epoch that sealed whatever a single lane
+// had committed for itself before the engine grew. Installs and the
+// committed-epoch advance happen in the same scheduler step, so this holds
+// at every step boundary — a violation means the barrier leaked.
+func CheckEpochBoundary(tenant string, g replication.Replicator) []Violation {
+	var out []Violation
+	var maxApplied, maxEpoch int64
+	for _, r := range g.ApplyLog() {
+		maxApplied = max(maxApplied, r.GlobalSeq)
+		maxEpoch = max(maxEpoch, r.Epoch)
+	}
+	for _, r := range g.UnappliedRecords() {
+		if r.GlobalSeq < maxApplied {
+			out = append(out, violate("epoch-boundary", tenant,
+				"%s applied ack %d ahead of unapplied ack %d: image is not an ack-order prefix",
+				g.Name(), maxApplied, r.GlobalSeq))
+			break
 		}
 	}
-	if maxApplied > committed {
-		return []Violation{violate("epoch-boundary", tenant,
+	if bound := max(g.CommittedEpoch(), g.MigrationBarrier()); (g.Lanes() > 1 || g.Resharding()) && maxEpoch > bound {
+		out = append(out, violate("epoch-boundary", tenant,
 			"%s applied a record from epoch %d past committed barrier %d",
-			sg.Name(), maxApplied, committed)}
+			g.Name(), maxEpoch, bound))
 	}
-	return nil
+	return out
 }
 
 // CheckZeroResidue asserts a decommissioned tenant reclaimed everything:
@@ -143,60 +155,34 @@ func CheckZeroResidue(tenant string, residue []string) []Violation {
 	return out
 }
 
-// CheckFailClosed asserts the overflow contract on a plain (unsharded)
-// journal: the backlog never silently exceeds a declared capacity, and once
-// overflowed, every member volume is change tracking so a resync can copy
-// exactly the delta.
-func CheckFailClosed(tenant string, a *storage.Array, j *storage.Journal) []Violation {
-	var out []Violation
-	if capacity := j.CapacityBytes(); capacity > 0 && !j.Overflowed() && j.PendingBytes() > capacity {
-		out = append(out, violate("fail-closed", tenant,
-			"journal %s backlog %dB exceeds capacity %dB without overflowing",
-			j.ID(), j.PendingBytes(), capacity))
-	}
-	if j.Overflowed() {
-		out = append(out, checkMembersTracking(tenant, a, j)...)
-	}
-	return out
-}
-
-// CheckFailClosedSharded asserts the overflow contract on a sharded
-// consistency-group journal: shards overflow all-or-none (a partially
-// journaling group cannot replay a consistent cross-shard cut), per-shard
-// backlogs respect a declared capacity, and an overflowed group has every
-// member volume change tracking.
-func CheckFailClosedSharded(tenant string, a *storage.Array, sj *storage.ShardedJournal) []Violation {
+// CheckFailClosed asserts the overflow contract on a consistency-group
+// journal: no shard's backlog silently exceeds the declared per-shard
+// capacity, and once the group has overflowed — always as a whole, a
+// partially journaling group could not replay a consistent cross-shard cut
+// — every member volume is change tracking so a resync can copy exactly the
+// delta.
+func CheckFailClosed(tenant string, a *storage.Array, sj *storage.ShardedJournal) []Violation {
 	var out []Violation
 	for _, j := range sj.Shards() {
-		if j.Overflowed() != sj.Overflowed() {
-			out = append(out, violate("fail-closed", tenant,
-				"shard %s overflowed=%v but group %s overflowed=%v (must fail closed all-or-none)",
-				j.ID(), j.Overflowed(), sj.ID(), sj.Overflowed()))
-		}
-		if capacity := j.CapacityBytes(); capacity > 0 && !j.Overflowed() && j.PendingBytes() > capacity {
+		if capacity := j.CapacityBytes(); capacity > 0 && !sj.Overflowed() && j.PendingBytes() > capacity {
 			out = append(out, violate("fail-closed", tenant,
 				"shard %s backlog %dB exceeds capacity %dB without overflowing",
 				j.ID(), j.PendingBytes(), capacity))
 		}
-		if sj.Overflowed() {
-			out = append(out, checkMembersTracking(tenant, a, j)...)
-		}
 	}
-	return out
-}
-
-func checkMembersTracking(tenant string, a *storage.Array, j *storage.Journal) []Violation {
-	var out []Violation
-	for _, id := range j.Members() {
+	if !sj.Overflowed() {
+		return out
+	}
+	for _, id := range sj.Members() {
 		v, err := a.Volume(id)
 		if err != nil {
 			out = append(out, violate("fail-closed", tenant,
-				"overflowed journal %s member %s: %v", j.ID(), id, err))
+				"overflowed journal %s member %s: %v", sj.ID(), id, err))
 			continue
 		}
 		if !v.TrackingChanges() {
 			out = append(out, violate("fail-closed", tenant,
-				"overflowed journal %s member %s is not change tracking", j.ID(), id))
+				"overflowed journal %s member %s is not change tracking", sj.ID(), id))
 		}
 	}
 	return out

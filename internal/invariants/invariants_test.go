@@ -90,85 +90,49 @@ func TestCheckZeroResidue(t *testing.T) {
 	}
 }
 
-func TestCheckFailClosedPlainJournal(t *testing.T) {
-	env := sim.NewEnv(1)
-	a := storage.NewArray(env, "m", storage.Config{})
-	if _, err := a.CreateVolume("v", 16); err != nil {
-		t.Fatal(err)
-	}
-	j, err := a.CreateConsistencyGroup("cg", []storage.VolumeID{"v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ := a.Volume("v")
-	stamped(t, env, v, 0, 1) // one pending record in the journal
-	if vs := CheckFailClosed("t0", a, j); len(vs) != 0 {
-		t.Fatalf("unbounded journal flagged: %v", vs)
-	}
-	// Squeeze the capacity under the backlog: must fail closed immediately,
-	// members tracking — and then the checker is clean again.
-	j.SetCapacityBytes(1)
-	if !j.Overflowed() {
-		t.Fatal("squeeze under backlog did not overflow")
-	}
-	if !v.TrackingChanges() {
-		t.Fatal("overflowed member not change tracking")
-	}
-	if vs := CheckFailClosed("t0", a, j); len(vs) != 0 {
-		t.Fatalf("fail-closed overflow flagged: %v", vs)
-	}
-	// Break the contract behind the checker's back: member stops tracking.
-	v.StopChangeTracking()
-	vs := CheckFailClosed("t0", a, j)
-	if len(vs) != 1 || !strings.Contains(vs[0].Detail, "not change tracking") {
-		t.Fatalf("broken tracking not reported: %v", vs)
-	}
-}
-
-func TestCheckFailClosedShardedAllOrNone(t *testing.T) {
-	env := sim.NewEnv(1)
-	a := storage.NewArray(env, "m", storage.Config{})
-	for _, id := range []storage.VolumeID{"v0", "v1", "v2", "v3"} {
-		if _, err := a.CreateVolume(id, 16); err != nil {
+func TestCheckFailClosed(t *testing.T) {
+	ids := []storage.VolumeID{"v0", "v1", "v2", "v3"}
+	for _, shards := range []int{1, 2} {
+		env := sim.NewEnv(1)
+		a := storage.NewArray(env, "m", storage.Config{})
+		for _, id := range ids {
+			if _, err := a.CreateVolume(id, 16); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sj, err := a.CreateConsistencyGroup("cg", ids, shards, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	sj, err := a.CreateShardedConsistencyGroup("cg", []storage.VolumeID{"v0", "v1", "v2", "v3"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range []storage.VolumeID{"v0", "v1", "v2", "v3"} {
-		v, _ := a.Volume(id)
-		stamped(t, env, v, 0, uint64(i+1))
-	}
-	if vs := CheckFailClosedSharded("t0", a, sj); len(vs) != 0 {
-		t.Fatalf("healthy group flagged: %v", vs)
-	}
-	// Squeeze: the whole group fails closed even though per-shard backlogs
-	// differ, and the checker stays clean.
-	sj.SetCapacityPerShard(1)
-	if !sj.Overflowed() {
-		t.Fatal("squeeze under backlog did not overflow the group")
-	}
-	for _, sh := range sj.Shards() {
-		if !sh.Overflowed() {
-			t.Fatalf("shard %s escaped the group overflow", sh.ID())
+		for i, id := range ids {
+			v, _ := a.Volume(id)
+			stamped(t, env, v, 0, uint64(i+1)) // one pending record each
 		}
-	}
-	if vs := CheckFailClosedSharded("t0", a, sj); len(vs) != 0 {
-		t.Fatalf("all-or-none overflow flagged: %v", vs)
-	}
-	// Violate all-or-none: clear one shard while the group stays overflowed.
-	sj.Shards()[0].ClearOverflow()
-	vs := CheckFailClosedSharded("t0", a, sj)
-	found := false
-	for _, v := range vs {
-		if strings.Contains(v.Detail, "all-or-none") {
-			found = true
+		if vs := CheckFailClosed("t0", a, sj); len(vs) != 0 {
+			t.Fatalf("shards=%d: unbounded journal flagged: %v", shards, vs)
 		}
-	}
-	if !found {
-		t.Fatalf("partial overflow not reported: %v", vs)
+		// Squeeze the capacity under the backlog: the whole group must fail
+		// closed immediately even though per-shard backlogs differ, members
+		// tracking — and then the checker is clean again.
+		sj.SetCapacityPerShard(1)
+		if !sj.Overflowed() {
+			t.Fatalf("shards=%d: squeeze under backlog did not overflow", shards)
+		}
+		for _, sh := range sj.Shards() {
+			if !sh.Overflowed() {
+				t.Fatalf("shard %s escaped the group overflow", sh.ID())
+			}
+		}
+		if vs := CheckFailClosed("t0", a, sj); len(vs) != 0 {
+			t.Fatalf("shards=%d: fail-closed overflow flagged: %v", shards, vs)
+		}
+		// Break the contract behind the checker's back: a member stops tracking.
+		v, _ := a.Volume("v2")
+		v.StopChangeTracking()
+		vs := CheckFailClosed("t0", a, sj)
+		if len(vs) != 1 || !strings.Contains(vs[0].Detail, "v2 is not change tracking") {
+			t.Fatalf("shards=%d: broken tracking not reported: %v", shards, vs)
+		}
 	}
 }
 
@@ -180,6 +144,62 @@ type fakeRep struct {
 }
 
 func (f fakeRep) Name() string { return f.name }
+
+// fakeImage is a Replicator exposing just what CheckEpochBoundary reads.
+type fakeImage struct {
+	fakeRep
+	applied, unapplied []storage.Record
+	committed, barrier int64
+	lanes              int
+	resharding         bool
+}
+
+func (f fakeImage) ApplyLog() []storage.Record         { return f.applied }
+func (f fakeImage) UnappliedRecords() []storage.Record { return f.unapplied }
+func (f fakeImage) CommittedEpoch() int64              { return f.committed }
+func (f fakeImage) MigrationBarrier() int64            { return f.barrier }
+func (f fakeImage) Lanes() int                         { return f.lanes }
+func (f fakeImage) Resharding() bool                   { return f.resharding }
+
+func TestCheckEpochBoundaryBothCommitRules(t *testing.T) {
+	recs := func(epoch int64, seqs ...int64) []storage.Record {
+		out := make([]storage.Record, len(seqs))
+		for i, s := range seqs {
+			out[i] = storage.Record{GlobalSeq: s, Epoch: epoch}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		img  fakeImage
+		want string // substring of the one expected violation, "" = holds
+	}{
+		{name: "one lane commits the open epoch batch by batch",
+			img: fakeImage{lanes: 1, applied: recs(1, 1, 2, 3), unapplied: recs(1, 4, 5)}},
+		{name: "just grown: the lane's own records sit under the migration barrier",
+			img: fakeImage{lanes: 4, resharding: true, barrier: 1, applied: recs(1, 1, 2), unapplied: recs(2, 3)}},
+		{name: "barrier commit bounded by the committed epoch",
+			img: fakeImage{lanes: 4, committed: 2, applied: recs(2, 1, 2, 3), unapplied: recs(3, 4)}},
+		{name: "barrier leaked an unsealed epoch",
+			img:  fakeImage{lanes: 4, committed: 2, barrier: 1, applied: recs(3, 1, 2), unapplied: recs(3, 3)},
+			want: "epoch 3 past committed barrier 2"},
+		{name: "shrinking window still under the barrier rule",
+			img:  fakeImage{lanes: 1, resharding: true, committed: 4, barrier: 4, applied: recs(5, 1), unapplied: recs(5, 2)},
+			want: "epoch 5 past committed barrier 4"},
+		{name: "image with a hole",
+			img:  fakeImage{lanes: 1, applied: recs(1, 1, 2, 5), unapplied: recs(1, 3, 4)},
+			want: "not an ack-order prefix"},
+	} {
+		c.img.name = "g"
+		vs := CheckEpochBoundary("t0", c.img)
+		switch {
+		case c.want == "" && len(vs) != 0:
+			t.Errorf("%s: flagged %v", c.name, vs)
+		case c.want != "" && (len(vs) != 1 || !strings.Contains(vs[0].Detail, c.want)):
+			t.Errorf("%s: violations = %v, want one containing %q", c.name, vs, c.want)
+		}
+	}
+}
 
 func TestCheckNoOrphanGroups(t *testing.T) {
 	owner := map[string]string{"g-a": "ns-a", "g-b": "ns-b"}

@@ -1,11 +1,11 @@
 // Package replication implements the paper's remote-copy engines:
 //
-//   - Group — asynchronous data copy (ADC, §III-A1): a drain process moves
-//     journal records across the inter-site link in batches and applies them
-//     at the backup array strictly in journal-sequence order. When the
-//     journal is a consistency group's shared journal, cross-volume ordering
-//     is preserved; with one Group per volume it is not (the configuration
-//     experiment E6 shows collapses).
+//   - Group — asynchronous data copy (ADC, §III-A1): drain lanes move a
+//     consistency group's journal records across the inter-site link in
+//     batches and apply them at the backup array in the group's ack order.
+//     One group over all of a tenant's volumes preserves cross-volume
+//     ordering; with one Group per volume it is not preserved (the
+//     configuration experiment E6 shows collapses).
 //   - SyncVolume — synchronous data copy (SDC, §V baseline): every write
 //     waits for the remote apply and the returning ack, putting the link RTT
 //     on the business-processing path.
@@ -14,11 +14,14 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 )
 
 // ErrStopped is returned by operations on a stopped replication group.
@@ -38,43 +41,120 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Group replicates one source journal to target volumes asynchronously.
+// Group replicates one consistency-group journal to target volumes over one
+// drain lane per journal shard, each lane on its own fabric path, so a
+// tenant's drain throughput scales with its shard count. The lane count
+// selects the commit rule — nothing else:
+//
+// Lane commit (one settled lane). The single shard's sequence already is the
+// group's cross-volume ack order, so every transferred batch is an exact
+// prefix extension: the lane applies it itself — transfer, delta-set apply,
+// install — and no coordinator exists. This is the paper's configuration.
+//
+// Barrier commit (more than one lane, or a reshard window still open):
+//
+//  1. every record carries the group epoch open at ack time; sealing an
+//     epoch is atomic, so "all records with epoch <= E" is an exact prefix
+//     of the group's cross-volume ack order;
+//  2. lanes transfer records lane-locally and STAGE them at the target —
+//     staged records are not yet part of the backup image;
+//  3. a coordinator seals epochs whenever there is backlog and, once every
+//     lane has staged its share of the sealed epoch (the barrier), commits
+//     the whole epoch: the target applies the delta set and exposes it
+//     atomically. The backup image therefore always sits exactly on an
+//     epoch boundary = a consistent cross-volume cut, no matter when a
+//     disaster splits the pair.
+//
+// Within an epoch, cross-shard apply order is relaxed (that is the point —
+// lanes run concurrently); per volume, order is exact because placement
+// pins each volume to one shard. Either way the backup image is an exact
+// ack-order prefix at every instant.
 type Group struct {
 	env     *sim.Env
 	name    string
-	journal *storage.Journal
+	journal *storage.ShardedJournal
 	target  *storage.Array
 	mapping map[storage.VolumeID]storage.VolumeID
-	path    fabric.Path
 	cfg     Config
+
+	lanes    []*drainLane // active lanes, index-aligned with journal shards
+	retiring []*drainLane // lanes of retired shards, draining their last staged records
 
 	stopEv     *sim.Event
 	stopped    bool
-	caughtUp   *sim.Event
-	inflight   int
-	detachEv   *sim.Event // requests a batch-boundary drain halt
-	detachedEv *sim.Event // acknowledged: drain parked, nothing in flight
-	detachReq  bool
-	detached   bool
+	failedOver bool
+	started    bool
+	committed  *sim.Event // pulsed per epoch commit and by an idle committing lane; CatchUp waits on it
 
-	appliedSeq     int64
+	// Barrier state, created when the engine first runs more than one lane.
+	// coordinating is the commit rule in force: a coordinator process exists
+	// and lanes stage for it instead of committing their own batches.
+	coordinating bool
+	progress     *sim.Event   // pulsed by lanes as they stage; the barrier wait
+	reconfigured *sim.Event   // pulsed by Reshard; wakes the coordinator onto the new lane set
+	idleWait     []*sim.Event // coordinator scratch for its idle wait
+
+	// Reshard state. While resharding is set, one volume's staged records
+	// can be split across two lanes (its old shard's lane staged pre-barrier
+	// records, its new shard's lane stages post-barrier ones), so epoch
+	// commits apply in global ack (GlobalSeq) order instead of lane order.
+	// The window closes — and retiring lanes are reaped — once every record
+	// of epochs <= the migration barrier is committed at the target.
+	resharding       bool
+	migrationBarrier int64
+	reshardSettled   *sim.Event // re-armed per reshard; AwaitReshard waits on it
+	reshards         int64
+
+	committedEpoch int64
+	epochCommits   int64
 	appliedRecords int64
 	appliedBytes   int64
 	lastAppliedAck time.Duration
 	applyLog       []storage.Record // applied at target, for verification
-	lost           []storage.Record // abandoned in flight by Stop (disaster split)
-	batch          []storage.Record // drain scratch, reused across batches
-	failedOver     bool
-	drainProc      *sim.Proc
+	lost           []storage.Record // abandoned mid-transfer or mid-apply by Stop
+
+	// Telemetry (set by Instrument; nil handles no-op when disabled).
+	tel          *telemetry.Registry
+	tenant       string
+	epochLatency *telemetry.Histogram
+	reshardSpan  telemetry.Span
+	laneGen      map[int]int // lane index -> registrations (probe-key generations)
 }
 
-// NewGroup wires a source journal to target volumes. mapping translates each
-// source volume ID to its backup-site twin; every journal member must be
-// mapped and every mapped target must exist on the target array. path is the
-// inter-site transfer path — a raw *netlink.Link or a QoS-classed
-// fabric.TenantPath are both fine.
-func NewGroup(env *sim.Env, name string, journal *storage.Journal, target *storage.Array,
-	mapping map[storage.VolumeID]storage.VolumeID, path fabric.Path, cfg Config) (*Group, error) {
+// drainLane is one shard's drain state. Each lane owns its batch scratch
+// and staging buffer — nothing is shared across lanes, so concurrent lanes
+// never alias each other's records.
+type drainLane struct {
+	idx     int
+	journal *storage.Journal
+	path    fabric.Path
+
+	batch  []storage.Record // drain scratch, reused across batches
+	staged []storage.Record // transferred, awaiting an epoch commit
+
+	inflight      int           // records taken from the shard and not yet staged or applied
+	inflightEpoch int64         // epoch of the first in-flight record
+	inflightAck   time.Duration // ack time of the first in-flight record
+
+	// retire is triggered by the coordinator once a retiring lane has
+	// nothing left to drain, stage, or commit; the lane process exits on it.
+	// Lane 0 survives every reshard and has none.
+	retire *sim.Event
+	probed bool // lane probes registered
+}
+
+// NewGroup wires a consistency group's journal to target volumes. paths
+// carries one inter-site transfer path per journal shard (lane k drains
+// shard k over paths[k]) — a raw *netlink.Link or a QoS-classed
+// fabric.TenantPath are both fine. mapping translates each source volume ID
+// to its backup-site twin; every journal member must be mapped and every
+// mapped target must exist on the target array. The group keeps mapping;
+// the caller must not modify it afterwards.
+func NewGroup(env *sim.Env, name string, journal *storage.ShardedJournal, target *storage.Array,
+	mapping map[storage.VolumeID]storage.VolumeID, paths []fabric.Path, cfg Config) (*Group, error) {
+	if len(paths) != journal.ShardCount() {
+		return nil, fmt.Errorf("replication: %s: %d paths for %d shards", name, len(paths), journal.ShardCount())
+	}
 	for _, src := range journal.Members() {
 		dst, ok := mapping[src]
 		if !ok {
@@ -84,65 +164,103 @@ func NewGroup(env *sim.Env, name string, journal *storage.Journal, target *stora
 			return nil, fmt.Errorf("replication: target for %s: %w", src, err)
 		}
 	}
-	m := make(map[storage.VolumeID]storage.VolumeID, len(mapping))
-	for k, v := range mapping {
-		m[k] = v
+	g := &Group{
+		env:       env,
+		name:      name,
+		journal:   journal,
+		target:    target,
+		mapping:   mapping,
+		cfg:       cfg.withDefaults(),
+		lanes:     make([]*drainLane, len(paths)),
+		stopEv:    env.NewEvent(),
+		committed: env.NewEvent(),
 	}
-	return &Group{
-		env:        env,
-		name:       name,
-		journal:    journal,
-		target:     target,
-		mapping:    m,
-		path:       path,
-		cfg:        cfg.withDefaults(),
-		stopEv:     env.NewEvent(),
-		caughtUp:   env.NewEvent(),
-		detachEv:   env.NewEvent(),
-		detachedEv: env.NewEvent(),
-	}, nil
+	for i, shard := range journal.Shards() {
+		g.lanes[i] = g.newLane(i, shard, paths[i])
+	}
+	if len(paths) > 1 {
+		g.openBarrier()
+	}
+	return g, nil
+}
+
+func (g *Group) newLane(idx int, shard *storage.Journal, path fabric.Path) *drainLane {
+	l := &drainLane{idx: idx, journal: shard, path: path}
+	if idx > 0 {
+		l.retire = g.env.NewEvent()
+	}
+	if g.coordinating {
+		// Lanes added by a live reshard register their probes here, so their
+		// timelines start at the migration instant.
+		g.instrumentLane(l)
+	}
+	return l
+}
+
+// openBarrier puts the barrier commit rule in force: from here on lanes
+// stage and an epoch coordinator commits, until a shrink back to one lane
+// settles and the coordinator hands the rule back (see coordinate).
+func (g *Group) openBarrier() {
+	g.coordinating = true
+	if g.progress == nil {
+		g.progress = g.env.NewEvent()
+		g.reconfigured = g.env.NewEvent()
+	}
+	g.instrumentBarrier()
+	if g.started {
+		g.env.Process("adc-epoch:"+g.name, g.coordinate)
+	}
 }
 
 // Name returns the group name.
 func (g *Group) Name() string { return g.name }
 
-// Journal returns the source journal being drained.
-func (g *Group) Journal() *storage.Journal { return g.journal }
+// Journal returns the source consistency-group journal being drained.
+func (g *Group) Journal() *storage.ShardedJournal { return g.journal }
+
+// JournalID returns the group journal's identifier.
+func (g *Group) JournalID() string { return g.journal.ID() }
+
+// Members returns the consistency group's volumes in attach order; callers
+// must not modify the slice.
+func (g *Group) Members() []storage.VolumeID { return g.journal.Members() }
+
+// Lanes returns the number of active drain lanes (= journal shards);
+// retiring lanes mid-reshard are excluded.
+func (g *Group) Lanes() int { return len(g.lanes) }
 
 // InitialCopy performs the ADC initialization bulk copy (§III-A1): every
-// written block of every source volume is transferred and applied to its
-// target. Writes that land during the copy flow through the journal and are
-// applied afterwards by the drain, so the target converges to a consistent
-// image. sources must live on the array owning the journal volumes.
+// written block of every source volume is transferred — over the volume's
+// own lane path — and applied to its target. Writes that land during the
+// copy flow through the journal and are applied afterwards by the drain, so
+// the target converges to a consistent image. source must be the array
+// owning the journal volumes.
 func (g *Group) InitialCopy(p *sim.Proc, source *storage.Array) error {
 	for _, src := range g.journal.Members() {
 		sv, err := source.Volume(src)
 		if err != nil {
 			return err
 		}
-		tv, err := g.target.Volume(g.mapping[src])
-		if err != nil {
-			return err
-		}
-		if err := g.bulkCopy(p, sv, tv, sv.WrittenBlocks()); err != nil {
+		if err := g.bulkCopy(p, sv, sv.WrittenBlocks()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// bulkCopy streams the given blocks of one volume to its target in
-// BatchMax-block batches: one link transfer and one delta-set apply per
-// batch instead of one scheduling event per block. The initial copy and
-// resync share it.
-func (g *Group) bulkCopy(p *sim.Proc, sv, tv *storage.Volume, blocks []int64) error {
+// bulkCopy streams the given blocks of one source volume to its target over
+// the volume's lane path in BatchMax-block batches: one link transfer and
+// one delta-set apply per batch instead of one scheduling event per block.
+// The initial copy and resync share it.
+func (g *Group) bulkCopy(p *sim.Proc, sv *storage.Volume, blocks []int64) error {
+	tv, err := g.target.Volume(g.mapping[sv.ID()])
+	if err != nil {
+		return err
+	}
+	path := g.lanes[g.journal.ShardIndexOf(sv.ID())].path
 	for start := 0; start < len(blocks); start += g.cfg.BatchMax {
 		chunk := blocks[start:min(start+g.cfg.BatchMax, len(blocks))]
-		var bytes int
-		for range chunk {
-			bytes += sv.BlockSize() + 64
-		}
-		g.path.Transfer(p, bytes)
+		path.Transfer(p, len(chunk)*(sv.BlockSize()+64))
 		g.target.ApplyDeltaSet(p, len(chunk))
 		var err error
 		p.Do(func() {
@@ -159,16 +277,29 @@ func (g *Group) bulkCopy(p *sim.Proc, sv, tv *storage.Volume, blocks []int64) er
 	return nil
 }
 
-// Start launches the drain process. It runs until Stop.
+// Start launches one drain process per lane, plus the epoch coordinator
+// when the barrier rule is in force.
 func (g *Group) Start() {
-	if g.drainProc != nil {
+	if g.started {
 		return
 	}
-	g.drainProc = g.env.Process("adc-drain:"+g.name, g.drain)
+	g.started = true
+	for _, l := range g.lanes {
+		g.startLane(l)
+	}
+	if g.coordinating {
+		g.env.Process("adc-epoch:"+g.name, g.coordinate)
+	}
 }
 
-// Stop halts the drain after the in-flight batch. Pending journal records
-// stay at the main site — exactly the data a disaster would lose (RPO).
+func (g *Group) startLane(l *drainLane) {
+	g.env.Process("adc-lane:"+g.name+":s"+strconv.Itoa(l.idx), func(p *sim.Proc) { g.drainLane(p, l) })
+}
+
+// Stop halts the lanes and the coordinator. Pending journal records stay at
+// the main site; a batch mid-transfer or mid-apply, and staged records that
+// never made it into a committed epoch, are lost at the split — exactly the
+// data a disaster would lose (RPO).
 func (g *Group) Stop() {
 	if g.stopped {
 		return
@@ -180,131 +311,305 @@ func (g *Group) Stop() {
 // Stopped reports whether Stop was called.
 func (g *Group) Stopped() bool { return g.stopped }
 
-func (g *Group) drain(p *sim.Proc) {
+// drainLane moves one shard's records across the lane's path, then either
+// stages them for the next epoch commit (barrier rule) or applies them
+// itself (lane commit).
+func (g *Group) drainLane(p *sim.Proc, l *drainLane) {
 	for {
 		// A stop lands here — a batch boundary — leaving the backlog pending
 		// at the source (the RPO exposure), not lost in flight.
 		if g.stopped {
 			return
 		}
-		// A detach lands here — a batch boundary — so nothing is ever in
-		// flight when the acknowledgement fires.
-		if g.detachReq {
-			g.detached = true
-			g.detachedEv.Trigger()
+		// The batch scratch is reused across iterations; records that
+		// outlive the batch (staged, applyLog, lost) are copied out by value.
+		recs := l.journal.TryTakeInto(l.batch, g.cfg.BatchMax)
+		if recs == nil {
+			if g.coordinating {
+				g.progress.Trigger()
+			} else {
+				g.committed.Trigger()
+			}
+			woke := 0
+			if l.retire == nil {
+				woke = p.WaitAny(l.journal.NotEmpty(), g.stopEv)
+			} else {
+				woke = p.WaitAny(l.journal.NotEmpty(), g.stopEv, l.retire)
+			}
+			if woke != 0 {
+				return // stopped, or retired: staged records were committed, shard is empty
+			}
+			continue
+		}
+		l.batch = recs
+		var batchBytes int
+		for _, r := range recs {
+			batchBytes += r.SizeBytes()
+		}
+		l.inflight = len(recs)
+		l.inflightEpoch = recs[0].Epoch
+		l.inflightAck = recs[0].AckedAt
+		l.path.Transfer(p, batchBytes)
+		if g.stopped {
+			// Split mid-transfer: the batch never reaches the backup image —
+			// lost, exactly as a disaster leaves it.
+			g.lost = append(g.lost, recs...)
+			l.inflight = 0
 			return
 		}
-		// The batch scratch is reused across iterations; records that
-		// outlive the batch (applyLog, lost) are copied out by value below.
-		recs := g.journal.TryTakeInto(g.batch, g.cfg.BatchMax)
-		if recs != nil {
-			g.batch = recs
+		if g.coordinating {
+			l.staged = append(l.staged, recs...)
+			l.inflight = 0
+			g.progress.Trigger()
+			continue
 		}
-		if recs == nil {
-			if !g.caughtUp.Triggered() {
-				g.caughtUp.Trigger()
+		// Lane commit. The batch is the commit unit — its media time is
+		// charged in one delta-set apply and the records then install at zero
+		// cost in sequence order — so loss is batch-atomic and the target
+		// always holds an exact prefix of batch boundaries.
+		if len(l.staged) > 0 {
+			// The tail a departing coordinator left to this lane (see
+			// coordinate): older than the batch, so it commits ahead of it.
+			recs = append(l.staged, recs...)
+			l.staged = nil
+			l.inflight = len(recs)
+			l.inflightEpoch = recs[0].Epoch
+			l.inflightAck = recs[0].AckedAt
+		}
+		g.target.ApplyDeltaSet(p, len(recs))
+		if g.stopped {
+			g.lost = append(g.lost, recs...)
+			l.inflight = 0
+			return
+		}
+		p.Do(func() {
+			for _, r := range recs {
+				g.install(r)
 			}
-			switch p.WaitAny(g.journal.NotEmpty(), g.stopEv, g.detachEv) {
-			case 1:
+			l.inflight = 0
+		})
+		if g.coordinating {
+			// A reshard opened the barrier while this batch was applying; its
+			// coordinator is waiting for the lane to come clear.
+			g.progress.Trigger()
+		}
+	}
+}
+
+// stagedThrough returns the highest epoch the lane has fully staged: no
+// pending or in-flight record of that epoch (or older) remains. An idle
+// empty lane has staged everything appended so far.
+func (g *Group) stagedThrough(l *drainLane) int64 {
+	through := g.journal.Epoch()
+	if e, ok := l.journal.OldestPendingEpoch(); ok && e-1 < through {
+		through = e - 1
+	}
+	if l.inflight > 0 && l.inflightEpoch-1 < through {
+		through = l.inflightEpoch - 1
+	}
+	return through
+}
+
+// commitLanes returns every lane that can hold uncommitted records: the
+// active set plus lanes retiring after a shrink reshard.
+func (g *Group) commitLanes() []*drainLane {
+	if len(g.retiring) == 0 {
+		return g.lanes
+	}
+	out := make([]*drainLane, 0, len(g.lanes)+len(g.retiring))
+	out = append(out, g.lanes...)
+	return append(out, g.retiring...)
+}
+
+func (g *Group) allStagedThrough(epoch int64) bool {
+	for _, l := range g.commitLanes() {
+		if g.stagedThrough(l) < epoch {
+			return false
+		}
+	}
+	return true
+}
+
+// coordinate runs the epoch cycle: seal whenever there is backlog, wait for
+// every lane to stage its share of the sealed epoch (the barrier), commit
+// the epoch atomically at the target, repeat. After a reshard it also
+// settles the migration window and reaps retiring lanes once their last
+// staged records are committed.
+//
+// Once a shrink to one lane has settled there is nothing left for a barrier
+// to order, and the coordinator returns the commit rule to the lane and
+// exits. It does so between commits, so the two never apply concurrently;
+// staged records it leaves behind go out with the lane's next batch, which
+// is why it only leaves them to a lane that has one coming.
+func (g *Group) coordinate(p *sim.Proc) {
+	for {
+		if g.stopped {
+			return
+		}
+		g.settleReshard()
+		if l := g.lanes[0]; len(g.lanes) == 1 && !g.Resharding() &&
+			(len(l.staged) == 0 || l.inflight > 0 || l.journal.Pending() > 0) {
+			g.coordinating = false
+			return
+		}
+		if g.backlogRecords() == 0 {
+			evs := g.idleWait[:0]
+			for _, l := range g.lanes {
+				evs = append(evs, l.journal.NotEmpty())
+			}
+			evs = append(evs, g.renewed(&g.reconfigured), g.stopEv)
+			g.idleWait = evs
+			if p.WaitAny(evs...) == len(evs)-1 {
 				return
-			case 2:
-				g.detached = true
-				g.detachedEv.Trigger()
+			}
+			continue
+		}
+		sealed := g.journal.SealEpoch()
+		sealedAt := p.Now()
+		var sp telemetry.Span
+		if g.tel != nil {
+			sp = g.tel.StartSpan("epoch", "epoch-drain", g.tenant)
+		}
+		for !g.allStagedThrough(sealed) {
+			if p.WaitAny(g.renewed(&g.progress), g.stopEv) == 1 {
 				return
 			}
 			if g.stopped {
 				return
 			}
-			continue
 		}
-		g.inflight = len(recs)
-		var batchBytes int
-		for _, r := range recs {
-			batchBytes += r.SizeBytes()
-		}
-		g.path.Transfer(p, batchBytes)
-		// Stop splits the pair: a batch not yet applied is lost in flight,
-		// exactly as a disaster (or operator split) leaves it. The batch is
-		// the commit unit — its media time is charged in one delta-set apply
-		// and the records then install at zero cost in sequence order — so
-		// loss is batch-atomic and the target always holds an exact prefix
-		// of batch boundaries.
-		if g.stopped {
-			g.lost = append(g.lost, recs...)
-			g.inflight = 0
-			return
-		}
-		g.target.ApplyDeltaSet(p, len(recs))
-		if g.stopped {
-			g.lost = append(g.lost, recs...)
-			g.inflight = 0
-			return
-		}
-		p.Do(func() {
-			for _, r := range recs {
-				tv, err := g.target.Volume(g.mapping[r.Volume])
-				if err != nil {
-					panic(fmt.Sprintf("replication %s: target vanished: %v", g.name, err))
+		g.commitEpoch(p, sealed)
+		sp.End()
+		g.epochLatency.Record(p.Now() - sealedAt)
+	}
+}
+
+// commitEpoch applies every staged record of epochs <= sealed to the target
+// and exposes them atomically. The backup array works through the delta set
+// with its controller parallelism, then installs the cut in one instant —
+// which is why a failover can never observe a half-applied epoch.
+//
+// In steady state the apply iterates lane by lane: placement pins a volume
+// to one shard, so per-volume order is each lane's staged order, and each
+// staged list is epoch-monotone (it mirrors the shard backlog's order) —
+// the "epoch > sealed" prefix scan is exact. During a reshard window
+// NEITHER holds: a migrated volume's records can sit on two lanes, and
+// migration can stage sealed-epoch records BEHIND open-epoch ones on a
+// surviving lane. So the window's commits scan every staged record (no
+// prefix break — a short scan would commit an epoch with holes and break
+// the failover prefix) and apply in global ack (GlobalSeq) order.
+func (g *Group) commitEpoch(p *sim.Proc, sealed int64) {
+	lanes := g.commitLanes()
+	var count int
+	for _, l := range lanes {
+		for _, r := range l.staged {
+			if r.Epoch > sealed {
+				if !g.resharding {
+					break
 				}
-				if err := tv.InstallDelta(r.Block, r.Data); err != nil {
-					panic(fmt.Sprintf("replication %s: apply: %v", g.name, err))
-				}
-				g.appliedSeq = r.Seq
-				g.appliedRecords++
-				g.appliedBytes += int64(len(r.Data))
-				g.lastAppliedAck = r.AckedAt
-				g.applyLog = append(g.applyLog, r)
+				continue
 			}
-			g.inflight = 0
-		})
-		// No time passes between the post-apply stop check and here, so a
-		// stop cannot slip in; the loop head re-checks detach and stop.
+			count++
+		}
 	}
-}
-
-// Detach halts the drain at a batch boundary WITHOUT the record loss a
-// disaster split (Stop) models: any in-flight batch finishes its transfer
-// and apply, then the drain parks and the journal's remaining backlog stays
-// pending — ready for another engine to adopt it. This is the planned
-// handoff the live 1→N reshard upgrade uses to replace a plain group with a
-// sharded one. The group never drains again after Detach returns.
-func (g *Group) Detach(p *sim.Proc) error {
+	if count == 0 {
+		return
+	}
+	g.target.ApplyDeltaSet(p, count)
 	if g.stopped {
-		return fmt.Errorf("replication: %s: %w", g.name, ErrStopped)
+		// Split mid-commit: the epoch never becomes visible; its staged
+		// records are part of UnappliedRecords.
+		return
 	}
-	if g.detached {
-		return nil
+	if g.resharding {
+		merged := make([]storage.Record, 0, count)
+		for _, l := range lanes {
+			kept := l.staged[:0]
+			for _, r := range l.staged {
+				if r.Epoch <= sealed {
+					merged = append(merged, r)
+				} else {
+					kept = append(kept, r)
+				}
+			}
+			clear(l.staged[len(kept):])
+			l.staged = kept
+		}
+		sort.Slice(merged, func(i, j int) bool { return merged[i].GlobalSeq < merged[j].GlobalSeq })
+		p.Do(func() {
+			for _, r := range merged {
+				g.install(r)
+			}
+		})
+	} else {
+		for _, l := range lanes {
+			n := 0
+			p.Do(func() {
+				for _, r := range l.staged {
+					if r.Epoch > sealed {
+						break
+					}
+					g.install(r)
+					n++
+				}
+			})
+			rest := copy(l.staged, l.staged[n:])
+			clear(l.staged[rest:])
+			l.staged = l.staged[:rest]
+		}
 	}
-	g.detachReq = true
-	g.detachEv.Trigger()
-	if g.drainProc == nil {
-		// Never started: nothing in flight by construction.
-		g.detached = true
-		return nil
-	}
-	if p.WaitAny(g.detachedEv, g.stopEv) == 1 {
-		return fmt.Errorf("replication: %s: %w", g.name, ErrStopped)
-	}
-	return nil
+	g.committedEpoch = sealed
+	g.epochCommits++
+	g.committed.Trigger()
 }
 
-// Detached reports whether Detach completed.
-func (g *Group) Detached() bool { return g.detached }
+// install writes one committed record into its target volume.
+func (g *Group) install(r storage.Record) {
+	tv, err := g.target.Volume(g.mapping[r.Volume])
+	if err != nil {
+		panic(fmt.Sprintf("replication %s: target vanished: %v", g.name, err))
+	}
+	if err := tv.InstallDelta(r.Block, r.Data); err != nil {
+		panic(fmt.Sprintf("replication %s: apply: %v", g.name, err))
+	}
+	if r.AckedAt > g.lastAppliedAck {
+		g.lastAppliedAck = r.AckedAt
+	}
+	g.appliedRecords++
+	g.appliedBytes += int64(len(r.Data))
+	g.applyLog = append(g.applyLog, r)
+}
 
-// CatchUp blocks until the journal is drained and every record applied, or
+// renewed returns the pulse event *ev to wait on, replacing a stale fired one
+// — it marks progress the waiter has already seen — so the wait blocks
+// instead of spinning at the current instant. The pulsing side just triggers
+// whatever event stands there; triggering a fired event is a no-op.
+func (g *Group) renewed(ev **sim.Event) *sim.Event {
+	if (*ev).Triggered() {
+		*ev = g.env.NewEvent()
+	}
+	return *ev
+}
+
+// backlogRecords counts every record not yet applied at the target: journal
+// pending, in flight on a lane, or staged awaiting a commit — on active and
+// retiring lanes alike.
+func (g *Group) backlogRecords() int {
+	var n int
+	for _, l := range g.commitLanes() {
+		n += l.journal.Pending() + l.inflight + len(l.staged)
+	}
+	return n
+}
+
+// CatchUp blocks until every journaled record is applied at the target, or
 // the group stops. It reports whether the group fully caught up.
 func (g *Group) CatchUp(p *sim.Proc) bool {
-	for g.journal.Pending() > 0 || g.inflight > 0 {
+	for g.backlogRecords() > 0 {
 		if g.stopped {
 			return false
 		}
-		// A stale triggered marker means the drain caught up some time ago
-		// and has not yet seen the new backlog; arm a fresh event so this
-		// loop blocks instead of spinning at the current instant.
-		if g.caughtUp.Triggered() {
-			g.caughtUp = g.env.NewEvent()
-		}
-		if p.WaitAny(g.caughtUp, g.stopEv) == 1 {
+		if p.WaitAny(g.renewed(&g.committed), g.stopEv) == 1 {
 			return false
 		}
 	}
@@ -313,23 +618,57 @@ func (g *Group) CatchUp(p *sim.Proc) bool {
 
 // RPO returns the recovery-point objective exposure at virtual time now: how
 // far the backup image lags the newest main-site ack. Zero when fully
-// caught up.
+// caught up. Each commit rule keeps its own published definition: under
+// lane commit the oldest pending ack, else the last applied ack while a
+// batch is in flight; under the barrier the oldest pending, in-flight or
+// staged ack.
 func (g *Group) RPO(now time.Duration) time.Duration {
-	if oldest, ok := g.journal.OldestPendingAck(); ok {
-		return now - oldest
+	if !g.coordinating {
+		l := g.lanes[0]
+		if oldest, ok := l.journal.OldestPendingAck(); ok {
+			return now - oldest
+		}
+		if l.inflight > 0 {
+			return now - g.lastAppliedAck
+		}
+		return 0
 	}
-	if g.inflight > 0 {
-		return now - g.lastAppliedAck
+	var oldest time.Duration
+	found := false
+	note := func(t time.Duration) {
+		if !found || t < oldest {
+			oldest, found = t, true
+		}
 	}
-	return 0
+	for _, l := range g.commitLanes() {
+		if t, ok := l.journal.OldestPendingAck(); ok {
+			note(t)
+		}
+		if len(l.staged) > 0 {
+			note(l.staged[0].AckedAt)
+		}
+		if l.inflight > 0 {
+			note(l.inflightAck)
+		}
+	}
+	if !found {
+		return 0
+	}
+	return now - oldest
 }
 
 // Backlog returns the number of journal records not yet applied at the
-// target (pending + in flight).
-func (g *Group) Backlog() int { return g.journal.Pending() + g.inflight }
+// target (pending, in flight, or staged).
+func (g *Group) Backlog() int { return g.backlogRecords() }
 
-// AppliedSeq returns the journal sequence applied through.
-func (g *Group) AppliedSeq() int64 { return g.appliedSeq }
+// CommittedEpoch returns the highest epoch a barrier commit has exposed at
+// the target. A lane committing for itself applies the open epoch's records
+// batch by batch and never moves it.
+func (g *Group) CommittedEpoch() int64 { return g.committedEpoch }
+
+// EpochCommits returns how many consistency cuts the coordinator declared
+// (none while a single lane commits for itself).
+func (g *Group) EpochCommits() int64 { return g.epochCommits }
 
 // AppliedRecords returns the lifetime count of applied records.
 func (g *Group) AppliedRecords() int64 { return g.appliedRecords }
@@ -337,26 +676,23 @@ func (g *Group) AppliedRecords() int64 { return g.appliedRecords }
 // AppliedBytes returns the lifetime payload bytes applied.
 func (g *Group) AppliedBytes() int64 { return g.appliedBytes }
 
-// ApplyLog returns the records applied at the target in apply order. The
-// consistency verifier reads it; callers must not mutate it.
+// ApplyLog returns the records applied at the target in apply order: batch
+// by batch under lane commit; epoch by epoch, lane by lane within an epoch,
+// shard-sequence order within a lane under the barrier. The consistency
+// verifier reads it; callers must not mutate it.
 func (g *Group) ApplyLog() []storage.Record { return g.applyLog }
 
 // UnappliedRecords returns every record acknowledged at the source but
-// never applied at the target: the journal backlog plus any batch
-// abandoned in flight when the pair was split. Failback derives the
+// never applied at the target: journal backlogs, staged-but-uncommitted
+// records, and batches abandoned at a split. Failback derives the
 // source-side divergence from it.
 func (g *Group) UnappliedRecords() []storage.Record {
 	out := append([]storage.Record(nil), g.lost...)
-	return append(out, g.journal.PendingRecords()...)
-}
-
-// Mapping returns a copy of the source→target volume mapping.
-func (g *Group) Mapping() map[storage.VolumeID]storage.VolumeID {
-	m := make(map[storage.VolumeID]storage.VolumeID, len(g.mapping))
-	for k, v := range g.mapping {
-		m[k] = v
+	for _, l := range g.commitLanes() {
+		out = append(out, l.staged...)
+		out = append(out, l.journal.PendingRecords()...)
 	}
-	return m
+	return out
 }
 
 // Suspended reports whether the source journal has overflowed (the pair
@@ -364,11 +700,12 @@ func (g *Group) Mapping() map[storage.VolumeID]storage.VolumeID {
 func (g *Group) Suspended() bool { return g.journal.Overflowed() }
 
 // Resync recovers a suspended pair: it drains the journal's consistent
-// remainder, then copies the tracked delta blocks until a full pass finds
-// nothing new, and finally re-enables journaling. During the block-level
-// copy the target is NOT point-in-time consistent (which is why operators
-// snapshot the target before resyncing — exactly the demo's snapshot
-// group). maxPasses bounds convergence under continuous write load.
+// remainder, then copies the tracked delta blocks — each volume over its own
+// lane path — until a full pass finds nothing new, and finally re-enables
+// journaling. During the block-level copy the target is NOT point-in-time
+// consistent (which is why operators snapshot the target before resyncing —
+// exactly the demo's snapshot group). maxPasses bounds convergence under
+// continuous write load.
 func (g *Group) Resync(p *sim.Proc, source *storage.Array, maxPasses int) error {
 	if !g.journal.Overflowed() {
 		return nil
@@ -384,10 +721,6 @@ func (g *Group) Resync(p *sim.Proc, source *storage.Array, maxPasses int) error 
 			if err != nil {
 				return err
 			}
-			tv, err := g.target.Volume(g.mapping[src])
-			if err != nil {
-				return err
-			}
 			blocks := sv.ChangedBlocks()
 			if len(blocks) == 0 {
 				continue
@@ -395,7 +728,7 @@ func (g *Group) Resync(p *sim.Proc, source *storage.Array, maxPasses int) error 
 			// Reset tracking so writes landing during this copy are
 			// caught by the next pass.
 			sv.StartChangeTracking()
-			if err := g.bulkCopy(p, sv, tv, blocks); err != nil {
+			if err := g.bulkCopy(p, sv, blocks); err != nil {
 				return fmt.Errorf("replication %s: resync %s: %w", g.name, src, err)
 			}
 			copied = true
@@ -411,9 +744,154 @@ func (g *Group) Resync(p *sim.Proc, source *storage.Array, maxPasses int) error 
 	return fmt.Errorf("replication %s: resync did not converge in %d passes", g.name, maxPasses)
 }
 
+// Reshard transitions the running engine to len(paths) drain lanes with an
+// epoch-bounded live migration — the replication half of a dynamic reshard:
+//
+//  1. the journal seals the open epoch as the migration barrier and
+//     re-places volumes (migrating only those whose stable-hash assignment
+//     changes, their pending records moving with them);
+//  2. lanes whose shard survives keep draining untouched; lanes for added
+//     shards start immediately on their own paths; lanes of retired shards
+//     stop taking (their journals are empty after migration) and only live
+//     on to commit what they had staged or in flight;
+//  3. until every pre-barrier record is committed, epoch commits apply in
+//     global ack order (see commitEpoch) — so the backup image remains an
+//     exact ack-order prefix throughout, and a failover raced into the
+//     migration window recovers either entirely pre- or entirely
+//     post-barrier state;
+//  4. once the barrier commits, retiring lanes are reaped and their shard
+//     journals decommissioned back to the array.
+//
+// A single committing lane grows the same way: the barrier rule takes force
+// at the call (the batch the lane is applying, if any, completes first and
+// the coordinator's barrier wait covers it). Resharding to the current lane
+// count is a no-op (zero migration, no barrier). A second reshard is
+// refused while one is still settling.
+func (g *Group) Reshard(p *sim.Proc, paths []fabric.Path) (storage.ReshardStats, error) {
+	var zero storage.ReshardStats
+	if g.stopped {
+		return zero, fmt.Errorf("replication: %s: %w", g.name, ErrStopped)
+	}
+	if g.failedOver {
+		return zero, fmt.Errorf("replication: %s: cannot reshard a failed-over group", g.name)
+	}
+	if len(paths) < 1 {
+		return zero, fmt.Errorf("replication: %s: reshard to %d lanes", g.name, len(paths))
+	}
+	if len(paths) == len(g.lanes) {
+		return storage.ReshardStats{From: len(g.lanes), To: len(g.lanes)}, nil
+	}
+	if g.Resharding() {
+		return zero, fmt.Errorf("replication: %s: reshard already in progress", g.name)
+	}
+	stats, err := g.journal.Reshard(len(paths))
+	if err != nil {
+		return stats, err
+	}
+	if !g.coordinating {
+		g.openBarrier()
+	}
+	g.resharding = true
+	g.migrationBarrier = stats.BarrierEpoch
+	g.reshardSettled = g.env.NewEvent()
+	g.reshards++
+	if g.tel != nil {
+		g.reshardSpan = g.tel.StartSpan("reshard",
+			fmt.Sprintf("reshard:%d->%d", stats.From, stats.To), g.tenant)
+	}
+
+	shards := g.journal.Shards()
+	if len(shards) < len(g.lanes) {
+		// Shrink: lanes beyond the new shard set retire. Their journals are
+		// already empty (migration moved the backlog), so they exit as soon
+		// as anything they had staged or in flight reaches a commit.
+		g.retiring = append(g.retiring, g.lanes[len(shards):]...)
+		g.lanes = g.lanes[:len(shards):len(shards)]
+	}
+	for k := len(g.lanes); k < len(shards); k++ {
+		l := g.newLane(k, shards[k], paths[k])
+		g.lanes = append(g.lanes, l)
+		if g.started {
+			g.startLane(l)
+		}
+	}
+	// Wake the coordinator onto the new lane set; migration may also have
+	// unblocked a sealed-epoch barrier wait by moving records around.
+	g.reconfigured.Trigger()
+	g.progress.Trigger()
+	// A reshard with nothing pre-barrier outstanding settles immediately.
+	g.settleReshard()
+	return stats, nil
+}
+
+// settleReshard closes the migration window once every record of epochs <=
+// the barrier is committed at the target, then reaps retiring lanes and
+// decommissions their shard journals.
+func (g *Group) settleReshard() {
+	if !g.Resharding() {
+		return
+	}
+	if g.resharding {
+		if !g.allStagedThrough(g.migrationBarrier) {
+			return
+		}
+		for _, l := range g.commitLanes() {
+			if len(l.staged) > 0 && l.staged[0].Epoch <= g.migrationBarrier {
+				return
+			}
+		}
+		g.resharding = false
+	}
+	kept := g.retiring[:0]
+	for _, l := range g.retiring {
+		if l.journal.Pending() == 0 && l.inflight == 0 && len(l.staged) == 0 {
+			l.retire.Trigger()
+		} else {
+			kept = append(kept, l)
+		}
+	}
+	clear(g.retiring[len(kept):])
+	g.retiring = kept
+	if len(g.retiring) == 0 {
+		g.journal.DecommissionRetired()
+		g.reshardSettled.Trigger()
+		// Close the migration-window span exactly once per reshard; the
+		// zero-value reset makes later settle passes no-ops.
+		g.reshardSpan.End()
+		g.reshardSpan = telemetry.Span{}
+	}
+}
+
+// Resharding reports whether a migration window is still open (pre-barrier
+// records not yet committed, or retiring lanes not yet reaped).
+func (g *Group) Resharding() bool { return g.resharding || len(g.retiring) > 0 }
+
+// Reshards returns the lifetime count of lane-set transitions.
+func (g *Group) Reshards() int64 { return g.reshards }
+
+// MigrationBarrier returns the epoch sealed by the most recent reshard.
+func (g *Group) MigrationBarrier() int64 { return g.migrationBarrier }
+
+// AwaitReshard blocks until the most recent reshard has fully settled (the
+// barrier epoch committed, retiring lanes reaped, retired shard journals
+// decommissioned), reporting false if the group stops first.
+func (g *Group) AwaitReshard(p *sim.Proc) bool {
+	for g.Resharding() {
+		if g.stopped {
+			return false
+		}
+		if p.WaitAny(g.reshardSettled, g.stopEv) == 1 {
+			return false
+		}
+	}
+	return true
+}
+
 // Failover stops replication and makes every target volume writable,
 // returning the volumes in journal-member order. This is the backup-site
-// recovery entry point (§I): the image is whatever has been applied.
+// recovery entry point (§I): the image is whatever has been applied — a
+// batch boundary under lane commit, the last committed epoch under the
+// barrier, always a consistent cross-volume cut.
 func (g *Group) Failover() ([]*storage.Volume, error) {
 	g.Stop()
 	g.failedOver = true
@@ -436,5 +914,6 @@ func (g *Group) Failover() ([]*storage.Volume, error) {
 func (g *Group) FailedOver() bool { return g.failedOver }
 
 func (g *Group) String() string {
-	return fmt.Sprintf("ADCGroup(%s){applied=%d backlog=%d}", g.name, g.appliedRecords, g.Backlog())
+	return fmt.Sprintf("ADCGroup(%s){lanes=%d epoch=%d committed=%d applied=%d backlog=%d}",
+		g.name, len(g.lanes), g.journal.Epoch(), g.committedEpoch, g.appliedRecords, g.backlogRecords())
 }

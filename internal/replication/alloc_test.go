@@ -1,0 +1,148 @@
+package replication
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/fabric"
+	"repro/internal/netlink"
+	"repro/internal/sim"
+	"repro/internal/storage"
+)
+
+// Allocation pins for the one engine at its degenerate parameters. A fleet
+// creates one consistency group and one engine per tenant, and four of the
+// benchmark's five workloads drain on one lane, so what the unification may
+// cost there is budgeted against the two-engine design it replaced
+// (measured at cbb41d0 with this same harness): 14 allocations to create a
+// two-volume group plus its engine, 18 per steady-state batch of 8 writes.
+const (
+	createAllocsBefore = 14
+	batchAllocsBefore  = 18
+	batchWrites        = 8
+)
+
+// allocRig is a two-site pair with `groups` two-volume volume sets.
+type allocRig struct {
+	env          *sim.Env
+	main, backup *storage.Array
+	link         fabric.Path
+}
+
+func newAllocRig(groups int) *allocRig {
+	env := sim.NewEnv(1)
+	r := &allocRig{
+		env:    env,
+		main:   storage.NewArray(env, "main", storage.Config{}),
+		backup: storage.NewArray(env, "backup", storage.Config{}),
+		link:   netlink.NewPair(env, netlink.Config{Propagation: time.Millisecond}).Forward,
+	}
+	for i := 0; i < groups; i++ {
+		for _, id := range r.vols(i) {
+			r.main.CreateVolume(id, 64)
+			r.backup.CreateVolume(id, 64)
+		}
+	}
+	return r
+}
+
+func (r *allocRig) vols(i int) []storage.VolumeID {
+	return []storage.VolumeID{
+		storage.VolumeID(fmt.Sprintf("a%03d", i)), storage.VolumeID(fmt.Sprintf("b%03d", i)),
+	}
+}
+
+// create builds group i and its one-lane engine the way the replication
+// plugin does: a fresh member slice and identity mapping per group.
+func (r *allocRig) create(tb testing.TB, id string, i int) *Group {
+	vols := r.vols(i)
+	mapping := map[storage.VolumeID]storage.VolumeID{vols[0]: vols[0], vols[1]: vols[1]}
+	j, err := r.main.CreateConsistencyGroup(id, vols, 1, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := NewGroup(r.env, id, j, r.backup, mapping, []fabric.Path{r.link}, Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+func TestCreateGroupAndEngineAllocBudget(t *testing.T) {
+	const runs = 20
+	r := newAllocRig(runs + 1) // AllocsPerRun adds a warm-up call
+	ids := make([]string, runs+1)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("cg%03d", i)
+	}
+	i := 0
+	n := testing.AllocsPerRun(runs, func() {
+		r.create(t, ids[i], i)
+		i++
+	})
+	if n > createAllocsBefore+4 {
+		t.Fatalf("consistency group + one-lane engine cost %v allocations, budget %d (+4 over the two-engine design)",
+			n, createAllocsBefore+4)
+	}
+	t.Logf("consistency group + one-lane engine: %v allocations (was %d)", n, createAllocsBefore)
+}
+
+func TestLaneCommitBatchAllocBudget(t *testing.T) {
+	r := newAllocRig(1)
+	g := r.create(t, "cg", 0)
+	g.Start()
+	v, _ := r.main.Volume(r.vols(0)[0])
+	buf := make([]byte, r.main.Config().BlockSize)
+	r.env.Process("load", func(p *sim.Proc) {
+		for {
+			for k := int64(0); k < batchWrites; k++ {
+				v.Write(p, k, buf)
+			}
+			g.CatchUp(p)
+		}
+	})
+	advance := func() { r.env.Run(r.env.Now() + 100*time.Millisecond) }
+	advance() // warm up: scratch buffers and queues at their working size
+	before := g.AppliedRecords()
+	const runs = 10
+	perRun := testing.AllocsPerRun(runs, advance)
+	batches := float64(g.AppliedRecords()-before) / batchWrites
+	perBatch := perRun * (runs + 1) / batches
+	if g.EpochCommits() != 0 {
+		t.Fatalf("one lane declared %d epoch commits; it must commit its own batches", g.EpochCommits())
+	}
+	if perBatch > batchAllocsBefore+0.5 {
+		t.Fatalf("steady-state lane-commit batch allocates %.2f, want %d as the plain drain loop did", perBatch, batchAllocsBefore)
+	}
+	t.Logf("lane-commit batch of %d writes: %.2f allocations (was %d)", batchWrites, perBatch, batchAllocsBefore)
+}
+
+// benchDrain is the replication layer benchmark: stamped block writes spread
+// over 16 volumes drain through `lanes` lanes (one link pair each) — lane
+// commit at one lane, the epoch barrier above — one applied record per op.
+func benchDrain(b *testing.B, lanes int) {
+	link := netlink.Config{Propagation: time.Millisecond, BandwidthBps: 1e8}
+	r := newShardedRig(b, lanes, 16, link, Config{})
+	r.g.Start()
+	r.env.Process("load", func(p *sim.Proc) {
+		for i := 0; ; i++ {
+			r.seqWrite(p, b, i%(16*256))
+			if i%256 == 255 {
+				r.g.CatchUp(p) // bound the backlog the way a paced tenant does
+			}
+		}
+	})
+	advance := func(records int64) {
+		for want := r.g.AppliedRecords() + records; r.g.AppliedRecords() < want; {
+			r.env.Run(r.env.Now() + 10*time.Millisecond)
+		}
+	}
+	advance(1024) // warm up: scratch, staging and apply log at working size
+	b.ReportAllocs()
+	b.ResetTimer()
+	advance(int64(b.N))
+}
+
+func BenchmarkDrainOneLane(b *testing.B)   { benchDrain(b, 1) }
+func BenchmarkDrainFourLanes(b *testing.B) { benchDrain(b, 4) }

@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -26,8 +27,8 @@ type FailbackStats struct {
 }
 
 // Failback resynchronizes the original source site from a failed-over
-// group's targets and returns a new Group replicating in the reverse
-// direction (backup → original source). This is the disaster-recovery step
+// group's targets and returns a new one-lane Group replicating in the
+// reverse direction (backup → original source). This is the disaster-recovery step
 // after the main site returns (§I's DR context, [6][7]):
 //
 //  1. the backup volumes' new writes start journaling into a fresh reverse
@@ -42,13 +43,12 @@ type FailbackStats struct {
 // The old source's stranded journal is discarded (that data was lost by
 // the disaster; the backup's history won) and its volumes' journal
 // attachments are replaced by the reverse group's.
-func Failback(p *sim.Proc, old *Group, source *storage.Array, reversePath fabric.Path, cfg Config) (*Group, FailbackStats, error) {
+func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabric.Path, cfg Config) (*Group, FailbackStats, error) {
 	var stats FailbackStats
 	if !old.failedOver {
 		return nil, stats, ErrNotFailedOver
 	}
 
-	// Capture membership first: detaching below empties the journal's list.
 	members := old.journal.Members()
 
 	// Blocks that diverged on the old source: the stranded backlog plus
@@ -61,12 +61,7 @@ func Failback(p *sim.Proc, old *Group, source *storage.Array, reversePath fabric
 		diverged[rec.Volume][rec.Block] = true
 	}
 	// Drop the stranded journal: the backup's history is authoritative now.
-	for _, src := range members {
-		if err := source.DetachJournal(src); err != nil {
-			return nil, stats, err
-		}
-	}
-	if err := source.DeleteJournal(old.journal.ID()); err != nil {
+	if err := source.DeleteShardedJournal(old.journal.ID()); err != nil {
 		return nil, stats, err
 	}
 
@@ -79,12 +74,11 @@ func Failback(p *sim.Proc, old *Group, source *storage.Array, reversePath fabric
 		reverseVols[i] = dst
 		reverseMapping[dst] = src
 	}
-	journalID := "fb-" + old.name
-	rj, err := old.target.CreateConsistencyGroup(journalID, reverseVols)
+	rj, err := old.target.CreateConsistencyGroup("fb-"+old.name, reverseVols, 1, 0)
 	if err != nil {
 		return nil, stats, err
 	}
-	reverse, err := NewGroup(old.env, "fb-"+old.name, rj, source, reverseMapping, reversePath, cfg)
+	reverse, err := NewGroup(old.env, "fb-"+old.name, rj, source, reverseMapping, []fabric.Path{reversePath}, cfg)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -112,7 +106,7 @@ func Failback(p *sim.Proc, old *Group, source *storage.Array, reversePath fabric
 		for b := range delta {
 			blocks = append(blocks, b)
 		}
-		sortInt64(blocks)
+		slices.Sort(blocks)
 		for _, b := range blocks {
 			data := bv.Peek(b)
 			reversePath.Transfer(p, len(data)+64)
@@ -128,12 +122,4 @@ func Failback(p *sim.Proc, old *Group, source *storage.Array, reversePath fabric
 	}
 	reverse.Start()
 	return reverse, stats, nil
-}
-
-func sortInt64(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -40,7 +40,7 @@ func TestFailbackRequiresFailover(t *testing.T) {
 	r := newRig(t, netlink.Config{})
 	g := r.newCG(t, Config{})
 	r.env.Process("t", func(p *sim.Proc) {
-		if _, _, err := Failback(p, g, r.main, r.links.Reverse, Config{}); !errors.Is(err, ErrNotFailedOver) {
+		if _, _, err := g.Failback(p, r.main, r.links.Reverse, Config{}); !errors.Is(err, ErrNotFailedOver) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -62,7 +62,7 @@ func TestFailbackResyncsDelta(t *testing.T) {
 	var reverse *Group
 	r.env.Process("failback", func(p *sim.Proc) {
 		var err error
-		reverse, stats, err = Failback(p, g, r.main, r.links.Reverse, Config{})
+		reverse, stats, err = g.Failback(p, r.main, r.links.Reverse, Config{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -102,7 +102,7 @@ func TestFailbackReverseReplicationFlows(t *testing.T) {
 	var reverse *Group
 	r.env.Process("failback", func(p *sim.Proc) {
 		var err error
-		reverse, _, err = Failback(p, g, r.main, r.links.Reverse, Config{})
+		reverse, _, err = g.Failback(p, r.main, r.links.Reverse, Config{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -134,7 +134,7 @@ func TestFailbackCrossVolumeOrderPreserved(t *testing.T) {
 	var reverse *Group
 	r.env.Process("failback", func(p *sim.Proc) {
 		var err error
-		reverse, _, err = Failback(p, g, r.main, r.links.Reverse, Config{})
+		reverse, _, err = g.Failback(p, r.main, r.links.Reverse, Config{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -180,7 +180,7 @@ func TestFailbackDeltaSmallerThanFull(t *testing.T) {
 	r.env.Process("failback", func(p *sim.Proc) {
 		var err error
 		var rev *Group
-		rev, stats, err = Failback(p, g, r.main, r.links.Reverse, Config{})
+		rev, stats, err = g.Failback(p, r.main, r.links.Reverse, Config{})
 		if err != nil {
 			t.Error(err)
 			return

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/netlink"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // overflowRig builds a pair whose journal holds only a few records.
@@ -14,23 +13,7 @@ func overflowRig(t *testing.T) (*rig, *Group) {
 	t.Helper()
 	r := newRig(t, netlink.Config{Propagation: 2 * time.Millisecond})
 	blockSize := r.main.Config().BlockSize
-	j, err := r.main.CreateJournalSized("cg", 4*(blockSize+64+64)) // ~4 records
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.main.AttachJournal("sales", "cg"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.main.AttachJournal("stock", "cg"); err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGroup(r.env, "cg", j, r.backup,
-		map[storage.VolumeID]storage.VolumeID{"sales": "sales", "stock": "stock"},
-		r.links.Forward, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, g
+	return r, r.newSizedCG(t, 4*(blockSize+64+64), Config{}) // ~4 records
 }
 
 func TestJournalOverflowSuspendsPair(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/netlink"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -48,13 +49,19 @@ func newRig(t *testing.T, linkCfg netlink.Config) *rig {
 
 func (r *rig) newCG(t *testing.T, cfg Config) *Group {
 	t.Helper()
-	j, err := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"})
+	return r.newSizedCG(t, 0, cfg)
+}
+
+// newSizedCG is newCG over a journal bounded to capacity bytes (0 = unlimited).
+func (r *rig) newSizedCG(t *testing.T, capacity int, cfg Config) *Group {
+	t.Helper()
+	j, err := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"}, 1, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g, err := NewGroup(r.env, "cg", j, r.backup,
 		map[storage.VolumeID]storage.VolumeID{"sales": "sales", "stock": "stock"},
-		r.links.Forward, cfg)
+		[]fabric.Path{r.links.Forward}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +78,14 @@ func fill(a *storage.Array, b byte) []byte {
 
 func TestNewGroupValidatesMapping(t *testing.T) {
 	r := newRig(t, netlink.Config{})
-	j, _ := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"})
+	j, _ := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"}, 1, 0)
+	path := []fabric.Path{r.links.Forward}
 	if _, err := NewGroup(r.env, "g", j, r.backup,
-		map[storage.VolumeID]storage.VolumeID{"sales": "sales"}, r.links.Forward, Config{}); err == nil {
+		map[storage.VolumeID]storage.VolumeID{"sales": "sales"}, path, Config{}); err == nil {
 		t.Fatal("missing mapping accepted")
 	}
 	if _, err := NewGroup(r.env, "g", j, r.backup,
-		map[storage.VolumeID]storage.VolumeID{"sales": "sales", "stock": "nope"}, r.links.Forward, Config{}); err == nil {
+		map[storage.VolumeID]storage.VolumeID{"sales": "sales", "stock": "nope"}, path, Config{}); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 }
@@ -107,8 +115,8 @@ func TestADCDrainsInOrder(t *testing.T) {
 			t.Fatalf("apply order broken: %v", log)
 		}
 	}
-	if g.AppliedSeq() != 3 || g.Backlog() != 0 {
-		t.Fatalf("appliedSeq=%d backlog=%d", g.AppliedSeq(), g.Backlog())
+	if g.AppliedRecords() != 3 || g.Backlog() != 0 {
+		t.Fatalf("applied=%d backlog=%d", g.AppliedRecords(), g.Backlog())
 	}
 	g.Stop()
 }
@@ -310,10 +318,11 @@ func TestPerVolumeGroupsDivergeWithoutCG(t *testing.T) {
 		a.CreateVolume("stock", 4096)
 	}
 	links := netlink.NewPair(env, netlink.Config{Propagation: 5 * time.Millisecond, BandwidthBps: 2e6})
-	js, _ := main.CreateConsistencyGroup("j-sales", []storage.VolumeID{"sales"})
-	jk, _ := main.CreateConsistencyGroup("j-stock", []storage.VolumeID{"stock"})
-	gs, _ := NewGroup(env, "g-sales", js, backup, map[storage.VolumeID]storage.VolumeID{"sales": "sales"}, links.Forward, Config{BatchMax: 8})
-	gk, _ := NewGroup(env, "g-stock", jk, backup, map[storage.VolumeID]storage.VolumeID{"stock": "stock"}, links.Forward, Config{BatchMax: 8})
+	js, _ := main.CreateConsistencyGroup("j-sales", []storage.VolumeID{"sales"}, 1, 0)
+	jk, _ := main.CreateConsistencyGroup("j-stock", []storage.VolumeID{"stock"}, 1, 0)
+	path := []fabric.Path{links.Forward}
+	gs, _ := NewGroup(env, "g-sales", js, backup, map[storage.VolumeID]storage.VolumeID{"sales": "sales"}, path, Config{BatchMax: 8})
+	gk, _ := NewGroup(env, "g-stock", jk, backup, map[storage.VolumeID]storage.VolumeID{"stock": "stock"}, path, Config{BatchMax: 8})
 	gs.Start()
 	gk.Start()
 	sales, _ := main.Volume("sales")
@@ -357,8 +366,8 @@ func TestBatchSizeAffectsTransferCount(t *testing.T) {
 		main.CreateVolume("v", 1024)
 		backup.CreateVolume("v", 1024)
 		link := netlink.New(env, netlink.Config{Propagation: 10 * time.Millisecond})
-		j, _ := main.CreateConsistencyGroup("j", []storage.VolumeID{"v"})
-		g, _ := NewGroup(env, "g", j, backup, map[storage.VolumeID]storage.VolumeID{"v": "v"}, link, Config{BatchMax: batch})
+		j, _ := main.CreateConsistencyGroup("j", []storage.VolumeID{"v"}, 1, 0)
+		g, _ := NewGroup(env, "g", j, backup, map[storage.VolumeID]storage.VolumeID{"v": "v"}, []fabric.Path{link}, Config{BatchMax: batch})
 		v, _ := main.Volume("v")
 		env.Process("io", func(p *sim.Proc) {
 			for i := int64(0); i < 100; i++ {

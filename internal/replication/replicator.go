@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/fabric"
@@ -10,20 +9,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrReshardUnsupported reports a live Reshard request on an engine that
-// cannot reconfigure its lane set in place. The plain single-lane Group is
-// the only such engine: a 1→N transition instead goes through a planned
-// handoff (Group.Detach, storage.Array.ConvertToSharded, a fresh
-// ShardedGroup over the adopted journal) — the replication plugin drives
-// that sequence.
-var ErrReshardUnsupported = errors.New("replication: engine does not support live reshard")
-
-// Replicator is the control-plane-facing surface of an ADC engine. Two
-// implementations exist: Group drains one shared journal on one lane (the
-// paper's configuration), ShardedGroup drains a sharded journal on one lane
-// per shard with epoch barriers for cross-shard ordering. The replication
-// plugin, core, and fleet operate on this interface so a consistency group
-// can switch engines via the JournalShards knob without touching callers.
+// Replicator is the control-plane-facing surface of the ADC engine. Group is
+// the one implementation; the replication plugin, core, fleet and the
+// benchmark operate on this interface so tests can substitute a fake.
 type Replicator interface {
 	Name() string
 	Start()
@@ -35,6 +23,9 @@ type Replicator interface {
 	// CatchUp blocks until every journaled record is applied (or the
 	// engine stops), reporting whether it fully caught up.
 	CatchUp(p *sim.Proc) bool
+	// Resync recovers a pair suspended by a journal overflow with a delta
+	// copy of the change-tracked blocks.
+	Resync(p *sim.Proc, source *storage.Array, maxPasses int) error
 
 	RPO(now time.Duration) time.Duration
 	Backlog() int
@@ -42,48 +33,38 @@ type Replicator interface {
 	AppliedBytes() int64
 	ApplyLog() []storage.Record
 	UnappliedRecords() []storage.Record
+	// CommittedEpoch and EpochCommits describe the barrier rule's cuts; a
+	// single lane committing for itself declares none.
+	CommittedEpoch() int64
+	EpochCommits() int64
 
-	// Members returns the consistency group's volumes in attach order.
+	// Journal returns the source consistency-group journal, Members its
+	// volumes in attach order, JournalID its identifier (shard journals
+	// carry derived IDs).
+	Journal() *storage.ShardedJournal
 	Members() []storage.VolumeID
-	Mapping() map[storage.VolumeID]storage.VolumeID
-	// JournalID names the source journal (the group journal for sharded
-	// engines; its shards carry derived IDs).
 	JournalID() string
 
-	// Lanes returns the engine's active drain-lane count (1 for the plain
-	// engine). The reconcile loop diffs it against the declared shard count
-	// to detect reshard work.
+	// Lanes returns the engine's active drain-lane count. The reconcile
+	// loop diffs it against the declared shard count to detect reshard work.
 	Lanes() int
 	// Reshard transitions the engine to len(paths) drain lanes via an
-	// epoch-bounded live migration (lane k drains shard k over paths[k]).
-	// Engines that cannot reconfigure in place return ErrReshardUnsupported.
+	// epoch-bounded live migration (lane k drains shard k over paths[k]);
+	// Resharding reports whether that migration window is still open and
+	// MigrationBarrier the epoch the most recent one sealed.
 	Reshard(p *sim.Proc, paths []fabric.Path) (storage.ReshardStats, error)
+	Resharding() bool
+	MigrationBarrier() int64
 
 	Failover() ([]*storage.Volume, error)
 	FailedOver() bool
+	// Failback resynchronizes source from a failed-over engine's targets
+	// and starts replication in the reverse direction over reversePath.
+	Failback(p *sim.Proc, source *storage.Array, reversePath fabric.Path, cfg Config) (*Group, FailbackStats, error)
 
 	// Instrument registers the engine's telemetry probes (RPO, backlog,
 	// lane state) under the tenant label. No-op when reg is nil.
 	Instrument(reg *telemetry.Registry, tenant string)
 }
 
-var (
-	_ Replicator = (*Group)(nil)
-	_ Replicator = (*ShardedGroup)(nil)
-)
-
-// Members returns the journal's member volumes (the consistency-group
-// membership), in attach order.
-func (g *Group) Members() []storage.VolumeID { return g.journal.Members() }
-
-// JournalID returns the source journal's identifier.
-func (g *Group) JournalID() string { return g.journal.ID() }
-
-// Lanes returns 1: the plain engine drains on a single lane.
-func (g *Group) Lanes() int { return 1 }
-
-// Reshard on the plain engine is unsupported — the control plane upgrades
-// to a sharded engine instead (Detach + ConvertToSharded + NewShardedGroup).
-func (g *Group) Reshard(p *sim.Proc, paths []fabric.Path) (storage.ReshardStats, error) {
-	return storage.ReshardStats{}, ErrReshardUnsupported
-}
+var _ Replicator = (*Group)(nil)

@@ -2,7 +2,6 @@ package replication
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -207,102 +206,6 @@ func TestReshardSameCountIsNoop(t *testing.T) {
 	}
 }
 
-// TestDetachHandsOffWithoutLoss upgrades a plain group mid-drain: Detach
-// must finish the in-flight batch (no disaster-split loss), the adopted
-// journal plus a fresh sharded engine must then drain the remainder, and
-// the final image must be complete.
-func TestDetachHandsOffWithoutLoss(t *testing.T) {
-	env := sim.NewEnv(1)
-	main := storage.NewArray(env, "main", storage.Config{})
-	backup := storage.NewArray(env, "backup", storage.Config{})
-	var vols []storage.VolumeID
-	mapping := make(map[storage.VolumeID]storage.VolumeID)
-	for i := 0; i < 8; i++ {
-		id := storage.VolumeID(fmt.Sprintf("vol-%02d", i))
-		for _, a := range []*storage.Array{main, backup} {
-			if _, err := a.CreateVolume(id, 256); err != nil {
-				t.Fatal(err)
-			}
-		}
-		vols = append(vols, id)
-		mapping[id] = id
-	}
-	jnl, err := main.CreateConsistencyGroup("cg", vols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	link := netlink.Config{Propagation: 2 * time.Millisecond, BandwidthBps: 4e6}
-	g, err := NewGroup(env, "cg", jnl, backup, mapping, netlink.NewPair(env, link).Forward, Config{BatchMax: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	const writes = 128
-	env.Process("driver", func(p *sim.Proc) {
-		buf := make([]byte, main.Config().BlockSize)
-		for i := 0; i < writes; i++ {
-			v, _ := main.Volume(vols[i%len(vols)])
-			if _, err := v.Write(p, int64(i/len(vols)), buf); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		// Detach mid-drain: a batch is in flight on the thin link.
-		if err := g.Detach(p); err != nil {
-			t.Errorf("detach: %v", err)
-			return
-		}
-		if len(g.lost) != 0 {
-			t.Errorf("detach lost %d records", len(g.lost))
-		}
-		if got := g.AppliedRecords() + int64(jnl.Pending()); got != writes {
-			t.Errorf("applied %d + pending %d != %d writes", g.AppliedRecords(), jnl.Pending(), writes)
-		}
-		// Adopt the journal into a sharded engine and drain the rest.
-		sj, err := main.ConvertToSharded("cg")
-		if err != nil {
-			t.Errorf("convert: %v", err)
-			return
-		}
-		sg, err := NewShardedGroup(env, "cg-sharded", sj, backup, mapping, lanePaths(env, 1, link), Config{BatchMax: 8})
-		if err != nil {
-			t.Errorf("new sharded: %v", err)
-			return
-		}
-		sg.Start()
-		if _, err := sg.Reshard(p, lanePaths(env, 4, link)); err != nil {
-			t.Errorf("reshard: %v", err)
-			return
-		}
-		if !sg.AwaitReshard(p) || !sg.CatchUp(p) {
-			t.Error("adopted engine never caught up")
-		}
-		sg.Stop()
-	})
-	env.Run(0)
-	if t.Failed() {
-		return
-	}
-	for _, id := range vols {
-		sv, _ := main.Volume(id)
-		tv, _ := backup.Volume(id)
-		if len(sv.WrittenBlocks()) != len(tv.WrittenBlocks()) {
-			t.Fatalf("volume %s: %d source blocks, %d backup blocks", id, len(sv.WrittenBlocks()), len(tv.WrittenBlocks()))
-		}
-	}
-	// A second detach is idempotent; a stopped group refuses.
-	env.Process("again", func(p *sim.Proc) {
-		if err := g.Detach(p); err != nil {
-			t.Errorf("second detach: %v", err)
-		}
-		g.Stop()
-		if err := g.Detach(p); !errors.Is(err, ErrStopped) {
-			t.Errorf("detach after stop: %v, want ErrStopped", err)
-		}
-	})
-	env.Run(0)
-}
-
 // TestReshardGuards covers the refusal surface: failed-over and stopped
 // engines, zero lanes, and double reshards mid-window.
 func TestReshardGuards(t *testing.T) {
@@ -347,37 +250,16 @@ func TestMidShrinkFailoverIsExactEpochPrefix(t *testing.T) {
 	for _, d := range []time.Duration{0, time.Millisecond, 3 * time.Millisecond, 9 * time.Millisecond, 25 * time.Millisecond, 60 * time.Millisecond} {
 		d := d
 		t.Run(d.String(), func(t *testing.T) {
-			env := sim.NewEnv(1)
-			main := storage.NewArray(env, "main", storage.Config{})
-			backup := storage.NewArray(env, "backup", storage.Config{})
-			r := &shardedRig{env: env, main: main, backup: backup}
-			mapping := make(map[storage.VolumeID]storage.VolumeID)
-			for i := 0; i < 16; i++ {
-				id := storage.VolumeID(fmt.Sprintf("vol-%02d", i))
-				for _, a := range []*storage.Array{main, backup} {
-					if _, err := a.CreateVolume(id, 256); err != nil {
-						t.Fatal(err)
-					}
-				}
-				r.vols = append(r.vols, id)
-				mapping[id] = id
-			}
-			sj, err := main.CreateShardedConsistencyGroup("cg", r.vols, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.sj = sj
+			r := newBareRig(t, 16)
+			env := r.env
 			fast := netlink.Config{Propagation: time.Millisecond, BandwidthBps: 4e7}
 			slow := netlink.Config{Propagation: 8 * time.Millisecond, BandwidthBps: 5e5}
 			paths := []fabric.Path{
 				netlink.NewPair(env, fast).Forward, // lane 0 races ahead
 				netlink.NewPair(env, slow).Forward, // lane 1 lags behind the seals
 			}
-			g, err := NewShardedGroup(env, "cg", sj, backup, mapping, paths, Config{BatchMax: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.g = g
+			r.wire(t, paths, Config{BatchMax: 4})
+			g := r.g
 			g.Start()
 
 			const writes = 160
@@ -422,37 +304,16 @@ func TestMidShrinkFailoverIsExactEpochPrefix(t *testing.T) {
 // the sealed epoch (no prefix-scan shortcut), and a failover right after
 // the first such commit must recover an exact ack-order prefix.
 func TestShrinkMigrationBehindOpenEpochStillCommitsWhole(t *testing.T) {
-	env := sim.NewEnv(1)
-	main := storage.NewArray(env, "main", storage.Config{})
-	backup := storage.NewArray(env, "backup", storage.Config{})
-	r := &shardedRig{env: env, main: main, backup: backup}
-	mapping := make(map[storage.VolumeID]storage.VolumeID)
-	for i := 0; i < 16; i++ {
-		id := storage.VolumeID(fmt.Sprintf("vol-%02d", i))
-		for _, a := range []*storage.Array{main, backup} {
-			if _, err := a.CreateVolume(id, 256); err != nil {
-				t.Fatal(err)
-			}
-		}
-		r.vols = append(r.vols, id)
-		mapping[id] = id
-	}
-	sj, err := main.CreateShardedConsistencyGroup("cg", r.vols, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.sj = sj
+	r := newBareRig(t, 16)
+	env := r.env
 	fast := netlink.Config{Propagation: 200 * time.Microsecond, BandwidthBps: 1e8}
 	slow := netlink.Config{Propagation: 8 * time.Millisecond, BandwidthBps: 5e5}
 	paths := []fabric.Path{
 		netlink.NewPair(env, fast).Forward,
 		netlink.NewPair(env, slow).Forward,
 	}
-	g, err := NewShardedGroup(env, "cg", sj, backup, mapping, paths, Config{BatchMax: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.g = g
+	r.wire(t, paths, Config{BatchMax: 4})
+	g := r.g
 	g.Start()
 
 	const writes = 240
@@ -508,5 +369,167 @@ func TestShrinkMigrationBehindOpenEpochStillCommitsWhole(t *testing.T) {
 	n, exact := exactPrefix(r.presentSeqs())
 	if !exact {
 		t.Fatalf("failover image is not an exact ack-order prefix (cut=%d of %d): a migration-window commit skipped staged records of its own epoch", n, writes)
+	}
+}
+
+// TestLaneCountTransitions drives the one engine through sequences of lane
+// counts under live stamped writes — including both crossings of the commit
+// rule, lane commit -> barrier (1->N) and barrier -> lane commit (N->1) —
+// with the pair split at every kind of instant: before the first reshard,
+// inside each migration window, and after the last one settled. Every split
+// must leave an exact ack-order prefix. Run to the end, a sequence that
+// finishes on one lane must have handed the commit rule back: epoch commits
+// stop while applied records keep growing, and stopping the engine leaves no
+// coordinator or retired-lane process parked.
+func TestLaneCountTransitions(t *testing.T) {
+	// A writer outpacing even four thin lanes keeps a backlog under every
+	// reshard, so each migration window stays open for a while.
+	link := netlink.Config{Propagation: 2 * time.Millisecond, BandwidthBps: 2e6}
+	const think = 400 * time.Microsecond // writer pace: ~10 MB/s of 4 KiB blocks
+	const dwell = 30 * time.Millisecond  // driver pause between steps
+	for _, seq := range [][]int{{1, 4}, {4, 1}, {1, 4, 1}, {2, 1, 3}} {
+		// cut < 0 runs to the end; cut == 0 splits before the first reshard;
+		// cut == k splits inside the k-th migration window; cut == len(seq)
+		// splits after the last window settled.
+		for cut := -1; cut <= len(seq); cut++ {
+			seq, cut := seq, cut
+			t.Run(fmt.Sprintf("%v/cut=%d", seq, cut), func(t *testing.T) {
+				r := newShardedRig(t, seq[0], 16, link, Config{BatchMax: 8})
+				g := r.g
+				g.Start()
+				acked, quiesce := 0, false
+				written := r.env.NewEvent()
+				r.env.Process("writer", func(p *sim.Proc) {
+					for ; !quiesce && !g.Stopped(); acked++ {
+						r.seqWrite(p, t, acked)
+						p.Sleep(think)
+					}
+					written.Trigger()
+				})
+				r.env.Process("driver", func(p *sim.Proc) {
+					p.Sleep(dwell)
+					if cut == 0 {
+						g.Failover()
+						return
+					}
+					for k, lanes := range seq[1:] {
+						if _, err := g.Reshard(p, lanePaths(r.env, lanes, link)); err != nil {
+							t.Errorf("reshard to %d: %v", lanes, err)
+							return
+						}
+						p.Sleep(dwell / 6)
+						if cut == k+1 {
+							if !g.Resharding() {
+								t.Errorf("window %d closed before the split (rig timing changed?)", k+1)
+							}
+							g.Failover()
+							return
+						}
+						if !g.AwaitReshard(p) {
+							t.Errorf("reshard to %d never settled", lanes)
+							return
+						}
+						if g.Lanes() != lanes {
+							t.Errorf("lanes = %d after settling at %d", g.Lanes(), lanes)
+						}
+						p.Sleep(dwell)
+					}
+					if cut == len(seq) {
+						g.Failover()
+						return
+					}
+					if seq[len(seq)-1] == 1 {
+						commits, applied := g.EpochCommits(), g.AppliedRecords()
+						p.Sleep(dwell)
+						if g.EpochCommits() != commits || g.AppliedRecords() <= applied {
+							t.Errorf("one settled lane under load: epoch commits %d -> %d, applied %d -> %d; want the lane committing its own batches",
+								commits, g.EpochCommits(), applied, g.AppliedRecords())
+						}
+					}
+					quiesce = true
+					p.Wait(written)
+					if !g.CatchUp(p) {
+						t.Error("catch-up interrupted")
+					}
+					g.Stop()
+				})
+				r.env.Run(0)
+				if t.Failed() {
+					return
+				}
+				n, exact := exactPrefix(r.presentSeqs())
+				if !exact {
+					t.Fatalf("backup image is not an exact ack-order prefix (cut=%d of %d acked)", n, acked)
+				}
+				if int(g.AppliedRecords()) != n {
+					t.Fatalf("applied=%d but image prefix=%d", g.AppliedRecords(), n)
+				}
+				if cut < 0 {
+					if n != acked {
+						t.Fatalf("drained run holds %d of %d writes", n, acked)
+					}
+					r.verifyConverged(t)
+				} else if got := len(g.UnappliedRecords()); got != acked-n {
+					t.Fatalf("unapplied=%d, want %d", got, acked-n)
+				}
+				if !r.env.Idle() || r.env.Blocked() != 0 {
+					t.Fatalf("engine stopped but %d processes stay parked (queue idle=%v)", r.env.Blocked(), r.env.Idle())
+				}
+			})
+		}
+	}
+}
+
+// TestResyncConvergesAtAnyLaneCount squeezes the journal under a backlog so
+// the group fails closed, keeps writing while suspended, and recovers with
+// the delta resync: one lane and four lanes run the same code, each volume's
+// delta over its own lane path, and both converge to the source image with
+// journaling re-enabled.
+func TestResyncConvergesAtAnyLaneCount(t *testing.T) {
+	link := netlink.Config{Propagation: time.Millisecond, BandwidthBps: 2e7}
+	for _, lanes := range []int{1, 4} {
+		lanes := lanes
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			r := newShardedRig(t, lanes, 8, link, Config{BatchMax: 8})
+			g := r.g
+			r.env.Process("driver", func(p *sim.Proc) {
+				for i := 0; i < 40; i++ { // no drain yet: pure backlog
+					r.seqWrite(p, t, i)
+				}
+				r.sj.SetCapacityPerShard(1)
+				if !g.Suspended() {
+					t.Error("squeeze under backlog did not suspend the pair")
+					return
+				}
+				for i := 40; i < 64; i++ { // suspended: tracked, not journaled
+					r.seqWrite(p, t, i)
+				}
+				r.sj.SetCapacityPerShard(0)
+				g.Start()
+				if err := g.Resync(p, r.main, 0); err != nil {
+					t.Errorf("resync: %v", err)
+					return
+				}
+				if g.Suspended() {
+					t.Error("pair still suspended after resync")
+				}
+				for i := 64; i < 72; i++ { // journaling works again
+					r.seqWrite(p, t, i)
+				}
+				g.CatchUp(p)
+				g.Stop()
+			})
+			r.env.Run(0)
+			if t.Failed() {
+				return
+			}
+			if n, exact := exactPrefix(r.presentSeqs()); n != 72 || !exact {
+				t.Fatalf("backup has %d writes (exact=%v), want all 72", n, exact)
+			}
+			r.verifyConverged(t)
+			if (g.EpochCommits() > 0) != (lanes > 1) {
+				t.Fatalf("lanes=%d recovered with %d epoch commits", lanes, g.EpochCommits())
+			}
+		})
 	}
 }

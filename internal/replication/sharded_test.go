@@ -14,53 +14,64 @@ import (
 )
 
 // shardedRig is a two-site fixture with vols volumes on each side, a
-// sharded consistency group over all of them, and one link pair per lane.
+// consistency group over all of them, and one link pair per lane.
 type shardedRig struct {
 	env    *sim.Env
 	main   *storage.Array
 	backup *storage.Array
 	vols   []storage.VolumeID
 	sj     *storage.ShardedJournal
-	g      *ShardedGroup
+	g      *Group
 }
 
-func newShardedRig(t *testing.T, shards, vols int, linkCfg netlink.Config, cfg Config) *shardedRig {
+func newShardedRig(t testing.TB, shards, vols int, linkCfg netlink.Config, cfg Config) *shardedRig {
+	t.Helper()
+	r := newBareRig(t, vols)
+	r.wire(t, lanePaths(r.env, shards, linkCfg), cfg)
+	return r
+}
+
+// newBareRig builds the two arrays and their volumes; wire adds the group.
+func newBareRig(t testing.TB, vols int) *shardedRig {
 	t.Helper()
 	env := sim.NewEnv(1)
-	main := storage.NewArray(env, "main", storage.Config{})
-	backup := storage.NewArray(env, "backup", storage.Config{})
-	r := &shardedRig{env: env, main: main, backup: backup}
-	mapping := make(map[storage.VolumeID]storage.VolumeID)
+	r := &shardedRig{env: env,
+		main:   storage.NewArray(env, "main", storage.Config{}),
+		backup: storage.NewArray(env, "backup", storage.Config{})}
 	for i := 0; i < vols; i++ {
 		id := storage.VolumeID(fmt.Sprintf("vol-%02d", i))
-		for _, a := range []*storage.Array{main, backup} {
+		for _, a := range []*storage.Array{r.main, r.backup} {
 			if _, err := a.CreateVolume(id, 256); err != nil {
 				t.Fatal(err)
 			}
 		}
 		r.vols = append(r.vols, id)
+	}
+	return r
+}
+
+// wire creates the consistency group with one shard per path and the engine
+// draining it.
+func (r *shardedRig) wire(t testing.TB, paths []fabric.Path, cfg Config) {
+	t.Helper()
+	sj, err := r.main.CreateConsistencyGroup("cg", r.vols, len(paths), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapping := make(map[storage.VolumeID]storage.VolumeID)
+	for _, id := range r.vols {
 		mapping[id] = id
 	}
-	sj, err := main.CreateShardedConsistencyGroup("cg", r.vols, shards)
+	g, err := NewGroup(r.env, "cg", sj, r.backup, mapping, paths, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.sj = sj
-	paths := make([]fabric.Path, shards)
-	for k := range paths {
-		paths[k] = netlink.NewPair(env, linkCfg).Forward
-	}
-	g, err := NewShardedGroup(env, "cg", sj, backup, mapping, paths, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.g = g
-	return r
+	r.sj, r.g = sj, g
 }
 
 // seqWrite writes one block carrying the global write sequence i: volume
 // round-robin, ascending blocks, the sequence in the first 8 data bytes.
-func (r *shardedRig) seqWrite(p *sim.Proc, t *testing.T, i int) {
+func (r *shardedRig) seqWrite(p *sim.Proc, t testing.TB, i int) {
 	v, _ := r.main.Volume(r.vols[i%len(r.vols)])
 	buf := make([]byte, r.main.Config().BlockSize)
 	binary.BigEndian.PutUint64(buf, uint64(i+1))
@@ -193,27 +204,27 @@ func TestShardedFailoverImageIsEpochCut(t *testing.T) {
 	}
 }
 
-// TestShardedGroupValidation covers constructor guardrails.
-func TestShardedGroupValidation(t *testing.T) {
+// TestGroupValidation covers constructor guardrails.
+func TestGroupValidation(t *testing.T) {
 	env := sim.NewEnv(1)
 	main := storage.NewArray(env, "main", storage.Config{})
 	backup := storage.NewArray(env, "backup", storage.Config{})
 	main.CreateVolume("a", 64)
 	backup.CreateVolume("a", 64)
-	sj, err := main.CreateShardedConsistencyGroup("cg", []storage.VolumeID{"a"}, 2)
+	sj, err := main.CreateConsistencyGroup("cg", []storage.VolumeID{"a"}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pair := netlink.NewPair(env, netlink.Config{})
-	if _, err := NewShardedGroup(env, "g", sj, backup, map[storage.VolumeID]storage.VolumeID{"a": "a"},
+	if _, err := NewGroup(env, "g", sj, backup, map[storage.VolumeID]storage.VolumeID{"a": "a"},
 		[]fabric.Path{pair.Forward}, Config{}); err == nil {
 		t.Fatal("path/shard count mismatch accepted")
 	}
-	if _, err := NewShardedGroup(env, "g", sj, backup, map[storage.VolumeID]storage.VolumeID{},
+	if _, err := NewGroup(env, "g", sj, backup, map[storage.VolumeID]storage.VolumeID{},
 		[]fabric.Path{pair.Forward, pair.Forward}, Config{}); err == nil {
 		t.Fatal("missing mapping accepted")
 	}
-	if _, err := NewShardedGroup(env, "g", sj, backup, map[storage.VolumeID]storage.VolumeID{"a": "nope"},
+	if _, err := NewGroup(env, "g", sj, backup, map[storage.VolumeID]storage.VolumeID{"a": "nope"},
 		[]fabric.Path{pair.Forward, pair.Forward}, Config{}); err == nil {
 		t.Fatal("missing target accepted")
 	}

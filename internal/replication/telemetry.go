@@ -1,50 +1,47 @@
 package replication
 
 import (
-	"fmt"
+	"strconv"
+	"time"
 
 	"repro/internal/telemetry"
-	"time"
 )
 
-// Instrument registers the plain engine's telemetry probes: the tenant's
-// RPO and drain backlog, sampled on the virtual clock. Probes self-gate —
-// they stop reporting once the engine stops or detaches, ending the
-// tenant's timeline instead of recording a frozen exposure forever. No-op
-// when reg is nil.
+// Instrument registers the engine's telemetry probes: the tenant's RPO and
+// drain backlog, sampled on the virtual clock. Probes self-gate — they stop
+// reporting once the engine stops, ending the tenant's timeline instead of
+// recording a frozen exposure forever. What only the barrier rule has is
+// registered when it takes force (instrumentBarrier). No-op when reg is nil.
 func (g *Group) Instrument(reg *telemetry.Registry, tenant string) {
 	if reg == nil {
 		return
 	}
-	live := func() bool { return !g.stopped && !g.detached }
-	reg.Probe("rpo", func(now time.Duration) (float64, bool) {
-		return float64(g.RPO(now)), live()
-	}, telemetry.L("tenant", tenant))
-	reg.Probe("backlog.records", func(time.Duration) (float64, bool) {
-		return float64(g.Backlog()), live()
-	}, telemetry.L("tenant", tenant))
-}
-
-// Instrument registers the sharded engine's telemetry: the tenant's RPO and
-// total backlog, per-lane staged bytes and shard backlog, an epoch
-// seal-to-commit latency histogram, and spans over epoch drains and reshard
-// migration windows. Lanes added by a later Reshard register their probes
-// on creation; retiring lanes stop reporting once reaped. No-op when reg is
-// nil.
-func (g *ShardedGroup) Instrument(reg *telemetry.Registry, tenant string) {
-	if reg == nil {
-		return
-	}
 	g.tel, g.tenant = reg, tenant
-	g.laneGen = make(map[int]int)
-	g.epochLatency = reg.Histogram("epoch.commit.latency", telemetry.L("tenant", tenant))
-	live := func() bool { return !g.stopped && !g.failedOver }
+	live := func() bool { return !g.stopped }
 	reg.Probe("rpo", func(now time.Duration) (float64, bool) {
 		return float64(g.RPO(now)), live()
 	}, telemetry.L("tenant", tenant))
 	reg.Probe("backlog.records", func(time.Duration) (float64, bool) {
 		return float64(g.backlogRecords()), live()
 	}, telemetry.L("tenant", tenant))
+	if g.coordinating {
+		g.instrumentBarrier()
+	}
+}
+
+// instrumentBarrier registers the barrier rule's telemetry: per-lane staged
+// bytes and shard backlog, and the epoch seal-to-commit latency histogram
+// (spans over epoch drains and reshard windows are emitted where they
+// happen). Lanes added by a later Reshard register their probes on
+// creation; retiring lanes stop reporting once reaped.
+func (g *Group) instrumentBarrier() {
+	if g.tel == nil {
+		return
+	}
+	if g.laneGen == nil {
+		g.laneGen = make(map[int]int)
+		g.epochLatency = g.tel.Histogram("epoch.commit.latency", telemetry.L("tenant", g.tenant))
+	}
 	for _, l := range g.lanes {
 		g.instrumentLane(l)
 	}
@@ -54,21 +51,22 @@ func (g *ShardedGroup) Instrument(reg *telemetry.Registry, tenant string) {
 // sequence can re-create a lane index whose retired predecessor already
 // owns the probe key, so re-registrations carry a generation suffix — each
 // lane object gets its own timeline.
-func (g *ShardedGroup) instrumentLane(l *drainLane) {
-	if g.tel == nil {
+func (g *Group) instrumentLane(l *drainLane) {
+	if g.tel == nil || l.probed {
 		return
 	}
+	l.probed = true
 	gen := g.laneGen[l.idx]
 	g.laneGen[l.idx] = gen + 1
-	laneLabel := fmt.Sprintf("%d", l.idx)
+	laneLabel := strconv.Itoa(l.idx)
 	if gen > 0 {
-		laneLabel = fmt.Sprintf("%d#%d", l.idx, gen)
+		laneLabel += "#" + strconv.Itoa(gen)
 	}
 	labels := []telemetry.Label{
 		telemetry.L("tenant", g.tenant),
 		telemetry.L("lane", laneLabel),
 	}
-	live := func() bool { return !g.stopped && !l.retire.Triggered() }
+	live := func() bool { return !g.stopped && (l.retire == nil || !l.retire.Triggered()) }
 	g.tel.Probe("lane.staged.bytes", func(time.Duration) (float64, bool) {
 		var b int
 		for _, r := range l.staged {

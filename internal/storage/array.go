@@ -189,26 +189,7 @@ func (a *Array) ListVolumes() []VolumeID {
 	return ids
 }
 
-// CreateJournal provisions an unbounded journal volume. Replication
-// engines drain it.
-func (a *Array) CreateJournal(id string) (*Journal, error) {
-	return a.CreateJournalSized(id, 0)
-}
-
-// CreateJournalSized provisions a journal volume with a finite capacity in
-// bytes (0 = unlimited). When the backlog would exceed the capacity the
-// journal overflows and the pair suspends — the real-array behaviour an
-// undersized journal volume causes under link outages.
-func (a *Array) CreateJournalSized(id string, capacityBytes int) (*Journal, error) {
-	if _, ok := a.journals[id]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrJournalExists, id)
-	}
-	j := newJournal(a.env, a, id, capacityBytes)
-	a.journals[id] = j
-	return j, nil
-}
-
-// Journal returns the journal with the given ID.
+// Journal returns the shard journal with the given ID.
 func (a *Array) Journal(id string) (*Journal, error) {
 	j, ok := a.journals[id]
 	if !ok {
@@ -217,90 +198,12 @@ func (a *Array) Journal(id string) (*Journal, error) {
 	return j, nil
 }
 
-// DeleteJournal removes a journal after detaching all member volumes.
-func (a *Array) DeleteJournal(id string) error {
-	j, ok := a.journals[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchJournal, id)
-	}
-	for _, v := range a.volumes {
-		if v.journal == j {
-			v.journal = nil
-		}
-	}
-	delete(a.journals, id)
-	return nil
-}
-
-// AttachJournal routes a volume's future writes into the journal. Attaching
-// several volumes to one journal is exactly the array's consistency-group
-// function: the shared journal serializes their writes in ack order.
-func (a *Array) AttachJournal(vol VolumeID, journalID string) error {
-	v, ok := a.volumes[vol]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchVolume, vol)
-	}
-	j, ok := a.journals[journalID]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchJournal, journalID)
-	}
-	if v.journal != nil {
-		return fmt.Errorf("%w: %s -> %s", ErrJournalAttached, vol, v.journal.id)
-	}
-	v.journal = j
-	j.members = append(j.members, vol)
-	return nil
-}
-
-// DetachJournal removes a volume from its journal.
-func (a *Array) DetachJournal(vol VolumeID) error {
-	v, ok := a.volumes[vol]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchVolume, vol)
-	}
-	if v.journal == nil {
-		return nil
-	}
-	j := v.journal
-	for i, m := range j.members {
-		if m == vol {
-			j.members = append(j.members[:i], j.members[i+1:]...)
-			break
-		}
-	}
-	v.journal = nil
-	return nil
-}
-
-// CreateConsistencyGroup is the convenience management call the replication
-// plugin uses: it provisions one journal and attaches every listed volume.
-func (a *Array) CreateConsistencyGroup(journalID string, vols []VolumeID) (*Journal, error) {
-	j, err := a.CreateJournal(journalID)
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range vols {
-		if err := a.AttachJournal(id, journalID); err != nil {
-			// Roll back so a failed call leaves no partial group.
-			for _, done := range vols {
-				if done == id {
-					break
-				}
-				_ = a.DetachJournal(done)
-			}
-			delete(a.journals, journalID)
-			return nil, err
-		}
-	}
-	return j, nil
-}
-
 // ApplyDeltaSet consumes the service time of applying an n-block
 // replication delta set: the blocks pipeline across the controller's
 // parallelism, and one controller slot is held for the span so concurrent
 // work on this array observes the load. The caller installs the blocks
-// afterwards (atomically, via Volume.InstallDelta) — see the sharded
-// replication engine's epoch commit.
+// afterwards (atomically, via Volume.InstallDelta) — see the replication
+// engine's lane and epoch commits.
 func (a *Array) ApplyDeltaSet(p *sim.Proc, n int) {
 	if n <= 0 {
 		return
@@ -326,8 +229,8 @@ func (a *Array) nextGlobalSeq() int64 {
 // leaked volumes, journals, shards, snapshots, or blocks).
 type Usage struct {
 	Volumes         int
-	Journals        int // includes each sharded journal's member shards
-	ShardedJournals int
+	Journals        int // shard journals across all consistency groups
+	ShardedJournals int // consistency-group journals
 	Snapshots       int
 	SnapshotGroups  int
 	AttachedVolumes int   // volumes currently routed into a journal
@@ -360,9 +263,10 @@ func (a *Array) Usage() Usage {
 }
 
 // Residue lists every array object still tied to the given ID prefix: a
-// volume whose ID starts with it, a journal (plain or sharded) named with
-// it or still carrying a matching member, a snapshot of a matching volume,
-// or a snapshot group with a matching member. A fully decommissioned
+// volume whose ID starts with it, a shard journal named with it, a
+// consistency-group journal named with it or still carrying a matching
+// member, a snapshot of a matching volume, or a snapshot group with a
+// matching member. A fully decommissioned
 // tenant's prefixes must report nothing — the array-level leak check.
 func (a *Array) Residue(prefix string) []string {
 	var out []string
@@ -371,16 +275,9 @@ func (a *Array) Residue(prefix string) []string {
 			out = append(out, "volume "+string(id))
 		}
 	}
-	for id, j := range a.journals {
+	for id := range a.journals {
 		if strings.HasPrefix(id, prefix) {
 			out = append(out, "journal "+id)
-			continue
-		}
-		for _, m := range j.members {
-			if strings.HasPrefix(string(m), prefix) {
-				out = append(out, fmt.Sprintf("journal %s member %s", id, m))
-				break
-			}
 		}
 	}
 	for id, sj := range a.sharded {

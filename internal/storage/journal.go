@@ -9,10 +9,9 @@ import (
 
 // Record is one update log entry in a journal volume: which block of which
 // volume was written, the data, and where the write fell in the journal's
-// ack order (Seq) and the array-wide ack order (GlobalSeq). Records written
-// through a sharded consistency-group journal additionally carry the group
-// Epoch open at ack time — the cross-shard ordering barrier the multi-lane
-// drain commits on. Plain journals leave Epoch zero.
+// ack order (Seq) and the array-wide ack order (GlobalSeq). Every record
+// also carries the group Epoch open at ack time — the cross-shard ordering
+// barrier the multi-lane drain commits on.
 type Record struct {
 	Seq       int64
 	GlobalSeq int64
@@ -29,105 +28,47 @@ func (r Record) SizeBytes() int { return len(r.Data) + recordHeaderBytes }
 
 const recordHeaderBytes = 64
 
-// Journal is an update-log volume. Volumes attached to the same journal form
-// a consistency group: the journal's Seq numbers define one total order over
-// all their writes, and the backup site applies records strictly in that
-// order.
+// Journal is an update-log volume: one shard of a consistency group's
+// ShardedJournal. The volumes placed on it share its Seq numbers — one total
+// order over all their writes, which the backup site replays exactly. Its
+// appends are stamped with the group epoch, and its capacity and overflow
+// state are the group's: a shard never suspends alone.
 type Journal struct {
-	env      *sim.Env
-	array    *Array
-	id       string
-	members  []VolumeID
-	pending  []Record
-	nextSeq  int64
-	ackSeq   int64 // scoped ack order (isolated mode, ungrouped journals)
-	appended int64
-	drained  int64
-	notEmpty *sim.Event
-
-	// capacityBytes bounds the backlog (0 = unlimited). When an append
-	// would exceed it, the journal overflows: the pair suspends (writes
-	// stop journaling), the member volumes start change tracking, and the
-	// target stays frozen at a consistent prefix until a resync.
-	capacityBytes int
-	overflowed    bool
-	overflows     int64
-
-	// group is non-nil when this journal is one shard of a sharded
-	// consistency-group journal: appends are stamped with the group epoch,
-	// and an overflow fails the whole group closed, not just this shard.
-	group *ShardedJournal
+	env          *sim.Env
+	group        *ShardedJournal
+	id           string
+	pending      []Record
+	pendingBytes int // wire size of pending, kept by append/take/migrate
+	nextSeq      int64
+	appended     int64
+	drained      int64
+	notEmpty     *sim.Event
 }
 
-func newJournal(env *sim.Env, a *Array, id string, capacityBytes int) *Journal {
-	return &Journal{env: env, array: a, id: id, capacityBytes: capacityBytes, notEmpty: env.NewEvent()}
+func newJournal(sj *ShardedJournal, id string) *Journal {
+	return &Journal{env: sj.env, group: sj, id: id, notEmpty: sj.env.NewEvent()}
 }
 
 // ID returns the journal identifier.
 func (j *Journal) ID() string { return j.id }
 
-// Members returns the volume IDs attached to the journal (the consistency
-// group membership), in attach order.
+// Members returns the group's volumes placed on this shard, in attach order.
 func (j *Journal) Members() []VolumeID {
-	out := make([]VolumeID, len(j.members))
-	copy(out, j.members)
+	var out []VolumeID
+	for _, id := range j.group.members {
+		if v, ok := j.group.array.volumes[id]; ok && v.journal == j {
+			out = append(out, id)
+		}
+	}
 	return out
 }
 
-// Overflowed reports whether the journal has overflowed (pair suspended).
-func (j *Journal) Overflowed() bool { return j.overflowed }
+// Overflowed reports whether the group has overflowed (pair suspended).
+func (j *Journal) Overflowed() bool { return j.group.overflowed }
 
-// Overflows returns how many times the journal has overflowed.
-func (j *Journal) Overflows() int64 { return j.overflows }
-
-// CapacityBytes returns the configured capacity (0 = unlimited).
-func (j *Journal) CapacityBytes() int { return j.capacityBytes }
-
-// SetCapacityBytes re-declares the journal capacity at runtime (0 =
-// unlimited) — the management-API knob a capacity squeeze turns. If the
-// pending backlog already exceeds the new bound the journal overflows
-// immediately: capacity is a promise about the backlog, so shrinking it
-// under an oversized backlog must fail closed rather than leave a journal
-// silently over its declared bound.
-func (j *Journal) SetCapacityBytes(n int) {
-	j.capacityBytes = n
-	if n > 0 && !j.overflowed && j.PendingBytes() > n {
-		j.overflow()
-	}
-}
-
-// ClearOverflow re-enables journaling after a resync has reconciled the
-// target. The replication engine calls it; see replication.Group.Resync.
-func (j *Journal) ClearOverflow() {
-	j.overflowed = false
-	for _, id := range j.members {
-		if v, ok := j.array.volumes[id]; ok {
-			v.StopChangeTracking()
-		}
-	}
-}
-
-// overflow suspends the pair: journaling stops and member volumes begin
-// change tracking so a later resync can copy exactly the delta. A shard of a
-// sharded group escalates to the whole group — a partially-journaling group
-// could not replay a consistent cross-shard cut, so it fails closed.
-func (j *Journal) overflow() {
-	if j.group != nil {
-		j.group.overflow()
-		return
-	}
-	j.overflowLocal()
-}
-
-func (j *Journal) overflowLocal() {
-	j.overflowed = true
-	j.overflows++
-	for _, id := range j.members {
-		if v, ok := j.array.volumes[id]; ok {
-			v.StartChangeTracking()
-		}
-	}
-}
+// CapacityBytes returns the shard's capacity: the group's per-shard bound
+// (0 = unlimited).
+func (j *Journal) CapacityBytes() int { return j.group.capacityPerShard }
 
 // append adds a record in ack order and returns its sequence number. The
 // not-empty wakeup is attributed to the acking process p (when given) so a
@@ -135,14 +76,11 @@ func (j *Journal) overflowLocal() {
 // order even when the append ran inside a parallel scheduler round.
 func (j *Journal) append(p *sim.Proc, vol VolumeID, block int64, data []byte, globalSeq int64, now time.Duration) int64 {
 	j.nextSeq++
-	var epoch int64
-	if j.group != nil {
-		epoch = j.group.epoch
-	}
+	j.pendingBytes += len(data) + recordHeaderBytes
 	j.pending = append(j.pending, Record{
 		Seq:       j.nextSeq,
 		GlobalSeq: globalSeq,
-		Epoch:     epoch,
+		Epoch:     j.group.epoch,
 		Volume:    vol,
 		Block:     block,
 		Data:      data,
@@ -157,30 +95,19 @@ func (j *Journal) append(p *sim.Proc, vol VolumeID, block int64, data []byte, gl
 	return j.nextSeq
 }
 
-// nextAckSeq stamps one member write in the journal's scoped ack order
-// (Config.IsolatedVolumes): group-wide for a shard of a sharded journal —
-// cross-shard merges rely on one ascending order per group — else local to
-// this journal.
+// nextAckSeq stamps one member write in the group-wide scoped ack order
+// (Config.IsolatedVolumes) — cross-shard merges rely on one ascending order
+// per group.
 func (j *Journal) nextAckSeq() int64 {
-	if j.group != nil {
-		j.group.ackSeq++
-		return j.group.ackSeq
-	}
-	j.ackSeq++
-	return j.ackSeq
+	j.group.ackSeq++
+	return j.group.ackSeq
 }
 
 // Pending returns the number of records awaiting drain (the backlog).
 func (j *Journal) Pending() int { return len(j.pending) }
 
 // PendingBytes returns the wire size of the backlog.
-func (j *Journal) PendingBytes() int {
-	var n int
-	for _, r := range j.pending {
-		n += r.SizeBytes()
-	}
-	return n
-}
+func (j *Journal) PendingBytes() int { return j.pendingBytes }
 
 // OldestPendingAck returns the ack time of the oldest undrained record and
 // whether one exists; the replication engine derives RPO from it.
@@ -308,6 +235,7 @@ func (j *Journal) takeVolume(vol VolumeID) []Record {
 	for _, r := range j.pending {
 		if r.Volume == vol {
 			out = append(out, r)
+			j.pendingBytes -= r.SizeBytes()
 		} else {
 			kept = append(kept, r)
 		}
@@ -327,6 +255,9 @@ func (j *Journal) takeVolume(vol VolumeID) []Record {
 func (j *Journal) mergeIn(recs []Record) {
 	if len(recs) == 0 {
 		return
+	}
+	for _, r := range recs {
+		j.pendingBytes += r.SizeBytes()
 	}
 	merged := make([]Record, 0, len(j.pending)+len(recs))
 	a, b := j.pending, recs
@@ -349,6 +280,9 @@ func (j *Journal) takeReadyInto(buf []Record, max int) []Record {
 	if max <= 0 || max > len(j.pending) {
 		max = len(j.pending)
 	}
+	for _, r := range j.pending[:max] {
+		j.pendingBytes -= r.SizeBytes()
+	}
 	buf = append(buf, j.pending[:max]...)
 	rest := len(j.pending) - max
 	copy(j.pending, j.pending[max:])
@@ -361,5 +295,5 @@ func (j *Journal) takeReadyInto(buf []Record, max int) []Record {
 }
 
 func (j *Journal) String() string {
-	return fmt.Sprintf("Journal(%s){members=%d pending=%d}", j.id, len(j.members), len(j.pending))
+	return fmt.Sprintf("Journal(%s){pending=%d}", j.id, len(j.pending))
 }

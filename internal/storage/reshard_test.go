@@ -48,8 +48,8 @@ func checkShardInvariants(t *testing.T, sj *ShardedJournal) {
 				t.Fatalf("shard %d backlog epoch regressed (%d after %d)", k, r.Epoch, lastEpoch)
 			}
 			lastSeq, lastEpoch = r.GlobalSeq, r.Epoch
-			if sj.byVol[r.Volume] != k {
-				t.Fatalf("shard %d holds record of %s, placed on shard %d", k, r.Volume, sj.byVol[r.Volume])
+			if at := sj.ShardIndexOf(r.Volume); at != k {
+				t.Fatalf("shard %d holds record of %s, placed on shard %d", k, r.Volume, at)
 			}
 		}
 	}
@@ -201,62 +201,6 @@ func TestReshardRefusedWhileOverflowed(t *testing.T) {
 	}
 	if _, err := sj.Reshard(4); err == nil {
 		t.Fatal("reshard on an overflowed group must refuse")
-	}
-}
-
-func TestConvertToShardedAdoptsPlainJournal(t *testing.T) {
-	env := sim.NewEnv(1)
-	a := NewArray(env, "main", Config{})
-	vols := make([]VolumeID, 8)
-	for i := range vols {
-		vols[i] = VolumeID(fmt.Sprintf("vol-%02d", i))
-		if _, err := a.CreateVolume(vols[i], 128); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := a.CreateConsistencyGroup("cg", vols); err != nil {
-		t.Fatal(err)
-	}
-	env.Process("writer", func(p *sim.Proc) {
-		buf := make([]byte, a.Config().BlockSize)
-		for i, id := range vols {
-			v, _ := a.Volume(id)
-			if _, err := v.Write(p, int64(i), buf); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	env.Run(0)
-
-	sj, err := a.ConvertToSharded("cg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sj.ShardCount() != 1 || sj.Pending() != len(vols) {
-		t.Fatalf("converted group: shards=%d pending=%d, want 1/%d", sj.ShardCount(), sj.Pending(), len(vols))
-	}
-	if got := sj.Members(); len(got) != len(vols) {
-		t.Fatalf("members = %d, want %d", len(got), len(vols))
-	}
-	// Pre-conversion records carry epoch 0 — below every sealed epoch, so
-	// the drain's barrier math commits them first.
-	for _, r := range sj.Shards()[0].PendingRecords() {
-		if r.Epoch != 0 {
-			t.Fatalf("pre-conversion record has epoch %d, want 0", r.Epoch)
-		}
-	}
-	// The adopted group reshards live like a born-sharded one.
-	stats, err := sj.Reshard(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.From != 1 || stats.To != 4 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	checkShardInvariants(t, sj)
-	// Converting twice, or converting a shard, must refuse.
-	if _, err := a.ConvertToSharded("cg"); err == nil {
-		t.Fatal("double conversion must refuse")
 	}
 }
 

@@ -43,8 +43,7 @@ func TestRestoreRefusesJournalAttachedVolume(t *testing.T) {
 	env, a := newTestArray(t)
 	a.CreateVolume("v", 8)
 	a.CreateSnapshot("s", "v")
-	a.CreateJournal("j")
-	a.AttachJournal("v", "j")
+	journalOn(t, a, "j", "v")
 	var err error
 	env.Process("restore", func(p *sim.Proc) { err = a.RestoreSnapshot(p, "s") })
 	env.Run(0)

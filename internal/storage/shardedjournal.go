@@ -3,18 +3,19 @@ package storage
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	"repro/internal/sim"
 )
 
-// ShardedJournal is a consistency-group journal split across N shard
+// ShardedJournal is a consistency group's journal, split across 1..N shard
 // journals so the replication engine can drain the group on N independent
 // lanes. The pieces of the ordering contract:
 //
 //   - placement: every volume is pinned to one shard by a stable hash of
 //     its ID (ShardFor), so all writes to a volume share one shard and the
 //     per-volume write order is a per-shard sequence order;
-//   - per-shard sequence: each shard is a real Journal with its own Seq;
+//   - per-shard sequence: each shard is a Journal with its own Seq;
 //   - group epoch: every record is stamped with the epoch open at ack time.
 //     SealEpoch atomically closes the epoch, so "all records with epoch <= E"
 //     is an exact prefix of the group's cross-volume ack order. The
@@ -22,21 +23,24 @@ import (
 //     ordering barrier — which is what keeps consistency cuts correct even
 //     though lanes drain concurrently.
 //
-// A sharded journal with one shard degenerates to a plain consistency group
-// (one lane, one sequence), but the control plane keeps using Journal
-// directly for that case so the single-journal path stays byte-for-byte
-// unchanged.
+// With one shard the single sequence already is the cross-volume ack order
+// (the paper's configuration); nothing seals epochs and the one lane commits
+// its own batches.
 type ShardedJournal struct {
 	env     *sim.Env
 	array   *Array
 	id      string
 	shards  []*Journal
-	byVol   map[VolumeID]int // volume -> shard index
-	members []VolumeID       // attach order
-	epoch   int64            // current open epoch (starts at 1)
-	ackSeq  int64            // group-wide ack order (Config.IsolatedVolumes)
+	members []VolumeID // attach order
+	epoch   int64      // current open epoch (starts at 1)
+	ackSeq  int64      // group-wide ack order (Config.IsolatedVolumes)
 
-	// capacityPerShard is inherited by shards added in a reshard.
+	// capacityPerShard bounds every shard's backlog in bytes (0 =
+	// unlimited). When an append would exceed it the WHOLE group overflows:
+	// the pair suspends (writes stop journaling), every member volume starts
+	// change tracking, and the target stays frozen at a consistent prefix
+	// until a resync — a group with some shards journaling and some not
+	// could never replay a consistent cross-shard cut.
 	capacityPerShard int
 
 	// retired holds shard journals dropped by a shrink reshard, kept until
@@ -68,70 +72,66 @@ func ShardFor(id VolumeID, shards int) int {
 	return int(h.Sum64() % uint64(shards))
 }
 
-// shardJournalID names one shard's backing journal volume.
-func shardJournalID(id string, shard int) string { return fmt.Sprintf("%s#s%d", id, shard) }
-
-// CreateShardedConsistencyGroup provisions a consistency group whose
-// journal is split across shards unbounded shard journals and attaches
-// every listed volume to its hash-placed shard.
-func (a *Array) CreateShardedConsistencyGroup(id string, vols []VolumeID, shards int) (*ShardedJournal, error) {
-	return a.CreateShardedConsistencyGroupSized(id, vols, shards, 0)
+// shardJournalID names one shard's backing journal volume. Shard 0 carries
+// the group's own ID — shard IDs are labels, not structure.
+func shardJournalID(id string, shard int) string {
+	if shard == 0 {
+		return id
+	}
+	return id + "#s" + strconv.Itoa(shard)
 }
 
-// CreateShardedConsistencyGroupSized is CreateShardedConsistencyGroup with
-// a per-shard capacity in bytes (0 = unlimited). When any shard's backlog
-// would exceed its capacity the WHOLE group overflows — all shards suspend
-// and every member volume starts change tracking — because a group with
-// some shards journaling and some not could never replay a consistent
-// cross-shard cut.
-func (a *Array) CreateShardedConsistencyGroupSized(id string, vols []VolumeID, shards int, capacityPerShard int) (*ShardedJournal, error) {
+// CreateConsistencyGroup provisions a consistency group — the array function
+// the replication plugin configures: a journal of shards shard journals
+// (1 is the paper's single shared journal), each bounded by capacityPerShard
+// bytes (0 = unlimited), with every listed volume attached to its
+// hash-placed shard. The group keeps vols as its membership; the caller must
+// not modify the slice afterwards.
+func (a *Array) CreateConsistencyGroup(id string, vols []VolumeID, shards, capacityPerShard int) (*ShardedJournal, error) {
 	if shards < 1 {
-		return nil, fmt.Errorf("storage: sharded journal %s: shards must be >= 1", id)
+		return nil, fmt.Errorf("storage: consistency group %s: shards must be >= 1", id)
 	}
 	if _, ok := a.sharded[id]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrJournalExists, id)
-	}
-	for k := 0; k < shards; k++ {
-		if _, ok := a.journals[shardJournalID(id, k)]; ok {
-			return nil, fmt.Errorf("%w: %s", ErrJournalExists, shardJournalID(id, k))
-		}
 	}
 	sj := &ShardedJournal{
 		env:              a.env,
 		array:            a,
 		id:               id,
-		byVol:            make(map[VolumeID]int, len(vols)),
+		shards:           make([]*Journal, shards),
+		members:          vols,
 		epoch:            1,
 		capacityPerShard: capacityPerShard,
 	}
-	for k := 0; k < shards; k++ {
-		j := newJournal(a.env, a, shardJournalID(id, k), capacityPerShard)
-		j.group = sj
-		a.journals[j.id] = j
-		sj.shards = append(sj.shards, j)
-	}
-	rollback := func() {
-		for _, v := range sj.members {
-			_ = a.DetachJournal(v)
+	for k := range sj.shards {
+		sid := shardJournalID(id, k)
+		if _, ok := a.journals[sid]; ok {
+			return nil, fmt.Errorf("%w: %s", ErrJournalExists, sid)
 		}
-		for _, j := range sj.shards {
-			delete(a.journals, j.id)
-		}
+		sj.shards[k] = newJournal(sj, sid)
 	}
-	for _, v := range vols {
-		k := ShardFor(v, shards)
-		if err := a.AttachJournal(v, shardJournalID(id, k)); err != nil {
-			rollback()
+	for i, m := range vols {
+		v, err := a.Volume(m)
+		if err == nil && v.journal != nil {
+			err = fmt.Errorf("%w: %s -> %s", ErrJournalAttached, m, v.journal.id)
+		}
+		if err != nil {
+			// Roll back so a failed call leaves no partial group.
+			for _, done := range vols[:i] {
+				a.volumes[done].journal = nil
+			}
 			return nil, err
 		}
-		sj.byVol[v] = k
-		sj.members = append(sj.members, v)
+		v.journal = sj.shards[ShardFor(m, shards)]
+	}
+	for _, j := range sj.shards {
+		a.journals[j.id] = j
 	}
 	a.sharded[id] = sj
 	return sj, nil
 }
 
-// ShardedJournal returns the sharded journal with the given ID.
+// ShardedJournal returns the consistency-group journal with the given ID.
 func (a *Array) ShardedJournal(id string) (*ShardedJournal, error) {
 	sj, ok := a.sharded[id]
 	if !ok {
@@ -148,90 +148,45 @@ func (a *Array) DeleteShardedJournal(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchJournal, id)
 	}
-	for _, j := range sj.shards {
-		if err := a.DeleteJournal(j.id); err != nil {
-			return err
+	for _, m := range sj.members {
+		if v, ok := a.volumes[m]; ok {
+			v.journal = nil
 		}
+	}
+	for _, j := range sj.shards {
+		delete(a.journals, j.id)
 	}
 	for _, j := range sj.retired {
-		if err := a.DeleteJournal(j.id); err != nil {
-			return err
-		}
+		delete(a.journals, j.id)
 	}
-	sj.retired = nil
+	sj.members, sj.retired = nil, nil
 	delete(a.sharded, id)
 	return nil
-}
-
-// ConvertToSharded wraps an existing plain consistency-group journal as a
-// single-shard sharded journal with the same ID, adopting its members and
-// pending backlog in place. The adopted shard keeps its identifier (no
-// "#s0" suffix — shard IDs are labels, not structure). Records already
-// pending carry epoch 0, which every sealed epoch exceeds, so a multi-lane
-// drain commits the pre-conversion backlog ahead of post-conversion epochs.
-// This is the entry point for live 1→N resharding of a group that started
-// on the paper's plain single-journal path.
-func (a *Array) ConvertToSharded(journalID string) (*ShardedJournal, error) {
-	j, ok := a.journals[journalID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchJournal, journalID)
-	}
-	if j.group != nil {
-		return nil, fmt.Errorf("storage: journal %s is already a shard of group %s", journalID, j.group.id)
-	}
-	if _, ok := a.sharded[journalID]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrJournalExists, journalID)
-	}
-	sj := &ShardedJournal{
-		env:              a.env,
-		array:            a,
-		id:               journalID,
-		shards:           []*Journal{j},
-		byVol:            make(map[VolumeID]int, len(j.members)),
-		epoch:            1,
-		capacityPerShard: j.capacityBytes,
-		overflowed:       j.overflowed,
-		overflows:        j.overflows,
-	}
-	for _, v := range j.members {
-		sj.byVol[v] = 0
-		sj.members = append(sj.members, v)
-	}
-	j.group = sj
-	a.sharded[journalID] = sj
-	return sj, nil
 }
 
 // ID returns the group journal identifier.
 func (sj *ShardedJournal) ID() string { return sj.id }
 
 // Shards returns the shard journals in shard-index order. The replication
-// engine runs one drain lane per entry.
-func (sj *ShardedJournal) Shards() []*Journal {
-	out := make([]*Journal, len(sj.shards))
-	copy(out, sj.shards)
-	return out
-}
+// engine runs one drain lane per entry. The slice is the journal's own:
+// callers must not modify it, and a Reshard replaces it.
+func (sj *ShardedJournal) Shards() []*Journal { return sj.shards }
 
 // ShardCount returns the number of shards.
 func (sj *ShardedJournal) ShardCount() int { return len(sj.shards) }
 
 // Members returns the attached volume IDs (the consistency-group
-// membership), in attach order across all shards.
-func (sj *ShardedJournal) Members() []VolumeID {
-	out := make([]VolumeID, len(sj.members))
-	copy(out, sj.members)
-	return out
-}
+// membership), in attach order across all shards. The slice is the journal's
+// own: callers must not modify it.
+func (sj *ShardedJournal) Members() []VolumeID { return sj.members }
 
 // ShardIndexOf returns the shard a member volume is placed on (-1 for
 // non-members).
 func (sj *ShardedJournal) ShardIndexOf(id VolumeID) int {
-	k, ok := sj.byVol[id]
-	if !ok {
+	if v, ok := sj.array.volumes[id]; !ok || v.journal == nil || v.journal.group != sj {
 		return -1
 	}
-	return k
+	return ShardFor(id, len(sj.shards))
 }
 
 // Epoch returns the current open epoch.
@@ -255,17 +210,6 @@ func (sj *ShardedJournal) Pending() int {
 		n += j.Pending()
 	}
 	return n
-}
-
-// ShardPending returns each shard's backlog record count in shard-index
-// order — the telemetry plane's per-shard backlog probe reads this to
-// expose lane imbalance that the group-wide Pending() sum hides.
-func (sj *ShardedJournal) ShardPending() []int {
-	out := make([]int, len(sj.shards))
-	for k, j := range sj.shards {
-		out[k] = j.Pending()
-	}
-	return out
 }
 
 // PendingBytes returns the wire size of the backlog across all shards.
@@ -310,34 +254,38 @@ func (sj *ShardedJournal) CapacityPerShard() int { return sj.capacityPerShard }
 // immediately — same all-or-none rule as an append-time overflow.
 func (sj *ShardedJournal) SetCapacityPerShard(n int) {
 	sj.capacityPerShard = n
-	squeeze := false
+	if n <= 0 || sj.overflowed {
+		return
+	}
 	for _, j := range sj.shards {
-		j.capacityBytes = n
-		if n > 0 && j.PendingBytes() > n {
-			squeeze = true
+		if j.pendingBytes > n {
+			sj.overflow()
+			return
 		}
 	}
-	if squeeze && !sj.overflowed {
-		sj.overflow()
-	}
 }
 
-// ClearOverflow re-enables journaling on every shard after a resync.
-func (sj *ShardedJournal) ClearOverflow() {
-	sj.overflowed = false
-	for _, j := range sj.shards {
-		j.ClearOverflow()
-	}
-}
+// ClearOverflow re-enables journaling on every shard after a resync has
+// reconciled the target (see replication.Group.Resync).
+func (sj *ShardedJournal) ClearOverflow() { sj.setOverflowed(false) }
 
-// overflow fails the whole group closed: every shard suspends and starts
-// change tracking on its members, even if only one shard hit its capacity.
+// overflow fails the whole group closed — journaling stops on every shard
+// and every member starts change tracking, so a later resync can copy
+// exactly the delta — even if only one shard hit its capacity.
 func (sj *ShardedJournal) overflow() {
-	sj.overflowed = true
 	sj.overflows++
-	for _, j := range sj.shards {
-		if !j.overflowed {
-			j.overflowLocal()
+	sj.setOverflowed(true)
+}
+
+func (sj *ShardedJournal) setOverflowed(on bool) {
+	sj.overflowed = on
+	for _, id := range sj.members {
+		if v, ok := sj.array.volumes[id]; ok {
+			if on {
+				v.StartChangeTracking()
+			} else {
+				v.StopChangeTracking()
+			}
 		}
 	}
 }
@@ -402,10 +350,10 @@ func (sj *ShardedJournal) Reshard(newCount int) (ReshardStats, error) {
 		// (controller backoff) retries once the drain has made room.
 		dest := make([]int, newCount)
 		for k := 0; k < newCount && k < cur; k++ {
-			dest[k] = sj.shards[k].PendingBytes()
+			dest[k] = sj.shards[k].pendingBytes
 		}
 		for _, v := range sj.members {
-			oldIdx, newIdx := sj.byVol[v], ShardFor(v, newCount)
+			oldIdx, newIdx := ShardFor(v, cur), ShardFor(v, newCount)
 			if oldIdx == newIdx {
 				continue
 			}
@@ -423,34 +371,29 @@ func (sj *ShardedJournal) Reshard(newCount int) (ReshardStats, error) {
 		}
 	}
 	stats.BarrierEpoch = sj.SealEpoch()
+	// A fresh slice, never an in-place append or truncation: Shards() hands
+	// the old one out.
+	shards := make([]*Journal, max(cur, newCount))
+	copy(shards, sj.shards)
 	for k := cur; k < newCount; k++ {
-		j := newJournal(a.env, a, shardJournalID(sj.id, k), sj.capacityPerShard)
-		j.group = sj
-		a.journals[j.id] = j
-		sj.shards = append(sj.shards, j)
+		shards[k] = newJournal(sj, shardJournalID(sj.id, k))
+		a.journals[shards[k].id] = shards[k]
 	}
 	for _, v := range sj.members {
-		oldIdx := sj.byVol[v]
-		newIdx := ShardFor(v, newCount)
+		oldIdx, newIdx := ShardFor(v, cur), ShardFor(v, newCount)
 		if oldIdx == newIdx {
 			continue
 		}
-		moved := sj.shards[oldIdx].takeVolume(v)
-		if err := a.DetachJournal(v); err != nil {
-			return stats, err
-		}
-		if err := a.AttachJournal(v, sj.shards[newIdx].id); err != nil {
-			return stats, err
-		}
-		sj.shards[newIdx].mergeIn(moved)
-		sj.byVol[v] = newIdx
+		moved := shards[oldIdx].takeVolume(v)
+		a.volumes[v].journal = shards[newIdx]
+		shards[newIdx].mergeIn(moved)
 		stats.MovedVolumes++
 		stats.MovedRecords += len(moved)
 	}
 	if newCount < cur {
-		sj.retired = append(sj.retired, sj.shards[newCount:]...)
-		sj.shards = sj.shards[:newCount]
+		sj.retired = append(sj.retired, shards[newCount:]...)
 	}
+	sj.shards = shards[:newCount:newCount]
 	sj.reshards++
 	sj.movedVolumes += int64(stats.MovedVolumes)
 	sj.movedRecords += int64(stats.MovedRecords)
@@ -466,13 +409,13 @@ func (sj *ShardedJournal) Retired() []*Journal {
 }
 
 // DecommissionRetired releases every retired shard journal that is fully
-// drained (no backlog, no members) back to the array, returning how many
+// drained (no backlog; migration moved its members off) back to the array, returning how many
 // were removed. The replication engine calls it once a retiring lane's last
 // staged records are committed; leftover backlog keeps a shard parked here.
 func (sj *ShardedJournal) DecommissionRetired() int {
 	kept := sj.retired[:0]
 	for _, j := range sj.retired {
-		if j.Pending() == 0 && len(j.members) == 0 {
+		if j.Pending() == 0 {
 			delete(sj.array.journals, j.id)
 		} else {
 			kept = append(kept, j)

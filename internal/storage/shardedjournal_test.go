@@ -4,11 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
 
-func shardedFixture(t *testing.T, shards, vols, capacityPerShard int) (*sim.Env, *Array, *ShardedJournal) {
+func shardedFixture(t testing.TB, shards, vols, capacityPerShard int) (*sim.Env, *Array, *ShardedJournal) {
 	t.Helper()
 	env := sim.NewEnv(1)
 	a := NewArray(env, "main", Config{})
@@ -19,7 +20,7 @@ func shardedFixture(t *testing.T, shards, vols, capacityPerShard int) (*sim.Env,
 			t.Fatal(err)
 		}
 	}
-	sj, err := a.CreateShardedConsistencyGroupSized("cg", ids, shards, capacityPerShard)
+	sj, err := a.CreateConsistencyGroup("cg", ids, shards, capacityPerShard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestShardPlacementIsStableHash(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sj, err := a.CreateShardedConsistencyGroup("cg", order, shards)
+		sj, err := a.CreateConsistencyGroup("cg", order, shards, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,18 +228,18 @@ func TestShardedGroupLifecycleGuards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := a.CreateShardedConsistencyGroup("cg", []VolumeID{"vol-00"}, 0); err == nil {
+	if _, err := a.CreateConsistencyGroup("cg", []VolumeID{"vol-00"}, 0, 0); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	sj, err := a.CreateShardedConsistencyGroup("cg", []VolumeID{"vol-00", "vol-01"}, 2)
+	sj, err := a.CreateConsistencyGroup("cg", []VolumeID{"vol-00", "vol-01"}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.CreateShardedConsistencyGroup("cg", []VolumeID{"vol-00"}, 2); !errors.Is(err, ErrJournalExists) {
+	if _, err := a.CreateConsistencyGroup("cg", []VolumeID{"vol-00"}, 2, 0); !errors.Is(err, ErrJournalExists) {
 		t.Fatalf("duplicate create: %v", err)
 	}
 	// Attaching an already-grouped volume elsewhere fails and rolls back.
-	if _, err := a.CreateShardedConsistencyGroup("cg2", []VolumeID{"vol-01"}, 2); !errors.Is(err, ErrJournalAttached) {
+	if _, err := a.CreateConsistencyGroup("cg2", []VolumeID{"vol-01"}, 2, 0); !errors.Is(err, ErrJournalAttached) {
 		t.Fatalf("re-attach: %v", err)
 	}
 	if _, err := a.ShardedJournal("cg2"); err == nil {
@@ -259,4 +260,97 @@ func TestShardedGroupLifecycleGuards(t *testing.T) {
 	if v.Journal() != nil {
 		t.Fatal("member still attached after group deletion")
 	}
+}
+
+// TestPendingBytesEqualsBacklogScan pins the running byte count every
+// capacity check reads: after each way the backlog can change — append,
+// take, reshard migration in both directions, overflow and its clearing —
+// every shard's PendingBytes equals the sum over its pending records.
+func TestPendingBytesEqualsBacklogScan(t *testing.T) {
+	env, a, sj := shardedFixture(t, 2, 8, 0)
+	reshard := func(n int) func() {
+		return func() {
+			if _, err := sj.Reshard(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	steps := []struct {
+		name string
+		do   func()
+	}{
+		{"append", func() { reshardWrite(t, env, a, sj, 40) }},
+		{"take", func() {
+			sj.Shards()[0].TryTake(3)
+			sj.Shards()[1].TryTakeInto(make([]Record, 0, 2), 2)
+		}},
+		{"grow 2->4 migrates", reshard(4)},
+		{"append after grow", func() { reshardWrite(t, env, a, sj, 24) }},
+		{"shrink 4->1 migrates", reshard(1)},
+		{"overflow", func() {
+			sj.SetCapacityPerShard(1)
+			if !sj.Overflowed() {
+				t.Fatal("squeeze did not overflow")
+			}
+			reshardWrite(t, env, a, sj, 8) // suspended: tracked, not journaled
+		}},
+		{"clear", func() {
+			sj.SetCapacityPerShard(0)
+			sj.ClearOverflow()
+			reshardWrite(t, env, a, sj, 8)
+		}},
+		{"drain", func() {
+			for sj.Shards()[0].TryTake(5) != nil {
+			}
+		}},
+	}
+	for _, st := range steps {
+		st.do()
+		total := 0
+		for _, j := range append(sj.Shards(), sj.Retired()...) {
+			scan := 0
+			for _, r := range j.pending {
+				scan += r.SizeBytes()
+			}
+			if j.PendingBytes() != scan {
+				t.Fatalf("after %s: shard %s PendingBytes = %d, backlog scan = %d", st.name, j.ID(), j.PendingBytes(), scan)
+			}
+			total += scan
+		}
+		if sj.PendingBytes() != total {
+			t.Fatalf("after %s: group PendingBytes = %d, want %d", st.name, sj.PendingBytes(), total)
+		}
+	}
+	if sj.PendingBytes() != 0 || sj.Pending() != 0 {
+		t.Fatalf("drained group still reports %d bytes / %d records", sj.PendingBytes(), sj.Pending())
+	}
+}
+
+// BenchmarkJournalAppendTake is the journal's layer benchmark: one journaled
+// block write (media + journal append) per op, drained in 64-record batches
+// into a reused scratch — the shape every replication lane runs.
+func BenchmarkJournalAppendTake(b *testing.B) {
+	env, a, sj := shardedFixture(b, 1, 1, 0)
+	v, _ := a.Volume(sj.Members()[0])
+	j := sj.Shards()[0]
+	buf := make([]byte, a.Config().BlockSize)
+	scratch := make([]Record, 0, 64)
+	done := 0
+	env.Process("load", func(p *sim.Proc) {
+		for {
+			if _, err := v.Write(p, int64(done%256), buf); err != nil {
+				b.Error(err)
+				return
+			}
+			if done++; done%64 == 0 {
+				scratch = j.TryTakeInto(scratch, 64)
+			}
+		}
+	})
+	perOp := a.Config().WriteLatency + a.Config().JournalLatency
+	advance := func(n int) { env.Run(env.Now() + time.Duration(n)*perOp) }
+	advance(256) // warm up: backlog and scratch at their working size
+	b.ReportAllocs()
+	b.ResetTimer()
+	advance(b.N)
 }

@@ -122,16 +122,22 @@ func TestWriteConsumesServiceTime(t *testing.T) {
 	}
 }
 
+// journalOn attaches vols to a fresh one-shard consistency group and returns
+// its journal.
+func journalOn(t *testing.T, a *Array, id string, vols ...VolumeID) *Journal {
+	t.Helper()
+	sj, err := a.CreateConsistencyGroup(id, vols, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sj.Shards()[0]
+}
+
 func TestJournaledWritePaysJournalLatency(t *testing.T) {
 	env := sim.NewEnv(1)
 	a := NewArray(env, "m", Config{WriteLatency: time.Millisecond, JournalLatency: 100 * time.Microsecond})
 	v, _ := a.CreateVolume("v", 10)
-	if _, err := a.CreateJournal("j"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.AttachJournal("v", "j"); err != nil {
-		t.Fatal(err)
-	}
+	journalOn(t, a, "j", "v")
 	env.Process("io", func(p *sim.Proc) { v.Write(p, 0, block(a, 1)) })
 	end := env.Run(0)
 	if end != 1100*time.Microsecond {
@@ -163,10 +169,7 @@ func TestConsistencyGroupSharesOneOrder(t *testing.T) {
 	env, a := newTestArray(t)
 	a.CreateVolume("sales", 10)
 	a.CreateVolume("stock", 10)
-	j, err := a.CreateConsistencyGroup("cg", []VolumeID{"sales", "stock"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := journalOn(t, a, "cg", "sales", "stock")
 	if m := j.Members(); len(m) != 2 {
 		t.Fatalf("members = %v", m)
 	}
@@ -198,7 +201,7 @@ func TestConsistencyGroupSharesOneOrder(t *testing.T) {
 func TestCreateConsistencyGroupRollsBackOnFailure(t *testing.T) {
 	_, a := newTestArray(t)
 	a.CreateVolume("a", 10)
-	if _, err := a.CreateConsistencyGroup("cg", []VolumeID{"a", "missing"}); err == nil {
+	if _, err := a.CreateConsistencyGroup("cg", []VolumeID{"a", "missing"}, 1, 0); err == nil {
 		t.Fatal("expected failure")
 	}
 	v, _ := a.Volume("a")
@@ -210,34 +213,27 @@ func TestCreateConsistencyGroupRollsBackOnFailure(t *testing.T) {
 	}
 }
 
-func TestAttachJournalTwiceFails(t *testing.T) {
+func TestVolumeJoinsOneGroupAtATime(t *testing.T) {
 	_, a := newTestArray(t)
 	a.CreateVolume("v", 10)
-	a.CreateJournal("j1")
-	a.CreateJournal("j2")
-	if err := a.AttachJournal("v", "j1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.AttachJournal("v", "j2"); !errors.Is(err, ErrJournalAttached) {
+	journalOn(t, a, "j1", "v")
+	if _, err := a.CreateConsistencyGroup("j2", []VolumeID{"v"}, 1, 0); !errors.Is(err, ErrJournalAttached) {
 		t.Fatalf("double attach: %v", err)
 	}
-	if err := a.DetachJournal("v"); err != nil {
+	if err := a.DeleteShardedJournal("j1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AttachJournal("v", "j2"); err != nil {
-		t.Fatalf("attach after detach: %v", err)
-	}
+	journalOn(t, a, "j2", "v")
 }
 
 func TestDeleteVolumeGuardrails(t *testing.T) {
 	env, a := newTestArray(t)
 	a.CreateVolume("v", 10)
-	a.CreateJournal("j")
-	a.AttachJournal("v", "j")
+	journalOn(t, a, "j", "v")
 	if err := a.DeleteVolume("v"); err == nil {
 		t.Fatal("deleted journal-attached volume")
 	}
-	a.DetachJournal("v")
+	a.DeleteShardedJournal("j")
 	a.CreateSnapshot("s", "v")
 	if err := a.DeleteVolume("v"); err == nil {
 		t.Fatal("deleted snapped volume")
@@ -252,8 +248,7 @@ func TestDeleteVolumeGuardrails(t *testing.T) {
 func TestJournalTakeBlocksUntilAppend(t *testing.T) {
 	env, a := newTestArray(t)
 	v, _ := a.CreateVolume("v", 10)
-	j, _ := a.CreateJournal("j")
-	a.AttachJournal("v", "j")
+	j := journalOn(t, a, "j", "v")
 	var recs []Record
 	var takeAt time.Duration
 	env.Process("drain", func(p *sim.Proc) {
@@ -275,7 +270,7 @@ func TestJournalTakeBlocksUntilAppend(t *testing.T) {
 
 func TestJournalTakeTimeout(t *testing.T) {
 	env, a := newTestArray(t)
-	j, _ := a.CreateJournal("j")
+	j := journalOn(t, a, "j")
 	var recs []Record
 	var at time.Duration
 	env.Process("drain", func(p *sim.Proc) {
@@ -294,8 +289,7 @@ func TestJournalTakeTimeout(t *testing.T) {
 func TestJournalTakeMaxBatches(t *testing.T) {
 	env, a := newTestArray(t)
 	v, _ := a.CreateVolume("v", 100)
-	j, _ := a.CreateJournal("j")
-	a.AttachJournal("v", "j")
+	j := journalOn(t, a, "j", "v")
 	env.Process("io", func(p *sim.Proc) {
 		for i := int64(0); i < 10; i++ {
 			v.Write(p, i, block(a, byte(i)))
@@ -324,8 +318,7 @@ func TestJournalTakeMaxBatches(t *testing.T) {
 func TestJournalRPOBookkeeping(t *testing.T) {
 	env, a := newTestArray(t)
 	v, _ := a.CreateVolume("v", 10)
-	j, _ := a.CreateJournal("j")
-	a.AttachJournal("v", "j")
+	j := journalOn(t, a, "j", "v")
 	if _, ok := j.OldestPendingAck(); ok {
 		t.Fatal("empty journal reported an oldest ack")
 	}
@@ -441,8 +434,7 @@ func TestSnapshotGroupAtomicAndRollback(t *testing.T) {
 func TestApplyPathDoesNotJournal(t *testing.T) {
 	env, a := newTestArray(t)
 	v, _ := a.CreateVolume("v", 10)
-	j, _ := a.CreateJournal("j")
-	a.AttachJournal("v", "j")
+	j := journalOn(t, a, "j", "v")
 	env.Process("apply", func(p *sim.Proc) {
 		if err := v.Apply(p, 0, block(a, 9)); err != nil {
 			t.Error(err)
@@ -553,8 +545,8 @@ func TestUsageAndResidueTrackAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := a.CreateShardedConsistencyGroup("jnl-backup-shop-0",
-		[]VolumeID{"pvc-shop-sales", "pvc-shop-stock"}, 2); err != nil {
+	if _, err := a.CreateConsistencyGroup("jnl-backup-shop-0",
+		[]VolumeID{"pvc-shop-sales", "pvc-shop-stock"}, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	env.Process("write", func(p *sim.Proc) {

@@ -74,7 +74,8 @@ func (v *Volume) SizeBlocks() int64 { return v.sizeBlocks }
 // BlockSize returns the array's block size in bytes.
 func (v *Volume) BlockSize() int { return v.array.cfg.BlockSize }
 
-// Journal returns the attached journal, or nil when replication is off.
+// Journal returns the shard journal the volume's writes are logged to, or
+// nil when replication is off.
 func (v *Volume) Journal() *Journal { return v.journal }
 
 // SetReadOnly toggles write protection (used on backup-site volumes while
@@ -180,12 +181,12 @@ func (v *Volume) commit(p *sim.Proc, now time.Duration, block int64, data []byte
 	}
 	if v.journal != nil {
 		switch {
-		case v.journal.overflowed:
+		case v.journal.Overflowed():
 			// Pair suspended: the write is not journaled; change tracking
 			// (started at overflow) records it for the eventual resync.
-		case v.journal.capacityBytes > 0 &&
-			v.journal.PendingBytes()+len(buf)+recordHeaderBytes > v.journal.capacityBytes:
-			v.journal.overflow()
+		case v.journal.CapacityBytes() > 0 &&
+			v.journal.PendingBytes()+len(buf)+recordHeaderBytes > v.journal.CapacityBytes():
+			v.journal.group.overflow()
 			v.noteChange(block) // tracking started just now; cover this write
 		default:
 			ack.GroupSeq = v.journal.append(p, v.id, block, buf, ack.GlobalSeq, now)

@@ -211,7 +211,7 @@ func TestReadsDoNotJournal(t *testing.T) {
 	a := storage.NewArray(env, "m", storage.Config{})
 	a.CreateVolume("sales", 512)
 	a.CreateVolume("stock", 512)
-	j, _ := a.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"})
+	j, _ := a.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"}, 1, 0)
 	sv, _ := a.Volume("sales")
 	kv, _ := a.Volume("stock")
 	env.Process("t", func(p *sim.Proc) {

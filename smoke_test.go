@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -85,5 +86,40 @@ func TestSmokeQuickstartDeterministic(t *testing.T) {
 		if !strings.Contains(string(out1), want) {
 			t.Fatalf("quickstart output missing %q:\n%s", want, out1)
 		}
+	}
+}
+
+// TestSmokeExperimentsRejectsUnknownRunID pins the -run contract of
+// cmd/experiments: a typo'd id is refused with exit status 2 and the valid
+// range, before any experiment runs — never a silent, empty success.
+func TestSmokeExperimentsRejectsUnknownRunID(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "experiments")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/experiments")
+	build.Dir = repoRoot(t)
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build experiments: %v\n%s", err, out)
+	}
+	for _, run := range []string{"e99", "e1,e77", "e0", "1", "e+1", ""} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, "-run", run, "-quick")
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-run %q: err = %v, want exit status 2", run, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-run %q printed tables before refusing:\n%s", run, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "e1..e18") {
+			t.Errorf("-run %q: stderr does not name the valid ids: %q", run, stderr.String())
+		}
+	}
+	out, err := exec.Command(bin, "-run", " E2 ", "-quick").Output()
+	if err != nil || !strings.Contains(string(out), "== E2:") {
+		t.Errorf("-run E2 (case and spaces tolerated): err=%v out=%q", err, out)
 	}
 }
