@@ -263,7 +263,7 @@ func NewSystem(cfg Config) *System {
 // Stop quiesces the system's background processes: every controller, every
 // running replication engine, and the fabric dispatchers. Call it (then
 // drain with Env.Run) when a run is complete and the system will be
-// discarded. Simulated processes are goroutines parked on events, so a
+// discarded. Simulated processes are coroutines parked on events, so a
 // system that is dropped without Stop leaks its whole process set — and a
 // benchmark iterating over fresh systems accumulates those leaks into
 // GC/scheduler cost that corrupts later measurements.
@@ -320,7 +320,7 @@ func (sys *System) openDB(p *sim.Proc, namespace, claim string) (*db.DB, error) 
 	if err != nil {
 		return nil, err
 	}
-	return db.Open(p, fmt.Sprintf("%s/%s", namespace, claim), vol, sys.Cfg.DB)
+	return db.Open(p, namespace+"/"+claim, vol, sys.Cfg.DB)
 }
 
 // EnableBackup performs demo step 1 (Fig. 3) declaratively: set Backup on

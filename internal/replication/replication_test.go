@@ -144,10 +144,12 @@ func TestSDCWritePaysRoundTrip(t *testing.T) {
 	sv := NewSyncVolume(r.sales, tv, r.links)
 	var ackAt time.Duration
 	r.env.Process("io", func(p *sim.Proc) {
-		if _, err := sv.Write(p, 0, fill(r.main, 7)); err != nil {
+		buf := fill(r.main, 7)
+		if _, err := sv.Write(p, 0, buf); err != nil {
 			t.Error(err)
 		}
 		ackAt = p.Now()
+		buf[0] = 9 // the host reuses its buffer; the twin adopted a copy, not this
 	})
 	r.env.Run(0)
 	if ackAt < 100*time.Millisecond {

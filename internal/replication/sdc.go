@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"time"
 
 	"repro/internal/fabric"
@@ -58,7 +59,8 @@ func (sv *SyncVolume) Write(p *sim.Proc, block int64, data []byte) (storage.Ack,
 	}
 	start := p.Now()
 	sv.forward.Transfer(p, len(data)+64)
-	if err := sv.target.Apply(p, block, data); err != nil {
+	// Apply adopts the slice it is given and data stays the host's: mirror a copy.
+	if err := sv.target.Apply(p, block, bytes.Clone(data)); err != nil {
 		return storage.Ack{}, err
 	}
 	sv.reverse.Transfer(p, 64) // ack frame

@@ -189,6 +189,27 @@ func TestRenewKeepsAFiringSomeoneStillHasToObserve(t *testing.T) {
 	}
 }
 
+// spawnOne starts a process and runs it to completion: the whole per-process
+// cost (Proc, coroutine, first resume, Done trigger) and nothing else.
+func spawnOne(env *Env) {
+	env.Process("p", func(*Proc) {})
+	env.Run(0)
+}
+
+// perProcessAllocs is what spawnOne allocates: the Proc, the closure around
+// the process function, and the eleven objects iter.Pull sets up around a
+// coroutine. Blocking stays free, so this is the kernel's whole allocation
+// budget per process; a change that lowers it ratchets the pin.
+const perProcessAllocs = 13
+
+func TestProcessStartAllocationBudget(t *testing.T) {
+	env := NewEnv(1)
+	spawnOne(env) // grow the slab
+	if n := testing.AllocsPerRun(100, func() { spawnOne(env) }); n != perProcessAllocs {
+		t.Fatalf("Process + run to completion allocates %v times, pinned at %d", n, perProcessAllocs)
+	}
+}
+
 func benchSteady(b *testing.B, setup func(*Env)) {
 	env := NewEnv(1)
 	setup(env)
@@ -205,3 +226,37 @@ func BenchmarkResourceContended(b *testing.B) { benchSteady(b, contendedResource
 
 // BenchmarkChanPutGet: one op is one Put waking a consumer blocked in Get.
 func BenchmarkChanPutGet(b *testing.B) { benchSteady(b, chanPutGet) }
+
+// BenchmarkHandoff: one op is one handoff — a process resumed from a Sleep
+// and run until it blocks in the next one (one heap push and pop around it).
+func BenchmarkHandoff(b *testing.B) { benchSteady(b, sleepLoop) }
+
+// BenchmarkHandoffPingPong: one op is two handoffs between two processes
+// over an Event — the trigger resumed from its Sleep through the heap, the
+// waiter it wakes resumed through the same-instant FIFO.
+func BenchmarkHandoffPingPong(b *testing.B) { benchSteady(b, waitTriggerLoop) }
+
+// BenchmarkInlineStep: one op is one inline step — a function the scheduler
+// runs itself, re-arming one virtual nanosecond ahead — the no-handoff tier
+// BenchmarkHandoff is to be read against.
+func BenchmarkInlineStep(b *testing.B) {
+	env := NewEnv(1)
+	var tick func()
+	tick = func() { env.After(time.Nanosecond, tick) }
+	tick()
+	env.Run(stepsPerRun * time.Nanosecond) // warm up
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run(env.Now() + time.Duration(b.N)*time.Nanosecond)
+}
+
+// BenchmarkSpawn: one op is one process started and run to completion.
+func BenchmarkSpawn(b *testing.B) {
+	env := NewEnv(1)
+	spawnOne(env)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spawnOne(env)
+	}
+}

@@ -2,22 +2,23 @@
 //
 // All components of the backup system (storage arrays, network links,
 // databases, workloads) execute as simulated processes on a shared virtual
-// clock. Processes are ordinary goroutines that cooperate with the scheduler:
-// in the sequential scheduler exactly one process runs at a time, and time
-// advances only when every process is blocked in Sleep or Wait. Given a fixed
-// RNG seed, runs are fully reproducible, which is what lets the experiment
-// harness regenerate the paper's figures deterministically.
+// clock. Processes are iter.Pull coroutines that cooperate with the
+// scheduler: in the sequential scheduler exactly one process runs at a time,
+// and time advances only when every process is blocked in Sleep or Wait.
+// Given a fixed RNG seed, runs are fully reproducible, which is what lets the
+// experiment harness regenerate the paper's figures deterministically.
 //
 // The kernel has a two-tier step model. Ordinary steps resume a process
-// goroutine (one resume+yield channel round trip — a "handoff"); inline
-// steps (Env.Immediate, Env.After, Proc.Do) run a plain function on the
-// scheduler goroutine with no handoff at all, which is what makes
-// zero-duration bookkeeping work (apply a replicated record, requeue a
-// controller key) nearly free. RunParallel additionally executes runs of
-// same-instant steps whose processes belong to pairwise-distinct domains
-// concurrently on a bounded worker pool, committing their kernel effects in
-// step order afterwards so the (at, seq) total order — and therefore every
-// simulation outcome — is byte-identical to the sequential scheduler's.
+// coroutine (a "handoff": the runtime switches to it and back directly, with
+// no channel and no scheduler wake-up); inline steps (Env.Immediate,
+// Env.After, Proc.Do) run a plain function on the scheduler goroutine with
+// no handoff at all, which is what makes zero-duration bookkeeping work
+// (apply a replicated record, requeue a controller key) nearly free.
+// RunParallel additionally executes runs of same-instant steps whose
+// processes belong to pairwise-distinct domains concurrently on up to
+// `workers` goroutines, committing their kernel effects in step order
+// afterwards so the (at, seq) total order — and therefore every simulation
+// outcome — is byte-identical to the sequential scheduler's.
 package sim
 
 import (
@@ -53,19 +54,22 @@ type Env struct {
 	free      []int32     // recycled slab indexes
 	seq       int64       // tiebreaker for events at the same timestamp
 	rng       *rand.Rand
-	yield     chan struct{} // signalled by a process when it blocks or exits
 	running   bool
 	blocked   atomic.Int64 // processes waiting on an untriggered Event
 	procs     atomic.Int64 // live (started, unfinished) processes
 
 	// Parallel-round state (RunParallel). inRound is true while a round's
 	// processes execute concurrently; allocMu serializes their slab
-	// allocations; held parks the entry that terminated round collection.
+	// allocations; held parks the entry that ended round collection; roundNext
+	// counts the roundProcs taken so far by the round's roundWG workers.
 	inRound    bool
 	allocMu    sync.Mutex
 	held       entryRef
 	round      []entryRef
 	roundProcs []*Proc
+	roundNext  atomic.Int64
+	roundWG    sync.WaitGroup
+	roundPanic atomic.Pointer[any]
 	segs       []stepSeg
 	domSeen    map[int]int64
 	domEpoch   int64
@@ -80,9 +84,9 @@ type Env struct {
 }
 
 // statCounters is the internal, partly-atomic form of Stats. Fields mutated
-// only by the scheduler goroutine (or under the handoff protocol's
-// happens-before chain) are plain; InlineSteps is atomic because Proc.Do
-// runs on process goroutines that execute concurrently during rounds.
+// only by the scheduler goroutine (or by the one process it has switched
+// to) are plain; InlineSteps is atomic because Proc.Do runs in processes
+// that execute concurrently during rounds.
 type statCounters struct {
 	heapPushes     int64
 	fifoBypasses   int64
@@ -95,12 +99,12 @@ type statCounters struct {
 
 // Stats is a snapshot of the kernel's scheduling counters — the measured
 // form of the execution-model claims (how many steps the heap actually
-// ordered, how many bypassed it, how many avoided a goroutine handoff
+// ordered, how many bypassed it, how many avoided a process handoff
 // entirely, how much ran in parallel rounds).
 type Stats struct {
 	HeapPushes     int64 // entries ordered through the binary heap
 	FifoBypasses   int64 // same-instant entries that skipped the heap
-	Handoffs       int64 // process resumes (resume+yield channel round trips)
+	Handoffs       int64 // process resumes (coroutine switch in, switch back out)
 	InlineSteps    int64 // zero-duration steps run with no handoff
 	TimerCancels   int64 // timer entries removed from the heap eagerly
 	ParallelRounds int64 // rounds of same-instant steps run concurrently
@@ -168,7 +172,6 @@ func (e *Env) advanceTo(to time.Duration) {
 func NewEnv(seed int64) *Env {
 	return &Env{
 		rng:     rand.New(rand.NewSource(seed)),
-		yield:   make(chan struct{}),
 		slab:    make([]scheduled, 1), // slab[0] reserved so ref 0 means "none"
 		domSeen: make(map[int]int64),
 	}
@@ -233,8 +236,6 @@ func (e *Env) cancelEntry(id entryRef) {
 	}
 	ent.canceled = true
 }
-
-func (e *Env) schedule(p *Proc, at time.Duration) { e.scheduleEntry(p, at) }
 
 func (e *Env) scheduleEntry(p *Proc, at time.Duration) entryRef {
 	e.seq++
@@ -425,9 +426,6 @@ func (e *Env) Run(horizon time.Duration) time.Duration { return e.run(horizon, 1
 // simulation outcome — is identical to Run's. workers < 2 degenerates to
 // the sequential scheduler.
 func (e *Env) RunParallel(horizon time.Duration, workers int) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
 	return e.run(horizon, workers)
 }
 
@@ -482,7 +480,7 @@ func (e *Env) entryDomain(id entryRef) int {
 }
 
 // execOne runs a single step sequentially: copy out, recycle the slot, and
-// either run the inline function or hand off to the process goroutine.
+// either run the inline function or hand off to the process coroutine.
 func (e *Env) execOne(top entryRef) {
 	ent := e.slab[top]
 	e.freeEntry(top)
@@ -525,10 +523,10 @@ func (e *Env) collectRound(top entryRef, domain int) {
 	}
 }
 
-// execRound runs the collected round: dispatch up to workers steps at a
-// time, then commit each step's buffered kernel effects in step (= seq)
-// order, which reproduces exactly the seq assignments the sequential
-// scheduler would have made.
+// execRound runs the collected round: up to workers goroutines — this one
+// and short-lived helpers — resume its processes, then each step's buffered
+// kernel effects are committed in step (= seq) order, which reproduces
+// exactly the seq assignments the sequential scheduler would have made.
 func (e *Env) execRound(workers int) {
 	k := len(e.round)
 	if cap(e.roundProcs) < k {
@@ -536,51 +534,58 @@ func (e *Env) execRound(workers int) {
 		e.segs = make([]stepSeg, k*2)
 	}
 	e.roundProcs = e.roundProcs[:0]
-	for _, ref := range e.round {
+	for i, ref := range e.round {
 		ent := e.slab[ref]
 		if e.traceOn {
 			e.trace = append(e.trace, TraceEntry{At: ent.at, Seq: ent.seq})
 		}
+		e.segs[i].effs = e.segs[i].effs[:0]
+		ent.proc.seg = &e.segs[i]
 		e.roundProcs = append(e.roundProcs, ent.proc)
 		e.freeEntry(ref)
 	}
-	for i, p := range e.roundProcs {
-		seg := &e.segs[i]
-		seg.effs = seg.effs[:0]
-		p.seg = seg
-	}
 	e.inRound = true
-	next, inflight := 0, 0
-	for next < k && inflight < workers {
-		e.stats.handoffs++
-		e.roundProcs[next].resume <- struct{}{}
-		next++
-		inflight++
+	e.roundNext.Store(0)
+	n := min(workers, k)
+	e.roundWG.Add(n)
+	for i := 1; i < n; i++ {
+		go e.resumeRound()
 	}
-	for done := 0; done < k; done++ {
-		<-e.yield
-		if next < k {
-			e.stats.handoffs++
-			e.roundProcs[next].resume <- struct{}{}
-			next++
-		}
-	}
+	e.resumeRound()
+	e.roundWG.Wait()
 	e.inRound = false
-	for _, p := range e.roundProcs {
-		p.seg = nil
+	if r := e.roundPanic.Swap(nil); r != nil {
+		panic(*r)
 	}
-	for i := 0; i < k; i++ {
+	for i, p := range e.roundProcs {
+		p.seg = nil
 		e.commitSeg(&e.segs[i])
 	}
+	e.stats.handoffs += int64(k)
 	e.stats.parallelRounds++
 	e.stats.parallelSteps += int64(k)
 }
 
-// step resumes one process and waits for it to block or finish.
+// resumeRound is one round worker: it resumes whichever of the round's
+// processes no worker has taken yet (a coroutine may be resumed from any
+// goroutine, never two at once). A process's panic is kept for execRound to
+// re-raise where a sequential step's surfaces.
+func (e *Env) resumeRound() {
+	defer func() {
+		if r := recover(); r != nil {
+			e.roundPanic.CompareAndSwap(nil, &r)
+		}
+		e.roundWG.Done()
+	}()
+	for i := e.roundNext.Add(1); int(i) <= len(e.roundProcs); i = e.roundNext.Add(1) {
+		e.roundProcs[i-1].next()
+	}
+}
+
+// step runs one process until it blocks or finishes; its panic is Run's.
 func (e *Env) step(p *Proc) {
 	e.stats.handoffs++
-	p.resume <- struct{}{}
-	<-e.yield
+	p.next()
 }
 
 // effect is one deferred kernel mutation recorded by a round step. A

@@ -112,7 +112,11 @@ func TestProcDoCountsInlineWork(t *testing.T) {
 // buildRandomWorld wires a randomized multi-domain workload: nDomains
 // domain processes doing random sleeps and cross-waking a same-domain
 // helper through attributed triggers, plus a shared domain-0 collector the
-// domains signal through a channel-like event handshake. Every observable
+// domains signal through a channel-like event handshake. Helpers finish
+// inside rounds. A domain that has left its rounds spawns a tail process
+// that joins the domain; all tails fall due at the same instant, so they
+// share one round as wide as the world, and each triggers its (by then
+// domain-0) parent and finishes inside it. Every observable
 // (per-domain logs, collector log, finish times) is returned for
 // equivalence checking.
 func buildRandomWorld(env *Env, seed int64, nDomains, steps int) (logs [][]string, collected *[]string) {
@@ -149,6 +153,14 @@ func buildRandomWorld(env *Env, seed int64, nDomains, steps int) (logs [][]strin
 			p.SetDomain(0)
 			p.Sleep(0) // step boundary: the next step runs outside the round
 			*collector = append(*collector, fmt.Sprintf("d%d@%v", d, p.Now()))
+			tailDone := env.NewEvent()
+			env.Process(fmt.Sprintf("tail%d", d), func(q *Proc) {
+				q.SetDomain(d + 1)
+				q.Sleep(time.Second - q.Now()) // every random walk ends well before 1s
+				logs[d] = append(logs[d], fmt.Sprintf("tail@%v", q.Now()))
+				q.Trigger(tailDone)
+			})
+			p.Wait(tailDone)
 			if finished.Add(1) == int64(nDomains) {
 				p.Trigger(done)
 			}
@@ -162,8 +174,11 @@ func buildRandomWorld(env *Env, seed int64, nDomains, steps int) (logs [][]strin
 }
 
 // TestParallelSchedulerMatchesSequential is the kernel-level golden-trace
-// test: 100 random seeds, each world run under Run and RunParallel, with
-// byte-identical (at, seq) traces and identical observable outcomes.
+// test: 100 random seeds, each world run under Run and under RunParallel
+// with fewer workers than domains (2) and with 4, with byte-identical
+// (at, seq) traces and identical observable outcomes. Under -race it is
+// also what checks that resuming one coroutine from different goroutines,
+// round after round, orders every access to the process's state.
 func TestParallelSchedulerMatchesSequential(t *testing.T) {
 	for seed := int64(1); seed <= 100; seed++ {
 		nDomains := 2 + int(seed%7)
@@ -174,32 +189,34 @@ func TestParallelSchedulerMatchesSequential(t *testing.T) {
 		seqLogs, seqCol := buildRandomWorld(seqEnv, seed, nDomains, steps)
 		seqEnd := seqEnv.Run(0)
 
-		parEnv := NewEnv(seed)
-		parEnv.StartTrace()
-		parLogs, parCol := buildRandomWorld(parEnv, seed, nDomains, steps)
-		parEnd := parEnv.RunParallel(0, 4)
+		for _, workers := range []int{2, 4} {
+			parEnv := NewEnv(seed)
+			parEnv.StartTrace()
+			parLogs, parCol := buildRandomWorld(parEnv, seed, nDomains, steps)
+			parEnd := parEnv.RunParallel(0, workers)
 
-		if seqEnd != parEnd {
-			t.Fatalf("seed %d: end time %v (seq) vs %v (par)", seed, seqEnd, parEnd)
-		}
-		st, pt := seqEnv.Trace(), parEnv.Trace()
-		if len(st) != len(pt) {
-			t.Fatalf("seed %d: trace length %d (seq) vs %d (par)", seed, len(st), len(pt))
-		}
-		for i := range st {
-			if st[i] != pt[i] {
-				t.Fatalf("seed %d: trace[%d] = %+v (seq) vs %+v (par)", seed, i, st[i], pt[i])
+			if seqEnd != parEnd {
+				t.Fatalf("seed %d workers %d: end time %v (seq) vs %v (par)", seed, workers, seqEnd, parEnd)
 			}
-		}
-		if fmt.Sprint(seqLogs) != fmt.Sprint(parLogs) {
-			t.Fatalf("seed %d: domain logs differ:\nseq: %v\npar: %v", seed, seqLogs, parLogs)
-		}
-		if fmt.Sprint(*seqCol) != fmt.Sprint(*parCol) {
-			t.Fatalf("seed %d: collector differs:\nseq: %v\npar: %v", seed, *seqCol, *parCol)
-		}
-		if seed == 1 {
-			if r := parEnv.Stats().ParallelRounds; r == 0 {
-				t.Fatalf("parallel run executed no rounds — the test exercises nothing")
+			st, pt := seqEnv.Trace(), parEnv.Trace()
+			if len(st) != len(pt) {
+				t.Fatalf("seed %d workers %d: trace length %d (seq) vs %d (par)", seed, workers, len(st), len(pt))
+			}
+			for i := range st {
+				if st[i] != pt[i] {
+					t.Fatalf("seed %d workers %d: trace[%d] = %+v (seq) vs %+v (par)", seed, workers, i, st[i], pt[i])
+				}
+			}
+			if fmt.Sprint(seqLogs) != fmt.Sprint(parLogs) {
+				t.Fatalf("seed %d workers %d: domain logs differ:\nseq: %v\npar: %v", seed, workers, seqLogs, parLogs)
+			}
+			if fmt.Sprint(*seqCol) != fmt.Sprint(*parCol) {
+				t.Fatalf("seed %d workers %d: collector differs:\nseq: %v\npar: %v", seed, workers, *seqCol, *parCol)
+			}
+			// Seed 1 has three domains: its rounds must form, and one must
+			// hold all three (more steps than two per round).
+			if st := parEnv.Stats(); seed == 1 && st.ParallelSteps <= 2*st.ParallelRounds {
+				t.Fatalf("workers %d: %d rounds, %d steps — no round of three domains formed", workers, st.ParallelRounds, st.ParallelSteps)
 			}
 		}
 	}

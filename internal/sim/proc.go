@@ -1,16 +1,22 @@
 package sim
 
-import "time"
+import (
+	"iter"
+	"time"
+)
 
-// Proc is a simulated process: a goroutine that advances only when the
-// scheduler resumes it. Inside the process function, call Sleep and Wait to
-// let virtual time pass; both must be called from the process's own
-// goroutine.
+// Proc is a simulated process: an iter.Pull coroutine that advances only
+// when the scheduler resumes it. Inside the process function, call Sleep and
+// Wait to let virtual time pass; both must be called from the process
+// function itself, never from another goroutine.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	done   bool
+	env  *Env
+	name string
+	// next runs the coroutine to its next block (or its end); yield, set on
+	// its first run, switches back to whoever called next — any goroutine.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	done  bool
 	// domain is the process's parallel-execution domain. Steps of processes
 	// in pairwise-distinct non-zero domains that fall due at the same
 	// instant may run concurrently under RunParallel; domain 0 (the
@@ -40,17 +46,6 @@ type Proc struct {
 	doneEv Event
 }
 
-func (e *Env) newProc(name string) *Proc {
-	p := &Proc{
-		env:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		doneEv: Event{env: e},
-	}
-	p.Done = &p.doneEv
-	return p
-}
-
 func (e *Env) startProc(p *Proc, at time.Duration, fn func(p *Proc)) {
 	if e.inRound {
 		// The initial schedule cannot be attributed to the spawning step, so
@@ -58,31 +53,26 @@ func (e *Env) startProc(p *Proc, at time.Duration, fn func(p *Proc)) {
 		panic("sim: Process/ProcessAt called during a parallel round")
 	}
 	e.procs.Add(1)
-	go func() {
-		<-p.resume
+	// stop is never called: a process ends by returning, and a simulation
+	// abandoned with processes still blocked leaves those parked.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		fn(p)
 		p.done = true
 		e.procs.Add(-1)
 		p.Trigger(p.Done)
-		e.yield <- struct{}{}
-	}()
-	if at < e.now {
-		at = e.now
-	}
-	e.schedule(p, at)
+	})
+	e.scheduleEntry(p, max(at, e.now))
 }
 
 // Process starts fn as a new simulated process scheduled to begin at the
 // current virtual time. The name is used in diagnostics only.
-func (e *Env) Process(name string, fn func(p *Proc)) *Proc {
-	p := e.newProc(name)
-	e.startProc(p, e.now, fn)
-	return p
-}
+func (e *Env) Process(name string, fn func(p *Proc)) *Proc { return e.ProcessAt(name, e.now, fn) }
 
 // ProcessAt is Process but with the first resumption delayed until time at.
 func (e *Env) ProcessAt(name string, at time.Duration, fn func(p *Proc)) *Proc {
-	p := e.newProc(name)
+	p := &Proc{env: e, name: name, doneEv: Event{env: e}}
+	p.Done = &p.doneEv
 	e.startProc(p, at, fn)
 	return p
 }
@@ -149,11 +139,8 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.block()
 }
 
-// block yields control to the scheduler and waits to be resumed.
-func (p *Proc) block() {
-	p.env.yield <- struct{}{}
-	<-p.resume
-}
+// block switches back to the scheduler and returns when it resumes p.
+func (p *Proc) block() { p.yield(struct{}{}) }
 
 // park blocks the process on the events it has registered with (or on a
 // Resource queue) until a trigger, a handoff or its timer resumes it.

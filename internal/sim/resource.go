@@ -46,7 +46,7 @@ func (r *Resource) Release() {
 		if r.env.inRound {
 			panic("sim: Resource.Release with waiters during a parallel round")
 		}
-		r.env.schedule(next, r.env.now) // unit stays in use, transferred to the waiter
+		r.env.scheduleEntry(next, r.env.now) // unit stays in use, transferred to the waiter
 		return
 	}
 	r.inUse--

@@ -405,3 +405,28 @@ func TestSameInstantChainDrainsBeforeTimeAdvances(t *testing.T) {
 		t.Fatalf("env not idle after run: %v", env)
 	}
 }
+
+// A panic inside a process surfaces from Run on the caller's goroutine with
+// the process's own panic value, whether the step ran alone or in a round.
+func TestProcessPanicSurfacesFromRun(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		env := NewEnv(1)
+		for d := 1; d <= 3; d++ {
+			env.Process("p", func(p *Proc) {
+				p.SetDomain(d)
+				p.Sleep(time.Millisecond)
+				if d == 2 {
+					panic("boom")
+				}
+			})
+		}
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			env.RunParallel(0, workers)
+			return nil
+		}()
+		if got != "boom" {
+			t.Fatalf("workers %d: Run panicked with %v, want the process's \"boom\"", workers, got)
+		}
+	}
+}

@@ -138,3 +138,60 @@ func TestBorrowedBlocksSurviveApplyPaths(t *testing.T) {
 	})
 	env.Run(time.Second)
 }
+
+// InstallDelta adopts the journal record's Data, which is the primary's
+// stored block: after the install both sites hold one slice. Overwriting the
+// block at either site must install a fresh slice and leave every other
+// holder — the other site, the record, a backup-side snapshot — its bytes.
+func TestAdoptedRecordBlockIsNeverWrittenInto(t *testing.T) {
+	env := sim.NewEnv(1)
+	main := NewArray(env, "main", Config{})
+	backup := NewArray(env, "backup", Config{})
+	pv, _ := main.CreateVolume("v", 4)
+	bv, _ := backup.CreateVolume("v", 4)
+	j := journalOn(t, main, "cg", "v")
+	env.Process("driver", func(p *sim.Proc) {
+		if _, err := pv.Write(p, 0, block(main, 0x01)); err != nil {
+			t.Error(err)
+			return
+		}
+		rec := j.Take(p, 1)[0]
+		if err := bv.InstallDelta(rec.Block, rec.Data); err != nil {
+			t.Error(err)
+			return
+		}
+		if &bv.blocks[0][0] != &pv.blocks[0][0] {
+			t.Error("InstallDelta copied the record's block; the hand-over rule is not exercised")
+		}
+		snap, err := backup.CreateSnapshot("s", "v")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		pv.Write(p, 0, block(main, 0x02)) // primary overwrites: backup, record, snapshot keep 01
+		for name, got := range map[string][]byte{"backup": bv.Peek(0), "record": rec.Data, "snapshot": snap.Peek(0)} {
+			if !bytes.Equal(got, block(main, 0x01)) {
+				t.Errorf("%s reads %x after the primary's overwrite, want 01", name, got[0])
+			}
+		}
+		next := j.Take(p, 1)[0]
+		bv.InstallDelta(next.Block, next.Data) // backup overwrites under its snapshot
+		bv.Apply(p, 0, block(backup, 0x03))    // and again through the timed path
+		pv.Write(p, 0, block(main, 0x04))
+		for name, tc := range map[string]struct {
+			got  []byte
+			want byte
+		}{
+			"snapshot":      {snap.Peek(0), 0x01},
+			"first record":  {rec.Data, 0x01},
+			"second record": {next.Data, 0x02},
+			"backup":        {bv.Peek(0), 0x03},
+			"primary":       {pv.Peek(0), 0x04},
+		} {
+			if !bytes.Equal(tc.got, block(main, tc.want)) {
+				t.Errorf("%s reads %x, want %02x", name, tc.got[0], tc.want)
+			}
+		}
+	})
+	env.Run(time.Second)
+}

@@ -206,7 +206,7 @@ func (a *Array) CreateSnapshotGroup(name string, vols []VolumeID) (*SnapshotGrou
 	}
 	g := &SnapshotGroup{name: name, takenAt: a.env.Now()}
 	for _, vol := range vols {
-		id := fmt.Sprintf("%s/%s", name, vol)
+		id := name + "/" + string(vol)
 		s, err := a.CreateSnapshot(id, vol)
 		if err != nil {
 			for _, done := range g.snaps {

@@ -110,11 +110,8 @@ func (v *Volume) Write(p *sim.Proc, block int64, data []byte) (Ack, error) {
 	if v.readOnly {
 		return Ack{}, fmt.Errorf("%w: %s", ErrReadOnly, v.id)
 	}
-	if block < 0 || block >= v.sizeBlocks {
-		return Ack{}, fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, block)
-	}
-	if len(data) != v.array.cfg.BlockSize {
-		return Ack{}, fmt.Errorf("%w: got %d want %d", ErrBadBlockSize, len(data), v.array.cfg.BlockSize)
+	if err := v.checkBlock(block, len(data)); err != nil {
+		return Ack{}, err
 	}
 	// One fused sleep: media plus (when journaled) journal staging. The ack
 	// time is identical to charging the two legs separately; fusing them
@@ -165,14 +162,10 @@ func (v *Volume) ackSeq() int64 {
 // the acking process — journal appends attribute their not-empty trigger to
 // it so the wakeup merges correctly under the parallel scheduler.
 func (v *Volume) commit(p *sim.Proc, now time.Duration, block int64, data []byte) Ack {
-	v.preserveForSnapshots(block)
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	v.blocks[block] = buf
-	v.noteChange(block)
-	v.writes++
-	v.array.writeOps.Add(1)
-	v.array.bytesWritten.Add(int64(len(data)))
+	v.install(block, buf)
+	v.countWrite(len(buf))
 	ack := Ack{
 		Volume:    v.id,
 		Block:     block,
@@ -265,21 +258,45 @@ func (v *Volume) copyBlock(block int64) []byte {
 // code paths must use Read.
 func (v *Volume) Peek(block int64) []byte { return v.copyBlock(block) }
 
-// Poke installs block contents without consuming time or journaling; the
-// replication initial-copy path and test fixtures use it. Snapshots still
-// observe the overwrite (COW fires) so backup-site snapshots stay correct.
-func (v *Volume) Poke(block int64, data []byte) error {
+// checkBlock validates a block index and a payload length against the volume.
+func (v *Volume) checkBlock(block int64, n int) error {
 	if block < 0 || block >= v.sizeBlocks {
 		return fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, block)
 	}
-	if len(data) != v.array.cfg.BlockSize {
-		return fmt.Errorf("%w: got %d want %d", ErrBadBlockSize, len(data), v.array.cfg.BlockSize)
+	if n != v.array.cfg.BlockSize {
+		return fmt.Errorf("%w: got %d want %d", ErrBadBlockSize, n, v.array.cfg.BlockSize)
 	}
+	return nil
+}
+
+// install makes buf the block's content — the slice itself, not a copy — after
+// letting snapshots keep the one it replaces. Stored slices are never written
+// into (every write installs a fresh one), so whoever hands buf over gives it
+// up: neither the caller nor anyone it shared buf with may modify it again.
+func (v *Volume) install(block int64, buf []byte) {
 	v.preserveForSnapshots(block)
-	buf := make([]byte, len(data))
-	copy(buf, data)
 	v.blocks[block] = buf
 	v.noteChange(block)
+}
+
+// countWrite adds one stored block of n bytes to the write counters.
+func (v *Volume) countWrite(n int) {
+	v.writes++
+	v.array.writeOps.Add(1)
+	v.array.bytesWritten.Add(int64(n))
+}
+
+// Poke installs a copy of data without consuming time or journaling; test
+// fixtures and the chaos harness use it, and keep their buffer. Snapshots
+// still observe the overwrite (COW fires) so backup-site snapshots stay
+// correct.
+func (v *Volume) Poke(block int64, data []byte) error {
+	if err := v.checkBlock(block, len(data)); err != nil {
+		return err
+	}
+	buf := make([]byte, len(data))
+	copy(buf, data)
+	v.install(block, buf)
 	return nil
 }
 
@@ -287,37 +304,36 @@ func (v *Volume) Poke(block int64, data []byte) error {
 // No service time passes here — the engine charges the whole set's apply
 // time up front via Array.ApplyDeltaSet — but write accounting matches the
 // Apply path so backup-array counters see the traffic.
+//
+// The volume ADOPTS data; it does not copy it. A journal Record's Data is the
+// primary's stored block, so after the install both sites hold the same
+// immutable slice, and each keeps it when the other overwrites the block (an
+// overwrite installs a fresh slice; it never writes into the old one). The
+// caller must hand over a slice nobody will modify: a Record's Data, or a
+// copy of its own (Peek returns one).
 func (v *Volume) InstallDelta(block int64, data []byte) error {
-	if err := v.Poke(block, data); err != nil {
+	if err := v.checkBlock(block, len(data)); err != nil {
 		return err
 	}
-	v.writes++
-	v.array.writeOps.Add(1)
-	v.array.bytesWritten.Add(int64(len(data)))
+	v.install(block, data)
+	v.countWrite(len(data))
 	return nil
 }
 
 // Apply is the replication-target write path: it stores the block after the
 // media service time but never journals (targets do not re-replicate) and
 // ignores read-only protection (the replication engine owns the target).
+// Like InstallDelta it adopts data: a caller that goes on using its buffer
+// passes a copy.
 func (v *Volume) Apply(p *sim.Proc, block int64, data []byte) error {
-	if block < 0 || block >= v.sizeBlocks {
-		return fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, block)
-	}
-	if len(data) != v.array.cfg.BlockSize {
-		return fmt.Errorf("%w: got %d want %d", ErrBadBlockSize, len(data), v.array.cfg.BlockSize)
+	if err := v.checkBlock(block, len(data)); err != nil {
+		return err
 	}
 	v.acquireService(p)
 	p.Sleep(v.array.cfg.WriteLatency)
 	v.releaseService()
-	v.preserveForSnapshots(block)
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	v.blocks[block] = buf
-	v.noteChange(block)
-	v.writes++
-	v.array.writeOps.Add(1)
-	v.array.bytesWritten.Add(int64(len(data)))
+	v.install(block, data)
+	v.countWrite(len(data))
 	return nil
 }
 
