@@ -4,11 +4,22 @@
 #         format check, vet, build, full tests (plain and -race: the sim
 #         kernel and the fabric dispatchers move work across goroutines),
 #         and `bench-check`, the bench-regression gate: every experiment
-#         harness (E1-E17) runs at -benchtime 3x -benchmem and FAILS the
+#         harness (E1-E18) runs with -benchmem and FAILS the
 #         build if any harness's ns/op regressed more than 25%, or its
 #         allocs/op more than 5%, against the committed BENCH_baseline.json
 #         (allocation counts are deterministic, so their gate is narrow;
-#         B/op regressions warn; new benches are allowed and reported). `make bench-smoke` is the
+#         B/op regressions warn; new benches are allowed and reported).
+#         Harnesses run at -benchtime 3x, except the ones whose iteration
+#         is about 10 ms or less (BENCH_SHORT: E1, E2, E4, E5, E7, E8, E9,
+#         E14, E16), which run at 30x: since the coroutine kernel their
+#         3-iteration mean is a few ms of wall time, one GC cycle or a
+#         scheduler hiccup is a large part of it (E2/E9/E14 spread x1.9-2.2
+#         over 8 runs at 3x, x1.25-1.5 at 30x on the 2-vCPU box), and
+#         min-of-3 at 3x crossed the 25% gate in 2 of 6 runs of unchanged
+#         code; at 30x, 1 of 7, and that run had every short harness up
+#         30-45% at once (the host, not a harness — rerun). It costs ~5 s
+#         more per run; `baseline` runs the same two commands, so the
+#         comparison stays like-for-like. `make bench-smoke` is the
 #         cheaper 1x-iteration harness check when you only want "does it
 #         still run". `make telemetry-smoke` runs the E16 observability
 #         experiment end-to-end and writes its telemetry export
@@ -48,6 +59,14 @@ GO ?= go
 # Blocking ns/op regression threshold for bench-check (fraction over the
 # committed baseline).
 BENCH_THRESHOLD ?= 0.25
+# The ms-scale harnesses (see the header) and their fixed iteration count;
+# every other Benchmark in the root package, present or future, runs at 3x.
+BENCH_SHORT ?= E(1|2|4|5|7|8|9|14|16)_
+BENCH_SHORT_TIME ?= 30x
+BENCH_LONG = $(shell $(GO) test -list Benchmark . | grep '^Benchmark' | grep -Ev '$(BENCH_SHORT)' | paste -sd '|' -)
+# What bench-check and baseline both measure: min ns/op over -count 3.
+RUN_BENCHES = { $(GO) test -run '^$$' -bench '$(BENCH_LONG)' -benchtime 3x -benchmem -count 3 . && \
+	$(GO) test -run '^$$' -bench '$(BENCH_SHORT)' -benchtime $(BENCH_SHORT_TIME) -benchmem -count 3 . ; }
 
 .PHONY: ci fmt vet build test test-race tables-check bench-smoke bench-check baseline profile-fleet telemetry-smoke autopilot-smoke chaos-smoke chaos
 
@@ -89,7 +108,7 @@ bench-smoke:
 # The comparison is also written to bench-report.json — CI archives it as a
 # build artifact so regressions can be inspected without re-running.
 bench-check:
-	@$(GO) test -run '^$$' -bench . -benchtime 3x -benchmem -count 3 . > bench.out || \
+	@$(RUN_BENCHES) > bench.out || \
 		{ cat bench.out; rm -f bench.out; exit 1; }
 	@$(GO) run ./cmd/benchcheck -baseline BENCH_baseline.json -threshold $(BENCH_THRESHOLD) \
 		-json bench-report.json < bench.out; \
@@ -137,6 +156,5 @@ chaos:
 # aggregation — the exact same code path bench-check compares with — so the
 # recorded numbers are like-for-like by construction.
 baseline:
-	$(GO) test -run '^$$' -bench . -benchtime 3x -benchmem -count 3 . | \
-		$(GO) run ./cmd/benchcheck -update -baseline BENCH_baseline.json
+	$(RUN_BENCHES) | $(GO) run ./cmd/benchcheck -update -baseline BENCH_baseline.json
 	@cat BENCH_baseline.json

@@ -20,6 +20,7 @@
 package db
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -85,7 +86,6 @@ type DB struct {
 	encOffs    []int    // record end offsets in encBuf
 	encSlices  [][]byte // per-record views into encBuf
 	sizeBuf    []int    // per-record encoded sizes
-	probeBuf   []byte   // page copy for pre-commit room probing
 	blkScratch []byte   // block staging for WAL/superblock writes
 
 	// Stats.
@@ -200,17 +200,28 @@ func (d *DB) pageBlock(key uint64) int64 {
 	return d.dataBase + int64(key%uint64(d.dataPages))
 }
 
-// loadPage returns the cached page, reading it from the volume on miss.
+// loadPage returns the cached page, on a miss filling the cache with its own
+// copy of the block it read: reads are borrowed, and commits write into pages.
 func (d *DB) loadPage(p *sim.Proc, block int64) ([]byte, error) {
 	if pg, ok := d.pages[block]; ok {
 		return pg, nil
 	}
-	pg, err := d.vol.Read(p, block)
+	blk, err := d.vol.Read(p, block)
 	if err != nil {
 		return nil, err
 	}
+	pg := ownedPage(blk, d.blockSize)
 	d.pages[block] = pg
 	return pg, nil
+}
+
+// ownedPage returns a page the caller may write: a clone of the borrowed
+// block, or a zero page when the block was never written (nil).
+func ownedPage(blk []byte, blockSize int) []byte {
+	if blk == nil {
+		return make([]byte, blockSize)
+	}
+	return bytes.Clone(blk)
 }
 
 // Get returns the value for key and whether it exists.
@@ -236,34 +247,26 @@ func (d *DB) Scan(p *sim.Proc, fn func(Row) bool) error {
 	// fused range read instead of one random read per page. Cached (and in
 	// particular dirty) pages are kept. The range is borrowed from the volume
 	// and the page cache is written by commits, so pages entering the cache
-	// are copied — into one backing buffer for all of them.
-	if rr, ok := d.vol.(blockRangeReader); ok {
-		missing := false
-		for b := d.dataBase; b < d.dataBase+d.dataPages; b++ {
-			if _, ok := d.pages[b]; !ok {
-				missing = true
-				break
-			}
+	// are copied — into one backing buffer for all of them. The cache holds
+	// data pages only, so a short cache is a missing page.
+	if rr, ok := d.vol.(blockRangeReader); ok && int64(len(d.pages)) < d.dataPages {
+		blocks, err := rr.ReadRange(p, d.dataBase, int(d.dataPages))
+		if err != nil {
+			return err
 		}
-		if missing {
-			blocks, err := rr.ReadRange(p, d.dataBase, int(d.dataPages))
-			if err != nil {
-				return err
+		var backing []byte
+		for i, blk := range blocks {
+			b := d.dataBase + int64(i)
+			if _, ok := d.pages[b]; ok {
+				continue
 			}
-			var backing []byte
-			for i, blk := range blocks {
-				b := d.dataBase + int64(i)
-				if _, ok := d.pages[b]; ok {
-					continue
-				}
-				if len(backing) == 0 {
-					backing = make([]byte, (len(blocks)-i)*d.blockSize)
-				}
-				pg := backing[:d.blockSize:d.blockSize]
-				backing = backing[d.blockSize:]
-				copy(pg, blk) // nil = never written: the page stays zero
-				d.pages[b] = pg
+			if len(backing) == 0 {
+				backing = make([]byte, (len(blocks)-i)*d.blockSize)
 			}
+			pg := backing[:d.blockSize:d.blockSize]
+			backing = backing[d.blockSize:]
+			copy(pg, blk) // nil = never written: the page stays zero
+			d.pages[b] = pg
 		}
 	}
 	for b := d.dataBase; b < d.dataBase+d.dataPages; b++ {

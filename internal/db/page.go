@@ -36,23 +36,33 @@ type Row struct {
 
 func slotsPerPage(blockSize int) int { return blockSize / slotSize }
 
-// pageLookup scans a page for key; it returns the row (with its own copy of
-// the value) and true when found. A nil page (never written) holds no rows.
-func pageLookup(page []byte, key uint64) (Row, bool) {
-	n := slotsPerPage(len(page))
-	for i := 0; i < n; i++ {
-		off := i * slotSize
+// pageFind scans the page for key: the offset of its slot (-1 if absent),
+// and — when absent — the offset of the first free slot (-1 if none) and the
+// number of free slots. A nil page (never written) has no slots at all.
+func pageFind(page []byte, key uint64) (at, free, nfree int) {
+	free = -1
+	for off := 0; off+slotSize <= len(page); off += slotSize {
 		if page[off]&slotUsed == 0 {
-			continue
+			if free < 0 {
+				free = off
+			}
+			nfree++
+		} else if binary.LittleEndian.Uint64(page[off+1:off+9]) == key {
+			return off, free, nfree
 		}
-		if binary.LittleEndian.Uint64(page[off+1:off+9]) != key {
-			continue
-		}
-		row := slotRow(page, off)
-		row.Val = bytes.Clone(row.Val)
-		return row, true
 	}
-	return Row{}, false
+	return -1, free, nfree
+}
+
+// pageLookup returns key's row (Val is its own copy) and whether it exists.
+func pageLookup(page []byte, key uint64) (Row, bool) {
+	at, _, _ := pageFind(page, key)
+	if at < 0 {
+		return Row{}, false
+	}
+	row := slotRow(page, at)
+	row.Val = bytes.Clone(row.Val)
+	return row, true
 }
 
 // pageUpsert writes the row into its existing slot or the first free one.
@@ -63,25 +73,14 @@ func pageUpsert(page []byte, row Row) error {
 	if len(row.Val) > MaxValLen {
 		return fmt.Errorf("%w: %d > %d", ErrValTooLarge, len(row.Val), MaxValLen)
 	}
-	n := slotsPerPage(len(page))
-	free := -1
-	for i := 0; i < n; i++ {
-		off := i * slotSize
-		if page[off]&slotUsed == 0 {
-			if free < 0 {
-				free = off
-			}
-			continue
-		}
-		if binary.LittleEndian.Uint64(page[off+1:off+9]) == row.Key {
-			encodeSlot(page, off, row)
-			return nil
-		}
+	at, free, _ := pageFind(page, row.Key)
+	if at < 0 {
+		at = free
 	}
-	if free < 0 {
+	if at < 0 {
 		return fmt.Errorf("%w: key %d", ErrPageFull, row.Key)
 	}
-	encodeSlot(page, free, row)
+	encodeSlot(page, at, row)
 	return nil
 }
 

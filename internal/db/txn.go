@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/wal"
@@ -115,21 +116,29 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	// would corrupt the head-block state.
 	d.mu.Acquire(p)
 	defer d.mu.Release()
-	// Verify each update lands on a page with room, before logging anything.
-	// The probe buffer is reused across updates (and commits); each update is
-	// probed against a fresh copy of its clean page.
-	if d.probeBuf == nil {
-		d.probeBuf = make([]byte, d.blockSize)
-	}
+	// Verify every update has a slot before logging anything: a key already
+	// on its page rewrites its slot, an absent key needs a free one — after
+	// those the transaction's earlier absent keys on that page will take.
+	claims := make([]uint64, 0, 8) // absent keys granted a slot so far, distinct; stays on the stack
 	for _, u := range t.updates {
-		page, err := d.loadPage(p, d.pageBlock(u.Key))
+		block := d.pageBlock(u.Key)
+		page, err := d.loadPage(p, block)
 		if err != nil {
 			return err
 		}
-		copy(d.probeBuf, page)
-		if err := pageUpsert(d.probeBuf, u); err != nil {
-			return err
+		at, _, free := pageFind(page, u.Key)
+		if at >= 0 || slices.Contains(claims, u.Key) {
+			continue
 		}
+		for _, c := range claims {
+			if d.pageBlock(c) == block {
+				free--
+			}
+		}
+		if free <= 0 {
+			return fmt.Errorf("%w: key %d", ErrPageFull, u.Key)
+		}
+		claims = append(claims, u.Key)
 	}
 	// Size the log entries before encoding anything, so the fit check (and
 	// any checkpoint it forces) happens first and the records are encoded
@@ -165,9 +174,8 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	// The transaction is durable; apply to memory pages (no-force).
 	for _, u := range t.updates {
 		block := d.pageBlock(u.Key)
-		page := d.pages[block] // loaded above
-		if err := pageUpsert(page, u); err != nil {
-			// The probe above guaranteed room; this indicates a bug.
+		if err := pageUpsert(d.pages[block], u); err != nil { // loaded above
+			// The fit check above guaranteed room; this indicates a bug.
 			panic(fmt.Sprintf("db: %s: post-log upsert failed: %v", d.name, err))
 		}
 		d.dirty[block] = true

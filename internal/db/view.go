@@ -12,7 +12,9 @@ import (
 
 // BlockReader is the read-only volume interface. storage.Snapshot satisfies
 // it, which is how the data-analytics application (§IV-D) opens the
-// databases living on snapshot volumes without mutating them.
+// databases living on snapshot volumes without mutating them. A block read
+// is borrowed: nil for a never-written (all-zero) block, else possibly the
+// reader's own storage — never modified; clone it to write (ownedPage).
 type BlockReader interface {
 	Read(p *sim.Proc, block int64) ([]byte, error)
 	SizeBlocks() int64
@@ -22,9 +24,7 @@ type BlockReader interface {
 // blockRangeReader is the optional fused sequential-scan interface
 // (storage.Volume and storage.Snapshot implement it). The WAL replay reads
 // the whole log region through it in one scheduler step instead of one per
-// block. Ranges are sparse and borrowed: a nil block is a never-written
-// (all-zero) one, and a non-nil block may be the reader's own storage, so
-// it must not be modified — code that needs a page it can write copies it.
+// block. Ranges are borrowed block by block, exactly as BlockReader.Read is.
 type blockRangeReader interface {
 	ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error)
 }
@@ -59,7 +59,7 @@ type View struct {
 	walBase   int64
 	dataBase  int64
 	dataPages int64
-	overlay   map[int64][]byte // owned pages: replayed, or read one at a time
+	overlay   map[int64][]byte // replayed pages (owned clones) and pages read one at a time (borrowed)
 	image     [][]byte         // the data region once Scan preloaded it (borrowed; nil = zero page)
 	committed map[uint64]bool
 	recovered int
@@ -116,9 +116,16 @@ func OpenView(p *sim.Proc, name string, vol BlockReader, cfg Config) (*View, err
 		if r.Type != wal.TypeUpdate || !durable[r.TxID] {
 			continue
 		}
-		page, err := v.loadPage(p, v.pageBlock(r.Key))
-		if err != nil {
-			return nil, err
+		block := v.pageBlock(r.Key)
+		page, owned := v.overlay[block]
+		if !owned {
+			// The read is borrowed; the overlay must own what replay upserts into.
+			blk, err := vol.Read(p, block)
+			if err != nil {
+				return nil, err
+			}
+			page = ownedPage(blk, v.blockSize)
+			v.overlay[block] = page
 		}
 		if err := pageUpsert(page, Row{Key: r.Key, TxID: r.TxID, Val: r.Val}); err != nil {
 			return nil, fmt.Errorf("db: view %s: redo tx %d: %w", name, r.TxID, err)
@@ -135,9 +142,9 @@ func (v *View) pageBlock(key uint64) int64 {
 }
 
 // loadPage returns the page for reading: the overlay's if the replay touched
-// it, else the preloaded image's (nil for a never-written page, which holds
-// no rows), else a copy read from the volume and kept. OpenView upserts only
-// into pages loaded before any preload, all of which the overlay owns.
+// it or an earlier load read it, else the preloaded image's, else the block
+// read in place from the volume and remembered (nil for a never-written page,
+// which holds no rows). Nothing upserts after OpenView returns.
 func (v *View) loadPage(p *sim.Proc, block int64) ([]byte, error) {
 	if pg, ok := v.overlay[block]; ok {
 		return pg, nil

@@ -107,7 +107,8 @@ func E10Failback(seed int64, outageOrders []int) ([]FailbackResult, error) {
 			bs.Write(p, 1999, buf)
 			reverse.CatchUp(p)
 			sv, _ := r.main.Volume("sales")
-			res.ReverseOK = sv.Peek(1999)[0] == 0x5A
+			got := sv.Peek(1999) // nil if the write never arrived
+			res.ReverseOK = got != nil && got[0] == 0x5A
 			reverse.Stop()
 		})
 		r.env.Run(0)

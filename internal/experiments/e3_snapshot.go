@@ -107,7 +107,7 @@ func E3SnapshotGroup(seed int64, volumeCounts []int, overwriteFracs []float64) (
 			res.SnapshotReadable = true
 			for _, s := range group.Snapshots() {
 				for b := int64(0); b < over; b++ {
-					if got := s.Peek(b); got[0] != byte(b) {
+					if got := s.Peek(b); got == nil || got[0] != byte(b) { // every block was preloaded
 						res.SnapshotReadable = false
 					}
 				}

@@ -2,6 +2,7 @@ package invariants
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -40,6 +41,56 @@ func TestStampedPrefixExactAndLeaked(t *testing.T) {
 	stamped(t, env, v2, 1, 5)
 	if k, exact := StampedPrefix([]*storage.Volume{v1, v2}); k != 3 || exact {
 		t.Fatalf("leaked image: prefix = %d exact=%v, want 3 inexact", k, exact)
+	}
+}
+
+// stampedImage pokes stamps 1..blocks round-robin over vols volumes.
+func stampedImage(tb testing.TB, vols, blocks int) []*storage.Volume {
+	a := storage.NewArray(sim.NewEnv(1), "m", storage.Config{})
+	out := make([]*storage.Volume, vols)
+	for i := range out {
+		v, err := a.CreateVolume(storage.VolumeID(fmt.Sprintf("v%d", i)), int64(blocks))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = v
+	}
+	buf := make([]byte, a.Config().BlockSize)
+	for seq := 1; seq <= blocks; seq++ {
+		binary.BigEndian.PutUint64(buf, uint64(seq))
+		if err := out[seq%vols].Poke(int64(seq/vols), buf); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return out
+}
+
+// StampedPrefix reads 8 bytes of every written block in place: what it
+// allocates is its presence map (which grows by doubling) and one index slice
+// per volume — nothing per block. It used to copy every 4 KiB block it looked
+// at, which was a quarter of all bytes the drain workloads allocated.
+func TestStampedPrefixAllocatesNothingPerBlock(t *testing.T) {
+	const blocks = 2048
+	vols := stampedImage(t, 4, blocks)
+	if k, exact := StampedPrefix(vols); k != blocks || !exact {
+		t.Fatalf("prefix = %d exact=%v, want %d exact", k, exact, blocks)
+	}
+	n := testing.AllocsPerRun(5, func() { StampedPrefix(vols) })
+	if n > blocks/16 {
+		t.Fatalf("StampedPrefix over %d blocks allocates %v times: it copies what it scans", blocks, n)
+	}
+	t.Logf("StampedPrefix over %d blocks: %v allocations", blocks, n)
+}
+
+// BenchmarkStampedPrefix is the verifier's layer benchmark: one scan of an
+// 8,192-block exact image over 16 volumes per op — the drain workloads' size.
+func BenchmarkStampedPrefix(b *testing.B) {
+	vols := stampedImage(b, 16, 8192)
+	b.ReportAllocs()
+	for b.Loop() {
+		if k, exact := StampedPrefix(vols); k != 8192 || !exact {
+			b.Fatalf("prefix = %d exact=%v", k, exact)
+		}
 	}
 }
 

@@ -138,8 +138,12 @@ func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 	}
 
 	shards := o.cfg.JournalShards
-	if v, err := strconv.Atoi(ns.Labels[ShardsLabel]); err == nil && v > 0 {
-		shards = v
+	// Most namespaces carry no override: ask before parsing, or Atoi("")
+	// allocates a *NumError on every pass of every tenant.
+	if label, ok := ns.Labels[ShardsLabel]; ok {
+		if v, err := strconv.Atoi(label); err == nil && v > 0 {
+			shards = v
+		}
 	}
 	existing, err := o.api.Get(p, groupKey)
 	if err == nil {

@@ -251,7 +251,9 @@ func (g *Group) InitialCopy(p *sim.Proc, source *storage.Array) error {
 // bulkCopy streams the given blocks of one source volume to its target over
 // the volume's lane path in BatchMax-block batches: one link transfer and
 // one delta-set apply per batch instead of one scheduling event per block.
-// The initial copy and resync share it.
+// The initial copy and resync share it. Nothing is copied: the target adopts
+// the block borrowed from the source, and each side keeps it when the other
+// overwrites. blocks must be written ones (WrittenBlocks, ChangedBlocks).
 func (g *Group) bulkCopy(p *sim.Proc, sv *storage.Volume, blocks []int64) error {
 	tv, err := g.target.Volume(g.mapping[sv.ID()])
 	if err != nil {

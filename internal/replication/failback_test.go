@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -194,4 +195,72 @@ func TestFailbackDeltaSmallerThanFull(t *testing.T) {
 	if stats.TotalBlocks < 100 {
 		t.Fatalf("total = %d, want >= 100", stats.TotalBlocks)
 	}
+}
+
+// Reads borrow and the replication-target writes adopt, so the initial copy
+// and the failback resync move no bytes on the host: after either, both
+// sites hold one slice per copied block. That is only sound if an overwrite
+// at either site installs a fresh slice and the other keeps its bytes.
+func TestBulkCopyAndFailbackAdoptTheBorrowedBlock(t *testing.T) {
+	aliased := func(a, b []byte) bool { return a != nil && b != nil && &a[0] == &b[0] }
+	// eitherSideOverwrites overwrites block lo at x and block hi at y, which
+	// alias each other's, and checks the other site kept what it had.
+	eitherSideOverwrites := func(t *testing.T, x, y *storage.Volume, lo, hi int64) {
+		t.Helper()
+		if !aliased(x.Peek(lo), y.Peek(lo)) || !aliased(x.Peek(hi), y.Peek(hi)) {
+			t.Fatalf("blocks %d and %d were copied, not adopted: the hand-over rule is not exercised", lo, hi)
+		}
+		wantLo, wantHi := bytes.Clone(y.Peek(lo)), bytes.Clone(x.Peek(hi))
+		x.Poke(lo, bytes.Repeat([]byte{0xE1}, x.BlockSize()))
+		y.Poke(hi, bytes.Repeat([]byte{0xE2}, y.BlockSize()))
+		if !bytes.Equal(y.Peek(lo), wantLo) || !bytes.Equal(x.Peek(hi), wantHi) {
+			t.Fatal("an overwrite at one site changed the block the other site adopted")
+		}
+	}
+
+	t.Run("initial copy", func(t *testing.T) {
+		r := newRig(t, netlink.Config{Propagation: time.Millisecond})
+		r.sales.Poke(0, fill(r.main, 0x01)) // written before the pair exists
+		r.sales.Poke(1, fill(r.main, 0x02))
+		g := r.newCG(t, Config{})
+		r.env.Process("copy", func(p *sim.Proc) {
+			if err := g.InitialCopy(p, r.main); err != nil {
+				t.Error(err)
+			}
+		})
+		r.env.Run(0)
+		bs, _ := r.backup.Volume("sales")
+		eitherSideOverwrites(t, r.sales, bs, 0, 1)
+	})
+
+	t.Run("failback", func(t *testing.T) {
+		r, g := failoverRig(t) // main's sales block 1 is stranded: the backup never wrote it
+		bs, _ := r.backup.Volume("sales")
+		var stats FailbackStats
+		r.env.Process("prod", func(p *sim.Proc) {
+			bs.Write(p, 2, fill(r.backup, 0x10))
+			bs.Write(p, 3, fill(r.backup, 0x11))
+		})
+		r.env.Run(0)
+		r.env.Process("failback", func(p *sim.Proc) {
+			reverse, st, err := g.Failback(p, r.main, r.links.Reverse, Config{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			stats = st
+			reverse.Stop()
+		})
+		r.env.Run(0)
+		// A never-written delta block still ships, and lands, as a block of
+		// zeroes — at the source only.
+		if want := int64(3 * r.main.Config().BlockSize); stats.DeltaBlocks != 3 || stats.Bytes != want {
+			t.Fatalf("delta = %d blocks, %d bytes; want 3 blocks, %d bytes", stats.DeltaBlocks, stats.Bytes, want)
+		}
+		if got := r.sales.Peek(1); !bytes.Equal(got, make([]byte, r.main.Config().BlockSize)) || bs.Peek(1) != nil {
+			t.Fatalf("stranded block: source holds %d bytes, backup written=%v; want a zero block and unwritten",
+				len(got), bs.Peek(1) != nil)
+		}
+		eitherSideOverwrites(t, bs, r.sales, 2, 3)
+	})
 }

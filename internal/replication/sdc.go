@@ -16,7 +16,10 @@ import (
 // replication mode is a drop-in configuration choice, which is how the E5
 // slowdown experiment swaps modes.
 type BlockWriter interface {
+	// Write copies data in; the caller keeps its buffer.
 	Write(p *sim.Proc, block int64, data []byte) (storage.Ack, error)
+	// Read borrows: nil for a never-written block, else the stored slice,
+	// which the caller must not modify (see storage.Volume.Read).
 	Read(p *sim.Proc, block int64) ([]byte, error)
 	SizeBlocks() int64
 	BlockSize() int
@@ -70,7 +73,8 @@ func (sv *SyncVolume) Write(p *sim.Proc, block int64, data []byte) (storage.Ack,
 	return ack, nil
 }
 
-// Read serves from the local volume (SDC reads are always local).
+// Read serves from the local volume (SDC reads are always local), borrowed
+// as every storage read is.
 func (sv *SyncVolume) Read(p *sim.Proc, block int64) ([]byte, error) {
 	return sv.source.Read(p, block)
 }

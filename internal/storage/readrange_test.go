@@ -8,19 +8,28 @@ import (
 	"repro/internal/sim"
 )
 
-// ReadRange is sparse (nil <=> never written) and borrowed (a written block
-// is the stored slice, which no later write may change). The table walks a
-// volume and a snapshot of it through every block history the system
-// produces; after each stage both readers' ranges must equal per-block Read,
-// charge what count Reads charge, and every slice borrowed at an earlier
-// stage must still hold the bytes it held then.
-func TestReadRangeSparseBorrowedAndEqualToRead(t *testing.T) {
+// reader is the read surface Volume and Snapshot share.
+type reader interface {
+	Read(p *sim.Proc, block int64) ([]byte, error)
+	Peek(block int64) []byte
+	ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error)
+}
+
+// The one read contract: Read, Peek and ReadRange, on a Volume and on a
+// Snapshot, are sparse (nil <=> never written) and borrowed (a written block
+// is the stored slice itself, which no later write may change). The table
+// walks a volume and a snapshot of it through every block history the system
+// produces, with and without a live snapshot; after each stage the three
+// accessors of both readers must hand out the same slice, charge what they
+// always charged, and every slice borrowed at an earlier stage must still
+// hold the bytes it held then.
+func TestEveryReadIsSparseAndBorrowed(t *testing.T) {
 	env, a := newTestArray(t)
 	const size = 6
 	v, _ := a.CreateVolume("v", size)
 	// Block histories:
-	//   0 never written
-	//   1 written before the snapshot, untouched after
+	//   0 never written until the last stages
+	//   1 written before the snapshot, untouched until it is gone
 	//   2 written, snapshotted, overwritten
 	//   3 unwritten at the snapshot, written after
 	//   4 written, snapshotted, overwritten, then restored
@@ -30,13 +39,16 @@ func TestReadRangeSparseBorrowedAndEqualToRead(t *testing.T) {
 		name string
 		do   func(p *sim.Proc)
 		// written reports which blocks the volume / the snapshot hold after
-		// the stage (the snapshot column is nil before it exists).
+		// the stage (the snapshot column is nil while there is none).
 		volume, snapshot []bool
 	}{
 		{"initial writes", func(p *sim.Proc) {
 			for _, b := range []int64{1, 2, 4} {
 				v.Write(p, b, block(a, byte(0x10+b)))
 			}
+		}, []bool{false, true, true, false, true, false}, nil},
+		{"overwrite with no snapshot", func(p *sim.Proc) {
+			v.Write(p, 2, block(a, 0x1F))
 		}, []bool{false, true, true, false, true, false}, nil},
 		{"snapshot then overwrite", func(p *sim.Proc) {
 			snap, _ = a.CreateSnapshot("s", "v")
@@ -53,6 +65,15 @@ func TestReadRangeSparseBorrowedAndEqualToRead(t *testing.T) {
 			v.Write(p, 4, block(a, 0x44))
 			v.Write(p, 0, block(a, 0x40))
 		}, []bool{true, true, true, false, true, false}, []bool{false, true, true, false, true, false}},
+		{"snapshot deleted then overwrite", func(p *sim.Proc) {
+			if err := a.DeleteSnapshot("s"); err != nil {
+				t.Error(err)
+			}
+			snap = nil
+			for b := int64(0); b < 3; b++ {
+				v.Write(p, b, block(a, byte(0x50+b)))
+			}
+		}, []bool{true, true, true, false, true, false}, nil},
 	}
 
 	type borrowed struct {
@@ -63,36 +84,41 @@ func TestReadRangeSparseBorrowedAndEqualToRead(t *testing.T) {
 	}
 	var held []borrowed
 
-	type rangeReader interface {
-		Read(p *sim.Proc, block int64) ([]byte, error)
-		ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error)
+	// charged runs fn and checks the simulated time and read ops it cost.
+	charged := func(p *sim.Proc, what string, blocks int, fn func()) {
+		reads, t0 := a.ReadOps(), p.Now()
+		fn()
+		want := time.Duration(blocks) * a.Config().ReadLatency
+		if d, n := p.Now()-t0, a.ReadOps()-reads; d != want || n != int64(blocks) {
+			t.Errorf("%s charged %v and %d read ops, want %v and %d", what, d, n, want, blocks)
+		}
 	}
-	check := func(p *sim.Proc, stage, who string, r rangeReader, written []bool) {
-		reads := a.ReadOps()
-		t0 := p.Now()
-		got, err := r.ReadRange(p, 0, size)
-		if err != nil {
-			t.Fatalf("%s: %s.ReadRange: %v", stage, who, err)
-		}
-		if d, n := p.Now()-t0, a.ReadOps()-reads; d != size*a.Config().ReadLatency || n != size {
-			t.Errorf("%s: %s.ReadRange charged %v and %d read ops, want %v and %d",
-				stage, who, d, n, size*a.Config().ReadLatency, size)
-		}
+	check := func(p *sim.Proc, stage, who string, r reader, written []bool) {
+		var ranged [][]byte
+		charged(p, stage+": "+who+".ReadRange", size, func() {
+			var err error
+			if ranged, err = r.ReadRange(p, 0, size); err != nil {
+				t.Fatalf("%s: %s.ReadRange: %v", stage, who, err)
+			}
+		})
 		for b := 0; b < size; b++ {
-			want, _ := r.Read(p, int64(b))
-			if (got[b] != nil) != written[b] {
-				t.Errorf("%s: %s block %d: nil=%v but written=%v", stage, who, b, got[b] == nil, written[b])
-			}
-			if got[b] == nil {
-				if !bytes.Equal(want, make([]byte, len(want))) {
-					t.Errorf("%s: %s block %d is nil in the range but Read returns data", stage, who, b)
+			var one, peeked []byte
+			charged(p, stage+": "+who+".Read", 1, func() { one, _ = r.Read(p, int64(b)) })
+			charged(p, stage+": "+who+".Peek", 0, func() { peeked = r.Peek(int64(b)) })
+			for how, got := range map[string][]byte{"Read": one, "Peek": peeked, "ReadRange": ranged[b]} {
+				if (got != nil) != written[b] {
+					t.Errorf("%s: %s.%s block %d: nil=%v but written=%v", stage, who, how, b, got == nil, written[b])
 				}
-				continue
+				if got == nil || ranged[b] == nil {
+					continue
+				}
+				if &got[0] != &ranged[b][0] || len(got) != a.Config().BlockSize {
+					t.Errorf("%s: %s.%s block %d is not the slice ReadRange borrowed: a copy was made", stage, who, how, b)
+				}
 			}
-			if !bytes.Equal(got[b], want) {
-				t.Errorf("%s: %s block %d: range %x..., Read %x...", stage, who, b, got[b][0], want[0])
+			if ranged[b] != nil {
+				held = append(held, borrowed{stage + "/" + who, b, ranged[b], bytes.Clone(ranged[b])})
 			}
-			held = append(held, borrowed{stage + "/" + who, b, got[b], bytes.Clone(got[b])})
 		}
 	}
 
@@ -114,6 +140,38 @@ func TestReadRangeSparseBorrowedAndEqualToRead(t *testing.T) {
 	env.Run(0)
 	if len(held) == 0 {
 		t.Fatal("no block was ever borrowed")
+	}
+}
+
+// A steady-state single-block read allocates nothing — no block, no result
+// slice — on a volume or on a snapshot, for a block the snapshot preserved and
+// for one it still shares with its parent.
+func TestSingleBlockReadsDoNotAllocate(t *testing.T) {
+	env, a := newTestArray(t)
+	v, _ := a.CreateVolume("v", 4)
+	for b := int64(0); b < 2; b++ {
+		v.Poke(b, block(a, 0x01))
+	}
+	snap, _ := a.CreateSnapshot("s", "v")
+	v.Poke(0, block(a, 0x02)) // block 0 preserved, block 1 shared, 2..3 unwritten
+	for name, r := range map[string]reader{"volume": v, "snapshot": snap} {
+		i := int64(0)
+		env.Process("reader:"+name, func(p *sim.Proc) {
+			for ; ; i++ {
+				if _, err := r.Read(p, i%4); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		})
+		advance := func() { env.Run(env.Now() + 64*a.Config().ReadLatency) }
+		advance() // warm up: the process and its timer exist
+		if n := testing.AllocsPerRun(10, advance); n != 0 {
+			t.Errorf("%s.Read allocates %v per 64 reads, want 0", name, n)
+		}
+		if n := testing.AllocsPerRun(10, func() { r.Peek(i % 4) }); n != 0 {
+			t.Errorf("%s.Peek allocates %v, want 0", name, n)
+		}
 	}
 }
 
@@ -195,3 +253,41 @@ func TestAdoptedRecordBlockIsNeverWrittenInto(t *testing.T) {
 	})
 	env.Run(time.Second)
 }
+
+// benchRead is the read layer benchmark: one single-block read per op over a
+// fully written 512-block volume, by a process that does nothing else.
+func benchRead(b *testing.B, snapshot bool) {
+	env := sim.NewEnv(1)
+	a := NewArray(env, "main", Config{})
+	v, _ := a.CreateVolume("v", 512)
+	for i := int64(0); i < 512; i++ {
+		v.Poke(i, block(a, byte(i)))
+	}
+	var r reader = v
+	if snapshot {
+		s, err := a.CreateSnapshot("s", "v")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := int64(0); i < 512; i += 2 { // half preserved, half shared with the parent
+			v.Poke(i, block(a, 0xFF))
+		}
+		r = s
+	}
+	env.Process("reader", func(p *sim.Proc) {
+		for i := int64(0); ; i++ {
+			if _, err := r.Read(p, i%512); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	advance := func(n int) { env.Run(env.Now() + time.Duration(n)*a.Config().ReadLatency) }
+	advance(512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	advance(b.N)
+}
+
+func BenchmarkVolumeRead(b *testing.B)   { benchRead(b, false) }
+func BenchmarkSnapshotRead(b *testing.B) { benchRead(b, true) }

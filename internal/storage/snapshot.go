@@ -129,37 +129,37 @@ func (s *Snapshot) Group() string { return s.group }
 func (s *Snapshot) SavedBlocks() int { return len(s.saved) }
 
 // Read returns the block content as of the snapshot instant, consuming the
-// array's read service time.
+// array's read service time. Like every read it is borrowed (Volume.Read):
+// nil for a block unwritten at the snapshot instant, otherwise the stored
+// slice — a preserved original, or the parent's block the parent has not
+// overwritten since, which a later overwrite replaces rather than modifies.
 func (s *Snapshot) Read(p *sim.Proc, block int64) ([]byte, error) {
 	if block < 0 || block >= s.parent.sizeBlocks {
 		return nil, fmt.Errorf("%w: snapshot %s[%d]", ErrOutOfRange, s.id, block)
 	}
+	s.chargeReads(p, 1)
+	return s.stored(block), nil
+}
+
+// chargeReads holds the array controller once for n back-to-back block reads
+// (snapshots are served by the shared controller even in isolated mode).
+func (s *Snapshot) chargeReads(p *sim.Proc, n int) {
 	a := s.parent.array
 	a.controller.Acquire(p)
-	p.Sleep(a.cfg.ReadLatency)
+	p.Sleep(time.Duration(n) * a.cfg.ReadLatency)
 	a.controller.Release()
-	s.reads++
-	a.readOps.Add(1)
-	return s.peek(block), nil
+	s.reads += int64(n)
+	a.readOps.Add(int64(n))
 }
 
 // ReadRange reads count consecutive snapshot blocks starting at start — one
-// fused sequential scan, sparse and borrowed like Volume.ReadRange: the
-// controller is held once, the service time of count reads is charged in
-// one step, blocks unwritten at the snapshot instant are nil, and the rest
-// are the stored slices (a preserved original, or the parent's block the
-// parent has not overwritten since — which a later overwrite replaces
-// rather than modifies).
+// fused sequential scan like Volume.ReadRange: the controller is held once
+// and the service time of count reads is charged in one step.
 func (s *Snapshot) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
 	if count < 0 || start < 0 || start+int64(count) > s.parent.sizeBlocks {
 		return nil, fmt.Errorf("%w: snapshot %s[%d..%d)", ErrOutOfRange, s.id, start, start+int64(count))
 	}
-	a := s.parent.array
-	a.controller.Acquire(p)
-	p.Sleep(time.Duration(count) * a.cfg.ReadLatency)
-	a.controller.Release()
-	s.reads += int64(count)
-	a.readOps.Add(int64(count))
+	s.chargeReads(p, count)
 	out := make([][]byte, count)
 	for i := range out {
 		out[i] = s.stored(start + int64(i))
@@ -167,16 +167,9 @@ func (s *Snapshot) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, err
 	return out, nil
 }
 
-// Peek returns the snapshot-time block content without consuming simulated
-// time (verification helper).
-func (s *Snapshot) Peek(block int64) []byte { return s.peek(block) }
-
-// peek returns a copy of the snapshot-time block content.
-func (s *Snapshot) peek(block int64) []byte {
-	out := make([]byte, s.parent.array.cfg.BlockSize)
-	copy(out, s.stored(block)) // nil = zeroes
-	return out
-}
+// Peek returns the snapshot-time block without consuming simulated time —
+// borrowed, like Read (verification helper).
+func (s *Snapshot) Peek(block int64) []byte { return s.stored(block) }
 
 // stored returns the slice holding the snapshot-time content of the block:
 // the preserved original if the parent has overwritten it since, otherwise

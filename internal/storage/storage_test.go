@@ -73,14 +73,15 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUnwrittenBlocksReadZero(t *testing.T) {
+// A never-written block reads as zeroes, which every read reports as nil.
+func TestUnwrittenBlocksReadNil(t *testing.T) {
 	env, a := newTestArray(t)
 	v, _ := a.CreateVolume("v", 4)
-	var got []byte
+	got := block(a, 0xEE)
 	env.Process("io", func(p *sim.Proc) { got, _ = v.Read(p, 2) })
 	env.Run(0)
-	if !bytes.Equal(got, make([]byte, a.Config().BlockSize)) {
-		t.Fatal("unwritten block not zero")
+	if got != nil || v.Peek(2) != nil {
+		t.Fatal("unwritten block did not read nil")
 	}
 }
 
@@ -361,8 +362,8 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	if snap0[0] != 0x01 {
 		t.Fatalf("snapshot sees %x, want pre-overwrite 01", snap0[0])
 	}
-	if snap1[0] != 0x00 {
-		t.Fatalf("snapshot sees %x for block written after snap, want zeroes", snap1[0])
+	if snap1 != nil {
+		t.Fatalf("snapshot sees %x for block written after snap, want nil (zeroes)", snap1[0])
 	}
 	if cur0[0] != 0x02 {
 		t.Fatalf("volume sees %x, want 02", cur0[0])

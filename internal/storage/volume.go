@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -162,8 +163,7 @@ func (v *Volume) ackSeq() int64 {
 // the acking process — journal appends attribute their not-empty trigger to
 // it so the wakeup merges correctly under the parallel scheduler.
 func (v *Volume) commit(p *sim.Proc, now time.Duration, block int64, data []byte) Ack {
-	buf := make([]byte, len(data))
-	copy(buf, data)
+	buf := bytes.Clone(data) // the host keeps its buffer; cloning skips zeroing the new block first
 	v.install(block, buf)
 	v.countWrite(len(buf))
 	ack := Ack{
@@ -203,18 +203,29 @@ func (v *Volume) preserveForSnapshots(block int64) {
 	}
 }
 
-// Read returns a copy of one block, consuming simulated read service time.
-// Unwritten blocks read as zeroes.
+// Read returns one block, consuming simulated read service time. Every read
+// — Read, ReadRange, Peek, here and on Snapshot — is borrowed: a never-written
+// block (which reads as zeroes) is nil, and a written block is the stored
+// slice itself, not a copy. That is sound because the volume never writes
+// into a stored block (every write installs a fresh slice), so a borrowed
+// block keeps the content it had when it was read; the caller in turn must
+// not modify it, and clones it if it needs one it can write.
 func (v *Volume) Read(p *sim.Proc, block int64) ([]byte, error) {
 	if block < 0 || block >= v.sizeBlocks {
 		return nil, fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, block)
 	}
+	v.chargeReads(p, 1)
+	return v.blocks[block], nil
+}
+
+// chargeReads holds the service queue once for n back-to-back block reads:
+// their service time passes in a single step and n reads are counted.
+func (v *Volume) chargeReads(p *sim.Proc, n int) {
 	v.acquireService(p)
-	p.Sleep(v.array.cfg.ReadLatency)
+	p.Sleep(time.Duration(n) * v.array.cfg.ReadLatency)
 	v.releaseService()
-	v.reads++
-	v.array.readOps.Add(1)
-	return v.copyBlock(block), nil
+	v.reads += int64(n)
+	v.array.readOps.Add(int64(n))
 }
 
 // ReadRange reads count consecutive blocks starting at start as one fused
@@ -222,21 +233,12 @@ func (v *Volume) Read(p *sim.Proc, block int64) ([]byte, error) {
 // the service time of count reads is charged in a single step. The
 // completion time matches count back-to-back Reads on an uncontended queue
 // while costing one scheduler step instead of count.
-//
-// The result is sparse and borrowed: a never-written block (which reads as
-// zeroes) is nil, and a written block is the stored slice itself, not a
-// copy. Borrowing is sound because the volume never writes into a stored
-// block — every write installs a fresh slice — so a borrowed block keeps the
-// content it had when it was read; the caller in turn must not modify it.
+// The result is sparse and borrowed, block by block as Read's is.
 func (v *Volume) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
 	if count < 0 || start < 0 || start+int64(count) > v.sizeBlocks {
 		return nil, fmt.Errorf("%w: %s[%d..%d)", ErrOutOfRange, v.id, start, start+int64(count))
 	}
-	v.acquireService(p)
-	p.Sleep(time.Duration(count) * v.array.cfg.ReadLatency)
-	v.releaseService()
-	v.reads += int64(count)
-	v.array.readOps.Add(int64(count))
+	v.chargeReads(p, count)
 	out := make([][]byte, count)
 	for i := range out {
 		out[i] = v.blocks[start+int64(i)]
@@ -244,19 +246,9 @@ func (v *Volume) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error
 	return out, nil
 }
 
-// copyBlock returns a defensive copy of the block (zeroes if unwritten).
-func (v *Volume) copyBlock(block int64) []byte {
-	out := make([]byte, v.array.cfg.BlockSize)
-	if cur, ok := v.blocks[block]; ok {
-		copy(out, cur)
-	}
-	return out
-}
-
-// Peek returns the block contents without consuming simulated time. It is
-// the verification back door used by the consistency checker; production
-// code paths must use Read.
-func (v *Volume) Peek(block int64) []byte { return v.copyBlock(block) }
+// Peek is Read without consuming simulated time — the verification back door
+// used by the consistency checker; production code paths must use Read.
+func (v *Volume) Peek(block int64) []byte { return v.blocks[block] }
 
 // checkBlock validates a block index and a payload length against the volume.
 func (v *Volume) checkBlock(block int64, n int) error {
@@ -294,9 +286,7 @@ func (v *Volume) Poke(block int64, data []byte) error {
 	if err := v.checkBlock(block, len(data)); err != nil {
 		return err
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	v.install(block, buf)
+	v.install(block, bytes.Clone(data))
 	return nil
 }
 
@@ -309,8 +299,8 @@ func (v *Volume) Poke(block int64, data []byte) error {
 // primary's stored block, so after the install both sites hold the same
 // immutable slice, and each keeps it when the other overwrites the block (an
 // overwrite installs a fresh slice; it never writes into the old one). The
-// caller must hand over a slice nobody will modify: a Record's Data, or a
-// copy of its own (Peek returns one).
+// caller must hand over a slice nobody will modify: a Record's Data, a block
+// borrowed from any read, or a copy of its own.
 func (v *Volume) InstallDelta(block int64, data []byte) error {
 	if err := v.checkBlock(block, len(data)); err != nil {
 		return err
