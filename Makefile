@@ -16,10 +16,13 @@
 #         scheduler hiccup is a large part of it (E2/E9/E14 spread x1.9-2.2
 #         over 8 runs at 3x, x1.25-1.5 at 30x on the 2-vCPU box), and
 #         min-of-3 at 3x crossed the 25% gate in 2 of 6 runs of unchanged
-#         code; at 30x, 1 of 7, and that run had every short harness up
-#         30-45% at once (the host, not a harness — rerun). It costs ~5 s
-#         more per run; `baseline` runs the same two commands, so the
-#         comparison stays like-for-like. `make bench-smoke` is the
+#         code. A 30-iteration mean reads higher than the lowest of three
+#         3-iteration means (the 3x baseline had E1 2.8 ms, E2 0.60, E8 4.3;
+#         at 30x that build and its successor both read 3.5, 0.7-0.8, 5.3-5.6
+#         in an alternating A/B), so those floors moved with the method, not
+#         with the code. It costs ~5 s more per run; `baseline` runs the same
+#         two commands, both fixed in this file, so the comparison stays
+#         like-for-like. `make bench-smoke` is the
 #         cheaper 1x-iteration harness check when you only want "does it
 #         still run". `make telemetry-smoke` runs the E16 observability
 #         experiment end-to-end and writes its telemetry export
@@ -47,7 +50,13 @@
 #         allocs/op per harness) — rerun it, eyeball the diff, and commit
 #         it whenever a PR intentionally moves the wall-cost or allocation
 #         needle (a lower floor should be ratcheted in, or the gate keeps
-#         defending the old one).
+#         defending the old one). The gate defends a floor, so record a
+#         quiet one: on a shared host run it a few times and keep each
+#         harness's lowest ns/op, and do not let a harness's ns/op rise above
+#         the previous baseline's unless the PR means to slow it (show it
+#         with an A/B of the two builds). When the host is loaded every
+#         harness reads 25-35% high at once, unchanged code included: rerun,
+#         or loosen that run with BENCH_THRESHOLD; allocs/op do not move.
 #
 # The committed baseline records absolute wall costs and is therefore
 # machine-specific: the gate is meaningful on hardware comparable to
@@ -59,14 +68,18 @@ GO ?= go
 # Blocking ns/op regression threshold for bench-check (fraction over the
 # committed baseline).
 BENCH_THRESHOLD ?= 0.25
-# The ms-scale harnesses (see the header) and their fixed iteration count;
-# every other Benchmark in the root package, present or future, runs at 3x.
-BENCH_SHORT ?= E(1|2|4|5|7|8|9|14|16)_
-BENCH_SHORT_TIME ?= 30x
-BENCH_LONG = $(shell $(GO) test -list Benchmark . | grep '^Benchmark' | grep -Ev '$(BENCH_SHORT)' | paste -sd '|' -)
-# What bench-check and baseline both measure: min ns/op over -count 3.
-RUN_BENCHES = { $(GO) test -run '^$$' -bench '$(BENCH_LONG)' -benchtime 3x -benchmem -count 3 . && \
-	$(GO) test -run '^$$' -bench '$(BENCH_SHORT)' -benchtime $(BENCH_SHORT_TIME) -benchmem -count 3 . ; }
+# The ms-scale harnesses (see the header) run at 30x; every other Benchmark in
+# the root package, present or future, runs at 3x. A constant, not an option:
+# baseline and bench-check have to measure the same thing.
+BENCH_SHORT := E(1|2|4|5|7|8|9|14|16)_
+# What bench-check and baseline both measure (min ns/op over -count 3), left in
+# bench.out. -bench has no "all but", so the 3x pattern is every listed
+# Benchmark that is not a short one; if the listing fails the run fails rather
+# than measure nothing at 3x.
+RUN_BENCHES = long="$$($(GO) test -list Benchmark . | grep '^Benchmark' | grep -Ev '$(BENCH_SHORT)' | paste -sd '|' -)"; \
+	[ -n "$$long" ] || { echo "bench: no harness listed for the 3x run" >&2; exit 1; }; \
+	$(GO) test -run '^$$' -bench "$$long" -benchtime 3x -benchmem -count 3 . && \
+	$(GO) test -run '^$$' -bench '$(BENCH_SHORT)' -benchtime 30x -benchmem -count 3 .
 
 .PHONY: ci fmt vet build test test-race tables-check bench-smoke bench-check baseline profile-fleet telemetry-smoke autopilot-smoke chaos-smoke chaos
 
@@ -108,7 +121,7 @@ bench-smoke:
 # The comparison is also written to bench-report.json — CI archives it as a
 # build artifact so regressions can be inspected without re-running.
 bench-check:
-	@$(RUN_BENCHES) > bench.out || \
+	@( $(RUN_BENCHES) ) > bench.out || \
 		{ cat bench.out; rm -f bench.out; exit 1; }
 	@$(GO) run ./cmd/benchcheck -baseline BENCH_baseline.json -threshold $(BENCH_THRESHOLD) \
 		-json bench-report.json < bench.out; \
@@ -156,5 +169,8 @@ chaos:
 # aggregation — the exact same code path bench-check compares with — so the
 # recorded numbers are like-for-like by construction.
 baseline:
-	$(RUN_BENCHES) | $(GO) run ./cmd/benchcheck -update -baseline BENCH_baseline.json
+	@( $(RUN_BENCHES) ) > bench.out || \
+		{ cat bench.out; rm -f bench.out; exit 1; }
+	@$(GO) run ./cmd/benchcheck -update -baseline BENCH_baseline.json < bench.out; \
+		status=$$?; rm -f bench.out; exit $$status
 	@cat BENCH_baseline.json

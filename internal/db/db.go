@@ -247,26 +247,34 @@ func (d *DB) Scan(p *sim.Proc, fn func(Row) bool) error {
 	// fused range read instead of one random read per page. Cached (and in
 	// particular dirty) pages are kept. The range is borrowed from the volume
 	// and the page cache is written by commits, so pages entering the cache
-	// are copied — into one backing buffer for all of them. The cache holds
-	// data pages only, so a short cache is a missing page.
-	if rr, ok := d.vol.(blockRangeReader); ok && int64(len(d.pages)) < d.dataPages {
-		blocks, err := rr.ReadRange(p, d.dataBase, int(d.dataPages))
-		if err != nil {
-			return err
+	// are copied — into one backing buffer for all of them.
+	if rr, ok := d.vol.(blockRangeReader); ok {
+		missing := false
+		for b := d.dataBase; b < d.dataBase+d.dataPages; b++ {
+			if _, ok := d.pages[b]; !ok {
+				missing = true
+				break
+			}
 		}
-		var backing []byte
-		for i, blk := range blocks {
-			b := d.dataBase + int64(i)
-			if _, ok := d.pages[b]; ok {
-				continue
+		if missing {
+			blocks, err := rr.ReadRange(p, d.dataBase, int(d.dataPages))
+			if err != nil {
+				return err
 			}
-			if len(backing) == 0 {
-				backing = make([]byte, (len(blocks)-i)*d.blockSize)
+			var backing []byte
+			for i, blk := range blocks {
+				b := d.dataBase + int64(i)
+				if _, ok := d.pages[b]; ok {
+					continue
+				}
+				if len(backing) == 0 {
+					backing = make([]byte, (len(blocks)-i)*d.blockSize)
+				}
+				pg := backing[:d.blockSize:d.blockSize]
+				backing = backing[d.blockSize:]
+				copy(pg, blk) // nil = never written: the page stays zero
+				d.pages[b] = pg
 			}
-			pg := backing[:d.blockSize:d.blockSize]
-			backing = backing[d.blockSize:]
-			copy(pg, blk) // nil = never written: the page stays zero
-			d.pages[b] = pg
 		}
 	}
 	for b := d.dataBase; b < d.dataBase+d.dataPages; b++ {

@@ -59,7 +59,8 @@ type View struct {
 	walBase   int64
 	dataBase  int64
 	dataPages int64
-	overlay   map[int64][]byte // replayed pages (owned clones) and pages read one at a time (borrowed)
+	overlay   map[int64][]byte // pages the WAL replay rewrote: owned clones, the only pages a View writes
+	reads     map[int64][]byte // pages read one at a time (borrowed; nil = zero page); made on first use
 	image     [][]byte         // the data region once Scan preloaded it (borrowed; nil = zero page)
 	committed map[uint64]bool
 	recovered int
@@ -117,9 +118,9 @@ func OpenView(p *sim.Proc, name string, vol BlockReader, cfg Config) (*View, err
 			continue
 		}
 		block := v.pageBlock(r.Key)
-		page, owned := v.overlay[block]
-		if !owned {
-			// The read is borrowed; the overlay must own what replay upserts into.
+		page, ok := v.overlay[block]
+		if !ok {
+			// The read is borrowed; the overlay owns what replay upserts into.
 			blk, err := vol.Read(p, block)
 			if err != nil {
 				return nil, err
@@ -141,10 +142,10 @@ func (v *View) pageBlock(key uint64) int64 {
 	return v.dataBase + int64(key%uint64(v.dataPages))
 }
 
-// loadPage returns the page for reading: the overlay's if the replay touched
-// it or an earlier load read it, else the preloaded image's, else the block
-// read in place from the volume and remembered (nil for a never-written page,
-// which holds no rows). Nothing upserts after OpenView returns.
+// loadPage returns the page for reading: the overlay's if the replay rewrote
+// it, else the preloaded image's, else the block read in place from the volume
+// — once: reads remembers it (nil for a never-written page, which holds no
+// rows). Only the overlay is ever written, and it holds no borrowed page.
 func (v *View) loadPage(p *sim.Proc, block int64) ([]byte, error) {
 	if pg, ok := v.overlay[block]; ok {
 		return pg, nil
@@ -152,11 +153,17 @@ func (v *View) loadPage(p *sim.Proc, block int64) ([]byte, error) {
 	if v.image != nil {
 		return v.image[block-v.dataBase], nil
 	}
+	if pg, ok := v.reads[block]; ok {
+		return pg, nil
+	}
 	pg, err := v.vol.Read(p, block)
 	if err != nil {
 		return nil, err
 	}
-	v.overlay[block] = pg
+	if v.reads == nil {
+		v.reads = make(map[int64][]byte) // a view that only scans never reads one page at a time
+	}
+	v.reads[block] = pg
 	return pg, nil
 }
 

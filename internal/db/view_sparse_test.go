@@ -213,6 +213,20 @@ func TestPageCacheAndViewOverlayOwnTheirCopies(t *testing.T) {
 		if got := snap.Peek(page); &got[0] != &peeked[0] {
 			t.Fatal("the snapshot no longer shares the untouched parent block")
 		}
+		// The overlay holds only what the replay cloned. A page read one at a
+		// time is the image's own slice: remembered apart from the overlay,
+		// where nothing writes, and read once.
+		if len(view.overlay) != 1 || &view.overlay[page][0] == &peeked[0] {
+			t.Fatalf("overlay = %d pages; want only an owned clone of the replayed page", len(view.overlay))
+		}
+		other := view.pageBlock(8)
+		view.Get(p, 8)
+		ops := a.ReadOps()
+		view.Get(p, 8)
+		if _, owned := view.overlay[other]; owned || len(view.reads) != 1 || a.ReadOps() != ops {
+			t.Fatalf("borrowed page: in overlay=%v, remembered=%d, re-read=%v; want false, 1, false",
+				owned, len(view.reads), a.ReadOps() != ops)
+		}
 
 		d, err = Open(p, "sales", vol, Config{}) // redo + recovery checkpoint
 		if err != nil {

@@ -253,7 +253,7 @@ func (g *Group) InitialCopy(p *sim.Proc, source *storage.Array) error {
 // one delta-set apply per batch instead of one scheduling event per block.
 // The initial copy and resync share it. Nothing is copied: the target adopts
 // the block borrowed from the source, and each side keeps it when the other
-// overwrites. blocks must be written ones (WrittenBlocks, ChangedBlocks).
+// overwrites.
 func (g *Group) bulkCopy(p *sim.Proc, sv *storage.Volume, blocks []int64) error {
 	tv, err := g.target.Volume(g.mapping[sv.ID()])
 	if err != nil {
@@ -267,7 +267,7 @@ func (g *Group) bulkCopy(p *sim.Proc, sv *storage.Volume, blocks []int64) error 
 		var err error
 		p.Do(func() {
 			for _, b := range chunk {
-				if err = tv.InstallDelta(b, sv.Peek(b)); err != nil {
+				if err = tv.InstallDelta(b, resyncBlock(sv, b)); err != nil {
 					return
 				}
 			}
@@ -277,6 +277,17 @@ func (g *Group) bulkCopy(p *sim.Proc, sv *storage.Volume, blocks []int64) error 
 		}
 	}
 	return nil
+}
+
+// resyncBlock is what a copy or resync ships for block b of src: the block
+// borrowed from src, which the target adopts, or — when src never wrote b, or
+// a restore erased it since it was tracked — the block of zeroes it reads as.
+// bulkCopy and Failback share it, so the two adopt paths agree on that case.
+func resyncBlock(src *storage.Volume, b int64) []byte {
+	if blk := src.Peek(b); blk != nil {
+		return blk
+	}
+	return make([]byte, src.BlockSize())
 }
 
 // Start launches one drain process per lane, plus the epoch coordinator

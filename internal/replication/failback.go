@@ -110,10 +110,7 @@ func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabri
 		for _, b := range blocks {
 			// Borrowed from the backup and adopted by the source: no copy.
 			// A diverged block the backup never wrote resyncs as zeroes.
-			data := bv.Peek(b)
-			if data == nil {
-				data = make([]byte, bv.BlockSize())
-			}
+			data := resyncBlock(bv, b)
 			reversePath.Transfer(p, len(data)+64)
 			if err := sv.Apply(p, b, data); err != nil {
 				return nil, stats, fmt.Errorf("replication: failback apply %s[%d]: %w", src, b, err)

@@ -233,6 +233,25 @@ func TestBulkCopyAndFailbackAdoptTheBorrowedBlock(t *testing.T) {
 		eitherSideOverwrites(t, r.sales, bs, 0, 1)
 	})
 
+	// A block in the list that the source does not hold (never written, or
+	// erased by a restore after it was tracked) is copied as what it reads as.
+	t.Run("unwritten block in a resync list", func(t *testing.T) {
+		r := newRig(t, netlink.Config{Propagation: time.Millisecond})
+		r.sales.Poke(0, fill(r.main, 0x01))
+		g := r.newCG(t, Config{})
+		r.env.Process("copy", func(p *sim.Proc) {
+			if err := g.bulkCopy(p, r.sales, []int64{0, 5}); err != nil {
+				t.Error(err)
+			}
+		})
+		r.env.Run(0)
+		bs, _ := r.backup.Volume("sales")
+		if got := bs.Peek(5); !bytes.Equal(got, make([]byte, r.main.Config().BlockSize)) || r.sales.Peek(5) != nil {
+			t.Fatalf("unwritten block: target holds %d bytes, source written=%v; want a zero block and unwritten",
+				len(got), r.sales.Peek(5) != nil)
+		}
+	})
+
 	t.Run("failback", func(t *testing.T) {
 		r, g := failoverRig(t) // main's sales block 1 is stranded: the backup never wrote it
 		bs, _ := r.backup.Volume("sales")

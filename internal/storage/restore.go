@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -25,12 +27,7 @@ func (a *Array) RestoreSnapshot(p *sim.Proc, snapID string) error {
 	// Only blocks preserved by COW differ from the snapshot image; rewind
 	// exactly those. Other snapshots of the volume observe the rewind as
 	// ordinary overwrites (their COW fires), so they stay correct.
-	blocks := make([]int64, 0, len(s.saved))
-	for b := range s.saved {
-		blocks = append(blocks, b)
-	}
-	sortBlocks(blocks)
-	for _, b := range blocks {
+	for _, b := range slices.Sorted(maps.Keys(s.saved)) {
 		a.controller.Acquire(p)
 		p.Sleep(a.cfg.WriteLatency)
 		a.controller.Release()
@@ -39,9 +36,7 @@ func (a *Array) RestoreSnapshot(p *sim.Proc, snapID string) error {
 		if orig == nil {
 			delete(v.blocks, b) // block was unwritten at snapshot time
 		} else {
-			buf := make([]byte, len(orig))
-			copy(buf, orig)
-			v.blocks[b] = buf
+			v.blocks[b] = orig // adopted: stored blocks are never written into
 		}
 		v.writes++
 		a.writeOps.Add(1)
@@ -70,9 +65,7 @@ func (a *Array) CloneVolume(p *sim.Proc, snapID string, newID VolumeID) (*Volume
 		a.controller.Acquire(p)
 		p.Sleep(a.cfg.WriteLatency)
 		a.controller.Release()
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		clone.blocks[b] = buf
+		clone.blocks[b] = data // shared with the parent; neither ever writes into it
 		clone.writes++
 		a.writeOps.Add(1)
 		a.bytesWritten.Add(int64(len(data)))
@@ -89,12 +82,4 @@ func (a *Array) CloneVolume(p *sim.Proc, snapID string, newID VolumeID) (*Volume
 		}
 	}
 	return clone, nil
-}
-
-func sortBlocks(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -137,6 +137,54 @@ func TestCloneVolumeMatchesSnapshotImage(t *testing.T) {
 	}
 }
 
+// Restore and clone install the snapshot's stored slices themselves. That is
+// only sound because no holder writes into a stored block: overwrite each
+// holder in turn and every other one must keep its bytes.
+func TestRestoreAndCloneShareBlocksNobodyWritesInto(t *testing.T) {
+	env, a := newTestArray(t)
+	v, _ := a.CreateVolume("v", 8)
+	run := func(fn func(p *sim.Proc)) {
+		env.Process("step", fn)
+		env.Run(0)
+	}
+	run(func(p *sim.Proc) { v.Write(p, 0, block(a, 0x01)); v.Write(p, 1, block(a, 0x02)) })
+	a.CreateSnapshot("good", "v")
+	good, _ := a.Snapshot("good")
+	run(func(p *sim.Proc) { v.Write(p, 0, block(a, 0xEE)) }) // block 0 preserved by COW, block 1 still the parent's
+	var clone *Volume
+	run(func(p *sim.Proc) {
+		var err error
+		if clone, err = a.CloneVolume(p, "good", "c"); err != nil {
+			t.Error(err)
+		}
+		if err := a.RestoreSnapshot(p, "good"); err != nil {
+			t.Error(err)
+		}
+	})
+	for b := int64(0); b < 2; b++ {
+		if &clone.Peek(b)[0] != &good.Peek(b)[0] || &v.Peek(b)[0] != &good.Peek(b)[0] {
+			t.Fatalf("block %d was copied, not shared: the rule is not exercised", b)
+		}
+	}
+	want := [][]byte{block(a, 0x01), block(a, 0x02)}
+	holders := map[string]func(int64) []byte{"volume": v.Peek, "snapshot": good.Peek, "clone": clone.Peek}
+	check := func(after string, skip string) {
+		t.Helper()
+		for name, peek := range holders {
+			for b := int64(0); b < 2; b++ {
+				if name != skip && !bytes.Equal(peek(b), want[b]) {
+					t.Fatalf("after %s: %s block %d changed", after, name, b)
+				}
+			}
+		}
+	}
+	run(func(p *sim.Proc) { clone.Write(p, 0, block(a, 0x70)); clone.Write(p, 1, block(a, 0x71)) })
+	check("the clone's overwrite", "clone")
+	run(func(p *sim.Proc) { v.Write(p, 0, block(a, 0x80)); v.Write(p, 1, block(a, 0x81)) })
+	delete(holders, "volume")
+	check("the volume's overwrite", "clone")
+}
+
 func TestCloneValidation(t *testing.T) {
 	env, a := newTestArray(t)
 	a.CreateVolume("v", 8)
