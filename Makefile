@@ -42,10 +42,11 @@
 #         (chaos-repro.log) is archived. `make chaos` is the long sweep.
 # CI:     .github/workflows/ci.yml runs exactly `make ci` on push/PR with
 #         Go module caching, so the same gate holds outside laptops.
-#         `make profile-fleet` profiles the 1,024-tenant fleet workload of
-#         ./benchmark for 5 s and leaves cpu.pprof and mem.pprof (CI
-#         archives both): `go tool pprof -sample_index=alloc_objects -top
-#         mem.pprof` names the allocation sites behind E11's allocs/op.
+#         `make profile-<workload>` (profile-fleet_seq, profile-shop_adc, ...)
+#         profiles that ./benchmark workload for 5 s and leaves cpu.pprof and
+#         mem.pprof (CI archives fleet_seq's): `go tool pprof
+#         -sample_index=alloc_objects -top mem.pprof` names the allocation
+#         sites behind its allocs_per_op.
 # Update: `make baseline` regenerates BENCH_baseline.json (ns/op, B/op,
 #         allocs/op per harness) — rerun it, eyeball the diff, and commit
 #         it whenever a PR intentionally moves the wall-cost or allocation
@@ -81,7 +82,7 @@ RUN_BENCHES = long="$$($(GO) test -list Benchmark . | grep '^Benchmark' | grep -
 	$(GO) test -run '^$$' -bench "$$long" -benchtime 3x -benchmem -count 3 . && \
 	$(GO) test -run '^$$' -bench '$(BENCH_SHORT)' -benchtime 30x -benchmem -count 3 .
 
-.PHONY: ci fmt vet build test test-race tables-check bench-smoke bench-check baseline profile-fleet telemetry-smoke autopilot-smoke chaos-smoke chaos
+.PHONY: ci fmt vet build test test-race tables-check bench-smoke bench-check baseline telemetry-smoke autopilot-smoke chaos-smoke chaos
 
 ci: fmt vet build test test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke
 
@@ -127,12 +128,12 @@ bench-check:
 		-json bench-report.json < bench.out; \
 		status=$$?; rm -f bench.out; exit $$status
 
-# Profile the fleet workload (fleet_seq: 1,024 tenants on the sequential
-# kernel) for 5 s of measured iterations. The heap profile is cumulative
-# over the run, so alloc_objects / alloc_space attribute allocs_per_op and
+# Profile one benchmark workload (make profile-fleet_seq, profile-shop_adc,
+# ...) for 5 s of measured iterations. The heap profile is cumulative over
+# the run, so alloc_objects / alloc_space attribute allocs_per_op and
 # alloc_mb_per_op to call sites.
-profile-fleet:
-	$(GO) run ./benchmark --workload fleet_seq --seconds 5 -cpuprofile cpu.pprof -memprofile mem.pprof
+profile-%:
+	$(GO) run ./benchmark --workload $* --seconds 5 -cpuprofile cpu.pprof -memprofile mem.pprof
 
 # E16 smoke: run the observability experiment (churning fleet with the full
 # telemetry plane on, probed RPO cross-validated against the fleet sampler)

@@ -1,0 +1,226 @@
+package db
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/storage"
+)
+
+// Allocation pins for the write path. Every count is deterministic: the
+// volumes are written once in full beforehand (so a first write to a block
+// never grows the volume's block map), transactions reuse one ID (so the
+// committed set does not grow) and the encode scratch is warm.
+
+// allocVolume returns a 256-block volume with every block written — to a
+// copy of image's, where image has one, else to zeroes.
+func allocVolume(tb testing.TB, a *storage.Array, id storage.VolumeID, image *storage.Volume) *storage.Volume {
+	vol, err := a.CreateVolume(id, 256)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	zero := make([]byte, vol.BlockSize())
+	for b := int64(0); b < vol.SizeBlocks(); b++ {
+		blk := zero
+		if image != nil && image.Peek(b) != nil {
+			blk = image.Peek(b)
+		}
+		if err := vol.Poke(b, blk); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return vol
+}
+
+// inProcess runs fn as the one process of a fresh environment.
+func inProcess(fn func(p *sim.Proc, a *storage.Array)) {
+	env := sim.NewEnv(1)
+	a := storage.NewArray(env, "arr", storage.Config{})
+	env.Process("t", func(p *sim.Proc) { fn(p, a) })
+	env.Run(0)
+}
+
+// placeOrder is the shop's stock transaction: two 16-byte rows.
+func placeOrder(p *sim.Proc, d *DB, val []byte, i int) error {
+	tx := d.BeginWithID(1)
+	tx.Put(uint64(1+i%8), val)
+	tx.Put(uint64(9+i%8), val)
+	return tx.Commit(p)
+}
+
+// A commit allocates the WAL blocks it writes (the buffers the volume adopts)
+// and nothing else: nothing per row, nothing for the Txn.
+func TestCommitAllocatesOnlyTheWALBlocksItWrites(t *testing.T) {
+	inProcess(func(p *sim.Proc, a *storage.Array) {
+		d, err := Open(p, "stock", allocVolume(t, a, "v", nil), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		val := make([]byte, 16)
+		for i := 0; i < 16; i++ { // every page the loop touches is dirty, scratch is sized
+			placeOrder(p, d, val, i)
+		}
+		const commits = 200 // several sealed WAL blocks, no checkpoint
+		i := 0
+		var walBefore int64
+		allocs := testing.AllocsPerRun(1, func() {
+			walBefore = d.WALWrites()
+			for n := 0; n < commits; n++ {
+				if err := placeOrder(p, d, val, i); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+		})
+		walBlocks := d.WALWrites() - walBefore
+		if d.Checkpoints() != 0 || walBlocks <= commits {
+			t.Fatalf("%d checkpoints, %d WAL block writes for %d commits: want no checkpoint and some sealed blocks",
+				d.Checkpoints(), walBlocks, commits)
+		}
+		if int64(allocs) != walBlocks {
+			t.Fatalf("%d commits allocated %v times; want exactly the %d WAL blocks they wrote", commits, allocs, walBlocks)
+		}
+	})
+}
+
+// dirtyDB opens a database on a fresh volume and dirties n distinct pages.
+func dirtyDB(tb testing.TB, p *sim.Proc, a *storage.Array, id storage.VolumeID, n int) *DB {
+	d, err := Open(p, string(id), allocVolume(tb, a, id, nil), Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for k := 1; k <= n; k++ {
+		tx := d.BeginWithID(1)
+		tx.Put(uint64(k), make([]byte, 16))
+		if err := tx.Commit(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if len(d.dirty) != n {
+		tb.Fatalf("%d dirty pages, want %d", len(d.dirty), n)
+	}
+	return d
+}
+
+// Checkpoint hands its dirty pages over: however many there are it allocates
+// the sorted block list and the superblock, and no page.
+func TestCheckpointAllocatesNoPage(t *testing.T) {
+	inProcess(func(p *sim.Proc, a *storage.Array) {
+		for _, n := range []int{4, 64} {
+			dbs := []*DB{ // AllocsPerRun makes a warm-up call first
+				dirtyDB(t, p, a, storage.VolumeID(fmt.Sprint("warm", n)), n),
+				dirtyDB(t, p, a, storage.VolumeID(fmt.Sprint("measured", n)), n),
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(1, func() {
+				if err := dbs[i].Checkpoint(p); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if dbs[1].PageFlushes() != int64(n) || allocs != 2 {
+				t.Fatalf("checkpoint of %d dirty pages flushed %d and allocated %v times; want 2 (block list, superblock)",
+					n, dbs[1].PageFlushes(), allocs)
+			}
+		}
+	})
+}
+
+// crashedImage commits txns single-row transactions over `pages` distinct
+// pages and returns the volume as a crash leaves it: rows only in the WAL.
+func crashedImage(tb testing.TB, p *sim.Proc, a *storage.Array, id storage.VolumeID, txns, pages int) *storage.Volume {
+	vol := allocVolume(tb, a, id, nil)
+	d, err := Open(p, "crashed", vol, Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < txns; i++ {
+		tx := d.Begin()
+		tx.Put(uint64(1+i%pages), make([]byte, 16))
+		if err := tx.Commit(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if d.Checkpoints() != 0 {
+		tb.Fatalf("%d transactions forced a checkpoint; the image must hold them in the WAL", txns)
+	}
+	return vol
+}
+
+// recoveryAllocs counts the allocations of one Open that redoes txns
+// transactions over `pages` distinct pages.
+func recoveryAllocs(t *testing.T, p *sim.Proc, a *storage.Array, txns, pages int) float64 {
+	id := func(role string) storage.VolumeID { return storage.VolumeID(fmt.Sprint(role, pages)) }
+	image := crashedImage(t, p, a, id("image"), txns, pages)
+	vols := []*storage.Volume{allocVolume(t, a, id("warm"), image), allocVolume(t, a, id("measured"), image)}
+	i := 0
+	var d *DB
+	allocs := testing.AllocsPerRun(1, func() {
+		var err error
+		if d, err = Open(p, "recovered", vols[i], Config{}); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if d.RecoveredTxns() != txns || d.PageFlushes() != int64(pages) {
+		t.Fatalf("recovered %d transactions into %d pages, want %d into %d", d.RecoveredTxns(), d.PageFlushes(), txns, pages)
+	}
+	return allocs
+}
+
+// Recovery allocates one page per distinct page it redoes — the copy it takes
+// on the page's first redone row, which the checkpoint then hands over — so 32
+// more redone pages for the same log cost 32 more allocations plus what the
+// two page maps grow by, far from the two a page that was copied at fill and
+// again at flush would cost.
+func TestRecoveryAllocatesOnePagePerRedonePage(t *testing.T) {
+	inProcess(func(p *sim.Proc, a *storage.Array) {
+		const txns, few, many = 80, 8, 40
+		base, more := recoveryAllocs(t, p, a, txns, few), recoveryAllocs(t, p, a, txns, many)
+		perPage := (more - base) / (many - few)
+		if perPage < 1 || perPage > 1.5 {
+			t.Fatalf("recovery of %d transactions: %v allocations over %d pages, %v over %d: %.2f per extra page, want 1 (plus map growth)",
+				txns, base, few, more, many, perPage)
+		}
+	})
+}
+
+// BenchmarkTxnCommit: one op is the shop's stock transaction — Begin, two
+// 16-byte Puts, Commit — on warm pages of an unreplicated volume.
+func BenchmarkTxnCommit(b *testing.B) {
+	inProcess(func(p *sim.Proc, a *storage.Array) {
+		d, err := Open(p, "stock", allocVolume(b, a, "v", nil), Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		val := make([]byte, 16)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := placeOrder(p, d, val, i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkRecover: one op is Open on a crashed image — scan a WAL holding
+// 256 committed single-row transactions over 64 pages, redo, checkpoint.
+func BenchmarkRecover(b *testing.B) {
+	inProcess(func(p *sim.Proc, a *storage.Array) {
+		image := crashedImage(b, p, a, "image", 256, 64)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			vol := allocVolume(b, a, "v", image)
+			b.StartTimer()
+			if _, err := Open(p, "recovered", vol, Config{}); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			a.DeleteVolume("v")
+			b.StartTimer()
+		}
+	})
+}

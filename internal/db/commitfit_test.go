@@ -122,13 +122,14 @@ func TestCommitFitCheckAgreesWithUpsertOnACopy(t *testing.T) {
 				// Reference: upsert the rows in order into copies of the pages.
 				ref := map[int64][]byte{}
 				var want error
-				for _, u := range tx.updates {
-					b := d.pageBlock(u.Key)
+				rows, vals := tx.buffered()
+				for _, u := range rows {
+					b := d.pageBlock(u.key)
 					if ref[b] == nil {
 						pg, _ := d.loadPage(p, b)
-						ref[b] = bytes.Clone(pg)
+						ref[b] = ownedPage(pg, d.blockSize) // a clean page may be nil
 					}
-					if want = pageUpsert(ref[b], u); want != nil {
+					if want = pageUpsert(ref[b], Row{Key: u.key, TxID: tx.id, Val: u.val(vals)}); want != nil {
 						break
 					}
 				}

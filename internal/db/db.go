@@ -25,7 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/replication"
@@ -75,18 +75,20 @@ type DB struct {
 	walBuf   []byte // encoded records in the head block (no header)
 	nextTxID uint64
 
-	pages     map[int64][]byte // cached data pages by absolute block index
-	dirty     map[int64]bool
+	// The page cache, by absolute block index, copies on first write. A clean
+	// page is borrowed: the slice the volume holds (nil = never written), never
+	// written into. dirty holds the owned pages — copies taken by writablePage,
+	// the only pages upserted into — until Checkpoint hands them to the volume.
+	pages     map[int64][]byte // what reads see: clean or dirty
+	dirty     map[int64][]byte
 	committed map[uint64]bool
 	mu        *sim.Resource // serializes commits and checkpoints
 
 	// Commit-path scratch, reused under mu so steady-state commits do not
 	// allocate per record (the E11 fleet runs hundreds of databases).
-	encBuf     []byte   // all of one transaction's encoded records
-	encOffs    []int    // record end offsets in encBuf
-	encSlices  [][]byte // per-record views into encBuf
-	sizeBuf    []int    // per-record encoded sizes
-	blkScratch []byte   // block staging for WAL/superblock writes
+	encBuf    []byte   // all of one transaction's encoded records
+	encSlices [][]byte // per-record views into encBuf
+	sizeBuf   []int    // per-record encoded sizes
 
 	// Stats.
 	commits         int64
@@ -112,7 +114,7 @@ func Open(p *sim.Proc, name string, vol replication.BlockWriter, cfg Config) (*D
 		dataBase:  int64(1 + cfg.WALBlocks),
 		dataPages: vol.SizeBlocks() - int64(1+cfg.WALBlocks),
 		pages:     make(map[int64][]byte),
-		dirty:     make(map[int64]bool),
+		dirty:     make(map[int64][]byte),
 		committed: make(map[uint64]bool),
 		nextTxID:  1,
 		epoch:     1,
@@ -171,14 +173,13 @@ func (d *DB) recover(p *sim.Proc) error {
 		if r.Type != wal.TypeUpdate || !durable[r.TxID] {
 			continue
 		}
-		page, err := d.loadPage(p, d.pageBlock(r.Key))
-		if err != nil {
+		block := d.pageBlock(r.Key)
+		if _, err := d.loadPage(p, block); err != nil {
 			return err
 		}
-		if err := pageUpsert(page, Row{Key: r.Key, TxID: r.TxID, Val: r.Val}); err != nil {
+		if err := pageUpsert(d.writablePage(block), Row{Key: r.Key, TxID: r.TxID, Val: r.Val}); err != nil {
 			return fmt.Errorf("db: %s: redo tx %d: %w", d.name, r.TxID, err)
 		}
-		d.dirty[d.pageBlock(r.Key)] = true
 	}
 	for id := range durable {
 		d.committed[id] = true
@@ -200,19 +201,30 @@ func (d *DB) pageBlock(key uint64) int64 {
 	return d.dataBase + int64(key%uint64(d.dataPages))
 }
 
-// loadPage returns the cached page, on a miss filling the cache with its own
-// copy of the block it read: reads are borrowed, and commits write into pages.
+// loadPage returns the cached page for reading, on a miss caching the block it
+// read as it is: borrowed, so nil for a never-written page (which holds no
+// rows and has every slot free) and never to be written into.
 func (d *DB) loadPage(p *sim.Proc, block int64) ([]byte, error) {
 	if pg, ok := d.pages[block]; ok {
 		return pg, nil
 	}
-	blk, err := d.vol.Read(p, block)
+	pg, err := d.vol.Read(p, block)
 	if err != nil {
 		return nil, err
 	}
-	pg := ownedPage(blk, d.blockSize)
 	d.pages[block] = pg
 	return pg, nil
+}
+
+// writablePage returns the loaded page for upserting into: the dirty page, or
+// on the first write to a clean page its own copy, which replaces it.
+func (d *DB) writablePage(block int64) []byte {
+	pg, ok := d.dirty[block]
+	if !ok {
+		pg = ownedPage(d.pages[block], d.blockSize)
+		d.dirty[block], d.pages[block] = pg, pg
+	}
+	return pg
 }
 
 // ownedPage returns a page the caller may write: a clone of the borrowed
@@ -245,35 +257,15 @@ func (d *DB) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 func (d *DB) Scan(p *sim.Proc, fn func(Row) bool) error {
 	// Sequential scan: pull any uncached part of the data region with one
 	// fused range read instead of one random read per page. Cached (and in
-	// particular dirty) pages are kept. The range is borrowed from the volume
-	// and the page cache is written by commits, so pages entering the cache
-	// are copied — into one backing buffer for all of them.
-	if rr, ok := d.vol.(blockRangeReader); ok {
-		missing := false
-		for b := d.dataBase; b < d.dataBase+d.dataPages; b++ {
-			if _, ok := d.pages[b]; !ok {
-				missing = true
-				break
-			}
+	// particular dirty) pages are kept; the rest enter the cache borrowed.
+	if rr, ok := d.vol.(blockRangeReader); ok && int64(len(d.pages)) < d.dataPages {
+		blocks, err := rr.ReadRange(p, d.dataBase, int(d.dataPages))
+		if err != nil {
+			return err
 		}
-		if missing {
-			blocks, err := rr.ReadRange(p, d.dataBase, int(d.dataPages))
-			if err != nil {
-				return err
-			}
-			var backing []byte
-			for i, blk := range blocks {
-				b := d.dataBase + int64(i)
-				if _, ok := d.pages[b]; ok {
-					continue
-				}
-				if len(backing) == 0 {
-					backing = make([]byte, (len(blocks)-i)*d.blockSize)
-				}
-				pg := backing[:d.blockSize:d.blockSize]
-				backing = backing[d.blockSize:]
-				copy(pg, blk) // nil = never written: the page stays zero
-				d.pages[b] = pg
+		for i, blk := range blocks {
+			if _, ok := d.pages[d.dataBase+int64(i)]; !ok {
+				d.pages[d.dataBase+int64(i)] = blk
 			}
 		}
 	}
@@ -322,27 +314,17 @@ func (d *DB) flushWAL(p *sim.Proc, encodedRecs [][]byte) error {
 	return d.writeWALBlock(p, d.walSeq, d.walBuf)
 }
 
-// writeWALBlock stages one WAL block in the reusable scratch and writes it
-// (the volume copies the data, so the scratch can be reused immediately).
+// writeWALBlock builds one WAL block in a fresh buffer and hands it over (the
+// volume adopts it): the commit path's one allocation.
 func (d *DB) writeWALBlock(p *sim.Proc, seq uint32, recs []byte) error {
-	blk := d.scratchBlock()
+	blk := make([]byte, d.blockSize)
 	wal.PutBlockHeader(blk, d.epoch, seq)
 	copy(blk[wal.BlockHeaderSize:], recs)
-	if _, err := d.vol.Write(p, d.walBase+int64(seq), blk); err != nil {
+	if _, err := d.vol.WriteOwned(p, d.walBase+int64(seq), blk); err != nil {
 		return err
 	}
 	d.walWrites++
 	return nil
-}
-
-// scratchBlock returns the zeroed block-size staging buffer.
-func (d *DB) scratchBlock() []byte {
-	if d.blkScratch == nil {
-		d.blkScratch = make([]byte, d.blockSize)
-	} else {
-		clear(d.blkScratch)
-	}
-	return d.blkScratch
 }
 
 // walEndPosition returns the head position (block index within the WAL
@@ -376,15 +358,16 @@ func (d *DB) walFits(sizes []int) bool {
 }
 
 // Checkpoint flushes dirty pages, bumps the log epoch, and resets the WAL
-// head — the no-force flush point.
+// head — the no-force flush point. Each dirty page is handed over to the
+// volume and stays cached as a clean page: the next write to it copies.
 func (d *DB) Checkpoint(p *sim.Proc) error {
 	blocks := make([]int64, 0, len(d.dirty))
 	for b := range d.dirty {
 		blocks = append(blocks, b)
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	slices.Sort(blocks)
 	for _, b := range blocks {
-		if _, err := d.vol.Write(p, b, d.pages[b]); err != nil {
+		if _, err := d.vol.WriteOwned(p, b, d.dirty[b]); err != nil {
 			return err
 		}
 		d.pageFlushes++
@@ -408,7 +391,7 @@ func (d *DB) CommittedTxns() []uint64 {
 	for id := range d.committed {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -454,14 +437,14 @@ type superblock struct {
 }
 
 func (d *DB) writeSuperblock(p *sim.Proc) error {
-	blk := d.scratchBlock()
+	blk := make([]byte, d.blockSize) // handed over, like a WAL block
 	binary.LittleEndian.PutUint32(blk[0:4], sbMagic)
 	binary.LittleEndian.PutUint16(blk[4:6], sbVersion)
 	binary.LittleEndian.PutUint32(blk[6:10], d.epoch)
 	binary.LittleEndian.PutUint32(blk[10:14], uint32(d.cfg.WALBlocks))
 	binary.LittleEndian.PutUint64(blk[14:22], d.nextTxID)
 	binary.LittleEndian.PutUint32(blk[22:26], crc32.ChecksumIEEE(blk[0:22]))
-	_, err := d.vol.Write(p, 0, blk)
+	_, err := d.vol.WriteOwned(p, 0, blk)
 	return err
 }
 

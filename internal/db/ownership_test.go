@@ -1,0 +1,203 @@
+package db
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/storage"
+)
+
+// Checkpoint hands each dirty page over: from then on the page is the
+// primary's stored block, the Data of its journal record, whatever a backup
+// adopted from that record and whatever a snapshot preserves. A later commit
+// to the page must copy first, and the flush after it must install a fresh
+// slice — all four stay byte for byte what was flushed.
+func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
+	env := sim.NewEnv(1)
+	a := storage.NewArray(env, "arr", storage.Config{})
+	src, _ := a.CreateVolume("src", 256)
+	twin, _ := a.CreateVolume("twin", 256)
+	sj, _ := a.CreateConsistencyGroup("j", []storage.VolumeID{"src"}, 1, 0)
+	j := sj.Shards()[0]
+	env.Process("t", func(p *sim.Proc) {
+		d, err := Open(p, "sales", src, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := d.Begin()
+		tx.Put(7, []byte("flushed"))
+		tx.Commit(p)
+		page := d.pageBlock(7)
+		owned := d.dirty[page]
+		d.Checkpoint(p)
+		if len(d.dirty) != 0 || &d.pages[page][0] != &owned[0] || &src.Peek(page)[0] != &owned[0] {
+			t.Fatal("checkpoint must hand the dirty page to the volume and keep it as the clean page")
+		}
+		flushed := bytes.Clone(owned)
+
+		pending := j.PendingRecords()  // the page's record is still in the journal
+		rec := pending[len(pending)-2] // data page, then the superblock
+		if rec.Block != page || &rec.Data[0] != &owned[0] {
+			t.Fatalf("journal record %d is block %d; want the handed-over page %d", len(pending)-2, rec.Block, page)
+		}
+		if err := twin.InstallDelta(page, rec.Data); err != nil { // the backup adopts it
+			t.Fatal(err)
+		}
+		snap, err := a.CreateSnapshot("s", "src")
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := func(stage string) {
+			t.Helper()
+			for name, got := range map[string][]byte{
+				"journal record": rec.Data, "backup block": twin.Peek(page), "snapshot": snap.Peek(page),
+			} {
+				if !bytes.Equal(got, flushed) {
+					t.Fatalf("%s: the %s is no longer what was flushed", stage, name)
+				}
+			}
+		}
+
+		tx = d.Begin()
+		tx.Put(7, []byte("rewritten"))
+		if err := tx.Commit(p); err != nil {
+			t.Fatal(err)
+		}
+		same("commit to a clean page")
+		if !bytes.Equal(src.Peek(page), flushed) {
+			t.Fatal("no-force: the commit changed the primary's stored page")
+		}
+		if &d.dirty[page][0] == &owned[0] {
+			t.Fatal("the commit wrote into the page it had handed over")
+		}
+		d.Checkpoint(p)
+		same("second checkpoint")
+		if v, _, _ := d.Get(p, 7); string(v) != "rewritten" || bytes.Equal(src.Peek(page), flushed) {
+			t.Fatalf("after the second checkpoint the row reads %q and the stored page is the old one: %v",
+				v, bytes.Equal(src.Peek(page), flushed))
+		}
+	})
+	env.Run(0)
+}
+
+// Reading never copies a page: after Get and Scan every cached page is the
+// volume's own slice (nil where nothing was written) and nothing is dirty.
+func TestReadsCacheBorrowedPages(t *testing.T) {
+	withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
+		d, _ := Open(p, "sales", vol, Config{})
+		tx := d.Begin()
+		tx.Put(7, []byte("a"))
+		tx.Put(8, []byte("b"))
+		tx.Commit(p)
+		d.Checkpoint(p)
+
+		d, err := Open(p, "sales", vol, Config{}) // empty page cache
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok, _ := d.Get(p, 7); !ok || string(v) != "a" {
+			t.Fatalf("get = %q, %v", v, ok)
+		}
+		rows := 0
+		d.Scan(p, func(Row) bool { rows++; return true })
+		if rows != 2 || int64(len(d.pages)) != d.dataPages || len(d.dirty) != 0 {
+			t.Fatalf("scan saw %d rows, cached %d of %d pages, %d dirty", rows, len(d.pages), d.dataPages, len(d.dirty))
+		}
+		for b, pg := range d.pages {
+			stored := vol.Peek(b)
+			if (pg == nil) != (stored == nil) || (pg != nil && &pg[0] != &stored[0]) {
+				t.Fatalf("cached page %d is not the volume's stored slice", b)
+			}
+		}
+		// A commit into a never-written (nil) page starts from a zero page.
+		tx = d.Begin()
+		tx.Put(9, []byte("c"))
+		if err := tx.Commit(p); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok, _ := d.Get(p, 9); !ok || string(v) != "c" || vol.Peek(d.pageBlock(9)) != nil {
+			t.Fatalf("row on a fresh page reads %q, %v; its block must stay unwritten until a checkpoint", v, ok)
+		}
+	})
+}
+
+// txnShape builds one transaction's rows: n rows of vlen-byte values, each
+// value distinct, with every third key repeated so last-write-wins is exercised.
+func txnShape(n, vlen int) (keys []uint64, vals [][]byte) {
+	for i := 0; i < n; i++ {
+		key := uint64(i + 1)
+		if i%3 == 2 {
+			key = uint64(i) // overwrites the previous row's key
+		}
+		keys = append(keys, key)
+		vals = append(vals, bytes.Repeat([]byte{byte(i + 1)}, vlen))
+	}
+	return keys, vals
+}
+
+// Put copies: the caller scribbles over its buffer right after Put, and the
+// transaction's own read, the commit and crash recovery all see the original.
+// Transactions inside the inline capacity (1 and 2 small rows), crossing it
+// (3 rows: the inline rows move to the arena) and far past it (63 rows, and
+// 5 rows of MaxValLen) commit, abort and recover alike.
+func TestTxnCarriesItsOwnCopiesAtEverySize(t *testing.T) {
+	for _, shape := range []struct{ rows, vlen int }{{1, 16}, {2, 16}, {1, 25}, {3, 16}, {2, 17}, {63, 16}, {5, MaxValLen}} {
+		t.Run(fmt.Sprintf("%drows_%dbytes", shape.rows, shape.vlen), func(t *testing.T) {
+			withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
+				d, _ := Open(p, "sales", vol, Config{})
+				keys, vals := txnShape(shape.rows, shape.vlen)
+				want := map[uint64][]byte{}
+				fill := func(tx *Txn) {
+					buf := make([]byte, shape.vlen) // one buffer reused for every Put
+					for i, k := range keys {
+						copy(buf, vals[i])
+						if err := tx.Put(k, buf); err != nil {
+							t.Fatal(err)
+						}
+						clear(buf)
+						want[k] = vals[i]
+					}
+				}
+				check := func(stage string, get func(uint64) ([]byte, bool, error), present bool) {
+					t.Helper()
+					for k, v := range want {
+						got, ok, err := get(k)
+						if err != nil || ok != present || (present && !bytes.Equal(got, v)) {
+							t.Fatalf("%s: key %d = %x, %v, %v; want %x, present %v", stage, k, got, ok, err, v, present)
+						}
+					}
+				}
+
+				aborted := d.Begin()
+				fill(aborted)
+				writes := vol.Writes()
+				aborted.Abort()
+				if err := aborted.Commit(p); !errors.Is(err, ErrTxnDone) || vol.Writes() != writes {
+					t.Fatalf("commit after abort: %v, %d volume writes", err, vol.Writes()-writes)
+				}
+				check("after abort", func(k uint64) ([]byte, bool, error) { return d.Get(p, k) }, false)
+
+				tx := d.Begin()
+				fill(tx)
+				check("read-your-writes", func(k uint64) ([]byte, bool, error) { return tx.Get(p, k) }, true)
+				if err := tx.Commit(p); err != nil {
+					t.Fatal(err)
+				}
+				check("after commit", func(k uint64) ([]byte, bool, error) { return d.Get(p, k) }, true)
+
+				re, err := Open(p, "sales", vol, Config{}) // crash: the rows are only in the WAL
+				if err != nil {
+					t.Fatal(err)
+				}
+				if re.RecoveredTxns() != 1 || !re.HasCommitted(tx.ID()) || re.HasCommitted(aborted.ID()) {
+					t.Fatalf("recovered %d transactions (committed %v, aborted %v)",
+						re.RecoveredTxns(), re.HasCommitted(tx.ID()), re.HasCommitted(aborted.ID()))
+				}
+				check("after recovery", func(k uint64) ([]byte, bool, error) { return re.Get(p, k) }, true)
+			})
+		})
+	}
+}

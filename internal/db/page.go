@@ -38,20 +38,22 @@ func slotsPerPage(blockSize int) int { return blockSize / slotSize }
 
 // pageFind scans the page for key: the offset of its slot (-1 if absent),
 // and — when absent — the offset of the first free slot (-1 if none) and the
-// number of free slots. A nil page (never written) has no slots at all.
-func pageFind(page []byte, key uint64) (at, free, nfree int) {
+// number of slots other keys occupy. A nil page (never written) stands for a
+// zero page: it has no slot to return, and none is occupied.
+func pageFind(page []byte, key uint64) (at, free, used int) {
 	free = -1
 	for off := 0; off+slotSize <= len(page); off += slotSize {
 		if page[off]&slotUsed == 0 {
 			if free < 0 {
 				free = off
 			}
-			nfree++
 		} else if binary.LittleEndian.Uint64(page[off+1:off+9]) == key {
-			return off, free, nfree
+			return off, free, used
+		} else {
+			used++
 		}
 	}
-	return -1, free, nfree
+	return -1, free, used
 }
 
 // pageLookup returns key's row (Val is its own copy) and whether it exists.

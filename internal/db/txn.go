@@ -1,6 +1,7 @@
 package db
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -8,14 +9,48 @@ import (
 	"repro/internal/wal"
 )
 
+// Inline capacity of a Txn, sized from the traffic that exists: the shop
+// workload commits 1 sales row or up to 2 stock rows of 16-byte values, the
+// demos one row of at most 25 bytes.
+const (
+	txnInlineRows = 2
+	txnInlineVals = 32
+)
+
+// txnRow is one buffered upsert. Its value is [off, off+n) of the
+// transaction's value storage — an offset, not a slice, so a Txn holds no
+// pointer into itself and stays on the stack of a caller it does not escape.
+type txnRow struct {
+	key    uint64
+	off, n int
+}
+
+func (u txnRow) val(vals []byte) []byte { return vals[u.off : u.off+u.n] }
+
 // Txn buffers a transaction's updates until Commit. Updates are not visible
 // to reads (including the transaction's own) until Commit returns — the
-// deferred-update discipline that keeps uncommitted data off disk.
+// deferred-update discipline that keeps uncommitted data off disk. A Txn
+// carries its own copies of the rows it was given: a small transaction's in
+// the inline arrays (Put allocates nothing), a larger one's all in the one
+// growable spill arena.
 type Txn struct {
-	db      *DB
-	id      uint64
-	updates []Row
-	done    bool
+	db   *DB
+	id   uint64
+	done bool
+
+	nrows, nvals int // used part of the inline arrays
+	rowArr       [txnInlineRows]txnRow
+	valArr       [txnInlineVals]byte
+	rows         []txnRow // non-nil once spilled: every row, values in vals
+	vals         []byte
+}
+
+// buffered returns the updates in Put order and the storage their values index.
+func (t *Txn) buffered() ([]txnRow, []byte) {
+	if t.rows != nil {
+		return t.rows, t.vals
+	}
+	return t.rowArr[:t.nrows], t.valArr[:t.nvals]
 }
 
 // Begin starts a transaction with a fresh ID.
@@ -38,7 +73,7 @@ func (d *DB) BeginWithID(id uint64) *Txn {
 // ID returns the transaction ID.
 func (t *Txn) ID() uint64 { return t.id }
 
-// Put buffers an upsert of key to val.
+// Put buffers an upsert of key to a copy of val; the caller keeps its buffer.
 func (t *Txn) Put(key uint64, val []byte) error {
 	if t.done {
 		return ErrTxnDone
@@ -49,9 +84,18 @@ func (t *Txn) Put(key uint64, val []byte) error {
 	if len(val) > MaxValLen {
 		return fmt.Errorf("%w: %d bytes", ErrValTooLarge, len(val))
 	}
-	v := make([]byte, len(val))
-	copy(v, val)
-	t.updates = append(t.updates, Row{Key: key, TxID: t.id, Val: v})
+	if t.rows == nil && t.nrows < txnInlineRows && t.nvals+len(val) <= txnInlineVals {
+		t.rowArr[t.nrows] = txnRow{key: key, off: t.nvals, n: len(val)}
+		t.nrows++
+		t.nvals += copy(t.valArr[t.nvals:], val)
+		return nil
+	}
+	if t.rows == nil { // outgrew the inline arrays: everything moves to the arena
+		t.rows = append(make([]txnRow, 0, 4*txnInlineRows), t.rowArr[:t.nrows]...)
+		t.vals = append(make([]byte, 0, 4*txnInlineVals+len(val)), t.valArr[:t.nvals]...)
+	}
+	t.rows = append(t.rows, txnRow{key: key, off: len(t.vals), n: len(val)})
+	t.vals = append(t.vals, val...)
 	return nil
 }
 
@@ -61,11 +105,10 @@ func (t *Txn) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 	if t.done {
 		return nil, false, ErrTxnDone
 	}
-	for i := len(t.updates) - 1; i >= 0; i-- {
-		if t.updates[i].Key == key {
-			out := make([]byte, len(t.updates[i].Val))
-			copy(out, t.updates[i].Val)
-			return out, true, nil
+	rows, vals := t.buffered()
+	for i := len(rows) - 1; i >= 0; i-- {
+		if u := rows[i]; u.key == key {
+			return bytes.Clone(u.val(vals)), true, nil
 		}
 	}
 	return t.db.Get(p, key)
@@ -75,30 +118,24 @@ func (t *Txn) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 func (t *Txn) Abort() { t.done = true }
 
 // encode writes the transaction's update and commit records, stamped with
-// the database's current epoch, into the DB's reusable encode buffers and
-// returns per-record views. Record boundaries are observed while encoding
-// (not derived from pre-computed sizes), so the views stay correct even if
-// the encoded size of a record ever depends on its content or epoch.
+// the database's current epoch, into the DB's reusable encode buffer and
+// returns per-record views. Each view is taken as its record is encoded (not
+// derived from pre-computed sizes), so the views stay correct even if the
+// encoded size of a record ever depends on its content or epoch; should the
+// buffer grow mid-way, earlier views keep the old array, whose bytes stand.
 func (t *Txn) encode() [][]byte {
 	d := t.db
-	d.encBuf = d.encBuf[:0]
-	d.encOffs = d.encOffs[:0]
-	for _, u := range t.updates {
-		d.encBuf = wal.AppendEncode(d.encBuf, wal.Record{
-			Type: wal.TypeUpdate, Epoch: d.epoch, TxID: t.id, Key: u.Key, Val: u.Val,
-		})
-		d.encOffs = append(d.encOffs, len(d.encBuf))
+	d.encBuf, d.encSlices = d.encBuf[:0], d.encSlices[:0]
+	emit := func(r wal.Record) {
+		start := len(d.encBuf)
+		d.encBuf = wal.AppendEncode(d.encBuf, r)
+		d.encSlices = append(d.encSlices, d.encBuf[start:])
 	}
-	d.encBuf = wal.AppendEncode(d.encBuf, wal.Record{
-		Type: wal.TypeCommit, Epoch: d.epoch, TxID: t.id,
-	})
-	d.encOffs = append(d.encOffs, len(d.encBuf))
-	d.encSlices = d.encSlices[:0]
-	start := 0
-	for _, end := range d.encOffs {
-		d.encSlices = append(d.encSlices, d.encBuf[start:end])
-		start = end
+	rows, vals := t.buffered()
+	for _, u := range rows {
+		emit(wal.Record{Type: wal.TypeUpdate, Epoch: d.epoch, TxID: t.id, Key: u.key, Val: u.val(vals)})
 	}
+	emit(wal.Record{Type: wal.TypeCommit, Epoch: d.epoch, TxID: t.id})
 	return d.encSlices
 }
 
@@ -119,34 +156,36 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	// Verify every update has a slot before logging anything: a key already
 	// on its page rewrites its slot, an absent key needs a free one — after
 	// those the transaction's earlier absent keys on that page will take.
+	rows, vals := t.buffered()
 	claims := make([]uint64, 0, 8) // absent keys granted a slot so far, distinct; stays on the stack
-	for _, u := range t.updates {
-		block := d.pageBlock(u.Key)
+	for _, u := range rows {
+		block := d.pageBlock(u.key)
 		page, err := d.loadPage(p, block)
 		if err != nil {
 			return err
 		}
-		at, _, free := pageFind(page, u.Key)
-		if at >= 0 || slices.Contains(claims, u.Key) {
+		at, _, used := pageFind(page, u.key)
+		if at >= 0 || slices.Contains(claims, u.key) {
 			continue
 		}
+		free := slotsPerPage(d.blockSize) - used // of the zero page, if never written (nil)
 		for _, c := range claims {
 			if d.pageBlock(c) == block {
 				free--
 			}
 		}
 		if free <= 0 {
-			return fmt.Errorf("%w: key %d", ErrPageFull, u.Key)
+			return fmt.Errorf("%w: key %d", ErrPageFull, u.key)
 		}
-		claims = append(claims, u.Key)
+		claims = append(claims, u.key)
 	}
 	// Size the log entries before encoding anything, so the fit check (and
 	// any checkpoint it forces) happens first and the records are encoded
 	// exactly once, with the final epoch.
 	sizes := d.sizeBuf[:0]
 	var totalBytes int
-	for _, u := range t.updates {
-		n := wal.Record{Type: wal.TypeUpdate, TxID: t.id, Key: u.Key, Val: u.Val}.EncodedSize()
+	for _, u := range rows {
+		n := wal.Record{Type: wal.TypeUpdate, TxID: t.id, Key: u.key, Val: u.val(vals)}.EncodedSize()
 		if n > d.walCapacity() {
 			return fmt.Errorf("%w: record %d bytes", ErrTxnTooLarge, n)
 		}
@@ -172,13 +211,12 @@ func (t *Txn) Commit(p *sim.Proc) error {
 		return err
 	}
 	// The transaction is durable; apply to memory pages (no-force).
-	for _, u := range t.updates {
-		block := d.pageBlock(u.Key)
-		if err := pageUpsert(d.pages[block], u); err != nil { // loaded above
+	for _, u := range rows {
+		row := Row{Key: u.key, TxID: t.id, Val: u.val(vals)}
+		if err := pageUpsert(d.writablePage(d.pageBlock(u.key)), row); err != nil { // loaded above
 			// The fit check above guaranteed room; this indicates a bug.
 			panic(fmt.Sprintf("db: %s: post-log upsert failed: %v", d.name, err))
 		}
-		d.dirty[block] = true
 	}
 	d.committed[t.id] = true
 	d.commits++

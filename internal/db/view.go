@@ -3,7 +3,7 @@ package db
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -230,7 +230,7 @@ func (v *View) CommittedTxns() []uint64 {
 	for id := range v.committed {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

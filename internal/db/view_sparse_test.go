@@ -107,11 +107,11 @@ func TestViewLeavesBorrowedImageUntouched(t *testing.T) {
 	}
 }
 
-// A live database's Scan caches the data region from a borrowed range, and
-// commits write into cached pages: the cache must own copies, or a commit
-// would edit the volume's stored block behind its back (no-force: data pages
-// reach the volume only at Checkpoint).
-func TestScanCachesCopiesOfBorrowedPages(t *testing.T) {
+// A live database's Scan caches the data region as the borrowed range it
+// read, and commits change cached pages: a commit must copy the page first, or
+// it would edit the volume's stored block behind its back (no-force: data
+// pages reach the volume only at Checkpoint).
+func TestCommitAfterScanCopiesTheBorrowedPage(t *testing.T) {
 	withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
 		d, _ := Open(p, "sales", vol, Config{})
 		tx := d.Begin()
@@ -154,8 +154,9 @@ func BenchmarkOpenViewSparse(b *testing.B) {
 }
 
 // Reads are borrowed, so a slice peeked from the volume IS the stored data
-// page. The database writes into cached pages on commit and on redo, and a
-// view upserts while it replays: each must do so in a copy it owns. Commit,
+// page — and after a cache fill it is the cached page too. The database
+// upserts on commit and on redo, and a view while it replays: each must do so
+// in a copy it owns, taken on the first write. Commit,
 // crash recovery's redo, checkpoint and a view's replay of an update to that
 // very page all leave the peeked slice — and, for the view, the snapshot —
 // byte for byte what it was.

@@ -129,7 +129,7 @@ type drainLane struct {
 	journal *storage.Journal
 	path    fabric.Path
 
-	batch  []storage.Record // drain scratch, reused across batches
+	batch  []storage.Record // drain scratch, reused across batches; batch[:inflight] is in flight
 	staged []storage.Record // transferred, awaiting an epoch commit
 
 	inflight      int           // records taken from the shard and not yet staged or applied
@@ -384,7 +384,7 @@ func (g *Group) drainLane(p *sim.Proc, l *drainLane) {
 			// The tail a departing coordinator left to this lane (see
 			// coordinate): older than the batch, so it commits ahead of it.
 			recs = append(l.staged, recs...)
-			l.staged = nil
+			l.staged, l.batch = nil, recs
 			l.inflight = len(recs)
 			l.inflightEpoch = recs[0].Epoch
 			l.inflightAck = recs[0].AckedAt
@@ -697,12 +697,14 @@ func (g *Group) ApplyLog() []storage.Record { return g.applyLog }
 
 // UnappliedRecords returns every record acknowledged at the source but
 // never applied at the target: journal backlogs, staged-but-uncommitted
-// records, and batches abandoned at a split. Failback derives the
-// source-side divergence from it.
+// records, batches abandoned at a split, and the batch a lane still has on
+// the wire or in apply (it joins lost only when that returns and notices the
+// stop). Failback derives the source-side divergence from it.
 func (g *Group) UnappliedRecords() []storage.Record {
 	out := append([]storage.Record(nil), g.lost...)
 	for _, l := range g.commitLanes() {
 		out = append(out, l.staged...)
+		out = append(out, l.batch[:l.inflight]...)
 		out = append(out, l.journal.PendingRecords()...)
 	}
 	return out

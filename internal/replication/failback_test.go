@@ -97,6 +97,38 @@ func TestFailbackResyncsDelta(t *testing.T) {
 	reverse.Stop()
 }
 
+// A batch the lane still has on the wire when Failback starts is unapplied
+// too: the partition held its transfer, the heal lets it run on, and only when
+// it returns does the lane notice the stop and book the batch as lost. Failback
+// must not wait for that to count the batch's blocks as diverged.
+func TestFailbackResyncsTheBatchStillOnTheWire(t *testing.T) {
+	r, g := failoverRig(t) // healed just now: the abandoned transfer has not returned
+	if n := len(g.UnappliedRecords()); n != 1 {
+		t.Fatalf("unapplied records with the stranded batch in flight = %d, want 1", n)
+	}
+	var stats FailbackStats
+	r.env.Process("failback", func(p *sim.Proc) {
+		reverse, st, err := g.Failback(p, r.main, r.links.Reverse, Config{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		stats = st
+		reverse.CatchUp(p)
+		reverse.Stop()
+	})
+	r.env.Run(0)
+	if stats.DeltaBlocks != 1 {
+		t.Fatalf("delta = %d blocks, want the in-flight batch's 1", stats.DeltaBlocks)
+	}
+	if got := r.sales.Peek(1); got == nil || got[0] == 0x03 {
+		t.Fatal("old source kept the write that never reached the backup")
+	}
+	if n := len(g.UnappliedRecords()); n != 1 {
+		t.Fatalf("unapplied records once the transfer was abandoned = %d, want 1 (no double count)", n)
+	}
+}
+
 func TestFailbackReverseReplicationFlows(t *testing.T) {
 	r, g := failoverRig(t)
 	bs, _ := r.backup.Volume("sales")

@@ -163,6 +163,41 @@ func TestSDCWritePaysRoundTrip(t *testing.T) {
 	}
 }
 
+// An SDC write stores one slice at both sites — the host's own under WriteOwned,
+// one copy of it under Write — and an overwrite at either site installs a fresh
+// slice there, leaving the other site's block as it was mirrored.
+func TestSDCSitesShareOneSliceAndOverwriteApart(t *testing.T) {
+	r := newRig(t, netlink.Config{Propagation: time.Millisecond})
+	tv, _ := r.backup.Volume("sales")
+	sv := NewSyncVolume(r.sales, tv, r.links)
+	r.env.Process("io", func(p *sim.Proc) {
+		owned, kept := fill(r.main, 7), fill(r.main, 8)
+		if _, err := sv.WriteOwned(p, 0, owned); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sv.Write(p, 1, kept); err != nil {
+			t.Fatal(err)
+		}
+		kept[0] = 9 // Write's caller keeps its buffer
+		if &r.sales.Peek(0)[0] != &owned[0] || &tv.Peek(0)[0] != &owned[0] {
+			t.Fatal("WriteOwned must hand the caller's slice to both sites")
+		}
+		if &r.sales.Peek(1)[0] != &tv.Peek(1)[0] || &tv.Peek(1)[0] == &kept[0] || tv.Peek(1)[0] != 8 {
+			t.Fatal("Write must mirror one copy of the host's buffer, not the buffer")
+		}
+		if _, err := r.sales.Write(p, 0, fill(r.main, 1)); err != nil { // the source alone moves on
+			t.Fatal(err)
+		}
+		if err := tv.Apply(p, 1, fill(r.backup, 2)); err != nil { // the target alone moves on
+			t.Fatal(err)
+		}
+		if !bytes.Equal(tv.Peek(0), fill(r.main, 7)) || !bytes.Equal(r.sales.Peek(1), fill(r.main, 8)) {
+			t.Fatal("an overwrite at one site changed the block the other site holds")
+		}
+	})
+	r.env.Run(0)
+}
+
 func TestSyncVolumeReadIsLocal(t *testing.T) {
 	r := newRig(t, netlink.Config{Propagation: time.Hour}) // reads must not touch this
 	tv, _ := r.backup.Volume("sales")

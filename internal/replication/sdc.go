@@ -18,6 +18,10 @@ import (
 type BlockWriter interface {
 	// Write copies data in; the caller keeps its buffer.
 	Write(p *sim.Proc, block int64, data []byte) (storage.Ack, error)
+	// WriteOwned adopts data as the stored block: the caller gives the buffer
+	// up and never writes into it again. Latency, journaling and counters are
+	// Write's — Write is WriteOwned of a copy.
+	WriteOwned(p *sim.Proc, block int64, data []byte) (storage.Ack, error)
 	// Read borrows: nil for a never-written block, else the stored slice,
 	// which the caller must not modify (see storage.Volume.Read).
 	Read(p *sim.Proc, block int64) ([]byte, error)
@@ -36,9 +40,8 @@ type SyncVolume struct {
 	forward fabric.Path
 	reverse fabric.Path
 
-	writes       int64
-	remoteLag    time.Duration // cumulative remote round-trip overhead
-	lastWriteAck storage.Ack
+	writes    int64
+	remoteLag time.Duration // cumulative remote round-trip overhead
 }
 
 // NewSyncVolume pairs a source volume with its remote twin over a link pair.
@@ -52,24 +55,29 @@ func NewSyncVolumeOnPaths(source, target *storage.Volume, forward, reverse fabri
 	return &SyncVolume{source: source, target: target, forward: forward, reverse: reverse}
 }
 
-// Write stores the block locally, mirrors it remotely, and returns after the
-// remote ack. The returned Ack is the local one (its GlobalSeq still defines
-// the ack order; SDC guarantees the remote has it too).
+// Write is WriteOwned of a copy: the caller keeps its buffer.
 func (sv *SyncVolume) Write(p *sim.Proc, block int64, data []byte) (storage.Ack, error) {
-	ack, err := sv.source.Write(p, block, data)
+	return sv.WriteOwned(p, block, bytes.Clone(data))
+}
+
+// WriteOwned stores the block locally, mirrors it remotely, and returns after
+// the remote ack. The returned Ack is the local one (its GlobalSeq still
+// defines the ack order; SDC guarantees the remote has it too). Both sites
+// adopt the one slice: an overwrite at either installs a fresh one there and
+// leaves the other's intact.
+func (sv *SyncVolume) WriteOwned(p *sim.Proc, block int64, data []byte) (storage.Ack, error) {
+	ack, err := sv.source.WriteOwned(p, block, data)
 	if err != nil {
 		return storage.Ack{}, err
 	}
 	start := p.Now()
 	sv.forward.Transfer(p, len(data)+64)
-	// Apply adopts the slice it is given and data stays the host's: mirror a copy.
-	if err := sv.target.Apply(p, block, bytes.Clone(data)); err != nil {
+	if err := sv.target.Apply(p, block, data); err != nil {
 		return storage.Ack{}, err
 	}
 	sv.reverse.Transfer(p, 64) // ack frame
 	sv.remoteLag += p.Now() - start
 	sv.writes++
-	sv.lastWriteAck = ack
 	return ack, nil
 }
 

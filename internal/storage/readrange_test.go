@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -249,6 +250,49 @@ func TestAdoptedRecordBlockIsNeverWrittenInto(t *testing.T) {
 			if !bytes.Equal(tc.got, block(main, tc.want)) {
 				t.Errorf("%s reads %x, want %02x", name, tc.got[0], tc.want)
 			}
+		}
+	})
+	env.Run(time.Second)
+}
+
+// Write is WriteOwned of a copy: the two cost the same simulated time and move
+// every counter and the journal alike, and differ only in whose slice ends up
+// stored (and logged) — the caller's own, or a copy the caller may scribble past.
+func TestWriteOwnedIsWriteMinusTheCopy(t *testing.T) {
+	env := sim.NewEnv(1)
+	a := NewArray(env, "main", Config{})
+	v, _ := a.CreateVolume("v", 4)
+	j := journalOn(t, a, "cg", "v")
+	env.Process("driver", func(p *sim.Proc) {
+		type cost struct {
+			took                   time.Duration
+			writes, ops, bytes, jn int64
+		}
+		measure := func(write func() (Ack, error)) (Ack, cost) {
+			t0, w, o, b, n := p.Now(), v.Writes(), a.WriteOps(), a.BytesWritten(), j.Appended()
+			ack, err := write()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ack, cost{p.Now() - t0, v.Writes() - w, a.WriteOps() - o, a.BytesWritten() - b, j.Appended() - n}
+		}
+		kept, owned := block(a, 0x01), block(a, 0x02)
+		ack1, c1 := measure(func() (Ack, error) { return v.Write(p, 0, kept) })
+		ack2, c2 := measure(func() (Ack, error) { return v.WriteOwned(p, 1, owned) })
+		kept[0] = 0xFF
+		if c1 != c2 || ack2.GlobalSeq != ack1.GlobalSeq+1 || ack2.GroupSeq != ack1.GroupSeq+1 {
+			t.Fatalf("Write cost %+v acked %+v; WriteOwned cost %+v acked %+v", c1, ack1, c2, ack2)
+		}
+		recs := j.Take(p, 2)
+		if &v.Peek(0)[0] == &kept[0] || v.Peek(0)[0] != 0x01 || &recs[0].Data[0] != &v.Peek(0)[0] {
+			t.Fatal("Write must store and log one copy of the caller's buffer")
+		}
+		if &v.Peek(1)[0] != &owned[0] || &recs[1].Data[0] != &owned[0] {
+			t.Fatal("WriteOwned must store and log the caller's slice itself")
+		}
+		v.SetReadOnly(true)
+		if _, err := v.WriteOwned(p, 2, block(a, 0x03)); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("WriteOwned to a read-only volume: %v", err)
 		}
 	})
 	env.Run(time.Second)

@@ -106,8 +106,16 @@ type Ack struct {
 }
 
 // Write stores one block, consuming simulated controller and media time, and
-// returns the ack. Data length must equal the array block size.
+// returns the ack. Data length must equal the array block size. The caller
+// keeps its buffer: Write is WriteOwned of a copy.
 func (v *Volume) Write(p *sim.Proc, block int64, data []byte) (Ack, error) {
+	return v.WriteOwned(p, block, bytes.Clone(data))
+}
+
+// WriteOwned is the host write for a caller that gives its buffer up: the
+// volume ADOPTS data as the stored block (and as the journal record's Data),
+// exactly as InstallDelta does, so the caller must never write into it again.
+func (v *Volume) WriteOwned(p *sim.Proc, block int64, data []byte) (Ack, error) {
 	if v.readOnly {
 		return Ack{}, fmt.Errorf("%w: %s", ErrReadOnly, v.id)
 	}
@@ -124,7 +132,31 @@ func (v *Volume) Write(p *sim.Proc, block int64, data []byte) (Ack, error) {
 	v.acquireService(p)
 	p.Sleep(lat)
 	v.releaseService()
-	return v.commit(p, p.Now(), block, data), nil
+	// Acked: store the block and, when replication is on, log it. p is the
+	// acking process — the journal append attributes its not-empty trigger to
+	// it so the wakeup merges correctly under the parallel scheduler.
+	v.install(block, data)
+	v.countWrite(len(data))
+	ack := Ack{
+		Volume:    v.id,
+		Block:     block,
+		GlobalSeq: v.ackSeq(),
+		AckedAt:   p.Now(),
+	}
+	if v.journal != nil {
+		switch {
+		case v.journal.Overflowed():
+			// Pair suspended: the write is not journaled; change tracking
+			// (started at overflow) records it for the eventual resync.
+		case v.journal.CapacityBytes() > 0 &&
+			v.journal.PendingBytes()+len(data)+recordHeaderBytes > v.journal.CapacityBytes():
+			v.journal.group.overflow()
+			v.noteChange(block) // tracking started just now; cover this write
+		default:
+			ack.GroupSeq = v.journal.append(p, v.id, block, data, ack.GlobalSeq, ack.AckedAt)
+		}
+	}
+	return ack, nil
 }
 
 // acquireService claims the volume's service queue: its own queue in
@@ -156,36 +188,6 @@ func (v *Volume) ackSeq() int64 {
 	}
 	v.localSeq++
 	return v.localSeq
-}
-
-// commit applies a write without consuming time; Write and the replication
-// apply path share it. The caller has already paid the service time. p is
-// the acking process — journal appends attribute their not-empty trigger to
-// it so the wakeup merges correctly under the parallel scheduler.
-func (v *Volume) commit(p *sim.Proc, now time.Duration, block int64, data []byte) Ack {
-	buf := bytes.Clone(data) // the host keeps its buffer; cloning skips zeroing the new block first
-	v.install(block, buf)
-	v.countWrite(len(buf))
-	ack := Ack{
-		Volume:    v.id,
-		Block:     block,
-		GlobalSeq: v.ackSeq(),
-		AckedAt:   now,
-	}
-	if v.journal != nil {
-		switch {
-		case v.journal.Overflowed():
-			// Pair suspended: the write is not journaled; change tracking
-			// (started at overflow) records it for the eventual resync.
-		case v.journal.CapacityBytes() > 0 &&
-			v.journal.PendingBytes()+len(buf)+recordHeaderBytes > v.journal.CapacityBytes():
-			v.journal.group.overflow()
-			v.noteChange(block) // tracking started just now; cover this write
-		default:
-			ack.GroupSeq = v.journal.append(p, v.id, block, buf, ack.GlobalSeq, now)
-		}
-	}
-	return ack
 }
 
 // preserveForSnapshots hands the current block to every snapshot that has
