@@ -29,12 +29,9 @@ func main() {
 	run := flag.String("run", "all", "comma-separated experiment IDs (e1,e2,...,e18) or 'all'")
 	seed := flag.Int64("seed", 1, "base simulation seed")
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast pass")
-	kernelStats := flag.Bool("kernelstats", false, "print kernel scheduler counters for every simulated environment")
 	telemetryOut := flag.String("telemetry", "", "write E16's telemetry export (Chrome trace-event JSON) to this path")
 	decisionsOut := flag.String("decisions", "", "write E17's autopilot decision log to this path")
 	flag.Parse()
-
-	experiments.CollectKernelStats(*kernelStats)
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(strings.ToLower(*run), ",") {
@@ -253,8 +250,5 @@ func main() {
 			log.Fatalf("E9c: %v", err)
 		}
 		fmt.Println(experiments.E9SkewTable(skew))
-	}
-	if *kernelStats {
-		fmt.Println(experiments.KernelStatsTable())
 	}
 }

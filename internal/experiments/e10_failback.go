@@ -112,7 +112,6 @@ func E10Failback(seed int64, outageOrders []int) ([]FailbackResult, error) {
 			reverse.Stop()
 		})
 		r.env.Run(0)
-		recordKernel(fmt.Sprintf("e10/outage=%d", n), r.env)
 		if fbErr != nil {
 			return nil, fmt.Errorf("E10 outage=%d: %w", n, fbErr)
 		}

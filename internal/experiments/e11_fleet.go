@@ -10,7 +10,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/storage"
-	"repro/internal/telemetry"
 )
 
 // FleetResult summarizes one E11 multi-tenant fleet run.
@@ -47,22 +46,6 @@ func E11FleetScale(seed int64, tenants, ordersPerTenant int) (FleetResult, error
 // E11FleetScaleWorkers is E11FleetScale with an explicit scheduler worker
 // count (0 or 1 forces the sequential scheduler).
 func E11FleetScaleWorkers(seed int64, tenants, ordersPerTenant, workers int) (FleetResult, error) {
-	return e11Run(seed, tenants, ordersPerTenant, workers, nil)
-}
-
-// E11FleetScaleTelemetry is E11FleetScale with the telemetry plane enabled
-// at the given probe sample period — the subject of the telemetry-overhead
-// benchmark, which requires it to stay within a few percent of the
-// telemetry-off run at 1,024 tenants. workers <= 0 takes E11FleetScale's
-// default (one per core), keeping the two benches apples-to-apples.
-func E11FleetScaleTelemetry(seed int64, tenants, ordersPerTenant, workers int, period time.Duration) (FleetResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return e11Run(seed, tenants, ordersPerTenant, workers, &telemetry.Config{SamplePeriod: period})
-}
-
-func e11Run(seed int64, tenants, ordersPerTenant, workers int, tel *telemetry.Config) (FleetResult, error) {
 	f := fleet.New(fleet.Config{
 		Tenants:         tenants,
 		OrdersPerTenant: ordersPerTenant,
@@ -77,8 +60,7 @@ func e11Run(seed int64, tenants, ordersPerTenant, workers int, tel *telemetry.Co
 		// under mixed load — is block-size independent, and 512-byte blocks
 		// cut the host memory traffic of block copies 8x.
 		System: core.Config{Seed: seed, VolumeBlocks: 256,
-			Storage:   storage.Config{BlockSize: 512},
-			Telemetry: tel},
+			Storage: storage.Config{BlockSize: 512}},
 	})
 	if err := f.Run(); err != nil {
 		return FleetResult{}, fmt.Errorf("E11: %w", err)
@@ -99,7 +81,6 @@ func e11Run(seed int64, tenants, ordersPerTenant, workers int, tel *telemetry.Co
 		Workers:         workers,
 		Kernel:          f.Sys.Env.Stats(),
 	}
-	recordKernel(fmt.Sprintf("e11/tenants=%d,workers=%d", tenants, workers), f.Sys.Env)
 	for _, g := range f.Sys.Replication.AllGroups() {
 		res.BackupApplied += g.AppliedRecords()
 	}
@@ -134,7 +115,7 @@ func E11Table(r FleetResult) *metrics.Table {
 	t.AddRow("kernel heap pushes", r.Kernel.HeapPushes)
 	t.AddRow("kernel same-instant FIFO bypasses", r.Kernel.FifoBypasses)
 	t.AddRow("kernel timer entries canceled eagerly", r.Kernel.TimerCancels)
-	t.AddRow("kernel parallel rounds merged", r.Kernel.ParallelMerges)
+	t.AddRow("kernel parallel rounds merged", r.Kernel.ParallelRounds)
 	t.AddRow("kernel steps run in parallel rounds", r.Kernel.ParallelSteps)
 	t.AddNote("shape: every tenant's image is a consistent cut; lost in-flight commits are RPO, not collapse")
 	return t

@@ -112,31 +112,6 @@ func E12Interference(seed int64, orders int) ([]InterferenceResult, error) {
 	return out, nil
 }
 
-// E12InterferenceWindowed reruns the scheduled E12 scenarios (the ones with
-// QoS classes — passthrough fabrics have no dispatcher to window) with a
-// per-link in-flight window. The QoS shape and every consistency cut must
-// survive pipelining: DRR still picks who serializes next, the window only
-// overlaps serialization with propagation.
-func E12InterferenceWindowed(seed int64, orders, window int) ([]InterferenceResult, error) {
-	if orders <= 0 {
-		orders = 40
-	}
-	var out []InterferenceResult
-	for _, sc := range e12Scenarios() {
-		if len(sc.classes) == 0 {
-			continue
-		}
-		sc.window = window
-		sc.name = fmt.Sprintf("%s/w%d", sc.name, window)
-		r, err := e12Run(seed, sc, orders)
-		if err != nil {
-			return out, fmt.Errorf("E12 %s: %w", sc.name, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) {
 	res := InterferenceResult{
 		Scenario: sc.name, Links: len(sc.links), Noisy: sc.noisy, LinkFailure: sc.linkFailure,
@@ -347,7 +322,6 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 		fab.Stop()
 	})
 	env.Run(0)
-	recordKernel("e12/"+sc.name, env)
 	if verr != nil {
 		return res, verr
 	}

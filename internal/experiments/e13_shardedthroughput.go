@@ -184,11 +184,10 @@ func e13Run(seed int64, shards, writes int, failover bool, res *ShardedThroughpu
 		})
 	}
 	sys.Env.Run(0)
-	// Quiesce before discarding the system so repeated runs (the bench
-	// loop) do not accumulate parked simulation processes.
+	// Quiesce before discarding the system so repeated runs in one process
+	// do not accumulate parked simulation processes.
 	sys.Stop()
 	sys.Env.Run(0)
-	recordKernel(fmt.Sprintf("e13/shards=%d,failover=%v", shards, failover), sys.Env)
 	return runErr
 }
 

@@ -93,7 +93,6 @@ func E14Elasticity(seed int64, tenants, orders int) (ElasticityResult, error) {
 	if err := base.Run(); err != nil {
 		return res, fmt.Errorf("E14 baseline: %w", err)
 	}
-	recordKernel("e14/baseline", base.Sys.Env)
 	res.VictimMaxRPOBase = e14Victims(base, tenants, leaverIdx)
 	firstFailover := time.Duration(0)
 	for _, t := range base.Tenants {
@@ -120,7 +119,6 @@ func E14Elasticity(seed int64, tenants, orders int) (ElasticityResult, error) {
 	if err := churn.Run(); err != nil {
 		return res, fmt.Errorf("E14 churn: %w", err)
 	}
-	recordKernel("e14/churn", churn.Sys.Env)
 
 	tot := churn.Totals()
 	res.Joined = tot.Joined

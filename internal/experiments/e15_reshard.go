@@ -310,7 +310,6 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 	sys.Env.Run(0)
 	sys.Stop()
 	sys.Env.Run(0)
-	recordKernel(fmt.Sprintf("e15/failover=%v", failover), sys.Env)
 	return runErr
 }
 

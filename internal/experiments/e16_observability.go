@@ -89,7 +89,6 @@ func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (Observ
 	if err := f.Run(); err != nil {
 		return ObservabilityResult{}, fmt.Errorf("E16: %w", err)
 	}
-	recordKernel(fmt.Sprintf("e16/tenants=%d,workers=%d", tenants, workers), f.Sys.Env)
 	tot := f.Totals()
 	reg := f.Sys.Telemetry
 	end := f.Sys.Env.Now()

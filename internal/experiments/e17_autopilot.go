@@ -319,7 +319,6 @@ func e17Run(seed int64, workers int, auto, trace bool) (AutopilotRun, *autopilot
 	}
 	sys.Stop()
 	sys.Env.Run(0)
-	recordKernel(fmt.Sprintf("e17/auto=%v", auto), sys.Env)
 	if runErr != nil {
 		return run, ap, sys, runErr
 	}

@@ -222,7 +222,6 @@ func e18Run(seed int64, window, writes int, partition bool, res *PipeFillResult)
 	sys.Env.Run(0)
 	sys.Stop()
 	sys.Env.Run(0)
-	recordKernel(fmt.Sprintf("e18/window=%d,partition=%v", window, partition), sys.Env)
 	return runErr
 }
 

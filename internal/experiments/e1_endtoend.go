@@ -84,9 +84,8 @@ func E1EndToEnd(seed int64, orders int) (EndToEndResult, error) {
 		res.FailoverIntact = !foRep.Collapsed() && foRep.OrderingOK()
 	})
 	sys.Env.Run(time.Hour)
-	sys.Stop() // quiesce so bench iterations do not accumulate parked procs
+	sys.Stop() // quiesce so repeated runs in one process do not accumulate parked procs
 	sys.Env.Run(time.Hour)
-	recordKernel("e1", sys.Env)
 	if runErr != nil {
 		return res, fmt.Errorf("E1: %w", runErr)
 	}

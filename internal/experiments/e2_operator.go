@@ -76,9 +76,8 @@ func E2Operator(seed int64, volumeCounts []int) ([]OperatorResult, error) {
 		if len(groups) != 1 || len(groups[0].Members()) != n {
 			return nil, fmt.Errorf("E2 n=%d: configured %d groups", n, len(groups))
 		}
-		sys.Stop() // quiesce so bench iterations do not accumulate parked procs
+		sys.Stop() // quiesce so repeated runs in one process do not accumulate parked procs
 		sys.Env.Run(time.Hour)
-		recordKernel(fmt.Sprintf("e2/volumes=%d", n), sys.Env)
 		out = append(out, res)
 	}
 	return out, nil

@@ -112,7 +112,6 @@ func E3SnapshotGroup(seed int64, volumeCounts []int, overwriteFracs []float64) (
 					}
 				}
 			}
-			recordKernel(fmt.Sprintf("e3/volumes=%d,frac=%.1f", n, frac), env)
 			out = append(out, res)
 		}
 	}

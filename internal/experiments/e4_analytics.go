@@ -103,9 +103,8 @@ func E4Analytics(seed int64, orders int) ([]AnalyticsResult, error) {
 			res.OrderMean = bp.Shop.Latency.Mean()
 		})
 		sys.Env.Run(time.Hour)
-		sys.Stop() // quiesce so bench iterations do not accumulate parked procs
+		sys.Stop() // quiesce so repeated runs in one process do not accumulate parked procs
 		sys.Env.Run(time.Hour + time.Second)
-		recordKernel(fmt.Sprintf("e4/analytics=%v", withAnalytics), sys.Env)
 		return res, runErr
 	}
 	base, err := run(false)

@@ -47,7 +47,6 @@ func E5Slowdown(seed int64, rtts []time.Duration, orders int) ([]SlowdownResult,
 				Throughput: float64(orders) / span.Seconds(),
 			})
 			r.stop()
-			recordKernel(fmt.Sprintf("e5/%s,rtt=%v", mode, rtt), r.env)
 		}
 	}
 	return out, nil

@@ -113,7 +113,6 @@ func collapseTrial(seed int64, orders int, mode Mode, trial int) (consistency.Re
 			r.shop.SalesCommitOrder(), r.shop.StockCommitOrder())
 	})
 	r.env.Run(0)
-	recordKernel(fmt.Sprintf("e6/%s,trial=%d", mode, trial), r.env)
 	return rep, verr
 }
 

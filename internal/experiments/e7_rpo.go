@@ -63,7 +63,6 @@ func E7RPO(seed int64, rtts []time.Duration, bandwidths []float64, duration time
 			})
 			r.env.Run(0)
 			r.stop()
-			recordKernel(fmt.Sprintf("e7/rtt=%v,bw=%.0e", rtt, bw), r.env)
 			out = append(out, RPOResult{
 				Mode:       ModeADC,
 				RTT:        rtt,

@@ -76,7 +76,6 @@ func E8Recovery(seed int64, orderCounts []int, mode Mode) ([]RecoveryResult, err
 			rec.BusinessIntact = !rep.Collapsed() && rep.OrderingOK()
 		})
 		r.env.Run(0)
-		recordKernel(fmt.Sprintf("e8/%s,orders=%d", mode, orders), r.env)
 		if verr != nil {
 			return nil, verr
 		}

@@ -66,7 +66,6 @@ func E9BatchSweep(seed int64, batches []int, orders int) ([]BatchResult, error) 
 			return nil, runErr
 		}
 		r.stop()
-		recordKernel(fmt.Sprintf("e9a/batch=%d", b), r.env)
 		out = append(out, BatchResult{
 			BatchMax:   b,
 			Transfers:  r.links.Forward.Transfers(),
@@ -159,7 +158,6 @@ func E9CGScale(seed int64, volumeCounts []int, writesPerVol int) ([]CGScaleResul
 			if !shared {
 				mode = ModeADCNoCG
 			}
-			recordKernel(fmt.Sprintf("e9b/%s,volumes=%d", mode, n), env)
 			out = append(out, CGScaleResult{
 				Volumes:    n,
 				Mode:       mode,
@@ -210,7 +208,6 @@ func E9SkewSweep(seed int64, skews []float64, orders int) ([]WorkloadSkewResult,
 			return nil, fmt.Errorf("E9 skew=%v: %w", s, err)
 		}
 		r.stop()
-		recordKernel(fmt.Sprintf("e9c/skew=%v", s), r.env)
 		out = append(out, WorkloadSkewResult{
 			ZipfS:      s,
 			Mode:       ModeADC,

@@ -39,6 +39,12 @@ func TestE5ADCTracksBaselineSDCPaysRTT(t *testing.T) {
 		if sdc.MeanOrder < adc.MeanOrder+rtt {
 			t.Errorf("rtt=%v: SDC %v not slower than ADC %v by >= RTT", rtt, sdc.MeanOrder, adc.MeanOrder)
 		}
+		// Closed loop: business throughput follows order latency, whatever
+		// the link. The drain tail after the last order is not business time.
+		if adc.Throughput < 0.9*none.Throughput {
+			t.Errorf("rtt=%v: ADC %.0f orders/s vs baseline %.0f — backup is charged to business processing",
+				rtt, adc.Throughput, none.Throughput)
+		}
 	}
 	// SDC degrades with RTT; ADC does not.
 	adcSmall := byKey[rtts[0].String()+string(ModeADC)]
@@ -351,6 +357,24 @@ func TestE12InterferenceOrderingAndFailover(t *testing.T) {
 		t.Error("link failure violated a consistency cut")
 	}
 	t.Log("\n" + E12Table(results).String())
+
+	// The scheduled scenarios (passthrough fabrics have no dispatcher to
+	// window) again with four transfers in flight per link: pipelined
+	// dispatch only overlaps serialization with propagation, so every
+	// tenant's consistency cut must survive it.
+	for _, sc := range e12Scenarios() {
+		if len(sc.classes) == 0 {
+			continue
+		}
+		sc.window = 4
+		r, err := e12Run(1, sc, 40)
+		if err != nil {
+			t.Fatalf("%s at window 4: %v", sc.name, err)
+		}
+		if !r.Consistent {
+			t.Errorf("%s at window 4: a tenant's consistency cut broke", sc.name)
+		}
+	}
 }
 
 func TestE13ShardedThroughputScalesAndCutsHold(t *testing.T) {
@@ -425,9 +449,27 @@ func TestE11FleetSmokeParallel(t *testing.T) {
 	if res.Verified != res.Tenants || res.Collapsed != 0 {
 		t.Fatalf("fleet verdicts wrong: %+v", res)
 	}
-	if res.Kernel.ParallelMerges == 0 || res.Kernel.ParallelSteps == 0 {
+	if res.Kernel.ParallelRounds == 0 || res.Kernel.ParallelSteps == 0 {
 		t.Fatalf("parallel scheduler never formed a parallel round: %+v", res.Kernel)
 	}
+}
+
+// TestE16ObservabilityValidatesEveryTimeline runs the churning fleet with
+// the telemetry plane on: every tenant (joins included) verifies consistent
+// and the probed RPO timelines were cross-checked against the fleet sampler
+// (E16Observability itself fails when one diverges by more than an interval).
+func TestE16ObservabilityValidatesEveryTimeline(t *testing.T) {
+	res, err := E16Observability(1, 8, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verified != res.Tenants {
+		t.Errorf("verified %d of %d tenants", res.Verified, res.Tenants)
+	}
+	if res.ValidatedTenants == 0 {
+		t.Error("no RPO timeline was cross-validated")
+	}
+	t.Log("\n" + E16Table(res).String())
 }
 
 func TestE14ElasticityJoinsLeavesAndReclaims(t *testing.T) {

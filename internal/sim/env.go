@@ -109,7 +109,6 @@ type Stats struct {
 	TimerCancels   int64 // timer entries removed from the heap eagerly
 	ParallelRounds int64 // rounds of same-instant steps run concurrently
 	ParallelSteps  int64 // steps executed inside those rounds
-	ParallelMerges int64 // round commits merged back into the (at,seq) order
 }
 
 // Stats returns a snapshot of the kernel counters.
@@ -122,7 +121,6 @@ func (e *Env) Stats() Stats {
 		TimerCancels:   e.stats.timerCancels,
 		ParallelRounds: e.stats.parallelRounds,
 		ParallelSteps:  e.stats.parallelSteps,
-		ParallelMerges: e.stats.parallelRounds,
 	}
 }
 
