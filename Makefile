@@ -11,10 +11,11 @@
 #   telemetry-smoke  E16 end to end, leaves telemetry.json
 #   autopilot-smoke  E17 end to end, leaves e17-decisions.log
 #   chaos-smoke      25 seeded fault schedules under -race; `chaos` is the long sweep
+#   lines            the two Go line counts ROADMAP tracks (not part of ci)
 
 GO ?= go
 
-.PHONY: ci fmt vet build test test-race tables-check bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos
+.PHONY: ci fmt vet build test test-race tables-check bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines
 
 ci: fmt vet build test test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke
 
@@ -99,3 +100,10 @@ chaos-smoke:
 # replication engines, recovery paths, or the declarative surface.
 chaos:
 	$(GO) run ./cmd/chaos -steps medium -seeds 500 -log chaos-repro.log
+
+# The size ROADMAP's "net line count goes down" aim is judged by: non-test Go
+# outside benchmark/ (the product; benchmark/ is frozen for perf and
+# simplicity PRs), then all Go.
+lines:
+	@printf 'non-test Go lines outside benchmark/: %d\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+	@printf 'total Go lines: %d\n' "$$(find . -name '*.go' | xargs cat | wc -l)"

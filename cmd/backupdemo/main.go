@@ -111,7 +111,7 @@ func runDemo(p *sim.Proc, sys *core.System, orders int) {
 	fmt.Printf("  inter-site RTT %v, storage %s / %s\n",
 		sys.Links.RTT(), sys.Main.Array.Name(), sys.Backup.Array.Name())
 
-	bp, err := sys.DeployBusinessProcess(p, "shop")
+	bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 	if err != nil {
 		log.Fatalf("deploy: %v", err)
 	}
@@ -130,7 +130,10 @@ func runDemo(p *sim.Proc, sys *core.System, orders int) {
 
 	banner("Step 1 — backup configuration (Fig. 3): tag the namespace")
 	fmt.Printf("  $ oc label namespace shop backup=%s\n", "ConsistentCopyToCloud")
-	if err := sys.EnableBackup(p, "shop"); err != nil {
+	if err := sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) { s.Backup = true }); err != nil {
+		log.Fatalf("enable backup: %v", err)
+	}
+	if err := sys.WaitTenantCondition(p, "shop", core.CondBackupReady(), 30*time.Second); err != nil {
 		log.Fatalf("enable backup: %v", err)
 	}
 	fmt.Println("  namespace operator: discovered PVCs, created ReplicationGroup CR")

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/analytics"
 	"repro/internal/core"
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -18,11 +19,14 @@ func main() {
 	sys := core.NewSystem(core.Config{Seed: 11})
 
 	sys.Env.Process("analytics-demo", func(p *sim.Proc) {
-		bp, err := sys.DeployBusinessProcess(p, "shop")
+		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 		if err != nil {
 			log.Fatalf("deploy: %v", err)
 		}
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) { s.Backup = true }); err != nil {
+			log.Fatalf("backup: %v", err)
+		}
+		if err := sys.WaitTenantCondition(p, "shop", core.CondBackupReady(), 30*time.Second); err != nil {
 			log.Fatalf("backup: %v", err)
 		}
 

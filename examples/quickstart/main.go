@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -19,15 +20,18 @@ func main() {
 	sys.Env.Process("quickstart", func(p *sim.Proc) {
 		// Deploy the e-commerce business process: a namespace with a
 		// transactional app over sales and stock databases.
-		bp, err := sys.DeployBusinessProcess(p, "shop")
+		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 		if err != nil {
 			log.Fatalf("deploy: %v", err)
 		}
 		fmt.Println("deployed business process in namespace", bp.Namespace)
 
-		// Step 1 — backup configuration: one user operation (the tag);
-		// the namespace operator does the rest.
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		// Step 1 — backup configuration: one user operation (declare
+		// Backup, which tags the namespace); the operator does the rest.
+		if err := sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) { s.Backup = true }); err != nil {
+			log.Fatalf("enable backup: %v", err)
+		}
+		if err := sys.WaitTenantCondition(p, "shop", core.CondBackupReady(), 30*time.Second); err != nil {
 			log.Fatalf("enable backup: %v", err)
 		}
 		fmt.Println("backup configured: ADC with a consistency group")

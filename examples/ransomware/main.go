@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/csiplugin"
 	"repro/internal/db"
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -21,11 +22,14 @@ func main() {
 	sys := core.NewSystem(core.Config{Seed: 1337})
 
 	sys.Env.Process("drill", func(p *sim.Proc) {
-		bp, err := sys.DeployBusinessProcess(p, "shop")
+		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 		if err != nil {
 			log.Fatalf("deploy: %v", err)
 		}
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) { s.Backup = true }); err != nil {
+			log.Fatalf("backup: %v", err)
+		}
+		if err := sys.WaitTenantCondition(p, "shop", core.CondBackupReady(), 30*time.Second); err != nil {
 			log.Fatalf("backup: %v", err)
 		}
 		if err := bp.Shop.Run(p, 50); err != nil {

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -66,16 +65,6 @@ type Config struct {
 	// MinRateBps floors the derated bulk rate (default 64 KiB/s) so shed
 	// classes starve but never deadlock.
 	MinRateBps float64
-	// RestorePatience is how many consecutive all-healthy ticks a shedable
-	// class must see before each restore step (default 4). Restoring is a
-	// probe — giving rate back can re-breach the protected classes — so it
-	// is paced far slower than derating, which acts on the first breaching
-	// tick and then once per Window.
-	RestorePatience int
-	// Placement chooses the fabric member link for each new drain lane.
-	// Nil installs LeastLoaded. Every PlaceLane answer is recorded in the
-	// decision log.
-	Placement core.PlacementPolicy
 }
 
 func (c Config) withDefaults() Config {
@@ -103,15 +92,18 @@ func (c Config) withDefaults() Config {
 	if c.MinRateBps <= 0 {
 		c.MinRateBps = 64 << 10
 	}
-	if c.RestorePatience <= 0 {
-		c.RestorePatience = 4
-	}
 	return c
 }
 
 // demandDecay is the per-tick factor on the remembered peak throughput of a
 // shedable class (half-life ~23 ticks).
 const demandDecay = 0.97
+
+// restorePatience is how many consecutive all-healthy ticks a shedable class
+// must see before each restore step. Restoring is a probe — giving rate back
+// can re-breach the protected classes — so it is paced far slower than
+// derating, which acts on the first breaching tick and then once per Window.
+const restorePatience = 4
 
 // Decision is one autopilot action, recorded in simulation order.
 type Decision struct {
@@ -129,9 +121,10 @@ type Autopilot struct {
 
 	stop *sim.Event
 
-	// inner is the configured placement policy (unwrapped); if it wants a
-	// periodic utilization feed, each tick provides one.
-	inner core.PlacementPolicy
+	// placer chooses the fabric member link for each new drain lane; every
+	// tick feeds it the members' utilization, and every answer it gives is
+	// recorded in the decision log (loggingPlacement).
+	placer LeastLoaded
 
 	decisions []Decision
 
@@ -169,11 +162,7 @@ func New(sys *core.System, cfg Config) (*Autopilot, error) {
 		healthy:     make(map[string]int),
 		lastDerate:  make(map[string]time.Duration),
 	}
-	a.inner = a.cfg.Placement
-	if a.inner == nil {
-		a.inner = &LeastLoaded{}
-	}
-	sys.SetPlacement(&loggingPlacement{a: a, inner: a.inner})
+	sys.SetPlacement(loggingPlacement{a})
 	return a, nil
 }
 
@@ -261,9 +250,7 @@ func (a *Autopilot) tick(p *sim.Proc) {
 	now := p.Now()
 	// Feed the placement policy its periodic utilization observation first,
 	// so a reshard actuated this very tick places lanes on fresh data.
-	if o, ok := a.inner.(interface{ Observe(*fabric.Fabric) }); ok {
-		o.Observe(a.sys.Fabric.Forward)
-	}
+	a.placer.Observe(a.sys.Fabric.Forward)
 	// worstFrac[class] = max over the class's tenants of winRPO/target.
 	worstFrac := make(map[string]float64)
 	for _, obj := range a.sys.Main.API.List(p, platform.KindTenant, "") {
@@ -413,7 +400,7 @@ func (a *Autopilot) admissionStep(now time.Duration, worstFrac map[string]float6
 		case capped && allHealthy:
 			// Each restore step is a probe; demand patience between steps so
 			// the protected classes' probed series can absorb the last one.
-			if a.healthy[fc] < a.cfg.RestorePatience {
+			if a.healthy[fc] < restorePatience {
 				break
 			}
 			a.healthy[fc] = 0

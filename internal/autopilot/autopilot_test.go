@@ -94,7 +94,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.DerateFraction != 0.9 || c.RestoreFraction != 0.5 {
 		t.Errorf("admission band defaults: %v/%v", c.DerateFraction, c.RestoreFraction)
 	}
-	if c.Cooldown != 2*time.Second || c.MinRateBps != 64<<10 || c.RestorePatience != 4 {
-		t.Errorf("cooldown/floor/patience defaults: %v/%v/%v", c.Cooldown, c.MinRateBps, c.RestorePatience)
+	if c.Cooldown != 2*time.Second || c.MinRateBps != 64<<10 || restorePatience != 4 {
+		t.Errorf("cooldown/floor/patience defaults: %v/%v/%v", c.Cooldown, c.MinRateBps, restorePatience)
 	}
 }

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fabric"
 )
 
-// LeastLoaded is the default placement policy: a new drain lane lands on
+// LeastLoaded is the autopilot's placement policy: a new drain lane lands on
 // the non-partitioned member link carrying the least load. Load is judged
 // in three tiers:
 //
@@ -125,17 +124,15 @@ func (ll *LeastLoaded) PlaceLane(namespace string, lane int, f *fabric.Fabric) i
 	return best
 }
 
-// loggingPlacement wraps the configured policy so every placement answer
-// lands in the decision log. Placement runs inside reconcile steps (domain
-// 0, serialized by the kernel), so appending here is deterministic and
-// race-free even under parallel execution.
-type loggingPlacement struct {
-	a     *Autopilot
-	inner core.PlacementPolicy
-}
+// loggingPlacement is the core.PlacementPolicy the autopilot installs: its
+// LeastLoaded placer, with every answer landing in the decision log.
+// Placement runs inside reconcile steps (domain 0, serialized by the
+// kernel), so appending here is deterministic and race-free even under
+// parallel execution.
+type loggingPlacement struct{ a *Autopilot }
 
-func (lp *loggingPlacement) PlaceLane(namespace string, lane int, f *fabric.Fabric) int {
-	li := lp.inner.PlaceLane(namespace, lane, f)
+func (lp loggingPlacement) PlaceLane(namespace string, lane int, f *fabric.Fabric) int {
+	li := lp.a.placer.PlaceLane(namespace, lane, f)
 	if li >= 0 {
 		lp.a.record(lp.a.sys.Env.Now(), namespace, "place-lane",
 			fmt.Sprintf("lane %d -> link %d", lane, li))

@@ -1,11 +1,10 @@
 // The declarative tenant surface: ApplyTenant declares a tenant's entire
-// desired state in one call (create the spec or replace it wholesale), and
-// WaitTenantCondition blocks until the world reaches a named observable
-// condition. Together they subsume the imperative mutators that grew one
-// per PR (EnableBackup, DisableBackup, ReshardTenant, WaitReshard,
-// UpdateTenantSpec) — those remain as thin wrappers for existing callers,
-// but new code, and the autopilot above all, speaks spec in / condition
-// out. See DESIGN.md "SLO autopilot (E17)" for the migration note.
+// desired state in one call (create the spec or replace it wholesale),
+// UpdateTenantSpec (tenant.go) is its read-modify-write sibling for a caller
+// that owns only some fields, and WaitTenantCondition blocks until the world
+// reaches a named observable condition. Spec in, condition out: enabling
+// backup is Spec.Backup + CondBackupReady, a reshard is Spec.JournalShards +
+// CondResharded, a decommission is the spec's deletion + CondGone.
 package core
 
 import (
@@ -27,18 +26,10 @@ import (
 // to block on the outcome. Partial mutations of an existing spec are what
 // UpdateTenantSpec is for.
 func (sys *System) ApplyTenant(p *sim.Proc, spec platform.TenantSpec) error {
+	if err := sys.validateSpec(spec); err != nil {
+		return err
+	}
 	ns := spec.Namespace
-	if ns == "" {
-		return fmt.Errorf("core: tenant spec needs a namespace")
-	}
-	// A policy reference must resolve against the registered classes at
-	// declaration time: a typo'd SLO class would otherwise silently fall
-	// back to unmanaged best-effort, which no operator means to declare.
-	if spec.SLOClass != "" {
-		if _, ok := sys.sloClasses[spec.SLOClass]; !ok {
-			return fmt.Errorf("core: tenant %s references unregistered SLO class %q", ns, spec.SLOClass)
-		}
-	}
 	for {
 		obj, err := sys.Main.API.Get(p, tenantKey(ns))
 		if errors.Is(err, platform.ErrNotFound) {
@@ -66,6 +57,23 @@ func (sys *System) ApplyTenant(p *sim.Proc, spec platform.TenantSpec) error {
 		}
 		return err
 	}
+}
+
+// validateSpec is the declaration-time check every door a spec comes in by
+// shares (ApplyTenant, ProvisionTenant). It makes no API call.
+func (sys *System) validateSpec(spec platform.TenantSpec) error {
+	if spec.Namespace == "" {
+		return fmt.Errorf("core: tenant spec needs a namespace")
+	}
+	// A policy reference must resolve against the registered classes at
+	// declaration time: a typo'd SLO class would otherwise silently fall
+	// back to unmanaged best-effort, which no operator means to declare.
+	if spec.SLOClass != "" {
+		if _, ok := sys.sloClasses[spec.SLOClass]; !ok {
+			return fmt.Errorf("core: tenant %s references unregistered SLO class %q", spec.Namespace, spec.SLOClass)
+		}
+	}
+	return nil
 }
 
 // condKind enumerates the observable tenant conditions.

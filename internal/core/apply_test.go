@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -65,8 +66,8 @@ func TestApplyTenantDeclarativeLifecycle(t *testing.T) {
 // permanently unreachable, and dressing that up as ErrTimeout would stall
 // the caller (the autopilot among them) for the full deadline.
 func TestWaitReshardedRacingDecommissionFailsFast(t *testing.T) {
-	runSystem(t, Config{JournalShards: 2}, func(p *sim.Proc, sys *System) {
-		if _, err := sys.ProvisionTenant(p, tenantSpec("shop")); err != nil {
+	runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
+		if _, err := sys.ProvisionTenant(p, shardedSpec("shop")); err != nil {
 			t.Errorf("provision: %v", err)
 			return
 		}
@@ -92,15 +93,22 @@ func TestWaitReshardedRacingDecommissionFailsFast(t *testing.T) {
 	})
 }
 
-// TestWaitTenantConditionUnknownClassFails: a spec naming an unregistered
-// SLO class must be refused at apply time, not discovered downstream.
+// TestApplyTenantUnknownSLOClassFails: a spec naming an unregistered SLO
+// class must be refused at declaration time through either door a spec
+// comes in by — ApplyTenant or ProvisionTenant — not discovered downstream
+// as a tenant silently provisioned unmanaged.
 func TestApplyTenantUnknownSLOClassFails(t *testing.T) {
 	runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
 		spec := tenantSpec("shop")
 		spec.SLOClass = "platinum"
-		err := sys.ApplyTenant(p, spec)
-		if err == nil {
+		if err := sys.ApplyTenant(p, spec); err == nil {
 			t.Error("apply with unregistered SLO class succeeded")
+		}
+		if _, err := sys.ProvisionTenant(p, spec); err == nil {
+			t.Error("provision with unregistered SLO class succeeded")
+		}
+		if _, err := sys.Main.API.Get(p, tenantKey("shop")); !errors.Is(err, platform.ErrNotFound) {
+			t.Errorf("a refused spec left a Tenant object behind (get: %v)", err)
 		}
 	})
 }

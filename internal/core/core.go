@@ -55,26 +55,15 @@ type Config struct {
 	// E18). The zero value keeps a single-member passthrough fabric that
 	// behaves byte-for-byte like the plain Link pipe.
 	Fabric fabric.Config
-	// PathClass maps a namespace to a fabric QoS class name; nil or an
-	// unknown name binds to the default class. The fleet layer uses this
-	// to give each tenant its own class.
-	PathClass func(namespace string) string
 	// Storage configures both arrays.
 	Storage storage.Config
-	// Replication tunes the ADC drain.
-	Replication replication.Config
-	// API configures both platforms' API servers.
-	API platform.APIConfig
 	// FeatureGates selects CSI alpha features on the backup site.
 	FeatureGates csiplugin.FeatureGates
 	// ConsistencyGroup is the operator's mode. Default true (the paper's
-	// configuration); experiment E6 sets it false.
+	// configuration); false replicates every claim through its own journal,
+	// the collapse-prone mode (only tests set it — E6 demonstrates the
+	// collapse on the rig's ModeADCNoCG, below the control plane).
 	ConsistencyGroup *bool
-	// JournalShards, when > 1, shards each consistency group's journal so
-	// the replication plugin drains it on that many lanes, each on its own
-	// fabric path (experiment E13). 0 or 1 is the paper's single shared
-	// journal on one lane.
-	JournalShards int
 	// Telemetry, when set, enables the sim-time observability plane: a
 	// registry of instruments (per-tenant RPO probes, lane staging, fabric
 	// queue depths, controller latency) plus span tracing, exportable as
@@ -86,11 +75,7 @@ type Config struct {
 	// admission priority, and a tenant without an explicit QoSClass
 	// inherits the class's FabricClass at the fabric ingress.
 	SLOClasses []platform.SLOClass
-	// Placement, when set, decides which fabric member link each tenant
-	// drain lane lands on (lazily, at first path creation). Nil keeps the
-	// implicit default: any member, the dispatchers' choice.
-	Placement PlacementPolicy
-	// DB tunes the databases opened by DeployBusinessProcess.
+	// DB tunes the databases ProvisionTenant opens.
 	DB db.Config
 	// VolumeBlocks is the size of each provisioned volume (default 2048).
 	VolumeBlocks int64
@@ -161,7 +146,8 @@ type System struct {
 	decommissioned    int64
 
 	// SLO policy registry (Config.SLOClasses, defaults applied) and the
-	// active lane-placement policy (Config.Placement or SetPlacement).
+	// active lane-placement policy (SetPlacement; nil = any member link,
+	// the dispatchers' choice).
 	sloClasses map[string]platform.SLOClass
 	placement  PlacementPolicy
 
@@ -181,12 +167,12 @@ func NewSystem(cfg Config) *System {
 		Cfg: cfg,
 		Main: &Site{
 			Name:  "main",
-			API:   platform.NewAPIServer(env, cfg.API),
+			API:   platform.NewAPIServer(env, platform.APIConfig{}),
 			Array: storage.NewArray(env, "vsp-main", cfg.Storage),
 		},
 		Backup: &Site{
 			Name:  "backup",
-			API:   platform.NewAPIServer(env, cfg.API),
+			API:   platform.NewAPIServer(env, platform.APIConfig{}),
 			Array: storage.NewArray(env, "vsp-backup", cfg.Storage),
 		},
 		lanePaths:         make(map[string][]*fabric.TenantPath),
@@ -195,7 +181,6 @@ func NewSystem(cfg Config) *System {
 		tenantClass:       make(map[string]string),
 		tenantLaneClasses: make(map[string][]string),
 		sloClasses:        make(map[string]platform.SLOClass, len(cfg.SLOClasses)),
-		placement:         cfg.Placement,
 	}
 	for _, sc := range cfg.SLOClasses {
 		sys.sloClasses[sc.Name] = sc.WithDefaults()
@@ -229,10 +214,9 @@ func NewSystem(cfg Config) *System {
 		BackupArray: sys.Backup.Array,
 		LanePaths:   sys.lanePathsFor,
 		Telemetry:   sys.Telemetry,
-	}, cfg.Replication)
+	}, replication.Config{})
 	sys.Operator = operator.New(env, sys.Main.API, operator.Config{
 		ConsistencyGroup: *cfg.ConsistencyGroup,
-		JournalShards:    cfg.JournalShards,
 		Telemetry:        sys.Telemetry,
 	})
 	sys.Main.Snapshots = csiplugin.NewSnapshotController(env, sys.Main.API, sys.Main.Array, cfg.FeatureGates)
@@ -296,17 +280,6 @@ type BusinessProcess struct {
 	Shop      *workload.Shop
 }
 
-// DeployBusinessProcess declares the namespace with its two claims as a
-// Tenant spec and waits for the tenant controller to provision and bind
-// them, then opens the databases — a thin wrapper over ProvisionTenant
-// (backup off; EnableBackup flips it on declaratively).
-func (sys *System) DeployBusinessProcess(p *sim.Proc, namespace string) (*BusinessProcess, error) {
-	return sys.ProvisionTenant(p, platform.TenantSpec{
-		Namespace: namespace,
-		PVCNames:  []string{"sales", "stock"},
-	})
-}
-
 // provisionTimeout is the default wait bound for tenant lifecycle calls.
 func (sys *System) provisionTimeout() time.Duration {
 	if sys.Cfg.ProvisionTimeout > 0 {
@@ -321,35 +294,6 @@ func (sys *System) openDB(p *sim.Proc, namespace, claim string) (*db.DB, error) 
 		return nil, err
 	}
 	return db.Open(p, namespace+"/"+claim, vol, sys.Cfg.DB)
-}
-
-// EnableBackup performs demo step 1 (Fig. 3) declaratively: set Backup on
-// the namespace's Tenant spec (creating an adopting spec when the namespace
-// was provisioned imperatively) and wait until the operator and the
-// replication plugin report the replication group Ready.
-//
-// Deprecated: EnableBackup is a thin wrapper kept for the imperative demo
-// surface. Declare Spec.Backup with ApplyTenant (or UpdateTenantSpec) and
-// wait with WaitTenantCondition(..., CondBackupReady(), ...).
-func (sys *System) EnableBackup(p *sim.Proc, namespace string) error {
-	err := sys.UpdateTenantSpec(p, namespace, func(s *platform.TenantSpec) { s.Backup = true })
-	if errors.Is(err, platform.ErrNotFound) {
-		// Adopt an imperatively-provisioned namespace: the namespace must
-		// already exist (a typo'd name fails here, not after a timeout), and
-		// the empty claim list leaves its claims alone — the spec only
-		// manages the backup side.
-		if _, err := sys.Main.API.Get(p, platform.ObjectKey{Kind: platform.KindNamespace, Name: namespace}); err != nil {
-			return err
-		}
-		err = sys.ApplyTenant(p, platform.TenantSpec{Namespace: namespace, Backup: true})
-	}
-	if err != nil {
-		return err
-	}
-	// Wait on the replication group itself rather than the tenant phase: a
-	// tenant that was already Ready without backup holds that phase until
-	// the controller reconciles the spec change.
-	return sys.WaitTenantCondition(p, namespace, CondBackupReady(), sys.provisionTimeout())
 }
 
 // pollInterval is the initial status-poll period of the Wait* helpers and
@@ -368,12 +312,6 @@ func pollBackoff(p *sim.Proc, d *time.Duration) {
 	if *d < pollCap {
 		*d *= 2
 	}
-}
-
-// WaitBackupReady blocks until the namespace's ReplicationGroup is Ready —
-// shorthand for WaitTenantCondition with CondBackupReady.
-func (sys *System) WaitBackupReady(p *sim.Proc, namespace string, timeout time.Duration) error {
-	return sys.WaitTenantCondition(p, namespace, CondBackupReady(), timeout)
 }
 
 // waitObject blocks until check reports done on the keyed object's state (a
@@ -411,38 +349,6 @@ func (sys *System) waitObject(p *sim.Proc, key platform.ObjectKey, timeout time.
 	}
 }
 
-// DisableBackup clears Backup on the tenant spec (the controller removes
-// the tag and the operator tears the replication down). Namespaces tagged
-// imperatively — no Tenant spec — are untagged directly.
-//
-// Deprecated: thin wrapper; declare Spec.Backup=false with ApplyTenant or
-// UpdateTenantSpec.
-func (sys *System) DisableBackup(p *sim.Proc, namespace string) error {
-	err := sys.UpdateTenantSpec(p, namespace, func(s *platform.TenantSpec) { s.Backup = false })
-	if !errors.Is(err, platform.ErrNotFound) {
-		return err
-	}
-	nsObj, err := sys.Main.API.Get(p, platform.ObjectKey{Kind: platform.KindNamespace, Name: namespace})
-	if err != nil {
-		return err
-	}
-	ns := nsObj.DeepCopy().(*platform.Namespace)
-	delete(ns.Labels, operator.Tag)
-	return sys.Main.API.Update(p, ns)
-}
-
-// classFor resolves a namespace's QoS class name: a TenantSpec's QoSClass
-// wins, then the deployment-wide Config.PathClass hook.
-func (sys *System) classFor(namespace string) string {
-	if c, ok := sys.tenantClass[namespace]; ok {
-		return c
-	}
-	if sys.Cfg.PathClass == nil {
-		return ""
-	}
-	return sys.Cfg.PathClass(namespace)
-}
-
 // laneClassFor resolves the QoS class for one drain lane: a TenantSpec's
 // per-lane LaneClasses entry wins, falling back to the tenant's class — so
 // by default every lane rides the tenant's class.
@@ -450,7 +356,7 @@ func (sys *System) laneClassFor(namespace string, lane int) string {
 	if cs := sys.tenantLaneClasses[namespace]; lane < len(cs) && cs[lane] != "" {
 		return cs[lane]
 	}
-	return sys.classFor(namespace)
+	return sys.tenantClass[namespace]
 }
 
 // PlacementPolicy decides which fabric member link a tenant's forward
@@ -522,7 +428,7 @@ func (sys *System) ReversePathFor(namespace string) *fabric.TenantPath {
 	if tp, ok := sys.revPaths[namespace]; ok {
 		return tp
 	}
-	tp := sys.Fabric.Reverse.Path(sys.classFor(namespace), "failback:"+namespace)
+	tp := sys.Fabric.Reverse.Path(sys.tenantClass[namespace], "failback:"+namespace)
 	sys.revPaths[namespace] = tp
 	return tp
 }

@@ -15,8 +15,9 @@ import (
 // netlinkConfig shortens fixture helpers below.
 type netlinkConfig = netlink.Config
 
-// deploySystem builds a system, deploys the shop namespace, and runs fn in
-// a simulation process with everything ready.
+// deploySystem builds a system, provisions the shop tenant (sales + stock
+// claims, backup off), and runs fn in a simulation process with everything
+// ready.
 func deploySystem(t *testing.T, cfg Config, fn func(p *sim.Proc, sys *System, bp *BusinessProcess)) *System {
 	t.Helper()
 	sys := NewSystem(cfg)
@@ -28,7 +29,7 @@ func deploySystem(t *testing.T, cfg Config, fn func(p *sim.Proc, sys *System, bp
 				t.Errorf("panic: %v", r)
 			}
 		}()
-		bp, err := sys.DeployBusinessProcess(p, "shop")
+		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 		if err != nil {
 			failed = true
 			t.Errorf("deploy: %v", err)
@@ -41,6 +42,16 @@ func deploySystem(t *testing.T, cfg Config, fn func(p *sim.Proc, sys *System, bp
 		t.FailNow()
 	}
 	return sys
+}
+
+// enableBackup is demo step 1 (Fig. 3) on the declarative surface: declare
+// Backup on the tenant's spec — the controller tags the namespace — and wait
+// until the operator and the replication plugin report the group Ready.
+func enableBackup(p *sim.Proc, sys *System, ns string) error {
+	if err := sys.UpdateTenantSpec(p, ns, func(s *platform.TenantSpec) { s.Backup = true }); err != nil {
+		return err
+	}
+	return sys.WaitTenantCondition(p, ns, CondBackupReady(), sys.provisionTimeout())
 }
 
 func TestDeployBusinessProcess(t *testing.T) {
@@ -59,7 +70,7 @@ func TestDeployBusinessProcess(t *testing.T) {
 
 func TestEnableBackupConfiguresReplication(t *testing.T) {
 	deploySystem(t, Config{}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := enableBackup(p, sys, "shop"); err != nil {
 			t.Errorf("enable backup: %v", err)
 			return
 		}
@@ -83,7 +94,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	// group is cut at the backup site, analytics read it, and the numbers
 	// agree with the main site.
 	deploySystem(t, Config{}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := enableBackup(p, sys, "shop"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -133,7 +144,7 @@ func TestAnalyticsWhileReplicationContinues(t *testing.T) {
 	// Step 3's point: analytics on the snapshot does not disturb ongoing
 	// replication, and the snapshot stays frozen while new orders flow.
 	deploySystem(t, Config{}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := enableBackup(p, sys, "shop"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -164,7 +175,7 @@ func TestAnalyticsWhileReplicationContinues(t *testing.T) {
 
 func TestFailoverRecoversConsistently(t *testing.T) {
 	deploySystem(t, Config{}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := enableBackup(p, sys, "shop"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -201,7 +212,7 @@ func TestFailoverMidStreamStaysConsistentWithCG(t *testing.T) {
 	// consistency group the recovered pair must never be collapsed — only
 	// behind.
 	deploySystem(t, Config{Link: linkSlow()}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := enableBackup(p, sys, "shop"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -233,11 +244,11 @@ func linkSlow() (c netlinkConfig) {
 
 func TestDisableBackupTearsDown(t *testing.T) {
 	deploySystem(t, Config{}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := enableBackup(p, sys, "shop"); err != nil {
 			t.Error(err)
 			return
 		}
-		if err := sys.DisableBackup(p, "shop"); err != nil {
+		if err := sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) { s.Backup = false }); err != nil {
 			t.Error(err)
 			return
 		}
@@ -254,7 +265,7 @@ func TestDisableBackupTearsDown(t *testing.T) {
 
 func TestPerVolumeModeCreatesTwoGroups(t *testing.T) {
 	deploySystem(t, Config{ConsistencyGroup: Bool(false)}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := enableBackup(p, sys, "shop"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -266,7 +277,7 @@ func TestPerVolumeModeCreatesTwoGroups(t *testing.T) {
 
 func TestSnapshotViaFeatureGate(t *testing.T) {
 	deploySystem(t, Config{FeatureGates: featureGatesOn()}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := enableBackup(p, sys, "shop"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -298,7 +309,7 @@ func TestSlowdownADCWriteLatencyIndependentOfLink(t *testing.T) {
 		var mean time.Duration
 		deploySystem(t, Config{Link: linkFat()}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
 			if enable {
-				if err := sys.EnableBackup(p, "shop"); err != nil {
+				if err := enableBackup(p, sys, "shop"); err != nil {
 					t.Error(err)
 					return
 				}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/db"
+	"repro/internal/platform"
 	"repro/internal/replication"
 	"repro/internal/sim"
 )
@@ -22,7 +23,7 @@ func TestEnableBackupSurvivesPartitionDuringInitialCopy(t *testing.T) {
 	sys := NewSystem(Config{Link: netlinkConfig{Propagation: 5 * time.Millisecond, BandwidthBps: 1e6}})
 	failed := false
 	sys.Env.Process("test", func(p *sim.Proc) {
-		bp, err := sys.DeployBusinessProcess(p, "shop")
+		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 		if err != nil {
 			failed = true
 			t.Errorf("deploy: %v", err)
@@ -43,8 +44,8 @@ func TestEnableBackupSurvivesPartitionDuringInitialCopy(t *testing.T) {
 			sys.Links.Heal()
 			outage.Trigger()
 		})
-		// EnableBackup blocks through the outage and completes after heal.
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		// Enabling backup blocks through the outage and completes after heal.
+		if err := enableBackup(p, sys, "shop"); err != nil {
 			failed = true
 			t.Errorf("enable backup through partition: %v", err)
 			return
@@ -78,12 +79,12 @@ func TestReplicationConvergesOnLossyLink(t *testing.T) {
 		RetransmitTimeout: 5 * time.Millisecond,
 	}})
 	sys.Env.Process("test", func(p *sim.Proc) {
-		bp, err := sys.DeployBusinessProcess(p, "shop")
+		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 		if err != nil {
 			t.Errorf("deploy: %v", err)
 			return
 		}
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := enableBackup(p, sys, "shop"); err != nil {
 			t.Errorf("backup: %v", err)
 			return
 		}
@@ -108,12 +109,12 @@ func TestReplicationConvergesOnLossyLink(t *testing.T) {
 func TestRepeatedPartitionsDoNotReorder(t *testing.T) {
 	sys := NewSystem(Config{Link: netlinkConfig{Propagation: 2 * time.Millisecond, BandwidthBps: 1e7}})
 	sys.Env.Process("test", func(p *sim.Proc) {
-		bp, err := sys.DeployBusinessProcess(p, "shop")
+		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 		if err != nil {
 			t.Errorf("deploy: %v", err)
 			return
 		}
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := enableBackup(p, sys, "shop"); err != nil {
 			t.Errorf("backup: %v", err)
 			return
 		}
@@ -152,12 +153,12 @@ func TestFullDisasterRecoveryCycle(t *testing.T) {
 	// replication carries new business to the restored main site.
 	sys := NewSystem(Config{})
 	sys.Env.Process("test", func(p *sim.Proc) {
-		bp, err := sys.DeployBusinessProcess(p, "shop")
+		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 		if err != nil {
 			t.Errorf("deploy: %v", err)
 			return
 		}
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := enableBackup(p, sys, "shop"); err != nil {
 			t.Errorf("backup: %v", err)
 			return
 		}

@@ -9,6 +9,23 @@ import (
 	"repro/internal/sim"
 )
 
+// reshard declares a new journal shard count on the tenant's spec and waits
+// for the live reshard to settle: the change threads tenant controller →
+// namespace ShardsLabel → operator → ReplicationGroup → replication plugin.
+func reshard(p *sim.Proc, sys *System, ns string, shards int) error {
+	if err := sys.UpdateTenantSpec(p, ns, func(s *platform.TenantSpec) { s.JournalShards = shards }); err != nil {
+		return err
+	}
+	return sys.WaitTenantCondition(p, ns, CondResharded(shards), sys.provisionTimeout())
+}
+
+// shardedSpec is tenantSpec on two journal shards.
+func shardedSpec(ns string) platform.TenantSpec {
+	spec := tenantSpec(ns)
+	spec.JournalShards = 2
+	return spec
+}
+
 // TestReshardTenantEndToEnd drives the full reshard chain from the Tenant
 // spec: 1 -> 4 widens the paper's one-lane engine to four lanes in place
 // while OLTP commits keep flowing, 4 -> 2 shrinks it live, and the tenant's
@@ -35,7 +52,7 @@ func TestReshardTenantEndToEnd(t *testing.T) {
 			return
 		}
 
-		if err := sys.ReshardTenant(p, "shop", 4); err != nil {
+		if err := reshard(p, sys, "shop", 4); err != nil {
 			t.Errorf("reshard 1->4: %v", err)
 			return
 		}
@@ -54,7 +71,7 @@ func TestReshardTenantEndToEnd(t *testing.T) {
 			t.Errorf("analytics after grow: %v", err)
 		}
 
-		if err := sys.ReshardTenant(p, "shop", 2); err != nil {
+		if err := reshard(p, sys, "shop", 2); err != nil {
 			t.Errorf("reshard 4->2: %v", err)
 			return
 		}
@@ -96,7 +113,7 @@ func TestReshardTenantUnchangedSpecIsZeroMigration(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := sys.ReshardTenant(p, "shop", 4); err != nil {
+		if err := reshard(p, sys, "shop", 4); err != nil {
 			t.Errorf("same-count reshard: %v", err)
 			return
 		}
@@ -112,14 +129,14 @@ func TestReshardTenantUnchangedSpecIsZeroMigration(t *testing.T) {
 // system whose failed-over group is sharded must refuse with the typed
 // sentinel BEFORE touching anything — no failed-over group is resynced, and an unrelated sharded tenant keeps draining healthily.
 func TestFailbackShardedSentinel(t *testing.T) {
-	runSystem(t, Config{JournalShards: 2}, func(p *sim.Proc, sys *System) {
+	runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
 		// Tenant A: sharded, failed over. Tenant B: sharded, still draining.
-		bpA, err := sys.ProvisionTenant(p, tenantSpec("alpha"))
+		bpA, err := sys.ProvisionTenant(p, shardedSpec("alpha"))
 		if err != nil {
 			t.Errorf("provision alpha: %v", err)
 			return
 		}
-		bpB, err := sys.ProvisionTenant(p, tenantSpec("beta"))
+		bpB, err := sys.ProvisionTenant(p, shardedSpec("beta"))
 		if err != nil {
 			t.Errorf("provision beta: %v", err)
 			return
@@ -206,7 +223,7 @@ func TestReshardTenantRefusesImpossibleStates(t *testing.T) {
 			return
 		}
 		start := p.Now()
-		err := sys.ReshardTenant(p, "shop", 4)
+		err := reshard(p, sys, "shop", 4)
 		if !errors.Is(err, ErrNotReshardable) {
 			t.Errorf("per-volume reshard error = %v, want ErrNotReshardable", err)
 		}
@@ -215,8 +232,8 @@ func TestReshardTenantRefusesImpossibleStates(t *testing.T) {
 		}
 	})
 	// Failed-over group: the drain is gone; nothing to migrate under.
-	runSystem(t, Config{JournalShards: 2}, func(p *sim.Proc, sys *System) {
-		if _, err := sys.ProvisionTenant(p, tenantSpec("shop")); err != nil {
+	runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
+		if _, err := sys.ProvisionTenant(p, shardedSpec("shop")); err != nil {
 			t.Errorf("provision: %v", err)
 			return
 		}
@@ -225,7 +242,7 @@ func TestReshardTenantRefusesImpossibleStates(t *testing.T) {
 			return
 		}
 		start := p.Now()
-		err := sys.ReshardTenant(p, "shop", 4)
+		err := reshard(p, sys, "shop", 4)
 		if !errors.Is(err, ErrNotReshardable) {
 			t.Errorf("failed-over reshard error = %v, want ErrNotReshardable", err)
 		}
@@ -248,7 +265,7 @@ func TestReshardTenantRefusesNoBackupAndSingleVolumeMode(t *testing.T) {
 			return
 		}
 		start := p.Now()
-		if err := sys.ReshardTenant(p, "shop", 4); !errors.Is(err, ErrNotReshardable) {
+		if err := reshard(p, sys, "shop", 4); !errors.Is(err, ErrNotReshardable) {
 			t.Errorf("no-backup reshard error = %v, want ErrNotReshardable", err)
 		}
 		if p.Now()-start >= sys.provisionTimeout() {
@@ -266,7 +283,7 @@ func TestReshardTenantRefusesNoBackupAndSingleVolumeMode(t *testing.T) {
 			return
 		}
 		start := p.Now()
-		if err := sys.ReshardTenant(p, "solo", 4); !errors.Is(err, ErrNotReshardable) {
+		if err := reshard(p, sys, "solo", 4); !errors.Is(err, ErrNotReshardable) {
 			t.Errorf("single-volume per-volume-mode reshard error = %v, want ErrNotReshardable", err)
 		}
 		if p.Now()-start >= sys.provisionTimeout() {

@@ -136,7 +136,7 @@ func (sys *System) Failback(p *sim.Proc) (*FailbackResult, error) {
 	}
 	for _, g := range failedOver {
 		reverse, stats, err := g.Failback(p, sys.Main.Array,
-			sys.ReversePathFor(sys.Replication.NamespaceOf(g)), sys.Cfg.Replication)
+			sys.ReversePathFor(sys.Replication.NamespaceOf(g)), replication.Config{})
 		if err != nil {
 			return nil, err
 		}

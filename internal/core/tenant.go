@@ -12,10 +12,12 @@
 // the provisioner unwinds claim volumes, and this controller reclaims the
 // backup-site twins — until both arrays report zero residue for the tenant.
 //
-// ProvisionTenant and DecommissionTenant are the client calls: submit the
-// spec (or its deletion) and wait for the controller to converge. The
-// one-shot constructors in core.go (DeployBusinessProcess, EnableBackup,
-// DisableBackup) are thin wrappers over the same path.
+// ProvisionTenant and DecommissionTenant are the blocking client calls:
+// submit the spec (or its deletion) and wait for the controller to converge.
+// ApplyTenant, UpdateTenantSpec and WaitTenantCondition (apply.go) are the
+// same surface without the wait folded in. A namespace tagged by hand with
+// no Tenant object — the paper's literal operation — is the operator's
+// alone: this controller never reconciles it.
 package core
 
 import (
@@ -24,7 +26,6 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/csiplugin"
 	"repro/internal/operator"
@@ -42,8 +43,8 @@ func tenantKey(namespace string) platform.ObjectKey {
 // newTenantControllers builds the tenant controller set: the Tenant watch
 // plus ReplicationGroup/PVC/Namespace watches mapped back to tenant keys so
 // status converges on events instead of polling. The map functions filter
-// on the managed-tenant set, so namespaces provisioned imperatively (the
-// pre-declarative experiment paths) never cost a reconcile.
+// on the managed-tenant set, so a namespace made straight on the API server
+// (E2 tags one by hand) never costs a reconcile.
 func (sys *System) newTenantControllers() []*platform.Controller {
 	rec := platform.ReconcilerFunc(sys.reconcileTenant)
 	managedKey := func(ns string) (platform.ObjectKey, bool) {
@@ -79,7 +80,7 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 	obj, err := sys.Main.API.Get(p, key)
 	if errors.Is(err, platform.ErrNotFound) {
 		if !sys.managedTenants[key.Name] {
-			return nil // never ours: an event for an imperative namespace
+			return nil // never ours: an event for a namespace without a Tenant
 		}
 		return sys.teardownTenant(p, key.Name)
 	}
@@ -431,15 +432,14 @@ func (sys *System) TenantResidue(namespace string) []string {
 // reconcile it to Ready — namespace, bound claims, and (with spec.Backup)
 // a running consistency-group replication including the initial copy — all
 // while other tenants keep serving load. For an OLTP-profile spec whose
-// claims include the business-process pair (sales + stock), the databases
-// are opened and a shop workload attached, so the returned BusinessProcess
-// is a drop-in for the imperative constructor's; a "data-only" profile
-// leaves the claims as raw replicated volumes.
+// claims include the business-process pair (sales + stock), the returned
+// BusinessProcess carries the opened databases and a shop workload; a
+// "data-only" profile leaves the claims as raw replicated volumes.
 func (sys *System) ProvisionTenant(p *sim.Proc, spec platform.TenantSpec) (*BusinessProcess, error) {
-	ns := spec.Namespace
-	if ns == "" {
-		return nil, fmt.Errorf("core: tenant spec needs a namespace")
+	if err := sys.validateSpec(spec); err != nil {
+		return nil, err
 	}
+	ns := spec.Namespace
 	if err := sys.Main.API.Create(p, &platform.Tenant{
 		Meta:   platform.Meta{Kind: platform.KindTenant, Name: ns},
 		Spec:   spec,
@@ -447,7 +447,7 @@ func (sys *System) ProvisionTenant(p *sim.Proc, spec platform.TenantSpec) (*Busi
 	}); err != nil {
 		return nil, err
 	}
-	if err := sys.WaitTenantReady(p, ns, sys.provisionTimeout()); err != nil {
+	if err := sys.WaitTenantCondition(p, ns, CondReady(), sys.provisionTimeout()); err != nil {
 		return nil, err
 	}
 	bp := &BusinessProcess{Namespace: ns, PVCNames: append([]string(nil), spec.PVCNames...)}
@@ -542,48 +542,6 @@ func (sys *System) reshardable(p *sim.Proc, namespace string) error {
 		return fmt.Errorf("%w: %s engine %s is no longer draining", ErrNotReshardable, namespace, gs[0].Name())
 	}
 	return nil
-}
-
-// ReshardTenant declares a new journal shard count on the tenant's spec and
-// waits for the resulting live reshard to settle: the spec change threads
-// tenant controller → namespace ShardsLabel → operator → ReplicationGroup →
-// replication plugin, which seals a migration barrier, re-places volumes,
-// and reconfigures the drain lanes while replication keeps running. On
-// return the engine drains `shards` lanes and the migration window is
-// closed (pre-barrier records committed, retired shards reclaimed).
-// Structurally impossible requests (per-volume replication, a failed-over
-// group) refuse immediately with ErrNotReshardable instead of timing out.
-//
-// Deprecated: thin wrapper — declare Spec.JournalShards with ApplyTenant or
-// UpdateTenantSpec and wait with CondResharded.
-func (sys *System) ReshardTenant(p *sim.Proc, namespace string, shards int) error {
-	if shards < 1 {
-		return fmt.Errorf("core: reshard %s to %d shards", namespace, shards)
-	}
-	if err := sys.reshardable(p, namespace); err != nil {
-		return err
-	}
-	if err := sys.UpdateTenantSpec(p, namespace, func(s *platform.TenantSpec) {
-		s.JournalShards = shards
-	}); err != nil {
-		return err
-	}
-	return sys.WaitTenantCondition(p, namespace, CondResharded(shards), sys.provisionTimeout())
-}
-
-// WaitReshard blocks until the namespace's replication engine runs exactly
-// `shards` drain lanes with no open migration window.
-//
-// Deprecated: thin wrapper over WaitTenantCondition with CondResharded.
-func (sys *System) WaitReshard(p *sim.Proc, namespace string, shards int, timeout time.Duration) error {
-	return sys.WaitTenantCondition(p, namespace, CondResharded(shards), timeout)
-}
-
-// WaitTenantReady blocks until the tenant's status reaches Ready (nil), or
-// Failed / the timeout (error) — shorthand for WaitTenantCondition with
-// CondReady.
-func (sys *System) WaitTenantReady(p *sim.Proc, namespace string, timeout time.Duration) error {
-	return sys.WaitTenantCondition(p, namespace, CondReady(), timeout)
 }
 
 // DecommissionTenant drains the tenant's replication, deletes its spec, and

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/operator"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -305,7 +307,7 @@ func TestTenantSpecDriftRepaired(t *testing.T) {
 			}
 			p.Sleep(10 * time.Millisecond)
 		}
-		if err := sys.WaitBackupReady(p, "managed", 10*time.Second); err != nil {
+		if err := sys.WaitTenantCondition(p, "managed", CondBackupReady(), 10*time.Second); err != nil {
 			t.Errorf("replication did not reconverge after drift: %v", err)
 			return
 		}
@@ -385,15 +387,15 @@ func TestDecommissionWithPrefixSiblingNamespace(t *testing.T) {
 	})
 }
 
-// TestEnableBackupUnknownNamespaceFailsFast pins the adoption guard: a
-// typo'd namespace returns not-found immediately instead of creating an
-// empty managed tenant and timing out.
+// TestEnableBackupUnknownNamespaceFailsFast: declaring backup on a typo'd
+// namespace returns not-found immediately instead of creating an empty
+// managed tenant and timing out.
 func TestEnableBackupUnknownNamespaceFailsFast(t *testing.T) {
 	runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
 		start := p.Now()
-		err := sys.EnableBackup(p, "no-such-namespace")
-		if err == nil {
-			t.Error("enable backup of unknown namespace succeeded")
+		err := enableBackup(p, sys, "no-such-namespace")
+		if !errors.Is(err, platform.ErrNotFound) {
+			t.Errorf("enable backup of unknown namespace: %v, want ErrNotFound", err)
 			return
 		}
 		if p.Now()-start > time.Second {
@@ -401,6 +403,86 @@ func TestEnableBackupUnknownNamespaceFailsFast(t *testing.T) {
 		}
 		if _, err := sys.Main.API.Get(p, tenantKey("no-such-namespace")); err == nil {
 			t.Error("a Tenant object was left behind")
+		}
+	})
+}
+
+// TestTagByHandNeedsNoTenantObject pins the paper's single operation the way
+// E2 performs it: a namespace and claims created straight on the API server,
+// then tagged by hand, are configured by the operator into one consistency
+// group with every claim a member. No Tenant object exists, so the tenant
+// controllers never reconcile the namespace; CondBackupReady still observes
+// the group, and removing the tag removes it.
+func TestTagByHandNeedsNoTenantObject(t *testing.T) {
+	runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
+		api := sys.Main.API
+		nsKey := platform.ObjectKey{Kind: platform.KindNamespace, Name: "biz"}
+		if err := api.Create(p, &platform.Namespace{Meta: platform.Meta{Kind: platform.KindNamespace, Name: "biz"}}); err != nil {
+			t.Error(err)
+			return
+		}
+		claims := []string{"orders", "stock", "audit"}
+		for _, c := range claims {
+			if err := api.Create(p, &platform.PersistentVolumeClaim{
+				Meta: platform.Meta{Kind: platform.KindPVC, Namespace: "biz", Name: c},
+				Spec: platform.PVCSpec{StorageClassName: StorageClassName, SizeBlocks: 64},
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		p.Sleep(50 * time.Millisecond) // let the provisioner bind them
+		setTag := func(tagged bool) error {
+			obj, err := api.Get(p, nsKey)
+			if err != nil {
+				return err
+			}
+			ns := obj.DeepCopy().(*platform.Namespace)
+			if tagged {
+				ns.Labels = map[string]string{operator.Tag: operator.TagValue}
+			} else {
+				delete(ns.Labels, operator.Tag)
+			}
+			return api.Update(p, ns)
+		}
+
+		if err := setTag(true); err != nil {
+			t.Errorf("tag: %v", err)
+			return
+		}
+		if err := sys.WaitTenantCondition(p, "biz", CondBackupReady(), 10*time.Second); err != nil {
+			t.Errorf("backup never ready without a Tenant object: %v", err)
+			return
+		}
+		if gs := sys.Groups("biz"); len(gs) != 1 || len(gs[0].Members()) != len(claims) {
+			t.Errorf("groups = %v, want one consistency group of %d members", gs, len(claims))
+		}
+		if _, err := api.Get(p, tenantKey("biz")); !errors.Is(err, platform.ErrNotFound) {
+			t.Errorf("a Tenant object appeared for a hand-tagged namespace (get: %v)", err)
+		}
+		if sys.managedTenants["biz"] {
+			t.Error("hand-tagged namespace entered the managed-tenant set")
+		}
+		for i, c := range sys.tenantCtrls {
+			if n := c.Reconciles(); n != 0 {
+				t.Errorf("tenant controller %d charged %d reconciles to an unmanaged namespace", i, n)
+			}
+		}
+
+		if err := setTag(false); err != nil {
+			t.Errorf("untag: %v", err)
+			return
+		}
+		deadline := p.Now() + 5*time.Second
+		for len(sys.Groups("biz")) > 0 && p.Now() < deadline {
+			p.Sleep(50 * time.Millisecond)
+		}
+		if got := len(sys.Groups("biz")); got != 0 {
+			t.Errorf("groups after untag = %d", got)
+		}
+		rgKey := platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: operator.GroupNameFor("biz")}
+		if _, err := api.Get(p, rgKey); !errors.Is(err, platform.ErrNotFound) {
+			t.Errorf("ReplicationGroup survived the untag (get: %v)", err)
 		}
 	})
 }

@@ -1,16 +1,15 @@
 package experiments
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/csiplugin"
 	"repro/internal/fabric"
-	"repro/internal/invariants"
 	"repro/internal/metrics"
 	"repro/internal/netlink"
+	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -88,9 +87,10 @@ func E13ShardedThroughput(seed int64, shardCounts []int, writes int) ([]ShardedT
 	return out, nil
 }
 
-// e13Run drives one full-control-plane run: namespace + PVCs provisioned,
-// backup enabled through the operator (which threads JournalShards down to
-// the replication plugin), then the write-heavy load.
+// e13Run drives one full-control-plane run: the tenant declared at `shards`
+// journal shards (which the tenant controller and the operator thread down
+// to the replication plugin), then the write-heavy load — drained to empty,
+// or cut mid-backlog.
 func e13Run(seed int64, shards, writes int, failover bool, res *ShardedThroughputResult) error {
 	// A thin pipe per member: one 64-record batch serializes in ~67ms, so a
 	// single lane is visibly the bottleneck and extra lanes visibly help.
@@ -100,64 +100,23 @@ func e13Run(seed int64, shards, writes int, failover bool, res *ShardedThroughpu
 		links[i] = member
 	}
 	sys := core.NewSystem(core.Config{
-		Seed:          seed,
-		Fabric:        fabric.Config{Links: links},
-		JournalShards: shards,
-		VolumeBlocks:  int64(writes/e13Volumes + 2),
+		Seed:         seed,
+		Fabric:       fabric.Config{Links: links},
+		VolumeBlocks: int64(writes/e13Volumes + 2),
 	})
 
-	pvcs := make([]string, e13Volumes)
-	for i := range pvcs {
-		pvcs[i] = fmt.Sprintf("d%02d", i)
-	}
-
-	var runErr error
-	halfway := sys.Env.NewEvent()
-	writerDone := sys.Env.NewEvent()
+	var driveErr, cutErr error
+	var g replication.Replicator
+	halfway, written := sys.Env.NewEvent(), sys.Env.NewEvent()
 	sys.Env.Process("driver", func(p *sim.Proc) {
-		defer writerDone.Trigger()
-		if err := provisionClaims(p, sys, e13Namespace, pvcs); err != nil {
-			runErr = err
+		defer written.Trigger()
+		var vols []*storage.Volume
+		if vols, g, driveErr = provisionDataTenant(p, sys, e13Namespace, e13Volumes, shards, ""); driveErr != nil {
 			return
 		}
-		if err := sys.EnableBackup(p, e13Namespace); err != nil {
-			runErr = err
-			return
-		}
-		groups := sys.Groups(e13Namespace)
-		if len(groups) != 1 {
-			runErr = fmt.Errorf("groups = %d, want 1", len(groups))
-			return
-		}
-		g := groups[0]
-		if g.Lanes() != shards {
-			runErr = fmt.Errorf("engine with %d lanes, want %d", g.Lanes(), shards)
-			return
-		}
-
-		vols := make([]*storage.Volume, e13Volumes)
-		for i, name := range pvcs {
-			v, err := sys.Main.Array.Volume(csiplugin.VolumeIDForClaim(e13Namespace, name))
-			if err != nil {
-				runErr = err
-				return
-			}
-			vols[i] = v
-		}
-		buf := make([]byte, sys.Main.Array.Config().BlockSize)
 		start := p.Now()
-		for i := 0; i < writes; i++ {
-			binary.BigEndian.PutUint64(buf, uint64(i+1))
-			if _, err := vols[i%e13Volumes].Write(p, int64(i/e13Volumes), buf); err != nil {
-				runErr = err
-				return
-			}
-			if i == writes/2 {
-				halfway.Trigger()
-			}
-		}
-		if failover {
-			return // the disaster process owns the rest of this run
+		if driveErr = writeStamped(p, vols, writes, 0, halfway); driveErr != nil || failover {
+			return // on a failover run the disaster process owns the rest
 		}
 		g.CatchUp(p)
 		res.DrainTime = p.Now() - start
@@ -168,18 +127,7 @@ func e13Run(seed int64, shards, writes int, failover bool, res *ShardedThroughpu
 		sys.Env.Process("disaster", func(p *sim.Proc) {
 			p.Wait(halfway)
 			p.Sleep(30 * time.Millisecond) // let the drain run mid-backlog
-			groups := sys.Groups(e13Namespace)
-			if len(groups) != 1 {
-				runErr = fmt.Errorf("disaster: groups = %d", len(groups))
-				return
-			}
-			vols, err := groups[0].Failover()
-			if err != nil {
-				runErr = err
-				return
-			}
-			p.Wait(writerDone) // let the writer finish acking into the stranded journal
-			res.CutWrites, res.FailoverConsistent = invariants.StampedPrefix(vols)
+			res.CutWrites, res.FailoverConsistent, cutErr = cutStamped(p, g, written)
 			res.LostWrites = writes - res.CutWrites
 		})
 	}
@@ -188,7 +136,7 @@ func e13Run(seed int64, shards, writes int, failover bool, res *ShardedThroughpu
 	// do not accumulate parked simulation processes.
 	sys.Stop()
 	sys.Env.Run(0)
-	return runErr
+	return errors.Join(driveErr, cutErr)
 }
 
 // E13Table renders the E13 results.

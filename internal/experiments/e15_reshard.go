@@ -1,20 +1,16 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/csiplugin"
 	"repro/internal/fabric"
-	"repro/internal/invariants"
 	"repro/internal/metrics"
 	"repro/internal/netlink"
 	"repro/internal/platform"
 	"repro/internal/replication"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // E15 scenario scale. One write-heavy tenant (the same 16-volume shape E13
@@ -99,46 +95,6 @@ func e15System(seed int64, writes int) *core.System {
 	})
 }
 
-// e15Provision declares the write-heavy tenant (data-only, 1 journal shard)
-// and the bystander OLTP tenants, returning the bench tenant's volumes and
-// the bystanders' business processes.
-func e15Provision(p *sim.Proc, sys *core.System) ([]*storage.Volume, []*core.BusinessProcess, error) {
-	pvcs := make([]string, e15Volumes)
-	for i := range pvcs {
-		pvcs[i] = fmt.Sprintf("d%02d", i)
-	}
-	if _, err := sys.ProvisionTenant(p, platform.TenantSpec{
-		Namespace:     e15Namespace,
-		PVCNames:      pvcs,
-		Backup:        true,
-		JournalShards: e15FromShards,
-		Profile:       "data-only",
-	}); err != nil {
-		return nil, nil, err
-	}
-	vols := make([]*storage.Volume, e15Volumes)
-	for i, name := range pvcs {
-		v, err := sys.Main.Array.Volume(csiplugin.VolumeIDForClaim(e15Namespace, name))
-		if err != nil {
-			return nil, nil, err
-		}
-		vols[i] = v
-	}
-	var bg []*core.BusinessProcess
-	for i := 0; i < e15Background; i++ {
-		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{
-			Namespace: fmt.Sprintf("bystander-%d", i),
-			PVCNames:  []string{"sales", "stock"},
-			Backup:    true,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		bg = append(bg, bp)
-	}
-	return vols, bg, nil
-}
-
 func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 	sys := e15System(seed, writes)
 	var runErr error
@@ -148,43 +104,36 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 		}
 	}
 
-	halfway := sys.Env.NewEvent()
-	writerDone := sys.Env.NewEvent()
-	ready := sys.Env.NewEvent()
-	var vols []*storage.Volume
+	halfway, written, ready := sys.Env.NewEvent(), sys.Env.NewEvent(), sys.Env.NewEvent()
 	var bg []*core.BusinessProcess
 	var engine replication.Replicator
 	var startWrites time.Duration
 
+	// Driver: declare the write-heavy tenant on one journal shard, then the
+	// bystander OLTP tenants, then write.
 	sys.Env.Process("driver", func(p *sim.Proc) {
-		defer writerDone.Trigger()
-		var err error
-		if vols, bg, err = e15Provision(p, sys); err != nil {
+		defer written.Trigger()
+		vols, g, err := provisionDataTenant(p, sys, e15Namespace, e15Volumes, e15FromShards, "")
+		if err != nil {
 			fail(err)
 			return
 		}
-		groups := sys.Groups(e15Namespace)
-		if len(groups) != 1 {
-			fail(fmt.Errorf("groups = %d, want 1", len(groups)))
-			return
-		}
-		engine = groups[0]
-		if engine.Lanes() != 1 {
-			fail(fmt.Errorf("shards=1 engine runs %d lanes", engine.Lanes()))
-			return
-		}
-		startWrites = p.Now()
-		ready.Trigger()
-		buf := make([]byte, sys.Main.Array.Config().BlockSize)
-		for i := 0; i < writes; i++ {
-			binary.BigEndian.PutUint64(buf, uint64(i+1))
-			if _, err := vols[i%e15Volumes].Write(p, int64(i/e15Volumes), buf); err != nil {
+		for i := 0; i < e15Background; i++ {
+			bp, err := sys.ProvisionTenant(p, platform.TenantSpec{
+				Namespace: fmt.Sprintf("bystander-%d", i),
+				PVCNames:  []string{"sales", "stock"},
+				Backup:    true,
+			})
+			if err != nil {
 				fail(err)
 				return
 			}
-			if i == writes/2 {
-				halfway.Trigger()
-			}
+			bg = append(bg, bp)
+		}
+		engine, startWrites = g, p.Now()
+		ready.Trigger()
+		if err := writeStamped(p, vols, writes, 0, halfway); err != nil {
+			fail(err)
 		}
 	})
 	// Bystander load: OLTP commits through the same control plane and
@@ -228,7 +177,7 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 			res.MovedRecords = sj.MovedRecords()
 
 			// Post window: drain the remaining backlog on four lanes.
-			p.Wait(writerDone)
+			p.Wait(written)
 			postStart := p.Now()
 			postBase := engine.AppliedBytes()
 			sg.CatchUp(p)
@@ -276,34 +225,19 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 			p.Wait(halfway)
 			// Strike while the migration window is open.
 			deadline := p.Now() + 30*time.Second
-			for {
-				if gs := sys.Groups(e15Namespace); len(gs) == 1 {
-					if sg := gs[0]; sg.Resharding() {
-						res.RacedWindow = true
-						res.CutPreBarrier = sg.CommittedEpoch() < sg.MigrationBarrier()
-						if _, err := sg.Failover(); err != nil {
-							fail(err)
-						}
-						break
-					}
-				}
+			for !engine.Resharding() {
 				if p.Now() >= deadline {
 					fail(fmt.Errorf("migration window never observed open"))
 					return
 				}
 				p.Sleep(time.Millisecond)
 			}
-			p.Wait(writerDone) // let the writer ack into the stranded journal
-			targets := make([]*storage.Volume, e15Volumes)
-			for i := range targets {
-				tv, err := sys.Backup.Array.Volume(csiplugin.VolumeIDForClaim(e15Namespace, fmt.Sprintf("d%02d", i)))
-				if err != nil {
-					fail(err)
-					return
-				}
-				targets[i] = tv
+			res.RacedWindow = true
+			res.CutPreBarrier = engine.CommittedEpoch() < engine.MigrationBarrier()
+			var err error
+			if res.CutWrites, res.FailoverConsistent, err = cutStamped(p, engine, written); err != nil {
+				fail(err)
 			}
-			res.CutWrites, res.FailoverConsistent = invariants.StampedPrefix(targets)
 			res.LostWrites = writes - res.CutWrites
 		})
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/autopilot"
 	"repro/internal/core"
-	"repro/internal/csiplugin"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/netlink"
@@ -226,40 +225,18 @@ func e17Run(seed int64, workers int, auto, trace bool) (AutopilotRun, *autopilot
 	ready := sys.Env.NewEvent()
 	var wlStart time.Duration
 
-	// Driver: declare every tenant through the declarative surface, wait
-	// for readiness, resolve the write targets, release the writers.
+	// Driver: declare every tenant on one journal shard under its SLO class,
+	// wait for readiness, resolve the write targets, release the writers.
 	sys.Env.Process("driver", func(p *sim.Proc) {
 		for _, t := range tenants {
 			nvols, slo := e17GoldVols, "gold"
 			if !t.gold {
 				nvols, slo = e17BulkVols, "bulk"
 			}
-			pvcs := make([]string, nvols)
-			for i := range pvcs {
-				pvcs[i] = fmt.Sprintf("d%02d", i)
-			}
-			if err := sys.ApplyTenant(p, platform.TenantSpec{
-				Namespace:     t.ns,
-				PVCNames:      pvcs,
-				Backup:        true,
-				JournalShards: 1,
-				SLOClass:      slo,
-				Profile:       "data-only",
-			}); err != nil {
-				fail(fmt.Errorf("apply %s: %w", t.ns, err))
+			var err error
+			if t.vols, _, err = provisionDataTenant(p, sys, t.ns, nvols, 1, slo); err != nil {
+				fail(fmt.Errorf("provision %s: %w", t.ns, err))
 				return
-			}
-			if err := sys.WaitTenantCondition(p, t.ns, core.CondReady(), time.Minute); err != nil {
-				fail(fmt.Errorf("ready %s: %w", t.ns, err))
-				return
-			}
-			for _, name := range pvcs {
-				v, err := sys.Main.Array.Volume(csiplugin.VolumeIDForClaim(t.ns, name))
-				if err != nil {
-					fail(err)
-					return
-				}
-				t.vols = append(t.vols, v)
 			}
 		}
 		wlStart = p.Now()

@@ -1,16 +1,15 @@
 package experiments
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/csiplugin"
 	"repro/internal/fabric"
-	"repro/internal/invariants"
 	"repro/internal/metrics"
 	"repro/internal/netlink"
+	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -115,7 +114,6 @@ func e18Run(seed int64, window, writes int, partition bool, res *PipeFillResult)
 			Classes:       []fabric.ClassConfig{{Name: "bulk"}},
 			WindowPerLink: window,
 		},
-		JournalShards: e18Shards,
 		// Cheap primary writes: the experiment measures the link pipeline,
 		// so the array must never be the bottleneck.
 		Storage:      storage.Config{WriteLatency: 5 * time.Microsecond, JournalLatency: time.Microsecond, Parallelism: 16},
@@ -123,61 +121,27 @@ func e18Run(seed int64, window, writes int, partition bool, res *PipeFillResult)
 	})
 	link := sys.Fabric.Forward.Links()[0]
 
-	pvcs := make([]string, e18Volumes)
-	for i := range pvcs {
-		pvcs[i] = fmt.Sprintf("g%02d", i)
+	// The partition run paces its writes across the drain so epochs seal and
+	// commit progressively — a burst-everything writer collapses the run
+	// into one tiny epoch plus one giant one, leaving no meaningful prefix to
+	// cut. The throughput run stays unpaced: there the drain alone is the
+	// measurement.
+	var pace time.Duration
+	if partition {
+		pace = 100 * time.Microsecond
 	}
-
-	var runErr error
-	halfway := sys.Env.NewEvent()
-	writerDone := sys.Env.NewEvent()
+	var driveErr, cutErr error
+	var g replication.Replicator
+	halfway, written := sys.Env.NewEvent(), sys.Env.NewEvent()
 	sys.Env.Process("driver", func(p *sim.Proc) {
-		defer writerDone.Trigger()
-		if err := provisionClaims(p, sys, e18Namespace, pvcs); err != nil {
-			runErr = err
+		defer written.Trigger()
+		var vols []*storage.Volume
+		if vols, g, driveErr = provisionDataTenant(p, sys, e18Namespace, e18Volumes, e18Shards, ""); driveErr != nil {
 			return
 		}
-		if err := sys.EnableBackup(p, e18Namespace); err != nil {
-			runErr = err
-			return
-		}
-		groups := sys.Groups(e18Namespace)
-		if len(groups) != 1 {
-			runErr = fmt.Errorf("groups = %d, want 1", len(groups))
-			return
-		}
-		g := groups[0]
-		vols := make([]*storage.Volume, e18Volumes)
-		for i, name := range pvcs {
-			v, err := sys.Main.Array.Volume(csiplugin.VolumeIDForClaim(e18Namespace, name))
-			if err != nil {
-				runErr = err
-				return
-			}
-			vols[i] = v
-		}
-		buf := make([]byte, sys.Main.Array.Config().BlockSize)
 		start := p.Now()
-		for i := 0; i < writes; i++ {
-			binary.BigEndian.PutUint64(buf, uint64(i+1))
-			if _, err := vols[i%e18Volumes].Write(p, int64(i/e18Volumes), buf); err != nil {
-				runErr = err
-				return
-			}
-			if partition {
-				// Pace the write phase across the drain so epochs seal and
-				// commit progressively — a burst-everything writer collapses
-				// the run into one tiny epoch plus one giant one, leaving no
-				// meaningful prefix to cut. The throughput run stays
-				// unpaced: there the drain alone is the measurement.
-				p.Sleep(100 * time.Microsecond)
-			}
-			if i == writes/2 {
-				halfway.Trigger()
-			}
-		}
-		if partition {
-			return // the disaster process owns the rest of this run
+		if driveErr = writeStamped(p, vols, writes, pace, halfway); driveErr != nil || partition {
+			return // on a partition run the disaster process owns the rest
 		}
 		g.CatchUp(p)
 		res.DrainTime = p.Now() - start
@@ -204,25 +168,14 @@ func e18Run(seed int64, window, writes int, partition bool, res *PipeFillResult)
 			res.DeliveredDuringCut = link.Transfers() - before
 			link.Heal()
 			p.Sleep(30 * time.Millisecond) // drain resumes over the healed link
-			groups := sys.Groups(e18Namespace)
-			if len(groups) != 1 {
-				runErr = fmt.Errorf("disaster: groups = %d", len(groups))
-				return
-			}
-			vols, err := groups[0].Failover()
-			if err != nil {
-				runErr = err
-				return
-			}
-			p.Wait(writerDone) // writer finishes acking into the stranded journal
-			res.CutWrites, res.FailoverConsistent = invariants.StampedPrefix(vols)
+			res.CutWrites, res.FailoverConsistent, cutErr = cutStamped(p, g, written)
 			res.LostWrites = res.Writes - res.CutWrites
 		})
 	}
 	sys.Env.Run(0)
 	sys.Stop()
 	sys.Env.Run(0)
-	return runErr
+	return errors.Join(driveErr, cutErr)
 }
 
 // E18Table renders the E18 results.

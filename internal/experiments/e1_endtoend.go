@@ -8,6 +8,7 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -34,13 +35,17 @@ func E1EndToEnd(seed int64, orders int) (EndToEndResult, error) {
 	sys := core.NewSystem(core.Config{Seed: seed})
 	var runErr error
 	sys.Env.Process("e1", func(p *sim.Proc) {
-		bp, err := sys.DeployBusinessProcess(p, "shop")
+		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 		if err != nil {
 			runErr = err
 			return
 		}
 		start := p.Now()
-		if err := sys.EnableBackup(p, "shop"); err != nil {
+		if err := sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) { s.Backup = true }); err != nil {
+			runErr = err
+			return
+		}
+		if err := sys.WaitTenantCondition(p, "shop", core.CondBackupReady(), 30*time.Second); err != nil {
 			runErr = err
 			return
 		}

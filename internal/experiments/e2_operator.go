@@ -56,11 +56,24 @@ func E2Operator(seed int64, volumeCounts []int) ([]OperatorResult, error) {
 					return
 				}
 			}
-			// Wait for binding, then measure tag -> Ready.
+			// Wait for binding, then measure tag -> Ready. The tag is the
+			// paper's literal operation — `oc label namespace biz
+			// backup=ConsistentCopyToCloud` — with no Tenant object involved.
 			p.Sleep(50 * time.Millisecond)
 			callsBefore := sys.Main.API.Calls() + sys.Backup.API.Calls()
 			start := p.Now()
-			if err := sys.EnableBackup(p, "biz"); err != nil {
+			obj, err := sys.Main.API.Get(p, platform.ObjectKey{Kind: platform.KindNamespace, Name: "biz"})
+			if err != nil {
+				runErr = err
+				return
+			}
+			ns := obj.DeepCopy().(*platform.Namespace)
+			ns.Labels = map[string]string{operator.Tag: operator.TagValue}
+			if err := sys.Main.API.Update(p, ns); err != nil {
+				runErr = err
+				return
+			}
+			if err := sys.WaitTenantCondition(p, "biz", core.CondBackupReady(), 30*time.Second); err != nil {
 				runErr = err
 				return
 			}

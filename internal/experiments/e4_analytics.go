@@ -7,6 +7,7 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -37,12 +38,16 @@ func E4Analytics(seed int64, orders int) ([]AnalyticsResult, error) {
 		sys := core.NewSystem(core.Config{Seed: seed})
 		var runErr error
 		sys.Env.Process("e4", func(p *sim.Proc) {
-			bp, err := sys.DeployBusinessProcess(p, "shop")
+			bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 			if err != nil {
 				runErr = err
 				return
 			}
-			if err := sys.EnableBackup(p, "shop"); err != nil {
+			if err := sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) { s.Backup = true }); err != nil {
+				runErr = err
+				return
+			}
+			if err := sys.WaitTenantCondition(p, "shop", core.CondBackupReady(), 30*time.Second); err != nil {
 				runErr = err
 				return
 			}

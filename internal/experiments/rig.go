@@ -10,11 +10,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/fabric"
 	"repro/internal/netlink"
-	"repro/internal/platform"
 	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -156,40 +154,6 @@ func (r *rig) bootstrap(p *sim.Proc, params rigParams) error {
 	wcfg := params.workload
 	wcfg.Seed = params.seed
 	r.shop = workload.NewShop(r.env, r.sales, r.stock, wcfg)
-	return nil
-}
-
-// provisionClaims creates a tenant namespace and its PVCs through the
-// platform control plane and waits for the provisioner to bind every claim
-// — the shared setup for the full-control-plane drain experiments (E13,
-// E18).
-func provisionClaims(p *sim.Proc, sys *core.System, namespace string, pvcs []string) error {
-	if err := sys.Main.API.Create(p, &platform.Namespace{
-		Meta: platform.Meta{Kind: platform.KindNamespace, Name: namespace},
-	}); err != nil {
-		return err
-	}
-	for _, name := range pvcs {
-		if err := sys.Main.API.Create(p, &platform.PersistentVolumeClaim{
-			Meta: platform.Meta{Kind: platform.KindPVC, Namespace: namespace, Name: name},
-			Spec: platform.PVCSpec{StorageClassName: core.StorageClassName, SizeBlocks: sys.Cfg.VolumeBlocks},
-		}); err != nil {
-			return err
-		}
-	}
-	deadline := p.Now() + 30*time.Second
-	for _, name := range pvcs {
-		for {
-			obj, err := sys.Main.API.Get(p, platform.ObjectKey{Kind: platform.KindPVC, Namespace: namespace, Name: name})
-			if err == nil && obj.(*platform.PersistentVolumeClaim).Status.Phase == platform.ClaimBound {
-				break
-			}
-			if p.Now() >= deadline {
-				return fmt.Errorf("claim %s never bound", name)
-			}
-			p.Sleep(5 * time.Millisecond)
-		}
-	}
 	return nil
 }
 

@@ -72,11 +72,9 @@ type Config struct {
 	// (default 64 KiB).
 	QuantumBytes int
 	// RetryBackoff is the caller's initial pause after an ingress drop
-	// (default 1ms). Repeated drops back off exponentially from here.
+	// (default 1ms). Repeated drops back off exponentially from here, up to
+	// retryBackoffCapFactor times it.
 	RetryBackoff time.Duration
-	// RetryBackoffCap bounds the exponential drop-retry backoff (default
-	// 32x RetryBackoff).
-	RetryBackoffCap time.Duration
 	// WindowPerLink caps how many transfers one member link may have in
 	// flight — serialized onto the wire but still propagating — at once.
 	// The default 1 is the classic stop-and-wait dispatcher (the wire idles
@@ -99,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = time.Millisecond
-	}
-	if c.RetryBackoffCap <= 0 {
-		c.RetryBackoffCap = 32 * c.RetryBackoff
 	}
 	if c.WindowPerLink <= 0 {
 		c.WindowPerLink = 1
@@ -727,6 +722,10 @@ type TenantPath struct {
 	totalTime     time.Duration
 }
 
+// retryBackoffCapFactor bounds the exponential drop-retry backoff at this
+// multiple of Config.RetryBackoff.
+const retryBackoffCapFactor = 32
+
 // Transfer moves size bytes through the fabric, blocking the caller for
 // admission (queueing, scheduling, rate caps) plus the member-link transfer.
 func (tp *TenantPath) Transfer(p *sim.Proc, size int) time.Duration {
@@ -743,7 +742,7 @@ func (tp *TenantPath) Transfer(p *sim.Proc, size int) time.Duration {
 	for {
 		if mq := tp.class.cfg.MaxQueued; mq > 0 && tp.class.depth() >= mq {
 			// Ingress full: drop this attempt, back off, retry. The backoff
-			// doubles per consecutive drop up to RetryBackoffCap, and the
+			// doubles per consecutive drop up to the cap, and the
 			// first retry adds the path's deterministic spread so paths that
 			// collided at one drop instant fan out instead of re-colliding
 			// at every subsequent retry (lockstep convoys).
@@ -751,11 +750,8 @@ func (tp *TenantPath) Transfer(p *sim.Proc, size int) time.Duration {
 			tp.class.drops++
 			if backoff == 0 {
 				backoff = f.cfg.RetryBackoff + tp.spread
-			} else if backoff < f.cfg.RetryBackoffCap {
-				backoff *= 2
-				if backoff > f.cfg.RetryBackoffCap {
-					backoff = f.cfg.RetryBackoffCap
-				}
+			} else {
+				backoff = min(2*backoff, retryBackoffCapFactor*f.cfg.RetryBackoff)
 			}
 			p.Sleep(backoff)
 			continue

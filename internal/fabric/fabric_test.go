@@ -552,9 +552,9 @@ func TestDropRetrySpreadsAndBacksOff(t *testing.T) {
 }
 
 func TestDropRetryBackoffIsCapped(t *testing.T) {
-	cfg := Config{RetryBackoff: time.Millisecond}.withDefaults()
-	if cfg.RetryBackoffCap != 32*time.Millisecond {
-		t.Fatalf("default cap %v, want 32ms", cfg.RetryBackoffCap)
+	cfg := Config{}.withDefaults()
+	if got := retryBackoffCapFactor * cfg.RetryBackoff; got != 32*time.Millisecond {
+		t.Fatalf("backoff cap %v, want 32ms", got)
 	}
 	if cfg.WindowPerLink != 1 {
 		t.Fatalf("default window %d, want 1", cfg.WindowPerLink)

@@ -38,17 +38,6 @@ type Config struct {
 	// OrdersPerTenant is the OLTP load per tenant (default 10). Half is
 	// placed before the mid-run events, half after.
 	OrdersPerTenant int
-	// FailoverFraction is the share of tenants hit by the mid-run site
-	// failover (default 0.25, at least one tenant).
-	FailoverFraction float64
-	// AnalyticsFraction is the share of tenants that run snapshot analytics
-	// mid-run (default 0.25, at least one tenant).
-	AnalyticsFraction float64
-	// ReadyTimeout bounds each tenant's wait for replication Ready; fleets
-	// enable backup concurrently, so this scales with Tenants (default 5m).
-	ReadyTimeout time.Duration
-	// Horizon bounds the simulation (default 4h of virtual time).
-	Horizon time.Duration
 	// Workload tunes each tenant's shop (seed is offset per tenant).
 	Workload workload.Config
 	// ClassOf assigns each tenant index a fabric QoS class (configure the
@@ -56,15 +45,9 @@ type Config struct {
 	// tenant on the default class — the pre-fabric single-queue behavior.
 	ClassOf func(tenant int) string
 	// JournalShards, when > 1, shards every tenant's consistency-group
-	// journal across that many drain lanes (overrides System.JournalShards).
-	// 0 leaves System.JournalShards as configured.
+	// journal across that many drain lanes (each tenant's
+	// TenantSpec.JournalShards). 0 or 1 is the single shared journal.
 	JournalShards int
-	// FabricWindow, when > 1, lets every scheduled fabric member link carry
-	// that many in-flight transfers at once (overrides
-	// System.Fabric.WindowPerLink) — propagation-pipelined dispatch for
-	// high bandwidth-delay-product member links. 0 leaves the fabric at its
-	// configured (default stop-and-wait) window.
-	FabricWindow int
 	// Joins schedules extra tenants provisioned mid-run: each join submits
 	// a TenantSpec at its After time and lives a full tenant life from
 	// there. Joined tenants are appended to the roster after the initial
@@ -147,20 +130,21 @@ func (c Config) withDefaults() Config {
 	if c.OrdersPerTenant <= 0 {
 		c.OrdersPerTenant = 10
 	}
-	if c.FailoverFraction <= 0 {
-		c.FailoverFraction = 0.25
-	}
-	if c.AnalyticsFraction <= 0 {
-		c.AnalyticsFraction = 0.25
-	}
-	if c.ReadyTimeout <= 0 {
-		c.ReadyTimeout = 5 * time.Minute
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 4 * time.Hour
-	}
 	return c
 }
+
+const (
+	// roleFraction is the share of the initial roster hit by the mid-run site
+	// failover, and the share that runs snapshot analytics mid-run (at least
+	// one tenant each).
+	roleFraction = 0.25
+	// readyTimeout bounds each tenant's wait for Ready, for zero residue and
+	// for a reshard to settle. A fleet provisions its whole roster at once,
+	// so it sits far above core's single-tenant default.
+	readyTimeout = 5 * time.Minute
+	// horizon bounds the simulation in virtual time.
+	horizon = 4 * time.Hour
+)
 
 // Tenant is one namespace's state and verdicts.
 type Tenant struct {
@@ -234,9 +218,7 @@ type Fleet struct {
 // take no other role.
 func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
-	if cfg.ReadyTimeout > cfg.System.ProvisionTimeout {
-		cfg.System.ProvisionTimeout = cfg.ReadyTimeout
-	}
+	cfg.System.ProvisionTimeout = max(cfg.System.ProvisionTimeout, readyTimeout)
 	// Fleet tenants are independent service domains: each volume gets its
 	// own service queue and ack numbering scoped to its consistency group.
 	// This is both the realistic multi-tenant array model and the property
@@ -248,9 +230,6 @@ func New(cfg Config) *Fleet {
 	// has no private sampling loop. RPOSample therefore implies telemetry.
 	if cfg.RPOSample > 0 && cfg.System.Telemetry == nil {
 		cfg.System.Telemetry = &telemetry.Config{SamplePeriod: cfg.RPOSample}
-	}
-	if cfg.FabricWindow > 1 {
-		cfg.System.Fabric.WindowPerLink = cfg.FabricWindow
 	}
 	f := &Fleet{Sys: core.NewSystem(cfg.System), Cfg: cfg}
 	leaves := make(map[int]LeaveSpec, len(cfg.Leaves))
@@ -278,15 +257,14 @@ func New(cfg Config) *Fleet {
 	// back, so both mix with plain tenants in namespace order. Leavers are
 	// skipped — a decommission must reclaim a cleanly-drained group, and
 	// analytics snapshots are verified before leaving anyway.
-	nFail := max(1, int(float64(cfg.Tenants)*cfg.FailoverFraction))
-	nAna := max(1, int(float64(cfg.Tenants)*cfg.AnalyticsFraction))
-	for i, assigned := 0, 0; i < cfg.Tenants && assigned < nFail; i++ {
+	nRole := max(1, int(float64(cfg.Tenants)*roleFraction))
+	for i, assigned := 0, 0; i < cfg.Tenants && assigned < nRole; i++ {
 		if t := f.Tenants[i]; !t.Leave {
 			t.Failover = true
 			assigned++
 		}
 	}
-	for i, assigned := cfg.Tenants-1, 0; i >= 0 && assigned < nAna; i-- {
+	for i, assigned := cfg.Tenants-1, 0; i >= 0 && assigned < nRole; i-- {
 		if t := f.Tenants[i]; !t.Leave && !t.Failover {
 			t.Analytics = true
 			assigned++
@@ -375,7 +353,7 @@ func (f *Fleet) Run() error {
 				s.JournalShards = rs.Shards
 			})
 			if err == nil {
-				err = f.Sys.WaitTenantCondition(p, t.Namespace, core.CondResharded(rs.Shards), f.Cfg.ReadyTimeout)
+				err = f.Sys.WaitTenantCondition(p, t.Namespace, core.CondResharded(rs.Shards), readyTimeout)
 			}
 			if err != nil {
 				t.ReshardErr = err
@@ -386,9 +364,9 @@ func (f *Fleet) Run() error {
 		})
 	}
 	if f.Cfg.Workers > 1 {
-		f.Sys.Env.RunParallel(f.Cfg.Horizon, f.Cfg.Workers)
+		f.Sys.Env.RunParallel(horizon, f.Cfg.Workers)
 	} else {
-		f.Sys.Env.Run(f.Cfg.Horizon)
+		f.Sys.Env.Run(horizon)
 	}
 	if f.Sys.Env.Idle() {
 		// Completed run: quiesce controllers, drains, and dispatchers so a

@@ -31,22 +31,18 @@ const Tag = "backup"
 // exact string from the demonstration (Fig. 3).
 const TagValue = "ConsistentCopyToCloud"
 
-// ShardsLabel is the namespace label that overrides the operator's
-// deployment-wide JournalShards for one namespace — how the tenant
-// controller threads a per-tenant shard count into the ReplicationGroup it
-// has the operator create. Unparsable or absent values keep the default.
+// ShardsLabel is the namespace label carrying the namespace's journal shard
+// count — how the tenant controller threads TenantSpec.JournalShards into
+// the ReplicationGroup it has the operator create. An absent or unparsable
+// value is the paper's single shared journal on one lane.
 const ShardsLabel = "backup-shards"
 
 // Config tunes operator behaviour.
 type Config struct {
 	// ConsistencyGroup selects whether created ReplicationGroups request a
-	// shared journal. The production operator always does; experiment E6
-	// turns it off to demonstrate collapse.
+	// shared journal. The production operator always does; only tests turn
+	// it off (E6 shows the collapse on the rig, below the control plane).
 	ConsistencyGroup bool
-	// JournalShards is threaded into created ReplicationGroups: > 1 shards
-	// each group's journal across that many drain lanes (E13); 0 or 1
-	// keeps the single shared journal.
-	JournalShards int
 	// Telemetry, when set, instruments the operator's controllers
 	// (reconcile latency, requeues, reconcile spans).
 	Telemetry *telemetry.Registry
@@ -137,8 +133,8 @@ func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 		return fmt.Errorf("operator: namespace %s tagged but has no PVCs", ns.Name)
 	}
 
-	shards := o.cfg.JournalShards
-	// Most namespaces carry no override: ask before parsing, or Atoi("")
+	shards := 0
+	// Most namespaces carry no label: ask before parsing, or Atoi("")
 	// allocates a *NumError on every pass of every tenant.
 	if label, ok := ns.Labels[ShardsLabel]; ok {
 		if v, err := strconv.Atoi(label); err == nil && v > 0 {

@@ -222,11 +222,11 @@ func TestOperatorIdempotentOnRepeatedEvents(t *testing.T) {
 	}
 }
 
-// TestShardsLabelOverridesJournalShards pins the per-tenant shard override:
-// the ShardsLabel on a namespace beats the operator's deployment-wide
-// JournalShards; an unparsable value keeps the default.
+// TestShardsLabelOverridesJournalShards pins the per-tenant shard count: the
+// ShardsLabel on a namespace sets the ReplicationGroup's JournalShards; an
+// absent or unparsable value leaves it 0, the single shared journal.
 func TestShardsLabelOverridesJournalShards(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: true, JournalShards: 2})
+	f := newFixture(t, Config{ConsistencyGroup: true})
 	f.createNamespaceWithPVCs(t, "sharded",
 		map[string]string{Tag: TagValue, ShardsLabel: "8"}, "sales", "stock")
 	rg, ok := f.group(t, "sharded")
@@ -234,7 +234,7 @@ func TestShardsLabelOverridesJournalShards(t *testing.T) {
 		t.Fatal("no ReplicationGroup created")
 	}
 	if rg.Spec.JournalShards != 8 {
-		t.Fatalf("journal shards = %d, want 8 (label override)", rg.Spec.JournalShards)
+		t.Fatalf("journal shards = %d, want 8 (the label)", rg.Spec.JournalShards)
 	}
 
 	f.createNamespaceWithPVCs(t, "plain", map[string]string{Tag: TagValue}, "sales")
@@ -242,8 +242,8 @@ func TestShardsLabelOverridesJournalShards(t *testing.T) {
 	if !ok {
 		t.Fatal("no ReplicationGroup for plain namespace")
 	}
-	if rg.Spec.JournalShards != 2 {
-		t.Fatalf("journal shards = %d, want the configured default 2", rg.Spec.JournalShards)
+	if rg.Spec.JournalShards != 0 {
+		t.Fatalf("journal shards = %d, want 0 without a label", rg.Spec.JournalShards)
 	}
 
 	f.createNamespaceWithPVCs(t, "bogus",
@@ -252,8 +252,8 @@ func TestShardsLabelOverridesJournalShards(t *testing.T) {
 	if !ok {
 		t.Fatal("no ReplicationGroup for bogus-label namespace")
 	}
-	if rg.Spec.JournalShards != 2 {
-		t.Fatalf("journal shards = %d, want default 2 on unparsable label", rg.Spec.JournalShards)
+	if rg.Spec.JournalShards != 0 {
+		t.Fatalf("journal shards = %d, want 0 on unparsable label", rg.Spec.JournalShards)
 	}
 }
 
@@ -262,7 +262,7 @@ func TestShardsLabelOverridesJournalShards(t *testing.T) {
 // must update the existing ReplicationGroup's JournalShards instead of
 // being silently ignored.
 func TestShardsLabelUpdatePropagates(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: true, JournalShards: 1})
+	f := newFixture(t, Config{ConsistencyGroup: true})
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue, ShardsLabel: "2"}, "sales", "stock")
 	rg, ok := f.group(t, "shop")
 	if !ok || rg.Spec.JournalShards != 2 {
@@ -291,14 +291,15 @@ func TestShardsLabelUpdatePropagates(t *testing.T) {
 	if rg, ok = f.group(t, "shop"); !ok || rg.Spec.JournalShards != 4 {
 		t.Fatalf("after label 4: %+v", rg.Spec)
 	}
-	// Clearing the label falls back to the operator's deployment default.
+	// Clearing the label falls back to the single shared journal (0).
 	setLabel("")
-	if rg, ok = f.group(t, "shop"); !ok || rg.Spec.JournalShards != 1 {
+	if rg, ok = f.group(t, "shop"); !ok || rg.Spec.JournalShards != 0 {
 		t.Fatalf("after label cleared: %+v", rg.Spec)
 	}
-	// An unparsable label keeps the default rather than zeroing the spec.
+	// So does an unparsable label: back up to 4, then garbage.
+	setLabel("4")
 	setLabel("nonsense")
-	if rg, ok = f.group(t, "shop"); !ok || rg.Spec.JournalShards != 1 {
+	if rg, ok = f.group(t, "shop"); !ok || rg.Spec.JournalShards != 0 {
 		t.Fatalf("after bad label: %+v", rg.Spec)
 	}
 }

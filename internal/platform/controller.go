@@ -24,10 +24,8 @@ func (f ReconcilerFunc) Reconcile(p *sim.Proc, key ObjectKey) error { return f(p
 // ControllerConfig tunes retry behaviour.
 type ControllerConfig struct {
 	// RetryDelay is the requeue delay after a reconcile error
-	// (default 10ms, doubling per consecutive failure up to MaxRetryDelay).
+	// (default 10ms, doubling per consecutive failure up to maxRetryDelay).
 	RetryDelay time.Duration
-	// MaxRetryDelay caps the backoff (default 1s).
-	MaxRetryDelay time.Duration
 	// Telemetry, when set, records per-controller reconcile latency,
 	// requeues, and reconcile-pass spans into the registry.
 	Telemetry *telemetry.Registry
@@ -37,11 +35,11 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	if c.RetryDelay <= 0 {
 		c.RetryDelay = 10 * time.Millisecond
 	}
-	if c.MaxRetryDelay <= 0 {
-		c.MaxRetryDelay = time.Second
-	}
 	return c
 }
+
+// maxRetryDelay caps the requeue backoff.
+const maxRetryDelay = time.Second
 
 // Controller watches one kind and funnels object keys through a
 // deduplicating work queue into a reconciler — the operator-SDK pattern the
@@ -151,8 +149,8 @@ func (c *Controller) Start() {
 				c.requeues.Inc()
 				c.fails[key]++
 				delay := c.cfg.RetryDelay << uint(c.fails[key]-1)
-				if delay > c.cfg.MaxRetryDelay || delay <= 0 {
-					delay = c.cfg.MaxRetryDelay
+				if delay > maxRetryDelay || delay <= 0 {
+					delay = maxRetryDelay
 				}
 				// Requeue after backoff without blocking the worker. An
 				// inline timer step is enough — Enqueue consumes no time —

@@ -316,27 +316,29 @@ type TenantSpec struct {
 	// Namespace the tenant occupies. Defaults to the object name; when both
 	// are set they must agree.
 	Namespace string
-	// PVCNames are the claims to provision. Empty adopts whatever claims
-	// already exist in the namespace (the one-shot wrapper path).
+	// PVCNames are the claims to provision. Claims already in the namespace
+	// that the list does not name are left alone (and, with Backup, still
+	// replicated: the operator takes every claim it finds).
 	PVCNames []string
-	// VolumeBlocks sizes provisioned claims (0 = the system default).
+	// VolumeBlocks sizes provisioned claims (0 = core.Config.VolumeBlocks).
 	VolumeBlocks int64
 	// Backup requests consistent replication to the backup site (the
 	// namespace tag the operator watches).
 	Backup bool
 	// QoSClass names the fabric class the tenant's drain traffic rides
-	// ("" = the deployment-wide default resolution).
+	// ("" = the SLO class's FabricClass, else the default class).
 	QoSClass string
 	// LaneClasses optionally names a class per journal-shard drain lane
 	// (lane k rides LaneClasses[k]); lanes beyond the list, or empty
 	// entries, fall back to QoSClass. Ignored unless JournalShards > 1.
 	LaneClasses []string
 	// JournalShards, when > 1, shards the tenant's consistency-group
-	// journal across that many drain lanes (0 = the system default). The
-	// field is MUTABLE: changing it on a provisioned tenant drives a live
-	// reshard — the controller chain seals an epoch barrier, re-places
-	// volumes on the new shard set, and reconfigures drain lanes while
-	// replication keeps running (core.System.ReshardTenant wraps this).
+	// journal across that many drain lanes (0 or 1 = the paper's single
+	// shared journal on one lane). The field is MUTABLE: changing it on a
+	// provisioned tenant drives a live reshard — the controller chain seals
+	// an epoch barrier, re-places volumes on the new shard set, and
+	// reconfigures drain lanes while replication keeps running; wait for it
+	// with core.CondResharded.
 	JournalShards int
 	// SLOClass names the tenant's service-level policy (an SLOClass
 	// registered in the deployment's config). The autopilot reads it to
