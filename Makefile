@@ -4,6 +4,7 @@
 #
 #   ci               everything below except bench-record, profile-% and chaos
 #   fmt vet build test test-race
+#   layer-bench-smoke  every benchmark under internal/ once: does it still run
 #   tables-check     every experiment table equals the committed golden
 #   bench-check      ./benchmark at seed 1 vs BENCH_results.json (the perf gate)
 #   bench-record     re-record BENCH_results.json
@@ -15,9 +16,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test test-race tables-check bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines
+.PHONY: ci fmt vet build test layer-bench-smoke test-race tables-check bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines
 
-ci: fmt vet build test test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke
+ci: fmt vet build test layer-bench-smoke test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -31,6 +32,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The layer benchmarks beside their packages (BenchmarkRecover,
+# BenchmarkTxnCommit, BenchmarkDrainOneLane, ...: the ledger DESIGN.md cites)
+# are skipped by `go test ./...`, so run each for one iteration. No number is
+# judged: this fails only when a benchmark panics or calls b.Fatal.
+layer-bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 test-race:
 	$(GO) test -race ./...

@@ -97,8 +97,8 @@ func dirtyDB(tb testing.TB, p *sim.Proc, a *storage.Array, id storage.VolumeID, 
 			tb.Fatal(err)
 		}
 	}
-	if len(d.dirty) != n {
-		tb.Fatalf("%d dirty pages, want %d", len(d.dirty), n)
+	if len(d.owned) != n {
+		tb.Fatalf("%d dirty pages, want %d", len(d.owned), n)
 	}
 	return d
 }

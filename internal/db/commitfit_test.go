@@ -149,7 +149,7 @@ func TestCommitFitCheckAgreesWithUpsertOnACopy(t *testing.T) {
 					ok = false
 				case got == nil:
 					for b, pg := range ref {
-						if !bytes.Equal(d.pages[b], pg) {
+						if !bytes.Equal(d.owned[b], pg) {
 							t.Errorf("seed %d round %d: page %d differs from the reference after commit", seed, round, b)
 							ok = false
 						}

@@ -12,15 +12,18 @@
 //     what makes the SDC-vs-ADC slowdown measurable at the database level;
 //   - data pages are updated in memory and flushed only at Checkpoint, so
 //     pages on disk never contain uncommitted data (no undo needed);
-//   - Open replays the WAL's valid prefix: transactions with a commit
+//   - every open replays the WAL's valid prefix: transactions with a commit
 //     record in the prefix are redone in log order, everything else is
-//     discarded.
+//     discarded. Open checkpoints the result, OpenView keeps it in memory.
 //
 // Volume layout: block 0 superblock | blocks 1..WALBlocks WAL | data pages.
+//
+// The read half — layout, superblock check, replay, page cache, Get, Scan, the
+// committed set — is one type behind both doors (reader.go): a View is a
+// reader, a DB embeds one and adds the WAL head, Txn and Checkpoint.
 package db
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,8 +38,11 @@ import (
 
 // Database-level errors.
 var (
-	// ErrNotFormatted reports a volume without a valid superblock.
+	// ErrNotFormatted reports a volume whose block 0 was never written.
 	ErrNotFormatted = errors.New("db: volume is not a formatted database")
+	// ErrCorruptSuperblock reports a block 0 that holds data but is no valid
+	// superblock: a damaged database, not a fresh volume.
+	ErrCorruptSuperblock = errors.New("db: corrupt superblock")
 	// ErrTxnTooLarge reports a transaction whose WAL footprint exceeds the
 	// whole WAL region.
 	ErrTxnTooLarge = errors.New("db: transaction exceeds WAL capacity")
@@ -59,30 +65,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DB is one database instance on one volume.
+// DB is one database instance on one volume: the reader every open shares,
+// plus the half that writes — the WAL head, transactions, and Checkpoint.
 type DB struct {
-	name string
-	vol  replication.BlockWriter
-	cfg  Config
+	reader
+	vol replication.BlockWriter // the reader's img, through its write half
 
-	blockSize int
-	walBase   int64 // first WAL block
-	dataBase  int64 // first data page block
-	dataPages int64
-
-	epoch    uint32
-	walSeq   uint32 // sequence (and region offset) of the current head block
-	walBuf   []byte // encoded records in the head block (no header)
-	nextTxID uint64
-
-	// The page cache, by absolute block index, copies on first write. A clean
-	// page is borrowed: the slice the volume holds (nil = never written), never
-	// written into. dirty holds the owned pages — copies taken by writablePage,
-	// the only pages upserted into — until Checkpoint hands them to the volume.
-	pages     map[int64][]byte // what reads see: clean or dirty
-	dirty     map[int64][]byte
-	committed map[uint64]bool
-	mu        *sim.Resource // serializes commits and checkpoints
+	walSeq uint32        // sequence (and region offset) of the current head block
+	walBuf []byte        // encoded records in the head block (no header)
+	mu     *sim.Resource // serializes commits and checkpoints
 
 	// Commit-path scratch, reused under mu so steady-state commits do not
 	// allocate per record (the E11 fleet runs hundreds of databases).
@@ -91,194 +82,36 @@ type DB struct {
 	sizeBuf   []int    // per-record encoded sizes
 
 	// Stats.
-	commits         int64
-	walWrites       int64
-	pageFlushes     int64
-	checkpoints     int64
-	recoveredTxns   int
-	recoveryTime    time.Duration
-	recoveryCorrupt bool
+	commits      int64
+	walWrites    int64
+	pageFlushes  int64
+	checkpoints  int64
+	recoveryTime time.Duration
 }
 
-// Open attaches to the volume, formatting it on first use and running
-// crash recovery otherwise. Recovery cost (reads, page redo, checkpoint) is
-// paid in simulated time; RecoveryTime reports it.
+// Open attaches to the volume, formatting it on first use and running crash
+// recovery otherwise: the replay, then a checkpoint so that it is durable and
+// the WAL restarts fresh. Its cost is paid in simulated time (RecoveryTime).
 func Open(p *sim.Proc, name string, vol replication.BlockWriter, cfg Config) (*DB, error) {
-	cfg = cfg.withDefaults()
-	d := &DB{
-		name:      name,
-		vol:       vol,
-		cfg:       cfg,
-		blockSize: vol.BlockSize(),
-		walBase:   1,
-		dataBase:  int64(1 + cfg.WALBlocks),
-		dataPages: vol.SizeBlocks() - int64(1+cfg.WALBlocks),
-		pages:     make(map[int64][]byte),
-		dirty:     make(map[int64][]byte),
-		committed: make(map[uint64]bool),
-		nextTxID:  1,
-		epoch:     1,
-		mu:        p.Env().NewResource(1),
-	}
-	if d.dataPages <= 0 {
-		return nil, fmt.Errorf("%w: %d blocks with %d WAL blocks", ErrVolumeTooSmall, vol.SizeBlocks(), cfg.WALBlocks)
-	}
-	sb, err := vol.Read(p, 0)
-	if err != nil {
-		return nil, err
-	}
-	meta, ok := decodeSuperblock(sb)
-	if !ok {
-		// Fresh volume: format it.
+	d := &DB{vol: vol, mu: p.Env().NewResource(1)}
+	switch err := d.open(p, name, vol, cfg); {
+	case errors.Is(err, ErrNotFormatted): // fresh volume: format it
 		if err := d.writeSuperblock(p); err != nil {
 			return nil, err
 		}
 		return d, nil
-	}
-	if meta.walBlocks != uint32(cfg.WALBlocks) {
-		return nil, fmt.Errorf("db: %s: WAL size mismatch: on-disk %d, config %d", name, meta.walBlocks, cfg.WALBlocks)
-	}
-	d.epoch = meta.epoch
-	d.nextTxID = meta.nextTxID
-	if err := d.recover(p); err != nil {
+	case err != nil:
 		return nil, err
 	}
-	return d, nil
-}
-
-// recover replays the WAL valid prefix and checkpoints the result.
-func (d *DB) recover(p *sim.Proc) error {
 	start := p.Now()
-	blocks, err := readBlockRange(p, d.vol, d.walBase, d.cfg.WALBlocks)
-	if err != nil {
-		return err
+	if err := d.replay(p); err != nil {
+		return nil, err
 	}
-	recs, err := wal.ScanLog(blocks, d.epoch)
-	if err != nil && !errors.Is(err, wal.ErrCorrupt) {
-		return err
-	}
-	d.recoveryCorrupt = errors.Is(err, wal.ErrCorrupt)
-	// Analysis: find transactions whose commit record survived.
-	durable := make(map[uint64]bool)
-	for _, r := range recs {
-		if r.Type == wal.TypeCommit {
-			durable[r.TxID] = true
-		}
-		if r.TxID >= d.nextTxID {
-			d.nextTxID = r.TxID + 1
-		}
-	}
-	// Redo committed transactions' updates in log order.
-	for _, r := range recs {
-		if r.Type != wal.TypeUpdate || !durable[r.TxID] {
-			continue
-		}
-		block := d.pageBlock(r.Key)
-		if _, err := d.loadPage(p, block); err != nil {
-			return err
-		}
-		if err := pageUpsert(d.writablePage(block), Row{Key: r.Key, TxID: r.TxID, Val: r.Val}); err != nil {
-			return fmt.Errorf("db: %s: redo tx %d: %w", d.name, r.TxID, err)
-		}
-	}
-	for id := range durable {
-		d.committed[id] = true
-	}
-	d.recoveredTxns = len(durable)
-	// Checkpoint so the replay is durable and the WAL restarts fresh.
 	if err := d.Checkpoint(p); err != nil {
-		return err
+		return nil, err
 	}
 	d.recoveryTime = p.Now() - start
-	return nil
-}
-
-// Name returns the database name.
-func (d *DB) Name() string { return d.name }
-
-// pageBlock maps a key to its home page's absolute block index.
-func (d *DB) pageBlock(key uint64) int64 {
-	return d.dataBase + int64(key%uint64(d.dataPages))
-}
-
-// loadPage returns the cached page for reading, on a miss caching the block it
-// read as it is: borrowed, so nil for a never-written page (which holds no
-// rows and has every slot free) and never to be written into.
-func (d *DB) loadPage(p *sim.Proc, block int64) ([]byte, error) {
-	if pg, ok := d.pages[block]; ok {
-		return pg, nil
-	}
-	pg, err := d.vol.Read(p, block)
-	if err != nil {
-		return nil, err
-	}
-	d.pages[block] = pg
-	return pg, nil
-}
-
-// writablePage returns the loaded page for upserting into: the dirty page, or
-// on the first write to a clean page its own copy, which replaces it.
-func (d *DB) writablePage(block int64) []byte {
-	pg, ok := d.dirty[block]
-	if !ok {
-		pg = ownedPage(d.pages[block], d.blockSize)
-		d.dirty[block], d.pages[block] = pg, pg
-	}
-	return pg
-}
-
-// ownedPage returns a page the caller may write: a clone of the borrowed
-// block, or a zero page when the block was never written (nil).
-func ownedPage(blk []byte, blockSize int) []byte {
-	if blk == nil {
-		return make([]byte, blockSize)
-	}
-	return bytes.Clone(blk)
-}
-
-// Get returns the value for key and whether it exists.
-func (d *DB) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
-	if key == 0 {
-		return nil, false, ErrZeroKey
-	}
-	page, err := d.loadPage(p, d.pageBlock(key))
-	if err != nil {
-		return nil, false, err
-	}
-	row, ok := pageLookup(page, key)
-	if !ok {
-		return nil, false, nil
-	}
-	return row.Val, true, nil
-}
-
-// Scan visits every row in page order; fn returning false stops the scan. A
-// Row's Val is only valid during the callback: it points into the page.
-func (d *DB) Scan(p *sim.Proc, fn func(Row) bool) error {
-	// Sequential scan: pull any uncached part of the data region with one
-	// fused range read instead of one random read per page. Cached (and in
-	// particular dirty) pages are kept; the rest enter the cache borrowed.
-	if rr, ok := d.vol.(blockRangeReader); ok && int64(len(d.pages)) < d.dataPages {
-		blocks, err := rr.ReadRange(p, d.dataBase, int(d.dataPages))
-		if err != nil {
-			return err
-		}
-		for i, blk := range blocks {
-			if _, ok := d.pages[d.dataBase+int64(i)]; !ok {
-				d.pages[d.dataBase+int64(i)] = blk
-			}
-		}
-	}
-	for b := d.dataBase; b < d.dataBase+d.dataPages; b++ {
-		page, err := d.loadPage(p, b)
-		if err != nil {
-			return err
-		}
-		if !pageEach(page, fn) {
-			return nil
-		}
-	}
-	return nil
+	return d, nil
 }
 
 // walCapacity is the usable bytes per WAL block.
@@ -357,21 +190,23 @@ func (d *DB) walFits(sizes []int) bool {
 	return seq < d.cfg.WALBlocks
 }
 
-// Checkpoint flushes dirty pages, bumps the log epoch, and resets the WAL
-// head — the no-force flush point. Each dirty page is handed over to the
+// Checkpoint flushes the owned pages, bumps the log epoch, and resets the WAL
+// head — the no-force flush point. Each owned page is handed over to the
 // volume and stays cached as a clean page: the next write to it copies.
 func (d *DB) Checkpoint(p *sim.Proc) error {
-	blocks := make([]int64, 0, len(d.dirty))
-	for b := range d.dirty {
+	blocks := make([]int64, 0, len(d.owned))
+	for b := range d.owned {
 		blocks = append(blocks, b)
 	}
 	slices.Sort(blocks)
 	for _, b := range blocks {
-		if _, err := d.vol.WriteOwned(p, b, d.dirty[b]); err != nil {
+		pg := d.owned[b]
+		if _, err := d.vol.WriteOwned(p, b, pg); err != nil {
 			return err
 		}
 		d.pageFlushes++
-		delete(d.dirty, b)
+		delete(d.owned, b)
+		d.keepClean(b, pg)
 	}
 	d.epoch++
 	d.walSeq = 0
@@ -382,21 +217,6 @@ func (d *DB) Checkpoint(p *sim.Proc) error {
 	d.checkpoints++
 	return nil
 }
-
-// CommittedTxns returns the IDs of every transaction known committed (from
-// recovery plus this session), sorted ascending. The consistency verifier
-// compares these sets across databases.
-func (d *DB) CommittedTxns() []uint64 {
-	out := make([]uint64, 0, len(d.committed))
-	for id := range d.committed {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// HasCommitted reports whether the transaction ID is known committed.
-func (d *DB) HasCommitted(txid uint64) bool { return d.committed[txid] }
 
 // Commits returns the number of transactions committed this session.
 func (d *DB) Commits() int64 { return d.commits }
@@ -410,31 +230,9 @@ func (d *DB) PageFlushes() int64 { return d.pageFlushes }
 // Checkpoints returns the number of checkpoints taken.
 func (d *DB) Checkpoints() int64 { return d.checkpoints }
 
-// RecoveredTxns returns how many committed transactions recovery replayed.
-func (d *DB) RecoveredTxns() int { return d.recoveredTxns }
-
 // RecoveryTime returns the simulated time recovery took at Open (zero for a
 // freshly formatted volume).
 func (d *DB) RecoveryTime() time.Duration { return d.recoveryTime }
-
-// RecoverySawTornTail reports whether recovery hit a torn record at the end
-// of the WAL prefix (normal after a mid-write crash; the prefix before the
-// tear was replayed).
-func (d *DB) RecoverySawTornTail() bool { return d.recoveryCorrupt }
-
-// Superblock layout: magic(4) + version(2) + epoch(4) + walBlocks(4) +
-// nextTxID(8) + crc(4).
-const (
-	sbMagic   = 0x5A42_4442 // "ZBDB"
-	sbVersion = 1
-	sbSize    = 4 + 2 + 4 + 4 + 8 + 4
-)
-
-type superblock struct {
-	epoch     uint32
-	walBlocks uint32
-	nextTxID  uint64
-}
 
 func (d *DB) writeSuperblock(p *sim.Proc) error {
 	blk := make([]byte, d.blockSize) // handed over, like a WAL block
@@ -446,23 +244,6 @@ func (d *DB) writeSuperblock(p *sim.Proc) error {
 	binary.LittleEndian.PutUint32(blk[22:26], crc32.ChecksumIEEE(blk[0:22]))
 	_, err := d.vol.WriteOwned(p, 0, blk)
 	return err
-}
-
-func decodeSuperblock(blk []byte) (superblock, bool) {
-	if len(blk) < sbSize {
-		return superblock{}, false
-	}
-	if binary.LittleEndian.Uint32(blk[0:4]) != sbMagic {
-		return superblock{}, false
-	}
-	if binary.LittleEndian.Uint32(blk[22:26]) != crc32.ChecksumIEEE(blk[0:22]) {
-		return superblock{}, false
-	}
-	return superblock{
-		epoch:     binary.LittleEndian.Uint32(blk[6:10]),
-		walBlocks: binary.LittleEndian.Uint32(blk[10:14]),
-		nextTxID:  binary.LittleEndian.Uint64(blk[14:22]),
-	}, true
 }
 
 func (d *DB) String() string {

@@ -31,9 +31,9 @@ func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 		tx.Put(7, []byte("flushed"))
 		tx.Commit(p)
 		page := d.pageBlock(7)
-		owned := d.dirty[page]
+		owned := d.owned[page]
 		d.Checkpoint(p)
-		if len(d.dirty) != 0 || &d.pages[page][0] != &owned[0] || &src.Peek(page)[0] != &owned[0] {
+		if len(d.owned) != 0 || &d.reads[page][0] != &owned[0] || &src.Peek(page)[0] != &owned[0] {
 			t.Fatal("checkpoint must hand the dirty page to the volume and keep it as the clean page")
 		}
 		flushed := bytes.Clone(owned)
@@ -70,7 +70,7 @@ func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 		if !bytes.Equal(src.Peek(page), flushed) {
 			t.Fatal("no-force: the commit changed the primary's stored page")
 		}
-		if &d.dirty[page][0] == &owned[0] {
+		if &d.owned[page][0] == &owned[0] {
 			t.Fatal("the commit wrote into the page it had handed over")
 		}
 		d.Checkpoint(p)
@@ -103,14 +103,19 @@ func TestReadsCacheBorrowedPages(t *testing.T) {
 		}
 		rows := 0
 		d.Scan(p, func(Row) bool { rows++; return true })
-		if rows != 2 || int64(len(d.pages)) != d.dataPages || len(d.dirty) != 0 {
-			t.Fatalf("scan saw %d rows, cached %d of %d pages, %d dirty", rows, len(d.pages), d.dataPages, len(d.dirty))
+		if rows != 2 || int64(len(d.region)) != d.dataPages || len(d.reads) != 1 || len(d.owned) != 0 {
+			t.Fatalf("scan saw %d rows, cached %d of %d pages and %d singly, %d dirty", rows, len(d.region), d.dataPages, len(d.reads), len(d.owned))
 		}
-		for b, pg := range d.pages {
+		borrowed := func(b int64, pg []byte) {
+			t.Helper()
 			stored := vol.Peek(b)
 			if (pg == nil) != (stored == nil) || (pg != nil && &pg[0] != &stored[0]) {
 				t.Fatalf("cached page %d is not the volume's stored slice", b)
 			}
+		}
+		borrowed(d.pageBlock(7), d.reads[d.pageBlock(7)])
+		for i, pg := range d.region {
+			borrowed(d.dataBase+int64(i), pg)
 		}
 		// A commit into a never-written (nil) page starts from a zero page.
 		tx = d.Begin()

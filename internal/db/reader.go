@@ -1,0 +1,307 @@
+package db
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"slices"
+
+	"repro/internal/sim"
+	"repro/internal/wal"
+)
+
+// BlockReader is the read-only volume interface. storage.Snapshot satisfies
+// it, which is how the data-analytics application (§IV-D) opens the databases
+// living on snapshot volumes without mutating them. A block read is borrowed:
+// nil for a never-written (all-zero) block, else possibly the reader's own
+// storage — never modified; clone it to write (ownedPage). ReadRange is count
+// consecutive Reads fused into one scheduler step (the WAL replay reads the
+// whole log region through it), borrowed block by block exactly as Read is.
+type BlockReader interface {
+	Read(p *sim.Proc, block int64) ([]byte, error)
+	ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error)
+	SizeBlocks() int64
+	BlockSize() int
+}
+
+// reader is the read half of a database, all that Open and OpenView share: the
+// volume layout, the superblock check, the replay of the WAL's valid prefix,
+// and the page lookup behind Get and Scan. A View is a reader and a replay
+// timer; a DB is a reader plus what writes.
+//
+// Pages are cached by absolute block index and copied on first write. A clean
+// page is borrowed: the slice the volume holds (nil = never written), never
+// written into. owned holds the copies writablePage took — the only pages
+// upserted into, by replay or by commit — and shadows the clean caches until
+// DB.Checkpoint hands them to the volume; nothing else leaves a reader.
+type reader struct {
+	name string
+	img  BlockReader
+	cfg  Config
+
+	blockSize int
+	walBase   int64 // first WAL block
+	dataBase  int64 // first data page block
+	dataPages int64
+
+	epoch    uint32 // log epoch: the superblock's, which Checkpoint bumps
+	nextTxID uint64
+
+	owned  map[int64][]byte
+	reads  map[int64][]byte // clean pages read one at a time; made on first use
+	region [][]byte         // clean pages of the whole data region, once Scan preloaded it
+
+	committed map[uint64]bool
+	recovered int
+	torn      bool
+}
+
+// open lays the database out on vol and checks its superblock; it writes
+// nothing. A block 0 never written, or all zero, is an unformatted volume:
+// ErrNotFormatted, which Open answers by formatting and OpenView passes on. Any
+// other block 0 that does not decode is damage and fails closed — formatting
+// over it would report an empty database where there was one.
+func (r *reader) open(p *sim.Proc, name string, vol BlockReader, cfg Config) error {
+	cfg = cfg.withDefaults()
+	*r = reader{
+		name:      name,
+		img:       vol,
+		cfg:       cfg,
+		blockSize: vol.BlockSize(),
+		walBase:   1,
+		dataBase:  int64(1 + cfg.WALBlocks),
+		dataPages: vol.SizeBlocks() - int64(1+cfg.WALBlocks),
+		epoch:     1,
+		nextTxID:  1,
+		owned:     make(map[int64][]byte),
+		committed: make(map[uint64]bool),
+	}
+	if r.dataPages <= 0 {
+		return fmt.Errorf("%w: %d blocks with %d WAL blocks", ErrVolumeTooSmall, vol.SizeBlocks(), cfg.WALBlocks)
+	}
+	sb, err := vol.Read(p, 0)
+	if err != nil {
+		return err
+	}
+	meta, ok := decodeSuperblock(sb)
+	switch {
+	case ok:
+	case len(bytes.TrimLeft(sb, "\x00")) == 0:
+		return ErrNotFormatted // bare: every fresh Open takes this path and discards it
+	default:
+		return fmt.Errorf("%w: %s", ErrCorruptSuperblock, name)
+	}
+	if meta.walBlocks != uint32(cfg.WALBlocks) {
+		return fmt.Errorf("db: %s: WAL size mismatch: on-disk %d, config %d", name, meta.walBlocks, cfg.WALBlocks)
+	}
+	r.epoch, r.nextTxID = meta.epoch, meta.nextTxID
+	return nil
+}
+
+// replay redoes the WAL's valid prefix in memory: transactions with a commit
+// record in the prefix are applied in log order to owned copies of their
+// pages, everything else is discarded.
+func (r *reader) replay(p *sim.Proc) error {
+	blocks, err := r.img.ReadRange(p, r.walBase, r.cfg.WALBlocks)
+	if err != nil {
+		return err
+	}
+	recs, err := wal.ScanLog(blocks, r.epoch)
+	if err != nil && !errors.Is(err, wal.ErrCorrupt) {
+		return err
+	}
+	r.torn = errors.Is(err, wal.ErrCorrupt)
+	// Analysis: find transactions whose commit record survived.
+	for _, rec := range recs {
+		if rec.Type == wal.TypeCommit {
+			r.committed[rec.TxID] = true
+		}
+		if rec.TxID >= r.nextTxID {
+			r.nextTxID = rec.TxID + 1
+		}
+	}
+	// Redo committed transactions' updates in log order.
+	for _, rec := range recs {
+		if rec.Type != wal.TypeUpdate || !r.committed[rec.TxID] {
+			continue
+		}
+		page, err := r.writablePage(p, r.pageBlock(rec.Key))
+		if err != nil {
+			return err
+		}
+		if err := pageUpsert(page, Row{Key: rec.Key, TxID: rec.TxID, Val: rec.Val}); err != nil {
+			return fmt.Errorf("db: %s: redo tx %d: %w", r.name, rec.TxID, err)
+		}
+	}
+	r.recovered = len(r.committed)
+	return nil
+}
+
+// Name returns the name the database was opened under.
+func (r *reader) Name() string { return r.name }
+
+// pageBlock maps a key to its home page's absolute block index.
+func (r *reader) pageBlock(key uint64) int64 {
+	return r.dataBase + int64(key%uint64(r.dataPages))
+}
+
+// cleanPage returns the block as a clean cache holds it, and whether one does.
+func (r *reader) cleanPage(block int64) ([]byte, bool) {
+	if r.region != nil {
+		return r.region[block-r.dataBase], true
+	}
+	pg, ok := r.reads[block]
+	return pg, ok
+}
+
+// keepClean caches pg as the block's clean page: what the volume holds.
+func (r *reader) keepClean(block int64, pg []byte) {
+	if r.region != nil {
+		r.region[block-r.dataBase] = pg
+		return
+	}
+	if r.reads == nil {
+		r.reads = make(map[int64][]byte) // a reader that only scans never reads one page at a time
+	}
+	r.reads[block] = pg
+}
+
+// loadPage returns the page for reading: the owned copy if it was written,
+// else the clean page, read from the volume on a miss and cached as it is:
+// borrowed, so nil for a never-written page (which holds no rows and has every
+// slot free) and never to be written into.
+func (r *reader) loadPage(p *sim.Proc, block int64) ([]byte, error) {
+	if pg, ok := r.owned[block]; ok {
+		return pg, nil
+	}
+	if pg, ok := r.cleanPage(block); ok {
+		return pg, nil
+	}
+	pg, err := r.img.Read(p, block)
+	if err != nil {
+		return nil, err
+	}
+	r.keepClean(block, pg)
+	return pg, nil
+}
+
+// writablePage returns the page for upserting into: the owned page, or on the
+// first write its own copy of the clean one. A commit has loaded the page, so
+// it reads nothing here; the replay has not, and what it reads it does not
+// cache — the copy shadows it.
+func (r *reader) writablePage(p *sim.Proc, block int64) ([]byte, error) {
+	if pg, ok := r.owned[block]; ok {
+		return pg, nil
+	}
+	clean, ok := r.cleanPage(block)
+	if !ok {
+		var err error
+		if clean, err = r.img.Read(p, block); err != nil {
+			return nil, err
+		}
+	}
+	pg := ownedPage(clean, r.blockSize)
+	r.owned[block] = pg
+	return pg, nil
+}
+
+// ownedPage returns a page the caller may write: a clone of the borrowed
+// block, or a zero page when the block was never written (nil).
+func ownedPage(blk []byte, blockSize int) []byte {
+	if blk == nil {
+		return make([]byte, blockSize)
+	}
+	return bytes.Clone(blk)
+}
+
+// Get returns the value for key and whether it exists.
+func (r *reader) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
+	if key == 0 {
+		return nil, false, ErrZeroKey
+	}
+	page, err := r.loadPage(p, r.pageBlock(key))
+	if err != nil {
+		return nil, false, err
+	}
+	row, ok := pageLookup(page, key) // the zero Row, with no Val, when absent
+	return row.Val, ok, nil
+}
+
+// Scan visits every row in page order; fn returning false stops the scan. A
+// Row's Val is only valid during the callback: it points into the page.
+//
+// A scan is sequential by nature, so the first one preloads the data region
+// with one fused range read instead of one random read per page, and keeps the
+// sparse borrowed range as the clean cache. The preload rule is "not preloaded
+// yet", whatever pages Get cached singly before — every one of them, even.
+func (r *reader) Scan(p *sim.Proc, fn func(Row) bool) error {
+	if r.region == nil {
+		var err error
+		if r.region, err = r.img.ReadRange(p, r.dataBase, int(r.dataPages)); err != nil {
+			return err
+		}
+	}
+	for b := r.dataBase; b < r.dataBase+r.dataPages; b++ {
+		page, _ := r.loadPage(p, b) // preloaded: reads nothing, cannot fail
+		if !pageEach(page, fn) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// CommittedTxns returns the IDs of every transaction known committed (from
+// the replay, plus a DB's own since), sorted ascending. The consistency
+// verifier compares these sets across databases.
+func (r *reader) CommittedTxns() []uint64 {
+	out := make([]uint64, 0, len(r.committed))
+	for id := range r.committed {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// HasCommitted reports whether the transaction ID is known committed.
+func (r *reader) HasCommitted(txid uint64) bool { return r.committed[txid] }
+
+// RecoveredTxns returns how many committed transactions the replay redid.
+func (r *reader) RecoveredTxns() int { return r.recovered }
+
+// SawTornTail reports whether the replay hit a torn record at the end of the
+// WAL prefix (normal after a mid-write crash; the prefix before the tear was
+// replayed).
+func (r *reader) SawTornTail() bool { return r.torn }
+
+// Superblock layout: magic(4) + version(2) + epoch(4) + walBlocks(4) +
+// nextTxID(8) + crc(4).
+const (
+	sbMagic   = 0x5A42_4442 // "ZBDB"
+	sbVersion = 1
+	sbSize    = 4 + 2 + 4 + 4 + 8 + 4
+)
+
+type superblock struct {
+	epoch     uint32
+	walBlocks uint32
+	nextTxID  uint64
+}
+
+func decodeSuperblock(blk []byte) (superblock, bool) {
+	if len(blk) < sbSize {
+		return superblock{}, false
+	}
+	if binary.LittleEndian.Uint32(blk[0:4]) != sbMagic {
+		return superblock{}, false
+	}
+	if binary.LittleEndian.Uint32(blk[22:26]) != crc32.ChecksumIEEE(blk[0:22]) {
+		return superblock{}, false
+	}
+	return superblock{
+		epoch:     binary.LittleEndian.Uint32(blk[6:10]),
+		walBlocks: binary.LittleEndian.Uint32(blk[10:14]),
+		nextTxID:  binary.LittleEndian.Uint64(blk[14:22]),
+	}, true
+}

@@ -1,7 +1,9 @@
 package db
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -62,23 +64,54 @@ func TestDecodeSuperblockCorruption(t *testing.T) {
 	}
 }
 
-// TestOpenCorruptSuperblockReformats pins Open's treatment of a corrupt
-// superblock: it is indistinguishable from an unformatted volume, so Open
-// formats fresh rather than failing.
-func TestOpenCorruptSuperblockReformats(t *testing.T) {
-	withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
-		blk := goodSuperblock(vol.BlockSize())
-		blk[0] ^= 0xFF // bad magic
-		if err := vol.Poke(0, blk); err != nil {
-			t.Fatal(err)
-		}
-		d, err := Open(p, "x", vol, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.RecoveredTxns() != 0 {
-			t.Fatalf("corrupt superblock replayed %d txns", d.RecoveredTxns())
-		}
+// TestOpenCorruptSuperblockFailsClosed pins the open step's treatment of block
+// 0. Bytes that fail the magic/CRC check are a damaged database: both doors
+// refuse with ErrCorruptSuperblock and write nothing — formatting over them
+// would report an empty database where there was one (the ransomware example's
+// encrypted volume, a backup with a rotten header). Only a block 0 that was
+// never written, or holds nothing but zeroes, is an unformatted volume: Open
+// formats it, OpenView returns ErrNotFormatted.
+func TestOpenCorruptSuperblockFailsClosed(t *testing.T) {
+	garbage := bytes.Repeat([]byte{0x66}, 4096)
+	badMagic := goodSuperblock(4096)
+	badMagic[0] ^= 0xFF
+	staleCRC := goodSuperblock(4096)
+	staleCRC[7] ^= 0x01
+	for name, blk := range map[string][]byte{"encrypted": garbage, "bad magic": badMagic, "stale crc": staleCRC} {
+		t.Run(name, func(t *testing.T) {
+			withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
+				if err := vol.Poke(0, blk); err != nil {
+					t.Fatal(err)
+				}
+				stored := vol.Peek(0)
+				if d, err := Open(p, "x", vol, Config{}); !errors.Is(err, ErrCorruptSuperblock) || d != nil {
+					t.Fatalf("Open = %v, %v; want ErrCorruptSuperblock and no database", d, err)
+				}
+				if v, err := OpenView(p, "x", vol, Config{}); !errors.Is(err, ErrCorruptSuperblock) || v != nil {
+					t.Fatalf("OpenView = %v, %v; want ErrCorruptSuperblock and no view", v, err)
+				}
+				if vol.Writes() != 0 || &vol.Peek(0)[0] != &stored[0] {
+					t.Fatalf("a refused open wrote the volume: %d writes", vol.Writes())
+				}
+			})
+		})
+	}
+	t.Run("all zero", func(t *testing.T) {
+		withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
+			if err := vol.Poke(0, make([]byte, vol.BlockSize())); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenView(p, "x", vol, Config{}); !errors.Is(err, ErrNotFormatted) {
+				t.Fatalf("OpenView of a zeroed block 0 = %v, want ErrNotFormatted", err)
+			}
+			d, err := Open(p, "x", vol, Config{})
+			if err != nil || d.RecoveredTxns() != 0 {
+				t.Fatalf("Open of a zeroed block 0 = %v, want a freshly formatted database", err)
+			}
+			if _, ok := decodeSuperblock(vol.Peek(0)); !ok {
+				t.Fatal("Open did not format the zeroed volume")
+			}
+		})
 	})
 }
 

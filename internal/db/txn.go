@@ -212,8 +212,11 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	}
 	// The transaction is durable; apply to memory pages (no-force).
 	for _, u := range rows {
-		row := Row{Key: u.key, TxID: t.id, Val: u.val(vals)}
-		if err := pageUpsert(d.writablePage(d.pageBlock(u.key)), row); err != nil { // loaded above
+		page, err := d.writablePage(p, d.pageBlock(u.key)) // loaded above: nothing to read
+		if err == nil {
+			err = pageUpsert(page, Row{Key: u.key, TxID: t.id, Val: u.val(vals)})
+		}
+		if err != nil {
 			// The fit check above guaranteed room; this indicates a bug.
 			panic(fmt.Sprintf("db: %s: post-log upsert failed: %v", d.name, err))
 		}

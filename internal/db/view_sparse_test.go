@@ -141,6 +141,71 @@ func TestCommitAfterScanCopiesTheBorrowedPage(t *testing.T) {
 	})
 }
 
+// One preload rule behind both doors: the first Scan pulls the data region
+// with one range read whatever single pages a Get cached before it — every one
+// of them, even — and from then on neither Get nor Scan reads the volume again.
+// (The rule is "preloaded or not", never a count of the pages already cached.)
+func TestBothDoorsPreloadTheDataRegionOnFirstScan(t *testing.T) {
+	cfg := Config{WALBlocks: 8}
+	const size, dataPages = 24, 24 - 1 - 8
+	type door interface {
+		Get(p *sim.Proc, key uint64) ([]byte, bool, error)
+		Scan(p *sim.Proc, fn func(Row) bool) error
+	}
+	doors := map[string]func(p *sim.Proc, vol *storage.Volume) (door, error){
+		"view": func(p *sim.Proc, vol *storage.Volume) (door, error) { return OpenView(p, "v", vol, cfg) },
+		"db":   func(p *sim.Proc, vol *storage.Volume) (door, error) { return Open(p, "d", vol, cfg) },
+	}
+	for name, open := range doors {
+		for _, singly := range []int{0, 1, dataPages} { // pages a Get caches before the first Scan
+			t.Run(fmt.Sprintf("%s_after_%d_gets", name, singly), func(t *testing.T) {
+				withVolume(t, size, func(p *sim.Proc, vol *storage.Volume) {
+					d, _ := Open(p, "build", vol, cfg)
+					for k := uint64(1); k <= dataPages; k++ { // one row on every page
+						tx := d.Begin()
+						tx.Put(k, []byte{byte(k)})
+						tx.Commit(p)
+					}
+					d.Checkpoint(p)
+					r, err := open(p, vol)
+					if err != nil {
+						t.Fatal(err)
+					}
+					step := func(what string, want int64, fn func()) {
+						t.Helper()
+						before := vol.Reads()
+						fn()
+						if got := vol.Reads() - before; got != want {
+							t.Fatalf("%s read %d blocks, want %d", what, got, want)
+						}
+					}
+					scan := func() {
+						rows := 0
+						r.Scan(p, func(Row) bool { rows++; return true })
+						if rows != dataPages {
+							t.Fatalf("scan saw %d rows, want %d", rows, dataPages)
+						}
+					}
+					get := func(n int) func() {
+						return func() {
+							for k := uint64(1); k <= uint64(n); k++ {
+								if v, ok, _ := r.Get(p, k); !ok || v[0] != byte(k) {
+									t.Fatalf("get %d = %v, %v", k, v, ok)
+								}
+							}
+						}
+					}
+					step("gets before the scan", int64(singly), get(singly))
+					step("the same gets again", 0, get(singly))
+					step("first scan", dataPages, scan)
+					step("gets after the scan", 0, get(dataPages))
+					step("second scan", 0, scan)
+				})
+			})
+		}
+	}
+}
+
 // BenchmarkOpenViewSparse: one op opens a view on a 256-block snapshot
 // holding 8 rows and scans it — the fleet's per-tenant verify step.
 func BenchmarkOpenViewSparse(b *testing.B) {
@@ -214,18 +279,18 @@ func TestPageCacheAndViewOverlayOwnTheirCopies(t *testing.T) {
 		if got := snap.Peek(page); &got[0] != &peeked[0] {
 			t.Fatal("the snapshot no longer shares the untouched parent block")
 		}
-		// The overlay holds only what the replay cloned. A page read one at a
-		// time is the image's own slice: remembered apart from the overlay,
+		// The owned pages are only what the replay cloned. A page read one at a
+		// time is the image's own slice: remembered apart from the owned ones,
 		// where nothing writes, and read once.
-		if len(view.overlay) != 1 || &view.overlay[page][0] == &peeked[0] {
-			t.Fatalf("overlay = %d pages; want only an owned clone of the replayed page", len(view.overlay))
+		if len(view.owned) != 1 || &view.owned[page][0] == &peeked[0] {
+			t.Fatalf("owned = %d pages; want only a clone of the replayed page", len(view.owned))
 		}
 		other := view.pageBlock(8)
 		view.Get(p, 8)
 		ops := a.ReadOps()
 		view.Get(p, 8)
-		if _, owned := view.overlay[other]; owned || len(view.reads) != 1 || a.ReadOps() != ops {
-			t.Fatalf("borrowed page: in overlay=%v, remembered=%d, re-read=%v; want false, 1, false",
+		if _, owned := view.owned[other]; owned || len(view.reads) != 1 || a.ReadOps() != ops {
+			t.Fatalf("borrowed page: owned=%v, remembered=%d, re-read=%v; want false, 1, false",
 				owned, len(view.reads), a.ReadOps() != ops)
 		}
 

@@ -460,9 +460,6 @@ func (f *Fabric) ClassStats(name string) ClassStats {
 	return ClassStats{Bytes: c.bytes, Transfers: c.transfers, Drops: c.drops, MaxQueued: c.maxDepth}
 }
 
-// Queued returns the number of transfers waiting at the ingress.
-func (f *Fabric) Queued() int { return f.queued }
-
 // Stop parks the dispatchers after their in-flight transfers. Queued
 // requests are abandoned (their callers stay blocked), mirroring a site
 // split; tests and harnesses use it to quiesce a fabric.
@@ -778,13 +775,6 @@ func (tp *TenantPath) record(size int, took, queueDelay time.Duration) {
 		tp.maxQueueDelay = queueDelay
 	}
 }
-
-// Owner returns the label the path was created with.
-func (tp *TenantPath) Owner() string { return tp.owner }
-
-// PinnedLink returns the member-link index the path is placement-pinned to
-// (-1 when any member may carry it).
-func (tp *TenantPath) PinnedLink() int { return tp.pin }
 
 // Class returns the QoS class the path is bound to.
 func (tp *TenantPath) Class() string { return tp.class.cfg.Name }

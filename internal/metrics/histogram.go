@@ -4,7 +4,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -140,10 +139,4 @@ func (h *Histogram) Reset() {
 	h.sum = 0
 	h.min = math.MaxInt64
 	h.max = 0
-}
-
-// Summary renders a one-line digest.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.Count(), h.Mean(), h.Median(), h.P99(), h.Max())
 }

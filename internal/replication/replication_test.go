@@ -203,13 +203,18 @@ func TestSyncVolumeReadIsLocal(t *testing.T) {
 	tv, _ := r.backup.Volume("sales")
 	sv := NewSyncVolume(r.sales, tv, r.links)
 	var got []byte
+	var scanned [][]byte
 	r.env.Process("io", func(p *sim.Proc) {
 		r.sales.Write(p, 0, fill(r.main, 3))
 		got, _ = sv.Read(p, 0)
+		scanned, _ = sv.ReadRange(p, 0, 2)
 	})
 	end := r.env.Run(0)
 	if got[0] != 3 {
 		t.Fatal("read wrong data")
+	}
+	if len(scanned) != 2 || &scanned[0][0] != &got[0] || scanned[1] != nil {
+		t.Fatal("a range read must borrow the local volume's blocks, nil where unwritten")
 	}
 	if end > time.Second {
 		t.Fatalf("local read crossed the link (took %v)", end)

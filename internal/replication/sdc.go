@@ -25,6 +25,9 @@ type BlockWriter interface {
 	// Read borrows: nil for a never-written block, else the stored slice,
 	// which the caller must not modify (see storage.Volume.Read).
 	Read(p *sim.Proc, block int64) ([]byte, error)
+	// ReadRange is count consecutive Reads as one fused sequential scan,
+	// sparse and borrowed block by block.
+	ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error)
 	SizeBlocks() int64
 	BlockSize() int
 }
@@ -87,6 +90,11 @@ func (sv *SyncVolume) Read(p *sim.Proc, block int64) ([]byte, error) {
 	return sv.source.Read(p, block)
 }
 
+// ReadRange serves a sequential scan from the local volume, as Read does.
+func (sv *SyncVolume) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
+	return sv.source.ReadRange(p, start, count)
+}
+
 // SizeBlocks returns the local volume size.
 func (sv *SyncVolume) SizeBlocks() int64 { return sv.source.SizeBlocks() }
 
@@ -95,9 +103,6 @@ func (sv *SyncVolume) BlockSize() int { return sv.source.BlockSize() }
 
 // Source returns the local volume.
 func (sv *SyncVolume) Source() *storage.Volume { return sv.source }
-
-// Target returns the remote twin.
-func (sv *SyncVolume) Target() *storage.Volume { return sv.target }
 
 // Writes returns the number of mirrored writes.
 func (sv *SyncVolume) Writes() int64 { return sv.writes }

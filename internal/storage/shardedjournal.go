@@ -245,9 +245,6 @@ func (sj *ShardedJournal) Overflowed() bool { return sj.overflowed }
 // Overflows returns how many times the group has overflowed.
 func (sj *ShardedJournal) Overflows() int64 { return sj.overflows }
 
-// CapacityPerShard returns the per-shard capacity bound (0 = unlimited).
-func (sj *ShardedJournal) CapacityPerShard() int { return sj.capacityPerShard }
-
 // SetCapacityPerShard re-declares every shard's capacity at runtime (0 =
 // unlimited); shards created by later reshards inherit it. If any shard's
 // backlog already exceeds the new bound the whole group fails closed
