@@ -206,7 +206,7 @@ func TestRecoveryFromReplicatedImageProperty(t *testing.T) {
 				commitSeq = append(commitSeq, tx.ID())
 			}
 			// Apply a random prefix of the journal to the twin.
-			recs := j.TryTake(0)
+			recs := j.TryTakeInto(nil, 0)
 			cut := rng.Intn(len(recs) + 1)
 			for _, rec := range recs[:cut] {
 				if err := twin.Apply(p, rec.Block, rec.Data); err != nil {

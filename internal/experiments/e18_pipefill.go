@@ -18,9 +18,8 @@ import (
 // all funneling into a SINGLE geo member link with a 50ms propagation delay
 // and a fat serialization rate: one 64-record batch occupies the wire for
 // ~4ms and then flies for 50ms, a bandwidth-delay product of ~12 frames.
-// Under the stop-and-wait dispatcher (window=1) the wire idles >92% of the
-// time; the windowed dispatcher fills the pipe with the lanes' concurrent
-// batches. Array latencies are dialed down and the writes are cheap so the
+// At window=1 — stop-and-wait — the wire idles >92% of the time; a larger
+// window fills the pipe with the lanes' concurrent batches. Array latencies are dialed down and the writes are cheap so the
 // geo link — not the primary array — is always the bottleneck being
 // measured.
 const (

@@ -77,14 +77,14 @@ type Config struct {
 	RetryBackoff time.Duration
 	// WindowPerLink caps how many transfers one member link may have in
 	// flight — serialized onto the wire but still propagating — at once.
-	// The default 1 is the classic stop-and-wait dispatcher (the wire idles
-	// for the full propagation delay between frames), byte-for-byte
-	// identical to the pre-window fabric. Raising it pipelines dispatch: a
-	// member picks and serializes the next admitted request while up to
-	// WindowPerLink-1 earlier frames are still in flight, filling high
+	// It is a parameter of the one dispatcher loop, not a mode. The default
+	// 1 is stop-and-wait: the wire idles for the full propagation delay
+	// between frames. Raising it pipelines dispatch: a member picks and
+	// serializes the next admitted request while up to WindowPerLink-1
+	// earlier frames are still in flight, filling high
 	// bandwidth-delay-product links (E18). Admission semantics (DRR, token
-	// buckets, pins, partition parking) are unchanged; deliveries stay in
-	// order per link.
+	// buckets, pins, partition parking) do not depend on it; deliveries stay
+	// in order per link.
 	WindowPerLink int
 }
 
@@ -131,8 +131,6 @@ type class struct {
 }
 
 func (c *class) depth() int { return len(c.queue) - c.head }
-
-func (c *class) peek() *request { return c.queue[c.head] }
 
 func (c *class) push(r *request) {
 	c.queue = append(c.queue, r)
@@ -248,31 +246,27 @@ type Fabric struct {
 	stopEv   *sim.Event
 	stopped  bool
 
-	// linkStats holds per-member pipelining counters (windowed dispatch).
-	linkStats []linkStat
+	// linkStats holds each member dispatcher's pipelining counters.
+	linkStats []LinkWindowStats
 }
 
-// linkStat counts one member dispatcher's pipelining behavior.
-type linkStat struct {
-	pipelined int64 // sends serialized while earlier frames were still in flight
-	stalls    int64 // dispatcher waits forced by a full in-flight window
-}
-
-// LinkWindowStats is a snapshot of one member's pipelining counters: how
+// LinkWindowStats counts one member dispatcher's pipelining behavior: how
 // often the window actually overlapped transfers (pipe fill) and how often
-// it was the binding constraint.
+// it was the binding constraint. At a window of 1 nothing overlaps and every
+// frame fills the window: Pipelined stays 0, WindowStalls counts the frames.
 type LinkWindowStats struct {
-	Pipelined    int64
-	WindowStalls int64
+	Pipelined    int64 // sends serialized while earlier frames were still in flight
+	WindowStalls int64 // dispatcher waits forced by a full in-flight window
 }
 
-// LinkWindowStats returns member li's pipelining counters (zero for
-// out-of-range members and at the default window of 1).
+// LinkWindowStats returns a snapshot of member li's pipelining counters
+// (zero for out-of-range members and on a passthrough fabric, which has no
+// dispatcher).
 func (f *Fabric) LinkWindowStats(li int) LinkWindowStats {
 	if li < 0 || li >= len(f.linkStats) {
 		return LinkWindowStats{}
 	}
-	return LinkWindowStats{Pipelined: f.linkStats[li].pipelined, WindowStalls: f.linkStats[li].stalls}
+	return f.linkStats[li]
 }
 
 // New builds a fabric, creating its member links from cfg.Links.
@@ -300,7 +294,7 @@ func NewWithLinks(env *sim.Env, cfg Config, links []*netlink.Link) *Fabric {
 		byName:    make(map[string]*class),
 		work:      env.NewEvent(),
 		stopEv:    env.NewEvent(),
-		linkStats: make([]linkStat, len(links)),
+		linkStats: make([]LinkWindowStats, len(links)),
 	}
 	ccfgs := cfg.Classes
 	if len(ccfgs) == 0 {
@@ -475,18 +469,28 @@ func (f *Fabric) String() string {
 	return fmt.Sprintf("fabric{links=%d classes=%d queued=%d}", len(f.links), len(f.classes), f.queued)
 }
 
-// dispatch is the per-link scheduler loop: pick the next admitted request
-// under DRR + token buckets and carry it over this member link. A
-// partitioned member parks here until healed, which is exactly the
-// failover: the shared ingress queues keep draining through the other
-// members' dispatchers. At the default window of 1 the loop is synchronous
-// stop-and-wait (pick, Transfer, trigger done); a larger WindowPerLink
-// routes to the pipelined loop instead.
-func (f *Fabric) dispatch(p *sim.Proc, li int) {
-	if f.cfg.WindowPerLink > 1 {
-		f.dispatchPipelined(p, li)
-		return
+// idle returns the event the next enqueue (or rate change) triggers, for a
+// dispatcher about to park with nothing it may carry: f.work, re-armed if
+// an earlier arrival already fired it.
+func (f *Fabric) idle() *sim.Event {
+	if f.work.Triggered() {
+		f.work = f.work.Renew()
 	}
+	return f.work
+}
+
+// dispatch is the per-link scheduler loop, the same at every WindowPerLink:
+// pick the next admitted request under DRR + token buckets and serialize it
+// onto this member link, then pick again while up to WindowPerLink frames
+// are still propagating (at a window of 1: once the frame has landed). The
+// request's done event fires at delivery, in serialization order — the link
+// delivers in order — and the link's own in-flight count is the window
+// state; class byte/transfer counters advance at serialization, when the
+// bytes are committed to the pipe. A partitioned member parks here until
+// healed, which is exactly the failover: the shared ingress queues keep
+// draining through the other members' dispatchers, while frames already
+// serialized stay in flight and deliver.
+func (f *Fabric) dispatch(p *sim.Proc, li int) {
 	link := f.links[li]
 	for {
 		if f.stopped {
@@ -494,6 +498,14 @@ func (f *Fabric) dispatch(p *sim.Proc, li int) {
 		}
 		if link.Partitioned() {
 			if p.WaitAny(link.HealedEvent(), f.stopEv) == 1 {
+				return
+			}
+			continue
+		}
+		if link.InFlight() >= f.cfg.WindowPerLink {
+			// Pipe full: block until a frame lands.
+			f.linkStats[li].WindowStalls++
+			if p.WaitAny(link.DeliveredEvent(), f.stopEv) == 1 {
 				return
 			}
 			continue
@@ -504,103 +516,23 @@ func (f *Fabric) dispatch(p *sim.Proc, li int) {
 				// Every eligible class is token-blocked: wait until the
 				// earliest bucket refills enough — but wake early if new
 				// work arrives, which may belong to an uncapped class.
-				if f.work.Triggered() {
-					f.work = f.env.NewEvent()
-				}
-				p.WaitTimeout(f.work, wait)
+				p.WaitTimeout(f.idle(), wait)
 				continue
 			}
 			// Nothing queued for this member: park until new work arrives.
-			if f.work.Triggered() {
-				f.work = f.env.NewEvent()
-			}
-			if p.WaitAny(f.work, f.stopEv) == 1 {
+			if p.WaitAny(f.idle(), f.stopEv) == 1 {
 				return
 			}
 			continue
 		}
 		req.queueDelay = p.Now() - req.enq
-		link.Transfer(p, req.size)
-		c := req.path.class
-		c.bytes += int64(req.size)
-		c.transfers++
-		req.done.Trigger()
-	}
-}
-
-// dispatchPipelined is the windowed per-link scheduler loop: after a
-// request finishes serializing, the dispatcher immediately picks the next
-// admitted request while up to WindowPerLink earlier frames are still
-// propagating. The request's done event fires at delivery (in ack order —
-// the link chains deliveries), so consumers observe identical completion
-// semantics to the synchronous loop; class byte/transfer counters advance
-// at serialization, when the bytes are committed to the pipe. A partition
-// parks admission here exactly like the synchronous loop, while frames
-// already serialized stay in flight and deliver.
-func (f *Fabric) dispatchPipelined(p *sim.Proc, li int) {
-	link := f.links[li]
-	win := f.cfg.WindowPerLink
-	var inflight []*sim.Event // delivery events, oldest first
-	for {
-		if f.stopped {
-			return
-		}
-		// Deliveries are in order per link, so triggered events form a
-		// prefix of the window.
-		for len(inflight) > 0 && inflight[0].Triggered() {
-			inflight = inflight[1:]
-		}
-		if link.Partitioned() {
-			if p.WaitAny(link.HealedEvent(), f.stopEv) == 1 {
-				return
-			}
-			continue
-		}
-		if len(inflight) >= win {
-			// Pipe full: block until the oldest frame lands.
-			f.linkStats[li].stalls++
-			if p.WaitAny(inflight[0], f.stopEv) == 1 {
-				return
-			}
-			continue
-		}
-		req, wait := f.pick(li, p.Now())
-		if req == nil {
-			if wait > 0 {
-				if f.work.Triggered() {
-					f.work = f.env.NewEvent()
-				}
-				p.WaitTimeout(f.work, wait)
-				continue
-			}
-			if len(inflight) > 0 {
-				// Nothing admitted but frames still propagating: wake on new
-				// work or on a delivery freeing window state, whichever first.
-				if f.work.Triggered() {
-					f.work = f.env.NewEvent()
-				}
-				if p.WaitAny(f.work, inflight[0], f.stopEv) == 2 {
-					return
-				}
-				continue
-			}
-			if f.work.Triggered() {
-				f.work = f.env.NewEvent()
-			}
-			if p.WaitAny(f.work, f.stopEv) == 1 {
-				return
-			}
-			continue
-		}
-		req.queueDelay = p.Now() - req.enq
-		if len(inflight) > 0 {
-			f.linkStats[li].pipelined++
+		if link.InFlight() > 0 {
+			f.linkStats[li].Pipelined++
 		}
 		link.SendTo(p, req.size, req.done)
 		c := req.path.class
 		c.bytes += int64(req.size)
 		c.transfers++
-		inflight = append(inflight, req.done)
 	}
 }
 

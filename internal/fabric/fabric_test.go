@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -421,6 +422,39 @@ func TestWindowedDispatchCountsPipelining(t *testing.T) {
 	if f.links[0].OrderViolations() != 0 {
 		t.Fatalf("delivery order violations: %d", f.links[0].OrderViolations())
 	}
+
+	// Window 1 is the same loop with nothing to overlap: n transfers queued at
+	// once complete one full crossing apart, each frame fills the window.
+	const n = 6
+	env = sim.NewEnv(1)
+	f = New(env, Config{
+		Links:   []netlink.Config{{Propagation: 50 * time.Millisecond, BandwidthBps: 1e6}},
+		Classes: []ClassConfig{{Name: "bulk"}},
+	})
+	tp := f.Path("bulk", "t0")
+	var done []time.Duration
+	for i := 0; i < n; i++ {
+		env.Process("tx", func(p *sim.Proc) {
+			tp.Transfer(p, 1000)
+			done = append(done, p.Now())
+		})
+	}
+	env.Run(0)
+	f.Stop()
+	if len(done) != n {
+		t.Fatalf("completed %d transfers, want %d", len(done), n)
+	}
+	for k, at := range done {
+		if want := time.Duration(k+1) * 51 * time.Millisecond; at != want {
+			t.Fatalf("window=1 transfer %d completed at %v, want %v (serialization + propagation each)", k, at, want)
+		}
+	}
+	if st := f.LinkWindowStats(0); st.Pipelined != 0 || st.WindowStalls != n {
+		t.Fatalf("window=1 counters %+v, want 0 pipelined and %d stalls", st, n)
+	}
+	if got := f.links[0].MaxInFlight(); got != 1 {
+		t.Fatalf("window=1 peak in-flight %d, want 1", got)
+	}
 }
 
 func TestWindowedPartitionCutsAdmissionNotFlight(t *testing.T) {
@@ -467,38 +501,43 @@ func TestWindowedPartitionCutsAdmissionNotFlight(t *testing.T) {
 	}
 }
 
+// The jittered two-member schedule repeats to the nanosecond at every window:
+// window 1 rides the same SendTo path as window 4, so its completion times —
+// not only its byte totals — are pinned here.
 func TestWindowedDeterministicScheduling(t *testing.T) {
-	run := func() []time.Duration {
-		env := sim.NewEnv(42)
-		f := New(env, Config{
-			Links: []netlink.Config{
-				{Propagation: 20 * time.Millisecond, BandwidthBps: 1e6, Jitter: 3 * time.Millisecond},
-				{Propagation: 50 * time.Millisecond, BandwidthBps: 2e6, Jitter: time.Millisecond},
-			},
-			Classes:       []ClassConfig{{Name: "gold", Weight: 3}, {Name: "bulk"}},
-			WindowPerLink: 4,
-		})
-		var done []time.Duration
-		for i, cl := range []string{"gold", "bulk", "gold", "bulk"} {
-			tp := f.Path(cl, "t"+string(rune('0'+i)))
-			env.Process("tx", func(p *sim.Proc) {
-				for j := 0; j < 10; j++ {
-					tp.Transfer(p, 1500)
-					done = append(done, p.Now())
-				}
+	for _, window := range []int{1, 4} {
+		run := func() []time.Duration {
+			env := sim.NewEnv(42)
+			f := New(env, Config{
+				Links: []netlink.Config{
+					{Propagation: 20 * time.Millisecond, BandwidthBps: 1e6, Jitter: 3 * time.Millisecond},
+					{Propagation: 50 * time.Millisecond, BandwidthBps: 2e6, Jitter: time.Millisecond},
+				},
+				Classes:       []ClassConfig{{Name: "gold", Weight: 3}, {Name: "bulk"}},
+				WindowPerLink: window,
 			})
+			var done []time.Duration
+			for i, cl := range []string{"gold", "bulk", "gold", "bulk"} {
+				tp := f.Path(cl, "t"+string(rune('0'+i)))
+				env.Process("tx", func(p *sim.Proc) {
+					for j := 0; j < 10; j++ {
+						tp.Transfer(p, 1500)
+						done = append(done, p.Now())
+					}
+				})
+			}
+			env.Run(0)
+			f.Stop()
+			return done
 		}
-		env.Run(0)
-		f.Stop()
-		return done
-	}
-	a, b := run(), run()
-	if len(a) != len(b) || len(a) != 40 {
-		t.Fatalf("runs completed %d vs %d transfers", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("completion %d differs: %v vs %v", i, a[i], b[i])
+		a, b := run(), run()
+		if len(a) != len(b) || len(a) != 40 {
+			t.Fatalf("window=%d: runs completed %d vs %d transfers", window, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("window=%d: completion %d differs: %v vs %v", window, i, a[i], b[i])
+			}
 		}
 	}
 }
@@ -564,5 +603,38 @@ func TestDropRetryBackoffIsCapped(t *testing.T) {
 	}
 	if pathSpread("a", time.Millisecond) != pathSpread("a", time.Millisecond) {
 		t.Fatalf("spread is not deterministic")
+	}
+}
+
+// BenchmarkDispatch is the dispatcher's layer benchmark: eight closed-loop
+// lanes keep one classed member link backlogged at windows 1 and 4; one op is
+// one transfer admitted, picked, serialized and delivered.
+func BenchmarkDispatch(b *testing.B) {
+	for _, window := range []int{1, 4} {
+		b.Run("window="+strconv.Itoa(window), func(b *testing.B) {
+			env := sim.NewEnv(1)
+			f := New(env, Config{
+				Links:         []netlink.Config{{Propagation: 5 * time.Millisecond, BandwidthBps: 1e6}},
+				Classes:       []ClassConfig{{Name: "bulk"}},
+				WindowPerLink: window,
+			})
+			for i := 0; i < 8; i++ {
+				tp := f.Path("bulk", "t"+strconv.Itoa(i))
+				env.Process("lane", func(p *sim.Proc) {
+					for {
+						tp.Transfer(p, 1000)
+					}
+				})
+			}
+			advance := func(transfers int64) {
+				for want := f.links[0].Transfers() + transfers; f.links[0].Transfers() < want; {
+					env.Run(env.Now() + 10*time.Millisecond)
+				}
+			}
+			advance(100) // warm up: queues, slab and the link's FIFO at working size
+			b.ReportAllocs()
+			b.ResetTimer()
+			advance(int64(b.N))
+		})
 	}
 }

@@ -35,18 +35,18 @@ func (f *Fabric) Instrument(reg *telemetry.Registry, dir string) {
 		reg.Probe("fabric.link.bytes", func(time.Duration) (float64, bool) {
 			return float64(l.SentBytes()), true
 		}, labels...)
-		// Pipe-fill gauges for windowed dispatch (WindowPerLink > 1): frames
-		// serialized but still propagating right now, and the cumulative
-		// counts of overlapped sends and full-window stalls. All flat zero
-		// at the default window of 1.
+		// Pipe-fill gauges of the member's dispatcher: frames serialized but
+		// still propagating right now (0 or 1 at a window of 1), and the
+		// cumulative counts of overlapped sends (none at a window of 1) and
+		// full-window stalls (every frame, there).
 		reg.Probe("fabric.link.inflight", func(time.Duration) (float64, bool) {
 			return float64(l.InFlight()), true
 		}, labels...)
 		reg.Probe("fabric.link.pipelined", func(time.Duration) (float64, bool) {
-			return float64(f.linkStats[i].pipelined), true
+			return float64(f.linkStats[i].Pipelined), true
 		}, labels...)
 		reg.Probe("fabric.link.windowstalls", func(time.Duration) (float64, bool) {
-			return float64(f.linkStats[i].stalls), true
+			return float64(f.linkStats[i].WindowStalls), true
 		}, labels...)
 	}
 }

@@ -10,10 +10,12 @@
 // to both phases; Send decouples them — the caller blocks only for
 // admission + serialization and receives an event that fires at delivery —
 // which is what lets a dispatcher keep a high bandwidth-delay-product pipe
-// full with windowed in-flight frames (E18). Deliveries are in order per
-// link regardless of jitter or loss retries: each frame's delivery is
-// chained behind the previously serialized frame's and recorded against a
-// per-link last-delivery watermark.
+// full with windowed in-flight frames (E18). A frame in flight is data, not
+// a process: a record in the link's FIFO of serialized frames plus one kernel
+// timer for its arrival. Deliveries are in order per link regardless of
+// jitter or loss retries: an arrival delivers only the landed prefix of that
+// FIFO, and each delivery is recorded against a per-link last-delivery
+// watermark.
 package netlink
 
 import (
@@ -62,18 +64,28 @@ type Link struct {
 	retransmit int64
 	busy       time.Duration // cumulative serialization time, for utilization
 
-	// Async-send (pipelined) state. tail is the delivery event of the most
-	// recently serialized frame: each new frame chains its own delivery
-	// behind it, which is what makes per-link delivery order independent of
-	// jitter and retransmission. lastDelivery is the watermark every arrival
-	// is recorded against; violations counts arrivals that would have gone
-	// backwards (zero by construction — exported so experiments can prove
-	// order rather than assume it).
-	tail         *sim.Event
-	inFlight     int
+	// Async-send (pipelined) state. flights holds the frames serialized but
+	// not yet delivered, oldest first; delivered counts the frames that have
+	// left it, so the n-th frame ever sent sits at flights[n-delivered]. Only
+	// the landed prefix is ever delivered, which is what makes per-link
+	// delivery order independent of jitter and retransmission. deliveredEv
+	// pulses after every delivery. lastDelivery is the watermark every
+	// delivery is recorded against; violations counts deliveries that would
+	// have gone backwards (zero by construction — exported so experiments can
+	// prove order rather than assume it).
+	flights      []flight
+	delivered    int64
+	deliveredEv  *sim.Event
 	maxInFlight  int
 	lastDelivery time.Duration
 	violations   int64
+}
+
+// flight is one asynchronous frame between serialization and delivery.
+type flight struct {
+	size   int
+	done   *sim.Event
+	landed bool // arrived and not lost; delivered once every earlier frame is
 }
 
 // New returns a link in the connected state.
@@ -85,10 +97,11 @@ func New(env *sim.Env, cfg Config) *Link {
 		}
 	}
 	return &Link{
-		env:    env,
-		cfg:    cfg,
-		wire:   env.NewResource(1),
-		healed: env.NewEvent(),
+		env:         env,
+		cfg:         cfg,
+		wire:        env.NewResource(1),
+		healed:      env.NewEvent(),
+		deliveredEv: env.NewEvent(),
 	}
 }
 
@@ -117,14 +130,15 @@ func (l *Link) serialize(p *sim.Proc, size int) {
 	l.wire.Release()
 }
 
-// propagate runs the second physical phase: the in-flight time to the far
-// end (propagation plus any jitter draw). It occupies no resource.
-func (l *Link) propagate(p *sim.Proc) {
+// flightTime draws the length of the second physical phase: the in-flight
+// time to the far end (propagation plus any jitter draw). It occupies no
+// resource.
+func (l *Link) flightTime() time.Duration {
 	prop := l.cfg.Propagation
 	if l.cfg.Jitter > 0 {
 		prop += time.Duration(l.env.Rand().Int63n(int64(l.cfg.Jitter)))
 	}
-	p.Sleep(prop)
+	return prop
 }
 
 // lost draws whether this transmission attempt was dropped in flight.
@@ -139,7 +153,7 @@ func (l *Link) Transfer(p *sim.Proc, size int) time.Duration {
 	start := p.Now()
 	for {
 		l.serialize(p, size)
-		l.propagate(p)
+		p.Sleep(l.flightTime())
 		if l.lost() {
 			l.retransmit++
 			p.Sleep(l.cfg.RetransmitTimeout)
@@ -162,48 +176,62 @@ func (l *Link) Send(p *sim.Proc, size int) *sim.Event {
 // SendTo begins an asynchronous transfer whose completion triggers the
 // caller-provided done event at delivery time. The calling process blocks
 // only for the wire phase — partition outage, wire queueing, and
-// serialization; propagation (and any loss retransmits, which re-serialize
-// on the wire from inside the flight) happens in a detached flight process.
-// When SendTo returns, the frame is committed to the pipe: a partition cut
-// after that point no longer stops it (admission is cut, not the wire).
-// Delivery is in order per link — done never fires before the done of any
-// frame serialized earlier, however jitter or retransmission land.
+// serialization; the flight itself is a record in the link's FIFO and one
+// kernel timer, no process. When SendTo returns, the frame is committed to
+// the pipe: a partition cut after that point no longer stops it (admission
+// is cut, not the wire). Delivery is in order per link — done never fires
+// before the done of any frame serialized earlier, however jitter or
+// retransmission land.
 func (l *Link) SendTo(p *sim.Proc, size int, done *sim.Event) {
 	l.serialize(p, size)
-	prev := l.tail
-	l.tail = done
-	l.inFlight++
-	if l.inFlight > l.maxInFlight {
-		l.maxInFlight = l.inFlight
+	l.flights = append(l.flights, flight{size: size, done: done})
+	if n := len(l.flights); n > l.maxInFlight {
+		l.maxInFlight = n
 	}
-	l.env.Process("netlink-flight", func(fp *sim.Proc) {
-		l.fly(fp, size, prev, done)
-	})
+	l.launch(l.delivered + int64(len(l.flights)) - 1)
 }
 
-// fly is the flight phase of one asynchronous frame: propagation, loss
-// retries (each a fresh admission + serialization on the wire, so a
-// retransmit during a partition waits for heal like any new frame), then
-// in-order delivery chained behind the previously serialized frame.
-func (l *Link) fly(p *sim.Proc, size int, prev, done *sim.Event) {
-	l.propagate(p)
-	for l.lost() {
+// launch puts frame n on its way: one timer for its arrival.
+func (l *Link) launch(n int64) {
+	l.env.After(l.flightTime(), func() { l.arrive(n) })
+}
+
+// arrive ends one flight of frame n. A lost frame is retransmitted — the one
+// step that can block (a fresh admission + serialization on the wire, so a
+// retransmit during a partition waits for heal like any new frame) and so
+// the only one that needs a process — and flies again as the same record.
+// Otherwise the frame has landed, and the landed prefix of the FIFO is
+// delivered in order: each frame's done first, then the link's delivery
+// event, so a sender runs before a dispatcher its delivery unblocks.
+func (l *Link) arrive(n int64) {
+	if l.lost() {
 		l.retransmit++
-		p.Sleep(l.cfg.RetransmitTimeout)
-		l.serialize(p, size)
-		l.propagate(p)
+		l.env.Process("netlink-retransmit", func(p *sim.Proc) {
+			p.Sleep(l.cfg.RetransmitTimeout)
+			l.serialize(p, l.flights[n-l.delivered].size)
+			l.launch(n)
+		})
+		return
 	}
-	if prev != nil && !prev.Triggered() {
-		p.Wait(prev)
+	l.flights[n-l.delivered].landed = true
+	now, k := l.env.Now(), 0
+	for ; k < len(l.flights) && l.flights[k].landed; k++ {
+		if now < l.lastDelivery {
+			l.violations++
+		}
+		l.lastDelivery = now
+		l.sentBytes += int64(l.flights[k].size)
+		l.transfers++
+		l.flights[k].done.Trigger()
 	}
-	if p.Now() < l.lastDelivery {
-		l.violations++
+	if k == 0 {
+		return // held behind an earlier frame still in flight
 	}
-	l.lastDelivery = p.Now()
-	l.inFlight--
-	l.sentBytes += int64(size)
-	l.transfers++
-	p.Trigger(done)
+	l.delivered += int64(k)
+	rest := copy(l.flights, l.flights[k:])
+	clear(l.flights[rest:])
+	l.flights = l.flights[:rest]
+	l.deliveredEv.Trigger()
 }
 
 // Partition severs the link: subsequent Transfer calls block until Heal.
@@ -233,6 +261,16 @@ func (l *Link) Partitioned() bool { return l.partition }
 // member (the inter-site fabric) park on it instead of polling.
 func (l *Link) HealedEvent() *sim.Event { return l.healed }
 
+// DeliveredEvent returns the event the link's next asynchronous delivery
+// triggers — the counterpart of HealedEvent for a dispatcher whose in-flight
+// window is full. Fetch it anew for every wait: the link re-arms it.
+func (l *Link) DeliveredEvent() *sim.Event {
+	if l.deliveredEv.Triggered() {
+		l.deliveredEv = l.deliveredEv.Renew()
+	}
+	return l.deliveredEv
+}
+
 // SentBytes returns the total payload bytes delivered.
 func (l *Link) SentBytes() int64 { return l.sentBytes }
 
@@ -244,7 +282,7 @@ func (l *Link) Retransmits() int64 { return l.retransmit }
 
 // InFlight returns the number of asynchronous frames currently serialized
 // but not yet delivered (the pipe fill).
-func (l *Link) InFlight() int { return l.inFlight }
+func (l *Link) InFlight() int { return len(l.flights) }
 
 // MaxInFlight returns the peak pipe fill observed over the link's lifetime.
 func (l *Link) MaxInFlight() int { return l.maxInFlight }
@@ -254,7 +292,7 @@ func (l *Link) MaxInFlight() int { return l.maxInFlight }
 func (l *Link) LastDeliveryAt() time.Duration { return l.lastDelivery }
 
 // OrderViolations returns how many asynchronous deliveries landed before
-// the link's watermark. The delivery chain makes this zero by construction;
+// the link's watermark. Prefix delivery makes this zero by construction;
 // it is exported so experiments prove in-order delivery instead of assuming
 // it.
 func (l *Link) OrderViolations() int64 { return l.violations }

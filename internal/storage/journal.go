@@ -140,7 +140,7 @@ func (j *Journal) PendingRecords() []Record {
 // Appended returns the lifetime count of records written to the journal.
 func (j *Journal) Appended() int64 { return j.appended }
 
-// Drained returns the lifetime count of records taken by Take.
+// Drained returns the lifetime count of records taken off the journal.
 func (j *Journal) Drained() int64 { return j.drained }
 
 // NotEmpty returns an event that triggers when the journal next becomes
@@ -159,58 +159,33 @@ func (j *Journal) NotEmpty() *sim.Event {
 	return j.notEmpty
 }
 
-// TryTake removes and returns up to max pending records without blocking;
-// it returns nil when the journal is empty.
-func (j *Journal) TryTake(max int) []Record {
-	if len(j.pending) == 0 {
-		return nil
-	}
-	return j.takeReady(max)
-}
-
-// TryTakeInto is TryTake reusing buf's backing storage for the returned
-// batch. The replication drain calls it in a loop with one scratch buffer
-// so steady-state draining allocates nothing; callers must be done with the
-// previous batch before taking the next one into the same buffer.
+// TryTakeInto removes and returns up to max pending records (all of them when
+// max <= 0) in sequence order without blocking, reusing buf's backing storage
+// for the returned batch; it returns nil when the journal is empty. The
+// replication drain calls it in a loop with one scratch buffer so
+// steady-state draining allocates nothing; callers must be done with the
+// previous batch before taking the next one into the same buffer. To block
+// until there is something to take, wait on NotEmpty first.
 func (j *Journal) TryTakeInto(buf []Record, max int) []Record {
 	if len(j.pending) == 0 {
 		return nil
 	}
-	return j.takeReadyInto(buf[:0], max)
-}
-
-// Take removes and returns up to max pending records in sequence order,
-// blocking the process until at least one record is available.
-func (j *Journal) Take(p *sim.Proc, max int) []Record {
-	for len(j.pending) == 0 {
-		if j.notEmpty.Triggered() {
-			j.notEmpty = j.env.NewEvent()
-		}
-		p.Wait(j.notEmpty)
+	if max <= 0 || max > len(j.pending) {
+		max = len(j.pending)
 	}
-	return j.takeReady(max)
-}
-
-// TakeTimeout is Take with a deadline; it returns nil when the timeout
-// expires with the journal still empty.
-func (j *Journal) TakeTimeout(p *sim.Proc, max int, d time.Duration) []Record {
-	deadline := p.Now() + d
-	for len(j.pending) == 0 {
-		remain := deadline - p.Now()
-		if remain <= 0 {
-			return nil
-		}
-		if j.notEmpty.Triggered() {
-			j.notEmpty = j.env.NewEvent()
-		}
-		if !p.WaitTimeout(j.notEmpty, remain) && len(j.pending) == 0 {
-			return nil
-		}
+	for _, r := range j.pending[:max] {
+		j.pendingBytes -= r.SizeBytes()
 	}
-	return j.takeReady(max)
+	buf = append(buf[:0], j.pending[:max]...)
+	rest := len(j.pending) - max
+	copy(j.pending, j.pending[max:])
+	for i := rest; i < len(j.pending); i++ {
+		j.pending[i] = Record{}
+	}
+	j.pending = j.pending[:rest]
+	j.drained += int64(max)
+	return buf
 }
-
-func (j *Journal) takeReady(max int) []Record { return j.takeReadyInto(nil, max) }
 
 // pendingBytesOf returns the wire size of one volume's share of the
 // backlog (the reshard capacity check sums these per destination shard).
@@ -274,24 +249,6 @@ func (j *Journal) mergeIn(recs []Record) {
 	merged = append(merged, b...)
 	j.pending = merged
 	j.notEmpty.Trigger()
-}
-
-func (j *Journal) takeReadyInto(buf []Record, max int) []Record {
-	if max <= 0 || max > len(j.pending) {
-		max = len(j.pending)
-	}
-	for _, r := range j.pending[:max] {
-		j.pendingBytes -= r.SizeBytes()
-	}
-	buf = append(buf, j.pending[:max]...)
-	rest := len(j.pending) - max
-	copy(j.pending, j.pending[max:])
-	for i := rest; i < len(j.pending); i++ {
-		j.pending[i] = Record{}
-	}
-	j.pending = j.pending[:rest]
-	j.drained += int64(max)
-	return buf
 }
 
 func (j *Journal) String() string {

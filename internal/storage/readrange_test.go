@@ -214,7 +214,7 @@ func TestAdoptedRecordBlockIsNeverWrittenInto(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		rec := j.Take(p, 1)[0]
+		rec := j.TryTakeInto(nil, 1)[0]
 		if err := bv.InstallDelta(rec.Block, rec.Data); err != nil {
 			t.Error(err)
 			return
@@ -233,7 +233,7 @@ func TestAdoptedRecordBlockIsNeverWrittenInto(t *testing.T) {
 				t.Errorf("%s reads %x after the primary's overwrite, want 01", name, got[0])
 			}
 		}
-		next := j.Take(p, 1)[0]
+		next := j.TryTakeInto(nil, 1)[0]
 		bv.InstallDelta(next.Block, next.Data) // backup overwrites under its snapshot
 		bv.Apply(p, 0, block(backup, 0x03))    // and again through the timed path
 		pv.Write(p, 0, block(main, 0x04))
@@ -283,7 +283,7 @@ func TestWriteOwnedIsWriteMinusTheCopy(t *testing.T) {
 		if c1 != c2 || ack2.GlobalSeq != ack1.GlobalSeq+1 || ack2.GroupSeq != ack1.GroupSeq+1 {
 			t.Fatalf("Write cost %+v acked %+v; WriteOwned cost %+v acked %+v", c1, ack1, c2, ack2)
 		}
-		recs := j.Take(p, 2)
+		recs := j.TryTakeInto(nil, 2)
 		if &v.Peek(0)[0] == &kept[0] || v.Peek(0)[0] != 0x01 || &recs[0].Data[0] != &v.Peek(0)[0] {
 			t.Fatal("Write must store and log one copy of the caller's buffer")
 		}

@@ -231,7 +231,7 @@ func TestReshardRespectsShardCapacity(t *testing.T) {
 	}
 	// Drain the backlog; the same reshard now fits and succeeds.
 	for _, j := range sj.Shards() {
-		for j.TryTake(16) != nil {
+		for j.TryTakeInto(nil, 16) != nil {
 		}
 	}
 	if _, err := sj.Reshard(1); err != nil {

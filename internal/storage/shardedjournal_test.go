@@ -281,7 +281,7 @@ func TestPendingBytesEqualsBacklogScan(t *testing.T) {
 	}{
 		{"append", func() { reshardWrite(t, env, a, sj, 40) }},
 		{"take", func() {
-			sj.Shards()[0].TryTake(3)
+			sj.Shards()[0].TryTakeInto(nil, 3)
 			sj.Shards()[1].TryTakeInto(make([]Record, 0, 2), 2)
 		}},
 		{"grow 2->4 migrates", reshard(4)},
@@ -300,7 +300,7 @@ func TestPendingBytesEqualsBacklogScan(t *testing.T) {
 			reshardWrite(t, env, a, sj, 8)
 		}},
 		{"drain", func() {
-			for sj.Shards()[0].TryTake(5) != nil {
+			for sj.Shards()[0].TryTakeInto(nil, 5) != nil {
 			}
 		}},
 	}

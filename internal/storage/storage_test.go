@@ -182,9 +182,7 @@ func TestConsistencyGroupSharesOneOrder(t *testing.T) {
 		sales.Write(p, 1, block(a, 3))
 	})
 	env.Run(0)
-	var recs []Record
-	env.Process("drain", func(p *sim.Proc) { recs = j.Take(p, 0) })
-	env.Run(0)
+	recs := j.TryTakeInto(nil, 0)
 	if len(recs) != 3 {
 		t.Fatalf("drained %d records", len(recs))
 	}
@@ -246,6 +244,8 @@ func TestDeleteVolumeGuardrails(t *testing.T) {
 	_ = env
 }
 
+// The lanes' contract: wait on NotEmpty, then take — the wait returns no
+// earlier than the append, and the take then finds the record.
 func TestJournalTakeBlocksUntilAppend(t *testing.T) {
 	env, a := newTestArray(t)
 	v, _ := a.CreateVolume("v", 10)
@@ -253,7 +253,11 @@ func TestJournalTakeBlocksUntilAppend(t *testing.T) {
 	var recs []Record
 	var takeAt time.Duration
 	env.Process("drain", func(p *sim.Proc) {
-		recs = j.Take(p, 10)
+		if got := j.TryTakeInto(nil, 10); got != nil {
+			t.Errorf("empty journal handed out %d records", len(got))
+		}
+		p.Wait(j.NotEmpty())
+		recs = j.TryTakeInto(nil, 10)
 		takeAt = p.Now()
 	})
 	env.Process("io", func(p *sim.Proc) {
@@ -266,24 +270,6 @@ func TestJournalTakeBlocksUntilAppend(t *testing.T) {
 	}
 	if takeAt < 5*time.Millisecond {
 		t.Fatalf("take returned at %v before any append", takeAt)
-	}
-}
-
-func TestJournalTakeTimeout(t *testing.T) {
-	env, a := newTestArray(t)
-	j := journalOn(t, a, "j")
-	var recs []Record
-	var at time.Duration
-	env.Process("drain", func(p *sim.Proc) {
-		recs = j.TakeTimeout(p, 10, 3*time.Millisecond)
-		at = p.Now()
-	})
-	env.Run(0)
-	if recs != nil {
-		t.Fatal("expected nil on timeout")
-	}
-	if at != 3*time.Millisecond {
-		t.Fatalf("timed out at %v", at)
 	}
 }
 
@@ -300,17 +286,14 @@ func TestJournalTakeMaxBatches(t *testing.T) {
 	if j.Pending() != 10 {
 		t.Fatalf("pending = %d", j.Pending())
 	}
-	env.Process("drain", func(p *sim.Proc) {
-		b1 := j.Take(p, 4)
-		if len(b1) != 4 || b1[0].Seq != 1 || b1[3].Seq != 4 {
-			t.Errorf("batch1 = %v", b1)
-		}
-		b2 := j.Take(p, 100)
-		if len(b2) != 6 || b2[0].Seq != 5 {
-			t.Errorf("batch2 len=%d", len(b2))
-		}
-	})
-	env.Run(0)
+	b1 := j.TryTakeInto(nil, 4)
+	if len(b1) != 4 || b1[0].Seq != 1 || b1[3].Seq != 4 {
+		t.Errorf("batch1 = %v", b1)
+	}
+	b2 := j.TryTakeInto(nil, 100)
+	if len(b2) != 6 || b2[0].Seq != 5 {
+		t.Errorf("batch2 len=%d", len(b2))
+	}
 	if j.Pending() != 0 || j.Drained() != 10 {
 		t.Fatalf("pending=%d drained=%d", j.Pending(), j.Drained())
 	}
