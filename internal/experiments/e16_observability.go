@@ -162,6 +162,11 @@ func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (Observ
 	if res.ValidatedTenants == 0 {
 		return res, fmt.Errorf("E16: no tenant RPO timeline was validated")
 	}
+	// Eight tenants reconcile at once inside each controller: their spans
+	// must still lay out as rows a trace viewer can stack.
+	if err := reg.SpanOverlap(); err != nil {
+		return res, fmt.Errorf("E16: %w", err)
+	}
 	if res.FailedOver == 0 || res.Resharded == 0 || res.Joined == 0 {
 		return res, fmt.Errorf("E16: churn incomplete: %d failovers, %d reshards, %d joins",
 			res.FailedOver, res.Resharded, res.Joined)

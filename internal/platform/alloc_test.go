@@ -198,6 +198,39 @@ func BenchmarkAPIServerUpdateNotify(b *testing.B) {
 	benchOp(b, env, watchedUpdate(env, api))
 }
 
+// BenchmarkControllerBacklog: one op is one controller started, handed 1,024
+// keys at once and run dry on a reconciler of three API calls — the fleet's
+// provisioning burst without the fleet. allocs/op carries what the workers
+// cost to start; sim-ms/drain is the science (192 on eight workers).
+func BenchmarkControllerBacklog(b *testing.B) {
+	keys := make([]ObjectKey, 1024)
+	for k := range keys {
+		keys[k] = claimKey(k)
+	}
+	var drained time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env := sim.NewEnv(1)
+		api := NewAPIServer(env, APIConfig{})
+		c := NewController(env, api, "bench", KindPVC, nil,
+			ReconcilerFunc(func(p *sim.Proc, key ObjectKey) error {
+				for call := 0; call < 3; call++ {
+					api.List(p, KindPVC, key.Namespace)
+				}
+				return nil
+			}), ControllerConfig{})
+		c.Start()
+		for _, key := range keys {
+			c.Enqueue(key)
+		}
+		drained = env.Run(0)
+		c.Stop()
+		env.Run(0)
+	}
+	b.ReportMetric(float64(drained)/float64(time.Millisecond), "sim-ms/drain")
+}
+
 // errorsIsOnly reports whether err matches want and neither other sentinel.
 func errorsIsOnly(err, want error) bool {
 	for _, s := range []error{ErrNotFound, ErrExists, ErrConflict} {

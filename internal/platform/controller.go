@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"strconv"
 	"time"
 
 	"repro/internal/ring"
@@ -26,8 +27,9 @@ type ControllerConfig struct {
 	// RetryDelay is the requeue delay after a reconcile error
 	// (default 10ms, doubling per consecutive failure up to maxRetryDelay).
 	RetryDelay time.Duration
-	// Telemetry, when set, records per-controller reconcile latency,
-	// requeues, and reconcile-pass spans into the registry.
+	// Telemetry, when set, records per-controller reconcile latency, queue
+	// wait (enqueue to pop), requeues, workers started, and reconcile-pass
+	// spans (one track per worker) into the registry.
 	Telemetry *telemetry.Registry
 }
 
@@ -41,20 +43,54 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 // maxRetryDelay caps the requeue backoff.
 const maxRetryDelay = time.Second
 
+// reconcileWorkers bounds the reconciles one controller runs at once. Eight is
+// the array controller's default Parallelism (storage.Config), the resource
+// every provisioning reconcile ends at: more workers than that only move the
+// queue from the controller to the array.
+const reconcileWorkers = 8
+
+// keyState is where a key stands in the work queue. The three bits are
+// client-go's queue / processing / dirty sets folded into one map entry; a
+// key with no entry is at rest.
+type keyState uint8
+
+const (
+	keyQueued keyState = 1 << iota // waiting in the ring
+	keyActive                      // a worker is reconciling it
+	keyDirty                       // an event arrived while active: queue it again on return
+)
+
+// queuedKey is one work-queue entry: the key and when it was queued.
+type queuedKey struct {
+	key ObjectKey
+	at  time.Duration
+}
+
 // Controller watches one kind and funnels object keys through a
 // deduplicating work queue into a reconciler — the operator-SDK pattern the
 // namespace operator is built with (§III-B1).
+//
+// The queue is client-go's: a key waits at most once, a key being reconciled
+// is never handed to a second worker, and an event for it that arrives
+// meanwhile queues it again exactly once, when that reconcile returns. Up to
+// reconcileWorkers processes pop keys; every one after the first starts only
+// on backlog (see Enqueue), so a controller that never has two keys waiting
+// is the one worker process it always was.
 type Controller struct {
-	name    string
-	env     *sim.Env
-	api     *APIServer
-	kind    Kind
-	mapFn   func(Event) (ObjectKey, bool)
-	rec     Reconciler
-	cfg     ControllerConfig
-	queue   ring.Ring[ObjectKey]
-	queued  map[ObjectKey]bool
-	wake    *sim.Event
+	name  string
+	env   *sim.Env
+	api   *APIServer
+	kind  Kind
+	mapFn func(Event) (ObjectKey, bool)
+	rec   Reconciler
+	cfg   ControllerConfig
+	queue ring.Ring[queuedKey]
+	state map[ObjectKey]keyState
+	// idle holds the park events of the workers waiting for a key, longest
+	// parked first. Each worker parks on an event of its own, so the worker
+	// is the only process that ever waits on it (what Event.Renew needs).
+	idle    ring.Ring[*sim.Event]
+	workers int // worker processes started
 	stop    *sim.Event
 	stopped bool
 	fails   map[ObjectKey]int
@@ -63,9 +99,11 @@ type Controller struct {
 	errors     int64
 
 	// Telemetry instruments (nil handles no-op when the plane is disabled).
-	tel      *telemetry.Registry
-	latency  *telemetry.Histogram
-	requeues *telemetry.Counter
+	tel       *telemetry.Registry
+	latency   *telemetry.Histogram
+	queueWait *telemetry.Histogram
+	requeues  *telemetry.Counter
+	started   *telemetry.Gauge
 }
 
 // NewController builds a controller for kind on the API server. mapFn
@@ -77,37 +115,58 @@ func NewController(env *sim.Env, api *APIServer, name string, kind Kind,
 		mapFn = func(ev Event) (ObjectKey, bool) { return ev.Object.GetMeta().Key(), true }
 	}
 	c := &Controller{
-		name:   name,
-		env:    env,
-		api:    api,
-		kind:   kind,
-		mapFn:  mapFn,
-		rec:    rec,
-		cfg:    cfg.withDefaults(),
-		queued: make(map[ObjectKey]bool),
-		wake:   env.NewEvent(),
-		stop:   env.NewEvent(),
-		fails:  make(map[ObjectKey]int),
+		name:  name,
+		env:   env,
+		api:   api,
+		kind:  kind,
+		mapFn: mapFn,
+		rec:   rec,
+		cfg:   cfg.withDefaults(),
+		state: make(map[ObjectKey]keyState),
+		stop:  env.NewEvent(),
+		fails: make(map[ObjectKey]int),
 	}
 	if reg := c.cfg.Telemetry; reg != nil {
+		ctl := telemetry.L("controller", name)
 		c.tel = reg
-		c.latency = reg.Histogram("controller.reconcile.latency", telemetry.L("controller", name))
-		c.requeues = reg.Counter("controller.requeues", telemetry.L("controller", name))
+		c.latency = reg.Histogram("controller.reconcile.latency", ctl)
+		c.queueWait = reg.Histogram("controller.queue.wait", ctl)
+		c.requeues = reg.Counter("controller.requeues", ctl)
+		c.started = reg.Gauge("controller.workers", ctl)
 	}
 	return c
 }
 
-// Enqueue adds a key to the work queue (deduplicated while pending).
+// Enqueue adds a key to the work queue: dropped while the key already waits,
+// remembered (dirty) while it is being reconciled. A queued key goes to the
+// longest-parked worker; with none parked, one more worker starts when the
+// keys waiting outnumber the workers there are. A worker is a coroutine and
+// costs what any process costs, so "nobody is parked" alone must not start
+// one: one tenant's keys arrive while its single worker is busy and find
+// that worker free before a second could help.
 func (c *Controller) Enqueue(key ObjectKey) {
-	if c.queued[key] {
+	switch st := c.state[key]; {
+	case st&keyQueued != 0:
+		return
+	case st&keyActive != 0:
+		c.state[key] = st | keyDirty
 		return
 	}
-	c.queued[key] = true
-	c.queue.Push(key)
-	c.wake.Trigger()
+	c.push(key)
+	if wake, ok := c.idle.Pop(); ok {
+		wake.Trigger()
+	} else if 0 < c.workers && c.workers < reconcileWorkers && c.queue.Len() > c.workers {
+		c.startWorker()
+	}
 }
 
-// Start launches the watch pump and the worker.
+// push appends a key at rest (or coming off a worker) to the ring.
+func (c *Controller) push(key ObjectKey) {
+	c.state[key] = keyQueued
+	c.queue.Push(queuedKey{key: key, at: c.env.Now()})
+}
+
+// Start launches the watch pump and the first worker.
 func (c *Controller) Start() {
 	w := c.api.Watch(c.kind)
 	c.env.Process(c.name+":watch", func(p *sim.Proc) {
@@ -123,52 +182,83 @@ func (c *Controller) Start() {
 			}
 		}
 	})
+	c.startWorker()
+}
+
+// startWorker launches one more worker process on the queue. Its spans go on
+// a track of its own — reconciles of different workers overlap, and one
+// trace row may only hold spans that nest — the first worker keeping the
+// controller's bare name.
+func (c *Controller) startWorker() {
+	track := c.name
+	if c.workers > 0 && c.tel != nil {
+		track += "/w" + strconv.Itoa(c.workers)
+	}
+	c.workers++
+	c.started.Set(int64(c.workers))
 	c.env.Process(c.name+":worker", func(p *sim.Proc) {
+		wake := c.env.NewEvent()
 		for {
 			for c.queue.Len() == 0 {
-				if c.wake.Triggered() {
-					c.wake = c.wake.Renew() // only this worker ever waits on it
+				if wake.Triggered() {
+					wake = wake.Renew() // only this worker ever waits on it
 				}
-				if p.WaitAny(c.wake, c.stop) == 1 {
+				c.idle.Push(wake)
+				if p.WaitAny(wake, c.stop) == 1 {
 					return
 				}
 			}
-			key, _ := c.queue.Pop()
-			delete(c.queued, key)
-			c.reconciles++
-			var sp telemetry.Span
-			start := p.Now()
-			if c.tel != nil {
-				sp = c.tel.StartSpan("reconcile", key.String(), c.name)
-			}
-			err := c.rec.Reconcile(p, key)
-			sp.End()
-			c.latency.Record(p.Now() - start)
-			if err != nil {
-				c.errors++
-				c.requeues.Inc()
-				c.fails[key]++
-				delay := c.cfg.RetryDelay << uint(c.fails[key]-1)
-				if delay > maxRetryDelay || delay <= 0 {
-					delay = maxRetryDelay
-				}
-				// Requeue after backoff without blocking the worker. An
-				// inline timer step is enough — Enqueue consumes no time —
-				// so no retry goroutine (and its two handoffs) is spawned.
-				k := key
-				c.env.After(delay, func() {
-					if !c.stopped {
-						c.Enqueue(k)
-					}
-				})
-				continue
-			}
-			delete(c.fails, key)
+			c.reconcile(p, track)
 		}
 	})
 }
 
-// Stop halts the controller's processes.
+// reconcile pops the head key and runs the reconciler on it. The key is
+// active for the duration, which is what keeps a second worker off it.
+func (c *Controller) reconcile(p *sim.Proc, track string) {
+	head, _ := c.queue.Pop()
+	key, start := head.key, p.Now()
+	c.state[key] = keyActive
+	c.queueWait.Record(start - head.at)
+	c.reconciles++
+	var sp telemetry.Span
+	if c.tel != nil {
+		sp = c.tel.StartSpan("reconcile", key.String(), track)
+	}
+	err := c.rec.Reconcile(p, key)
+	sp.End()
+	c.latency.Record(p.Now() - start)
+	// Back to rest, or straight back into the queue if an event came in
+	// meanwhile; this worker is about to look at the queue, so nobody needs
+	// waking for it.
+	if c.state[key]&keyDirty != 0 {
+		c.push(key)
+	} else {
+		delete(c.state, key)
+	}
+	if err == nil {
+		delete(c.fails, key)
+		return
+	}
+	c.errors++
+	c.requeues.Inc()
+	c.fails[key]++
+	delay := c.cfg.RetryDelay << uint(c.fails[key]-1)
+	if delay > maxRetryDelay || delay <= 0 {
+		delay = maxRetryDelay
+	}
+	// Requeue after backoff without blocking the worker. An inline timer
+	// step is enough — Enqueue consumes no time — so no retry goroutine
+	// (and its two handoffs) is spawned.
+	c.env.After(delay, func() {
+		if !c.stopped {
+			c.Enqueue(key)
+		}
+	})
+}
+
+// Stop halts the controller's processes: parked workers return at once, a
+// busy one when the queue is empty after its reconcile.
 func (c *Controller) Stop() {
 	c.stopped = true
 	c.stop.Trigger()

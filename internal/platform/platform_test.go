@@ -2,10 +2,13 @@ package platform
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func run(t *testing.T, fn func(p *sim.Proc, env *sim.Env, api *APIServer)) *sim.Env {
@@ -335,6 +338,300 @@ func TestControllerDeduplicatesQueue(t *testing.T) {
 	env.Run(0)
 	if rec.seen[key] != 1 {
 		t.Fatalf("reconciled %d times, want 1", rec.seen[key])
+	}
+}
+
+// The event arrives while the key's reconcile is failing: the dirty mark
+// queues it again at once and the backoff queues it again later, as
+// client-go's Done + AddRateLimited do.
+func TestControllerFailsWhileDirty(t *testing.T) {
+	env := sim.NewEnv(1)
+	api := NewAPIServer(env, APIConfig{})
+	key := ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "sales"}
+	var starts []time.Duration
+	c := NewController(env, api, "test", KindPVC, nil,
+		ReconcilerFunc(func(p *sim.Proc, _ ObjectKey) error {
+			starts = append(starts, p.Now())
+			p.Sleep(1500 * time.Microsecond)
+			if len(starts) == 1 {
+				return errors.New("transient")
+			}
+			return nil
+		}), ControllerConfig{RetryDelay: 5 * time.Millisecond})
+	c.Start()
+	c.Enqueue(key)
+	env.After(time.Millisecond, func() { c.Enqueue(key) })
+	env.Run(time.Second)
+	c.Stop()
+	env.Run(0)
+	want := []time.Duration{0, 1500 * time.Microsecond, 6500 * time.Microsecond}
+	if !slices.Equal(starts, want) {
+		t.Fatalf("reconciles started at %v, want %v (at once by the dirty mark, then after the backoff)", starts, want)
+	}
+	if c.Errors() != 1 {
+		t.Fatalf("errors = %d, want 1", c.Errors())
+	}
+}
+
+// ledger is a reconciler of `calls` API calls (sleep, when calls is 0) that
+// keeps what the work-queue tests assert on: every run's key and interval,
+// how many ran at once, and whether one key was ever open twice.
+type ledger struct {
+	api   *APIServer
+	calls int
+	sleep time.Duration
+
+	open        map[ObjectKey]int
+	inFlight    int
+	maxInFlight int
+	twice       []ObjectKey
+	runs        []ledgerRun
+}
+
+type ledgerRun struct {
+	key        ObjectKey
+	start, end time.Duration
+}
+
+func (l *ledger) Reconcile(p *sim.Proc, key ObjectKey) error {
+	if l.open == nil {
+		l.open = make(map[ObjectKey]int)
+	}
+	if l.open[key]++; l.open[key] > 1 {
+		l.twice = append(l.twice, key)
+	}
+	l.inFlight++
+	l.maxInFlight = max(l.maxInFlight, l.inFlight)
+	start := p.Now()
+	for i := 0; i < l.calls; i++ {
+		l.api.Get(p, key)
+	}
+	if l.sleep > 0 {
+		p.Sleep(l.sleep)
+	}
+	l.open[key]--
+	l.inFlight--
+	l.runs = append(l.runs, ledgerRun{key: key, start: start, end: p.Now()})
+	return nil
+}
+
+// runsOf returns key's runs in the order they finished.
+func (l *ledger) runsOf(key ObjectKey) (out []ledgerRun) {
+	for _, r := range l.runs {
+		if r.key == key {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func claimKey(i int) ObjectKey {
+	return ObjectKey{Kind: KindPVC, Namespace: "shop", Name: fmt.Sprintf("claim-%04d", i)}
+}
+
+// Exclusion: under a storm of updates to four claims, workers run different
+// claims at once but never one claim twice, and the level-triggered
+// guarantee survives — each claim's last reconcile starts after its last
+// update landed.
+func TestControllerNeverRunsOneKeyTwice(t *testing.T) {
+	env := sim.NewEnv(1)
+	api := NewAPIServer(env, APIConfig{})
+	rec := &ledger{api: api, calls: 3}
+	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
+	c.Start()
+	const keys, updates = 4, 50
+	lastWrite := make([]time.Duration, keys)
+	for k := 0; k < keys; k++ {
+		env.Process("driver", func(p *sim.Proc) {
+			mine := pvc("shop", claimKey(k).Name, "fast", 1)
+			if err := api.Create(p, mine); err != nil {
+				t.Error(err)
+			}
+			for i := 0; i < updates; i++ {
+				// Out of step with each other and with the 1.5 ms reconcile.
+				p.Sleep(time.Duration(k*100+i*37%400) * time.Microsecond)
+				mine.Spec.SizeBlocks++
+				if err := api.Update(p, mine); err != nil {
+					t.Error(err)
+				}
+			}
+			lastWrite[k] = p.Now()
+		})
+	}
+	env.Run(time.Second)
+	c.Stop()
+	env.Run(0)
+	if len(rec.twice) > 0 {
+		t.Fatalf("a key was reconciled by two workers at once %d times, first %s", len(rec.twice), rec.twice[0])
+	}
+	if rec.maxInFlight < 2 || rec.maxInFlight > keys {
+		t.Fatalf("max reconciles in flight = %d, want 2..%d (different keys do overlap)", rec.maxInFlight, keys)
+	}
+	for k := 0; k < keys; k++ {
+		runs := rec.runsOf(claimKey(k))
+		if len(runs) < 2 || len(runs) > updates+1 {
+			t.Fatalf("%s reconciled %d times for %d events", claimKey(k), len(runs), updates+1)
+		}
+		if last := runs[len(runs)-1]; last.start < lastWrite[k] {
+			t.Fatalf("%s: last reconcile started at %v, before its last update at %v", claimKey(k), last.start, lastWrite[k])
+		}
+		for i := 1; i < len(runs); i++ {
+			if runs[i].start < runs[i-1].end {
+				t.Fatalf("%s: run %d started at %v inside the previous one (ended %v)", claimKey(k), i, runs[i].start, runs[i-1].end)
+			}
+		}
+	}
+}
+
+// Dirty once: however many events arrive for a key while it is being
+// reconciled, it is reconciled exactly once more, from the instant the first
+// reconcile returns.
+func TestControllerDirtyKeyRequeuesOnce(t *testing.T) {
+	env := sim.NewEnv(1)
+	api := NewAPIServer(env, APIConfig{})
+	rec := &ledger{api: api, calls: 3}
+	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
+	c.Start()
+	key := claimKey(0)
+	c.Enqueue(key)
+	for i := 1; i <= 5; i++ {
+		env.After(time.Duration(i)*200*time.Microsecond, func() { c.Enqueue(key) })
+	}
+	procs := env.Procs()
+	env.Run(time.Second)
+	if c.QueueLen() != 0 || env.Procs() != procs {
+		t.Fatalf("queue %d, procs %d -> %d: one key needs one worker", c.QueueLen(), procs, env.Procs())
+	}
+	c.Stop()
+	env.Run(0)
+	want := []ledgerRun{
+		{key, 0, 1500 * time.Microsecond},
+		{key, 1500 * time.Microsecond, 3 * time.Millisecond},
+	}
+	if !slices.Equal(rec.runs, want) {
+		t.Fatalf("runs = %v, want %v", rec.runs, want)
+	}
+}
+
+// Bound: a backlog of 1,024 keys drains on exactly reconcileWorkers workers —
+// ceil(1024/8) rounds of one 3-call reconcile — with the queue wait and the
+// worker count on the telemetry plane and each worker's spans on a track of
+// its own.
+func TestControllerBacklogDrainsOnEightWorkers(t *testing.T) {
+	env := sim.NewEnv(1)
+	api := NewAPIServer(env, APIConfig{})
+	reg := telemetry.New(env, telemetry.Config{})
+	rec := &ledger{api: api, calls: 3}
+	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{Telemetry: reg})
+	c.Start()
+	procs := env.Procs()
+	const keys = 1024
+	for i := 0; i < keys; i++ {
+		c.Enqueue(claimKey(i))
+	}
+	end := env.Run(0)
+	const round = 1500 * time.Microsecond
+	if want := (keys + reconcileWorkers - 1) / reconcileWorkers * round; end != want {
+		t.Fatalf("backlog drained at %v, want %v", end, want)
+	}
+	if len(rec.runs) != keys || rec.maxInFlight != reconcileWorkers || len(rec.twice) > 0 {
+		t.Fatalf("runs %d, max in flight %d, keys run twice at once %v", len(rec.runs), rec.maxInFlight, rec.twice)
+	}
+	if got := env.Procs() - procs; got != reconcileWorkers-1 {
+		t.Fatalf("backlog started %d more workers, want %d", got, reconcileWorkers-1)
+	}
+	for i, r := range rec.runs { // FIFO: key i runs in round i/8
+		if r.key != claimKey(i) || r.start != time.Duration(i/reconcileWorkers)*round {
+			t.Fatalf("run %d = %+v, want %s at %v", i, r, claimKey(i), time.Duration(i/reconcileWorkers)*round)
+		}
+	}
+	// A second backlog finds the eight parked and starts nobody.
+	for i := 0; i < keys; i++ {
+		c.Enqueue(claimKey(i))
+	}
+	env.Run(0)
+	if got := env.Procs() - procs; got != reconcileWorkers-1 || len(rec.runs) != 2*keys {
+		t.Fatalf("second backlog: %d extra workers, %d runs", got, len(rec.runs))
+	}
+
+	ctl := telemetry.L("controller", "test")
+	if g := reg.Gauge("controller.workers", ctl); g.Value() != reconcileWorkers {
+		t.Fatalf("controller.workers = %d", g.Value())
+	}
+	wait := reg.Histogram("controller.queue.wait", ctl).Snapshot()
+	if wait.Count() != 2*keys || wait.Min() != 0 || wait.Max() != (keys/reconcileWorkers-1)*round {
+		t.Fatalf("queue wait: n=%d min=%v max=%v", wait.Count(), wait.Min(), wait.Max())
+	}
+	if err := reg.SpanOverlap(); err != nil {
+		t.Fatal(err)
+	}
+	tracks := map[string]bool{}
+	for _, ev := range reg.Snapshot().TraceEvents {
+		if ev.Ph == "M" {
+			tracks[ev.Args["name"].(string)] = true
+		}
+	}
+	if len(tracks) != reconcileWorkers || !tracks["test"] || !tracks["test/w7"] {
+		t.Fatalf("span tracks = %v, want test, test/w1 .. test/w7", tracks)
+	}
+	c.Stop()
+	env.Run(0)
+}
+
+// Laziness: a lone key, and two keys half a millisecond apart under a
+// 1.25 ms reconcile (the one-shop sales/stock shape), never have two keys
+// waiting, so they run on the one worker Start made, at the instants a
+// single-worker queue gives.
+func TestControllerStartsNoWorkerWithoutBacklog(t *testing.T) {
+	env := sim.NewEnv(1)
+	api := NewAPIServer(env, APIConfig{})
+	rec := &ledger{sleep: 1250 * time.Microsecond}
+	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
+	c.Start()
+	procs := env.Procs()
+	c.Enqueue(claimKey(0))
+	env.After(500*time.Microsecond, func() { c.Enqueue(claimKey(1)) })
+	env.After(10*time.Millisecond, func() { c.Enqueue(claimKey(2)) })
+	env.Run(time.Second)
+	if env.Procs() != procs || rec.maxInFlight != 1 {
+		t.Fatalf("procs %d -> %d, max in flight %d: want one worker throughout", procs, env.Procs(), rec.maxInFlight)
+	}
+	want := []ledgerRun{
+		{claimKey(0), 0, 1250 * time.Microsecond},
+		{claimKey(1), 1250 * time.Microsecond, 2500 * time.Microsecond},
+		{claimKey(2), 10 * time.Millisecond, 11250 * time.Microsecond},
+	}
+	if !slices.Equal(rec.runs, want) {
+		t.Fatalf("runs = %v, want %v", rec.runs, want)
+	}
+	c.Stop()
+	env.Run(0)
+}
+
+// Stop: parked workers return at once, busy ones finish what is in flight
+// and drain the queue, and nothing is left blocked.
+func TestControllerStopReturnsEveryWorker(t *testing.T) {
+	env := sim.NewEnv(1)
+	api := NewAPIServer(env, APIConfig{})
+	rec := &ledger{api: api, calls: 3}
+	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
+	before := env.Procs()
+	c.Start()
+	const keys = 12 // a round of eight, then four busy and four parked
+	for i := 0; i < keys; i++ {
+		c.Enqueue(claimKey(i))
+	}
+	env.Run(2 * time.Millisecond)
+	if rec.inFlight != keys-reconcileWorkers || env.Blocked() != 1+2*reconcileWorkers-keys {
+		t.Fatalf("at 2ms: %d in flight, %d blocked", rec.inFlight, env.Blocked())
+	}
+	c.Stop()
+	end := env.Run(0)
+	if len(rec.runs) != keys || end != 3*time.Millisecond {
+		t.Fatalf("%d of %d keys reconciled by %v", len(rec.runs), keys, end)
+	}
+	if env.Procs() != before || env.Blocked() != 0 {
+		t.Fatalf("after Stop: %d processes left (%d blocked)", env.Procs()-before, env.Blocked())
 	}
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"sort"
 	"time"
 )
@@ -107,11 +108,7 @@ func (r *Registry) Snapshot() Export {
 			ev.Ph, ev.S = "i", "t"
 		default:
 			ev.Ph = "X"
-			end := sp.end
-			if end < 0 { // still open at export time: clamp to now
-				end = now
-			}
-			ev.Dur = micros(end - sp.start)
+			ev.Dur = micros(sp.endAt(now) - sp.start)
 		}
 		ex.TraceEvents = append(ex.TraceEvents, ev)
 	}
@@ -141,6 +138,55 @@ func (r *Registry) Snapshot() Export {
 		ex.Series[p.key] = pts
 	}
 	return ex
+}
+
+// SpanOverlap returns an error naming the first two spans of one track that
+// partially overlap, nil when there are none. A track exports as one tid of
+// "ph":"X" events, which the trace-event format requires to nest — Perfetto
+// mis-stacks or drops a span that straddles another's end — so concurrent
+// work must go on tracks of its own (a controller's workers do). Spans still
+// open end now, as in the export.
+func (r *Registry) SpanOverlap() error {
+	if r == nil {
+		return nil
+	}
+	now := r.env.Now()
+	spans := make([]*span, 0, len(r.spans))
+	for i := range r.spans {
+		if sp := &r.spans[i]; !sp.instant {
+			spans = append(spans, sp)
+		}
+	}
+	// Track by track, outer spans first: by start, the longer of two that
+	// start together ahead. open is then the stack of spans enclosing the
+	// current one.
+	sort.SliceStable(spans, func(i, j int) bool {
+		a, b := spans[i], spans[j]
+		if a.track != b.track {
+			return a.track < b.track
+		}
+		if a.start != b.start {
+			return a.start < b.start
+		}
+		return a.endAt(now) > b.endAt(now)
+	})
+	var open []*span
+	for _, sp := range spans {
+		if len(open) > 0 && open[0].track != sp.track {
+			open = open[:0]
+		}
+		for len(open) > 0 && open[len(open)-1].endAt(now) <= sp.start {
+			open = open[:len(open)-1]
+		}
+		if len(open) > 0 {
+			if outer := open[len(open)-1]; sp.endAt(now) > outer.endAt(now) {
+				return fmt.Errorf("telemetry: track %q: span %s/%s [%v, %v] straddles the end of %s/%s [%v, %v]",
+					sp.track, sp.cat, sp.name, sp.start, sp.endAt(now), outer.cat, outer.name, outer.start, outer.endAt(now))
+			}
+		}
+		open = append(open, sp)
+	}
+	return nil
 }
 
 // ExportJSON renders the registry deterministically (indented, so the

@@ -313,6 +313,14 @@ type span struct {
 	instant          bool
 }
 
+// endAt is when the span ended, a span still open ending now.
+func (sp *span) endAt(now time.Duration) time.Duration {
+	if sp.end < 0 {
+		return now
+	}
+	return sp.end
+}
+
 // Span is a handle to an open span. The zero Span (from a nil registry)
 // no-ops on End.
 type Span struct {

@@ -138,6 +138,50 @@ func TestSpansExportAsChromeTrace(t *testing.T) {
 	}
 }
 
+// One track is one row of "X" events, which must nest: spans that are
+// disjoint, touch, coincide or enclose one another are fine, on one track or
+// across tracks; one that straddles another's end on the same track is what
+// SpanOverlap reports.
+func TestSpanOverlapFindsStraddlingSpansOnOneTrack(t *testing.T) {
+	type iv struct {
+		track      string
+		start, end time.Duration // end 0: left open
+	}
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		spans []iv
+		bad   bool
+	}{
+		{"disjoint, touching, nested, coinciding", []iv{
+			{"a", 0, 2 * ms}, {"a", 2 * ms, 4 * ms}, {"a", 5 * ms, 9 * ms}, {"a", 6 * ms, 7 * ms},
+			{"a", 7 * ms, 9 * ms}, {"a", 10 * ms, 11 * ms}, {"a", 10 * ms, 11 * ms}, {"a", 11 * ms, 11 * ms}}, false},
+		{"two workers on one track", []iv{{"a", 0, 3 * ms}, {"a", ms, 4 * ms}}, true},
+		{"two workers on two tracks", []iv{{"a", 0, 3 * ms}, {"a/w1", ms, 4 * ms}}, false},
+		{"straddles the inner of two", []iv{{"a", 0, 9 * ms}, {"a", ms, 3 * ms}, {"a", 2 * ms, 4 * ms}}, true},
+		{"open span encloses later ones", []iv{{"a", 0, 0}, {"a", ms, 3 * ms}}, false},
+		{"open span outlives the closed one around it", []iv{{"a", 0, 3 * ms}, {"a", ms, 0}, {"b", 0, 5 * ms}}, true},
+	} {
+		env := sim.NewEnv(1)
+		r := New(env, Config{})
+		for _, s := range tc.spans {
+			env.After(s.start, func() {
+				sp := r.StartSpan("work", "unit", s.track)
+				if s.end > 0 {
+					env.After(s.end-s.start, sp.End)
+				}
+			})
+		}
+		env.Run(0)
+		if err := r.SpanOverlap(); (err != nil) != tc.bad {
+			t.Errorf("%s: SpanOverlap = %v, want an error: %v", tc.name, err, tc.bad)
+		}
+	}
+	if err := (*Registry)(nil).SpanOverlap(); err != nil {
+		t.Errorf("nil registry: %v", err)
+	}
+}
+
 func TestOpenSpanClampsToNow(t *testing.T) {
 	env := sim.NewEnv(1)
 	r := New(env, Config{})
@@ -197,6 +241,9 @@ func TestExportDeterministicBytes(t *testing.T) {
 			}
 		})
 		env.Run(0)
+		if err := r.SpanOverlap(); err != nil {
+			t.Fatal(err)
+		}
 		b, err := r.ExportJSON()
 		if err != nil {
 			t.Fatal(err)
