@@ -285,7 +285,7 @@ func (a *Autopilot) reshardStep(p *sim.Proc, now time.Duration, ns string, cls p
 	}
 	gs := a.sys.Groups(ns)
 	if len(gs) != 1 {
-		return // per-volume journals: no shard structure to scale
+		return // no engine configured yet: nothing to scale
 	}
 	g := gs[0]
 	if g.FailedOver() || g.Stopped() {

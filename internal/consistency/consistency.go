@@ -8,10 +8,7 @@
 // per-volume replication does not.
 package consistency
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // CommitSet is the recovered-commit view of one database image. db.DB and
 // db.View both satisfy it.
@@ -88,38 +85,4 @@ func prefixCheck(set CommitSet, order []uint64) (ok bool, lost int) {
 		}
 	}
 	return true, len(order) - n
-}
-
-// RPOFromOrders converts lost-transaction counts into a time window given
-// the commit timestamps recorded by the workload. commitTimes[i] is the ack
-// time of order[i]; the window is cutTime minus the ack time of the last
-// recovered transaction (0 when nothing was lost).
-func RPOFromOrders(order []uint64, commitTimes []time.Duration, set CommitSet, cutTime time.Duration) time.Duration {
-	if len(order) != len(commitTimes) {
-		panic("consistency: order/commitTimes length mismatch")
-	}
-	lastRecovered := time.Duration(-1)
-	for i, tx := range order {
-		if set.HasCommitted(tx) {
-			lastRecovered = commitTimes[i]
-		}
-	}
-	if lastRecovered < 0 {
-		if len(commitTimes) == 0 {
-			return 0
-		}
-		return cutTime
-	}
-	// Lost window: from the last recovered commit to the cut.
-	lost := false
-	for i, tx := range order {
-		if commitTimes[i] > lastRecovered && !set.HasCommitted(tx) {
-			lost = true
-			break
-		}
-	}
-	if !lost {
-		return 0
-	}
-	return cutTime - lastRecovered
 }

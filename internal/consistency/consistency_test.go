@@ -1,9 +1,6 @@
 package consistency
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // fakeSet is a CommitSet backed by a plain set.
 type fakeSet map[uint64]bool
@@ -106,59 +103,4 @@ func TestVerifyPerfectBackup(t *testing.T) {
 	if rep.Collapsed() || !rep.OrderingOK() || rep.LostSalesTxns != 0 || rep.LostStockTxns != 0 {
 		t.Fatalf("perfect backup misjudged: %v", rep)
 	}
-}
-
-func TestRPOFromOrders(t *testing.T) {
-	order := seq(1, 2, 3)
-	times := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
-	// All recovered: RPO 0.
-	if got := RPOFromOrders(order, times, set(1, 2, 3), 40*time.Millisecond); got != 0 {
-		t.Fatalf("full recovery RPO = %v", got)
-	}
-	// Lost tx 3 (committed at 30ms, cut at 40ms): window from last
-	// recovered (20ms) to cut = 20ms.
-	if got := RPOFromOrders(order, times, set(1, 2), 40*time.Millisecond); got != 20*time.Millisecond {
-		t.Fatalf("partial recovery RPO = %v", got)
-	}
-	// Nothing recovered: whole window.
-	if got := RPOFromOrders(order, times, set(), 40*time.Millisecond); got != 40*time.Millisecond {
-		t.Fatalf("empty recovery RPO = %v", got)
-	}
-	// No commits at all: RPO 0.
-	if got := RPOFromOrders(nil, nil, set(), 40*time.Millisecond); got != 0 {
-		t.Fatalf("no-commit RPO = %v", got)
-	}
-}
-
-func TestRPOFromOrdersEdges(t *testing.T) {
-	order := seq(1, 2, 3)
-	times := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
-	// Cut taken before the first commit landed, nothing recovered: the lost
-	// window is the whole (short) cut, not the span of the commit times.
-	if got := RPOFromOrders(order, times, set(), 5*time.Millisecond); got != 5*time.Millisecond {
-		t.Fatalf("pre-commit cut RPO = %v, want 5ms", got)
-	}
-	// All-lost tail: only the first commit survived, so the window runs from
-	// its commit time to the cut.
-	if got := RPOFromOrders(order, times, set(1), 40*time.Millisecond); got != 30*time.Millisecond {
-		t.Fatalf("all-lost tail RPO = %v, want 30ms", got)
-	}
-	// Empty order with a nonzero cut: no commits means nothing was lost.
-	if got := RPOFromOrders(seq(), []time.Duration{}, set(), 40*time.Millisecond); got != 0 {
-		t.Fatalf("empty order RPO = %v, want 0", got)
-	}
-	// A recovered transaction the order never saw must not shrink the
-	// window: only ordered commits count.
-	if got := RPOFromOrders(order, times, set(7), 40*time.Millisecond); got != 40*time.Millisecond {
-		t.Fatalf("unordered recovery RPO = %v, want 40ms", got)
-	}
-}
-
-func TestRPOMismatchedInputsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	RPOFromOrders(seq(1), nil, set(), 0)
 }

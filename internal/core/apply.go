@@ -107,9 +107,9 @@ func CondBackupReady() TenantCondition { return TenantCondition{kind: condBackup
 
 // CondResharded is satisfied when the tenant's replication engine drains
 // exactly `shards` lanes with no open migration window. Structurally
-// impossible states — backup disabled, per-volume journals, a failed-over
-// or stopped engine, or the tenant deleted mid-wait — end the wait
-// immediately with ErrNotReshardable.
+// impossible states — backup disabled, a failed-over or stopped engine, or
+// the tenant deleted mid-wait — end the wait immediately with
+// ErrNotReshardable.
 func CondResharded(shards int) TenantCondition {
 	return TenantCondition{kind: condResharded, shards: shards}
 }

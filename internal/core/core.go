@@ -59,11 +59,6 @@ type Config struct {
 	Storage storage.Config
 	// FeatureGates selects CSI alpha features on the backup site.
 	FeatureGates csiplugin.FeatureGates
-	// ConsistencyGroup is the operator's mode. Default true (the paper's
-	// configuration); false replicates every claim through its own journal,
-	// the collapse-prone mode (only tests set it — E6 demonstrates the
-	// collapse on the rig's ModeADCNoCG, below the control plane).
-	ConsistencyGroup *bool
 	// Telemetry, when set, enables the sim-time observability plane: a
 	// registry of instruments (per-tenant RPO probes, lane staging, fabric
 	// queue depths, controller latency) plus span tracing, exportable as
@@ -91,18 +86,11 @@ func (c Config) withDefaults() Config {
 	if c.Link.BandwidthBps == 0 {
 		c.Link.BandwidthBps = 1e9
 	}
-	if c.ConsistencyGroup == nil {
-		t := true
-		c.ConsistencyGroup = &t
-	}
 	if c.VolumeBlocks <= 0 {
 		c.VolumeBlocks = 2048
 	}
 	return c
 }
-
-// Bool is a helper for Config.ConsistencyGroup.
-func Bool(v bool) *bool { return &v }
 
 // Site is one of the two sites: a container platform plus a storage array.
 type Site struct {
@@ -215,10 +203,7 @@ func NewSystem(cfg Config) *System {
 		LanePaths:   sys.lanePathsFor,
 		Telemetry:   sys.Telemetry,
 	}, replication.Config{})
-	sys.Operator = operator.New(env, sys.Main.API, operator.Config{
-		ConsistencyGroup: *cfg.ConsistencyGroup,
-		Telemetry:        sys.Telemetry,
-	})
+	sys.Operator = operator.New(env, sys.Main.API, operator.Config{Telemetry: sys.Telemetry})
 	sys.Main.Snapshots = csiplugin.NewSnapshotController(env, sys.Main.API, sys.Main.Array, cfg.FeatureGates)
 	sys.Backup.Snapshots = csiplugin.NewSnapshotController(env, sys.Backup.API, sys.Backup.Array, cfg.FeatureGates)
 	sys.tenantCtrls = sys.newTenantControllers()

@@ -263,18 +263,6 @@ func TestDisableBackupTearsDown(t *testing.T) {
 	})
 }
 
-func TestPerVolumeModeCreatesTwoGroups(t *testing.T) {
-	deploySystem(t, Config{ConsistencyGroup: Bool(false)}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
-		if err := enableBackup(p, sys, "shop"); err != nil {
-			t.Error(err)
-			return
-		}
-		if got := len(sys.Groups("shop")); got != 2 {
-			t.Errorf("groups = %d, want 2 in per-volume mode", got)
-		}
-	})
-}
-
 func TestSnapshotViaFeatureGate(t *testing.T) {
 	deploySystem(t, Config{FeatureGates: featureGatesOn()}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
 		if err := enableBackup(p, sys, "shop"); err != nil {

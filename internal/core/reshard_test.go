@@ -211,26 +211,11 @@ func TestUpdateTenantSpecUnchangedWritesNothing(t *testing.T) {
 	})
 }
 
-// TestReshardTenantRefusesImpossibleStates pins the fast-fail contract:
-// per-volume replication and failed-over groups can never reshard, so the
-// request returns the typed ErrNotReshardable immediately instead of
-// dressing a permanent condition up as a timeout.
+// TestReshardTenantRefusesImpossibleStates pins the fast-fail contract: a
+// failed-over group can never reshard, so the request returns the typed
+// ErrNotReshardable immediately instead of dressing a permanent condition up
+// as a timeout.
 func TestReshardTenantRefusesImpossibleStates(t *testing.T) {
-	// Per-volume mode (the E6 no-CG ablation): no shard structure at all.
-	runSystem(t, Config{ConsistencyGroup: Bool(false)}, func(p *sim.Proc, sys *System) {
-		if _, err := sys.ProvisionTenant(p, tenantSpec("shop")); err != nil {
-			t.Errorf("provision: %v", err)
-			return
-		}
-		start := p.Now()
-		err := reshard(p, sys, "shop", 4)
-		if !errors.Is(err, ErrNotReshardable) {
-			t.Errorf("per-volume reshard error = %v, want ErrNotReshardable", err)
-		}
-		if p.Now()-start >= sys.provisionTimeout() {
-			t.Error("per-volume refusal burned the timeout instead of failing fast")
-		}
-	})
 	// Failed-over group: the drain is gone; nothing to migrate under.
 	runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
 		if _, err := sys.ProvisionTenant(p, shardedSpec("shop")); err != nil {
@@ -252,10 +237,8 @@ func TestReshardTenantRefusesImpossibleStates(t *testing.T) {
 	})
 }
 
-// TestReshardTenantRefusesNoBackupAndSingleVolumeMode covers the remaining
-// permanent states: a tenant without backup has no replication to reshape,
-// and a single-claim tenant in per-volume mode has one engine but still no
-// shard structure (the RG spec, not the engine count, carries that fact).
+// TestReshardTenantRefusesNoBackupAndSingleVolumeMode covers the other
+// permanent state: a tenant without backup has no replication to reshape.
 func TestReshardTenantRefusesNoBackupAndSingleVolumeMode(t *testing.T) {
 	runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
 		spec := tenantSpec("shop")
@@ -270,24 +253,6 @@ func TestReshardTenantRefusesNoBackupAndSingleVolumeMode(t *testing.T) {
 		}
 		if p.Now()-start >= sys.provisionTimeout() {
 			t.Error("no-backup refusal burned the timeout")
-		}
-	})
-	runSystem(t, Config{ConsistencyGroup: Bool(false)}, func(p *sim.Proc, sys *System) {
-		spec := platform.TenantSpec{Namespace: "solo", PVCNames: []string{"data"}, Backup: true, Profile: "data-only"}
-		if _, err := sys.ProvisionTenant(p, spec); err != nil {
-			t.Errorf("provision: %v", err)
-			return
-		}
-		if gs := sys.Groups("solo"); len(gs) != 1 {
-			t.Errorf("fixture degenerate: %d engines, want exactly 1", len(gs))
-			return
-		}
-		start := p.Now()
-		if err := reshard(p, sys, "solo", 4); !errors.Is(err, ErrNotReshardable) {
-			t.Errorf("single-volume per-volume-mode reshard error = %v, want ErrNotReshardable", err)
-		}
-		if p.Now()-start >= sys.provisionTimeout() {
-			t.Error("per-volume single-engine refusal burned the timeout")
 		}
 	})
 }

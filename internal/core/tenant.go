@@ -505,18 +505,15 @@ func (sys *System) UpdateTenantSpec(p *sim.Proc, namespace string, mutate func(*
 }
 
 // ErrNotReshardable reports a reshard request against replication that can
-// structurally never reconfigure its lanes: per-volume (non-consistency-
-// group) engines have no shard structure, and a failed-over or stopped
-// group has no live drain to migrate under. The refusal is immediate —
-// these states do not converge, so waiting a timeout out would just dress
-// a permanent condition up as a transient one.
+// never reconfigure its lanes: a tenant without backup has no engine, and a
+// failed-over or stopped group has no live drain to migrate under. The
+// refusal is immediate — these states do not converge, so waiting a timeout
+// out would just dress a permanent condition up as a transient one.
 var ErrNotReshardable = errors.New("core: tenant replication cannot reshard")
 
 // reshardable screens the namespace for the permanent can't-reshard states
 // (nil for "possible or still transient"): no backup declared (nothing will
-// ever drain), per-volume replication (no shard structure — detected from
-// the engine count or, for a single-claim tenant, the RG spec), or an
-// engine that already failed over or stopped.
+// ever drain), or an engine that already failed over or stopped.
 func (sys *System) reshardable(p *sim.Proc, namespace string) error {
 	obj, err := sys.Main.API.Get(p, tenantKey(namespace))
 	if err != nil {
@@ -525,21 +522,10 @@ func (sys *System) reshardable(p *sim.Proc, namespace string) error {
 	if !obj.(*platform.Tenant).Spec.Backup {
 		return fmt.Errorf("%w: %s has backup disabled (no replication to reshard)", ErrNotReshardable, namespace)
 	}
-	rgKey := platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: operator.GroupNameFor(namespace)}
-	if obj, err := sys.Main.API.Get(p, rgKey); err == nil {
-		if !obj.(*platform.ReplicationGroup).Spec.ConsistencyGroup {
-			return fmt.Errorf("%w: %s replicates per-volume journals (no shard structure)", ErrNotReshardable, namespace)
+	for _, g := range sys.Groups(namespace) {
+		if g.FailedOver() || g.Stopped() {
+			return fmt.Errorf("%w: %s engine %s is no longer draining", ErrNotReshardable, namespace, g.Name())
 		}
-	} else if !errors.Is(err, platform.ErrNotFound) {
-		return err
-	}
-	gs := sys.Groups(namespace)
-	if len(gs) > 1 {
-		return fmt.Errorf("%w: %s replicates per-volume journals (%d engines, no shard structure)",
-			ErrNotReshardable, namespace, len(gs))
-	}
-	if len(gs) == 1 && (gs[0].FailedOver() || gs[0].Stopped()) {
-		return fmt.Errorf("%w: %s engine %s is no longer draining", ErrNotReshardable, namespace, gs[0].Name())
 	}
 	return nil
 }

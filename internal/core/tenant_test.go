@@ -317,6 +317,90 @@ func TestTenantSpecDriftRepaired(t *testing.T) {
 	})
 }
 
+// TestLateClaimFailsProtectedTenant pins what a tenant reports when a claim
+// joins its namespace after replication was configured, through either door
+// (the Tenant spec, or a PVC made straight in the tagged namespace): the
+// running consistency group does not cover the claim, so the tenant is
+// Failed by the claim's name — never Ready with an unjournaled volume — and
+// goes back to Ready once the claim is gone.
+func TestLateClaimFailsProtectedTenant(t *testing.T) {
+	auditKey := platform.ObjectKey{Kind: platform.KindPVC, Namespace: "shop", Name: "audit"}
+	doors := []struct {
+		name        string
+		join, leave func(p *sim.Proc, sys *System) error
+	}{
+		{
+			name: "tenant spec",
+			join: func(p *sim.Proc, sys *System) error {
+				return sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) { s.PVCNames = append(s.PVCNames, "audit") })
+			},
+			leave: func(p *sim.Proc, sys *System) error {
+				if err := sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) { s.PVCNames = s.PVCNames[:2] }); err != nil {
+					return err
+				}
+				return sys.Main.API.Delete(p, auditKey)
+			},
+		},
+		{
+			name: "pvc in the tagged namespace",
+			join: func(p *sim.Proc, sys *System) error {
+				return sys.Main.API.Create(p, &platform.PersistentVolumeClaim{
+					Meta: platform.Meta{Kind: platform.KindPVC, Namespace: "shop", Name: "audit"},
+					Spec: platform.PVCSpec{StorageClassName: StorageClassName, SizeBlocks: 64},
+				})
+			},
+			leave: func(p *sim.Proc, sys *System) error { return sys.Main.API.Delete(p, auditKey) },
+		},
+	}
+	for _, door := range doors {
+		t.Run(door.name, func(t *testing.T) {
+			runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
+				if _, err := sys.ProvisionTenant(p, tenantSpec("shop")); err != nil {
+					t.Errorf("provision: %v", err)
+					return
+				}
+				// phase polls the tenant status until it reads want.
+				phase := func(want platform.TenantPhase) (platform.TenantStatus, bool) {
+					var st platform.TenantStatus
+					for deadline := p.Now() + 5*time.Second; p.Now() < deadline; p.Sleep(10 * time.Millisecond) {
+						obj, err := sys.Main.API.Get(p, tenantKey("shop"))
+						if err != nil {
+							t.Error(err)
+							return st, false
+						}
+						if st = obj.(*platform.Tenant).Status; st.Phase == want {
+							return st, true
+						}
+					}
+					return st, false
+				}
+				if err := door.join(p, sys); err != nil {
+					t.Errorf("join: %v", err)
+					return
+				}
+				st, ok := phase(platform.TenantFailed)
+				if !ok || !strings.Contains(st.Message, "shop/audit") {
+					t.Errorf("late claim: tenant %s (%q), want Failed naming shop/audit", st.Phase, st.Message)
+					return
+				}
+				if err := sys.WaitTenantCondition(p, "shop", CondReady(), time.Second); err == nil || !strings.Contains(err.Error(), "shop/audit") {
+					t.Errorf("CondReady with an unprotected claim = %v, want an error naming shop/audit", err)
+				}
+				if g := sys.Groups("shop")[0]; len(g.Members()) != 2 || g.Stopped() {
+					t.Errorf("engine members = %v stopped = %v, want the original pair still draining", g.Members(), g.Stopped())
+				}
+				if err := door.leave(p, sys); err != nil {
+					t.Errorf("leave: %v", err)
+					return
+				}
+				if st, ok := phase(platform.TenantReady); !ok {
+					t.Errorf("late claim gone: tenant %s (%q), want Ready", st.Phase, st.Message)
+				}
+			})
+		})
+	}
+}
+
 // TestWaitTenantReadySurfacesFailure pins the Failed phase: a tenant whose
 // spec can never converge (backup requested, no claims to replicate)
 // reports Failed with the operator's message rather than hanging.

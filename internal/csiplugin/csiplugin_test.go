@@ -11,6 +11,7 @@ import (
 	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 )
 
 // twoSites is the plugin test fixture: main and backup arrays + API
@@ -112,32 +113,11 @@ func TestProvisionerUnknownClassRetries(t *testing.T) {
 	f.env.Run(100 * time.Millisecond)
 }
 
-// createRG posts a ReplicationGroup CR and runs the plugin until Ready.
-func (f *twoSites) createRG(t *testing.T, name string, cg bool, pvcs ...string) *ReplicationPlugin {
-	t.Helper()
-	rp := NewReplicationPlugin(f.env, f.sites, replication.Config{})
-	rp.Start()
-	f.env.Process("rg", func(p *sim.Proc) {
-		err := f.sites.MainAPI.Create(p, &platform.ReplicationGroup{
-			Meta: platform.Meta{Kind: platform.KindReplicationGroup, Name: name},
-			Spec: platform.ReplicationGroupSpec{
-				SourceNamespace:  "shop",
-				PVCNames:         pvcs,
-				ConsistencyGroup: cg,
-			},
-		})
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	f.env.Run(5 * time.Second)
-	return rp
-}
-
 func TestReplicationPluginConfiguresCG(t *testing.T) {
 	f := newTwoSites(t)
+	f.sites.Telemetry = telemetry.New(f.env, telemetry.Config{})
 	f.createClaims(t, "shop", "sales", "stock")
-	rp := f.createRG(t, "backup-shop", true, "sales", "stock")
+	rp := f.createRG(t, "backup-shop", 0, "sales", "stock")
 
 	f.env.Process("check", func(p *sim.Proc) {
 		obj, err := f.sites.MainAPI.Get(p, platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: "backup-shop"})
@@ -149,8 +129,8 @@ func TestReplicationPluginConfiguresCG(t *testing.T) {
 		if rg.Status.Phase != platform.GroupReady {
 			t.Errorf("phase = %s (%s)", rg.Status.Phase, rg.Status.Message)
 		}
-		if rg.Status.JournalID == "" || len(rg.Status.JournalIDs) != 1 {
-			t.Errorf("journals = %q %v", rg.Status.JournalID, rg.Status.JournalIDs)
+		if rg.Status.JournalID != "jnl-backup-shop-0" {
+			t.Errorf("journal = %q", rg.Status.JournalID)
 		}
 		// One shared journal with both volumes: the consistency group.
 		j, err := f.sites.MainArray.Journal(rg.Status.JournalID)
@@ -178,29 +158,112 @@ func TestReplicationPluginConfiguresCG(t *testing.T) {
 		}
 	})
 	f.env.Run(0)
-	if got := len(rp.Groups("backup-shop")); got != 1 {
-		t.Fatalf("running groups = %d, want 1", got)
+	groups := rp.Groups("backup-shop")
+	if len(groups) != 1 {
+		t.Fatalf("running groups = %d, want 1", len(groups))
+	}
+	if ns := rp.NamespaceOf(groups[0]); ns != "shop" {
+		t.Errorf("NamespaceOf = %q, want shop", ns)
+	}
+	// Every configured engine registers its tenant's probes.
+	if f.sites.Telemetry.Series("rpo", telemetry.L("tenant", "shop")) == nil {
+		t.Error("rpo{tenant=shop} probe not registered")
+	}
+	// An unconfigured CR name answers nil without allocating: the fleet
+	// benchmark polls Groups per tenant per tick while tenants come up.
+	if got := rp.Groups("absent"); got != nil {
+		t.Errorf("Groups(absent) = %v, want nil", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = rp.Groups("absent") }); n != 0 {
+		t.Errorf("Groups(absent) allocates %v per call, want 0", n)
 	}
 }
 
-func TestReplicationPluginPerVolumeMode(t *testing.T) {
-	f := newTwoSites(t)
-	f.createClaims(t, "shop", "sales", "stock")
-	rp := f.createRG(t, "backup-shop", false, "sales", "stock")
-	if got := len(rp.Groups("backup-shop")); got != 2 {
-		t.Fatalf("running groups = %d, want 2 (one per volume)", got)
-	}
-	f.env.Process("check", func(p *sim.Proc) {
-		obj, _ := f.sites.MainAPI.Get(p, platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: "backup-shop"})
-		rg := obj.(*platform.ReplicationGroup)
-		if len(rg.Status.JournalIDs) != 2 {
-			t.Errorf("journal IDs = %v", rg.Status.JournalIDs)
+// setClaims rewrites the CR's claim list (what the operator does when the
+// namespace's PVC set changes) and lets the plugin reconcile it.
+func (f *twoSites) setClaims(t *testing.T, name string, pvcs ...string) *platform.ReplicationGroup {
+	t.Helper()
+	key := platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: name}
+	f.env.Process("set-claims", func(p *sim.Proc) {
+		obj, err := f.sites.MainAPI.Get(p, key)
+		if err != nil {
+			t.Error(err)
+			return
 		}
-		if rg.Status.JournalID != "" {
-			t.Errorf("shared journal set in per-volume mode: %q", rg.Status.JournalID)
+		rg := obj.DeepCopy().(*platform.ReplicationGroup)
+		rg.Spec.PVCNames = pvcs
+		if err := f.sites.MainAPI.Update(p, rg); err != nil {
+			t.Error(err)
 		}
 	})
-	f.env.Run(0)
+	f.env.Run(f.env.Now() + time.Second)
+	var rg *platform.ReplicationGroup
+	f.env.Process("get", func(p *sim.Proc) {
+		if obj, err := f.sites.MainAPI.Get(p, key); err != nil {
+			t.Error(err)
+		} else {
+			rg = obj.(*platform.ReplicationGroup)
+		}
+	})
+	f.env.Run(f.env.Now() + time.Millisecond)
+	if rg == nil {
+		t.Fatal("replication group gone")
+	}
+	return rg
+}
+
+// TestReplicationPluginFailsGroupOnUnprotectedClaim: a claim that joins the
+// spec of a configured group is not an engine member — no journal, no backup
+// twin — so the CR must say so instead of staying Ready. The engine keeps
+// draining its members, a claim that leaves is not drift, and dropping the
+// late claim brings the CR back.
+func TestReplicationPluginFailsGroupOnUnprotectedClaim(t *testing.T) {
+	f := newTwoSites(t)
+	f.createClaims(t, "shop", "sales", "stock")
+	rp := f.createRG(t, "backup-shop", 0, "sales", "stock")
+	f.createClaims(t, "shop", "audit")
+
+	rg := f.setClaims(t, "backup-shop", "sales", "stock", "audit")
+	if rg.Status.Phase != platform.GroupFailed || !strings.Contains(rg.Status.Message, "shop/audit") {
+		t.Fatalf("late claim: phase = %s (%q), want Failed naming shop/audit", rg.Status.Phase, rg.Status.Message)
+	}
+	version := rg.ResourceVersion
+	g := rp.Groups("backup-shop")[0]
+	if len(g.Members()) != 2 || g.Stopped() {
+		t.Fatalf("engine members = %v stopped = %v, want the original two still draining", g.Members(), g.Stopped())
+	}
+	f.env.Process("write", func(p *sim.Proc) {
+		v, _ := f.sites.MainArray.Volume(VolumeIDForClaim("shop", "sales"))
+		buf := make([]byte, f.sites.MainArray.Config().BlockSize)
+		buf[0] = 0x7E
+		if _, err := v.Write(p, 3, buf); err != nil {
+			t.Error(err)
+			return
+		}
+		if !g.CatchUp(p) {
+			t.Error("catch-up interrupted")
+			return
+		}
+		tv, _ := f.sites.BackupArray.Volume(VolumeIDForClaim("shop", "sales"))
+		if got := tv.Peek(3); got == nil || got[0] != 0x7E {
+			t.Error("member write did not replicate while the group was Failed")
+		}
+	})
+	f.env.Run(f.env.Now() + time.Second)
+	f.env.Process("settled", func(p *sim.Proc) {
+		obj, _ := f.sites.MainAPI.Get(p, rg.Key())
+		if got := obj.GetMeta().ResourceVersion; got != version {
+			t.Errorf("Failed group rewritten while idle: version %d -> %d", version, got)
+		}
+	})
+	f.env.Run(f.env.Now() + time.Millisecond)
+
+	if rg := f.setClaims(t, "backup-shop", "sales", "stock"); rg.Status.Phase != platform.GroupReady {
+		t.Fatalf("late claim dropped: phase = %s (%q), want Ready", rg.Status.Phase, rg.Status.Message)
+	}
+	if rg := f.setClaims(t, "backup-shop", "sales"); rg.Status.Phase != platform.GroupReady {
+		t.Fatalf("member claim removed: phase = %s (%q), want Ready (teardown shrinks the list)", rg.Status.Phase, rg.Status.Message)
+	}
 }
 
 func TestReplicationPluginReplicatesData(t *testing.T) {
@@ -214,7 +277,7 @@ func TestReplicationPluginReplicatesData(t *testing.T) {
 		v.Write(p, 7, buf)
 	})
 	f.env.Run(0)
-	rp := f.createRG(t, "backup-shop", true, "sales")
+	rp := f.createRG(t, "backup-shop", 0, "sales")
 	// Write more after replication is up; drain should carry it.
 	f.env.Process("write", func(p *sim.Proc) {
 		v, _ := f.sites.MainArray.Volume(VolumeIDForClaim("shop", "sales"))
@@ -238,7 +301,7 @@ func TestReplicationPluginReplicatesData(t *testing.T) {
 func TestReplicationPluginTeardownOnDelete(t *testing.T) {
 	f := newTwoSites(t)
 	f.createClaims(t, "shop", "sales")
-	rp := f.createRG(t, "backup-shop", true, "sales")
+	rp := f.createRG(t, "backup-shop", 0, "sales")
 	if len(rp.Groups("backup-shop")) != 1 {
 		t.Fatal("group not configured")
 	}
@@ -350,9 +413,9 @@ func TestSnapshotGroupGateOnCreatesAtomically(t *testing.T) {
 	f.env.Run(0)
 }
 
-// createShardedRG posts a ReplicationGroup CR requesting a sharded journal
-// and runs the plugin until Ready.
-func (f *twoSites) createShardedRG(t *testing.T, name string, shards int, pvcs ...string) *ReplicationPlugin {
+// createRG posts a ReplicationGroup CR requesting a journal of `shards` shards
+// (0: the default single shared journal) and runs the plugin until Ready.
+func (f *twoSites) createRG(t *testing.T, name string, shards int, pvcs ...string) *ReplicationPlugin {
 	t.Helper()
 	rp := NewReplicationPlugin(f.env, f.sites, replication.Config{})
 	rp.Start()
@@ -360,10 +423,9 @@ func (f *twoSites) createShardedRG(t *testing.T, name string, shards int, pvcs .
 		err := f.sites.MainAPI.Create(p, &platform.ReplicationGroup{
 			Meta: platform.Meta{Kind: platform.KindReplicationGroup, Name: name},
 			Spec: platform.ReplicationGroupSpec{
-				SourceNamespace:  "shop",
-				PVCNames:         pvcs,
-				ConsistencyGroup: true,
-				JournalShards:    shards,
+				SourceNamespace: "shop",
+				PVCNames:        pvcs,
+				JournalShards:   shards,
 			},
 		})
 		if err != nil {
@@ -381,7 +443,7 @@ func TestReplicationPluginShardedJournal(t *testing.T) {
 	f := newTwoSites(t)
 	pvcs := []string{"d0", "d1", "d2", "d3", "d4", "d5"}
 	f.createClaims(t, "shop", pvcs...)
-	rp := f.createShardedRG(t, "backup-shop", 4, pvcs...)
+	rp := f.createRG(t, "backup-shop", 4, pvcs...)
 
 	groups := rp.Groups("backup-shop")
 	if len(groups) != 1 {
@@ -529,7 +591,7 @@ func TestReplicationPluginReshardsOnSpecChange(t *testing.T) {
 	f := newTwoSites(t)
 	pvcs := []string{"d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"}
 	f.createClaims(t, "shop", pvcs...)
-	rp := f.createShardedRG(t, "backup-shop", 2, pvcs...)
+	rp := f.createRG(t, "backup-shop", 2, pvcs...)
 	before := rp.Groups("backup-shop")[0].(*replication.Group)
 	if before.Lanes() != 2 {
 		t.Fatalf("lanes = %d, want 2", before.Lanes())
@@ -591,7 +653,7 @@ func TestReplicationPluginGrowsFromOneLane(t *testing.T) {
 	f := newTwoSites(t)
 	pvcs := []string{"d0", "d1", "d2", "d3"}
 	f.createClaims(t, "shop", pvcs...)
-	rp := f.createShardedRG(t, "backup-shop", 1, pvcs...)
+	rp := f.createRG(t, "backup-shop", 1, pvcs...)
 	sg := rp.Groups("backup-shop")[0].(*replication.Group)
 	if sg.Lanes() != 1 {
 		t.Fatalf("shards=1 engine runs %d lanes", sg.Lanes())
@@ -665,7 +727,7 @@ func TestReplicationPluginUnchangedReconcileIsNoop(t *testing.T) {
 	f := newTwoSites(t)
 	pvcs := []string{"d0", "d1", "d2", "d3"}
 	f.createClaims(t, "shop", pvcs...)
-	rp := f.createShardedRG(t, "backup-shop", 2, pvcs...)
+	rp := f.createRG(t, "backup-shop", 2, pvcs...)
 	engine := rp.Groups("backup-shop")[0]
 	sj, err := f.sites.MainArray.ShardedJournal("jnl-backup-shop-0")
 	if err != nil {
@@ -715,7 +777,7 @@ func TestReplicationPluginTeardownMidReshard(t *testing.T) {
 	f := newTwoSites(t)
 	pvcs := []string{"d0", "d1", "d2", "d3", "d4", "d5"}
 	f.createClaims(t, "shop", pvcs...)
-	rp := f.createShardedRG(t, "backup-shop", 4, pvcs...)
+	rp := f.createRG(t, "backup-shop", 4, pvcs...)
 	sg := rp.Groups("backup-shop")[0]
 	// Backlog writes, then shrink and delete immediately — the retired
 	// shards are still waiting on their staged records when the CR goes.

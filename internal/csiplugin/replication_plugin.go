@@ -3,8 +3,8 @@ package csiplugin
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
+	"maps"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/platform"
@@ -55,9 +55,9 @@ type ReplicationPlugin struct {
 	cfg   replication.Config
 	ctrl  *platform.Controller
 
-	// groups tracks the running replication engines per CR name. With
-	// ConsistencyGroup=true there is exactly one; otherwise one per volume.
-	groups map[string][]replication.Replicator
+	// groups holds the running replication engine of each configured CR,
+	// by CR name: one consistency group, one journal, one engine.
+	groups map[string]replication.Replicator
 	// nsByGroup remembers which namespace each group replicates, so
 	// site-wide operations (failback) can pick that tenant's fabric path.
 	nsByGroup map[replication.Replicator]string
@@ -67,7 +67,7 @@ type ReplicationPlugin struct {
 func NewReplicationPlugin(env *sim.Env, sites SitePair, cfg replication.Config) *ReplicationPlugin {
 	rp := &ReplicationPlugin{
 		env: env, sites: sites, cfg: cfg,
-		groups:    make(map[string][]replication.Replicator),
+		groups:    make(map[string]replication.Replicator),
 		nsByGroup: make(map[replication.Replicator]string),
 	}
 	rp.ctrl = platform.NewController(env, sites.MainAPI, "replication-plugin",
@@ -83,11 +83,13 @@ func (rp *ReplicationPlugin) Start() { rp.ctrl.Start() }
 // Groups to stop them explicitly).
 func (rp *ReplicationPlugin) Stop() { rp.ctrl.Stop() }
 
-// Groups returns the running replication engines for a CR name.
+// Groups returns the running replication engine for a CR name: one element,
+// or nil (nothing allocated) while the CR is unconfigured or gone.
 func (rp *ReplicationPlugin) Groups(name string) []replication.Replicator {
-	out := make([]replication.Replicator, len(rp.groups[name]))
-	copy(out, rp.groups[name])
-	return out
+	if g, ok := rp.groups[name]; ok {
+		return []replication.Replicator{g}
+	}
+	return nil
 }
 
 // NamespaceOf returns the namespace a group replicates (empty for groups
@@ -100,14 +102,9 @@ func (rp *ReplicationPlugin) NamespaceOf(g replication.Replicator) string { retu
 // make their simulated timing — and which group a typed refusal names —
 // vary between runs of the same seed.
 func (rp *ReplicationPlugin) AllGroups() []replication.Replicator {
-	names := make([]string, 0, len(rp.groups))
-	for name := range rp.groups {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var out []replication.Replicator
-	for _, name := range names {
-		out = append(out, rp.groups[name]...)
+	out := make([]replication.Replicator, 0, len(rp.groups))
+	for _, name := range slices.Sorted(maps.Keys(rp.groups)) {
+		out = append(out, rp.groups[name])
 	}
 	return out
 }
@@ -121,15 +118,33 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 		return err
 	}
 	rg := obj.(*platform.ReplicationGroup)
-	if len(rp.groups[rg.Name]) > 0 {
+	if g, ok := rp.groups[rg.Name]; ok {
+		// An engine's membership is fixed when it is configured: a claim that
+		// joined the namespace afterwards is in the spec but unjournaled and
+		// has no backup twin. Fail the CR by the claim's name rather than
+		// report Ready for a group that does not cover its application. The
+		// engine keeps draining its members; dropping the claim brings the CR
+		// back. A claim that LEFT is no drift (teardown shrinks the list).
+		for _, pvcName := range rg.Spec.PVCNames {
+			if slices.Contains(g.Members(), VolumeIDForClaim(rg.Spec.SourceNamespace, pvcName)) {
+				continue
+			}
+			msg := fmt.Sprintf("claim %s/%s joined after replication was configured: not in consistency group %s, not replicated",
+				rg.Spec.SourceNamespace, pvcName, g.JournalID())
+			if rg.Status.Phase == platform.GroupFailed && rg.Status.Message == msg {
+				return nil // already reported: a second write would only requeue us
+			}
+			return rp.setPhase(p, rg, platform.GroupFailed, msg)
+		}
 		if rg.Status.Phase != platform.GroupReady {
-			// Partially configured from an earlier attempt; report Ready.
+			// Partially configured from an earlier attempt, or the claim that
+			// failed the CR is gone from the spec; report Ready.
 			return rp.setPhase(p, rg, platform.GroupReady, "replication running")
 		}
-		// Configured and Ready: the only reconcilable drift left is the
-		// declared shard count (a ShardsLabel change threaded through the
+		// Configured, covered and Ready: the only reconcilable drift left is
+		// the declared shard count (a ShardsLabel change threaded through the
 		// operator). Unchanged counts return without a single API write.
-		return rp.maybeReshard(p, rg)
+		return rp.maybeReshard(p, rg, g)
 	}
 
 	// Resolve every claim to its source volume.
@@ -187,57 +202,44 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 		return err
 	}
 
-	// Journal layout: one consistency group over every member, its journal
-	// split across JournalShards shards and drained on as many lanes, each on
-	// its own fabric path — or one single-shard group per volume (the
-	// collapse-prone configuration E6 measures).
-	shards := max(rg.Spec.JournalShards, 1)
-	journalSets := [][]member{members}
-	if !rg.Spec.ConsistencyGroup {
-		shards = 1
-		journalSets = make([][]member, len(members))
-		for i := range members {
-			journalSets[i] = members[i : i+1]
-		}
+	// One consistency group over every member, its journal split across
+	// JournalShards shards and drained on as many lanes, each on its own
+	// fabric path. Goldens, probe keys and chaos logs print both "-0" names.
+	journalID := "jnl-" + rg.Name + "-0"
+	vols := make([]storage.VolumeID, len(members))
+	mapping := make(map[storage.VolumeID]storage.VolumeID, len(members))
+	for i, m := range members {
+		vols[i] = m.volID
+		mapping[m.volID] = m.volID
 	}
-	created := make([]replication.Replicator, 0, len(journalSets))
-	journalIDs := make([]string, 0, len(journalSets))
-	for i, set := range journalSets {
-		suffix := "-" + strconv.Itoa(i)
-		journalID := "jnl-" + rg.Name + suffix
-		vols := make([]storage.VolumeID, len(set))
-		mapping := make(map[storage.VolumeID]storage.VolumeID, len(set))
-		for j, m := range set {
-			vols[j] = m.volID
-			mapping[m.volID] = m.volID
-		}
-		journal, err := rp.sites.MainArray.CreateConsistencyGroup(journalID, vols, shards, 0)
-		if errors.Is(err, storage.ErrJournalExists) {
-			journal, err = rp.sites.MainArray.ShardedJournal(journalID)
-		}
-		if err != nil {
-			return err
-		}
-		g, err := replication.NewGroup(rp.env, rg.Name+suffix, journal, rp.sites.BackupArray,
-			mapping, rp.sites.lanePaths(rg.Spec.SourceNamespace, journal.ShardCount()), rp.cfg)
-		if err != nil {
-			return err
-		}
-		if err := g.InitialCopy(p, rp.sites.MainArray); err != nil {
-			return err
-		}
-		// Per-volume journal layouts would fold several engines into one
-		// tenant key, so only the consistency-group layout registers the
-		// namespace's probes.
-		if rg.Spec.ConsistencyGroup {
-			g.Instrument(rp.sites.Telemetry, rg.Spec.SourceNamespace)
-		}
-		g.Start()
-		created = append(created, g)
-		rp.nsByGroup[g] = rg.Spec.SourceNamespace
-		journalIDs = append(journalIDs, journalID)
+	journal, err := rp.sites.MainArray.CreateConsistencyGroup(journalID, vols, max(rg.Spec.JournalShards, 1), 0)
+	if errors.Is(err, storage.ErrJournalExists) {
+		journal, err = rp.sites.MainArray.ShardedJournal(journalID)
 	}
-	return rp.finishReady(p, key, rg, created, journalIDs)
+	if err != nil {
+		return err
+	}
+	g, err := replication.NewGroup(rp.env, rg.Name+"-0", journal, rp.sites.BackupArray,
+		mapping, rp.sites.lanePaths(rg.Spec.SourceNamespace, journal.ShardCount()), rp.cfg)
+	if err != nil {
+		return err
+	}
+	if err := g.InitialCopy(p, rp.sites.MainArray); err != nil {
+		return err
+	}
+	g.Instrument(rp.sites.Telemetry, rg.Spec.SourceNamespace)
+	g.Start()
+	rp.groups[rg.Name] = g
+	rp.nsByGroup[g] = rg.Spec.SourceNamespace
+
+	// Refresh the CR (phase Syncing bumped its version) and mark Ready.
+	cur, err := rp.sites.MainAPI.Get(p, key)
+	if err != nil {
+		return err
+	}
+	rg = cur.DeepCopy().(*platform.ReplicationGroup)
+	rg.Status = platform.ReplicationGroupStatus{Phase: platform.GroupReady, JournalID: journalID, Message: "replication running"}
+	return rp.sites.MainAPI.Update(p, rg)
 }
 
 // maybeReshard diffs the CR's declared shard count against the running
@@ -246,20 +248,11 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 // draining). The reconcile does not wait for the migration window to settle
 // — the engine drains it in the background and callers observe
 // Resharding()/Lanes().
-func (rp *ReplicationPlugin) maybeReshard(p *sim.Proc, rg *platform.ReplicationGroup) error {
-	if !rg.Spec.ConsistencyGroup {
-		return nil // per-volume journals have no shard structure to reshape
-	}
-	groups := rp.groups[rg.Name]
-	if len(groups) != 1 {
+func (rp *ReplicationPlugin) maybeReshard(p *sim.Proc, rg *platform.ReplicationGroup, cur replication.Replicator) error {
+	from, want := cur.Lanes(), max(rg.Spec.JournalShards, 1)
+	if from == want || cur.Stopped() || cur.FailedOver() {
 		return nil
 	}
-	cur := groups[0]
-	want := max(rg.Spec.JournalShards, 1)
-	if cur.Lanes() == want || cur.Stopped() || cur.FailedOver() {
-		return nil
-	}
-	from := cur.Lanes()
 	if _, err := cur.Reshard(p, rp.sites.lanePaths(rg.Spec.SourceNamespace, want)); err != nil {
 		return err
 	}
@@ -267,38 +260,16 @@ func (rp *ReplicationPlugin) maybeReshard(p *sim.Proc, rg *platform.ReplicationG
 		fmt.Sprintf("replication running (resharded %d -> %d lanes)", from, want))
 }
 
-// finishReady records the configured engines and marks the CR Ready.
-func (rp *ReplicationPlugin) finishReady(p *sim.Proc, key platform.ObjectKey, rg *platform.ReplicationGroup,
-	created []replication.Replicator, journalIDs []string) error {
-	rp.groups[rg.Name] = created
-
-	// Refresh the CR (phase Syncing bumped its version) and mark Ready.
-	cur, err := rp.sites.MainAPI.Get(p, key)
-	if err != nil {
-		return err
-	}
-	rg = cur.DeepCopy().(*platform.ReplicationGroup)
-	rg.Status.Phase = platform.GroupReady
-	rg.Status.Message = "replication running"
-	if rg.Spec.ConsistencyGroup {
-		rg.Status.JournalID = journalIDs[0]
-	}
-	rg.Status.JournalIDs = journalIDs
-	return rp.sites.MainAPI.Update(p, rg)
-}
-
-// teardown stops and forgets the groups configured for a deleted CR.
+// teardown stops and forgets the engine configured for a deleted CR.
 func (rp *ReplicationPlugin) teardown(p *sim.Proc, name string) error {
-	groups := rp.groups[name]
-	if groups == nil {
+	g, ok := rp.groups[name]
+	if !ok {
 		return nil
 	}
-	for _, g := range groups {
-		g.Stop()
-		delete(rp.nsByGroup, g)
-		if err := rp.sites.MainArray.DeleteShardedJournal(g.JournalID()); err != nil && !errors.Is(err, storage.ErrNoSuchJournal) {
-			return err
-		}
+	g.Stop()
+	delete(rp.nsByGroup, g)
+	if err := rp.sites.MainArray.DeleteShardedJournal(g.JournalID()); err != nil && !errors.Is(err, storage.ErrNoSuchJournal) {
+		return err
 	}
 	delete(rp.groups, name)
 	return nil

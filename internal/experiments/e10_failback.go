@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/netlink"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -121,8 +120,8 @@ func E10Failback(seed int64, outageOrders []int) ([]FailbackResult, error) {
 }
 
 // E10Table renders E10 results.
-func E10Table(results []FailbackResult) *metrics.Table {
-	t := metrics.NewTable("E10: failback delta resync after outage (DR extension, §I context)",
+func E10Table(results []FailbackResult) *Table {
+	t := NewTable("E10: failback delta resync after outage (DR extension, §I context)",
 		"outage writes", "delta blocks", "full-copy blocks", "resync time", "savings", "reverse ok")
 	for _, r := range results {
 		t.AddRow(r.OutageOrders, r.DeltaBlocks, r.FullBlocks, r.ResyncTime, fmt.Sprintf("%.1fx", r.SavingsX), r.ReverseOK)

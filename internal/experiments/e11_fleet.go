@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -94,8 +93,8 @@ func E11FleetScaleWorkers(seed int64, tenants, ordersPerTenant, workers int) (Fl
 }
 
 // E11Table renders the E11 result.
-func E11Table(r FleetResult) *metrics.Table {
-	t := metrics.NewTable("E11: multi-tenant fleet scale-out — mixed workload with mid-run failovers",
+func E11Table(r FleetResult) *Table {
+	t := NewTable("E11: multi-tenant fleet scale-out — mixed workload with mid-run failovers",
 		"metric", "value")
 	t.AddRow("tenant namespaces", r.Tenants)
 	t.AddRow("orders placed (fleet)", r.OrdersPlaced)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/db"
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/netlink"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -345,8 +344,8 @@ func e12ApplyOrderOK(g *replication.Group) bool {
 }
 
 // E12Table renders the E12 results.
-func E12Table(results []InterferenceResult) *metrics.Table {
-	t := metrics.NewTable("E12: cross-tenant interference on the inter-site fabric — noisy neighbor vs QoS policy",
+func E12Table(results []InterferenceResult) *Table {
+	t := NewTable("E12: cross-tenant interference on the inter-site fabric — noisy neighbor vs QoS policy",
 		"scenario", "links", "victim mean RPO", "max RPO", "mean drain xfer", "queue delay", "catch-up", "noisy MB", "consistent")
 	for _, r := range results {
 		noisyMB := float64(r.NoisyBytes) / 1e6

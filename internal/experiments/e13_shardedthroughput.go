@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/netlink"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -140,8 +139,8 @@ func e13Run(seed int64, shards, writes int, failover bool, res *ShardedThroughpu
 }
 
 // E13Table renders the E13 results.
-func E13Table(results []ShardedThroughputResult) *metrics.Table {
-	t := metrics.NewTable("E13: sharded consistency-group journals — per-tenant drain throughput vs shard count",
+func E13Table(results []ShardedThroughputResult) *Table {
+	t := NewTable("E13: sharded consistency-group journals — per-tenant drain throughput vs shard count",
 		"shards", "writes", "drain time", "MB/s", "speedup", "epoch cuts", "failover cut", "lost", "consistent")
 	for _, r := range results {
 		t.AddRow(r.Shards, r.Writes, r.DrainTime, fmt.Sprintf("%.2f", r.ThroughputMBps),

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/invariants"
-	"repro/internal/metrics"
 )
 
 // ElasticityResult summarizes one E14 run pair (steady baseline + churn).
@@ -180,8 +179,8 @@ func E14Elasticity(seed int64, tenants, orders int) (ElasticityResult, error) {
 }
 
 // E14Table renders the E14 result.
-func E14Table(r ElasticityResult) *metrics.Table {
-	t := metrics.NewTable("E14: fleet elasticity — declarative joins and leaves under OLTP load",
+func E14Table(r ElasticityResult) *Table {
+	t := NewTable("E14: fleet elasticity — declarative joins and leaves under OLTP load",
 		"metric", "value")
 	t.AddRow("initial tenants", r.Tenants)
 	t.AddRow("joined mid-run", r.Joined)

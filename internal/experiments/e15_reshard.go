@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/netlink"
 	"repro/internal/platform"
 	"repro/internal/replication"
@@ -256,8 +255,8 @@ func mbps(bytes int64, span time.Duration) float64 {
 }
 
 // E15Table renders the E15 result.
-func E15Table(r ReshardResult) *metrics.Table {
-	t := metrics.NewTable("E15: dynamic journal resharding — live 1->4 under fleet load",
+func E15Table(r ReshardResult) *Table {
+	t := NewTable("E15: dynamic journal resharding — live 1->4 under fleet load",
 		"metric", "value")
 	t.AddRow("writes (bench tenant)", r.Writes)
 	t.AddRow("reshard", fmt.Sprintf("%d -> %d lanes", r.FromShards, r.ToShards))

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/metrics"
 	"repro/internal/netlink"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -175,8 +174,8 @@ func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (Observ
 }
 
 // E16Table renders the E16 result, including the worst-RPO tenant ranking.
-func E16Table(r ObservabilityResult) *metrics.Table {
-	t := metrics.NewTable("E16: sim-time telemetry plane — probes, spans, and deterministic export under churn",
+func E16Table(r ObservabilityResult) *Table {
+	t := NewTable("E16: sim-time telemetry plane — probes, spans, and deterministic export under churn",
 		"metric", "value")
 	t.AddRow("tenant namespaces (incl. joins)", r.Tenants)
 	t.AddRow("tenants joined mid-run", r.Joined)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/autopilot"
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/netlink"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -342,8 +341,8 @@ func e17WorstRPO(sys *core.System, ns string, from, to time.Duration) time.Durat
 }
 
 // E17Table renders the E17 result.
-func E17Table(r AutopilotResult) *metrics.Table {
-	t := metrics.NewTable("E17: SLO autopilot — closed loop from probed RPO to reshard, admission, placement",
+func E17Table(r AutopilotResult) *Table {
+	t := NewTable("E17: SLO autopilot — closed loop from probed RPO to reshard, admission, placement",
 		"metric", "static", "autopilot")
 	t.AddRow("gold RPO target", r.GoldTarget, r.GoldTarget)
 	t.AddRow("worst gold RPO, steady peak", r.Static.WorstPeakRPO, r.Auto.WorstPeakRPO)

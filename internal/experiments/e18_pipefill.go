@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/netlink"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -178,8 +177,8 @@ func e18Run(seed int64, window, writes int, partition bool, res *PipeFillResult)
 }
 
 // E18Table renders the E18 results.
-func E18Table(results []PipeFillResult) *metrics.Table {
-	t := metrics.NewTable("E18: propagation-pipelined dispatch — drain throughput vs per-link in-flight window over a 50ms geo link",
+func E18Table(results []PipeFillResult) *Table {
+	t := NewTable("E18: propagation-pipelined dispatch — drain throughput vs per-link in-flight window over a 50ms geo link",
 		"window", "drain time", "MB/s", "speedup", "max in-flight", "pipelined", "stalls", "order ok",
 		"in-flight@cut", "delivered@cut", "failover cut", "lost", "consistent")
 	for _, r := range results {

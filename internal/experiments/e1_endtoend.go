@@ -7,7 +7,6 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/consistency"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -98,8 +97,8 @@ func E1EndToEnd(seed int64, orders int) (EndToEndResult, error) {
 }
 
 // E1Table renders the E1 result.
-func E1Table(r EndToEndResult) *metrics.Table {
-	t := metrics.NewTable("E1: end-to-end demonstration pipeline (Fig. 1, §IV)",
+func E1Table(r EndToEndResult) *Table {
+	t := NewTable("E1: end-to-end demonstration pipeline (Fig. 1, §IV)",
 		"metric", "value")
 	t.AddRow("orders placed", r.Orders)
 	t.AddRow("mean order latency", r.OrderMean)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/operator"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -97,8 +96,8 @@ func E2Operator(seed int64, volumeCounts []int) ([]OperatorResult, error) {
 }
 
 // E2Table renders E2 results.
-func E2Table(results []OperatorResult) *metrics.Table {
-	t := metrics.NewTable("E2: operator automation — user operations and time to configure backup (Figs. 3-4)",
+func E2Table(results []OperatorResult) *Table {
+	t := NewTable("E2: operator automation — user operations and time to configure backup (Figs. 3-4)",
 		"volumes", "user ops (NSO)", "user ops (hand)", "time to ready", "API calls")
 	for _, r := range results {
 		t.AddRow(r.Volumes, r.UserOpsNSO, r.UserOpsHand, r.TimeToReady, r.APICalls)

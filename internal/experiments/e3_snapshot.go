@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -119,8 +118,8 @@ func E3SnapshotGroup(seed int64, volumeCounts []int, overwriteFracs []float64) (
 }
 
 // E3Table renders E3 results.
-func E3Table(results []SnapshotResult) *metrics.Table {
-	t := metrics.NewTable("E3: snapshot-group creation and copy-on-write cost (Fig. 5)",
+func E3Table(results []SnapshotResult) *Table {
+	t := NewTable("E3: snapshot-group creation and copy-on-write cost (Fig. 5)",
 		"volumes", "overwrite", "create time", "atomic", "COW blocks", "write ampl", "readable")
 	for _, r := range results {
 		t.AddRow(r.Volumes, r.OverwriteFrac, r.CreateTime, r.Atomic, r.COWBlocks, r.WriteAmplFactor, r.SnapshotReadable)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/analytics"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -124,8 +123,8 @@ func E4Analytics(seed int64, orders int) ([]AnalyticsResult, error) {
 }
 
 // E4Table renders E4 results.
-func E4Table(results []AnalyticsResult) *metrics.Table {
-	t := metrics.NewTable("E4: analytics on backup snapshots — zero interference (Fig. 6)",
+func E4Table(results []AnalyticsResult) *Table {
+	t := NewTable("E4: analytics on backup snapshots — zero interference (Fig. 6)",
 		"scenario", "order mean", "RPO after", "analytics time", "orders seen", "join unmatched")
 	for _, r := range results {
 		t.AddRow(r.Scenario, r.OrderMean, r.RPOAfter, r.AnalyticsTime, r.OrdersSeen, r.JoinUnmatched)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/netlink"
 )
 
@@ -53,8 +52,8 @@ func E5Slowdown(seed int64, rtts []time.Duration, orders int) ([]SlowdownResult,
 }
 
 // E5Table renders E5 results.
-func E5Table(results []SlowdownResult) *metrics.Table {
-	t := metrics.NewTable("E5: system slowdown — order latency by replication mode (paper §I claim)",
+func E5Table(results []SlowdownResult) *Table {
+	t := NewTable("E5: system slowdown — order latency by replication mode (paper §I claim)",
 		"rtt", "mode", "mean", "p99", "orders/s")
 	for _, r := range results {
 		t.AddRow(r.RTT, string(r.Mode), r.MeanOrder, r.P99Order, r.Throughput)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/db"
-	"repro/internal/metrics"
 	"repro/internal/netlink"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -117,8 +116,8 @@ func collapseTrial(seed int64, orders int, mode Mode, trial int) (consistency.Re
 }
 
 // E6Table renders E6 results.
-func E6Table(results []CollapseResult) *metrics.Table {
-	t := metrics.NewTable("E6: backup collapse under disaster cut (paper §I claim)",
+func E6Table(results []CollapseResult) *Table {
+	t := NewTable("E6: backup collapse under disaster cut (paper §I claim)",
 		"mode", "trials", "collapsed", "collapse%", "mean orphans", "ordering broken")
 	for _, r := range results {
 		pct := 0.0

@@ -82,8 +82,8 @@ func E7RPO(seed int64, rtts []time.Duration, bandwidths []float64, duration time
 }
 
 // E7Table renders E7 results.
-func E7Table(results []RPOResult) *metrics.Table {
-	t := metrics.NewTable("E7: RPO (data-loss window) vs link capacity (paper §I/§III-A1)",
+func E7Table(results []RPOResult) *Table {
+	t := NewTable("E7: RPO (data-loss window) vs link capacity (paper §I/§III-A1)",
 		"mode", "rtt", "bandwidth B/s", "mean RPO", "max RPO", "max backlog")
 	for _, r := range results {
 		t.AddRow(string(r.Mode), r.RTT, fmt.Sprintf("%.0e", r.Bandwidth), r.MeanRPO, r.MaxRPO, r.MaxBacklog)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/db"
-	"repro/internal/metrics"
 	"repro/internal/netlink"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -85,8 +84,8 @@ func E8Recovery(seed int64, orderCounts []int, mode Mode) ([]RecoveryResult, err
 }
 
 // E8Table renders E8 results.
-func E8Table(results []RecoveryResult) *metrics.Table {
-	t := metrics.NewTable("E8: backup-site recovery (downtime) vs replay volume (paper §I claim)",
+func E8Table(results []RecoveryResult) *Table {
+	t := NewTable("E8: backup-site recovery (downtime) vs replay volume (paper §I claim)",
 		"mode", "orders", "recovery time", "replayed txns", "business intact")
 	for _, r := range results {
 		t.AddRow(string(r.Mode), r.Orders, r.RecoveryTime, r.RecoveredTxns, r.BusinessIntact)

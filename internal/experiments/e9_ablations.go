@@ -79,8 +79,8 @@ func E9BatchSweep(seed int64, batches []int, orders int) ([]BatchResult, error) 
 }
 
 // E9BatchTable renders the batch ablation.
-func E9BatchTable(results []BatchResult) *metrics.Table {
-	t := metrics.NewTable("E9a: ADC journal batch size ablation",
+func E9BatchTable(results []BatchResult) *Table {
+	t := NewTable("E9a: ADC journal batch size ablation",
 		"batch", "link transfers", "mean RPO", "drain tail", "link bytes")
 	for _, r := range results {
 		t.AddRow(r.BatchMax, r.Transfers, r.MeanRPO, r.DrainSpan, r.LinkBytes)
@@ -170,8 +170,8 @@ func E9CGScale(seed int64, volumeCounts []int, writesPerVol int) ([]CGScaleResul
 }
 
 // E9CGScaleTable renders the CG scaling ablation.
-func E9CGScaleTable(results []CGScaleResult) *metrics.Table {
-	t := metrics.NewTable("E9b: consistency-group size ablation — host write latency",
+func E9CGScaleTable(results []CGScaleResult) *Table {
+	t := NewTable("E9b: consistency-group size ablation — host write latency",
 		"volumes", "mode", "mean write", "writes/s")
 	for _, r := range results {
 		t.AddRow(r.Volumes, string(r.Mode), r.MeanCommit, r.Throughput)
@@ -219,8 +219,8 @@ func E9SkewSweep(seed int64, skews []float64, orders int) ([]WorkloadSkewResult,
 }
 
 // E9SkewTable renders the skew ablation.
-func E9SkewTable(results []WorkloadSkewResult) *metrics.Table {
-	t := metrics.NewTable("E9c: workload skew ablation under ADC+CG",
+func E9SkewTable(results []WorkloadSkewResult) *Table {
+	t := NewTable("E9c: workload skew ablation under ADC+CG",
 		"zipf s", "mean order", "orders/s")
 	for _, r := range results {
 		t.AddRow(r.ZipfS, r.MeanOrder, r.Throughput)

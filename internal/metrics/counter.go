@@ -7,24 +7,36 @@ import (
 )
 
 // Counter is a monotonically increasing event count with a helper for
-// converting to a rate over a simulated interval.
+// converting to a rate over a simulated interval. A nil *Counter is the
+// disabled instrument: it records nothing and reads zero.
 type Counter struct {
 	n int64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.n++ }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.n++
+	}
+}
 
 // Add adds delta (delta may not be negative).
 func (c *Counter) Add(delta int64) {
 	if delta < 0 {
 		panic("metrics: negative Counter.Add")
 	}
-	c.n += delta
+	if c != nil {
+		c.n += delta
+	}
 }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.n
+}
 
 // RatePerSec returns the count divided by elapsed, in events per second.
 // Returns 0 when elapsed is not positive.
@@ -32,10 +44,11 @@ func (c *Counter) RatePerSec(elapsed time.Duration) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(c.n) / elapsed.Seconds()
+	return float64(c.Value()) / elapsed.Seconds()
 }
 
-// Gauge tracks an instantaneous value along with its observed extremes.
+// Gauge tracks an instantaneous value along with its observed extremes. A
+// nil *Gauge is the disabled instrument: it records nothing and reads zero.
 type Gauge struct {
 	v, max, min int64
 	set         bool
@@ -43,6 +56,9 @@ type Gauge struct {
 
 // Set records a new value.
 func (g *Gauge) Set(v int64) {
+	if g == nil {
+		return
+	}
 	g.v = v
 	if !g.set || v > g.max {
 		g.max = v
@@ -54,13 +70,28 @@ func (g *Gauge) Set(v int64) {
 }
 
 // Value returns the last value set.
-func (g *Gauge) Value() int64 { return g.v }
+func (g *Gauge) Value() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.v
+}
 
 // Max returns the largest value ever set (0 if never set).
-func (g *Gauge) Max() int64 { return g.max }
+func (g *Gauge) Max() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.max
+}
 
 // Min returns the smallest value ever set (0 if never set).
-func (g *Gauge) Min() int64 { return g.min }
+func (g *Gauge) Min() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.min
+}
 
 // Series is a time-ordered sequence of (virtual time, value) points, used
 // for journal backlog and RPO traces.
@@ -77,9 +108,6 @@ type Point struct {
 
 // NewSeries returns an empty named series.
 func NewSeries(name string) *Series { return &Series{name: name} }
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
 
 // Append records a point. Points must be appended in nondecreasing time
 // order; out-of-order appends panic because they indicate a harness bug.
@@ -129,13 +157,4 @@ func (s *Series) Window(from, to time.Duration) []Point {
 		return nil
 	}
 	return s.points[lo:hi]
-}
-
-// At returns the value at the latest point with time <= at, or 0 when none.
-func (s *Series) At(at time.Duration) float64 {
-	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].At > at })
-	if i == 0 {
-		return 0
-	}
-	return s.points[i-1].Value
 }

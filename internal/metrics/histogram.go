@@ -1,6 +1,8 @@
-// Package metrics provides the measurement types used by the experiment
-// harness: latency histograms with percentile queries, throughput counters,
-// and plain-text table rendering for regenerating the paper's figures.
+// Package metrics provides the instrument values the experiment harness and
+// the telemetry registry record into: latency histograms with percentile
+// queries, throughput counters, gauges, and time series. A nil *Counter,
+// *Gauge or *Histogram is the disabled instrument — what a disabled
+// telemetry registry hands out — so recording sites never test for it.
 package metrics
 
 import (
@@ -12,7 +14,8 @@ import (
 // Histogram records duration samples and answers percentile queries. It
 // keeps exact samples (experiments here record at most a few hundred
 // thousand points, so exactness is cheaper than HDR bucketing and removes a
-// source of error when comparing ADC vs SDC tails).
+// source of error when comparing ADC vs SDC tails). A nil *Histogram is the
+// disabled instrument: it records nothing and reads as empty.
 type Histogram struct {
 	samples []time.Duration
 	sorted  bool
@@ -28,6 +31,9 @@ func NewHistogram() *Histogram {
 
 // Record adds one sample.
 func (h *Histogram) Record(d time.Duration) {
+	if h == nil {
+		return
+	}
 	h.samples = append(h.samples, d)
 	h.sorted = false
 	h.sum += d
@@ -40,14 +46,24 @@ func (h *Histogram) Record(d time.Duration) {
 }
 
 // Count returns the number of recorded samples.
-func (h *Histogram) Count() int { return len(h.samples) }
+func (h *Histogram) Count() int {
+	if h == nil {
+		return 0
+	}
+	return len(h.samples)
+}
 
 // Sum returns the total of all samples.
-func (h *Histogram) Sum() time.Duration { return h.sum }
+func (h *Histogram) Sum() time.Duration {
+	if h == nil {
+		return 0
+	}
+	return h.sum
+}
 
 // Mean returns the arithmetic mean, or 0 when empty.
 func (h *Histogram) Mean() time.Duration {
-	if len(h.samples) == 0 {
+	if h.Count() == 0 {
 		return 0
 	}
 	return h.sum / time.Duration(len(h.samples))
@@ -55,7 +71,7 @@ func (h *Histogram) Mean() time.Duration {
 
 // Min returns the smallest sample, or 0 when empty.
 func (h *Histogram) Min() time.Duration {
-	if len(h.samples) == 0 {
+	if h.Count() == 0 {
 		return 0
 	}
 	return h.min
@@ -63,7 +79,7 @@ func (h *Histogram) Min() time.Duration {
 
 // Max returns the largest sample, or 0 when empty.
 func (h *Histogram) Max() time.Duration {
-	if len(h.samples) == 0 {
+	if h.Count() == 0 {
 		return 0
 	}
 	return h.max
@@ -72,7 +88,7 @@ func (h *Histogram) Max() time.Duration {
 // Percentile returns the p-th percentile (0 < p <= 100) using
 // nearest-rank on the sorted samples. It returns 0 when empty.
 func (h *Histogram) Percentile(p float64) time.Duration {
-	if len(h.samples) == 0 {
+	if h.Count() == 0 {
 		return 0
 	}
 	if !h.sorted {
@@ -98,27 +114,11 @@ func (h *Histogram) Median() time.Duration { return h.Percentile(50) }
 // P99 is Percentile(99).
 func (h *Histogram) P99() time.Duration { return h.Percentile(99) }
 
-// Stddev returns the sample standard deviation, or 0 with fewer than two
-// samples.
-func (h *Histogram) Stddev() time.Duration {
-	n := len(h.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := float64(h.sum) / float64(n)
-	var ss float64
-	for _, s := range h.samples {
-		d := float64(s) - mean
-		ss += d * d
-	}
-	return time.Duration(math.Sqrt(ss / float64(n-1)))
-}
-
 // Merge folds other's samples into h without touching other. Per-tenant
 // histograms aggregate into fleet totals this way; the merged samples stay
 // exact, so percentile queries after a merge answer over the union.
 func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || len(other.samples) == 0 {
+	if h == nil || other.Count() == 0 {
 		return
 	}
 	h.samples = append(h.samples, other.samples...)

@@ -39,10 +39,6 @@ const ShardsLabel = "backup-shards"
 
 // Config tunes operator behaviour.
 type Config struct {
-	// ConsistencyGroup selects whether created ReplicationGroups request a
-	// shared journal. The production operator always does; only tests turn
-	// it off (E6 shows the collapse on the rig, below the control plane).
-	ConsistencyGroup bool
 	// Telemetry, when set, instruments the operator's controllers
 	// (reconcile latency, requeues, reconcile spans).
 	Telemetry *telemetry.Registry
@@ -160,10 +156,9 @@ func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 	rg := &platform.ReplicationGroup{
 		Meta: platform.Meta{Kind: platform.KindReplicationGroup, Name: groupKey.Name},
 		Spec: platform.ReplicationGroupSpec{
-			SourceNamespace:  ns.Name,
-			PVCNames:         pvcNames,
-			ConsistencyGroup: o.cfg.ConsistencyGroup,
-			JournalShards:    shards,
+			SourceNamespace: ns.Name,
+			PVCNames:        pvcNames,
+			JournalShards:   shards,
 		},
 		Status: platform.ReplicationGroupStatus{Phase: platform.GroupPending},
 	}

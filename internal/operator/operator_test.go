@@ -77,7 +77,7 @@ func (f *fixture) setLabel(t *testing.T, ns string, labels map[string]string) {
 }
 
 func TestTagCreatesReplicationGroup(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: true})
+	f := newFixture(t, Config{})
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}, "sales", "stock")
 	rg, ok := f.group(t, "shop")
 	if !ok {
@@ -89,16 +89,13 @@ func TestTagCreatesReplicationGroup(t *testing.T) {
 	if len(rg.Spec.PVCNames) != 2 || rg.Spec.PVCNames[0] != "sales" || rg.Spec.PVCNames[1] != "stock" {
 		t.Fatalf("pvc names = %v", rg.Spec.PVCNames)
 	}
-	if !rg.Spec.ConsistencyGroup {
-		t.Fatal("consistency group not requested")
-	}
 	if f.op.Configured() != 1 {
 		t.Fatalf("configured = %d", f.op.Configured())
 	}
 }
 
 func TestUntaggedNamespaceIgnored(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: true})
+	f := newFixture(t, Config{})
 	f.createNamespaceWithPVCs(t, "shop", nil, "sales")
 	if _, ok := f.group(t, "shop"); ok {
 		t.Fatal("ReplicationGroup created without tag")
@@ -106,7 +103,7 @@ func TestUntaggedNamespaceIgnored(t *testing.T) {
 }
 
 func TestWrongTagValueIgnored(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: true})
+	f := newFixture(t, Config{})
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: "SomethingElse"}, "sales")
 	if _, ok := f.group(t, "shop"); ok {
 		t.Fatal("ReplicationGroup created for wrong tag value")
@@ -114,7 +111,7 @@ func TestWrongTagValueIgnored(t *testing.T) {
 }
 
 func TestTagAfterCreation(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: true})
+	f := newFixture(t, Config{})
 	f.createNamespaceWithPVCs(t, "shop", nil, "sales", "stock")
 	if _, ok := f.group(t, "shop"); ok {
 		t.Fatal("premature group")
@@ -131,7 +128,7 @@ func TestTagAfterCreation(t *testing.T) {
 }
 
 func TestUntagRemovesGroup(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: true})
+	f := newFixture(t, Config{})
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}, "sales")
 	if _, ok := f.group(t, "shop"); !ok {
 		t.Fatal("group missing")
@@ -146,7 +143,7 @@ func TestUntagRemovesGroup(t *testing.T) {
 }
 
 func TestNewPVCExtendsGroup(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: true})
+	f := newFixture(t, Config{})
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}, "sales")
 	rg, _ := f.group(t, "shop")
 	if len(rg.Spec.PVCNames) != 1 {
@@ -168,7 +165,7 @@ func TestNewPVCExtendsGroup(t *testing.T) {
 }
 
 func TestTaggedEmptyNamespaceRetries(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: true})
+	f := newFixture(t, Config{})
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}) // no PVCs
 	if _, ok := f.group(t, "shop"); ok {
 		t.Fatal("group created for empty namespace")
@@ -187,7 +184,7 @@ func TestTaggedEmptyNamespaceRetries(t *testing.T) {
 }
 
 func TestNamespaceDeletionRemovesGroup(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: true})
+	f := newFixture(t, Config{})
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}, "sales")
 	f.env.Process("del", func(p *sim.Proc) {
 		f.api.Delete(p, platform.ObjectKey{Kind: platform.KindNamespace, Name: "shop"})
@@ -198,20 +195,8 @@ func TestNamespaceDeletionRemovesGroup(t *testing.T) {
 	}
 }
 
-func TestPerVolumeModeConfig(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: false})
-	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}, "sales")
-	rg, ok := f.group(t, "shop")
-	if !ok {
-		t.Fatal("group missing")
-	}
-	if rg.Spec.ConsistencyGroup {
-		t.Fatal("consistency group requested despite config off")
-	}
-}
-
 func TestOperatorIdempotentOnRepeatedEvents(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: true})
+	f := newFixture(t, Config{})
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}, "sales")
 	// Touch the namespace repeatedly; exactly one group, one create.
 	for i := 0; i < 3; i++ {
@@ -226,7 +211,7 @@ func TestOperatorIdempotentOnRepeatedEvents(t *testing.T) {
 // ShardsLabel on a namespace sets the ReplicationGroup's JournalShards; an
 // absent or unparsable value leaves it 0, the single shared journal.
 func TestShardsLabelOverridesJournalShards(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: true})
+	f := newFixture(t, Config{})
 	f.createNamespaceWithPVCs(t, "sharded",
 		map[string]string{Tag: TagValue, ShardsLabel: "8"}, "sales", "stock")
 	rg, ok := f.group(t, "sharded")
@@ -262,7 +247,7 @@ func TestShardsLabelOverridesJournalShards(t *testing.T) {
 // must update the existing ReplicationGroup's JournalShards instead of
 // being silently ignored.
 func TestShardsLabelUpdatePropagates(t *testing.T) {
-	f := newFixture(t, Config{ConsistencyGroup: true})
+	f := newFixture(t, Config{})
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue, ShardsLabel: "2"}, "sales", "stock")
 	rg, ok := f.group(t, "shop")
 	if !ok || rg.Spec.JournalShards != 2 {

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -98,12 +99,12 @@ type Controller struct {
 	reconciles int64
 	errors     int64
 
-	// Telemetry instruments (nil handles no-op when the plane is disabled).
+	// Telemetry instruments (nil ones no-op when the plane is disabled).
 	tel       *telemetry.Registry
-	latency   *telemetry.Histogram
-	queueWait *telemetry.Histogram
-	requeues  *telemetry.Counter
-	started   *telemetry.Gauge
+	latency   *metrics.Histogram
+	queueWait *metrics.Histogram
+	requeues  *metrics.Counter
+	started   *metrics.Gauge
 }
 
 // NewController builds a controller for kind on the API server. mapFn
@@ -126,14 +127,12 @@ func NewController(env *sim.Env, api *APIServer, name string, kind Kind,
 		stop:  env.NewEvent(),
 		fails: make(map[ObjectKey]int),
 	}
-	if reg := c.cfg.Telemetry; reg != nil {
-		ctl := telemetry.L("controller", name)
-		c.tel = reg
-		c.latency = reg.Histogram("controller.reconcile.latency", ctl)
-		c.queueWait = reg.Histogram("controller.queue.wait", ctl)
-		c.requeues = reg.Counter("controller.requeues", ctl)
-		c.started = reg.Gauge("controller.workers", ctl)
-	}
+	ctl := telemetry.L("controller", name)
+	c.tel = c.cfg.Telemetry
+	c.latency = c.tel.Histogram("controller.reconcile.latency", ctl)
+	c.queueWait = c.tel.Histogram("controller.queue.wait", ctl)
+	c.requeues = c.tel.Counter("controller.requeues", ctl)
+	c.started = c.tel.Gauge("controller.workers", ctl)
 	return c
 }
 

@@ -210,13 +210,10 @@ type ReplicationGroupSpec struct {
 	SourceNamespace string
 	// PVCNames are the claims to replicate, in discovery order.
 	PVCNames []string
-	// ConsistencyGroup selects the shared-journal mode; false degrades to
-	// one journal per volume (the E6 ablation).
-	ConsistencyGroup bool
 	// JournalShards, when > 1, shards the consistency group's journal so
 	// the replication plugin drains it on that many lanes (one per shard,
 	// with epoch barriers preserving cross-volume cuts). 0 or 1 keeps the
-	// single shared journal. Ignored unless ConsistencyGroup is true.
+	// single shared journal.
 	JournalShards int
 }
 
@@ -224,9 +221,7 @@ type ReplicationGroupSpec struct {
 type ReplicationGroupStatus struct {
 	Phase     GroupPhase
 	JournalID string
-	// JournalIDs lists per-volume journals when ConsistencyGroup is false.
-	JournalIDs []string
-	Message    string
+	Message   string
 }
 
 // GetMeta returns the object metadata.
@@ -237,7 +232,6 @@ func (g *ReplicationGroup) DeepCopy() Object {
 	cp := *g
 	cp.Labels = copyLabels(g.Labels)
 	cp.Spec.PVCNames = append([]string(nil), g.Spec.PVCNames...)
-	cp.Status.JournalIDs = append([]string(nil), g.Status.JournalIDs...)
 	return &cp
 }
 

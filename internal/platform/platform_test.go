@@ -558,7 +558,7 @@ func TestControllerBacklogDrainsOnEightWorkers(t *testing.T) {
 	if g := reg.Gauge("controller.workers", ctl); g.Value() != reconcileWorkers {
 		t.Fatalf("controller.workers = %d", g.Value())
 	}
-	wait := reg.Histogram("controller.queue.wait", ctl).Snapshot()
+	wait := reg.Histogram("controller.queue.wait", ctl)
 	if wait.Count() != 2*keys || wait.Min() != 0 || wait.Max() != (keys/reconcileWorkers-1)*round {
 		t.Fatalf("queue wait: n=%d min=%v max=%v", wait.Count(), wait.Min(), wait.Max())
 	}

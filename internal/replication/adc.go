@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
@@ -116,7 +117,7 @@ type Group struct {
 	// Telemetry (set by Instrument; nil handles no-op when disabled).
 	tel          *telemetry.Registry
 	tenant       string
-	epochLatency *telemetry.Histogram
+	epochLatency *metrics.Histogram
 	reshardSpan  telemetry.Span
 	laneGen      map[int]int // lane index -> registrations (probe-key generations)
 }

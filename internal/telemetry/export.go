@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Export is the serialized registry: a Chrome trace-event object (load the
@@ -113,29 +115,29 @@ func (r *Registry) Snapshot() Export {
 		ex.TraceEvents = append(ex.TraceEvents, ev)
 	}
 
-	for _, c := range r.counters {
-		ex.Counters[c.key] = c.c.Value()
-	}
-	for _, g := range r.gauges {
-		ex.Gauges[g.key] = GaugeExport{Last: g.g.Value(), Min: g.g.Min(), Max: g.g.Max()}
-	}
-	for _, h := range r.histograms {
-		ex.Histograms[h.key] = HistExport{
-			Count:  h.h.Count(),
-			SumNS:  int64(h.h.Sum()),
-			MinNS:  int64(h.h.Min()),
-			MaxNS:  int64(h.h.Max()),
-			MeanNS: int64(h.h.Mean()),
-			P50NS:  int64(h.h.Median()),
-			P99NS:  int64(h.h.P99()),
+	for k, inst := range r.byKey {
+		switch v := inst.(type) {
+		case *metrics.Counter:
+			ex.Counters[k] = v.Value()
+		case *metrics.Gauge:
+			ex.Gauges[k] = GaugeExport{Last: v.Value(), Min: v.Min(), Max: v.Max()}
+		case *metrics.Histogram:
+			ex.Histograms[k] = HistExport{
+				Count:  v.Count(),
+				SumNS:  int64(v.Sum()),
+				MinNS:  int64(v.Min()),
+				MaxNS:  int64(v.Max()),
+				MeanNS: int64(v.Mean()),
+				P50NS:  int64(v.Median()),
+				P99NS:  int64(v.P99()),
+			}
+		case *Probe:
+			pts := make([]SeriesPoint, 0, v.series.Len())
+			for _, pt := range v.series.Points() {
+				pts = append(pts, SeriesPoint{AtNS: int64(pt.At), V: pt.Value})
+			}
+			ex.Series[k] = pts
 		}
-	}
-	for _, p := range r.probes {
-		pts := make([]SeriesPoint, 0, p.series.Len())
-		for _, pt := range p.series.Points() {
-			pts = append(pts, SeriesPoint{AtNS: int64(pt.At), V: pt.Value})
-		}
-		ex.Series[p.key] = pts
 	}
 	return ex
 }

@@ -15,8 +15,8 @@
 //     the (at, seq) kernel trace, and exports are byte-identical under
 //     Env.RunParallel vs the sequential scheduler.
 //   - A nil *Registry is the disabled plane: every constructor returns a
-//     nil instrument whose methods no-op without allocating, so the
-//     disabled hot path is free.
+//     nil instrument (the metrics types and Probe are nil-safe) whose
+//     methods no-op without allocating, so the disabled hot path is free.
 package telemetry
 
 import (
@@ -54,11 +54,11 @@ type Registry struct {
 	env    *sim.Env
 	period time.Duration
 
-	counters   []*Counter
-	gauges     []*Gauge
-	histograms []*Histogram
-	probes     []*Probe
-	byKey      map[string]any
+	// byKey holds every instrument (*metrics.Counter, *metrics.Gauge,
+	// *metrics.Histogram, *Probe) under its canonical key; probes repeats
+	// the probes in registration order, the order sample fires them in.
+	byKey  map[string]any
+	probes []*Probe
 
 	spans []span
 }
@@ -105,137 +105,44 @@ func key(name string, labels []Label) string {
 	return b.String()
 }
 
-// Counter is a registered monotonic count.
-type Counter struct {
-	key string
-	c   metrics.Counter
-}
-
-// Counter returns the counter for name+labels, creating it on first use.
-func (r *Registry) Counter(name string, labels ...Label) *Counter {
+// instrument is the one get-or-create behind every registration: the *T
+// registered under name+labels, built by mk on first use. A nil registry
+// answers nil — the disabled instrument — and a key already taken by another
+// kind of instrument panics.
+func instrument[T any](r *Registry, name string, labels []Label, mk func(key string) *T) *T {
 	if r == nil {
 		return nil
 	}
 	k := key(name, labels)
-	if got, ok := r.byKey[k]; ok {
-		if c, ok := got.(*Counter); ok {
-			return c
-		}
+	got, ok := r.byKey[k]
+	if !ok {
+		v := mk(k)
+		r.byKey[k] = v
+		return v
+	}
+	v, ok := got.(*T)
+	if !ok {
 		panic(fmt.Sprintf("telemetry: %q already registered as a different instrument kind", k))
 	}
-	c := &Counter{key: k}
-	r.byKey[k] = c
-	r.counters = append(r.counters, c)
-	return c
+	return v
 }
 
-// Inc adds one. No-op on a nil (disabled) counter.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.c.Inc()
-	}
+// Counter returns the monotonic count for name+labels, creating it on first
+// use (nil, which records nothing, when the registry is disabled).
+func (r *Registry) Counter(name string, labels ...Label) *metrics.Counter {
+	return instrument(r, name, labels, func(string) *metrics.Counter { return new(metrics.Counter) })
 }
 
-// Add adds delta. No-op on a nil (disabled) counter.
-func (c *Counter) Add(delta int64) {
-	if c != nil {
-		c.c.Add(delta)
-	}
+// Gauge returns the instantaneous value with tracked extremes for
+// name+labels, creating it on first use (nil when disabled).
+func (r *Registry) Gauge(name string, labels ...Label) *metrics.Gauge {
+	return instrument(r, name, labels, func(string) *metrics.Gauge { return new(metrics.Gauge) })
 }
 
-// Value returns the current count (0 when disabled).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.c.Value()
-}
-
-// Gauge is a registered instantaneous value with tracked extremes.
-type Gauge struct {
-	key string
-	g   metrics.Gauge
-}
-
-// Gauge returns the gauge for name+labels, creating it on first use.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	k := key(name, labels)
-	if got, ok := r.byKey[k]; ok {
-		if g, ok := got.(*Gauge); ok {
-			return g
-		}
-		panic(fmt.Sprintf("telemetry: %q already registered as a different instrument kind", k))
-	}
-	g := &Gauge{key: k}
-	r.byKey[k] = g
-	r.gauges = append(r.gauges, g)
-	return g
-}
-
-// Set records a new value. No-op on a nil (disabled) gauge.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.g.Set(v)
-	}
-}
-
-// Value returns the last value set (0 when disabled).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.g.Value()
-}
-
-// Max returns the largest value ever set (0 when disabled).
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.g.Max()
-}
-
-// Histogram is a registered duration histogram.
-type Histogram struct {
-	key string
-	h   *metrics.Histogram
-}
-
-// Histogram returns the histogram for name+labels, creating it on first use.
-func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	k := key(name, labels)
-	if got, ok := r.byKey[k]; ok {
-		if h, ok := got.(*Histogram); ok {
-			return h
-		}
-		panic(fmt.Sprintf("telemetry: %q already registered as a different instrument kind", k))
-	}
-	h := &Histogram{key: k, h: metrics.NewHistogram()}
-	r.byKey[k] = h
-	r.histograms = append(r.histograms, h)
-	return h
-}
-
-// Record adds one sample. No-op on a nil (disabled) histogram.
-func (h *Histogram) Record(d time.Duration) {
-	if h != nil {
-		h.h.Record(d)
-	}
-}
-
-// Snapshot returns the underlying histogram (nil when disabled). Callers
-// may Merge it into aggregates but must not Record through it.
-func (h *Histogram) Snapshot() *metrics.Histogram {
-	if h == nil {
-		return nil
-	}
-	return h.h
+// Histogram returns the duration histogram for name+labels, creating it on
+// first use (nil when disabled).
+func (r *Registry) Histogram(name string, labels ...Label) *metrics.Histogram {
+	return instrument(r, name, labels, func(string) *metrics.Histogram { return metrics.NewHistogram() })
 }
 
 // Probe is a registered callback sampled into a time series at every
@@ -260,21 +167,14 @@ type Probe struct {
 // forking.
 func (r *Registry) Probe(name string, fn func(now time.Duration) (float64, bool), labels ...Label) *Probe {
 	if r == nil {
-		return nil
+		return nil // before the closure over r below is built
 	}
-	k := key(name, labels)
-	if got, ok := r.byKey[k]; ok {
-		p, ok := got.(*Probe)
-		if !ok {
-			panic(fmt.Sprintf("telemetry: %q already registered as a different instrument kind", k))
-		}
-		p.fn = fn
-		p.closed = false
+	p := instrument(r, name, labels, func(k string) *Probe {
+		p := &Probe{key: k, series: metrics.NewSeries(k)}
+		r.probes = append(r.probes, p)
 		return p
-	}
-	p := &Probe{key: k, fn: fn, series: metrics.NewSeries(k)}
-	r.byKey[k] = p
-	r.probes = append(r.probes, p)
+	})
+	p.fn, p.closed = fn, false
 	return p
 }
 

@@ -82,16 +82,38 @@ func TestProbeRebindContinuesSeries(t *testing.T) {
 	}
 }
 
+// TestProbeKindMismatchPanics: a key belongs to the kind that registered it
+// first. Every kind's constructor goes through the one get-or-create, so each
+// of the four must refuse a key held by each of the other three — and hand
+// back the same instrument for its own.
 func TestProbeKindMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	fn := func(time.Duration) (float64, bool) { return 0, true }
+	kinds := []struct {
+		name     string
+		register func(r *Registry) any
+	}{
+		{"counter", func(r *Registry) any { return r.Counter("dup", L("a", "b")) }},
+		{"gauge", func(r *Registry) any { return r.Gauge("dup", L("a", "b")) }},
+		{"histogram", func(r *Registry) any { return r.Histogram("dup", L("a", "b")) }},
+		{"probe", func(r *Registry) any { return r.Probe("dup", fn, L("a", "b")) }},
+	}
+	for _, first := range kinds {
+		for _, second := range kinds {
+			r := New(sim.NewEnv(1), Config{})
+			held := first.register(r)
+			var got, panicked any
+			func() {
+				defer func() { panicked = recover() }()
+				got = second.register(r)
+			}()
+			switch {
+			case first.name == second.name && (panicked != nil || got != held):
+				t.Errorf("%s twice: got %p (panic %v), want the first %p back", first.name, got, panicked, held)
+			case first.name != second.name && panicked == nil:
+				t.Errorf("%s over a key held by a %s did not panic", second.name, first.name)
+			}
 		}
-	}()
-	env := sim.NewEnv(1)
-	r := New(env, Config{})
-	r.Counter("dup", L("a", "b"))
-	r.Probe("dup", func(time.Duration) (float64, bool) { return 0, true }, L("a", "b"))
+	}
 }
 
 func TestCounterGetOrCreateAndLabelOrder(t *testing.T) {

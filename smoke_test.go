@@ -10,16 +10,22 @@ import (
 	"testing"
 )
 
-// smokePackages are every main package in the repo; the smoke test keeps
-// them compiling (they otherwise have zero test coverage).
-var smokePackages = []string{
-	"./cmd/backupdemo",
-	"./cmd/experiments",
-	"./examples/quickstart",
-	"./examples/ecommerce",
-	"./examples/analytics",
-	"./examples/disaster",
-	"./examples/ransomware",
+// smokePackages lists every main package under cmd/ and examples/ — asked of
+// `go list`, so a new binary cannot be left out. The smoke test keeps them
+// compiling (they otherwise have zero test coverage).
+func smokePackages(t *testing.T) []string {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./cmd/...", "./examples/...")
+	cmd.Dir = repoRoot(t)
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	pkgs := strings.Fields(string(out))
+	if len(pkgs) == 0 {
+		t.Fatal("go list found no main packages under cmd/ and examples/")
+	}
+	return pkgs
 }
 
 func repoRoot(t *testing.T) string {
@@ -37,7 +43,8 @@ func TestSmokeBuildAllBinaries(t *testing.T) {
 		t.Skip("short mode")
 	}
 	dir := t.TempDir()
-	args := append([]string{"build", "-o", dir + string(os.PathSeparator)}, smokePackages...)
+	pkgs := smokePackages(t)
+	args := append([]string{"build", "-o", dir + string(os.PathSeparator)}, pkgs...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = repoRoot(t)
 	if out, err := cmd.CombinedOutput(); err != nil {
@@ -47,8 +54,8 @@ func TestSmokeBuildAllBinaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(smokePackages) {
-		t.Fatalf("built %d binaries, want %d", len(entries), len(smokePackages))
+	if len(entries) != len(pkgs) {
+		t.Fatalf("built %d binaries, want %d (%v)", len(entries), len(pkgs), pkgs)
 	}
 }
 
