@@ -28,11 +28,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"slices"
 	"time"
 
 	"repro/internal/replication"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -82,11 +82,11 @@ type DB struct {
 	sizeBuf   []int    // per-record encoded sizes
 
 	// Stats.
-	commits      int64
-	walWrites    int64
-	pageFlushes  int64
-	checkpoints  int64
-	recoveryTime time.Duration
+	commits     int64
+	walWrites   int64
+	pageFlushes int64
+	checkpoints int64
+	flushTime   time.Duration // the recovery checkpoint's, in simulated time
 }
 
 // Open attaches to the volume, formatting it on first use and running crash
@@ -103,14 +103,14 @@ func Open(p *sim.Proc, name string, vol replication.BlockWriter, cfg Config) (*D
 	case err != nil:
 		return nil, err
 	}
-	start := p.Now()
 	if err := d.replay(p); err != nil {
 		return nil, err
 	}
+	start := p.Now()
 	if err := d.Checkpoint(p); err != nil {
 		return nil, err
 	}
-	d.recoveryTime = p.Now() - start
+	d.flushTime = p.Now() - start
 	return d, nil
 }
 
@@ -191,22 +191,27 @@ func (d *DB) walFits(sizes []int) bool {
 }
 
 // Checkpoint flushes the owned pages, bumps the log epoch, and resets the WAL
-// head — the no-force flush point. Each owned page is handed over to the
-// volume and stays cached as a clean page: the next write to it copies.
+// head — the no-force flush point. The owned pages are handed over to the
+// volume as one gathered write in ascending block order and stay cached as
+// clean pages: the next write to one copies. The superblock that retires the
+// log is its own request, issued only after the gather has returned — the
+// write barrier: no image holds the new epoch without every page under it.
 func (d *DB) Checkpoint(p *sim.Proc) error {
-	blocks := make([]int64, 0, len(d.owned))
-	for b := range d.owned {
-		blocks = append(blocks, b)
+	if cap(d.vec) < len(d.owned) {
+		d.vec = make([]storage.BlockIO, 0, len(d.owned))
 	}
-	slices.Sort(blocks)
-	for _, b := range blocks {
-		pg := d.owned[b]
-		if _, err := d.vol.WriteOwned(p, b, pg); err != nil {
-			return err
-		}
-		d.pageFlushes++
-		delete(d.owned, b)
-		d.keepClean(b, pg)
+	d.vec = d.vec[:0]
+	for b, pg := range d.owned {
+		d.vec = append(d.vec, storage.BlockIO{Block: b, Data: pg})
+	}
+	sortByBlock(d.vec)
+	if err := d.vol.WriteOwnedBlocks(p, d.vec); err != nil {
+		return err
+	}
+	d.pageFlushes += int64(len(d.vec))
+	clear(d.owned)
+	for _, io := range d.vec {
+		d.keepClean(io.Block, io.Data)
 	}
 	d.epoch++
 	d.walSeq = 0
@@ -231,8 +236,13 @@ func (d *DB) PageFlushes() int64 { return d.pageFlushes }
 func (d *DB) Checkpoints() int64 { return d.checkpoints }
 
 // RecoveryTime returns the simulated time recovery took at Open (zero for a
-// freshly formatted volume).
-func (d *DB) RecoveryTime() time.Duration { return d.recoveryTime }
+// freshly formatted volume): LogReadTime + PageReadTime + FlushTime, the three
+// requests it is made of.
+func (d *DB) RecoveryTime() time.Duration { return d.logRead + d.pageRead + d.flushTime }
+
+// FlushTime returns the simulated time of the checkpoint that ended recovery:
+// the page gather, then the superblock.
+func (d *DB) FlushTime() time.Duration { return d.flushTime }
 
 func (d *DB) writeSuperblock(p *sim.Proc) error {
 	blk := make([]byte, d.blockSize) // handed over, like a WAL block

@@ -184,6 +184,60 @@ func TestCrashRecoveryReplaysCommitted(t *testing.T) {
 	})
 }
 
+// Recovery is three requests and a barrier: the log region as one range read,
+// the pages the redo touches as one scatter read, those pages back as one
+// gather in ascending block order — each as wide as the idle 8-slot array —
+// and only then, as a request of its own, the superblock that retires the log.
+// On a journaled volume the journal shows it: one record per page, ascending,
+// all acked when the gather returned; the superblock's record last and later.
+func TestRecoveryIsThreeRequestsAndABarrier(t *testing.T) {
+	inProcess(func(p *sim.Proc, a *storage.Array) {
+		const pages = 40 // 5 rounds of 8; keys land on consecutive pages, the owned map iterates in any order
+		vol := crashedImage(t, p, a, "v", 80, pages)
+		sj, err := a.CreateConsistencyGroup("cg", []storage.VolumeID{"v"}, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := OpenView(p, "view", vol, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0 := p.Now()
+		d, err := Open(p, "recovered", vol, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := a.Config()
+		write := cfg.WriteLatency + cfg.JournalLatency
+		logRead, pageRead, flush := 64/8*cfg.ReadLatency, pages/8*cfg.ReadLatency, pages/8*write+write
+		if d.LogReadTime() != logRead || d.PageReadTime() != pageRead || d.FlushTime() != flush {
+			t.Errorf("log read %v, page read %v, flush %v; want %v, %v, %v",
+				d.LogReadTime(), d.PageReadTime(), d.FlushTime(), logRead, pageRead, flush)
+		}
+		if open := p.Now() - t0; d.RecoveryTime() != logRead+pageRead+flush || open != cfg.ReadLatency+d.RecoveryTime() {
+			t.Errorf("recovery time %v of a %v open; want the three phases, and the superblock read before them", d.RecoveryTime(), open)
+		}
+		if view.ReplayTime() != logRead+pageRead || view.LogReadTime() != logRead || view.PageReadTime() != pageRead {
+			t.Errorf("the view's replay took %v (log %v, pages %v); want the database's two reads", view.ReplayTime(), view.LogReadTime(), view.PageReadTime())
+		}
+		recs := sj.Shards()[0].PendingRecords()
+		if len(recs) != pages+1 {
+			t.Fatalf("the recovery checkpoint journaled %d records, want %d pages and the superblock", len(recs), pages)
+		}
+		sb, gathered := recs[pages], p.Now()-write
+		for i, r := range recs[:pages] {
+			if r.Block != d.dataBase+1+int64(i) || r.GlobalSeq != recs[0].GlobalSeq+int64(i) || r.AckedAt != gathered {
+				t.Fatalf("record %d: block %d seq %d acked %v; want block %d seq %d acked %v",
+					i, r.Block, r.GlobalSeq, r.AckedAt, d.dataBase+1+int64(i), recs[0].GlobalSeq+int64(i), gathered)
+			}
+		}
+		if sb.Block != 0 || sb.GlobalSeq != recs[pages-1].GlobalSeq+1 || sb.AckedAt != p.Now() {
+			t.Fatalf("last record: block %d seq %d acked %v; want the superblock, one write after the gather returned at %v",
+				sb.Block, sb.GlobalSeq, sb.AckedAt, gathered)
+		}
+	})
+}
+
 func TestRecoveryAfterCheckpointAndMoreCommits(t *testing.T) {
 	withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
 		d, _ := Open(p, "sales", vol, Config{})

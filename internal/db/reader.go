@@ -2,13 +2,16 @@ package db
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"time"
 
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -16,12 +19,15 @@ import (
 // it, which is how the data-analytics application (§IV-D) opens the databases
 // living on snapshot volumes without mutating them. A block read is borrowed:
 // nil for a never-written (all-zero) block, else possibly the reader's own
-// storage — never modified; clone it to write (ownedPage). ReadRange is count
-// consecutive Reads fused into one scheduler step (the WAL replay reads the
-// whole log region through it), borrowed block by block exactly as Read is.
+// storage — never modified; clone it to write (ownedPage). ReadRange (count
+// consecutive blocks: the replay reads the whole log region through it) and
+// ReadBlocks (the blocks a vector names: the pages the redo touches) are one
+// request and one scheduler step each, borrowed block by block exactly as Read
+// is; the array serves a request as wide as it has free slots.
 type BlockReader interface {
 	Read(p *sim.Proc, block int64) ([]byte, error)
 	ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error)
+	ReadBlocks(p *sim.Proc, ios []storage.BlockIO) error
 	SizeBlocks() int64
 	BlockSize() int
 }
@@ -53,9 +59,15 @@ type reader struct {
 	reads  map[int64][]byte // clean pages read one at a time; made on first use
 	region [][]byte         // clean pages of the whole data region, once Scan preloaded it
 
+	// vec is the one I/O vector: the replay's scatter read and Checkpoint's
+	// gather write fill it in turn, so it is sized once for either.
+	vec []storage.BlockIO
+
 	committed map[uint64]bool
 	recovered int
 	torn      bool
+
+	logRead, pageRead time.Duration // the replay's two reads, in simulated time
 }
 
 // open lays the database out on vol and checks its superblock; it writes
@@ -102,42 +114,80 @@ func (r *reader) open(p *sim.Proc, name string, vol BlockReader, cfg Config) err
 
 // replay redoes the WAL's valid prefix in memory: transactions with a commit
 // record in the prefix are applied in log order to owned copies of their
-// pages, everything else is discarded.
+// pages, everything else is discarded. It issues two reads — the log region,
+// then every page the redo will touch as one sorted scatter — so the redo
+// itself runs with every page present and takes no simulated time.
 func (r *reader) replay(p *sim.Proc) error {
+	start := p.Now()
 	blocks, err := r.img.ReadRange(p, r.walBase, r.cfg.WALBlocks)
 	if err != nil {
 		return err
 	}
+	r.logRead = p.Now() - start
 	recs, err := wal.ScanLog(blocks, r.epoch)
 	if err != nil && !errors.Is(err, wal.ErrCorrupt) {
 		return err
 	}
 	r.torn = errors.Is(err, wal.ErrCorrupt)
 	// Analysis: find transactions whose commit record survived.
+	updates := int64(0)
 	for _, rec := range recs {
-		if rec.Type == wal.TypeCommit {
+		switch rec.Type {
+		case wal.TypeCommit:
 			r.committed[rec.TxID] = true
+		case wal.TypeUpdate:
+			updates++
 		}
 		if rec.TxID >= r.nextTxID {
 			r.nextTxID = rec.TxID + 1
 		}
+	}
+	// Claim an owned page for every page a committed update touches, and
+	// fill them all from the image with one read.
+	r.vec = make([]storage.BlockIO, 0, min(updates, r.dataPages))
+	for _, rec := range recs {
+		if rec.Type != wal.TypeUpdate || !r.committed[rec.TxID] {
+			continue
+		}
+		block := r.pageBlock(rec.Key)
+		if _, claimed := r.owned[block]; !claimed {
+			r.owned[block] = make([]byte, r.blockSize)
+			r.vec = append(r.vec, storage.BlockIO{Block: block})
+		}
+	}
+	sortByBlock(r.vec)
+	start = p.Now()
+	if err := r.img.ReadBlocks(p, r.vec); err != nil {
+		return err
+	}
+	r.pageRead = p.Now() - start
+	for _, io := range r.vec {
+		copy(r.owned[io.Block], io.Data) // a never-written page (nil) stays zero
 	}
 	// Redo committed transactions' updates in log order.
 	for _, rec := range recs {
 		if rec.Type != wal.TypeUpdate || !r.committed[rec.TxID] {
 			continue
 		}
-		page, err := r.writablePage(p, r.pageBlock(rec.Key))
-		if err != nil {
-			return err
-		}
-		if err := pageUpsert(page, Row{Key: rec.Key, TxID: rec.TxID, Val: rec.Val}); err != nil {
+		if err := pageUpsert(r.owned[r.pageBlock(rec.Key)], Row{Key: rec.Key, TxID: rec.TxID, Val: rec.Val}); err != nil {
 			return fmt.Errorf("db: %s: redo tx %d: %w", r.name, rec.TxID, err)
 		}
 	}
 	r.recovered = len(r.committed)
 	return nil
 }
+
+// sortByBlock puts a vector in ascending block order: the order the array is
+// asked for pages in, and the order a checkpoint's pages are acked in.
+func sortByBlock(ios []storage.BlockIO) {
+	slices.SortFunc(ios, func(a, b storage.BlockIO) int { return cmp.Compare(a.Block, b.Block) })
+}
+
+// LogReadTime returns the simulated time the replay spent reading the WAL
+// region, and PageReadTime the time it spent reading the pages it redid into:
+// the two reads that make up a replay (the redo itself is in memory).
+func (r *reader) LogReadTime() time.Duration  { return r.logRead }
+func (r *reader) PageReadTime() time.Duration { return r.pageRead }
 
 // Name returns the name the database was opened under.
 func (r *reader) Name() string { return r.name }
@@ -188,23 +238,19 @@ func (r *reader) loadPage(p *sim.Proc, block int64) ([]byte, error) {
 }
 
 // writablePage returns the page for upserting into: the owned page, or on the
-// first write its own copy of the clean one. A commit has loaded the page, so
-// it reads nothing here; the replay has not, and what it reads it does not
-// cache — the copy shadows it.
-func (r *reader) writablePage(p *sim.Proc, block int64) ([]byte, error) {
+// first write its own copy of the clean one, which the commit that asks has
+// loaded.
+func (r *reader) writablePage(block int64) []byte {
 	if pg, ok := r.owned[block]; ok {
-		return pg, nil
+		return pg
 	}
-	clean, ok := r.cleanPage(block)
-	if !ok {
-		var err error
-		if clean, err = r.img.Read(p, block); err != nil {
-			return nil, err
-		}
+	clean, loaded := r.cleanPage(block)
+	if !loaded {
+		panic(fmt.Sprintf("db: %s: page %d written before it was loaded", r.name, block))
 	}
 	pg := ownedPage(clean, r.blockSize)
 	r.owned[block] = pg
-	return pg, nil
+	return pg
 }
 
 // ownedPage returns a page the caller may write: a clone of the borrowed

@@ -212,11 +212,7 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	}
 	// The transaction is durable; apply to memory pages (no-force).
 	for _, u := range rows {
-		page, err := d.writablePage(p, d.pageBlock(u.key)) // loaded above: nothing to read
-		if err == nil {
-			err = pageUpsert(page, Row{Key: u.key, TxID: t.id, Val: u.val(vals)})
-		}
-		if err != nil {
+		if err := pageUpsert(d.writablePage(d.pageBlock(u.key)), Row{Key: u.key, TxID: t.id, Val: u.val(vals)}); err != nil {
 			// The fit check above guaranteed room; this indicates a bug.
 			panic(fmt.Sprintf("db: %s: post-log upsert failed: %v", d.name, err))
 		}

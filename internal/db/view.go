@@ -11,7 +11,6 @@ import (
 // memory, so the underlying image (typically a snapshot) is untouched.
 type View struct {
 	reader
-	replayDur time.Duration
 }
 
 // OpenView attaches read-only to a formatted volume image and replays its
@@ -21,13 +20,12 @@ func OpenView(p *sim.Proc, name string, vol BlockReader, cfg Config) (*View, err
 	if err := v.open(p, name, vol, cfg); err != nil {
 		return nil, err
 	}
-	start := p.Now()
 	if err := v.replay(p); err != nil {
 		return nil, err
 	}
-	v.replayDur = p.Now() - start
 	return v, nil
 }
 
-// ReplayTime returns the simulated time the WAL replay took.
-func (v *View) ReplayTime() time.Duration { return v.replayDur }
+// ReplayTime returns the simulated time the WAL replay took: LogReadTime +
+// PageReadTime.
+func (v *View) ReplayTime() time.Duration { return v.logRead + v.pageRead }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/db"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -21,7 +22,10 @@ type EndToEndResult struct {
 	AnalyticsOrders int
 	Consistent      bool
 	FailoverTime    time.Duration
-	FailoverIntact  bool
+	// FailoverTime's three phases, summed over the two databases.
+	FailoverLogRead, FailoverPageRead, FailoverFlush time.Duration
+
+	FailoverIntact bool
 }
 
 // E1EndToEnd runs the entire demonstration once: deploy the business
@@ -84,6 +88,11 @@ func E1EndToEnd(seed int64, orders int) (EndToEndResult, error) {
 			return
 		}
 		res.FailoverTime = fo.RecoveryTime
+		for _, d := range []*db.DB{fo.Sales, fo.Stock} {
+			res.FailoverLogRead += d.LogReadTime()
+			res.FailoverPageRead += d.PageReadTime()
+			res.FailoverFlush += d.FlushTime()
+		}
 		foRep := consistency.Verify(fo.Sales, fo.Stock, bp.Shop.SalesCommitOrder(), bp.Shop.StockCommitOrder())
 		res.FailoverIntact = !foRep.Collapsed() && foRep.OrderingOK()
 	})
@@ -108,6 +117,7 @@ func E1Table(r EndToEndResult) *Table {
 	t.AddRow("orders visible to analytics", r.AnalyticsOrders)
 	t.AddRow("snapshot consistent", r.Consistent)
 	t.AddRow("failover recovery time", r.FailoverTime)
+	t.AddRow("  log read + page read + flush", fmt.Sprintf("%v + %v + %v", r.FailoverLogRead, r.FailoverPageRead, r.FailoverFlush))
 	t.AddRow("failover business intact", r.FailoverIntact)
 	t.AddNote("shape: analytics see every caught-up order; snapshot and failover images are consistent")
 	return t

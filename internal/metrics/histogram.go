@@ -114,24 +114,6 @@ func (h *Histogram) Median() time.Duration { return h.Percentile(50) }
 // P99 is Percentile(99).
 func (h *Histogram) P99() time.Duration { return h.Percentile(99) }
 
-// Merge folds other's samples into h without touching other. Per-tenant
-// histograms aggregate into fleet totals this way; the merged samples stay
-// exact, so percentile queries after a merge answer over the union.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other.Count() == 0 {
-		return
-	}
-	h.samples = append(h.samples, other.samples...)
-	h.sorted = false
-	h.sum += other.sum
-	if other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
 // Reset discards all samples.
 func (h *Histogram) Reset() {
 	h.samples = h.samples[:0]

@@ -58,66 +58,6 @@ func TestHistogramReset(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram()
-	b := NewHistogram()
-	for i := 1; i <= 50; i++ {
-		a.Record(time.Duration(i) * time.Millisecond)
-	}
-	for i := 51; i <= 100; i++ {
-		b.Record(time.Duration(i) * time.Millisecond)
-	}
-	a.Merge(b)
-	if a.Count() != 100 {
-		t.Fatalf("count after merge = %d", a.Count())
-	}
-	if a.Min() != time.Millisecond || a.Max() != 100*time.Millisecond {
-		t.Fatalf("min/max after merge = %v/%v", a.Min(), a.Max())
-	}
-	if got := a.Sum(); got != 5050*time.Millisecond {
-		t.Fatalf("sum after merge = %v, want 5.05s", got)
-	}
-	if got := a.Percentile(50); got != 50*time.Millisecond {
-		t.Fatalf("p50 after merge = %v, want 50ms", got)
-	}
-	if got := a.Percentile(99); got != 99*time.Millisecond {
-		t.Fatalf("p99 after merge = %v, want 99ms", got)
-	}
-	// b is untouched by the merge.
-	if b.Count() != 50 || b.Min() != 51*time.Millisecond {
-		t.Fatalf("merge mutated other: n=%d min=%v", b.Count(), b.Min())
-	}
-}
-
-func TestHistogramMergeIntoEmpty(t *testing.T) {
-	a := NewHistogram()
-	b := NewHistogram()
-	b.Record(7 * time.Millisecond)
-	b.Record(3 * time.Millisecond)
-	a.Merge(b)
-	if a.Min() != 3*time.Millisecond || a.Max() != 7*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", a.Min(), a.Max())
-	}
-	// Merging an empty (or nil) histogram is a no-op.
-	a.Merge(NewHistogram())
-	a.Merge(nil)
-	if a.Count() != 2 || a.Min() != 3*time.Millisecond {
-		t.Fatalf("no-op merge changed state: n=%d min=%v", a.Count(), a.Min())
-	}
-}
-
-func TestHistogramMergeResortsLazily(t *testing.T) {
-	a := NewHistogram()
-	a.Record(10 * time.Millisecond)
-	_ = a.Median() // force sorted state
-	b := NewHistogram()
-	b.Record(time.Millisecond)
-	a.Merge(b)
-	if got := a.Percentile(1); got != time.Millisecond {
-		t.Fatalf("p1 after merge = %v, want 1ms (merge must invalidate sort)", got)
-	}
-}
-
 func TestHistogramPercentileMonotonic(t *testing.T) {
 	// Property: percentiles are nondecreasing in p, and bounded by min/max.
 	f := func(seed int64) bool {
@@ -237,14 +177,8 @@ func TestNilInstrumentsAreDisabled(t *testing.T) {
 	}
 	var h *Histogram
 	h.Record(time.Second)
-	h.Merge(NewHistogram())
 	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Median() != 0 || h.P99() != 0 {
 		t.Errorf("nil histogram reads n=%d sum=%v mean=%v min=%v max=%v p50=%v p99=%v",
 			h.Count(), h.Sum(), h.Mean(), h.Min(), h.Max(), h.Median(), h.P99())
-	}
-	into := NewHistogram()
-	into.Merge(h)
-	if into.Count() != 0 {
-		t.Errorf("merging a nil histogram added %d samples", into.Count())
 	}
 }

@@ -22,12 +22,18 @@ type BlockWriter interface {
 	// up and never writes into it again. Latency, journaling and counters are
 	// Write's — Write is WriteOwned of a copy.
 	WriteOwned(p *sim.Proc, block int64, data []byte) (storage.Ack, error)
+	// WriteOwnedBlocks is one gathered write: every Data is adopted as
+	// WriteOwned adopts one and the blocks are acked in slice order; it has
+	// returned only when all of them are (the caller's write barrier).
+	WriteOwnedBlocks(p *sim.Proc, ios []storage.BlockIO) error
 	// Read borrows: nil for a never-written block, else the stored slice,
 	// which the caller must not modify (see storage.Volume.Read).
 	Read(p *sim.Proc, block int64) ([]byte, error)
 	// ReadRange is count consecutive Reads as one fused sequential scan,
 	// sparse and borrowed block by block.
 	ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error)
+	// ReadBlocks is one scatter read: each Data is filled as Read would.
+	ReadBlocks(p *sim.Proc, ios []storage.BlockIO) error
 	SizeBlocks() int64
 	BlockSize() int
 }
@@ -84,6 +90,17 @@ func (sv *SyncVolume) WriteOwned(p *sim.Proc, block int64, data []byte) (storage
 	return ack, nil
 }
 
+// WriteOwnedBlocks mirrors the vector one block at a time: every SDC write
+// waits for its own remote ack, so a gather saves nothing here.
+func (sv *SyncVolume) WriteOwnedBlocks(p *sim.Proc, ios []storage.BlockIO) error {
+	for _, io := range ios {
+		if _, err := sv.WriteOwned(p, io.Block, io.Data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Read serves from the local volume (SDC reads are always local), borrowed
 // as every storage read is.
 func (sv *SyncVolume) Read(p *sim.Proc, block int64) ([]byte, error) {
@@ -93,6 +110,11 @@ func (sv *SyncVolume) Read(p *sim.Proc, block int64) ([]byte, error) {
 // ReadRange serves a sequential scan from the local volume, as Read does.
 func (sv *SyncVolume) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
 	return sv.source.ReadRange(p, start, count)
+}
+
+// ReadBlocks serves a scatter read from the local volume, as Read does.
+func (sv *SyncVolume) ReadBlocks(p *sim.Proc, ios []storage.BlockIO) error {
+	return sv.source.ReadBlocks(p, ios)
 }
 
 // SizeBlocks returns the local volume size.

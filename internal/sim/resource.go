@@ -22,13 +22,23 @@ func (e *Env) NewResource(capacity int) *Resource {
 
 // Acquire obtains one unit, blocking in FIFO order when none are free.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && r.waitq.Len() == 0 {
-		r.inUse++
+	if r.TryAcquire() {
 		return
 	}
 	r.waitq.Push(p)
 	p.park()
 	// Ownership was transferred by Release; inUse already accounts for us.
+}
+
+// TryAcquire obtains one unit if one is free right now and reports whether it
+// did; it never blocks. It refuses while anyone is queued, so a holder that
+// widens itself this way cannot overtake a waiter: admission stays FIFO.
+func (r *Resource) TryAcquire() bool {
+	if r.inUse < r.capacity && r.waitq.Len() == 0 {
+		r.inUse++
+		return true
+	}
+	return false
 }
 
 // Release returns one unit, handing it directly to the longest waiter if any

@@ -281,6 +281,36 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
+// TryAcquire takes a unit only when one is free: it never blocks, never
+// queues, and what it took is released like any other unit.
+func TestResourceTryAcquireTakesFreeUnitsOnly(t *testing.T) {
+	env := NewEnv(1)
+	r := env.NewResource(3)
+	var served time.Duration
+	env.Process("wide", func(p *Proc) {
+		r.Acquire(p)
+		if !r.TryAcquire() || !r.TryAcquire() || r.TryAcquire() {
+			t.Errorf("want two more units then a refusal; %d of 3 in use", r.InUse())
+		}
+		p.Sleep(time.Millisecond)
+		if r.QueueLen() != 1 || r.TryAcquire() {
+			t.Errorf("with a waiter queued TryAcquire must refuse (queue %d, in use %d)", r.QueueLen(), r.InUse())
+		}
+		for i := 0; i < 3; i++ {
+			r.Release()
+		}
+	})
+	env.ProcessAt("waiter", time.Microsecond, func(p *Proc) {
+		r.Acquire(p)
+		served = p.Now()
+		r.Release()
+	})
+	env.Run(0)
+	if served != time.Millisecond || r.InUse() != 0 {
+		t.Fatalf("waiter served at %v with %d in use after; want 1ms and 0", served, r.InUse())
+	}
+}
+
 func TestProcDoneJoin(t *testing.T) {
 	env := NewEnv(1)
 	var joined time.Duration

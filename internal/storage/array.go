@@ -217,6 +217,42 @@ func (a *Array) ApplyDeltaSet(p *sim.Proc, n int) {
 	a.controller.Release()
 }
 
+// chargeBatch passes the service time of one request of n block operations of
+// lat each on queue — the one cost rule every host read and write shares. The
+// request takes one slot as any I/O does, waiting its turn for it, then every
+// slot free right now (TryAcquire refuses while anyone waits: admission stays
+// FIFO), and runs ceil(n/width) rounds of lat in one scheduler step, first
+// narrowing to the least width that finishes in that many rounds. What it
+// saves in span it holds in width: slot-time is n × lat plus at most one
+// partial round, and on a queue of one (an isolated volume's) it is n × lat.
+//
+// A range is one sequential command and keeps its slots to the end. A vector
+// is n independent commands (yields): while anyone is queued behind it, it
+// runs one round, gives its slots back and goes to the back of the line for
+// the rest — what the same commands issued one at a time would do — so a
+// scatter or gather on a saturated queue deepens nobody's wait.
+func chargeBatch(p *sim.Proc, queue *sim.Resource, n int, lat time.Duration, yields bool) {
+	for n > 0 {
+		queue.Acquire(p)
+		width := 1
+		for width < n && queue.TryAcquire() {
+			width++
+		}
+		rounds := (n + width - 1) / width
+		for least := (n + rounds - 1) / rounds; width > least; width-- {
+			queue.Release()
+		}
+		if yields && queue.QueueLen() > 0 {
+			rounds = 1
+		}
+		p.Sleep(time.Duration(rounds) * lat)
+		n -= rounds * width
+		for ; width > 0; width-- {
+			queue.Release()
+		}
+	}
+}
+
 // nextGlobalSeq stamps one write ack in the array-wide order.
 func (a *Array) nextGlobalSeq() int64 {
 	a.globalSeq++

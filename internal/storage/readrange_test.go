@@ -23,9 +23,17 @@ type reader interface {
 // produces, with and without a live snapshot; after each stage the three
 // accessors of both readers must hand out the same slice, charge what they
 // always charged, and every slice borrowed at an earlier stage must still
-// hold the bytes it held then.
+// hold the bytes it held then. The 6-block range is one request: one round on
+// the idle 8-slot controller, six on an isolated volume's queue of one (its
+// snapshot is still served by the controller).
 func TestEveryReadIsSparseAndBorrowed(t *testing.T) {
-	env, a := newTestArray(t)
+	everyReadIsSparseAndBorrowed(t, Config{}, 1)
+	everyReadIsSparseAndBorrowed(t, Config{IsolatedVolumes: true}, 6)
+}
+
+func everyReadIsSparseAndBorrowed(t *testing.T, cfg Config, volumeRangeRounds int) {
+	env := sim.NewEnv(1)
+	a := NewArray(env, "main", cfg)
 	const size = 6
 	v, _ := a.CreateVolume("v", size)
 	// Block histories:
@@ -85,18 +93,19 @@ func TestEveryReadIsSparseAndBorrowed(t *testing.T) {
 	}
 	var held []borrowed
 
-	// charged runs fn and checks the simulated time and read ops it cost.
-	charged := func(p *sim.Proc, what string, blocks int, fn func()) {
+	// charged runs fn and checks the simulated time (in rounds of the read
+	// latency) and read ops it cost.
+	charged := func(p *sim.Proc, what string, rounds, blocks int, fn func()) {
 		reads, t0 := a.ReadOps(), p.Now()
 		fn()
-		want := time.Duration(blocks) * a.Config().ReadLatency
+		want := time.Duration(rounds) * a.Config().ReadLatency
 		if d, n := p.Now()-t0, a.ReadOps()-reads; d != want || n != int64(blocks) {
 			t.Errorf("%s charged %v and %d read ops, want %v and %d", what, d, n, want, blocks)
 		}
 	}
-	check := func(p *sim.Proc, stage, who string, r reader, written []bool) {
+	check := func(p *sim.Proc, stage, who string, r reader, rangeRounds int, written []bool) {
 		var ranged [][]byte
-		charged(p, stage+": "+who+".ReadRange", size, func() {
+		charged(p, stage+": "+who+".ReadRange", rangeRounds, size, func() {
 			var err error
 			if ranged, err = r.ReadRange(p, 0, size); err != nil {
 				t.Fatalf("%s: %s.ReadRange: %v", stage, who, err)
@@ -104,8 +113,8 @@ func TestEveryReadIsSparseAndBorrowed(t *testing.T) {
 		})
 		for b := 0; b < size; b++ {
 			var one, peeked []byte
-			charged(p, stage+": "+who+".Read", 1, func() { one, _ = r.Read(p, int64(b)) })
-			charged(p, stage+": "+who+".Peek", 0, func() { peeked = r.Peek(int64(b)) })
+			charged(p, stage+": "+who+".Read", 1, 1, func() { one, _ = r.Read(p, int64(b)) })
+			charged(p, stage+": "+who+".Peek", 0, 0, func() { peeked = r.Peek(int64(b)) })
 			for how, got := range map[string][]byte{"Read": one, "Peek": peeked, "ReadRange": ranged[b]} {
 				if (got != nil) != written[b] {
 					t.Errorf("%s: %s.%s block %d: nil=%v but written=%v", stage, who, how, b, got == nil, written[b])
@@ -126,9 +135,9 @@ func TestEveryReadIsSparseAndBorrowed(t *testing.T) {
 	env.Process("driver", func(p *sim.Proc) {
 		for _, st := range stages {
 			st.do(p)
-			check(p, st.name, "volume", v, st.volume)
+			check(p, st.name, "volume", v, volumeRangeRounds, st.volume)
 			if snap != nil {
-				check(p, st.name, "snapshot", snap, st.snapshot)
+				check(p, st.name, "snapshot", snap, 1, st.snapshot)
 			}
 			for _, h := range held {
 				if !bytes.Equal(h.slice, h.was) {

@@ -28,9 +28,7 @@ func (a *Array) RestoreSnapshot(p *sim.Proc, snapID string) error {
 	// exactly those. Other snapshots of the volume observe the rewind as
 	// ordinary overwrites (their COW fires), so they stay correct.
 	for _, b := range slices.Sorted(maps.Keys(s.saved)) {
-		a.controller.Acquire(p)
-		p.Sleep(a.cfg.WriteLatency)
-		a.controller.Release()
+		chargeBatch(p, a.controller, 1, a.cfg.WriteLatency, false)
 		orig := s.saved[b]
 		v.preserveForSnapshots(b)
 		if orig == nil {
@@ -62,9 +60,7 @@ func (a *Array) CloneVolume(p *sim.Proc, snapID string, newID VolumeID) (*Volume
 	// that were never overwritten.
 	seen := make(map[int64]bool)
 	write := func(b int64, data []byte) {
-		a.controller.Acquire(p)
-		p.Sleep(a.cfg.WriteLatency)
-		a.controller.Release()
+		chargeBatch(p, a.controller, 1, a.cfg.WriteLatency, false)
 		clone.blocks[b] = data // shared with the parent; neither ever writes into it
 		clone.writes++
 		a.writeOps.Add(1)

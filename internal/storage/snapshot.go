@@ -137,34 +137,47 @@ func (s *Snapshot) Read(p *sim.Proc, block int64) ([]byte, error) {
 	if block < 0 || block >= s.parent.sizeBlocks {
 		return nil, fmt.Errorf("%w: snapshot %s[%d]", ErrOutOfRange, s.id, block)
 	}
-	s.chargeReads(p, 1)
+	s.chargeReads(p, 1, false)
 	return s.stored(block), nil
 }
 
-// chargeReads holds the array controller once for n back-to-back block reads
-// (snapshots are served by the shared controller even in isolated mode).
-func (s *Snapshot) chargeReads(p *sim.Proc, n int) {
+// chargeReads passes the service time of one n-block read request on the
+// array controller (snapshots are served by the shared controller even in
+// isolated mode) and counts the n reads.
+func (s *Snapshot) chargeReads(p *sim.Proc, n int, yields bool) {
 	a := s.parent.array
-	a.controller.Acquire(p)
-	p.Sleep(time.Duration(n) * a.cfg.ReadLatency)
-	a.controller.Release()
+	chargeBatch(p, a.controller, n, a.cfg.ReadLatency, yields)
 	s.reads += int64(n)
 	a.readOps.Add(int64(n))
 }
 
-// ReadRange reads count consecutive snapshot blocks starting at start — one
-// fused sequential scan like Volume.ReadRange: the controller is held once
-// and the service time of count reads is charged in one step.
+// ReadRange reads count consecutive snapshot blocks starting at start as one
+// request, like Volume.ReadRange.
 func (s *Snapshot) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
 	if count < 0 || start < 0 || start+int64(count) > s.parent.sizeBlocks {
 		return nil, fmt.Errorf("%w: snapshot %s[%d..%d)", ErrOutOfRange, s.id, start, start+int64(count))
 	}
-	s.chargeReads(p, count)
+	s.chargeReads(p, count, false)
 	out := make([][]byte, count)
 	for i := range out {
 		out[i] = s.stored(start + int64(i))
 	}
 	return out, nil
+}
+
+// ReadBlocks is one scatter read of snapshot-time blocks, like
+// Volume.ReadBlocks: validated whole, then charged, then filled.
+func (s *Snapshot) ReadBlocks(p *sim.Proc, ios []BlockIO) error {
+	for _, io := range ios {
+		if io.Block < 0 || io.Block >= s.parent.sizeBlocks {
+			return fmt.Errorf("%w: snapshot %s[%d]", ErrOutOfRange, s.id, io.Block)
+		}
+	}
+	s.chargeReads(p, len(ios), true)
+	for i := range ios {
+		ios[i].Data = s.stored(ios[i].Block)
+	}
+	return nil
 }
 
 // Peek returns the snapshot-time block without consuming simulated time —

@@ -116,25 +116,61 @@ func (v *Volume) Write(p *sim.Proc, block int64, data []byte) (Ack, error) {
 // volume ADOPTS data as the stored block (and as the journal record's Data),
 // exactly as InstallDelta does, so the caller must never write into it again.
 func (v *Volume) WriteOwned(p *sim.Proc, block int64, data []byte) (Ack, error) {
-	if v.readOnly {
-		return Ack{}, fmt.Errorf("%w: %s", ErrReadOnly, v.id)
-	}
-	if err := v.checkBlock(block, len(data)); err != nil {
+	if err := v.checkWrite(block, len(data)); err != nil {
 		return Ack{}, err
 	}
-	// One fused sleep: media plus (when journaled) journal staging. The ack
-	// time is identical to charging the two legs separately; fusing them
-	// halves the scheduler steps per journaled write.
-	lat := v.array.cfg.WriteLatency
-	if v.journal != nil {
-		lat += v.array.cfg.JournalLatency
+	chargeBatch(p, v.service(), 1, v.writeLatency(), false)
+	return v.ack(p, block, data), nil
+}
+
+// BlockIO is one element of a vectored request: ReadBlocks fills Data with the
+// borrowed block (nil = never written, never to be modified, as Read's is);
+// WriteOwnedBlocks takes Data over as the stored block, as WriteOwned does.
+type BlockIO struct {
+	Block int64
+	Data  []byte
+}
+
+// WriteOwnedBlocks is one gathered host write: the vector is validated whole
+// before anything is charged or stored, charged as one batch, then acked in
+// slice order — each block stored, stamped with the next GlobalSeq and
+// journaled as WriteOwned would — all at the instant the gather returns.
+func (v *Volume) WriteOwnedBlocks(p *sim.Proc, ios []BlockIO) error {
+	for _, io := range ios {
+		if err := v.checkWrite(io.Block, len(io.Data)); err != nil {
+			return err
+		}
 	}
-	v.acquireService(p)
-	p.Sleep(lat)
-	v.releaseService()
-	// Acked: store the block and, when replication is on, log it. p is the
-	// acking process — the journal append attributes its not-empty trigger to
-	// it so the wakeup merges correctly under the parallel scheduler.
+	chargeBatch(p, v.service(), len(ios), v.writeLatency(), true)
+	for _, io := range ios {
+		v.ack(p, io.Block, io.Data)
+	}
+	return nil
+}
+
+// checkWrite validates one host write.
+func (v *Volume) checkWrite(block int64, n int) error {
+	if v.readOnly {
+		return fmt.Errorf("%w: %s", ErrReadOnly, v.id)
+	}
+	return v.checkBlock(block, n)
+}
+
+// writeLatency is the service time of one host write: media plus (when
+// journaled) journal staging, fused so a journaled write is one scheduler
+// step. The ack time is identical to charging the two legs separately.
+func (v *Volume) writeLatency() time.Duration {
+	if v.journal != nil {
+		return v.array.cfg.WriteLatency + v.array.cfg.JournalLatency
+	}
+	return v.array.cfg.WriteLatency
+}
+
+// ack completes one host write whose service time has passed: store the block
+// and, when replication is on, log it. p is the acking process — the journal
+// append attributes its not-empty trigger to it so the wakeup merges correctly
+// under the parallel scheduler.
+func (v *Volume) ack(p *sim.Proc, block int64, data []byte) Ack {
 	v.install(block, data)
 	v.countWrite(len(data))
 	ack := Ack{
@@ -156,25 +192,16 @@ func (v *Volume) WriteOwned(p *sim.Proc, block int64, data []byte) (Ack, error) 
 			ack.GroupSeq = v.journal.append(p, v.id, block, data, ack.GlobalSeq, ack.AckedAt)
 		}
 	}
-	return ack, nil
+	return ack
 }
 
-// acquireService claims the volume's service queue: its own queue in
-// isolated mode, otherwise the array's shared controller.
-func (v *Volume) acquireService(p *sim.Proc) {
+// service returns the queue the volume's I/O waits in: its own in isolated
+// mode, otherwise the array's shared controller.
+func (v *Volume) service() *sim.Resource {
 	if v.queue != nil {
-		v.queue.Acquire(p)
-		return
+		return v.queue
 	}
-	v.array.controller.Acquire(p)
-}
-
-func (v *Volume) releaseService() {
-	if v.queue != nil {
-		v.queue.Release()
-		return
-	}
-	v.array.controller.Release()
+	return v.array.controller
 }
 
 // ackSeq stamps one write ack: array-wide by default, scoped to the
@@ -216,36 +243,48 @@ func (v *Volume) Read(p *sim.Proc, block int64) ([]byte, error) {
 	if block < 0 || block >= v.sizeBlocks {
 		return nil, fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, block)
 	}
-	v.chargeReads(p, 1)
+	v.chargeReads(p, 1, false)
 	return v.blocks[block], nil
 }
 
-// chargeReads holds the service queue once for n back-to-back block reads:
-// their service time passes in a single step and n reads are counted.
-func (v *Volume) chargeReads(p *sim.Proc, n int) {
-	v.acquireService(p)
-	p.Sleep(time.Duration(n) * v.array.cfg.ReadLatency)
-	v.releaseService()
+// chargeReads passes the service time of one n-block read request
+// (chargeBatch: a range, or a vector that yields) and counts the n reads.
+func (v *Volume) chargeReads(p *sim.Proc, n int, yields bool) {
+	chargeBatch(p, v.service(), n, v.array.cfg.ReadLatency, yields)
 	v.reads += int64(n)
 	v.array.readOps.Add(int64(n))
 }
 
-// ReadRange reads count consecutive blocks starting at start as one fused
-// sequential scan: the service queue is held once for the whole range and
-// the service time of count reads is charged in a single step. The
-// completion time matches count back-to-back Reads on an uncontended queue
-// while costing one scheduler step instead of count.
+// ReadRange reads count consecutive blocks starting at start as one request:
+// one scheduler step, its service time chargeBatch's — count reads spread over
+// the slots free when it starts, so count × ReadLatency only on a queue of one.
 // The result is sparse and borrowed, block by block as Read's is.
 func (v *Volume) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
 	if count < 0 || start < 0 || start+int64(count) > v.sizeBlocks {
 		return nil, fmt.Errorf("%w: %s[%d..%d)", ErrOutOfRange, v.id, start, start+int64(count))
 	}
-	v.chargeReads(p, count)
+	v.chargeReads(p, count, false)
 	out := make([][]byte, count)
 	for i := range out {
 		out[i] = v.blocks[start+int64(i)]
 	}
 	return out, nil
+}
+
+// ReadBlocks is one scatter read: ReadRange's request for the blocks the
+// vector names, in any order, each borrowed into its Data. A bad index fails
+// the whole vector before anything is charged or filled.
+func (v *Volume) ReadBlocks(p *sim.Proc, ios []BlockIO) error {
+	for _, io := range ios {
+		if io.Block < 0 || io.Block >= v.sizeBlocks {
+			return fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, io.Block)
+		}
+	}
+	v.chargeReads(p, len(ios), true)
+	for i := range ios {
+		ios[i].Data = v.blocks[ios[i].Block]
+	}
+	return nil
 }
 
 // Peek is Read without consuming simulated time — the verification back door
@@ -321,9 +360,7 @@ func (v *Volume) Apply(p *sim.Proc, block int64, data []byte) error {
 	if err := v.checkBlock(block, len(data)); err != nil {
 		return err
 	}
-	v.acquireService(p)
-	p.Sleep(v.array.cfg.WriteLatency)
-	v.releaseService()
+	chargeBatch(p, v.service(), 1, v.array.cfg.WriteLatency, false)
 	v.install(block, data)
 	v.countWrite(len(data))
 	return nil

@@ -264,15 +264,22 @@ func appendScanBlock(recs []Record, block []byte, epoch, seq uint32) ([]Record, 
 // the prefix ends in a torn record (the records before the tear are still
 // returned — recovery uses them).
 func ScanLog(blocks [][]byte, epoch uint32) ([]Record, error) {
-	var out []Record
-	for i, blk := range blocks {
-		var ok bool
-		var err error
-		out, ok, err = appendScanBlock(out, blk, epoch, uint32(i))
-		if !ok {
+	// Size the result once: no block outside the live-header prefix is
+	// scanned, and a block holds at most its capacity in commit records.
+	live := 0
+	for live < len(blocks) {
+		if e, s, ok := ReadBlockHeader(blocks[live]); !ok || e != epoch || s != uint32(live) {
 			break
 		}
-		if err != nil {
+		live++
+	}
+	if live == 0 {
+		return nil, nil
+	}
+	out := make([]Record, 0, live*((len(blocks[0])-BlockHeaderSize)/Overhead))
+	for i, blk := range blocks[:live] {
+		var err error
+		if out, _, err = appendScanBlock(out, blk, epoch, uint32(i)); err != nil {
 			return out, err
 		}
 	}
