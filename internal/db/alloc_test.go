@@ -143,8 +143,9 @@ func TestCheckpointAllocatesNoPage(t *testing.T) {
 
 // OpenView of a crashed image allocates one page per page it redoes and a
 // fixed part sized once: the view, its two maps and their first buckets (5),
-// the log range, the record slice and the I/O vector (3) — none of which
-// grows as it fills.
+// the I/O vector at one block and then at the log region's size (which the
+// page scatter reuses), and the record slice (3) — none of which grows as it
+// fills.
 func TestOpenViewAllocatesItsSlicesOnce(t *testing.T) {
 	inProcess(func(p *sim.Proc, a *storage.Array) {
 		const txns, pages = 8, 4 // both maps stay inside their first bucket
@@ -241,13 +242,24 @@ func BenchmarkTxnCommit(b *testing.B) {
 	})
 }
 
-// BenchmarkRecover: one op is Open on a crashed image — scan a WAL holding
-// 256 committed single-row transactions over 64 pages, redo, checkpoint. The
-// sim-µs metrics are the recovery's three requests on the idle 8-slot array:
-// 64 log blocks, 64 pages read, 64 pages and the superblock written.
+// BenchmarkRecover: one op is Open on a crashed image — read the WAL until it
+// ends, redo, checkpoint. The sim-µs metrics are the recovery's requests on
+// the idle 8-slot array. 256tx: 256 committed single-row transactions over 64
+// pages — a 5-block log read as 7 blocks in 3 chunks, 64 pages read, 64 pages
+// and the superblock written. empty: a log with nothing in it — one block
+// read, no page, the superblock written.
 func BenchmarkRecover(b *testing.B) {
+	for _, c := range []struct {
+		name        string
+		txns, pages int
+	}{{"256tx", 256, 64}, {"empty", 0, 1}} {
+		b.Run(c.name, func(b *testing.B) { benchmarkRecover(b, c.txns, c.pages) })
+	}
+}
+
+func benchmarkRecover(b *testing.B, txns, pages int) {
 	inProcess(func(p *sim.Proc, a *storage.Array) {
-		image := crashedImage(b, p, a, "image", 256, 64)
+		image := crashedImage(b, p, a, "image", txns, pages)
 		b.ReportAllocs()
 		var d *DB
 		for i := 0; i < b.N; i++ {

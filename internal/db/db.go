@@ -197,10 +197,7 @@ func (d *DB) walFits(sizes []int) bool {
 // log is its own request, issued only after the gather has returned — the
 // write barrier: no image holds the new epoch without every page under it.
 func (d *DB) Checkpoint(p *sim.Proc) error {
-	if cap(d.vec) < len(d.owned) {
-		d.vec = make([]storage.BlockIO, 0, len(d.owned))
-	}
-	d.vec = d.vec[:0]
+	d.vec = d.vecFor(len(d.owned))
 	for b, pg := range d.owned {
 		d.vec = append(d.vec, storage.BlockIO{Block: b, Data: pg})
 	}

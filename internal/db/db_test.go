@@ -184,12 +184,13 @@ func TestCrashRecoveryReplaysCommitted(t *testing.T) {
 	})
 }
 
-// Recovery is three requests and a barrier: the log region as one range read,
-// the pages the redo touches as one scatter read, those pages back as one
-// gather in ascending block order — each as wide as the idle 8-slot array —
-// and only then, as a request of its own, the superblock that retires the log.
-// On a journaled volume the journal shows it: one record per page, ascending,
-// all acked when the gather returned; the superblock's record last and later.
+// Recovery is the log until it ends, then three requests and a barrier: the
+// 2-block log in chunks of 1 and 2 blocks (3 read), the pages the redo touches
+// as one scatter read, those pages back as one gather in ascending block
+// order — each as wide as the idle 8-slot array — and only then, as a request
+// of its own, the superblock that retires the log. On a journaled volume the
+// journal shows it: one record per page, ascending, all acked when the gather
+// returned; the superblock's record last and later.
 func TestRecoveryIsThreeRequestsAndABarrier(t *testing.T) {
 	inProcess(func(p *sim.Proc, a *storage.Array) {
 		const pages = 40 // 5 rounds of 8; keys land on consecutive pages, the owned map iterates in any order
@@ -209,10 +210,13 @@ func TestRecoveryIsThreeRequestsAndABarrier(t *testing.T) {
 		}
 		cfg := a.Config()
 		write := cfg.WriteLatency + cfg.JournalLatency
-		logRead, pageRead, flush := 64/8*cfg.ReadLatency, pages/8*cfg.ReadLatency, pages/8*write+write
+		logRead, pageRead, flush := 2*cfg.ReadLatency, pages/8*cfg.ReadLatency, pages/8*write+write
 		if d.LogReadTime() != logRead || d.PageReadTime() != pageRead || d.FlushTime() != flush {
 			t.Errorf("log read %v, page read %v, flush %v; want %v, %v, %v",
 				d.LogReadTime(), d.PageReadTime(), d.FlushTime(), logRead, pageRead, flush)
+		}
+		if live, read := d.LogBlocks(); live != 2 || read != 3 {
+			t.Errorf("the log read found %d live blocks in %d read; want 2 in 3", live, read)
 		}
 		if open := p.Now() - t0; d.RecoveryTime() != logRead+pageRead+flush || open != cfg.ReadLatency+d.RecoveryTime() {
 			t.Errorf("recovery time %v of a %v open; want the three phases, and the superblock read before them", d.RecoveryTime(), open)

@@ -20,10 +20,10 @@ import (
 // living on snapshot volumes without mutating them. A block read is borrowed:
 // nil for a never-written (all-zero) block, else possibly the reader's own
 // storage — never modified; clone it to write (ownedPage). ReadRange (count
-// consecutive blocks: the replay reads the whole log region through it) and
-// ReadBlocks (the blocks a vector names: the pages the redo touches) are one
-// request and one scheduler step each, borrowed block by block exactly as Read
-// is; the array serves a request as wide as it has free slots.
+// consecutive blocks: Scan's preload of the data region) and ReadBlocks (the
+// blocks a vector names: the replay's log chunks, the pages the redo touches)
+// are one request and one scheduler step each, borrowed block by block exactly
+// as Read is; the array serves a request as wide as it has free slots.
 type BlockReader interface {
 	Read(p *sim.Proc, block int64) ([]byte, error)
 	ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error)
@@ -59,8 +59,9 @@ type reader struct {
 	reads  map[int64][]byte // clean pages read one at a time; made on first use
 	region [][]byte         // clean pages of the whole data region, once Scan preloaded it
 
-	// vec is the one I/O vector: the replay's scatter read and Checkpoint's
-	// gather write fill it in turn, so it is sized once for either.
+	// vec is the one I/O vector: the replay's log chunks, its scatter read and
+	// Checkpoint's gather write fill it in turn, so it grows only past the
+	// largest of them.
 	vec []storage.BlockIO
 
 	committed map[uint64]bool
@@ -68,6 +69,7 @@ type reader struct {
 	torn      bool
 
 	logRead, pageRead time.Duration // the replay's two reads, in simulated time
+	logLive, logReads int           // WAL blocks the replay found live, and read to find them
 }
 
 // open lays the database out on vol and checks its superblock; it writes
@@ -114,21 +116,17 @@ func (r *reader) open(p *sim.Proc, name string, vol BlockReader, cfg Config) err
 
 // replay redoes the WAL's valid prefix in memory: transactions with a commit
 // record in the prefix are applied in log order to owned copies of their
-// pages, everything else is discarded. It issues two reads — the log region,
-// then every page the redo will touch as one sorted scatter — so the redo
-// itself runs with every page present and takes no simulated time.
+// pages, everything else is discarded. It issues two reads — the log until it
+// ends, then every page the redo will touch as one sorted scatter — so the
+// redo itself runs with every page present and takes no simulated time.
 func (r *reader) replay(p *sim.Proc) error {
 	start := p.Now()
-	blocks, err := r.img.ReadRange(p, r.walBase, r.cfg.WALBlocks)
-	if err != nil {
-		return err
-	}
-	r.logRead = p.Now() - start
-	recs, err := wal.ScanLog(blocks, r.epoch)
+	recs, err := r.readLog(p)
 	if err != nil && !errors.Is(err, wal.ErrCorrupt) {
 		return err
 	}
-	r.torn = errors.Is(err, wal.ErrCorrupt)
+	r.logRead = p.Now() - start
+	r.torn = err != nil
 	// Analysis: find transactions whose commit record survived.
 	updates := int64(0)
 	for _, rec := range recs {
@@ -143,8 +141,9 @@ func (r *reader) replay(p *sim.Proc) error {
 		}
 	}
 	// Claim an owned page for every page a committed update touches, and
-	// fill them all from the image with one read.
-	r.vec = make([]storage.BlockIO, 0, min(updates, r.dataPages))
+	// fill them all from the image with one read. The records point into the
+	// log blocks themselves, not into the vector, so it is free to reuse.
+	r.vec = r.vecFor(int(min(updates, r.dataPages)))
 	for _, rec := range recs {
 		if rec.Type != wal.TypeUpdate || !r.committed[rec.TxID] {
 			continue
@@ -177,17 +176,57 @@ func (r *reader) replay(p *sim.Proc) error {
 	return nil
 }
 
+// readLog reads the WAL until the live log ends, not to the end of the region,
+// and decodes it. It reads chunks that double from one block — 1, 2, 4, …,
+// capped at what is left of the region — each one ReadBlocks of the I/O
+// vector, and stops after the chunk that holds the first block that is not
+// wal.LiveBlock: L live blocks cost at most min(2L+1, WALBlocks) reads, one
+// for an empty log. The error is wal.ScanLog's over the blocks read.
+func (r *reader) readLog(p *sim.Proc) ([]wal.Record, error) {
+	r.vec = r.vecFor(1)
+	for chunk := 1; r.logLive == len(r.vec) && len(r.vec) < r.cfg.WALBlocks; chunk *= 2 {
+		n := len(r.vec)
+		chunk = min(chunk, r.cfg.WALBlocks-n)
+		if cap(r.vec) < n+chunk { // past the first block: room for the region, once
+			r.vec = append(make([]storage.BlockIO, 0, r.cfg.WALBlocks), r.vec...)
+		}
+		for i := range chunk {
+			r.vec = append(r.vec, storage.BlockIO{Block: r.walBase + int64(n+i)})
+		}
+		if err := r.img.ReadBlocks(p, r.vec[n:]); err != nil {
+			return nil, err
+		}
+		for r.logLive < len(r.vec) && wal.LiveBlock(r.vec[r.logLive].Data, r.epoch, uint32(r.logLive)) {
+			r.logLive++
+		}
+	}
+	r.logReads = len(r.vec)
+	return wal.ScanLog(r.logReads, func(i int) []byte { return r.vec[i].Data }, r.epoch)
+}
+
+// vecFor returns the I/O vector emptied, with room for n requests.
+func (r *reader) vecFor(n int) []storage.BlockIO {
+	if cap(r.vec) < n {
+		r.vec = make([]storage.BlockIO, 0, n)
+	}
+	return r.vec[:0]
+}
+
 // sortByBlock puts a vector in ascending block order: the order the array is
 // asked for pages in, and the order a checkpoint's pages are acked in.
 func sortByBlock(ios []storage.BlockIO) {
 	slices.SortFunc(ios, func(a, b storage.BlockIO) int { return cmp.Compare(a.Block, b.Block) })
 }
 
-// LogReadTime returns the simulated time the replay spent reading the WAL
-// region, and PageReadTime the time it spent reading the pages it redid into:
-// the two reads that make up a replay (the redo itself is in memory).
+// LogReadTime returns the simulated time the replay spent reading the WAL,
+// and PageReadTime the time it spent reading the pages it redid into: the two
+// reads that make up a replay (the redo itself is in memory).
 func (r *reader) LogReadTime() time.Duration  { return r.logRead }
 func (r *reader) PageReadTime() time.Duration { return r.pageRead }
+
+// LogBlocks returns how much of the WAL region the replay read: the live log's
+// blocks, and the blocks it read to find where the log ends.
+func (r *reader) LogBlocks() (live, read int) { return r.logLive, r.logReads }
 
 // Name returns the name the database was opened under.
 func (r *reader) Name() string { return r.name }

@@ -164,6 +164,16 @@ func ReadBlockHeader(block []byte) (epoch, seq uint32, ok bool) {
 	return binary.LittleEndian.Uint32(block[2:6]), binary.LittleEndian.Uint32(block[6:10]), true
 }
 
+// LiveBlock reports whether block is block seq of epoch's live log: a WAL
+// block whose header carries that epoch and sequence number. The live log is
+// the run of blocks from the region's first for which it holds; the first one
+// for which it does not (never written, zeroed, a stale generation's, garbage)
+// ends the log, whatever lies behind it.
+func LiveBlock(block []byte, epoch, seq uint32) bool {
+	e, s, ok := ReadBlockHeader(block)
+	return ok && e == epoch && s == seq
+}
+
 // BlockBuilder packs records into fixed-size, header-stamped blocks.
 // Records never span blocks: when one does not fit in the remaining space,
 // the block is padded with zeroes (which scan as end-of-block) and the
@@ -233,8 +243,7 @@ func ScanBlock(block []byte, epoch, seq uint32) (recs []Record, ok bool, err err
 // appendScanBlock is ScanBlock appending to recs, so a log scan grows one
 // record slice instead of one per block plus the concatenation.
 func appendScanBlock(recs []Record, block []byte, epoch, seq uint32) ([]Record, bool, error) {
-	e, s, hdrOK := ReadBlockHeader(block)
-	if !hdrOK || e != epoch || s != seq {
+	if !LiveBlock(block, epoch, seq) {
 		return recs, false, nil
 	}
 	off := BlockHeaderSize
@@ -255,31 +264,29 @@ func appendScanBlock(recs []Record, block []byte, epoch, seq uint32) ([]Record, 
 	return recs, true, nil
 }
 
-// ScanLog decodes current-epoch records across consecutive blocks until the
-// valid prefix ends: a block whose header does not carry the expected epoch
-// and consecutive sequence number (a nil block — a sparse range's
-// never-written one — ends it like the zeroed block it stands for), or a
-// torn record. Record values point into the blocks. It returns all records
-// in the valid prefix; the error is nil for a clean end and ErrCorrupt when
-// the prefix ends in a torn record (the records before the tear are still
-// returned — recovery uses them).
-func ScanLog(blocks [][]byte, epoch uint32) ([]Record, error) {
+// ScanLog decodes current-epoch records across the first n blocks of a log
+// region, block(i) returning block i, until the valid prefix ends: a block
+// that is not LiveBlock (a nil block — a sparse read's never-written one —
+// ends it like the zeroed block it stands for), or a torn record. Record
+// values point into the blocks. It returns all records in the valid prefix;
+// the error is nil for a clean end and ErrCorrupt when the prefix ends in a
+// torn record (the records before the tear are still returned — recovery
+// uses them). block is an accessor, not a slice, so a reader can scan the
+// blocks its I/O vector borrowed without building a second list of them.
+func ScanLog(n int, block func(i int) []byte, epoch uint32) ([]Record, error) {
 	// Size the result once: no block outside the live-header prefix is
 	// scanned, and a block holds at most its capacity in commit records.
 	live := 0
-	for live < len(blocks) {
-		if e, s, ok := ReadBlockHeader(blocks[live]); !ok || e != epoch || s != uint32(live) {
-			break
-		}
+	for live < n && LiveBlock(block(live), epoch, uint32(live)) {
 		live++
 	}
 	if live == 0 {
 		return nil, nil
 	}
-	out := make([]Record, 0, live*((len(blocks[0])-BlockHeaderSize)/Overhead))
-	for i, blk := range blocks[:live] {
+	out := make([]Record, 0, live*((len(block(0))-BlockHeaderSize)/Overhead))
+	for i := range live {
 		var err error
-		if out, _, err = appendScanBlock(out, blk, epoch, uint32(i)); err != nil {
+		if out, _, err = appendScanBlock(out, block(i), epoch, uint32(i)); err != nil {
 			return out, err
 		}
 	}

@@ -125,6 +125,26 @@ func TestBlockHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+func TestLiveBlockNeedsEpochAndSeq(t *testing.T) {
+	blk := make([]byte, 64)
+	PutBlockHeader(blk, 7, 3)
+	for _, c := range []struct {
+		block      []byte
+		epoch, seq uint32
+		want       bool
+	}{
+		{blk, 7, 3, true},
+		{blk, 6, 3, false}, // stale generation
+		{blk, 7, 2, false}, // not the next block
+		{make([]byte, 64), 0, 0, false},
+		{nil, 0, 0, false}, // never written
+	} {
+		if got := LiveBlock(c.block, c.epoch, c.seq); got != c.want {
+			t.Errorf("LiveBlock(%d bytes, epoch %d, seq %d) = %v, want %v", len(c.block), c.epoch, c.seq, got, c.want)
+		}
+	}
+}
+
 func TestBlockBuilderPacksAndPads(t *testing.T) {
 	b := NewBlockBuilder(128, 1, 0)
 	r := Record{Type: TypeUpdate, Epoch: 1, TxID: 1, Key: 1, Val: make([]byte, 20)} // 48 bytes
@@ -192,6 +212,11 @@ func TestScanBlockRejectsWrongSeq(t *testing.T) {
 	}
 }
 
+// scanRegion is ScanLog over a whole region held as a slice.
+func scanRegion(region [][]byte, epoch uint32) ([]Record, error) {
+	return ScanLog(len(region), func(i int) []byte { return region[i] }, epoch)
+}
+
 func TestScanLogAcrossBlocks(t *testing.T) {
 	b := NewBlockBuilder(256, 1, 0)
 	for i := uint64(0); i < 20; i++ {
@@ -200,7 +225,7 @@ func TestScanLogAcrossBlocks(t *testing.T) {
 	blocks := b.Blocks()
 	// Pad the region with zero blocks like a fresh WAL area.
 	region := append(blocks, make([]byte, 256), make([]byte, 256))
-	recs, err := ScanLog(region, 1)
+	recs, err := scanRegion(region, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +249,7 @@ func TestScanLogStopsAtStaleGeneration(t *testing.T) {
 		stale.Append(Record{Type: TypeCommit, Epoch: 1, TxID: 99})
 	}
 	region := append(head.Blocks(), stale.Blocks()...)
-	recs, err := ScanLog(region, 2)
+	recs, err := scanRegion(region, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +266,7 @@ func TestScanLogReportsTornTail(t *testing.T) {
 	blk := b.Blocks()[0]
 	// Corrupt the second record's payload.
 	blk[BlockHeaderSize+first.EncodedSize()+10] ^= 0xFF
-	recs, err := ScanLog([][]byte{blk}, 1)
+	recs, err := scanRegion([][]byte{blk}, 1)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want corrupt", err)
 	}
@@ -273,8 +298,8 @@ func TestScanLogNilBlocksScanLikeZeroBlocks(t *testing.T) {
 				zeroed[i] = make([]byte, 256)
 			}
 		}
-		got, gotErr := ScanLog(sparse, 1)
-		want, wantErr := ScanLog(zeroed, 1)
+		got, gotErr := scanRegion(sparse, 1)
+		want, wantErr := scanRegion(zeroed, 1)
 		if gotErr != wantErr || len(got) != len(want) {
 			t.Fatalf("%s: sparse scan = %d records, %v; zeroed scan = %d records, %v",
 				name, len(got), gotErr, len(want), wantErr)
@@ -291,7 +316,7 @@ func TestScanLogNilBlocksScanLikeZeroBlocks(t *testing.T) {
 }
 
 func TestScanLogEmptyRegion(t *testing.T) {
-	recs, err := ScanLog([][]byte{make([]byte, 512), make([]byte, 512)}, 1)
+	recs, err := scanRegion([][]byte{make([]byte, 512), make([]byte, 512)}, 1)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("recs=%d err=%v", len(recs), err)
 	}
@@ -309,7 +334,7 @@ func TestBlockBuilderPropertyNoRecordLoss(t *testing.T) {
 				return false
 			}
 		}
-		recs, err := ScanLog(b.Blocks(), 7)
+		recs, err := scanRegion(b.Blocks(), 7)
 		if err != nil || len(recs) != n {
 			return false
 		}
