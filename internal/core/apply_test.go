@@ -12,7 +12,7 @@ import (
 // TestApplyTenantDeclarativeLifecycle drives a tenant through the
 // declarative surface alone: one ApplyTenant declares the whole desired
 // state, CondReady observes convergence, a re-apply of the identical spec
-// writes nothing, and a spec change (more journal lanes) converges through
+// writes nothing and costs one charged read, and a spec change (more journal lanes) converges through
 // the same two calls via CondResharded.
 func TestApplyTenantDeclarativeLifecycle(t *testing.T) {
 	runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
@@ -32,9 +32,15 @@ func TestApplyTenantDeclarativeLifecycle(t *testing.T) {
 			return
 		}
 		before := obj.GetMeta().ResourceVersion
+		calls, start := sys.Main.API.Calls(), p.Now()
 		if err := sys.ApplyTenant(p, spec); err != nil {
 			t.Errorf("re-apply: %v", err)
 			return
+		}
+		// A client's read is a round trip, not the informer cache: the
+		// identical re-apply is its one Get.
+		if n, took := sys.Main.API.Calls()-calls, p.Now()-start; n != 1 || took != 500*time.Microsecond {
+			t.Errorf("identical re-apply cost %d calls over %v, want 1 over 500µs", n, took)
 		}
 		obj, err = sys.Main.API.Get(p, tenantKey("shop"))
 		if err != nil {

@@ -124,10 +124,10 @@ type System struct {
 	lanePaths map[string][]*fabric.TenantPath
 	revPaths  map[string]*fabric.TenantPath
 
-	// Tenant lifecycle (tenant.go): the controllers reconciling Tenant
-	// specs, the set of namespaces they manage, and the per-tenant QoS
+	// Tenant lifecycle (tenant.go): the controller reconciling Tenant
+	// specs, the set of namespaces it manages, and the per-tenant QoS
 	// bindings TenantSpec declares.
-	tenantCtrls       []*platform.Controller
+	tenantCtrl        *platform.Controller
 	managedTenants    map[string]bool
 	tenantClass       map[string]string
 	tenantLaneClasses map[string][]string
@@ -206,16 +206,14 @@ func NewSystem(cfg Config) *System {
 	sys.Operator = operator.New(env, sys.Main.API, operator.Config{Telemetry: sys.Telemetry})
 	sys.Main.Snapshots = csiplugin.NewSnapshotController(env, sys.Main.API, sys.Main.Array, cfg.FeatureGates)
 	sys.Backup.Snapshots = csiplugin.NewSnapshotController(env, sys.Backup.API, sys.Backup.Array, cfg.FeatureGates)
-	sys.tenantCtrls = sys.newTenantControllers()
+	sys.tenantCtrl = sys.newTenantController()
 
 	sys.Provisioner.Start()
 	sys.Replication.Start()
 	sys.Operator.Start()
 	sys.Main.Snapshots.Start()
 	sys.Backup.Snapshots.Start()
-	for _, c := range sys.tenantCtrls {
-		c.Start()
-	}
+	sys.tenantCtrl.Start()
 
 	env.Process("bootstrap", func(p *sim.Proc) {
 		if err := sys.Main.API.Create(p, &platform.StorageClass{
@@ -237,9 +235,7 @@ func NewSystem(cfg Config) *System {
 // benchmark iterating over fresh systems accumulates those leaks into
 // GC/scheduler cost that corrupts later measurements.
 func (sys *System) Stop() {
-	for _, c := range sys.tenantCtrls {
-		c.Stop()
-	}
+	sys.tenantCtrl.Stop()
 	sys.Operator.Stop()
 	sys.Provisioner.Stop()
 	sys.Replication.Stop()

@@ -40,44 +40,40 @@ func tenantKey(namespace string) platform.ObjectKey {
 	return platform.ObjectKey{Kind: platform.KindTenant, Name: namespace}
 }
 
-// newTenantControllers builds the tenant controller set: the Tenant watch
-// plus ReplicationGroup/PVC/Namespace watches mapped back to tenant keys so
-// status converges on events instead of polling. The map functions filter
-// on the managed-tenant set, so a namespace made straight on the API server
-// (E2 tags one by hand) never costs a reconcile.
-func (sys *System) newTenantControllers() []*platform.Controller {
-	rec := platform.ReconcilerFunc(sys.reconcileTenant)
+// newTenantController builds the tenant controller: the Tenant watch plus
+// ReplicationGroup/PVC/Namespace watches mapped back to tenant keys so
+// status converges on events instead of polling. All four kinds feed one
+// queue, so no two reconciles of one tenant ever run at once. The map
+// functions filter on the managed-tenant set, so a namespace made straight
+// on the API server (E2 tags one by hand) never costs a reconcile.
+func (sys *System) newTenantController() *platform.Controller {
 	managedKey := func(ns string) (platform.ObjectKey, bool) {
 		return tenantKey(ns), sys.managedTenants[ns]
 	}
-	cc := platform.ControllerConfig{Telemetry: sys.Telemetry}
-	return []*platform.Controller{
-		platform.NewController(sys.Env, sys.Main.API, "tenant-controller",
-			platform.KindTenant, nil, rec, cc),
-		platform.NewController(sys.Env, sys.Main.API, "tenant-controller-rg",
-			platform.KindReplicationGroup, func(ev platform.Event) (platform.ObjectKey, bool) {
-				ns, ok := operator.NamespaceOfGroup(ev.Object.GetMeta().Name)
-				if !ok {
-					return platform.ObjectKey{}, false
-				}
-				return managedKey(ns)
-			}, rec, cc),
-		platform.NewController(sys.Env, sys.Main.API, "tenant-controller-pvc",
-			platform.KindPVC, func(ev platform.Event) (platform.ObjectKey, bool) {
-				return managedKey(ev.Object.GetMeta().Namespace)
-			}, rec, cc),
-		platform.NewController(sys.Env, sys.Main.API, "tenant-controller-ns",
-			platform.KindNamespace, func(ev platform.Event) (platform.ObjectKey, bool) {
-				return managedKey(ev.Object.GetMeta().Name)
-			}, rec, cc),
-	}
+	return platform.NewController(sys.Env, sys.Main.API, "tenant-controller",
+		platform.KindTenant, nil, platform.ReconcilerFunc(sys.reconcileTenant),
+		platform.ControllerConfig{Telemetry: sys.Telemetry}).
+		Watches(platform.KindReplicationGroup, func(ev platform.Event) (platform.ObjectKey, bool) {
+			ns, ok := operator.NamespaceOfGroup(ev.Object.GetMeta().Name)
+			if !ok {
+				return platform.ObjectKey{}, false
+			}
+			return managedKey(ns)
+		}).
+		Watches(platform.KindPVC, func(ev platform.Event) (platform.ObjectKey, bool) {
+			return managedKey(ev.Object.GetMeta().Namespace)
+		}).
+		Watches(platform.KindNamespace, func(ev platform.Event) (platform.ObjectKey, bool) {
+			return managedKey(ev.Object.GetMeta().Name)
+		})
 }
 
 // reconcileTenant is the level-triggered spec→world hook. It is idempotent:
 // every step checks before it creates, and a deleted spec converges to a
-// full teardown no matter how far provisioning had progressed.
+// full teardown no matter how far provisioning had progressed. Its reads are
+// the informer cache's (APIServer.Cached); only its writes are round trips.
 func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
-	obj, err := sys.Main.API.Get(p, key)
+	obj, err := sys.Main.API.Cached(key)
 	if errors.Is(err, platform.ErrNotFound) {
 		if !sys.managedTenants[key.Name] {
 			return nil // never ours: an event for a namespace without a Tenant
@@ -112,14 +108,14 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 
 	// Namespace.
 	nsKey := platform.ObjectKey{Kind: platform.KindNamespace, Name: ns}
-	nsObj, err := sys.Main.API.Get(p, nsKey)
+	nsObj, err := sys.Main.API.Cached(nsKey)
 	if errors.Is(err, platform.ErrNotFound) {
 		if err := sys.Main.API.Create(p, &platform.Namespace{
 			Meta: platform.Meta{Kind: platform.KindNamespace, Name: ns},
 		}); err != nil && !errors.Is(err, platform.ErrExists) {
 			return err
 		}
-		nsObj, err = sys.Main.API.Get(p, nsKey)
+		nsObj, err = sys.Main.API.Cached(nsKey)
 	}
 	if err != nil {
 		return err
@@ -134,7 +130,7 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 	}
 	for _, claim := range tn.Spec.PVCNames {
 		ck := platform.ObjectKey{Kind: platform.KindPVC, Namespace: ns, Name: claim}
-		if _, err := sys.Main.API.Get(p, ck); errors.Is(err, platform.ErrNotFound) {
+		if _, err := sys.Main.API.Cached(ck); errors.Is(err, platform.ErrNotFound) {
 			if err := sys.Main.API.Create(p, &platform.PersistentVolumeClaim{
 				Meta: platform.Meta{Kind: platform.KindPVC, Namespace: ns, Name: claim},
 				Spec: platform.PVCSpec{StorageClassName: StorageClassName, SizeBlocks: blocks},
@@ -157,7 +153,7 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 	}
 
 	// Status.
-	phase, msg, err := sys.tenantPhase(p, ns, tn.Spec)
+	phase, msg, err := sys.tenantPhase(ns, tn.Spec)
 	if err != nil {
 		return err
 	}
@@ -203,10 +199,10 @@ func setTenantLabels(ns *platform.Namespace, spec platform.TenantSpec) {
 // tenantPhase computes the tenant's current phase: with Backup, the
 // replication group's phase decides; without, every spec'd claim must be
 // bound.
-func (sys *System) tenantPhase(p *sim.Proc, ns string, spec platform.TenantSpec) (platform.TenantPhase, string, error) {
+func (sys *System) tenantPhase(ns string, spec platform.TenantSpec) (platform.TenantPhase, string, error) {
 	if spec.Backup {
 		rgKey := platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: operator.GroupNameFor(ns)}
-		obj, err := sys.Main.API.Get(p, rgKey)
+		obj, err := sys.Main.API.Cached(rgKey)
 		if errors.Is(err, platform.ErrNotFound) {
 			return platform.TenantProvisioning, "waiting for the operator to create the replication group", nil
 		}
@@ -224,7 +220,7 @@ func (sys *System) tenantPhase(p *sim.Proc, ns string, spec platform.TenantSpec)
 	}
 	for _, claim := range spec.PVCNames {
 		ck := platform.ObjectKey{Kind: platform.KindPVC, Namespace: ns, Name: claim}
-		obj, err := sys.Main.API.Get(p, ck)
+		obj, err := sys.Main.API.Cached(ck)
 		if errors.Is(err, platform.ErrNotFound) {
 			return platform.TenantProvisioning, "claim " + claim + " not created", nil
 		}
@@ -243,7 +239,7 @@ func (sys *System) tenantPhase(p *sim.Proc, ns string, spec platform.TenantSpec)
 // requeues into teardown).
 func (sys *System) setTenantStatus(p *sim.Proc, tn *platform.Tenant, phase platform.TenantPhase, msg string) error {
 	for {
-		obj, err := sys.Main.API.Get(p, tn.Key())
+		obj, err := sys.Main.API.Cached(tn.Key())
 		if errors.Is(err, platform.ErrNotFound) {
 			return nil
 		}
@@ -273,15 +269,12 @@ func (sys *System) setTenantStatus(p *sim.Proc, tn *platform.Tenant, phase platf
 // provisioner's volume unwind) still have work in flight; the controller's
 // backoff retries until both arrays are clean.
 func (sys *System) teardownTenant(p *sim.Proc, ns string) error {
-	if !sys.managedTenants[ns] {
-		return nil // another reconcile already finished the teardown
-	}
 	api := sys.Main.API
 	// 1. The namespace: deleting it makes the operator remove the
 	// ReplicationGroup, which makes the replication plugin stop the engines
 	// and delete + detach the journal (or all of its shards).
 	nsKey := platform.ObjectKey{Kind: platform.KindNamespace, Name: ns}
-	if _, err := api.Get(p, nsKey); err == nil {
+	if _, err := api.Cached(nsKey); err == nil {
 		if err := api.Delete(p, nsKey); err != nil && !errors.Is(err, platform.ErrNotFound) {
 			return err
 		}
@@ -290,7 +283,7 @@ func (sys *System) teardownTenant(p *sim.Proc, ns string) error {
 	}
 	groupName := operator.GroupNameFor(ns)
 	rgKey := platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: groupName}
-	if _, err := api.Get(p, rgKey); err == nil {
+	if _, err := api.Cached(rgKey); err == nil {
 		return fmt.Errorf("core: decommission %s: replication group still present", ns)
 	} else if !errors.Is(err, platform.ErrNotFound) {
 		return err
@@ -301,7 +294,7 @@ func (sys *System) teardownTenant(p *sim.Proc, ns string) error {
 	// 2. Main-site claims: deleting the PVC objects has the provisioner
 	// unwind each bound PV and array volume (now detachable — the journal
 	// teardown above released them).
-	for _, obj := range api.List(p, platform.KindPVC, ns) {
+	for _, obj := range api.CachedList(platform.KindPVC, ns) {
 		if err := api.Delete(p, obj.GetMeta().Key()); err != nil && !errors.Is(err, platform.ErrNotFound) {
 			return err
 		}
@@ -310,13 +303,13 @@ func (sys *System) teardownTenant(p *sim.Proc, ns string) error {
 	// snapshots, and volumes are reclaimed here.
 	bapi := sys.Backup.API
 	for _, kind := range []platform.Kind{platform.KindVolumeSnapshot, platform.KindVolumeGroupSnapshot} {
-		for _, obj := range bapi.List(p, kind, ns) {
+		for _, obj := range bapi.CachedList(kind, ns) {
 			if err := bapi.Delete(p, obj.GetMeta().Key()); err != nil && !errors.Is(err, platform.ErrNotFound) {
 				return err
 			}
 		}
 	}
-	for _, obj := range bapi.List(p, platform.KindPVC, ns) {
+	for _, obj := range bapi.CachedList(platform.KindPVC, ns) {
 		claim := obj.GetMeta().Name
 		if err := bapi.Delete(p, obj.GetMeta().Key()); err != nil && !errors.Is(err, platform.ErrNotFound) {
 			return err
@@ -341,13 +334,8 @@ func (sys *System) teardownTenant(p *sim.Proc, ns string) error {
 	if res := sys.TenantResidue(ns); len(res) > 0 {
 		return fmt.Errorf("core: decommission %s: residue remains: %s", ns, strings.Join(res, "; "))
 	}
-	// 5. Reclaim the per-tenant bookkeeping. Four controllers can funnel the
-	// same key here concurrently; every API call above yields, so re-check
-	// the managed flag on this (yield-free) tail — exactly one reconcile
-	// completes the decommission.
-	if !sys.managedTenants[ns] {
-		return nil
-	}
+	// 5. Reclaim the per-tenant bookkeeping. One queue never runs two
+	// reconciles of this key at once, so exactly one completes it.
 	delete(sys.lanePaths, ns)
 	delete(sys.revPaths, ns)
 	delete(sys.tenantClass, ns)

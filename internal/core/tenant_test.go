@@ -547,10 +547,8 @@ func TestTagByHandNeedsNoTenantObject(t *testing.T) {
 		if sys.managedTenants["biz"] {
 			t.Error("hand-tagged namespace entered the managed-tenant set")
 		}
-		for i, c := range sys.tenantCtrls {
-			if n := c.Reconciles(); n != 0 {
-				t.Errorf("tenant controller %d charged %d reconciles to an unmanaged namespace", i, n)
-			}
+		if n := sys.tenantCtrl.Reconciles(); n != 0 {
+			t.Errorf("tenant controller charged %d reconciles to an unmanaged namespace", n)
 		}
 
 		if err := setTag(false); err != nil {

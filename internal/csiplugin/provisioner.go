@@ -72,8 +72,10 @@ func PVNameForClaim(namespace, name string) string {
 	return "pv-" + namespace + "-" + name
 }
 
+// reconcile reads the informer cache (APIServer.Cached); only its writes
+// are round trips.
 func (pr *Provisioner) reconcile(p *sim.Proc, key platform.ObjectKey) error {
-	obj, err := pr.api.Get(p, key)
+	obj, err := pr.api.Cached(key)
 	if errors.Is(err, platform.ErrNotFound) {
 		// Claim deleted: unwind its PV and array volume so decommissioned
 		// tenants return their capacity to the array free lists.
@@ -86,7 +88,7 @@ func (pr *Provisioner) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 		return nil
 	}
 	claim := obj.DeepCopy().(*platform.PersistentVolumeClaim) // bound and written back below
-	scObj, err := pr.api.Get(p, platform.ObjectKey{Kind: platform.KindStorageClass, Name: claim.Spec.StorageClassName})
+	scObj, err := pr.api.Cached(platform.ObjectKey{Kind: platform.KindStorageClass, Name: claim.Spec.StorageClassName})
 	if err != nil {
 		return fmt.Errorf("csiplugin: claim %s: storage class: %w", key, err)
 	}
@@ -128,7 +130,7 @@ func (pr *Provisioner) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 // once it has.
 func (pr *Provisioner) unprovision(p *sim.Proc, key platform.ObjectKey) error {
 	pvKey := platform.ObjectKey{Kind: platform.KindPV, Name: PVNameForClaim(key.Namespace, key.Name)}
-	pvObj, err := pr.api.Get(p, pvKey)
+	pvObj, err := pr.api.Cached(pvKey)
 	if errors.Is(err, platform.ErrNotFound) {
 		return nil // never provisioned, or already unwound
 	}
@@ -152,9 +154,10 @@ func (pr *Provisioner) unprovision(p *sim.Proc, key platform.ObjectKey) error {
 	return nil
 }
 
-// resolveClaimVolume maps a bound PVC to its array volume via the PV.
-func resolveClaimVolume(p *sim.Proc, api *platform.APIServer, namespace, name string) (*platform.PersistentVolume, error) {
-	obj, err := api.Get(p, platform.ObjectKey{Kind: platform.KindPVC, Namespace: namespace, Name: name})
+// resolveClaimVolume maps a bound PVC to its array volume via the PV, read
+// from the informer cache.
+func resolveClaimVolume(api *platform.APIServer, namespace, name string) (*platform.PersistentVolume, error) {
+	obj, err := api.Cached(platform.ObjectKey{Kind: platform.KindPVC, Namespace: namespace, Name: name})
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +165,7 @@ func resolveClaimVolume(p *sim.Proc, api *platform.APIServer, namespace, name st
 	if claim.Status.Phase != platform.ClaimBound || claim.Status.VolumeName == "" {
 		return nil, fmt.Errorf("%w: %s/%s", ErrClaimNotBound, namespace, name)
 	}
-	pvObj, err := api.Get(p, platform.ObjectKey{Kind: platform.KindPV, Name: claim.Status.VolumeName})
+	pvObj, err := api.Cached(platform.ObjectKey{Kind: platform.KindPV, Name: claim.Status.VolumeName})
 	if err != nil {
 		return nil, err
 	}

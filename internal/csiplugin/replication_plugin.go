@@ -109,8 +109,10 @@ func (rp *ReplicationPlugin) AllGroups() []replication.Replicator {
 	return out
 }
 
+// reconcile reads the informer cache (APIServer.Cached); only its writes
+// are round trips.
 func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) error {
-	obj, err := rp.sites.MainAPI.Get(p, key)
+	obj, err := rp.sites.MainAPI.Cached(key)
 	if errors.Is(err, platform.ErrNotFound) {
 		return rp.teardown(p, key.Name)
 	}
@@ -155,7 +157,7 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 	}
 	var members []member
 	for _, pvcName := range rg.Spec.PVCNames {
-		pv, err := resolveClaimVolume(p, rp.sites.MainAPI, rg.Spec.SourceNamespace, pvcName)
+		pv, err := resolveClaimVolume(rp.sites.MainAPI, rg.Spec.SourceNamespace, pvcName)
 		if err != nil {
 			_ = rp.setPhase(p, rg, platform.GroupPending, err.Error())
 			return err // retry until the provisioner binds the claim
@@ -233,7 +235,7 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 	rp.nsByGroup[g] = rg.Spec.SourceNamespace
 
 	// Refresh the CR (phase Syncing bumped its version) and mark Ready.
-	cur, err := rp.sites.MainAPI.Get(p, key)
+	cur, err := rp.sites.MainAPI.Cached(key)
 	if err != nil {
 		return err
 	}
@@ -280,7 +282,7 @@ func (rp *ReplicationPlugin) teardown(p *sim.Proc, name string) error {
 // callers that go on to write it re-read it.
 func (rp *ReplicationPlugin) setPhase(p *sim.Proc, rg *platform.ReplicationGroup, phase platform.GroupPhase, msg string) error {
 	for {
-		cur, err := rp.sites.MainAPI.Get(p, rg.Key())
+		cur, err := rp.sites.MainAPI.Cached(rg.Key())
 		if err != nil {
 			return err
 		}

@@ -60,8 +60,10 @@ func (sc *SnapshotController) Snapshots() int64 { return sc.snapshots }
 // Refused returns how many group requests the feature gate rejected.
 func (sc *SnapshotController) Refused() int64 { return sc.refused }
 
+// reconcileSingle and reconcileGroup read the informer cache
+// (APIServer.Cached); only their writes are round trips.
 func (sc *SnapshotController) reconcileSingle(p *sim.Proc, key platform.ObjectKey) error {
-	obj, err := sc.api.Get(p, key)
+	obj, err := sc.api.Cached(key)
 	if errors.Is(err, platform.ErrNotFound) {
 		return nil
 	}
@@ -72,7 +74,7 @@ func (sc *SnapshotController) reconcileSingle(p *sim.Proc, key platform.ObjectKe
 		return nil
 	}
 	snap := obj.DeepCopy().(*platform.VolumeSnapshot) // status written back below
-	pv, err := resolveClaimVolume(p, sc.api, snap.Namespace, snap.Spec.PVCName)
+	pv, err := resolveClaimVolume(sc.api, snap.Namespace, snap.Spec.PVCName)
 	if err != nil {
 		return err
 	}
@@ -91,7 +93,7 @@ func (sc *SnapshotController) reconcileSingle(p *sim.Proc, key platform.ObjectKe
 }
 
 func (sc *SnapshotController) reconcileGroup(p *sim.Proc, key platform.ObjectKey) error {
-	obj, err := sc.api.Get(p, key)
+	obj, err := sc.api.Cached(key)
 	if errors.Is(err, platform.ErrNotFound) {
 		return nil
 	}
@@ -116,7 +118,7 @@ func (sc *SnapshotController) reconcileGroup(p *sim.Proc, key platform.ObjectKey
 	}
 	var vols []storage.VolumeID
 	for _, pvcName := range snap.Spec.PVCNames {
-		pv, err := resolveClaimVolume(p, sc.api, snap.Namespace, pvcName)
+		pv, err := resolveClaimVolume(sc.api, snap.Namespace, pvcName)
 		if err != nil {
 			return err
 		}

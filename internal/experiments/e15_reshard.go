@@ -153,6 +153,25 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 			preBytes := engine.AppliedBytes()
 			declaredAt := p.Now()
 			res.PreMBps = mbps(preBytes, declaredAt-startWrites)
+			// The windows turn at the engine's settle and at the end of the
+			// writes, not when the client's backoff poll (up to 160 ms apart)
+			// notices: drain lands in whole batches, so a window edge that
+			// lags moves a batch's bytes across it.
+			settle := sys.Env.NewEvent()
+			var settledAt, postStart time.Duration
+			var settledBytes, postBase int64
+			sys.Env.Process("settle", func(p *sim.Proc) {
+				defer settle.Trigger()
+				for deadline := p.Now() + time.Minute; engine.Lanes() != e15ToShards; p.Sleep(time.Millisecond) {
+					if p.Now() >= deadline {
+						return
+					}
+				}
+				engine.(*replication.Group).AwaitReshard(p)
+				settledAt, settledBytes = p.Now(), engine.AppliedBytes()
+				p.Wait(written)
+				postStart, postBase = p.Now(), engine.AppliedBytes()
+			})
 			if err := sys.UpdateTenantSpec(p, e15Namespace, func(s *platform.TenantSpec) {
 				s.JournalShards = e15ToShards
 			}); err != nil {
@@ -163,9 +182,9 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 				fail(fmt.Errorf("reshard: %w", err))
 				return
 			}
-			settledAt := p.Now()
+			p.Wait(settle)
 			res.StallTime = settledAt - declaredAt
-			res.DuringMBps = mbps(engine.AppliedBytes()-preBytes, settledAt-declaredAt)
+			res.DuringMBps = mbps(settledBytes-preBytes, settledAt-declaredAt)
 			sg, sj := engine, engine.Journal()
 			if sg.Lanes() != e15ToShards {
 				fail(fmt.Errorf("post-reshard engine runs %d lanes", sg.Lanes()))
@@ -176,9 +195,6 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 			res.MovedRecords = sj.MovedRecords()
 
 			// Post window: drain the remaining backlog on four lanes.
-			p.Wait(written)
-			postStart := p.Now()
-			postBase := engine.AppliedBytes()
 			sg.CatchUp(p)
 			res.PostMBps = mbps(engine.AppliedBytes()-postBase, p.Now()-postStart)
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +10,8 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/netlink"
 	"repro/internal/sim"
+	"repro/internal/storage"
+	"repro/internal/telemetry"
 )
 
 func testConfig(tenants, orders int) Config {
@@ -187,6 +190,53 @@ func TestFleetDeterministicAcrossRuns(t *testing.T) {
 	}
 	if mean, limit := ready/256, 256*6*time.Millisecond/2/3; mean >= limit {
 		t.Fatalf("256-tenant burst: mean time to ready %v, want under %v", mean, limit)
+	}
+}
+
+// TestFleetControlPlaneAtScale provisions 1,024 shop tenants at once (the
+// benchmark's fleet). Reconcilers read the informer cache and each owns one
+// queue, so a tenant costs the control plane its writes: fewer than 30 API
+// calls over its whole life, provisioning included (136 when every read was
+// a round trip). The tenant controller never retries — its one contested
+// write, the namespace label, cannot meet a sibling reconcile of the same
+// tenant — and the whole fleet retries a handful of times at most (the
+// replication plugin finding a claim not yet bound).
+func TestFleetControlPlaneAtScale(t *testing.T) {
+	const tenants = 1024
+	f := New(Config{
+		Tenants:         tenants,
+		OrdersPerTenant: 8,
+		StartBarrier:    true,
+		System: core.Config{
+			Seed:         1,
+			VolumeBlocks: 256,
+			Storage:      storage.Config{BlockSize: 512},
+			Telemetry:    &telemetry.Config{},
+		},
+	})
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if tot := f.Totals(); tot.Verified != tenants {
+		t.Fatalf("verified %d of %d tenants", tot.Verified, tenants)
+	}
+	var requeues, tenantRequeues int64
+	for key, n := range f.Sys.Telemetry.Snapshot().Counters {
+		if strings.HasPrefix(key, "controller.requeues") {
+			requeues += n
+		}
+		if strings.HasPrefix(key, "controller.requeues{controller=tenant-controller") {
+			tenantRequeues += n
+		}
+	}
+	if requeues > 8 {
+		t.Errorf("%d reconcile errors across the control plane, want at most 8", requeues)
+	}
+	if tenantRequeues != 0 {
+		t.Errorf("tenant controller retried %d times, want 0 (no conflict on the namespace-label write)", tenantRequeues)
+	}
+	if calls := f.Sys.Main.API.Calls() + f.Sys.Backup.API.Calls(); calls > 30*tenants {
+		t.Errorf("%d API calls for %d tenants (%.1f each), want at most 30 each", calls, tenants, float64(calls)/tenants)
 	}
 }
 

@@ -39,50 +39,43 @@ const ShardsLabel = "backup-shards"
 
 // Config tunes operator behaviour.
 type Config struct {
-	// Telemetry, when set, instruments the operator's controllers
+	// Telemetry, when set, instruments the operator's controller
 	// (reconcile latency, requeues, reconcile spans).
 	Telemetry *telemetry.Registry
 }
 
 // Operator is the namespace operator.
 type Operator struct {
-	env     *sim.Env
-	api     *platform.APIServer
-	cfg     Config
-	ctrl    *platform.Controller
-	pvcCtrl *platform.Controller
+	env  *sim.Env
+	api  *platform.APIServer
+	cfg  Config
+	ctrl *platform.Controller
 
 	configured int64
 	removed    int64
 }
 
-// New builds the operator on the main site's API server. It watches both
-// namespaces (for the tag) and PVCs (so claims added after tagging extend
-// the replication group).
+// New builds the operator on the main site's API server. One controller
+// watches both namespaces (for the tag) and PVCs (so claims added after
+// tagging extend the replication group), on one queue keyed by namespace.
 func New(env *sim.Env, api *platform.APIServer, cfg Config) *Operator {
 	o := &Operator{env: env, api: api, cfg: cfg}
 	o.ctrl = platform.NewController(env, api, "namespace-operator", platform.KindNamespace,
-		nil, platform.ReconcilerFunc(o.reconcile), platform.ControllerConfig{Telemetry: cfg.Telemetry})
-	o.pvcCtrl = platform.NewController(env, api, "namespace-operator-pvc", platform.KindPVC,
-		func(ev platform.Event) (platform.ObjectKey, bool) {
+		nil, platform.ReconcilerFunc(o.reconcile), platform.ControllerConfig{Telemetry: cfg.Telemetry}).
+		Watches(platform.KindPVC, func(ev platform.Event) (platform.ObjectKey, bool) {
 			return platform.ObjectKey{Kind: platform.KindNamespace, Name: ev.Object.GetMeta().Namespace}, true
-		}, platform.ReconcilerFunc(o.reconcile), platform.ControllerConfig{Telemetry: cfg.Telemetry})
+		})
 	return o
 }
 
 // Start launches the operator.
-func (o *Operator) Start() {
-	o.ctrl.Start()
-	o.pvcCtrl.Start()
-}
+func (o *Operator) Start() { o.ctrl.Start() }
 
 // Stop halts the operator.
-func (o *Operator) Stop() {
-	o.ctrl.Stop()
-	o.pvcCtrl.Stop()
-}
+func (o *Operator) Stop() { o.ctrl.Stop() }
 
-// Configured returns how many ReplicationGroups the operator created.
+// Configured returns how many ReplicationGroups the operator created (a
+// Create that found the group already there is not one).
 func (o *Operator) Configured() int64 { return o.configured }
 
 // Removed returns how many ReplicationGroups the operator deleted.
@@ -104,9 +97,11 @@ func NamespaceOfGroup(name string) (string, bool) {
 	return ns, true
 }
 
+// reconcile reads the informer cache (APIServer.Cached); only its writes
+// are round trips.
 func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 	groupKey := platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: GroupNameFor(key.Name)}
-	obj, err := o.api.Get(p, key)
+	obj, err := o.api.Cached(key)
 	if errors.Is(err, platform.ErrNotFound) {
 		// Namespace deleted: remove its replication configuration.
 		return o.ensureAbsent(p, groupKey)
@@ -122,7 +117,7 @@ func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 	// Tag present: discover the namespace's PVCs — the correspondence
 	// between applications and storage volumes the operator unravels.
 	var pvcNames []string
-	for _, c := range o.api.List(p, platform.KindPVC, ns.Name) {
+	for _, c := range o.api.CachedList(platform.KindPVC, ns.Name) {
 		pvcNames = append(pvcNames, c.GetMeta().Name)
 	}
 	if len(pvcNames) == 0 {
@@ -137,7 +132,7 @@ func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 			shards = v
 		}
 	}
-	existing, err := o.api.Get(p, groupKey)
+	existing, err := o.api.Cached(groupKey)
 	if err == nil {
 		// Keep the CR's spec current: a new claim may have appeared, and a
 		// ShardsLabel change must propagate so the replication plugin drives
@@ -162,7 +157,10 @@ func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 		},
 		Status: platform.ReplicationGroupStatus{Phase: platform.GroupPending},
 	}
-	if err := o.api.Create(p, rg); err != nil && !errors.Is(err, platform.ErrExists) {
+	if err := o.api.Create(p, rg); err != nil {
+		if errors.Is(err, platform.ErrExists) {
+			return nil // created meanwhile: not a configuration of ours
+		}
 		return err
 	}
 	o.configured++

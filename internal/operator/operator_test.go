@@ -207,6 +207,38 @@ func TestOperatorIdempotentOnRepeatedEvents(t *testing.T) {
 	}
 }
 
+// TestLostCreateRaceIsNotAConfiguration: a reconcile whose Create finds the
+// ReplicationGroup already there (another writer's Create landed while this
+// one was in flight) configured nothing, so Configured stays where it was.
+func TestLostCreateRaceIsNotAConfiguration(t *testing.T) {
+	env := sim.NewEnv(1)
+	api := platform.NewAPIServer(env, platform.APIConfig{})
+	op := New(env, api, Config{}) // not started: the test drives reconcile
+	f := &fixture{env: env, api: api, op: op}
+	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}, "sales")
+	var err error
+	env.Process("other-writer", func(p *sim.Proc) {
+		err = api.Create(p, &platform.ReplicationGroup{
+			Meta: platform.Meta{Kind: platform.KindReplicationGroup, Name: GroupNameFor("shop")},
+		})
+	})
+	env.Process("reconcile", func(p *sim.Proc) {
+		if err := op.reconcile(p, platform.ObjectKey{Kind: platform.KindNamespace, Name: "shop"}); err != nil {
+			t.Errorf("reconcile: %v", err)
+		}
+	})
+	f.runFor(time.Second)
+	if err != nil {
+		t.Fatalf("the other writer's create: %v", err)
+	}
+	if _, ok := f.group(t, "shop"); !ok {
+		t.Fatal("no ReplicationGroup")
+	}
+	if got := op.Configured(); got != 0 {
+		t.Fatalf("configured = %d after losing the create race, want 0", got)
+	}
+}
+
 // TestShardsLabelOverridesJournalShards pins the per-tenant shard count: the
 // ShardsLabel on a namespace sets the ReplicationGroup's JournalShards; an
 // absent or unparsable value leaves it 0, the single shared journal.

@@ -203,9 +203,18 @@ func (s *APIServer) Update(p *sim.Proc, obj Object) error {
 }
 
 // Get returns the stored object — shared and read-only; DeepCopy it before
-// mutating.
+// mutating. It is one charged round trip plus Cached.
 func (s *APIServer) Get(p *sim.Proc, key ObjectKey) (Object, error) {
 	s.charge(p)
+	return s.Cached(key)
+}
+
+// Cached is Get answered by the informer cache a reconciler reads, as
+// operator-SDK clients answer reads: the same shared read-only object, no
+// round trip, no charge. Watches here deliver at the instant of the write,
+// so the cache is exactly as fresh as the store; writes stay charged calls
+// with their ResourceVersion check.
+func (s *APIServer) Cached(key ObjectKey) (Object, error) {
 	cur, ok := s.objects[key]
 	if !ok {
 		return nil, &StatusError{Err: ErrNotFound, Key: key}
@@ -215,9 +224,16 @@ func (s *APIServer) Get(p *sim.Proc, key ObjectKey) (Object, error) {
 
 // List returns all objects of a kind, optionally restricted to a namespace
 // (empty string = all), sorted by (namespace, name). The slice is the
-// caller's; the objects are the stored ones — shared and read-only.
+// caller's; the objects are the stored ones — shared and read-only. It is
+// one charged round trip plus CachedList.
 func (s *APIServer) List(p *sim.Proc, kind Kind, namespace string) []Object {
 	s.charge(p)
+	return s.CachedList(kind, namespace)
+}
+
+// CachedList is List answered by the informer cache (see Cached): same
+// order, same ownership, no charge.
+func (s *APIServer) CachedList(kind Kind, namespace string) []Object {
 	all := s.byKind[kind]
 	if namespace == "" {
 		return slices.Clone(all)

@@ -67,9 +67,15 @@ type queuedKey struct {
 	at  time.Duration
 }
 
-// Controller watches one kind and funnels object keys through a
-// deduplicating work queue into a reconciler — the operator-SDK pattern the
-// namespace operator is built with (§III-B1).
+// source is one watched kind and how its events map to reconcile keys.
+type source struct {
+	kind  Kind
+	mapFn func(Event) (ObjectKey, bool)
+}
+
+// Controller watches one kind (plus any added with Watches) and funnels
+// object keys through a deduplicating work queue into a reconciler — the
+// operator-SDK pattern the namespace operator is built with (§III-B1).
 //
 // The queue is client-go's: a key waits at most once, a key being reconciled
 // is never handed to a second worker, and an event for it that arrives
@@ -81,8 +87,7 @@ type Controller struct {
 	name  string
 	env   *sim.Env
 	api   *APIServer
-	kind  Kind
-	mapFn func(Event) (ObjectKey, bool)
+	srcs  []source
 	rec   Reconciler
 	cfg   ControllerConfig
 	queue ring.Ring[queuedKey]
@@ -119,8 +124,7 @@ func NewController(env *sim.Env, api *APIServer, name string, kind Kind,
 		name:  name,
 		env:   env,
 		api:   api,
-		kind:  kind,
-		mapFn: mapFn,
+		srcs:  []source{{kind, mapFn}},
 		rec:   rec,
 		cfg:   cfg.withDefaults(),
 		state: make(map[ObjectKey]keyState),
@@ -133,6 +137,17 @@ func NewController(env *sim.Env, api *APIServer, name string, kind Kind,
 	c.queueWait = c.tel.Histogram("controller.queue.wait", ctl)
 	c.requeues = c.tel.Counter("controller.requeues", ctl)
 	c.started = c.tel.Gauge("controller.workers", ctl)
+	return c
+}
+
+// Watches adds a second (third, ...) kind whose events mapFn turns into keys
+// of this controller's queue — controller-runtime's Watches with
+// EnqueueRequestsFromMapFunc. Every kind feeds the one queue, so per-key
+// exclusion covers every event that names the key: an event of any kind for
+// a key being reconciled marks it dirty instead of starting a second
+// reconcile beside it. Call before Start.
+func (c *Controller) Watches(kind Kind, mapFn func(Event) (ObjectKey, bool)) *Controller {
+	c.srcs = append(c.srcs, source{kind, mapFn})
 	return c
 }
 
@@ -165,22 +180,24 @@ func (c *Controller) push(key ObjectKey) {
 	c.queue.Push(queuedKey{key: key, at: c.env.Now()})
 }
 
-// Start launches the watch pump and the first worker.
+// Start launches one watch pump per watched kind and the first worker.
 func (c *Controller) Start() {
-	w := c.api.Watch(c.kind)
-	c.env.Process(c.name+":watch", func(p *sim.Proc) {
-		defer w.Stop() // detach so the API server can compact the watch away
-		for {
-			for w.Pending() == 0 {
-				if p.WaitAny(watchAvail(w), c.stop) == 1 {
-					return
+	for _, src := range c.srcs {
+		w, mapFn := c.api.Watch(src.kind), src.mapFn
+		c.env.Process(c.name+":watch", func(p *sim.Proc) {
+			defer w.Stop() // detach so the API server can compact the watch away
+			for {
+				for w.Pending() == 0 {
+					if p.WaitAny(watchAvail(w), c.stop) == 1 {
+						return
+					}
+				}
+				if key, ok := mapFn(w.Next(p)); ok {
+					c.Enqueue(key)
 				}
 			}
-			if key, ok := c.mapFn(w.Next(p)); ok {
-				c.Enqueue(key)
-			}
-		}
-	})
+		})
+	}
 	c.startWorker()
 }
 

@@ -260,6 +260,45 @@ func TestAPICallsConsumeTimeAndCount(t *testing.T) {
 	}
 }
 
+// Cached and CachedList are the informer cache a reconciler reads: the very
+// objects Get and List return, in the same order, with no round trip — no
+// call counted, no simulated time spent.
+func TestCachedReadsAreFreeAndShareGet(t *testing.T) {
+	run(t, func(p *sim.Proc, env *sim.Env, api *APIServer) {
+		for _, name := range []string{"stock", "sales"} {
+			if err := api.Create(p, pvc("shop", name, "fast", 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		key := ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "sales"}
+		now, calls := p.Now(), api.Calls()
+		cached, err := api.Cached(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list := api.CachedList(KindPVC, "shop")
+		if _, err := api.Cached(ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "none"}); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("cached miss: %v", err)
+		}
+		if p.Now() != now || api.Calls() != calls {
+			t.Fatalf("cached reads cost %v and %d calls, want none", p.Now()-now, api.Calls()-calls)
+		}
+		got, err := api.Get(p, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != cached {
+			t.Fatal("Cached returned a different object than Get")
+		}
+		if listed := api.List(p, KindPVC, "shop"); !slices.Equal(listed, list) || list[0] != cached {
+			t.Fatalf("CachedList = %v, List = %v", list, listed)
+		}
+		if api.Calls() != calls+2 {
+			t.Fatalf("Get + List counted %d calls, want 2", api.Calls()-calls)
+		}
+	})
+}
+
 // countingReconciler tracks reconciled keys and can fail N times per key.
 type countingReconciler struct {
 	seen      map[ObjectKey]int
@@ -510,6 +549,44 @@ func TestControllerDirtyKeyRequeuesOnce(t *testing.T) {
 	}
 	if !slices.Equal(rec.runs, want) {
 		t.Fatalf("runs = %v, want %v", rec.runs, want)
+	}
+}
+
+// One queue, many kinds: a key being reconciled because of one kind's event
+// is only marked dirty by another kind's event for it, so exactly one more
+// reconcile follows — after the first, on the same worker, never beside it.
+func TestControllerWatchesSecondKindMarksKeyDirty(t *testing.T) {
+	env := sim.NewEnv(1)
+	api := NewAPIServer(env, APIConfig{})
+	reg := telemetry.New(env, telemetry.Config{})
+	rec := &ledger{api: api, calls: 3}
+	c := NewController(env, api, "test", KindNamespace, nil, rec, ControllerConfig{Telemetry: reg}).
+		Watches(KindPVC, func(ev Event) (ObjectKey, bool) {
+			return ObjectKey{Kind: KindNamespace, Name: ev.Object.GetMeta().Namespace}, true
+		})
+	c.Start()
+	env.Process("driver", func(p *sim.Proc) {
+		if err := api.Create(p, &Namespace{Meta: Meta{Kind: KindNamespace, Name: "shop"}}); err != nil {
+			t.Error(err)
+		}
+		// Lands at 1 ms, halfway through the namespace's 1.5 ms reconcile.
+		if err := api.Create(p, pvc("shop", "sales", "fast", 1)); err != nil {
+			t.Error(err)
+		}
+	})
+	env.Run(time.Second)
+	c.Stop()
+	env.Run(0)
+	key := ObjectKey{Kind: KindNamespace, Name: "shop"}
+	want := []ledgerRun{
+		{key, 500 * time.Microsecond, 2 * time.Millisecond},
+		{key, 2 * time.Millisecond, 3500 * time.Microsecond},
+	}
+	if !slices.Equal(rec.runs, want) || len(rec.twice) > 0 {
+		t.Fatalf("runs = %v (twice at once: %v), want %v", rec.runs, rec.twice, want)
+	}
+	if err := reg.SpanOverlap(); err != nil {
+		t.Fatal(err)
 	}
 }
 
