@@ -14,9 +14,13 @@
 //     fabric token-bucket rate halved per period down to a floor — and
 //     restored by doubling once every protected class is comfortably
 //     healthy again.
-//   - placement: new drain lanes land on fabric member links chosen by a
-//     PlacementPolicy (least-loaded-by-bytes default) instead of the
-//     dispatchers' any-link default.
+//   - placement: new drain lanes land on the fabric member link LeastLoaded
+//     picks (recent placements, then utilization, then bytes sent) instead
+//     of the dispatchers' any-link choice.
+//
+// The loop's tuning (period, window, cooldown, both hysteresis bands, the
+// derate floor) is fixed: package constants set for E17's diurnal scenario,
+// the one workload the autopilot runs in.
 //
 // Every action is appended to a decision log in simulation order; with the
 // kernel's deterministic parallel runtime the log is byte-identical across
@@ -35,65 +39,35 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Config tunes the control loop. The zero value is usable: every field
-// defaults to the values documented on it.
-type Config struct {
-	// Period is the evaluation interval in sim time (default 500ms). Each
-	// tick reads the telemetry registry and actuates at most one reshard
-	// step per tenant and one admission step per shedable class.
-	Period time.Duration
-	// Window is the lookback over the probed RPO series for the windowed
-	// worst value (default 2×Period). Longer windows smooth transients;
-	// shorter ones react faster.
-	Window time.Duration
-	// ScaleUpFraction and ScaleDownFraction bound the hysteresis band as
-	// fractions of the class RPOTarget: windowed RPO above up×target adds
-	// a lane, below down×target removes one, anywhere between holds
-	// (defaults 0.7 and 0.25). The wide gap is what prevents flapping.
-	ScaleUpFraction   float64
-	ScaleDownFraction float64
-	// Cooldown is the minimum sim time between reshard actuations on one
-	// tenant (default 2s) so a migration's own disruption is not read as
-	// a fresh signal.
-	Cooldown time.Duration
-	// DerateFraction and RestoreFraction bound the admission hysteresis:
-	// a protected class above derate×target sheds the bulk classes; all
-	// protected classes must fall below restore×target before bulk rate
-	// is given back (defaults 0.9 and 0.5).
-	DerateFraction  float64
-	RestoreFraction float64
-	// MinRateBps floors the derated bulk rate (default 64 KiB/s) so shed
-	// classes starve but never deadlock.
-	MinRateBps float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Period <= 0 {
-		c.Period = 500 * time.Millisecond
-	}
-	if c.Window <= 0 {
-		c.Window = 2 * c.Period
-	}
-	if c.ScaleUpFraction <= 0 {
-		c.ScaleUpFraction = 0.7
-	}
-	if c.ScaleDownFraction <= 0 {
-		c.ScaleDownFraction = 0.25
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	if c.DerateFraction <= 0 {
-		c.DerateFraction = 0.9
-	}
-	if c.RestoreFraction <= 0 {
-		c.RestoreFraction = 0.5
-	}
-	if c.MinRateBps <= 0 {
-		c.MinRateBps = 64 << 10
-	}
-	return c
-}
+// The control loop's tuning: the values E17's diurnal scenario drives, with
+// that scenario's reasons.
+const (
+	// period is the evaluation interval in sim time. Each tick reads the
+	// telemetry registry and actuates at most one reshard step per tenant and
+	// one admission step per shedable class.
+	period = 250 * time.Millisecond
+	// window is the lookback over the probed RPO series for the windowed
+	// worst value, two periods.
+	window = 2 * period
+	// cooldown is the minimum sim time between reshard actuations on one
+	// tenant, so a migration's own disruption is not read as a fresh signal.
+	cooldown = 1500 * time.Millisecond
+	// The two hysteresis bands, as fractions of a class's RPOTarget. Diurnal
+	// edges are steep, so the loop reacts early (a lane is added above 35% of
+	// target, bulk classes are derated above 50%) and reclaims only from deep
+	// quiet (a lane is given back below 10%, restore probes start once every
+	// protected class is below 25%). Anywhere between holds: the wide gap is
+	// what prevents flapping.
+	scaleUpFraction   = 0.35
+	scaleDownFraction = 0.10
+	derateFraction    = 0.50
+	restoreFraction   = 0.25
+	// minRateBps floors the derated bulk rate so shed classes starve but never
+	// deadlock. It sits high enough to bound the bulk backlog that builds
+	// while derated: giant deferred epochs would stall the shared backup
+	// controller when restored.
+	minRateBps = 256 << 10
+)
 
 // demandDecay is the per-tick factor on the remembered peak throughput of a
 // shedable class (half-life ~23 ticks).
@@ -102,7 +76,7 @@ const demandDecay = 0.97
 // restorePatience is how many consecutive all-healthy ticks a shedable class
 // must see before each restore step. Restoring is a probe — giving rate back
 // can re-breach the protected classes — so it is paced far slower than
-// derating, which acts on the first breaching tick and then once per Window.
+// derating, which acts on the first breaching tick and then once per window.
 const restorePatience = 4
 
 // Decision is one autopilot action, recorded in simulation order.
@@ -117,7 +91,6 @@ type Decision struct {
 // disarm with Stop; read the audit trail with Decisions or FormatLog.
 type Autopilot struct {
 	sys *core.System
-	cfg Config
 
 	stop *sim.Event
 
@@ -146,13 +119,12 @@ type Autopilot struct {
 // The placement policy is installed immediately so lanes provisioned before
 // Start still land where the policy says; the control process itself does
 // not run until Start.
-func New(sys *core.System, cfg Config) (*Autopilot, error) {
+func New(sys *core.System) (*Autopilot, error) {
 	if sys.Telemetry == nil {
 		return nil, fmt.Errorf("autopilot: system has no telemetry plane (set core.Config.Telemetry)")
 	}
 	a := &Autopilot{
 		sys:         sys,
-		cfg:         cfg.withDefaults(),
 		stop:        sys.Env.NewEvent(),
 		lastReshard: make(map[string]time.Duration),
 		capBps:      make(map[string]float64),
@@ -166,11 +138,11 @@ func New(sys *core.System, cfg Config) (*Autopilot, error) {
 	return a, nil
 }
 
-// Start launches the control process: one tick every Period until Stop.
+// Start launches the control process: one tick every period until Stop.
 func (a *Autopilot) Start() {
 	a.sys.Env.Process("autopilot", func(p *sim.Proc) {
 		for {
-			if p.WaitTimeout(a.stop, a.cfg.Period) {
+			if p.WaitTimeout(a.stop, period) {
 				return
 			}
 			a.tick(p)
@@ -229,7 +201,7 @@ func (a *Autopilot) windowRPO(ns string, now time.Duration) (time.Duration, bool
 	if s == nil {
 		return 0, false
 	}
-	from := now - a.cfg.Window
+	from := now - window
 	if from < 0 {
 		from = 0
 	}
@@ -280,7 +252,7 @@ func (a *Autopilot) tick(p *sim.Proc) {
 // declaration is non-blocking — the tenant reconcile loop performs the live
 // migration while the autopilot moves on.
 func (a *Autopilot) reshardStep(p *sim.Proc, now time.Duration, ns string, cls platform.SLOClass, winRPO time.Duration) {
-	if last, ok := a.lastReshard[ns]; ok && now-last < a.cfg.Cooldown {
+	if last, ok := a.lastReshard[ns]; ok && now-last < cooldown {
 		return
 	}
 	gs := a.sys.Groups(ns)
@@ -295,7 +267,7 @@ func (a *Autopilot) reshardStep(p *sim.Proc, now time.Duration, ns string, cls p
 		return // an open migration window defers the step
 	}
 	cur := g.Lanes()
-	target := shardTarget(cls, a.cfg.ScaleUpFraction, a.cfg.ScaleDownFraction, cur, winRPO)
+	target := shardTarget(cls, scaleUpFraction, scaleDownFraction, cur, winRPO)
 	if target == cur {
 		return
 	}
@@ -339,7 +311,7 @@ func (a *Autopilot) admissionStep(now time.Duration, worstFrac map[string]float6
 		// is tracked continuously so the first derate halves from observed
 		// demand and a restore knows when the class is fully back.
 		bytes := fwd.ClassStats(fc).Bytes
-		deltaBps := float64(bytes-a.lastBytes[fc]) / a.cfg.Period.Seconds()
+		deltaBps := float64(bytes-a.lastBytes[fc]) / period.Seconds()
 		a.lastBytes[fc] = bytes
 		// Demand is a decaying peak of observed throughput: it must survive
 		// the lumpiness of batched transfers (an instantaneous delta can be
@@ -356,10 +328,10 @@ func (a *Autopilot) admissionStep(now time.Duration, worstFrac map[string]float6
 			if pc.RPOTarget <= 0 || pc.AdmissionPriority <= sc.AdmissionPriority {
 				continue
 			}
-			if worstFrac[pc.Name] > a.cfg.DerateFraction {
+			if worstFrac[pc.Name] > derateFraction {
 				breach = true
 			}
-			if worstFrac[pc.Name] >= a.cfg.RestoreFraction {
+			if worstFrac[pc.Name] >= restoreFraction {
 				allHealthy = false
 			}
 		}
@@ -378,13 +350,13 @@ func (a *Autopilot) admissionStep(now time.Duration, worstFrac map[string]float6
 				a.origBps[fc] = fwd.ClassRate(fc)
 				next = a.demandBps[fc] / 2
 			}
-			if next < a.cfg.MinRateBps {
-				next = a.cfg.MinRateBps
+			if next < minRateBps {
+				next = minRateBps
 			}
 			if capped && next == cap {
 				break // already at the floor: nothing new to declare
 			}
-			if capped && now-a.lastDerate[fc] <= a.cfg.Window {
+			if capped && now-a.lastDerate[fc] <= window {
 				// The window still holds samples from before the last
 				// halving: its effect is not observable yet, and halving again
 				// on the same evidence drives the cap far below the class's

@@ -81,20 +81,3 @@ func TestShardTargetIgnoresUntargetedClasses(t *testing.T) {
 		}
 	}
 }
-
-// TestConfigDefaults pins the documented zero-value behaviour.
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Period != 500*time.Millisecond || c.Window != time.Second {
-		t.Errorf("period/window defaults: %v/%v", c.Period, c.Window)
-	}
-	if c.ScaleUpFraction != 0.7 || c.ScaleDownFraction != 0.25 {
-		t.Errorf("reshard band defaults: %v/%v", c.ScaleUpFraction, c.ScaleDownFraction)
-	}
-	if c.DerateFraction != 0.9 || c.RestoreFraction != 0.5 {
-		t.Errorf("admission band defaults: %v/%v", c.DerateFraction, c.RestoreFraction)
-	}
-	if c.Cooldown != 2*time.Second || c.MinRateBps != 64<<10 || restorePatience != 4 {
-		t.Errorf("cooldown/floor/patience defaults: %v/%v/%v", c.Cooldown, c.MinRateBps, restorePatience)
-	}
-}

@@ -11,7 +11,7 @@ import (
 // the non-partitioned member link carrying the least load. Load is judged
 // in three tiers:
 //
-//  1. placements this policy itself made within the Memory window — a
+//  1. placements this policy itself made within placementMemory — a
 //     reshard creates its lanes back-to-back at one instant, before any
 //     bytes flow, so byte counters alone would pile every new lane onto
 //     the same member;
@@ -26,11 +26,6 @@ import (
 // Ties break on the lowest member index; a single-member fabric keeps the
 // implicit any-link default.
 type LeastLoaded struct {
-	// Memory is how long a placement keeps counting as load (default 5s):
-	// long enough to cover a burst of reshards, short enough that retired
-	// lanes stop weighing on the score.
-	Memory time.Duration
-
 	placed []placement
 
 	// Utilization EWMA per member link, fed by Observe.
@@ -39,6 +34,11 @@ type LeastLoaded struct {
 	ewmaBps   []float64
 	observed  bool
 }
+
+// placementMemory is how long a placement keeps counting as load: long
+// enough to cover a burst of reshards, short enough that retired lanes stop
+// weighing on the score.
+const placementMemory = 5 * time.Second
 
 type placement struct {
 	at   time.Duration
@@ -80,15 +80,11 @@ func (ll *LeastLoaded) PlaceLane(namespace string, lane int, f *fabric.Fabric) i
 	if len(links) < 2 {
 		return -1
 	}
-	memory := ll.Memory
-	if memory <= 0 {
-		memory = 5 * time.Second
-	}
 	now := f.Now()
 	recent := make([]int, len(links))
 	kept := ll.placed[:0]
 	for _, pl := range ll.placed {
-		if now-pl.at <= memory {
+		if now-pl.at <= placementMemory {
 			kept = append(kept, pl)
 			if pl.link < len(links) {
 				recent[pl.link]++

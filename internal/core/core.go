@@ -44,16 +44,12 @@ const StorageClassName = "vsp-replicated"
 type Config struct {
 	// Seed drives the deterministic simulation.
 	Seed int64
-	// Link is the inter-site network (default 5ms propagation, 1GB/s). It
-	// is the fabric's only member link unless Fabric.Links overrides it.
-	Link netlink.Config
-	// Fabric configures the inter-site fabric: Fabric.Links, when set,
-	// REPLACES Link as the member-link roster (heterogeneous members
-	// allowed); Fabric.Classes adds QoS scheduling at the ingress;
+	// Fabric configures the inter-site fabric: Fabric.Links is the
+	// member-link roster (heterogeneous members allowed; default one 5ms /
+	// 1GB/s link); Fabric.Classes adds QoS scheduling at the ingress;
 	// Fabric.WindowPerLink > 1 pipelines scheduled dispatch so each member
 	// keeps that many transfers propagating concurrently (high-BDP links,
-	// E18). The zero value keeps a single-member passthrough fabric that
-	// behaves byte-for-byte like the plain Link pipe.
+	// E18). The zero value is a single-member passthrough fabric.
 	Fabric fabric.Config
 	// Storage configures both arrays.
 	Storage storage.Config
@@ -80,11 +76,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Link.Propagation == 0 {
-		c.Link.Propagation = 5 * time.Millisecond
-	}
-	if c.Link.BandwidthBps == 0 {
-		c.Link.BandwidthBps = 1e9
+	if len(c.Fabric.Links) == 0 {
+		c.Fabric.Links = []netlink.Config{{Propagation: 5 * time.Millisecond, BandwidthBps: 1e9}}
 	}
 	if c.VolumeBlocks <= 0 {
 		c.VolumeBlocks = 2048
@@ -125,13 +118,12 @@ type System struct {
 	revPaths  map[string]*fabric.TenantPath
 
 	// Tenant lifecycle (tenant.go): the controller reconciling Tenant
-	// specs, the set of namespaces it manages, and the per-tenant QoS
-	// bindings TenantSpec declares.
-	tenantCtrl        *platform.Controller
-	managedTenants    map[string]bool
-	tenantClass       map[string]string
-	tenantLaneClasses map[string][]string
-	decommissioned    int64
+	// specs, the set of namespaces it manages, and the fabric class each
+	// tenant's drain rides.
+	tenantCtrl     *platform.Controller
+	managedTenants map[string]bool
+	tenantClass    map[string]string
+	decommissioned int64
 
 	// SLO policy registry (Config.SLOClasses, defaults applied) and the
 	// active lane-placement policy (SetPlacement; nil = any member link,
@@ -163,12 +155,11 @@ func NewSystem(cfg Config) *System {
 			API:   platform.NewAPIServer(env, platform.APIConfig{}),
 			Array: storage.NewArray(env, "vsp-backup", cfg.Storage),
 		},
-		lanePaths:         make(map[string][]*fabric.TenantPath),
-		revPaths:          make(map[string]*fabric.TenantPath),
-		managedTenants:    make(map[string]bool),
-		tenantClass:       make(map[string]string),
-		tenantLaneClasses: make(map[string][]string),
-		sloClasses:        make(map[string]platform.SLOClass, len(cfg.SLOClasses)),
+		lanePaths:      make(map[string][]*fabric.TenantPath),
+		revPaths:       make(map[string]*fabric.TenantPath),
+		managedTenants: make(map[string]bool),
+		tenantClass:    make(map[string]string),
+		sloClasses:     make(map[string]platform.SLOClass, len(cfg.SLOClasses)),
 	}
 	for _, sc := range cfg.SLOClasses {
 		sys.sloClasses[sc.Name] = sc.WithDefaults()
@@ -176,16 +167,11 @@ func NewSystem(cfg Config) *System {
 	if cfg.Telemetry != nil {
 		sys.Telemetry = telemetry.New(env, *cfg.Telemetry)
 	}
-	// Inter-site fabric: member links default to the single cfg.Link; a
-	// Fabric.Links roster swaps in a multi-link interconnect. Member 0's
+	// Inter-site fabric, one link pair per Fabric.Links member. Member 0's
 	// pair stays exposed as sys.Links.
-	memberCfgs := cfg.Fabric.Links
-	if len(memberCfgs) == 0 {
-		memberCfgs = []netlink.Config{cfg.Link}
-	}
-	fwd := make([]*netlink.Link, len(memberCfgs))
-	rev := make([]*netlink.Link, len(memberCfgs))
-	for i, lc := range memberCfgs {
+	fwd := make([]*netlink.Link, len(cfg.Fabric.Links))
+	rev := make([]*netlink.Link, len(cfg.Fabric.Links))
+	for i, lc := range cfg.Fabric.Links {
 		pr := netlink.NewPair(env, lc)
 		fwd[i], rev[i] = pr.Forward, pr.Reverse
 	}
@@ -330,16 +316,6 @@ func (sys *System) waitObject(p *sim.Proc, key platform.ObjectKey, timeout time.
 	}
 }
 
-// laneClassFor resolves the QoS class for one drain lane: a TenantSpec's
-// per-lane LaneClasses entry wins, falling back to the tenant's class — so
-// by default every lane rides the tenant's class.
-func (sys *System) laneClassFor(namespace string, lane int) string {
-	if cs := sys.tenantLaneClasses[namespace]; lane < len(cs) && cs[lane] != "" {
-		return cs[lane]
-	}
-	return sys.tenantClass[namespace]
-}
-
 // PlacementPolicy decides which fabric member link a tenant's forward
 // drain lane lands on. It is consulted lazily, when the lane's path is
 // first created (a joiner's first drain, a reshard's added lanes): return
@@ -385,7 +361,7 @@ func (sys *System) SLOClasses() []platform.SLOClass {
 func (sys *System) lanePathsFor(namespace string, lanes int) []fabric.Path {
 	ps := sys.lanePaths[namespace]
 	for lane := len(ps); lane < lanes; lane++ {
-		class, owner := sys.laneClassFor(namespace, lane), "adc:"+namespace
+		class, owner := sys.tenantClass[namespace], "adc:"+namespace
 		if lane > 0 {
 			owner += ":s" + strconv.Itoa(lane)
 		}

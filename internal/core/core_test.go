@@ -7,6 +7,7 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/consistency"
 	"repro/internal/csiplugin"
+	"repro/internal/fabric"
 	"repro/internal/netlink"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -14,6 +15,11 @@ import (
 
 // netlinkConfig shortens fixture helpers below.
 type netlinkConfig = netlink.Config
+
+// oneLink is a system config whose fabric is the single member link c.
+func oneLink(c netlinkConfig) Config {
+	return Config{Fabric: fabric.Config{Links: []netlinkConfig{c}}}
+}
 
 // deploySystem builds a system, provisions the shop tenant (sales + stock
 // claims, backup off), and runs fn in a simulation process with everything
@@ -211,7 +217,7 @@ func TestFailoverMidStreamStaysConsistentWithCG(t *testing.T) {
 	// Disaster strikes while the journal still has a backlog. With a
 	// consistency group the recovered pair must never be collapsed — only
 	// behind.
-	deploySystem(t, Config{Link: linkSlow()}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
+	deploySystem(t, oneLink(linkSlow()), func(p *sim.Proc, sys *System, bp *BusinessProcess) {
 		if err := enableBackup(p, sys, "shop"); err != nil {
 			t.Error(err)
 			return
@@ -295,7 +301,7 @@ func TestSlowdownADCWriteLatencyIndependentOfLink(t *testing.T) {
 	// 100ms-RTT link stays near the no-backup latency.
 	orderLatency := func(enable bool) time.Duration {
 		var mean time.Duration
-		deploySystem(t, Config{Link: linkFat()}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
+		deploySystem(t, oneLink(linkFat()), func(p *sim.Proc, sys *System, bp *BusinessProcess) {
 			if enable {
 				if err := enableBackup(p, sys, "shop"); err != nil {
 					t.Error(err)

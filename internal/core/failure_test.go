@@ -20,7 +20,7 @@ func openDBForTest(p *sim.Proc, vol replication.BlockWriter) (*db.DB, error) {
 // lossy links, and operations racing with outages.
 
 func TestEnableBackupSurvivesPartitionDuringInitialCopy(t *testing.T) {
-	sys := NewSystem(Config{Link: netlinkConfig{Propagation: 5 * time.Millisecond, BandwidthBps: 1e6}})
+	sys := NewSystem(oneLink(netlinkConfig{Propagation: 5 * time.Millisecond, BandwidthBps: 1e6}))
 	failed := false
 	sys.Env.Process("test", func(p *sim.Proc) {
 		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
@@ -72,12 +72,12 @@ func TestEnableBackupSurvivesPartitionDuringInitialCopy(t *testing.T) {
 }
 
 func TestReplicationConvergesOnLossyLink(t *testing.T) {
-	sys := NewSystem(Config{Link: netlinkConfig{
+	sys := NewSystem(oneLink(netlinkConfig{
 		Propagation:       2 * time.Millisecond,
 		BandwidthBps:      1e7,
 		LossProb:          0.3,
 		RetransmitTimeout: 5 * time.Millisecond,
-	}})
+	}))
 	sys.Env.Process("test", func(p *sim.Proc) {
 		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 		if err != nil {
@@ -107,7 +107,7 @@ func TestReplicationConvergesOnLossyLink(t *testing.T) {
 }
 
 func TestRepeatedPartitionsDoNotReorder(t *testing.T) {
-	sys := NewSystem(Config{Link: netlinkConfig{Propagation: 2 * time.Millisecond, BandwidthBps: 1e7}})
+	sys := NewSystem(oneLink(netlinkConfig{Propagation: 2 * time.Millisecond, BandwidthBps: 1e7}))
 	sys.Env.Process("test", func(p *sim.Proc) {
 		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 		if err != nil {

@@ -4,7 +4,7 @@
 // class, journal shards, backup on/off). The tenant controller — built on
 // the same controller runtime as the operator and the CSI plugins —
 // reconciles spec to world: it creates the namespace and claims, registers
-// the tenant's fabric QoS classes, and threads the backup tag (plus the
+// the tenant's fabric QoS class, and threads the backup tag (plus the
 // per-tenant shard-count label) to the namespace so the operator and the
 // replication plugin do the rest. Deleting the Tenant object reconciles the
 // other way: the namespace goes, the operator removes the ReplicationGroup,
@@ -95,16 +95,27 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 	// Mark managed before touching the world so a spec deleted mid-reconcile
 	// still converges to teardown of whatever was already created.
 	sys.managedTenants[ns] = true
-	// Register the tenant's fabric QoS before any drain path exists for the
+	// Register the tenant's fabric class before any drain path exists for the
 	// namespace, so the replication plugin's first lane path lands in class.
-	// An SLO class supplies the fabric class when the spec pins none.
+	// An SLO class supplies the fabric class when the spec pins none. Lane
+	// paths are bound to a class when they are made, so once the tenant
+	// drains its class is fixed: a spec that changes it is Failed by both
+	// names (never Ready with lanes on two classes) until it is reverted.
 	qos := tn.Spec.QoSClass
 	if qos == "" && tn.Spec.SLOClass != "" {
 		if sc, ok := sys.sloClasses[tn.Spec.SLOClass]; ok {
 			qos = sc.FabricClass
 		}
 	}
-	sys.setTenantClasses(ns, qos, tn.Spec.LaneClasses)
+	if bound := sys.tenantClass[ns]; qos != bound && len(sys.lanePaths[ns]) > 0 {
+		return sys.setTenantStatus(p, tn, platform.TenantFailed,
+			fmt.Sprintf("fabric class %q cannot change to %q: the drain lanes are bound to it", bound, qos))
+	}
+	if qos != "" {
+		sys.tenantClass[ns] = qos
+	} else {
+		delete(sys.tenantClass, ns)
+	}
 
 	// Namespace.
 	nsKey := platform.ObjectKey{Kind: platform.KindNamespace, Name: ns}
@@ -124,16 +135,12 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 
 	// Claims (created before the backup tag so the operator never sees a
 	// tagged-but-empty namespace).
-	blocks := tn.Spec.VolumeBlocks
-	if blocks <= 0 {
-		blocks = sys.Cfg.VolumeBlocks
-	}
 	for _, claim := range tn.Spec.PVCNames {
 		ck := platform.ObjectKey{Kind: platform.KindPVC, Namespace: ns, Name: claim}
 		if _, err := sys.Main.API.Cached(ck); errors.Is(err, platform.ErrNotFound) {
 			if err := sys.Main.API.Create(p, &platform.PersistentVolumeClaim{
 				Meta: platform.Meta{Kind: platform.KindPVC, Namespace: ns, Name: claim},
-				Spec: platform.PVCSpec{StorageClassName: StorageClassName, SizeBlocks: blocks},
+				Spec: platform.PVCSpec{StorageClassName: StorageClassName, SizeBlocks: sys.Cfg.VolumeBlocks},
 			}); err != nil && !errors.Is(err, platform.ErrExists) {
 				return err
 			}
@@ -302,11 +309,9 @@ func (sys *System) teardownTenant(p *sim.Proc, ns string) error {
 	// 3. Backup-site twins: no provisioner owns them, so the objects,
 	// snapshots, and volumes are reclaimed here.
 	bapi := sys.Backup.API
-	for _, kind := range []platform.Kind{platform.KindVolumeSnapshot, platform.KindVolumeGroupSnapshot} {
-		for _, obj := range bapi.CachedList(kind, ns) {
-			if err := bapi.Delete(p, obj.GetMeta().Key()); err != nil && !errors.Is(err, platform.ErrNotFound) {
-				return err
-			}
+	for _, obj := range bapi.CachedList(platform.KindVolumeGroupSnapshot, ns) {
+		if err := bapi.Delete(p, obj.GetMeta().Key()); err != nil && !errors.Is(err, platform.ErrNotFound) {
+			return err
 		}
 	}
 	for _, obj := range bapi.CachedList(platform.KindPVC, ns) {
@@ -339,24 +344,9 @@ func (sys *System) teardownTenant(p *sim.Proc, ns string) error {
 	delete(sys.lanePaths, ns)
 	delete(sys.revPaths, ns)
 	delete(sys.tenantClass, ns)
-	delete(sys.tenantLaneClasses, ns)
 	delete(sys.managedTenants, ns)
 	sys.decommissioned++
 	return nil
-}
-
-// setTenantClasses records (or clears) the tenant's fabric QoS bindings.
-func (sys *System) setTenantClasses(ns, class string, lanes []string) {
-	if class != "" {
-		sys.tenantClass[ns] = class
-	} else {
-		delete(sys.tenantClass, ns)
-	}
-	if len(lanes) > 0 {
-		sys.tenantLaneClasses[ns] = append([]string(nil), lanes...)
-	} else {
-		delete(sys.tenantLaneClasses, ns)
-	}
 }
 
 // Decommissioned returns how many tenants reached zero residue after their

@@ -171,25 +171,23 @@ func TestDecommissionShardedTenantReclaimsShards(t *testing.T) {
 	})
 }
 
-// TestPerLaneQoSClasses pins the per-shard QoS satellite: LaneClasses bind
-// each drain lane's path to its own fabric class, lanes beyond the list
-// fall back to the tenant class, and tenants without LaneClasses keep the
-// old one-class-per-tenant behavior.
-func TestPerLaneQoSClasses(t *testing.T) {
+// twoClassFabric is a two-member fabric with gold and bulk QoS classes.
+func twoClassFabric() Config {
 	member := netlinkConfig{Propagation: time.Millisecond, BandwidthBps: 1e8}
-	runSystem(t, Config{
-		Fabric: fabric.Config{
-			Links: []netlinkConfig{member, member},
-			Classes: []fabric.ClassConfig{
-				{Name: "gold", Weight: 4},
-				{Name: "bulk", Weight: 1},
-			},
-		},
-	}, func(p *sim.Proc, sys *System) {
+	return Config{Fabric: fabric.Config{
+		Links:   []netlinkConfig{member, member},
+		Classes: []fabric.ClassConfig{{Name: "gold", Weight: 4}, {Name: "bulk", Weight: 1}},
+	}}
+}
+
+// TestPerLaneQoSClasses pins that a tenant's QoS class is every drain lane's
+// class: each lane of a 2-shard tenant rides the class its spec names (bulk,
+// which is not the fabric's default class).
+func TestPerLaneQoSClasses(t *testing.T) {
+	runSystem(t, twoClassFabric(), func(p *sim.Proc, sys *System) {
 		spec := tenantSpec("laned")
 		spec.QoSClass = "bulk"
 		spec.JournalShards = 2
-		spec.LaneClasses = []string{"gold"} // lane 0 gold, lane 1 falls back to bulk
 		bp, err := sys.ProvisionTenant(p, spec)
 		if err != nil {
 			t.Errorf("provision: %v", err)
@@ -201,29 +199,71 @@ func TestPerLaneQoSClasses(t *testing.T) {
 		}
 		sys.CatchUp(p, "laned")
 		lanes := sys.TenantLanePaths("laned")
-		if len(lanes) != 2 || lanes[0] == nil || lanes[1] == nil {
-			t.Errorf("lane paths = %v", lanes)
+		if len(lanes) != 2 {
+			t.Errorf("lane paths = %v, want 2", lanes)
 			return
 		}
-		if got := lanes[0].Class(); got != "gold" {
-			t.Errorf("lane 0 class = %q, want gold", got)
+		for i, lp := range lanes {
+			if lp.Class() != "bulk" {
+				t.Errorf("lane %d class = %q, want bulk", i, lp.Class())
+			}
 		}
-		if got := lanes[1].Class(); got != "bulk" {
-			t.Errorf("lane 1 class = %q, want tenant fallback bulk", got)
-		}
+	})
+}
 
-		// Default unchanged: no LaneClasses -> every lane on the tenant class.
-		plain := tenantSpec("plain")
-		plain.QoSClass = "gold"
-		plain.JournalShards = 2
-		if _, err := sys.ProvisionTenant(p, plain); err != nil {
-			t.Errorf("provision plain: %v", err)
+// TestClassChangeRefusedOnceDrained pins that a tenant never reads Ready
+// with its lanes on two classes: lane paths are bound to the tenant's class
+// when they are made, so once the tenant drains, a spec that changes the
+// class (here together with a reshard that would add a lane) leaves it
+// Failed by both names, and reverting the class brings it back to Ready
+// with every lane on the original class.
+func TestClassChangeRefusedOnceDrained(t *testing.T) {
+	runSystem(t, twoClassFabric(), func(p *sim.Proc, sys *System) {
+		spec := tenantSpec("shop")
+		spec.QoSClass = "bulk"
+		bp, err := sys.ProvisionTenant(p, spec)
+		if err != nil {
+			t.Errorf("provision: %v", err)
 			return
 		}
-		sys.CatchUp(p, "plain")
-		for i, lp := range sys.TenantLanePaths("plain") {
-			if lp != nil && lp.Class() != "gold" {
-				t.Errorf("plain lane %d class = %q, want gold", i, lp.Class())
+		if err := bp.Shop.Run(p, 4); err != nil {
+			t.Errorf("orders: %v", err)
+			return
+		}
+		if err := sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) {
+			s.QoSClass, s.JournalShards = "gold", 2
+		}); err != nil {
+			t.Errorf("update: %v", err)
+			return
+		}
+		st, ok := waitPhase(t, p, sys, "shop", platform.TenantFailed)
+		if !ok || !strings.Contains(st.Message, `"bulk"`) || !strings.Contains(st.Message, `"gold"`) {
+			t.Errorf("class change on a draining tenant: %s (%q), want Failed naming bulk and gold", st.Phase, st.Message)
+			return
+		}
+		if ps := sys.TenantLanePaths("shop"); ps != nil {
+			t.Errorf("the refused spec still resharded: lane paths %v", ps)
+		}
+		if err := sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) { s.QoSClass = "bulk" }); err != nil {
+			t.Errorf("revert: %v", err)
+			return
+		}
+		if err := sys.WaitTenantCondition(p, "shop", CondResharded(2), 5*time.Second); err != nil {
+			t.Errorf("reshard after the revert: %v", err)
+			return
+		}
+		if err := sys.WaitTenantCondition(p, "shop", CondReady(), 5*time.Second); err != nil {
+			t.Errorf("reverted class: %v, want Ready", err)
+			return
+		}
+		lanes := sys.TenantLanePaths("shop")
+		if len(lanes) != 2 {
+			t.Errorf("lane paths = %v, want 2", lanes)
+			return
+		}
+		for i, lp := range lanes {
+			if lp.Class() != "bulk" {
+				t.Errorf("lane %d class = %q, want bulk", i, lp.Class())
 			}
 		}
 	})
@@ -317,6 +357,22 @@ func TestTenantSpecDriftRepaired(t *testing.T) {
 	})
 }
 
+// waitPhase polls the tenant's status for up to 5s until it reads want.
+func waitPhase(t *testing.T, p *sim.Proc, sys *System, ns string, want platform.TenantPhase) (platform.TenantStatus, bool) {
+	var st platform.TenantStatus
+	for deadline := p.Now() + 5*time.Second; p.Now() < deadline; p.Sleep(10 * time.Millisecond) {
+		obj, err := sys.Main.API.Get(p, tenantKey(ns))
+		if err != nil {
+			t.Error(err)
+			return st, false
+		}
+		if st = obj.(*platform.Tenant).Status; st.Phase == want {
+			return st, true
+		}
+	}
+	return st, false
+}
+
 // TestLateClaimFailsProtectedTenant pins what a tenant reports when a claim
 // joins its namespace after replication was configured, through either door
 // (the Tenant spec, or a PVC made straight in the tagged namespace): the
@@ -359,26 +415,11 @@ func TestLateClaimFailsProtectedTenant(t *testing.T) {
 					t.Errorf("provision: %v", err)
 					return
 				}
-				// phase polls the tenant status until it reads want.
-				phase := func(want platform.TenantPhase) (platform.TenantStatus, bool) {
-					var st platform.TenantStatus
-					for deadline := p.Now() + 5*time.Second; p.Now() < deadline; p.Sleep(10 * time.Millisecond) {
-						obj, err := sys.Main.API.Get(p, tenantKey("shop"))
-						if err != nil {
-							t.Error(err)
-							return st, false
-						}
-						if st = obj.(*platform.Tenant).Status; st.Phase == want {
-							return st, true
-						}
-					}
-					return st, false
-				}
 				if err := door.join(p, sys); err != nil {
 					t.Errorf("join: %v", err)
 					return
 				}
-				st, ok := phase(platform.TenantFailed)
+				st, ok := waitPhase(t, p, sys, "shop", platform.TenantFailed)
 				if !ok || !strings.Contains(st.Message, "shop/audit") {
 					t.Errorf("late claim: tenant %s (%q), want Failed naming shop/audit", st.Phase, st.Message)
 					return
@@ -393,7 +434,7 @@ func TestLateClaimFailsProtectedTenant(t *testing.T) {
 					t.Errorf("leave: %v", err)
 					return
 				}
-				if st, ok := phase(platform.TenantReady); !ok {
+				if st, ok := waitPhase(t, p, sys, "shop", platform.TenantReady); !ok {
 					t.Errorf("late claim gone: tenant %s (%q), want Ready", st.Phase, st.Message)
 				}
 			})

@@ -2,10 +2,12 @@ package csiplugin
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/netlink"
 	"repro/internal/platform"
 	"repro/internal/replication"
@@ -15,7 +17,8 @@ import (
 )
 
 // twoSites is the plugin test fixture: main and backup arrays + API
-// servers, a link, and a running provisioner on the main site.
+// servers, one link every drain lane shares, and a running provisioner on
+// the main site.
 type twoSites struct {
 	env         *sim.Env
 	sites       SitePair
@@ -25,6 +28,7 @@ type twoSites struct {
 func newTwoSites(t *testing.T) *twoSites {
 	t.Helper()
 	env := sim.NewEnv(1)
+	link := netlink.New(env, netlink.Config{Propagation: time.Millisecond})
 	f := &twoSites{
 		env: env,
 		sites: SitePair{
@@ -32,7 +36,9 @@ func newTwoSites(t *testing.T) *twoSites {
 			BackupAPI:   platform.NewAPIServer(env, platform.APIConfig{}),
 			MainArray:   storage.NewArray(env, "main-array", storage.Config{}),
 			BackupArray: storage.NewArray(env, "backup-array", storage.Config{}),
-			Path:        netlink.New(env, netlink.Config{Propagation: time.Millisecond}),
+			LanePaths: func(_ string, lanes int) []fabric.Path {
+				return slices.Repeat([]fabric.Path{link}, lanes)
+			},
 		},
 	}
 	f.provisioner = NewProvisioner(env, f.sites.MainAPI,
@@ -320,34 +326,6 @@ func TestReplicationPluginTeardownOnDelete(t *testing.T) {
 	v, _ := f.sites.MainArray.Volume(VolumeIDForClaim("shop", "sales"))
 	if v.Journal() != nil {
 		t.Fatal("source volume still journal-attached")
-	}
-}
-
-func TestSnapshotControllerSingle(t *testing.T) {
-	f := newTwoSites(t)
-	f.createClaims(t, "shop", "sales")
-	sc := NewSnapshotController(f.env, f.sites.MainAPI, f.sites.MainArray, FeatureGates{})
-	sc.Start()
-	f.env.Process("snap", func(p *sim.Proc) {
-		f.sites.MainAPI.Create(p, &platform.VolumeSnapshot{
-			Meta: platform.Meta{Kind: platform.KindVolumeSnapshot, Namespace: "shop", Name: "s1"},
-			Spec: platform.VolumeSnapshotSpec{PVCName: "sales"},
-		})
-	})
-	f.env.Run(time.Second)
-	f.env.Process("check", func(p *sim.Proc) {
-		obj, _ := f.sites.MainAPI.Get(p, platform.ObjectKey{Kind: platform.KindVolumeSnapshot, Namespace: "shop", Name: "s1"})
-		st := obj.(*platform.VolumeSnapshot).Status
-		if !st.Ready || st.SnapshotID == "" {
-			t.Errorf("status = %+v", st)
-		}
-		if _, err := f.sites.MainArray.Snapshot(st.SnapshotID); err != nil {
-			t.Errorf("array snapshot: %v", err)
-		}
-	})
-	f.env.Run(0)
-	if sc.Snapshots() != 1 {
-		t.Fatalf("snapshots = %d", sc.Snapshots())
 	}
 }
 

@@ -4,12 +4,12 @@
 //   - Provisioner ("Storage Plug-in for Containers"): dynamic provisioning —
 //     Pending PVCs get an array volume and a bound PV.
 //   - ReplicationPlugin ("Replication Plug-in for Containers"): reconciles
-//     ReplicationGroup custom resources into configured ADC with (or
-//     without) a consistency group, including the backup-site PV/PVC
-//     objects that "appear" in the demo's Fig. 4.
-//   - SnapshotController: VolumeSnapshot CRs, plus VolumeGroupSnapshot CRs
-//     behind the CSI alpha feature gate (§II) — gate off reproduces the
-//     paper's "operate the storage system directly" limitation.
+//     each ReplicationGroup custom resource into ADC configured as one
+//     consistency group, including the backup-site PV/PVC objects that
+//     "appear" in the demo's Fig. 4.
+//   - SnapshotController: VolumeGroupSnapshot CRs behind the CSI alpha
+//     feature gate (§II) — gate off reproduces the paper's "operate the
+//     storage system directly" limitation.
 package csiplugin
 
 import (

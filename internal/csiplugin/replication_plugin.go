@@ -20,29 +20,15 @@ type SitePair struct {
 	BackupAPI   *platform.APIServer
 	MainArray   *storage.Array
 	BackupArray *storage.Array
-	// Path is the inter-site transfer path every drain lane shares (a raw
-	// *netlink.Link works). LanePaths, when set, takes precedence and hands
-	// the drain lanes of a namespace's group one path each (lane k drains
-	// journal shard k) — how per-tenant QoS classes attach, and what lets
-	// lanes transfer concurrently instead of serializing on one path.
-	Path      fabric.Path
+	// LanePaths hands the drain lanes of a namespace's group one inter-site
+	// transfer path each (lane k drains journal shard k; a raw
+	// *netlink.Link works) — how per-tenant QoS classes attach, and what
+	// lets lanes transfer concurrently instead of serializing on one path.
 	LanePaths func(namespace string, lanes int) []fabric.Path
 	// Telemetry, when set, has every created engine register its RPO and
 	// lane probes under the source namespace, and instruments the plugin's
 	// own controller.
 	Telemetry *telemetry.Registry
-}
-
-// lanePaths resolves one transfer path per drain lane of a namespace's group.
-func (s SitePair) lanePaths(namespace string, lanes int) []fabric.Path {
-	if s.LanePaths != nil {
-		return s.LanePaths(namespace, lanes)
-	}
-	paths := make([]fabric.Path, lanes)
-	for k := range paths {
-		paths[k] = s.Path
-	}
-	return paths
 }
 
 // ReplicationPlugin reconciles ReplicationGroup custom resources on the
@@ -222,7 +208,7 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 		return err
 	}
 	g, err := replication.NewGroup(rp.env, rg.Name+"-0", journal, rp.sites.BackupArray,
-		mapping, rp.sites.lanePaths(rg.Spec.SourceNamespace, journal.ShardCount()), rp.cfg)
+		mapping, rp.sites.LanePaths(rg.Spec.SourceNamespace, journal.ShardCount()), rp.cfg)
 	if err != nil {
 		return err
 	}
@@ -255,7 +241,7 @@ func (rp *ReplicationPlugin) maybeReshard(p *sim.Proc, rg *platform.ReplicationG
 	if from == want || cur.Stopped() || cur.FailedOver() {
 		return nil
 	}
-	if _, err := cur.Reshard(p, rp.sites.lanePaths(rg.Spec.SourceNamespace, want)); err != nil {
+	if _, err := cur.Reshard(p, rp.sites.LanePaths(rg.Spec.SourceNamespace, want)); err != nil {
 		return err
 	}
 	return rp.setPhase(p, rg, platform.GroupReady,

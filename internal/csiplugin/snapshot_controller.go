@@ -18,15 +18,13 @@ type FeatureGates struct {
 	VolumeGroupSnapshot bool
 }
 
-// SnapshotController reconciles VolumeSnapshot (and, gate permitting,
-// VolumeGroupSnapshot) custom resources against one site's array.
+// SnapshotController reconciles VolumeGroupSnapshot custom resources
+// against one site's array, gate permitting.
 type SnapshotController struct {
-	env    *sim.Env
-	api    *platform.APIServer
-	array  *storage.Array
-	gates  FeatureGates
-	single *platform.Controller
-	group  *platform.Controller
+	api   *platform.APIServer
+	array *storage.Array
+	gates FeatureGates
+	ctrl  *platform.Controller
 
 	snapshots int64
 	refused   int64
@@ -34,64 +32,26 @@ type SnapshotController struct {
 
 // NewSnapshotController builds the controller for one site.
 func NewSnapshotController(env *sim.Env, api *platform.APIServer, array *storage.Array, gates FeatureGates) *SnapshotController {
-	sc := &SnapshotController{env: env, api: api, array: array, gates: gates}
-	sc.single = platform.NewController(env, api, "snapshot-ctrl", platform.KindVolumeSnapshot,
-		nil, platform.ReconcilerFunc(sc.reconcileSingle), platform.ControllerConfig{})
-	sc.group = platform.NewController(env, api, "snapshot-group-ctrl", platform.KindVolumeGroupSnapshot,
+	sc := &SnapshotController{api: api, array: array, gates: gates}
+	sc.ctrl = platform.NewController(env, api, "snapshot-group-ctrl", platform.KindVolumeGroupSnapshot,
 		nil, platform.ReconcilerFunc(sc.reconcileGroup), platform.ControllerConfig{})
 	return sc
 }
 
-// Start launches both controllers.
-func (sc *SnapshotController) Start() {
-	sc.single.Start()
-	sc.group.Start()
-}
+// Start launches the controller.
+func (sc *SnapshotController) Start() { sc.ctrl.Start() }
 
-// Stop halts both controllers.
-func (sc *SnapshotController) Stop() {
-	sc.single.Stop()
-	sc.group.Stop()
-}
+// Stop halts the controller.
+func (sc *SnapshotController) Stop() { sc.ctrl.Stop() }
 
-// Snapshots returns how many snapshots the controller created.
+// Snapshots returns how many volume snapshots the controller created.
 func (sc *SnapshotController) Snapshots() int64 { return sc.snapshots }
 
 // Refused returns how many group requests the feature gate rejected.
 func (sc *SnapshotController) Refused() int64 { return sc.refused }
 
-// reconcileSingle and reconcileGroup read the informer cache
-// (APIServer.Cached); only their writes are round trips.
-func (sc *SnapshotController) reconcileSingle(p *sim.Proc, key platform.ObjectKey) error {
-	obj, err := sc.api.Cached(key)
-	if errors.Is(err, platform.ErrNotFound) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if obj.(*platform.VolumeSnapshot).Status.Ready {
-		return nil
-	}
-	snap := obj.DeepCopy().(*platform.VolumeSnapshot) // status written back below
-	pv, err := resolveClaimVolume(sc.api, snap.Namespace, snap.Spec.PVCName)
-	if err != nil {
-		return err
-	}
-	snapID := fmt.Sprintf("snap-%s-%s", snap.Namespace, snap.Name)
-	if _, err := sc.array.CreateSnapshot(snapID, pv.Spec.VolumeID); err != nil && !errors.Is(err, storage.ErrSnapshotExists) {
-		return err
-	}
-	snap.Status.Ready = true
-	snap.Status.SnapshotID = snapID
-	snap.Status.Message = "snapshot ready"
-	if err := sc.api.Update(p, snap); err != nil {
-		return err
-	}
-	sc.snapshots++
-	return nil
-}
-
+// reconcileGroup reads the informer cache (APIServer.Cached); only its
+// writes are round trips.
 func (sc *SnapshotController) reconcileGroup(p *sim.Proc, key platform.ObjectKey) error {
 	obj, err := sc.api.Cached(key)
 	if errors.Is(err, platform.ErrNotFound) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/fleet"
 	"repro/internal/netlink"
 	"repro/internal/sim"
@@ -82,7 +83,7 @@ func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (Observ
 			// A fat-RTT, thin pipe keeps records in flight for longer than a
 			// sample period, so probed RPO is non-zero and the top-k ranking
 			// is a real ordering rather than all ties at zero.
-			Link:      netlink.Config{Propagation: 200 * time.Millisecond, BandwidthBps: 2e6},
+			Fabric:    fabric.Config{Links: []netlink.Config{{Propagation: 200 * time.Millisecond, BandwidthBps: 2e6}}},
 			Telemetry: &telemetry.Config{SamplePeriod: period}},
 	})
 	if err := f.Run(); err != nil {

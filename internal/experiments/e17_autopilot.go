@@ -55,27 +55,6 @@ const (
 	e17NightGrace = 6 * time.Second
 )
 
-// e17AutopilotConfig is the control-loop tuning both the experiment and the
-// determinism golden test share.
-func e17AutopilotConfig() autopilot.Config {
-	return autopilot.Config{
-		Period:   250 * time.Millisecond,
-		Window:   500 * time.Millisecond,
-		Cooldown: 1500 * time.Millisecond,
-		// The diurnal edges are steep, so the loop reacts early (up at 35%
-		// of target, derate at 50%) and reclaims only from deep quiet (down
-		// below 10%, restore probes below 25%).
-		ScaleUpFraction:   0.35,
-		ScaleDownFraction: 0.10,
-		DerateFraction:    0.50,
-		RestoreFraction:   0.25,
-		// A higher shed floor bounds how much bulk backlog accumulates while
-		// derated — giant deferred epochs would stall the shared backup
-		// controller when restored.
-		MinRateBps: 256 << 10,
-	}
-}
-
 // AutopilotRun is one E17 run's outcome (static or autopiloted).
 type AutopilotRun struct {
 	WorstPeakRPO  time.Duration // worst gold RPO probe in the steady-peak window
@@ -203,7 +182,7 @@ func e17Run(seed int64, workers int, auto, trace bool) (AutopilotRun, *autopilot
 	var ap *autopilot.Autopilot
 	if auto {
 		var err error
-		if ap, err = autopilot.New(sys, e17AutopilotConfig()); err != nil {
+		if ap, err = autopilot.New(sys); err != nil {
 			return run, nil, sys, err
 		}
 		ap.Start()

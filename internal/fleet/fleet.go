@@ -40,10 +40,6 @@ type Config struct {
 	OrdersPerTenant int
 	// Workload tunes each tenant's shop (seed is offset per tenant).
 	Workload workload.Config
-	// ClassOf assigns each tenant index a fabric QoS class (configure the
-	// classes themselves via System.Fabric.Classes). nil leaves every
-	// tenant on the default class — the pre-fabric single-queue behavior.
-	ClassOf func(tenant int) string
 	// JournalShards, when > 1, shards every tenant's consistency-group
 	// journal across that many drain lanes (each tenant's
 	// TenantSpec.JournalShards). 0 or 1 is the single shared journal.
@@ -94,14 +90,6 @@ type Config struct {
 type JoinSpec struct {
 	// After is the virtual time the spec is submitted.
 	After time.Duration
-	// Orders overrides OrdersPerTenant for this tenant (0 = default).
-	Orders int
-	// JournalShards overrides the fleet's shard count (0 = default).
-	JournalShards int
-	// Class is the tenant's fabric QoS class ("" = ClassOf / default).
-	Class string
-	// LaneClasses optionally names a QoS class per drain lane.
-	LaneClasses []string
 }
 
 // LeaveSpec is one mid-run tenant leave.
@@ -153,16 +141,12 @@ type Tenant struct {
 	BP        *core.BusinessProcess
 
 	// Roles in the mixed workload.
-	Failover    bool     // hit by the mid-run site failover
-	Analytics   bool     // runs snapshot analytics mid-run
-	Join        bool     // provisioned mid-run (E14 elasticity)
-	Leave       bool     // decommissions mid-run (E14 elasticity)
-	Class       string   // fabric QoS class the tenant's drain rides
-	LaneClasses []string // optional per-drain-lane QoS classes
-	Shards      int      // per-tenant journal shards (0 = fleet default)
-	Orders      int      // per-tenant order count (0 = OrdersPerTenant)
-	JoinAfter   time.Duration
-	LeaveAfter  time.Duration
+	Failover   bool // hit by the mid-run site failover
+	Analytics  bool // runs snapshot analytics mid-run
+	Join       bool // provisioned mid-run (E14 elasticity)
+	Leave      bool // decommissions mid-run (E14 elasticity)
+	JoinAfter  time.Duration
+	LeaveAfter time.Duration
 
 	// Outcomes.
 	TimeToReady     time.Duration // spec submitted -> tenant Ready
@@ -243,10 +227,6 @@ func New(cfg Config) *Fleet {
 			Namespace:       fmt.Sprintf("tenant-%03d", i),
 			Index:           i,
 			AnalyticsOrders: -1,
-			Shards:          cfg.JournalShards,
-		}
-		if cfg.ClassOf != nil {
-			t.Class = cfg.ClassOf(i)
 		}
 		if l, ok := leaves[i]; ok {
 			t.Leave, t.LeaveAfter = true, l.After
@@ -272,24 +252,13 @@ func New(cfg Config) *Fleet {
 	}
 	for j, js := range cfg.Joins {
 		idx := cfg.Tenants + j
-		t := &Tenant{
+		f.Tenants = append(f.Tenants, &Tenant{
 			Namespace:       fmt.Sprintf("tenant-%03d", idx),
 			Index:           idx,
 			AnalyticsOrders: -1,
 			Join:            true,
 			JoinAfter:       js.After,
-			Orders:          js.Orders,
-			Class:           js.Class,
-			LaneClasses:     js.LaneClasses,
-			Shards:          cfg.JournalShards,
-		}
-		if js.JournalShards > 0 {
-			t.Shards = js.JournalShards
-		}
-		if t.Class == "" && cfg.ClassOf != nil {
-			t.Class = cfg.ClassOf(idx)
-		}
-		f.Tenants = append(f.Tenants, t)
+		})
 	}
 	return f
 }
@@ -446,14 +415,6 @@ func (f *Fleet) captureFabric(t *Tenant) {
 	}
 }
 
-// orders returns the tenant's OLTP load.
-func (f *Fleet) orders(t *Tenant) int {
-	if t.Orders > 0 {
-		return t.Orders
-	}
-	return f.Cfg.OrdersPerTenant
-}
-
 // runTenant is one tenant's full life: provision declaratively (join
 // tenants first wait for their scheduled time), OLTP with mid-run analytics
 // or failover, a final consistency verification — and, for leavers, a full
@@ -471,9 +432,7 @@ func (f *Fleet) runTenant(p *sim.Proc, t *Tenant) error {
 		Namespace:     t.Namespace,
 		PVCNames:      []string{"sales", "stock"},
 		Backup:        true,
-		QoSClass:      t.Class,
-		LaneClasses:   t.LaneClasses,
-		JournalShards: t.Shards,
+		JournalShards: f.Cfg.JournalShards,
 		Profile:       "oltp-external", // the fleet attaches its own seeded shop
 	})
 	provSpan.End()
@@ -512,7 +471,7 @@ func (f *Fleet) runTenant(p *sim.Proc, t *Tenant) error {
 	f.gateArrive(p, t, true)
 
 	// Phase 1: first half of the OLTP load on every tenant concurrently.
-	half := f.orders(t) / 2
+	half := f.Cfg.OrdersPerTenant / 2
 	if err := runShop(half); err != nil {
 		return fmt.Errorf("phase 1: %w", err)
 	}
@@ -548,7 +507,7 @@ func (f *Fleet) runTenant(p *sim.Proc, t *Tenant) error {
 	}
 
 	// Phase 2: remaining load, then drain and verify the backup image.
-	if err := runShop(f.orders(t) - half); err != nil {
+	if err := runShop(f.Cfg.OrdersPerTenant - half); err != nil {
 		return fmt.Errorf("phase 2: %w", err)
 	}
 	t.OrdersPlaced = bp.Shop.Completed.Value()

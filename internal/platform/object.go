@@ -22,7 +22,6 @@ const (
 	KindPVC                 Kind = "PersistentVolumeClaim"
 	KindPV                  Kind = "PersistentVolume"
 	KindReplicationGroup    Kind = "ReplicationGroup"
-	KindVolumeSnapshot      Kind = "VolumeSnapshot"
 	KindVolumeGroupSnapshot Kind = "VolumeGroupSnapshot"
 	KindTenant              Kind = "Tenant"
 )
@@ -314,18 +313,14 @@ type TenantSpec struct {
 	// that the list does not name are left alone (and, with Backup, still
 	// replicated: the operator takes every claim it finds).
 	PVCNames []string
-	// VolumeBlocks sizes provisioned claims (0 = core.Config.VolumeBlocks).
-	VolumeBlocks int64
 	// Backup requests consistent replication to the backup site (the
 	// namespace tag the operator watches).
 	Backup bool
 	// QoSClass names the fabric class the tenant's drain traffic rides
-	// ("" = the SLO class's FabricClass, else the default class).
+	// ("" = the SLO class's FabricClass, else the default class). Every
+	// drain lane rides it, and it is fixed once the tenant drains: a spec
+	// that changes it then leaves the tenant Failed until it is reverted.
 	QoSClass string
-	// LaneClasses optionally names a class per journal-shard drain lane
-	// (lane k rides LaneClasses[k]); lanes beyond the list, or empty
-	// entries, fall back to QoSClass. Ignored unless JournalShards > 1.
-	LaneClasses []string
 	// JournalShards, when > 1, shards the tenant's consistency-group
 	// journal across that many drain lanes (0 or 1 = the paper's single
 	// shared journal on one lane). The field is MUTABLE: changing it on a
@@ -365,36 +360,6 @@ func (t *Tenant) DeepCopy() Object {
 	cp := *t
 	cp.Labels = copyLabels(t.Labels)
 	cp.Spec.PVCNames = append([]string(nil), t.Spec.PVCNames...)
-	cp.Spec.LaneClasses = append([]string(nil), t.Spec.LaneClasses...)
-	return &cp
-}
-
-// VolumeSnapshot requests a point-in-time copy of one PVC's volume.
-type VolumeSnapshot struct {
-	Meta
-	Spec   VolumeSnapshotSpec
-	Status VolumeSnapshotStatus
-}
-
-// VolumeSnapshotSpec names the source claim.
-type VolumeSnapshotSpec struct {
-	PVCName string
-}
-
-// VolumeSnapshotStatus is filled by the snapshot controller.
-type VolumeSnapshotStatus struct {
-	Ready      bool
-	SnapshotID string
-	Message    string
-}
-
-// GetMeta returns the object metadata.
-func (s *VolumeSnapshot) GetMeta() *Meta { return &s.Meta }
-
-// DeepCopy returns an independent copy.
-func (s *VolumeSnapshot) DeepCopy() Object {
-	cp := *s
-	cp.Labels = copyLabels(s.Labels)
 	return &cp
 }
 
