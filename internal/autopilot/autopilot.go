@@ -104,8 +104,7 @@ type Autopilot struct {
 	lastReshard map[string]time.Duration // namespace → last actuation
 
 	// Admission state, keyed by fabric class name.
-	capBps    map[string]float64 // current cap; absent = not derated
-	origBps   map[string]float64 // configured rate before the first derate
+	capBps    map[string]float64 // current cap; absent = not derated (uncapped)
 	demandBps map[string]float64 // peak measured throughput of the class
 	lastBytes map[string]int64   // ClassStats.Bytes at the previous tick
 	healthy   map[string]int     // consecutive all-healthy ticks while capped
@@ -128,7 +127,6 @@ func New(sys *core.System) (*Autopilot, error) {
 		stop:        sys.Env.NewEvent(),
 		lastReshard: make(map[string]time.Duration),
 		capBps:      make(map[string]float64),
-		origBps:     make(map[string]float64),
 		demandBps:   make(map[string]float64),
 		lastBytes:   make(map[string]int64),
 		healthy:     make(map[string]int),
@@ -306,7 +304,7 @@ func (a *Autopilot) admissionStep(now time.Duration, worstFrac map[string]float6
 		if sc.RPOTarget > 0 {
 			continue // protected, never shed
 		}
-		fc := sc.FabricClass
+		fc := sc.Name // tenants without a QoSClass ride the class named like their SLO class
 		// Measured throughput this period for the shedable class; the peak
 		// is tracked continuously so the first derate halves from observed
 		// demand and a restore knows when the class is fully back.
@@ -347,7 +345,6 @@ func (a *Autopilot) admissionStep(now time.Duration, worstFrac map[string]float6
 			a.healthy[fc] = 0
 			next := cap / 2
 			if !capped {
-				a.origBps[fc] = fwd.ClassRate(fc)
 				next = a.demandBps[fc] / 2
 			}
 			if next < minRateBps {
@@ -378,25 +375,15 @@ func (a *Autopilot) admissionStep(now time.Duration, worstFrac map[string]float6
 			a.healthy[fc] = 0
 			next := cap * 2
 			if next >= a.demandBps[fc] {
-				// Fully restored: hand back the configured (possibly
-				// uncapped) rate and forget the episode.
-				if fwd.SetClassRate(fc, a.origBps[fc]) {
-					a.record(now, fc, "restore", fmt.Sprintf("rate -> %s (was capped at %.0f B/s)",
-						rateString(a.origBps[fc]), cap))
+				// Fully restored: lift the cap and forget the episode.
+				if fwd.SetClassRate(fc, 0) {
+					a.record(now, fc, "restore", fmt.Sprintf("rate -> uncapped (was capped at %.0f B/s)", cap))
 				}
 				delete(a.capBps, fc)
-				delete(a.origBps, fc)
 			} else if fwd.SetClassRate(fc, next) {
 				a.capBps[fc] = next
 				a.record(now, fc, "restore", fmt.Sprintf("rate -> %.0f B/s", next))
 			}
 		}
 	}
-}
-
-func rateString(bps float64) string {
-	if bps <= 0 {
-		return "uncapped"
-	}
-	return fmt.Sprintf("%.0f B/s", bps)
 }

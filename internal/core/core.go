@@ -63,8 +63,8 @@ type Config struct {
 	// SLOClasses registers the deployment's service-level policy classes.
 	// A TenantSpec references one by name (Spec.SLOClass); the autopilot
 	// reads the class for the tenant's RPO target, shard bounds, and
-	// admission priority, and a tenant without an explicit QoSClass
-	// inherits the class's FabricClass at the fabric ingress.
+	// admission priority, and a tenant without an explicit QoSClass rides
+	// the fabric class of the same name.
 	SLOClasses []platform.SLOClass
 	// DB tunes the databases ProvisionTenant opens.
 	DB db.Config

@@ -7,12 +7,11 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/db"
 	"repro/internal/platform"
-	"repro/internal/replication"
 	"repro/internal/sim"
 )
 
 // openDBForTest opens a database on a raw volume with default config.
-func openDBForTest(p *sim.Proc, vol replication.BlockWriter) (*db.DB, error) {
+func openDBForTest(p *sim.Proc, vol db.BlockWriter) (*db.DB, error) {
 	return db.Open(p, "test", vol, db.Config{})
 }
 
@@ -72,12 +71,8 @@ func TestEnableBackupSurvivesPartitionDuringInitialCopy(t *testing.T) {
 }
 
 func TestReplicationConvergesOnLossyLink(t *testing.T) {
-	sys := NewSystem(oneLink(netlinkConfig{
-		Propagation:       2 * time.Millisecond,
-		BandwidthBps:      1e7,
-		LossProb:          0.3,
-		RetransmitTimeout: 5 * time.Millisecond,
-	}))
+	sys := NewSystem(oneLink(netlinkConfig{Propagation: 2 * time.Millisecond, BandwidthBps: 1e7}))
+	sys.Links.Forward.SetFault(0.3, 0)
 	sys.Env.Process("test", func(p *sim.Proc) {
 		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 		if err != nil {

@@ -97,15 +97,13 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 	sys.managedTenants[ns] = true
 	// Register the tenant's fabric class before any drain path exists for the
 	// namespace, so the replication plugin's first lane path lands in class.
-	// An SLO class supplies the fabric class when the spec pins none. Lane
-	// paths are bound to a class when they are made, so once the tenant
+	// A spec that pins none rides the fabric class named like its SLO class.
+	// Lane paths are bound to a class when they are made, so once the tenant
 	// drains its class is fixed: a spec that changes it is Failed by both
 	// names (never Ready with lanes on two classes) until it is reverted.
 	qos := tn.Spec.QoSClass
-	if qos == "" && tn.Spec.SLOClass != "" {
-		if sc, ok := sys.sloClasses[tn.Spec.SLOClass]; ok {
-			qos = sc.FabricClass
-		}
+	if _, ok := sys.sloClasses[tn.Spec.SLOClass]; qos == "" && ok {
+		qos = tn.Spec.SLOClass
 	}
 	if bound := sys.tenantClass[ns]; qos != bound && len(sys.lanePaths[ns]) > 0 {
 		return sys.setTenantStatus(p, tn, platform.TenantFailed,

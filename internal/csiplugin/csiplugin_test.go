@@ -503,7 +503,7 @@ func TestProvisionerUnwindsDeletedClaim(t *testing.T) {
 	// Attach the stock volume to a journal: its unwind must stall (retry)
 	// until the journal releases it.
 	if _, err := f.sites.MainArray.CreateConsistencyGroup("jnl-hold",
-		[]storage.VolumeID{VolumeIDForClaim("shop", "stock")}, 1, 0); err != nil {
+		[]storage.VolumeID{VolumeIDForClaim("shop", "stock")}, 1); err != nil {
 		t.Fatal(err)
 	}
 	f.env.Process("delete", func(p *sim.Proc) {

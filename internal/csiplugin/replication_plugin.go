@@ -200,7 +200,7 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 		vols[i] = m.volID
 		mapping[m.volID] = m.volID
 	}
-	journal, err := rp.sites.MainArray.CreateConsistencyGroup(journalID, vols, max(rg.Spec.JournalShards, 1), 0)
+	journal, err := rp.sites.MainArray.CreateConsistencyGroup(journalID, vols, max(rg.Spec.JournalShards, 1))
 	if errors.Is(err, storage.ErrJournalExists) {
 		journal, err = rp.sites.MainArray.ShardedJournal(journalID)
 	}

@@ -1,7 +1,7 @@
 // Package db is the transactional record store the demonstration's Oracle
 // databases are substituted with. One DB instance lives on one storage
-// volume (through the replication.BlockWriter interface, so the same code
-// runs unreplicated, under ADC, or under SDC).
+// volume (through the BlockWriter interface, so the same code runs
+// unreplicated, under ADC, or under SDC).
 //
 // Durability protocol (redo-only, no-steal/no-force):
 //
@@ -30,7 +30,6 @@ import (
 	"hash/crc32"
 	"time"
 
-	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -48,9 +47,25 @@ var (
 	ErrTxnTooLarge = errors.New("db: transaction exceeds WAL capacity")
 	// ErrVolumeTooSmall reports a volume without room for WAL plus data.
 	ErrVolumeTooSmall = errors.New("db: volume too small")
-	// ErrTxnDone reports reuse of a committed or aborted transaction.
+	// ErrTxnDone reports reuse of a committed transaction.
 	ErrTxnDone = errors.New("db: transaction already finished")
 )
+
+// BlockWriter is the volume interface a database writes through: a
+// BlockReader plus the two writes that adopt their buffers. storage.Volume
+// satisfies it for unreplicated and ADC volumes (ADC acks locally), and
+// replication.SyncVolume wraps a pair for SDC, so the replication mode is a
+// drop-in choice — how the E5 slowdown experiment swaps modes.
+type BlockWriter interface {
+	BlockReader
+	// WriteOwned adopts data as the stored block: the caller gives the buffer
+	// up and never writes into it again.
+	WriteOwned(p *sim.Proc, block int64, data []byte) (storage.Ack, error)
+	// WriteOwnedBlocks is one gathered write: every Data is adopted as
+	// WriteOwned adopts one and the blocks are acked in slice order; it has
+	// returned only when all of them are (the caller's write barrier).
+	WriteOwnedBlocks(p *sim.Proc, ios []storage.BlockIO) error
+}
 
 // Config tunes a database instance.
 type Config struct {
@@ -69,7 +84,7 @@ func (c Config) withDefaults() Config {
 // plus the half that writes — the WAL head, transactions, and Checkpoint.
 type DB struct {
 	reader
-	vol replication.BlockWriter // the reader's img, through its write half
+	vol BlockWriter // the reader's img, through its write half
 
 	walSeq uint32        // sequence (and region offset) of the current head block
 	walBuf []byte        // encoded records in the head block (no header)
@@ -92,7 +107,7 @@ type DB struct {
 // Open attaches to the volume, formatting it on first use and running crash
 // recovery otherwise: the replay, then a checkpoint so that it is durable and
 // the WAL restarts fresh. Its cost is paid in simulated time (RecoveryTime).
-func Open(p *sim.Proc, name string, vol replication.BlockWriter, cfg Config) (*DB, error) {
+func Open(p *sim.Proc, name string, vol BlockWriter, cfg Config) (*DB, error) {
 	d := &DB{vol: vol, mu: p.Env().NewResource(1)}
 	switch err := d.open(p, name, vol, cfg); {
 	case errors.Is(err, ErrNotFormatted): // fresh volume: format it

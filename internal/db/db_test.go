@@ -85,17 +85,14 @@ func TestCommitAndGet(t *testing.T) {
 func TestUncommittedInvisible(t *testing.T) {
 	withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
 		d, _ := Open(p, "sales", vol, Config{})
+		writes := vol.Writes()
 		tx := d.Begin()
 		tx.Put(7, []byte("pending"))
 		if _, found, _ := d.Get(p, 7); found {
 			t.Fatal("uncommitted update visible")
 		}
-		tx.Abort()
-		if _, found, _ := d.Get(p, 7); found {
-			t.Fatal("aborted update visible")
-		}
-		if err := tx.Commit(p); !errors.Is(err, ErrTxnDone) {
-			t.Fatalf("commit after abort: %v", err)
+		if vol.Writes() != writes {
+			t.Fatalf("an uncommitted transaction wrote %d blocks", vol.Writes()-writes)
 		}
 	})
 }
@@ -195,7 +192,7 @@ func TestRecoveryIsThreeRequestsAndABarrier(t *testing.T) {
 	inProcess(func(p *sim.Proc, a *storage.Array) {
 		const pages = 40 // 5 rounds of 8; keys land on consecutive pages, the owned map iterates in any order
 		vol := crashedImage(t, p, a, "v", 80, pages)
-		sj, err := a.CreateConsistencyGroup("cg", []storage.VolumeID{"v"}, 1, 0)
+		sj, err := a.CreateConsistencyGroup("cg", []storage.VolumeID{"v"}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +207,7 @@ func TestRecoveryIsThreeRequestsAndABarrier(t *testing.T) {
 		}
 		cfg := a.Config()
 		write := cfg.WriteLatency + cfg.JournalLatency
-		logRead, pageRead, flush := 2*cfg.ReadLatency, pages/8*cfg.ReadLatency, pages/8*write+write
+		logRead, pageRead, flush := 2*storage.ReadLatency, pages/8*storage.ReadLatency, pages/8*write+write
 		if d.LogReadTime() != logRead || d.PageReadTime() != pageRead || d.FlushTime() != flush {
 			t.Errorf("log read %v, page read %v, flush %v; want %v, %v, %v",
 				d.LogReadTime(), d.PageReadTime(), d.FlushTime(), logRead, pageRead, flush)
@@ -218,7 +215,7 @@ func TestRecoveryIsThreeRequestsAndABarrier(t *testing.T) {
 		if live, read := d.LogBlocks(); live != 2 || read != 3 {
 			t.Errorf("the log read found %d live blocks in %d read; want 2 in 3", live, read)
 		}
-		if open := p.Now() - t0; d.RecoveryTime() != logRead+pageRead+flush || open != cfg.ReadLatency+d.RecoveryTime() {
+		if open := p.Now() - t0; d.RecoveryTime() != logRead+pageRead+flush || open != storage.ReadLatency+d.RecoveryTime() {
 			t.Errorf("recovery time %v of a %v open; want the three phases, and the superblock read before them", d.RecoveryTime(), open)
 		}
 		if view.ReplayTime() != logRead+pageRead || view.LogReadTime() != logRead || view.PageReadTime() != pageRead {

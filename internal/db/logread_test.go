@@ -104,7 +104,7 @@ func TestLogReadStopsWhereTheLogEnds(t *testing.T) {
 		logCase{name: "garbage after a stale block", live: 2, after: [][]byte{stale(2), garbage, stale(4)}},
 	)
 	inProcess(func(p *sim.Proc, a *storage.Array) {
-		lat := a.Config().ReadLatency
+		lat := storage.ReadLatency
 		for i, c := range cases {
 			vol := logImage(t, p, a, storage.VolumeID(fmt.Sprint("log", i)), c.live, c.after, c.zeroed, c.torn)
 			var r reader
@@ -155,7 +155,7 @@ func TestLogReadPricesAtTheExtremes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat := a.Config().ReadLatency
+		lat := storage.ReadLatency
 		if live, read := d.LogBlocks(); d.LogReadTime() != 11*lat || live != 64 || read != 64 || d.RecoveredTxns() != 64 {
 			t.Errorf("full log: %d live / %d read in %v, %d transactions; want 64 / 64 in %v, 64", live, read, d.LogReadTime(), d.RecoveredTxns(), 11*lat)
 		}
@@ -174,8 +174,8 @@ func TestLogReadPricesAtTheExtremes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if live, read := d.LogBlocks(); d.LogReadTime() != a.Config().ReadLatency || live != 0 || read != 1 {
-			t.Errorf("empty log on an isolated volume: %d live / %d read in %v; want 0 / 1 in %v", live, read, d.LogReadTime(), a.Config().ReadLatency)
+		if live, read := d.LogBlocks(); d.LogReadTime() != storage.ReadLatency || live != 0 || read != 1 {
+			t.Errorf("empty log on an isolated volume: %d live / %d read in %v; want 0 / 1 in %v", live, read, d.LogReadTime(), storage.ReadLatency)
 		}
 	})
 	env.Run(0)

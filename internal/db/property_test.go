@@ -13,39 +13,6 @@ import (
 	"repro/internal/storage"
 )
 
-func TestTxnReadYourWrites(t *testing.T) {
-	withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
-		d, _ := Open(p, "x", vol, Config{})
-		seed := d.Begin()
-		seed.Put(1, []byte("committed"))
-		seed.Commit(p)
-
-		tx := d.Begin()
-		// Sees committed state before writing.
-		v, found, _ := tx.Get(p, 1)
-		if !found || string(v) != "committed" {
-			t.Fatalf("pre-write read: %q %v", v, found)
-		}
-		tx.Put(1, []byte("mine"))
-		tx.Put(2, []byte("new"))
-		// Sees its own writes...
-		if v, _, _ := tx.Get(p, 1); string(v) != "mine" {
-			t.Fatalf("own write invisible: %q", v)
-		}
-		if v, _, _ := tx.Get(p, 2); string(v) != "new" {
-			t.Fatalf("own insert invisible: %q", v)
-		}
-		// ...while the database does not, until commit.
-		if _, found, _ := d.Get(p, 2); found {
-			t.Fatal("uncommitted write leaked")
-		}
-		tx.Abort()
-		if _, _, err := tx.Get(p, 1); err == nil {
-			t.Fatal("read on finished txn succeeded")
-		}
-	})
-}
-
 // recoverBothDoors opens the crashed image read-only, then recovers it, and
 // requires the two doors — one reader behind both — to agree on what the image
 // holds: the committed set, the count redone, the torn-tail flag, every row,
@@ -88,8 +55,8 @@ func recoverBothDoors(p *sim.Proc, a *storage.Array, vol *storage.Volume, cfg Co
 // TestCrashRecoveryProperty is the database's central invariant: after a
 // crash at ANY point, recovery yields exactly the committed transactions —
 // every committed key holds its last committed value, and no uncommitted
-// write is visible. The generator interleaves commits, aborts, checkpoints
-// and crashes at random.
+// write is visible. The generator interleaves commits, transactions dropped
+// before Commit, checkpoints and crashes at random.
 func TestCrashRecoveryProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -124,8 +91,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 						staged[key] = val
 					}
 					if rng.Intn(5) == 0 {
-						tx.Abort()
-						continue
+						continue // dropped uncommitted
 					}
 					if err := tx.Commit(p); err != nil {
 						ok = false
@@ -183,7 +149,7 @@ func TestRecoveryFromReplicatedImageProperty(t *testing.T) {
 		a := storage.NewArray(env, "arr", storage.Config{})
 		src, _ := a.CreateVolume("src", 300)
 		twin, _ := a.CreateVolume("twin", 300)
-		sj, _ := a.CreateConsistencyGroup("j", []storage.VolumeID{"src"}, 1, 0)
+		sj, _ := a.CreateConsistencyGroup("j", []storage.VolumeID{"src"}, 1)
 		j := sj.Shards()[0]
 		cfg := Config{WALBlocks: 8}
 

@@ -1,7 +1,6 @@
 package db
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 
@@ -28,8 +27,8 @@ type txnRow struct {
 func (u txnRow) val(vals []byte) []byte { return vals[u.off : u.off+u.n] }
 
 // Txn buffers a transaction's updates until Commit. Updates are not visible
-// to reads (including the transaction's own) until Commit returns — the
-// deferred-update discipline that keeps uncommitted data off disk. A Txn
+// to reads until Commit returns — the deferred-update discipline that keeps
+// uncommitted data off disk; a Txn dropped before Commit wrote nothing. A Txn
 // carries its own copies of the rows it was given: a small transaction's in
 // the inline arrays (Put allocates nothing), a larger one's all in the one
 // growable spill arena.
@@ -98,24 +97,6 @@ func (t *Txn) Put(key uint64, val []byte) error {
 	t.vals = append(t.vals, val...)
 	return nil
 }
-
-// Get reads a key with read-your-writes semantics: the transaction's own
-// buffered update wins over the committed state.
-func (t *Txn) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
-	if t.done {
-		return nil, false, ErrTxnDone
-	}
-	rows, vals := t.buffered()
-	for i := len(rows) - 1; i >= 0; i-- {
-		if u := rows[i]; u.key == key {
-			return bytes.Clone(u.val(vals)), true, nil
-		}
-	}
-	return t.db.Get(p, key)
-}
-
-// Abort discards the transaction. Nothing was written, so it is free.
-func (t *Txn) Abort() { t.done = true }
 
 // encode writes the transaction's update and commit records, stamped with
 // the database's current epoch, into the DB's reusable encode buffer and

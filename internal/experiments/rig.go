@@ -111,7 +111,7 @@ func (r *rig) bootstrap(p *sim.Proc, params rigParams) error {
 
 	// Wire replication BEFORE opening the databases so every write —
 	// including formatting — replicates; no initial copy needed.
-	var salesW, stockW replication.BlockWriter = salesVol, stockVol
+	var salesW, stockW db.BlockWriter = salesVol, stockVol
 	switch r.mode {
 	case ModeNone:
 	case ModeADC:
@@ -161,7 +161,7 @@ func (r *rig) bootstrap(p *sim.Proc, params rigParams) error {
 // group replicated over path, and starts its drain.
 func startADC(env *sim.Env, main, backup *storage.Array, name string, vols []storage.VolumeID,
 	path fabric.Path, cfg replication.Config) (*replication.Group, error) {
-	j, err := main.CreateConsistencyGroup("cg-"+name, vols, 1, 0)
+	j, err := main.CreateConsistencyGroup("cg-"+name, vols, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,8 @@
 // member links with a per-tenant admission layer in front of them. Where
 // internal/netlink is one pipe, a Fabric is the whole interconnect: tenants
 // obtain a Path bound to a QoS class, transfers fan in at the fabric
-// ingress, a deficit-weighted round-robin scheduler (plus optional
-// token-bucket rate caps) arbitrates between classes, and per-link
+// ingress, a deficit-weighted round-robin scheduler (plus the token-bucket
+// rate caps SetClassRate declares) arbitrates between classes, and per-link
 // dispatchers spread admitted transfers over the member links. When a
 // member link partitions, its dispatcher parks and the shared ingress
 // queues drain through the surviving members — link failover without any
@@ -41,14 +41,6 @@ type ClassConfig struct {
 	// Weight is the class's deficit-round-robin share (default 1). A class
 	// with weight 4 gets 4x the bytes of a weight-1 class under contention.
 	Weight int
-	// RateBps is an optional token-bucket rate cap in bytes per second;
-	// 0 means uncapped (pure weighted sharing).
-	RateBps float64
-	// BurstBytes is the token-bucket depth (default 256 KiB when RateBps
-	// is set). Transfers larger than the burst are admitted once the
-	// bucket is full and drive the balance negative, enforcing the
-	// long-run rate.
-	BurstBytes int
 	// MaxQueued caps the class's ingress queue depth; 0 means unbounded.
 	// A full queue drops the admission attempt — the caller backs off
 	// RetryBackoff and retries, and the drop is counted on its path.
@@ -68,9 +60,6 @@ type Config struct {
 	// Classes defines the QoS classes. Empty means one best-effort class
 	// and no ingress scheduling.
 	Classes []ClassConfig
-	// QuantumBytes is the DRR quantum credited per weight unit per round
-	// (default 64 KiB).
-	QuantumBytes int
 	// RetryBackoff is the caller's initial pause after an ingress drop
 	// (default 1ms). Repeated drops back off exponentially from here, up to
 	// retryBackoffCapFactor times it.
@@ -92,9 +81,6 @@ func (c Config) withDefaults() Config {
 	if len(c.Links) == 0 {
 		c.Links = []netlink.Config{{}}
 	}
-	if c.QuantumBytes <= 0 {
-		c.QuantumBytes = 64 << 10
-	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = time.Millisecond
 	}
@@ -103,6 +89,14 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// quantum is the DRR byte credit per weight unit per round.
+const quantum = 64 << 10
+
+// burst is the token-bucket depth of a rate-capped class. A transfer larger
+// than the burst is admitted once the bucket is full and drives the balance
+// negative, enforcing the long-run rate.
+const burst = 256 << 10
 
 // request is one transfer waiting at the fabric ingress.
 type request struct {
@@ -121,6 +115,7 @@ type class struct {
 	head    int // pop index; queue is compacted when it empties
 	deficit int // DRR byte credit
 
+	rate       float64 // token-bucket rate cap in bytes/s (0 = uncapped), set by SetClassRate
 	tokens     float64 // token-bucket balance (bytes); may go negative
 	lastRefill time.Duration
 
@@ -186,7 +181,7 @@ func (c *class) allows(link int) bool {
 
 // refill tops the token bucket up to the burst depth.
 func (c *class) refill(now time.Duration) {
-	if c.cfg.RateBps <= 0 {
+	if c.rate <= 0 {
 		return
 	}
 	elapsed := now - c.lastRefill
@@ -194,26 +189,20 @@ func (c *class) refill(now time.Duration) {
 		return
 	}
 	c.lastRefill = now
-	c.tokens += elapsed.Seconds() * c.cfg.RateBps
-	if burst := float64(c.cfg.BurstBytes); c.tokens > burst {
-		c.tokens = burst
-	}
+	c.tokens = min(c.tokens+elapsed.Seconds()*c.rate, burst)
 }
 
 // gate reports whether the head transfer may pass the token bucket now,
 // and if not, how long until it can.
 func (c *class) gate(size int) (ok bool, wait time.Duration) {
-	if c.cfg.RateBps <= 0 {
+	if c.rate <= 0 {
 		return true, 0
 	}
-	need := float64(size)
-	if burst := float64(c.cfg.BurstBytes); need > burst {
-		need = burst // oversized transfers go when the bucket is full
-	}
+	need := min(float64(size), burst) // oversized transfers go when the bucket is full
 	if c.tokens >= need {
 		return true, 0
 	}
-	return false, time.Duration((need - c.tokens) / c.cfg.RateBps * float64(time.Second))
+	return false, time.Duration((need - c.tokens) / c.rate * float64(time.Second))
 }
 
 // ClassStats is a snapshot of one class's counters.
@@ -304,10 +293,7 @@ func NewWithLinks(env *sim.Env, cfg Config, links []*netlink.Link) *Fabric {
 		if cc.Weight <= 0 {
 			cc.Weight = 1
 		}
-		if cc.RateBps > 0 && cc.BurstBytes <= 0 {
-			cc.BurstBytes = 256 << 10
-		}
-		c := &class{cfg: cc, tokens: float64(cc.BurstBytes)}
+		c := &class{cfg: cc}
 		f.classes = append(f.classes, c)
 		f.byName[cc.Name] = c
 	}
@@ -391,25 +377,21 @@ func (f *Fabric) PathOn(classname, owner string, link int) *TenantPath {
 	return tp
 }
 
-// SetClassRate re-declares the named class's token-bucket rate cap in bytes
-// per second at runtime — the autopilot's admission effector. 0 removes the
-// cap (pure weighted sharing). Enabling a cap on a previously uncapped
-// class grants one full burst; tightening clamps the balance to the new
-// burst so the new rate binds from now. Returns false for an unknown class.
+// SetClassRate declares the named class's token-bucket rate cap in bytes
+// per second — the autopilot's admission effector; every class starts
+// uncapped. 0 removes the cap (pure weighted sharing). A cap starts from the
+// bucket's balance and refills at the new rate from now: a class capped for
+// the first time starts with an empty bucket, and the balance a class had
+// when its cap was removed carries over to its next cap (uncapped transfers
+// do not spend tokens). Returns false for an unknown class.
 func (f *Fabric) SetClassRate(name string, bps float64) bool {
 	c, ok := f.byName[name]
 	if !ok {
 		return false
 	}
 	c.refill(f.env.Now())
-	c.cfg.RateBps = bps
+	c.rate = bps
 	if bps > 0 {
-		if c.cfg.BurstBytes <= 0 {
-			c.cfg.BurstBytes = 256 << 10
-		}
-		if burst := float64(c.cfg.BurstBytes); c.tokens > burst {
-			c.tokens = burst
-		}
 		c.lastRefill = f.env.Now()
 	}
 	// A raised (or removed) cap may unblock token-gated dispatchers parked
@@ -420,14 +402,6 @@ func (f *Fabric) SetClassRate(name string, bps float64) bool {
 	return true
 }
 
-// ClassRate returns the named class's current rate cap (0 = uncapped).
-func (f *Fabric) ClassRate(name string) float64 {
-	if c, ok := f.byName[name]; ok {
-		return c.cfg.RateBps
-	}
-	return 0
-}
-
 // Links exposes the member links (for partition/heal chaos and per-link
 // accounting; member order matches Config.Links).
 func (f *Fabric) Links() []*netlink.Link { return f.links }
@@ -435,15 +409,6 @@ func (f *Fabric) Links() []*netlink.Link { return f.links }
 // Now is the fabric's virtual clock — placement policies use it to age
 // their own recent-placement memory.
 func (f *Fabric) Now() time.Duration { return f.env.Now() }
-
-// Classes lists the class names in scheduling order.
-func (f *Fabric) Classes() []string {
-	out := make([]string, len(f.classes))
-	for i, c := range f.classes {
-		out[i] = c.cfg.Name
-	}
-	return out
-}
 
 // ClassStats returns a snapshot of the named class's counters.
 func (f *Fabric) ClassStats(name string) ClassStats {
@@ -600,7 +565,7 @@ func (f *Fabric) pick(li int, now time.Duration) (*request, time.Duration) {
 			continue
 		}
 		if !f.credited {
-			c.deficit += f.cfg.QuantumBytes * c.cfg.Weight
+			c.deficit += quantum * c.cfg.Weight
 			f.credited = true
 		}
 		if c.deficit < next.size {
@@ -613,7 +578,7 @@ func (f *Fabric) pick(li int, now time.Duration) (*request, time.Duration) {
 		}
 		req := c.popAt(idx)
 		c.deficit -= req.size
-		if c.cfg.RateBps > 0 {
+		if c.rate > 0 {
 			c.tokens -= float64(req.size)
 		}
 		if c.depth() == 0 {

@@ -107,11 +107,10 @@ func TestTokenBucketCapsClassRate(t *testing.T) {
 	// track the cap, not the link.
 	env := sim.NewEnv(1)
 	f := New(env, Config{
-		Links: []netlink.Config{{BandwidthBps: 1e9}},
-		Classes: []ClassConfig{
-			{Name: "capped", Weight: 1, RateBps: 1e5, BurstBytes: 20_000},
-		},
+		Links:   []netlink.Config{{BandwidthBps: 1e9}},
+		Classes: []ClassConfig{{Name: "capped", Weight: 1}},
 	})
+	f.SetClassRate("capped", 1e5)
 	tp := f.Path("capped", "t0")
 	horizon := 4 * time.Second
 	var done int
@@ -162,18 +161,16 @@ func TestTokenBlockedDispatcherWakesForUncappedWork(t *testing.T) {
 	// not after the refill expires.
 	env := sim.NewEnv(1)
 	f := New(env, Config{
-		Links: []netlink.Config{{BandwidthBps: 1e6}},
-		Classes: []ClassConfig{
-			{Name: "gold", Weight: 1},
-			{Name: "capped", Weight: 1, RateBps: 1e4, BurstBytes: 10_000},
-		},
+		Links:   []netlink.Config{{BandwidthBps: 1e6}},
+		Classes: []ClassConfig{{Name: "gold", Weight: 1}, {Name: "capped", Weight: 1}},
 	})
+	f.SetClassRate("capped", 1e4)
 	capped := f.Path("capped", "capped")
 	gold := f.Path("gold", "gold")
 	var cappedSecond, goldDone time.Duration
 	env.Process("capped", func(p *sim.Proc) {
-		capped.Transfer(p, 10_000) // drains the bucket
-		capped.Transfer(p, 10_000) // token-blocked ~1s
+		capped.Transfer(p, 10_000) // token-blocked ~1s: a first cap starts empty
+		capped.Transfer(p, 10_000) // another ~1s
 		cappedSecond = p.Now()
 	})
 	env.Process("gold", func(p *sim.Proc) {
@@ -186,9 +183,73 @@ func TestTokenBlockedDispatcherWakesForUncappedWork(t *testing.T) {
 	if goldDone > 100*time.Millisecond {
 		t.Fatalf("uncapped transfer waited out the refill: done at %v", goldDone)
 	}
-	if cappedSecond < 900*time.Millisecond {
-		t.Fatalf("capped transfer beat its bucket: done at %v", cappedSecond)
+	if cappedSecond < 1900*time.Millisecond {
+		t.Fatalf("capped transfers beat their bucket: done at %v", cappedSecond)
 	}
+}
+
+// SetClassRate is the only way a class gets capped, and its bucket rules are
+// what E17's derates run on: a class capped for the first time starts with an
+// empty bucket, the balance carries across a cap removed and set again, and a
+// raised cap wakes a dispatcher parked on the old one at once.
+func TestSetClassRateBucketRules(t *testing.T) {
+	const size = 10_000
+	run := func(t *testing.T, script func(p *sim.Proc, f *Fabric, tp *TenantPath)) {
+		t.Helper()
+		env := sim.NewEnv(1)
+		f := New(env, Config{
+			Links:   []netlink.Config{{BandwidthBps: 1e9}},
+			Classes: []ClassConfig{{Name: "bulk"}},
+		})
+		tp := f.Path("bulk", "t0")
+		env.Process("script", func(p *sim.Proc) { script(p, f, tp) })
+		env.Run(0)
+		f.Stop()
+	}
+	ser := time.Duration(size) * time.Second / 1e9 // 10µs on the wire
+	near := func(got, want time.Duration) bool { return got > want-time.Millisecond && got < want+time.Millisecond }
+
+	t.Run("first cap starts empty", func(t *testing.T) {
+		run(t, func(p *sim.Proc, f *Fabric, tp *TenantPath) {
+			if f.SetClassRate("missing", 1) || !f.SetClassRate("bulk", 1e4) {
+				t.Error("SetClassRate must accept exactly the configured classes")
+			}
+			if took := tp.Transfer(p, size); !near(took, time.Second+ser) {
+				t.Errorf("a 10 KB transfer under a fresh 10 KB/s cap took %v, want ~1s", took)
+			}
+		})
+	})
+	t.Run("balance carries across a restore", func(t *testing.T) {
+		run(t, func(p *sim.Proc, f *Fabric, tp *TenantPath) {
+			f.SetClassRate("bulk", 1e4)
+			p.Sleep(3 * time.Second) // idle: 30 KB banked
+			f.SetClassRate("bulk", 0)
+			tp.Transfer(p, size) // uncapped transfers spend no tokens
+			f.SetClassRate("bulk", 1e4)
+			start := p.Now()
+			for i := 0; i < 3; i++ {
+				tp.Transfer(p, size)
+			}
+			if took := p.Now() - start; !near(took, 3*ser) {
+				t.Errorf("three 10 KB transfers on a 30 KB balance took %v, want no token wait", took)
+			}
+			if took := tp.Transfer(p, size); !near(took, time.Second+ser) {
+				t.Errorf("the fourth took %v, want ~1s: the balance is spent", took)
+			}
+		})
+	})
+	t.Run("raised cap wakes a blocked dispatcher", func(t *testing.T) {
+		run(t, func(p *sim.Proc, f *Fabric, tp *TenantPath) {
+			f.SetClassRate("bulk", 1e3) // 10 s for 10 KB
+			p.Env().Process("raise", func(q *sim.Proc) {
+				q.Sleep(100 * time.Millisecond)
+				f.SetClassRate("bulk", 1e9)
+			})
+			if took := tp.Transfer(p, size); !near(took, 100*time.Millisecond) {
+				t.Errorf("transfer took %v after the cap was raised at 100ms, want ~100ms", took)
+			}
+		})
+	})
 }
 
 func TestMultiLinkSpreadsLoad(t *testing.T) {
@@ -296,14 +357,13 @@ func TestOversizedTransferPassesQuantum(t *testing.T) {
 	// (deficit accumulates across rounds).
 	env := sim.NewEnv(1)
 	f := New(env, Config{
-		Links:        []netlink.Config{{BandwidthBps: 1e9}},
-		Classes:      []ClassConfig{{Name: "be", Weight: 1}},
-		QuantumBytes: 1024,
+		Links:   []netlink.Config{{BandwidthBps: 1e9}},
+		Classes: []ClassConfig{{Name: "be", Weight: 1}},
 	})
 	tp := f.Path("be", "t0")
 	okDone := false
 	env.Process("tx", func(p *sim.Proc) {
-		tp.Transfer(p, 10<<20) // 10MB vs 1KB quantum
+		tp.Transfer(p, 10<<20) // 10MB vs the 64KiB quantum
 		okDone = true
 	})
 	env.Run(0)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // tenantOutcome is the per-tenant result surface compared between the
@@ -65,7 +64,6 @@ func goldenConfig(seed int64) Config {
 	cfg := Config{
 		Tenants:         3 + rng.Intn(4),
 		OrdersPerTenant: 4 + rng.Intn(5),
-		Workload:        workload.Config{Items: 20, ItemsPerOrder: 2},
 		RPOSample:       time.Duration(1+rng.Intn(4)) * time.Minute,
 	}
 	cfg.System.Seed = seed

@@ -151,7 +151,7 @@ func TestCheckFailClosed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sj, err := a.CreateConsistencyGroup("cg", ids, shards, 0)
+		sj, err := a.CreateConsistencyGroup("cg", ids, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,8 +6,7 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing event count with a helper for
-// converting to a rate over a simulated interval. A nil *Counter is the
+// Counter is a monotonically increasing event count. A nil *Counter is the
 // disabled instrument: it records nothing and reads zero.
 type Counter struct {
 	n int64
@@ -20,31 +19,12 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds delta (delta may not be negative).
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		panic("metrics: negative Counter.Add")
-	}
-	if c != nil {
-		c.n += delta
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.n
-}
-
-// RatePerSec returns the count divided by elapsed, in events per second.
-// Returns 0 when elapsed is not positive.
-func (c *Counter) RatePerSec(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.Value()) / elapsed.Seconds()
 }
 
 // Gauge tracks an instantaneous value along with its observed extremes. A

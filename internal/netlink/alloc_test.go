@@ -69,7 +69,8 @@ func TestSendAllocationBudget(t *testing.T) {
 // one shows as a rising edge of the live-process count between instants.
 func TestOnlyRetransmissionStartsAProcess(t *testing.T) {
 	env := sim.NewEnv(3)
-	l := New(env, Config{Propagation: time.Millisecond, BandwidthBps: 1e6, LossProb: 0.5})
+	l := New(env, Config{Propagation: time.Millisecond, BandwidthBps: 1e6})
+	l.SetFault(0.5, 0)
 	const frames = 200
 	env.Process("tx", func(p *sim.Proc) {
 		for i := 0; i < frames; i++ {

@@ -1,7 +1,8 @@
 // Package netlink models the inter-site network connecting the main and
 // backup storage arrays: a full-duplex pipe with finite bandwidth,
-// propagation delay, optional jitter and loss (handled by retransmission),
-// and operator-induced partitions. The slowdown and RPO experiments (E5, E7)
+// propagation delay, optional jitter, and operator-induced partitions. Loss
+// comes only from a fault burst (SetFault, the chaos sweep's linkloss), and
+// a lost frame is retransmitted. The slowdown and RPO experiments (E5, E7)
 // are functions of this model only.
 //
 // A transfer has two physical phases: serialization, which occupies the
@@ -35,19 +36,11 @@ type Config struct {
 	// Jitter adds a uniform random delay in [0, Jitter) to each transfer's
 	// propagation.
 	Jitter time.Duration
-	// LossProb is the probability a transfer attempt is lost; lost
-	// transfers are retransmitted after RetransmitTimeout.
-	LossProb float64
-	// RetransmitTimeout is the delay before a lost transfer is retried.
-	// Zero defaults to 4x the propagation delay (a TCP-ish RTO), floored
-	// at minRetransmitTimeout so a zero-propagation lossy link cannot
-	// retry in a zero-duration loop at one simulated instant.
-	RetransmitTimeout time.Duration
 }
 
-// minRetransmitTimeout floors the defaulted RTO. Without it a config with
-// Propagation 0 and LossProb > 0 would retry lost transfers with zero
-// delay, burning scheduler steps at a single simulated timestamp.
+// minRetransmitTimeout floors the retransmit timeout. Without it a lossy link
+// with Propagation 0 would retry lost transfers with zero delay, burning
+// scheduler steps at a single simulated timestamp.
 const minRetransmitTimeout = time.Millisecond
 
 // Link is one direction of the inter-site connection. The two directions of
@@ -56,6 +49,8 @@ const minRetransmitTimeout = time.Millisecond
 type Link struct {
 	env        *sim.Env
 	cfg        Config
+	lossProb   float64       // probability a transmission attempt is lost (SetFault)
+	rto        time.Duration // delay before a lost frame is retransmitted
 	wire       *sim.Resource // serialization: one frame on the wire at a time
 	partition  bool
 	healed     *sim.Event
@@ -88,17 +83,13 @@ type flight struct {
 	landed bool // arrived and not lost; delivered once every earlier frame is
 }
 
-// New returns a link in the connected state.
+// New returns a link in the connected state. Its retransmit timeout is 4x the
+// propagation delay (a TCP-ish RTO), floored at minRetransmitTimeout.
 func New(env *sim.Env, cfg Config) *Link {
-	if cfg.RetransmitTimeout <= 0 {
-		cfg.RetransmitTimeout = 4 * cfg.Propagation
-		if cfg.RetransmitTimeout < minRetransmitTimeout {
-			cfg.RetransmitTimeout = minRetransmitTimeout
-		}
-	}
 	return &Link{
 		env:         env,
 		cfg:         cfg,
+		rto:         max(4*cfg.Propagation, minRetransmitTimeout),
 		wire:        env.NewResource(1),
 		healed:      env.NewEvent(),
 		deliveredEv: env.NewEvent(),
@@ -143,7 +134,7 @@ func (l *Link) flightTime() time.Duration {
 
 // lost draws whether this transmission attempt was dropped in flight.
 func (l *Link) lost() bool {
-	return l.cfg.LossProb > 0 && l.env.Rand().Float64() < l.cfg.LossProb
+	return l.lossProb > 0 && l.env.Rand().Float64() < l.lossProb
 }
 
 // Transfer moves size bytes across the link, blocking the calling process
@@ -156,7 +147,7 @@ func (l *Link) Transfer(p *sim.Proc, size int) time.Duration {
 		p.Sleep(l.flightTime())
 		if l.lost() {
 			l.retransmit++
-			p.Sleep(l.cfg.RetransmitTimeout)
+			p.Sleep(l.rto)
 			continue
 		}
 		l.sentBytes += int64(size)
@@ -207,7 +198,7 @@ func (l *Link) arrive(n int64) {
 	if l.lost() {
 		l.retransmit++
 		l.env.Process("netlink-retransmit", func(p *sim.Proc) {
-			p.Sleep(l.cfg.RetransmitTimeout)
+			p.Sleep(l.rto)
 			l.serialize(p, l.flights[n-l.delivered].size)
 			l.launch(n)
 		})
@@ -302,7 +293,7 @@ func (l *Link) OrderViolations() int64 { return l.violations }
 // made after the call: frames already past their loss draw are unaffected,
 // frames still in flight retry under the new parameters.
 func (l *Link) SetFault(lossProb float64, jitter time.Duration) {
-	l.cfg.LossProb = lossProb
+	l.lossProb = lossProb
 	l.cfg.Jitter = jitter
 }
 

@@ -109,11 +109,8 @@ func TestPartitionIdempotent(t *testing.T) {
 
 func TestLossCausesRetransmit(t *testing.T) {
 	env := sim.NewEnv(7)
-	l := New(env, Config{
-		Propagation:       time.Millisecond,
-		LossProb:          0.5,
-		RetransmitTimeout: 10 * time.Millisecond,
-	})
+	l := New(env, Config{Propagation: time.Millisecond})
+	l.SetFault(0.5, 0)
 	env.Process("tx", func(p *sim.Proc) {
 		for i := 0; i < 200; i++ {
 			l.Transfer(p, 10)
@@ -145,14 +142,12 @@ func TestUtilization(t *testing.T) {
 }
 
 func TestRetransmitTimeoutFloorWithZeroPropagation(t *testing.T) {
-	// Regression: with Propagation 0 and LossProb > 0 the defaulted RTO
-	// (4x propagation) used to be 0, so every lost transfer retried at the
-	// same simulated instant. The floor guarantees retries consume time.
+	// Regression: with Propagation 0 under loss the RTO (4x propagation)
+	// used to be 0, so every lost transfer retried at the same simulated
+	// instant. The floor guarantees retries consume time.
 	env := sim.NewEnv(3)
-	l := New(env, Config{LossProb: 0.5})
-	if l.Config().RetransmitTimeout <= 0 {
-		t.Fatalf("defaulted RTO = %v, want a positive floor", l.Config().RetransmitTimeout)
-	}
+	l := New(env, Config{})
+	l.SetFault(0.5, 0)
 	env.Process("tx", func(p *sim.Proc) {
 		for i := 0; i < 50; i++ {
 			l.Transfer(p, 10)
@@ -167,14 +162,6 @@ func TestRetransmitTimeoutFloorWithZeroPropagation(t *testing.T) {
 	}
 	if want := time.Duration(l.Retransmits()) * minRetransmitTimeout; end != want {
 		t.Fatalf("elapsed %v, want retransmits x floor = %v", end, want)
-	}
-}
-
-func TestExplicitRetransmitTimeoutKeptBelowFloor(t *testing.T) {
-	env := sim.NewEnv(1)
-	l := New(env, Config{RetransmitTimeout: 100 * time.Microsecond})
-	if got := l.Config().RetransmitTimeout; got != 100*time.Microsecond {
-		t.Fatalf("explicit RTO overridden: %v", got)
 	}
 }
 
@@ -210,8 +197,9 @@ func TestNewPairAsymDirectionsDiffer(t *testing.T) {
 
 func TestPartitionWhileRetransmitting(t *testing.T) {
 	// A transfer loses its first attempt, and the link partitions during
-	// the RTO wait. The retry must block until heal, then deliver — the
-	// transfer survives the outage instead of slipping through it.
+	// the RTO wait (4 x 5ms propagation). The retry must block until heal,
+	// then deliver — the transfer survives the outage instead of slipping
+	// through it.
 	//
 	// Seed note: this test needs the first loss draw to come up lost; it
 	// scans a few seeds for that and would fail loudly if none qualifies.
@@ -222,11 +210,8 @@ func TestPartitionWhileRetransmitting(t *testing.T) {
 		env = sim.NewEnv(seed)
 		probe := sim.NewEnv(seed)
 		if probe.Rand().Float64() < 0.5 {
-			l = New(env, Config{
-				Propagation:       time.Millisecond,
-				LossProb:          0.5,
-				RetransmitTimeout: 20 * time.Millisecond,
-			})
+			l = New(env, Config{Propagation: 5 * time.Millisecond})
+			l.SetFault(0.5, 0)
 			found = true
 		}
 	}
@@ -236,9 +221,9 @@ func TestPartitionWhileRetransmitting(t *testing.T) {
 	var took time.Duration
 	env.Process("tx", func(p *sim.Proc) { took = l.Transfer(p, 10) })
 	env.Process("op", func(p *sim.Proc) {
-		p.Sleep(5 * time.Millisecond) // during the 20ms RTO wait
+		p.Sleep(10 * time.Millisecond) // during the 20ms RTO wait
 		l.Partition()
-		p.Sleep(495 * time.Millisecond)
+		p.Sleep(490 * time.Millisecond)
 		l.Heal()
 	})
 	env.Run(0)
@@ -248,8 +233,8 @@ func TestPartitionWhileRetransmitting(t *testing.T) {
 	if l.Transfers() != 1 {
 		t.Fatalf("transfers = %d, want reliable delivery of 1", l.Transfers())
 	}
-	// Timeline: attempt at 0 (1ms prop, lost), RTO until 21ms but the link
-	// partitioned at 5ms, so the retry waits for heal at 500ms; any later
+	// Timeline: attempt at 0 (5ms prop, lost), RTO until 25ms but the link
+	// partitioned at 10ms, so the retry waits for heal at 500ms; any later
 	// losses only add whole RTOs. The completion must be after the heal.
 	if took <= 500*time.Millisecond {
 		t.Fatalf("transfer completed at %v, before the 500ms heal", took)
@@ -417,7 +402,8 @@ func TestSendDeliversInOrderUnderJitter(t *testing.T) {
 
 func TestSendRetransmitsLossInsideFlight(t *testing.T) {
 	env := sim.NewEnv(3)
-	l := New(env, Config{Propagation: time.Millisecond, BandwidthBps: 1e6, LossProb: 0.5})
+	l := New(env, Config{Propagation: time.Millisecond, BandwidthBps: 1e6})
+	l.SetFault(0.5, 0)
 	const frames = 50
 	delivered := 0
 	env.Process("tx", func(p *sim.Proc) {
@@ -435,7 +421,7 @@ func TestSendRetransmitsLossInsideFlight(t *testing.T) {
 		t.Fatalf("delivered %d/%d frames under loss", delivered, frames)
 	}
 	if l.Retransmits() == 0 {
-		t.Fatalf("no retransmits at LossProb=0.5 over %d frames", frames)
+		t.Fatalf("no retransmits at loss 0.5 over %d frames", frames)
 	}
 	if l.OrderViolations() != 0 {
 		t.Fatalf("order violations under loss: %d", l.OrderViolations())

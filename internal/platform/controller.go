@@ -23,26 +23,20 @@ type ReconcilerFunc func(p *sim.Proc, key ObjectKey) error
 // Reconcile calls f.
 func (f ReconcilerFunc) Reconcile(p *sim.Proc, key ObjectKey) error { return f(p, key) }
 
-// ControllerConfig tunes retry behaviour.
+// ControllerConfig configures a controller's instrumentation.
 type ControllerConfig struct {
-	// RetryDelay is the requeue delay after a reconcile error
-	// (default 10ms, doubling per consecutive failure up to maxRetryDelay).
-	RetryDelay time.Duration
 	// Telemetry, when set, records per-controller reconcile latency, queue
 	// wait (enqueue to pop), requeues, workers started, and reconcile-pass
 	// spans (one track per worker) into the registry.
 	Telemetry *telemetry.Registry
 }
 
-func (c ControllerConfig) withDefaults() ControllerConfig {
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = 10 * time.Millisecond
-	}
-	return c
-}
-
-// maxRetryDelay caps the requeue backoff.
-const maxRetryDelay = time.Second
+// The requeue delay after a reconcile error: retryDelay, doubling per
+// consecutive failure up to maxRetryDelay.
+const (
+	retryDelay    = 10 * time.Millisecond
+	maxRetryDelay = time.Second
+)
 
 // reconcileWorkers bounds the reconciles one controller runs at once. Eight is
 // the array controller's default Parallelism (storage.Config), the resource
@@ -89,7 +83,6 @@ type Controller struct {
 	api   *APIServer
 	srcs  []source
 	rec   Reconciler
-	cfg   ControllerConfig
 	queue ring.Ring[queuedKey]
 	state map[ObjectKey]keyState
 	// idle holds the park events of the workers waiting for a key, longest
@@ -126,13 +119,12 @@ func NewController(env *sim.Env, api *APIServer, name string, kind Kind,
 		api:   api,
 		srcs:  []source{{kind, mapFn}},
 		rec:   rec,
-		cfg:   cfg.withDefaults(),
 		state: make(map[ObjectKey]keyState),
 		stop:  env.NewEvent(),
 		fails: make(map[ObjectKey]int),
+		tel:   cfg.Telemetry,
 	}
 	ctl := telemetry.L("controller", name)
-	c.tel = c.cfg.Telemetry
 	c.latency = c.tel.Histogram("controller.reconcile.latency", ctl)
 	c.queueWait = c.tel.Histogram("controller.queue.wait", ctl)
 	c.requeues = c.tel.Counter("controller.requeues", ctl)
@@ -259,7 +251,7 @@ func (c *Controller) reconcile(p *sim.Proc, track string) {
 	c.errors++
 	c.requeues.Inc()
 	c.fails[key]++
-	delay := c.cfg.RetryDelay << uint(c.fails[key]-1)
+	delay := retryDelay << uint(c.fails[key]-1)
 	if delay > maxRetryDelay || delay <= 0 {
 		delay = maxRetryDelay
 	}

@@ -256,10 +256,6 @@ type SLOClass struct {
 	// the autopilot derates the ingress rate of lower-priority classes
 	// first (and restores them when the protected class recovers).
 	AdmissionPriority int
-	// FabricClass names the fabric QoS class this SLO class's drain traffic
-	// rides ("" = Name). Tenants referencing the SLO class inherit it as
-	// their QoSClass unless the spec pins one explicitly.
-	FabricClass string
 }
 
 // WithDefaults fills the zero-value shard bounds.
@@ -272,9 +268,6 @@ func (c SLOClass) WithDefaults() SLOClass {
 	}
 	if c.MaxShards < c.MinShards {
 		c.MaxShards = c.MinShards
-	}
-	if c.FabricClass == "" {
-		c.FabricClass = c.Name
 	}
 	return c
 }
@@ -317,7 +310,8 @@ type TenantSpec struct {
 	// namespace tag the operator watches).
 	Backup bool
 	// QoSClass names the fabric class the tenant's drain traffic rides
-	// ("" = the SLO class's FabricClass, else the default class). Every
+	// ("" = the fabric class named like its SLOClass, else the default
+	// class). Every
 	// drain lane rides it, and it is fixed once the tenant drains: a spec
 	// that changes it then leaves the tenant Failed until it is reverted.
 	QoSClass string
@@ -332,8 +326,8 @@ type TenantSpec struct {
 	// SLOClass names the tenant's service-level policy (an SLOClass
 	// registered in the deployment's config). The autopilot reads it to
 	// decide the tenant's RPO target, shard bounds, and admission priority;
-	// when QoSClass is empty the SLO class's FabricClass also becomes the
-	// tenant's fabric class. "" opts the tenant out of SLO management.
+	// when QoSClass is empty the tenant rides the fabric class of the same
+	// name. "" opts the tenant out of SLO management.
 	SLOClass string
 	// Profile names the tenant's workload shape. "" or "oltp" is the
 	// business process: ProvisionTenant opens the sales/stock databases and

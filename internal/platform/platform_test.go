@@ -341,8 +341,7 @@ func TestControllerRetriesWithBackoff(t *testing.T) {
 	env := sim.NewEnv(1)
 	api := NewAPIServer(env, APIConfig{})
 	rec := &countingReconciler{failTimes: 3}
-	c := NewController(env, api, "test", KindPVC, nil, rec,
-		ControllerConfig{RetryDelay: 5 * time.Millisecond})
+	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
 	c.Start()
 	env.Process("driver", func(p *sim.Proc) {
 		api.Create(p, pvc("shop", "sales", "fast", 1))
@@ -396,14 +395,14 @@ func TestControllerFailsWhileDirty(t *testing.T) {
 				return errors.New("transient")
 			}
 			return nil
-		}), ControllerConfig{RetryDelay: 5 * time.Millisecond})
+		}), ControllerConfig{})
 	c.Start()
 	c.Enqueue(key)
 	env.After(time.Millisecond, func() { c.Enqueue(key) })
 	env.Run(time.Second)
 	c.Stop()
 	env.Run(0)
-	want := []time.Duration{0, 1500 * time.Microsecond, 6500 * time.Microsecond}
+	want := []time.Duration{0, 1500 * time.Microsecond, 1500*time.Microsecond + retryDelay}
 	if !slices.Equal(starts, want) {
 		t.Fatalf("reconciles started at %v, want %v (at once by the dirty mark, then after the backoff)", starts, want)
 	}

@@ -58,7 +58,7 @@ func (r *allocRig) vols(i int) []storage.VolumeID {
 func (r *allocRig) create(tb testing.TB, id string, i int) *Group {
 	vols := r.vols(i)
 	mapping := map[storage.VolumeID]storage.VolumeID{vols[0]: vols[0], vols[1]: vols[1]}
-	j, err := r.main.CreateConsistencyGroup(id, vols, 1, 0)
+	j, err := r.main.CreateConsistencyGroup(id, vols, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

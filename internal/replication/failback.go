@@ -74,7 +74,7 @@ func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabri
 		reverseVols[i] = dst
 		reverseMapping[dst] = src
 	}
-	rj, err := old.target.CreateConsistencyGroup("fb-"+old.name, reverseVols, 1, 0)
+	rj, err := old.target.CreateConsistencyGroup("fb-"+old.name, reverseVols, 1)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -55,10 +55,11 @@ func (r *rig) newCG(t *testing.T, cfg Config) *Group {
 // newSizedCG is newCG over a journal bounded to capacity bytes (0 = unlimited).
 func (r *rig) newSizedCG(t *testing.T, capacity int, cfg Config) *Group {
 	t.Helper()
-	j, err := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"}, 1, capacity)
+	j, err := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.SetCapacityPerShard(capacity)
 	g, err := NewGroup(r.env, "cg", j, r.backup,
 		map[storage.VolumeID]storage.VolumeID{"sales": "sales", "stock": "stock"},
 		[]fabric.Path{r.links.Forward}, cfg)
@@ -78,7 +79,7 @@ func fill(a *storage.Array, b byte) []byte {
 
 func TestNewGroupValidatesMapping(t *testing.T) {
 	r := newRig(t, netlink.Config{})
-	j, _ := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"}, 1, 0)
+	j, _ := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"}, 1)
 	path := []fabric.Path{r.links.Forward}
 	if _, err := NewGroup(r.env, "g", j, r.backup,
 		map[storage.VolumeID]storage.VolumeID{"sales": "sales"}, path, Config{}); err == nil {
@@ -144,12 +145,10 @@ func TestSDCWritePaysRoundTrip(t *testing.T) {
 	sv := NewSyncVolume(r.sales, tv, r.links)
 	var ackAt time.Duration
 	r.env.Process("io", func(p *sim.Proc) {
-		buf := fill(r.main, 7)
-		if _, err := sv.Write(p, 0, buf); err != nil {
+		if _, err := sv.WriteOwned(p, 0, fill(r.main, 7)); err != nil {
 			t.Error(err)
 		}
 		ackAt = p.Now()
-		buf[0] = 9 // the host reuses its buffer; the twin adopted a copy, not this
 	})
 	r.env.Run(0)
 	if ackAt < 100*time.Millisecond {
@@ -163,27 +162,22 @@ func TestSDCWritePaysRoundTrip(t *testing.T) {
 	}
 }
 
-// An SDC write stores one slice at both sites — the host's own under WriteOwned,
-// one copy of it under Write — and an overwrite at either site installs a fresh
-// slice there, leaving the other site's block as it was mirrored.
+// An SDC write stores the host's one slice at both sites, and an overwrite at
+// either site installs a fresh slice there, leaving the other site's block as
+// it was mirrored.
 func TestSDCSitesShareOneSliceAndOverwriteApart(t *testing.T) {
 	r := newRig(t, netlink.Config{Propagation: time.Millisecond})
 	tv, _ := r.backup.Volume("sales")
 	sv := NewSyncVolume(r.sales, tv, r.links)
 	r.env.Process("io", func(p *sim.Proc) {
-		owned, kept := fill(r.main, 7), fill(r.main, 8)
-		if _, err := sv.WriteOwned(p, 0, owned); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sv.Write(p, 1, kept); err != nil {
-			t.Fatal(err)
-		}
-		kept[0] = 9 // Write's caller keeps its buffer
-		if &r.sales.Peek(0)[0] != &owned[0] || &tv.Peek(0)[0] != &owned[0] {
-			t.Fatal("WriteOwned must hand the caller's slice to both sites")
-		}
-		if &r.sales.Peek(1)[0] != &tv.Peek(1)[0] || &tv.Peek(1)[0] == &kept[0] || tv.Peek(1)[0] != 8 {
-			t.Fatal("Write must mirror one copy of the host's buffer, not the buffer")
+		for blk, b := range []byte{7, 8} {
+			owned := fill(r.main, b)
+			if _, err := sv.WriteOwned(p, int64(blk), owned); err != nil {
+				t.Fatal(err)
+			}
+			if &r.sales.Peek(int64(blk))[0] != &owned[0] || &tv.Peek(int64(blk))[0] != &owned[0] {
+				t.Fatal("WriteOwned must hand the caller's slice to both sites")
+			}
 		}
 		if _, err := r.sales.Write(p, 0, fill(r.main, 1)); err != nil { // the source alone moves on
 			t.Fatal(err)
@@ -360,8 +354,8 @@ func TestPerVolumeGroupsDivergeWithoutCG(t *testing.T) {
 		a.CreateVolume("stock", 4096)
 	}
 	links := netlink.NewPair(env, netlink.Config{Propagation: 5 * time.Millisecond, BandwidthBps: 2e6})
-	js, _ := main.CreateConsistencyGroup("j-sales", []storage.VolumeID{"sales"}, 1, 0)
-	jk, _ := main.CreateConsistencyGroup("j-stock", []storage.VolumeID{"stock"}, 1, 0)
+	js, _ := main.CreateConsistencyGroup("j-sales", []storage.VolumeID{"sales"}, 1)
+	jk, _ := main.CreateConsistencyGroup("j-stock", []storage.VolumeID{"stock"}, 1)
 	path := []fabric.Path{links.Forward}
 	gs, _ := NewGroup(env, "g-sales", js, backup, map[storage.VolumeID]storage.VolumeID{"sales": "sales"}, path, Config{BatchMax: 8})
 	gk, _ := NewGroup(env, "g-stock", jk, backup, map[storage.VolumeID]storage.VolumeID{"stock": "stock"}, path, Config{BatchMax: 8})
@@ -408,7 +402,7 @@ func TestBatchSizeAffectsTransferCount(t *testing.T) {
 		main.CreateVolume("v", 1024)
 		backup.CreateVolume("v", 1024)
 		link := netlink.New(env, netlink.Config{Propagation: 10 * time.Millisecond})
-		j, _ := main.CreateConsistencyGroup("j", []storage.VolumeID{"v"}, 1, 0)
+		j, _ := main.CreateConsistencyGroup("j", []storage.VolumeID{"v"}, 1)
 		g, _ := NewGroup(env, "g", j, backup, map[storage.VolumeID]storage.VolumeID{"v": "v"}, []fabric.Path{link}, Config{BatchMax: batch})
 		v, _ := main.Volume("v")
 		env.Process("io", func(p *sim.Proc) {

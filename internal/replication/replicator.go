@@ -6,7 +6,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/storage"
-	"repro/internal/telemetry"
 )
 
 // Replicator is the control-plane-facing surface of the ADC engine. Group is
@@ -14,12 +13,9 @@ import (
 // benchmark operate on this interface so tests can substitute a fake.
 type Replicator interface {
 	Name() string
-	Start()
 	Stop()
 	Stopped() bool
 
-	// InitialCopy bulk-copies every written source block to the target.
-	InitialCopy(p *sim.Proc, source *storage.Array) error
 	// CatchUp blocks until every journaled record is applied (or the
 	// engine stops), reporting whether it fully caught up.
 	CatchUp(p *sim.Proc) bool
@@ -61,10 +57,6 @@ type Replicator interface {
 	// Failback resynchronizes source from a failed-over engine's targets
 	// and starts replication in the reverse direction over reversePath.
 	Failback(p *sim.Proc, source *storage.Array, reversePath fabric.Path, cfg Config) (*Group, FailbackStats, error)
-
-	// Instrument registers the engine's telemetry probes (RPO, backlog,
-	// lane state) under the tenant label. No-op when reg is nil.
-	Instrument(reg *telemetry.Registry, tenant string)
 }
 
 var _ Replicator = (*Group)(nil)

@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"bytes"
 	"time"
 
 	"repro/internal/fabric"
@@ -9,34 +8,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
-
-// BlockWriter is the host-facing write interface. storage.Volume satisfies
-// it for unreplicated and ADC volumes (ADC acks locally); SyncVolume wraps a
-// pair for SDC. The database layer writes through this interface so the
-// replication mode is a drop-in configuration choice, which is how the E5
-// slowdown experiment swaps modes.
-type BlockWriter interface {
-	// Write copies data in; the caller keeps its buffer.
-	Write(p *sim.Proc, block int64, data []byte) (storage.Ack, error)
-	// WriteOwned adopts data as the stored block: the caller gives the buffer
-	// up and never writes into it again. Latency, journaling and counters are
-	// Write's — Write is WriteOwned of a copy.
-	WriteOwned(p *sim.Proc, block int64, data []byte) (storage.Ack, error)
-	// WriteOwnedBlocks is one gathered write: every Data is adopted as
-	// WriteOwned adopts one and the blocks are acked in slice order; it has
-	// returned only when all of them are (the caller's write barrier).
-	WriteOwnedBlocks(p *sim.Proc, ios []storage.BlockIO) error
-	// Read borrows: nil for a never-written block, else the stored slice,
-	// which the caller must not modify (see storage.Volume.Read).
-	Read(p *sim.Proc, block int64) ([]byte, error)
-	// ReadRange is count consecutive Reads as one fused sequential scan,
-	// sparse and borrowed block by block.
-	ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error)
-	// ReadBlocks is one scatter read: each Data is filled as Read would.
-	ReadBlocks(p *sim.Proc, ios []storage.BlockIO) error
-	SizeBlocks() int64
-	BlockSize() int
-}
 
 // SyncVolume implements synchronous data copy: a write is acknowledged only
 // after the data is applied at the remote twin and the ack crosses back.
@@ -62,11 +33,6 @@ func NewSyncVolume(source, target *storage.Volume, links *netlink.Pair) *SyncVol
 // transfer paths — how an SDC pair rides a QoS-classed inter-site fabric.
 func NewSyncVolumeOnPaths(source, target *storage.Volume, forward, reverse fabric.Path) *SyncVolume {
 	return &SyncVolume{source: source, target: target, forward: forward, reverse: reverse}
-}
-
-// Write is WriteOwned of a copy: the caller keeps its buffer.
-func (sv *SyncVolume) Write(p *sim.Proc, block int64, data []byte) (storage.Ack, error) {
-	return sv.WriteOwned(p, block, bytes.Clone(data))
 }
 
 // WriteOwned stores the block locally, mirrors it remotely, and returns after
@@ -123,9 +89,6 @@ func (sv *SyncVolume) SizeBlocks() int64 { return sv.source.SizeBlocks() }
 // BlockSize returns the local volume's block size.
 func (sv *SyncVolume) BlockSize() int { return sv.source.BlockSize() }
 
-// Source returns the local volume.
-func (sv *SyncVolume) Source() *storage.Volume { return sv.source }
-
 // Writes returns the number of mirrored writes.
 func (sv *SyncVolume) Writes() int64 { return sv.writes }
 
@@ -137,6 +100,3 @@ func (sv *SyncVolume) MeanRemoteOverhead() time.Duration {
 	}
 	return sv.remoteLag / time.Duration(sv.writes)
 }
-
-var _ BlockWriter = (*SyncVolume)(nil)
-var _ BlockWriter = (*storage.Volume)(nil)

@@ -54,7 +54,7 @@ func newBareRig(t testing.TB, vols int) *shardedRig {
 // draining it.
 func (r *shardedRig) wire(t testing.TB, paths []fabric.Path, cfg Config) {
 	t.Helper()
-	sj, err := r.main.CreateConsistencyGroup("cg", r.vols, len(paths), 0)
+	sj, err := r.main.CreateConsistencyGroup("cg", r.vols, len(paths))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestGroupValidation(t *testing.T) {
 	backup := storage.NewArray(env, "backup", storage.Config{})
 	main.CreateVolume("a", 64)
 	backup.CreateVolume("a", 64)
-	sj, err := main.CreateConsistencyGroup("cg", []storage.VolumeID{"a"}, 2, 0)
+	sj, err := main.CreateConsistencyGroup("cg", []storage.VolumeID{"a"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

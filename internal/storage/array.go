@@ -41,14 +41,15 @@ var (
 // VolumeID names a volume within one array.
 type VolumeID string
 
+// ReadLatency is the media service time per block read.
+const ReadLatency = 100 * time.Microsecond
+
 // Config holds array service-time parameters. Zero values take defaults.
 type Config struct {
 	// BlockSize is the bytes per block (default 4096).
 	BlockSize int
 	// WriteLatency is the media service time per block write (default 200µs).
 	WriteLatency time.Duration
-	// ReadLatency is the media service time per block read (default 100µs).
-	ReadLatency time.Duration
 	// JournalLatency is the extra cost of appending a record to a journal
 	// volume; arrays stage journal writes in battery-backed cache, so this
 	// is small (default 20µs).
@@ -75,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WriteLatency <= 0 {
 		c.WriteLatency = 200 * time.Microsecond
-	}
-	if c.ReadLatency <= 0 {
-		c.ReadLatency = 100 * time.Microsecond
 	}
 	if c.JournalLatency <= 0 {
 		c.JournalLatency = 20 * time.Microsecond
@@ -128,9 +126,6 @@ func (a *Array) Name() string { return a.name }
 
 // Config returns the effective (defaulted) configuration.
 func (a *Array) Config() Config { return a.cfg }
-
-// Env returns the simulation environment the array runs in.
-func (a *Array) Env() *sim.Env { return a.env }
 
 // CreateVolume provisions a volume of sizeBlocks blocks.
 func (a *Array) CreateVolume(id VolumeID, sizeBlocks int64) (*Volume, error) {

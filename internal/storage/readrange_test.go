@@ -93,7 +93,7 @@ func everyReadIsSparseAndBorrowed(t *testing.T, cfg Config, volumeRangeRounds in
 	charged := func(p *sim.Proc, what string, rounds, blocks int, fn func()) {
 		reads, t0 := a.ReadOps(), p.Now()
 		fn()
-		want := time.Duration(rounds) * a.Config().ReadLatency
+		want := time.Duration(rounds) * ReadLatency
 		if d, n := p.Now()-t0, a.ReadOps()-reads; d != want || n != int64(blocks) {
 			t.Errorf("%s charged %v and %d read ops, want %v and %d", what, d, n, want, blocks)
 		}
@@ -169,7 +169,7 @@ func TestSingleBlockReadsDoNotAllocate(t *testing.T) {
 				}
 			}
 		})
-		advance := func() { env.Run(env.Now() + 64*a.Config().ReadLatency) }
+		advance := func() { env.Run(env.Now() + 64*ReadLatency) }
 		advance() // warm up: the process and its timer exist
 		if n := testing.AllocsPerRun(10, advance); n != 0 {
 			t.Errorf("%s.Read allocates %v per 64 reads, want 0", name, n)
@@ -330,7 +330,7 @@ func benchRead(b *testing.B, snapshot bool) {
 			}
 		}
 	})
-	advance := func(n int) { env.Run(env.Now() + time.Duration(n)*a.Config().ReadLatency) }
+	advance := func(n int) { env.Run(env.Now() + time.Duration(n)*ReadLatency) }
 	advance(512)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -83,11 +83,11 @@ func shardJournalID(id string, shard int) string {
 
 // CreateConsistencyGroup provisions a consistency group — the array function
 // the replication plugin configures: a journal of shards shard journals
-// (1 is the paper's single shared journal), each bounded by capacityPerShard
-// bytes (0 = unlimited), with every listed volume attached to its
+// (1 is the paper's single shared journal), unbounded until
+// SetCapacityPerShard bounds them, with every listed volume attached to its
 // hash-placed shard. The group keeps vols as its membership; the caller must
 // not modify the slice afterwards.
-func (a *Array) CreateConsistencyGroup(id string, vols []VolumeID, shards, capacityPerShard int) (*ShardedJournal, error) {
+func (a *Array) CreateConsistencyGroup(id string, vols []VolumeID, shards int) (*ShardedJournal, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("storage: consistency group %s: shards must be >= 1", id)
 	}
@@ -95,13 +95,12 @@ func (a *Array) CreateConsistencyGroup(id string, vols []VolumeID, shards, capac
 		return nil, fmt.Errorf("%w: %s", ErrJournalExists, id)
 	}
 	sj := &ShardedJournal{
-		env:              a.env,
-		array:            a,
-		id:               id,
-		shards:           make([]*Journal, shards),
-		members:          vols,
-		epoch:            1,
-		capacityPerShard: capacityPerShard,
+		env:     a.env,
+		array:   a,
+		id:      id,
+		shards:  make([]*Journal, shards),
+		members: vols,
+		epoch:   1,
 	}
 	for k := range sj.shards {
 		sid := shardJournalID(id, k)
@@ -245,10 +244,10 @@ func (sj *ShardedJournal) Overflowed() bool { return sj.overflowed }
 // Overflows returns how many times the group has overflowed.
 func (sj *ShardedJournal) Overflows() int64 { return sj.overflows }
 
-// SetCapacityPerShard re-declares every shard's capacity at runtime (0 =
-// unlimited); shards created by later reshards inherit it. If any shard's
-// backlog already exceeds the new bound the whole group fails closed
-// immediately — same all-or-none rule as an append-time overflow.
+// SetCapacityPerShard declares every shard's capacity at runtime (0 =
+// unlimited, as a group starts); shards created by later reshards inherit
+// it. If any shard's backlog already exceeds the new bound the whole group
+// fails closed immediately — same all-or-none rule as an append-time overflow.
 func (sj *ShardedJournal) SetCapacityPerShard(n int) {
 	sj.capacityPerShard = n
 	if n <= 0 || sj.overflowed {

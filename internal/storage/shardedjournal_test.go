@@ -20,10 +20,11 @@ func shardedFixture(t testing.TB, shards, vols, capacityPerShard int) (*sim.Env,
 			t.Fatal(err)
 		}
 	}
-	sj, err := a.CreateConsistencyGroup("cg", ids, shards, capacityPerShard)
+	sj, err := a.CreateConsistencyGroup("cg", ids, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sj.SetCapacityPerShard(capacityPerShard)
 	return env, a, sj
 }
 
@@ -41,7 +42,7 @@ func TestShardPlacementIsStableHash(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sj, err := a.CreateConsistencyGroup("cg", order, shards, 0)
+		sj, err := a.CreateConsistencyGroup("cg", order, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,18 +229,18 @@ func TestShardedGroupLifecycleGuards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := a.CreateConsistencyGroup("cg", []VolumeID{"vol-00"}, 0, 0); err == nil {
+	if _, err := a.CreateConsistencyGroup("cg", []VolumeID{"vol-00"}, 0); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	sj, err := a.CreateConsistencyGroup("cg", []VolumeID{"vol-00", "vol-01"}, 2, 0)
+	sj, err := a.CreateConsistencyGroup("cg", []VolumeID{"vol-00", "vol-01"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.CreateConsistencyGroup("cg", []VolumeID{"vol-00"}, 2, 0); !errors.Is(err, ErrJournalExists) {
+	if _, err := a.CreateConsistencyGroup("cg", []VolumeID{"vol-00"}, 2); !errors.Is(err, ErrJournalExists) {
 		t.Fatalf("duplicate create: %v", err)
 	}
 	// Attaching an already-grouped volume elsewhere fails and rolls back.
-	if _, err := a.CreateConsistencyGroup("cg2", []VolumeID{"vol-01"}, 2, 0); !errors.Is(err, ErrJournalAttached) {
+	if _, err := a.CreateConsistencyGroup("cg2", []VolumeID{"vol-01"}, 2); !errors.Is(err, ErrJournalAttached) {
 		t.Fatalf("re-attach: %v", err)
 	}
 	if _, err := a.ShardedJournal("cg2"); err == nil {

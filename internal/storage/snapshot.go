@@ -18,7 +18,6 @@ type Snapshot struct {
 	takenAt time.Duration
 	saved   map[int64][]byte // block -> original content (nil = was unwritten)
 	group   string           // owning snapshot group, "" for standalone
-	reads   int64
 }
 
 // CreateSnapshot freezes a point-in-time image of the volume. Creation is
@@ -146,8 +145,7 @@ func (s *Snapshot) Read(p *sim.Proc, block int64) ([]byte, error) {
 // isolated mode) and counts the n reads.
 func (s *Snapshot) chargeReads(p *sim.Proc, n int, yields bool) {
 	a := s.parent.array
-	chargeBatch(p, a.controller, n, a.cfg.ReadLatency, yields)
-	s.reads += int64(n)
+	chargeBatch(p, a.controller, n, ReadLatency, yields)
 	a.readOps.Add(int64(n))
 }
 

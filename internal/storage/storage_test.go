@@ -127,7 +127,7 @@ func TestWriteConsumesServiceTime(t *testing.T) {
 // its journal.
 func journalOn(t *testing.T, a *Array, id string, vols ...VolumeID) *Journal {
 	t.Helper()
-	sj, err := a.CreateConsistencyGroup(id, vols, 1, 0)
+	sj, err := a.CreateConsistencyGroup(id, vols, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestConsistencyGroupSharesOneOrder(t *testing.T) {
 func TestCreateConsistencyGroupRollsBackOnFailure(t *testing.T) {
 	_, a := newTestArray(t)
 	a.CreateVolume("a", 10)
-	if _, err := a.CreateConsistencyGroup("cg", []VolumeID{"a", "missing"}, 1, 0); err == nil {
+	if _, err := a.CreateConsistencyGroup("cg", []VolumeID{"a", "missing"}, 1); err == nil {
 		t.Fatal("expected failure")
 	}
 	v, _ := a.Volume("a")
@@ -216,7 +216,7 @@ func TestVolumeJoinsOneGroupAtATime(t *testing.T) {
 	_, a := newTestArray(t)
 	a.CreateVolume("v", 10)
 	journalOn(t, a, "j1", "v")
-	if _, err := a.CreateConsistencyGroup("j2", []VolumeID{"v"}, 1, 0); !errors.Is(err, ErrJournalAttached) {
+	if _, err := a.CreateConsistencyGroup("j2", []VolumeID{"v"}, 1); !errors.Is(err, ErrJournalAttached) {
 		t.Fatalf("double attach: %v", err)
 	}
 	if err := a.DeleteShardedJournal("j1"); err != nil {
@@ -530,7 +530,7 @@ func TestUsageAndResidueTrackAllocations(t *testing.T) {
 		}
 	}
 	if _, err := a.CreateConsistencyGroup("jnl-backup-shop-0",
-		[]VolumeID{"pvc-shop-sales", "pvc-shop-stock"}, 2, 0); err != nil {
+		[]VolumeID{"pvc-shop-sales", "pvc-shop-stock"}, 2); err != nil {
 		t.Fatal(err)
 	}
 	env.Process("write", func(p *sim.Proc) {

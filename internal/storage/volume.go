@@ -250,7 +250,7 @@ func (v *Volume) Read(p *sim.Proc, block int64) ([]byte, error) {
 // chargeReads passes the service time of one n-block read request
 // (chargeBatch: a range, or a vector that yields) and counts the n reads.
 func (v *Volume) chargeReads(p *sim.Proc, n int, yields bool) {
-	chargeBatch(p, v.service(), n, v.array.cfg.ReadLatency, yields)
+	chargeBatch(p, v.service(), n, ReadLatency, yields)
 	v.reads += int64(n)
 	v.array.readOps.Add(int64(n))
 }

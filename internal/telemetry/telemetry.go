@@ -151,13 +151,11 @@ type Probe struct {
 	key    string
 	fn     func(now time.Duration) (float64, bool)
 	series *metrics.Series
-	closed bool
 }
 
 // Probe registers fn to be sampled on the virtual clock. fn returns the
 // instantaneous value and whether the sample should be recorded (a probe
-// over a stopped component returns false to end its timeline). Close the
-// probe when the observed component is torn down.
+// over a stopped component returns false to end its timeline).
 //
 // Re-registering an existing key REBINDS the probe: the new callback
 // continues the same series. That is the component-replacement contract —
@@ -174,16 +172,8 @@ func (r *Registry) Probe(name string, fn func(now time.Duration) (float64, bool)
 		r.probes = append(r.probes, p)
 		return p
 	})
-	p.fn, p.closed = fn, false
+	p.fn = fn
 	return p
-}
-
-// Close stops sampling; the series recorded so far stays in the export.
-// No-op on a nil (disabled) probe.
-func (p *Probe) Close() {
-	if p != nil {
-		p.closed = true
-	}
 }
 
 // sample is the Env.OnAdvance observer: it fires every probe at each
@@ -195,9 +185,6 @@ func (r *Registry) sample(from, to time.Duration) {
 	p := r.period
 	for at := (from/p + 1) * p; at <= to; at += p {
 		for _, pr := range r.probes {
-			if pr.closed {
-				continue
-			}
 			if v, ok := pr.fn(at); ok {
 				pr.series.Append(at, v)
 			}

@@ -20,12 +20,15 @@ import (
 	"repro/internal/sim"
 )
 
+// The order shape: the stock catalogue's size, and how many stock lines each
+// order touches.
+const (
+	items         = 100
+	itemsPerOrder = 2
+)
+
 // Config tunes the generator.
 type Config struct {
-	// Items is the size of the stock catalogue (default 100).
-	Items int
-	// ItemsPerOrder is how many stock lines each order touches (default 2).
-	ItemsPerOrder int
 	// ZipfS skews item popularity; 0 disables skew (uniform). Values > 1
 	// concentrate demand on few items (default 1.2).
 	ZipfS float64
@@ -42,12 +45,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Items <= 0 {
-		c.Items = 100
-	}
-	if c.ItemsPerOrder <= 0 {
-		c.ItemsPerOrder = 2
-	}
 	if c.ZipfS == 0 {
 		c.ZipfS = 1.2
 	}
@@ -91,17 +88,17 @@ func NewShop(env *sim.Env, sales, stock *db.DB, cfg Config) *Shop {
 		nextTx:      1,
 	}
 	if cfg.ZipfS > 1 {
-		s.zipf = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Items-1))
+		s.zipf = rand.NewZipf(rng, cfg.ZipfS, 1, items-1)
 	}
 	return s
 }
 
-// pickItem returns a stock item key in [1, Items].
+// pickItem returns a stock item key in [1, items].
 func (s *Shop) pickItem() uint64 {
 	if s.zipf != nil {
 		return s.zipf.Uint64() + 1
 	}
-	return uint64(s.rng.Intn(s.cfg.Items)) + 1
+	return uint64(s.rng.Intn(items)) + 1
 }
 
 // PlaceOrder runs one business transaction: commit the order into sales,
@@ -128,7 +125,7 @@ func (s *Shop) PlaceOrder(p *sim.Proc) (uint64, error) {
 
 	// Resource 2: the stock database, only after the sales ack (app order).
 	kt := s.stock.BeginWithID(txid)
-	for i := 0; i < s.cfg.ItemsPerOrder; i++ {
+	for i := 0; i < itemsPerOrder; i++ {
 		item := s.pickItem()
 		qty := make([]byte, 16)
 		binary.LittleEndian.PutUint64(qty[0:8], txid)
@@ -226,9 +223,4 @@ func (s *Shop) StockCommitOrder() []uint64 {
 	out := make([]uint64, len(s.stockOrder))
 	copy(out, s.stockOrder)
 	return out
-}
-
-// Throughput returns completed orders per second of simulated time.
-func (s *Shop) Throughput(elapsed time.Duration) float64 {
-	return s.Completed.RatePerSec(elapsed)
 }

@@ -54,7 +54,7 @@ func TestPlaceOrderCommitsBothResources(t *testing.T) {
 }
 
 func TestRunPlacesNOrders(t *testing.T) {
-	withShop(t, Config{Items: 20}, func(p *sim.Proc, s *Shop) {
+	withShop(t, Config{}, func(p *sim.Proc, s *Shop) {
 		if err := s.Run(p, 50); err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestThinkTimePacesOrders(t *testing.T) {
 
 func TestZipfSkewConcentratesDemand(t *testing.T) {
 	counts := map[uint64]int{}
-	withShop(t, Config{Items: 50, ZipfS: 1.5, ItemsPerOrder: 1}, func(p *sim.Proc, s *Shop) {
+	withShop(t, Config{ZipfS: 1.5}, func(p *sim.Proc, s *Shop) {
 		for i := 0; i < 300; i++ {
 			counts[s.pickItem()]++
 		}
@@ -136,17 +136,17 @@ func TestZipfSkewConcentratesDemand(t *testing.T) {
 
 func TestUniformWhenZipfDisabled(t *testing.T) {
 	seen := map[uint64]bool{}
-	withShop(t, Config{Items: 10, ZipfS: -1}, func(p *sim.Proc, s *Shop) {
-		for i := 0; i < 200; i++ {
+	withShop(t, Config{ZipfS: -1}, func(p *sim.Proc, s *Shop) {
+		for i := 0; i < 1000; i++ {
 			k := s.pickItem()
-			if k < 1 || k > 10 {
+			if k < 1 || k > items {
 				t.Fatalf("item %d out of range", k)
 			}
 			seen[k] = true
 		}
 	})
-	if len(seen) < 8 {
-		t.Fatalf("uniform picker covered only %d/10 items", len(seen))
+	if len(seen) < items*9/10 {
+		t.Fatalf("uniform picker covered only %d/%d items", len(seen), items)
 	}
 }
 
@@ -211,7 +211,7 @@ func TestReadsDoNotJournal(t *testing.T) {
 	a := storage.NewArray(env, "m", storage.Config{})
 	a.CreateVolume("sales", 512)
 	a.CreateVolume("stock", 512)
-	j, _ := a.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"}, 1, 0)
+	j, _ := a.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"}, 1)
 	sv, _ := a.Volume("sales")
 	kv, _ := a.Volume("stock")
 	env.Process("t", func(p *sim.Proc) {
@@ -231,13 +231,4 @@ func TestReadsDoNotJournal(t *testing.T) {
 		}
 	})
 	env.Run(0)
-}
-
-func TestThroughput(t *testing.T) {
-	withShop(t, Config{}, func(p *sim.Proc, s *Shop) {
-		s.Run(p, 25)
-		if tput := s.Throughput(p.Now()); tput <= 0 {
-			t.Fatalf("throughput = %v", tput)
-		}
-	})
 }

@@ -19,25 +19,16 @@ import (
 )
 
 // optionAllowlist names the exported option fields under internal/ that no
-// non-test code outside their own package sets, each with why it stays. The
-// list may only shrink: an entry that gains a writer or stops existing fails
-// the test too.
+// non-test code outside their own package sets, each with what its deletion
+// waits on. The list may only shrink: an entry that gains a writer or stops
+// existing fails the test too.
 var optionAllowlist = map[string]string{
-	"core.Config.FeatureGates":                   "§II's VolumeGroupSnapshot gate; benchmark/counts.go reads the snapshot controller it configures",
-	"csiplugin.FeatureGates.VolumeGroupSnapshot": "§II names the gate; off reproduces the paper's operate-the-array-directly limitation",
-	"fabric.ClassConfig.BurstBytes":              "token-bucket depth of a static class rate cap, exercised by the fabric tests",
-	"fabric.ClassConfig.MaxQueued":               "drop/retry admission; benchmark/counts.go reads TenantPath.DropRetries",
-	"fabric.ClassConfig.RateBps":                 "static class rate cap; the autopilot sets the same cap at run time through SetClassRate",
-	"fabric.Config.QuantumBytes":                 "DRR quantum, which the fabric tests shrink to pin round-by-round shares",
-	"fabric.Config.RetryBackoff":                 "the backoff of MaxQueued's drop/retry admission",
-	"fleet.Config.JournalShards":                 "the only way the fleet tests get sharded tenants",
-	"netlink.Config.LossProb":                    "lossy-link model the retransmission tests drive",
-	"netlink.Config.RetransmitTimeout":           "retransmission timer of the lossy-link model",
-	"platform.APIConfig.CallLatency":             "API round-trip cost, which the platform tests vary",
-	"platform.ControllerConfig.RetryDelay":       "reconcile backoff, which the controller tests shorten",
-	"storage.Config.ReadLatency":                 "media read latency, which the storage and database tests vary",
-	"workload.Config.Items":                      "shop catalogue size, which the workload tests vary",
-	"workload.Config.ItemsPerOrder":              "order shape, which the workload tests vary",
+	"core.Config.FeatureGates":                   "benchmark/counts.go reads the snapshot controller the gate configures; goes with the benchmark unfreeze (ROADMAP item 1)",
+	"csiplugin.FeatureGates.VolumeGroupSnapshot": "the gate core.Config.FeatureGates carries; goes with it (ROADMAP item 1)",
+	"fabric.ClassConfig.MaxQueued":               "drop/retry admission; benchmark/counts.go reads TenantPath.DropRetries (ROADMAP item 1)",
+	"fabric.Config.RetryBackoff":                 "the backoff of MaxQueued's drop/retry admission; goes with it (ROADMAP item 1)",
+	"fleet.Config.JournalShards":                 "the fleet tests' only way to get sharded tenants; waits on a non-test fleet that shards (none yet)",
+	"platform.APIConfig.CallLatency":             "the struct's only field, and benchmark/probes.go builds an APIConfig (ROADMAP item 1)",
 }
 
 // listedPackage is the part of `go list -json` output the option check reads.
@@ -50,7 +41,8 @@ type listedPackage struct {
 }
 
 // TestEveryOptionHasAWriter fails on any exported field of an exported
-// *Config, *Spec or *Gates struct under internal/ that no non-test file
+// *Config, *Spec or *Gates struct under internal/ — or of an exported
+// internal/ struct such a field holds as T, *T or []T — that no non-test file
 // outside its package writes, as a composite-literal key or an assignment
 // target: a setting nothing but its own package and the tests sets is a
 // constant in disguise. Every package of the module is type-checked from
@@ -145,6 +137,8 @@ func TestEveryOptionHasAWriter(t *testing.T) {
 		}
 	}
 
+	collectHeld(options)
+
 	var unset []string
 	found := map[string]bool{}
 	for v, name := range options {
@@ -188,6 +182,41 @@ func collectOptions(pkg *types.Package, options map[*types.Var]string) {
 		for i := 0; i < st.NumFields(); i++ {
 			if f := st.Field(i); f.Exported() {
 				options[f] = pkg.Name() + "." + name + "." + f.Name()
+			}
+		}
+	}
+}
+
+// collectHeld adds the exported fields of every exported internal/ struct type
+// an option field holds as T, *T or []T (platform.SLOClass, through
+// core.Config.SLOClasses), and of the types those hold in turn.
+func collectHeld(options map[*types.Var]string) {
+	work := make([]*types.Var, 0, len(options))
+	for v := range options {
+		work = append(work, v)
+	}
+	for len(work) > 0 {
+		t := work[len(work)-1].Type()
+		work = work[:len(work)-1]
+		switch u := t.(type) {
+		case *types.Pointer:
+			t = u.Elem()
+		case *types.Slice:
+			t = u.Elem()
+		}
+		named, ok := t.(*types.Named)
+		if !ok {
+			continue
+		}
+		tn := named.Obj()
+		st, ok := named.Underlying().(*types.Struct)
+		if !ok || !tn.Exported() || tn.Pkg() == nil || !strings.Contains(tn.Pkg().Path(), "/internal/") {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() && options[f] == "" {
+				options[f] = tn.Pkg().Name() + "." + tn.Name() + "." + f.Name()
+				work = append(work, f)
 			}
 		}
 	}
