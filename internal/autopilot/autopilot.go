@@ -195,21 +195,8 @@ func shardTarget(cls platform.SLOClass, up, down float64, cur int, winRPO time.D
 // lookback window, and whether any sample exists. The probe records RPO as
 // float64 nanoseconds.
 func (a *Autopilot) windowRPO(ns string, now time.Duration) (time.Duration, bool) {
-	s := a.sys.Telemetry.Series("rpo", telemetry.L("tenant", ns))
-	if s == nil {
-		return 0, false
-	}
-	from := now - window
-	if from < 0 {
-		from = 0
-	}
-	worst, seen := 0.0, false
-	for _, pt := range s.Window(from, now) {
-		if !seen || pt.Value > worst {
-			worst, seen = pt.Value, true
-		}
-	}
-	return time.Duration(worst), seen
+	w := a.sys.Telemetry.Series("rpo", telemetry.L("tenant", ns)).Window(max(0, now-window), now)
+	return time.Duration(w.Max()), w.Len() > 0
 }
 
 // tick is one evaluation: sense every SLO-classed tenant, actuate reshard

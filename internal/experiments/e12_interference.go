@@ -11,6 +11,7 @@ import (
 	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -37,10 +38,9 @@ const (
 type InterferenceResult struct {
 	Scenario string
 	Links    int
-	Noisy    bool
 
 	VictimOrders     int64
-	VictimMeanRPO    time.Duration // sampled every 10ms while orders ran
+	VictimMeanRPO    time.Duration // probed every 10ms while orders ran
 	VictimMaxRPO     time.Duration
 	VictimMeanXfer   time.Duration // mean fabric transfer (drain) latency
 	VictimQueueDelay time.Duration // mean ingress queueing delay (scheduled fabrics)
@@ -113,7 +113,7 @@ func E12Interference(seed int64, orders int) ([]InterferenceResult, error) {
 
 func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) {
 	res := InterferenceResult{
-		Scenario: sc.name, Links: len(sc.links), Noisy: sc.noisy, LinkFailure: sc.linkFailure,
+		Scenario: sc.name, Links: len(sc.links), LinkFailure: sc.linkFailure,
 	}
 	env := sim.NewEnv(seed)
 	// Generous controller parallelism keeps the arrays out of the way: the
@@ -207,21 +207,9 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 		return res, bootErr
 	}
 
-	// RPO sampler: the victim's backup lag while its orders run.
-	victimDone := false
-	var rpoSum time.Duration
-	var rpoN int
-	env.Process("rpo-sampler", func(p *sim.Proc) {
-		for !victimDone {
-			r := vg.RPO(p.Now())
-			rpoSum += r
-			if r > res.VictimMaxRPO {
-				res.VictimMaxRPO = r
-			}
-			rpoN++
-			p.Sleep(10 * time.Millisecond)
-		}
-	})
+	// The victim's backup lag, probed while its orders run.
+	reg := telemetry.New(env, telemetry.Config{SamplePeriod: 10 * time.Millisecond})
+	vg.Instrument(reg, "victim")
 
 	// The flood: each session dirties its whole volume as fast as the
 	// array accepts, building a deep journal backlog immediately.
@@ -271,16 +259,14 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 	// Victim driver: run the orders, measure, drain, verify every tenant.
 	var verr error
 	env.Process("victim", func(p *sim.Proc) {
-		defer func() { victimDone = true }()
+		start := p.Now()
 		if err := shop.Run(p, orders); err != nil {
 			verr = fmt.Errorf("victim orders: %w", err)
 			return
 		}
-		victimDone = true
 		res.VictimOrders = shop.Completed.Value()
-		if rpoN > 0 {
-			res.VictimMeanRPO = rpoSum / time.Duration(rpoN)
-		}
+		rpo := reg.Series("rpo", telemetry.L("tenant", "victim")).Window(start, p.Now())
+		res.VictimMeanRPO, res.VictimMaxRPO = time.Duration(rpo.Mean()), time.Duration(rpo.Max())
 		cuStart := p.Now()
 		vg.CatchUp(p)
 		res.VictimCatchUp = p.Now() - cuStart

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/invariants"
+	"repro/internal/telemetry"
 )
 
 // ElasticityResult summarizes one E14 run pair (steady baseline + churn).
@@ -26,7 +27,7 @@ type ElasticityResult struct {
 	SteadyReadyMean             time.Duration // the t=0 provisioning burst, for contrast
 	JoinDuringFailover          bool          // a join was in flight while a site failover ran
 
-	// Victim disturbance: worst sampled RPO across the steady plain tenants
+	// Victim disturbance: worst probed RPO across the steady plain tenants
 	// (no failover, no analytics, no churn role), baseline vs churn run.
 	VictimMaxRPOBase  time.Duration
 	VictimMaxRPOChurn time.Duration
@@ -43,12 +44,12 @@ func e14Config(seed int64, tenants, orders int) fleet.Config {
 	return fleet.Config{
 		Tenants:         tenants,
 		OrdersPerTenant: orders,
-		RPOSample:       5 * time.Millisecond,
-		System:          core.Config{Seed: seed, VolumeBlocks: 256},
+		System: core.Config{Seed: seed, VolumeBlocks: 256,
+			Telemetry: &telemetry.Config{SamplePeriod: 5 * time.Millisecond}},
 	}
 }
 
-// e14Victims reports the worst sampled RPO across the steady plain tenants
+// e14Victims reports the worst probed RPO across the steady plain tenants
 // of the initial roster — the bystanders whose service the churn is not
 // allowed to disturb beyond the fabric's fair share. The caller passes the
 // index that leaves in the churn run so BOTH runs exclude it and the
@@ -59,9 +60,7 @@ func e14Victims(f *fleet.Fleet, roster, leaverIdx int) time.Duration {
 		if t.Index >= roster || t.Index == leaverIdx || t.Failover || t.Analytics || t.Join || t.Leave {
 			continue
 		}
-		if t.MaxRPO > worst {
-			worst = t.MaxRPO
-		}
+		worst = max(worst, time.Duration(f.Sys.Telemetry.Series("rpo", telemetry.L("tenant", t.Namespace)).Max()))
 	}
 	return worst
 }

@@ -33,14 +33,6 @@ type ObservabilityResult struct {
 	// autopilot's placement policy will consume.
 	TopRPO []telemetry.SeriesRank
 
-	// Cross-validation of the probed RPO timelines against the fleet's own
-	// in-process sampler: the worst per-tenant |probe max - sampler max|
-	// over each tenant's active window. Both sample at multiples of the
-	// period and RPO grows with slope 1 between acks, so the divergence is
-	// bounded by one sample interval.
-	ValidatedTenants int
-	MaxRPODelta      time.Duration
-
 	// Registry is the run's live instrument registry; callers export it via
 	// Registry.ExportJSON (the -telemetry flag of cmd/experiments).
 	Registry *telemetry.Registry
@@ -55,9 +47,7 @@ type ObservabilityResult struct {
 // probes sampled on the virtual clock, span tracing over epoch drains,
 // reshard migration windows, reconcile passes and tenant lifecycle, and
 // fabric/controller instruments, all exported as deterministic Chrome
-// trace-event JSON. It then cross-validates the probed RPO timelines against
-// the fleet's own sampler: each tenant's probed maximum must agree within
-// one sample interval.
+// trace-event JSON.
 func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (ObservabilityResult, error) {
 	const period = 250 * time.Millisecond
 	if tenants < 2 {
@@ -68,10 +58,6 @@ func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (Observ
 		OrdersPerTenant: ordersPerTenant,
 		Workers:         workers,
 		StartBarrier:    true,
-		// The fleet sampler and the telemetry probes share one period, so
-		// their observation instants coincide and the cross-validation bound
-		// below is exactly one interval.
-		RPOSample: period,
 		// ThinkTime paces each tenant's orders so the OLTP phases span
 		// seconds of virtual time — enough sample intervals for the RPO
 		// timelines to show real shape instead of completing inside one.
@@ -121,47 +107,6 @@ func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (Observ
 		}
 	}
 
-	// Cross-validate every tenant's probed RPO timeline against the fleet
-	// sampler's MaxRPO over the tenant's active window [ready, failover/end].
-	for _, t := range f.Tenants {
-		s := reg.Series("rpo", telemetry.L("tenant", t.Namespace))
-		if s == nil {
-			return res, fmt.Errorf("E16: tenant %s has no probed RPO series", t.Namespace)
-		}
-		from := t.TimeToReady
-		if t.Join {
-			from = t.JoinedAt
-		}
-		to := end
-		if t.Failover && t.FailoverAt > 0 {
-			to = t.FailoverAt
-		}
-		pts := s.Window(from, to)
-		if len(pts) == 0 {
-			continue // active window shorter than one sample interval
-		}
-		var probed float64
-		for _, pt := range pts {
-			if pt.Value > probed {
-				probed = pt.Value
-			}
-		}
-		delta := time.Duration(probed) - t.MaxRPO
-		if delta < 0 {
-			delta = -delta
-		}
-		res.ValidatedTenants++
-		if delta > res.MaxRPODelta {
-			res.MaxRPODelta = delta
-		}
-		if delta > period {
-			return res, fmt.Errorf("E16: tenant %s probed RPO max %v diverges from sampled max %v by %v (> one %v interval)",
-				t.Namespace, time.Duration(probed), t.MaxRPO, delta, period)
-		}
-	}
-	if res.ValidatedTenants == 0 {
-		return res, fmt.Errorf("E16: no tenant RPO timeline was validated")
-	}
 	// Eight tenants reconcile at once inside each controller: their spans
 	// must still lay out as rows a trace viewer can stack.
 	if err := reg.SpanOverlap(); err != nil {
@@ -188,14 +133,12 @@ func E16Table(r ObservabilityResult) *Table {
 	t.AddRow("probed time series exported", r.SeriesCount)
 	t.AddRow("trace events exported", r.SpanCount)
 	t.AddRow("export size (bytes)", r.ExportBytes)
-	t.AddRow("RPO timelines cross-validated", r.ValidatedTenants)
-	t.AddRow("worst probe-vs-sampler RPO delta", r.MaxRPODelta)
 	for i, rank := range r.TopRPO {
 		t.AddRow(fmt.Sprintf("worst RPO #%d: %s", i+1, rank.Key),
 			fmt.Sprintf("%v at t=%v", time.Duration(rank.Max), rank.At))
 	}
 	t.AddRow("fleet virtual time", r.SimTime)
 	t.AddRow("scheduler workers", r.Workers)
-	t.AddNote("shape: probed RPO agrees with the in-process sampler within one interval; export is byte-deterministic")
+	t.AddNote("shape: every tenant verifies consistent under churn; the RPO ranking is a window read of the probed series; export is byte-deterministic")
 	return t
 }

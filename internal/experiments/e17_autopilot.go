@@ -286,12 +286,9 @@ func e17Run(seed int64, workers int, auto, trace bool) (AutopilotRun, *autopilot
 		if !t.gold {
 			continue
 		}
-		if r := e17WorstRPO(sys, t.ns, peakFrom, peakTo); r > run.WorstPeakRPO {
-			run.WorstPeakRPO = r
-		}
-		if r := e17WorstRPO(sys, t.ns, nightFrom, nightTo); r > run.WorstNightRPO {
-			run.WorstNightRPO = r
-		}
+		rpo := sys.Telemetry.Series("rpo", telemetry.L("tenant", t.ns))
+		run.WorstPeakRPO = max(run.WorstPeakRPO, time.Duration(rpo.Window(peakFrom, peakTo).Max()))
+		run.WorstNightRPO = max(run.WorstNightRPO, time.Duration(rpo.Window(nightFrom, nightTo).Max()))
 		if gs := sys.Groups(t.ns); len(gs) == 1 {
 			run.FinalLanes = append(run.FinalLanes, gs[0].Lanes())
 		} else {
@@ -301,22 +298,6 @@ func e17Run(seed int64, workers int, auto, trace bool) (AutopilotRun, *autopilot
 	run.GoldBytes = sys.Fabric.Forward.ClassStats("gold").Bytes
 	run.BulkBytes = sys.Fabric.Forward.ClassStats("bulk").Bytes
 	return run, ap, sys, nil
-}
-
-// e17WorstRPO is the worst probed RPO sample for the namespace in [from, to]
-// (the probe records float64 nanoseconds).
-func e17WorstRPO(sys *core.System, ns string, from, to time.Duration) time.Duration {
-	s := sys.Telemetry.Series("rpo", telemetry.L("tenant", ns))
-	if s == nil {
-		return 0
-	}
-	worst := 0.0
-	for _, pt := range s.Window(from, to) {
-		if pt.Value > worst {
-			worst = pt.Value
-		}
-	}
-	return time.Duration(worst)
 }
 
 // E17Table renders the E17 result.

@@ -14,12 +14,11 @@ import (
 
 // CollapseResult aggregates E6 trials for one configuration.
 type CollapseResult struct {
-	Mode            Mode
-	Trials          int
-	Collapsed       int     // trials whose backup image was collapsed
-	MeanOrphans     float64 // mean collapse witnesses per trial
-	OrderingBroken  int     // per-volume prefix violations (must stay 0)
-	MeanRecoverable float64 // mean fraction of committed orders recovered
+	Mode           Mode
+	Trials         int
+	Collapsed      int     // trials whose backup image was collapsed
+	MeanOrphans    float64 // mean collapse witnesses per trial
+	OrderingBroken int     // per-volume prefix violations (must stay 0)
 }
 
 // E6Collapse reproduces the paper's central consistency claim (§I): under
@@ -34,7 +33,6 @@ type CollapseResult struct {
 // ADC+CG never collapses; per-volume ordering holds in both.
 func E6Collapse(seedBase int64, trials, orders int, mode Mode) (CollapseResult, error) {
 	res := CollapseResult{Mode: mode, Trials: trials}
-	var recoverableSum float64
 	var orphanSum int
 	for trial := 0; trial < trials; trial++ {
 		rep, err := collapseTrial(seedBase+int64(trial)*7919, orders, mode, trial)
@@ -48,14 +46,9 @@ func E6Collapse(seedBase int64, trials, orders int, mode Mode) (CollapseResult, 
 		if !rep.OrderingOK() {
 			res.OrderingBroken++
 		}
-		if rep.SalesTxns > 0 {
-			total := rep.SalesTxns + rep.LostSalesTxns
-			recoverableSum += float64(rep.SalesTxns) / float64(total)
-		}
 	}
 	if trials > 0 {
 		res.MeanOrphans = float64(orphanSum) / float64(trials)
-		res.MeanRecoverable = recoverableSum / float64(trials)
 	}
 	return res, nil
 }

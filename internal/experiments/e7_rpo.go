@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/netlink"
 	"repro/internal/sim"
 )
@@ -21,9 +20,9 @@ type RPOResult struct {
 
 // E7RPO measures the data-loss exposure of asynchronous copy (§I: "owing to
 // network delays, data loss at the backup site is inevitable"): the
-// workload runs continuously while a monitor samples each group's RPO; the
-// sweep varies link bandwidth and RTT. SDC rows are included as the zero
-// baseline (its ack already includes the remote apply).
+// workload runs continuously while the group's RPO and backlog are probed
+// every 5 ms; the sweep varies link bandwidth and RTT. SDC rows are included
+// as the zero baseline (its ack already includes the remote apply).
 //
 // Expected shape: ADC RPO grows as bandwidth shrinks (the link saturates)
 // and tracks RTT when bandwidth is ample; SDC is always 0.
@@ -39,37 +38,20 @@ func E7RPO(seed int64, rtts []time.Duration, bandwidths []float64, duration time
 			if err != nil {
 				return nil, fmt.Errorf("E7 rtt=%v bw=%g: %w", rtt, bw, err)
 			}
-			series := metrics.NewSeries("rpo")
-			var maxBacklog int
+			reg := r.probe(5 * time.Millisecond)
 			start := r.env.Now()
 			deadline := start + duration
 			r.env.Process("orders", func(p *sim.Proc) { r.shop.RunUntil(p, deadline) })
-			r.env.Process("monitor", func(p *sim.Proc) {
-				for p.Now() < deadline {
-					p.Sleep(5 * time.Millisecond)
-					var worst time.Duration
-					var backlog int
-					for _, g := range r.groups {
-						if v := g.RPO(p.Now()); v > worst {
-							worst = v
-						}
-						backlog += g.Backlog()
-					}
-					series.Append(p.Now(), float64(worst))
-					if backlog > maxBacklog {
-						maxBacklog = backlog
-					}
-				}
-			})
 			r.env.Run(0)
 			r.stop()
+			rpo := reg.Series("rpo", rigTenant).Window(start, deadline)
 			out = append(out, RPOResult{
 				Mode:       ModeADC,
 				RTT:        rtt,
 				Bandwidth:  bw,
-				MeanRPO:    time.Duration(series.Mean()),
-				MaxRPO:     time.Duration(series.Max()),
-				MaxBacklog: maxBacklog,
+				MeanRPO:    time.Duration(rpo.Mean()),
+				MaxRPO:     time.Duration(rpo.Max()),
+				MaxBacklog: int(reg.Series("backlog.records", rigTenant).Window(start, deadline).Max()),
 			})
 		}
 	}

@@ -14,12 +14,11 @@ import (
 
 // BatchResult is one row of the E9 journal-batch ablation.
 type BatchResult struct {
-	BatchMax   int
-	Transfers  int64
-	MeanRPO    time.Duration
-	DrainSpan  time.Duration // time for the backup to fully catch up
-	LinkBytes  int64
-	OrderCount int
+	BatchMax  int
+	Transfers int64
+	MeanRPO   time.Duration // probed every 5 ms from the first order to the drain's end
+	DrainSpan time.Duration // time for the backup to fully catch up
+	LinkBytes int64
 }
 
 // E9BatchSweep ablates the ADC drain's batch size: small batches waste link
@@ -40,26 +39,17 @@ func E9BatchSweep(seed int64, batches []int, orders int) ([]BatchResult, error) 
 		if err != nil {
 			return nil, fmt.Errorf("E9 batch=%d: %w", b, err)
 		}
-		series := metrics.NewSeries("rpo")
-		done := false
-		var drainSpan time.Duration
+		reg := r.probe(5 * time.Millisecond)
+		start := r.env.Now()
+		var drainStart, drainEnd time.Duration
 		var runErr error
 		r.env.Process("orders", func(p *sim.Proc) {
-			if err := r.shop.Run(p, orders); err != nil {
-				runErr = err
-				done = true
+			if runErr = r.shop.Run(p, orders); runErr != nil {
 				return
 			}
-			drainStart := p.Now()
+			drainStart = p.Now()
 			r.groups[0].CatchUp(p)
-			drainSpan = p.Now() - drainStart
-			done = true
-		})
-		r.env.Process("monitor", func(p *sim.Proc) {
-			for !done {
-				p.Sleep(5 * time.Millisecond)
-				series.Append(p.Now(), float64(r.groups[0].RPO(p.Now())))
-			}
+			drainEnd = p.Now()
 		})
 		r.env.Run(0)
 		if runErr != nil {
@@ -67,12 +57,11 @@ func E9BatchSweep(seed int64, batches []int, orders int) ([]BatchResult, error) 
 		}
 		r.stop()
 		out = append(out, BatchResult{
-			BatchMax:   b,
-			Transfers:  r.links.Forward.Transfers(),
-			MeanRPO:    time.Duration(series.Mean()),
-			DrainSpan:  drainSpan,
-			LinkBytes:  r.links.Forward.SentBytes(),
-			OrderCount: orders,
+			BatchMax:  b,
+			Transfers: r.links.Forward.Transfers(),
+			MeanRPO:   time.Duration(reg.Series("rpo", rigTenant).Window(start, drainEnd).Mean()),
+			DrainSpan: drainEnd - drainStart,
+			LinkBytes: r.links.Forward.SentBytes(),
 		})
 	}
 	return out, nil

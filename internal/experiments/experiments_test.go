@@ -456,8 +456,8 @@ func TestE11FleetSmokeParallel(t *testing.T) {
 
 // TestE16ObservabilityValidatesEveryTimeline runs the churning fleet with
 // the telemetry plane on: every tenant (joins included) verifies consistent
-// and the probed RPO timelines were cross-checked against the fleet sampler
-// (E16Observability itself fails when one diverges by more than an interval).
+// and the worst-RPO ranking reads non-zero probed timelines
+// (E16Observability itself fails on incomplete churn or overlapping spans).
 func TestE16ObservabilityValidatesEveryTimeline(t *testing.T) {
 	res, err := E16Observability(1, 8, 8, 1)
 	if err != nil {
@@ -466,8 +466,8 @@ func TestE16ObservabilityValidatesEveryTimeline(t *testing.T) {
 	if res.Verified != res.Tenants {
 		t.Errorf("verified %d of %d tenants", res.Verified, res.Tenants)
 	}
-	if res.ValidatedTenants == 0 {
-		t.Error("no RPO timeline was cross-validated")
+	if len(res.TopRPO) == 0 || res.TopRPO[0].Max <= 0 {
+		t.Errorf("no probed RPO timeline ranked: %+v", res.TopRPO)
 	}
 	t.Log("\n" + E16Table(res).String())
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -195,6 +196,17 @@ func (r *rig) runOrders(n int) (time.Duration, error) {
 	})
 	r.env.Run(0)
 	return end - start, err
+}
+
+// rigTenant labels the probed series of the rig's ADC+CG group.
+var rigTenant = telemetry.L("tenant", "cg")
+
+// probe samples the ADC+CG group's telemetry probes ("rpo",
+// "backlog.records") at every multiple of period from now on.
+func (r *rig) probe(period time.Duration) *telemetry.Registry {
+	reg := telemetry.New(r.env, telemetry.Config{SamplePeriod: period})
+	r.groups[0].Instrument(reg, rigTenant.Value)
+	return reg
 }
 
 // catchUp drains all groups.

@@ -59,13 +59,6 @@ type Config struct {
 	// runs while the tenant — and the rest of the fleet — keeps serving
 	// OLTP load. Targets that have already left or failed over are skipped.
 	Reshards []ReshardSpec
-	// RPOSample, when > 0, records each tenant's worst observed RPO over
-	// its active span (Ready until failover/leave/finish) on Tenant.MaxRPO
-	// — the victim-disturbance metric the elasticity experiment compares.
-	// The observations come from the telemetry plane's probed "rpo" series:
-	// if System.Telemetry is unset, it is enabled with this sample period
-	// (an explicit System.Telemetry wins, and its period governs).
-	RPOSample time.Duration
 	// Workers, when > 1, runs the simulation on the parallel scheduler:
 	// same-instant steps of distinct tenant domains execute concurrently on
 	// up to Workers OS goroutines, merged back into the exact sequential
@@ -160,26 +153,19 @@ type Tenant struct {
 	Left            bool          // leave tenants: decommission completed
 	LeftAt          time.Duration // leave tenants: when reclamation finished
 	ReclaimOK       bool          // leave tenants: zero residue after leaving
-	MaxRPO          time.Duration // worst probed RPO over the active span (RPOSample > 0)
 	Resharded       bool          // a scheduled mid-run reshard settled
 	ReshardTo       int           // lane count the reshard declared
-	ReshardAt       time.Duration // when the new shard count was declared
 	ReshardTime     time.Duration // declare -> migration settled
 	ReshardErr      error         // reshard skipped/failed (tenant gone, failed over)
 	Err             error
 
-	// activeFrom/activeTo bound the span MaxRPO is read over: Ready until
-	// the tenant fails over, leaves, or finishes (0 = never reached).
-	activeFrom, activeTo time.Duration
 	// fabricCaptured marks that captureFabric already ran (leavers capture
 	// before their paths are reclaimed; Run must not overwrite that).
 	fabricCaptured bool
 
-	// Fabric outcomes (zero when the tenant never drained): what this
-	// tenant's ADC traffic experienced at the shared inter-site fabric.
-	FabricBytes      int64
-	FabricQueueDelay time.Duration // mean ingress queueing delay
-	FabricDrops      int64         // admission drops retried at the ingress
+	// FabricBytes is the ADC traffic this tenant moved through the shared
+	// inter-site fabric (zero when the tenant never drained).
+	FabricBytes int64
 }
 
 // Fleet is a provisioned multi-tenant system.
@@ -210,11 +196,6 @@ func New(cfg Config) *Fleet {
 	// controller resource crossing domains). Set for every worker count so
 	// sequential and parallel runs simulate the identical world.
 	cfg.System.Storage.IsolatedVolumes = true
-	// MaxRPO reads the telemetry plane's probed "rpo" series — the fleet
-	// has no private sampling loop. RPOSample therefore implies telemetry.
-	if cfg.RPOSample > 0 && cfg.System.Telemetry == nil {
-		cfg.System.Telemetry = &telemetry.Config{SamplePeriod: cfg.RPOSample}
-	}
 	f := &Fleet{Sys: core.NewSystem(cfg.System), Cfg: cfg}
 	leaves := make(map[int]LeaveSpec, len(cfg.Leaves))
 	for _, l := range cfg.Leaves {
@@ -292,14 +273,7 @@ func (f *Fleet) Run() error {
 	}
 	for _, t := range f.Tenants {
 		t := t
-		f.Sys.Env.Process("tenant:"+t.Namespace, func(p *sim.Proc) {
-			defer func() {
-				if t.activeFrom > 0 && t.activeTo == 0 {
-					t.activeTo = p.Now()
-				}
-			}()
-			t.Err = f.runTenant(p, t)
-		})
+		f.Sys.Env.Process("tenant:"+t.Namespace, func(p *sim.Proc) { t.Err = f.runTenant(p, t) })
 	}
 	for _, rs := range f.Cfg.Reshards {
 		rs := rs
@@ -329,7 +303,7 @@ func (f *Fleet) Run() error {
 				return
 			}
 			t.Resharded, t.ReshardTo = true, rs.Shards
-			t.ReshardAt, t.ReshardTime = start, p.Now()-start
+			t.ReshardTime = p.Now() - start
 		})
 	}
 	if f.Cfg.Workers > 1 {
@@ -345,9 +319,6 @@ func (f *Fleet) Run() error {
 		f.Sys.Stop()
 		f.Sys.Env.Run(0)
 	}
-	if f.Cfg.RPOSample > 0 {
-		f.collectMaxRPO()
-	}
 	for _, t := range f.Tenants {
 		if !t.fabricCaptured {
 			f.captureFabric(t)
@@ -362,55 +333,18 @@ func (f *Fleet) Run() error {
 	return nil
 }
 
-// collectMaxRPO reads each tenant's worst probed RPO over its active span
-// from the telemetry plane — the one shared observation path; the fleet
-// keeps no sampling loop of its own. The probe records RPO as float64
-// nanoseconds and self-gates on engine liveness, so failed-over and
-// decommissioned tenants simply stop producing samples.
-func (f *Fleet) collectMaxRPO() {
-	for _, t := range f.Tenants {
-		if t.activeFrom == 0 {
-			continue // never reached Ready: nothing was observed
-		}
-		s := f.Sys.Telemetry.Series("rpo", telemetry.L("tenant", t.Namespace))
-		if s == nil {
-			continue
-		}
-		to := t.activeTo
-		if to == 0 {
-			to = f.Sys.Env.Now() // horizon-truncated run: span still open
-		}
-		worst := 0.0
-		for _, pt := range s.Window(t.activeFrom, to) {
-			if pt.Value > worst {
-				worst = pt.Value
-			}
-		}
-		t.MaxRPO = time.Duration(worst)
-	}
-}
-
-// captureFabric records the tenant's view of the shared inter-site fabric.
-// Leavers capture before their paths are reclaimed; everyone else after the
-// run.
+// captureFabric sums the bytes the tenant moved through the shared
+// inter-site fabric. Leavers capture before their paths are reclaimed;
+// everyone else after the run.
 func (f *Fleet) captureFabric(t *Tenant) {
 	t.fabricCaptured = true
-	t.FabricBytes, t.FabricQueueDelay, t.FabricDrops = 0, 0, 0
 	if tp := f.Sys.TenantPath(t.Namespace); tp != nil {
 		t.FabricBytes = tp.Bytes()
-		t.FabricQueueDelay = tp.MeanQueueDelay()
-		t.FabricDrops = tp.DropRetries()
 	}
-	// Sharded tenants drain over per-lane paths instead; aggregate them
-	// (bytes and drops sum, queue delay reports the worst lane mean).
+	// Sharded tenants drain over per-lane paths instead; their bytes sum.
 	for _, lp := range f.Sys.TenantLanePaths(t.Namespace) {
-		if lp == nil {
-			continue
-		}
-		t.FabricBytes += lp.Bytes()
-		t.FabricDrops += lp.DropRetries()
-		if d := lp.MeanQueueDelay(); d > t.FabricQueueDelay {
-			t.FabricQueueDelay = d
+		if lp != nil {
+			t.FabricBytes += lp.Bytes()
 		}
 	}
 }
@@ -445,7 +379,6 @@ func (f *Fleet) runTenant(p *sim.Proc, t *Tenant) error {
 	if t.Join {
 		t.JoinedAt = p.Now()
 	}
-	t.activeFrom = p.Now()
 	wcfg := f.Cfg.Workload
 	wcfg.Seed = f.Cfg.System.Seed + int64(t.Index)*7919
 	bp.Shop = workload.NewShop(f.Sys.Env, bp.Sales, bp.Stock, wcfg)
@@ -491,7 +424,6 @@ func (f *Fleet) runTenant(p *sim.Proc, t *Tenant) error {
 		// Mid-run disaster: NO catch-up — whatever is in flight is lost, and
 		// the recovered image must still be a consistent cut.
 		t.FailoverAt = p.Now()
-		t.activeTo = p.Now()
 		fo, err := f.Sys.Failover(p, t.Namespace)
 		if err != nil {
 			return fmt.Errorf("failover: %w", err)
@@ -527,7 +459,6 @@ func (f *Fleet) runTenant(p *sim.Proc, t *Tenant) error {
 		if t.LeaveAfter > p.Now() {
 			p.Sleep(t.LeaveAfter - p.Now())
 		}
-		t.activeTo = p.Now()
 		// Drain before capturing so the leave's own final backlog bytes are
 		// counted (decommission's drain is then a no-op), then capture
 		// before teardown reclaims the paths.
@@ -576,7 +507,6 @@ type Totals struct {
 	Tenants, FailedOver, Analytics int
 	Joined, Left                   int // E14 churn outcomes
 	Resharded                      int // mid-run reshards that settled
-	MeanReshardTime                time.Duration
 	MaxReshardTime                 time.Duration
 	ReclaimFailures                int // leavers that left residue behind
 	Verified, Collapsed            int
@@ -587,16 +517,13 @@ type Totals struct {
 	MeanJoinReady                  time.Duration // over joined tenants
 	MaxJoinReady                   time.Duration
 	MeanRecovery                   time.Duration // over failover tenants
-	MaxTenantRPO                   time.Duration // worst sampled RPO (RPOSample > 0)
 	FabricBytes                    int64         // ADC bytes through the shared fabric
-	FabricDrops                    int64         // ingress admission drops (retried)
-	MaxFabricQueueDelay            time.Duration // worst per-tenant mean queueing delay
 }
 
 // Totals sums the per-tenant outcomes.
 func (f *Fleet) Totals() Totals {
 	var tot Totals
-	var readySum, recoverySum, joinReadySum, reshardSum time.Duration
+	var readySum, recoverySum, joinReadySum time.Duration
 	for _, t := range f.Tenants {
 		tot.Tenants++
 		tot.OrdersPlaced += t.OrdersPlaced
@@ -623,7 +550,6 @@ func (f *Fleet) Totals() Totals {
 		}
 		if t.Resharded {
 			tot.Resharded++
-			reshardSum += t.ReshardTime
 			if t.ReshardTime > tot.MaxReshardTime {
 				tot.MaxReshardTime = t.ReshardTime
 			}
@@ -638,23 +564,13 @@ func (f *Fleet) Totals() Totals {
 		if t.TimeToReady > tot.MaxTimeToReady {
 			tot.MaxTimeToReady = t.TimeToReady
 		}
-		if t.MaxRPO > tot.MaxTenantRPO {
-			tot.MaxTenantRPO = t.MaxRPO
-		}
 		tot.FabricBytes += t.FabricBytes
-		tot.FabricDrops += t.FabricDrops
-		if t.FabricQueueDelay > tot.MaxFabricQueueDelay {
-			tot.MaxFabricQueueDelay = t.FabricQueueDelay
-		}
 	}
 	if tot.Tenants > 0 {
 		tot.MeanTimeToReady = readySum / time.Duration(tot.Tenants)
 	}
 	if tot.Joined > 0 {
 		tot.MeanJoinReady = joinReadySum / time.Duration(tot.Joined)
-	}
-	if tot.Resharded > 0 {
-		tot.MeanReshardTime = reshardSum / time.Duration(tot.Resharded)
 	}
 	if tot.FailedOver > 0 {
 		tot.MeanRecovery = recoverySum / time.Duration(tot.FailedOver)

@@ -257,7 +257,7 @@ func TestFleetShardedJournals(t *testing.T) {
 // verified tenant, and the reclamation invariant on both.
 func TestFleetChurnJoinsAndLeaves(t *testing.T) {
 	cfg := testConfig(8, 6)
-	cfg.RPOSample = 5 * time.Millisecond
+	cfg.System.Telemetry = &telemetry.Config{SamplePeriod: 5 * time.Millisecond}
 	cfg.Joins = []JoinSpec{{After: 30 * time.Millisecond}}
 	cfg.Leaves = []LeaveSpec{{Tenant: 3, After: 60 * time.Millisecond}}
 	f := New(cfg)
@@ -288,8 +288,8 @@ func TestFleetChurnJoinsAndLeaves(t *testing.T) {
 	if joiner.FabricBytes == 0 {
 		t.Fatal("joiner moved no bytes through the fabric")
 	}
-	if tot.MaxTenantRPO <= 0 {
-		t.Fatal("RPO sampler recorded nothing")
+	if top := f.Sys.Telemetry.TopK("rpo", 1, 0, f.Sys.Env.Now()); len(top) == 0 || top[0].Max <= 0 {
+		t.Fatalf("rpo probe recorded nothing: %+v", top)
 	}
 }
 
@@ -300,7 +300,7 @@ func TestFleetChurnDeterministicAcrossSeeds(t *testing.T) {
 	run := func(seed int64) (int64, time.Duration, time.Duration) {
 		cfg := testConfig(6, 4)
 		cfg.System.Seed = seed
-		cfg.RPOSample = 5 * time.Millisecond
+		cfg.System.Telemetry = &telemetry.Config{SamplePeriod: 5 * time.Millisecond}
 		cfg.Joins = []JoinSpec{{After: 20 * time.Millisecond}, {After: 50 * time.Millisecond}}
 		cfg.Leaves = []LeaveSpec{{Tenant: 2, After: 40 * time.Millisecond}}
 		f := New(cfg)

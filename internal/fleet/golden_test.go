@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // tenantOutcome is the per-tenant result surface compared between the
@@ -26,7 +27,6 @@ type tenantOutcome struct {
 	ReclaimOK       bool
 	Resharded       bool
 	ReshardTime     time.Duration
-	MaxRPO          time.Duration
 	SalesTxns       int
 	StockTxns       int
 	Err             string
@@ -47,7 +47,6 @@ func outcomeOf(t *Tenant) tenantOutcome {
 		ReclaimOK:       t.ReclaimOK,
 		Resharded:       t.Resharded,
 		ReshardTime:     t.ReshardTime,
-		MaxRPO:          t.MaxRPO,
 		SalesTxns:       t.Report.SalesTxns,
 		StockTxns:       t.Report.StockTxns,
 	}
@@ -64,8 +63,8 @@ func goldenConfig(seed int64) Config {
 	cfg := Config{
 		Tenants:         3 + rng.Intn(4),
 		OrdersPerTenant: 4 + rng.Intn(5),
-		RPOSample:       time.Duration(1+rng.Intn(4)) * time.Minute,
 	}
+	cfg.System.Telemetry = &telemetry.Config{SamplePeriod: time.Duration(1+rng.Intn(4)) * time.Minute}
 	cfg.System.Seed = seed
 	cfg.System.VolumeBlocks = 256
 	if rng.Intn(2) == 0 {

@@ -66,6 +66,7 @@ func TestFleetTelemetryDoesNotPerturbTrace(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := goldenConfig(seed)
+			cfg.System.Telemetry = nil
 			offTrace, offOuts, offEnd, _ := runGoldenFleet(t, cfg, 1)
 			cfgOn := cfg
 			cfgOn.System.Telemetry = &telemetry.Config{SamplePeriod: 500 * time.Millisecond}

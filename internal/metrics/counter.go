@@ -74,7 +74,8 @@ func (g *Gauge) Min() int64 {
 }
 
 // Series is a time-ordered sequence of (virtual time, value) points, used
-// for journal backlog and RPO traces.
+// for journal backlog and RPO traces. A nil *Series is the empty series: it
+// reads zero and has an empty window.
 type Series struct {
 	name   string
 	points []Point
@@ -99,15 +100,20 @@ func (s *Series) Append(at time.Duration, v float64) {
 }
 
 // Points returns the recorded points (not a copy; callers must not mutate).
-func (s *Series) Points() []Point { return s.points }
+func (s *Series) Points() []Point {
+	if s == nil {
+		return nil
+	}
+	return s.points
+}
 
 // Len returns the number of points.
-func (s *Series) Len() int { return len(s.points) }
+func (s *Series) Len() int { return len(s.Points()) }
 
 // Max returns the maximum value in the series, or 0 when empty.
 func (s *Series) Max() float64 {
 	var m float64
-	for i, p := range s.points {
+	for i, p := range s.Points() {
 		if i == 0 || p.Value > m {
 			m = p.Value
 		}
@@ -117,24 +123,23 @@ func (s *Series) Max() float64 {
 
 // Mean returns the arithmetic mean of the values, or 0 when empty.
 func (s *Series) Mean() float64 {
-	if len(s.points) == 0 {
+	pts := s.Points()
+	if len(pts) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, p := range s.points {
+	for _, p := range pts {
 		sum += p.Value
 	}
-	return sum / float64(len(s.points))
+	return sum / float64(len(pts))
 }
 
-// Window returns the sub-slice of points with from <= At <= to (not a
-// copy; callers must not mutate). It is the query primitive behind
-// per-tenant RPO timelines clipped to a tenant's active interval.
-func (s *Series) Window(from, to time.Duration) []Point {
-	lo := sort.Search(len(s.points), func(i int) bool { return s.points[i].At >= from })
-	hi := sort.Search(len(s.points), func(i int) bool { return s.points[i].At > to })
-	if lo >= hi {
-		return nil
-	}
-	return s.points[lo:hi]
+// Window returns the points with from <= At <= to as a series sharing this
+// one's storage (a nil series has an empty window). Max, Mean and Len of a
+// window of the probed "rpo" series are how every RPO figure is read.
+func (s *Series) Window(from, to time.Duration) *Series {
+	pts := s.Points()
+	lo := sort.Search(len(pts), func(i int) bool { return pts[i].At >= from })
+	hi := max(lo, sort.Search(len(pts), func(i int) bool { return pts[i].At > to }))
+	return &Series{points: pts[lo:hi:hi]}
 }

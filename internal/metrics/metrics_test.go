@@ -105,23 +105,49 @@ func TestSeriesMaxAndMean(t *testing.T) {
 	}
 }
 
+// TestSeriesWindow pins the one RPO read: a window keeps the points with
+// from <= At <= to, and its Len/Max/Mean read only those.
 func TestSeriesWindow(t *testing.T) {
 	s := NewSeries("rpo")
 	for i := 0; i < 10; i++ {
 		s.Append(time.Duration(i)*time.Second, float64(i))
 	}
-	w := s.Window(2*time.Second, 5*time.Second)
-	if len(w) != 4 || w[0].Value != 2 || w[3].Value != 5 {
-		t.Fatalf("window [2s,5s] = %+v", w)
+	cases := []struct {
+		name      string
+		s         *Series
+		from, to  time.Duration
+		len       int
+		max, mean float64
+	}{
+		{"inclusive bounds", s, 2 * time.Second, 5 * time.Second, 4, 5, 3.5},
+		{"bounds between points", s, 1500 * time.Millisecond, 5500 * time.Millisecond, 4, 5, 3.5},
+		{"single point", s, 7 * time.Second, 7 * time.Second, 1, 7, 7},
+		{"whole series", s, 0, time.Hour, 10, 9, 4.5},
+		{"after the last point", s, time.Minute, 2 * time.Minute, 0, 0, 0},
+		{"between two points", s, 2100 * time.Millisecond, 2900 * time.Millisecond, 0, 0, 0},
+		{"inverted", s, 5 * time.Second, 2 * time.Second, 0, 0, 0},
+		{"nil receiver", nil, 0, time.Hour, 0, 0, 0},
 	}
-	if w := s.Window(time.Minute, 2*time.Minute); w != nil {
-		t.Fatalf("out-of-range window = %+v", w)
+	for _, c := range cases {
+		w := c.s.Window(c.from, c.to)
+		if w.Len() != c.len || w.Max() != c.max || w.Mean() != c.mean {
+			t.Errorf("%s: [%v, %v] len/max/mean = %d/%v/%v, want %d/%v/%v",
+				c.name, c.from, c.to, w.Len(), w.Max(), w.Mean(), c.len, c.max, c.mean)
+		}
+		for _, p := range w.Points() {
+			if p.At < c.from || p.At > c.to {
+				t.Errorf("%s: point at %v outside [%v, %v]", c.name, p.At, c.from, c.to)
+			}
+		}
 	}
-	if w := s.Window(5*time.Second, 2*time.Second); w != nil {
-		t.Fatalf("inverted window = %+v", w)
+	// A window shares storage, and appending to it never reaches the parent.
+	w := s.Window(2*time.Second, 3*time.Second)
+	if &w.Points()[0] != &s.Points()[2] {
+		t.Error("window copied its points")
 	}
-	if w := s.Window(0, time.Hour); len(w) != 10 {
-		t.Fatalf("full window len = %d", len(w))
+	w.Append(4*time.Second, -1)
+	if s.Points()[4].Value != 4 {
+		t.Errorf("append to a window overwrote the parent: %v", s.Points()[4])
 	}
 }
 

@@ -46,7 +46,7 @@ func (r *Registry) TopK(name string, k int, from, to time.Duration) []SeriesRank
 			bestAt time.Duration
 			seen   bool
 		)
-		for _, pt := range p.series.Window(from, to) {
+		for _, pt := range p.series.Window(from, to).Points() {
 			if !seen || pt.Value > best {
 				best, bestAt, seen = pt.Value, pt.At, true
 			}
