@@ -75,8 +75,12 @@ bench-record:
 
 # Profile one benchmark workload (make profile-fleet_seq, profile-shop_adc,
 # ...) for 5 s of measured iterations. The heap profile is cumulative over
-# the run, so alloc_objects / alloc_space attribute allocs_per_op and
-# alloc_mb_per_op to call sites.
+# the whole process, so it also counts set-up and the untimed backup-off
+# reference runs (shopReference is ~40% of shop_adc's alloc_space). Before
+# quoting a share of allocs_per_op or alloc_mb_per_op, -focus on the frame
+# that runs the timed simulation: runShop, drainPhase or 'Fleet..Run'. A
+# simulated process is a coroutine whose stack reaches back only to that
+# frame, so -focus runDrain or runFleet matches a few percent.
 profile-%:
 	$(GO) run ./benchmark --workload $* --seconds 5 -cpuprofile cpu.pprof -memprofile mem.pprof
 

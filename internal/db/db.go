@@ -86,9 +86,14 @@ type DB struct {
 	reader
 	vol BlockWriter // the reader's img, through its write half
 
-	walSeq uint32        // sequence (and region offset) of the current head block
-	walBuf []byte        // encoded records in the head block (no header)
-	mu     *sim.Resource // serializes commits and checkpoints
+	walSeq uint32 // sequence (and region offset) of the current head block
+	// head is the head block so far, header and records, in a buffer of
+	// blockSize capacity (nil until the block's first record). Every write of
+	// it hands over a capped prefix and the next commit appends past that
+	// prefix, so no version handed over ever changes; a sealed block's buffer
+	// is never reused.
+	head []byte
+	mu   *sim.Resource // serializes commits and checkpoints
 
 	// Commit-path scratch, reused under mu so steady-state commits do not
 	// allocate per record (the E11 fleet runs hundreds of databases).
@@ -133,12 +138,12 @@ func Open(p *sim.Proc, name string, vol BlockWriter, cfg Config) (*DB, error) {
 func (d *DB) walCapacity() int { return d.blockSize - wal.BlockHeaderSize }
 
 // flushWAL appends encoded records to the log and writes every affected
-// block: blocks sealed during this flush in their final full form, then the
+// block: blocks sealed during this flush in their final form, then the
 // (possibly partial) head block. The head block is rewritten in place as it
 // fills across commits; the block header's (epoch, seq) keeps scans honest.
 func (d *DB) flushWAL(p *sim.Proc, encodedRecs [][]byte) error {
 	// Dry-run the packing before touching any state. The overflow error used
-	// to fire mid-seal, leaving walSeq past the region end and walBuf reset —
+	// to fire mid-seal, leaving walSeq past the region end and the head reset —
 	// a state in which a later head-block write would have landed on the
 	// first data page.
 	sizes := d.sizeBuf[:0]
@@ -150,30 +155,36 @@ func (d *DB) flushWAL(p *sim.Proc, encodedRecs [][]byte) error {
 		return fmt.Errorf("db: %s: WAL overflow during flush", d.name)
 	}
 	for _, rec := range encodedRecs {
-		if len(d.walBuf)+len(rec) > d.walCapacity() {
-			if err := d.writeWALBlock(p, d.walSeq, d.walBuf); err != nil {
+		if d.headUsed()+len(rec) > d.walCapacity() {
+			if err := d.writeHead(p); err != nil {
 				return err
 			}
 			d.walSeq++
-			d.walBuf = d.walBuf[:0]
+			d.head = nil
 		}
-		d.walBuf = append(d.walBuf, rec...)
+		if d.head == nil { // a new block, in a new buffer: the commit path's one allocation
+			d.head = make([]byte, wal.BlockHeaderSize, d.blockSize)
+			wal.PutBlockHeader(d.head, d.epoch, d.walSeq)
+		}
+		d.head = append(d.head, rec...)
 	}
-	return d.writeWALBlock(p, d.walSeq, d.walBuf)
+	return d.writeHead(p)
 }
 
-// writeWALBlock builds one WAL block in a fresh buffer and hands it over (the
-// volume adopts it): the commit path's one allocation.
-func (d *DB) writeWALBlock(p *sim.Proc, seq uint32, recs []byte) error {
-	blk := make([]byte, d.blockSize)
-	wal.PutBlockHeader(blk, d.epoch, seq)
-	copy(blk[wal.BlockHeaderSize:], recs)
-	if _, err := d.vol.WriteOwned(p, d.walBase+int64(seq), blk); err != nil {
+// writeHead hands the head block as it stands to the volume: a prefix of the
+// buffer, capped so an append by any holder of it copies instead of reaching
+// the bytes later commits add behind it. The rest of the block reads as zeroes.
+func (d *DB) writeHead(p *sim.Proc) error {
+	n := len(d.head)
+	if _, err := d.vol.WriteOwned(p, d.walBase+int64(d.walSeq), d.head[:n:n]); err != nil {
 		return err
 	}
 	d.walWrites++
 	return nil
 }
+
+// headUsed returns the record bytes in the head block.
+func (d *DB) headUsed() int { return max(len(d.head)-wal.BlockHeaderSize, 0) }
 
 // walEndPosition returns the head position (block index within the WAL
 // region, bytes used in that block) after packing records of the given
@@ -181,7 +192,7 @@ func (d *DB) writeWALBlock(p *sim.Proc, seq uint32, recs []byte) error {
 // rule. It is the single definition of the packing rule that walFits and
 // flushWAL's overflow dry-run share; it does not bounds-check the region.
 func (d *DB) walEndPosition(sizes []int) (seq, buf int) {
-	seq, buf = int(d.walSeq), len(d.walBuf)
+	seq, buf = int(d.walSeq), d.headUsed()
 	for _, n := range sizes {
 		if buf+n > d.walCapacity() {
 			seq++
@@ -226,8 +237,7 @@ func (d *DB) Checkpoint(p *sim.Proc) error {
 		d.keepClean(io.Block, io.Data)
 	}
 	d.epoch++
-	d.walSeq = 0
-	d.walBuf = d.walBuf[:0]
+	d.walSeq, d.head = 0, nil // the old head is the volume's; the next commit starts a new buffer
 	if err := d.writeSuperblock(p); err != nil {
 		return err
 	}
@@ -257,7 +267,7 @@ func (d *DB) RecoveryTime() time.Duration { return d.logRead + d.pageRead + d.fl
 func (d *DB) FlushTime() time.Duration { return d.flushTime }
 
 func (d *DB) writeSuperblock(p *sim.Proc) error {
-	blk := make([]byte, d.blockSize) // handed over, like a WAL block
+	blk := make([]byte, sbSize) // a prefix, handed over like a WAL block
 	binary.LittleEndian.PutUint32(blk[0:4], sbMagic)
 	binary.LittleEndian.PutUint16(blk[4:6], sbVersion)
 	binary.LittleEndian.PutUint32(blk[6:10], d.epoch)

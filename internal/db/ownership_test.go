@@ -82,6 +82,106 @@ func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 	env.Run(0)
 }
 
+// A WAL block handed over never changes: the head block is one buffer per
+// (epoch, seq) and every rewrite hands over a longer capped prefix of it. The
+// versions a block was handed over in — as the volume lends it, as its journal
+// record carries it, as the backup installed it and as a snapshot preserves
+// it — keep their bytes and their length through later commits into the same
+// block, through the seal, and through a checkpoint and a commit into seq 0
+// of the next epoch; and each is capped, so an append by its holder copies.
+// A head buffer reused after a seal or a checkpoint rewrites a kept header.
+func TestHandedOverWALBlocksNeverChange(t *testing.T) {
+	env := sim.NewEnv(1)
+	a := storage.NewArray(env, "arr", storage.Config{})
+	src, _ := a.CreateVolume("src", 256)
+	twin, _ := a.CreateVolume("twin", 256)
+	sj, _ := a.CreateConsistencyGroup("j", []storage.VolumeID{"src"}, 1)
+	j := sj.Shards()[0]
+	env.Process("t", func(p *sim.Proc) {
+		d, err := Open(p, "stock", src, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		val := make([]byte, 16)
+		commit := func() {
+			t.Helper()
+			if err := placeOrder(p, d, val, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		type held struct {
+			what string
+			get  func() []byte
+			want []byte
+		}
+		var kept []held
+		// keep holds the head block as the last commit handed it over.
+		keep := func(version string) {
+			t.Helper()
+			block := d.walBase + int64(d.walSeq)
+			pending := j.PendingRecords()
+			rec := pending[len(pending)-1]
+			if rec.Block != block {
+				t.Fatalf("%s: the last journal record is block %d, not the head block %d", version, rec.Block, block)
+			}
+			if err := twin.InstallDelta(block, rec.Data); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := a.CreateSnapshot(version, "src")
+			if err != nil {
+				t.Fatal(err)
+			}
+			lent, installed := src.Peek(block), twin.Peek(block)
+			want := bytes.Clone(lent)
+			for _, h := range []held{
+				{"volume's block", func() []byte { return lent }, want},
+				{"journal record", func() []byte { return rec.Data }, want},
+				{"backup's block", func() []byte { return installed }, want},
+				{"snapshot", func() []byte { return snap.Peek(block) }, want},
+			} {
+				h.what = version + " " + h.what
+				kept = append(kept, h)
+			}
+		}
+		check := func(stage string) {
+			t.Helper()
+			for _, h := range kept {
+				got := h.get()
+				if !bytes.Equal(got, h.want) || cap(got) != len(got) {
+					t.Fatalf("after %s: the %s is %d bytes (cap %d), want the %d it was handed over with, unchanged",
+						stage, h.what, len(got), cap(got), len(h.want))
+				}
+			}
+		}
+
+		for range 3 {
+			commit()
+		}
+		first := d.walSeq
+		keep("mid-fill")
+		commit()
+		if d.walSeq != first {
+			t.Fatal("one more commit sealed the block; the test needs it to land in the same block")
+		}
+		check("a commit into the same block")
+		for d.walSeq == first {
+			commit()
+		}
+		check("the seal")
+		keep("next-block")
+		epoch := d.epoch
+		if err := d.Checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+		commit()
+		if d.epoch != epoch+1 || d.walSeq != 0 {
+			t.Fatalf("after the checkpoint the commit went to epoch %d seq %d, want epoch %d seq 0", d.epoch, d.walSeq, epoch+1)
+		}
+		check("a checkpoint and a commit into seq 0")
+	})
+	env.Run(0)
+}
+
 // Reading never copies a page: after Get and Scan every cached page is the
 // volume's own slice (nil where nothing was written) and nothing is dirty.
 func TestReadsCacheBorrowedPages(t *testing.T) {

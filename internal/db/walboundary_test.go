@@ -49,7 +49,7 @@ func TestWALFitsLastBlockBoundary(t *testing.T) {
 		if d.walFits([]int{cap, 1}) {
 			t.Fatal("record past the last block must not fit")
 		}
-		d.walBuf = append(d.walBuf, make([]byte, cap)...) // last block full
+		d.head = make([]byte, wal.BlockHeaderSize+cap) // last block full
 		if d.walFits([]int{1}) {
 			t.Fatal("full last block must not fit another record")
 		}
@@ -66,21 +66,21 @@ func TestFlushWALOverflowLeavesStateIntact(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.walSeq = 3
-		d.walBuf = append(d.walBuf, make([]byte, d.walCapacity()-1)...)
-		seq, buflen, writes := d.walSeq, len(d.walBuf), d.walWrites
+		d.head = make([]byte, d.blockSize-1)
+		seq, buflen, writes := d.walSeq, len(d.head), d.walWrites
 		err = d.flushWAL(p, [][]byte{make([]byte, 2)}) // seals block 3, needs block 4
 		if err == nil || !strings.Contains(err.Error(), "WAL overflow") {
 			t.Fatalf("err = %v, want WAL overflow", err)
 		}
-		if d.walSeq != seq || len(d.walBuf) != buflen {
-			t.Fatalf("overflow mutated head state: seq %d->%d buf %d->%d", seq, d.walSeq, buflen, len(d.walBuf))
+		if d.walSeq != seq || len(d.head) != buflen {
+			t.Fatalf("overflow mutated head state: seq %d->%d buf %d->%d", seq, d.walSeq, buflen, len(d.head))
 		}
 		if d.walWrites != writes {
 			t.Fatalf("overflow issued %d block writes", d.walWrites-writes)
 		}
 		// The database recovers by checkpointing (what Commit does on a
 		// failed fit check) and keeps working.
-		d.walSeq, d.walBuf = 3, d.walBuf[:0]
+		d.walSeq, d.head = 3, nil
 		if err := d.Checkpoint(p); err != nil {
 			t.Fatal(err)
 		}

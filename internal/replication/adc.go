@@ -356,14 +356,10 @@ func (g *Group) drainLane(p *sim.Proc, l *drainLane) {
 			continue
 		}
 		l.batch = recs
-		var batchBytes int
-		for _, r := range recs {
-			batchBytes += r.SizeBytes()
-		}
 		l.inflight = len(recs)
 		l.inflightEpoch = recs[0].Epoch
 		l.inflightAck = recs[0].AckedAt
-		l.path.Transfer(p, batchBytes)
+		l.path.Transfer(p, len(recs)*l.journal.RecordBytes())
 		if g.stopped {
 			// Split mid-transfer: the batch never reaches the backup image —
 			// lost, exactly as a disaster leaves it.
@@ -590,7 +586,7 @@ func (g *Group) install(r storage.Record) {
 		g.lastAppliedAck = r.AckedAt
 	}
 	g.appliedRecords++
-	g.appliedBytes += int64(len(r.Data))
+	g.appliedBytes += int64(tv.BlockSize())
 	g.applyLog = append(g.applyLog, r)
 }
 

@@ -111,12 +111,12 @@ func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabri
 			// Borrowed from the backup and adopted by the source: no copy.
 			// A diverged block the backup never wrote resyncs as zeroes.
 			data := resyncBlock(bv, b)
-			reversePath.Transfer(p, len(data)+64)
+			reversePath.Transfer(p, bv.BlockSize()+64)
 			if err := sv.Apply(p, b, data); err != nil {
 				return nil, stats, fmt.Errorf("replication: failback apply %s[%d]: %w", src, b, err)
 			}
 			stats.DeltaBlocks++
-			stats.Bytes += int64(len(data))
+			stats.Bytes += int64(bv.BlockSize())
 		}
 		bv.StopChangeTracking()
 		// The old source is now the replication target: protect it.

@@ -46,7 +46,7 @@ func (sv *SyncVolume) WriteOwned(p *sim.Proc, block int64, data []byte) (storage
 		return storage.Ack{}, err
 	}
 	start := p.Now()
-	sv.forward.Transfer(p, len(data)+64)
+	sv.forward.Transfer(p, sv.source.BlockSize()+64) // a whole block, whatever prefix data is
 	if err := sv.target.Apply(p, block, data); err != nil {
 		return storage.Ack{}, err
 	}

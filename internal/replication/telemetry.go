@@ -68,11 +68,7 @@ func (g *Group) instrumentLane(l *drainLane) {
 	}
 	live := func() bool { return !g.stopped && (l.retire == nil || !l.retire.Triggered()) }
 	g.tel.Probe("lane.staged.bytes", func(time.Duration) (float64, bool) {
-		var b int
-		for _, r := range l.staged {
-			b += r.SizeBytes()
-		}
-		return float64(b), live()
+		return float64(len(l.staged) * l.journal.RecordBytes()), live()
 	}, labels...)
 	g.tel.Probe("lane.pending.records", func(time.Duration) (float64, bool) {
 		return float64(l.journal.Pending() + l.inflight), live()

@@ -34,7 +34,7 @@ var (
 	ErrNoSuchSnapshot  = errors.New("storage: no such snapshot")
 	ErrSnapshotExists  = errors.New("storage: snapshot already exists")
 	ErrOutOfRange      = errors.New("storage: block index out of range")
-	ErrBadBlockSize    = errors.New("storage: data length must equal the block size")
+	ErrBadBlockSize    = errors.New("storage: data length must be 1 to block size bytes")
 	ErrReadOnly        = errors.New("storage: volume is read-only")
 )
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -187,10 +188,16 @@ func TestVectoredRequestsValidateBeforeCharging(t *testing.T) {
 		good := func() []BlockIO { return []BlockIO{{Block: 1, Data: block(a, 1)}, {Block: 2, Data: block(a, 2)}} }
 		ios := append(good(), BlockIO{Block: 8, Data: block(a, 3)})
 		untouched("WriteOwnedBlocks past the end", v.WriteOwnedBlocks(p, ios), ErrOutOfRange, ios)
-		ios = append(good(), BlockIO{Block: 3, Data: []byte{1, 2, 3}})
-		untouched("WriteOwnedBlocks of a short block", v.WriteOwnedBlocks(p, ios), ErrBadBlockSize, ios)
+		for _, n := range []int{0, a.Config().BlockSize + 1} {
+			ios = append(good(), BlockIO{Block: 3, Data: make([]byte, n)})
+			untouched(fmt.Sprintf("WriteOwnedBlocks of a %d-byte block", n), v.WriteOwnedBlocks(p, ios), ErrBadBlockSize, ios)
+		}
 		ios = good()
 		untouched("WriteOwnedBlocks to a read-only volume", ro.WriteOwnedBlocks(p, ios), ErrReadOnly, ios)
+		ios = append(good(), BlockIO{Block: 3, Data: []byte{1, 2, 3}}) // a prefix is a valid block
+		if err := v.WriteOwnedBlocks(p, ios); err != nil || len(v.Peek(3)) != 3 {
+			t.Errorf("WriteOwnedBlocks with a prefix block: %v, stored %d bytes", err, len(v.Peek(3)))
+		}
 	})
 	env.Run(0)
 }

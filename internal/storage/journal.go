@@ -22,10 +22,6 @@ type Record struct {
 	AckedAt   time.Duration // main-site ack time, used for RPO measurement
 }
 
-// SizeBytes returns the wire size of the record: payload plus a fixed
-// header, used by the replication engine to charge link bandwidth.
-func (r Record) SizeBytes() int { return len(r.Data) + recordHeaderBytes }
-
 const recordHeaderBytes = 64
 
 // Journal is an update-log volume: one shard of a consistency group's
@@ -34,15 +30,14 @@ const recordHeaderBytes = 64
 // appends are stamped with the group epoch, and its capacity and overflow
 // state are the group's: a shard never suspends alone.
 type Journal struct {
-	env          *sim.Env
-	group        *ShardedJournal
-	id           string
-	pending      []Record
-	pendingBytes int // wire size of pending, kept by append/take/migrate
-	nextSeq      int64
-	appended     int64
-	drained      int64
-	notEmpty     *sim.Event
+	env      *sim.Env
+	group    *ShardedJournal
+	id       string
+	pending  []Record
+	nextSeq  int64
+	appended int64
+	drained  int64
+	notEmpty *sim.Event
 }
 
 func newJournal(sj *ShardedJournal, id string) *Journal {
@@ -70,13 +65,17 @@ func (j *Journal) Overflowed() bool { return j.group.overflowed }
 // (0 = unlimited).
 func (j *Journal) CapacityBytes() int { return j.group.capacityPerShard }
 
+// RecordBytes returns the wire size of one record: a whole block plus a fixed
+// header, whatever prefix of the block its Data holds. Backlog bytes, the
+// capacity check and the replication engine's link charges all count it.
+func (j *Journal) RecordBytes() int { return j.group.array.cfg.BlockSize + recordHeaderBytes }
+
 // append adds a record in ack order and returns its sequence number. The
 // not-empty wakeup is attributed to the acking process p (when given) so a
 // drain blocked on NotEmpty resumes in the right slot of the (at, seq)
 // order even when the append ran inside a parallel scheduler round.
 func (j *Journal) append(p *sim.Proc, vol VolumeID, block int64, data []byte, globalSeq int64, now time.Duration) int64 {
 	j.nextSeq++
-	j.pendingBytes += len(data) + recordHeaderBytes
 	j.pending = append(j.pending, Record{
 		Seq:       j.nextSeq,
 		GlobalSeq: globalSeq,
@@ -107,7 +106,7 @@ func (j *Journal) nextAckSeq() int64 {
 func (j *Journal) Pending() int { return len(j.pending) }
 
 // PendingBytes returns the wire size of the backlog.
-func (j *Journal) PendingBytes() int { return j.pendingBytes }
+func (j *Journal) PendingBytes() int { return len(j.pending) * j.RecordBytes() }
 
 // OldestPendingAck returns the ack time of the oldest undrained record and
 // whether one exists; the replication engine derives RPO from it.
@@ -173,9 +172,6 @@ func (j *Journal) TryTakeInto(buf []Record, max int) []Record {
 	if max <= 0 || max > len(j.pending) {
 		max = len(j.pending)
 	}
-	for _, r := range j.pending[:max] {
-		j.pendingBytes -= r.SizeBytes()
-	}
 	buf = append(buf[:0], j.pending[:max]...)
 	rest := len(j.pending) - max
 	copy(j.pending, j.pending[max:])
@@ -193,10 +189,10 @@ func (j *Journal) pendingBytesOf(vol VolumeID) int {
 	var n int
 	for _, r := range j.pending {
 		if r.Volume == vol {
-			n += r.SizeBytes()
+			n++
 		}
 	}
-	return n
+	return n * j.RecordBytes()
 }
 
 // takeVolume extracts every pending record of one volume, preserving the
@@ -210,7 +206,6 @@ func (j *Journal) takeVolume(vol VolumeID) []Record {
 	for _, r := range j.pending {
 		if r.Volume == vol {
 			out = append(out, r)
-			j.pendingBytes -= r.SizeBytes()
 		} else {
 			kept = append(kept, r)
 		}
@@ -230,9 +225,6 @@ func (j *Journal) takeVolume(vol VolumeID) []Record {
 func (j *Journal) mergeIn(recs []Record) {
 	if len(recs) == 0 {
 		return
-	}
-	for _, r := range recs {
-		j.pendingBytes += r.SizeBytes()
 	}
 	merged := make([]Record, 0, len(j.pending)+len(recs))
 	a, b := j.pending, recs

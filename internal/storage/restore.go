@@ -28,7 +28,7 @@ func (a *Array) CloneVolume(p *sim.Proc, snapID string, newID VolumeID) (*Volume
 		clone.blocks[b] = data // shared with the parent; neither ever writes into it
 		clone.writes++
 		a.writeOps.Add(1)
-		a.bytesWritten.Add(int64(len(data)))
+		a.bytesWritten.Add(int64(a.cfg.BlockSize))
 	}
 	for b, orig := range s.saved {
 		seen[b] = true

@@ -254,7 +254,7 @@ func (sj *ShardedJournal) SetCapacityPerShard(n int) {
 		return
 	}
 	for _, j := range sj.shards {
-		if j.pendingBytes > n {
+		if j.PendingBytes() > n {
 			sj.overflow()
 			return
 		}
@@ -346,7 +346,7 @@ func (sj *ShardedJournal) Reshard(newCount int) (ReshardStats, error) {
 		// (controller backoff) retries once the drain has made room.
 		dest := make([]int, newCount)
 		for k := 0; k < newCount && k < cur; k++ {
-			dest[k] = sj.shards[k].pendingBytes
+			dest[k] = sj.shards[k].PendingBytes()
 		}
 		for _, v := range sj.members {
 			oldIdx, newIdx := ShardFor(v, cur), ShardFor(v, newCount)

@@ -263,10 +263,10 @@ func TestShardedGroupLifecycleGuards(t *testing.T) {
 	}
 }
 
-// TestPendingBytesEqualsBacklogScan pins the running byte count every
-// capacity check reads: after each way the backlog can change — append,
-// take, reshard migration in both directions, overflow and its clearing —
-// every shard's PendingBytes equals the sum over its pending records.
+// TestPendingBytesEqualsBacklogScan pins the byte count every capacity check
+// reads: after each way the backlog can change — append, take, reshard
+// migration in both directions, overflow and its clearing — every shard's
+// PendingBytes is a whole block plus the record header per pending record.
 func TestPendingBytesEqualsBacklogScan(t *testing.T) {
 	env, a, sj := shardedFixture(t, 2, 8, 0)
 	reshard := func(n int) func() {
@@ -310,8 +310,8 @@ func TestPendingBytesEqualsBacklogScan(t *testing.T) {
 		total := 0
 		for _, j := range append(sj.Shards(), sj.Retired()...) {
 			scan := 0
-			for _, r := range j.pending {
-				scan += r.SizeBytes()
+			for range j.pending {
+				scan += a.Config().BlockSize + recordHeaderBytes
 			}
 			if j.PendingBytes() != scan {
 				t.Fatalf("after %s: shard %s PendingBytes = %d, backlog scan = %d", st.name, j.ID(), j.PendingBytes(), scan)

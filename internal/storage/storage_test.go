@@ -95,8 +95,17 @@ func TestWriteValidation(t *testing.T) {
 		if _, err := v.Write(p, -1, block(a, 1)); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("negative: %v", err)
 		}
-		if _, err := v.Write(p, 0, []byte{1, 2}); !errors.Is(err, ErrBadBlockSize) {
-			t.Errorf("short write: %v", err)
+		for _, n := range []int{0, a.Config().BlockSize + 1} {
+			if _, err := v.Write(p, 0, make([]byte, n)); !errors.Is(err, ErrBadBlockSize) {
+				t.Errorf("%d-byte write: %v", n, err)
+			}
+		}
+		if v.Writes() != 0 {
+			t.Errorf("refused writes stored %d blocks", v.Writes())
+		}
+		// A prefix is a block whose rest reads as zeroes.
+		if _, err := v.Write(p, 0, []byte{1, 2}); err != nil || !bytes.Equal(v.Peek(0), []byte{1, 2}) {
+			t.Errorf("prefix write: %v, stored %v", err, v.Peek(0))
 		}
 		v.SetReadOnly(true)
 		if _, err := v.Write(p, 0, block(a, 1)); !errors.Is(err, ErrReadOnly) {

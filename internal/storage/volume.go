@@ -106,7 +106,8 @@ type Ack struct {
 }
 
 // Write stores one block, consuming simulated controller and media time, and
-// returns the ack. Data length must equal the array block size. The caller
+// returns the ack. Data is the block or a prefix of it: 1 to BlockSize bytes,
+// the rest reading as zeroes, charged as a whole block either way. The caller
 // keeps its buffer: Write is WriteOwned of a copy.
 func (v *Volume) Write(p *sim.Proc, block int64, data []byte) (Ack, error) {
 	return v.WriteOwned(p, block, bytes.Clone(data))
@@ -172,7 +173,7 @@ func (v *Volume) writeLatency() time.Duration {
 // under the parallel scheduler.
 func (v *Volume) ack(p *sim.Proc, block int64, data []byte) Ack {
 	v.install(block, data)
-	v.countWrite(len(data))
+	v.countWrite()
 	ack := Ack{
 		Volume:    v.id,
 		Block:     block,
@@ -185,7 +186,7 @@ func (v *Volume) ack(p *sim.Proc, block int64, data []byte) Ack {
 			// Pair suspended: the write is not journaled; change tracking
 			// (started at overflow) records it for the eventual resync.
 		case v.journal.CapacityBytes() > 0 &&
-			v.journal.PendingBytes()+len(data)+recordHeaderBytes > v.journal.CapacityBytes():
+			v.journal.PendingBytes()+v.journal.RecordBytes() > v.journal.CapacityBytes():
 			v.journal.group.overflow()
 			v.noteChange(block) // tracking started just now; cover this write
 		default:
@@ -291,13 +292,14 @@ func (v *Volume) ReadBlocks(p *sim.Proc, ios []BlockIO) error {
 // used by the consistency checker; production code paths must use Read.
 func (v *Volume) Peek(block int64) []byte { return v.blocks[block] }
 
-// checkBlock validates a block index and a payload length against the volume.
+// checkBlock validates a block index and a payload length against the volume:
+// a stored block is a prefix of 1 to BlockSize bytes.
 func (v *Volume) checkBlock(block int64, n int) error {
 	if block < 0 || block >= v.sizeBlocks {
 		return fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, block)
 	}
-	if n != v.array.cfg.BlockSize {
-		return fmt.Errorf("%w: got %d want %d", ErrBadBlockSize, n, v.array.cfg.BlockSize)
+	if n <= 0 || n > v.array.cfg.BlockSize {
+		return fmt.Errorf("%w: got %d want 1..%d", ErrBadBlockSize, n, v.array.cfg.BlockSize)
 	}
 	return nil
 }
@@ -312,11 +314,12 @@ func (v *Volume) install(block int64, buf []byte) {
 	v.noteChange(block)
 }
 
-// countWrite adds one stored block of n bytes to the write counters.
-func (v *Volume) countWrite(n int) {
+// countWrite adds one stored block to the write counters, at BlockSize bytes
+// however long a prefix it was given as.
+func (v *Volume) countWrite() {
 	v.writes++
 	v.array.writeOps.Add(1)
-	v.array.bytesWritten.Add(int64(n))
+	v.array.bytesWritten.Add(int64(v.array.cfg.BlockSize))
 }
 
 // Poke installs a copy of data without consuming time or journaling; test
@@ -347,7 +350,7 @@ func (v *Volume) InstallDelta(block int64, data []byte) error {
 		return err
 	}
 	v.install(block, data)
-	v.countWrite(len(data))
+	v.countWrite()
 	return nil
 }
 
@@ -362,7 +365,7 @@ func (v *Volume) Apply(p *sim.Proc, block int64, data []byte) error {
 	}
 	chargeBatch(p, v.service(), 1, v.array.cfg.WriteLatency, false)
 	v.install(block, data)
-	v.countWrite(len(data))
+	v.countWrite()
 	return nil
 }
 

@@ -275,15 +275,17 @@ func appendScanBlock(recs []Record, block []byte, epoch, seq uint32) ([]Record, 
 // blocks its I/O vector borrowed without building a second list of them.
 func ScanLog(n int, block func(i int) []byte, epoch uint32) ([]Record, error) {
 	// Size the result once: no block outside the live-header prefix is
-	// scanned, and a block holds at most its capacity in commit records.
-	live := 0
+	// scanned, and a block holds at most as many records as its stored
+	// length (a prefix of the block, perhaps) has room for commit records.
+	live, most := 0, 0
 	for live < n && LiveBlock(block(live), epoch, uint32(live)) {
+		most += (len(block(live)) - BlockHeaderSize) / Overhead
 		live++
 	}
 	if live == 0 {
 		return nil, nil
 	}
-	out := make([]Record, 0, live*((len(block(0))-BlockHeaderSize)/Overhead))
+	out := make([]Record, 0, most)
 	for i := range live {
 		var err error
 		if out, _, err = appendScanBlock(out, block(i), epoch, uint32(i)); err != nil {
