@@ -120,16 +120,18 @@ func TestCommitFitCheckAgreesWithUpsertOnACopy(t *testing.T) {
 					tx.Put(key(), []byte{byte(round), byte(n)})
 				}
 				// Reference: upsert the rows in order into copies of the pages.
+				// A page is loaded once, on its first row: presence, not nil,
+				// says so, since a copy of a never-written page is empty.
 				ref := map[int64][]byte{}
 				var want error
 				rows, vals := tx.buffered()
 				for _, u := range rows {
 					b := d.pageBlock(u.key)
-					if ref[b] == nil {
+					if _, loaded := ref[b]; !loaded {
 						pg, _ := d.loadPage(p, b)
 						ref[b] = ownedPage(pg, d.blockSize) // a clean page may be nil
 					}
-					if want = pageUpsert(ref[b], Row{Key: u.key, TxID: tx.id, Val: u.val(vals)}); want != nil {
+					if ref[b], want = pageUpsert(ref[b], Row{Key: u.key, TxID: tx.id, Val: u.val(vals)}, d.blockSize); want != nil {
 						break
 					}
 				}

@@ -218,14 +218,15 @@ func (d *DB) walFits(sizes []int) bool {
 
 // Checkpoint flushes the owned pages, bumps the log epoch, and resets the WAL
 // head — the no-force flush point. The owned pages are handed over to the
-// volume as one gathered write in ascending block order and stay cached as
+// volume as one gathered write in ascending block order, each as its prefix
+// capped at its length (so an append by any holder copies), and stay cached as
 // clean pages: the next write to one copies. The superblock that retires the
 // log is its own request, issued only after the gather has returned — the
 // write barrier: no image holds the new epoch without every page under it.
 func (d *DB) Checkpoint(p *sim.Proc) error {
 	d.vec = d.vecFor(len(d.owned))
 	for b, pg := range d.owned {
-		d.vec = append(d.vec, storage.BlockIO{Block: b, Data: pg})
+		d.vec = append(d.vec, storage.BlockIO{Block: b, Data: pg[:len(pg):len(pg)]})
 	}
 	sortByBlock(d.vec)
 	if err := d.vol.WriteOwnedBlocks(p, d.vec); err != nil {

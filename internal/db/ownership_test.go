@@ -9,11 +9,12 @@ import (
 	"repro/internal/storage"
 )
 
-// Checkpoint hands each dirty page over: from then on the page is the
-// primary's stored block, the Data of its journal record, whatever a backup
-// adopted from that record and whatever a snapshot preserves. A later commit
-// to the page must copy first, and the flush after it must install a fresh
-// slice — all four stay byte for byte what was flushed.
+// Checkpoint hands each dirty page over as its prefix, capped at its length:
+// from then on the page is the primary's stored block, the Data of its journal
+// record, whatever a backup adopted from that record and whatever a snapshot
+// preserves. A later commit to the page — rewriting its row and appending a
+// slot — must copy first, and the flush after it must install a fresh slice:
+// all four stay byte for byte, length and capacity what was flushed.
 func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 	env := sim.NewEnv(1)
 	a := storage.NewArray(env, "arr", storage.Config{})
@@ -35,7 +36,10 @@ func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 		if len(d.owned) != 0 || &d.reads[page][0] != &owned[0] || &src.Peek(page)[0] != &owned[0] {
 			t.Fatal("checkpoint must hand the dirty page to the volume and keep it as the clean page")
 		}
-		flushed := bytes.Clone(owned)
+		if stored := src.Peek(page); len(stored) != slotSize || cap(stored) != len(stored) {
+			t.Fatalf("the handed-over page is %d bytes with capacity %d; want its one slot, capped", len(stored), cap(stored))
+		}
+		flushed := bytes.Clone(src.Peek(page))
 
 		pending := j.PendingRecords()  // the page's record is still in the journal
 		rec := pending[len(pending)-2] // data page, then the superblock
@@ -54,14 +58,15 @@ func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 			for name, got := range map[string][]byte{
 				"journal record": rec.Data, "backup block": twin.Peek(page), "snapshot": snap.Peek(page),
 			} {
-				if !bytes.Equal(got, flushed) {
-					t.Fatalf("%s: the %s is no longer what was flushed", stage, name)
+				if !bytes.Equal(got, flushed) || cap(got) != len(flushed) {
+					t.Fatalf("%s: the %s is no longer what was flushed: %d bytes, capacity %d", stage, name, len(got), cap(got))
 				}
 			}
 		}
 
 		tx = d.Begin()
 		tx.Put(7, []byte("rewritten"))
+		tx.Put(7+uint64(d.dataPages), []byte("appended")) // same page, a new slot
 		if err := tx.Commit(p); err != nil {
 			t.Fatal(err)
 		}
@@ -69,8 +74,8 @@ func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 		if !bytes.Equal(src.Peek(page), flushed) {
 			t.Fatal("no-force: the commit changed the primary's stored page")
 		}
-		if &d.owned[page][0] == &owned[0] {
-			t.Fatal("the commit wrote into the page it had handed over")
+		if &d.owned[page][0] == &owned[0] || len(d.owned[page]) != 2*slotSize {
+			t.Fatalf("the commit wrote into the page it had handed over, or left %d bytes, not two slots", len(d.owned[page]))
 		}
 		d.Checkpoint(p)
 		same("second checkpoint")
@@ -80,6 +85,51 @@ func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 		}
 	})
 	env.Run(0)
+}
+
+// The replay redoes every page into one shared array, each page a capped slice
+// with room for exactly what its redo appends. An upsert into a redone page
+// past that room copies the page out; the page laid out behind it in the array
+// keeps every byte.
+func TestUpsertPastARedonePagesRoomCopies(t *testing.T) {
+	withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
+		d, _ := Open(p, "sales", vol, Config{})
+		n := uint64(d.dataPages)
+		put := func(keys ...uint64) {
+			tx := d.Begin()
+			for _, k := range keys {
+				tx.Put(k, []byte{byte(k)})
+			}
+			if err := tx.Commit(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		put(1, 2)
+		d.Checkpoint(p) // pages 1 and 2 on the volume, one slot each
+		put(1+n, 2+n)   // a second slot on each, only in the WAL
+
+		view, err := OpenView(p, "analytics", vol, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, next := view.owned[view.pageBlock(1)], view.owned[view.pageBlock(2)]
+		for _, pg := range [][]byte{first, next} {
+			if len(pg) != 2*slotSize || cap(pg) != len(pg) {
+				t.Fatalf("a redone page is %d bytes with capacity %d; want its two slots and no more room", len(pg), cap(pg))
+			}
+		}
+		kept := bytes.Clone(next)
+		grown, err := pageUpsert(first, Row{Key: 1 + 2*n, Val: []byte("third")}, view.blockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(grown) != 3*slotSize || &grown[0] == &first[0] {
+			t.Fatalf("an upsert past the room left %d bytes in the same array: %v; want 3 slots in a copy", len(grown), &grown[0] == &first[0])
+		}
+		if !bytes.Equal(next, kept) {
+			t.Fatal("an upsert past a redone page's room wrote into the next page of the replay's array")
+		}
+	})
 }
 
 // A WAL block handed over never changes: the head block is one buffer per

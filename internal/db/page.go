@@ -5,11 +5,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Data pages are fixed-slot hash pages: a key hashes to one page, and the
 // row occupies the first free slot (or its existing slot on update). Slot
 // layout: flags(1) + key(8) + txid(8) + vallen(2) + val[MaxValLen].
+//
+// A page is the prefix of its occupied slots. No slot is ever freed, so an
+// upsert that finds none free inside the prefix appends one, and the rest of
+// the block reads as zeroes: a page is stored, cached and redone at the length
+// it uses, up to a whole block.
 const (
 	// MaxValLen is the largest value a row can hold.
 	MaxValLen = 109
@@ -67,23 +73,29 @@ func pageLookup(page []byte, key uint64) (Row, bool) {
 	return row, true
 }
 
-// pageUpsert writes the row into its existing slot or the first free one.
-func pageUpsert(page []byte, row Row) error {
+// pageUpsert writes the row into its existing slot, the first free one, or a
+// slot appended to the page while the block has room, and returns the page.
+// The append stays in the page's array while its capacity allows; past it, it
+// copies.
+func pageUpsert(page []byte, row Row, blockSize int) ([]byte, error) {
 	if row.Key == 0 {
-		return ErrZeroKey
+		return page, ErrZeroKey
 	}
 	if len(row.Val) > MaxValLen {
-		return fmt.Errorf("%w: %d > %d", ErrValTooLarge, len(row.Val), MaxValLen)
+		return page, fmt.Errorf("%w: %d > %d", ErrValTooLarge, len(row.Val), MaxValLen)
 	}
 	at, free, _ := pageFind(page, row.Key)
 	if at < 0 {
 		at = free
 	}
 	if at < 0 {
-		return fmt.Errorf("%w: key %d", ErrPageFull, row.Key)
+		if at = len(page); at+slotSize > blockSize {
+			return page, fmt.Errorf("%w: key %d", ErrPageFull, row.Key)
+		}
+		page = slices.Grow(page, slotSize)[:at+slotSize] // encodeSlot writes every byte of it
 	}
 	encodeSlot(page, at, row)
-	return nil
+	return page, nil
 }
 
 // pageEach calls fn with every occupied row in slot order until fn returns

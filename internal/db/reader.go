@@ -39,9 +39,9 @@ type BlockReader interface {
 //
 // Pages are cached by absolute block index and copied on first write. A clean
 // page is borrowed: the slice the volume holds (nil = never written), never
-// written into. owned holds the copies writablePage took — the only pages
-// upserted into, by replay or by commit — and shadows the clean caches until
-// DB.Checkpoint hands them to the volume; nothing else leaves a reader.
+// written into. owned holds the copies the replay and writablePage took — the
+// only pages upserted into — and shadows the clean caches until DB.Checkpoint
+// hands them to the volume; nothing else leaves a reader.
 type reader struct {
 	name string
 	img  BlockReader
@@ -119,6 +119,10 @@ func (r *reader) open(p *sim.Proc, name string, vol BlockReader, cfg Config) err
 // pages, everything else is discarded. It issues two reads — the log until it
 // ends, then every page the redo will touch as one sorted scatter — so the
 // redo itself runs with every page present and takes no simulated time.
+//
+// The owned copies share one array, sized once: each page is a capped slice of
+// it with room for its stored prefix and one more slot per committed update to
+// it (at most a block), so the redo never outgrows it.
 func (r *reader) replay(p *sim.Proc) error {
 	start := p.Now()
 	recs, err := r.readLog(p)
@@ -128,7 +132,7 @@ func (r *reader) replay(p *sim.Proc) error {
 	r.logRead = p.Now() - start
 	r.torn = err != nil
 	// Analysis: find transactions whose commit record survived.
-	updates := int64(0)
+	updates := 0
 	for _, rec := range recs {
 		switch rec.Type {
 		case wal.TypeCommit:
@@ -140,40 +144,67 @@ func (r *reader) replay(p *sim.Proc) error {
 			r.nextTxID = rec.TxID + 1
 		}
 	}
-	// Claim an owned page for every page a committed update touches, and
-	// fill them all from the image with one read. The records point into the
-	// log blocks themselves, not into the vector, so it is free to reuse.
-	r.vec = r.vecFor(int(min(updates, r.dataPages)))
+	// Claim the home page of every committed update, sort the claims, and move
+	// each page's first claim to the front: those are the pages, in block
+	// order, and behind them the further claims, sorted again. The records
+	// point into the log blocks themselves, not into the vector, so it is free
+	// to reuse.
+	r.vec = r.vecFor(updates)
 	for _, rec := range recs {
-		if rec.Type != wal.TypeUpdate || !r.committed[rec.TxID] {
-			continue
-		}
-		block := r.pageBlock(rec.Key)
-		if _, claimed := r.owned[block]; !claimed {
-			r.owned[block] = make([]byte, r.blockSize)
-			r.vec = append(r.vec, storage.BlockIO{Block: block})
+		if rec.Type == wal.TypeUpdate && r.committed[rec.TxID] {
+			r.vec = append(r.vec, storage.BlockIO{Block: r.pageBlock(rec.Key)})
 		}
 	}
 	sortByBlock(r.vec)
+	n := 0
+	for i := range r.vec {
+		if n == 0 || r.vec[i].Block != r.vec[n-1].Block {
+			r.vec[n], r.vec[i] = r.vec[i], r.vec[n]
+			n++
+		}
+	}
+	pages, more := r.vec[:n], r.vec[n:]
+	sortByBlock(more)
 	start = p.Now()
-	if err := r.img.ReadBlocks(p, r.vec); err != nil {
+	if err := r.img.ReadBlocks(p, pages); err != nil {
 		return err
 	}
 	r.pageRead = p.Now() - start
-	for _, io := range r.vec {
-		copy(r.owned[io.Block], io.Data) // a never-written page (nil) stays zero
-	}
+	size := 0
+	r.eachRoom(pages, more, func(_ storage.BlockIO, room int) { size += room })
+	arr, off := make([]byte, size), 0
+	r.eachRoom(pages, more, func(io storage.BlockIO, room int) {
+		r.owned[io.Block] = append(arr[off:off:off+room], io.Data...) // a never-written page (nil) is empty
+		off += room
+	})
 	// Redo committed transactions' updates in log order.
 	for _, rec := range recs {
 		if rec.Type != wal.TypeUpdate || !r.committed[rec.TxID] {
 			continue
 		}
-		if err := pageUpsert(r.owned[r.pageBlock(rec.Key)], Row{Key: rec.Key, TxID: rec.TxID, Val: rec.Val}); err != nil {
+		block := r.pageBlock(rec.Key)
+		pg, err := pageUpsert(r.owned[block], Row{Key: rec.Key, TxID: rec.TxID, Val: rec.Val}, r.blockSize)
+		if err != nil {
 			return fmt.Errorf("db: %s: redo tx %d: %w", r.name, rec.TxID, err)
 		}
+		r.owned[block] = pg
 	}
 	r.recovered = len(r.committed)
 	return nil
+}
+
+// eachRoom calls fn with each page the replay read and the room its redo
+// needs: its stored prefix plus one slot per committed update to it, at most a
+// block. pages are the distinct claimed blocks and more the further claims,
+// both in block order.
+func (r *reader) eachRoom(pages, more []storage.BlockIO, fn func(io storage.BlockIO, room int)) {
+	for _, io := range pages {
+		claims := 1
+		for ; len(more) > 0 && more[0].Block == io.Block; more = more[1:] {
+			claims++
+		}
+		fn(io, min(len(io.Data)+claims*slotSize, r.blockSize))
+	}
 }
 
 // readLog reads the WAL until the live log ends, not to the end of the region,
@@ -278,7 +309,7 @@ func (r *reader) loadPage(p *sim.Proc, block int64) ([]byte, error) {
 
 // writablePage returns the page for upserting into: the owned page, or on the
 // first write its own copy of the clean one, which the commit that asks has
-// loaded.
+// loaded. The caller stores the page an upsert returns back into owned.
 func (r *reader) writablePage(block int64) []byte {
 	if pg, ok := r.owned[block]; ok {
 		return pg
@@ -287,18 +318,14 @@ func (r *reader) writablePage(block int64) []byte {
 	if !loaded {
 		panic(fmt.Sprintf("db: %s: page %d written before it was loaded", r.name, block))
 	}
-	pg := ownedPage(clean, r.blockSize)
-	r.owned[block] = pg
-	return pg
+	return ownedPage(clean, r.blockSize)
 }
 
-// ownedPage returns a page the caller may write: a clone of the borrowed
-// block, or a zero page when the block was never written (nil).
+// ownedPage returns a page the caller may write: a copy of the borrowed
+// prefix (empty when the block was never written, nil) in a buffer of a whole
+// block's capacity, so the slots upserts append stay in it.
 func ownedPage(blk []byte, blockSize int) []byte {
-	if blk == nil {
-		return make([]byte, blockSize)
-	}
-	return bytes.Clone(blk)
+	return append(make([]byte, 0, blockSize), blk...)
 }
 
 // Get returns the value for key and whether it exists.

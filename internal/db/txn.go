@@ -149,7 +149,7 @@ func (t *Txn) Commit(p *sim.Proc) error {
 		if at >= 0 || slices.Contains(claims, u.key) {
 			continue
 		}
-		free := slotsPerPage(d.blockSize) - used // of the zero page, if never written (nil)
+		free := slotsPerPage(d.blockSize) - used // of the whole block: the page is a prefix of it
 		for _, c := range claims {
 			if d.pageBlock(c) == block {
 				free--
@@ -193,10 +193,13 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	}
 	// The transaction is durable; apply to memory pages (no-force).
 	for _, u := range rows {
-		if err := pageUpsert(d.writablePage(d.pageBlock(u.key)), Row{Key: u.key, TxID: t.id, Val: u.val(vals)}); err != nil {
+		block := d.pageBlock(u.key)
+		pg, err := pageUpsert(d.writablePage(block), Row{Key: u.key, TxID: t.id, Val: u.val(vals)}, d.blockSize)
+		if err != nil {
 			// The fit check above guaranteed room; this indicates a bug.
 			panic(fmt.Sprintf("db: %s: post-log upsert failed: %v", d.name, err))
 		}
+		d.owned[block] = pg
 	}
 	d.committed[t.id] = true
 	d.commits++
