@@ -75,12 +75,15 @@ bench-record:
 
 # Profile one benchmark workload (make profile-fleet_seq, profile-shop_adc,
 # ...) for 5 s of measured iterations. The heap profile is cumulative over
-# the whole process, so it also counts set-up and the untimed backup-off
-# reference runs (shopReference is ~40% of shop_adc's alloc_space). Before
-# quoting a share of allocs_per_op or alloc_mb_per_op, -focus on the frame
-# that runs the timed simulation: runShop, drainPhase or 'Fleet..Run'. A
-# simulated process is a coroutine whose stack reaches back only to that
-# frame, so -focus runDrain or runFleet matches a few percent.
+# the whole process, so it also counts set-up and, on shop_adc, the untimed
+# backup-off reference runs (shopReference: ~37% of alloc_space, ~43% of
+# alloc_objects). Before quoting a share of shop_adc's allocs_per_op or
+# alloc_mb_per_op, pass -ignore=shopReference: it keeps every process of the
+# timed run (engines, journal, controllers) and drops only the reference,
+# where -focus=runShop keeps only the driver closure. A simulated process is
+# a coroutine whose stack reaches back only to its own body, so on the other
+# workloads -focus on the frame that runs the timed simulation, drainPhase or
+# 'Fleet..Run'; -focus runDrain or runFleet matches a few percent.
 profile-%:
 	$(GO) run ./benchmark --workload $* --seconds 5 -cpuprofile cpu.pprof -memprofile mem.pprof
 

@@ -1,7 +1,6 @@
 package db
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -62,15 +61,14 @@ func pageFind(page []byte, key uint64) (at, free, used int) {
 	return -1, free, used
 }
 
-// pageLookup returns key's row (Val is its own copy) and whether it exists.
+// pageLookup returns key's row and whether it exists. Val points into the
+// page, capped at its length.
 func pageLookup(page []byte, key uint64) (Row, bool) {
 	at, _, _ := pageFind(page, key)
 	if at < 0 {
 		return Row{}, false
 	}
-	row := slotRow(page, at)
-	row.Val = bytes.Clone(row.Val)
-	return row, true
+	return slotRow(page, at), true
 }
 
 // pageUpsert writes the row into its existing slot, the first free one, or a

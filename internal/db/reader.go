@@ -328,7 +328,12 @@ func ownedPage(blk []byte, blockSize int) []byte {
 	return append(make([]byte, 0, blockSize), blk...)
 }
 
-// Get returns the value for key and whether it exists.
+// Get returns the value for key and whether it exists. The value is lent, not
+// copied: the row's bytes in the page that holds it, capped at their length so
+// an append copies. Never modify it. It is valid until the next Commit on the
+// database, which rewrites an owned page's slot in place; a value lent from a
+// clean page (the volume's own slice) or from a View never changes. Clone it
+// to keep it longer.
 func (r *reader) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 	if key == 0 {
 		return nil, false, ErrZeroKey

@@ -74,9 +74,14 @@ func violate(invariant, tenant, format string, args ...any) Violation {
 // check: each block's first 8 bytes carry the big-endian ack sequence of
 // the write that produced it.
 func StampedPrefix(vols []*storage.Volume) (int, bool) {
-	present := make(map[uint64]bool)
-	for _, v := range vols {
-		for _, b := range v.WrittenBlocks() {
+	written, n := make([][]int64, len(vols)), 0
+	for i, v := range vols {
+		written[i] = v.WrittenBlocks()
+		n += len(written[i])
+	}
+	present := make(map[uint64]bool, n)
+	for i, v := range vols {
+		for _, b := range written[i] {
 			present[binary.BigEndian.Uint64(v.Peek(b))] = true
 		}
 	}

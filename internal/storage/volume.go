@@ -3,7 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -56,7 +56,7 @@ func (v *Volume) ChangedBlocks() []int64 {
 	for b := range v.changed {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -376,7 +376,7 @@ func (v *Volume) WrittenBlocks() []int64 {
 	for b := range v.blocks {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
