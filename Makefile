@@ -46,10 +46,15 @@ test-race:
 # The simulation-outcome gate: every table of `cmd/experiments` at -quick
 # -seed 1 must equal the committed golden byte for byte (stdout is
 # deterministic per seed). A PR that means to move a table regenerates the
-# golden with the same command and explains each changed line.
+# golden with the same command and explains each changed line. It runs at
+# GOMAXPROCS=1 and at the host default: a table that depends on the host's
+# processor count fails one of the two.
 tables-check:
-	@$(GO) run ./cmd/experiments -run all -quick -seed 1 | diff -u testdata/experiments-quick-seed1.golden - || \
-		{ echo "tables-check: experiment tables differ from testdata/experiments-quick-seed1.golden"; exit 1; }
+	@for procs in 1 default; do \
+		if [ $$procs = default ]; then run="$(GO) run"; else run="env GOMAXPROCS=$$procs $(GO) run"; fi; \
+		$$run ./cmd/experiments -run all -quick -seed 1 | diff -u testdata/experiments-quick-seed1.golden - || \
+			{ echo "tables-check: at GOMAXPROCS=$$procs, experiment tables differ from testdata/experiments-quick-seed1.golden"; exit 1; }; \
+	done
 
 # The performance gate: one full run of ./benchmark (five workloads, both
 # clocks, ~100 s on 2 vCPUs) compared with the committed BENCH_results.json

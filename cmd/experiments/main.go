@@ -188,7 +188,7 @@ func main() {
 		if *quick {
 			tenants, e16Orders = 8, 8
 		}
-		res, err := experiments.E16Observability(*seed, tenants, e16Orders, 1)
+		res, err := experiments.E16Observability(*seed, tenants, e16Orders)
 		if err != nil {
 			log.Fatalf("E16: %v", err)
 		}
@@ -206,7 +206,7 @@ func main() {
 		}
 	}
 	if sel("e17") {
-		res, err := experiments.E17Autopilot(*seed, 1)
+		res, err := experiments.E17Autopilot(*seed)
 		if err != nil {
 			log.Fatalf("E17: %v", err)
 		}

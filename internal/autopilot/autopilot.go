@@ -22,10 +22,9 @@
 // derate floor) is fixed: package constants set for E17's diurnal scenario,
 // the one workload the autopilot runs in.
 //
-// Every action is appended to a decision log in simulation order; with the
-// kernel's deterministic parallel runtime the log is byte-identical across
-// worker counts, which is how the autopilot's own behaviour is regression-
-// tested (see TestAutopilotDeterminism).
+// Every action is appended to a decision log in simulation order; the log is
+// byte-identical on every run of a seed, which is how the autopilot's own
+// behaviour is regression-tested (see TestAutopilotDeterminism).
 package autopilot
 
 import (
@@ -150,15 +149,14 @@ func (a *Autopilot) Start() {
 
 // Stop disarms the control loop. Call it before draining the event queue to
 // quiescence (sim.Env.Run(0)) — an armed autopilot re-schedules itself
-// forever. Safe to call more than once, and safe outside any process (the
-// control proc runs in domain 0, never inside a parallel round).
+// forever. Safe to call more than once, and safe outside any process.
 func (a *Autopilot) Stop() { a.stop.Trigger() }
 
 // Decisions returns the audit trail in simulation order.
 func (a *Autopilot) Decisions() []Decision { return a.decisions }
 
 // FormatLog renders the decision log one line per action — the byte-exact
-// artifact compared across worker counts by the determinism test.
+// artifact the determinism test compares between two runs of one seed.
 func (a *Autopilot) FormatLog() string {
 	var b strings.Builder
 	for _, d := range a.decisions {

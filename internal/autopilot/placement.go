@@ -122,9 +122,8 @@ func (ll *LeastLoaded) PlaceLane(namespace string, lane int, f *fabric.Fabric) i
 
 // loggingPlacement is the core.PlacementPolicy the autopilot installs: its
 // LeastLoaded placer, with every answer landing in the decision log.
-// Placement runs inside reconcile steps (domain 0, serialized by the
-// kernel), so appending here is deterministic and race-free even under
-// parallel execution.
+// Placement runs inside reconcile steps, which the kernel runs one at a
+// time, so appending here is deterministic.
 type loggingPlacement struct{ a *Autopilot }
 
 func (lp loggingPlacement) PlaceLane(namespace string, lane int, f *fabric.Fabric) int {

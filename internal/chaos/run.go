@@ -233,7 +233,7 @@ func (r *runner) startWorkload(t *runTenant) {
 			}
 		}
 		t.running = false
-		p.Trigger(done)
+		done.Trigger()
 	})
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -25,7 +24,6 @@ type FleetResult struct {
 	MeanRecovery    time.Duration
 	SimTime         time.Duration // virtual time the whole fleet took
 	BackupApplied   int64         // journal records applied across all groups
-	Workers         int           // scheduler worker pool (0/1 = sequential)
 	Kernel          sim.Stats     // scheduler counters for the whole run
 }
 
@@ -36,22 +34,11 @@ type FleetResult struct {
 // snapshotted image must be a consistent cut of its own cross-volume commit
 // order — the paper's §I claim at production-fleet scale.
 func E11FleetScale(seed int64, tenants, ordersPerTenant int) (FleetResult, error) {
-	// Independent tenant subgraphs run on one worker per spare core; on a
-	// single-core host this degrades to the sequential scheduler, and either
-	// way the simulated outcome is identical (golden-trace verified).
-	return E11FleetScaleWorkers(seed, tenants, ordersPerTenant, runtime.GOMAXPROCS(0))
-}
-
-// E11FleetScaleWorkers is E11FleetScale with an explicit scheduler worker
-// count (0 or 1 forces the sequential scheduler).
-func E11FleetScaleWorkers(seed int64, tenants, ordersPerTenant, workers int) (FleetResult, error) {
 	f := fleet.New(fleet.Config{
 		Tenants:         tenants,
 		OrdersPerTenant: ordersPerTenant,
-		Workers:         workers,
 		// Load-then-measure: provisioning skew stays out of the mixed
-		// workload, and the shared start instant lets the parallel scheduler
-		// batch independent tenant steps into same-instant rounds.
+		// workload.
 		StartBarrier: true,
 		// Small volumes and blocks keep a 1,024-tenant fleet (thousands of
 		// volumes across both sites) affordable without changing the
@@ -77,7 +64,6 @@ func E11FleetScaleWorkers(seed int64, tenants, ordersPerTenant, workers int) (Fl
 		MaxTimeToReady:  tot.MaxTimeToReady,
 		MeanRecovery:    tot.MeanRecovery,
 		SimTime:         f.Sys.Env.Now(),
-		Workers:         workers,
 		Kernel:          f.Sys.Env.Stats(),
 	}
 	for _, g := range f.Sys.Replication.AllGroups() {
@@ -108,14 +94,11 @@ func E11Table(r FleetResult) *Table {
 	t.AddRow("max tag -> replication ready", r.MaxTimeToReady)
 	t.AddRow("mean failover recovery time", r.MeanRecovery)
 	t.AddRow("fleet virtual time", r.SimTime)
-	t.AddRow("scheduler workers", r.Workers)
 	t.AddRow("kernel handoffs (process resumes)", r.Kernel.Handoffs)
 	t.AddRow("kernel inline steps (no handoff)", r.Kernel.InlineSteps)
 	t.AddRow("kernel heap pushes", r.Kernel.HeapPushes)
 	t.AddRow("kernel same-instant FIFO bypasses", r.Kernel.FifoBypasses)
 	t.AddRow("kernel timer entries canceled eagerly", r.Kernel.TimerCancels)
-	t.AddRow("kernel parallel rounds merged", r.Kernel.ParallelRounds)
-	t.AddRow("kernel steps run in parallel rounds", r.Kernel.ParallelSteps)
 	t.AddNote("shape: every tenant's image is a consistent cut; lost in-flight commits are RPO, not collapse")
 	return t
 }

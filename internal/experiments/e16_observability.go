@@ -38,7 +38,6 @@ type ObservabilityResult struct {
 	Registry *telemetry.Registry
 
 	SimTime time.Duration
-	Workers int
 	Kernel  sim.Stats
 }
 
@@ -48,7 +47,7 @@ type ObservabilityResult struct {
 // reshard migration windows, reconcile passes and tenant lifecycle, and
 // fabric/controller instruments, all exported as deterministic Chrome
 // trace-event JSON.
-func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (ObservabilityResult, error) {
+func E16Observability(seed int64, tenants, ordersPerTenant int) (ObservabilityResult, error) {
 	const period = 250 * time.Millisecond
 	if tenants < 2 {
 		tenants = 2
@@ -56,7 +55,6 @@ func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (Observ
 	f := fleet.New(fleet.Config{
 		Tenants:         tenants,
 		OrdersPerTenant: ordersPerTenant,
-		Workers:         workers,
 		StartBarrier:    true,
 		// ThinkTime paces each tenant's orders so the OLTP phases span
 		// seconds of virtual time — enough sample intervals for the RPO
@@ -95,7 +93,6 @@ func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (Observ
 		TopRPO:       reg.TopK("rpo", 5, 0, end),
 		Registry:     reg,
 		SimTime:      end,
-		Workers:      workers,
 		Kernel:       f.Sys.Env.Stats(),
 	}
 	for _, t := range f.Tenants {
@@ -138,7 +135,6 @@ func E16Table(r ObservabilityResult) *Table {
 			fmt.Sprintf("%v at t=%v", time.Duration(rank.Max), rank.At))
 	}
 	t.AddRow("fleet virtual time", r.SimTime)
-	t.AddRow("scheduler workers", r.Workers)
 	t.AddNote("shape: every tenant verifies consistent under churn; the RPO ranking is a window read of the probed series; export is byte-deterministic")
 	return t
 }

@@ -83,14 +83,14 @@ type AutopilotResult struct {
 
 // E17Autopilot runs the closed-loop experiment: the static world first (the
 // violation baseline), then the identical world with the autopilot armed.
-func E17Autopilot(seed int64, workers int) (AutopilotResult, error) {
+func E17Autopilot(seed int64) (AutopilotResult, error) {
 	res := AutopilotResult{GoldTarget: e17GoldTarget}
 	var err error
-	if res.Static, _, _, err = e17Run(seed, workers, false, false); err != nil {
+	if res.Static, _, _, err = e17Run(seed, false, false); err != nil {
 		return res, fmt.Errorf("E17 static: %w", err)
 	}
 	var ap *autopilot.Autopilot
-	if res.Auto, ap, _, err = e17Run(seed, workers, true, false); err != nil {
+	if res.Auto, ap, _, err = e17Run(seed, true, false); err != nil {
 		return res, fmt.Errorf("E17 autopilot: %w", err)
 	}
 	res.Decisions = ap.Decisions()
@@ -137,8 +137,7 @@ func e17System(seed int64) *core.System {
 			{Name: "bulk", MinShards: 1, MaxShards: 1, AdmissionPriority: 0},
 		},
 		Telemetry: &telemetry.Config{SamplePeriod: 50 * time.Millisecond},
-		// Tenant domains run in parallel subgraphs under workers > 1, so
-		// every volume needs its own service queue (the fleet's model).
+		// Every volume has its own service queue: the fleet's service model.
 		Storage:      storage.Config{BlockSize: e17BlockSize, IsolatedVolumes: true},
 		VolumeBlocks: 8192,
 	})
@@ -156,17 +155,16 @@ func e17Rate(gold bool, sinceStart time.Duration) float64 {
 }
 
 type e17Tenant struct {
-	ns    string
-	gold  bool
-	index int // tenant domain = index+1
-	vols  []*storage.Volume
-	done  *sim.Event
+	ns   string
+	gold bool
+	vols []*storage.Volume
+	done *sim.Event
 }
 
 // e17Run executes one world (static or autopiloted). With trace set, the
 // kernel records its (at, seq) step order for the determinism golden; the
 // system is returned so the caller can read it.
-func e17Run(seed int64, workers int, auto, trace bool) (AutopilotRun, *autopilot.Autopilot, *core.System, error) {
+func e17Run(seed int64, auto, trace bool) (AutopilotRun, *autopilot.Autopilot, *core.System, error) {
 	sys := e17System(seed)
 	if trace {
 		sys.Env.StartTrace()
@@ -191,12 +189,12 @@ func e17Run(seed int64, workers int, auto, trace bool) (AutopilotRun, *autopilot
 	var tenants []*e17Tenant
 	for i := 0; i < e17Golds; i++ {
 		tenants = append(tenants, &e17Tenant{
-			ns: fmt.Sprintf("gold-%d", i), gold: true, index: i, done: sys.Env.NewEvent(),
+			ns: fmt.Sprintf("gold-%d", i), gold: true, done: sys.Env.NewEvent(),
 		})
 	}
 	for i := 0; i < e17Bulks; i++ {
 		tenants = append(tenants, &e17Tenant{
-			ns: fmt.Sprintf("bulk-%d", i), index: e17Golds + i, done: sys.Env.NewEvent(),
+			ns: fmt.Sprintf("bulk-%d", i), done: sys.Env.NewEvent(),
 		})
 	}
 
@@ -218,21 +216,19 @@ func e17Run(seed int64, workers int, auto, trace bool) (AutopilotRun, *autopilot
 			}
 		}
 		wlStart = p.Now()
-		p.Trigger(ready)
+		ready.Trigger()
 	})
 
-	// Writers: one per tenant, deadline-paced against the diurnal curve,
-	// each in its own domain so parallel runs form tenant subgraphs.
+	// Writers: one per tenant, deadline-paced against the diurnal curve.
 	for _, t := range tenants {
 		t := t
 		sys.Env.Process("writer:"+t.ns, func(p *sim.Proc) {
 			p.Wait(ready)
 			if runErr != nil {
-				p.Trigger(t.done)
+				t.done.Trigger()
 				return
 			}
 			start := p.Now()
-			p.SetDomain(t.index + 1)
 			buf := make([]byte, e17BlockSize)
 			next := start
 			for i := 0; ; i++ {
@@ -250,9 +246,7 @@ func e17Run(seed int64, workers int, auto, trace bool) (AutopilotRun, *autopilot
 				}
 				next += time.Duration(float64(e17BlockSize) / e17Rate(t.gold, since) * float64(time.Second))
 			}
-			p.SetDomain(0)
-			p.Sleep(0)
-			p.Trigger(t.done)
+			t.done.Trigger()
 		})
 	}
 
@@ -267,11 +261,7 @@ func e17Run(seed int64, workers int, auto, trace bool) (AutopilotRun, *autopilot
 		}
 	})
 
-	if workers > 1 {
-		sys.Env.RunParallel(0, workers)
-	} else {
-		sys.Env.Run(0)
-	}
+	sys.Env.Run(0)
 	sys.Stop()
 	sys.Env.Run(0)
 	if runErr != nil {

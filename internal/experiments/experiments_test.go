@@ -1,16 +1,9 @@
 package experiments
 
 import (
-	"flag"
 	"testing"
 	"time"
 )
-
-// fleetTenants sizes the E11 parallel-scheduler smoke test. The default is
-// small so `go test -race ./...` (make ci) stays cheap; raise it to stress
-// the parallel kernel at scale: go test -race -run E11FleetSmoke \
-// ./internal/experiments -fleet.tenants=64
-var fleetTenants = flag.Int("fleet.tenants", 8, "tenant count for the E11 parallel smoke test")
 
 // These tests assert the SHAPE of each experiment's result — the
 // reproduction criteria from DESIGN.md: who wins, by roughly what factor,
@@ -435,31 +428,12 @@ func TestE11FleetAllTenantsConsistentAfterMixedRun(t *testing.T) {
 	}
 }
 
-// TestE11FleetSmokeParallel runs a small E11 fleet on the parallel scheduler
-// (4 workers regardless of host cores). Under `go test -race` — which make
-// ci runs — this is the standing data-race smoke for the kernel's parallel
-// rounds: tenant subgraphs really do execute on concurrent goroutines here,
-// so the race detector sees every cross-domain access pattern the full-scale
-// fleet exercises.
-func TestE11FleetSmokeParallel(t *testing.T) {
-	res, err := E11FleetScaleWorkers(11, *fleetTenants, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verified != res.Tenants || res.Collapsed != 0 {
-		t.Fatalf("fleet verdicts wrong: %+v", res)
-	}
-	if res.Kernel.ParallelRounds == 0 || res.Kernel.ParallelSteps == 0 {
-		t.Fatalf("parallel scheduler never formed a parallel round: %+v", res.Kernel)
-	}
-}
-
 // TestE16ObservabilityValidatesEveryTimeline runs the churning fleet with
 // the telemetry plane on: every tenant (joins included) verifies consistent
 // and the worst-RPO ranking reads non-zero probed timelines
 // (E16Observability itself fails on incomplete churn or overlapping spans).
 func TestE16ObservabilityValidatesEveryTimeline(t *testing.T) {
-	res, err := E16Observability(1, 8, 8, 1)
+	res, err := E16Observability(1, 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

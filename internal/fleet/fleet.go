@@ -59,20 +59,15 @@ type Config struct {
 	// runs while the tenant — and the rest of the fleet — keeps serving
 	// OLTP load. Targets that have already left or failed over are skipped.
 	Reshards []ReshardSpec
-	// Workers, when > 1, runs the simulation on the parallel scheduler:
-	// same-instant steps of distinct tenant domains execute concurrently on
-	// up to Workers OS goroutines, merged back into the exact sequential
-	// (at, seq) order. 0 or 1 runs the classic sequential scheduler. The
-	// simulated outcome is identical either way.
+	// Workers is ignored: the kernel has one sequential scheduler. It stays
+	// only because the benchmark harness still sets it, and goes when that
+	// harness next changes.
 	Workers int
 	// StartBarrier, when true, holds every initial-roster tenant at a
 	// barrier after provisioning: OLTP begins only once the whole roster is
 	// Ready, at one shared instant — the classic load-then-measure benchmark
-	// phase split. Besides separating provisioning skew from the measured
-	// phase, the shared start instant is what lets the parallel scheduler
-	// form large same-instant rounds of independent tenant steps; without it
-	// tenant timelines stay offset by their provisioning skew and rarely
-	// coincide. Join tenants arrive mid-run and skip the gate.
+	// phase split, which keeps provisioning skew out of the measured phase.
+	// Join tenants arrive mid-run and skip the gate.
 	StartBarrier bool
 	// System configures the shared two-site system (including the
 	// inter-site fabric's member links and QoS classes).
@@ -175,8 +170,7 @@ type Fleet struct {
 	Tenants []*Tenant
 
 	// Start-barrier state (Config.StartBarrier): gate fires when gateLeft
-	// initial-roster tenants have arrived. Touched only on domain 0 (pre-OLTP
-	// provisioning), which the scheduler never runs concurrently.
+	// initial-roster tenants have arrived.
 	gate     *sim.Event
 	gateLeft int
 }
@@ -189,12 +183,10 @@ type Fleet struct {
 func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
 	cfg.System.ProvisionTimeout = max(cfg.System.ProvisionTimeout, readyTimeout)
-	// Fleet tenants are independent service domains: each volume gets its
-	// own service queue and ack numbering scoped to its consistency group.
-	// This is both the realistic multi-tenant array model and the property
-	// that lets tenant OLTP steps run as parallel subgraphs (no shared
-	// controller resource crossing domains). Set for every worker count so
-	// sequential and parallel runs simulate the identical world.
+	// Fleet tenants are independent services: each volume gets its own
+	// single-slot service queue (and ack numbering scoped to its consistency
+	// group), the multi-tenant array model, instead of one controller every
+	// tenant queues behind.
 	cfg.System.Storage.IsolatedVolumes = true
 	f := &Fleet{Sys: core.NewSystem(cfg.System), Cfg: cfg}
 	leaves := make(map[int]LeaveSpec, len(cfg.Leaves))
@@ -253,7 +245,7 @@ func (f *Fleet) gateArrive(p *sim.Proc, t *Tenant, wait bool) {
 	}
 	f.gateLeft--
 	if f.gateLeft == 0 {
-		p.Trigger(f.gate)
+		f.gate.Trigger()
 	} else if wait {
 		p.Wait(f.gate)
 	}
@@ -306,11 +298,7 @@ func (f *Fleet) Run() error {
 			t.ReshardTime = p.Now() - start
 		})
 	}
-	if f.Cfg.Workers > 1 {
-		f.Sys.Env.RunParallel(horizon, f.Cfg.Workers)
-	} else {
-		f.Sys.Env.Run(horizon)
-	}
+	f.Sys.Env.Run(horizon)
 	if f.Sys.Env.Idle() {
 		// Completed run: quiesce controllers, drains, and dispatchers so a
 		// discarded fleet leaves no parked simulation goroutines behind
@@ -383,29 +371,13 @@ func (f *Fleet) runTenant(p *sim.Proc, t *Tenant) error {
 	wcfg.Seed = f.Cfg.System.Seed + int64(t.Index)*7919
 	bp.Shop = workload.NewShop(f.Sys.Env, bp.Sales, bp.Stock, wcfg)
 
-	// OLTP phases touch only this tenant's shop, databases, volumes, and
-	// journal, so they ride a per-tenant domain: under Config.Workers the
-	// scheduler executes same-instant steps of distinct domains
-	// concurrently. The domain binds from the step after SetDomain, and
-	// leaving one requires crossing a step boundary (Sleep(0)) before
-	// touching shared state again — see sim.Proc.SetDomain. Everything else
-	// (provision, catch-up, analytics, failover, leave) shares system state
-	// and stays on domain 0.
-	runShop := func(orders int) error {
-		p.SetDomain(t.Index + 1)
-		err := bp.Shop.Run(p, orders)
-		p.SetDomain(0)
-		p.Sleep(0)
-		return err
-	}
-
 	// Start barrier: the measured mixed-workload phase begins only once the
 	// whole initial roster is Ready, at one shared instant.
 	f.gateArrive(p, t, true)
 
 	// Phase 1: first half of the OLTP load on every tenant concurrently.
 	half := f.Cfg.OrdersPerTenant / 2
-	if err := runShop(half); err != nil {
+	if err := bp.Shop.Run(p, half); err != nil {
 		return fmt.Errorf("phase 1: %w", err)
 	}
 
@@ -439,7 +411,7 @@ func (f *Fleet) runTenant(p *sim.Proc, t *Tenant) error {
 	}
 
 	// Phase 2: remaining load, then drain and verify the backup image.
-	if err := runShop(f.Cfg.OrdersPerTenant - half); err != nil {
+	if err := bp.Shop.Run(p, f.Cfg.OrdersPerTenant-half); err != nil {
 		return fmt.Errorf("phase 2: %w", err)
 	}
 	t.OrdersPlaced = bp.Shop.Completed.Value()

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/netlink"
-	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 )
@@ -134,37 +132,20 @@ func TestFleetPerTenantQoSOnMultiLinkFabric(t *testing.T) {
 }
 
 func TestFleetDeterministicAcrossRuns(t *testing.T) {
-	type result struct {
-		trace []sim.TraceEntry
-		outs  []tenantOutcome
-		end   time.Duration
-	}
-	run := func(cfg Config, workers int) (r result) {
-		r.trace, r.outs, r.end, _ = runGoldenFleet(t, cfg, workers)
-		return r
-	}
-	same := func(a, b result) bool {
-		return a.end == b.end && slices.Equal(a.trace, b.trace) && slices.Equal(a.outs, b.outs)
-	}
-	if cfg := testConfig(6, 4); !same(run(cfg, 1), run(cfg, 1)) {
-		t.Fatal("6 tenants: two runs differ")
-	}
+	runs := [2]string{"first", "second"}
+	cfg := testConfig(6, 4)
+	sameRun(t, runs, runGoldenFleet(t, cfg), runGoldenFleet(t, cfg))
 
 	// A 256-tenant burst keeps every controller's eight workers busy with
-	// each other's tenants from t=0: the same steps and outcomes twice and
-	// on the parallel scheduler, every tenant verified — and provisioned in
-	// well under what one worker per controller took (about 6 ms of
-	// reconciles per tenant back to back, so 256 x 6 ms / 2 mean; the
-	// measured slope is near 0.44 ms per tenant against 3.5).
+	// each other's tenants from t=0: the same steps and outcomes twice, every
+	// tenant verified — and provisioned in well under what one worker per
+	// controller took (about 6 ms of reconciles per tenant back to back, so
+	// 256 x 6 ms / 2 mean; the measured slope is near 0.44 ms per tenant
+	// against 3.5).
 	burst := testConfig(256, 2)
 	burst.StartBarrier = true
-	a := run(burst, 1)
-	if !same(a, run(burst, 1)) {
-		t.Fatal("256-tenant burst: two runs differ")
-	}
-	if !same(a, run(burst, 2)) {
-		t.Fatal("256-tenant burst: the parallel scheduler's run differs from the sequential one")
-	}
+	a := runGoldenFleet(t, burst)
+	sameRun(t, runs, a, runGoldenFleet(t, burst))
 	var ready time.Duration
 	for _, o := range a.outs {
 		if !o.Verified {

@@ -3,16 +3,18 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/netlink"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// tenantOutcome is the per-tenant result surface compared between the
-// sequential and parallel schedulers. Every field a fleet caller (E11/E14/
-// E15) reads is represented.
+// tenantOutcome is the per-tenant result surface the replay tests compare
+// between two runs of one seed. Every field a fleet caller (E11/E14/E15)
+// reads is represented.
 type tenantOutcome struct {
 	Namespace       string
 	OrdersPlaced    int64
@@ -58,6 +60,7 @@ func outcomeOf(t *Tenant) tenantOutcome {
 
 // goldenConfig derives a randomized fleet schedule from one seed: roster
 // size, load, shard counts, and churn (joins, leaves, reshards) all vary.
+// The link jitters, so the run also draws on the kernel's random source.
 func goldenConfig(seed int64) Config {
 	rng := rand.New(rand.NewSource(seed * 977))
 	cfg := Config{
@@ -67,6 +70,7 @@ func goldenConfig(seed int64) Config {
 	cfg.System.Telemetry = &telemetry.Config{SamplePeriod: time.Duration(1+rng.Intn(4)) * time.Minute}
 	cfg.System.Seed = seed
 	cfg.System.VolumeBlocks = 256
+	cfg.System.Fabric.Links = []netlink.Config{{Propagation: 5 * time.Millisecond, BandwidthBps: 1e9, Jitter: time.Millisecond}}
 	if rng.Intn(2) == 0 {
 		cfg.JournalShards = 2
 	}
@@ -84,68 +88,63 @@ func goldenConfig(seed int64) Config {
 		})
 	}
 	// Half the schedules start OLTP at a fleet-wide barrier (E11's
-	// load-then-measure shape, where same-instant tenant rounds are dense),
-	// half free-run so the skewed-start path stays covered too.
+	// load-then-measure shape), half free-run so the skewed-start path stays
+	// covered too.
 	cfg.StartBarrier = rng.Intn(2) == 0
 	return cfg
 }
 
-func runGoldenFleet(t *testing.T, cfg Config, workers int) ([]sim.TraceEntry, []tenantOutcome, time.Duration, sim.Stats) {
+// fleetRun is what one fleet run leaves for the replay tests to compare.
+type fleetRun struct {
+	trace []sim.TraceEntry
+	outs  []tenantOutcome
+	end   time.Duration
+}
+
+func runGoldenFleet(t *testing.T, cfg Config) fleetRun {
 	t.Helper()
-	cfg.Workers = workers
 	f := New(cfg)
 	f.Sys.Env.StartTrace()
 	err := f.Run()
-	outs := make([]tenantOutcome, len(f.Tenants))
-	for i, tn := range f.Tenants {
-		outs[i] = outcomeOf(tn)
+	r := fleetRun{trace: f.Sys.Env.Trace(), end: f.Sys.Env.Now()}
+	for _, tn := range f.Tenants {
+		r.outs = append(r.outs, outcomeOf(tn))
 	}
 	if err != nil {
-		t.Fatalf("fleet run (workers=%d): %v\noutcomes: %+v", workers, err, outs)
+		t.Fatalf("fleet run: %v\noutcomes: %+v", err, r.outs)
 	}
-	return f.Sys.Env.Trace(), outs, f.Sys.Env.Now(), f.Sys.Env.Stats()
+	return r
 }
 
-// TestFleetGoldenTraceParallelMatchesSequential runs randomized fleet
-// schedules twice — sequential scheduler vs parallel subgraph scheduler —
-// and requires byte-identical (at, seq) execution traces and identical
-// per-tenant outcomes. This is the fleet-level half of the determinism
-// proof; internal/sim's golden test covers the kernel on 100 random worlds.
+// sameRun fails t when two fleet runs differ in end time, (at, seq) trace
+// or any tenant's outcome; what names the two runs in the message.
+func sameRun(t *testing.T, what [2]string, a, b fleetRun) {
+	t.Helper()
+	if a.end != b.end {
+		t.Fatalf("end time diverged: %s %v, %s %v", what[0], a.end, what[1], b.end)
+	}
+	if !slices.Equal(a.trace, b.trace) {
+		t.Fatalf("traces diverged: %s %d steps, %s %d", what[0], len(a.trace), what[1], len(b.trace))
+	}
+	for i := range a.outs {
+		if a.outs[i] != b.outs[i] {
+			t.Fatalf("tenant %s outcome diverged:\n%s: %+v\n%s: %+v",
+				a.outs[i].Namespace, what[0], a.outs[i], what[1], b.outs[i])
+		}
+	}
+}
+
+// TestFleetGoldenTraceParallelMatchesSequential is the fleet-level replay
+// test: each randomized schedule runs twice from one seed in one process,
+// and the two runs must have byte-identical (at, seq) execution traces, end
+// times and per-tenant outcomes. Map iteration order differs between the
+// runs, so a result that leaned on it would show here; internal/sim's replay
+// test covers the kernel on 100 random worlds.
 func TestFleetGoldenTraceParallelMatchesSequential(t *testing.T) {
-	parallelSeen := false
 	for seed := int64(1); seed <= 8; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := goldenConfig(seed)
-			seqTrace, seqOuts, seqEnd, _ := runGoldenFleet(t, cfg, 1)
-			parTrace, parOuts, parEnd, stats := runGoldenFleet(t, cfg, 4)
-			if stats.ParallelRounds > 0 {
-				parallelSeen = true
-			}
-			if seqEnd != parEnd {
-				t.Fatalf("end time diverged: sequential %v, parallel %v", seqEnd, parEnd)
-			}
-			if len(seqTrace) != len(parTrace) {
-				t.Fatalf("trace length diverged: sequential %d, parallel %d", len(seqTrace), len(parTrace))
-			}
-			for i := range seqTrace {
-				if seqTrace[i] != parTrace[i] {
-					t.Fatalf("trace diverged at step %d: sequential %+v, parallel %+v",
-						i, seqTrace[i], parTrace[i])
-				}
-			}
-			if len(seqOuts) != len(parOuts) {
-				t.Fatalf("tenant count diverged: %d vs %d", len(seqOuts), len(parOuts))
-			}
-			for i := range seqOuts {
-				if seqOuts[i] != parOuts[i] {
-					t.Fatalf("tenant %s outcome diverged:\nsequential: %+v\nparallel:   %+v",
-						seqOuts[i].Namespace, seqOuts[i], parOuts[i])
-				}
-			}
+			sameRun(t, [2]string{"first", "second"}, runGoldenFleet(t, cfg), runGoldenFleet(t, cfg))
 		})
-	}
-	if !parallelSeen {
-		t.Fatalf("no schedule ever formed a parallel round; the parallel path went untested")
 	}
 }

@@ -28,33 +28,18 @@ func (ev *Event) Triggered() bool { return ev.triggered }
 
 // Trigger fires the event, scheduling every waiter to resume at the current
 // virtual time. Waiters resume in the order they began waiting.
-//
-// Trigger must not be called with waiters from inside a parallel round —
-// the kernel cannot attribute the resumes to a step, so the merged order
-// would be undefined; such call sites use Proc.Trigger instead. (A
-// waiterless Trigger only flips the flag and is always safe.)
 func (ev *Event) Trigger() {
 	if ev.triggered {
 		return
 	}
-	if ev.env.inRound && ev.first != nil {
-		panic("sim: Event.Trigger with waiters during a parallel round; use Proc.Trigger")
-	}
-	ev.fire(nil)
-}
-
-// fire triggers the event with every kernel effect (timer cancels, waiter
-// resumes) attributed to via's current effect segment; via is nil outside
-// parallel rounds. Proc.Trigger routes here during rounds.
-func (ev *Event) fire(via *Proc) {
 	ev.triggered = true
 	if ev.first == nil {
 		return
 	}
-	ev.wake(via, ev.first)
+	ev.wake(ev.first)
 	ev.first = nil
 	for i, w := range ev.rest {
-		ev.wake(via, w)
+		ev.wake(w)
 		ev.rest[i] = nil
 	}
 	ev.rest = ev.rest[:0]
@@ -63,15 +48,15 @@ func (ev *Event) fire(via *Proc) {
 // wake resumes one waiter: cancel its pending timeout, deregister it from
 // its WaitAny siblings so a later trigger cannot resume it twice, and
 // schedule it now.
-func (ev *Event) wake(via, w *Proc) {
+func (ev *Event) wake(w *Proc) {
 	if w.timer != 0 {
-		ev.env.cancelVia(via, w.timer)
+		ev.env.cancelEntry(w.timer)
 		w.timer = 0
 	}
 	w.leaveGroup(ev)
 	w.wokenBy = ev
 	ev.wakes++
-	ev.env.scheduleVia(via, w, ev.env.now)
+	ev.env.schedule(ev.env.now, w, nil)
 }
 
 // Renew returns an untriggered event to use in place of a triggered one

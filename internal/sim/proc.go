@@ -13,18 +13,10 @@ type Proc struct {
 	env  *Env
 	name string
 	// next runs the coroutine to its next block (or its end); yield, set on
-	// its first run, switches back to whoever called next — any goroutine.
+	// its first run, switches back to the scheduler.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	done  bool
-	// domain is the process's parallel-execution domain. Steps of processes
-	// in pairwise-distinct non-zero domains that fall due at the same
-	// instant may run concurrently under RunParallel; domain 0 (the
-	// default) never runs concurrently with anything.
-	domain int
-	// seg is non-nil exactly while the process executes inside a parallel
-	// round: kernel effects are buffered here and committed in step order.
-	seg *stepSeg
 
 	// Wait registration. A process blocks in one wait at a time, so what a
 	// trigger needs to know about a waiter lives here and not in a
@@ -47,22 +39,17 @@ type Proc struct {
 }
 
 func (e *Env) startProc(p *Proc, at time.Duration, fn func(p *Proc)) {
-	if e.inRound {
-		// The initial schedule cannot be attributed to the spawning step, so
-		// spawning inside a round would mutate the queue concurrently.
-		panic("sim: Process/ProcessAt called during a parallel round")
-	}
-	e.procs.Add(1)
+	e.procs++
 	// stop is never called: a process ends by returning, and a simulation
 	// abandoned with processes still blocked leaves those parked.
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		fn(p)
 		p.done = true
-		e.procs.Add(-1)
-		p.Trigger(p.Done)
+		e.procs--
+		p.Done.Trigger()
 	})
-	e.scheduleEntry(p, max(at, e.now))
+	e.schedule(max(at, e.now), p, nil)
 }
 
 // Process starts fn as a new simulated process scheduled to begin at the
@@ -86,47 +73,13 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
 
-// SetDomain assigns the process to a parallel-execution domain. Two steps
-// due at the same instant run concurrently under RunParallel only if their
-// processes carry distinct non-zero domains — a domain is a promise that
-// the process, while in it, touches no simulation state shared with any
-// other domain except through attributed kernel operations (Sleep, Wait,
-// Proc.Trigger) and data-race-free application state. Domain 0 revokes the
-// promise; steps of domain-0 processes always run alone.
-//
-// The domain is read when a step is collected, so a change takes effect
-// from the process's NEXT step. A process leaving a domain (SetDomain(0))
-// must pass a step boundary — p.Sleep(0) — before touching shared state:
-// the step it is currently in was collected under the old domain and may be
-// running inside a round.
-func (p *Proc) SetDomain(d int) { p.domain = d }
-
-// Domain returns the process's parallel-execution domain.
-func (p *Proc) Domain() int { return p.domain }
-
 // Do runs fn inline as zero-duration work attributed to the process. It
 // exists so call sites can make "this is deliberately instantaneous — no
 // scheduler round trip" explicit, and so the kernel can count how much
 // work the batch-grained code paths perform without a handoff.
 func (p *Proc) Do(fn func()) {
-	p.env.stats.inlineSteps.Add(1)
+	p.env.stats.inlineSteps++
 	fn()
-}
-
-// Trigger fires ev on behalf of the process. Outside a parallel round it is
-// exactly Event.Trigger; inside one it attributes the waiter resumes (and
-// timer cancels) to the process's effect segment, which is what keeps the
-// merged (at, seq) order identical to the sequential scheduler's. Any code
-// that can trigger an event with waiters from inside a domain's step must
-// use this instead of Event.Trigger.
-func (p *Proc) Trigger(ev *Event) {
-	if p.seg == nil {
-		ev.Trigger()
-		return
-	}
-	if !ev.triggered {
-		ev.fire(p)
-	}
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
@@ -135,7 +88,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.env.scheduleVia(p, p, p.env.now+d)
+	p.env.schedule(p.env.now+d, p, nil)
 	p.block()
 }
 
@@ -145,9 +98,9 @@ func (p *Proc) block() { p.yield(struct{}{}) }
 // park blocks the process on the events it has registered with (or on a
 // Resource queue) until a trigger, a handoff or its timer resumes it.
 func (p *Proc) park() {
-	p.env.blocked.Add(1)
+	p.env.blocked++
 	p.block()
-	p.env.blocked.Add(-1)
+	p.env.blocked--
 	if ev := p.wokenBy; ev != nil {
 		ev.wakes--
 		p.wokenBy = nil
@@ -214,7 +167,7 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) bool {
 	if ev.triggered {
 		return true
 	}
-	p.timer = p.env.scheduleVia(p, p, p.env.now+d)
+	p.timer = p.env.schedule(p.env.now+d, p, nil)
 	ev.add(p)
 	p.park()
 	// Exactly one of the two sources resumed us: a trigger (which canceled

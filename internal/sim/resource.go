@@ -44,19 +44,12 @@ func (r *Resource) TryAcquire() bool {
 // Release returns one unit, handing it directly to the longest waiter if any
 // (one resume scheduled at the current instant, exactly what triggering a
 // per-acquire event cost in kernel operations).
-//
-// Like Event.Trigger, Release must not hand off from inside a parallel
-// round: the resume cannot be attributed to a step. Resources contended
-// across domains therefore stay on domain 0.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release without Acquire")
 	}
 	if next, ok := r.waitq.Pop(); ok {
-		if r.env.inRound {
-			panic("sim: Resource.Release with waiters during a parallel round")
-		}
-		r.env.scheduleEntry(next, r.env.now) // unit stays in use, transferred to the waiter
+		r.env.schedule(r.env.now, next, nil) // unit stays in use, transferred to the waiter
 		return
 	}
 	r.inUse--

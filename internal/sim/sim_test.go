@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -436,27 +437,211 @@ func TestSameInstantChainDrainsBeforeTimeAdvances(t *testing.T) {
 	}
 }
 
-// A panic inside a process surfaces from Run on the caller's goroutine with
-// the process's own panic value, whether the step ran alone or in a round.
-func TestProcessPanicSurfacesFromRun(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		env := NewEnv(1)
-		for d := 1; d <= 3; d++ {
-			env.Process("p", func(p *Proc) {
-				p.SetDomain(d)
-				p.Sleep(time.Millisecond)
-				if d == 2 {
-					panic("boom")
-				}
+// TestWaitTimeoutReclaimsTimerEntry is the regression test for the timer
+// leak: when the event wins, the loser timer entry must leave the heap
+// immediately instead of squatting there until its original deadline.
+func TestWaitTimeoutReclaimsTimerEntry(t *testing.T) {
+	env := NewEnv(1)
+	const rounds = 1000
+	high := 0
+	env.Process("watcher", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			ev := env.NewEvent()
+			env.Process("firer", func(q *Proc) {
+				q.Sleep(time.Microsecond)
+				ev.Trigger()
 			})
+			// Far deadline: a leaked timer would stay pending ~forever.
+			if !p.WaitTimeout(ev, time.Hour) {
+				t.Errorf("round %d: timeout fired, want event", i)
+			}
+			if n := env.Pending(); n > high {
+				high = n
+			}
 		}
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			env.RunParallel(0, workers)
-			return nil
-		}()
-		if got != "boom" {
-			t.Fatalf("workers %d: Run panicked with %v, want the process's \"boom\"", workers, got)
+	})
+	env.Run(0)
+	// Each round keeps at most a handful of entries live (the firer's
+	// wakeup, the watcher's resume). 1000 leaked hour-long timers would
+	// push this into the hundreds.
+	if high > 8 {
+		t.Fatalf("live entries peaked at %d, want <= 8 (timer entries leaking)", high)
+	}
+	if got := env.Stats().TimerCancels; got < rounds {
+		t.Fatalf("TimerCancels = %d, want >= %d", got, rounds)
+	}
+	if n := env.Pending(); n != 0 {
+		t.Fatalf("%d entries still pending after run", n)
+	}
+}
+
+// TestWaitTimeoutStillTimesOut guards the other half of the contract after
+// the eager-cancel change.
+func TestWaitTimeoutStillTimesOut(t *testing.T) {
+	env := NewEnv(1)
+	var fired bool
+	env.Process("waiter", func(p *Proc) {
+		fired = p.WaitTimeout(env.NewEvent(), 5*time.Millisecond)
+	})
+	end := env.Run(0)
+	if fired {
+		t.Fatal("WaitTimeout reported the event, want timeout")
+	}
+	if end != 5*time.Millisecond {
+		t.Fatalf("run ended at %v, want 5ms", end)
+	}
+}
+
+func TestInlineStepsRunWithoutHandoff(t *testing.T) {
+	env := NewEnv(1)
+	var order []string
+	env.Process("p", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		order = append(order, "proc@1ms")
+	})
+	env.After(time.Millisecond, func() { order = append(order, "fn@1ms") })
+	env.After(0, func() {
+		order = append(order, "fn@0")
+		env.Immediate(func() { order = append(order, "fn@0b") })
+	})
+	base := env.Stats().Handoffs
+	env.Run(0)
+	// The 1ms fn was scheduled before the process's sleep resume, so its
+	// seq — and therefore its turn — comes first.
+	want := []string{"fn@0", "fn@0b", "fn@1ms", "proc@1ms"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	st := env.Stats()
+	if st.InlineSteps != 3 {
+		t.Fatalf("InlineSteps = %d, want 3", st.InlineSteps)
+	}
+	if st.Handoffs-base != 2 {
+		t.Fatalf("Handoffs = %d, want 2 (one start, one sleep resume)", st.Handoffs-base)
+	}
+}
+
+func TestProcDoCountsInlineWork(t *testing.T) {
+	env := NewEnv(1)
+	ran := 0
+	env.Process("p", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			p.Do(func() { ran++ })
 		}
+	})
+	env.Run(0)
+	if ran != 5 {
+		t.Fatalf("ran = %d, want 5", ran)
+	}
+	if got := env.Stats().InlineSteps; got != 5 {
+		t.Fatalf("InlineSteps = %d, want 5", got)
+	}
+}
+
+// buildRandomWorld wires a randomized workload on env: nProcs processes
+// doing random sleeps and timeouts drawn from the kernel's own random
+// source, each waking a helper through an event, plus a collector they
+// signal once all have finished; every process spawns a tail that falls due
+// at one shared instant. Every observable (per-process logs, collector log)
+// is returned for replay checking.
+func buildRandomWorld(env *Env, nProcs, steps int) (logs [][]string, collected *[]string) {
+	logs = make([][]string, nProcs)
+	shared := 0
+	collector := &[]string{}
+	done := env.NewEvent()
+	finished := 0
+	rng := env.Rand()
+	for d := 0; d < nProcs; d++ {
+		env.Process(fmt.Sprintf("proc%d", d), func(p *Proc) {
+			local := env.NewEvent()
+			env.Process(fmt.Sprintf("helper%d", d), func(q *Proc) {
+				q.Wait(local)
+				logs[d] = append(logs[d], fmt.Sprintf("helper@%v", q.Now()))
+			})
+			for i := 0; i < steps; i++ {
+				p.Sleep(time.Duration(rng.Intn(5)) * time.Millisecond)
+				logs[d] = append(logs[d], fmt.Sprintf("s%d@%v", i, p.Now()))
+				if i == steps/2 {
+					local.Trigger()
+				}
+				if rng.Intn(3) == 0 {
+					ev := env.NewEvent()
+					if p.WaitTimeout(ev, time.Duration(rng.Intn(3))*time.Millisecond) {
+						logs[d] = append(logs[d], "impossible")
+					}
+				}
+				shared++
+			}
+			*collector = append(*collector, fmt.Sprintf("d%d@%v", d, p.Now()))
+			tailDone := env.NewEvent()
+			env.Process(fmt.Sprintf("tail%d", d), func(q *Proc) {
+				q.Sleep(time.Second - q.Now()) // every random walk ends well before 1s
+				logs[d] = append(logs[d], fmt.Sprintf("tail@%v", q.Now()))
+				tailDone.Trigger()
+			})
+			p.Wait(tailDone)
+			if finished++; finished == nProcs {
+				done.Trigger()
+			}
+		})
+	}
+	env.Process("collector", func(p *Proc) {
+		p.Wait(done)
+		*collector = append(*collector, fmt.Sprintf("all@%v n=%d", p.Now(), shared))
+	})
+	return logs, collector
+}
+
+// TestRandomWorldReplaysIdentically is the kernel's determinism golden: 100
+// random worlds, each built and run twice from one seed in one process, must
+// give byte-identical (at, seq) traces, end times and observable outcomes.
+func TestRandomWorldReplaysIdentically(t *testing.T) {
+	type run struct {
+		end   time.Duration
+		trace []TraceEntry
+		out   string
+	}
+	replay := func(seed int64, nProcs, steps int) run {
+		env := NewEnv(seed)
+		env.StartTrace()
+		logs, col := buildRandomWorld(env, nProcs, steps)
+		end := env.Run(0)
+		return run{end, env.Trace(), fmt.Sprint(logs, *col)}
+	}
+	for seed := int64(1); seed <= 100; seed++ {
+		nProcs := 2 + int(seed%7)
+		steps := 4 + int(seed%11)
+		a, b := replay(seed, nProcs, steps), replay(seed, nProcs, steps)
+		if a.end != b.end {
+			t.Fatalf("seed %d: end time %v, then %v", seed, a.end, b.end)
+		}
+		if !slices.Equal(a.trace, b.trace) {
+			t.Fatalf("seed %d: traces of %d and %d steps differ", seed, len(a.trace), len(b.trace))
+		}
+		if a.out != b.out {
+			t.Fatalf("seed %d: outcomes differ:\n%s\n%s", seed, a.out, b.out)
+		}
+	}
+}
+
+// A panic inside a process surfaces from Run on the caller's goroutine with
+// the process's own panic value.
+func TestProcessPanicSurfacesFromRun(t *testing.T) {
+	env := NewEnv(1)
+	for d := 1; d <= 3; d++ {
+		env.Process("p", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			if d == 2 {
+				panic("boom")
+			}
+		})
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		env.Run(0)
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("Run panicked with %v, want the process's \"boom\"", got)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -62,11 +61,11 @@ type Config struct {
 	// journal — group-wide for a sharded journal — or the volume itself when
 	// unjournaled). Within a group, ack order is still total — which is all
 	// consistency-group replication relies on — but GlobalSeq values are not
-	// comparable ACROSS groups in this mode. The fleet experiments enable it
-	// so per-tenant I/O shares no mutable array state with other tenants,
-	// which is what lets sim.RunParallel execute tenants concurrently.
-	// Management-plane paths (ApplyDeltaSet, snapshots) keep using the shared
-	// controller.
+	// comparable ACROSS groups in this mode. It is the fleets' service
+	// model: each tenant's I/O waits only behind its own volume's queue, not
+	// behind other tenants', which sets their commit latency and recovery
+	// time. Management-plane paths (ApplyDeltaSet, snapshots) keep using the
+	// shared controller.
 	IsolatedVolumes bool
 }
 
@@ -99,10 +98,9 @@ type Array struct {
 	groups     map[string]*SnapshotGroup
 	globalSeq  int64 // global ack counter across all volumes
 
-	// Stats. Atomic because isolated-volume writes may execute inside
-	// parallel scheduler rounds (concurrent tenant steps).
-	writeOps, readOps atomic.Int64
-	bytesWritten      atomic.Int64
+	// Stats: operations served and bytes written.
+	writeOps, readOps int64
+	bytesWritten      int64
 }
 
 // NewArray returns an empty array attached to the simulation environment.
@@ -341,13 +339,13 @@ func (a *Array) Residue(prefix string) []string {
 }
 
 // WriteOps returns the total number of block writes served.
-func (a *Array) WriteOps() int64 { return a.writeOps.Load() }
+func (a *Array) WriteOps() int64 { return a.writeOps }
 
 // ReadOps returns the total number of block reads served.
-func (a *Array) ReadOps() int64 { return a.readOps.Load() }
+func (a *Array) ReadOps() int64 { return a.readOps }
 
 // BytesWritten returns the total bytes written to volumes.
-func (a *Array) BytesWritten() int64 { return a.bytesWritten.Load() }
+func (a *Array) BytesWritten() int64 { return a.bytesWritten }
 
 func (a *Array) String() string {
 	return fmt.Sprintf("Array(%s){vols=%d journals=%d snaps=%d}", a.name, len(a.volumes), len(a.journals), len(a.snapshots))

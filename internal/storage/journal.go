@@ -70,11 +70,9 @@ func (j *Journal) CapacityBytes() int { return j.group.capacityPerShard }
 // capacity check and the replication engine's link charges all count it.
 func (j *Journal) RecordBytes() int { return j.group.array.cfg.BlockSize + recordHeaderBytes }
 
-// append adds a record in ack order and returns its sequence number. The
-// not-empty wakeup is attributed to the acking process p (when given) so a
-// drain blocked on NotEmpty resumes in the right slot of the (at, seq)
-// order even when the append ran inside a parallel scheduler round.
-func (j *Journal) append(p *sim.Proc, vol VolumeID, block int64, data []byte, globalSeq int64, now time.Duration) int64 {
+// append adds a record in ack order, wakes a drain blocked on NotEmpty, and
+// returns the record's sequence number.
+func (j *Journal) append(vol VolumeID, block int64, data []byte, globalSeq int64, now time.Duration) int64 {
 	j.nextSeq++
 	j.pending = append(j.pending, Record{
 		Seq:       j.nextSeq,
@@ -86,11 +84,7 @@ func (j *Journal) append(p *sim.Proc, vol VolumeID, block int64, data []byte, gl
 		AckedAt:   now,
 	})
 	j.appended++
-	if p != nil {
-		p.Trigger(j.notEmpty)
-	} else {
-		j.notEmpty.Trigger()
-	}
+	j.notEmpty.Trigger()
 	return j.nextSeq
 }
 

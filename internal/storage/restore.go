@@ -27,8 +27,8 @@ func (a *Array) CloneVolume(p *sim.Proc, snapID string, newID VolumeID) (*Volume
 		chargeBatch(p, a.controller, 1, a.cfg.WriteLatency, false)
 		clone.blocks[b] = data // shared with the parent; neither ever writes into it
 		clone.writes++
-		a.writeOps.Add(1)
-		a.bytesWritten.Add(int64(a.cfg.BlockSize))
+		a.writeOps++
+		a.bytesWritten += int64(a.cfg.BlockSize)
 	}
 	for b, orig := range s.saved {
 		seen[b] = true

@@ -146,7 +146,7 @@ func (s *Snapshot) Read(p *sim.Proc, block int64) ([]byte, error) {
 func (s *Snapshot) chargeReads(p *sim.Proc, n int, yields bool) {
 	a := s.parent.array
 	chargeBatch(p, a.controller, n, ReadLatency, yields)
-	a.readOps.Add(int64(n))
+	a.readOps += int64(n)
 }
 
 // ReadRange reads count consecutive snapshot blocks starting at start as one

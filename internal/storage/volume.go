@@ -168,9 +168,7 @@ func (v *Volume) writeLatency() time.Duration {
 }
 
 // ack completes one host write whose service time has passed: store the block
-// and, when replication is on, log it. p is the acking process — the journal
-// append attributes its not-empty trigger to it so the wakeup merges correctly
-// under the parallel scheduler.
+// and, when replication is on, log it. p is the acking process.
 func (v *Volume) ack(p *sim.Proc, block int64, data []byte) Ack {
 	v.install(block, data)
 	v.countWrite()
@@ -190,7 +188,7 @@ func (v *Volume) ack(p *sim.Proc, block int64, data []byte) Ack {
 			v.journal.group.overflow()
 			v.noteChange(block) // tracking started just now; cover this write
 		default:
-			ack.GroupSeq = v.journal.append(p, v.id, block, data, ack.GlobalSeq, ack.AckedAt)
+			ack.GroupSeq = v.journal.append(v.id, block, data, ack.GlobalSeq, ack.AckedAt)
 		}
 	}
 	return ack
@@ -253,7 +251,7 @@ func (v *Volume) Read(p *sim.Proc, block int64) ([]byte, error) {
 func (v *Volume) chargeReads(p *sim.Proc, n int, yields bool) {
 	chargeBatch(p, v.service(), n, ReadLatency, yields)
 	v.reads += int64(n)
-	v.array.readOps.Add(int64(n))
+	v.array.readOps += int64(n)
 }
 
 // ReadRange reads count consecutive blocks starting at start as one request:
@@ -318,8 +316,8 @@ func (v *Volume) install(block int64, buf []byte) {
 // however long a prefix it was given as.
 func (v *Volume) countWrite() {
 	v.writes++
-	v.array.writeOps.Add(1)
-	v.array.bytesWritten.Add(int64(v.array.cfg.BlockSize))
+	v.array.writeOps++
+	v.array.bytesWritten += int64(v.array.cfg.BlockSize)
 }
 
 // Poke installs a copy of data without consuming time or journaling; test

@@ -5,15 +5,13 @@
 //
 // Determinism rules (load-bearing — the golden tests enforce them):
 //
-//   - Instruments may be recorded ONLY from domain-0 steps or from probe
-//     callbacks. Domain-0 steps always run alone (never inside a parallel
-//     round), so recording needs no locks and happens in the identical
-//     total order under the sequential and parallel schedulers.
+//   - Recording happens on the scheduler's single thread of control (in a
+//     step or a probe callback), so it needs no locks and happens in the
+//     same total order on every run of a seed.
 //   - Probes are sampled by an Env.OnAdvance observer, which fires on the
 //     scheduler goroutine between instants: it consumes no sequence
 //     numbers and schedules nothing, so enabling telemetry cannot perturb
-//     the (at, seq) kernel trace, and exports are byte-identical under
-//     Env.RunParallel vs the sequential scheduler.
+//     the (at, seq) kernel trace.
 //   - A nil *Registry is the disabled plane: every constructor returns a
 //     nil instrument (the metrics types and Probe are nil-safe) whose
 //     methods no-op without allocating, so the disabled hot path is free.
@@ -218,7 +216,7 @@ type Span struct {
 // StartSpan opens a span at the current virtual time. cat groups spans of
 // one kind (e.g. "epoch", "reshard"); track names the Perfetto row the
 // span renders on (e.g. the tenant namespace). Call End on the returned
-// handle from a later domain-0 step.
+// handle from a later step.
 func (r *Registry) StartSpan(cat, name, track string) Span {
 	if r == nil {
 		return Span{}
