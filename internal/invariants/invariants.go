@@ -127,11 +127,7 @@ func CheckConsistentCut(tenant string, rep consistency.Report) []Violation {
 // at every step boundary — a violation means the barrier leaked.
 func CheckEpochBoundary(tenant string, g replication.Replicator) []Violation {
 	var out []Violation
-	var maxApplied, maxEpoch int64
-	for _, r := range g.ApplyLog() {
-		maxApplied = max(maxApplied, r.GlobalSeq)
-		maxEpoch = max(maxEpoch, r.Epoch)
-	}
+	maxApplied, maxEpoch := g.AppliedHighWater()
 	for _, r := range g.UnappliedRecords() {
 		if r.GlobalSeq < maxApplied {
 			out = append(out, violate("epoch-boundary", tenant,

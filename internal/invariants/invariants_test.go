@@ -205,12 +205,20 @@ type fakeImage struct {
 	resharding         bool
 }
 
-func (f fakeImage) ApplyLog() []storage.Record         { return f.applied }
 func (f fakeImage) UnappliedRecords() []storage.Record { return f.unapplied }
 func (f fakeImage) CommittedEpoch() int64              { return f.committed }
 func (f fakeImage) MigrationBarrier() int64            { return f.barrier }
 func (f fakeImage) Lanes() int                         { return f.lanes }
 func (f fakeImage) Resharding() bool                   { return f.resharding }
+
+// AppliedHighWater folds the applied records the way the engine's install
+// does.
+func (f fakeImage) AppliedHighWater() (globalSeq, epoch int64) {
+	for _, r := range f.applied {
+		globalSeq, epoch = max(globalSeq, r.GlobalSeq), max(epoch, r.Epoch)
+	}
+	return globalSeq, epoch
+}
 
 func TestCheckEpochBoundaryBothCommitRules(t *testing.T) {
 	recs := func(epoch int64, seqs ...int64) []storage.Record {

@@ -111,8 +111,16 @@ type Group struct {
 	appliedRecords int64
 	appliedBytes   int64
 	lastAppliedAck time.Duration
-	applyLog       []storage.Record // applied at target, for verification
 	lost           []storage.Record // abandoned mid-transfer or mid-apply by Stop
+
+	// What install has applied, kept for verification as running facts, not
+	// records: the highest GlobalSeq and Epoch, and the installs out of
+	// per-volume ack order against volSeq, the last GlobalSeq installed per
+	// source volume (made by the first install).
+	maxAppliedSeq   int64
+	maxAppliedEpoch int64
+	orderBreaks     int64
+	volSeq          map[storage.VolumeID]int64
 
 	// Telemetry (set by Instrument; nil handles no-op when disabled).
 	tel          *telemetry.Registry
@@ -336,7 +344,7 @@ func (g *Group) drainLane(p *sim.Proc, l *drainLane) {
 			return
 		}
 		// The batch scratch is reused across iterations; records that
-		// outlive the batch (staged, applyLog, lost) are copied out by value.
+		// outlive the batch (staged, lost) are copied out by value.
 		recs := l.journal.TryTakeInto(l.batch, g.cfg.BatchMax)
 		if recs == nil {
 			if g.coordinating {
@@ -573,7 +581,11 @@ func (g *Group) commitEpoch(p *sim.Proc, sealed int64) {
 	g.committed.Trigger()
 }
 
-// install writes one committed record into its target volume.
+// install writes one committed record into its target volume and folds it
+// into the running facts. Order is checked per source volume, by GlobalSeq:
+// a reshard moves a volume's records to another shard with their old Seq,
+// and its window commits in GlobalSeq order across lanes, so neither a
+// shard's Seq nor a lane's order is the order a volume must apply in.
 func (g *Group) install(r storage.Record) {
 	tv, err := g.target.Volume(g.mapping[r.Volume])
 	if err != nil {
@@ -587,7 +599,15 @@ func (g *Group) install(r storage.Record) {
 	}
 	g.appliedRecords++
 	g.appliedBytes += int64(tv.BlockSize())
-	g.applyLog = append(g.applyLog, r)
+	g.maxAppliedSeq = max(g.maxAppliedSeq, r.GlobalSeq)
+	g.maxAppliedEpoch = max(g.maxAppliedEpoch, r.Epoch)
+	if g.volSeq == nil {
+		g.volSeq = make(map[storage.VolumeID]int64, len(g.journal.Members()))
+	}
+	if r.GlobalSeq <= g.volSeq[r.Volume] {
+		g.orderBreaks++
+	}
+	g.volSeq[r.Volume] = r.GlobalSeq
 }
 
 // renewed returns the pulse event *ev to wait on, replacing a stale fired one
@@ -686,11 +706,18 @@ func (g *Group) AppliedRecords() int64 { return g.appliedRecords }
 // AppliedBytes returns the lifetime payload bytes applied.
 func (g *Group) AppliedBytes() int64 { return g.appliedBytes }
 
-// ApplyLog returns the records applied at the target in apply order: batch
-// by batch under lane commit; epoch by epoch, lane by lane within an epoch,
-// shard-sequence order within a lane under the barrier. The consistency
-// verifier reads it; callers must not mutate it.
-func (g *Group) ApplyLog() []storage.Record { return g.applyLog }
+// AppliedHighWater returns the highest GlobalSeq and, separately, the
+// highest Epoch of any record applied at the target (zero before the first).
+// invariants.CheckEpochBoundary holds them against the unapplied records and
+// the committed epoch.
+func (g *Group) AppliedHighWater() (globalSeq, epoch int64) {
+	return g.maxAppliedSeq, g.maxAppliedEpoch
+}
+
+// OrderBreaks returns how many installs arrived out of per-volume ack order:
+// a record whose GlobalSeq is not above the last one installed for its source
+// volume. Both commit rules keep it at zero.
+func (g *Group) OrderBreaks() int64 { return g.orderBreaks }
 
 // UnappliedRecords returns every record acknowledged at the source but
 // never applied at the target: journal backlogs, staged-but-uncommitted

@@ -2,8 +2,10 @@ package replication
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/fabric"
 	"repro/internal/netlink"
@@ -118,6 +120,39 @@ func TestLaneCommitBatchAllocBudget(t *testing.T) {
 	t.Logf("lane-commit batch of %d writes: %.2f allocations (was %d)", batchWrites, perBatch, batchAllocsBefore)
 }
 
+// TestAppliedPayloadIsNotRetained: once both sites have overwritten a block,
+// the engine holds nothing of the record that carried its old payload, so
+// an engine's memory follows its backlog, not its lifetime.
+func TestAppliedPayloadIsNotRetained(t *testing.T) {
+	r := newAllocRig(1)
+	g := r.create(t, "cg", 0)
+	g.Start()
+	v, _ := r.main.Volume(r.vols(0)[0])
+	var first weak.Pointer[byte]
+	r.env.Process("load", func(p *sim.Proc) {
+		buf := make([]byte, r.main.Config().BlockSize)
+		first = weak.Make(&buf[0])
+		if _, err := v.WriteOwned(p, 0, buf); err != nil {
+			t.Error(err)
+		}
+		g.CatchUp(p)
+		if _, err := v.Write(p, 0, []byte{1}); err != nil {
+			t.Error(err)
+		}
+		g.CatchUp(p)
+		g.Stop()
+	})
+	r.env.Run(0)
+	if g.AppliedRecords() != 2 {
+		t.Fatalf("applied %d records, want 2", g.AppliedRecords())
+	}
+	runtime.GC()
+	if first.Value() != nil {
+		t.Fatal("the first payload is still reachable after both sites overwrote its block")
+	}
+	runtime.KeepAlive(g)
+}
+
 // benchDrain is the replication layer benchmark: stamped block writes spread
 // over 16 volumes drain through `lanes` lanes (one link pair each) — lane
 // commit at one lane, the epoch barrier above — one applied record per op.
@@ -138,7 +173,7 @@ func benchDrain(b *testing.B, lanes int) {
 			r.env.Run(r.env.Now() + 10*time.Millisecond)
 		}
 	}
-	advance(1024) // warm up: scratch, staging and apply log at working size
+	advance(1024) // warm up: scratch and staging at working size
 	b.ReportAllocs()
 	b.ResetTimer()
 	advance(int64(b.N))

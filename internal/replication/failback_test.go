@@ -178,14 +178,11 @@ func TestFailbackCrossVolumeOrderPreserved(t *testing.T) {
 		reverse.CatchUp(p)
 	})
 	r.env.Run(0)
-	log := reverse.ApplyLog()
-	if len(log) < 3 {
-		t.Fatalf("apply log = %d records", len(log))
+	if n := reverse.AppliedRecords(); n < 3 || n != reverse.Journal().Appended() {
+		t.Fatalf("reverse applied %d of %d journaled records", n, reverse.Journal().Appended())
 	}
-	for i := 1; i < len(log); i++ {
-		if log[i].Seq != log[i-1].Seq+1 {
-			t.Fatal("reverse apply order broken")
-		}
+	if reverse.OrderBreaks() != 0 {
+		t.Fatalf("reverse apply order broken: %d installs out of ack order", reverse.OrderBreaks())
 	}
 	reverse.Stop()
 }

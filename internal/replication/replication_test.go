@@ -107,19 +107,56 @@ func TestADCDrainsInOrder(t *testing.T) {
 	if bs.Peek(1)[0] != 0xA1 || bk.Peek(2)[0] != 0xB2 || bs.Peek(3)[0] != 0xC3 {
 		t.Fatal("backup content wrong")
 	}
-	log := g.ApplyLog()
-	if len(log) != 3 {
-		t.Fatalf("apply log has %d records", len(log))
-	}
-	for i, rec := range log {
-		if rec.Seq != int64(i+1) {
-			t.Fatalf("apply order broken: %v", log)
-		}
+	if g.OrderBreaks() != 0 {
+		t.Fatalf("%d installs out of per-volume ack order", g.OrderBreaks())
 	}
 	if g.AppliedRecords() != 3 || g.Backlog() != 0 {
 		t.Fatalf("applied=%d backlog=%d", g.AppliedRecords(), g.Backlog())
 	}
 	g.Stop()
+}
+
+// TestInstallRunningFacts pins what install keeps of the records it applies:
+// an order break is a GlobalSeq not above the last one installed for the
+// same source volume, and the two maxima move independently.
+func TestInstallRunningFacts(t *testing.T) {
+	r := newAllocRig(3)
+	rec := func(vol storage.VolumeID, globalSeq, epoch int64) storage.Record {
+		return storage.Record{Volume: vol, Block: 0, Data: []byte{1}, GlobalSeq: globalSeq, Epoch: epoch}
+	}
+
+	a := r.vols(0)[0]
+	g := r.create(t, "same-volume", 0)
+	g.install(rec(a, 5, 1))
+	g.install(rec(a, 3, 1))
+	if g.OrderBreaks() != 1 {
+		t.Fatalf("a lower GlobalSeq after a higher one on one volume: %d breaks, want 1", g.OrderBreaks())
+	}
+	g.install(rec(a, 3, 1))
+	if g.OrderBreaks() != 2 {
+		t.Fatalf("a repeated GlobalSeq on one volume: %d breaks, want 2", g.OrderBreaks())
+	}
+
+	a, b := r.vols(1)[0], r.vols(1)[1]
+	g = r.create(t, "two-volumes", 1)
+	g.install(rec(a, 5, 1))
+	g.install(rec(b, 3, 1))
+	g.install(rec(a, 6, 1))
+	g.install(rec(b, 4, 1))
+	if g.OrderBreaks() != 0 {
+		t.Fatalf("ascending per volume, interleaved across two: %d breaks, want 0", g.OrderBreaks())
+	}
+
+	a, b = r.vols(2)[0], r.vols(2)[1]
+	g = r.create(t, "maxima", 2)
+	if seq, epoch := g.AppliedHighWater(); seq != 0 || epoch != 0 {
+		t.Fatalf("high water before any install = (%d, %d), want (0, 0)", seq, epoch)
+	}
+	g.install(rec(a, 7, 1))
+	g.install(rec(b, 2, 3))
+	if seq, epoch := g.AppliedHighWater(); seq != 7 || epoch != 3 {
+		t.Fatalf("high water = (%d, %d), want GlobalSeq 7 and Epoch 3 from different records", seq, epoch)
+	}
 }
 
 func TestADCWriteAckDoesNotWaitForLink(t *testing.T) {
@@ -381,15 +418,21 @@ func TestPerVolumeGroupsDivergeWithoutCG(t *testing.T) {
 	// With independent drains over a shared link the applied counts are
 	// whatever the interleaving produced; the replication layer promises
 	// only per-journal order, NOT cross-journal alignment. We assert the
-	// per-journal order here.
-	for i, rec := range gs.ApplyLog() {
-		if rec.Seq != int64(i+1) {
-			t.Fatalf("sales apply order broken at %d", i)
+	// per-journal order here: no install out of order, and each target holds
+	// exactly the first AppliedRecords writes (write i stamps block i with i).
+	for _, g := range []*Group{gs, gk} {
+		if g.OrderBreaks() != 0 {
+			t.Fatalf("%s: %d installs out of ack order", g.Name(), g.OrderBreaks())
 		}
-	}
-	for i, rec := range gk.ApplyLog() {
-		if rec.Seq != int64(i+1) {
-			t.Fatalf("stock apply order broken at %d", i)
+		tv, _ := backup.Volume(g.Members()[0])
+		n := g.AppliedRecords()
+		for i := int64(0); i < n; i++ {
+			if blk := tv.Peek(i); blk == nil || blk[0] != byte(i) {
+				t.Fatalf("%s: block %d is not write %d of %d applied", g.Name(), i, i, n)
+			}
+		}
+		if tv.Peek(n) != nil {
+			t.Fatalf("%s: block %d holds a write past the %d applied", g.Name(), n, n)
 		}
 	}
 }
@@ -425,7 +468,7 @@ func TestBatchSizeAffectsTransferCount(t *testing.T) {
 	}
 }
 
-func TestApplyLogDataIntegrity(t *testing.T) {
+func TestAppliedPayloadIntegrity(t *testing.T) {
 	r := newRig(t, netlink.Config{})
 	g := r.newCG(t, Config{})
 	g.Start()

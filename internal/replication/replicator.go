@@ -27,7 +27,11 @@ type Replicator interface {
 	Backlog() int
 	AppliedRecords() int64
 	AppliedBytes() int64
-	ApplyLog() []storage.Record
+	// AppliedHighWater and OrderBreaks are what the engine keeps of the
+	// records it has applied: the highest GlobalSeq and Epoch, and the count
+	// of installs out of per-volume ack order. No applied record is kept.
+	AppliedHighWater() (globalSeq, epoch int64)
+	OrderBreaks() int64
 	UnappliedRecords() []storage.Record
 	// CommittedEpoch and EpochCommits describe the barrier rule's cuts; a
 	// single lane committing for itself declares none.

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -94,6 +95,76 @@ func TestSmokeQuickstartDeterministic(t *testing.T) {
 			t.Fatalf("quickstart output missing %q:\n%s", want, out1)
 		}
 	}
+}
+
+// TestSmokeDemoGoldens pins the paper's demo and the examples the way
+// `make tables-check` pins the experiment tables: each binary's stdout, at
+// the flags below, must equal its committed golden under testdata/ byte for
+// byte (the output is deterministic; the one scheduler is sequential). A
+// change that means to move one regenerates it from the repository root:
+//
+//	go run ./cmd/backupdemo > testdata/backupdemo.golden
+//	go run ./cmd/backupdemo -disaster > testdata/backupdemo-disaster.golden
+//	go run ./examples/quickstart > testdata/quickstart.golden
+//	go run ./examples/ransomware > testdata/ransomware.golden
+//	go run ./examples/analytics > testdata/analytics.golden
+//
+// and explains every changed line in CHANGES.md.
+func TestSmokeDemoGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	root := repoRoot(t)
+	dir := t.TempDir()
+	build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator),
+		"./cmd/backupdemo", "./examples/quickstart", "./examples/ransomware", "./examples/analytics")
+	build.Dir = root
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, c := range []struct {
+		bin    string
+		args   []string
+		golden string
+	}{
+		{"backupdemo", nil, "backupdemo.golden"},
+		{"backupdemo", []string{"-disaster"}, "backupdemo-disaster.golden"},
+		{"quickstart", nil, "quickstart.golden"},
+		{"ransomware", nil, "ransomware.golden"},
+		{"analytics", nil, "analytics.golden"},
+	} {
+		want, err := os.ReadFile(filepath.Join(root, "testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stderr bytes.Buffer
+		cmd := exec.Command(filepath.Join(dir, c.bin), c.args...)
+		cmd.Stderr = &stderr
+		got, err := cmd.Output()
+		if err != nil {
+			t.Errorf("%s %v: %v\n%s", c.bin, c.args, err, stderr.Bytes())
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s %v: output differs from testdata/%s at %s", c.bin, c.args, c.golden, firstDiff(want, got))
+		}
+	}
+}
+
+// firstDiff names the first line where got departs from want.
+func firstDiff(want, got []byte) string {
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	i := 0
+	for i < len(w) && i < len(g) && w[i] == g[i] {
+		i++
+	}
+	line := func(lines []string) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "(end of output)"
+	}
+	return fmt.Sprintf("line %d:\n  want %q\n  got  %q", i+1, line(w), line(g))
 }
 
 // TestSmokeExperimentsRejectsUnknownRunID pins the -run contract of
