@@ -8,7 +8,7 @@
 #   tables-check     every experiment table equals the committed golden
 #   bench-check      ./benchmark at seed 1 vs BENCH_results.json (the perf gate)
 #   bench-record     re-record BENCH_results.json
-#   profile-<w>      cpu.pprof + mem.pprof of one ./benchmark workload
+#   profile-<w>      <w>.cpu.pprof + <w>.mem.pprof of one ./benchmark workload
 #   telemetry-smoke  E16 end to end, leaves telemetry.json
 #   autopilot-smoke  E17 end to end, leaves e17-decisions.log
 #   chaos-smoke      25 seeded fault schedules under -race; `chaos` is the long sweep
@@ -79,7 +79,9 @@ bench-record:
 	$(GO) run ./benchmark -seed 1 -out BENCH_results.json
 
 # Profile one benchmark workload (make profile-fleet_seq, profile-shop_adc,
-# ...) for 5 s of measured iterations. The heap profile is cumulative over
+# ...) for 5 s of measured iterations into <w>.cpu.pprof and <w>.mem.pprof,
+# so profiles of two workloads sit side by side (CI keeps fleet_seq's and
+# drain_single's). The heap profile is cumulative over
 # the whole process, so it also counts set-up and, on shop_adc, the untimed
 # backup-off reference runs (shopReference: ~37% of alloc_space, ~43% of
 # alloc_objects). Before quoting a share of shop_adc's allocs_per_op or
@@ -90,7 +92,7 @@ bench-record:
 # workloads -focus on the frame that runs the timed simulation, drainPhase or
 # 'Fleet..Run'; -focus runDrain or runFleet matches a few percent.
 profile-%:
-	$(GO) run ./benchmark --workload $* --seconds 5 -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./benchmark --workload $* --seconds 5 -cpuprofile $*.cpu.pprof -memprofile $*.mem.pprof
 
 # E16 smoke: run the observability experiment (churning fleet with the full
 # telemetry plane on, worst-RPO ranking read from the probed series) and

@@ -72,7 +72,8 @@ func violate(invariant, tenant, format string, args ...any) Violation {
 // the image is EXACTLY that prefix (a consistent cross-volume cut: nothing
 // newer leaked past the barrier). This is the E13/E15 write-heavy-tenant
 // check: each block's first 8 bytes carry the big-endian ack sequence of
-// the write that produced it.
+// the write that produced it. A block stored as a shorter prefix (stamp 256
+// is 7 bytes) reads its missing stamp bytes as zeroes.
 func StampedPrefix(vols []*storage.Volume) (int, bool) {
 	written, n := make([][]int64, len(vols)), 0
 	for i, v := range vols {
@@ -82,7 +83,9 @@ func StampedPrefix(vols []*storage.Volume) (int, bool) {
 	present := make(map[uint64]bool, n)
 	for i, v := range vols {
 		for _, b := range written[i] {
-			present[binary.BigEndian.Uint64(v.Peek(b))] = true
+			var stamp [8]byte
+			copy(stamp[:], v.Peek(b))
+			present[binary.BigEndian.Uint64(stamp[:])] = true
 		}
 	}
 	k := uint64(0)

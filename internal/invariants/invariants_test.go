@@ -42,6 +42,25 @@ func TestStampedPrefixExactAndLeaked(t *testing.T) {
 	if k, exact := StampedPrefix([]*storage.Volume{v1, v2}); k != 3 || exact {
 		t.Fatalf("leaked image: prefix = %d exact=%v, want 3 inexact", k, exact)
 	}
+	// A stamp is read from any legal prefix: fill 4..255, then write 256 as
+	// the 7 bytes that read as it.
+	v3, _ := a.CreateVolume("v3", 256)
+	buf := make([]byte, 8)
+	for seq := uint64(4); seq < 256; seq++ {
+		binary.BigEndian.PutUint64(buf, seq)
+		if err := v3.Poke(int64(seq), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.Process("w", func(p *sim.Proc) {
+		if _, err := v3.Write(p, 0, []byte{0, 0, 0, 0, 0, 0, 1}); err != nil {
+			t.Error(err)
+		}
+	})
+	env.Run(0)
+	if k, exact := StampedPrefix([]*storage.Volume{v1, v2, v3}); k != 256 || !exact {
+		t.Fatalf("with a 7-byte stamp: prefix = %d exact=%v, want 256 exact", k, exact)
+	}
 }
 
 // stampedImage pokes stamps 1..blocks round-robin over vols volumes.

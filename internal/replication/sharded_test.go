@@ -80,13 +80,21 @@ func (r *shardedRig) seqWrite(p *sim.Proc, t testing.TB, i int) {
 	}
 }
 
+// stampOf reads the sequence stamp of a stored block, which may be a prefix
+// shorter than the stamp (stamp 256 is 7 bytes): the missing bytes are zeroes.
+func stampOf(blk []byte) uint64 {
+	var stamp [8]byte
+	copy(stamp[:], blk)
+	return binary.BigEndian.Uint64(stamp[:])
+}
+
 // presentSeqs scans the backup image for sequence-stamped blocks.
 func (r *shardedRig) presentSeqs() map[uint64]bool {
 	out := map[uint64]bool{}
 	for _, id := range r.vols {
 		tv, _ := r.backup.Volume(id)
 		for _, b := range tv.WrittenBlocks() {
-			out[binary.BigEndian.Uint64(tv.Peek(b))] = true
+			out[stampOf(tv.Peek(b))] = true
 		}
 	}
 	return out
@@ -250,7 +258,7 @@ func TestShardedLaneScratchIntegrity(t *testing.T) {
 			if blk == nil {
 				t.Fatalf("%s[%d] never applied", id, b)
 			}
-			if got, want := binary.BigEndian.Uint64(blk), uint64(b)*uint64(len(r.vols))+uint64(vi)+1; got != want {
+			if got, want := stampOf(blk), uint64(b)*uint64(len(r.vols))+uint64(vi)+1; got != want {
 				t.Fatalf("%s[%d] holds the payload of write %d, want write %d", id, b, got, want)
 			}
 		}

@@ -268,21 +268,9 @@ func TestWriteOwnedIsWriteMinusTheCopy(t *testing.T) {
 	v, _ := a.CreateVolume("v", 4)
 	j := journalOn(t, a, "cg", "v")
 	env.Process("driver", func(p *sim.Proc) {
-		type cost struct {
-			took                   time.Duration
-			writes, ops, bytes, jn int64
-		}
-		measure := func(write func() (Ack, error)) (Ack, cost) {
-			t0, w, o, b, n := p.Now(), v.Writes(), a.WriteOps(), a.BytesWritten(), j.Appended()
-			ack, err := write()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ack, cost{p.Now() - t0, v.Writes() - w, a.WriteOps() - o, a.BytesWritten() - b, j.Appended() - n}
-		}
 		kept, owned := block(a, 0x01), block(a, 0x02)
-		ack1, c1 := measure(func() (Ack, error) { return v.Write(p, 0, kept) })
-		ack2, c2 := measure(func() (Ack, error) { return v.WriteOwned(p, 1, owned) })
+		ack1, c1 := measureWrite(t, p, v, j, func() (Ack, error) { return v.Write(p, 0, kept) })
+		ack2, c2 := measureWrite(t, p, v, j, func() (Ack, error) { return v.WriteOwned(p, 1, owned) })
 		kept[0] = 0xFF
 		if c1 != c2 || ack2.GlobalSeq != ack1.GlobalSeq+1 || ack2.GroupSeq != ack1.GroupSeq+1 {
 			t.Fatalf("Write cost %+v acked %+v; WriteOwned cost %+v acked %+v", c1, ack1, c2, ack2)

@@ -160,7 +160,7 @@ func TestSnapshotPropertyFrozenImage(t *testing.T) {
 						}
 						for b := int64(0); b < nBlocks; b++ {
 							got, want := snap.Peek(b), s.image[b]
-							if (got == nil) != (want == nil) || !bytes.Equal(got, want) {
+							if !sameBlock(got, want) {
 								ok = false
 								return
 							}

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -108,9 +110,34 @@ type Ack struct {
 // Write stores one block, consuming simulated controller and media time, and
 // returns the ack. Data is the block or a prefix of it: 1 to BlockSize bytes,
 // the rest reading as zeroes, charged as a whole block either way. The caller
-// keeps its buffer: Write is WriteOwned of a copy.
+// keeps its buffer: Write is WriteOwned of a copy of the shortest prefix that
+// reads the same, so a 4 KiB buffer carrying an 8-byte stamp stores 8 bytes.
 func (v *Volume) Write(p *sim.Proc, block int64, data []byte) (Ack, error) {
-	return v.WriteOwned(p, block, bytes.Clone(data))
+	// Validate the caller's length, not the trimmed one: an oversized buffer
+	// of trailing zeroes is still an error.
+	if err := v.checkWrite(block, len(data)); err != nil {
+		return Ack{}, err
+	}
+	return v.WriteOwned(p, block, bytes.Clone(data[:shortestPrefix(data)]))
+}
+
+// shortestPrefix returns one past the last non-zero byte of a non-empty data,
+// at least 1: a written all-zero block stays distinct from a never-written one.
+// It scans back a word at a time, so a buffer whose last byte is non-zero costs
+// one load; the 1 to 8 head bytes are read as one word, right-aligned.
+func shortestPrefix(data []byte) int {
+	n := len(data)
+	for ; n > 8; n -= 8 {
+		if w := binary.LittleEndian.Uint64(data[n-8 : n]); w != 0 {
+			return n - bits.LeadingZeros64(w)/8
+		}
+	}
+	var head [8]byte
+	copy(head[8-n:], data[:n])
+	if w := binary.LittleEndian.Uint64(head[:]); w != 0 {
+		return n - bits.LeadingZeros64(w)/8
+	}
+	return 1
 }
 
 // WriteOwned is the host write for a caller that gives its buffer up: the

@@ -1,0 +1,152 @@
+package storage
+
+import (
+	"bytes"
+	"encoding/binary"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/sim"
+)
+
+// sameBlock reports whether two stored blocks read the same: a block is its
+// prefix followed by zeroes, and nil (never written) matches only nil.
+func sameBlock(x, y []byte) bool {
+	if (x == nil) != (y == nil) {
+		return false
+	}
+	if len(x) > len(y) {
+		x, y = y, x
+	}
+	return bytes.Equal(x, y[:len(x)]) && len(bytes.TrimRight(y[len(x):], "\x00")) == 0
+}
+
+// writeCost is what one host write moved: simulated time, the volume's and
+// the array's write counts, bytes written and records journaled.
+type writeCost struct {
+	took                   time.Duration
+	writes, ops, bytes, jn int64
+}
+
+// measureWrite runs one write to v, journaled to j, and returns its ack and
+// what it moved.
+func measureWrite(t *testing.T, p *sim.Proc, v *Volume, j *Journal, write func() (Ack, error)) (Ack, writeCost) {
+	t.Helper()
+	a := v.array
+	t0, w, o, b, n := p.Now(), v.Writes(), a.WriteOps(), a.BytesWritten(), j.Appended()
+	ack, err := write()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ack, writeCost{p.Now() - t0, v.Writes() - w, a.WriteOps() - o, a.BytesWritten() - b, j.Appended() - n}
+}
+
+// Write stores a copy of the shortest prefix that reads as the caller's
+// buffer — one past its last non-zero byte, at least one byte — and the
+// journal record's Data is that stored slice. It costs the simulated time and
+// moves every counter and the journal exactly as WriteOwned of the whole
+// buffer does.
+func TestWriteStoresShortestPrefix(t *testing.T) {
+	const size = 4096
+	stamped := func(seq uint64) []byte {
+		buf := make([]byte, size)
+		binary.BigEndian.PutUint64(buf, seq)
+		return buf
+	}
+	lastByte := make([]byte, size)
+	lastByte[size-1] = 0x01
+	for _, c := range []struct {
+		name        string
+		buf         []byte
+		len, maxCap int
+	}{
+		{"stamped 4 KiB buffer", stamped(1), 8, 8},
+		{"stamp 256", stamped(256), 7, 8},
+		{"all zeroes", make([]byte, size), 1, 8},
+		{"last byte non-zero", lastByte, size, size},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			a := NewArray(env, "main", Config{})
+			if a.Config().BlockSize != size {
+				t.Fatalf("block size %d, want %d", a.Config().BlockSize, size)
+			}
+			v, _ := a.CreateVolume("v", 4)
+			j := journalOn(t, a, "cg", "v")
+			env.Process("driver", func(p *sim.Proc) {
+				ack1, c1 := measureWrite(t, p, v, j, func() (Ack, error) { return v.Write(p, 0, c.buf) })
+				ack2, c2 := measureWrite(t, p, v, j, func() (Ack, error) { return v.WriteOwned(p, 1, bytes.Clone(c.buf)) })
+				if c1 != c2 || ack2.GlobalSeq != ack1.GlobalSeq+1 || ack2.GroupSeq != ack1.GroupSeq+1 {
+					t.Errorf("Write cost %+v acked %+v; WriteOwned cost %+v acked %+v", c1, ack1, c2, ack2)
+				}
+			})
+			env.Run(time.Second)
+			got, recs := v.Peek(0), j.TryTakeInto(nil, 2)
+			switch {
+			case len(got) != c.len || cap(got) > c.maxCap:
+				t.Fatalf("stored %d bytes of capacity %d, want %d of at most %d", len(got), cap(got), c.len, c.maxCap)
+			case !sameBlock(got, c.buf):
+				t.Fatalf("stored %x, which does not read as the buffer written", got)
+			case &got[0] == &c.buf[0]:
+				t.Fatal("the stored block is the caller's buffer")
+			case len(recs) != 2 || len(recs[0].Data) != len(got) || &recs[0].Data[0] != &got[0]:
+				t.Fatal("the journal record's Data is not the stored block")
+			case !slices.Equal(v.WrittenBlocks(), []int64{0, 1}):
+				t.Fatalf("written blocks %v, want [0 1]", v.WrittenBlocks())
+			}
+		})
+	}
+}
+
+// shortestPrefix agrees with trimming trailing zeroes (kept at one byte) for
+// every length up to three words and every position of the last non-zero byte.
+func TestShortestPrefixMatchesTrim(t *testing.T) {
+	for n := 1; n <= 24; n++ {
+		for last := -1; last < n; last++ {
+			data := make([]byte, n)
+			for i := 0; i <= last; i++ {
+				data[i] = byte(i%3) * 0x80 // zeroes inside the prefix too
+			}
+			if last >= 0 {
+				data[last] = 0x01
+			}
+			want := max(len(bytes.TrimRight(data, "\x00")), 1)
+			if got := shortestPrefix(data); got != want {
+				t.Fatalf("shortestPrefix(%x) = %d, want %d", data, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkVolumeWrite is the copying door's layer benchmark: one Write per op
+// of a 4 KiB buffer carrying the op's sequence in its first 8 bytes, as the
+// drain drivers stamp theirs, over zeroes (stamped) or over 0xA5 (full).
+func BenchmarkVolumeWrite(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		fill byte
+	}{{"stamped", 0}, {"full", 0xA5}} {
+		b.Run(c.name, func(b *testing.B) {
+			env := sim.NewEnv(1)
+			a := NewArray(env, "main", Config{})
+			v, _ := a.CreateVolume("v", 512)
+			buf := bytes.Repeat([]byte{c.fill}, a.Config().BlockSize)
+			for i := range int64(512) {
+				v.Poke(i, buf)
+			}
+			env.Process("writer", func(p *sim.Proc) {
+				for i := range b.N {
+					binary.BigEndian.PutUint64(buf, uint64(i+1))
+					if _, err := v.Write(p, int64(i%512), buf); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			env.Run(0)
+		})
+	}
+}
