@@ -35,9 +35,12 @@ func allocVolume(tb testing.TB, a *storage.Array, id storage.VolumeID, image *st
 }
 
 // inProcess runs fn as the one process of a fresh environment.
-func inProcess(fn func(p *sim.Proc, a *storage.Array)) {
+func inProcess(fn func(p *sim.Proc, a *storage.Array)) { inProcessOn(storage.Config{}, fn) }
+
+// inProcessOn is inProcess over an array configured by cfg.
+func inProcessOn(cfg storage.Config, fn func(p *sim.Proc, a *storage.Array)) {
 	env := sim.NewEnv(1)
-	a := storage.NewArray(env, "arr", storage.Config{})
+	a := storage.NewArray(env, "arr", cfg)
 	env.Process("t", func(p *sim.Proc) { fn(p, a) })
 	env.Run(0)
 }
@@ -146,9 +149,10 @@ func TestCheckpointAllocatesNoPage(t *testing.T) {
 
 // OpenView of a crashed image allocates a fixed part sized once, however many
 // pages it redoes: the view, its two maps and their first buckets (5), the I/O
-// vector at one block and then at the log region's size (which the page
-// scatter reuses), the record slice, and the one array the redone pages share
-// (4) — none of which grows as it fills.
+// vector at the log's first two chunks and then once more — at the log
+// region's size for a log that outgrows them, else at the page scatter's —
+// the record slice, and the one array the redone pages share (4) — none of
+// which grows as it fills.
 func TestOpenViewAllocatesItsSlicesOnce(t *testing.T) {
 	inProcess(func(p *sim.Proc, a *storage.Array) {
 		const txns = 8
@@ -169,17 +173,83 @@ func TestOpenViewAllocatesItsSlicesOnce(t *testing.T) {
 	})
 }
 
+// The fleet's view shape: 512-byte blocks and a snapshot whose rows are all in
+// a short WAL, nothing checkpointed. The vector starts at the log's first two
+// chunks (3 blocks), which any non-empty log reads: a log of two live blocks
+// never sizes it by the WAL region, and the page scatter allocates its own. A
+// log that outgrows two chunks grows it to the region once, which the scatter
+// reuses. Either way OpenView makes the 9 allocations pinned above.
+func TestOpenViewVectorReachesTheRegionOnlyPastTwoChunks(t *testing.T) {
+	inProcessOn(storage.Config{BlockSize: 512}, func(p *sim.Proc, a *storage.Array) {
+		for _, c := range []struct {
+			vlen, live int
+			region     bool // the vector reaches WALBlocks
+		}{{16, 2, false}, {96, 3, true}} {
+			image := walOnlyImage(t, p, a, storage.VolumeID(fmt.Sprint("image", c.vlen)), c.vlen)
+			var v *View
+			allocs := testing.AllocsPerRun(1, func() {
+				var err error
+				if v, err = OpenView(p, "view", image, Config{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			live, _ := v.LogBlocks()
+			if live != c.live || (cap(v.vec) >= v.cfg.WALBlocks) != c.region || allocs != 9 {
+				t.Fatalf("%d-byte rows: %d live log blocks, vector cap %d of a %d-block region, %v allocations; want %d live, region-sized %v, 9",
+					c.vlen, live, cap(v.vec), v.cfg.WALBlocks, allocs, c.live, c.region)
+			}
+		}
+	})
+}
+
+// walOnlyImage is a fleet tenant's database as its snapshot holds it: 8
+// single-row transactions of vlen-byte values over 4 pages, never
+// checkpointed, on a fresh volume whose data pages were never written.
+func walOnlyImage(tb testing.TB, p *sim.Proc, a *storage.Array, id storage.VolumeID, vlen int) *storage.Volume {
+	vol, err := a.CreateVolume(id, 256)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return commitLogOnly(tb, p, vol, 8, 4, vlen)
+}
+
+// BenchmarkOpenViewWALOnly: one op is the analytics step on a fleet tenant's
+// snapshot — OpenView of walOnlyImage's 2-block log with 16-byte rows, then
+// one Scan, whose preload of the never-written data region reads nil.
+func BenchmarkOpenViewWALOnly(b *testing.B) {
+	inProcessOn(storage.Config{BlockSize: 512}, func(p *sim.Proc, a *storage.Array) {
+		image := walOnlyImage(b, p, a, "image", 16)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			v, err := OpenView(p, "view", image, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := v.Scan(p, func(Row) bool { return true }); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // crashedImage commits txns single-row transactions over `pages` distinct
 // pages and returns the volume as a crash leaves it: rows only in the WAL.
 func crashedImage(tb testing.TB, p *sim.Proc, a *storage.Array, id storage.VolumeID, txns, pages int) *storage.Volume {
-	vol := allocVolume(tb, a, id, nil)
+	return commitLogOnly(tb, p, allocVolume(tb, a, id, nil), txns, pages, 16)
+}
+
+// commitLogOnly commits txns single-row transactions of vlen-byte values over
+// `pages` distinct pages to vol and returns it as a crash leaves it: rows only
+// in the WAL.
+func commitLogOnly(tb testing.TB, p *sim.Proc, vol *storage.Volume, txns, pages, vlen int) *storage.Volume {
 	d, err := Open(p, "crashed", vol, Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	for i := 0; i < txns; i++ {
 		tx := d.Begin()
-		tx.Put(uint64(1+i%pages), make([]byte, 16))
+		tx.Put(uint64(1+i%pages), make([]byte, vlen))
 		if err := tx.Commit(p); err != nil {
 			tb.Fatal(err)
 		}

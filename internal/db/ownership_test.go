@@ -278,6 +278,53 @@ func TestReadsCacheBorrowedPages(t *testing.T) {
 	})
 }
 
+// A Scan of a data region never written preloads it as nil, and a Checkpoint
+// after it still caches every page it hands over: the checkpointed rows are
+// served from the clean cache, each the volume's own slice, with no further
+// volume read.
+func TestCheckpointAfterUnwrittenPreloadKeepsPagesClean(t *testing.T) {
+	withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
+		d, err := Open(p, "sales", vol, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		scan := func() {
+			rows = 0
+			if err := d.Scan(p, func(Row) bool { rows++; return true }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan()
+		if rows != 0 || !d.preloaded || d.region != nil {
+			t.Fatalf("scan of an unwritten region saw %d rows, preloaded %v, region of %d pages; want 0, true, nil", rows, d.preloaded, len(d.region))
+		}
+		tx := d.Begin()
+		tx.Put(7, []byte("a"))
+		tx.Put(8, []byte("b"))
+		if err := tx.Commit(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+		reads := vol.Reads()
+		for key, want := range map[uint64]string{7: "a", 8: "b"} {
+			if v, ok, err := d.Get(p, key); err != nil || !ok || string(v) != want {
+				t.Fatalf("get %d = %q, %v, %v; want %q", key, v, ok, err, want)
+			}
+			b := d.pageBlock(key)
+			if pg, stored := d.region[b-d.dataBase], vol.Peek(b); stored == nil || &pg[0] != &stored[0] {
+				t.Fatalf("page %d is not cached as the volume's stored slice", b)
+			}
+		}
+		scan()
+		if rows != 2 || vol.Reads() != reads || len(d.owned) != 0 {
+			t.Fatalf("after the checkpoint: scan saw %d rows, %d volume reads, %d dirty pages; want 2, 0, 0", rows, vol.Reads()-reads, len(d.owned))
+		}
+	})
+}
+
 // txnShape builds one transaction's rows: n rows of vlen-byte values, each
 // value distinct, with every third key repeated so last-write-wins is exercised.
 func txnShape(n, vlen int) (keys []uint64, vals [][]byte) {

@@ -23,7 +23,9 @@ import (
 // consecutive blocks: Scan's preload of the data region) and ReadBlocks (the
 // blocks a vector names: the replay's log chunks, the pages the redo touches)
 // are one request and one scheduler step each, borrowed block by block exactly
-// as Read is; the array serves a request as wide as it has free slots.
+// as Read is; the array serves a request as wide as it has free slots. A
+// range none of whose blocks was written is nil as a whole, charged as any
+// range of its width.
 type BlockReader interface {
 	Read(p *sim.Proc, block int64) ([]byte, error)
 	ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error)
@@ -55,13 +57,15 @@ type reader struct {
 	epoch    uint32 // log epoch: the superblock's, which Checkpoint bumps
 	nextTxID uint64
 
-	owned  map[int64][]byte
-	reads  map[int64][]byte // clean pages read one at a time; made on first use
-	region [][]byte         // clean pages of the whole data region, once Scan preloaded it
+	owned     map[int64][]byte
+	reads     map[int64][]byte // clean pages read one at a time; made on first use
+	region    [][]byte         // clean pages of the whole data region once Scan preloaded it; nil while none was written
+	preloaded bool             // Scan has preloaded the region: region, not reads, is the clean cache
 
 	// vec is the one I/O vector: the replay's log chunks, its scatter read and
 	// Checkpoint's gather write fill it in turn, so it grows only past the
-	// largest of them.
+	// largest of them. It starts at the log's first two chunks and reaches the
+	// log region's size only for a log that outgrows them.
 	vec []storage.BlockIO
 
 	committed map[uint64]bool
@@ -213,12 +217,15 @@ func (r *reader) eachRoom(pages, more []storage.BlockIO, fn func(io storage.Bloc
 // vector, and stops after the chunk that holds the first block that is not
 // wal.LiveBlock: L live blocks cost at most min(2L+1, WALBlocks) reads, one
 // for an empty log. The error is wal.ScanLog's over the blocks read.
+//
+// The vector starts with room for the first two chunks, which any non-empty
+// log reads, and grows to the region once, only for a log that outgrows them.
 func (r *reader) readLog(p *sim.Proc) ([]wal.Record, error) {
-	r.vec = r.vecFor(1)
+	r.vec = r.vecFor(min(3, r.cfg.WALBlocks))
 	for chunk := 1; r.logLive == len(r.vec) && len(r.vec) < r.cfg.WALBlocks; chunk *= 2 {
 		n := len(r.vec)
 		chunk = min(chunk, r.cfg.WALBlocks-n)
-		if cap(r.vec) < n+chunk { // past the first block: room for the region, once
+		if cap(r.vec) < n+chunk { // past the first two chunks: room for the region, once
 			r.vec = append(make([]storage.BlockIO, 0, r.cfg.WALBlocks), r.vec...)
 		}
 		for i := range chunk {
@@ -268,17 +275,26 @@ func (r *reader) pageBlock(key uint64) int64 {
 }
 
 // cleanPage returns the block as a clean cache holds it, and whether one does.
+// A preloaded region that came back nil holds every page, none written.
 func (r *reader) cleanPage(block int64) ([]byte, bool) {
-	if r.region != nil {
+	if r.preloaded {
+		if r.region == nil {
+			return nil, true
+		}
 		return r.region[block-r.dataBase], true
 	}
 	pg, ok := r.reads[block]
 	return pg, ok
 }
 
-// keepClean caches pg as the block's clean page: what the volume holds.
+// keepClean caches pg as the block's clean page: what the volume holds. After
+// a preload that found nothing written (a Checkpoint after a Scan), the region
+// is made here, all nil but pg.
 func (r *reader) keepClean(block int64, pg []byte) {
-	if r.region != nil {
+	if r.preloaded {
+		if r.region == nil {
+			r.region = make([][]byte, r.dataPages)
+		}
 		r.region[block-r.dataBase] = pg
 		return
 	}
@@ -351,14 +367,16 @@ func (r *reader) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 //
 // A scan is sequential by nature, so the first one preloads the data region
 // with one fused range read instead of one random read per page, and keeps the
-// sparse borrowed range as the clean cache. The preload rule is "not preloaded
-// yet", whatever pages Get cached singly before — every one of them, even.
+// sparse borrowed range as the clean cache (nil while no page was written).
+// The preload rule is "not preloaded yet", whatever pages Get cached singly
+// before — every one of them, even.
 func (r *reader) Scan(p *sim.Proc, fn func(Row) bool) error {
-	if r.region == nil {
-		var err error
-		if r.region, err = r.img.ReadRange(p, r.dataBase, int(r.dataPages)); err != nil {
+	if !r.preloaded {
+		region, err := r.img.ReadRange(p, r.dataBase, int(r.dataPages))
+		if err != nil {
 			return err
 		}
+		r.region, r.preloaded = region, true
 	}
 	for b := r.dataBase; b < r.dataBase+r.dataPages; b++ {
 		page, _ := r.loadPage(p, b) // preloaded: reads nothing, cannot fail

@@ -1,0 +1,80 @@
+package fleet
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/storage"
+)
+
+// Per-phase allocation budget of the fleet workload's snapshot + verify phase
+// (the paper's Fig. 6 step): one tenant's group snapshot of its backup
+// volumes, the two views opened on it, analytics.Sales and consistency.Verify.
+// A tenant of fleet_seq's shape — 512-byte blocks, 256-block volumes, 8 orders,
+// so every row is in a never-checkpointed WAL — pays this once or twice per
+// run, so a move in the fleet's MB/op that this pin does not show is in
+// another phase. Before the views stopped sizing the log vector and the scan
+// preload by their regions the phase cost 47 allocations and 20,136 bytes.
+const (
+	verifyAllocsBudget = 46
+	verifyBytesBudget  = 11_592
+)
+
+func TestVerifySnapshotAllocBudget(t *testing.T) {
+	f := New(Config{
+		Tenants:         4,
+		OrdersPerTenant: 8,
+		StartBarrier:    true,
+		System:          core.Config{Seed: 1, VolumeBlocks: 256, Storage: storage.Config{BlockSize: 512}},
+	})
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var tn *Tenant
+	for _, c := range f.Tenants {
+		if !c.Failover && !c.Leave {
+			tn = c
+			break
+		}
+	}
+	const runs = 10
+	tags := make([]string, runs+1)
+	for i := range tags {
+		tags[i] = fmt.Sprint("budget", i)
+	}
+	var allocs, bytes uint64
+	f.Sys.Env.Process("budget", func(p *sim.Proc) {
+		var before, after runtime.MemStats
+		for i, tag := range tags { // the first call warms up
+			runtime.ReadMemStats(&before)
+			err := f.verifySnapshot(p, tn, tag)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if i > 0 {
+				allocs += after.Mallocs - before.Mallocs
+				bytes += after.TotalAlloc - before.TotalAlloc
+			}
+			// Drop the group so the array's snapshot maps stay at one size.
+			if err := f.Sys.Backup.Array.DeleteSnapshotGroup(tn.Namespace + "-" + tag); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	f.Sys.Env.Run(0)
+	if !tn.Report.OrderingOK() || tn.Report.Collapsed() {
+		t.Fatalf("%s: snapshot verdict %v", tn.Namespace, tn.Report)
+	}
+	perAllocs, perBytes := allocs/runs, bytes/runs
+	t.Logf("snapshot + views + analytics + verify: %d allocations, %d bytes", perAllocs, perBytes)
+	if perAllocs > verifyAllocsBudget || perBytes > verifyBytesBudget {
+		t.Fatalf("snapshot + verify phase cost %d allocations and %d bytes, budget %d and %d",
+			perAllocs, perBytes, verifyAllocsBudget, verifyBytesBudget)
+	}
+}

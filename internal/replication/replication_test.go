@@ -252,6 +252,38 @@ func TestSyncVolumeReadIsLocal(t *testing.T) {
 	}
 }
 
+// A range over never-written blocks reads nil as a whole through a SyncVolume,
+// and is charged as a written range of its width: the same simulated time and
+// read ops on the local array.
+func TestSyncVolumeUnwrittenRangeIsNil(t *testing.T) {
+	r := newRig(t, netlink.Config{Propagation: time.Hour})
+	tv, _ := r.backup.Volume("sales")
+	sv := NewSyncVolume(r.sales, tv, r.links)
+	type cost struct {
+		took time.Duration
+		ops  int64
+	}
+	var written, unwritten cost
+	var got [][]byte
+	r.env.Process("io", func(p *sim.Proc) {
+		measure := func(start int64) ([][]byte, cost) {
+			ops, t0 := r.main.ReadOps(), p.Now()
+			blks, err := sv.ReadRange(p, start, 4)
+			if err != nil {
+				t.Error(err)
+			}
+			return blks, cost{p.Now() - t0, r.main.ReadOps() - ops}
+		}
+		r.sales.Poke(0, fill(r.main, 3))
+		_, written = measure(0)
+		got, unwritten = measure(100)
+	})
+	r.env.Run(0)
+	if got != nil || written.ops != 4 || unwritten != written {
+		t.Fatalf("unwritten range: nil=%v, cost %+v; written range cost %+v (want nil, the same, 4 ops)", got == nil, unwritten, written)
+	}
+}
+
 func TestInitialCopyTransfersExistingData(t *testing.T) {
 	r := newRig(t, netlink.Config{Propagation: time.Millisecond})
 	r.env.Process("preload", func(p *sim.Proc) {

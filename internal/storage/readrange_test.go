@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -25,7 +26,9 @@ type reader interface {
 // always charged, and every slice borrowed at an earlier stage must still
 // hold the bytes it held then. The 6-block range is one request: one round on
 // the idle 8-slot controller, six on an isolated volume's queue of one (its
-// snapshot is still served by the controller).
+// snapshot is still served by the controller). A range with no block written
+// is nil as a whole and charged the same: the first stage reads a fresh volume
+// and a snapshot taken before any write.
 func TestEveryReadIsSparseAndBorrowed(t *testing.T) {
 	everyReadIsSparseAndBorrowed(t, Config{}, 1)
 	everyReadIsSparseAndBorrowed(t, Config{IsolatedVolumes: true}, 6)
@@ -106,28 +109,37 @@ func everyReadIsSparseAndBorrowed(t *testing.T, cfg Config, volumeRangeRounds in
 				t.Fatalf("%s: %s.ReadRange: %v", stage, who, err)
 			}
 		})
+		if (ranged == nil) != !slices.Contains(written, true) {
+			t.Errorf("%s: %s.ReadRange returned nil=%v with written blocks %v", stage, who, ranged == nil, written)
+		}
 		for b := 0; b < size; b++ {
 			var one, peeked []byte
 			charged(p, stage+": "+who+".Read", 1, 1, func() { one, _ = r.Read(p, int64(b)) })
 			charged(p, stage+": "+who+".Peek", 0, 0, func() { peeked = r.Peek(int64(b)) })
-			for how, got := range map[string][]byte{"Read": one, "Peek": peeked, "ReadRange": ranged[b]} {
+			rangedB := rangeBlock(ranged, b)
+			for how, got := range map[string][]byte{"Read": one, "Peek": peeked, "ReadRange": rangedB} {
 				if (got != nil) != written[b] {
 					t.Errorf("%s: %s.%s block %d: nil=%v but written=%v", stage, who, how, b, got == nil, written[b])
 				}
-				if got == nil || ranged[b] == nil {
+				if got == nil || rangedB == nil {
 					continue
 				}
-				if &got[0] != &ranged[b][0] || len(got) != a.Config().BlockSize {
+				if &got[0] != &rangedB[0] || len(got) != a.Config().BlockSize {
 					t.Errorf("%s: %s.%s block %d is not the slice ReadRange borrowed: a copy was made", stage, who, how, b)
 				}
 			}
-			if ranged[b] != nil {
-				held = append(held, borrowed{stage + "/" + who, b, ranged[b], bytes.Clone(ranged[b])})
+			if rangedB != nil {
+				held = append(held, borrowed{stage + "/" + who, b, rangedB, bytes.Clone(rangedB)})
 			}
 		}
 	}
 
 	env.Process("driver", func(p *sim.Proc) {
+		fresh, _ := a.CreateVolume("fresh", size)
+		freshSnap, _ := a.CreateSnapshot("fresh-s", "fresh")
+		none := make([]bool, size)
+		check(p, "nothing written", "volume", fresh, volumeRangeRounds, none)
+		check(p, "nothing written", "snapshot", freshSnap, 1, none)
 		for _, st := range stages {
 			st.do(p)
 			check(p, st.name, "volume", v, volumeRangeRounds, st.volume)
@@ -146,6 +158,15 @@ func everyReadIsSparseAndBorrowed(t *testing.T, cfg Config, volumeRangeRounds in
 	if len(held) == 0 {
 		t.Fatal("no block was ever borrowed")
 	}
+}
+
+// rangeBlock indexes a ReadRange result, which is nil as a whole when no block
+// in the range was written.
+func rangeBlock(ranged [][]byte, b int) []byte {
+	if ranged == nil {
+		return nil
+	}
+	return ranged[b]
 }
 
 // A steady-state single-block read allocates nothing — no block, no result

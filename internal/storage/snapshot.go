@@ -150,17 +150,14 @@ func (s *Snapshot) chargeReads(p *sim.Proc, n int, yields bool) {
 }
 
 // ReadRange reads count consecutive snapshot blocks starting at start as one
-// request, like Volume.ReadRange.
+// request, like Volume.ReadRange: sparse and borrowed, and nil as a whole when
+// no block in the range was written at the snapshot instant.
 func (s *Snapshot) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
 	if count < 0 || start < 0 || start+int64(count) > s.parent.sizeBlocks {
 		return nil, fmt.Errorf("%w: snapshot %s[%d..%d)", ErrOutOfRange, s.id, start, start+int64(count))
 	}
 	s.chargeReads(p, count, false)
-	out := make([][]byte, count)
-	for i := range out {
-		out[i] = s.stored(start + int64(i))
-	}
-	return out, nil
+	return sparseRange(count, func(i int) []byte { return s.stored(start + int64(i)) }), nil
 }
 
 // ReadBlocks is one scatter read of snapshot-time blocks, like

@@ -284,17 +284,29 @@ func (v *Volume) chargeReads(p *sim.Proc, n int, yields bool) {
 // ReadRange reads count consecutive blocks starting at start as one request:
 // one scheduler step, its service time chargeBatch's — count reads spread over
 // the slots free when it starts, so count × ReadLatency only on a queue of one.
-// The result is sparse and borrowed, block by block as Read's is.
+// The result is sparse and borrowed, block by block as Read's is, and nil as a
+// whole when no block in the range was written (charged the same).
 func (v *Volume) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
 	if count < 0 || start < 0 || start+int64(count) > v.sizeBlocks {
 		return nil, fmt.Errorf("%w: %s[%d..%d)", ErrOutOfRange, v.id, start, start+int64(count))
 	}
 	v.chargeReads(p, count, false)
-	out := make([][]byte, count)
-	for i := range out {
-		out[i] = v.blocks[start+int64(i)]
+	return sparseRange(count, func(i int) []byte { return v.blocks[start+int64(i)] }), nil
+}
+
+// sparseRange returns the count blocks at(0..count-1) gives, or nil when every
+// one is nil: the slice is made at the first written block.
+func sparseRange(count int, at func(i int) []byte) [][]byte {
+	var out [][]byte
+	for i := range count {
+		if blk := at(i); blk != nil {
+			if out == nil {
+				out = make([][]byte, count)
+			}
+			out[i] = blk
+		}
 	}
-	return out, nil
+	return out
 }
 
 // ReadBlocks is one scatter read: ReadRange's request for the blocks the
