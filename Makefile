@@ -12,7 +12,7 @@
 #   telemetry-smoke  E16 end to end, leaves telemetry.json
 #   autopilot-smoke  E17 end to end, leaves e17-decisions.log
 #   chaos-smoke      25 seeded fault schedules under -race; `chaos` is the long sweep
-#   lines            the two Go line counts and DESIGN.md's size ROADMAP tracks (not part of ci)
+#   lines            the Go line counts and DESIGN.md's size ROADMAP tracks, per internal/ package too (not part of ci)
 
 GO ?= go
 
@@ -125,8 +125,11 @@ chaos:
 
 # The sizes ROADMAP's aim 2 is judged by: non-test Go outside benchmark/ (the
 # product; benchmark/ is frozen for perf and simplicity PRs), all Go, and
-# DESIGN.md's byte count.
+# DESIGN.md's byte count; then the non-test Go lines of each internal/
+# package, so a PR can state what it took out of the one it touched.
 lines:
 	@printf 'non-test Go lines outside benchmark/: %d\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
 	@printf 'total Go lines: %d\n' "$$(find . -name '*.go' | xargs cat | wc -l)"
 	@printf 'DESIGN.md bytes: %d\n' "$$(wc -c < DESIGN.md)"
+	@for d in internal/*/; do \
+		printf '%s non-test Go lines: %d\n' "$${d%/}" "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done

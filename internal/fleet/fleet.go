@@ -184,9 +184,8 @@ func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
 	cfg.System.ProvisionTimeout = max(cfg.System.ProvisionTimeout, readyTimeout)
 	// Fleet tenants are independent services: each volume gets its own
-	// single-slot service queue (and ack numbering scoped to its consistency
-	// group), the multi-tenant array model, instead of one controller every
-	// tenant queues behind.
+	// single-slot service queue, the multi-tenant array model, instead of
+	// one controller every tenant queues behind.
 	cfg.System.Storage.IsolatedVolumes = true
 	f := &Fleet{Sys: core.NewSystem(cfg.System), Cfg: cfg}
 	leaves := make(map[int]LeaveSpec, len(cfg.Leaves))

@@ -56,16 +56,12 @@ type Config struct {
 	// Parallelism is the controller's concurrent operation limit (default 8).
 	Parallelism int
 	// IsolatedVolumes gives every volume its own single-slot service queue
-	// instead of funnelling all I/O through the shared controller resource,
-	// and scopes write-ack numbering to the volume's consistency group (its
-	// journal — group-wide for a sharded journal — or the volume itself when
-	// unjournaled). Within a group, ack order is still total — which is all
-	// consistency-group replication relies on — but GlobalSeq values are not
-	// comparable ACROSS groups in this mode. It is the fleets' service
-	// model: each tenant's I/O waits only behind its own volume's queue, not
-	// behind other tenants', which sets their commit latency and recovery
-	// time. Management-plane paths (ApplyDeltaSet, snapshots) keep using the
-	// shared controller.
+	// instead of funnelling all I/O through the shared controller resource.
+	// It is the fleets' service model: each tenant's I/O waits only behind
+	// its own volume's queue, not behind other tenants', which sets their
+	// commit latency and recovery time. Management-plane paths
+	// (ApplyDeltaSet, snapshots) keep using the shared controller. Ack
+	// numbering is the same array-wide GlobalSeq in either mode.
 	IsolatedVolumes bool
 }
 

@@ -8,12 +8,13 @@ import (
 )
 
 // Record is one update log entry in a journal volume: which block of which
-// volume was written, the data, and where the write fell in the journal's
-// ack order (Seq) and the array-wide ack order (GlobalSeq). Every record
-// also carries the group Epoch open at ack time — the cross-shard ordering
-// barrier the multi-lane drain commits on.
+// volume was written, the data, and its write's place in the array-wide ack
+// order (GlobalSeq, the number the write was acked with). A shard appends in
+// ack order, so its records ascend by GlobalSeq, and a group's shards merged
+// by GlobalSeq give the group's write order. Every record also carries the
+// group Epoch open at ack time — the cross-shard ordering barrier the
+// multi-lane drain commits on.
 type Record struct {
-	Seq       int64
 	GlobalSeq int64
 	Epoch     int64
 	Volume    VolumeID
@@ -25,16 +26,16 @@ type Record struct {
 const recordHeaderBytes = 64
 
 // Journal is an update-log volume: one shard of a consistency group's
-// ShardedJournal. The volumes placed on it share its Seq numbers — one total
-// order over all their writes, which the backup site replays exactly. Its
-// appends are stamped with the group epoch, and its capacity and overflow
-// state are the group's: a shard never suspends alone.
+// ShardedJournal. The volumes placed on it share its record order — one
+// total order over all their writes, ascending by GlobalSeq, which the
+// backup site replays exactly. Its appends are stamped with the group epoch,
+// and its capacity and overflow state are the group's: a shard never
+// suspends alone.
 type Journal struct {
 	env      *sim.Env
 	group    *ShardedJournal
 	id       string
 	pending  []Record
-	nextSeq  int64
 	appended int64
 	drained  int64
 	notEmpty *sim.Event
@@ -70,12 +71,9 @@ func (j *Journal) CapacityBytes() int { return j.group.capacityPerShard }
 // capacity check and the replication engine's link charges all count it.
 func (j *Journal) RecordBytes() int { return j.group.array.cfg.BlockSize + recordHeaderBytes }
 
-// append adds a record in ack order, wakes a drain blocked on NotEmpty, and
-// returns the record's sequence number.
-func (j *Journal) append(vol VolumeID, block int64, data []byte, globalSeq int64, now time.Duration) int64 {
-	j.nextSeq++
+// append adds a record in ack order and wakes a drain blocked on NotEmpty.
+func (j *Journal) append(vol VolumeID, block int64, data []byte, globalSeq int64, now time.Duration) {
 	j.pending = append(j.pending, Record{
-		Seq:       j.nextSeq,
 		GlobalSeq: globalSeq,
 		Epoch:     j.group.epoch,
 		Volume:    vol,
@@ -85,15 +83,6 @@ func (j *Journal) append(vol VolumeID, block int64, data []byte, globalSeq int64
 	})
 	j.appended++
 	j.notEmpty.Trigger()
-	return j.nextSeq
-}
-
-// nextAckSeq stamps one member write in the group-wide scoped ack order
-// (Config.IsolatedVolumes) — cross-shard merges rely on one ascending order
-// per group.
-func (j *Journal) nextAckSeq() int64 {
-	j.group.ackSeq++
-	return j.group.ackSeq
 }
 
 // Pending returns the number of records awaiting drain (the backlog).
@@ -212,10 +201,11 @@ func (j *Journal) takeVolume(vol VolumeID) []Record {
 }
 
 // mergeIn splices records into the pending backlog by GlobalSeq — the
-// array-wide ack order. Both the backlog and recs are GlobalSeq-ascending
-// (append order is ack order), so the merge keeps the result ascending,
-// which in turn keeps epochs non-decreasing: the invariant
-// OldestPendingEpoch readers (the multi-lane drain's barrier math) rely on.
+// array-wide ack order, the one sequence a record carries. Both the backlog
+// and recs are GlobalSeq-ascending (append order is ack order), so the
+// merge keeps the result ascending, which in turn keeps epochs
+// non-decreasing: the invariant OldestPendingEpoch readers (the multi-lane
+// drain's barrier math) rely on.
 func (j *Journal) mergeIn(recs []Record) {
 	if len(recs) == 0 {
 		return

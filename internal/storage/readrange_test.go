@@ -293,10 +293,13 @@ func TestWriteOwnedIsWriteMinusTheCopy(t *testing.T) {
 		ack1, c1 := measureWrite(t, p, v, j, func() (Ack, error) { return v.Write(p, 0, kept) })
 		ack2, c2 := measureWrite(t, p, v, j, func() (Ack, error) { return v.WriteOwned(p, 1, owned) })
 		kept[0] = 0xFF
-		if c1 != c2 || ack2.GlobalSeq != ack1.GlobalSeq+1 || ack2.GroupSeq != ack1.GroupSeq+1 {
+		if c1 != c2 || ack2.GlobalSeq != ack1.GlobalSeq+1 {
 			t.Fatalf("Write cost %+v acked %+v; WriteOwned cost %+v acked %+v", c1, ack1, c2, ack2)
 		}
 		recs := j.TryTakeInto(nil, 2)
+		if len(recs) != 2 || recs[0].GlobalSeq != ack1.GlobalSeq || recs[1].GlobalSeq != ack2.GlobalSeq {
+			t.Fatalf("journaled %d records for acks %d, %d", len(recs), ack1.GlobalSeq, ack2.GlobalSeq)
+		}
 		if &v.Peek(0)[0] == &kept[0] || v.Peek(0)[0] != 0x01 || &recs[0].Data[0] != &v.Peek(0)[0] {
 			t.Fatal("Write must store and log one copy of the caller's buffer")
 		}

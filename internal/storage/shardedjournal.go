@@ -15,7 +15,8 @@ import (
 //   - placement: every volume is pinned to one shard by a stable hash of
 //     its ID (ShardFor), so all writes to a volume share one shard and the
 //     per-volume write order is a per-shard sequence order;
-//   - per-shard sequence: each shard is a Journal with its own Seq;
+//   - per-shard order: each shard is a Journal whose records ascend by
+//     GlobalSeq, the array-wide ack order every write is stamped with;
 //   - group epoch: every record is stamped with the epoch open at ack time.
 //     SealEpoch atomically closes the epoch, so "all records with epoch <= E"
 //     is an exact prefix of the group's cross-volume ack order. The
@@ -33,7 +34,6 @@ type ShardedJournal struct {
 	shards  []*Journal
 	members []VolumeID // attach order
 	epoch   int64      // current open epoch (starts at 1)
-	ackSeq  int64      // group-wide ack order (Config.IsolatedVolumes)
 
 	// capacityPerShard bounds every shard's backlog in bytes (0 =
 	// unlimited). When an append would exceed it the WHOLE group overflows:

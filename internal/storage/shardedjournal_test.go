@@ -204,17 +204,17 @@ func TestShardedTryTakeIntoBuffersAreIndependent(t *testing.T) {
 	snapshot := append([]Record(nil), b1...)
 	// Overwrite lane 0's batch wholesale; lane 1's batch must be untouched.
 	for i := range b0 {
-		b0[i] = Record{Seq: -1, Volume: "poison"}
+		b0[i] = Record{GlobalSeq: -1, Volume: "poison"}
 	}
 	for i := range b1 {
-		if b1[i].Seq != snapshot[i].Seq || b1[i].Volume != snapshot[i].Volume {
+		if b1[i].GlobalSeq != snapshot[i].GlobalSeq || b1[i].Volume != snapshot[i].Volume {
 			t.Fatalf("shard 1 batch mutated by shard 0 write at %d: %+v", i, b1[i])
 		}
 	}
 	// And the next take on shard 0 reuses ITS buffer without touching b1.
 	_ = s0.TryTakeInto(b0, 4)
 	for i := range b1 {
-		if b1[i].Seq != snapshot[i].Seq {
+		if b1[i].GlobalSeq != snapshot[i].GlobalSeq {
 			t.Fatalf("shard 1 batch mutated by shard 0 re-take at %d", i)
 		}
 	}

@@ -3,6 +3,9 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -155,23 +158,99 @@ func TestJournaledWritePaysJournalLatency(t *testing.T) {
 	}
 }
 
+// Every array acks its writes in one array-wide order, whatever its service
+// model: GlobalSeq is dense and strictly increasing across consistency groups
+// and unjournaled volumes alike, each journal record carries its write's ack,
+// and a group's shards merged by GlobalSeq give the group's write order.
 func TestGlobalSeqIsMonotonicAcrossVolumes(t *testing.T) {
-	env, a := newTestArray(t)
-	v1, _ := a.CreateVolume("a", 10)
-	v2, _ := a.CreateVolume("b", 10)
-	var acks []Ack
-	env.Process("io", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			ack1, _ := v1.Write(p, int64(i), block(a, 1))
-			ack2, _ := v2.Write(p, int64(i), block(a, 2))
-			acks = append(acks, ack1, ack2)
-		}
-	})
-	env.Run(0)
-	for i := 1; i < len(acks); i++ {
-		if acks[i].GlobalSeq != acks[i-1].GlobalSeq+1 {
-			t.Fatalf("global seq not dense-monotonic: %v then %v", acks[i-1], acks[i])
-		}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"shared controller", Config{}},
+		{"isolated volumes", Config{IsolatedVolumes: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			a := NewArray(env, "main", c.cfg)
+			vols := []VolumeID{"a", "b", "c", "d", "e", "u"} // u is unjournaled
+			for _, id := range vols {
+				if _, err := a.CreateVolume(id, 10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			groups := []struct {
+				members []VolumeID
+				shards  int
+			}{{[]VolumeID{"a", "b"}, 1}, {[]VolumeID{"c", "d", "e"}, 2}}
+			sjs := make([]*ShardedJournal, len(groups))
+			for i, g := range groups {
+				sj, err := a.CreateConsistencyGroup(fmt.Sprintf("cg%d", i), g.members, g.shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sjs[i] = sj
+			}
+			var acks []Ack
+			env.Process("io", func(p *sim.Proc) {
+				for i := 0; i < 4; i++ {
+					for k, id := range vols {
+						v, _ := a.Volume(id)
+						ack, err := v.Write(p, int64(i), block(a, byte(1+k)))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						acks = append(acks, ack)
+					}
+				}
+			})
+			env.Run(0)
+			if len(acks) != 4*len(vols) {
+				t.Fatalf("%d acks, want %d", len(acks), 4*len(vols))
+			}
+			for i, ack := range acks {
+				if ack.GlobalSeq != int64(i+1) {
+					t.Fatalf("ack %d of %d carries GlobalSeq %d: not dense and increasing array-wide", i+1, len(acks), ack.GlobalSeq)
+				}
+			}
+			for i, sj := range sjs {
+				var merged []Record
+				for k, j := range sj.Shards() {
+					recs := j.TryTakeInto(nil, 0)
+					if len(recs) == 0 {
+						t.Fatalf("fixture degenerate: group %d shard %d journaled nothing", i, k)
+					}
+					for n, r := range recs {
+						if n > 0 && r.GlobalSeq <= recs[n-1].GlobalSeq {
+							t.Fatalf("group %d shard %d: record %d GlobalSeq %d after %d", i, k, n, r.GlobalSeq, recs[n-1].GlobalSeq)
+						}
+						if r.GlobalSeq < 1 || r.GlobalSeq > int64(len(acks)) {
+							t.Fatalf("record %s/%d carries GlobalSeq %d, no write's ack", r.Volume, r.Block, r.GlobalSeq)
+						}
+						if ack := acks[r.GlobalSeq-1]; ack.Volume != r.Volume || ack.Block != r.Block {
+							t.Fatalf("record %s/%d carries GlobalSeq %d, acked to %s/%d", r.Volume, r.Block, r.GlobalSeq, ack.Volume, ack.Block)
+						}
+					}
+					merged = append(merged, recs...)
+				}
+				sort.Slice(merged, func(x, y int) bool { return merged[x].GlobalSeq < merged[y].GlobalSeq })
+				var want []Ack
+				for _, ack := range acks {
+					if slices.Contains(groups[i].members, ack.Volume) {
+						want = append(want, ack)
+					}
+				}
+				if len(merged) != len(want) {
+					t.Fatalf("group %d journaled %d records for %d writes", i, len(merged), len(want))
+				}
+				for n, r := range merged {
+					if r.Volume != want[n].Volume || r.Block != want[n].Block {
+						t.Fatalf("group %d merged record %d is %s/%d, write %d was %s/%d", i, n, r.Volume, r.Block, n, want[n].Volume, want[n].Block)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -197,8 +276,8 @@ func TestConsistencyGroupSharesOneOrder(t *testing.T) {
 	}
 	wantVols := []VolumeID{"sales", "stock", "sales"}
 	for i, r := range recs {
-		if r.Seq != int64(i+1) {
-			t.Fatalf("seq %d at %d", r.Seq, i)
+		if r.GlobalSeq != int64(i+1) {
+			t.Fatalf("seq %d at %d", r.GlobalSeq, i)
 		}
 		if r.Volume != wantVols[i] {
 			t.Fatalf("record %d volume = %s, want %s", i, r.Volume, wantVols[i])
@@ -296,11 +375,11 @@ func TestJournalTakeMaxBatches(t *testing.T) {
 		t.Fatalf("pending = %d", j.Pending())
 	}
 	b1 := j.TryTakeInto(nil, 4)
-	if len(b1) != 4 || b1[0].Seq != 1 || b1[3].Seq != 4 {
+	if len(b1) != 4 || b1[0].GlobalSeq != 1 || b1[3].GlobalSeq != 4 {
 		t.Errorf("batch1 = %v", b1)
 	}
 	b2 := j.TryTakeInto(nil, 100)
-	if len(b2) != 6 || b2[0].Seq != 5 {
+	if len(b2) != 6 || b2[0].GlobalSeq != 5 {
 		t.Errorf("batch2 len=%d", len(b2))
 	}
 	if j.Pending() != 0 || j.Drained() != 10 {

@@ -27,8 +27,6 @@ type Volume struct {
 	// queue is the volume's own service queue (Config.IsolatedVolumes);
 	// nil when the shared array controller serializes I/O.
 	queue *sim.Resource
-	// localSeq numbers acks of an unjournaled volume in isolated mode.
-	localSeq int64
 
 	writes, reads int64
 	cowCopies     int64 // blocks preserved for snapshots (write amplification)
@@ -103,7 +101,6 @@ type Ack struct {
 	Volume    VolumeID
 	Block     int64
 	GlobalSeq int64         // array-wide ack order
-	GroupSeq  int64         // journal (consistency-group) order; 0 if unjournaled
 	AckedAt   time.Duration // virtual time of the ack
 }
 
@@ -202,7 +199,7 @@ func (v *Volume) ack(p *sim.Proc, block int64, data []byte) Ack {
 	ack := Ack{
 		Volume:    v.id,
 		Block:     block,
-		GlobalSeq: v.ackSeq(),
+		GlobalSeq: v.array.nextGlobalSeq(),
 		AckedAt:   p.Now(),
 	}
 	if v.journal != nil {
@@ -215,7 +212,7 @@ func (v *Volume) ack(p *sim.Proc, block int64, data []byte) Ack {
 			v.journal.group.overflow()
 			v.noteChange(block) // tracking started just now; cover this write
 		default:
-			ack.GroupSeq = v.journal.append(v.id, block, data, ack.GlobalSeq, ack.AckedAt)
+			v.journal.append(v.id, block, data, ack.GlobalSeq, ack.AckedAt)
 		}
 	}
 	return ack
@@ -228,19 +225,6 @@ func (v *Volume) service() *sim.Resource {
 		return v.queue
 	}
 	return v.array.controller
-}
-
-// ackSeq stamps one write ack: array-wide by default, scoped to the
-// volume's consistency group (or the volume itself) in isolated mode.
-func (v *Volume) ackSeq() int64 {
-	if !v.array.cfg.IsolatedVolumes {
-		return v.array.nextGlobalSeq()
-	}
-	if v.journal != nil {
-		return v.journal.nextAckSeq()
-	}
-	v.localSeq++
-	return v.localSeq
 }
 
 // preserveForSnapshots hands the current block to every snapshot that has
