@@ -148,16 +148,12 @@ func runDemo(p *sim.Proc, sys *core.System, orders int) {
 	fmt.Printf("  replication caught up: backlog %d, RPO %v\n", sys.Backlog("shop"), sys.RPO("shop"))
 
 	banner("Step 2 — snapshot development (Fig. 5): group snapshot at the backup site")
-	group, err := sys.SnapshotBackup(p, "shop", "demo")
+	group, err := sys.SnapshotBackup("shop", "demo")
 	if err != nil {
 		log.Fatalf("snapshot: %v", err)
 	}
-	if sys.Cfg.FeatureGates.VolumeGroupSnapshot {
-		fmt.Println("  created through the VolumeGroupSnapshot CSI API (alpha gate ON)")
-	} else {
-		fmt.Println("  CSI VolumeGroupSnapshot is alpha and unsupported by the plugin (§II):")
-		fmt.Println("  operated the external storage system directly")
-	}
+	fmt.Println("  CSI VolumeGroupSnapshot is alpha and unsupported by the plugin (§II):")
+	fmt.Println("  operated the external storage system directly")
 	for _, s := range group.Snapshots() {
 		fmt.Printf("  snapshot %-28s of volume %-20s at %v\n", s.ID(), s.Parent().ID(), s.TakenAt())
 	}

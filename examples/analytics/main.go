@@ -37,7 +37,7 @@ func main() {
 		sys.CatchUp(p, "shop")
 
 		// The analyst cuts a snapshot group at the backup site...
-		group, err := sys.SnapshotBackup(p, "shop", "morning")
+		group, err := sys.SnapshotBackup("shop", "morning")
 		if err != nil {
 			log.Fatalf("snapshot: %v", err)
 		}

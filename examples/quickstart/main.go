@@ -45,7 +45,7 @@ func main() {
 
 		// Step 2 — snapshot development at the backup site.
 		sys.CatchUp(p, "shop")
-		group, err := sys.SnapshotBackup(p, "shop", "quickstart")
+		group, err := sys.SnapshotBackup("shop", "quickstart")
 		if err != nil {
 			log.Fatalf("snapshot: %v", err)
 		}

@@ -38,7 +38,7 @@ func main() {
 		sys.CatchUp(p, "shop")
 
 		// The nightly snapshot group at the backup site — the restore point.
-		group, err := sys.SnapshotBackup(p, "shop", "nightly")
+		group, err := sys.SnapshotBackup("shop", "nightly")
 		if err != nil {
 			log.Fatalf("snapshot: %v", err)
 		}

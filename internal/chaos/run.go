@@ -518,7 +518,7 @@ func (r *runner) plant(p *sim.Proc, f Fault) {
 // leaves no residue behind.
 func (r *runner) verifyTenant(p *sim.Proc, t *runTenant, tag string) (consistency.Report, error) {
 	name := t.ns + "-" + tag
-	group, err := r.sys.SnapshotBackup(p, t.ns, name)
+	group, err := r.sys.SnapshotBackup(t.ns, name)
 	if err != nil {
 		return consistency.Report{}, fmt.Errorf("snapshot: %w", err)
 	}

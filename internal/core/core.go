@@ -1,9 +1,9 @@
 // Package core assembles the complete demonstration system of §IV: a main
 // site and a backup site, each with a container platform and an external
 // storage array, joined by an inter-site link. The main site runs the
-// namespace operator and the storage/replication plugins; the backup site
-// runs the snapshot controller. On top of the sites, core implements the
-// demo's three steps as library calls:
+// namespace operator and the storage/replication plugins; the backup site's
+// array takes the group snapshots directly. On top of the sites, core
+// implements the demo's three steps as library calls:
 //
 //  1. backup configuration — tag the namespace, let the operator and the
 //     replication plugin configure ADC with a consistency group;
@@ -53,8 +53,6 @@ type Config struct {
 	Fabric fabric.Config
 	// Storage configures both arrays.
 	Storage storage.Config
-	// FeatureGates selects CSI alpha features on the backup site.
-	FeatureGates csiplugin.FeatureGates
 	// Telemetry, when set, enables the sim-time observability plane: a
 	// registry of instruments (per-tenant RPO probes, lane staging, fabric
 	// queue depths, controller latency) plus span tracing, exportable as
@@ -87,9 +85,12 @@ func (c Config) withDefaults() Config {
 
 // Site is one of the two sites: a container platform plus a storage array.
 type Site struct {
-	Name      string
-	API       *platform.APIServer
-	Array     *storage.Array
+	Name  string
+	API   *platform.APIServer
+	Array *storage.Array
+	// Snapshots is always nil; it stays only because benchmark/ reads
+	// Snapshots() off it (0 on a nil controller), and goes with the
+	// benchmark unfreeze (ROADMAP item 1).
 	Snapshots *csiplugin.SnapshotController
 }
 
@@ -190,15 +191,11 @@ func NewSystem(cfg Config) *System {
 		Telemetry:   sys.Telemetry,
 	}, replication.Config{})
 	sys.Operator = operator.New(env, sys.Main.API, operator.Config{Telemetry: sys.Telemetry})
-	sys.Main.Snapshots = csiplugin.NewSnapshotController(env, sys.Main.API, sys.Main.Array, cfg.FeatureGates)
-	sys.Backup.Snapshots = csiplugin.NewSnapshotController(env, sys.Backup.API, sys.Backup.Array, cfg.FeatureGates)
 	sys.tenantCtrl = sys.newTenantController()
 
 	sys.Provisioner.Start()
 	sys.Replication.Start()
 	sys.Operator.Start()
-	sys.Main.Snapshots.Start()
-	sys.Backup.Snapshots.Start()
 	sys.tenantCtrl.Start()
 
 	env.Process("bootstrap", func(p *sim.Proc) {
@@ -225,8 +222,6 @@ func (sys *System) Stop() {
 	sys.Operator.Stop()
 	sys.Provisioner.Stop()
 	sys.Replication.Stop()
-	sys.Main.Snapshots.Stop()
-	sys.Backup.Snapshots.Stop()
 	for _, g := range sys.Replication.AllGroups() {
 		g.Stop()
 	}
@@ -357,7 +352,7 @@ func (sys *System) SLOClasses() []platform.SLOClass {
 // lanePathsFor returns the namespace's forward (main→backup) fabric paths for
 // drain lanes 0..lanes-1, creating the missing ones — consulting the
 // placement policy for a member-link pin as it does. Each lane gets its own
-// counted path so per-lane bytes, queueing delay, and drops stay observable.
+// counted path so per-lane bytes and queueing delay stay observable.
 func (sys *System) lanePathsFor(namespace string, lanes int) []fabric.Path {
 	ps := sys.lanePaths[namespace]
 	for lane := len(ps); lane < lanes; lane++ {

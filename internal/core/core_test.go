@@ -112,7 +112,7 @@ func TestEndToEndPipeline(t *testing.T) {
 			t.Error("catch-up failed")
 			return
 		}
-		group, err := sys.SnapshotBackup(p, "shop", "analytics-1")
+		group, err := sys.SnapshotBackup("shop", "analytics-1")
 		if err != nil {
 			t.Error(err)
 			return
@@ -156,7 +156,7 @@ func TestAnalyticsWhileReplicationContinues(t *testing.T) {
 		}
 		bp.Shop.Run(p, 20)
 		sys.CatchUp(p, "shop")
-		group, err := sys.SnapshotBackup(p, "shop", "snap")
+		group, err := sys.SnapshotBackup("shop", "snap")
 		if err != nil {
 			t.Error(err)
 			return
@@ -268,33 +268,6 @@ func TestDisableBackupTearsDown(t *testing.T) {
 		}
 	})
 }
-
-func TestSnapshotViaFeatureGate(t *testing.T) {
-	deploySystem(t, Config{FeatureGates: featureGatesOn()}, func(p *sim.Proc, sys *System, bp *BusinessProcess) {
-		if err := enableBackup(p, sys, "shop"); err != nil {
-			t.Error(err)
-			return
-		}
-		bp.Shop.Run(p, 5)
-		sys.CatchUp(p, "shop")
-		group, err := sys.SnapshotBackup(p, "shop", "via-csi")
-		if err != nil {
-			t.Errorf("gated snapshot: %v", err)
-			return
-		}
-		if len(group.Snapshots()) != 2 {
-			t.Errorf("group members = %d", len(group.Snapshots()))
-		}
-		// The CR exists on the backup platform.
-		if _, err := sys.Backup.API.Get(p, platform.ObjectKey{
-			Kind: platform.KindVolumeGroupSnapshot, Namespace: "shop", Name: "via-csi",
-		}); err != nil {
-			t.Errorf("CR missing: %v", err)
-		}
-	})
-}
-
-func featureGatesOn() (g csiplugin.FeatureGates) { g.VolumeGroupSnapshot = true; return }
 
 func TestSlowdownADCWriteLatencyIndependentOfLink(t *testing.T) {
 	// Core-level E5 sanity: per-order latency with backup enabled over a

@@ -65,7 +65,7 @@ func TestReshardTenantEndToEnd(t *testing.T) {
 			return
 		}
 		sys.CatchUp(p, "shop")
-		if group, err := sys.SnapshotBackup(p, "shop", "after-grow"); err != nil {
+		if group, err := sys.SnapshotBackup("shop", "after-grow"); err != nil {
 			t.Errorf("snapshot after grow: %v", err)
 		} else if _, _, err := sys.AnalyticsDBs(p, "shop", group); err != nil {
 			t.Errorf("analytics after grow: %v", err)
@@ -84,7 +84,7 @@ func TestReshardTenantEndToEnd(t *testing.T) {
 			return
 		}
 		sys.CatchUp(p, "shop")
-		if group, err := sys.SnapshotBackup(p, "shop", "after-shrink"); err != nil {
+		if group, err := sys.SnapshotBackup("shop", "after-shrink"); err != nil {
 			t.Errorf("snapshot after shrink: %v", err)
 		} else if _, _, err := sys.AnalyticsDBs(p, "shop", group); err != nil {
 			t.Errorf("analytics after shrink: %v", err)
@@ -176,7 +176,7 @@ func TestFailbackShardedSentinel(t *testing.T) {
 		if g := sys.Groups("beta")[0]; g.Stopped() || g.Backlog() != 0 {
 			t.Errorf("beta group unhealthy: stopped=%v backlog=%d", g.Stopped(), g.Backlog())
 		}
-		if _, err := sys.SnapshotBackup(p, "beta", "post-refusal"); err != nil {
+		if _, err := sys.SnapshotBackup("beta", "post-refusal"); err != nil {
 			t.Errorf("beta snapshot after refusal: %v", err)
 		}
 	})

@@ -7,57 +7,22 @@ import (
 
 	"repro/internal/csiplugin"
 	"repro/internal/db"
-	"repro/internal/platform"
 	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
 // SnapshotBackup performs demo step 2 (Fig. 5): create a group-atomic
-// snapshot of the namespace's volumes at the backup site.
-//
-// When the VolumeGroupSnapshot feature gate is on, the operation goes
-// through the backup platform's API (a VolumeGroupSnapshot custom
-// resource). When it is off — the paper's situation — the storage array is
-// operated directly, reproducing the §II caveat that "users need to operate
-// the external storage system directly".
-func (sys *System) SnapshotBackup(p *sim.Proc, namespace, snapName string) (*storage.SnapshotGroup, error) {
+// snapshot of the namespace's volumes at the backup site. CSI
+// VolumeGroupSnapshot was alpha and unsupported by the storage plugin (§II),
+// so — as in the paper — the storage array is operated directly, outside
+// the container platform; it takes no simulated time.
+func (sys *System) SnapshotBackup(namespace, snapName string) (*storage.SnapshotGroup, error) {
 	vols := sys.backupVolumeIDs(namespace)
 	if len(vols) == 0 {
 		return nil, fmt.Errorf("core: no backup volumes for namespace %s (backup enabled?)", namespace)
 	}
-	if !sys.Cfg.FeatureGates.VolumeGroupSnapshot {
-		// Direct storage operation.
-		return sys.Backup.Array.CreateSnapshotGroup(snapName, vols)
-	}
-	// Through the container platform API.
-	pvcNames := make([]string, 0, len(vols))
-	for _, obj := range sys.Backup.API.List(p, platform.KindPVC, namespace) {
-		pvcNames = append(pvcNames, obj.GetMeta().Name)
-	}
-	if err := sys.Backup.API.Create(p, &platform.VolumeGroupSnapshot{
-		Meta: platform.Meta{Kind: platform.KindVolumeGroupSnapshot, Namespace: namespace, Name: snapName},
-		Spec: platform.VolumeGroupSnapshotSpec{PVCNames: pvcNames},
-	}); err != nil {
-		return nil, err
-	}
-	deadline := p.Now() + 10*time.Second
-	key := platform.ObjectKey{Kind: platform.KindVolumeGroupSnapshot, Namespace: namespace, Name: snapName}
-	wait := pollInterval
-	for {
-		obj, err := sys.Backup.API.Get(p, key)
-		if err != nil {
-			return nil, err
-		}
-		st := obj.(*platform.VolumeGroupSnapshot).Status
-		if st.Ready {
-			return sys.Backup.Array.SnapshotGroupByName(st.GroupName)
-		}
-		if p.Now() >= deadline {
-			return nil, fmt.Errorf("%w: group snapshot %s", ErrTimeout, snapName)
-		}
-		pollBackoff(p, &wait)
-	}
+	return sys.Backup.Array.CreateSnapshotGroup(snapName, vols)
 }
 
 // backupVolumeIDs lists the namespace's replicated volume IDs in

@@ -307,11 +307,6 @@ func (sys *System) teardownTenant(p *sim.Proc, ns string) error {
 	// 3. Backup-site twins: no provisioner owns them, so the objects,
 	// snapshots, and volumes are reclaimed here.
 	bapi := sys.Backup.API
-	for _, obj := range bapi.CachedList(platform.KindVolumeGroupSnapshot, ns) {
-		if err := bapi.Delete(p, obj.GetMeta().Key()); err != nil && !errors.Is(err, platform.ErrNotFound) {
-			return err
-		}
-	}
 	for _, obj := range bapi.CachedList(platform.KindPVC, ns) {
 		claim := obj.GetMeta().Name
 		if err := bapi.Delete(p, obj.GetMeta().Key()); err != nil && !errors.Is(err, platform.ErrNotFound) {

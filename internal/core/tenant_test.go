@@ -94,7 +94,7 @@ func TestDecommissionReclaimsEverything(t *testing.T) {
 		// Leave a snapshot group on the backup twins: decommission must
 		// reclaim COW state too.
 		sys.CatchUp(p, "doomed")
-		if _, err := sys.SnapshotBackup(p, "doomed", "doomed-final"); err != nil {
+		if _, err := sys.SnapshotBackup("doomed", "doomed-final"); err != nil {
 			t.Errorf("snapshot: %v", err)
 			return
 		}

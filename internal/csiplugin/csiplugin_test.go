@@ -329,68 +329,6 @@ func TestReplicationPluginTeardownOnDelete(t *testing.T) {
 	}
 }
 
-func TestSnapshotGroupGateOffRefuses(t *testing.T) {
-	f := newTwoSites(t)
-	f.createClaims(t, "shop", "sales", "stock")
-	sc := NewSnapshotController(f.env, f.sites.MainAPI, f.sites.MainArray, FeatureGates{VolumeGroupSnapshot: false})
-	sc.Start()
-	f.env.Process("snap", func(p *sim.Proc) {
-		f.sites.MainAPI.Create(p, &platform.VolumeGroupSnapshot{
-			Meta: platform.Meta{Kind: platform.KindVolumeGroupSnapshot, Namespace: "shop", Name: "g1"},
-			Spec: platform.VolumeGroupSnapshotSpec{PVCNames: []string{"sales", "stock"}},
-		})
-	})
-	f.env.Run(time.Second)
-	f.env.Process("check", func(p *sim.Proc) {
-		obj, _ := f.sites.MainAPI.Get(p, platform.ObjectKey{Kind: platform.KindVolumeGroupSnapshot, Namespace: "shop", Name: "g1"})
-		st := obj.(*platform.VolumeGroupSnapshot).Status
-		if st.Ready {
-			t.Error("group snapshot ready despite disabled gate")
-		}
-		if !strings.Contains(st.Message, "feature gate") {
-			t.Errorf("message = %q", st.Message)
-		}
-	})
-	f.env.Run(0)
-	if sc.Refused() != 1 || sc.Snapshots() != 0 {
-		t.Fatalf("refused=%d snapshots=%d", sc.Refused(), sc.Snapshots())
-	}
-	if len(f.sites.MainArray.ListSnapshots()) != 0 {
-		t.Fatal("array snapshots created despite gate")
-	}
-}
-
-func TestSnapshotGroupGateOnCreatesAtomically(t *testing.T) {
-	f := newTwoSites(t)
-	f.createClaims(t, "shop", "sales", "stock")
-	sc := NewSnapshotController(f.env, f.sites.MainAPI, f.sites.MainArray, FeatureGates{VolumeGroupSnapshot: true})
-	sc.Start()
-	f.env.Process("snap", func(p *sim.Proc) {
-		f.sites.MainAPI.Create(p, &platform.VolumeGroupSnapshot{
-			Meta: platform.Meta{Kind: platform.KindVolumeGroupSnapshot, Namespace: "shop", Name: "g1"},
-			Spec: platform.VolumeGroupSnapshotSpec{PVCNames: []string{"sales", "stock"}},
-		})
-	})
-	f.env.Run(time.Second)
-	f.env.Process("check", func(p *sim.Proc) {
-		obj, _ := f.sites.MainAPI.Get(p, platform.ObjectKey{Kind: platform.KindVolumeGroupSnapshot, Namespace: "shop", Name: "g1"})
-		st := obj.(*platform.VolumeGroupSnapshot).Status
-		if !st.Ready || len(st.SnapshotIDs) != 2 {
-			t.Errorf("status = %+v", st)
-		}
-		g, err := f.sites.MainArray.SnapshotGroupByName(st.GroupName)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		snaps := g.Snapshots()
-		if len(snaps) != 2 || snaps[0].TakenAt() != snaps[1].TakenAt() {
-			t.Error("group snapshots not atomic")
-		}
-	})
-	f.env.Run(0)
-}
-
 // createRG posts a ReplicationGroup CR requesting a journal of `shards` shards
 // (0: the default single shared journal) and runs the plugin until Ready.
 func (f *twoSites) createRG(t *testing.T, name string, shards int, pvcs ...string) *ReplicationPlugin {

@@ -7,9 +7,10 @@
 //     each ReplicationGroup custom resource into ADC configured as one
 //     consistency group, including the backup-site PV/PVC objects that
 //     "appear" in the demo's Fig. 4.
-//   - SnapshotController: VolumeGroupSnapshot CRs behind the CSI alpha
-//     feature gate (§II) — gate off reproduces the paper's "operate the
-//     storage system directly" limitation.
+//
+// There is no group-snapshot controller: CSI VolumeGroupSnapshot was alpha
+// and the plugin did not support it (§II), so the demo's group snapshot
+// operates the storage array directly (core.System.SnapshotBackup).
 package csiplugin
 
 import (
@@ -29,10 +30,16 @@ var (
 	// ErrUnknownArray reports a storage class naming an array the plugin
 	// does not manage.
 	ErrUnknownArray = errors.New("csiplugin: unknown array")
-	// ErrFeatureGateDisabled reports use of the VolumeGroupSnapshot alpha
-	// API with the gate off.
-	ErrFeatureGateDisabled = errors.New("csiplugin: VolumeGroupSnapshot feature gate disabled")
 )
+
+// SnapshotController is an empty stand-in kept only because benchmark/
+// reads Snapshots() off core.Site; it goes with the benchmark unfreeze
+// (ROADMAP item 1).
+type SnapshotController struct{}
+
+// Snapshots returns 0: nothing creates volume snapshots through the
+// platform API. Safe on a nil receiver.
+func (*SnapshotController) Snapshots() int64 { return 0 }
 
 // Provisioner binds Pending PVCs to freshly provisioned array volumes.
 type Provisioner struct {

@@ -54,6 +54,9 @@ type ShardedThroughputResult struct {
 // the fabric's member links saturate, and no shard count ever trades away
 // the consistency cut.
 func E13ShardedThroughput(seed int64, shardCounts []int, writes int) ([]ShardedThroughputResult, error) {
+	if len(shardCounts) == 0 {
+		shardCounts = []int{1, 2, 4, 8}
+	}
 	if writes <= 0 {
 		writes = 4000
 	}

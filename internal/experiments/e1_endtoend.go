@@ -64,7 +64,7 @@ func E1EndToEnd(seed int64, orders int) (EndToEndResult, error) {
 		for _, g := range sys.Groups("shop") {
 			res.ReplicatedRecs += g.AppliedRecords()
 		}
-		group, err := sys.SnapshotBackup(p, "shop", "e1")
+		group, err := sys.SnapshotBackup("shop", "e1")
 		if err != nil {
 			runErr = err
 			return

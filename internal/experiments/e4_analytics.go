@@ -56,7 +56,7 @@ func E4Analytics(seed int64, orders int) ([]AnalyticsResult, error) {
 				return
 			}
 			sys.CatchUp(p, "shop")
-			group, err := sys.SnapshotBackup(p, "shop", "e4")
+			group, err := sys.SnapshotBackup("shop", "e4")
 			if err != nil {
 				runErr = err
 				return

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -405,6 +406,25 @@ func TestE13ShardedThroughputScalesAndCutsHold(t *testing.T) {
 		t.Errorf("4-shard speedup = %.2fx, want >= 2x", results[2].Speedup)
 	}
 	t.Log("\n" + E13Table(results).String())
+}
+
+// An empty sweep runs the default shard counts instead of indexing a row
+// that does not exist.
+func TestE13EmptySweepRunsDefaultCounts(t *testing.T) {
+	results, err := E13ShardedThroughput(1, nil, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shards []int
+	for _, r := range results {
+		shards = append(shards, r.Shards)
+	}
+	if !slices.Equal(shards, []int{1, 2, 4, 8}) {
+		t.Fatalf("empty sweep ran shard counts %v, want [1 2 4 8]", shards)
+	}
+	if results[0].Speedup != 1 {
+		t.Errorf("1-shard row speedup = %.2f, want 1", results[0].Speedup)
+	}
 }
 
 func TestE11FleetAllTenantsConsistentAfterMixedRun(t *testing.T) {

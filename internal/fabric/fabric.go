@@ -41,10 +41,6 @@ type ClassConfig struct {
 	// Weight is the class's deficit-round-robin share (default 1). A class
 	// with weight 4 gets 4x the bytes of a weight-1 class under contention.
 	Weight int
-	// MaxQueued caps the class's ingress queue depth; 0 means unbounded.
-	// A full queue drops the admission attempt — the caller backs off
-	// RetryBackoff and retries, and the drop is counted on its path.
-	MaxQueued int
 	// Links restricts the class to the given member-link indexes (nil =
 	// any member). A single-element slice pins the class to a dedicated
 	// link.
@@ -60,10 +56,6 @@ type Config struct {
 	// Classes defines the QoS classes. Empty means one best-effort class
 	// and no ingress scheduling.
 	Classes []ClassConfig
-	// RetryBackoff is the caller's initial pause after an ingress drop
-	// (default 1ms). Repeated drops back off exponentially from here, up to
-	// retryBackoffCapFactor times it.
-	RetryBackoff time.Duration
 	// WindowPerLink caps how many transfers one member link may have in
 	// flight — serialized onto the wire but still propagating — at once.
 	// It is a parameter of the one dispatcher loop, not a mode. The default
@@ -80,9 +72,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if len(c.Links) == 0 {
 		c.Links = []netlink.Config{{}}
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = time.Millisecond
 	}
 	if c.WindowPerLink <= 0 {
 		c.WindowPerLink = 1
@@ -121,18 +110,9 @@ type class struct {
 
 	bytes     int64
 	transfers int64
-	drops     int64
-	maxDepth  int
 }
 
 func (c *class) depth() int { return len(c.queue) - c.head }
-
-func (c *class) push(r *request) {
-	c.queue = append(c.queue, r)
-	if d := c.depth(); d > c.maxDepth {
-		c.maxDepth = d
-	}
-}
 
 // popAt removes and returns the request at backing-array index idx,
 // preserving FIFO order of the remainder. idx == head reduces to pop.
@@ -209,8 +189,6 @@ func (c *class) gate(size int) (ok bool, wait time.Duration) {
 type ClassStats struct {
 	Bytes     int64
 	Transfers int64
-	Drops     int64
-	MaxQueued int
 }
 
 // Fabric is a one-direction inter-site interconnect: member links behind a
@@ -334,33 +312,14 @@ func NewInterconnect(env *sim.Env, cfg Config, fwd, rev []*netlink.Link) *Interc
 
 // Path returns a new tenant path through the fabric bound to the named QoS
 // class. An empty or unknown name binds to the first (default) class. Each
-// call returns a distinct path with its own counters, so per-tenant bytes,
-// queueing delay, and drops are measurable independently.
+// call returns a distinct path with its own counters, so per-tenant bytes
+// and queueing delay are measurable independently.
 func (f *Fabric) Path(classname, owner string) *TenantPath {
 	c, ok := f.byName[classname]
 	if !ok {
 		c = f.classes[0]
 	}
-	return &TenantPath{fabric: f, class: c, owner: owner, pin: -1,
-		spread: pathSpread(owner, f.cfg.RetryBackoff)}
-}
-
-// pathSpread derives a deterministic per-path retry offset in [0, base)
-// from the owner name (FNV-1a), so N paths backing off from the same drop
-// instant retry at N distinct instants instead of in lockstep — without
-// drawing from the simulation Rand at retry time, which would perturb
-// replay determinism for every other random consumer.
-func pathSpread(owner string, base time.Duration) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(owner); i++ {
-		h ^= uint64(owner[i])
-		h *= prime64
-	}
-	return time.Duration(h % uint64(base))
+	return &TenantPath{fabric: f, class: c, owner: owner, pin: -1}
 }
 
 // PathOn returns a tenant path pinned to member link `link`: its transfers
@@ -416,7 +375,7 @@ func (f *Fabric) ClassStats(name string) ClassStats {
 	if !ok {
 		return ClassStats{}
 	}
-	return ClassStats{Bytes: c.bytes, Transfers: c.transfers, Drops: c.drops, MaxQueued: c.maxDepth}
+	return ClassStats{Bytes: c.bytes, Transfers: c.transfers}
 }
 
 // Stop parks the dispatchers after their in-flight transfers. Queued
@@ -605,20 +564,14 @@ type TenantPath struct {
 	fabric *Fabric
 	class  *class
 	owner  string
-	pin    int           // member link this path's transfers ride (-1 = any)
-	spread time.Duration // deterministic per-owner retry offset in [0, RetryBackoff)
+	pin    int // member link this path's transfers ride (-1 = any)
 
 	bytes         int64
 	transfers     int64
-	drops         int64
 	queueDelay    time.Duration
 	maxQueueDelay time.Duration
 	totalTime     time.Duration
 }
-
-// retryBackoffCapFactor bounds the exponential drop-retry backoff at this
-// multiple of Config.RetryBackoff.
-const retryBackoffCapFactor = 32
 
 // Transfer moves size bytes through the fabric, blocking the caller for
 // admission (queueing, scheduling, rate caps) plus the member-link transfer.
@@ -632,35 +585,16 @@ func (tp *TenantPath) Transfer(p *sim.Proc, size int) time.Duration {
 		tp.record(size, took, 0)
 		return took
 	}
-	backoff := time.Duration(0)
-	for {
-		if mq := tp.class.cfg.MaxQueued; mq > 0 && tp.class.depth() >= mq {
-			// Ingress full: drop this attempt, back off, retry. The backoff
-			// doubles per consecutive drop up to the cap, and the
-			// first retry adds the path's deterministic spread so paths that
-			// collided at one drop instant fan out instead of re-colliding
-			// at every subsequent retry (lockstep convoys).
-			tp.drops++
-			tp.class.drops++
-			if backoff == 0 {
-				backoff = f.cfg.RetryBackoff + tp.spread
-			} else {
-				backoff = min(2*backoff, retryBackoffCapFactor*f.cfg.RetryBackoff)
-			}
-			p.Sleep(backoff)
-			continue
-		}
-		req := &request{size: size, enq: p.Now(), done: f.env.NewEvent(), path: tp, pin: tp.pin}
-		tp.class.push(req)
-		f.queued++
-		if !f.work.Triggered() {
-			f.work.Trigger()
-		}
-		p.Wait(req.done)
-		took := p.Now() - start
-		tp.record(size, took, req.queueDelay)
-		return took
+	req := &request{size: size, enq: p.Now(), done: f.env.NewEvent(), path: tp, pin: tp.pin}
+	tp.class.queue = append(tp.class.queue, req)
+	f.queued++
+	if !f.work.Triggered() {
+		f.work.Trigger()
 	}
+	p.Wait(req.done)
+	took := p.Now() - start
+	tp.record(size, took, req.queueDelay)
+	return took
 }
 
 func (tp *TenantPath) record(size int, took, queueDelay time.Duration) {
@@ -682,9 +616,10 @@ func (tp *TenantPath) Bytes() int64 { return tp.bytes }
 // Transfers returns the number of completed transfers.
 func (tp *TenantPath) Transfers() int64 { return tp.transfers }
 
-// DropRetries returns how many admission attempts were dropped at a full
-// ingress queue (each was retried after the backoff).
-func (tp *TenantPath) DropRetries() int64 { return tp.drops }
+// DropRetries returns 0: the ingress queues are unbounded, so no admission
+// is ever dropped. It stays only because benchmark/ reads it, and goes with
+// the benchmark unfreeze (ROADMAP item 1).
+func (*TenantPath) DropRetries() int64 { return 0 }
 
 // MeanQueueDelay returns the mean ingress queueing delay per transfer
 // (zero on a passthrough fabric, where the link's own FIFO is the queue).

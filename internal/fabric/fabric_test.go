@@ -123,38 +123,6 @@ func TestTokenBucketCapsClassRate(t *testing.T) {
 	}
 }
 
-func TestQueueCapDropsAndRetries(t *testing.T) {
-	// A slow link and a 2-deep ingress queue: a burst of senders must see
-	// drops, retry, and still all complete.
-	env := sim.NewEnv(1)
-	f := New(env, Config{
-		Links: []netlink.Config{{BandwidthBps: 1e5}},
-		Classes: []ClassConfig{
-			{Name: "be", Weight: 1, MaxQueued: 2},
-		},
-		RetryBackoff: 5 * time.Millisecond,
-	})
-	tp := f.Path("be", "t0")
-	const senders = 8
-	completed := 0
-	for i := 0; i < senders; i++ {
-		env.Process("tx", func(p *sim.Proc) {
-			tp.Transfer(p, 10_000) // 100ms serialization each
-			completed++
-		})
-	}
-	env.Run(0)
-	if completed != senders {
-		t.Fatalf("completed %d/%d transfers", completed, senders)
-	}
-	if tp.DropRetries() == 0 {
-		t.Fatal("expected ingress drops with 8 senders on a 2-deep queue")
-	}
-	if st := f.ClassStats("be"); st.Drops != tp.DropRetries() || st.MaxQueued > 2 {
-		t.Fatalf("class stats inconsistent: %+v vs path drops %d", st, tp.DropRetries())
-	}
-}
-
 func TestTokenBlockedDispatcherWakesForUncappedWork(t *testing.T) {
 	// Regression: while the only dispatcher waits out a capped class's
 	// bucket refill, an uncapped class's transfer must be served promptly,
@@ -602,67 +570,9 @@ func TestWindowedDeterministicScheduling(t *testing.T) {
 	}
 }
 
-// --- Drop-retry backoff ---
-
-func TestDropRetrySpreadsAndBacksOff(t *testing.T) {
-	// A slow link and a 1-deep ingress force sustained drops across many
-	// same-instant senders. With the fixed-interval retry every path woke at
-	// the same instants forever (a lockstep convoy); capped exponential
-	// backoff with per-owner spread must both complete the work and cost
-	// far fewer drop-retries.
-	const senders = 8
-	env := sim.NewEnv(1)
-	f := New(env, Config{
-		Links:   []netlink.Config{{BandwidthBps: 1e5}}, // 10ms per 1000B frame
-		Classes: []ClassConfig{{Name: "bulk", MaxQueued: 1}},
-	})
-	paths := make([]*TenantPath, senders)
-	completed := 0
-	for i := 0; i < senders; i++ {
-		tp := f.Path("bulk", "tenant-"+string(rune('a'+i)))
-		paths[i] = tp
-		env.Process("tx", func(p *sim.Proc) {
-			for j := 0; j < 5; j++ {
-				tp.Transfer(p, 1000)
-			}
-			completed++
-		})
-	}
-	env.Run(0)
-	f.Stop()
-	if completed != senders {
-		t.Fatalf("only %d/%d senders finished", completed, senders)
-	}
-	spreads := map[time.Duration]bool{}
-	var totalDrops int64
-	for _, tp := range paths {
-		spreads[tp.spread] = true
-		totalDrops += tp.DropRetries()
-	}
-	if len(spreads) < senders-1 {
-		t.Fatalf("owner spreads collide: %d distinct across %d paths", len(spreads), senders)
-	}
-	// 40 transfers x 10ms = 400ms of service behind a 1-deep queue. The old
-	// constant 1ms retry cost ~50+ drops per path; exponential backoff must
-	// land well under that.
-	if totalDrops > 25*senders {
-		t.Fatalf("drop-retries %d: backoff is not suppressing the convoy", totalDrops)
-	}
-}
-
-func TestDropRetryBackoffIsCapped(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if got := retryBackoffCapFactor * cfg.RetryBackoff; got != 32*time.Millisecond {
-		t.Fatalf("backoff cap %v, want 32ms", got)
-	}
-	if cfg.WindowPerLink != 1 {
+func TestDefaultWindowIsStopAndWait(t *testing.T) {
+	if cfg := (Config{}).withDefaults(); cfg.WindowPerLink != 1 {
 		t.Fatalf("default window %d, want 1", cfg.WindowPerLink)
-	}
-	if pathSpread("a", time.Millisecond) == pathSpread("b", time.Millisecond) {
-		t.Fatalf("distinct owners hash to the same spread")
-	}
-	if pathSpread("a", time.Millisecond) != pathSpread("a", time.Millisecond) {
-		t.Fatalf("spread is not deterministic")
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // Instrument registers this direction's fabric probes: ingress queue depth,
-// per-class cumulative bytes and admission drops, and per-member-link bytes
-// on the wire. dir labels the direction ("fwd"/"rev"). All probes read
-// plain counters the dispatchers maintain anyway, sampled between instants,
-// so instrumentation changes no behavior. No-op when reg is nil.
+// per-class cumulative bytes, and per-member-link bytes on the wire. dir
+// labels the direction ("fwd"/"rev"). All probes read plain counters the
+// dispatchers maintain anyway, sampled between instants, so instrumentation
+// changes no behavior. No-op when reg is nil.
 func (f *Fabric) Instrument(reg *telemetry.Registry, dir string) {
 	if reg == nil {
 		return
@@ -24,9 +24,6 @@ func (f *Fabric) Instrument(reg *telemetry.Registry, dir string) {
 		labels := []telemetry.Label{telemetry.L("dir", dir), telemetry.L("class", c.cfg.Name)}
 		reg.Probe("fabric.class.bytes", func(time.Duration) (float64, bool) {
 			return float64(c.bytes), true
-		}, labels...)
-		reg.Probe("fabric.class.drops", func(time.Duration) (float64, bool) {
-			return float64(c.drops), true
 		}, labels...)
 	}
 	for i, l := range f.links {

@@ -458,7 +458,7 @@ func (f *Fleet) runTenant(p *sim.Proc, t *Tenant) error {
 // analytics views on the snapshot, checks the analytics can actually read
 // it, and records the consistency verdict on the tenant.
 func (f *Fleet) verifySnapshot(p *sim.Proc, t *Tenant, tag string) error {
-	group, err := f.Sys.SnapshotBackup(p, t.Namespace, t.Namespace+"-"+tag)
+	group, err := f.Sys.SnapshotBackup(t.Namespace, t.Namespace+"-"+tag)
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}

@@ -14,17 +14,14 @@ import (
 // namespace List costs its result slice, and a write costs the one detaching
 // copy plus one boxed Event however many watchers there are.
 
-const (
-	callLatency = time.Millisecond
-	opsPerRun   = 50
-)
+const opsPerRun = 50
 
 // fleetStore returns an API server holding `tenants` namespaces of four
 // claims each — the shape the operator's per-namespace discovery lists.
 func fleetStore(tb testing.TB, tenants int) (*sim.Env, *APIServer) {
 	tb.Helper()
 	env := sim.NewEnv(1)
-	api := NewAPIServer(env, APIConfig{CallLatency: callLatency})
+	api := NewAPIServer(env, APIConfig{})
 	env.Process("populate", func(p *sim.Proc) {
 		for i := 0; i < tenants; i++ {
 			ns := fmt.Sprintf("tenant-%04d", i)
@@ -40,7 +37,7 @@ func fleetStore(tb testing.TB, tenants int) (*sim.Env, *APIServer) {
 }
 
 // loop starts a process repeating op forever (each op is one API call, so
-// one callLatency of virtual time) and returns a function advancing the
+// one roundTrip of virtual time) and returns a function advancing the
 // simulation by n ops.
 func loop(env *sim.Env, op func(p *sim.Proc)) (advance func(n int)) {
 	env.Process("loop", func(p *sim.Proc) {
@@ -48,7 +45,7 @@ func loop(env *sim.Env, op func(p *sim.Proc)) (advance func(n int)) {
 			op(p)
 		}
 	})
-	return func(n int) { env.Run(env.Now() + time.Duration(n)*callLatency) }
+	return func(n int) { env.Run(env.Now() + time.Duration(n)*roundTrip) }
 }
 
 // allocsPerOp measures op's steady-state allocations per call.

@@ -59,19 +59,13 @@ type Event struct {
 	Object Object
 }
 
-// APIConfig tunes the API server's simulated behaviour.
-type APIConfig struct {
-	// CallLatency is the simulated cost of every API call (default 500µs —
-	// a fast intra-cluster HTTP round trip).
-	CallLatency time.Duration
-}
+// roundTrip is the simulated cost of every API call: a fast intra-cluster
+// HTTP round trip.
+const roundTrip = 500 * time.Microsecond
 
-func (c APIConfig) withDefaults() APIConfig {
-	if c.CallLatency <= 0 {
-		c.CallLatency = 500 * time.Microsecond
-	}
-	return c
-}
+// APIConfig is empty: it stays only because benchmark/ builds one, and goes
+// with the benchmark unfreeze (ROADMAP item 1).
+type APIConfig struct{}
 
 // APIServer is the platform's object store: create/update/get/list/delete
 // with optimistic concurrency plus watches.
@@ -84,7 +78,6 @@ func (c APIConfig) withDefaults() APIConfig {
 // copy nothing.
 type APIServer struct {
 	env     *sim.Env
-	cfg     APIConfig
 	objects map[ObjectKey]Object
 	// byKind indexes the store per kind, each slice kept sorted by
 	// (namespace, name) on write: a namespace's objects are one contiguous
@@ -102,10 +95,9 @@ type APIServer struct {
 }
 
 // NewAPIServer returns an empty store.
-func NewAPIServer(env *sim.Env, cfg APIConfig) *APIServer {
+func NewAPIServer(env *sim.Env, _ APIConfig) *APIServer {
 	return &APIServer{
 		env:     env,
-		cfg:     cfg.withDefaults(),
 		objects: make(map[ObjectKey]Object),
 		byKind:  make(map[Kind][]Object),
 		keyed:   make(map[ObjectKey][]*Watch),
@@ -148,7 +140,7 @@ func (s *APIServer) Calls() int64 { return s.calls }
 
 func (s *APIServer) charge(p *sim.Proc) {
 	s.calls++
-	p.Sleep(s.cfg.CallLatency)
+	p.Sleep(roundTrip)
 }
 
 // Create stores a new object, assigning its first resource version (written

@@ -17,13 +17,12 @@ type Kind string
 
 // Built-in and custom resource kinds.
 const (
-	KindNamespace           Kind = "Namespace"
-	KindStorageClass        Kind = "StorageClass"
-	KindPVC                 Kind = "PersistentVolumeClaim"
-	KindPV                  Kind = "PersistentVolume"
-	KindReplicationGroup    Kind = "ReplicationGroup"
-	KindVolumeGroupSnapshot Kind = "VolumeGroupSnapshot"
-	KindTenant              Kind = "Tenant"
+	KindNamespace        Kind = "Namespace"
+	KindStorageClass     Kind = "StorageClass"
+	KindPVC              Kind = "PersistentVolumeClaim"
+	KindPV               Kind = "PersistentVolume"
+	KindReplicationGroup Kind = "ReplicationGroup"
+	KindTenant           Kind = "Tenant"
 )
 
 // Meta is the common object metadata.
@@ -354,40 +353,5 @@ func (t *Tenant) DeepCopy() Object {
 	cp := *t
 	cp.Labels = copyLabels(t.Labels)
 	cp.Spec.PVCNames = append([]string(nil), t.Spec.PVCNames...)
-	return &cp
-}
-
-// VolumeGroupSnapshot requests an atomic snapshot of several PVCs — the CSI
-// alpha feature (§II). When the feature gate is off, the controller refuses
-// it and users must operate the storage array directly, exactly as the
-// paper describes.
-type VolumeGroupSnapshot struct {
-	Meta
-	Spec   VolumeGroupSnapshotSpec
-	Status VolumeGroupSnapshotStatus
-}
-
-// VolumeGroupSnapshotSpec names the source claims.
-type VolumeGroupSnapshotSpec struct {
-	PVCNames []string
-}
-
-// VolumeGroupSnapshotStatus is filled by the snapshot controller.
-type VolumeGroupSnapshotStatus struct {
-	Ready       bool
-	GroupName   string
-	SnapshotIDs []string
-	Message     string
-}
-
-// GetMeta returns the object metadata.
-func (s *VolumeGroupSnapshot) GetMeta() *Meta { return &s.Meta }
-
-// DeepCopy returns an independent copy.
-func (s *VolumeGroupSnapshot) DeepCopy() Object {
-	cp := *s
-	cp.Labels = copyLabels(s.Labels)
-	cp.Spec.PVCNames = append([]string(nil), s.Spec.PVCNames...)
-	cp.Status.SnapshotIDs = append([]string(nil), s.Status.SnapshotIDs...)
 	return &cp
 }

@@ -246,14 +246,14 @@ func TestWatchEventCarriesStoredObject(t *testing.T) {
 
 func TestAPICallsConsumeTimeAndCount(t *testing.T) {
 	env := sim.NewEnv(1)
-	api := NewAPIServer(env, APIConfig{CallLatency: time.Millisecond})
+	api := NewAPIServer(env, APIConfig{})
 	env.Process("driver", func(p *sim.Proc) {
 		api.Create(p, pvc("shop", "sales", "fast", 1))
 		api.List(p, KindPVC, "")
 	})
 	end := env.Run(0)
-	if end != 2*time.Millisecond {
-		t.Fatalf("2 calls took %v, want 2ms", end)
+	if end != time.Millisecond {
+		t.Fatalf("2 calls took %v, want 2 x 500µs round trips", end)
 	}
 	if api.Calls() != 2 {
 		t.Fatalf("calls = %d", api.Calls())

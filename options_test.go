@@ -21,15 +21,15 @@ import (
 // optionAllowlist names the exported option fields under internal/ that no
 // non-test code outside their own package sets, each with what its deletion
 // waits on. The list may only shrink: an entry that gains a writer or stops
-// existing fails the test too.
+// existing fails the test too, and so does a list longer than
+// maxAllowlisted — an unset option is deleted, not allowlisted.
 var optionAllowlist = map[string]string{
-	"core.Config.FeatureGates":                   "benchmark/counts.go reads the snapshot controller the gate configures; goes with the benchmark unfreeze (ROADMAP item 1)",
-	"csiplugin.FeatureGates.VolumeGroupSnapshot": "the gate core.Config.FeatureGates carries; goes with it (ROADMAP item 1)",
-	"fabric.ClassConfig.MaxQueued":               "drop/retry admission; benchmark/counts.go reads TenantPath.DropRetries (ROADMAP item 1)",
-	"fabric.Config.RetryBackoff":                 "the backoff of MaxQueued's drop/retry admission; goes with it (ROADMAP item 1)",
-	"fleet.Config.JournalShards":                 "the fleet tests' only way to get sharded tenants; waits on a non-test fleet that shards (none yet)",
-	"platform.APIConfig.CallLatency":             "the struct's only field, and benchmark/probes.go builds an APIConfig (ROADMAP item 1)",
+	"fleet.Config.JournalShards": "the fleet tests' only way to get sharded tenants; waits on a non-test fleet that shards (none yet)",
 }
+
+// maxAllowlisted is optionAllowlist's ratchet: lower it when an entry goes,
+// never raise it.
+const maxAllowlisted = 1
 
 // listedPackage is the part of `go list -json` output the option check reads.
 type listedPackage struct {
@@ -155,6 +155,9 @@ func TestEveryOptionHasAWriter(t *testing.T) {
 		if !found[name] {
 			t.Errorf("optionAllowlist names %s, which no longer exists", name)
 		}
+	}
+	if len(optionAllowlist) > maxAllowlisted {
+		t.Errorf("optionAllowlist has %d entries, more than %d: delete the unset option instead", len(optionAllowlist), maxAllowlisted)
 	}
 	sort.Strings(unset)
 	for _, name := range unset {
