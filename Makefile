@@ -80,8 +80,8 @@ bench-record:
 
 # Profile one benchmark workload (make profile-fleet_seq, profile-shop_adc,
 # ...) for 5 s of measured iterations into <w>.cpu.pprof and <w>.mem.pprof,
-# so profiles of two workloads sit side by side (CI keeps fleet_seq's and
-# drain_single's). The heap profile is cumulative over
+# so profiles of two workloads sit side by side (CI keeps fleet_seq's,
+# shop_adc's and drain_single's). The heap profile is cumulative over
 # the whole process, so it also counts set-up and, on shop_adc, the untimed
 # backup-off reference runs (shopReference: ~37% of alloc_space, ~43% of
 # alloc_objects). Before quoting a share of shop_adc's allocs_per_op or

@@ -129,7 +129,7 @@ func TestCommitFitCheckAgreesWithUpsertOnACopy(t *testing.T) {
 					b := d.pageBlock(u.key)
 					if _, loaded := ref[b]; !loaded {
 						pg, _ := d.loadPage(p, b)
-						ref[b] = ownedPage(pg, d.blockSize) // a clean page may be nil
+						ref[b] = bytes.Clone(pg) // a clean page may be nil, and its copy too
 					}
 					if ref[b], want = pageUpsert(ref[b], Row{Key: u.key, TxID: tx.id, Val: u.val(vals)}, d.blockSize); want != nil {
 						break

@@ -20,7 +20,8 @@
 //
 // The read half — layout, superblock check, replay, page cache, Get, Scan, the
 // committed set — is one type behind both doors (reader.go): a View is a
-// reader, a DB embeds one and adds the WAL head, Txn and Checkpoint.
+// reader, a DB embeds one and adds the WAL head, Txn, the arena its commits
+// carve pages from, and Checkpoint.
 package db
 
 import (
@@ -81,10 +82,19 @@ func (c Config) withDefaults() Config {
 }
 
 // DB is one database instance on one volume: the reader every open shares,
-// plus the half that writes — the WAL head, transactions, and Checkpoint.
+// plus the half that writes — the WAL head, transactions, the arena its
+// commits carve pages from, and Checkpoint.
 type DB struct {
 	reader
 	vol BlockWriter // the reader's img, through its write half
+
+	// arena is the chunk commits carve their pages' rooms from, front to back:
+	// its length is the part carved. A room that does not fit in the rest
+	// starts a new chunk, twice the last, from one block up to arenaMaxBlocks;
+	// the old chunk is left to the rooms in it. No byte is carved twice, so a
+	// room its page has moved out of, a value Get lent from it and a page
+	// Checkpoint handed over all keep their bytes.
+	arena []byte
 
 	walSeq uint32 // sequence (and region offset) of the current head block
 	// head is the head block so far, header and records, in a buffer of
@@ -244,6 +254,46 @@ func (d *DB) Checkpoint(p *sim.Proc) error {
 	}
 	d.checkpoints++
 	return nil
+}
+
+// arenaMaxBlocks caps an arena chunk: 32 KiB of 512-byte blocks, 256 KiB of
+// 4 KiB ones.
+const arenaMaxBlocks = 64
+
+// writablePage returns the page to upsert key into, with room for the slot the
+// upsert may append. On the first write that is a copy of the clean page, which
+// the commit that asks has loaded, in a room one slot longer than its prefix.
+// After it, it is the owned page, moved to a room twice its size when the room
+// is full and the key needs a slot it has not got. A room is at most a block.
+// The caller stores the page an upsert returns back into owned.
+func (d *DB) writablePage(block int64, key uint64) []byte {
+	pg, ok := d.owned[block]
+	if !ok {
+		clean, loaded := d.cleanPage(block)
+		if !loaded {
+			panic(fmt.Sprintf("db: %s: page %d written before it was loaded", d.name, block))
+		}
+		return d.carve(clean, len(clean)+slotSize)
+	}
+	if len(pg)+slotSize > cap(pg) {
+		if at, free, _ := pageFind(pg, key); at < 0 && free < 0 {
+			return d.carve(pg, 2*cap(pg))
+		}
+	}
+	return pg
+}
+
+// carve copies pg into a room of n bytes, at most a block, cut from the front
+// of the arena, and returns it capped at the room, so an append past the room
+// copies instead of reaching the next one.
+func (d *DB) carve(pg []byte, n int) []byte {
+	n = min(n, d.blockSize)
+	off := len(d.arena)
+	if off+n > cap(d.arena) {
+		d.arena, off = make([]byte, 0, min(max(2*cap(d.arena), d.blockSize), arenaMaxBlocks*d.blockSize)), 0
+	}
+	d.arena = d.arena[:off+n]
+	return append(d.arena[off:off:off+n], pg...)
 }
 
 // Commits returns the number of transactions committed this session.

@@ -73,8 +73,9 @@ func pageLookup(page []byte, key uint64) (Row, bool) {
 
 // pageUpsert writes the row into its existing slot, the first free one, or a
 // slot appended to the page while the block has room, and returns the page.
-// The append stays in the page's array while its capacity allows; past it, it
-// copies.
+// The append stays in the page's room while its capacity allows; past it, it
+// copies. Its callers size the room first: the replay for its whole redo, a
+// commit for the one slot it may append (DB.writablePage).
 func pageUpsert(page []byte, row Row, blockSize int) ([]byte, error) {
 	if row.Key == 0 {
 		return page, ErrZeroKey

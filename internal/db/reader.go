@@ -19,7 +19,8 @@ import (
 // it, which is how the data-analytics application (§IV-D) opens the databases
 // living on snapshot volumes without mutating them. A block read is borrowed:
 // nil for a never-written (all-zero) block, else possibly the reader's own
-// storage — never modified; clone it to write (ownedPage). ReadRange (count
+// storage — never modified; copy it to write (the replay and
+// DB.writablePage do). ReadRange (count
 // consecutive blocks: Scan's preload of the data region) and ReadBlocks (the
 // blocks a vector names: the replay's log chunks, the pages the redo touches)
 // are one request and one scheduler step each, borrowed block by block exactly
@@ -41,9 +42,11 @@ type BlockReader interface {
 //
 // Pages are cached by absolute block index and copied on first write. A clean
 // page is borrowed: the slice the volume holds (nil = never written), never
-// written into. owned holds the copies the replay and writablePage took — the
-// only pages upserted into — and shadows the clean caches until DB.Checkpoint
-// hands them to the volume; nothing else leaves a reader.
+// written into. owned holds the copies the replay took and, on a DB, the rooms
+// its commits carved (DB.writablePage) — the only pages upserted into — and
+// shadows the clean caches until DB.Checkpoint hands them to the volume;
+// nothing else leaves a reader. The reader itself only reads: what commits
+// write with lives on the DB, so a View carries none of it.
 type reader struct {
 	name string
 	img  BlockReader
@@ -323,33 +326,13 @@ func (r *reader) loadPage(p *sim.Proc, block int64) ([]byte, error) {
 	return pg, nil
 }
 
-// writablePage returns the page for upserting into: the owned page, or on the
-// first write its own copy of the clean one, which the commit that asks has
-// loaded. The caller stores the page an upsert returns back into owned.
-func (r *reader) writablePage(block int64) []byte {
-	if pg, ok := r.owned[block]; ok {
-		return pg
-	}
-	clean, loaded := r.cleanPage(block)
-	if !loaded {
-		panic(fmt.Sprintf("db: %s: page %d written before it was loaded", r.name, block))
-	}
-	return ownedPage(clean, r.blockSize)
-}
-
-// ownedPage returns a page the caller may write: a copy of the borrowed
-// prefix (empty when the block was never written, nil) in a buffer of a whole
-// block's capacity, so the slots upserts append stay in it.
-func ownedPage(blk []byte, blockSize int) []byte {
-	return append(make([]byte, 0, blockSize), blk...)
-}
-
 // Get returns the value for key and whether it exists. The value is lent, not
 // copied: the row's bytes in the page that holds it, capped at their length so
 // an append copies. Never modify it. It is valid until the next Commit on the
 // database, which rewrites an owned page's slot in place; a value lent from a
-// clean page (the volume's own slice) or from a View never changes. Clone it
-// to keep it longer.
+// clean page (the volume's own slice), from a room its page has since moved
+// out of (no room is carved twice) or from a View never changes. Clone it to
+// keep it longer.
 func (r *reader) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 	if key == 0 {
 		return nil, false, ErrZeroKey

@@ -194,7 +194,7 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	// The transaction is durable; apply to memory pages (no-force).
 	for _, u := range rows {
 		block := d.pageBlock(u.key)
-		pg, err := pageUpsert(d.writablePage(block), Row{Key: u.key, TxID: t.id, Val: u.val(vals)}, d.blockSize)
+		pg, err := pageUpsert(d.writablePage(block, u.key), Row{Key: u.key, TxID: t.id, Val: u.val(vals)}, d.blockSize)
 		if err != nil {
 			// The fit check above guaranteed room; this indicates a bug.
 			panic(fmt.Sprintf("db: %s: post-log upsert failed: %v", d.name, err))

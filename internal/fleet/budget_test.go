@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/db"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // Per-phase allocation budget of the fleet workload's snapshot + verify phase
@@ -76,5 +78,63 @@ func TestVerifySnapshotAllocBudget(t *testing.T) {
 	if perAllocs > verifyAllocsBudget || perBytes > verifyBytesBudget {
 		t.Fatalf("snapshot + verify phase cost %d allocations and %d bytes, budget %d and %d",
 			perAllocs, perBytes, verifyAllocsBudget, verifyBytesBudget)
+	}
+}
+
+// Per-phase allocation budget of the fleet workload's order phase: one
+// tenant's 8 orders — each a sales commit of one row, then a stock commit of
+// two — on fresh sales and stock databases of fleet_seq's shape (512-byte
+// blocks, 256-block volumes, the fleet's default shop), so every order's
+// rows land on pages no commit wrote before. It pins the databases' commit
+// path and the shop's own bookkeeping; the volumes journal nothing, so the
+// replication cost of the same writes is not in it. Before commits carved
+// right-sized pages from one arena per database, each first write to a page
+// copied it into a whole block: the phase cost 71 allocations and 16,752 bytes.
+// It costs 55 and 11,120 now; a -race build adds 48 bytes, which the bytes
+// budget holds.
+const (
+	orderAllocsBudget = 55
+	orderBytesBudget  = 11_168
+)
+
+func TestOrderPhaseAllocBudget(t *testing.T) {
+	const orders, runs = 8, 10
+	env := sim.NewEnv(1)
+	a := storage.NewArray(env, "main", storage.Config{BlockSize: 512})
+	var allocs, bytes uint64
+	env.Process("budget", func(p *sim.Proc) {
+		open := func(id storage.VolumeID) *db.DB {
+			_ = a.DeleteVolume(id) // the previous run's, absent on the first
+			vol, err := a.CreateVolume(id, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := db.Open(p, string(id), vol, db.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		var before, after runtime.MemStats
+		for i := range runs + 1 { // the first run warms up
+			shop := workload.NewShop(env, open("sales"), open("stock"), workload.Config{Seed: 1})
+			runtime.ReadMemStats(&before)
+			err := shop.Run(p, orders)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 {
+				allocs += after.Mallocs - before.Mallocs
+				bytes += after.TotalAlloc - before.TotalAlloc
+			}
+		}
+	})
+	env.Run(0)
+	perAllocs, perBytes := allocs/runs, bytes/runs
+	t.Logf("%d orders on fresh databases: %d allocations, %d bytes", orders, perAllocs, perBytes)
+	if perAllocs > orderAllocsBudget || perBytes > orderBytesBudget {
+		t.Fatalf("order phase cost %d allocations and %d bytes, budget %d and %d",
+			perAllocs, perBytes, orderAllocsBudget, orderBytesBudget)
 	}
 }

@@ -274,12 +274,12 @@ func appendScanBlock(recs []Record, block []byte, epoch, seq uint32) ([]Record, 
 // uses them). block is an accessor, not a slice, so a reader can scan the
 // blocks its I/O vector borrowed without building a second list of them.
 func ScanLog(n int, block func(i int) []byte, epoch uint32) ([]Record, error) {
-	// Size the result once: no block outside the live-header prefix is
-	// scanned, and a block holds at most as many records as its stored
-	// length (a prefix of the block, perhaps) has room for commit records.
+	// Size the result once, to the records the live blocks frame: no block
+	// outside the live-header prefix is scanned, and a scan decodes no record
+	// framedRecords does not count.
 	live, most := 0, 0
 	for live < n && LiveBlock(block(live), epoch, uint32(live)) {
-		most += (len(block(live)) - BlockHeaderSize) / Overhead
+		most += framedRecords(block(live))
 		live++
 	}
 	if live == 0 {
@@ -293,4 +293,16 @@ func ScanLog(n int, block func(i int) []byte, epoch uint32) ([]Record, error) {
 		}
 	}
 	return out, nil
+}
+
+// framedRecords counts the records a block frames, walking their magic bytes
+// and value lengths alone — no type, epoch or checksum check — so it is at
+// least the number a scan of the block decodes, and exactly that for a block
+// that is all one epoch's intact records.
+func framedRecords(block []byte) int {
+	n := 0
+	for off := BlockHeaderSize; off+headerSize <= len(block) && block[off] == magic; n++ {
+		off += Overhead + int(binary.LittleEndian.Uint16(block[off+22:off+24]))
+	}
+	return n
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"slices"
@@ -315,6 +316,45 @@ func TestScanLogNilBlocksScanLikeZeroBlocks(t *testing.T) {
 	}
 }
 
+// ScanLog sizes its result once, to the records the live blocks frame by
+// magic byte and length: a torn record, a record of another epoch and one
+// whose length runs past the block are counted though not decoded, garbage
+// ends a block's count, and a torn block ahead of an intact one counts both.
+// So the bound is never below what a scan decodes, and the result never
+// regrows.
+func TestScanLogSizesItsResultOnce(t *testing.T) {
+	intact := func(seq uint32, epochs ...uint32) []byte {
+		b := NewBlockBuilder(512, 1, seq)
+		for i, e := range epochs {
+			b.Append(Record{Type: TypeUpdate, Epoch: e, TxID: uint64(i), Key: 1, Val: make([]byte, 20)})
+		}
+		return b.Blocks()[0]
+	}
+	rec := Record{Type: TypeUpdate, Epoch: 1, Val: make([]byte, 20)}
+	torn := intact(0, 1, 1, 1)
+	torn[BlockHeaderSize+rec.EncodedSize()+30] ^= 0xFF // the second record's value
+	overlong := intact(0, 1, 1)
+	binary.LittleEndian.PutUint16(overlong[BlockHeaderSize+rec.EncodedSize()+22:], 1000)
+	garbage := intact(0, 1)
+	garbage[BlockHeaderSize+rec.EncodedSize()] = 0x77
+	for _, c := range []struct {
+		name          string
+		region        [][]byte
+		decoded, size int
+	}{
+		{"torn record", [][]byte{torn}, 1, 3},
+		{"older epoch's record", [][]byte{intact(0, 1, 0, 1)}, 1, 3},
+		{"length past the block", [][]byte{overlong}, 1, 2},
+		{"garbage after a record", [][]byte{garbage}, 1, 1},
+		{"torn block ahead of an intact one", [][]byte{torn, intact(1, 1, 1)}, 1, 5},
+	} {
+		recs, _ := scanRegion(c.region, 1)
+		if len(recs) != c.decoded || cap(recs) != c.size {
+			t.Fatalf("%s: %d records in a result of %d; want %d in %d", c.name, len(recs), cap(recs), c.decoded, c.size)
+		}
+	}
+}
+
 func TestScanLogEmptyRegion(t *testing.T) {
 	recs, err := scanRegion([][]byte{make([]byte, 512), make([]byte, 512)}, 1)
 	if err != nil || len(recs) != 0 {
@@ -335,7 +375,7 @@ func TestBlockBuilderPropertyNoRecordLoss(t *testing.T) {
 			}
 		}
 		recs, err := scanRegion(b.Blocks(), 7)
-		if err != nil || len(recs) != n {
+		if err != nil || len(recs) != n || cap(recs) != n { // sized exactly, once
 			return false
 		}
 		for i, r := range recs {
