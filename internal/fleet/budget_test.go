@@ -138,3 +138,32 @@ func TestOrderPhaseAllocBudget(t *testing.T) {
 			perAllocs, perBytes, orderAllocsBudget, orderBytesBudget)
 	}
 }
+
+// Allocation budget of the fleet workload's shop construction: one tenant's
+// workload.NewShop at the fleet's configuration (the default Zipf shop). A
+// fleet tenant's 8 orders make far fewer than the 273 draws its source
+// computes from the seed, so it never builds math/rand's 607-word register
+// (a 5.4 KB allocation). Before the source was lazy, the phase cost 6
+// allocations and 5,808 bytes. It costs 6 and 464 now, and as much under
+// -race, so the bytes budget leaves 48 bytes of headroom.
+const (
+	shopAllocsBudget = 6
+	shopBytesBudget  = 512
+)
+
+func TestNewShopAllocBudget(t *testing.T) {
+	const runs = 100
+	env := sim.NewEnv(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range runs { // one seed per tenant, as the fleet gives them
+		workload.NewShop(env, nil, nil, workload.Config{Seed: 1 + int64(i)*7919})
+	}
+	runtime.ReadMemStats(&after)
+	perAllocs, perBytes := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
+	t.Logf("NewShop: %d allocations, %d bytes", perAllocs, perBytes)
+	if perAllocs > shopAllocsBudget || perBytes > shopBytesBudget {
+		t.Fatalf("NewShop cost %d allocations and %d bytes, budget %d and %d",
+			perAllocs, perBytes, shopAllocsBudget, shopBytesBudget)
+	}
+}

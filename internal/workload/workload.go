@@ -40,7 +40,9 @@ type Config struct {
 	// never touch the journal, so they dilute the replication load the
 	// way real mixed traffic does. Default 0.
 	ReadFraction float64
-	// Seed offsets the environment RNG stream for item selection.
+	// Seed seeds the shop's own generator, which picks items, read targets
+	// and the read/write mix. It never draws from the environment's RNG: the
+	// stream is exactly math/rand.NewSource(Seed+0x5eed)'s.
 	Seed int64
 }
 
@@ -73,10 +75,13 @@ type Shop struct {
 	Failed      metrics.Counter
 }
 
-// NewShop wires the generator to its two databases.
+// NewShop wires the generator to its two databases. Its draws are
+// math/rand.New(math/rand.NewSource(cfg.Seed+0x5eed))'s, draw for draw, but
+// the 607-word register behind them is built only if the shop makes more than
+// 273 draws (lazySource).
 func NewShop(env *sim.Env, sales, stock *db.DB, cfg Config) *Shop {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 0x5eed))
+	rng := rand.New(newLazySource(cfg.Seed + 0x5eed))
 	s := &Shop{
 		env:         env,
 		sales:       sales,
