@@ -34,8 +34,9 @@ type Report struct {
 	// set is a prefix of that database's commit order (per-volume ordering;
 	// must hold in every replication mode).
 	SalesPrefixOK, StockPrefixOK bool
-	// RPO is the data-loss window: the span of committed-at-main
-	// transactions missing from the backup, expressed as a count.
+	// LostSalesTxns and LostStockTxns count the main-site commits missing
+	// from each recovered image: those past the longest prefix of that
+	// database's commit order the image holds.
 	LostSalesTxns, LostStockTxns int
 }
 

@@ -55,7 +55,8 @@ func E10Failback(seed int64, outageOrders []int) ([]FailbackResult, error) {
 			}
 		})
 		r.env.Run(0)
-		r.catchUp()
+		r.env.Process("catchup", func(p *sim.Proc) { r.groups[0].CatchUp(p) })
+		r.env.Run(0)
 		// Disaster: partition, a little stranded work, failover.
 		r.links.Partition()
 		r.env.Process("stranded", func(p *sim.Proc) { r.shop.Run(p, 3) })
@@ -86,13 +87,11 @@ func E10Failback(seed int64, outageOrders []int) ([]FailbackResult, error) {
 		r.links.Heal()
 		var res FailbackResult
 		res.OutageOrders = n
-		var fbErr error
-		r.env.Process("failback", func(p *sim.Proc) {
+		err = runProc(r.env, "failback", 0, func(p *sim.Proc) error {
 			start := p.Now()
 			reverse, stats, err := r.groups[0].Failback(p, r.main, r.links.Reverse, replication.Config{})
 			if err != nil {
-				fbErr = err
-				return
+				return err
 			}
 			res.ResyncTime = p.Now() - start
 			res.DeltaBlocks = stats.DeltaBlocks
@@ -109,10 +108,10 @@ func E10Failback(seed int64, outageOrders []int) ([]FailbackResult, error) {
 			got := sv.Peek(1999) // nil if the write never arrived
 			res.ReverseOK = got != nil && got[0] == 0x5A
 			reverse.Stop()
+			return nil
 		})
-		r.env.Run(0)
-		if fbErr != nil {
-			return nil, fmt.Errorf("E10 outage=%d: %w", n, fbErr)
+		if err != nil {
+			return nil, fmt.Errorf("E10 outage=%d: %w", n, err)
 		}
 		out = append(out, res)
 	}

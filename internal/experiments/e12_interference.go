@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/consistency"
-	"repro/internal/db"
 	"repro/internal/fabric"
 	"repro/internal/netlink"
 	"repro/internal/replication"
@@ -65,10 +64,8 @@ type e12Scenario struct {
 }
 
 func e12Scenarios() []e12Scenario {
-	// A deliberately thin inter-site pipe: 4MB/s per member, 2ms one-way.
-	// One flood batch (64 x ~4KiB records) serializes in ~67ms, so FIFO
+	// Thin members (thinLinks): one flood batch serializes in ~67ms, so FIFO
 	// fan-in behind eight flood sessions costs the victim ~0.5s per batch.
-	base := netlink.Config{Propagation: 2 * time.Millisecond, BandwidthBps: 4e6}
 	weighted := []fabric.ClassConfig{
 		{Name: e12Gold, Weight: 8},
 		{Name: e12Silver, Weight: 2},
@@ -80,11 +77,11 @@ func e12Scenarios() []e12Scenario {
 		{Name: e12Bulk, Weight: 1, Links: []int{0}},
 	}
 	return []e12Scenario{
-		{name: "baseline", links: []netlink.Config{base}},
-		{name: "no-qos", links: []netlink.Config{base}, noisy: true},
-		{name: "weighted", links: []netlink.Config{base}, classes: weighted, noisy: true},
-		{name: "dedicated", links: []netlink.Config{base, base}, classes: dedicated, noisy: true},
-		{name: "link-failure", links: []netlink.Config{base, base}, classes: weighted, noisy: true, linkFailure: true},
+		{name: "baseline", links: thinLinks(1)},
+		{name: "no-qos", links: thinLinks(1), noisy: true},
+		{name: "weighted", links: thinLinks(1), classes: weighted, noisy: true},
+		{name: "dedicated", links: thinLinks(2), classes: dedicated, noisy: true},
+		{name: "link-failure", links: thinLinks(2), classes: weighted, noisy: true, linkFailure: true},
 	}
 }
 
@@ -123,19 +120,9 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 	backup := storage.NewArray(env, "backup", scfg)
 	fab := fabric.New(env, fabric.Config{Links: sc.links, Classes: sc.classes, WindowPerLink: sc.window})
 
-	mkPair := func(id storage.VolumeID, blocks int64) error {
-		if _, err := main.CreateVolume(id, blocks); err != nil {
-			return err
-		}
-		_, err := backup.CreateVolume(id, blocks)
-		return err
-	}
-
 	// Victim tenant: the standard two-volume shop on a consistency group.
-	for _, id := range []storage.VolumeID{"v-sales", "v-stock"} {
-		if err := mkPair(id, 2048); err != nil {
-			return res, err
-		}
+	if err := createTwins(main, backup, 2048, "v-sales", "v-stock"); err != nil {
+		return res, err
 	}
 	victimPath := fab.Path(e12Gold, "victim")
 	vg, err := startADC(env, main, backup, "victim", []storage.VolumeID{"v-sales", "v-stock"},
@@ -151,7 +138,7 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 	if sc.noisy {
 		for k := 0; k < e12NoisyDrains; k++ {
 			id := storage.VolumeID(fmt.Sprintf("noisy-%d", k))
-			if err := mkPair(id, 512); err != nil {
+			if err := createTwins(main, backup, 512, id); err != nil {
 				return res, err
 			}
 			g, err := startADC(env, main, backup, string(id), []storage.VolumeID{id},
@@ -168,7 +155,7 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 	var bgVols []storage.VolumeID
 	for b := 0; b < e12BgTenants; b++ {
 		id := storage.VolumeID(fmt.Sprintf("bg-%d", b))
-		if err := mkPair(id, 512); err != nil {
+		if err := createTwins(main, backup, 512, id); err != nil {
 			return res, err
 		}
 		g, err := startADC(env, main, backup, string(id), []storage.VolumeID{id},
@@ -183,28 +170,14 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 	// Open the victim databases (writes replicate from the first block, so
 	// no initial copy is needed) and wire the paced shop.
 	var shop *workload.Shop
-	var bootErr error
-	env.Process("bootstrap", func(p *sim.Proc) {
+	if err := runProc(env, "bootstrap", 0, func(p *sim.Proc) error {
 		salesVol, _ := main.Volume("v-sales")
 		stockVol, _ := main.Volume("v-stock")
-		sales, err := db.Open(p, "v-sales", salesVol, db.Config{})
-		if err != nil {
-			bootErr = err
-			return
-		}
-		stock, err := db.Open(p, "v-stock", stockVol, db.Config{})
-		if err != nil {
-			bootErr = err
-			return
-		}
-		shop = workload.NewShop(env, sales, stock, workload.Config{
-			Seed:      seed,
-			ThinkTime: 10 * time.Millisecond,
-		})
-	})
-	env.Run(0)
-	if bootErr != nil {
-		return res, bootErr
+		var err error
+		shop, err = openShop(p, "v-", salesVol, stockVol, workload.Config{Seed: seed, ThinkTime: 10 * time.Millisecond})
+		return err
+	}); err != nil {
+		return res, err
 	}
 
 	// The victim's backup lag, probed while its orders run.
@@ -257,12 +230,10 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 	}
 
 	// Victim driver: run the orders, measure, drain, verify every tenant.
-	var verr error
-	env.Process("victim", func(p *sim.Proc) {
+	err = runProc(env, "victim", 0, func(p *sim.Proc) error {
 		start := p.Now()
 		if err := shop.Run(p, orders); err != nil {
-			verr = fmt.Errorf("victim orders: %w", err)
-			return
+			return fmt.Errorf("victim orders: %w", err)
 		}
 		res.VictimOrders = shop.Completed.Value()
 		rpo := reg.Series("rpo", telemetry.L("tenant", "victim")).Window(start, p.Now())
@@ -274,18 +245,11 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 		// Freeze the victim's backup image and verify the consistent cut.
 		grp, err := backup.CreateSnapshotGroup("verify-"+sc.name, []storage.VolumeID{"v-sales", "v-stock"})
 		if err != nil {
-			verr = err
-			return
+			return err
 		}
-		salesView, err := db.OpenView(p, "v-sales@verify", grp.Snapshot("v-sales"), db.Config{})
+		salesView, stockView, err := openViews(p, grp, "v-", "verify")
 		if err != nil {
-			verr = err
-			return
-		}
-		stockView, err := db.OpenView(p, "v-stock@verify", grp.Snapshot("v-stock"), db.Config{})
-		if err != nil {
-			verr = err
-			return
+			return err
 		}
 		rep := consistency.Verify(salesView, stockView, shop.SalesCommitOrder(), shop.StockCommitOrder())
 		res.Consistent = !rep.Collapsed() && rep.OrderingOK() &&
@@ -305,10 +269,10 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 			g.Stop()
 		}
 		fab.Stop()
+		return nil
 	})
-	env.Run(0)
-	if verr != nil {
-		return res, verr
+	if err != nil {
+		return res, err
 	}
 	res.VictimMeanXfer = victimPath.MeanTransferTime()
 	res.VictimQueueDelay = victimPath.MeanQueueDelay()

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/netlink"
 	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -94,16 +93,9 @@ func E13ShardedThroughput(seed int64, shardCounts []int, writes int) ([]ShardedT
 // to the replication plugin), then the write-heavy load — drained to empty,
 // or cut mid-backlog.
 func e13Run(seed int64, shards, writes int, failover bool, res *ShardedThroughputResult) error {
-	// A thin pipe per member: one 64-record batch serializes in ~67ms, so a
-	// single lane is visibly the bottleneck and extra lanes visibly help.
-	member := netlink.Config{Propagation: 2 * time.Millisecond, BandwidthBps: 4e6}
-	links := make([]netlink.Config, e13Links)
-	for i := range links {
-		links[i] = member
-	}
 	sys := core.NewSystem(core.Config{
 		Seed:         seed,
-		Fabric:       fabric.Config{Links: links},
+		Fabric:       fabric.Config{Links: thinLinks(e13Links)},
 		VolumeBlocks: int64(writes/e13Volumes + 2),
 	})
 
@@ -134,10 +126,7 @@ func e13Run(seed int64, shards, writes int, failover bool, res *ShardedThroughpu
 		})
 	}
 	sys.Env.Run(0)
-	// Quiesce before discarding the system so repeated runs in one process
-	// do not accumulate parked simulation processes.
-	sys.Stop()
-	sys.Env.Run(0)
+	quiesce(sys, 0)
 	return errors.Join(driveErr, cutErr)
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/netlink"
 	"repro/internal/platform"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -82,14 +81,9 @@ func E15Reshard(seed int64, writes int) (ReshardResult, error) {
 
 // e15System assembles the four-link system both runs share.
 func e15System(seed int64, writes int) *core.System {
-	member := netlink.Config{Propagation: 2 * time.Millisecond, BandwidthBps: 4e6}
-	links := make([]netlink.Config, e15Links)
-	for i := range links {
-		links[i] = member
-	}
 	return core.NewSystem(core.Config{
 		Seed:         seed,
-		Fabric:       fabric.Config{Links: links},
+		Fabric:       fabric.Config{Links: thinLinks(e15Links)},
 		VolumeBlocks: int64(writes/e15Volumes + 2),
 	})
 }
@@ -257,8 +251,7 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 		})
 	}
 	sys.Env.Run(0)
-	sys.Stop()
-	sys.Env.Run(0)
+	quiesce(sys, 0)
 	return runErr
 }
 

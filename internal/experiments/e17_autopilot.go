@@ -7,7 +7,6 @@ import (
 	"repro/internal/autopilot"
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/netlink"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -118,15 +117,10 @@ func E17Autopilot(seed int64) (AutopilotResult, error) {
 // bulk QoS classes at equal DRR weight (so only admission control can tilt
 // them), and the two SLO policy classes the autopilot enforces.
 func e17System(seed int64) *core.System {
-	member := netlink.Config{Propagation: 2 * time.Millisecond, BandwidthBps: 4e6}
-	links := make([]netlink.Config, e17Links)
-	for i := range links {
-		links[i] = member
-	}
 	return core.NewSystem(core.Config{
 		Seed: seed,
 		Fabric: fabric.Config{
-			Links: links,
+			Links: thinLinks(e17Links),
 			Classes: []fabric.ClassConfig{
 				{Name: "gold", Weight: 1},
 				{Name: "bulk", Weight: 1},
@@ -262,8 +256,7 @@ func e17Run(seed int64, auto, trace bool) (AutopilotRun, *autopilot.Autopilot, *
 	})
 
 	sys.Env.Run(0)
-	sys.Stop()
-	sys.Env.Run(0)
+	quiesce(sys, 0)
 	if runErr != nil {
 		return run, ap, sys, runErr
 	}

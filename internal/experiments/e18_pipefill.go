@@ -171,8 +171,7 @@ func e18Run(seed int64, window, writes int, partition bool, res *PipeFillResult)
 		})
 	}
 	sys.Env.Run(0)
-	sys.Stop()
-	sys.Env.Run(0)
+	quiesce(sys, 0)
 	return errors.Join(driveErr, cutErr)
 }
 

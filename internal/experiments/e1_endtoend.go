@@ -38,26 +38,21 @@ func E1EndToEnd(seed int64, orders int) (EndToEndResult, error) {
 	var res EndToEndResult
 	res.Orders = orders
 	sys := core.NewSystem(core.Config{Seed: seed})
-	var runErr error
-	sys.Env.Process("e1", func(p *sim.Proc) {
+	err := runProc(sys.Env, "e1", time.Hour, func(p *sim.Proc) error {
 		bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		start := p.Now()
 		if err := sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) { s.Backup = true }); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		if err := sys.WaitTenantCondition(p, "shop", core.CondBackupReady(), 30*time.Second); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		res.TimeToReady = p.Now() - start
 		if err := bp.Shop.Run(p, orders); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		res.OrderMean = bp.Shop.Latency.Mean()
 		sys.CatchUp(p, "shop")
@@ -66,19 +61,16 @@ func E1EndToEnd(seed int64, orders int) (EndToEndResult, error) {
 		}
 		group, err := sys.SnapshotBackup("shop", "e1")
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		res.SnapshotMembers = len(group.Snapshots())
 		salesView, stockView, err := sys.AnalyticsDBs(p, "shop", group)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		sales, err := analytics.Sales(p, salesView)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		res.AnalyticsOrders = sales.Orders
 		rep := consistency.Verify(salesView, stockView, bp.Shop.SalesCommitOrder(), bp.Shop.StockCommitOrder())
@@ -86,8 +78,7 @@ func E1EndToEnd(seed int64, orders int) (EndToEndResult, error) {
 
 		fo, err := sys.Failover(p, "shop")
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		res.FailoverTime = fo.RecoveryTime
 		for _, d := range []*db.DB{fo.Sales, fo.Stock} {
@@ -100,12 +91,11 @@ func E1EndToEnd(seed int64, orders int) (EndToEndResult, error) {
 		}
 		foRep := consistency.Verify(fo.Sales, fo.Stock, bp.Shop.SalesCommitOrder(), bp.Shop.StockCommitOrder())
 		res.FailoverIntact = !foRep.Collapsed() && foRep.OrderingOK()
+		return nil
 	})
-	sys.Env.Run(time.Hour)
-	sys.Stop() // quiesce so repeated runs in one process do not accumulate parked procs
-	sys.Env.Run(time.Hour)
-	if runErr != nil {
-		return res, fmt.Errorf("E1: %w", runErr)
+	quiesce(sys, time.Hour)
+	if err != nil {
+		return res, fmt.Errorf("E1: %w", err)
 	}
 	return res, nil
 }

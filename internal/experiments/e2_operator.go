@@ -38,21 +38,18 @@ func E2Operator(seed int64, volumeCounts []int) ([]OperatorResult, error) {
 		// Hand configuration: per volume 4 ops (backup volume, backup PV,
 		// backup PVC, journal attach) + journal create + replication start.
 		res.UserOpsHand = 4*n + 2
-		var runErr error
-		sys.Env.Process("e2", func(p *sim.Proc) {
+		err := runProc(sys.Env, "e2", time.Hour, func(p *sim.Proc) error {
 			if err := sys.Main.API.Create(p, &platform.Namespace{
 				Meta: platform.Meta{Kind: platform.KindNamespace, Name: "biz"},
 			}); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			for i := 0; i < n; i++ {
 				if err := sys.Main.API.Create(p, &platform.PersistentVolumeClaim{
 					Meta: platform.Meta{Kind: platform.KindPVC, Namespace: "biz", Name: fmt.Sprintf("vol-%03d", i)},
 					Spec: platform.PVCSpec{StorageClassName: core.StorageClassName, SizeBlocks: 128},
 				}); err != nil {
-					runErr = err
-					return
+					return err
 				}
 			}
 			// Wait for binding, then measure tag -> Ready. The tag is the
@@ -63,33 +60,29 @@ func E2Operator(seed int64, volumeCounts []int) ([]OperatorResult, error) {
 			start := p.Now()
 			obj, err := sys.Main.API.Get(p, platform.ObjectKey{Kind: platform.KindNamespace, Name: "biz"})
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			ns := obj.DeepCopy().(*platform.Namespace)
 			ns.Labels = map[string]string{operator.Tag: operator.TagValue}
 			if err := sys.Main.API.Update(p, ns); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if err := sys.WaitTenantCondition(p, "biz", core.CondBackupReady(), 30*time.Second); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			res.TimeToReady = p.Now() - start
 			res.APICalls = sys.Main.API.Calls() + sys.Backup.API.Calls() - callsBefore
+			return nil
 		})
-		sys.Env.Run(time.Hour)
-		if runErr != nil {
-			return nil, fmt.Errorf("E2 n=%d: %w", n, runErr)
+		if err != nil {
+			return nil, fmt.Errorf("E2 n=%d: %w", n, err)
 		}
 		// Sanity: the operator really did configure one CG with n members.
 		groups := sys.Replication.Groups(operator.GroupNameFor("biz"))
 		if len(groups) != 1 || len(groups[0].Members()) != n {
 			return nil, fmt.Errorf("E2 n=%d: configured %d groups", n, len(groups))
 		}
-		sys.Stop() // quiesce so repeated runs in one process do not accumulate parked procs
-		sys.Env.Run(time.Hour)
+		quiesce(sys, time.Hour)
 		out = append(out, res)
 	}
 	return out, nil

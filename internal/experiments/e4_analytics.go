@@ -35,31 +35,25 @@ func E4Analytics(seed int64, orders int) ([]AnalyticsResult, error) {
 		}
 		res := AnalyticsResult{Scenario: name}
 		sys := core.NewSystem(core.Config{Seed: seed})
-		var runErr error
-		sys.Env.Process("e4", func(p *sim.Proc) {
+		err := runProc(sys.Env, "e4", time.Hour, func(p *sim.Proc) error {
 			bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if err := sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) { s.Backup = true }); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if err := sys.WaitTenantCondition(p, "shop", core.CondBackupReady(), 30*time.Second); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			// Warm-up orders, snapshot, then the measured window.
 			if err := bp.Shop.Run(p, orders/2); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			sys.CatchUp(p, "shop")
 			group, err := sys.SnapshotBackup("shop", "e4")
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			frozenOrders := orders / 2
 
@@ -68,48 +62,47 @@ func E4Analytics(seed int64, orders int) ([]AnalyticsResult, error) {
 			// histogram so the window's latency is isolated from warm-up.
 			bp.Shop.Latency.Reset()
 			done := sys.Env.NewEvent()
+			var anErr error
 			if withAnalytics {
 				sys.Env.Process("analytics", func(ap *sim.Proc) {
 					defer done.Trigger()
 					start := ap.Now()
 					salesView, stockView, err := sys.AnalyticsDBs(ap, "shop", group)
 					if err != nil {
-						runErr = err
+						anErr = err
 						return
 					}
 					sales, err := analytics.Sales(ap, salesView)
 					if err != nil {
-						runErr = err
+						anErr = err
 						return
 					}
 					join, err := analytics.Join(ap, salesView, stockView)
 					if err != nil {
-						runErr = err
+						anErr = err
 						return
 					}
 					res.AnalyticsTime = ap.Now() - start
 					res.OrdersSeen = sales.Orders
 					res.JoinUnmatched = join.Unmatched
 					if sales.Orders != frozenOrders {
-						runErr = fmt.Errorf("analytics saw %d orders, want frozen %d", sales.Orders, frozenOrders)
+						anErr = fmt.Errorf("analytics saw %d orders, want frozen %d", sales.Orders, frozenOrders)
 					}
 				})
 			} else {
 				done.Trigger()
 			}
 			if err := bp.Shop.Run(p, orders/2); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			p.Wait(done)
 			sys.CatchUp(p, "shop")
 			res.RPOAfter = sys.RPO("shop")
 			res.OrderMean = bp.Shop.Latency.Mean()
+			return anErr
 		})
-		sys.Env.Run(time.Hour)
-		sys.Stop() // quiesce so repeated runs in one process do not accumulate parked procs
-		sys.Env.Run(time.Hour + time.Second)
-		return res, runErr
+		quiesce(sys, time.Hour+time.Second)
+		return res, err
 	}
 	base, err := run(false)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/consistency"
-	"repro/internal/db"
 	"repro/internal/netlink"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -89,23 +88,16 @@ func collapseTrial(seed int64, orders int, mode Mode, trial int) (consistency.Re
 
 	// Recover databases from the frozen image and verify.
 	var rep consistency.Report
-	var verr error
-	r.env.Process("verify", func(p *sim.Proc) {
-		salesView, err := db.OpenView(p, "sales@disaster", group.Snapshot("sales"), db.Config{})
+	err = runProc(r.env, "verify", 0, func(p *sim.Proc) error {
+		salesView, stockView, err := openViews(p, group, "", "disaster")
 		if err != nil {
-			verr = err
-			return
-		}
-		stockView, err := db.OpenView(p, "stock@disaster", group.Snapshot("stock"), db.Config{})
-		if err != nil {
-			verr = err
-			return
+			return err
 		}
 		rep = consistency.Verify(salesView, stockView,
 			r.shop.SalesCommitOrder(), r.shop.StockCommitOrder())
+		return nil
 	})
-	r.env.Run(0)
-	return rep, verr
+	return rep, err
 }
 
 // E6Table renders E6 results.

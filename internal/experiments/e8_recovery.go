@@ -59,18 +59,11 @@ func E8Recovery(seed int64, orderCounts []int, mode Mode) ([]RecoveryResult, err
 		var rec RecoveryResult
 		rec.Mode = mode
 		rec.Orders = orders
-		var verr error
-		r.env.Process("recover", func(p *sim.Proc) {
+		err = runProc(r.env, "recover", 0, func(p *sim.Proc) error {
 			start := p.Now()
-			salesView, err := db.OpenView(p, "sales@rec", group.Snapshot("sales"), db.Config{})
+			salesView, stockView, err := openViews(p, group, "", "rec")
 			if err != nil {
-				verr = err
-				return
-			}
-			stockView, err := db.OpenView(p, "stock@rec", group.Snapshot("stock"), db.Config{})
-			if err != nil {
-				verr = err
-				return
+				return err
 			}
 			rec.RecoveryTime = p.Now() - start
 			rec.LogRead = salesView.LogReadTime() + stockView.LogReadTime()
@@ -84,10 +77,10 @@ func E8Recovery(seed int64, orderCounts []int, mode Mode) ([]RecoveryResult, err
 			rep := consistency.Verify(salesView, stockView,
 				r.shop.SalesCommitOrder(), r.shop.StockCommitOrder())
 			rec.BusinessIntact = !rep.Collapsed() && rep.OrderingOK()
+			return nil
 		})
-		r.env.Run(0)
-		if verr != nil {
-			return nil, verr
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, rec)
 	}

@@ -42,18 +42,16 @@ func E9BatchSweep(seed int64, batches []int, orders int) ([]BatchResult, error) 
 		reg := r.probe(5 * time.Millisecond)
 		start := r.env.Now()
 		var drainStart, drainEnd time.Duration
-		var runErr error
-		r.env.Process("orders", func(p *sim.Proc) {
-			if runErr = r.shop.Run(p, orders); runErr != nil {
-				return
+		if err := runProc(r.env, "orders", 0, func(p *sim.Proc) error {
+			if err := r.shop.Run(p, orders); err != nil {
+				return err
 			}
 			drainStart = p.Now()
 			r.groups[0].CatchUp(p)
 			drainEnd = p.Now()
-		})
-		r.env.Run(0)
-		if runErr != nil {
-			return nil, runErr
+			return nil
+		}); err != nil {
+			return nil, err
 		}
 		r.stop()
 		out = append(out, BatchResult{
@@ -103,10 +101,10 @@ func E9CGScale(seed int64, volumeCounts []int, writesPerVol int) ([]CGScaleResul
 			link := netlink.New(env, netlink.Config{Propagation: 5 * time.Millisecond, BandwidthBps: 1e9})
 			var vols []storage.VolumeID
 			for i := 0; i < n; i++ {
-				id := storage.VolumeID(fmt.Sprintf("vol-%03d", i))
-				main.CreateVolume(id, 256)
-				backup.CreateVolume(id, 256)
-				vols = append(vols, id)
+				vols = append(vols, storage.VolumeID(fmt.Sprintf("vol-%03d", i)))
+			}
+			if err := createTwins(main, backup, 256, vols...); err != nil {
+				return nil, err
 			}
 			var groups []*replication.Group
 			if shared {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/fabric"
 	"repro/internal/netlink"
@@ -49,8 +50,6 @@ type rig struct {
 	mode   Mode
 
 	groups []*replication.Group
-	sales  *db.DB
-	stock  *db.DB
 	shop   *workload.Shop
 }
 
@@ -87,21 +86,11 @@ func newRig(params rigParams) (*rig, error) {
 		links:  netlink.NewPair(env, params.link),
 		mode:   params.mode,
 	}
-	for _, a := range []*storage.Array{r.main, r.backup} {
-		if _, err := a.CreateVolume("sales", params.volBlk); err != nil {
-			return nil, err
-		}
-		if _, err := a.CreateVolume("stock", params.volBlk); err != nil {
-			return nil, err
-		}
+	if err := createTwins(r.main, r.backup, params.volBlk, "sales", "stock"); err != nil {
+		return nil, err
 	}
-	var bootErr error
-	env.Process("bootstrap", func(p *sim.Proc) {
-		bootErr = r.bootstrap(p, params)
-	})
-	env.Run(0)
-	if bootErr != nil {
-		return nil, bootErr
+	if err := runProc(env, "bootstrap", 0, func(p *sim.Proc) error { return r.bootstrap(p, params) }); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -145,17 +134,11 @@ func (r *rig) bootstrap(p *sim.Proc, params rigParams) error {
 		return fmt.Errorf("experiments: unknown mode %q", r.mode)
 	}
 
-	var err error
-	if r.sales, err = db.Open(p, "sales", salesW, db.Config{}); err != nil {
-		return err
-	}
-	if r.stock, err = db.Open(p, "stock", stockW, db.Config{}); err != nil {
-		return err
-	}
 	wcfg := params.workload
 	wcfg.Seed = params.seed
-	r.shop = workload.NewShop(r.env, r.sales, r.stock, wcfg)
-	return nil
+	var err error
+	r.shop, err = openShop(p, "", salesW, stockW, wcfg)
+	return err
 }
 
 // startADC wires vols (same IDs on both arrays) into a one-lane consistency
@@ -189,12 +172,11 @@ func ident(vols ...storage.VolumeID) map[storage.VolumeID]storage.VolumeID {
 // catch-up, not business processing, and stays out of the span.
 func (r *rig) runOrders(n int) (time.Duration, error) {
 	start, end := r.env.Now(), r.env.Now()
-	var err error
-	r.env.Process("orders", func(p *sim.Proc) {
-		err = r.shop.Run(p, n)
+	err := runProc(r.env, "orders", 0, func(p *sim.Proc) error {
+		err := r.shop.Run(p, n)
 		end = p.Now()
+		return err
 	})
-	r.env.Run(0)
 	return end - start, err
 }
 
@@ -209,20 +191,78 @@ func (r *rig) probe(period time.Duration) *telemetry.Registry {
 	return reg
 }
 
-// catchUp drains all groups.
-func (r *rig) catchUp() {
-	r.env.Process("catchup", func(p *sim.Proc) {
-		for _, g := range r.groups {
-			g.CatchUp(p)
-		}
-	})
-	r.env.Run(0)
-}
-
 // stop halts replication drains so the environment can go idle.
 func (r *rig) stop() {
 	for _, g := range r.groups {
 		g.Stop()
 	}
 	r.env.Run(0)
+}
+
+// The steps the harnesses share, each written once.
+
+// runProc spawns body as the process name, runs env to the horizon until
+// (0: until idle) and returns body's error. A harness whose processes share
+// one error keeps its own variable instead.
+func runProc(env *sim.Env, name string, until time.Duration, body func(*sim.Proc) error) error {
+	var err error
+	env.Process(name, func(p *sim.Proc) { err = body(p) })
+	env.Run(until)
+	return err
+}
+
+// quiesce stops sys's engines and controllers and runs its environment to
+// the horizon until (0: until idle), so repeated runs in one process do not
+// accumulate parked simulation processes.
+func quiesce(sys *core.System, until time.Duration) {
+	sys.Stop()
+	sys.Env.Run(until)
+}
+
+// createTwins creates each volume, blocks long, on main and on backup.
+func createTwins(main, backup *storage.Array, blocks int64, ids ...storage.VolumeID) error {
+	for _, id := range ids {
+		for _, a := range []*storage.Array{main, backup} {
+			if _, err := a.CreateVolume(id, blocks); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// openShop opens the databases prefix+"sales" and prefix+"stock" on the
+// given writers (formatting fresh volumes) and wires a shop over them.
+func openShop(p *sim.Proc, prefix string, sales, stock db.BlockWriter, cfg workload.Config) (*workload.Shop, error) {
+	salesDB, err := db.Open(p, prefix+"sales", sales, db.Config{})
+	if err != nil {
+		return nil, err
+	}
+	stockDB, err := db.Open(p, prefix+"stock", stock, db.Config{})
+	if err != nil {
+		return nil, err
+	}
+	return workload.NewShop(p.Env(), salesDB, stockDB, cfg), nil
+}
+
+// openViews recovers read-only views of the databases on group's members
+// prefix+"sales" and prefix+"stock", each named member+"@"+at.
+func openViews(p *sim.Proc, group *storage.SnapshotGroup, prefix, at string) (sales, stock *db.View, err error) {
+	if sales, err = db.OpenView(p, prefix+"sales@"+at, group.Snapshot(storage.VolumeID(prefix+"sales")), db.Config{}); err != nil {
+		return nil, nil, err
+	}
+	stock, err = db.OpenView(p, prefix+"stock@"+at, group.Snapshot(storage.VolumeID(prefix+"stock")), db.Config{})
+	return sales, stock, err
+}
+
+// thinLinks returns n identical fabric members, each a deliberately thin
+// 2 ms / 4 MB/s pipe: one 64-record batch of 4 KiB blocks serializes in
+// ~67 ms, so the drain, not the array, caps throughput and a single lane is
+// visibly the bottleneck.
+func thinLinks(n int) []netlink.Config {
+	links := make([]netlink.Config, n)
+	for i := range links {
+		links[i] = netlink.Config{Propagation: 2 * time.Millisecond, BandwidthBps: 4e6}
+	}
+	return links
 }

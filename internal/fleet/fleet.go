@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -345,10 +344,7 @@ func (f *Fleet) runTenant(p *sim.Proc, t *Tenant) error {
 		p.Sleep(t.JoinAfter - p.Now())
 	}
 	start := p.Now()
-	var provSpan telemetry.Span
-	if tel := f.Sys.Telemetry; tel != nil {
-		provSpan = tel.StartSpan("lifecycle", "provision", t.Namespace)
-	}
+	provSpan := f.Sys.Telemetry.StartSpan("lifecycle", "provision", t.Namespace)
 	bp, err := f.Sys.ProvisionTenant(p, platform.TenantSpec{
 		Namespace:     t.Namespace,
 		PVCNames:      []string{"sales", "stock"},
@@ -435,10 +431,7 @@ func (f *Fleet) runTenant(p *sim.Proc, t *Tenant) error {
 		// before teardown reclaims the paths.
 		f.Sys.CatchUp(p, t.Namespace)
 		f.captureFabric(t)
-		var leaveSpan telemetry.Span
-		if tel := f.Sys.Telemetry; tel != nil {
-			leaveSpan = tel.StartSpan("lifecycle", "decommission", t.Namespace)
-		}
+		leaveSpan := f.Sys.Telemetry.StartSpan("lifecycle", "decommission", t.Namespace)
 		err := f.Sys.DecommissionTenant(p, t.Namespace)
 		leaveSpan.End()
 		if err != nil {

@@ -484,10 +484,7 @@ func (g *Group) coordinate(p *sim.Proc) {
 		}
 		sealed := g.journal.SealEpoch()
 		sealedAt := p.Now()
-		var sp telemetry.Span
-		if g.tel != nil {
-			sp = g.tel.StartSpan("epoch", "epoch-drain", g.tenant)
-		}
+		sp := g.tel.StartSpan("epoch", "epoch-drain", g.tenant)
 		for !g.allStagedThrough(sealed) {
 			if p.WaitAny(g.renewed(&g.progress), g.stopEv) == 1 {
 				return

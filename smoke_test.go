@@ -169,7 +169,10 @@ func firstDiff(want, got []byte) string {
 
 // TestSmokeExperimentsRejectsUnknownRunID pins the -run contract of
 // cmd/experiments: a typo'd id is refused with exit status 2 and the valid
-// range, before any experiment runs — never a silent, empty success.
+// range, before any experiment runs — never a silent, empty success. Every
+// valid id selects exactly its own tables: run alone, in catalog order, the
+// ids reproduce the `-run all` golden byte for byte (the per-id selection
+// telemetry-smoke and autopilot-smoke rely on, which -run all cannot see).
 func TestSmokeExperimentsRejectsUnknownRunID(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -199,5 +202,20 @@ func TestSmokeExperimentsRejectsUnknownRunID(t *testing.T) {
 	out, err := exec.Command(bin, "-run", " E2 ", "-quick").Output()
 	if err != nil || !strings.Contains(string(out), "== E2:") {
 		t.Errorf("-run E2 (case and spaces tolerated): err=%v out=%q", err, out)
+	}
+	want, err := os.ReadFile(filepath.Join(repoRoot(t), "testdata", "experiments-quick-seed1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e9"} {
+		out, err := exec.Command(bin, "-run", id, "-quick", "-seed", "1").Output()
+		if err != nil {
+			t.Fatalf("-run %s: %v", id, err)
+		}
+		got = append(got, out...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("per-id runs concatenated differ from testdata/experiments-quick-seed1.golden at %s", firstDiff(want, got))
 	}
 }
