@@ -119,10 +119,10 @@ type System struct {
 	revPaths  map[string]*fabric.TenantPath
 
 	// Tenant lifecycle (tenant.go): the controller reconciling Tenant
-	// specs, the set of namespaces it manages, and the fabric class each
-	// tenant's drain rides.
+	// specs, the namespaces it manages (each with its ReplicationGroup key),
+	// and the fabric class each tenant's drain rides.
 	tenantCtrl     *platform.Controller
-	managedTenants map[string]bool
+	managedTenants map[string]platform.ObjectKey
 	tenantClass    map[string]string
 	decommissioned int64
 
@@ -158,7 +158,7 @@ func NewSystem(cfg Config) *System {
 		},
 		lanePaths:      make(map[string][]*fabric.TenantPath),
 		revPaths:       make(map[string]*fabric.TenantPath),
-		managedTenants: make(map[string]bool),
+		managedTenants: make(map[string]platform.ObjectKey),
 		tenantClass:    make(map[string]string),
 		sloClasses:     make(map[string]platform.SLOClass, len(cfg.SLOClasses)),
 	}
@@ -250,8 +250,14 @@ func (sys *System) provisionTimeout() time.Duration {
 	return 30 * time.Second
 }
 
+// openDB opens the database on a bound claim's volume, named by the PV the
+// informer cache holds for it.
 func (sys *System) openDB(p *sim.Proc, namespace, claim string) (*db.DB, error) {
-	vol, err := sys.Main.Array.Volume(csiplugin.VolumeIDForClaim(namespace, claim))
+	pv, err := csiplugin.ResolveClaimVolume(sys.Main.API, namespace, claim)
+	if err != nil {
+		return nil, err
+	}
+	vol, err := sys.Main.Array.Volume(pv.Spec.VolumeID)
 	if err != nil {
 		return nil, err
 	}

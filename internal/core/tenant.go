@@ -48,7 +48,8 @@ func tenantKey(namespace string) platform.ObjectKey {
 // on the API server (E2 tags one by hand) never costs a reconcile.
 func (sys *System) newTenantController() *platform.Controller {
 	managedKey := func(ns string) (platform.ObjectKey, bool) {
-		return tenantKey(ns), sys.managedTenants[ns]
+		_, managed := sys.managedTenants[ns]
+		return tenantKey(ns), managed
 	}
 	return platform.NewController(sys.Env, sys.Main.API, "tenant-controller",
 		platform.KindTenant, nil, platform.ReconcilerFunc(sys.reconcileTenant),
@@ -73,15 +74,13 @@ func (sys *System) newTenantController() *platform.Controller {
 // full teardown no matter how far provisioning had progressed. Its reads are
 // the informer cache's (APIServer.Cached); only its writes are round trips.
 func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
-	obj, err := sys.Main.API.Cached(key)
-	if errors.Is(err, platform.ErrNotFound) {
-		if !sys.managedTenants[key.Name] {
+	obj, ok := sys.Main.API.Cached(key)
+	if !ok {
+		rgKey, managed := sys.managedTenants[key.Name]
+		if !managed {
 			return nil // never ours: an event for a namespace without a Tenant
 		}
-		return sys.teardownTenant(p, key.Name)
-	}
-	if err != nil {
-		return err
+		return sys.teardownTenant(p, key.Name, rgKey)
 	}
 	tn := obj.(*platform.Tenant)
 	ns := tn.Spec.Namespace
@@ -93,8 +92,13 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 			fmt.Sprintf("spec namespace %q does not match object name %q", ns, tn.Name))
 	}
 	// Mark managed before touching the world so a spec deleted mid-reconcile
-	// still converges to teardown of whatever was already created.
-	sys.managedTenants[ns] = true
+	// still converges to teardown of whatever was already created. The
+	// tenant's ReplicationGroup key is formatted here, once, and carried.
+	rgKey, managed := sys.managedTenants[ns]
+	if !managed {
+		rgKey = platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: operator.GroupNameFor(ns)}
+		sys.managedTenants[ns] = rgKey
+	}
 	// Register the tenant's fabric class before any drain path exists for the
 	// namespace, so the replication plugin's first lane path lands in class.
 	// A spec that pins none rides the fabric class named like its SLO class.
@@ -117,17 +121,16 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 
 	// Namespace.
 	nsKey := platform.ObjectKey{Kind: platform.KindNamespace, Name: ns}
-	nsObj, err := sys.Main.API.Cached(nsKey)
-	if errors.Is(err, platform.ErrNotFound) {
+	nsObj, ok := sys.Main.API.Cached(nsKey)
+	if !ok {
 		if err := sys.Main.API.Create(p, &platform.Namespace{
 			Meta: platform.Meta{Kind: platform.KindNamespace, Name: ns},
 		}); err != nil && !errors.Is(err, platform.ErrExists) {
 			return err
 		}
-		nsObj, err = sys.Main.API.Cached(nsKey)
-	}
-	if err != nil {
-		return err
+		if nsObj, ok = sys.Main.API.Cached(nsKey); !ok {
+			return &platform.StatusError{Err: platform.ErrNotFound, Key: nsKey}
+		}
 	}
 	nsCur := nsObj.(*platform.Namespace)
 
@@ -135,15 +138,13 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 	// tagged-but-empty namespace).
 	for _, claim := range tn.Spec.PVCNames {
 		ck := platform.ObjectKey{Kind: platform.KindPVC, Namespace: ns, Name: claim}
-		if _, err := sys.Main.API.Cached(ck); errors.Is(err, platform.ErrNotFound) {
+		if _, ok := sys.Main.API.Cached(ck); !ok {
 			if err := sys.Main.API.Create(p, &platform.PersistentVolumeClaim{
 				Meta: platform.Meta{Kind: platform.KindPVC, Namespace: ns, Name: claim},
 				Spec: platform.PVCSpec{StorageClassName: StorageClassName, SizeBlocks: sys.Cfg.VolumeBlocks},
 			}); err != nil && !errors.Is(err, platform.ErrExists) {
 				return err
 			}
-		} else if err != nil {
-			return err
 		}
 	}
 
@@ -158,10 +159,7 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 	}
 
 	// Status.
-	phase, msg, err := sys.tenantPhase(ns, tn.Spec)
-	if err != nil {
-		return err
-	}
+	phase, msg := sys.tenantPhase(ns, rgKey, tn.Spec)
 	return sys.setTenantStatus(p, tn, phase, msg)
 }
 
@@ -202,65 +200,56 @@ func setTenantLabels(ns *platform.Namespace, spec platform.TenantSpec) {
 }
 
 // tenantPhase computes the tenant's current phase: with Backup, the
-// replication group's phase decides; without, every spec'd claim must be
+// replication group (rgKey) decides; without, every spec'd claim must be
 // bound.
-func (sys *System) tenantPhase(ns string, spec platform.TenantSpec) (platform.TenantPhase, string, error) {
+func (sys *System) tenantPhase(ns string, rgKey platform.ObjectKey, spec platform.TenantSpec) (platform.TenantPhase, string) {
 	if spec.Backup {
-		rgKey := platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: operator.GroupNameFor(ns)}
-		obj, err := sys.Main.API.Cached(rgKey)
-		if errors.Is(err, platform.ErrNotFound) {
-			return platform.TenantProvisioning, "waiting for the operator to create the replication group", nil
-		}
-		if err != nil {
-			return "", "", err
+		obj, ok := sys.Main.API.Cached(rgKey)
+		if !ok {
+			return platform.TenantProvisioning, "waiting for the operator to create the replication group"
 		}
 		switch rg := obj.(*platform.ReplicationGroup); rg.Status.Phase {
 		case platform.GroupReady:
-			return platform.TenantReady, "replication running", nil
+			return platform.TenantReady, "replication running"
 		case platform.GroupFailed:
-			return platform.TenantFailed, "replication group failed: " + rg.Status.Message, nil
+			return platform.TenantFailed, "replication group failed: " + rg.Status.Message
 		default:
-			return platform.TenantProvisioning, "replication " + string(rg.Status.Phase), nil
+			return platform.TenantProvisioning, "replication " + string(rg.Status.Phase)
 		}
 	}
 	for _, claim := range spec.PVCNames {
-		ck := platform.ObjectKey{Kind: platform.KindPVC, Namespace: ns, Name: claim}
-		obj, err := sys.Main.API.Cached(ck)
-		if errors.Is(err, platform.ErrNotFound) {
-			return platform.TenantProvisioning, "claim " + claim + " not created", nil
-		}
-		if err != nil {
-			return "", "", err
+		obj, ok := sys.Main.API.Cached(platform.ObjectKey{Kind: platform.KindPVC, Namespace: ns, Name: claim})
+		if !ok {
+			return platform.TenantProvisioning, "claim " + claim + " not created"
 		}
 		if obj.(*platform.PersistentVolumeClaim).Status.Phase != platform.ClaimBound {
-			return platform.TenantProvisioning, "claim " + claim + " not bound", nil
+			return platform.TenantProvisioning, "claim " + claim + " not bound"
 		}
 	}
-	return platform.TenantReady, "provisioned", nil
+	return platform.TenantReady, "provisioned"
 }
 
 // setTenantStatus patches the Tenant status if it changed, tolerating
 // conflicts (re-read and retry) and a concurrent delete (the Deleted event
-// requeues into teardown).
+// requeues into teardown). The write copies the struct only: the spec it
+// shares with the stored Tenant is never touched.
 func (sys *System) setTenantStatus(p *sim.Proc, tn *platform.Tenant, phase platform.TenantPhase, msg string) error {
+	key := tn.Key()
 	for {
-		obj, err := sys.Main.API.Cached(tn.Key())
-		if errors.Is(err, platform.ErrNotFound) {
+		obj, ok := sys.Main.API.Cached(key)
+		if !ok {
 			return nil
-		}
-		if err != nil {
-			return err
 		}
 		if st := obj.(*platform.Tenant).Status; st.Phase == phase && st.Message == msg {
 			return nil
 		}
-		cur := obj.DeepCopy().(*platform.Tenant)
+		cur := *obj.(*platform.Tenant)
 		cur.Status.Phase = phase
 		cur.Status.Message = msg
 		if phase == platform.TenantReady && cur.Status.ReadyAt == 0 {
 			cur.Status.ReadyAt = sys.Env.Now()
 		}
-		err = sys.Main.API.Update(p, cur)
+		err := sys.Main.API.Update(p, &cur)
 		if errors.Is(err, platform.ErrConflict) {
 			continue
 		}
@@ -273,27 +262,21 @@ func (sys *System) setTenantStatus(p *sim.Proc, tn *platform.Tenant, phase platf
 // operator's group removal, the replication plugin's journal teardown, the
 // provisioner's volume unwind) still have work in flight; the controller's
 // backoff retries until both arrays are clean.
-func (sys *System) teardownTenant(p *sim.Proc, ns string) error {
+func (sys *System) teardownTenant(p *sim.Proc, ns string, rgKey platform.ObjectKey) error {
 	api := sys.Main.API
 	// 1. The namespace: deleting it makes the operator remove the
 	// ReplicationGroup, which makes the replication plugin stop the engines
 	// and delete + detach the journal (or all of its shards).
 	nsKey := platform.ObjectKey{Kind: platform.KindNamespace, Name: ns}
-	if _, err := api.Cached(nsKey); err == nil {
+	if _, ok := api.Cached(nsKey); ok {
 		if err := api.Delete(p, nsKey); err != nil && !errors.Is(err, platform.ErrNotFound) {
 			return err
 		}
-	} else if !errors.Is(err, platform.ErrNotFound) {
-		return err
 	}
-	groupName := operator.GroupNameFor(ns)
-	rgKey := platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: groupName}
-	if _, err := api.Cached(rgKey); err == nil {
+	if _, ok := api.Cached(rgKey); ok {
 		return fmt.Errorf("core: decommission %s: replication group still present", ns)
-	} else if !errors.Is(err, platform.ErrNotFound) {
-		return err
 	}
-	if n := len(sys.Replication.Groups(groupName)); n > 0 {
+	if n := len(sys.Replication.Groups(rgKey.Name)); n > 0 {
 		return fmt.Errorf("core: decommission %s: %d replication engines still running", ns, n)
 	}
 	// 2. Main-site claims: deleting the PVC objects has the provisioner

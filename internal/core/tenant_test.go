@@ -585,7 +585,7 @@ func TestTagByHandNeedsNoTenantObject(t *testing.T) {
 		if _, err := api.Get(p, tenantKey("biz")); !errors.Is(err, platform.ErrNotFound) {
 			t.Errorf("a Tenant object appeared for a hand-tagged namespace (get: %v)", err)
 		}
-		if sys.managedTenants["biz"] {
+		if _, managed := sys.managedTenants["biz"]; managed {
 			t.Error("hand-tagged namespace entered the managed-tenant set")
 		}
 		if n := sys.tenantCtrl.Reconciles(); n != 0 {

@@ -82,22 +82,20 @@ func PVNameForClaim(namespace, name string) string {
 // reconcile reads the informer cache (APIServer.Cached); only its writes
 // are round trips.
 func (pr *Provisioner) reconcile(p *sim.Proc, key platform.ObjectKey) error {
-	obj, err := pr.api.Cached(key)
-	if errors.Is(err, platform.ErrNotFound) {
+	obj, ok := pr.api.Cached(key)
+	if !ok {
 		// Claim deleted: unwind its PV and array volume so decommissioned
 		// tenants return their capacity to the array free lists.
 		return pr.unprovision(p, key)
-	}
-	if err != nil {
-		return err
 	}
 	if obj.(*platform.PersistentVolumeClaim).Status.Phase == platform.ClaimBound {
 		return nil
 	}
 	claim := obj.DeepCopy().(*platform.PersistentVolumeClaim) // bound and written back below
-	scObj, err := pr.api.Cached(platform.ObjectKey{Kind: platform.KindStorageClass, Name: claim.Spec.StorageClassName})
-	if err != nil {
-		return fmt.Errorf("csiplugin: claim %s: storage class: %w", key, err)
+	scKey := platform.ObjectKey{Kind: platform.KindStorageClass, Name: claim.Spec.StorageClassName}
+	scObj, ok := pr.api.Cached(scKey)
+	if !ok {
+		return fmt.Errorf("csiplugin: claim %s: storage class: %w", key, &platform.StatusError{Err: platform.ErrNotFound, Key: scKey})
 	}
 	sc := scObj.(*platform.StorageClass)
 	array, ok := pr.arrays[sc.ArrayName]
@@ -137,12 +135,9 @@ func (pr *Provisioner) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 // once it has.
 func (pr *Provisioner) unprovision(p *sim.Proc, key platform.ObjectKey) error {
 	pvKey := platform.ObjectKey{Kind: platform.KindPV, Name: PVNameForClaim(key.Namespace, key.Name)}
-	pvObj, err := pr.api.Cached(pvKey)
-	if errors.Is(err, platform.ErrNotFound) {
+	pvObj, ok := pr.api.Cached(pvKey)
+	if !ok {
 		return nil // never provisioned, or already unwound
-	}
-	if err != nil {
-		return err
 	}
 	pv := pvObj.(*platform.PersistentVolume)
 	if array, ok := pr.arrays[pv.Spec.ArrayName]; ok {
@@ -161,20 +156,22 @@ func (pr *Provisioner) unprovision(p *sim.Proc, key platform.ObjectKey) error {
 	return nil
 }
 
-// resolveClaimVolume maps a bound PVC to its array volume via the PV, read
-// from the informer cache.
-func resolveClaimVolume(api *platform.APIServer, namespace, name string) (*platform.PersistentVolume, error) {
-	obj, err := api.Cached(platform.ObjectKey{Kind: platform.KindPVC, Namespace: namespace, Name: name})
-	if err != nil {
-		return nil, err
+// ResolveClaimVolume maps a bound PVC to the PV holding its array volume,
+// read from the informer cache (no API call).
+func ResolveClaimVolume(api *platform.APIServer, namespace, name string) (*platform.PersistentVolume, error) {
+	key := platform.ObjectKey{Kind: platform.KindPVC, Namespace: namespace, Name: name}
+	obj, ok := api.Cached(key)
+	if !ok {
+		return nil, &platform.StatusError{Err: platform.ErrNotFound, Key: key}
 	}
 	claim := obj.(*platform.PersistentVolumeClaim)
 	if claim.Status.Phase != platform.ClaimBound || claim.Status.VolumeName == "" {
 		return nil, fmt.Errorf("%w: %s/%s", ErrClaimNotBound, namespace, name)
 	}
-	pvObj, err := api.Cached(platform.ObjectKey{Kind: platform.KindPV, Name: claim.Status.VolumeName})
-	if err != nil {
-		return nil, err
+	key = platform.ObjectKey{Kind: platform.KindPV, Name: claim.Status.VolumeName}
+	pvObj, ok := api.Cached(key)
+	if !ok {
+		return nil, &platform.StatusError{Err: platform.ErrNotFound, Key: key}
 	}
 	return pvObj.(*platform.PersistentVolume), nil
 }

@@ -98,12 +98,9 @@ func (rp *ReplicationPlugin) AllGroups() []replication.Replicator {
 // reconcile reads the informer cache (APIServer.Cached); only its writes
 // are round trips.
 func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) error {
-	obj, err := rp.sites.MainAPI.Cached(key)
-	if errors.Is(err, platform.ErrNotFound) {
+	obj, ok := rp.sites.MainAPI.Cached(key)
+	if !ok {
 		return rp.teardown(p, key.Name)
-	}
-	if err != nil {
-		return err
 	}
 	rg := obj.(*platform.ReplicationGroup)
 	if g, ok := rp.groups[rg.Name]; ok {
@@ -135,20 +132,20 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 		return rp.maybeReshard(p, rg, g)
 	}
 
-	// Resolve every claim to its source volume.
+	// Resolve every claim to its source PV: its volume, and the PV name the
+	// backup twin takes.
 	type member struct {
 		pvcName string
-		volID   storage.VolumeID
-		size    int64
+		pv      *platform.PersistentVolume
 	}
-	var members []member
+	members := make([]member, 0, len(rg.Spec.PVCNames))
 	for _, pvcName := range rg.Spec.PVCNames {
-		pv, err := resolveClaimVolume(rp.sites.MainAPI, rg.Spec.SourceNamespace, pvcName)
+		pv, err := ResolveClaimVolume(rp.sites.MainAPI, rg.Spec.SourceNamespace, pvcName)
 		if err != nil {
 			_ = rp.setPhase(p, rg, platform.GroupPending, err.Error())
 			return err // retry until the provisioner binds the claim
 		}
-		members = append(members, member{pvcName: pvcName, volID: pv.Spec.VolumeID, size: pv.Spec.SizeBlocks})
+		members = append(members, member{pvcName: pvcName, pv: pv})
 	}
 	if len(members) == 0 {
 		return rp.setPhase(p, rg, platform.GroupFailed, "no PVCs to replicate")
@@ -157,17 +154,18 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 	// Provision backup-site twins: volume + PV + PVC so the backup console
 	// lists them (Fig. 4). Twins are read-only while replication runs.
 	for _, m := range members {
-		if _, err := rp.sites.BackupArray.CreateVolume(m.volID, m.size); err != nil && !errors.Is(err, storage.ErrVolumeExists) {
+		volID, size := m.pv.Spec.VolumeID, m.pv.Spec.SizeBlocks
+		if _, err := rp.sites.BackupArray.CreateVolume(volID, size); err != nil && !errors.Is(err, storage.ErrVolumeExists) {
 			return err
 		}
-		tv, err := rp.sites.BackupArray.Volume(m.volID)
+		tv, err := rp.sites.BackupArray.Volume(volID)
 		if err != nil {
 			return err
 		}
 		tv.SetReadOnly(true)
 		pv := &platform.PersistentVolume{
-			Meta:   platform.Meta{Kind: platform.KindPV, Name: PVNameForClaim(rg.Spec.SourceNamespace, m.pvcName)},
-			Spec:   platform.PVSpec{ArrayName: rp.sites.BackupArray.Name(), VolumeID: m.volID, SizeBlocks: m.size},
+			Meta:   platform.Meta{Kind: platform.KindPV, Name: m.pv.Name},
+			Spec:   platform.PVSpec{ArrayName: rp.sites.BackupArray.Name(), VolumeID: volID, SizeBlocks: size},
 			Status: platform.PVStatus{Phase: platform.VolumeBound, ClaimName: m.pvcName},
 		}
 		if err := rp.sites.BackupAPI.Create(p, pv); err != nil && !errors.Is(err, platform.ErrExists) {
@@ -175,7 +173,7 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 		}
 		pvc := &platform.PersistentVolumeClaim{
 			Meta: platform.Meta{Kind: platform.KindPVC, Namespace: rg.Spec.SourceNamespace, Name: m.pvcName},
-			Spec: platform.PVCSpec{SizeBlocks: m.size},
+			Spec: platform.PVCSpec{SizeBlocks: size},
 			Status: platform.PVCStatus{
 				Phase:      platform.ClaimBound,
 				VolumeName: pv.Name,
@@ -197,8 +195,8 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 	vols := make([]storage.VolumeID, len(members))
 	mapping := make(map[storage.VolumeID]storage.VolumeID, len(members))
 	for i, m := range members {
-		vols[i] = m.volID
-		mapping[m.volID] = m.volID
+		vols[i] = m.pv.Spec.VolumeID
+		mapping[vols[i]] = vols[i]
 	}
 	journal, err := rp.sites.MainArray.CreateConsistencyGroup(journalID, vols, max(rg.Spec.JournalShards, 1))
 	if errors.Is(err, storage.ErrJournalExists) {
@@ -220,14 +218,15 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 	rp.groups[rg.Name] = g
 	rp.nsByGroup[g] = rg.Spec.SourceNamespace
 
-	// Refresh the CR (phase Syncing bumped its version) and mark Ready.
-	cur, err := rp.sites.MainAPI.Cached(key)
-	if err != nil {
-		return err
+	// Refresh the CR (phase Syncing bumped its version) and mark Ready: a
+	// status-only write, so a struct copy (Update copies what it stores).
+	cur, ok := rp.sites.MainAPI.Cached(key)
+	if !ok {
+		return &platform.StatusError{Err: platform.ErrNotFound, Key: key}
 	}
-	rg = cur.DeepCopy().(*platform.ReplicationGroup)
-	rg.Status = platform.ReplicationGroupStatus{Phase: platform.GroupReady, JournalID: journalID, Message: "replication running"}
-	return rp.sites.MainAPI.Update(p, rg)
+	next := *cur.(*platform.ReplicationGroup)
+	next.Status = platform.ReplicationGroupStatus{Phase: platform.GroupReady, JournalID: journalID, Message: "replication running"}
+	return rp.sites.MainAPI.Update(p, &next)
 }
 
 // maybeReshard diffs the CR's declared shard count against the running
@@ -265,17 +264,19 @@ func (rp *ReplicationPlugin) teardown(p *sim.Proc, name string) error {
 
 // setPhase patches the CR status, tolerating concurrent updates by
 // re-reading on conflict. rg (a shared read-only object) only names the CR;
-// callers that go on to write it re-read it.
+// callers that go on to write it re-read it. The write copies the struct
+// only: the spec it shares with the stored CR is never touched.
 func (rp *ReplicationPlugin) setPhase(p *sim.Proc, rg *platform.ReplicationGroup, phase platform.GroupPhase, msg string) error {
+	key := rg.Key()
 	for {
-		cur, err := rp.sites.MainAPI.Cached(rg.Key())
-		if err != nil {
-			return err
+		cur, ok := rp.sites.MainAPI.Cached(key)
+		if !ok {
+			return &platform.StatusError{Err: platform.ErrNotFound, Key: key}
 		}
-		c := cur.DeepCopy().(*platform.ReplicationGroup)
+		c := *cur.(*platform.ReplicationGroup)
 		c.Status.Phase = phase
 		c.Status.Message = msg
-		err = rp.sites.MainAPI.Update(p, c)
+		err := rp.sites.MainAPI.Update(p, &c)
 		if errors.Is(err, platform.ErrConflict) {
 			continue
 		}

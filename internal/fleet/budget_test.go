@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/db"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -165,5 +166,68 @@ func TestNewShopAllocBudget(t *testing.T) {
 	if perAllocs > shopAllocsBudget || perBytes > shopBytesBudget {
 		t.Fatalf("NewShop cost %d allocations and %d bytes, budget %d and %d",
 			perAllocs, perBytes, shopAllocsBudget, shopBytesBudget)
+	}
+}
+
+// Per-phase allocation budget of the fleet workload's provision phase: one
+// tenant's ProvisionTenant — the Tenant object, the control plane's chain of
+// reconciles (tenant controller, provisioner, namespace operator,
+// replication plugin), the initial copy and the two databases opened — on a
+// system of fleet_seq's shape that already serves a 4-tenant roster. Each
+// measured tenant is decommissioned again, unmeasured, so every run starts
+// from the same store and arrays. Before watch events were values, a cache
+// miss returned no error, status writes copied only the struct and the
+// reconcilers carried the names they derive, the phase cost 192 allocations
+// and 15,840 bytes. It costs 146 and 14,304 now; a -race build adds 2
+// allocations and 220 bytes, which the budgets hold.
+const (
+	provisionAllocsBudget = 148
+	provisionBytesBudget  = 14_528
+)
+
+func TestProvisionAllocBudget(t *testing.T) {
+	f := New(Config{
+		Tenants: 4,
+		System:  core.Config{Seed: 1, VolumeBlocks: 256, Storage: storage.Config{BlockSize: 512}},
+	})
+	spec := func(ns string) platform.TenantSpec {
+		return platform.TenantSpec{Namespace: ns, PVCNames: []string{"sales", "stock"}, Backup: true, Profile: "oltp-external"}
+	}
+	const runs = 10
+	var allocs, bytes uint64
+	f.Sys.Env.Process("budget", func(p *sim.Proc) {
+		defer f.Sys.Stop()
+		for _, tn := range f.Tenants {
+			if _, err := f.Sys.ProvisionTenant(p, spec(tn.Namespace)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		var before, after runtime.MemStats
+		for i := range runs + 1 { // the first tenant warms up
+			ns := fmt.Sprint("budget-", i)
+			runtime.ReadMemStats(&before)
+			_, err := f.Sys.ProvisionTenant(p, spec(ns))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if i > 0 {
+				allocs += after.Mallocs - before.Mallocs
+				bytes += after.TotalAlloc - before.TotalAlloc
+			}
+			if err := f.Sys.DecommissionTenant(p, ns); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	f.Sys.Env.Run(0)
+	perAllocs, perBytes := allocs/runs, bytes/runs
+	t.Logf("provision one tenant: %d allocations, %d bytes", perAllocs, perBytes)
+	if perAllocs > provisionAllocsBudget || perBytes > provisionBytesBudget {
+		t.Fatalf("provision phase cost %d allocations and %d bytes, budget %d and %d",
+			perAllocs, perBytes, provisionAllocsBudget, provisionBytesBudget)
 	}
 }

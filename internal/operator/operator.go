@@ -16,6 +16,7 @@ package operator
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -51,6 +52,10 @@ type Operator struct {
 	cfg  Config
 	ctrl *platform.Controller
 
+	// groupKeys carries each live namespace's ReplicationGroup key, formatted
+	// on the namespace's first reconcile and dropped once it is gone.
+	groupKeys map[string]platform.ObjectKey
+
 	configured int64
 	removed    int64
 }
@@ -59,7 +64,7 @@ type Operator struct {
 // watches both namespaces (for the tag) and PVCs (so claims added after
 // tagging extend the replication group), on one queue keyed by namespace.
 func New(env *sim.Env, api *platform.APIServer, cfg Config) *Operator {
-	o := &Operator{env: env, api: api, cfg: cfg}
+	o := &Operator{env: env, api: api, cfg: cfg, groupKeys: make(map[string]platform.ObjectKey)}
 	o.ctrl = platform.NewController(env, api, "namespace-operator", platform.KindNamespace,
 		nil, platform.ReconcilerFunc(o.reconcile), platform.ControllerConfig{Telemetry: cfg.Telemetry}).
 		Watches(platform.KindPVC, func(ev platform.Event) (platform.ObjectKey, bool) {
@@ -100,14 +105,18 @@ func NamespaceOfGroup(name string) (string, bool) {
 // reconcile reads the informer cache (APIServer.Cached); only its writes
 // are round trips.
 func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
-	groupKey := platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: GroupNameFor(key.Name)}
-	obj, err := o.api.Cached(key)
-	if errors.Is(err, platform.ErrNotFound) {
+	groupKey, known := o.groupKeys[key.Name]
+	if !known {
+		groupKey = platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: GroupNameFor(key.Name)}
+	}
+	obj, ok := o.api.Cached(key)
+	if !ok {
 		// Namespace deleted: remove its replication configuration.
+		delete(o.groupKeys, key.Name)
 		return o.ensureAbsent(p, groupKey)
 	}
-	if err != nil {
-		return err
+	if !known {
+		o.groupKeys[key.Name] = groupKey
 	}
 	ns := obj.(*platform.Namespace)
 	if ns.Labels[Tag] != TagValue {
@@ -116,11 +125,8 @@ func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 
 	// Tag present: discover the namespace's PVCs — the correspondence
 	// between applications and storage volumes the operator unravels.
-	var pvcNames []string
-	for _, c := range o.api.CachedList(platform.KindPVC, ns.Name) {
-		pvcNames = append(pvcNames, c.GetMeta().Name)
-	}
-	if len(pvcNames) == 0 {
+	claims := o.api.CachedList(platform.KindPVC, ns.Name)
+	if len(claims) == 0 {
 		return fmt.Errorf("operator: namespace %s tagged but has no PVCs", ns.Name)
 	}
 
@@ -132,27 +138,26 @@ func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 			shards = v
 		}
 	}
-	existing, err := o.api.Cached(groupKey)
-	if err == nil {
+	if existing, ok := o.api.Cached(groupKey); ok {
 		// Keep the CR's spec current: a new claim may have appeared, and a
 		// ShardsLabel change must propagate so the replication plugin drives
-		// a live reshard instead of the label being silently ignored.
-		if spec := existing.(*platform.ReplicationGroup).Spec; equalStrings(spec.PVCNames, pvcNames) && spec.JournalShards == shards {
+		// a live reshard instead of the label being silently ignored. The
+		// listed claims are compared in place; names are built only to write.
+		cur := existing.(*platform.ReplicationGroup)
+		if cur.Spec.JournalShards == shards && slices.EqualFunc(cur.Spec.PVCNames, claims,
+			func(name string, c platform.Object) bool { return name == c.GetMeta().Name }) {
 			return nil
 		}
-		rg := existing.DeepCopy().(*platform.ReplicationGroup)
-		rg.Spec.PVCNames = pvcNames
+		rg := *cur // Update stores its own copy: the struct copy is enough
+		rg.Spec.PVCNames = claimNames(claims)
 		rg.Spec.JournalShards = shards
-		return o.api.Update(p, rg)
-	}
-	if !errors.Is(err, platform.ErrNotFound) {
-		return err
+		return o.api.Update(p, &rg)
 	}
 	rg := &platform.ReplicationGroup{
 		Meta: platform.Meta{Kind: platform.KindReplicationGroup, Name: groupKey.Name},
 		Spec: platform.ReplicationGroupSpec{
 			SourceNamespace: ns.Name,
-			PVCNames:        pvcNames,
+			PVCNames:        claimNames(claims),
 			JournalShards:   shards,
 		},
 		Status: platform.ReplicationGroupStatus{Phase: platform.GroupPending},
@@ -178,14 +183,11 @@ func (o *Operator) ensureAbsent(p *sim.Proc, groupKey platform.ObjectKey) error 
 	return err
 }
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+// claimNames lists the claims' names, in the listed order.
+func claimNames(claims []platform.Object) []string {
+	names := make([]string, len(claims))
+	for i, c := range claims {
+		names[i] = c.GetMeta().Name
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return names
 }

@@ -20,7 +20,7 @@ var (
 )
 
 // StatusError is an API failure on one object: which sentinel, and which
-// key. Reconcilers probe for objects that are usually absent (Get, then
+// key. Clients probe for objects that are usually absent (Get, then
 // create on ErrNotFound), so a miss must cost next to nothing — the key is
 // carried as a value and formatted only if somebody prints the error.
 type StatusError struct {
@@ -51,9 +51,11 @@ const (
 	Deleted  EventType = "DELETED"
 )
 
-// Event is one watch notification. Object is the stored object itself (for
-// Deleted, the last stored version), shared with the store, every other
-// watcher and every reader: it is read-only — DeepCopy before mutating.
+// Event is one watch notification, delivered by value: each watcher's queue
+// holds its own Event, so fan-out allocates nothing. Object is the stored
+// object itself (for Deleted, the last stored version), shared with the
+// store, every other watcher and every reader: it is read-only — DeepCopy
+// before mutating.
 type Event struct {
 	Type   EventType
 	Object Object
@@ -71,11 +73,15 @@ type APIConfig struct{}
 // with optimistic concurrency plus watches.
 //
 // Ownership follows the client-go lister contract. A stored object is
-// immutable: every write installs a new object (the one copy Create/Update
-// take to detach the caller's), and that same pointer is what Get, List and
-// watch events hand to every reader. Readers must treat what they receive
-// as read-only and DeepCopy before a read-modify-write; in exchange reads
-// copy nothing.
+// immutable: every write installs a new object (the one deep copy
+// Create/Update take to detach the caller's), and that same pointer is what
+// Get, List, Cached and watch events (values, see Event) hand to every
+// reader. Readers must treat what they receive as read-only and DeepCopy
+// before a read-modify-write; in exchange reads copy nothing, and a Cached
+// miss is ok == false with nothing allocated. A status-only write may hand
+// Update a struct copy of the stored object (c := *stored, then set Status):
+// its slices and maps are the stored version's, which the caller must not
+// touch, and Update's own deep copy is what gets stored.
 type APIServer struct {
 	env     *sim.Env
 	objects map[ObjectKey]Object
@@ -198,20 +204,23 @@ func (s *APIServer) Update(p *sim.Proc, obj Object) error {
 // mutating. It is one charged round trip plus Cached.
 func (s *APIServer) Get(p *sim.Proc, key ObjectKey) (Object, error) {
 	s.charge(p)
-	return s.Cached(key)
+	if cur, ok := s.Cached(key); ok {
+		return cur, nil
+	}
+	return nil, &StatusError{Err: ErrNotFound, Key: key}
 }
 
 // Cached is Get answered by the informer cache a reconciler reads, as
 // operator-SDK clients answer reads: the same shared read-only object, no
-// round trip, no charge. Watches here deliver at the instant of the write,
-// so the cache is exactly as fresh as the store; writes stay charged calls
-// with their ResourceVersion check.
-func (s *APIServer) Cached(key ObjectKey) (Object, error) {
+// round trip, no charge. A miss is ok == false and allocates nothing (a
+// reconciler probes for objects that are usually absent); a caller that
+// must report it builds Get's &StatusError{Err: ErrNotFound, Key: key}.
+// Watches here deliver at the instant of the write, so the cache is exactly
+// as fresh as the store; writes stay charged calls with their
+// ResourceVersion check.
+func (s *APIServer) Cached(key ObjectKey) (Object, bool) {
 	cur, ok := s.objects[key]
-	if !ok {
-		return nil, &StatusError{Err: ErrNotFound, Key: key}
-	}
-	return cur, nil
+	return cur, ok
 }
 
 // List returns all objects of a kind, optionally restricted to a namespace
@@ -258,25 +267,15 @@ func (s *APIServer) Delete(p *sim.Proc, key ObjectKey) error {
 // watches that every notify must skip forever — the watch leak.
 func (s *APIServer) notify(ev Event) {
 	m := ev.Object.GetMeta()
-	// Boxed once, on the first delivery: every watcher's queue holds the
-	// same interface value, and an event nobody watches allocates nothing.
-	var boxed interface{}
-	deliver := func(w *Watch) {
-		if boxed == nil {
-			boxed = ev
-		}
-		w.ch.Put(boxed)
-	}
 	kept := s.watches[:0]
 	for _, w := range s.watches {
 		if w.stopped {
 			continue
 		}
 		kept = append(kept, w)
-		if w.kind != m.Kind {
-			continue
+		if w.kind == m.Kind {
+			w.ch.Put(ev)
 		}
-		deliver(w)
 	}
 	for i := len(kept); i < len(s.watches); i++ {
 		s.watches[i] = nil // release the stopped watch for GC
@@ -290,7 +289,7 @@ func (s *APIServer) notify(ev Event) {
 				continue
 			}
 			keptK = append(keptK, w)
-			deliver(w)
+			w.ch.Put(ev)
 		}
 		if len(keptK) == 0 {
 			delete(s.keyed, key)
@@ -311,13 +310,13 @@ type Watch struct {
 	kind    Kind
 	keyed   bool
 	key     ObjectKey
-	ch      *sim.Chan
+	ch      *sim.Chan[Event]
 	stopped bool
 }
 
 // Watch registers a new watch for the kind.
 func (s *APIServer) Watch(kind Kind) *Watch {
-	w := &Watch{kind: kind, ch: s.env.NewChan()}
+	w := &Watch{kind: kind, ch: sim.NewChan[Event](s.env)}
 	s.watches = append(s.watches, w)
 	return w
 }
@@ -326,7 +325,7 @@ func (s *APIServer) Watch(kind Kind) *Watch {
 // the field-selector form clients use to wait on a single object's status
 // instead of polling Get in a loop.
 func (s *APIServer) WatchKey(key ObjectKey) *Watch {
-	w := &Watch{kind: key.Kind, keyed: true, key: key, ch: s.env.NewChan()}
+	w := &Watch{kind: key.Kind, keyed: true, key: key, ch: sim.NewChan[Event](s.env)}
 	s.keyed[key] = append(s.keyed[key], w)
 	return w
 }
@@ -381,15 +380,11 @@ func (s *APIServer) WatchCount() int {
 }
 
 // Next blocks until an event arrives.
-func (w *Watch) Next(p *sim.Proc) Event { return w.ch.Get(p).(Event) }
+func (w *Watch) Next(p *sim.Proc) Event { return w.ch.Get(p) }
 
 // NextTimeout is Next with a deadline; ok is false on timeout.
 func (w *Watch) NextTimeout(p *sim.Proc, d time.Duration) (Event, bool) {
-	v, ok := w.ch.GetTimeout(p, d)
-	if !ok {
-		return Event{}, false
-	}
-	return v.(Event), true
+	return w.ch.GetTimeout(p, d)
 }
 
 // Pending returns the number of undelivered events.

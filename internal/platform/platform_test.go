@@ -97,6 +97,43 @@ func TestWritesDetachCallerReadsShare(t *testing.T) {
 	})
 }
 
+// A status-only write hands Update a struct copy of the stored object, whose
+// PVCNames is the stored version's own slice. Update stores a deep copy, so
+// what the caller later does with its slice reaches neither the version it
+// wrote nor the one before.
+func TestStatusWriteOfAStructCopyDetachesItsSlices(t *testing.T) {
+	run(t, func(p *sim.Proc, env *sim.Env, api *APIServer) {
+		key := ObjectKey{Kind: KindReplicationGroup, Name: "backup-shop"}
+		api.Create(p, &ReplicationGroup{
+			Meta: Meta{Kind: KindReplicationGroup, Name: key.Name},
+			Spec: ReplicationGroupSpec{SourceNamespace: "shop", PVCNames: []string{"sales", "stock"}},
+		})
+		prevObj, _ := api.Cached(key)
+		prev := prevObj.(*ReplicationGroup)
+		mine := *prev // shares PVCNames with prev
+		mine.Status.Phase = GroupReady
+		if err := api.Update(p, &mine); err != nil {
+			t.Fatal(err)
+		}
+		storedObj, _ := api.Cached(key)
+		stored := storedObj.(*ReplicationGroup)
+		// The caller grows its slice into an array of its own, then writes it.
+		mine.Spec.PVCNames = append(slices.Clip(mine.Spec.PVCNames), "audit")
+		mine.Spec.PVCNames[0] = "renamed"
+		for _, v := range []struct {
+			name string
+			rg   *ReplicationGroup
+		}{{"stored", stored}, {"previous", prev}} {
+			if got := v.rg.Spec.PVCNames; !slices.Equal(got, []string{"sales", "stock"}) {
+				t.Errorf("%s version's PVCNames = %v after the caller changed its copy", v.name, got)
+			}
+		}
+		if stored.Status.Phase != GroupReady || prev.Status.Phase != "" {
+			t.Errorf("phases: stored %q, previous %q; want Ready and empty", stored.Status.Phase, prev.Status.Phase)
+		}
+	})
+}
+
 // Writing back a Get result mutated in place is the one misuse the store can
 // see; it must be loud.
 func TestUpdateWithStoredObjectPanics(t *testing.T) {
@@ -272,13 +309,13 @@ func TestCachedReadsAreFreeAndShareGet(t *testing.T) {
 		}
 		key := ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "sales"}
 		now, calls := p.Now(), api.Calls()
-		cached, err := api.Cached(key)
-		if err != nil {
-			t.Fatal(err)
+		cached, ok := api.Cached(key)
+		if !ok {
+			t.Fatal("cached hit missed")
 		}
 		list := api.CachedList(KindPVC, "shop")
-		if _, err := api.Cached(ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "none"}); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("cached miss: %v", err)
+		if obj, ok := api.Cached(ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "none"}); ok || obj != nil {
+			t.Fatalf("cached miss = %v, %v; want nil, false", obj, ok)
 		}
 		if p.Now() != now || api.Calls() != calls {
 			t.Fatalf("cached reads cost %v and %d calls, want none", p.Now()-now, api.Calls()-calls)

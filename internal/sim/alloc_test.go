@@ -70,9 +70,9 @@ func contendedResource(env *Env) {
 }
 
 // chanPutGet has a producer feed a consumer that is blocked in Get each time.
+// Items are values held in the ring, so neither Put nor Get allocates.
 func chanPutGet(env *Env) {
-	c := env.NewChan()
-	var item interface{} = env // boxed once: the channel itself must not allocate
+	c := NewChan[int](env)
 	env.Process("consumer", func(p *Proc) {
 		for {
 			c.Get(p)
@@ -81,7 +81,7 @@ func chanPutGet(env *Env) {
 	env.Process("producer", func(p *Proc) {
 		for {
 			p.Sleep(time.Nanosecond)
-			c.Put(item)
+			c.Put(1)
 		}
 	})
 }
@@ -89,9 +89,8 @@ func chanPutGet(env *Env) {
 // waitAnyLoop is the controller pump's shape: select between work arriving
 // on a channel and a stop event that never fires.
 func waitAnyLoop(env *Env) {
-	c := env.NewChan()
+	c := NewChan[int](env)
 	stop := env.NewEvent()
-	var item interface{} = env
 	env.Process("pump", func(p *Proc) {
 		for {
 			for c.Len() == 0 {
@@ -105,7 +104,7 @@ func waitAnyLoop(env *Env) {
 	env.Process("producer", func(p *Proc) {
 		for {
 			p.Sleep(time.Nanosecond)
-			c.Put(item)
+			c.Put(1)
 		}
 	})
 }

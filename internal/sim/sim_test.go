@@ -189,11 +189,11 @@ func TestRunHorizonStopsEarly(t *testing.T) {
 
 func TestChanFIFO(t *testing.T) {
 	env := NewEnv(1)
-	ch := env.NewChan()
+	ch := NewChan[int](env)
 	var got []int
 	env.Process("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			got = append(got, ch.Get(p).(int))
+			got = append(got, ch.Get(p))
 		}
 	})
 	env.Process("producer", func(p *Proc) {
@@ -210,8 +210,8 @@ func TestChanFIFO(t *testing.T) {
 
 func TestChanGetBeforePut(t *testing.T) {
 	env := NewEnv(1)
-	ch := env.NewChan()
-	var v interface{}
+	ch := NewChan[string](env)
+	var v string
 	env.Process("c", func(p *Proc) { v = ch.Get(p) })
 	env.Process("p", func(p *Proc) {
 		p.Sleep(time.Millisecond)
@@ -225,7 +225,7 @@ func TestChanGetBeforePut(t *testing.T) {
 
 func TestChanGetTimeout(t *testing.T) {
 	env := NewEnv(1)
-	ch := env.NewChan()
+	ch := NewChan[int](env)
 	var ok bool
 	env.Process("c", func(p *Proc) { _, ok = ch.GetTimeout(p, 5*time.Millisecond) })
 	env.Run(0)
