@@ -2,13 +2,14 @@
 # .github/workflows/ci.yml; each target's comment says what it checks and why
 # its settings are what they are.
 #
-#   ci               everything below except bench-record, profile-% and chaos
+#   ci               everything below except bench-record, profile-%, allocs-% and chaos
 #   fmt vet build test test-race
 #   layer-bench-smoke  every benchmark under internal/ once: does it still run
 #   tables-check     every experiment table equals the committed golden
 #   bench-check      ./benchmark at seed 1 vs BENCH_results.json (the perf gate)
 #   bench-record     re-record BENCH_results.json
 #   profile-<w>      <w>.cpu.pprof + <w>.mem.pprof of one ./benchmark workload
+#   allocs-<w>       exact allocation sites of one ./benchmark workload (not part of ci)
 #   telemetry-smoke  E16 end to end, leaves telemetry.json
 #   autopilot-smoke  E17 end to end, leaves e17-decisions.log
 #   chaos-smoke      25 seeded fault schedules under -race; `chaos` is the long sweep
@@ -93,6 +94,20 @@ bench-record:
 # 'Fleet..Run'; -focus runDrain or runFleet matches a few percent.
 profile-%:
 	$(GO) run ./benchmark --workload $* --seconds 5 -cpuprofile $*.cpu.pprof -memprofile $*.mem.pprof
+
+# Exact allocation sites of one benchmark workload (make allocs-fleet_seq):
+# every allocation is recorded (GODEBUG=memprofilerate=1) into
+# <w>.allocs.pprof, the top sites by object count are printed, and then the
+# iteration divisor: the profile's total objects over the printed
+# allocs_per_op. A site's objects over the divisor are its objects per timed
+# iteration (the profile also holds the untimed set-up runs); on a fleet,
+# divide again by its tenants. The run's own report is left in <w>.allocs.txt.
+allocs-%:
+	GODEBUG=memprofilerate=1 $(GO) run ./benchmark --workload $* --seed 1 --seconds 2 --trace 0 -memprofile $*.allocs.pprof > $*.allocs.txt
+	@top="$$($(GO) tool pprof -sample_index=alloc_objects -top $*.allocs.pprof)" || exit 1; echo "$$top"; \
+	total=$$(echo "$$top" | sed -n 's/.* of \([0-9]*\) total.*/\1/p'); \
+	per=$$(awk '$$1 == "allocs_per_op" {print $$2; exit}' $*.allocs.txt); \
+	awk -v t="$$total" -v p="$$per" 'BEGIN {printf "iteration divisor: %d objects / %.1f allocs_per_op = %.2f\n", t, p, t / p}'
 
 # E16 smoke: run the observability experiment (churning fleet with the full
 # telemetry plane on, worst-RPO ranking read from the probed series) and

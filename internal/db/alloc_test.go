@@ -11,8 +11,10 @@ import (
 
 // Allocation pins for the write path. Every count is deterministic: the
 // volumes are written once in full beforehand (so a first write to a block
-// never grows the volume's block map), transactions reuse one ID (so the
-// committed set does not grow) and the encode scratch is warm.
+// never grows the volume's block map) and transactions reuse one ID (so the
+// committed set does not grow). A commit keeps no encode scratch to warm: its
+// records are sized in an array on the DB and encoded straight into the WAL
+// head block.
 
 // allocVolume returns a 256-block volume with every block written — to a
 // copy of image's, where image has one, else to zeroes.
@@ -63,7 +65,7 @@ func TestCommitAllocatesOnlyTheWALBlocksItWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		val := make([]byte, 16)
-		for i := 0; i < 16; i++ { // every page the loop touches is dirty, scratch is sized
+		for i := 0; i < 16; i++ { // every page the loop touches is dirty
 			placeOrder(p, d, val, i)
 		}
 		const commits = 200 // several sealed WAL blocks, no checkpoint

@@ -105,11 +105,12 @@ type DB struct {
 	head []byte
 	mu   *sim.Resource // serializes commits and checkpoints
 
-	// Commit-path scratch, reused under mu so steady-state commits do not
-	// allocate per record (the E11 fleet runs hundreds of databases).
-	encBuf    []byte   // all of one transaction's encoded records
-	encSlices [][]byte // per-record views into encBuf
-	sizeBuf   []int    // per-record encoded sizes
+	// sizeArr holds a commit's per-record encoded sizes, under mu: the shop's
+	// transactions fit, so a fresh database's commits size their records
+	// without allocating; a larger transaction's sizes spill to the heap.
+	// Records are encoded once, straight into head, so no other commit
+	// scratch exists.
+	sizeArr [txnInlineRows + 1]int
 
 	// Stats.
 	commits     int64
@@ -147,25 +148,21 @@ func Open(p *sim.Proc, name string, vol BlockWriter, cfg Config) (*DB, error) {
 // walCapacity is the usable bytes per WAL block.
 func (d *DB) walCapacity() int { return d.blockSize - wal.BlockHeaderSize }
 
-// flushWAL appends encoded records to the log and writes every affected
-// block: blocks sealed during this flush in their final form, then the
-// (possibly partial) head block. The head block is rewritten in place as it
-// fills across commits; the block header's (epoch, seq) keeps scans honest.
-func (d *DB) flushWAL(p *sim.Proc, encodedRecs [][]byte) error {
+// flushWAL encodes t's records, whose sizes the fit check computed, straight
+// into the head block and writes every affected block: blocks sealed during
+// this flush in their final form, then the (possibly partial) head block. The
+// head block is rewritten in place as it fills across commits; the block
+// header's (epoch, seq) keeps scans honest.
+func (d *DB) flushWAL(p *sim.Proc, t *Txn, sizes []int) error {
 	// Dry-run the packing before touching any state. The overflow error used
 	// to fire mid-seal, leaving walSeq past the region end and the head reset —
 	// a state in which a later head-block write would have landed on the
 	// first data page.
-	sizes := d.sizeBuf[:0]
-	for _, rec := range encodedRecs {
-		sizes = append(sizes, len(rec))
-	}
-	d.sizeBuf = sizes
 	if seq, _ := d.walEndPosition(sizes); seq >= d.cfg.WALBlocks {
 		return fmt.Errorf("db: %s: WAL overflow during flush", d.name)
 	}
-	for _, rec := range encodedRecs {
-		if d.headUsed()+len(rec) > d.walCapacity() {
+	for i, n := range sizes {
+		if d.headUsed()+n > d.walCapacity() {
 			if err := d.writeHead(p); err != nil {
 				return err
 			}
@@ -176,7 +173,7 @@ func (d *DB) flushWAL(p *sim.Proc, encodedRecs [][]byte) error {
 			d.head = make([]byte, wal.BlockHeaderSize, d.blockSize)
 			wal.PutBlockHeader(d.head, d.epoch, d.walSeq)
 		}
-		d.head = append(d.head, rec...)
+		d.head = wal.AppendEncode(d.head, t.record(i))
 	}
 	return d.writeHead(p)
 }

@@ -98,26 +98,15 @@ func (t *Txn) Put(key uint64, val []byte) error {
 	return nil
 }
 
-// encode writes the transaction's update and commit records, stamped with
-// the database's current epoch, into the DB's reusable encode buffer and
-// returns per-record views. Each view is taken as its record is encoded (not
-// derived from pre-computed sizes), so the views stay correct even if the
-// encoded size of a record ever depends on its content or epoch; should the
-// buffer grow mid-way, earlier views keep the old array, whose bytes stand.
-func (t *Txn) encode() [][]byte {
-	d := t.db
-	d.encBuf, d.encSlices = d.encBuf[:0], d.encSlices[:0]
-	emit := func(r wal.Record) {
-		start := len(d.encBuf)
-		d.encBuf = wal.AppendEncode(d.encBuf, r)
-		d.encSlices = append(d.encSlices, d.encBuf[start:])
-	}
+// record returns the transaction's i-th WAL record, stamped with the
+// database's current epoch: its updates in Put order, then its commit record.
+func (t *Txn) record(i int) wal.Record {
 	rows, vals := t.buffered()
-	for _, u := range rows {
-		emit(wal.Record{Type: wal.TypeUpdate, Epoch: d.epoch, TxID: t.id, Key: u.key, Val: u.val(vals)})
+	if i == len(rows) {
+		return wal.Record{Type: wal.TypeCommit, Epoch: t.db.epoch, TxID: t.id}
 	}
-	emit(wal.Record{Type: wal.TypeCommit, Epoch: d.epoch, TxID: t.id})
-	return d.encSlices
+	u := rows[i]
+	return wal.Record{Type: wal.TypeUpdate, Epoch: t.db.epoch, TxID: t.id, Key: u.key, Val: u.val(vals)}
 }
 
 // Commit makes the transaction durable: WAL records (updates + commit) are
@@ -163,20 +152,16 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	// Size the log entries before encoding anything, so the fit check (and
 	// any checkpoint it forces) happens first and the records are encoded
 	// exactly once, with the final epoch.
-	sizes := d.sizeBuf[:0]
+	sizes := d.sizeArr[:0]
 	var totalBytes int
-	for _, u := range rows {
-		n := wal.Record{Type: wal.TypeUpdate, TxID: t.id, Key: u.key, Val: u.val(vals)}.EncodedSize()
+	for i := range len(rows) + 1 {
+		n := t.record(i).EncodedSize()
 		if n > d.walCapacity() {
 			return fmt.Errorf("%w: record %d bytes", ErrTxnTooLarge, n)
 		}
 		sizes = append(sizes, n)
 		totalBytes += n
 	}
-	commitSize := wal.Record{Type: wal.TypeCommit, TxID: t.id}.EncodedSize()
-	sizes = append(sizes, commitSize)
-	totalBytes += commitSize
-	d.sizeBuf = sizes
 	// Make room: a checkpoint empties the WAL but must not run between a
 	// transaction's records, so take it up front when the packing check
 	// says the records will not fit in the remaining region.
@@ -188,7 +173,7 @@ func (t *Txn) Commit(p *sim.Proc) error {
 			return fmt.Errorf("%w: %d bytes", ErrTxnTooLarge, totalBytes)
 		}
 	}
-	if err := d.flushWAL(p, t.encode()); err != nil {
+	if err := d.flushWAL(p, t, sizes); err != nil {
 		return err
 	}
 	// The transaction is durable; apply to memory pages (no-force).

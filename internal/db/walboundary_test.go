@@ -68,7 +68,9 @@ func TestFlushWALOverflowLeavesStateIntact(t *testing.T) {
 		d.walSeq = 3
 		d.head = make([]byte, d.blockSize-1)
 		seq, buflen, writes := d.walSeq, len(d.head), d.walWrites
-		err = d.flushWAL(p, [][]byte{make([]byte, 2)}) // seals block 3, needs block 4
+		// A transaction with no rows logs only its commit record, which seals
+		// block 3 and needs block 4.
+		err = d.flushWAL(p, d.Begin(), []int{wal.Overhead})
 		if err == nil || !strings.Contains(err.Error(), "WAL overflow") {
 			t.Fatalf("err = %v, want WAL overflow", err)
 		}

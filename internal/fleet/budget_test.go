@@ -91,11 +91,13 @@ func TestVerifySnapshotAllocBudget(t *testing.T) {
 // replication cost of the same writes is not in it. Before commits carved
 // right-sized pages from one arena per database, each first write to a page
 // copied it into a whole block: the phase cost 71 allocations and 16,752 bytes.
-// It costs 55 and 11,120 now; a -race build adds 48 bytes, which the bytes
-// budget holds.
+// Before commits encoded their records straight into the WAL head block and
+// the shop grew its ledgers once per run, it cost 55 and 11,120, and a -race
+// build added 48 bytes. It costs 26 and 10,128 now, as much under -race; the
+// bytes budget keeps those 48 bytes of slack.
 const (
-	orderAllocsBudget = 55
-	orderBytesBudget  = 11_168
+	orderAllocsBudget = 26
+	orderBytesBudget  = 10_176
 )
 
 func TestOrderPhaseAllocBudget(t *testing.T) {
@@ -137,6 +139,67 @@ func TestOrderPhaseAllocBudget(t *testing.T) {
 	if perAllocs > orderAllocsBudget || perBytes > orderBytesBudget {
 		t.Fatalf("order phase cost %d allocations and %d bytes, budget %d and %d",
 			perAllocs, perBytes, orderAllocsBudget, orderBytesBudget)
+	}
+}
+
+// Per-phase allocation budget of the fleet workload's failover open: db.Open
+// of one tenant's sales and stock volumes after its 8 orders, on volumes of
+// fleet_seq's shape (512-byte blocks, 256 blocks) — the replay of a log that
+// was never checkpointed, then the recovery checkpoint. The orders run
+// unmeasured on fresh volumes before every open, so each open recovers the
+// same image. It costs 43 allocations and 13,160 bytes, as much under -race.
+const (
+	failoverAllocsBudget = 43
+	failoverBytesBudget  = 13_160
+)
+
+func TestFailoverOpenAllocBudget(t *testing.T) {
+	const orders, runs = 8, 10
+	env := sim.NewEnv(1)
+	a := storage.NewArray(env, "main", storage.Config{BlockSize: 512})
+	var allocs, bytes uint64
+	env.Process("budget", func(p *sim.Proc) {
+		fresh := func(id storage.VolumeID) *storage.Volume {
+			_ = a.DeleteVolume(id) // the previous run's, absent on the first
+			vol, err := a.CreateVolume(id, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return vol
+		}
+		open := func(id storage.VolumeID, vol *storage.Volume) *db.DB {
+			d, err := db.Open(p, string(id), vol, db.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		var before, after runtime.MemStats
+		for i := range runs + 1 { // the first run warms up
+			sales, stock := fresh("sales"), fresh("stock")
+			shop := workload.NewShop(env, open("sales", sales), open("stock", stock), workload.Config{Seed: 1})
+			if err := shop.Run(p, orders); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			recSales, recStock := open("sales", sales), open("stock", stock)
+			runtime.ReadMemStats(&after)
+			if recSales.RecoveredTxns() != orders || recStock.RecoveredTxns() != orders {
+				t.Fatalf("recovered %d sales and %d stock transactions, want %d each",
+					recSales.RecoveredTxns(), recStock.RecoveredTxns(), orders)
+			}
+			if i > 0 {
+				allocs += after.Mallocs - before.Mallocs
+				bytes += after.TotalAlloc - before.TotalAlloc
+			}
+		}
+	})
+	env.Run(0)
+	perAllocs, perBytes := allocs/runs, bytes/runs
+	t.Logf("failover open of %d orders' sales and stock: %d allocations, %d bytes", orders, perAllocs, perBytes)
+	if perAllocs > failoverAllocsBudget || perBytes > failoverBytesBudget {
+		t.Fatalf("failover open cost %d allocations and %d bytes, budget %d and %d",
+			perAllocs, perBytes, failoverAllocsBudget, failoverBytesBudget)
 	}
 }
 

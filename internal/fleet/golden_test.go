@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,6 +147,52 @@ func TestFleetGoldenTraceParallelMatchesSequential(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := goldenConfig(seed)
 			sameRun(t, [2]string{"first", "second"}, runGoldenFleet(t, cfg), runGoldenFleet(t, cfg))
+		})
+	}
+}
+
+// tenantOfProc labels a fleet tenant's own process with its namespace.
+func tenantOfProc(process string) string {
+	if ns, ok := strings.CutPrefix(process, "tenant:"); ok {
+		return ns
+	}
+	return ""
+}
+
+// profiledGoldenFleet is runGoldenFleet with the sim-time profile on; it also
+// returns the encoded profile.
+func profiledGoldenFleet(t *testing.T, cfg Config) (fleetRun, []byte) {
+	t.Helper()
+	f := New(cfg)
+	f.Sys.Env.StartTrace()
+	f.Sys.Env.StartSimProfile(tenantOfProc)
+	err := f.Run()
+	r := fleetRun{trace: f.Sys.Env.Trace(), end: f.Sys.Env.Now()}
+	for _, tn := range f.Tenants {
+		r.outs = append(r.outs, outcomeOf(tn))
+	}
+	if err != nil {
+		t.Fatalf("fleet run: %v\noutcomes: %+v", err, r.outs)
+	}
+	var buf bytes.Buffer
+	if err := telemetry.WriteSimProfile(&buf, f.Sys.Env.SimProfile()); err != nil {
+		t.Fatal(err)
+	}
+	return r, buf.Bytes()
+}
+
+// With the sim-time profile on, a randomized fleet schedule runs exactly as
+// it does with it off — same (at, seq) trace, end time and outcomes — and two
+// runs of one seed encode byte-identical profiles.
+func TestSimProfileKeepsTheGoldenTrace(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg := goldenConfig(seed)
+			on, prof := profiledGoldenFleet(t, cfg)
+			sameRun(t, [2]string{"profile off", "profile on"}, runGoldenFleet(t, cfg), on)
+			if _, again := profiledGoldenFleet(t, cfg); !bytes.Equal(prof, again) {
+				t.Fatal("two runs of one seed encoded different sim-time profiles")
+			}
 		})
 	}
 }

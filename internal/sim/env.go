@@ -54,6 +54,7 @@ type Env struct {
 	stats   statCounters
 	traceOn bool
 	trace   []TraceEntry
+	prof    *simProfile // nil unless StartSimProfile
 
 	// advance holds the registered OnAdvance observers, called in
 	// registration order whenever virtual time moves forward.

@@ -44,6 +44,9 @@ func (e *Env) startProc(p *Proc, at time.Duration, fn func(p *Proc)) {
 	// abandoned with processes still blocked leaves those parked.
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
+		if pr := e.prof; pr != nil {
+			p.yield = pr.yield(p, yield)
+		}
 		fn(p)
 		p.done = true
 		e.procs--
@@ -92,7 +95,9 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.block()
 }
 
-// block switches back to the scheduler and returns when it resumes p.
+// block switches back to the scheduler and returns when it resumes p. Every
+// blocking call reaches it, so with the sim-time profile on, the yield it
+// calls is the profile's (simProfile.yield).
 func (p *Proc) block() { p.yield(struct{}{}) }
 
 // park blocks the process on the events it has registered with (or on a

@@ -185,8 +185,11 @@ func (s *Shop) step(p *sim.Proc) error {
 
 // Run places n orders back to back (with ThinkTime pauses and the
 // configured read mix interleaved). It stops early and returns the error
-// if an operation fails.
+// if an operation fails. The commit ledgers and the latency histogram are
+// grown once for the n orders, not doubled from empty as they fill.
 func (s *Shop) Run(p *sim.Proc, n int) error {
+	s.salesOrder, s.stockOrder = grow(s.salesOrder, n), grow(s.stockOrder, n)
+	s.Latency.Grow(n)
 	placed := int64(0)
 	for placed < int64(n) {
 		before := s.Completed.Value()
@@ -199,6 +202,14 @@ func (s *Shop) Run(p *sim.Proc, n int) error {
 		}
 	}
 	return nil
+}
+
+// grow returns ids with room for n more, as Histogram.Grow makes room.
+func grow(ids []uint64, n int) []uint64 {
+	if cap(ids)-len(ids) >= n {
+		return ids
+	}
+	return append(make([]uint64, 0, len(ids)+n), ids...)
 }
 
 // RunUntil performs operations until the virtual deadline passes.
