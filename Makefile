@@ -14,10 +14,11 @@
 #   autopilot-smoke  E17 end to end, leaves e17-decisions.log
 #   chaos-smoke      25 seeded fault schedules under -race; `chaos` is the long sweep
 #   lines            the Go line counts and DESIGN.md's size ROADMAP tracks, per internal/ package and cmd/ binary too (not part of ci)
+#   lines-diff       BASE=<rev>: non-test Go lines outside benchmark/ at BASE, in the working tree, and the difference (not part of ci)
 
 GO ?= go
 
-.PHONY: ci fmt vet build test layer-bench-smoke test-race tables-check bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines
+.PHONY: ci fmt vet build test layer-bench-smoke test-race tables-check bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines lines-diff
 
 ci: fmt vet build test layer-bench-smoke test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke
 
@@ -138,14 +139,29 @@ chaos-smoke:
 chaos:
 	$(GO) run ./cmd/chaos -steps medium -seeds 500 -log chaos-repro.log
 
+# The files `lines` counts first: non-test Go outside benchmark/.
+PRODUCT_GO = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'
+
 # The sizes ROADMAP's aim 2 is judged by: non-test Go outside benchmark/ (the
 # product; benchmark/ is frozen for perf and simplicity PRs), all Go, and
 # DESIGN.md's byte count; then the non-test Go lines of each internal/
 # package and each cmd/ binary, so a PR can state what it took out of the
 # one it touched.
 lines:
-	@printf 'non-test Go lines outside benchmark/: %d\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+	@printf 'non-test Go lines outside benchmark/: %d\n' "$$($(PRODUCT_GO) | xargs cat | wc -l)"
 	@printf 'total Go lines: %d\n' "$$(find . -name '*.go' | xargs cat | wc -l)"
 	@printf 'DESIGN.md bytes: %d\n' "$$(wc -c < DESIGN.md)"
 	@for d in internal/*/ cmd/*/; do \
 		printf '%s non-test Go lines: %d\n' "$${d%/}" "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done
+
+# The ≥150-line rule of a simplicity PR, checked against its parent
+# (make lines-diff BASE=HEAD~1): BASE is extracted with git archive into a
+# temporary directory and counted with `lines`' own find, as is the
+# working tree (untracked files included, as in `lines`).
+lines-diff:
+	@test -n "$(BASE)" || { echo "usage: make lines-diff BASE=<rev>"; exit 2; }
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	git archive "$(BASE)" | tar -x -C "$$tmp" || exit 1; \
+	base=$$(cd "$$tmp" && $(PRODUCT_GO) | xargs cat | wc -l); \
+	head=$$($(PRODUCT_GO) | xargs cat | wc -l); \
+	printf 'non-test Go lines outside benchmark/: %s %d, working tree %d, difference %+d\n' "$(BASE)" $$base $$head $$((head - base))

@@ -22,6 +22,15 @@ type experiment struct {
 	run func() error
 }
 
+// printTable prints t, or passes on the error that stopped its experiment.
+func printTable(t *experiments.Table, err error) error {
+	if err != nil {
+		return err
+	}
+	fmt.Println(t)
+	return nil
+}
+
 // show returns the step that prints a result as table, or passes on the
 // error that stopped the result.
 func show[R any](table func(R) *experiments.Table) func(R, error) error {
@@ -29,8 +38,7 @@ func show[R any](table func(R) *experiments.Table) func(R, error) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(table(res))
-		return nil
+		return printTable(table(res), nil)
 	}
 }
 
@@ -59,32 +67,20 @@ func catalog(seed int64, quick bool, telemetryOut, decisionsOut string) []experi
 				200 * time.Microsecond, time.Millisecond, 2 * time.Millisecond,
 				10 * time.Millisecond, 20 * time.Millisecond, 100 * time.Millisecond,
 			}
-			return show(experiments.E5Table)(experiments.E5Slowdown(seed, rtts, orders))
+			return printTable(experiments.E5Slowdown(seed, rtts, orders))
 		}},
 		{"e6", func() error {
-			cg, err := experiments.E6Collapse(seed*1000, trials, 300, experiments.ModeADC)
-			if err != nil {
-				return err
-			}
-			noCG, err := experiments.E6Collapse(seed*1000, trials, 300, experiments.ModeADCNoCG)
-			return show(experiments.E6Table)([]experiments.CollapseResult{cg, noCG}, err)
+			return printTable(experiments.E6Collapse(seed*1000, trials, 300, experiments.ModeADC, experiments.ModeADCNoCG))
 		}},
 		{"e7", func() error {
 			rtts := []time.Duration{2 * time.Millisecond, 10 * time.Millisecond, 40 * time.Millisecond}
 			bws := []float64{2e5, 1e6, 1e7, 1e9}
-			return show(experiments.E7Table)(experiments.E7RPO(seed, rtts, bws, 400*time.Millisecond))
+			return printTable(experiments.E7RPO(seed, rtts, bws, 400*time.Millisecond))
 		}},
 		{"e8", func() error {
-			cg, err := experiments.E8Recovery(seed, []int{20, 50, 100, 200, 400}, experiments.ModeADC)
-			if err != nil {
-				return err
-			}
-			noCG, err := experiments.E8Recovery(seed, []int{200, 220, 240, 260}, experiments.ModeADCNoCG)
-			return show(experiments.E8Table)(append(cg, noCG...), err)
+			return printTable(experiments.E8Recovery(seed, []int{20, 50, 100, 200, 400}, []int{200, 220, 240, 260}))
 		}},
-		{"e10", func() error {
-			return show(experiments.E10Table)(experiments.E10Failback(seed, []int{10, 50, 200, 800}))
-		}},
+		{"e10", func() error { return printTable(experiments.E10Failback(seed, []int{10, 50, 200, 800})) }},
 		{"e11", func() error {
 			return show(experiments.E11Table)(experiments.E11FleetScale(seed, size(100, 24), 8))
 		}},
@@ -136,13 +132,13 @@ func catalog(seed int64, quick bool, telemetryOut, decisionsOut string) []experi
 			return show(experiments.E18Table)(experiments.E18PipeFill(seed, []int{1, 4, 16}, size(6144, 2048)))
 		}},
 		{"e9", func() error {
-			if err := show(experiments.E9BatchTable)(experiments.E9BatchSweep(seed, []int{1, 4, 16, 64, 256}, orders)); err != nil {
+			if err := printTable(experiments.E9BatchSweep(seed, []int{1, 4, 16, 64, 256}, orders)); err != nil {
 				return err
 			}
-			if err := show(experiments.E9CGScaleTable)(experiments.E9CGScale(seed, []int{2, 4, 8, 16, 32}, 30)); err != nil {
+			if err := printTable(experiments.E9CGScale(seed, []int{2, 4, 8, 16, 32}, 30)); err != nil {
 				return err
 			}
-			return show(experiments.E9SkewTable)(experiments.E9SkewSweep(seed, []float64{-1, 1.1, 1.5, 2.5}, orders))
+			return printTable(experiments.E9SkewSweep(seed, []float64{-1, 1.1, 1.5, 2.5}, orders))
 		}},
 	}
 }

@@ -7,17 +7,8 @@ import (
 	"repro/internal/netlink"
 	"repro/internal/replication"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
-
-// FailbackResult is one row of experiment E10.
-type FailbackResult struct {
-	OutageOrders int // orders processed at the backup during the outage
-	DeltaBlocks  int
-	FullBlocks   int // what a full resync would copy
-	ResyncTime   time.Duration
-	SavingsX     float64 // full / delta
-	ReverseOK    bool    // post-resync writes replicate in reverse
-}
 
 // E10Failback extends the paper's DR story past the demo: after a disaster
 // and failover, the main site returns and is resynchronized from the
@@ -28,8 +19,9 @@ type FailbackResult struct {
 //
 // Expected shape: delta blocks grow with outage length but stay well under
 // the full copy; resync time scales with the delta, not the dataset.
-func E10Failback(seed int64, outageOrders []int) ([]FailbackResult, error) {
-	var out []FailbackResult
+func E10Failback(seed int64, outageOrders []int) (*Table, error) {
+	t := NewTable("E10: failback delta resync after outage (DR extension, §I context)",
+		"outage writes", "delta blocks", "full-copy blocks", "resync time", "savings", "reverse ok")
 	for i, n := range outageOrders {
 		r, err := newRig(rigParams{
 			seed: seed + int64(i),
@@ -45,16 +37,13 @@ func E10Failback(seed int64, outageOrders []int) ([]FailbackResult, error) {
 		if _, err := r.runOrders(400); err != nil {
 			return nil, err
 		}
-		r.env.Process("bulk-load", func(p *sim.Proc) {
+		if err := runProc(r.env, "bulk-load", 0, func(p *sim.Proc) error {
 			sv, _ := r.main.Volume("sales")
 			kv, _ := r.main.Volume("stock")
-			buf := make([]byte, r.main.Config().BlockSize)
-			for b := int64(500); b < 2000; b++ {
-				sv.Write(p, b, buf)
-				kv.Write(p, b, buf)
-			}
-		})
-		r.env.Run(0)
+			return writePair(p, sv, kv, 500, 1500, 1500)
+		}); err != nil {
+			return nil, fmt.Errorf("E10 outage=%d: bulk load: %w", n, err)
+		}
 		r.env.Process("catchup", func(p *sim.Proc) { r.groups[0].CatchUp(p) })
 		r.env.Run(0)
 		// Disaster: partition, a little stranded work, failover.
@@ -74,57 +63,56 @@ func E10Failback(seed int64, outageOrders []int) ([]FailbackResult, error) {
 		// Production rewrites a hot working set (databases hammer their WAL
 		// region and hot pages), so the delta saturates at the working-set
 		// size rather than growing without bound.
-		r.env.Process("outage-production", func(p *sim.Proc) {
-			buf := make([]byte, r.backup.Config().BlockSize)
-			for w := 0; w < n; w++ {
-				bs.Write(p, int64(1200+w%100), buf)
-				bk.Write(p, int64(1200+w%100), buf)
-			}
-		})
-		r.env.Run(0)
+		if err := runProc(r.env, "outage-production", 0, func(p *sim.Proc) error {
+			return writePair(p, bs, bk, 1200, 100, n)
+		}); err != nil {
+			return nil, fmt.Errorf("E10 outage=%d: outage production: %w", n, err)
+		}
 
 		// The main site returns.
 		r.links.Heal()
-		var res FailbackResult
-		res.OutageOrders = n
 		err = runProc(r.env, "failback", 0, func(p *sim.Proc) error {
 			start := p.Now()
 			reverse, stats, err := r.groups[0].Failback(p, r.main, r.links.Reverse, replication.Config{})
 			if err != nil {
 				return err
 			}
-			res.ResyncTime = p.Now() - start
-			res.DeltaBlocks = stats.DeltaBlocks
-			res.FullBlocks = stats.TotalBlocks
+			resync := p.Now() - start
+			savings := 0.0 // full copy over delta
 			if stats.DeltaBlocks > 0 {
-				res.SavingsX = float64(stats.TotalBlocks) / float64(stats.DeltaBlocks)
+				savings = float64(stats.TotalBlocks) / float64(stats.DeltaBlocks)
 			}
 			// Verify the reverse direction carries new production.
-			buf := make([]byte, r.backup.Config().BlockSize)
+			buf := make([]byte, bs.BlockSize())
 			buf[0] = 0x5A
-			bs.Write(p, 1999, buf)
+			if _, err := bs.Write(p, 1999, buf); err != nil {
+				return fmt.Errorf("reverse probe: %w", err)
+			}
 			reverse.CatchUp(p)
 			sv, _ := r.main.Volume("sales")
 			got := sv.Peek(1999) // nil if the write never arrived
-			res.ReverseOK = got != nil && got[0] == 0x5A
+			t.AddRow(n, stats.DeltaBlocks, stats.TotalBlocks, resync, fmt.Sprintf("%.1fx", savings), got != nil && got[0] == 0x5A)
 			reverse.Stop()
 			return nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E10 outage=%d: %w", n, err)
 		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// E10Table renders E10 results.
-func E10Table(results []FailbackResult) *Table {
-	t := NewTable("E10: failback delta resync after outage (DR extension, §I context)",
-		"outage writes", "delta blocks", "full-copy blocks", "resync time", "savings", "reverse ok")
-	for _, r := range results {
-		t.AddRow(r.OutageOrders, r.DeltaBlocks, r.FullBlocks, r.ResyncTime, fmt.Sprintf("%.1fx", r.SavingsX), r.ReverseOK)
 	}
 	t.AddNote("shape: delta grows with outage, stays well under full copy; resync time tracks the delta")
-	return t
+	return t, nil
+}
+
+// writePair writes n zero blocks to a and then b in turn, the w-th at block
+// base+w%span, and returns the first write error.
+func writePair(p *sim.Proc, a, b *storage.Volume, base, span int64, n int) error {
+	buf := make([]byte, a.BlockSize())
+	for w := 0; w < n; w++ {
+		for _, v := range []*storage.Volume{a, b} {
+			if _, err := v.Write(p, base+int64(w)%span, buf); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -11,48 +11,46 @@ import (
 	"repro/internal/storage"
 )
 
-// CollapseResult aggregates E6 trials for one configuration.
-type CollapseResult struct {
-	Mode           Mode
-	Trials         int
-	Collapsed      int     // trials whose backup image was collapsed
-	MeanOrphans    float64 // mean collapse witnesses per trial
-	OrderingBroken int     // per-volume prefix violations (must stay 0)
-}
-
 // E6Collapse reproduces the paper's central consistency claim (§I): under
 // ADC, a disaster that cuts replication mid-stream leaves the backup
 // collapsed unless the volumes share a consistency group. Each trial runs
 // the two-resource workload over a constrained link, cuts the simulation at
 // a disaster instant, freezes the backup image with an (instantaneous)
 // array snapshot group, recovers the databases from the frozen image, and
-// checks cross-database atomicity.
+// checks cross-database atomicity. Every mode runs the same trial seeds.
 //
 // Expected shape: ADC-noCG collapses in a large fraction of trials;
 // ADC+CG never collapses; per-volume ordering holds in both.
-func E6Collapse(seedBase int64, trials, orders int, mode Mode) (CollapseResult, error) {
-	res := CollapseResult{Mode: mode, Trials: trials}
-	var orphanSum int
-	for trial := 0; trial < trials; trial++ {
-		rep, err := collapseTrial(seedBase+int64(trial)*7919, orders, mode, trial)
-		if err != nil {
-			return res, fmt.Errorf("E6 trial %d: %w", trial, err)
+func E6Collapse(seedBase int64, trials, orders int, modes ...Mode) (*Table, error) {
+	t := NewTable("E6: backup collapse under disaster cut (paper §I claim)",
+		"mode", "trials", "collapsed", "collapse%", "mean orphans", "ordering broken")
+	for _, mode := range modes {
+		var collapsed, orphans, orderingBroken int
+		for trial := 0; trial < trials; trial++ {
+			rep, err := collapseTrial(seedBase+int64(trial)*7919, orders, mode)
+			if err != nil {
+				return nil, fmt.Errorf("E6 %s trial %d: %w", mode, trial, err)
+			}
+			if rep.Collapsed() {
+				collapsed++
+				orphans += len(rep.OrphanStock)
+			}
+			if !rep.OrderingOK() {
+				orderingBroken++
+			}
 		}
-		if rep.Collapsed() {
-			res.Collapsed++
-			orphanSum += len(rep.OrphanStock)
+		pct, meanOrphans := 0.0, 0.0
+		if trials > 0 {
+			pct = 100 * float64(collapsed) / float64(trials)
+			meanOrphans = float64(orphans) / float64(trials)
 		}
-		if !rep.OrderingOK() {
-			res.OrderingBroken++
-		}
+		t.AddRow(mode, trials, collapsed, pct, meanOrphans, orderingBroken)
 	}
-	if trials > 0 {
-		res.MeanOrphans = float64(orphanSum) / float64(trials)
-	}
-	return res, nil
+	t.AddNote("shape: ADC-noCG collapses often; ADC+CG never; per-volume ordering never breaks")
+	return t, nil
 }
 
-func collapseTrial(seed int64, orders int, mode Mode, trial int) (consistency.Report, error) {
+func collapseTrial(seed int64, orders int, mode Mode) (consistency.Report, error) {
 	// A link slow enough that a backlog exists at the cut, plus jitter so
 	// the two per-volume drains interleave differently across trials.
 	r, err := newRig(rigParams{
@@ -98,19 +96,4 @@ func collapseTrial(seed int64, orders int, mode Mode, trial int) (consistency.Re
 		return nil
 	})
 	return rep, err
-}
-
-// E6Table renders E6 results.
-func E6Table(results []CollapseResult) *Table {
-	t := NewTable("E6: backup collapse under disaster cut (paper §I claim)",
-		"mode", "trials", "collapsed", "collapse%", "mean orphans", "ordering broken")
-	for _, r := range results {
-		pct := 0.0
-		if r.Trials > 0 {
-			pct = 100 * float64(r.Collapsed) / float64(r.Trials)
-		}
-		t.AddRow(string(r.Mode), r.Trials, r.Collapsed, pct, r.MeanOrphans, r.OrderingBroken)
-	}
-	t.AddNote("shape: ADC-noCG collapses often; ADC+CG never; per-volume ordering never breaks")
-	return t
 }

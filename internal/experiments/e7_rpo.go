@@ -1,22 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/netlink"
 	"repro/internal/sim"
 )
-
-// RPOResult is one row of experiment E7.
-type RPOResult struct {
-	Mode       Mode
-	RTT        time.Duration
-	Bandwidth  float64
-	MeanRPO    time.Duration
-	MaxRPO     time.Duration
-	MaxBacklog int
-}
 
 // E7RPO measures the data-loss exposure of asynchronous copy (§I: "owing to
 // network delays, data loss at the backup site is inevitable"): the
@@ -26,8 +17,12 @@ type RPOResult struct {
 //
 // Expected shape: ADC RPO grows as bandwidth shrinks (the link saturates)
 // and tracks RTT when bandwidth is ample; SDC is always 0.
-func E7RPO(seed int64, rtts []time.Duration, bandwidths []float64, duration time.Duration) ([]RPOResult, error) {
-	var out []RPOResult
+func E7RPO(seed int64, rtts []time.Duration, bandwidths []float64, duration time.Duration) (*Table, error) {
+	if len(bandwidths) == 0 {
+		return nil, errors.New("E7: empty bandwidth sweep")
+	}
+	t := NewTable("E7: RPO (data-loss window) vs link capacity (paper §I/§III-A1)",
+		"mode", "rtt", "bandwidth B/s", "mean RPO", "max RPO", "max backlog")
 	for _, rtt := range rtts {
 		for _, bw := range bandwidths {
 			r, err := newRig(rigParams{
@@ -41,35 +36,20 @@ func E7RPO(seed int64, rtts []time.Duration, bandwidths []float64, duration time
 			reg := r.probe(5 * time.Millisecond)
 			start := r.env.Now()
 			deadline := start + duration
-			r.env.Process("orders", func(p *sim.Proc) { r.shop.RunUntil(p, deadline) })
-			r.env.Run(0)
+			if err := runProc(r.env, "orders", 0, func(p *sim.Proc) error { return r.shop.RunUntil(p, deadline) }); err != nil {
+				return nil, fmt.Errorf("E7 rtt=%v bw=%g: %w", rtt, bw, err)
+			}
 			r.stop()
 			rpo := reg.Series("rpo", rigTenant).Window(start, deadline)
-			out = append(out, RPOResult{
-				Mode:       ModeADC,
-				RTT:        rtt,
-				Bandwidth:  bw,
-				MeanRPO:    time.Duration(rpo.Mean()),
-				MaxRPO:     time.Duration(rpo.Max()),
-				MaxBacklog: int(reg.Series("backlog.records", rigTenant).Window(start, deadline).Max()),
-			})
+			t.AddRow(ModeADC, rtt, fmt.Sprintf("%.0e", bw), time.Duration(rpo.Mean()), time.Duration(rpo.Max()),
+				int(reg.Series("backlog.records", rigTenant).Window(start, deadline).Max()))
 		}
 	}
 	// SDC baseline: RPO is structurally zero (remote apply precedes the
 	// ack), reported for the table's completeness.
 	for _, rtt := range rtts {
-		out = append(out, RPOResult{Mode: ModeSDC, RTT: rtt, Bandwidth: bandwidths[len(bandwidths)-1]})
-	}
-	return out, nil
-}
-
-// E7Table renders E7 results.
-func E7Table(results []RPOResult) *Table {
-	t := NewTable("E7: RPO (data-loss window) vs link capacity (paper §I/§III-A1)",
-		"mode", "rtt", "bandwidth B/s", "mean RPO", "max RPO", "max backlog")
-	for _, r := range results {
-		t.AddRow(string(r.Mode), r.RTT, fmt.Sprintf("%.0e", r.Bandwidth), r.MeanRPO, r.MaxRPO, r.MaxBacklog)
+		t.AddRow(ModeSDC, rtt, fmt.Sprintf("%.0e", bandwidths[len(bandwidths)-1]), time.Duration(0), time.Duration(0), 0)
 	}
 	t.AddNote("shape: ADC RPO grows as the link saturates; SDC RPO is always 0 (but E5 shows its cost)")
-	return t
+	return t, nil
 }

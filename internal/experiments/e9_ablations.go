@@ -12,23 +12,15 @@ import (
 	"repro/internal/workload"
 )
 
-// BatchResult is one row of the E9 journal-batch ablation.
-type BatchResult struct {
-	BatchMax  int
-	Transfers int64
-	MeanRPO   time.Duration // probed every 5 ms from the first order to the drain's end
-	DrainSpan time.Duration // time for the backup to fully catch up
-	LinkBytes int64
-}
-
 // E9BatchSweep ablates the ADC drain's batch size: small batches waste link
 // round trips (each transfer pays propagation), large batches raise RPO
 // spikes. This is the main tunable DESIGN.md calls out.
 //
 // Expected shape: transfers fall ~1/batch; drain span shrinks then
 // flattens; per-record overhead amortizes.
-func E9BatchSweep(seed int64, batches []int, orders int) ([]BatchResult, error) {
-	var out []BatchResult
+func E9BatchSweep(seed int64, batches []int, orders int) (*Table, error) {
+	t := NewTable("E9a: ADC journal batch size ablation",
+		"batch", "link transfers", "mean RPO", "drain tail", "link bytes")
 	for _, b := range batches {
 		r, err := newRig(rigParams{
 			seed: seed,
@@ -54,34 +46,12 @@ func E9BatchSweep(seed int64, batches []int, orders int) ([]BatchResult, error) 
 			return nil, err
 		}
 		r.stop()
-		out = append(out, BatchResult{
-			BatchMax:  b,
-			Transfers: r.links.Forward.Transfers(),
-			MeanRPO:   time.Duration(reg.Series("rpo", rigTenant).Window(start, drainEnd).Mean()),
-			DrainSpan: drainEnd - drainStart,
-			LinkBytes: r.links.Forward.SentBytes(),
-		})
-	}
-	return out, nil
-}
-
-// E9BatchTable renders the batch ablation.
-func E9BatchTable(results []BatchResult) *Table {
-	t := NewTable("E9a: ADC journal batch size ablation",
-		"batch", "link transfers", "mean RPO", "drain tail", "link bytes")
-	for _, r := range results {
-		t.AddRow(r.BatchMax, r.Transfers, r.MeanRPO, r.DrainSpan, r.LinkBytes)
+		t.AddRow(b, r.links.Forward.Transfers(),
+			time.Duration(reg.Series("rpo", rigTenant).Window(start, drainEnd).Mean()),
+			drainEnd-drainStart, r.links.Forward.SentBytes())
 	}
 	t.AddNote("shape: transfers fall ~1/batch; RPO bottoms out at moderate batch sizes")
-	return t
-}
-
-// CGScaleResult is one row of the E9 consistency-group scaling ablation.
-type CGScaleResult struct {
-	Volumes    int
-	Mode       Mode
-	MeanCommit time.Duration // mean per-transaction commit latency
-	Throughput float64
+	return t, nil
 }
 
 // E9CGScale ablates the cost of sharing one journal across many volumes:
@@ -91,8 +61,9 @@ type CGScaleResult struct {
 //
 // Expected shape: commit latency flat in n for both shared-journal (CG) and
 // per-volume journals — the group costs nothing on the host path.
-func E9CGScale(seed int64, volumeCounts []int, writesPerVol int) ([]CGScaleResult, error) {
-	var out []CGScaleResult
+func E9CGScale(seed int64, volumeCounts []int, writesPerVol int) (*Table, error) {
+	t := NewTable("E9b: consistency-group size ablation — host write latency",
+		"volumes", "mode", "mean write", "writes/s")
 	for _, n := range volumeCounts {
 		for _, shared := range []bool{true, false} {
 			env := sim.NewEnv(seed)
@@ -145,41 +116,19 @@ func E9CGScale(seed int64, volumeCounts []int, writesPerVol int) ([]CGScaleResul
 			if !shared {
 				mode = ModeADCNoCG
 			}
-			out = append(out, CGScaleResult{
-				Volumes:    n,
-				Mode:       mode,
-				MeanCommit: hist.Mean(),
-				Throughput: float64(hist.Count()) / span.Seconds(),
-			})
+			t.AddRow(n, mode, hist.Mean(), float64(hist.Count())/span.Seconds())
 		}
 	}
-	return out, nil
-}
-
-// E9CGScaleTable renders the CG scaling ablation.
-func E9CGScaleTable(results []CGScaleResult) *Table {
-	t := NewTable("E9b: consistency-group size ablation — host write latency",
-		"volumes", "mode", "mean write", "writes/s")
-	for _, r := range results {
-		t.AddRow(r.Volumes, string(r.Mode), r.MeanCommit, r.Throughput)
-	}
 	t.AddNote("shape: host write latency flat in group size; CG adds no main-path cost over per-volume journals")
-	return t
-}
-
-// WorkloadSkewResult is one row of the E9 skew ablation.
-type WorkloadSkewResult struct {
-	ZipfS      float64
-	Mode       Mode
-	MeanOrder  time.Duration
-	Throughput float64
+	return t, nil
 }
 
 // E9SkewSweep ablates item-popularity skew: heavily skewed stock updates
 // concentrate on few pages, stressing the WAL and journal ordering paths
 // differently than uniform traffic. The paper's claims must hold regardless.
-func E9SkewSweep(seed int64, skews []float64, orders int) ([]WorkloadSkewResult, error) {
-	var out []WorkloadSkewResult
+func E9SkewSweep(seed int64, skews []float64, orders int) (*Table, error) {
+	t := NewTable("E9c: workload skew ablation under ADC+CG",
+		"zipf s", "mean order", "orders/s")
 	for _, s := range skews {
 		r, err := newRig(rigParams{
 			seed:     seed,
@@ -195,23 +144,8 @@ func E9SkewSweep(seed int64, skews []float64, orders int) ([]WorkloadSkewResult,
 			return nil, fmt.Errorf("E9 skew=%v: %w", s, err)
 		}
 		r.stop()
-		out = append(out, WorkloadSkewResult{
-			ZipfS:      s,
-			Mode:       ModeADC,
-			MeanOrder:  r.shop.Latency.Mean(),
-			Throughput: float64(orders) / span.Seconds(),
-		})
-	}
-	return out, nil
-}
-
-// E9SkewTable renders the skew ablation.
-func E9SkewTable(results []WorkloadSkewResult) *Table {
-	t := NewTable("E9c: workload skew ablation under ADC+CG",
-		"zipf s", "mean order", "orders/s")
-	for _, r := range results {
-		t.AddRow(r.ZipfS, r.MeanOrder, r.Throughput)
+		t.AddRow(s, r.shop.Latency.Mean(), float64(orders)/span.Seconds())
 	}
 	t.AddNote("shape: latency insensitive to skew (journal order, not page locality, governs the path)")
-	return t
+	return t, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -12,131 +13,147 @@ import (
 
 func TestE5ADCTracksBaselineSDCPaysRTT(t *testing.T) {
 	rtts := []time.Duration{2 * time.Millisecond, 20 * time.Millisecond, 100 * time.Millisecond}
-	results, err := E5Slowdown(1, rtts, 30)
+	tb, err := E5Slowdown(1, rtts, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string]SlowdownResult{}
-	for _, r := range results {
-		byKey[r.RTT.String()+string(r.Mode)] = r
+	rtt, mean, tput := col[time.Duration](t, tb, "rtt"), col[time.Duration](t, tb, "mean"), col[float64](t, tb, "orders/s")
+	rows := map[string]int{}
+	for i, m := range col[Mode](t, tb, "mode") {
+		rows[rtt[i].String()+string(m)] = i
+	}
+	row := func(d time.Duration, m Mode) int {
+		i, ok := rows[d.String()+string(m)]
+		if !ok {
+			t.Fatalf("no row for rtt=%v mode=%s", d, m)
+		}
+		return i
 	}
 	for _, rtt := range rtts {
-		none := byKey[rtt.String()+string(ModeNone)]
-		adc := byKey[rtt.String()+string(ModeADC)]
-		sdc := byKey[rtt.String()+string(ModeSDC)]
+		none, adc, sdc := row(rtt, ModeNone), row(rtt, ModeADC), row(rtt, ModeSDC)
 		// ADC within 2x of baseline (journal append cost only).
-		if adc.MeanOrder > 2*none.MeanOrder {
-			t.Errorf("rtt=%v: ADC %v vs baseline %v — slowdown visible", rtt, adc.MeanOrder, none.MeanOrder)
+		if mean[adc] > 2*mean[none] {
+			t.Errorf("rtt=%v: ADC %v vs baseline %v — slowdown visible", rtt, mean[adc], mean[none])
 		}
 		// SDC pays at least one RTT per commit (each order commits twice,
 		// and each commit's WAL flush crosses the link).
-		if sdc.MeanOrder < adc.MeanOrder+rtt {
-			t.Errorf("rtt=%v: SDC %v not slower than ADC %v by >= RTT", rtt, sdc.MeanOrder, adc.MeanOrder)
+		if mean[sdc] < mean[adc]+rtt {
+			t.Errorf("rtt=%v: SDC %v not slower than ADC %v by >= RTT", rtt, mean[sdc], mean[adc])
 		}
 		// Closed loop: business throughput follows order latency, whatever
 		// the link. The drain tail after the last order is not business time.
-		if adc.Throughput < 0.9*none.Throughput {
+		if tput[adc] < 0.9*tput[none] {
 			t.Errorf("rtt=%v: ADC %.0f orders/s vs baseline %.0f — backup is charged to business processing",
-				rtt, adc.Throughput, none.Throughput)
+				rtt, tput[adc], tput[none])
 		}
 	}
 	// SDC degrades with RTT; ADC does not.
-	adcSmall := byKey[rtts[0].String()+string(ModeADC)]
-	adcBig := byKey[rtts[2].String()+string(ModeADC)]
-	if adcBig.MeanOrder > adcSmall.MeanOrder*3/2 {
-		t.Errorf("ADC latency grew with RTT: %v -> %v", adcSmall.MeanOrder, adcBig.MeanOrder)
+	adcSmall, adcBig := mean[row(rtts[0], ModeADC)], mean[row(rtts[2], ModeADC)]
+	if adcBig > adcSmall*3/2 {
+		t.Errorf("ADC latency grew with RTT: %v -> %v", adcSmall, adcBig)
 	}
-	sdcSmall := byKey[rtts[0].String()+string(ModeSDC)]
-	sdcBig := byKey[rtts[2].String()+string(ModeSDC)]
-	if sdcBig.MeanOrder < 5*sdcSmall.MeanOrder {
-		t.Errorf("SDC latency did not scale with RTT: %v -> %v", sdcSmall.MeanOrder, sdcBig.MeanOrder)
+	sdcSmall, sdcBig := mean[row(rtts[0], ModeSDC)], mean[row(rtts[2], ModeSDC)]
+	if sdcBig < 5*sdcSmall {
+		t.Errorf("SDC latency did not scale with RTT: %v -> %v", sdcSmall, sdcBig)
 	}
-	t.Log("\n" + E5Table(results).String())
+	t.Log("\n" + tb.String())
 }
 
 func TestE6CollapseOnlyWithoutCG(t *testing.T) {
 	const trials, orders = 12, 300
-	noCG, err := E6Collapse(100, trials, orders, ModeADCNoCG)
+	tb, err := E6Collapse(100, trials, orders, ModeADC, ModeADCNoCG)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, err := E6Collapse(100, trials, orders, ModeADC)
-	if err != nil {
-		t.Fatal(err)
+	if modes := col[Mode](t, tb, "mode"); !slices.Equal(modes, []Mode{ModeADC, ModeADCNoCG}) {
+		t.Fatalf("rows = %v, want one per mode", modes)
 	}
-	if cg.Collapsed != 0 {
-		t.Errorf("consistency group collapsed %d/%d trials — must be 0", cg.Collapsed, cg.Trials)
+	collapsed, broken := col[int](t, tb, "collapsed"), col[int](t, tb, "ordering broken")
+	if collapsed[0] != 0 {
+		t.Errorf("consistency group collapsed %d/%d trials — must be 0", collapsed[0], col[int](t, tb, "trials")[0])
 	}
-	if noCG.Collapsed == 0 {
+	if collapsed[1] == 0 {
 		t.Errorf("per-volume replication never collapsed in %d trials — scenario too easy", trials)
 	}
-	if cg.OrderingBroken != 0 || noCG.OrderingBroken != 0 {
-		t.Errorf("per-volume ordering broke: cg=%d nocg=%d", cg.OrderingBroken, noCG.OrderingBroken)
+	if broken[0] != 0 || broken[1] != 0 {
+		t.Errorf("per-volume ordering broke: cg=%d nocg=%d", broken[0], broken[1])
 	}
-	t.Log("\n" + E6Table([]CollapseResult{cg, noCG}).String())
+	t.Log("\n" + tb.String())
 }
 
 func TestE7RPOGrowsAsLinkSaturates(t *testing.T) {
 	rtts := []time.Duration{10 * time.Millisecond}
 	bws := []float64{2e5, 2e6, 1e9}
-	results, err := E7RPO(1, rtts, bws, 400*time.Millisecond)
+	tb, err := E7RPO(1, rtts, bws, 400*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var slow, fast RPOResult
-	for _, r := range results {
-		if r.Mode != ModeADC {
+	modes, bw := col[Mode](t, tb, "mode"), col[string](t, tb, "bandwidth B/s")
+	meanRPO, maxRPO := col[time.Duration](t, tb, "mean RPO"), col[time.Duration](t, tb, "max RPO")
+	slow, fast := -1, -1
+	for i, m := range modes {
+		if m != ModeADC {
 			continue
 		}
-		switch r.Bandwidth {
-		case bws[0]:
-			slow = r
-		case bws[2]:
-			fast = r
+		switch bw[i] {
+		case fmt.Sprintf("%.0e", bws[0]):
+			slow = i
+		case fmt.Sprintf("%.0e", bws[2]):
+			fast = i
 		}
 	}
-	if slow.MeanRPO <= fast.MeanRPO {
-		t.Errorf("RPO did not grow as bandwidth shrank: %v (slow link) vs %v (fast link)", slow.MeanRPO, fast.MeanRPO)
+	if slow < 0 || fast < 0 {
+		t.Fatalf("no ADC rows for the slow and fast links in %v", bw)
 	}
-	if fast.MeanRPO > 50*time.Millisecond {
-		t.Errorf("RPO on a fat link = %v, want near the RTT scale", fast.MeanRPO)
+	if meanRPO[slow] <= meanRPO[fast] {
+		t.Errorf("RPO did not grow as bandwidth shrank: %v (slow link) vs %v (fast link)", meanRPO[slow], meanRPO[fast])
 	}
-	for _, r := range results {
-		if r.Mode == ModeSDC && (r.MeanRPO != 0 || r.MaxRPO != 0) {
-			t.Errorf("SDC RPO nonzero: %+v", r)
+	if meanRPO[fast] > 50*time.Millisecond {
+		t.Errorf("RPO on a fat link = %v, want near the RTT scale", meanRPO[fast])
+	}
+	for i, m := range modes {
+		if m == ModeSDC && (meanRPO[i] != 0 || maxRPO[i] != 0) {
+			t.Errorf("SDC RPO nonzero at row %d: mean %v max %v", i, meanRPO[i], maxRPO[i])
 		}
 	}
-	t.Log("\n" + E7Table(results).String())
+	t.Log("\n" + tb.String())
+}
+
+// An empty bandwidth sweep is refused instead of indexing a bandwidth that
+// does not exist for the SDC rows.
+func TestE7EmptyBandwidthSweepErrors(t *testing.T) {
+	if _, err := E7RPO(1, []time.Duration{time.Millisecond}, nil, 10*time.Millisecond); err == nil {
+		t.Fatal("E7 ran an empty bandwidth sweep without an error")
+	}
 }
 
 func TestE8RecoveryGrowsWithReplayAndNeedsCG(t *testing.T) {
 	counts := []int{20, 80, 200}
-	cg, err := E8Recovery(7, counts, ModeADC)
+	tb, err := E8Recovery(7, counts, []int{200, 220, 240, 260})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range cg {
-		if !r.BusinessIntact {
-			t.Errorf("CG recovery not intact at %d orders", r.Orders)
-		}
-	}
-	if !(cg[2].RecoveryTime > cg[0].RecoveryTime) {
-		t.Errorf("recovery time flat: %v -> %v", cg[0].RecoveryTime, cg[2].RecoveryTime)
-	}
-	noCG, err := E8Recovery(7, []int{200, 220, 240, 260}, ModeADCNoCG)
-	if err != nil {
-		t.Fatal(err)
+	modes, orders := col[Mode](t, tb, "mode"), col[int](t, tb, "orders")
+	intact, recovery := col[bool](t, tb, "business intact"), col[time.Duration](t, tb, "recovery time")
+	if !slices.Equal(modes[:len(counts)], []Mode{ModeADC, ModeADC, ModeADC}) {
+		t.Fatalf("modes = %v, want the CG sweep first", modes)
 	}
 	broken := 0
-	for _, r := range noCG {
-		if !r.BusinessIntact {
+	for i, m := range modes {
+		if m == ModeADC && !intact[i] {
+			t.Errorf("CG recovery not intact at %d orders", orders[i])
+		}
+		if m == ModeADCNoCG && !intact[i] {
 			broken++
 		}
+	}
+	if !(recovery[2] > recovery[0]) {
+		t.Errorf("recovery time flat: %v -> %v", recovery[0], recovery[2])
 	}
 	if broken == 0 {
 		t.Error("no-CG recovery always intact — collapse scenario not exercised")
 	}
-	t.Log("\n" + E8Table(append(cg, noCG...)).String())
+	t.Log("\n" + tb.String())
 }
 
 func TestE2OperatorConstantUserOps(t *testing.T) {
@@ -224,76 +241,73 @@ func TestE1EndToEndConsistent(t *testing.T) {
 }
 
 func TestE9BatchSweepShape(t *testing.T) {
-	results, err := E9BatchSweep(1, []int{1, 16, 256}, 150)
+	tb, err := E9BatchSweep(1, []int{1, 16, 256}, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Transfers <= results[2].Transfers {
-		t.Errorf("transfers did not fall with batch size: %d -> %d", results[0].Transfers, results[2].Transfers)
+	transfers := col[int64](t, tb, "link transfers")
+	if transfers[0] <= transfers[2] {
+		t.Errorf("transfers did not fall with batch size: %d -> %d", transfers[0], transfers[2])
 	}
-	t.Log("\n" + E9BatchTable(results).String())
+	t.Log("\n" + tb.String())
 }
 
 func TestE9CGScaleFlat(t *testing.T) {
-	results, err := E9CGScale(1, []int{2, 8, 32}, 20)
+	tb, err := E9CGScale(1, []int{2, 8, 32}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
+	volumes, modes, mean := col[int](t, tb, "volumes"), col[Mode](t, tb, "mode"), col[time.Duration](t, tb, "mean write")
 	var cg2, cg32 time.Duration
-	for _, r := range results {
-		if r.Mode == ModeADC && r.Volumes == 2 {
-			cg2 = r.MeanCommit
+	for i, m := range modes {
+		if m == ModeADC && volumes[i] == 2 {
+			cg2 = mean[i]
 		}
-		if r.Mode == ModeADC && r.Volumes == 32 {
-			cg32 = r.MeanCommit
+		if m == ModeADC && volumes[i] == 32 {
+			cg32 = mean[i]
 		}
 	}
 	if cg32 > cg2*2 {
 		t.Errorf("CG write latency grew with group size: %v -> %v", cg2, cg32)
 	}
-	t.Log("\n" + E9CGScaleTable(results).String())
+	t.Log("\n" + tb.String())
 }
 
 func TestE10FailbackDeltaBeatsFullCopy(t *testing.T) {
-	results, err := E10Failback(1, []int{10, 100, 400})
+	tb, err := E10Failback(1, []int{10, 100, 400})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
-		if !r.ReverseOK {
-			t.Errorf("reverse replication broken after %d-write outage", r.OutageOrders)
+	outage, reverseOK := col[int](t, tb, "outage writes"), col[bool](t, tb, "reverse ok")
+	delta, full := col[int](t, tb, "delta blocks"), col[int](t, tb, "full-copy blocks")
+	resync := col[time.Duration](t, tb, "resync time")
+	for i := range outage {
+		if !reverseOK[i] {
+			t.Errorf("reverse replication broken after %d-write outage", outage[i])
 		}
-		if r.DeltaBlocks >= r.FullBlocks {
-			t.Errorf("delta %d not smaller than full copy %d", r.DeltaBlocks, r.FullBlocks)
+		if delta[i] >= full[i] {
+			t.Errorf("delta %d not smaller than full copy %d", delta[i], full[i])
 		}
 	}
-	if !(results[2].DeltaBlocks > results[0].DeltaBlocks) {
-		t.Errorf("delta did not grow with outage: %d -> %d", results[0].DeltaBlocks, results[2].DeltaBlocks)
+	if !(delta[2] > delta[0]) {
+		t.Errorf("delta did not grow with outage: %d -> %d", delta[0], delta[2])
 	}
-	if !(results[2].ResyncTime > results[0].ResyncTime) {
-		t.Errorf("resync time flat: %v -> %v", results[0].ResyncTime, results[2].ResyncTime)
+	if !(resync[2] > resync[0]) {
+		t.Errorf("resync time flat: %v -> %v", resync[0], resync[2])
 	}
-	t.Log("\n" + E10Table(results).String())
+	t.Log("\n" + tb.String())
 }
 
 func TestE9SkewInsensitive(t *testing.T) {
-	results, err := E9SkewSweep(1, []float64{-1, 1.2, 2.0}, 60)
+	tb, err := E9SkewSweep(1, []float64{-1, 1.2, 2.0}, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := results[0].MeanOrder, results[0].MeanOrder
-	for _, r := range results {
-		if r.MeanOrder < lo {
-			lo = r.MeanOrder
-		}
-		if r.MeanOrder > hi {
-			hi = r.MeanOrder
-		}
-	}
-	if hi > lo*2 {
+	mean := col[time.Duration](t, tb, "mean order")
+	if lo, hi := slices.Min(mean), slices.Max(mean); hi > lo*2 {
 		t.Errorf("latency varied %v..%v across skews", lo, hi)
 	}
-	t.Log("\n" + E9SkewTable(results).String())
+	t.Log("\n" + tb.String())
 }
 
 func TestE12InterferenceOrderingAndFailover(t *testing.T) {

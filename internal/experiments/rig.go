@@ -1,9 +1,12 @@
 // Package experiments contains one harness per paper artifact (Figures 1-6
 // and the §I claims) plus the scale-out experiments that grow past the
 // paper, each regenerating its result as a plain-text table. DESIGN.md
-// carries the experiment index (E1-E18). cmd/experiments runs them all and
-// `make tables-check` pins their tables; the *_test.go files beside this one
-// assert each result's shape.
+// carries the experiment index (E1-E18). A harness that builds a rig
+// (E5-E10) returns its Table, each row added where its values are measured,
+// and its shape test reads the cells that table prints; the others fill a
+// result struct that their E*Table function renders. cmd/experiments runs
+// them all and `make tables-check` pins their tables; the *_test.go files
+// beside this one assert each result's shape.
 package experiments
 
 import (

@@ -5,12 +5,13 @@ import (
 	"strings"
 )
 
-// Table renders experiment results as an aligned plain-text table, the
-// format cmd/experiments uses to regenerate the paper's figures.
+// Table is an experiment's result as cmd/experiments prints it: an aligned
+// plain-text table whose cells keep the values the harness measured, so a
+// shape test reads the same cells the table prints.
 type Table struct {
 	title   string
 	headers []string
-	rows    [][]string
+	rows    [][]any
 	notes   []string
 }
 
@@ -19,18 +20,9 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{title: title, headers: headers}
 }
 
-// AddRow appends a row; cells are formatted with %v.
-func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.3f", v)
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.rows = append(t.rows, row)
+// AddRow appends a row of cells, one per header.
+func (t *Table) AddRow(cells ...any) {
+	t.rows = append(t.rows, cells)
 }
 
 // AddNote appends a footnote line rendered under the table.
@@ -38,8 +30,13 @@ func (t *Table) AddNote(format string, args ...interface{}) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 }
 
-// Rows returns the formatted rows (for assertions in tests).
-func (t *Table) Rows() [][]string { return t.rows }
+// cellString formats one cell: a float64 as %.3f, anything else with %v.
+func cellString(c any) string {
+	if v, ok := c.(float64); ok {
+		return fmt.Sprintf("%.3f", v)
+	}
+	return fmt.Sprintf("%v", c)
+}
 
 // String renders the table.
 func (t *Table) String() string {
@@ -47,10 +44,13 @@ func (t *Table) String() string {
 	for i, h := range t.headers {
 		widths[i] = len(h)
 	}
-	for _, row := range t.rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+	rows := make([][]string, len(t.rows))
+	for r, cells := range t.rows {
+		rows[r] = make([]string, len(cells))
+		for i, c := range cells {
+			rows[r][i] = cellString(c)
+			if i < len(widths) && len(rows[r][i]) > widths[i] {
+				widths[i] = len(rows[r][i])
 			}
 		}
 	}
@@ -75,7 +75,7 @@ func (t *Table) String() string {
 		b.WriteString(strings.Repeat("-", w))
 	}
 	b.WriteByte('\n')
-	for _, row := range t.rows {
+	for _, row := range rows {
 		writeRow(row)
 	}
 	for _, n := range t.notes {
