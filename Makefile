@@ -10,8 +10,8 @@
 #   bench-record     re-record BENCH_results.json
 #   profile-<w>      <w>.cpu.pprof + <w>.mem.pprof of one ./benchmark workload
 #   allocs-<w>       exact allocation sites of one ./benchmark workload (not part of ci)
-#   telemetry-smoke  E16 end to end, leaves telemetry.json
-#   autopilot-smoke  E17 end to end, leaves e17-decisions.log
+#   telemetry-smoke  E16 end to end twice, the two exports byte-identical; leaves telemetry.json
+#   autopilot-smoke  E17 end to end, its decision log equal to the committed golden; leaves e17-decisions.log
 #   chaos-smoke      25 seeded fault schedules under -race; `chaos` is the long sweep
 #   lines            the Go line counts and DESIGN.md's size ROADMAP tracks, per internal/ package and cmd/ binary too (not part of ci)
 #   lines-diff       BASE=<rev>: non-test Go lines outside benchmark/ at BASE, in the working tree, and the difference (not part of ci)
@@ -112,18 +112,28 @@ allocs-%:
 
 # E16 smoke: run the observability experiment (churning fleet with the full
 # telemetry plane on, worst-RPO ranking read from the probed series) and
-# write the telemetry export. Fails if the export fails, the churn is
-# incomplete or spans overlap; CI uploads telemetry.json as a build artifact.
+# write the telemetry export, then run it again and compare the two exports
+# byte for byte: the table's note says the export is byte-deterministic.
+# Fails if the export fails or differs, the churn is incomplete, spans
+# overlap or no non-zero RPO is ranked; CI uploads telemetry.json as a build
+# artifact.
 telemetry-smoke:
 	$(GO) run ./cmd/experiments -run e16 -quick -telemetry telemetry.json
+	$(GO) run ./cmd/experiments -run e16 -quick -telemetry telemetry-rerun.json
+	cmp telemetry.json telemetry-rerun.json
+	rm telemetry-rerun.json
 
 # E17 smoke: run the SLO-autopilot experiment (diurnal load, closed loop
 # from probed RPO to reshard/admission/placement) and write the decision
-# log. The experiment's own acceptance shape — static violates, autopilot
-# holds — is asserted inside the harness; CI uploads e17-decisions.log as a
-# build artifact so the control loop's audit trail ships with every run.
+# log, which must equal testdata/e17-decisions-seed1.golden. The
+# experiment's own acceptance shape — static violates, autopilot holds — is
+# asserted inside the harness; CI uploads e17-decisions.log as a build
+# artifact so the control loop's audit trail ships with every run. A change
+# that means to move a decision regenerates the golden with
+#   go run ./cmd/experiments -run e17 -decisions testdata/e17-decisions-seed1.golden
 autopilot-smoke:
 	$(GO) run ./cmd/experiments -run e17 -decisions e17-decisions.log
+	diff testdata/e17-decisions-seed1.golden e17-decisions.log
 
 # Chaos smoke: a fixed short sweep of seeded fault schedules against the
 # global invariant checkers, under the race detector (the sweep fans seeds

@@ -31,17 +31,6 @@ func printTable(t *experiments.Table, err error) error {
 	return nil
 }
 
-// show returns the step that prints a result as table, or passes on the
-// error that stopped the result.
-func show[R any](table func(R) *experiments.Table) func(R, error) error {
-	return func(res R, err error) error {
-		if err != nil {
-			return err
-		}
-		return printTable(table(res), nil)
-	}
-}
-
 // catalog lists every experiment in the order -run all prints them. quick
 // shrinks the sweeps; telemetryOut and decisionsOut name E16's and E17's
 // artifact files ("" writes none).
@@ -54,14 +43,12 @@ func catalog(seed int64, quick bool, telemetryOut, decisionsOut string) []experi
 	}
 	orders, trials := size(200, 60), size(25, 8)
 	return []experiment{
-		{"e1", func() error { return show(experiments.E1Table)(experiments.E1EndToEnd(seed, orders)) }},
-		{"e2", func() error {
-			return show(experiments.E2Table)(experiments.E2Operator(seed, []int{2, 8, 32, 128}))
-		}},
+		{"e1", func() error { return printTable(experiments.E1EndToEnd(seed, orders)) }},
+		{"e2", func() error { return printTable(experiments.E2Operator(seed, []int{2, 8, 32, 128})) }},
 		{"e3", func() error {
-			return show(experiments.E3Table)(experiments.E3SnapshotGroup(seed, []int{2, 4, 8}, []float64{0, 0.1, 0.5, 1.0}))
+			return printTable(experiments.E3SnapshotGroup(seed, []int{2, 4, 8}, []float64{0, 0.1, 0.5, 1.0}))
 		}},
-		{"e4", func() error { return show(experiments.E4Table)(experiments.E4Analytics(seed, orders)) }},
+		{"e4", func() error { return printTable(experiments.E4Analytics(seed, orders)) }},
 		{"e5", func() error {
 			rtts := []time.Duration{
 				200 * time.Microsecond, time.Millisecond, 2 * time.Millisecond,
@@ -81,29 +68,19 @@ func catalog(seed int64, quick bool, telemetryOut, decisionsOut string) []experi
 			return printTable(experiments.E8Recovery(seed, []int{20, 50, 100, 200, 400}, []int{200, 220, 240, 260}))
 		}},
 		{"e10", func() error { return printTable(experiments.E10Failback(seed, []int{10, 50, 200, 800})) }},
-		{"e11", func() error {
-			return show(experiments.E11Table)(experiments.E11FleetScale(seed, size(100, 24), 8))
-		}},
-		{"e12", func() error {
-			return show(experiments.E12Table)(experiments.E12Interference(seed, size(40, 20)))
-		}},
+		{"e11", func() error { return printTable(experiments.E11FleetScale(seed, size(100, 24), 8)) }},
+		{"e12", func() error { return printTable(experiments.E12Interference(seed, size(40, 20))) }},
 		{"e13", func() error {
-			return show(experiments.E13Table)(experiments.E13ShardedThroughput(seed, []int{1, 2, 4, 8}, size(4000, 1500)))
+			return printTable(experiments.E13ShardedThroughput(seed, []int{1, 2, 4, 8}, size(4000, 1500)))
 		}},
-		{"e14", func() error {
-			return show(experiments.E14Table)(experiments.E14Elasticity(seed, size(24, 10), size(10, 8)))
-		}},
-		{"e15", func() error { return show(experiments.E15Table)(experiments.E15Reshard(seed, size(6000, 2000))) }},
+		{"e14", func() error { return printTable(experiments.E14Elasticity(seed, size(24, 10), size(10, 8))) }},
+		{"e15", func() error { return printTable(experiments.E15Reshard(seed, size(6000, 2000))) }},
 		{"e16", func() error {
-			res, err := experiments.E16Observability(seed, size(16, 8), size(12, 8))
-			if err := show(experiments.E16Table)(res, err); err != nil || telemetryOut == "" {
+			t, data, err := experiments.E16Observability(seed, size(16, 8), size(12, 8))
+			if err := printTable(t, err); err != nil || telemetryOut == "" {
 				return err
 			}
-			data, err := res.Registry.ExportJSON()
-			if err == nil {
-				err = os.WriteFile(telemetryOut, data, 0o644)
-			}
-			if err != nil {
+			if err := os.WriteFile(telemetryOut, data, 0o644); err != nil {
 				return fmt.Errorf("telemetry export: %w", err)
 			}
 			fmt.Printf("telemetry export written to %s (%d bytes; open in Perfetto / chrome://tracing)\n\n",
@@ -111,26 +88,17 @@ func catalog(seed int64, quick bool, telemetryOut, decisionsOut string) []experi
 			return nil
 		}},
 		{"e17", func() error {
-			res, err := experiments.E17Autopilot(seed)
-			if err := show(experiments.E17Table)(res, err); err != nil {
+			t, ap, err := experiments.E17Autopilot(seed)
+			if err := printTable(t, err); err != nil || decisionsOut == "" {
 				return err
 			}
-			if !res.StaticViolates || !res.AutoHolds {
-				return fmt.Errorf("acceptance shape broke: staticViolates=%v autoHolds=%v",
-					res.StaticViolates, res.AutoHolds)
-			}
-			if decisionsOut == "" {
-				return nil
-			}
-			if err := os.WriteFile(decisionsOut, []byte(res.DecisionLog), 0o644); err != nil {
+			if err := os.WriteFile(decisionsOut, []byte(ap.FormatLog()), 0o644); err != nil {
 				return fmt.Errorf("decision log: %w", err)
 			}
-			fmt.Printf("autopilot decision log written to %s (%d decisions)\n\n", decisionsOut, len(res.Decisions))
+			fmt.Printf("autopilot decision log written to %s (%d decisions)\n\n", decisionsOut, len(ap.Decisions()))
 			return nil
 		}},
-		{"e18", func() error {
-			return show(experiments.E18Table)(experiments.E18PipeFill(seed, []int{1, 4, 16}, size(6144, 2048)))
-		}},
+		{"e18", func() error { return printTable(experiments.E18PipeFill(seed, []int{1, 4, 16}, size(6144, 2048))) }},
 		{"e9", func() error {
 			if err := printTable(experiments.E9BatchSweep(seed, []int{1, 4, 16, 64, 256}, orders)); err != nil {
 				return err

@@ -32,27 +32,6 @@ const (
 	e12BgWrites    = 60  // paced writes per background tenant
 )
 
-// InterferenceResult is one E12 scenario's outcome: what the victim tenant
-// experienced while the noisy neighbor flooded the shared fabric.
-type InterferenceResult struct {
-	Scenario string
-	Links    int
-
-	VictimOrders     int64
-	VictimMeanRPO    time.Duration // probed every 10ms while orders ran
-	VictimMaxRPO     time.Duration
-	VictimMeanXfer   time.Duration // mean fabric transfer (drain) latency
-	VictimQueueDelay time.Duration // mean ingress queueing delay (scheduled fabrics)
-	VictimCatchUp    time.Duration // drain time to empty after the last order
-	NoisyBytes       int64
-	Consistent       bool // every tenant's applied image is a consistent cut
-
-	// Link-failure scenario only: bytes during the member-0 outage.
-	LinkFailure   bool
-	ReroutedBytes int64 // carried by the surviving member during the outage
-	DeadLinkBytes int64 // carried by the partitioned member during the outage
-}
-
 // e12Scenario selects the fabric policy under test.
 type e12Scenario struct {
 	name        string
@@ -93,25 +72,31 @@ func e12Scenarios() []e12Scenario {
 // story needs: victim degradation is worst under (a), bounded under (b),
 // near the no-noise baseline under (c), and (d) reroutes without breaking
 // any tenant's consistency cut.
-func E12Interference(seed int64, orders int) ([]InterferenceResult, error) {
+func E12Interference(seed int64, orders int) (*Table, error) {
+	return e12Sweep(seed, e12Scenarios(), orders)
+}
+
+// e12Sweep runs each scenario and adds its row: what the victim tenant
+// experienced while the noisy neighbor flooded the shared fabric.
+func e12Sweep(seed int64, scenarios []e12Scenario, orders int) (*Table, error) {
 	if orders <= 0 {
 		orders = 40
 	}
-	var out []InterferenceResult
-	for _, sc := range e12Scenarios() {
-		r, err := e12Run(seed, sc, orders)
-		if err != nil {
-			return out, fmt.Errorf("E12 %s: %w", sc.name, err)
+	t := NewTable("E12: cross-tenant interference on the inter-site fabric — noisy neighbor vs QoS policy",
+		"scenario", "links", "victim mean RPO", "max RPO", "mean drain xfer", "queue delay", "catch-up", "noisy MB", "consistent")
+	for _, sc := range scenarios {
+		if err := e12Run(seed, sc, orders, t); err != nil {
+			return nil, fmt.Errorf("E12 %s: %w", sc.name, err)
 		}
-		out = append(out, r)
 	}
-	return out, nil
+	t.AddNote("shape: victim degradation no-qos >> weighted > dedicated ~= baseline; cuts never break, even across a member-link failure")
+	return t, nil
 }
 
-func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) {
-	res := InterferenceResult{
-		Scenario: sc.name, Links: len(sc.links), LinkFailure: sc.linkFailure,
-	}
+// e12Run runs one scenario and adds its row to t. It fails if the victim
+// placed no orders or, on a link failure, if the surviving member did not
+// carry the outage's traffic.
+func e12Run(seed int64, sc e12Scenario, orders int, t *Table) error {
 	env := sim.NewEnv(seed)
 	// Generous controller parallelism keeps the arrays out of the way: the
 	// interference under test is the fabric's, not the media's.
@@ -122,13 +107,13 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 
 	// Victim tenant: the standard two-volume shop on a consistency group.
 	if err := createTwins(main, backup, 2048, "v-sales", "v-stock"); err != nil {
-		return res, err
+		return err
 	}
 	victimPath := fab.Path(e12Gold, "victim")
 	vg, err := startADC(env, main, backup, "victim", []storage.VolumeID{"v-sales", "v-stock"},
 		victimPath, replication.Config{BatchMax: 16})
 	if err != nil {
-		return res, err
+		return err
 	}
 
 	// Noisy neighbor: independent single-volume copy sessions that flood.
@@ -139,12 +124,12 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 		for k := 0; k < e12NoisyDrains; k++ {
 			id := storage.VolumeID(fmt.Sprintf("noisy-%d", k))
 			if err := createTwins(main, backup, 512, id); err != nil {
-				return res, err
+				return err
 			}
 			g, err := startADC(env, main, backup, string(id), []storage.VolumeID{id},
 				noisyPath, replication.Config{BatchMax: 64})
 			if err != nil {
-				return res, err
+				return err
 			}
 			others = append(others, g)
 			noisyVols = append(noisyVols, id)
@@ -156,12 +141,12 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 	for b := 0; b < e12BgTenants; b++ {
 		id := storage.VolumeID(fmt.Sprintf("bg-%d", b))
 		if err := createTwins(main, backup, 512, id); err != nil {
-			return res, err
+			return err
 		}
 		g, err := startADC(env, main, backup, string(id), []storage.VolumeID{id},
 			fab.Path(e12Silver, string(id)), replication.Config{BatchMax: 16})
 		if err != nil {
-			return res, err
+			return err
 		}
 		others = append(others, g)
 		bgVols = append(bgVols, id)
@@ -177,7 +162,7 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 		shop, err = openShop(p, "v-", salesVol, stockVol, workload.Config{Seed: seed, ThinkTime: 10 * time.Millisecond})
 		return err
 	}); err != nil {
-		return res, err
+		return err
 	}
 
 	// The victim's backup lag, probed while its orders run.
@@ -185,37 +170,37 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 	vg.Instrument(reg, "victim")
 
 	// The flood: each session dirties its whole volume as fast as the
-	// array accepts, building a deep journal backlog immediately.
+	// array accepts, building a deep journal backlog immediately. The
+	// writers run concurrently, so they keep the first error.
+	var writeErr error
+	write := func(p *sim.Proc, id storage.VolumeID, fill byte, writes int, pace time.Duration) {
+		vol, _ := main.Volume(id)
+		buf := make([]byte, main.Config().BlockSize)
+		buf[0] = fill
+		for i := 0; i < writes; i++ {
+			if _, err := vol.Write(p, int64(i)%vol.SizeBlocks(), buf); err != nil {
+				if writeErr == nil {
+					writeErr = fmt.Errorf("%s write %d: %w", id, i, err)
+				}
+				return
+			}
+			if pace > 0 {
+				p.Sleep(pace)
+			}
+		}
+	}
 	for _, id := range noisyVols {
 		id := id
-		env.Process("flood:"+string(id), func(p *sim.Proc) {
-			vol, _ := main.Volume(id)
-			buf := make([]byte, main.Config().BlockSize)
-			buf[0] = 0xF1
-			for i := 0; i < e12NoisyWrites; i++ {
-				if _, err := vol.Write(p, int64(i)%vol.SizeBlocks(), buf); err != nil {
-					panic(fmt.Sprintf("E12 flood: %v", err))
-				}
-			}
-		})
+		env.Process("flood:"+string(id), func(p *sim.Proc) { write(p, id, 0xF1, e12NoisyWrites, 0) })
 	}
 	for _, id := range bgVols {
 		id := id
-		env.Process("bg:"+string(id), func(p *sim.Proc) {
-			vol, _ := main.Volume(id)
-			buf := make([]byte, main.Config().BlockSize)
-			buf[0] = 0xB6
-			for i := 0; i < e12BgWrites; i++ {
-				if _, err := vol.Write(p, int64(i)%vol.SizeBlocks(), buf); err != nil {
-					panic(fmt.Sprintf("E12 bg: %v", err))
-				}
-				p.Sleep(5 * time.Millisecond)
-			}
-		})
+		env.Process("bg:"+string(id), func(p *sim.Proc) { write(p, id, 0xB6, e12BgWrites, 5*time.Millisecond) })
 	}
 
 	// Mid-run member-link failure: partition member 0 during the flood and
 	// account who carried bytes during the outage.
+	var rerouted, dead int64 // by the surviving and the partitioned member
 	if sc.linkFailure {
 		env.Process("chaos", func(p *sim.Proc) {
 			p.Sleep(150 * time.Millisecond)
@@ -223,24 +208,27 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 			pre0, pre1 := l0.SentBytes(), l1.SentBytes()
 			l0.Partition()
 			p.Sleep(300 * time.Millisecond)
-			res.DeadLinkBytes = l0.SentBytes() - pre0
-			res.ReroutedBytes = l1.SentBytes() - pre1
+			dead, rerouted = l0.SentBytes()-pre0, l1.SentBytes()-pre1
 			l0.Heal()
 		})
 	}
 
 	// Victim driver: run the orders, measure, drain, verify every tenant.
+	var meanRPO, maxRPO, catchUp time.Duration
+	var consistent bool // every tenant's applied image is a consistent cut
 	err = runProc(env, "victim", 0, func(p *sim.Proc) error {
 		start := p.Now()
 		if err := shop.Run(p, orders); err != nil {
 			return fmt.Errorf("victim orders: %w", err)
 		}
-		res.VictimOrders = shop.Completed.Value()
+		if shop.Completed.Value() == 0 {
+			return fmt.Errorf("victim placed no orders")
+		}
 		rpo := reg.Series("rpo", telemetry.L("tenant", "victim")).Window(start, p.Now())
-		res.VictimMeanRPO, res.VictimMaxRPO = time.Duration(rpo.Mean()), time.Duration(rpo.Max())
+		meanRPO, maxRPO = time.Duration(rpo.Mean()), time.Duration(rpo.Max())
 		cuStart := p.Now()
 		vg.CatchUp(p)
-		res.VictimCatchUp = p.Now() - cuStart
+		catchUp = p.Now() - cuStart
 
 		// Freeze the victim's backup image and verify the consistent cut.
 		grp, err := backup.CreateSnapshotGroup("verify-"+sc.name, []storage.VolumeID{"v-sales", "v-stock"})
@@ -252,7 +240,7 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 			return err
 		}
 		rep := consistency.Verify(salesView, stockView, shop.SalesCommitOrder(), shop.StockCommitOrder())
-		res.Consistent = !rep.Collapsed() && rep.OrderingOK() &&
+		consistent = !rep.Collapsed() && rep.OrderingOK() &&
 			rep.LostSalesTxns == 0 && rep.LostStockTxns == 0
 
 		// Drain the neighbors fully and check their cuts too: every copy
@@ -262,7 +250,7 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 		}
 		for _, g := range others {
 			if g.Backlog() != 0 || g.OrderBreaks() != 0 {
-				res.Consistent = false
+				consistent = false
 			}
 		}
 		for _, g := range append(others, vg) {
@@ -272,29 +260,21 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 		return nil
 	})
 	if err != nil {
-		return res, err
+		return err
 	}
-	res.VictimMeanXfer = victimPath.MeanTransferTime()
-	res.VictimQueueDelay = victimPath.MeanQueueDelay()
-	res.NoisyBytes = noisyPath.Bytes()
-	return res, nil
-}
-
-// E12Table renders the E12 results.
-func E12Table(results []InterferenceResult) *Table {
-	t := NewTable("E12: cross-tenant interference on the inter-site fabric — noisy neighbor vs QoS policy",
-		"scenario", "links", "victim mean RPO", "max RPO", "mean drain xfer", "queue delay", "catch-up", "noisy MB", "consistent")
-	for _, r := range results {
-		noisyMB := float64(r.NoisyBytes) / 1e6
-		t.AddRow(r.Scenario, r.Links, r.VictimMeanRPO, r.VictimMaxRPO,
-			r.VictimMeanXfer, r.VictimQueueDelay, r.VictimCatchUp, noisyMB, r.Consistent)
+	if writeErr != nil {
+		return writeErr
 	}
-	for _, r := range results {
-		if r.LinkFailure {
-			t.AddNote("link-failure: member 0 down 150ms-450ms; surviving member carried %.2fMB (dead member %.2fMB)",
-				float64(r.ReroutedBytes)/1e6, float64(r.DeadLinkBytes)/1e6)
+	t.AddRow(sc.name, len(sc.links), meanRPO, maxRPO, victimPath.MeanTransferTime(), victimPath.MeanQueueDelay(),
+		catchUp, float64(noisyPath.Bytes())/1e6, consistent)
+	if sc.linkFailure {
+		// The survivor carries the outage's traffic; the dead member at
+		// most the batch it had in flight.
+		if rerouted == 0 || dead*5 > rerouted {
+			return fmt.Errorf("outage: surviving member carried %dB, dead member %dB", rerouted, dead)
 		}
+		t.AddNote("link-failure: member 0 down 150ms-450ms; surviving member carried %.2fMB (dead member %.2fMB)",
+			float64(rerouted)/1e6, float64(dead)/1e6)
 	}
-	t.AddNote("shape: victim degradation no-qos >> weighted > dedicated ~= baseline; cuts never break, even across a member-link failure")
-	return t
+	return nil
 }

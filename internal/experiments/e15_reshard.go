@@ -26,57 +26,25 @@ const (
 	e15BgOrders   = 12 // orders each bystander places during the run
 )
 
-// ReshardResult is the E15 outcome: drain throughput before, during, and
-// after a live 1→4 reshard; the migration window's cost and movement; the
-// zero-migration proof for an unchanged reconcile; and a failover raced
-// into the open migration window.
-type ReshardResult struct {
-	Writes               int
-	FromShards, ToShards int
-
-	// Throughput run: continuous write-heavy load, reshard declared at the
-	// halfway write.
-	PreMBps          float64       // drain throughput on the single lane
-	DuringMBps       float64       // throughput inside the migration window
-	PostMBps         float64       // throughput on the settled 4-lane drain
-	SpeedupPostVsPre float64       // the >= 2x acceptance number
-	StallTime        time.Duration // spec declared -> migration settled
-	BarrierEpoch     int64         // epoch sealed as the migration barrier
-	MovedVolumes     int64         // members re-placed by the stable hash
-	MovedRecords     int64         // pending records migrated with them
-	BackgroundOrders int64         // bystander OLTP commits during the run
-
-	// Unchanged-reconcile proof (same run, after the reshard settles):
-	// re-declaring the same shard count and touching the CR must migrate
-	// nothing — verified by the journal's lifetime counters.
-	NoopZeroMigration bool
-
-	// Failover run: the pair is split while the migration window is open.
-	RacedWindow        bool // the cut landed inside the window
-	CutWrites          int  // K: writes present in the recovered image
-	LostWrites         int  // acked writes missing from the image (RPO)
-	CutPreBarrier      bool // recovered state is entirely pre-barrier
-	FailoverConsistent bool // image is the exact ack-order prefix {1..K}
-}
-
 // E15Reshard runs the dynamic-resharding experiment: a throughput run
 // measuring the live 1→4 transition (plus the unchanged-reconcile no-op
 // check), then a failover run racing a disaster into the migration window.
-func E15Reshard(seed int64, writes int) (ReshardResult, error) {
+func E15Reshard(seed int64, writes int) (*Table, error) {
 	if writes <= 0 {
 		writes = 4000
 	}
-	res := ReshardResult{Writes: writes, FromShards: e15FromShards, ToShards: e15ToShards}
-	if err := e15Run(seed, writes, false, &res); err != nil {
-		return res, fmt.Errorf("E15 throughput: %w", err)
+	t := NewTable("E15: dynamic journal resharding — live 1->4 under fleet load",
+		"metric", "value")
+	t.AddRow("writes (bench tenant)", writes)
+	t.AddRow("reshard", fmt.Sprintf("%d -> %d lanes", e15FromShards, e15ToShards))
+	if err := e15Run(seed, writes, false, t); err != nil {
+		return nil, fmt.Errorf("E15 throughput: %w", err)
 	}
-	if err := e15Run(seed, writes, true, &res); err != nil {
-		return res, fmt.Errorf("E15 failover: %w", err)
+	if err := e15Run(seed, writes, true, t); err != nil {
+		return nil, fmt.Errorf("E15 failover: %w", err)
 	}
-	if res.PreMBps > 0 {
-		res.SpeedupPostVsPre = res.PostMBps / res.PreMBps
-	}
-	return res, nil
+	t.AddNote("shape: the 1->4 reshard needs no downtime, post-reshard drain >= 2x the single lane, a mid-window failover recovers an exact epoch-boundary prefix, and an unchanged reconcile migrates nothing")
+	return t, nil
 }
 
 // e15System assembles the four-link system both runs share.
@@ -88,7 +56,10 @@ func e15System(seed int64, writes int) *core.System {
 	})
 }
 
-func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
+// e15Run runs the throughput run (continuous write-heavy load, reshard
+// declared at the halfway write) or the failover run (the pair split while
+// the migration window is open) and adds its rows to t.
+func e15Run(seed int64, writes int, failover bool, t *Table) error {
 	sys := e15System(seed, writes)
 	var runErr error
 	fail := func(err error) {
@@ -146,7 +117,7 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 			p.Wait(halfway)
 			preBytes := engine.AppliedBytes()
 			declaredAt := p.Now()
-			res.PreMBps = mbps(preBytes, declaredAt-startWrites)
+			pre := mbps(preBytes, declaredAt-startWrites)
 			// The windows turn at the engine's settle and at the end of the
 			// writes, not when the client's backoff poll (up to 160 ms apart)
 			// notices: drain lands in whole batches, so a window edge that
@@ -177,20 +148,24 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 				return
 			}
 			p.Wait(settle)
-			res.StallTime = settledAt - declaredAt
-			res.DuringMBps = mbps(settledBytes-preBytes, settledAt-declaredAt)
 			sg, sj := engine, engine.Journal()
 			if sg.Lanes() != e15ToShards {
 				fail(fmt.Errorf("post-reshard engine runs %d lanes", sg.Lanes()))
 				return
 			}
-			res.BarrierEpoch = sg.MigrationBarrier()
-			res.MovedVolumes = sj.MovedVolumes()
-			res.MovedRecords = sj.MovedRecords()
+			barrier, movedVols, movedRecs := sg.MigrationBarrier(), sj.MovedVolumes(), sj.MovedRecords()
 
 			// Post window: drain the remaining backlog on four lanes.
 			sg.CatchUp(p)
-			res.PostMBps = mbps(engine.AppliedBytes()-postBase, p.Now()-postStart)
+			post := mbps(engine.AppliedBytes()-postBase, p.Now()-postStart)
+			t.AddRow("drain MB/s before reshard", pre)
+			t.AddRow("drain MB/s during migration window", mbps(settledBytes-preBytes, settledAt-declaredAt))
+			t.AddRow("drain MB/s after reshard", post)
+			t.AddRow("post/pre speedup", speedupOver(post, pre))
+			t.AddRow("migration stall (declare -> settled)", settledAt-declaredAt)
+			t.AddRow("migration barrier epoch", barrier)
+			t.AddRow("volumes re-placed", movedVols)
+			t.AddRow("pending records migrated", movedRecs)
 
 			// Unchanged reconcile: re-declare the same count and touch the
 			// CR so every controller runs once more — zero migration.
@@ -213,13 +188,16 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 				}
 			}
 			p.Sleep(100 * time.Millisecond)
-			res.NoopZeroMigration = sj.Reshards() == reshards && sj.MovedRecords() == moved &&
+			noop := sj.Reshards() == reshards && sj.MovedRecords() == moved &&
 				sys.Groups(e15Namespace)[0] == sg
 
+			var bgOrders int64
 			for i := range bg {
 				sys.CatchUp(p, fmt.Sprintf("bystander-%d", i))
-				res.BackgroundOrders += bg[i].Shop.Completed.Value()
+				bgOrders += bg[i].Shop.Completed.Value()
 			}
+			t.AddRow("bystander OLTP orders", bgOrders)
+			t.AddRow("unchanged reconcile migrated zero", noop)
 		})
 	} else {
 		sys.Env.Process("reshard", func(p *sim.Proc) {
@@ -241,48 +219,18 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 				}
 				p.Sleep(time.Millisecond)
 			}
-			res.RacedWindow = true
-			res.CutPreBarrier = engine.CommittedEpoch() < engine.MigrationBarrier()
-			var err error
-			if res.CutWrites, res.FailoverConsistent, err = cutStamped(p, engine, written); err != nil {
+			preBarrier := engine.CommittedEpoch() < engine.MigrationBarrier()
+			cut, exact, err := cutStamped(p, engine, written)
+			if err != nil {
 				fail(err)
 			}
-			res.LostWrites = writes - res.CutWrites
+			t.AddRow("failover raced into open window", true)
+			t.AddRow("failover cut entirely pre-barrier", preBarrier)
+			t.AddRow("failover cut writes / lost", pair{cut, writes - cut})
+			t.AddRow("failover image exact ack-order prefix", exact)
 		})
 	}
 	sys.Env.Run(0)
 	quiesce(sys, 0)
 	return runErr
-}
-
-// mbps converts a byte count over a span to MB/s (0 for an empty span).
-func mbps(bytes int64, span time.Duration) float64 {
-	if span <= 0 {
-		return 0
-	}
-	return float64(bytes) / 1e6 / span.Seconds()
-}
-
-// E15Table renders the E15 result.
-func E15Table(r ReshardResult) *Table {
-	t := NewTable("E15: dynamic journal resharding — live 1->4 under fleet load",
-		"metric", "value")
-	t.AddRow("writes (bench tenant)", r.Writes)
-	t.AddRow("reshard", fmt.Sprintf("%d -> %d lanes", r.FromShards, r.ToShards))
-	t.AddRow("drain MB/s before reshard", fmt.Sprintf("%.2f", r.PreMBps))
-	t.AddRow("drain MB/s during migration window", fmt.Sprintf("%.2f", r.DuringMBps))
-	t.AddRow("drain MB/s after reshard", fmt.Sprintf("%.2f", r.PostMBps))
-	t.AddRow("post/pre speedup", fmt.Sprintf("%.2fx", r.SpeedupPostVsPre))
-	t.AddRow("migration stall (declare -> settled)", r.StallTime)
-	t.AddRow("migration barrier epoch", r.BarrierEpoch)
-	t.AddRow("volumes re-placed", r.MovedVolumes)
-	t.AddRow("pending records migrated", r.MovedRecords)
-	t.AddRow("bystander OLTP orders", r.BackgroundOrders)
-	t.AddRow("unchanged reconcile migrated zero", r.NoopZeroMigration)
-	t.AddRow("failover raced into open window", r.RacedWindow)
-	t.AddRow("failover cut entirely pre-barrier", r.CutPreBarrier)
-	t.AddRow("failover cut writes / lost", fmt.Sprintf("%d / %d", r.CutWrites, r.LostWrites))
-	t.AddRow("failover image exact ack-order prefix", r.FailoverConsistent)
-	t.AddNote("shape: the 1->4 reshard needs no downtime, post-reshard drain >= 2x the single lane, a mid-window failover recovers an exact epoch-boundary prefix, and an unchanged reconcile migrates nothing")
-	return t
 }

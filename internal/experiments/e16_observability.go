@@ -8,46 +8,18 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fleet"
 	"repro/internal/netlink"
-	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
-
-// ObservabilityResult summarizes one E16 telemetry-plane run.
-type ObservabilityResult struct {
-	Tenants      int
-	Joined       int
-	Resharded    int
-	FailedOver   int
-	OrdersPlaced int64
-	Verified     int
-	SamplePeriod time.Duration
-
-	// Telemetry-plane inventory: what the run exported.
-	SeriesCount int // probed time series (RPO, backlogs, queue depths, ...)
-	SpanCount   int // trace events (spans + instants + track metadata)
-	ExportBytes int // size of the Chrome trace-event JSON export
-
-	// TopRPO ranks the worst-RPO tenants over the whole run — the query the
-	// autopilot's placement policy will consume.
-	TopRPO []telemetry.SeriesRank
-
-	// Registry is the run's live instrument registry; callers export it via
-	// Registry.ExportJSON (the -telemetry flag of cmd/experiments).
-	Registry *telemetry.Registry
-
-	SimTime time.Duration
-	Kernel  sim.Stats
-}
 
 // E16Observability runs a churning fleet — mid-run join, live reshard, and
 // site failovers — with the sim-time telemetry plane enabled: per-tenant RPO
 // probes sampled on the virtual clock, span tracing over epoch drains,
 // reshard migration windows, reconcile passes and tenant lifecycle, and
 // fabric/controller instruments, all exported as deterministic Chrome
-// trace-event JSON.
-func E16Observability(seed int64, tenants, ordersPerTenant int) (ObservabilityResult, error) {
+// trace-event JSON, which it returns beside its table.
+func E16Observability(seed int64, tenants, ordersPerTenant int) (*Table, []byte, error) {
 	const period = 250 * time.Millisecond
 	if tenants < 2 {
 		tenants = 2
@@ -71,7 +43,7 @@ func E16Observability(seed int64, tenants, ordersPerTenant int) (ObservabilityRe
 			Telemetry: &telemetry.Config{SamplePeriod: period}},
 	})
 	if err := f.Run(); err != nil {
-		return ObservabilityResult{}, fmt.Errorf("E16: %w", err)
+		return nil, nil, fmt.Errorf("E16: %w", err)
 	}
 	tot := f.Totals()
 	reg := f.Sys.Telemetry
@@ -79,62 +51,51 @@ func E16Observability(seed int64, tenants, ordersPerTenant int) (ObservabilityRe
 	ex := reg.Snapshot()
 	exJSON, err := reg.ExportJSON()
 	if err != nil {
-		return ObservabilityResult{}, fmt.Errorf("E16: export: %w", err)
+		return nil, nil, fmt.Errorf("E16: export: %w", err)
 	}
-	res := ObservabilityResult{
-		Tenants:      len(f.Tenants),
-		FailedOver:   tot.FailedOver,
-		OrdersPlaced: tot.OrdersPlaced,
-		Verified:     tot.Verified,
-		SamplePeriod: period,
-		SeriesCount:  len(ex.Series),
-		SpanCount:    len(ex.TraceEvents),
-		ExportBytes:  len(exJSON),
-		TopRPO:       reg.TopK("rpo", 5, 0, end),
-		Registry:     reg,
-		SimTime:      end,
-		Kernel:       f.Sys.Env.Stats(),
-	}
+	var joined, resharded int
 	for _, t := range f.Tenants {
 		if t.Join {
-			res.Joined++
+			joined++
 		}
 		if t.Resharded {
-			res.Resharded++
+			resharded++
 		}
 	}
 
 	// Eight tenants reconcile at once inside each controller: their spans
 	// must still lay out as rows a trace viewer can stack.
 	if err := reg.SpanOverlap(); err != nil {
-		return res, fmt.Errorf("E16: %w", err)
+		return nil, nil, fmt.Errorf("E16: %w", err)
 	}
-	if res.FailedOver == 0 || res.Resharded == 0 || res.Joined == 0 {
-		return res, fmt.Errorf("E16: churn incomplete: %d failovers, %d reshards, %d joins",
-			res.FailedOver, res.Resharded, res.Joined)
+	if tot.FailedOver == 0 || resharded == 0 || joined == 0 {
+		return nil, nil, fmt.Errorf("E16: churn incomplete: %d failovers, %d reshards, %d joins",
+			tot.FailedOver, resharded, joined)
 	}
-	return res, nil
-}
+	// The worst-RPO ranking — the query the autopilot's placement policy
+	// consumes — must read non-zero probed timelines.
+	top := reg.TopK("rpo", 5, 0, end)
+	if len(top) == 0 || top[0].Max <= 0 {
+		return nil, nil, fmt.Errorf("E16: no probed RPO timeline ranked: %+v", top)
+	}
 
-// E16Table renders the E16 result, including the worst-RPO tenant ranking.
-func E16Table(r ObservabilityResult) *Table {
 	t := NewTable("E16: sim-time telemetry plane — probes, spans, and deterministic export under churn",
 		"metric", "value")
-	t.AddRow("tenant namespaces (incl. joins)", r.Tenants)
-	t.AddRow("tenants joined mid-run", r.Joined)
-	t.AddRow("tenants resharded live", r.Resharded)
-	t.AddRow("tenants failed over mid-run", r.FailedOver)
-	t.AddRow("orders placed (fleet)", r.OrdersPlaced)
-	t.AddRow("tenants verified consistent", r.Verified)
-	t.AddRow("probe sample period", r.SamplePeriod)
-	t.AddRow("probed time series exported", r.SeriesCount)
-	t.AddRow("trace events exported", r.SpanCount)
-	t.AddRow("export size (bytes)", r.ExportBytes)
-	for i, rank := range r.TopRPO {
+	t.AddRow("tenant namespaces (incl. joins)", len(f.Tenants))
+	t.AddRow("tenants joined mid-run", joined)
+	t.AddRow("tenants resharded live", resharded)
+	t.AddRow("tenants failed over mid-run", tot.FailedOver)
+	t.AddRow("orders placed (fleet)", tot.OrdersPlaced)
+	t.AddRow("tenants verified consistent", tot.Verified)
+	t.AddRow("probe sample period", period)
+	t.AddRow("probed time series exported", len(ex.Series))
+	t.AddRow("trace events exported", len(ex.TraceEvents))
+	t.AddRow("export size (bytes)", len(exJSON))
+	for i, rank := range top {
 		t.AddRow(fmt.Sprintf("worst RPO #%d: %s", i+1, rank.Key),
 			fmt.Sprintf("%v at t=%v", time.Duration(rank.Max), rank.At))
 	}
-	t.AddRow("fleet virtual time", r.SimTime)
+	t.AddRow("fleet virtual time", end)
 	t.AddNote("shape: every tenant verifies consistent under churn; the RPO ranking is a window read of the probed series; export is byte-deterministic")
-	return t
+	return t, exJSON, nil
 }

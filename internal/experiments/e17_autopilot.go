@@ -54,63 +54,53 @@ const (
 	e17NightGrace = 6 * time.Second
 )
 
-// AutopilotRun is one E17 run's outcome (static or autopiloted).
-type AutopilotRun struct {
-	WorstPeakRPO  time.Duration // worst gold RPO probe in the steady-peak window
-	WorstNightRPO time.Duration // worst gold RPO probe in the steady-night window
-	GoldBytes     int64         // gold-class bytes through the forward fabric
-	BulkBytes     int64         // bulk-class bytes through the forward fabric
-	FinalLanes    []int         // per gold tenant, drain lanes at the end
-}
-
-// AutopilotResult is the E17 outcome: the same diurnal world run twice —
-// statically provisioned, then under the SLO autopilot — plus the
-// autopilot's full decision log.
-type AutopilotResult struct {
-	GoldTarget   time.Duration
-	Static, Auto AutopilotRun
-
-	// The experiment's two acceptance verdicts.
-	StaticViolates bool // static run breached the gold target in steady state
-	AutoHolds      bool // autopilot held every declared target in steady state
-
-	ReshardUps, ReshardDowns    int
-	Derates, Restores, Placings int
-	Decisions                   []autopilot.Decision
-	DecisionLog                 string
+// e17Outcome is what one E17 run (static or autopiloted) measures.
+type e17Outcome struct {
+	worstPeakRPO  time.Duration // worst gold RPO probe in the steady-peak window
+	worstNightRPO time.Duration // worst gold RPO probe in the steady-night window
+	goldBytes     int64         // gold-class bytes through the forward fabric
+	bulkBytes     int64         // bulk-class bytes through the forward fabric
+	finalLanes    []int         // per gold tenant, drain lanes at the end
 }
 
 // E17Autopilot runs the closed-loop experiment: the static world first (the
 // violation baseline), then the identical world with the autopilot armed.
-func E17Autopilot(seed int64) (AutopilotResult, error) {
-	res := AutopilotResult{GoldTarget: e17GoldTarget}
-	var err error
-	if res.Static, _, _, err = e17Run(seed, false, false); err != nil {
-		return res, fmt.Errorf("E17 static: %w", err)
+// It fails unless the static run breaches the gold target in steady state
+// and the autopilot holds every declared target; it returns the armed run's
+// autopilot, whose decision log is the experiment's audit trail.
+func E17Autopilot(seed int64) (*Table, *autopilot.Autopilot, error) {
+	static, _, _, err := e17Run(seed, false, false)
+	if err != nil {
+		return nil, nil, fmt.Errorf("E17 static: %w", err)
 	}
-	var ap *autopilot.Autopilot
-	if res.Auto, ap, _, err = e17Run(seed, true, false); err != nil {
-		return res, fmt.Errorf("E17 autopilot: %w", err)
+	auto, ap, _, err := e17Run(seed, true, false)
+	if err != nil {
+		return nil, nil, fmt.Errorf("E17 autopilot: %w", err)
 	}
-	res.Decisions = ap.Decisions()
-	res.DecisionLog = ap.FormatLog()
-	for _, d := range res.Decisions {
-		switch d.Action {
-		case "reshard-up":
-			res.ReshardUps++
-		case "reshard-down":
-			res.ReshardDowns++
-		case "derate":
-			res.Derates++
-		case "restore":
-			res.Restores++
-		case "place-lane":
-			res.Placings++
-		}
+	staticViolates := static.worstPeakRPO > e17GoldTarget
+	autoHolds := auto.worstPeakRPO <= e17GoldTarget && auto.worstNightRPO <= e17GoldTarget
+	if !staticViolates || !autoHolds {
+		return nil, nil, fmt.Errorf("E17: acceptance shape broke: staticViolates=%v autoHolds=%v", staticViolates, autoHolds)
 	}
-	res.StaticViolates = res.Static.WorstPeakRPO > e17GoldTarget
-	res.AutoHolds = res.Auto.WorstPeakRPO <= e17GoldTarget && res.Auto.WorstNightRPO <= e17GoldTarget
-	return res, nil
+	n := map[string]int{}
+	for _, d := range ap.Decisions() {
+		n[d.Action]++
+	}
+	t := NewTable("E17: SLO autopilot — closed loop from probed RPO to reshard, admission, placement",
+		"metric", "static", "autopilot")
+	t.AddRow("gold RPO target", e17GoldTarget, e17GoldTarget)
+	t.AddRow("worst gold RPO, steady peak", static.worstPeakRPO, auto.worstPeakRPO)
+	t.AddRow("worst gold RPO, steady night", static.worstNightRPO, auto.worstNightRPO)
+	t.AddRow("gold lanes at end", static.finalLanes, auto.finalLanes)
+	t.AddRow("gold bytes drained", static.goldBytes, auto.goldBytes)
+	t.AddRow("bulk bytes drained", static.bulkBytes, auto.bulkBytes)
+	t.AddRow("static violates target", staticViolates, "")
+	t.AddRow("autopilot holds every target", "", autoHolds)
+	t.AddRow("decisions: reshard up/down", "", pair{n["reshard-up"], n["reshard-down"]})
+	t.AddRow("decisions: derate/restore", "", pair{n["derate"], n["restore"]})
+	t.AddRow("decisions: lane placements", "", n["place-lane"])
+	t.AddNote("shape: the diurnal peak breaches the gold target under static provisioning; the autopilot, sensing only the probed RPO series, holds every declared target by resharding gold, derating bulk admission, and placing lanes — then hands resources back at night")
+	return t, ap, nil
 }
 
 // e17System assembles the shared world: four fabric member links, gold and
@@ -158,12 +148,12 @@ type e17Tenant struct {
 // e17Run executes one world (static or autopiloted). With trace set, the
 // kernel records its (at, seq) step order for the determinism golden; the
 // system is returned so the caller can read it.
-func e17Run(seed int64, auto, trace bool) (AutopilotRun, *autopilot.Autopilot, *core.System, error) {
+func e17Run(seed int64, auto, trace bool) (e17Outcome, *autopilot.Autopilot, *core.System, error) {
 	sys := e17System(seed)
 	if trace {
 		sys.Env.StartTrace()
 	}
-	var run AutopilotRun
+	var run e17Outcome
 	var runErr error
 	fail := func(err error) {
 		if runErr == nil && err != nil {
@@ -270,34 +260,15 @@ func e17Run(seed int64, auto, trace bool) (AutopilotRun, *autopilot.Autopilot, *
 			continue
 		}
 		rpo := sys.Telemetry.Series("rpo", telemetry.L("tenant", t.ns))
-		run.WorstPeakRPO = max(run.WorstPeakRPO, time.Duration(rpo.Window(peakFrom, peakTo).Max()))
-		run.WorstNightRPO = max(run.WorstNightRPO, time.Duration(rpo.Window(nightFrom, nightTo).Max()))
+		run.worstPeakRPO = max(run.worstPeakRPO, time.Duration(rpo.Window(peakFrom, peakTo).Max()))
+		run.worstNightRPO = max(run.worstNightRPO, time.Duration(rpo.Window(nightFrom, nightTo).Max()))
 		if gs := sys.Groups(t.ns); len(gs) == 1 {
-			run.FinalLanes = append(run.FinalLanes, gs[0].Lanes())
+			run.finalLanes = append(run.finalLanes, gs[0].Lanes())
 		} else {
-			run.FinalLanes = append(run.FinalLanes, 0)
+			run.finalLanes = append(run.finalLanes, 0)
 		}
 	}
-	run.GoldBytes = sys.Fabric.Forward.ClassStats("gold").Bytes
-	run.BulkBytes = sys.Fabric.Forward.ClassStats("bulk").Bytes
+	run.goldBytes = sys.Fabric.Forward.ClassStats("gold").Bytes
+	run.bulkBytes = sys.Fabric.Forward.ClassStats("bulk").Bytes
 	return run, ap, sys, nil
-}
-
-// E17Table renders the E17 result.
-func E17Table(r AutopilotResult) *Table {
-	t := NewTable("E17: SLO autopilot — closed loop from probed RPO to reshard, admission, placement",
-		"metric", "static", "autopilot")
-	t.AddRow("gold RPO target", r.GoldTarget, r.GoldTarget)
-	t.AddRow("worst gold RPO, steady peak", r.Static.WorstPeakRPO, r.Auto.WorstPeakRPO)
-	t.AddRow("worst gold RPO, steady night", r.Static.WorstNightRPO, r.Auto.WorstNightRPO)
-	t.AddRow("gold lanes at end", fmt.Sprint(r.Static.FinalLanes), fmt.Sprint(r.Auto.FinalLanes))
-	t.AddRow("gold bytes drained", r.Static.GoldBytes, r.Auto.GoldBytes)
-	t.AddRow("bulk bytes drained", r.Static.BulkBytes, r.Auto.BulkBytes)
-	t.AddRow("static violates target", r.StaticViolates, "")
-	t.AddRow("autopilot holds every target", "", r.AutoHolds)
-	t.AddRow("decisions: reshard up/down", "", fmt.Sprintf("%d / %d", r.ReshardUps, r.ReshardDowns))
-	t.AddRow("decisions: derate/restore", "", fmt.Sprintf("%d / %d", r.Derates, r.Restores))
-	t.AddRow("decisions: lane placements", "", r.Placings)
-	t.AddNote("shape: the diurnal peak breaches the gold target under static provisioning; the autopilot, sensing only the probed RPO series, holds every declared target by resharding gold, derating bulk admission, and placing lanes — then hands resources back at night")
-	return t
 }

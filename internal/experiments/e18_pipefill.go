@@ -30,28 +30,23 @@ const (
 // e18GeoLink is the lone member link: a high-BDP geo hop.
 var e18GeoLink = netlink.Config{Propagation: 50 * time.Millisecond, BandwidthBps: 6.4e7}
 
-// PipeFillResult is one window size's outcome over the same schedule.
-type PipeFillResult struct {
-	Window int
-	Writes int
-
+// e18Outcome is what one window size's two runs measure over the same
+// schedule.
+type e18Outcome struct {
 	// Throughput run: all writes issued, then drained to empty.
-	Bytes          int64
-	DrainTime      time.Duration
-	ThroughputMBps float64
-	Speedup        float64 // vs the window=1 row
-	MaxInFlight    int     // peak frames propagating concurrently on the geo link
-	Pipelined      int64   // sends serialized while earlier frames were in flight
-	WindowStalls   int64   // dispatcher waits with the window full
-	OrderOK        bool    // per-link delivery order monotone (zero watermark violations)
+	drain        time.Duration
+	bytes        int64
+	maxInFlight  int   // peak frames propagating concurrently on the geo link
+	pipelined    int64 // sends serialized while earlier frames were in flight
+	windowStalls int64 // dispatcher waits with the window full
+	orderOK      bool  // per-link delivery order monotone (zero watermark violations)
 
 	// Partition run: the geo link is cut mid-window, healed, then the pair
 	// is split for real.
-	InFlightAtCut      int   // frames propagating the instant the partition hit
-	DeliveredDuringCut int64 // deliveries while partitioned: InFlightAtCut, +1 if a frame was mid-serialization
-	CutWrites          int   // K: writes present in the recovered image
-	LostWrites         int   // acked writes missing from the image
-	FailoverConsistent bool  // image is the exact ack-order prefix {1..K}
+	inFlightAtCut      int   // frames propagating the instant the partition hit
+	deliveredDuringCut int64 // deliveries while partitioned: inFlightAtCut, +1 if a frame was mid-serialization
+	cut                int   // K: writes present in the recovered image
+	exact              bool  // image is the exact ack-order prefix {1..K}
 }
 
 // E18PipeFill measures propagation-pipelined fabric dispatch: the same
@@ -64,44 +59,39 @@ type PipeFillResult struct {
 // pipelining item needs: near-linear throughput gain with the window until
 // the lanes' outstanding batches (or serialization) saturate, with in-order
 // delivery proven, not assumed.
-func E18PipeFill(seed int64, windows []int, writes int) ([]PipeFillResult, error) {
+func E18PipeFill(seed int64, windows []int, writes int) (*Table, error) {
 	if len(windows) == 0 {
 		windows = []int{1, 4, 16}
 	}
 	if writes <= 0 {
 		writes = 6144
 	}
-	var out []PipeFillResult
+	t := NewTable("E18: propagation-pipelined dispatch — drain throughput vs per-link in-flight window over a 50ms geo link",
+		"window", "drain time", "MB/s", "speedup", "max in-flight", "pipelined", "stalls", "order ok",
+		"in-flight@cut", "delivered@cut", "failover cut", "lost", "consistent")
 	for _, w := range windows {
-		res := PipeFillResult{Window: w, Writes: writes}
-		if err := e18Run(seed, w, writes, false, &res); err != nil {
-			return out, fmt.Errorf("E18 window=%d throughput: %w", w, err)
+		var o e18Outcome
+		if err := e18Run(seed, w, writes, false, &o); err != nil {
+			return nil, fmt.Errorf("E18 window=%d throughput: %w", w, err)
 		}
-		if err := e18Run(seed, w, writes, true, &res); err != nil {
-			return out, fmt.Errorf("E18 window=%d partition: %w", w, err)
+		if err := e18Run(seed, w, writes, true, &o); err != nil {
+			return nil, fmt.Errorf("E18 window=%d partition: %w", w, err)
 		}
-		res.ThroughputMBps = float64(res.Bytes) / 1e6 / res.DrainTime.Seconds()
-		out = append(out, res)
+		t.AddRow(w, o.drain, mbps(o.bytes, o.drain), speedup(0), o.maxInFlight, o.pipelined, o.windowStalls, o.orderOK,
+			o.inFlightAtCut, o.deliveredDuringCut, o.cut, writes-o.cut, o.exact)
 	}
-	base := out[0].ThroughputMBps
-	for _, r := range out {
-		if r.Window == 1 {
-			base = r.ThroughputMBps
-			break
-		}
-	}
-	for i := range out {
-		if base > 0 {
-			out[i].Speedup = out[i].ThroughputMBps / base
-		}
-	}
-	return out, nil
+	// A row's speedup is known once the 1-row is measured.
+	t.fillSpeedups()
+	t.AddNote("shape: throughput grows near-linearly with the window until the %d lanes' outstanding batches saturate; "+
+		"every frame committed to the wire before the cut delivers during the partition (delivered@cut = in-flight@cut, +1 when a frame was mid-serialization), "+
+		"frames queued behind the cut wait for heal, and every failover image is an exact ack-order prefix", e18Shards)
+	return t, nil
 }
 
 // e18Run drives one run at one window size. partition=false measures clean
 // drain throughput; partition=true cuts the geo link mid-window, heals it,
 // then fails the tenant over and checks the consistency cut.
-func e18Run(seed int64, window, writes int, partition bool, res *PipeFillResult) error {
+func e18Run(seed int64, window, writes int, partition bool, o *e18Outcome) error {
 	sys := core.NewSystem(core.Config{
 		Seed: seed,
 		Fabric: fabric.Config{
@@ -142,13 +132,10 @@ func e18Run(seed int64, window, writes int, partition bool, res *PipeFillResult)
 			return // on a partition run the disaster process owns the rest
 		}
 		g.CatchUp(p)
-		res.DrainTime = p.Now() - start
-		res.Bytes = g.AppliedBytes()
-		res.MaxInFlight = link.MaxInFlight()
+		o.drain, o.bytes, o.maxInFlight = p.Now()-start, g.AppliedBytes(), link.MaxInFlight()
 		st := sys.Fabric.Forward.LinkWindowStats(0)
-		res.Pipelined = st.Pipelined
-		res.WindowStalls = st.WindowStalls
-		res.OrderOK = link.OrderViolations() == 0
+		o.pipelined, o.windowStalls = st.Pipelined, st.WindowStalls
+		o.orderOK = link.OrderViolations() == 0
 	})
 	if partition {
 		sys.Env.Process("disaster", func(p *sim.Proc) {
@@ -157,36 +144,19 @@ func e18Run(seed int64, window, writes int, partition bool, res *PipeFillResult)
 			// Cut well into it so a meaningful prefix has committed, but
 			// before even the fastest window finishes.
 			p.Sleep(300 * time.Millisecond)
-			res.InFlightAtCut = link.InFlight()
+			o.inFlightAtCut = link.InFlight()
 			before := link.Transfers()
 			link.Partition()
 			// Long enough for every in-flight frame (≤ 50ms of residual
 			// propagation, no loss on this link) to land.
 			p.Sleep(60 * time.Millisecond)
-			res.DeliveredDuringCut = link.Transfers() - before
+			o.deliveredDuringCut = link.Transfers() - before
 			link.Heal()
 			p.Sleep(30 * time.Millisecond) // drain resumes over the healed link
-			res.CutWrites, res.FailoverConsistent, cutErr = cutStamped(p, g, written)
-			res.LostWrites = res.Writes - res.CutWrites
+			o.cut, o.exact, cutErr = cutStamped(p, g, written)
 		})
 	}
 	sys.Env.Run(0)
 	quiesce(sys, 0)
 	return errors.Join(driveErr, cutErr)
-}
-
-// E18Table renders the E18 results.
-func E18Table(results []PipeFillResult) *Table {
-	t := NewTable("E18: propagation-pipelined dispatch — drain throughput vs per-link in-flight window over a 50ms geo link",
-		"window", "drain time", "MB/s", "speedup", "max in-flight", "pipelined", "stalls", "order ok",
-		"in-flight@cut", "delivered@cut", "failover cut", "lost", "consistent")
-	for _, r := range results {
-		t.AddRow(r.Window, r.DrainTime, fmt.Sprintf("%.2f", r.ThroughputMBps), fmt.Sprintf("%.2fx", r.Speedup),
-			r.MaxInFlight, r.Pipelined, r.WindowStalls, r.OrderOK,
-			r.InFlightAtCut, r.DeliveredDuringCut, r.CutWrites, r.LostWrites, r.FailoverConsistent)
-	}
-	t.AddNote("shape: throughput grows near-linearly with the window until the %d lanes' outstanding batches saturate; "+
-		"every frame committed to the wire before the cut delivers during the partition (delivered@cut = in-flight@cut, +1 when a frame was mid-serialization), "+
-		"frames queued behind the cut wait for heal, and every failover image is an exact ack-order prefix", e18Shards)
-	return t
 }

@@ -10,15 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-// OperatorResult is one row of experiment E2.
-type OperatorResult struct {
-	Volumes     int
-	UserOpsNSO  int           // operations the user performs with the operator
-	UserOpsHand int           // operations a hand configuration would take
-	TimeToReady time.Duration // tag -> ReplicationGroup Ready
-	APICalls    int64         // total platform API calls during configuration
-}
-
 // E2Operator measures the namespace operator's automation (Figs. 3-4): the
 // user performs exactly one operation (tagging the namespace) regardless of
 // how many volumes the business process spans, where a hand configuration
@@ -28,16 +19,13 @@ type OperatorResult struct {
 //
 // Expected shape: NSO user operations stay at 1; hand operations grow ~5x
 // volumes; time-to-ready grows mildly with volume count.
-func E2Operator(seed int64, volumeCounts []int) ([]OperatorResult, error) {
-	var out []OperatorResult
+func E2Operator(seed int64, volumeCounts []int) (*Table, error) {
+	t := NewTable("E2: operator automation — user operations and time to configure backup (Figs. 3-4)",
+		"volumes", "user ops (NSO)", "user ops (hand)", "time to ready", "API calls")
 	for _, n := range volumeCounts {
 		sys := core.NewSystem(core.Config{Seed: seed, VolumeBlocks: 128})
-		var res OperatorResult
-		res.Volumes = n
-		res.UserOpsNSO = 1 // the tag
-		// Hand configuration: per volume 4 ops (backup volume, backup PV,
-		// backup PVC, journal attach) + journal create + replication start.
-		res.UserOpsHand = 4*n + 2
+		var ready time.Duration
+		var calls int64 // platform API calls during configuration
 		err := runProc(sys.Env, "e2", time.Hour, func(p *sim.Proc) error {
 			if err := sys.Main.API.Create(p, &platform.Namespace{
 				Meta: platform.Meta{Kind: platform.KindNamespace, Name: "biz"},
@@ -70,8 +58,8 @@ func E2Operator(seed int64, volumeCounts []int) ([]OperatorResult, error) {
 			if err := sys.WaitTenantCondition(p, "biz", core.CondBackupReady(), 30*time.Second); err != nil {
 				return err
 			}
-			res.TimeToReady = p.Now() - start
-			res.APICalls = sys.Main.API.Calls() + sys.Backup.API.Calls() - callsBefore
+			ready = p.Now() - start
+			calls = sys.Main.API.Calls() + sys.Backup.API.Calls() - callsBefore
 			return nil
 		})
 		if err != nil {
@@ -83,18 +71,11 @@ func E2Operator(seed int64, volumeCounts []int) ([]OperatorResult, error) {
 			return nil, fmt.Errorf("E2 n=%d: configured %d groups", n, len(groups))
 		}
 		quiesce(sys, time.Hour)
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// E2Table renders E2 results.
-func E2Table(results []OperatorResult) *Table {
-	t := NewTable("E2: operator automation — user operations and time to configure backup (Figs. 3-4)",
-		"volumes", "user ops (NSO)", "user ops (hand)", "time to ready", "API calls")
-	for _, r := range results {
-		t.AddRow(r.Volumes, r.UserOpsNSO, r.UserOpsHand, r.TimeToReady, r.APICalls)
+		// The user's one operation is the tag. By hand it is 4 per volume
+		// (backup volume, backup PV, backup PVC, journal attach), then
+		// journal create and replication start.
+		t.AddRow(n, 1, 4*n+2, ready, calls)
 	}
 	t.AddNote("shape: NSO stays at one user operation; hand configuration grows linearly with volumes")
-	return t
+	return t, nil
 }

@@ -10,16 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-// AnalyticsResult is one row of experiment E4.
-type AnalyticsResult struct {
-	Scenario      string
-	OrderMean     time.Duration // main-site order latency during the window
-	RPOAfter      time.Duration
-	AnalyticsTime time.Duration // snapshot open + full scans
-	OrdersSeen    int           // orders the analytics saw (frozen count)
-	JoinUnmatched int
-}
-
 // E4Analytics measures the data-analytics step (Fig. 6): running analytics
 // against backup-site snapshots affects neither the main site's order
 // latency nor replication's RPO, and the analytics see a frozen, consistent
@@ -27,13 +17,18 @@ type AnalyticsResult struct {
 //
 // Expected shape: order latency and RPO identical with and without
 // analytics; join finds zero unmatched rows.
-func E4Analytics(seed int64, orders int) ([]AnalyticsResult, error) {
-	run := func(withAnalytics bool) (AnalyticsResult, error) {
+func E4Analytics(seed int64, orders int) (*Table, error) {
+	t := NewTable("E4: analytics on backup snapshots — zero interference (Fig. 6)",
+		"scenario", "order mean", "RPO after", "analytics time", "orders seen", "join unmatched")
+	run := func(withAnalytics bool) error {
 		name := "no analytics"
 		if withAnalytics {
 			name = "analytics on snapshot"
 		}
-		res := AnalyticsResult{Scenario: name}
+		// What the analytics measure: snapshot open + full scans, the
+		// (frozen) orders they saw, and the join's unmatched rows.
+		var anTime time.Duration
+		var seen, unmatched int
 		sys := core.NewSystem(core.Config{Seed: seed})
 		err := runProc(sys.Env, "e4", time.Hour, func(p *sim.Proc) error {
 			bp, err := sys.ProvisionTenant(p, platform.TenantSpec{Namespace: "shop", PVCNames: []string{"sales", "stock"}})
@@ -82,9 +77,7 @@ func E4Analytics(seed int64, orders int) ([]AnalyticsResult, error) {
 						anErr = err
 						return
 					}
-					res.AnalyticsTime = ap.Now() - start
-					res.OrdersSeen = sales.Orders
-					res.JoinUnmatched = join.Unmatched
+					anTime, seen, unmatched = ap.Now()-start, sales.Orders, join.Unmatched
 					if sales.Orders != frozenOrders {
 						anErr = fmt.Errorf("analytics saw %d orders, want frozen %d", sales.Orders, frozenOrders)
 					}
@@ -97,31 +90,18 @@ func E4Analytics(seed int64, orders int) ([]AnalyticsResult, error) {
 			}
 			p.Wait(done)
 			sys.CatchUp(p, "shop")
-			res.RPOAfter = sys.RPO("shop")
-			res.OrderMean = bp.Shop.Latency.Mean()
+			t.AddRow(name, bp.Shop.Latency.Mean(), sys.RPO("shop"), anTime, seen, unmatched)
 			return anErr
 		})
 		quiesce(sys, time.Hour+time.Second)
-		return res, err
+		return err
 	}
-	base, err := run(false)
-	if err != nil {
+	if err := run(false); err != nil {
 		return nil, fmt.Errorf("E4 baseline: %w", err)
 	}
-	with, err := run(true)
-	if err != nil {
+	if err := run(true); err != nil {
 		return nil, fmt.Errorf("E4 analytics: %w", err)
 	}
-	return []AnalyticsResult{base, with}, nil
-}
-
-// E4Table renders E4 results.
-func E4Table(results []AnalyticsResult) *Table {
-	t := NewTable("E4: analytics on backup snapshots — zero interference (Fig. 6)",
-		"scenario", "order mean", "RPO after", "analytics time", "orders seen", "join unmatched")
-	for _, r := range results {
-		t.AddRow(r.Scenario, r.OrderMean, r.RPOAfter, r.AnalyticsTime, r.OrdersSeen, r.JoinUnmatched)
-	}
 	t.AddNote("shape: order latency and RPO identical across scenarios; analytics see a frozen consistent image")
-	return t
+	return t, nil
 }

@@ -94,20 +94,23 @@ func E9CGScale(seed int64, volumeCounts []int, writesPerVol int) (*Table, error)
 				}
 			}
 			hist := metrics.NewHistogram()
-			env.Process("writer", func(p *sim.Proc) {
+			if err := runProc(env, "writer", 0, func(p *sim.Proc) error {
 				buf := make([]byte, main.Config().BlockSize)
 				for w := 0; w < writesPerVol; w++ {
 					for _, id := range vols {
 						v, _ := main.Volume(id)
 						start := p.Now()
 						if _, err := v.Write(p, int64(w%256), buf); err != nil {
-							panic(err)
+							return err
 						}
 						hist.Record(p.Now() - start)
 					}
 				}
-			})
-			span := env.Run(0)
+				return nil
+			}); err != nil {
+				return nil, err
+			}
+			span := env.Now()
 			for _, g := range groups {
 				g.Stop()
 			}

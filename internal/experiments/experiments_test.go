@@ -158,86 +158,90 @@ func TestE8RecoveryGrowsWithReplayAndNeedsCG(t *testing.T) {
 
 func TestE2OperatorConstantUserOps(t *testing.T) {
 	counts := []int{2, 8, 32}
-	results, err := E2Operator(1, counts)
+	tb, err := E2Operator(1, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
-		if r.UserOpsNSO != 1 {
-			t.Errorf("NSO ops at %d volumes = %d, want 1", r.Volumes, r.UserOpsNSO)
+	volumes, nso, hand := col[int](t, tb, "volumes"), col[int](t, tb, "user ops (NSO)"), col[int](t, tb, "user ops (hand)")
+	for i := range volumes {
+		if nso[i] != 1 {
+			t.Errorf("NSO ops at %d volumes = %d, want 1", volumes[i], nso[i])
 		}
-		if r.UserOpsHand <= r.UserOpsNSO*4 {
-			t.Errorf("hand ops at %d volumes = %d — not meaningfully worse", r.Volumes, r.UserOpsHand)
+		if hand[i] <= nso[i]*4 {
+			t.Errorf("hand ops at %d volumes = %d — not meaningfully worse", volumes[i], hand[i])
 		}
 	}
-	if results[2].UserOpsHand <= results[0].UserOpsHand {
+	if hand[2] <= hand[0] {
 		t.Error("hand operations did not grow with volume count")
 	}
-	if results[2].TimeToReady <= 0 {
+	if col[time.Duration](t, tb, "time to ready")[2] <= 0 {
 		t.Error("no time-to-ready measured")
 	}
-	t.Log("\n" + E2Table(results).String())
+	t.Log("\n" + tb.String())
 }
 
 func TestE3SnapshotAtomicAndCOWProportional(t *testing.T) {
-	results, err := E3SnapshotGroup(1, []int{2, 8}, []float64{0, 0.25, 1.0})
+	tb, err := E3SnapshotGroup(1, []int{2, 8}, []float64{0, 0.25, 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
-		if !r.Atomic {
-			t.Errorf("group of %d not atomic", r.Volumes)
+	volumes, frac := col[int](t, tb, "volumes"), col[float64](t, tb, "overwrite")
+	atomic, create := col[bool](t, tb, "atomic"), col[time.Duration](t, tb, "create time")
+	readable, cow := col[bool](t, tb, "readable"), col[int](t, tb, "COW blocks")
+	for i := range volumes {
+		if !atomic[i] {
+			t.Errorf("group of %d not atomic", volumes[i])
 		}
-		if r.CreateTime != 0 {
-			t.Errorf("creation consumed %v, want instantaneous COW-metadata install", r.CreateTime)
+		if create[i] != 0 {
+			t.Errorf("creation consumed %v, want instantaneous COW-metadata install", create[i])
 		}
-		if !r.SnapshotReadable {
-			t.Errorf("snapshot lost originals at overwrite=%v", r.OverwriteFrac)
+		if !readable[i] {
+			t.Errorf("snapshot lost originals at overwrite=%v", frac[i])
 		}
-		wantCOW := int(r.OverwriteFrac * 256 * float64(r.Volumes))
-		if r.COWBlocks != wantCOW {
-			t.Errorf("COW blocks = %d, want %d (first overwrite only)", r.COWBlocks, wantCOW)
+		if wantCOW := int(frac[i] * 256 * float64(volumes[i])); cow[i] != wantCOW {
+			t.Errorf("COW blocks = %d, want %d (first overwrite only)", cow[i], wantCOW)
 		}
 	}
-	t.Log("\n" + E3Table(results).String())
+	t.Log("\n" + tb.String())
 }
 
 func TestE4AnalyticsDoNotInterfere(t *testing.T) {
-	results, err := E4Analytics(1, 40)
+	tb, err := E4Analytics(1, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, with := results[0], results[1]
-	if with.OrderMean > base.OrderMean*11/10 {
-		t.Errorf("analytics slowed main-site orders: %v -> %v", base.OrderMean, with.OrderMean)
+	const base, with = "no analytics", "analytics on snapshot"
+	d := func(row, header string) time.Duration { return cell[time.Duration](t, tb, row, header) }
+	if d(with, "order mean") > d(base, "order mean")*11/10 {
+		t.Errorf("analytics slowed main-site orders: %v -> %v", d(base, "order mean"), d(with, "order mean"))
 	}
-	if base.RPOAfter != 0 || with.RPOAfter != 0 {
-		t.Errorf("RPO after catch-up: base=%v with=%v", base.RPOAfter, with.RPOAfter)
+	if d(base, "RPO after") != 0 || d(with, "RPO after") != 0 {
+		t.Errorf("RPO after catch-up: base=%v with=%v", d(base, "RPO after"), d(with, "RPO after"))
 	}
-	if with.OrdersSeen != 20 {
-		t.Errorf("analytics saw %d orders, want frozen 20", with.OrdersSeen)
+	if seen := cell[int](t, tb, with, "orders seen"); seen != 20 {
+		t.Errorf("analytics saw %d orders, want frozen 20", seen)
 	}
-	if with.JoinUnmatched != 0 {
-		t.Errorf("join unmatched = %d", with.JoinUnmatched)
+	if unmatched := cell[int](t, tb, with, "join unmatched"); unmatched != 0 {
+		t.Errorf("join unmatched = %d", unmatched)
 	}
-	t.Log("\n" + E4Table(results).String())
+	t.Log("\n" + tb.String())
 }
 
 func TestE1EndToEndConsistent(t *testing.T) {
-	res, err := E1EndToEnd(1, 50)
+	tb, err := E1EndToEnd(1, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AnalyticsOrders != 50 {
-		t.Errorf("analytics orders = %d, want 50", res.AnalyticsOrders)
+	if n := cell[int](t, tb, "orders visible to analytics", "value"); n != 50 {
+		t.Errorf("analytics orders = %d, want 50", n)
 	}
-	if !res.Consistent || !res.FailoverIntact {
-		t.Errorf("pipeline inconsistent: %+v", res)
+	if !cell[bool](t, tb, "snapshot consistent", "value") || !cell[bool](t, tb, "failover business intact", "value") {
+		t.Errorf("pipeline inconsistent:\n%s", tb)
 	}
-	if res.FailoverTime <= 0 {
+	if cell[time.Duration](t, tb, "failover recovery time", "value") <= 0 {
 		t.Error("failover recovery free")
 	}
-	t.Log("\n" + E1Table(res).String())
+	t.Log("\n" + tb.String())
 }
 
 func TestE9BatchSweepShape(t *testing.T) {
@@ -311,75 +315,64 @@ func TestE9SkewInsensitive(t *testing.T) {
 }
 
 func TestE12InterferenceOrderingAndFailover(t *testing.T) {
-	results, err := E12Interference(1, 40)
+	// E12Interference itself fails if the victim placed no orders, or if
+	// the link failure rerouted nothing or left the dead member carrying
+	// more than a fifth of the survivor's bytes (at most its in-flight
+	// batch).
+	tb, err := E12Interference(1, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	by := map[string]InterferenceResult{}
-	for _, r := range results {
-		by[r.Scenario] = r
-		if !r.Consistent {
-			t.Errorf("%s: a tenant's consistency cut broke", r.Scenario)
-		}
-		if r.VictimOrders == 0 {
-			t.Errorf("%s: victim placed no orders", r.Scenario)
+	for _, sc := range e12Scenarios() {
+		if !cell[bool](t, tb, sc.name, "consistent") {
+			t.Errorf("%s: a tenant's consistency cut broke", sc.name)
 		}
 	}
-	base, noqos, weighted, dedicated := by["baseline"], by["no-qos"], by["weighted"], by["dedicated"]
-	failover := by["link-failure"]
+	rpo := func(sc string) time.Duration { return cell[time.Duration](t, tb, sc, "victim mean RPO") }
+	xfer := func(sc string) time.Duration { return cell[time.Duration](t, tb, sc, "mean drain xfer") }
+	catchUp := func(sc string) time.Duration { return cell[time.Duration](t, tb, sc, "catch-up") }
 
 	// Who wins: victim degradation is worst with no QoS on the shared
 	// fabric, bounded under weighted classes, near-isolated on a
 	// dedicated link.
-	if noqos.VictimMeanRPO < 3*weighted.VictimMeanRPO {
-		t.Errorf("no-qos RPO %v not >> weighted %v", noqos.VictimMeanRPO, weighted.VictimMeanRPO)
+	if rpo("no-qos") < 3*rpo("weighted") {
+		t.Errorf("no-qos RPO %v not >> weighted %v", rpo("no-qos"), rpo("weighted"))
 	}
-	if noqos.VictimMeanXfer < 3*weighted.VictimMeanXfer {
-		t.Errorf("no-qos drain xfer %v not >> weighted %v", noqos.VictimMeanXfer, weighted.VictimMeanXfer)
+	if xfer("no-qos") < 3*xfer("weighted") {
+		t.Errorf("no-qos drain xfer %v not >> weighted %v", xfer("no-qos"), xfer("weighted"))
 	}
-	if weighted.VictimMeanRPO <= dedicated.VictimMeanRPO {
-		t.Errorf("weighted RPO %v not above dedicated %v", weighted.VictimMeanRPO, dedicated.VictimMeanRPO)
+	if rpo("weighted") <= rpo("dedicated") {
+		t.Errorf("weighted RPO %v not above dedicated %v", rpo("weighted"), rpo("dedicated"))
 	}
-	if weighted.VictimMeanXfer <= dedicated.VictimMeanXfer {
-		t.Errorf("weighted drain xfer %v not above dedicated %v", weighted.VictimMeanXfer, dedicated.VictimMeanXfer)
+	if xfer("weighted") <= xfer("dedicated") {
+		t.Errorf("weighted drain xfer %v not above dedicated %v", xfer("weighted"), xfer("dedicated"))
 	}
-	if dedicated.VictimMeanRPO > 2*base.VictimMeanRPO+5*time.Millisecond {
-		t.Errorf("dedicated link not near-isolated: %v vs baseline %v", dedicated.VictimMeanRPO, base.VictimMeanRPO)
+	if rpo("dedicated") > 2*rpo("baseline")+5*time.Millisecond {
+		t.Errorf("dedicated link not near-isolated: %v vs baseline %v", rpo("dedicated"), rpo("baseline"))
 	}
 	// Catch-up (drain) latency tells the same story end to end.
-	if noqos.VictimCatchUp < 5*weighted.VictimCatchUp {
-		t.Errorf("no-qos catch-up %v not >> weighted %v", noqos.VictimCatchUp, weighted.VictimCatchUp)
+	if catchUp("no-qos") < 5*catchUp("weighted") {
+		t.Errorf("no-qos catch-up %v not >> weighted %v", catchUp("no-qos"), catchUp("weighted"))
 	}
-
-	// Mid-run member-link failure: traffic reroutes onto the survivor (the
-	// dead member carries at most its in-flight batch) and no tenant's
-	// consistency cut breaks.
-	if failover.ReroutedBytes == 0 {
-		t.Error("link failure rerouted no traffic")
-	}
-	if failover.DeadLinkBytes*5 > failover.ReroutedBytes {
-		t.Errorf("dead member carried %dB during its outage vs survivor %dB",
-			failover.DeadLinkBytes, failover.ReroutedBytes)
-	}
-	if !failover.Consistent {
-		t.Error("link failure violated a consistency cut")
-	}
-	t.Log("\n" + E12Table(results).String())
+	t.Log("\n" + tb.String())
 
 	// The scheduled scenarios (passthrough fabrics have no dispatcher to
 	// window) again with four transfers in flight per link: pipelined
 	// dispatch only overlaps serialization with propagation, so every
 	// tenant's consistency cut must survive it.
+	var windowed []e12Scenario
 	for _, sc := range e12Scenarios() {
-		if len(sc.classes) == 0 {
-			continue
+		if len(sc.classes) > 0 {
+			sc.window = 4
+			windowed = append(windowed, sc)
 		}
-		sc.window = 4
-		r, err := e12Run(1, sc, 40)
-		if err != nil {
-			t.Fatalf("%s at window 4: %v", sc.name, err)
-		}
-		if !r.Consistent {
+	}
+	tb, err = e12Sweep(1, windowed, 40)
+	if err != nil {
+		t.Fatalf("at window 4: %v", err)
+	}
+	for _, sc := range windowed {
+		if !cell[bool](t, tb, sc.name, "consistent") {
 			t.Errorf("%s at window 4: a tenant's consistency cut broke", sc.name)
 		}
 	}
@@ -387,131 +380,138 @@ func TestE12InterferenceOrderingAndFailover(t *testing.T) {
 
 func TestE13ShardedThroughputScalesAndCutsHold(t *testing.T) {
 	counts := []int{1, 2, 4}
-	results, err := E13ShardedThroughput(1, counts, 2000)
+	tb, err := E13ShardedThroughput(1, counts, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(counts) {
-		t.Fatalf("results = %d", len(results))
+	shards := col[int](t, tb, "shards")
+	if !slices.Equal(shards, counts) {
+		t.Fatalf("rows for shard counts %v, want %v", shards, counts)
 	}
-	for _, r := range results {
+	rate, sp := col[mbPerSec](t, tb, "MB/s"), col[speedup](t, tb, "speedup")
+	epochs, exact := col[int64](t, tb, "epoch cuts"), col[bool](t, tb, "consistent")
+	cut, lost := col[int](t, tb, "failover cut"), col[int](t, tb, "lost")
+	for i, n := range shards {
 		// The mid-run failover must land mid-drain (some committed, some
 		// lost) and the image must be an exact ack-order prefix at EVERY
 		// shard count — the epoch barrier's whole point.
-		if !r.FailoverConsistent {
-			t.Errorf("shards=%d: failover image not an exact prefix (cut=%d lost=%d)", r.Shards, r.CutWrites, r.LostWrites)
+		if !exact[i] {
+			t.Errorf("shards=%d: failover image not an exact prefix (cut=%d lost=%d)", n, cut[i], lost[i])
 		}
-		if r.CutWrites == 0 || r.LostWrites == 0 {
-			t.Errorf("shards=%d: failover scenario degenerate (cut=%d lost=%d)", r.Shards, r.CutWrites, r.LostWrites)
+		if cut[i] == 0 || lost[i] == 0 {
+			t.Errorf("shards=%d: failover scenario degenerate (cut=%d lost=%d)", n, cut[i], lost[i])
 		}
-		if r.Shards > 1 && r.EpochCommits == 0 {
-			t.Errorf("shards=%d: no epoch cuts declared", r.Shards)
+		if n > 1 && epochs[i] == 0 {
+			t.Errorf("shards=%d: no epoch cuts declared", n)
 		}
-		if r.Shards == 1 && r.EpochCommits != 0 {
+		if n == 1 && epochs[i] != 0 {
 			t.Errorf("shards=1 ran the sharded engine (passthrough broken)")
 		}
 	}
 	// Who wins: drain throughput grows with lane count, >= 2x at 4 shards.
-	if results[1].ThroughputMBps <= results[0].ThroughputMBps {
-		t.Errorf("2 shards (%.2f MB/s) not faster than 1 (%.2f MB/s)",
-			results[1].ThroughputMBps, results[0].ThroughputMBps)
+	if rate[1] <= rate[0] {
+		t.Errorf("2 shards (%v MB/s) not faster than 1 (%v MB/s)", rate[1], rate[0])
 	}
-	if results[2].Speedup < 2 {
-		t.Errorf("4-shard speedup = %.2fx, want >= 2x", results[2].Speedup)
+	if sp[2] < 2 {
+		t.Errorf("4-shard speedup = %v, want >= 2x", sp[2])
 	}
-	t.Log("\n" + E13Table(results).String())
+	t.Log("\n" + tb.String())
 }
 
 // An empty sweep runs the default shard counts instead of indexing a row
 // that does not exist.
 func TestE13EmptySweepRunsDefaultCounts(t *testing.T) {
-	results, err := E13ShardedThroughput(1, nil, 500)
+	tb, err := E13ShardedThroughput(1, nil, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shards []int
-	for _, r := range results {
-		shards = append(shards, r.Shards)
-	}
-	if !slices.Equal(shards, []int{1, 2, 4, 8}) {
+	if shards := col[int](t, tb, "shards"); !slices.Equal(shards, []int{1, 2, 4, 8}) {
 		t.Fatalf("empty sweep ran shard counts %v, want [1 2 4 8]", shards)
 	}
-	if results[0].Speedup != 1 {
-		t.Errorf("1-shard row speedup = %.2f, want 1", results[0].Speedup)
+	if sp := col[speedup](t, tb, "speedup"); sp[0] != 1 {
+		t.Errorf("1-shard row speedup = %v, want 1", sp[0])
 	}
 }
 
 func TestE11FleetAllTenantsConsistentAfterMixedRun(t *testing.T) {
-	res, err := E11FleetScale(3, 24, 6)
+	tb, err := E11FleetScale(3, 24, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Tenants != 24 || res.Verified != 24 || res.Collapsed != 0 {
-		t.Fatalf("fleet verdicts wrong: %+v", res)
+	n := func(row string) int { return cell[int](t, tb, row, "value") }
+	if n("tenant namespaces") != 24 || n("tenants verified consistent") != 24 || n("tenants collapsed") != 0 {
+		t.Fatalf("fleet verdicts wrong:\n%s", tb)
 	}
-	if res.FailedOver == 0 || res.Analytics == 0 {
-		t.Fatalf("mixed workload degenerate: %+v", res)
+	if n("tenants failed over mid-run") == 0 || n("tenants running snapshot analytics") == 0 {
+		t.Fatalf("mixed workload degenerate:\n%s", tb)
 	}
-	if res.OrdersPlaced == 0 || res.BackupApplied == 0 {
-		t.Fatalf("fleet did no work: %+v", res)
+	orders := cell[int64](t, tb, "orders placed (fleet)", "value")
+	if orders == 0 || cell[int64](t, tb, "journal records applied at backup", "value") == 0 {
+		t.Fatalf("fleet did no work:\n%s", tb)
 	}
 	// Failover tenants stop mid-run without catch-up, so the fleet-wide
 	// order count must be below the no-disaster maximum.
-	if res.OrdersPlaced >= int64(24*6) {
-		t.Fatalf("failover tenants should cut order volume: %+v", res)
+	if orders >= int64(24*6) {
+		t.Fatalf("failover tenants should cut order volume:\n%s", tb)
 	}
 }
 
 // TestE16ObservabilityValidatesEveryTimeline runs the churning fleet with
 // the telemetry plane on: every tenant (joins included) verifies consistent
-// and the worst-RPO ranking reads non-zero probed timelines
-// (E16Observability itself fails on incomplete churn or overlapping spans).
+// and the export returned is the one the table sizes (E16Observability
+// itself fails on incomplete churn, overlapping spans, or a worst-RPO
+// ranking that reads no non-zero probed timeline).
 func TestE16ObservabilityValidatesEveryTimeline(t *testing.T) {
-	res, err := E16Observability(1, 8, 8)
+	tb, export, err := E16Observability(1, 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verified != res.Tenants {
-		t.Errorf("verified %d of %d tenants", res.Verified, res.Tenants)
+	n := func(row string) int { return cell[int](t, tb, row, "value") }
+	if v, all := n("tenants verified consistent"), n("tenant namespaces (incl. joins)"); v != all {
+		t.Errorf("verified %d of %d tenants", v, all)
 	}
-	if len(res.TopRPO) == 0 || res.TopRPO[0].Max <= 0 {
-		t.Errorf("no probed RPO timeline ranked: %+v", res.TopRPO)
+	if size := n("export size (bytes)"); size != len(export) {
+		t.Errorf("export size row = %d, returned export %d bytes", size, len(export))
 	}
-	t.Log("\n" + E16Table(res).String())
+	t.Log("\n" + tb.String())
 }
 
 func TestE14ElasticityJoinsLeavesAndReclaims(t *testing.T) {
-	res, err := E14Elasticity(1, 10, 8)
+	tb, err := E14Elasticity(1, 10, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verified != res.Tenants+res.Joined || res.Collapsed != 0 {
-		t.Fatalf("verdicts wrong: %+v", res)
+	n := func(row string) int { return cell[int](t, tb, row, "value") }
+	d := func(row string) time.Duration { return cell[time.Duration](t, tb, row, "value") }
+	joined := n("joined mid-run")
+	if n("tenants verified consistent") != n("initial tenants")+joined || n("tenants collapsed") != 0 {
+		t.Fatalf("verdicts wrong:\n%s", tb)
 	}
-	if res.Joined != 2 || res.Left != 1 {
-		t.Fatalf("churn degenerate: %+v", res)
+	if joined != 2 || n("left mid-run (decommissioned)") != 1 {
+		t.Fatalf("churn degenerate:\n%s", tb)
 	}
 	// Joins must reach Ready while the fleet serves load — and one of them
 	// must have been in flight while a site failover ran.
-	if res.JoinReadyMax <= 0 {
-		t.Fatalf("no join time-to-ready measured: %+v", res)
+	if d("join spec -> ready (max)") <= 0 {
+		t.Fatalf("no join time-to-ready measured:\n%s", tb)
 	}
-	if !res.JoinDuringFailover {
-		t.Fatalf("no join raced a failover: %+v", res)
+	if !cell[bool](t, tb, "join raced a mid-run failover", "value") {
+		t.Fatalf("no join raced a failover:\n%s", tb)
 	}
 	// The leave's reclamation invariant: zero residue on both arrays.
-	if !res.ReclaimOK || res.ResidueLeaks != 0 {
-		t.Fatalf("decommission leaked: %+v", res)
+	if !cell[bool](t, tb, "leaver reclaim clean (free-list invariant)", "value") || n("residue entries after leaves") != 0 {
+		t.Fatalf("decommission leaked:\n%s", tb)
 	}
 	// Victim disturbance stays bounded: churn may cost the bystanders some
 	// RPO, but not an order of magnitude over the steady baseline.
-	if res.VictimMaxRPOBase <= 0 {
-		t.Fatalf("no baseline victim RPO sampled: %+v", res)
+	base, churn := d("victim max RPO, steady baseline"), d("victim max RPO, under churn")
+	if base <= 0 {
+		t.Fatalf("no baseline victim RPO sampled:\n%s", tb)
 	}
-	if res.VictimMaxRPOChurn > 10*res.VictimMaxRPOBase {
-		t.Fatalf("churn disturbed victims: %v -> %v", res.VictimMaxRPOBase, res.VictimMaxRPOChurn)
+	if churn > 10*base {
+		t.Fatalf("churn disturbed victims: %v -> %v", base, churn)
 	}
-	t.Log("\n" + E14Table(res).String())
+	t.Log("\n" + tb.String())
 }
 
 // TestE15ReshardLiveMigration pins the dynamic-resharding shape: the live
@@ -520,82 +520,92 @@ func TestE14ElasticityJoinsLeavesAndReclaims(t *testing.T) {
 // raced into the migration window with an exact epoch-boundary prefix, and
 // an unchanged reconcile migrates nothing.
 func TestE15ReshardLiveMigration(t *testing.T) {
-	res, err := E15Reshard(1, 2000)
+	tb, err := E15Reshard(1, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SpeedupPostVsPre < 2 {
-		t.Errorf("post/pre speedup = %.2fx, want >= 2x (pre=%.2f post=%.2f)",
-			res.SpeedupPostVsPre, res.PreMBps, res.PostMBps)
+	flag := func(row string) bool { return cell[bool](t, tb, row, "value") }
+	n := func(row string) int64 { return cell[int64](t, tb, row, "value") }
+	if sp := cell[speedup](t, tb, "post/pre speedup", "value"); sp < 2 {
+		t.Errorf("post/pre speedup = %v, want >= 2x (pre=%v post=%v)", sp,
+			cell[mbPerSec](t, tb, "drain MB/s before reshard", "value"), cell[mbPerSec](t, tb, "drain MB/s after reshard", "value"))
 	}
-	if res.StallTime <= 0 {
+	if cell[time.Duration](t, tb, "migration stall (declare -> settled)", "value") <= 0 {
 		t.Error("migration stall not measured")
 	}
-	if res.BarrierEpoch == 0 || res.MovedVolumes == 0 || res.MovedRecords == 0 {
-		t.Errorf("migration degenerate: %+v", res)
+	moved := n("volumes re-placed")
+	if n("migration barrier epoch") == 0 || moved == 0 || n("pending records migrated") == 0 {
+		t.Errorf("migration degenerate:\n%s", tb)
 	}
-	if res.MovedVolumes >= e15Volumes {
-		t.Errorf("all %d volumes moved; the stable hash must keep shard-0 residents in place", res.MovedVolumes)
+	if moved >= e15Volumes {
+		t.Errorf("all %d volumes moved; the stable hash must keep shard-0 residents in place", moved)
 	}
-	if !res.NoopZeroMigration {
+	if !flag("unchanged reconcile migrated zero") {
 		t.Error("unchanged reconcile migrated records or replaced the engine")
 	}
-	if res.BackgroundOrders == 0 {
+	if n("bystander OLTP orders") == 0 {
 		t.Error("bystander tenants placed no orders during the reshard")
 	}
-	if !res.RacedWindow {
+	if !flag("failover raced into open window") {
 		t.Error("failover run never raced the open migration window")
 	}
-	if !res.FailoverConsistent {
-		t.Errorf("mid-window failover image not an exact prefix: cut=%d lost=%d", res.CutWrites, res.LostWrites)
+	cutLost := cell[pair](t, tb, "failover cut writes / lost", "value")
+	if !flag("failover image exact ack-order prefix") {
+		t.Errorf("mid-window failover image not an exact prefix: cut / lost = %v", cutLost)
 	}
-	if res.CutWrites == 0 || res.LostWrites == 0 {
-		t.Errorf("failover scenario degenerate: cut=%d lost=%d", res.CutWrites, res.LostWrites)
+	if cutLost[0] == 0 || cutLost[1] == 0 {
+		t.Errorf("failover scenario degenerate: cut / lost = %v", cutLost)
 	}
-	t.Log("\n" + E15Table(res).String())
+	t.Log("\n" + tb.String())
 }
 
 func TestE18PipeFillScalesAndStaysInOrder(t *testing.T) {
 	windows := []int{1, 4, 16}
-	results, err := E18PipeFill(1, windows, 4096)
+	tb, err := E18PipeFill(1, windows, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(windows) {
-		t.Fatalf("results = %d", len(results))
+	window := col[int](t, tb, "window")
+	if !slices.Equal(window, windows) {
+		t.Fatalf("rows for windows %v, want %v", window, windows)
 	}
-	for _, r := range results {
-		if !r.OrderOK {
-			t.Errorf("window=%d: per-link delivery order violated", r.Window)
+	orderOK, exact := col[bool](t, tb, "order ok"), col[bool](t, tb, "consistent")
+	cut, lost := col[int](t, tb, "failover cut"), col[int](t, tb, "lost")
+	inFlight, delivered := col[int](t, tb, "in-flight@cut"), col[int64](t, tb, "delivered@cut")
+	pipelined, maxInFlight := col[int64](t, tb, "pipelined"), col[int](t, tb, "max in-flight")
+	for i, w := range window {
+		if !orderOK[i] {
+			t.Errorf("window=%d: per-link delivery order violated", w)
 		}
-		if !r.FailoverConsistent {
-			t.Errorf("window=%d: failover image not an exact prefix (cut=%d lost=%d)", r.Window, r.CutWrites, r.LostWrites)
+		if !exact[i] {
+			t.Errorf("window=%d: failover image not an exact prefix (cut=%d lost=%d)", w, cut[i], lost[i])
 		}
-		if r.Window > 1 {
+		if w > 1 {
 			// Every frame committed to the wire at the cut delivers during
 			// the partition (at most one extra frame was mid-serialization);
 			// nothing queued behind the cut sneaks out.
-			if r.DeliveredDuringCut < int64(r.InFlightAtCut) || r.DeliveredDuringCut > int64(r.InFlightAtCut)+1 {
-				t.Errorf("window=%d: delivered %d during cut with %d in flight", r.Window, r.DeliveredDuringCut, r.InFlightAtCut)
+			if delivered[i] < int64(inFlight[i]) || delivered[i] > int64(inFlight[i])+1 {
+				t.Errorf("window=%d: delivered %d during cut with %d in flight", w, delivered[i], inFlight[i])
 			}
-			if r.InFlightAtCut < 2 {
-				t.Errorf("window=%d: cut landed with only %d frames in flight — not mid-window", r.Window, r.InFlightAtCut)
+			if inFlight[i] < 2 {
+				t.Errorf("window=%d: cut landed with only %d frames in flight — not mid-window", w, inFlight[i])
 			}
-			if r.Pipelined == 0 {
-				t.Errorf("window=%d: no overlapped sends recorded", r.Window)
+			if pipelined[i] == 0 {
+				t.Errorf("window=%d: no overlapped sends recorded", w)
 			}
-			if r.MaxInFlight > r.Window {
-				t.Errorf("window=%d: %d frames in flight exceeds the window", r.Window, r.MaxInFlight)
+			if maxInFlight[i] > w {
+				t.Errorf("window=%d: %d frames in flight exceeds the window", w, maxInFlight[i])
 			}
 		}
 	}
 	// The acceptance shape: near-linear gain with the window over the 50ms
 	// geo hop, >= 5x by window=16 on the same schedule.
-	if results[1].Speedup < 2.5 {
-		t.Errorf("window=4 speedup = %.2fx, want >= 2.5x", results[1].Speedup)
+	sp := col[speedup](t, tb, "speedup")
+	if sp[1] < 2.5 {
+		t.Errorf("window=4 speedup = %v, want >= 2.5x", sp[1])
 	}
-	if results[2].Speedup < 5 {
-		t.Errorf("window=16 speedup = %.2fx, want >= 5x", results[2].Speedup)
+	if sp[2] < 5 {
+		t.Errorf("window=16 speedup = %v, want >= 5x", sp[2])
 	}
-	t.Log("\n" + E18Table(results).String())
+	t.Log("\n" + tb.String())
 }
