@@ -2,8 +2,9 @@
 // console program: a split main-site / backup-site view (Fig. 2), the
 // backup-configuration step (Fig. 3), the persistent volumes appearing at
 // the backup site (Fig. 4), snapshot development (Fig. 5), and data
-// analytics on the snapshot volumes (Fig. 6). A transaction ticker plays
-// the role of the demo's transaction window.
+// analytics on the snapshot volumes (Fig. 6), which also verifies the
+// snapshot against the shop's commit orders. A transaction ticker plays the
+// role of the demo's transaction window.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/analytics"
+	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -169,6 +171,11 @@ func runDemo(p *sim.Proc, sys *core.System, orders int) {
 	fmt.Printf("  orders in backup image:      %d\n", sales.Orders)
 	fmt.Printf("  stock items touched:         %d\n", stock.ItemsTouched)
 	fmt.Printf("  stock rows matching orders:  %d/%d (%d unmatched)\n", join.Matched, join.StockRows, join.Unmatched)
+	rep := consistency.Verify(salesView, stockView, bp.Shop.SalesCommitOrder(), bp.Shop.StockCommitOrder())
+	fmt.Printf("  backup verification:         %v\n", rep)
+	if rep.Collapsed() {
+		log.Fatal("backup collapsed — this must never happen with consistency groups")
+	}
 	if join.Unmatched == 0 {
 		fmt.Println("  the backup data is consistent: no collapsed transactions")
 	}

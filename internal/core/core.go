@@ -124,7 +124,6 @@ type System struct {
 	tenantCtrl     *platform.Controller
 	managedTenants map[string]platform.ObjectKey
 	tenantClass    map[string]string
-	decommissioned int64
 
 	// SLO policy registry (Config.SLOClasses, defaults applied) and the
 	// active lane-placement policy (SetPlacement; nil = any member link,

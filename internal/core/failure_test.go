@@ -216,3 +216,41 @@ func TestFullDisasterRecoveryCycle(t *testing.T) {
 	})
 	sys.Env.Run(2 * time.Hour)
 }
+
+// A site failback resyncs each failed-over group once. After tenant a has
+// failed over and back, tenant b fails over: the next Failback must resync
+// b and leave a's group, whose journal the first failback dropped, alone.
+func TestFailbackAfterAnEarlierFailback(t *testing.T) {
+	sys := NewSystem(Config{})
+	sys.Env.Process("test", func(p *sim.Proc) {
+		for _, ns := range []string{"a", "b"} {
+			bp, err := sys.ProvisionTenant(p, tenantSpec(ns))
+			if err != nil {
+				t.Errorf("provision %s: %v", ns, err)
+				return
+			}
+			if err := bp.Shop.Run(p, 10); err != nil {
+				t.Errorf("orders %s: %v", ns, err)
+				return
+			}
+			sys.CatchUp(p, ns)
+		}
+		for _, ns := range []string{"a", "b"} {
+			if _, err := sys.Failover(p, ns); err != nil {
+				t.Errorf("failover %s: %v", ns, err)
+				return
+			}
+			fb, err := sys.Failback(p)
+			if err != nil {
+				t.Errorf("failback after %s failed over: %v", ns, err)
+				return
+			}
+			if len(fb.Reverse) != 1 || fb.Reverse[0].Name() != "fb-backup-"+ns+"-0" || fb.DeltaBlocks == 0 {
+				t.Errorf("failback after %s failed over: reverse groups %v, delta %d blocks, want %s's alone",
+					ns, fb.Reverse, fb.DeltaBlocks, ns)
+			}
+		}
+		sys.Stop()
+	})
+	sys.Env.Run(2 * time.Hour)
+}

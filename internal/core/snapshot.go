@@ -82,7 +82,8 @@ type FailbackResult struct {
 
 // Failback resynchronizes the main site from the failed-over backup and
 // starts reverse replication, using each group's delta bitmap. Call after
-// Failover once the main site is reachable again.
+// Failover once the main site is reachable again. A group an earlier
+// Failback resynced is skipped.
 func (sys *System) Failback(p *sim.Proc) (*FailbackResult, error) {
 	var res FailbackResult
 	start := p.Now()
@@ -102,6 +103,9 @@ func (sys *System) Failback(p *sim.Proc) (*FailbackResult, error) {
 	for _, g := range failedOver {
 		reverse, stats, err := g.Failback(p, sys.Main.Array,
 			sys.ReversePathFor(sys.Replication.NamespaceOf(g)), replication.Config{})
+		if errors.Is(err, replication.ErrFailedBack) {
+			continue // resynced by an earlier Failback
+		}
 		if err != nil {
 			return nil, err
 		}

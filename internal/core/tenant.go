@@ -321,13 +321,8 @@ func (sys *System) teardownTenant(p *sim.Proc, ns string, rgKey platform.ObjectK
 	delete(sys.revPaths, ns)
 	delete(sys.tenantClass, ns)
 	delete(sys.managedTenants, ns)
-	sys.decommissioned++
 	return nil
 }
-
-// Decommissioned returns how many tenants reached zero residue after their
-// spec was deleted.
-func (sys *System) Decommissioned() int64 { return sys.decommissioned }
 
 // TenantResidue lists everything of the tenant still allocated on either
 // array (volumes, journals or shards, snapshots, snapshot groups) plus any

@@ -117,8 +117,8 @@ func TestDecommissionReclaimsEverything(t *testing.T) {
 		if got := sys.Backup.Array.Usage(); got != backupBefore {
 			t.Errorf("backup array usage %+v, want pre-provision %+v", got, backupBefore)
 		}
-		if sys.Decommissioned() != 1 {
-			t.Errorf("decommissioned = %d", sys.Decommissioned())
+		if err := sys.WaitTenantCondition(p, "doomed", CondGone(), 0); err != nil {
+			t.Errorf("decommissioned tenant is not Gone: %v", err)
 		}
 		// The survivor is untouched and still replicating.
 		if _, err := survivor.Shop.PlaceOrder(p); err != nil {

@@ -57,7 +57,6 @@ type Operator struct {
 	groupKeys map[string]platform.ObjectKey
 
 	configured int64
-	removed    int64
 }
 
 // New builds the operator on the main site's API server. One controller
@@ -82,9 +81,6 @@ func (o *Operator) Stop() { o.ctrl.Stop() }
 // Configured returns how many ReplicationGroups the operator created (a
 // Create that found the group already there is not one).
 func (o *Operator) Configured() int64 { return o.configured }
-
-// Removed returns how many ReplicationGroups the operator deleted.
-func (o *Operator) Removed() int64 { return o.removed }
 
 // GroupNameFor returns the ReplicationGroup name the operator uses for a
 // namespace.
@@ -173,14 +169,10 @@ func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 }
 
 func (o *Operator) ensureAbsent(p *sim.Proc, groupKey platform.ObjectKey) error {
-	err := o.api.Delete(p, groupKey)
-	if errors.Is(err, platform.ErrNotFound) {
-		return nil
+	if err := o.api.Delete(p, groupKey); err != nil && !errors.Is(err, platform.ErrNotFound) {
+		return err
 	}
-	if err == nil {
-		o.removed++
-	}
-	return err
+	return nil
 }
 
 // claimNames lists the claims' names, in the listed order.

@@ -133,12 +133,22 @@ func TestUntagRemovesGroup(t *testing.T) {
 	if _, ok := f.group(t, "shop"); !ok {
 		t.Fatal("group missing")
 	}
+	w := f.api.Watch(platform.KindReplicationGroup)
 	f.setLabel(t, "shop", nil)
 	if _, ok := f.group(t, "shop"); ok {
 		t.Fatal("group survives untagging")
 	}
-	if f.op.Removed() != 1 {
-		t.Fatalf("removed = %d", f.op.Removed())
+	var deletes int
+	f.env.Process("drain", func(p *sim.Proc) {
+		for w.Pending() > 0 {
+			if ev := w.Next(p); ev.Type == platform.Deleted {
+				deletes++
+			}
+		}
+	})
+	f.runFor(0)
+	if deletes != 1 {
+		t.Fatalf("untagging deleted the group %d times, want 1", deletes)
 	}
 }
 

@@ -95,7 +95,6 @@ type Controller struct {
 	fails   map[ObjectKey]int
 
 	reconciles int64
-	errors     int64
 
 	// Telemetry instruments (nil ones no-op when the plane is disabled).
 	tel       *telemetry.Registry
@@ -248,7 +247,6 @@ func (c *Controller) reconcile(p *sim.Proc, track string) {
 		delete(c.fails, key)
 		return
 	}
-	c.errors++
 	c.requeues.Inc()
 	c.fails[key]++
 	delay := retryDelay << uint(c.fails[key]-1)
@@ -274,9 +272,6 @@ func (c *Controller) Stop() {
 
 // Reconciles returns the number of reconcile invocations.
 func (c *Controller) Reconciles() int64 { return c.reconciles }
-
-// Errors returns the number of reconcile errors.
-func (c *Controller) Errors() int64 { return c.errors }
 
 // QueueLen returns the number of keys waiting.
 func (c *Controller) QueueLen() int { return c.queue.Len() }

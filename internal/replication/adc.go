@@ -84,6 +84,7 @@ type Group struct {
 	stopEv     *sim.Event
 	stopped    bool
 	failedOver bool
+	failedBack bool
 	started    bool
 	committed  *sim.Event // pulsed per epoch commit and by an idle committing lane; CatchUp waits on it
 

@@ -14,6 +14,10 @@ import (
 // over.
 var ErrNotFailedOver = errors.New("replication: group has not failed over")
 
+// ErrFailedBack reports a Failback attempt on a group that has already failed
+// back: its journal is gone and its reverse group runs.
+var ErrFailedBack = errors.New("replication: group has already failed back")
+
 // FailbackStats describes what a resync moved.
 type FailbackStats struct {
 	// DeltaBlocks is the number of blocks copied (changed at the backup
@@ -27,7 +31,7 @@ type FailbackStats struct {
 }
 
 // Failback resynchronizes the original source site from a failed-over
-// group's targets and returns a new one-lane Group replicating in the
+// group's targets, once, and returns a new one-lane Group replicating in the
 // reverse direction (backup → original source). This is the disaster-recovery step
 // after the main site returns (§I's DR context, [6][7]):
 //
@@ -47,6 +51,9 @@ func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabri
 	var stats FailbackStats
 	if !old.failedOver {
 		return nil, stats, ErrNotFailedOver
+	}
+	if old.failedBack {
+		return nil, stats, ErrFailedBack
 	}
 
 	members := old.journal.Members()
@@ -123,5 +130,6 @@ func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabri
 		sv.SetReadOnly(true)
 	}
 	reverse.Start()
+	old.failedBack = true
 	return reverse, stats, nil
 }

@@ -48,6 +48,30 @@ func TestFailbackRequiresFailover(t *testing.T) {
 	r.env.Run(0)
 }
 
+// A group fails back once: a second Failback is refused with ErrFailedBack
+// before it touches anything, so the reverse group the first one started
+// keeps its volumes and the source array keeps its journals.
+func TestSecondFailbackIsRefused(t *testing.T) {
+	r, g := failoverRig(t)
+	r.env.Process("t", func(p *sim.Proc) {
+		reverse, _, err := g.Failback(p, r.main, r.links.Reverse, Config{})
+		if err != nil {
+			t.Errorf("failback: %v", err)
+			return
+		}
+		before, start := r.main.Usage(), p.Now()
+		if _, _, err := g.Failback(p, r.main, r.links.Reverse, Config{}); !errors.Is(err, ErrFailedBack) {
+			t.Errorf("second failback: %v, want ErrFailedBack", err)
+		}
+		if p.Now() != start || r.main.Usage() != before || reverse.Stopped() {
+			t.Errorf("the refused failback acted: %v passed, usage %+v -> %+v, reverse stopped %v",
+				p.Now()-start, before, r.main.Usage(), reverse.Stopped())
+		}
+		reverse.Stop()
+	})
+	r.env.Run(0)
+}
+
 func TestFailbackResyncsDelta(t *testing.T) {
 	r, g := failoverRig(t)
 	// New production at the backup site after failover.

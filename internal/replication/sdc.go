@@ -1,8 +1,6 @@
 package replication
 
 import (
-	"time"
-
 	"repro/internal/fabric"
 	"repro/internal/netlink"
 	"repro/internal/sim"
@@ -19,9 +17,6 @@ type SyncVolume struct {
 	target  *storage.Volume
 	forward fabric.Path
 	reverse fabric.Path
-
-	writes    int64
-	remoteLag time.Duration // cumulative remote round-trip overhead
 }
 
 // NewSyncVolume pairs a source volume with its remote twin over a link pair.
@@ -45,14 +40,11 @@ func (sv *SyncVolume) WriteOwned(p *sim.Proc, block int64, data []byte) (storage
 	if err != nil {
 		return storage.Ack{}, err
 	}
-	start := p.Now()
 	sv.forward.Transfer(p, sv.source.BlockSize()+64) // a whole block, whatever prefix data is
 	if err := sv.target.Apply(p, block, data); err != nil {
 		return storage.Ack{}, err
 	}
 	sv.reverse.Transfer(p, 64) // ack frame
-	sv.remoteLag += p.Now() - start
-	sv.writes++
 	return ack, nil
 }
 
@@ -88,15 +80,3 @@ func (sv *SyncVolume) SizeBlocks() int64 { return sv.source.SizeBlocks() }
 
 // BlockSize returns the local volume's block size.
 func (sv *SyncVolume) BlockSize() int { return sv.source.BlockSize() }
-
-// Writes returns the number of mirrored writes.
-func (sv *SyncVolume) Writes() int64 { return sv.writes }
-
-// MeanRemoteOverhead returns the average per-write latency added by the
-// synchronous mirror, or 0 with no writes.
-func (sv *SyncVolume) MeanRemoteOverhead() time.Duration {
-	if sv.writes == 0 {
-		return 0
-	}
-	return sv.remoteLag / time.Duration(sv.writes)
-}

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -93,16 +92,6 @@ func (a *Array) DeleteVolumeSnapshots(id VolumeID) error {
 		}
 	}
 	return nil
-}
-
-// ListSnapshots returns all snapshot IDs in lexical order.
-func (a *Array) ListSnapshots() []string {
-	out := make([]string, 0, len(a.snapshots))
-	for id := range a.snapshots {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ID returns the snapshot identifier.
@@ -219,15 +208,6 @@ func (a *Array) CreateSnapshotGroup(name string, vols []VolumeID) (*SnapshotGrou
 		g.snaps = append(g.snaps, s)
 	}
 	a.groups[name] = g
-	return g, nil
-}
-
-// SnapshotGroupByName returns a previously created group.
-func (a *Array) SnapshotGroupByName(name string) (*SnapshotGroup, error) {
-	g, ok := a.groups[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: group %s", ErrNoSuchSnapshot, name)
-	}
 	return g, nil
 }
 

@@ -473,8 +473,8 @@ func TestSnapshotGroupAtomicAndRollback(t *testing.T) {
 	if _, err := a.CreateSnapshotGroup("g1", []VolumeID{"sales", "missing"}); err == nil {
 		t.Fatal("expected failure for missing volume")
 	}
-	if len(a.ListSnapshots()) != 0 {
-		t.Fatalf("rollback left snapshots: %v", a.ListSnapshots())
+	if u := a.Usage(); u.Snapshots != 0 || u.SnapshotGroups != 0 {
+		t.Fatalf("rollback left snapshots: %+v", u)
 	}
 	g, err := a.CreateSnapshotGroup("g2", []VolumeID{"sales", "stock"})
 	if err != nil {
@@ -497,8 +497,11 @@ func TestSnapshotGroupAtomicAndRollback(t *testing.T) {
 	if err := a.DeleteSnapshotGroup("g2"); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.ListSnapshots()) != 0 {
-		t.Fatal("group delete left member snapshots")
+	if u := a.Usage(); u.Snapshots != 0 || u.SnapshotGroups != 0 {
+		t.Fatalf("group delete left member snapshots: %+v", u)
+	}
+	if err := a.DeleteSnapshotGroup("g2"); !errors.Is(err, ErrNoSuchSnapshot) {
+		t.Fatalf("second delete of the group: %v, want ErrNoSuchSnapshot", err)
 	}
 	_ = env
 }
@@ -681,24 +684,21 @@ func TestDeleteVolumeSnapshotsShrinksGroups(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := a.CreateSnapshotGroup("g", []VolumeID{"va", "vb"}); err != nil {
+	g, err := a.CreateSnapshotGroup("g", []VolumeID{"va", "vb"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.DeleteVolumeSnapshots("va"); err != nil {
 		t.Fatal(err)
 	}
-	g, err := a.SnapshotGroupByName("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Snapshots()) != 1 {
-		t.Fatalf("group members = %d, want 1", len(g.Snapshots()))
+	if u := a.Usage(); len(g.Snapshots()) != 1 || u.Snapshots != 1 || u.SnapshotGroups != 1 {
+		t.Fatalf("group members = %d, usage %+v, want 1 snapshot in 1 group", len(g.Snapshots()), u)
 	}
 	if err := a.DeleteVolumeSnapshots("vb"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.SnapshotGroupByName("g"); err == nil {
-		t.Fatal("empty snapshot group survived")
+	if err := a.DeleteSnapshotGroup("g"); !errors.Is(err, ErrNoSuchSnapshot) {
+		t.Fatalf("empty snapshot group survived: delete returned %v", err)
 	}
 	if u := a.Usage(); u.Snapshots != 0 || u.SnapshotGroups != 0 {
 		t.Fatalf("usage after deletes = %+v", u)

@@ -60,54 +60,53 @@ func TestSmokeBuildAllBinaries(t *testing.T) {
 	}
 }
 
-// TestSmokeQuickstartDeterministic runs examples/quickstart twice and
-// requires byte-identical, successful output — the determinism the whole
-// reproduction rests on, exercised through a real binary.
-func TestSmokeQuickstartDeterministic(t *testing.T) {
+// TestSmokeBackupdemoDeterministic runs cmd/backupdemo twice and requires
+// byte-identical, successful output that includes the snapshot's
+// verification — the determinism the whole reproduction rests on, exercised
+// through a real binary.
+func TestSmokeBackupdemoDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "quickstart")
-	build := exec.Command("go", "build", "-o", bin, "./examples/quickstart")
+	bin := filepath.Join(t.TempDir(), "backupdemo")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/backupdemo")
 	build.Dir = repoRoot(t)
 	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build quickstart: %v\n%s", err, out)
+		t.Fatalf("go build backupdemo: %v\n%s", err, out)
 	}
 	run := func() []byte {
 		t.Helper()
 		out, err := exec.Command(bin).CombinedOutput()
 		if err != nil {
-			t.Fatalf("quickstart: %v\n%s", err, out)
+			t.Fatalf("backupdemo: %v\n%s", err, out)
 		}
 		return out
 	}
 	out1 := run()
 	out2 := run()
 	if !bytes.Equal(out1, out2) {
-		t.Fatalf("quickstart output differs across runs:\n--- run 1\n%s\n--- run 2\n%s", out1, out2)
+		t.Fatalf("backupdemo output differs across runs:\n--- run 1\n%s\n--- run 2\n%s", out1, out2)
 	}
 	for _, want := range []string{
-		"backup is consistent",
-		"simulation finished at virtual time",
+		"backup verification:",
+		"collapsed=false",
+		"virtual time elapsed:",
 	} {
 		if !strings.Contains(string(out1), want) {
-			t.Fatalf("quickstart output missing %q:\n%s", want, out1)
+			t.Fatalf("backupdemo output missing %q:\n%s", want, out1)
 		}
 	}
 }
 
-// TestSmokeDemoGoldens pins the paper's demo and the examples the way
-// `make tables-check` pins the experiment tables: each binary's stdout, at
+// TestSmokeDemoGoldens pins the paper's demo and the ransomware example the
+// way `make tables-check` pins the experiment tables: each binary's stdout, at
 // the flags below, must equal its committed golden under testdata/ byte for
 // byte (the output is deterministic; the one scheduler is sequential). A
 // change that means to move one regenerates it from the repository root:
 //
 //	go run ./cmd/backupdemo > testdata/backupdemo.golden
 //	go run ./cmd/backupdemo -disaster > testdata/backupdemo-disaster.golden
-//	go run ./examples/quickstart > testdata/quickstart.golden
 //	go run ./examples/ransomware > testdata/ransomware.golden
-//	go run ./examples/analytics > testdata/analytics.golden
 //
 // and explains every changed line in CHANGES.md.
 func TestSmokeDemoGoldens(t *testing.T) {
@@ -117,7 +116,7 @@ func TestSmokeDemoGoldens(t *testing.T) {
 	root := repoRoot(t)
 	dir := t.TempDir()
 	build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator),
-		"./cmd/backupdemo", "./examples/quickstart", "./examples/ransomware", "./examples/analytics")
+		"./cmd/backupdemo", "./examples/ransomware")
 	build.Dir = root
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
@@ -129,9 +128,7 @@ func TestSmokeDemoGoldens(t *testing.T) {
 	}{
 		{"backupdemo", nil, "backupdemo.golden"},
 		{"backupdemo", []string{"-disaster"}, "backupdemo-disaster.golden"},
-		{"quickstart", nil, "quickstart.golden"},
 		{"ransomware", nil, "ransomware.golden"},
-		{"analytics", nil, "analytics.golden"},
 	} {
 		want, err := os.ReadFile(filepath.Join(root, "testdata", c.golden))
 		if err != nil {
