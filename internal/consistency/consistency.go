@@ -54,7 +54,7 @@ func (r Report) String() string {
 // Verify checks a recovered backup image pair against the main site's
 // ground-truth commit orders (workload.Shop provides them).
 func Verify(sales, stock CommitSet, salesOrder, stockOrder []uint64) Report {
-	// One sorted listing per image: each call builds and sorts a fresh slice.
+	// One listing per image: a database copies its committed set, kept sorted.
 	salesTxns, stockTxns := sales.CommittedTxns(), stock.CommittedTxns()
 	rep := Report{SalesTxns: len(salesTxns), StockTxns: len(stockTxns)}
 	for _, tx := range stockTxns {

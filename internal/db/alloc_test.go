@@ -112,9 +112,22 @@ func dirty(tb testing.TB, p *sim.Proc, d *DB, n int) {
 			tb.Fatal(err)
 		}
 	}
-	if len(d.owned) != n {
-		tb.Fatalf("%d dirty pages, want %d", len(d.owned), n)
+	if owned, _ := tableCounts(&d.reader); owned != n {
+		tb.Fatalf("%d dirty pages, want %d", owned, n)
 	}
+}
+
+// tableCounts counts the reader's page table: the owned pages the next
+// checkpoint flushes, and the clean ones.
+func tableCounts(r *reader) (owned, clean int) {
+	for _, pg := range r.pages {
+		if pg.owned {
+			owned++
+		} else {
+			clean++
+		}
+	}
+	return owned, clean
 }
 
 // Checkpoint hands its dirty pages over: however many there are it allocates
@@ -150,15 +163,16 @@ func TestCheckpointAllocatesNoPage(t *testing.T) {
 }
 
 // OpenView of a crashed image allocates a fixed part sized once, however many
-// pages it redoes: the view, its two maps and their first buckets (5), the I/O
+// pages it redoes: the view, the committed set and the page table, each made
+// at its exact size (3 — a table of up to 8 pages is one allocation), the I/O
 // vector at the log's first two chunks and then once more — at the log
 // region's size for a log that outgrows them, else at the page scatter's —
-// the record slice, and the one array the redone pages share (4) — none of
+// the record slice, and the one array the redone pages share (5) — none of
 // which grows as it fills.
 func TestOpenViewAllocatesItsSlicesOnce(t *testing.T) {
 	inProcess(func(p *sim.Proc, a *storage.Array) {
 		const txns = 8
-		for _, pages := range []int{1, 4} { // both maps stay inside their first bucket
+		for _, pages := range []int{1, 4} {
 			image := crashedImage(t, p, a, storage.VolumeID(fmt.Sprint("image", pages)), txns, pages)
 			var v *View
 			allocs := testing.AllocsPerRun(1, func() {
@@ -167,9 +181,9 @@ func TestOpenViewAllocatesItsSlicesOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if v.RecoveredTxns() != txns || len(v.owned) != pages || allocs != 9 {
-				t.Fatalf("OpenView redid %d transactions into %d pages with %v allocations; want %d into %d with 9",
-					v.RecoveredTxns(), len(v.owned), allocs, txns, pages)
+			if owned, _ := tableCounts(&v.reader); v.RecoveredTxns() != txns || owned != pages || allocs != 8 {
+				t.Fatalf("OpenView redid %d transactions into %d pages with %v allocations; want %d into %d with 8",
+					v.RecoveredTxns(), owned, allocs, txns, pages)
 			}
 		}
 	})
@@ -180,7 +194,7 @@ func TestOpenViewAllocatesItsSlicesOnce(t *testing.T) {
 // chunks (3 blocks), which any non-empty log reads: a log of two live blocks
 // never sizes it by the WAL region, and the page scatter allocates its own. A
 // log that outgrows two chunks grows it to the region once, which the scatter
-// reuses. Either way OpenView makes the 9 allocations pinned above.
+// reuses. Either way OpenView makes the 8 allocations pinned above.
 func TestOpenViewVectorReachesTheRegionOnlyPastTwoChunks(t *testing.T) {
 	inProcessOn(storage.Config{BlockSize: 512}, func(p *sim.Proc, a *storage.Array) {
 		for _, c := range []struct {
@@ -196,8 +210,8 @@ func TestOpenViewVectorReachesTheRegionOnlyPastTwoChunks(t *testing.T) {
 				}
 			})
 			live, _ := v.LogBlocks()
-			if live != c.live || (cap(v.vec) >= v.cfg.WALBlocks) != c.region || allocs != 9 {
-				t.Fatalf("%d-byte rows: %d live log blocks, vector cap %d of a %d-block region, %v allocations; want %d live, region-sized %v, 9",
+			if live != c.live || (cap(v.vec) >= v.cfg.WALBlocks) != c.region || allocs != 8 {
+				t.Fatalf("%d-byte rows: %d live log blocks, vector cap %d of a %d-block region, %v allocations; want %d live, region-sized %v, 8",
 					c.vlen, live, cap(v.vec), v.cfg.WALBlocks, allocs, c.live, c.region)
 			}
 		}
@@ -283,30 +297,25 @@ func recoveryAllocs(t *testing.T, p *sim.Proc, a *storage.Array, txns, pages int
 	return allocs
 }
 
-// mapSink keeps mapGrowth's maps on the heap, as a reader's are.
-var mapSink map[int64][]byte
+// tableSink keeps tableAllocs's tables on the heap, as a reader's is.
+var tableSink map[int64]page
 
-// mapGrowth counts the allocations of filling a page map with n entries.
-func mapGrowth(n int) float64 {
-	return testing.AllocsPerRun(1, func() {
-		mapSink = make(map[int64][]byte)
-		for b := range n {
-			mapSink[int64(b)] = nil
-		}
-	})
+// tableAllocs counts the allocations of making a page table sized for n pages.
+func tableAllocs(n int) float64 {
+	return testing.AllocsPerRun(1, func() { tableSink = make(map[int64]page, n) })
 }
 
 // Recovery allocates nothing per page it redoes: the redone pages share one
-// array, which the checkpoint hands over slice by slice. So 32 more redone
-// pages for the same log cost at most what the two page maps (owned, and the
-// clean cache the checkpoint fills) grow by — where a page copied on its first
-// redone row cost one allocation each.
+// array, which the checkpoint hands over slice by slice and leaves in the
+// table where they sit. So 32 more redone pages for the same log cost at most
+// what the one page table, made at its exact size, costs more — where a page
+// copied on its first redone row cost one allocation each.
 func TestRecoveryAllocatesNothingPerRedonePage(t *testing.T) {
 	inProcess(func(p *sim.Proc, a *storage.Array) {
 		const txns, few, many = 80, 8, 40
 		base, more := recoveryAllocs(t, p, a, txns, few), recoveryAllocs(t, p, a, txns, many)
-		if growth := 2 * (mapGrowth(many) - mapGrowth(few)); more-base > growth {
-			t.Fatalf("recovery of %d transactions: %v allocations over %d pages, %v over %d: %v more, want at most the maps' growth, %v",
+		if growth := tableAllocs(many) - tableAllocs(few); more-base > growth {
+			t.Fatalf("recovery of %d transactions: %v allocations over %d pages, %v over %d: %v more, want at most the table's, %v",
 				txns, base, few, more, many, more-base, growth)
 		}
 	})

@@ -226,23 +226,31 @@ func (d *DB) walFits(sizes []int) bool {
 // Checkpoint flushes the owned pages, bumps the log epoch, and resets the WAL
 // head — the no-force flush point. The owned pages are handed over to the
 // volume as one gathered write in ascending block order, each as its prefix
-// capped at its length (so an append by any holder copies), and stay cached as
-// clean pages: the next write to one copies. The superblock that retires the
-// log is its own request, issued only after the gather has returned — the
-// write barrier: no image holds the new epoch without every page under it.
+// capped at its length (so an append by any holder copies), and stay in the
+// table where they sit, clean: the next write to one copies. The superblock
+// that retires the log is its own request, issued only after the gather has
+// returned — the write barrier: no image holds the new epoch without every
+// page under it.
 func (d *DB) Checkpoint(p *sim.Proc) error {
-	d.vec = d.vecFor(len(d.owned))
-	for b, pg := range d.owned {
-		d.vec = append(d.vec, storage.BlockIO{Block: b, Data: pg[:len(pg):len(pg)]})
+	n := 0
+	for _, pg := range d.pages {
+		if pg.owned {
+			n++
+		}
+	}
+	d.vec = d.vecFor(n)
+	for b, pg := range d.pages {
+		if pg.owned {
+			d.vec = append(d.vec, storage.BlockIO{Block: b, Data: pg.data[:len(pg.data):len(pg.data)]})
+		}
 	}
 	sortByBlock(d.vec)
 	if err := d.vol.WriteOwnedBlocks(p, d.vec); err != nil {
 		return err
 	}
 	d.pageFlushes += int64(len(d.vec))
-	clear(d.owned)
 	for _, io := range d.vec {
-		d.keepClean(io.Block, io.Data)
+		d.pages[io.Block] = page{data: io.Data}
 	}
 	d.epoch++
 	d.walSeq, d.head = 0, nil // the old head is the volume's; the next commit starts a new buffer
@@ -262,22 +270,20 @@ const arenaMaxBlocks = 64
 // the commit that asks has loaded, in a room one slot longer than its prefix.
 // After it, it is the owned page, moved to a room twice its size when the room
 // is full and the key needs a slot it has not got. A room is at most a block.
-// The caller stores the page an upsert returns back into owned.
+// The caller stores the page an upsert returns back into the table, owned.
 func (d *DB) writablePage(block int64, key uint64) []byte {
-	pg, ok := d.owned[block]
-	if !ok {
-		clean, loaded := d.cleanPage(block)
-		if !loaded {
-			panic(fmt.Sprintf("db: %s: page %d written before it was loaded", d.name, block))
-		}
-		return d.carve(clean, len(clean)+slotSize)
-	}
-	if len(pg)+slotSize > cap(pg) {
-		if at, free, _ := pageFind(pg, key); at < 0 && free < 0 {
-			return d.carve(pg, 2*cap(pg))
+	pg, loaded := d.cached(block)
+	switch {
+	case !loaded:
+		panic(fmt.Sprintf("db: %s: page %d written before it was loaded", d.name, block))
+	case !pg.owned:
+		return d.carve(pg.data, len(pg.data)+slotSize)
+	case len(pg.data)+slotSize > cap(pg.data):
+		if at, free, _ := pageFind(pg.data, key); at < 0 && free < 0 {
+			return d.carve(pg.data, 2*cap(pg.data))
 		}
 	}
-	return pg
+	return pg.data
 }
 
 // carve copies pg into a room of n bytes, at most a block, cut from the front

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -399,6 +400,59 @@ func TestBeginWithIDCoordinatesAcrossDBs(t *testing.T) {
 		if tx2.ID() <= 1000 {
 			t.Fatalf("auto ID %d collided with explicit range", tx2.ID())
 		}
+	})
+}
+
+// The committed set is sorted and distinct however IDs reach it: commits whose
+// BeginWithID IDs arrive out of order and repeat, a replayed log whose commit
+// records do the same, and live commits after the replay. CommittedTxns is a
+// copy: a caller that rewrites it changes nothing the database reports.
+func TestCommittedSetIsSortedAndDistinct(t *testing.T) {
+	withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
+		commit := func(d *DB, id uint64) {
+			t.Helper()
+			tx := d.BeginWithID(id)
+			tx.Put(id, []byte{byte(id)})
+			if err := tx.Commit(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(stage string, d *DB, want []uint64) {
+			t.Helper()
+			if got := d.CommittedTxns(); !slices.Equal(got, want) {
+				t.Fatalf("%s: committed %v, want %v", stage, got, want)
+			}
+			for id := uint64(0); id <= 13; id++ {
+				if d.HasCommitted(id) != slices.Contains(want, id) {
+					t.Fatalf("%s: HasCommitted(%d) = %v, want %v", stage, id, d.HasCommitted(id), slices.Contains(want, id))
+				}
+			}
+		}
+		d, _ := Open(p, "sales", vol, Config{})
+		for _, id := range []uint64{5, 2, 9, 2} {
+			commit(d, id)
+		}
+		check("out of order", d, []uint64{2, 5, 9})
+
+		d, err := Open(p, "sales", vol, Config{}) // replays all four commit records
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.RecoveredTxns() != 3 {
+			t.Fatalf("replay recovered %d transactions, want the 3 distinct IDs", d.RecoveredTxns())
+		}
+		check("replayed", d, []uint64{2, 5, 9})
+		for _, id := range []uint64{7, 1, 12, 5} {
+			commit(d, id)
+		}
+		want := []uint64{1, 2, 5, 7, 9, 12}
+		check("replayed, then live", d, want)
+
+		listing := d.CommittedTxns()
+		for i := range listing {
+			listing[i] = 3
+		}
+		check("after the caller rewrote its listing", d, want)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -31,9 +32,9 @@ func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 		tx.Put(7, []byte("flushed"))
 		tx.Commit(p)
 		page := d.pageBlock(7)
-		owned := d.owned[page]
+		owned := d.pages[page].data
 		d.Checkpoint(p)
-		if len(d.owned) != 0 || &d.reads[page][0] != &owned[0] || &src.Peek(page)[0] != &owned[0] {
+		if dirty, _ := tableCounts(&d.reader); dirty != 0 || &d.pages[page].data[0] != &owned[0] || &src.Peek(page)[0] != &owned[0] {
 			t.Fatal("checkpoint must hand the dirty page to the volume and keep it as the clean page")
 		}
 		if stored := src.Peek(page); len(stored) != slotSize || cap(stored) != len(stored) {
@@ -74,8 +75,8 @@ func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 		if !bytes.Equal(src.Peek(page), flushed) {
 			t.Fatal("no-force: the commit changed the primary's stored page")
 		}
-		if &d.owned[page][0] == &owned[0] || len(d.owned[page]) != 2*slotSize {
-			t.Fatalf("the commit wrote into the page it had handed over, or left %d bytes, not two slots", len(d.owned[page]))
+		if pg := d.pages[page]; !pg.owned || &pg.data[0] == &owned[0] || len(pg.data) != 2*slotSize {
+			t.Fatalf("the commit wrote into the page it had handed over, or left %d bytes, not two owned slots", len(pg.data))
 		}
 		d.Checkpoint(p)
 		same("second checkpoint")
@@ -112,7 +113,7 @@ func TestUpsertPastARedonePagesRoomCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, next := view.owned[view.pageBlock(1)], view.owned[view.pageBlock(2)]
+		first, next := view.pages[view.pageBlock(1)].data, view.pages[view.pageBlock(2)].data
 		for _, pg := range [][]byte{first, next} {
 			if len(pg) != 2*slotSize || cap(pg) != len(pg) {
 				t.Fatalf("a redone page is %d bytes with capacity %d; want its two slots and no more room", len(pg), cap(pg))
@@ -252,8 +253,8 @@ func TestReadsCacheBorrowedPages(t *testing.T) {
 		}
 		rows := 0
 		d.Scan(p, func(Row) bool { rows++; return true })
-		if rows != 2 || int64(len(d.region)) != d.dataPages || len(d.reads) != 1 || len(d.owned) != 0 {
-			t.Fatalf("scan saw %d rows, cached %d of %d pages and %d singly, %d dirty", rows, len(d.region), d.dataPages, len(d.reads), len(d.owned))
+		if dirty, clean := tableCounts(&d.reader); rows != 2 || int64(len(d.region)) != d.dataPages || clean != 1 || dirty != 0 {
+			t.Fatalf("scan saw %d rows, cached %d of %d pages and %d singly, %d dirty", rows, len(d.region), d.dataPages, clean, dirty)
 		}
 		borrowed := func(b int64, pg []byte) {
 			t.Helper()
@@ -262,7 +263,7 @@ func TestReadsCacheBorrowedPages(t *testing.T) {
 				t.Fatalf("cached page %d is not the volume's stored slice", b)
 			}
 		}
-		borrowed(d.pageBlock(7), d.reads[d.pageBlock(7)])
+		borrowed(d.pageBlock(7), d.pages[d.pageBlock(7)].data)
 		for i, pg := range d.region {
 			borrowed(d.dataBase+int64(i), pg)
 		}
@@ -280,8 +281,8 @@ func TestReadsCacheBorrowedPages(t *testing.T) {
 
 // A Scan of a data region never written preloads it as nil, and a Checkpoint
 // after it still caches every page it hands over: the checkpointed rows are
-// served from the clean cache, each the volume's own slice, with no further
-// volume read.
+// served from the table, each page clean and the volume's own slice, with no
+// further volume read.
 func TestCheckpointAfterUnwrittenPreloadKeepsPagesClean(t *testing.T) {
 	withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
 		d, err := Open(p, "sales", vol, Config{})
@@ -314,15 +315,94 @@ func TestCheckpointAfterUnwrittenPreloadKeepsPagesClean(t *testing.T) {
 				t.Fatalf("get %d = %q, %v, %v; want %q", key, v, ok, err, want)
 			}
 			b := d.pageBlock(key)
-			if pg, stored := d.region[b-d.dataBase], vol.Peek(b); stored == nil || &pg[0] != &stored[0] {
+			if pg, stored := d.pages[b], vol.Peek(b); pg.owned || stored == nil || &pg.data[0] != &stored[0] {
 				t.Fatalf("page %d is not cached as the volume's stored slice", b)
 			}
 		}
 		scan()
-		if rows != 2 || vol.Reads() != reads || len(d.owned) != 0 {
-			t.Fatalf("after the checkpoint: scan saw %d rows, %d volume reads, %d dirty pages; want 2, 0, 0", rows, vol.Reads()-reads, len(d.owned))
+		if dirty, _ := tableCounts(&d.reader); rows != 2 || vol.Reads() != reads || dirty != 0 {
+			t.Fatalf("after the checkpoint: scan saw %d rows, %d volume reads, %d dirty pages; want 2, 0, 0", rows, vol.Reads()-reads, dirty)
 		}
 	})
+}
+
+// slowRead is a volume whose next Read, once delay is set, completes that much
+// later than the array serves it.
+type slowRead struct {
+	*storage.Volume
+	delay time.Duration
+}
+
+func (v *slowRead) Read(p *sim.Proc, block int64) ([]byte, error) {
+	delay := v.delay
+	v.delay = 0
+	data, err := v.Volume.Read(p, block)
+	p.Sleep(delay)
+	return data, err
+}
+
+// A clean page read while a commit wrote the same page never replaces the
+// owned one. Process A's Get reads a cold page and is slow to complete; process
+// B commits a row to that page and finishes meanwhile. A's Get may answer with
+// the page as it was before B's commit, since its read started first — but
+// after it a Get and a Scan see B's row, and a Checkpoint flushes it.
+func TestSlowReadNeverReplacesAWrittenPage(t *testing.T) {
+	env := sim.NewEnv(1)
+	a := storage.NewArray(env, "arr", storage.Config{})
+	base, err := a.CreateVolume("dbvol", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol := &slowRead{Volume: base}
+	env.Process("A", func(p *sim.Proc) {
+		d, _ := Open(p, "sales", vol, Config{})
+		tx := d.Begin()
+		tx.Put(7, []byte("a"))
+		tx.Commit(p)
+		d.Checkpoint(p)
+		if d, err = Open(p, "sales", vol, Config{}); err != nil { // cold: nothing cached
+			t.Fatal(err)
+		}
+		done := false
+		env.Process("B", func(p *sim.Proc) {
+			tx := d.Begin()
+			tx.Put(7, []byte("b"))
+			if err := tx.Commit(p); err != nil {
+				t.Error(err)
+			}
+			done = true
+		})
+		vol.delay = 10 * time.Millisecond
+		v, _, err := d.Get(p, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !done || (string(v) != "a" && string(v) != "b") {
+			t.Fatalf("A's slow Get read %q with B done %v; want B's commit finished and the row before or after it", v, done)
+		}
+		if v, _, _ := d.Get(p, 7); string(v) != "b" {
+			t.Fatalf("a Get after the slow one reads %q, want B's row", v)
+		}
+		var scanned string
+		d.Scan(p, func(r Row) bool {
+			if r.Key == 7 {
+				scanned = string(r.Val)
+			}
+			return true
+		})
+		if scanned != "b" {
+			t.Fatalf("a Scan after the slow Get reads %q, want B's row", scanned)
+		}
+		flushed := d.PageFlushes()
+		if err := d.Checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+		row, _ := pageLookup(base.Peek(d.pageBlock(7)), 7)
+		if d.PageFlushes()-flushed != 1 || string(row.Val) != "b" {
+			t.Fatalf("the checkpoint flushed %d pages and stored %q; want B's page, with B's row", d.PageFlushes()-flushed, row.Val)
+		}
+	})
+	env.Run(0)
 }
 
 // txnShape builds one transaction's rows: n rows of vlen-byte values, each

@@ -40,13 +40,14 @@ type BlockReader interface {
 // and the page lookup behind Get and Scan. A View is a reader and a replay
 // timer; a DB is a reader plus what writes.
 //
-// Pages are cached by absolute block index and copied on first write. A clean
-// page is borrowed: the slice the volume holds (nil = never written), never
-// written into. owned holds the copies the replay took and, on a DB, the rooms
-// its commits carved (DB.writablePage) — the only pages upserted into — and
-// shadows the clean caches until DB.Checkpoint hands them to the volume;
-// nothing else leaves a reader. The reader itself only reads: what commits
-// write with lives on the DB, so a View carries none of it.
+// Pages are cached by absolute block index in one table and copied on first
+// write. A clean page is borrowed: the slice the volume holds (nil = never
+// written), never written into. An owned page is a copy the replay took or, on
+// a DB, a room its commits carved (DB.writablePage) — the only pages upserted
+// into — until DB.Checkpoint hands it to the volume and it stays, clean, where
+// it sits; nothing else leaves a reader. Caching a clean page never replaces an
+// owned one (loadPage). The reader itself only reads: what commits write with
+// lives on the DB, so a View carries none of it.
 type reader struct {
 	name string
 	img  BlockReader
@@ -60,10 +61,9 @@ type reader struct {
 	epoch    uint32 // log epoch: the superblock's, which Checkpoint bumps
 	nextTxID uint64
 
-	owned     map[int64][]byte
-	reads     map[int64][]byte // clean pages read one at a time; made on first use
-	region    [][]byte         // clean pages of the whole data region once Scan preloaded it; nil while none was written
-	preloaded bool             // Scan has preloaded the region: region, not reads, is the clean cache
+	pages     map[int64]page // the page table: made on first use, by the replay at its exact size
+	region    [][]byte       // clean pages of the whole data region once Scan preloaded it; nil while none was written
+	preloaded bool           // Scan has preloaded the region: a block the table lacks is region's
 
 	// vec is the one I/O vector: the replay's log chunks, its scatter read and
 	// Checkpoint's gather write fill it in turn, so it grows only past the
@@ -71,12 +71,20 @@ type reader struct {
 	// log region's size only for a log that outgrows them.
 	vec []storage.BlockIO
 
-	committed map[uint64]bool
+	committed []uint64 // IDs known committed, ascending and distinct
 	recovered int
 	torn      bool
 
 	logRead, pageRead time.Duration // the replay's two reads, in simulated time
 	logLive, logReads int           // WAL blocks the replay found live, and read to find them
+}
+
+// page is one entry of the page table: the page's bytes, and whether they are
+// the reader's own copy (upserted into, flushed by the next checkpoint) or the
+// volume's, borrowed.
+type page struct {
+	data  []byte
+	owned bool
 }
 
 // open lays the database out on vol and checks its superblock; it writes
@@ -96,8 +104,6 @@ func (r *reader) open(p *sim.Proc, name string, vol BlockReader, cfg Config) err
 		dataPages: vol.SizeBlocks() - int64(1+cfg.WALBlocks),
 		epoch:     1,
 		nextTxID:  1,
-		owned:     make(map[int64][]byte),
-		committed: make(map[uint64]bool),
 	}
 	if r.dataPages <= 0 {
 		return fmt.Errorf("%w: %d blocks with %d WAL blocks", ErrVolumeTooSmall, vol.SizeBlocks(), cfg.WALBlocks)
@@ -129,7 +135,8 @@ func (r *reader) open(p *sim.Proc, name string, vol BlockReader, cfg Config) err
 //
 // The owned copies share one array, sized once: each page is a capped slice of
 // it with room for its stored prefix and one more slot per committed update to
-// it (at most a block), so the redo never outgrows it.
+// it (at most a block), so the redo never outgrows it. The committed set and
+// the page table are made once too, at the sizes the log gives them.
 func (r *reader) replay(p *sim.Proc) error {
 	start := p.Now()
 	recs, err := r.readLog(p)
@@ -139,11 +146,11 @@ func (r *reader) replay(p *sim.Proc) error {
 	r.logRead = p.Now() - start
 	r.torn = err != nil
 	// Analysis: find transactions whose commit record survived.
-	updates := 0
+	commits, updates := 0, 0
 	for _, rec := range recs {
 		switch rec.Type {
 		case wal.TypeCommit:
-			r.committed[rec.TxID] = true
+			commits++
 		case wal.TypeUpdate:
 			updates++
 		}
@@ -151,6 +158,14 @@ func (r *reader) replay(p *sim.Proc) error {
 			r.nextTxID = rec.TxID + 1
 		}
 	}
+	r.committed = make([]uint64, 0, commits)
+	for _, rec := range recs {
+		if rec.Type == wal.TypeCommit {
+			r.committed = append(r.committed, rec.TxID)
+		}
+	}
+	slices.Sort(r.committed)
+	r.committed = slices.Compact(r.committed)
 	// Claim the home page of every committed update, sort the claims, and move
 	// each page's first claim to the front: those are the pages, in block
 	// order, and behind them the further claims, sorted again. The records
@@ -158,7 +173,7 @@ func (r *reader) replay(p *sim.Proc) error {
 	// to reuse.
 	r.vec = r.vecFor(updates)
 	for _, rec := range recs {
-		if rec.Type == wal.TypeUpdate && r.committed[rec.TxID] {
+		if rec.Type == wal.TypeUpdate && r.HasCommitted(rec.TxID) {
 			r.vec = append(r.vec, storage.BlockIO{Block: r.pageBlock(rec.Key)})
 		}
 	}
@@ -180,21 +195,24 @@ func (r *reader) replay(p *sim.Proc) error {
 	size := 0
 	r.eachRoom(pages, more, func(_ storage.BlockIO, room int) { size += room })
 	arr, off := make([]byte, size), 0
+	if n > 0 {
+		r.pages = make(map[int64]page, n)
+	}
 	r.eachRoom(pages, more, func(io storage.BlockIO, room int) {
-		r.owned[io.Block] = append(arr[off:off:off+room], io.Data...) // a never-written page (nil) is empty
+		r.pages[io.Block] = page{data: append(arr[off:off:off+room], io.Data...), owned: true} // a never-written page (nil) is empty
 		off += room
 	})
 	// Redo committed transactions' updates in log order.
 	for _, rec := range recs {
-		if rec.Type != wal.TypeUpdate || !r.committed[rec.TxID] {
+		if rec.Type != wal.TypeUpdate || !r.HasCommitted(rec.TxID) {
 			continue
 		}
 		block := r.pageBlock(rec.Key)
-		pg, err := pageUpsert(r.owned[block], Row{Key: rec.Key, TxID: rec.TxID, Val: rec.Val}, r.blockSize)
+		pg, err := pageUpsert(r.pages[block].data, Row{Key: rec.Key, TxID: rec.TxID, Val: rec.Val}, r.blockSize)
 		if err != nil {
 			return fmt.Errorf("db: %s: redo tx %d: %w", r.name, rec.TxID, err)
 		}
-		r.owned[block] = pg
+		r.pages[block] = page{data: pg, owned: true}
 	}
 	r.recovered = len(r.committed)
 	return nil
@@ -277,53 +295,48 @@ func (r *reader) pageBlock(key uint64) int64 {
 	return r.dataBase + int64(key%uint64(r.dataPages))
 }
 
-// cleanPage returns the block as a clean cache holds it, and whether one does.
-// A preloaded region that came back nil holds every page, none written.
-func (r *reader) cleanPage(block int64) ([]byte, bool) {
-	if r.preloaded {
-		if r.region == nil {
-			return nil, true
-		}
-		return r.region[block-r.dataBase], true
+// cached returns the block's page as the reader holds it, and whether it
+// does: the table's entry, else — once Scan preloaded the region — the
+// region's clean page. A preloaded region that came back nil holds every page,
+// none written.
+func (r *reader) cached(block int64) (page, bool) {
+	if pg, ok := r.pages[block]; ok || !r.preloaded {
+		return pg, ok
 	}
-	pg, ok := r.reads[block]
-	return pg, ok
+	if r.region == nil {
+		return page{}, true
+	}
+	return page{data: r.region[block-r.dataBase]}, true
 }
 
-// keepClean caches pg as the block's clean page: what the volume holds. After
-// a preload that found nothing written (a Checkpoint after a Scan), the region
-// is made here, all nil but pg.
-func (r *reader) keepClean(block int64, pg []byte) {
-	if r.preloaded {
-		if r.region == nil {
-			r.region = make([][]byte, r.dataPages)
-		}
-		r.region[block-r.dataBase] = pg
-		return
-	}
-	if r.reads == nil {
-		r.reads = make(map[int64][]byte) // a reader that only scans never reads one page at a time
-	}
-	r.reads[block] = pg
-}
-
-// loadPage returns the page for reading: the owned copy if it was written,
-// else the clean page, read from the volume on a miss and cached as it is:
-// borrowed, so nil for a never-written page (which holds no rows and has every
-// slot free) and never to be written into.
+// loadPage returns the page for reading: the cached one, else the clean page
+// read from the volume and cached as it is: borrowed, so nil for a
+// never-written page (which holds no rows and has every slot free) and never
+// to be written into. The read yields, and a commit may have cached or written
+// the page meanwhile: the table is looked up again before the read is cached,
+// so a clean page never replaces an owned one.
 func (r *reader) loadPage(p *sim.Proc, block int64) ([]byte, error) {
-	if pg, ok := r.owned[block]; ok {
-		return pg, nil
+	if pg, ok := r.cached(block); ok {
+		return pg.data, nil
 	}
-	if pg, ok := r.cleanPage(block); ok {
-		return pg, nil
-	}
-	pg, err := r.img.Read(p, block)
+	data, err := r.img.Read(p, block)
 	if err != nil {
 		return nil, err
 	}
-	r.keepClean(block, pg)
-	return pg, nil
+	if pg, ok := r.cached(block); ok {
+		return pg.data, nil
+	}
+	r.keep(block, page{data: data})
+	return data, nil
+}
+
+// keep stores pg as the block's table entry, making the table on first use
+// where the replay did not: a reader that only scans never makes one.
+func (r *reader) keep(block int64, pg page) {
+	if r.pages == nil {
+		r.pages = make(map[int64]page)
+	}
+	r.pages[block] = pg
 }
 
 // Get returns the value for key and whether it exists. The value is lent, not
@@ -371,19 +384,18 @@ func (r *reader) Scan(p *sim.Proc, fn func(Row) bool) error {
 }
 
 // CommittedTxns returns the IDs of every transaction known committed (from
-// the replay, plus a DB's own since), sorted ascending. The consistency
-// verifier compares these sets across databases.
+// the replay, plus a DB's own since), sorted ascending: a copy of the set,
+// which the caller may keep and modify. The consistency verifier compares
+// these sets across databases.
 func (r *reader) CommittedTxns() []uint64 {
-	out := make([]uint64, 0, len(r.committed))
-	for id := range r.committed {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
+	return append(make([]uint64, 0, len(r.committed)), r.committed...)
 }
 
 // HasCommitted reports whether the transaction ID is known committed.
-func (r *reader) HasCommitted(txid uint64) bool { return r.committed[txid] }
+func (r *reader) HasCommitted(txid uint64) bool {
+	_, ok := slices.BinarySearch(r.committed, txid)
+	return ok
+}
 
 // RecoveredTxns returns how many committed transactions the replay redid.
 func (r *reader) RecoveredTxns() int { return r.recovered }

@@ -184,9 +184,14 @@ func (t *Txn) Commit(p *sim.Proc) error {
 			// The fit check above guaranteed room; this indicates a bug.
 			panic(fmt.Sprintf("db: %s: post-log upsert failed: %v", d.name, err))
 		}
-		d.owned[block] = pg
+		d.keep(block, page{data: pg, owned: true})
 	}
-	d.committed[t.id] = true
+	if i, found := slices.BinarySearch(d.committed, t.id); !found {
+		if d.committed == nil {
+			d.committed = make([]uint64, 0, 8) // a benchmark fleet tenant's 8 orders; a longer run grows it by appends
+		}
+		d.committed = slices.Insert(d.committed, i, t.id)
+	}
 	d.commits++
 	return nil
 }

@@ -21,9 +21,13 @@ import (
 // run, so a move in the fleet's MB/op that this pin does not show is in
 // another phase. Before the views stopped sizing the log vector and the scan
 // preload by their regions the phase cost 47 allocations and 20,136 bytes.
+// Before each view kept its committed set in one sorted slice and its pages
+// in one table, each made at the size its log gives it, the views' two maps
+// and their first buckets made it 46 and 10,952. It costs 41 and 10,248 now,
+// as much under -race.
 const (
-	verifyAllocsBudget = 46
-	verifyBytesBudget  = 11_592
+	verifyAllocsBudget = 41
+	verifyBytesBudget  = 10_248
 )
 
 func TestVerifySnapshotAllocBudget(t *testing.T) {
@@ -93,11 +97,13 @@ func TestVerifySnapshotAllocBudget(t *testing.T) {
 // copied it into a whole block: the phase cost 71 allocations and 16,752 bytes.
 // Before commits encoded their records straight into the WAL head block and
 // the shop grew its ledgers once per run, it cost 55 and 11,120, and a -race
-// build added 48 bytes. It costs 26 and 10,128 now, as much under -race; the
-// bytes budget keeps those 48 bytes of slack.
+// build added 48 bytes. Before each database kept its committed set in a
+// sorted slice and its pages in one table, a committed map and an owned map
+// per database made it 26 and 10,128. It costs 24 and 9,776 now, as much under
+// -race; the bytes budget keeps 48 bytes of slack.
 const (
-	orderAllocsBudget = 26
-	orderBytesBudget  = 10_176
+	orderAllocsBudget = 24
+	orderBytesBudget  = 9_824
 )
 
 func TestOrderPhaseAllocBudget(t *testing.T) {
@@ -147,10 +153,13 @@ func TestOrderPhaseAllocBudget(t *testing.T) {
 // fleet_seq's shape (512-byte blocks, 256 blocks) — the replay of a log that
 // was never checkpointed, then the recovery checkpoint. The orders run
 // unmeasured on fresh volumes before every open, so each open recovers the
-// same image. It costs 43 allocations and 13,160 bytes, as much under -race.
+// same image. Before the replay made the committed set and the page table
+// once at their exact sizes — where the owned, clean and committed maps grew
+// as they filled — it cost 43 allocations and 13,160 bytes. It costs 33 and
+// 11,648 now, as much under -race.
 const (
-	failoverAllocsBudget = 43
-	failoverBytesBudget  = 13_160
+	failoverAllocsBudget = 33
+	failoverBytesBudget  = 11_648
 )
 
 func TestFailoverOpenAllocBudget(t *testing.T) {
@@ -241,11 +250,14 @@ func TestNewShopAllocBudget(t *testing.T) {
 // from the same store and arrays. Before watch events were values, a cache
 // miss returned no error, status writes copied only the struct and the
 // reconcilers carried the names they derive, the phase cost 192 allocations
-// and 15,840 bytes. It costs 146 and 14,304 now; a -race build adds 2
-// allocations and 220 bytes, which the budgets hold.
+// and 15,840 bytes. Before the databases it opens traded their committed and
+// owned maps for a sorted slice and one page table, it cost 146 and 14,304. It costs 142 and about
+// 14,050 now. A -race build adds up to 3 allocations and 300 bytes of the
+// detector's own, which the budgets hold, and about one run in twenty 600
+// bytes, which they do not (nor did the old budget of 148 and 14,528).
 const (
-	provisionAllocsBudget = 148
-	provisionBytesBudget  = 14_528
+	provisionAllocsBudget = 146
+	provisionBytesBudget  = 14_400
 )
 
 func TestProvisionAllocBudget(t *testing.T) {
@@ -292,5 +304,76 @@ func TestProvisionAllocBudget(t *testing.T) {
 	if perAllocs > provisionAllocsBudget || perBytes > provisionBytesBudget {
 		t.Fatalf("provision phase cost %d allocations and %d bytes, budget %d and %d",
 			perAllocs, perBytes, provisionAllocsBudget, provisionBytesBudget)
+	}
+}
+
+// Per-phase allocation budget of the fleet workload's leave: one tenant's
+// DecommissionTenant after its 8 orders and a catch-up — the drain, the spec
+// deleted, the control plane's teardown reconciles and the wait for zero
+// residue — on a system of fleet_seq's shape that already serves a 4-tenant
+// roster. The leaver is provisioned and loaded unmeasured before each run, so
+// every run tears down the same tenant; no database is opened or read in it.
+// It costs 28 allocations and 1,104 bytes; a -race build adds up to 3
+// allocations and 670 bytes of the detector's own, which the budgets hold.
+const (
+	decommissionAllocsBudget = 32
+	decommissionBytesBudget  = 1_920
+)
+
+func TestDecommissionAllocBudget(t *testing.T) {
+	f := New(Config{
+		Tenants: 4,
+		System:  core.Config{Seed: 1, VolumeBlocks: 256, Storage: storage.Config{BlockSize: 512}},
+	})
+	spec := func(ns string) platform.TenantSpec {
+		return platform.TenantSpec{Namespace: ns, PVCNames: []string{"sales", "stock"}, Backup: true, Profile: "oltp-external"}
+	}
+	const orders, runs = 8, 10
+	var allocs, bytes uint64
+	f.Sys.Env.Process("budget", func(p *sim.Proc) {
+		defer f.Sys.Stop()
+		for _, tn := range f.Tenants {
+			if _, err := f.Sys.ProvisionTenant(p, spec(tn.Namespace)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		var before, after runtime.MemStats
+		for i := range runs + 1 { // the first leaver warms up
+			ns := fmt.Sprint("budget-", i)
+			bp, err := f.Sys.ProvisionTenant(p, spec(ns))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			shop := workload.NewShop(f.Sys.Env, bp.Sales, bp.Stock, workload.Config{Seed: 1 + int64(i)*7919})
+			if err := shop.Run(p, orders); err != nil {
+				t.Error(err)
+				return
+			}
+			f.Sys.CatchUp(p, ns)
+			runtime.ReadMemStats(&before)
+			err = f.Sys.DecommissionTenant(p, ns)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if res := f.Sys.TenantResidue(ns); len(res) > 0 {
+				t.Errorf("%s left residue: %v", ns, res)
+				return
+			}
+			if i > 0 {
+				allocs += after.Mallocs - before.Mallocs
+				bytes += after.TotalAlloc - before.TotalAlloc
+			}
+		}
+	})
+	f.Sys.Env.Run(0)
+	perAllocs, perBytes := allocs/runs, bytes/runs
+	t.Logf("decommission one tenant: %d allocations, %d bytes", perAllocs, perBytes)
+	if perAllocs > decommissionAllocsBudget || perBytes > decommissionBytesBudget {
+		t.Fatalf("decommission phase cost %d allocations and %d bytes, budget %d and %d",
+			perAllocs, perBytes, decommissionAllocsBudget, decommissionBytesBudget)
 	}
 }

@@ -3,8 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/binary"
-	"io"
+	"runtime/pprof"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -44,28 +44,6 @@ func simProfileRun(t *testing.T) ([]byte, map[string]time.Duration) {
 	return buf.Bytes(), lives
 }
 
-// pbFields splits one protobuf message into its fields: varints as values,
-// length-delimited fields as bytes (the only two wire types the encoder
-// writes).
-func pbFields(t *testing.T, b []byte) (nums []int, vals []uint64, data [][]byte) {
-	for len(b) > 0 {
-		key, n := binary.Uvarint(b)
-		b = b[n:]
-		v, n := binary.Uvarint(b)
-		b = b[n:]
-		var d []byte
-		switch key & 7 {
-		case 0:
-		case 2:
-			d, b = b[:v], b[v:]
-		default:
-			t.Fatalf("wire type %d", key&7)
-		}
-		nums, vals, data = append(nums, int(key>>3)), append(vals, v), append(data, d)
-	}
-	return nums, vals, data
-}
-
 // The encoded profile decodes to the samples it was given: one sample type,
 // sim_nanoseconds; a process label on every sample and a tenant label where
 // the process has one; every location defined, its leaf the blocking Proc
@@ -76,79 +54,25 @@ func TestWriteSimProfileRoundTrips(t *testing.T) {
 	if again, _ := simProfileRun(t); !bytes.Equal(raw, again) {
 		t.Fatal("two runs of one seed encoded different profiles")
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
+	prof, err := ReadProfile(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var strs []string
-	var sampleType, samples, locs [][]byte
-	funcName := map[uint64]uint64{}
-	nums, _, data := pbFields(t, b)
-	for i, num := range nums {
-		switch num {
-		case 1:
-			sampleType = append(sampleType, data[i])
-		case 2:
-			samples = append(samples, data[i])
-		case 4:
-			locs = append(locs, data[i])
-		case 5:
-			fn, fv, _ := pbFields(t, data[i])
-			funcName[fv[0]] = fv[1]
-			if fn[0] != 1 || fn[1] != 2 {
-				t.Fatalf("function fields %v", fn)
-			}
-		case 6:
-			strs = append(strs, string(data[i]))
-		}
-	}
-	if len(sampleType) != 1 {
-		t.Fatalf("%d sample types", len(sampleType))
-	}
-	if _, v, _ := pbFields(t, sampleType[0]); strs[v[0]] != "sim_nanoseconds" || strs[v[1]] != "nanoseconds" {
-		t.Fatalf("sample type %s/%s", strs[v[0]], strs[v[1]])
-	}
-	leaf := map[uint64]string{} // location id -> its innermost function
-	for _, l := range locs {
-		nums, vals, data := pbFields(t, l)
-		for i, num := range nums {
-			if num == 4 && leaf[vals[0]] == "" {
-				_, lv, _ := pbFields(t, data[i])
-				leaf[vals[0]] = strs[funcName[lv[0]]]
-			}
-		}
+	if want := []SampleType{{"sim_nanoseconds", "nanoseconds"}}; !slices.Equal(prof.SampleTypes, want) {
+		t.Fatalf("sample types %v, want %v", prof.SampleTypes, want)
 	}
 	sums := map[string]time.Duration{}
-	for _, s := range samples {
-		var locIDs []uint64
-		var ns uint64
-		labels := map[string]string{}
-		nums, _, data := pbFields(t, s)
-		for i, num := range nums {
-			switch num {
-			case 1:
-				for d := data[i]; len(d) > 0; {
-					id, n := binary.Uvarint(d)
-					locIDs, d = append(locIDs, id), d[n:]
-				}
-			case 2:
-				ns, _ = binary.Uvarint(data[i])
-			case 3:
-				_, lv, _ := pbFields(t, data[i])
-				labels[strs[lv[0]]] = strs[lv[1]]
-			}
+	for _, s := range prof.Samples {
+		if len(s.Values) != 1 || len(s.Stack) == 0 {
+			t.Fatalf("sample of %d values and %d frames, want 1 and some", len(s.Values), len(s.Stack))
 		}
-		if !strings.HasPrefix(leaf[locIDs[0]], "repro/internal/sim.(*Proc).") {
-			t.Errorf("sample leaf %q, want the blocking Proc method", leaf[locIDs[0]])
+		if !strings.HasPrefix(s.Stack[0], "repro/internal/sim.(*Proc).") {
+			t.Errorf("sample leaf %q, want the blocking Proc method", s.Stack[0])
 		}
-		if want := strings.TrimPrefix(labels["process"], "tenant:"); labels["tenant"] != want {
-			t.Errorf("labels %v: tenant %q, want %q", labels, labels["tenant"], want)
+		if want := strings.TrimPrefix(s.Labels["process"], "tenant:"); s.Labels["tenant"] != want {
+			t.Errorf("labels %v: tenant %q, want %q", s.Labels, s.Labels["tenant"], want)
 		}
-		sums[labels["process"]] += time.Duration(ns)
+		sums[s.Labels["process"]] += time.Duration(s.Values[0])
 	}
 	if len(lives) != 3 {
 		t.Fatalf("%d of 3 processes returned", len(lives))
@@ -156,6 +80,53 @@ func TestWriteSimProfileRoundTrips(t *testing.T) {
 	for name, life := range lives {
 		if sums[name] != life {
 			t.Errorf("%s: samples sum to %v, lifetime %v", name, sums[name], life)
+		}
+	}
+}
+
+// ReadProfile reads the runtime's own profiles too: a heap profile decodes to
+// its four sample types, every sample with a value of each.
+func TestReadProfileReadsARuntimeProfile(t *testing.T) {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	prof, err := ReadProfile(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []SampleType{{"alloc_objects", "count"}, {"alloc_space", "bytes"}, {"inuse_objects", "count"}, {"inuse_space", "bytes"}}
+	if !slices.Equal(prof.SampleTypes, want) {
+		t.Fatalf("sample types %v, want %v", prof.SampleTypes, want)
+	}
+	for _, s := range prof.Samples {
+		if len(s.Values) != len(want) {
+			t.Fatalf("a sample of %d values, want %d", len(s.Values), len(want))
+		}
+	}
+}
+
+// ReadProfile refuses what it cannot decode: bytes that are not gzip'd, a
+// message cut short, and a sample that names a location the profile does not
+// define.
+func TestReadProfileRefusesMalformedInput(t *testing.T) {
+	gz := func(b []byte) []byte {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		zw.Write(b)
+		zw.Close()
+		return buf.Bytes()
+	}
+	var sample, undefined protoMsg
+	sample.uint(1, 9) // location_id 9, unpacked
+	undefined.bytes(2, sample)
+	for name, raw := range map[string][]byte{
+		"not gzip":           []byte("profile"),
+		"truncated":          gz([]byte{2<<3 | 2, 10, 1}), // a sample of 10 bytes, 1 present
+		"undefined location": gz(undefined),
+	} {
+		if _, err := ReadProfile(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: decoded without an error", name)
 		}
 	}
 }
