@@ -13,7 +13,7 @@
 #   telemetry-smoke  E16 end to end twice, the two exports byte-identical; leaves telemetry.json
 #   autopilot-smoke  E17 end to end, its decision log equal to the committed golden; leaves e17-decisions.log
 #   chaos-smoke      25 seeded fault schedules under -race; `chaos` is the long sweep
-#   lines            the Go line counts and DESIGN.md's size ROADMAP tracks, per internal/ package and cmd/ binary too (not part of ci)
+#   lines            the Go line counts and DESIGN.md's size ROADMAP tracks, per internal/ package, cmd/ binary and example too (not part of ci)
 #   lines-diff       BASE=<rev>: non-test Go lines outside benchmark/ at BASE, in the working tree, and the difference (not part of ci)
 
 GO ?= go
@@ -155,13 +155,13 @@ PRODUCT_GO = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'
 # The sizes ROADMAP's aim 2 is judged by: non-test Go outside benchmark/ (the
 # product; benchmark/ is frozen for perf and simplicity PRs), all Go, and
 # DESIGN.md's byte count; then the non-test Go lines of each internal/
-# package and each cmd/ binary, so a PR can state what it took out of the
-# one it touched.
+# package, each cmd/ binary and each example, so a PR can state what it took
+# out of the one it touched.
 lines:
 	@printf 'non-test Go lines outside benchmark/: %d\n' "$$($(PRODUCT_GO) | xargs cat | wc -l)"
 	@printf 'total Go lines: %d\n' "$$(find . -name '*.go' | xargs cat | wc -l)"
 	@printf 'DESIGN.md bytes: %d\n' "$$(wc -c < DESIGN.md)"
-	@for d in internal/*/ cmd/*/; do \
+	@for d in internal/*/ cmd/*/ examples/*/; do \
 		printf '%s non-test Go lines: %d\n' "$${d%/}" "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done
 
 # The ≥150-line rule of a simplicity PR, checked against its parent

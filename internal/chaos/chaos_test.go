@@ -168,6 +168,26 @@ func TestChaosFailbackRefusal(t *testing.T) {
 	}
 }
 
+// TestChaosFailbackWithNothingFailedOver: a failback fault that finds no
+// failed-over group logs its absent precondition and passes; any other
+// failback error fails the run.
+func TestChaosFailbackWithNothingFailedOver(t *testing.T) {
+	sch := &Schedule{
+		Seed:    42,
+		Steps:   "short",
+		Links:   1,
+		Tenants: []TenantPlan{{Orders: 40, ThinkTime: 2 * time.Millisecond, Shards: 1}},
+		Faults:  []Fault{{Seq: 0, At: 60 * time.Millisecond, Kind: FaultFailback, Tenant: -1}},
+	}
+	res := Run(sch)
+	if res.Failed() {
+		t.Fatalf("a failback with nothing failed over failed the run:\n%s", res.LogText())
+	}
+	if !strings.Contains(res.LogText(), "failback: precondition absent") {
+		t.Fatalf("no absent precondition logged:\n%s", res.LogText())
+	}
+}
+
 // TestChaosWithFaultsIsolated: WithFaults copies, so shrink probes cannot
 // mutate the schedule they minimize.
 func TestChaosWithFaultsIsolated(t *testing.T) {

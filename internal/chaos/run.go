@@ -64,7 +64,6 @@ type runTenant struct {
 	ns   string
 	plan TenantPlan
 
-	bp   *core.BusinessProcess
 	shop *workload.Shop
 
 	alive      bool // provisioned and not yet left
@@ -193,7 +192,6 @@ func (r *runner) provision(p *sim.Proc, t *runTenant) error {
 	if err != nil {
 		return err
 	}
-	t.bp = bp
 	t.alive = true
 	// Think time and the read mix are paced by the runner's own order loop
 	// (startWorkload), so the shop only needs its item-selection seed.
@@ -359,8 +357,10 @@ func (r *runner) failback(p *sim.Proc, f Fault) {
 		// The typed refusal must be prompt — a registry scan, not a burned
 		// wait timeout. TestChaosFailbackRefusal pins this.
 		r.logf(p, "fault #%02d failback: refused in %v: %v", f.Seq, elapsed, err)
+	case errors.Is(err, core.ErrNothingToFailBack):
+		r.logf(p, "fault #%02d failback: precondition absent (%v)", f.Seq, err)
 	case err != nil:
-		r.logf(p, "fault #%02d failback: no-op (%v)", f.Seq, err)
+		r.fail(p, fmt.Errorf("failback: %w", err))
 	default:
 		r.logf(p, "fault #%02d failback: %d reverse groups, resync %v (delta %d / full %d blocks)",
 			f.Seq, len(fb.Reverse), fb.ResyncTime, fb.DeltaBlocks, fb.FullBlocks)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -133,8 +134,12 @@ func TestRepeatedPartitionsDoNotReorder(t *testing.T) {
 			if g.OrderBreaks() != 0 {
 				t.Errorf("apply order broken across partitions: %d installs out of ack order", g.OrderBreaks())
 			}
-			if g.AppliedRecords() != g.Journal().Appended() {
-				t.Errorf("applied %d of %d journaled records", g.AppliedRecords(), g.Journal().Appended())
+			var journaled int64
+			for _, j := range g.Journal().Shards() {
+				journaled += j.Appended()
+			}
+			if g.AppliedRecords() != journaled {
+				t.Errorf("applied %d of %d journaled records", g.AppliedRecords(), journaled)
 			}
 		}
 	})
@@ -220,6 +225,8 @@ func TestFullDisasterRecoveryCycle(t *testing.T) {
 // A site failback resyncs each failed-over group once. After tenant a has
 // failed over and back, tenant b fails over: the next Failback must resync
 // b and leave a's group, whose journal the first failback dropped, alone.
+// With nothing failed over, or every failed-over group resynced, Failback
+// answers ErrNothingToFailBack.
 func TestFailbackAfterAnEarlierFailback(t *testing.T) {
 	sys := NewSystem(Config{})
 	sys.Env.Process("test", func(p *sim.Proc) {
@@ -235,6 +242,9 @@ func TestFailbackAfterAnEarlierFailback(t *testing.T) {
 			}
 			sys.CatchUp(p, ns)
 		}
+		if _, err := sys.Failback(p); !errors.Is(err, ErrNothingToFailBack) {
+			t.Errorf("failback with nothing failed over: %v, want ErrNothingToFailBack", err)
+		}
 		for _, ns := range []string{"a", "b"} {
 			if _, err := sys.Failover(p, ns); err != nil {
 				t.Errorf("failover %s: %v", ns, err)
@@ -249,6 +259,9 @@ func TestFailbackAfterAnEarlierFailback(t *testing.T) {
 				t.Errorf("failback after %s failed over: reverse groups %v, delta %d blocks, want %s's alone",
 					ns, fb.Reverse, fb.DeltaBlocks, ns)
 			}
+		}
+		if _, err := sys.Failback(p); !errors.Is(err, ErrNothingToFailBack) {
+			t.Errorf("failback with every failed-over group resynced: %v, want ErrNothingToFailBack", err)
 		}
 		sys.Stop()
 	})

@@ -70,6 +70,10 @@ type FailoverResult struct {
 // left exactly as it was.
 var ErrShardedFailback = errors.New("core: failback of a sharded group is not supported")
 
+// ErrNothingToFailBack reports a Failback that found no group to resync: none
+// has failed over, or an earlier Failback resynced every one that has.
+var ErrNothingToFailBack = errors.New("core: no failed-over groups to fail back")
+
 // FailbackResult reports a completed failback resynchronization.
 type FailbackResult struct {
 	// Reverse holds the running backup→main replication groups.
@@ -83,7 +87,8 @@ type FailbackResult struct {
 // Failback resynchronizes the main site from the failed-over backup and
 // starts reverse replication, using each group's delta bitmap. Call after
 // Failover once the main site is reachable again. A group an earlier
-// Failback resynced is skipped.
+// Failback resynced is skipped; with no group left to resync, Failback
+// returns ErrNothingToFailBack.
 func (sys *System) Failback(p *sim.Proc) (*FailbackResult, error) {
 	var res FailbackResult
 	start := p.Now()
@@ -115,7 +120,7 @@ func (sys *System) Failback(p *sim.Proc) (*FailbackResult, error) {
 		res.FullBlocks += stats.TotalBlocks
 	}
 	if len(res.Reverse) == 0 {
-		return nil, fmt.Errorf("core: no failed-over groups to fail back")
+		return nil, ErrNothingToFailBack
 	}
 	res.ResyncTime = p.Now() - start
 	return &res, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/operator"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // runSystem builds a system and drives fn in a simulation process.
@@ -69,8 +69,9 @@ func TestProvisionTenantDeclaresEverything(t *testing.T) {
 
 // TestDecommissionReclaimsEverything is the array-level free-list
 // invariant: provisioning then decommissioning a tenant returns both
-// arrays' usage to exactly the pre-provision snapshot — no leaked volumes,
-// journals, snapshots, or blocks — while a second tenant keeps serving.
+// arrays' object listings (Array.Residue of every prefix) to exactly the
+// pre-provision snapshot — no leaked volumes, journals or snapshots — while a
+// second tenant keeps serving.
 func TestDecommissionReclaimsEverything(t *testing.T) {
 	runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
 		survivor, err := sys.ProvisionTenant(p, tenantSpec("keeper"))
@@ -78,9 +79,9 @@ func TestDecommissionReclaimsEverything(t *testing.T) {
 			t.Errorf("provision keeper: %v", err)
 			return
 		}
-		// Quiesce the survivor's drain so the usage snapshot is stable.
+		// Quiesce the survivor's drain so the listings are stable.
 		sys.CatchUp(p, "keeper")
-		mainBefore, backupBefore := sys.Main.Array.Usage(), sys.Backup.Array.Usage()
+		mainBefore, backupBefore := sys.Main.Array.Residue(""), sys.Backup.Array.Residue("")
 
 		bp, err := sys.ProvisionTenant(p, tenantSpec("doomed"))
 		if err != nil {
@@ -98,7 +99,7 @@ func TestDecommissionReclaimsEverything(t *testing.T) {
 			t.Errorf("snapshot: %v", err)
 			return
 		}
-		if u := sys.Main.Array.Usage(); u == mainBefore {
+		if slices.Equal(sys.Main.Array.Residue(""), mainBefore) {
 			t.Error("provisioning changed nothing on the main array?")
 			return
 		}
@@ -107,15 +108,15 @@ func TestDecommissionReclaimsEverything(t *testing.T) {
 			t.Errorf("decommission: %v", err)
 			return
 		}
-		sys.CatchUp(p, "keeper") // re-quiesce before comparing usage
+		sys.CatchUp(p, "keeper") // re-quiesce before comparing listings
 		if res := sys.TenantResidue("doomed"); len(res) != 0 {
 			t.Errorf("residue: %v", res)
 		}
-		if got := sys.Main.Array.Usage(); got != mainBefore {
-			t.Errorf("main array usage %+v, want pre-provision %+v", got, mainBefore)
+		if got := sys.Main.Array.Residue(""); !slices.Equal(got, mainBefore) {
+			t.Errorf("main array objects %v, want pre-provision %v", got, mainBefore)
 		}
-		if got := sys.Backup.Array.Usage(); got != backupBefore {
-			t.Errorf("backup array usage %+v, want pre-provision %+v", got, backupBefore)
+		if got := sys.Backup.Array.Residue(""); !slices.Equal(got, backupBefore) {
+			t.Errorf("backup array objects %v, want pre-provision %v", got, backupBefore)
 		}
 		if err := sys.WaitTenantCondition(p, "doomed", CondGone(), 0); err != nil {
 			t.Errorf("decommissioned tenant is not Gone: %v", err)
@@ -137,7 +138,7 @@ func TestDecommissionShardedTenantReclaimsShards(t *testing.T) {
 	runSystem(t, Config{
 		Fabric: fabric.Config{Links: []netlinkConfig{member, member}},
 	}, func(p *sim.Proc, sys *System) {
-		before := sys.Main.Array.Usage()
+		before := sys.Main.Array.Residue("")
 		spec := tenantSpec("sharded")
 		spec.JournalShards = 2
 		bp, err := sys.ProvisionTenant(p, spec)
@@ -162,8 +163,8 @@ func TestDecommissionShardedTenantReclaimsShards(t *testing.T) {
 			t.Errorf("decommission: %v", err)
 			return
 		}
-		if got := sys.Main.Array.Usage(); got != before {
-			t.Errorf("main usage %+v, want %+v", got, before)
+		if got := sys.Main.Array.Residue(""); !slices.Equal(got, before) {
+			t.Errorf("main array objects %v, want %v", got, before)
 		}
 		if ps := sys.TenantLanePaths("sharded"); ps != nil {
 			t.Errorf("lane paths survived decommission: %v", ps)
@@ -304,8 +305,8 @@ func TestDeleteRacesReconcile(t *testing.T) {
 		if groups := sys.Groups("flash"); len(groups) != 0 {
 			t.Fatalf("delay %v: orphan groups: %v", delay, groups)
 		}
-		if u := sys.Main.Array.Usage(); u != (storage.Usage{}) {
-			t.Fatalf("delay %v: main array not clean: %+v", delay, u)
+		if res := sys.Main.Array.Residue(""); len(res) != 0 {
+			t.Fatalf("delay %v: main array not clean: %v", delay, res)
 		}
 		sys.Stop()
 		sys.Env.Run(time.Hour)

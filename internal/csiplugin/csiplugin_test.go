@@ -1,6 +1,7 @@
 package csiplugin
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -139,7 +140,7 @@ func TestReplicationPluginConfiguresCG(t *testing.T) {
 			t.Errorf("journal = %q", rg.Status.JournalID)
 		}
 		// One shared journal with both volumes: the consistency group.
-		j, err := f.sites.MainArray.Journal(rg.Status.JournalID)
+		j, err := f.sites.MainArray.ShardedJournal(rg.Status.JournalID)
 		if err != nil {
 			t.Error(err)
 			return
@@ -155,8 +156,8 @@ func TestReplicationPluginConfiguresCG(t *testing.T) {
 				t.Errorf("backup volume: %v", err)
 				continue
 			}
-			if !tv.ReadOnly() {
-				t.Error("backup twin writable while replicating")
+			if _, err := tv.Write(p, 0, []byte{1}); !errors.Is(err, storage.ErrReadOnly) {
+				t.Errorf("backup twin writable while replicating: write returned %v", err)
 			}
 			if _, err := f.sites.BackupAPI.Get(p, platform.ObjectKey{Kind: platform.KindPVC, Namespace: "shop", Name: name}); err != nil {
 				t.Errorf("backup PVC missing: %v", err)
@@ -319,8 +320,8 @@ func TestReplicationPluginTeardownOnDelete(t *testing.T) {
 	if len(rp.Groups("backup-shop")) != 0 {
 		t.Fatal("groups survive CR deletion")
 	}
-	if _, err := f.sites.MainArray.Journal(journalID); err == nil {
-		t.Fatal("journal survives CR deletion")
+	if res := f.sites.MainArray.Residue(journalID); len(res) != 0 {
+		t.Fatalf("journal survives CR deletion: %v", res)
 	}
 	// Source volume is usable again (journal detached).
 	v, _ := f.sites.MainArray.Volume(VolumeIDForClaim("shop", "sales"))
@@ -430,9 +431,8 @@ func TestReplicationPluginShardedJournal(t *testing.T) {
 func TestProvisionerUnwindsDeletedClaim(t *testing.T) {
 	f := newTwoSites(t)
 	f.createClaims(t, "shop", "sales", "stock")
-	before := f.sites.MainArray.Usage()
-	if before.Volumes != 2 {
-		t.Fatalf("volumes before = %d", before.Volumes)
+	if before := f.sites.MainArray.Residue(""); len(before) != 2 {
+		t.Fatalf("array objects before = %v, want the two volumes", before)
 	}
 	// A snapshot on the volume must not block the unwind.
 	if _, err := f.sites.MainArray.CreateSnapshot("snap-sales", VolumeIDForClaim("shop", "sales")); err != nil {
@@ -474,9 +474,8 @@ func TestProvisionerUnwindsDeletedClaim(t *testing.T) {
 		}
 	})
 	f.env.Run(0)
-	u := f.sites.MainArray.Usage()
-	if u.Volumes != 0 || u.Snapshots != 0 || u.Journals != 0 || u.StoredBlocks != 0 {
-		t.Fatalf("array not clean after unwind: %+v", u)
+	if res := f.sites.MainArray.Residue(""); len(res) != 0 {
+		t.Fatalf("array not clean after unwind: %v", res)
 	}
 }
 
@@ -555,8 +554,8 @@ func TestReplicationPluginReshardsOnSpecChange(t *testing.T) {
 		t.Fatalf("lanes after shrink = %d, want 2", before.Lanes())
 	}
 	for _, k := range []int{2, 3} {
-		if _, err := f.sites.MainArray.Journal(fmt.Sprintf("jnl-backup-shop-0#s%d", k)); err == nil {
-			t.Fatalf("retired shard journal #s%d survives the shrink", k)
+		if res := f.sites.MainArray.Residue(fmt.Sprintf("jnl-backup-shop-0#s%d", k)); len(res) != 0 {
+			t.Fatalf("retired shard journal #s%d survives the shrink: %v", k, res)
 		}
 	}
 }

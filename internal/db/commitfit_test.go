@@ -61,7 +61,7 @@ func TestCommitRejectsTxnOverfillingPageBeforeLogging(t *testing.T) {
 			t.Fatalf("the refused transaction reached the log: WAL writes %d→%d, volume writes %d→%d, commits %d→%d",
 				walWrites, d.WALWrites(), volWrites, vol.Writes(), commits, d.Commits())
 		}
-		if d.HasCommitted(tx.ID()) {
+		if d.HasCommitted(tx.id) {
 			t.Fatal("the refused transaction is recorded as committed")
 		}
 		if _, found, _ := d.Get(p, k+3*dataPages); found {

@@ -85,7 +85,7 @@ func crashScript(t *testing.T, p *sim.Proc, rec *recorder, cfg Config) []scripte
 			}
 			return err
 		}
-		commits = append(commits, scriptedCommit{tx.ID(), rows, start, len(rec.writes)})
+		commits = append(commits, scriptedCommit{tx.id, rows, start, len(rec.writes)})
 		return nil
 	}
 	must := func(rows map[uint64]string) {

@@ -122,7 +122,8 @@ type DB struct {
 
 // Open attaches to the volume, formatting it on first use and running crash
 // recovery otherwise: the replay, then a checkpoint so that it is durable and
-// the WAL restarts fresh. Its cost is paid in simulated time (RecoveryTime).
+// the WAL restarts fresh. Its cost is paid in simulated time (LogReadTime,
+// PageReadTime, FlushTime).
 func Open(p *sim.Proc, name string, vol BlockWriter, cfg Config) (*DB, error) {
 	d := &DB{vol: vol, mu: p.Env().NewResource(1)}
 	switch err := d.open(p, name, vol, cfg); {
@@ -310,11 +311,6 @@ func (d *DB) PageFlushes() int64 { return d.pageFlushes }
 
 // Checkpoints returns the number of checkpoints taken.
 func (d *DB) Checkpoints() int64 { return d.checkpoints }
-
-// RecoveryTime returns the simulated time recovery took at Open (zero for a
-// freshly formatted volume): LogReadTime + PageReadTime + FlushTime, the three
-// requests it is made of.
-func (d *DB) RecoveryTime() time.Duration { return d.logRead + d.pageRead + d.flushTime }
 
 // FlushTime returns the simulated time of the checkpoint that ended recovery:
 // the page gather, then the superblock.

@@ -471,9 +471,9 @@ func TestTxnCarriesItsOwnCopiesAtEverySize(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if re.RecoveredTxns() != 1 || !re.HasCommitted(tx.ID()) || re.HasCommitted(dropped.ID()) {
+				if re.RecoveredTxns() != 1 || !re.HasCommitted(tx.id) || re.HasCommitted(dropped.id) {
 					t.Fatalf("recovered %d transactions (committed %v, dropped %v)",
-						re.RecoveredTxns(), re.HasCommitted(tx.ID()), re.HasCommitted(dropped.ID()))
+						re.RecoveredTxns(), re.HasCommitted(tx.id), re.HasCommitted(dropped.id))
 				}
 				check("after recovery", func(k uint64) ([]byte, bool, error) { return re.Get(p, k) }, true)
 			})

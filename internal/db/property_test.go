@@ -169,7 +169,7 @@ func TestRecoveryFromReplicatedImageProperty(t *testing.T) {
 					ok = false
 					return
 				}
-				commitSeq = append(commitSeq, tx.ID())
+				commitSeq = append(commitSeq, tx.id)
 			}
 			// Apply a random prefix of the journal to the twin.
 			recs := j.TryTakeInto(nil, 0)

@@ -69,9 +69,6 @@ func (d *DB) BeginWithID(id uint64) *Txn {
 	return &Txn{db: d, id: id}
 }
 
-// ID returns the transaction ID.
-func (t *Txn) ID() uint64 { return t.id }
-
 // Put buffers an upsert of key to a copy of val; the caller keeps its buffer.
 func (t *Txn) Put(key uint64, val []byte) error {
 	if t.done {

@@ -1,10 +1,6 @@
 package db
 
-import (
-	"time"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // View is a read-only database opened from any BlockReader: the reader Open
 // also runs, and nothing that writes. The replay's redone pages stay in
@@ -25,7 +21,3 @@ func OpenView(p *sim.Proc, name string, vol BlockReader, cfg Config) (*View, err
 	}
 	return v, nil
 }
-
-// ReplayTime returns the simulated time the WAL replay took: LogReadTime +
-// PageReadTime.
-func (v *View) ReplayTime() time.Duration { return v.logRead + v.pageRead }

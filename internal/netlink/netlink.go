@@ -278,10 +278,6 @@ func (l *Link) InFlight() int { return len(l.flights) }
 // MaxInFlight returns the peak pipe fill observed over the link's lifetime.
 func (l *Link) MaxInFlight() int { return l.maxInFlight }
 
-// LastDeliveryAt returns the per-link delivery watermark: the simulation
-// time of the most recent asynchronous delivery.
-func (l *Link) LastDeliveryAt() time.Duration { return l.lastDelivery }
-
 // OrderViolations returns how many asynchronous deliveries landed before
 // the link's watermark. Prefix delivery makes this zero by construction;
 // it is exported so experiments prove in-order delivery instead of assuming

@@ -395,7 +395,7 @@ func TestSendDeliversInOrderUnderJitter(t *testing.T) {
 	if l.OrderViolations() != 0 {
 		t.Fatalf("watermark violations: %d", l.OrderViolations())
 	}
-	if l.LastDeliveryAt() == 0 {
+	if l.lastDelivery == 0 {
 		t.Fatalf("watermark never advanced")
 	}
 }

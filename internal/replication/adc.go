@@ -105,7 +105,6 @@ type Group struct {
 	resharding       bool
 	migrationBarrier int64
 	reshardSettled   *sim.Event // re-armed per reshard; AwaitReshard waits on it
-	reshards         int64
 
 	committedEpoch int64
 	epochCommits   int64
@@ -732,10 +731,6 @@ func (g *Group) UnappliedRecords() []storage.Record {
 	return out
 }
 
-// Suspended reports whether the source journal has overflowed (the pair
-// is suspended and writes are tracked in the delta bitmap instead).
-func (g *Group) Suspended() bool { return g.journal.Overflowed() }
-
 // Resync recovers a suspended pair: it drains the journal's consistent
 // remainder, then copies the tracked delta blocks — each volume over its own
 // lane path — until a full pass finds nothing new, and finally re-enables
@@ -831,7 +826,6 @@ func (g *Group) Reshard(p *sim.Proc, paths []fabric.Path) (storage.ReshardStats,
 	g.resharding = true
 	g.migrationBarrier = stats.BarrierEpoch
 	g.reshardSettled = g.env.NewEvent()
-	g.reshards++
 	if g.tel != nil {
 		g.reshardSpan = g.tel.StartSpan("reshard",
 			fmt.Sprintf("reshard:%d->%d", stats.From, stats.To), g.tenant)
@@ -902,9 +896,6 @@ func (g *Group) settleReshard() {
 // Resharding reports whether a migration window is still open (pre-barrier
 // records not yet committed, or retiring lanes not yet reaped).
 func (g *Group) Resharding() bool { return g.resharding || len(g.retiring) > 0 }
-
-// Reshards returns the lifetime count of lane-set transitions.
-func (g *Group) Reshards() int64 { return g.reshards }
 
 // MigrationBarrier returns the epoch sealed by the most recent reshard.
 func (g *Group) MigrationBarrier() int64 { return g.migrationBarrier }

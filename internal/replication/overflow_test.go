@@ -28,7 +28,7 @@ func TestJournalOverflowSuspendsPair(t *testing.T) {
 		}
 	})
 	r.env.Run(0)
-	if !g.Suspended() {
+	if !g.Journal().Overflowed() {
 		t.Fatal("journal never overflowed")
 	}
 	if g.Journal().Overflows() != 1 {
@@ -60,7 +60,7 @@ func TestResyncRecoversSuspendedPair(t *testing.T) {
 		p.Sleep(50 * time.Millisecond)
 	})
 	r.env.Run(0)
-	if !g.Suspended() {
+	if !g.Journal().Overflowed() {
 		t.Fatal("pair not suspended")
 	}
 	r.links.Heal()
@@ -72,7 +72,7 @@ func TestResyncRecoversSuspendedPair(t *testing.T) {
 	if resyncErr != nil {
 		t.Fatal(resyncErr)
 	}
-	if g.Suspended() {
+	if g.Journal().Overflowed() {
 		t.Fatal("pair still suspended after resync")
 	}
 	// Every written block arrived at the backup.
@@ -104,7 +104,7 @@ func TestResyncConvergesUnderConcurrentWrites(t *testing.T) {
 		}
 	})
 	r.env.Run(0)
-	if !g.Suspended() {
+	if !g.Journal().Overflowed() {
 		t.Fatal("not suspended")
 	}
 	r.links.Heal()
@@ -141,7 +141,7 @@ func TestUnlimitedJournalNeverOverflows(t *testing.T) {
 		}
 	})
 	r.env.Run(0)
-	if g.Suspended() {
+	if g.Journal().Overflowed() {
 		t.Fatal("unlimited journal overflowed")
 	}
 	g.Stop()

@@ -31,13 +31,14 @@ func chargeRun(t *testing.T, data func(a *storage.Array, b byte) []byte) charges
 	rec := r.main.Config().BlockSize + 64
 	g := r.newSizedCG(t, 4*rec+rec/2, Config{}) // four records and half a fifth
 	r.env.Process("adc", func(p *sim.Proc) {
-		for i := int64(0); !g.Suspended() && i < 64; i++ {
+		for i := int64(0); !g.Journal().Overflowed() && i < 64; i++ {
 			if _, err := r.sales.Write(p, i, data(r.main, byte(i+1))); err != nil {
 				t.Fatal(err)
 			}
 			c.overflowAfter++
 		}
-		c.pendingRecords, c.pendingBytes = g.Journal().Pending(), g.Journal().PendingBytes()
+		shard := g.Journal().Shards()[0] // newSizedCG's one shard
+		c.pendingRecords, c.pendingBytes = shard.Pending(), shard.PendingBytes()
 		g.Start()
 		if err := g.Resync(p, r.main, 0); err != nil {
 			t.Fatal(err)

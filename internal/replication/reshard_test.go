@@ -114,12 +114,9 @@ func TestLiveReshardShrinkReapsRetiredLanes(t *testing.T) {
 		t.Fatalf("lanes=%d retiring=%d after settle", r.g.Lanes(), len(r.g.retiring))
 	}
 	for _, k := range []int{2, 3} {
-		if _, err := r.main.Journal(fmt.Sprintf("cg#s%d", k)); err == nil {
-			t.Fatalf("retired shard journal cg#s%d still on the array", k)
+		if res := r.main.Residue(fmt.Sprintf("cg#s%d", k)); len(res) != 0 {
+			t.Fatalf("retired shard journal cg#s%d still on the array: %v", k, res)
 		}
-	}
-	if len(r.sj.Retired()) != 0 {
-		t.Fatal("storage still lists retired shards")
 	}
 	if n, exact := exactPrefix(r.presentSeqs()); n != writes || !exact {
 		t.Fatalf("backup has %d writes (exact=%v), want all %d", n, exact, writes)
@@ -197,9 +194,9 @@ func TestReshardSameCountIsNoop(t *testing.T) {
 		r.g.CatchUp(p)
 	})
 	r.env.Run(0)
-	if r.g.Reshards() != 0 || r.sj.Reshards() != 0 || r.sj.MovedRecords() != 0 {
-		t.Fatalf("noop reshard bumped counters: engine=%d journal=%d moved=%d",
-			r.g.Reshards(), r.sj.Reshards(), r.sj.MovedRecords())
+	if r.g.Journal().Reshards() != 0 || r.sj.MovedRecords() != 0 {
+		t.Fatalf("noop reshard bumped counters: reshards=%d moved=%d",
+			r.g.Journal().Reshards(), r.sj.MovedRecords())
 	}
 	if r.g.Lanes() != 2 {
 		t.Fatalf("lanes = %d", r.g.Lanes())
@@ -497,7 +494,7 @@ func TestResyncConvergesAtAnyLaneCount(t *testing.T) {
 					r.seqWrite(p, t, i)
 				}
 				r.sj.SetCapacityPerShard(1)
-				if !g.Suspended() {
+				if !g.Journal().Overflowed() {
 					t.Error("squeeze under backlog did not suspend the pair")
 					return
 				}
@@ -510,7 +507,7 @@ func TestResyncConvergesAtAnyLaneCount(t *testing.T) {
 					t.Errorf("resync: %v", err)
 					return
 				}
-				if g.Suspended() {
+				if g.Journal().Overflowed() {
 					t.Error("pair still suspended after resync")
 				}
 				for i := 64; i < 72; i++ { // journaling works again

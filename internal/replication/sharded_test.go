@@ -197,11 +197,14 @@ func TestShardedFailoverImageIsEpochCut(t *testing.T) {
 	if got := len(r.g.UnappliedRecords()); got != writes-k {
 		t.Fatalf("unapplied=%d, want %d", got, writes-k)
 	}
-	for _, tv := range vols {
-		if tv.ReadOnly() {
-			t.Fatal("failover target still read-only")
+	r.env.Process("promoted", func(p *sim.Proc) {
+		for _, tv := range vols {
+			if _, err := tv.Write(p, 0, []byte{1}); err != nil {
+				t.Errorf("failover target refuses writes: %v", err)
+			}
 		}
-	}
+	})
+	r.env.Run(0)
 	if !r.g.FailedOver() || !r.g.Stopped() {
 		t.Fatal("failover state flags wrong")
 	}

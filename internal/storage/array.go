@@ -178,15 +178,6 @@ func (a *Array) ListVolumes() []VolumeID {
 	return ids
 }
 
-// Journal returns the shard journal with the given ID.
-func (a *Array) Journal(id string) (*Journal, error) {
-	j, ok := a.journals[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchJournal, id)
-	}
-	return j, nil
-}
-
 // ApplyDeltaSet consumes the service time of applying an n-block
 // replication delta set: the blocks pipeline across the controller's
 // parallelism, and one controller slot is held for the span so concurrent
@@ -246,45 +237,6 @@ func chargeBatch(p *sim.Proc, queue *sim.Resource, n int, lat time.Duration, yie
 func (a *Array) nextGlobalSeq() int64 {
 	a.globalSeq++
 	return a.globalSeq
-}
-
-// Usage summarizes the array's allocated state — the free-list invariant
-// tenant decommissioning is checked against: after a tenant is provisioned
-// and fully decommissioned, every counter returns to its prior value (no
-// leaked volumes, journals, shards, snapshots, or blocks).
-type Usage struct {
-	Volumes         int
-	Journals        int // shard journals across all consistency groups
-	ShardedJournals int // consistency-group journals
-	Snapshots       int
-	SnapshotGroups  int
-	AttachedVolumes int   // volumes currently routed into a journal
-	StoredBlocks    int64 // blocks holding data across all volumes
-	PendingRecords  int   // undrained journal records across all journals
-	SavedBlocks     int64 // COW blocks preserved across all snapshots
-}
-
-// Usage returns the current allocation snapshot.
-func (a *Array) Usage() Usage {
-	var u Usage
-	u.Volumes = len(a.volumes)
-	u.Journals = len(a.journals)
-	u.ShardedJournals = len(a.sharded)
-	u.Snapshots = len(a.snapshots)
-	u.SnapshotGroups = len(a.groups)
-	for _, v := range a.volumes {
-		if v.journal != nil {
-			u.AttachedVolumes++
-		}
-		u.StoredBlocks += int64(len(v.blocks))
-	}
-	for _, j := range a.journals {
-		u.PendingRecords += j.Pending()
-	}
-	for _, s := range a.snapshots {
-		u.SavedBlocks += int64(len(s.saved))
-	}
-	return u
 }
 
 // Residue lists every array object still tied to the given ID prefix: a

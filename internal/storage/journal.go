@@ -37,7 +37,6 @@ type Journal struct {
 	id       string
 	pending  []Record
 	appended int64
-	drained  int64
 	notEmpty *sim.Event
 }
 
@@ -122,9 +121,6 @@ func (j *Journal) PendingRecords() []Record {
 // Appended returns the lifetime count of records written to the journal.
 func (j *Journal) Appended() int64 { return j.appended }
 
-// Drained returns the lifetime count of records taken off the journal.
-func (j *Journal) Drained() int64 { return j.drained }
-
 // NotEmpty returns an event that triggers when the journal next becomes
 // non-empty (or immediately if it already is). Replication drains use it
 // together with sim.Proc.WaitAny to block on "records or stop".
@@ -162,7 +158,6 @@ func (j *Journal) TryTakeInto(buf []Record, max int) []Record {
 		j.pending[i] = Record{}
 	}
 	j.pending = j.pending[:rest]
-	j.drained += int64(max)
 	return buf
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -118,7 +119,7 @@ func TestReshardShrinkRetiresEmptiedShards(t *testing.T) {
 		t.Fatalf("pending %d, want %d", sj.Pending(), prePending)
 	}
 	checkShardInvariants(t, sj)
-	retired := sj.Retired()
+	retired := sj.retired
 	if len(retired) != 2 {
 		t.Fatalf("retired = %d shards, want 2", len(retired))
 	}
@@ -133,34 +134,33 @@ func TestReshardShrinkRetiresEmptiedShards(t *testing.T) {
 	if n := sj.DecommissionRetired(); n != 2 {
 		t.Fatalf("decommissioned %d, want 2", n)
 	}
-	if len(sj.Retired()) != 0 {
+	if len(sj.retired) != 0 {
 		t.Fatal("retired list not emptied")
 	}
 	_ = env
 }
 
-// TestReshardUsageReturnsToSnapshot is the leak regression the satellite
-// asks for: growing and shrinking back, then decommissioning the retired
-// shards, must return Array.Usage to the pre-reshard snapshot (no leaked
-// journal regions) and leave no reshard residue behind.
-func TestReshardUsageReturnsToSnapshot(t *testing.T) {
+// TestReshardResidueReturnsToSnapshot is the reshard leak regression:
+// growing and shrinking back, then decommissioning the retired shards, must
+// return Array.Residue to the pre-reshard listing (no leaked journal
+// regions), keep the backlog whole, and leave no reshard residue behind.
+func TestReshardResidueReturnsToSnapshot(t *testing.T) {
 	env, a, sj := shardedFixture(t, 2, 16, 0)
 	reshardWrite(t, env, a, sj, 48)
-	before := a.Usage()
+	before, pending := a.Residue(""), sj.Pending()
 
 	if _, err := sj.Reshard(4); err != nil {
 		t.Fatal(err)
 	}
-	if mid := a.Usage(); mid.Journals != before.Journals+2 {
-		t.Fatalf("journals after grow = %d, want %d", mid.Journals, before.Journals+2)
+	if mid := a.Residue(""); len(mid) != len(before)+2 {
+		t.Fatalf("array objects after grow = %v, want two shard journals more than %v", mid, before)
 	}
 	if _, err := sj.Reshard(2); err != nil {
 		t.Fatal(err)
 	}
 	sj.DecommissionRetired()
-	after := a.Usage()
-	if after != before {
-		t.Fatalf("usage after reshard round-trip = %+v, want pre-reshard %+v", after, before)
+	if after := a.Residue(""); !slices.Equal(after, before) || sj.Pending() != pending {
+		t.Fatalf("after reshard round-trip: objects %v, pending %d; want pre-reshard %v, %d", after, sj.Pending(), before, pending)
 	}
 	for _, k := range []int{2, 3} {
 		id := fmt.Sprintf("cg#s%d", k)
@@ -222,11 +222,11 @@ func TestReshardRespectsShardCapacity(t *testing.T) {
 	// Refusal has zero side effects: no barrier sealed, nothing migrated,
 	// no shards created or retired.
 	if sj.Epoch() != epoch || sj.Pending() != pending || sj.ShardCount() != 4 ||
-		len(sj.Retired()) != 0 || sj.Reshards() != 0 {
+		len(sj.retired) != 0 || sj.Reshards() != 0 {
 		t.Fatalf("refused reshard left side effects: epoch=%d pending=%d shards=%d",
 			sj.Epoch(), sj.Pending(), sj.ShardCount())
 	}
-	if _, err := a.Journal("cg#s4"); err == nil {
+	if res := a.Residue("cg#s4"); len(res) != 0 {
 		t.Fatal("refused reshard registered a shard journal")
 	}
 	// Drain the backlog; the same reshard now fits and succeeds.

@@ -52,8 +52,7 @@ func TestRestoreAndCloneShareBlocksNobodyWritesInto(t *testing.T) {
 		env.Run(0)
 	}
 	run(func(p *sim.Proc) { v.Write(p, 0, block(a, 0x01)); v.Write(p, 1, block(a, 0x02)) })
-	a.CreateSnapshot("good", "v")
-	good, _ := a.Snapshot("good")
+	good, _ := a.CreateSnapshot("good", "v")
 	run(func(p *sim.Proc) { v.Write(p, 0, block(a, 0xEE)) }) // block 0 preserved by COW, block 1 still the parent's
 	var clone *Volume
 	run(func(p *sim.Proc) {
@@ -118,7 +117,7 @@ func TestSnapshotPropertyFrozenImage(t *testing.T) {
 		// model: the volume's logical content and each snapshot's frozen copy.
 		model := make([][]byte, nBlocks)
 		type frozen struct {
-			id    string
+			snap  *Snapshot
 			image [][]byte
 		}
 		var snaps []frozen
@@ -146,20 +145,16 @@ func TestSnapshotPropertyFrozenImage(t *testing.T) {
 					model[b] = append([]byte(nil), data...)
 				case op < 8: // snapshot
 					id := string(rune('A' + len(snaps)))
-					if _, err := a.CreateSnapshot(id, "v"); err != nil {
+					snap, err := a.CreateSnapshot(id, "v")
+					if err != nil {
 						ok = false
 						return
 					}
-					snaps = append(snaps, frozen{id: id, image: copyModel()})
+					snaps = append(snaps, frozen{snap: snap, image: copyModel()})
 				default: // verify all snapshots against their frozen model
 					for _, s := range snaps {
-						snap, err := a.Snapshot(s.id)
-						if err != nil {
-							ok = false
-							return
-						}
 						for b := int64(0); b < nBlocks; b++ {
-							got, want := snap.Peek(b), s.image[b]
+							got, want := s.snap.Peek(b), s.image[b]
 							if !sameBlock(got, want) {
 								ok = false
 								return

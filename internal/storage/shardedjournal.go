@@ -211,33 +211,6 @@ func (sj *ShardedJournal) Pending() int {
 	return n
 }
 
-// PendingBytes returns the wire size of the backlog across all shards.
-func (sj *ShardedJournal) PendingBytes() int {
-	var n int
-	for _, j := range sj.shards {
-		n += j.PendingBytes()
-	}
-	return n
-}
-
-// Appended returns the lifetime record count across all shards.
-func (sj *ShardedJournal) Appended() int64 {
-	var n int64
-	for _, j := range sj.shards {
-		n += j.Appended()
-	}
-	return n
-}
-
-// Drained returns the lifetime drained count across all shards.
-func (sj *ShardedJournal) Drained() int64 {
-	var n int64
-	for _, j := range sj.shards {
-		n += j.Drained()
-	}
-	return n
-}
-
 // Overflowed reports whether the group has overflowed (pair suspended).
 func (sj *ShardedJournal) Overflowed() bool { return sj.overflowed }
 
@@ -394,14 +367,6 @@ func (sj *ShardedJournal) Reshard(newCount int) (ReshardStats, error) {
 	sj.movedVolumes += int64(stats.MovedVolumes)
 	sj.movedRecords += int64(stats.MovedRecords)
 	return stats, nil
-}
-
-// Retired returns the shard journals dropped by shrink reshards and not yet
-// decommissioned.
-func (sj *ShardedJournal) Retired() []*Journal {
-	out := make([]*Journal, len(sj.retired))
-	copy(out, sj.retired)
-	return out
 }
 
 // DecommissionRetired releases every retired shard journal that is fully

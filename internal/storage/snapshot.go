@@ -41,15 +41,6 @@ func (a *Array) CreateSnapshot(id string, vol VolumeID) (*Snapshot, error) {
 	return s, nil
 }
 
-// Snapshot returns the snapshot with the given ID.
-func (a *Array) Snapshot(id string) (*Snapshot, error) {
-	s, ok := a.snapshots[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchSnapshot, id)
-	}
-	return s, nil
-}
-
 // DeleteSnapshot releases a snapshot and its preserved blocks.
 func (a *Array) DeleteSnapshot(id string) error {
 	s, ok := a.snapshots[id]
@@ -108,13 +99,6 @@ func (s *Snapshot) SizeBlocks() int64 { return s.parent.sizeBlocks }
 
 // BlockSize returns the array's block size in bytes.
 func (s *Snapshot) BlockSize() int { return s.parent.array.cfg.BlockSize }
-
-// Group returns the owning snapshot group name, or "" if standalone.
-func (s *Snapshot) Group() string { return s.group }
-
-// SavedBlocks returns how many original blocks the snapshot preserves (its
-// COW space cost).
-func (s *Snapshot) SavedBlocks() int { return len(s.saved) }
 
 // Read returns the block content as of the snapshot instant, consuming the
 // array's read service time. Like every read it is borrowed (Volume.Read):

@@ -295,7 +295,7 @@ func TestCreateConsistencyGroupRollsBackOnFailure(t *testing.T) {
 	if v.Journal() != nil {
 		t.Fatal("rollback left volume attached")
 	}
-	if _, err := a.Journal("cg"); !errors.Is(err, ErrNoSuchJournal) {
+	if res := a.Residue("cg"); len(res) != 0 {
 		t.Fatal("rollback left journal")
 	}
 }
@@ -382,8 +382,8 @@ func TestJournalTakeMaxBatches(t *testing.T) {
 	if len(b2) != 6 || b2[0].GlobalSeq != 5 {
 		t.Errorf("batch2 len=%d", len(b2))
 	}
-	if j.Pending() != 0 || j.Drained() != 10 {
-		t.Fatalf("pending=%d drained=%d", j.Pending(), j.Drained())
+	if j.Pending() != 0 || j.Appended() != 10 {
+		t.Fatalf("pending=%d appended=%d", j.Pending(), j.Appended())
 	}
 }
 
@@ -439,8 +439,8 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	if cur0[0] != 0x02 {
 		t.Fatalf("volume sees %x, want 02", cur0[0])
 	}
-	if s.SavedBlocks() != 2 { // block 0 original + block 1 was-unwritten marker
-		t.Fatalf("saved = %d", s.SavedBlocks())
+	if len(s.saved) != 2 { // block 0 original + block 1 was-unwritten marker
+		t.Fatalf("saved = %d", len(s.saved))
 	}
 	if v.COWCopies() != 2 {
 		t.Fatalf("cow copies = %d", v.COWCopies())
@@ -470,11 +470,12 @@ func TestSnapshotGroupAtomicAndRollback(t *testing.T) {
 	env, a := newTestArray(t)
 	a.CreateVolume("sales", 4)
 	a.CreateVolume("stock", 4)
+	volumesOnly := []string{"volume sales", "volume stock"}
 	if _, err := a.CreateSnapshotGroup("g1", []VolumeID{"sales", "missing"}); err == nil {
 		t.Fatal("expected failure for missing volume")
 	}
-	if u := a.Usage(); u.Snapshots != 0 || u.SnapshotGroups != 0 {
-		t.Fatalf("rollback left snapshots: %+v", u)
+	if res := a.Residue(""); !slices.Equal(res, volumesOnly) {
+		t.Fatalf("rollback left snapshots: %v", res)
 	}
 	g, err := a.CreateSnapshotGroup("g2", []VolumeID{"sales", "stock"})
 	if err != nil {
@@ -490,15 +491,15 @@ func TestSnapshotGroupAtomicAndRollback(t *testing.T) {
 		if s.TakenAt() != g.TakenAt() {
 			t.Fatal("group members taken at different instants")
 		}
-		if s.Group() != "g2" {
-			t.Fatalf("snapshot group tag = %q", s.Group())
+		if s.group != "g2" {
+			t.Fatalf("snapshot group tag = %q", s.group)
 		}
 	}
 	if err := a.DeleteSnapshotGroup("g2"); err != nil {
 		t.Fatal(err)
 	}
-	if u := a.Usage(); u.Snapshots != 0 || u.SnapshotGroups != 0 {
-		t.Fatalf("group delete left member snapshots: %+v", u)
+	if res := a.Residue(""); !slices.Equal(res, volumesOnly) {
+		t.Fatalf("group delete left member snapshots: %v", res)
 	}
 	if err := a.DeleteSnapshotGroup("g2"); !errors.Is(err, ErrNoSuchSnapshot) {
 		t.Fatalf("second delete of the group: %v, want ErrNoSuchSnapshot", err)
@@ -543,11 +544,10 @@ func TestPokeBypassesTimeButKeepsCOW(t *testing.T) {
 	if err := v.Poke(0, block(a, 0x01)); err != nil {
 		t.Fatal(err)
 	}
-	a.CreateSnapshot("s", "v")
+	s, _ := a.CreateSnapshot("s", "v")
 	if err := v.Poke(0, block(a, 0x02)); err != nil {
 		t.Fatal(err)
 	}
-	s, _ := a.Snapshot("s")
 	if s.Peek(0)[0] != 0x01 {
 		t.Fatal("Poke skipped snapshot COW")
 	}
@@ -605,15 +605,14 @@ func TestWrittenBlocksSorted(t *testing.T) {
 	}
 }
 
-// TestUsageAndResidueTrackAllocations pins the accounting the tenant
-// decommission invariant is built on: Usage counts every allocated object
-// and block, Residue finds everything tied to an ID prefix, and a full
-// teardown returns both to their prior values.
-func TestUsageAndResidueTrackAllocations(t *testing.T) {
+// TestResidueTracksAllocations pins the accounting the tenant decommission
+// invariant is built on: Residue lists every allocated object tied to an ID
+// prefix ("" for all of them), and a full teardown returns it to its prior
+// listing.
+func TestResidueTracksAllocations(t *testing.T) {
 	env, a := newTestArray(t)
-	empty := a.Usage()
-	if empty != (Usage{}) {
-		t.Fatalf("fresh array usage = %+v", empty)
+	if res := a.Residue(""); len(res) != 0 {
+		t.Fatalf("fresh array holds %v", res)
 	}
 	for _, id := range []VolumeID{"pvc-shop-sales", "pvc-shop-stock", "pvc-other-db"} {
 		if _, err := a.CreateVolume(id, 64); err != nil {
@@ -635,13 +634,28 @@ func TestUsageAndResidueTrackAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	u := a.Usage()
-	if u.Volumes != 3 || u.ShardedJournals != 1 || u.Journals != 2 ||
-		u.Snapshots != 2 || u.SnapshotGroups != 1 || u.AttachedVolumes != 2 {
-		t.Fatalf("usage = %+v", u)
+	want := []string{
+		"journal jnl-backup-shop-0",
+		"journal jnl-backup-shop-0#s1",
+		"sharded journal jnl-backup-shop-0",
+		"snapshot group shop-final member of pvc-shop-sales",
+		"snapshot shop-final/pvc-shop-sales of pvc-shop-sales",
+		"snapshot shop-final/pvc-shop-stock of pvc-shop-stock",
+		"volume pvc-other-db",
+		"volume pvc-shop-sales",
+		"volume pvc-shop-stock",
 	}
-	if u.StoredBlocks != 1 || u.PendingRecords != 1 {
-		t.Fatalf("usage blocks/records = %+v", u)
+	if res := a.Residue(""); !slices.Equal(res, want) {
+		t.Fatalf("array objects = %v, want %v", res, want)
+	}
+	sj, _ := a.ShardedJournal("jnl-backup-shop-0")
+	sales, _ := a.Volume("pvc-shop-sales")
+	stock, _ := a.Volume("pvc-shop-stock")
+	if sales.Journal() == nil || stock.Journal() == nil {
+		t.Fatal("a member volume is not attached to its shard journal")
+	}
+	if len(sales.WrittenBlocks()) != 1 || sj.Pending() != 1 {
+		t.Fatalf("stored blocks %v, pending records %d; want one of each", sales.WrittenBlocks(), sj.Pending())
 	}
 	if res := a.Residue("pvc-shop-"); len(res) == 0 {
 		t.Fatal("residue missed the shop objects")
@@ -668,9 +682,8 @@ func TestUsageAndResidueTrackAllocations(t *testing.T) {
 	if res := a.Residue("jnl-backup-shop-"); len(res) != 0 {
 		t.Fatalf("journal residue after teardown: %v", res)
 	}
-	want := Usage{Volumes: 1}
-	if got := a.Usage(); got != want {
-		t.Fatalf("usage after teardown = %+v, want %+v", got, want)
+	if res := a.Residue(""); !slices.Equal(res, []string{"volume pvc-other-db"}) {
+		t.Fatalf("array objects after teardown = %v, want only pvc-other-db", res)
 	}
 }
 
@@ -691,8 +704,9 @@ func TestDeleteVolumeSnapshotsShrinksGroups(t *testing.T) {
 	if err := a.DeleteVolumeSnapshots("va"); err != nil {
 		t.Fatal(err)
 	}
-	if u := a.Usage(); len(g.Snapshots()) != 1 || u.Snapshots != 1 || u.SnapshotGroups != 1 {
-		t.Fatalf("group members = %d, usage %+v, want 1 snapshot in 1 group", len(g.Snapshots()), u)
+	want := []string{"snapshot g/vb of vb", "snapshot group g member of vb", "volume va", "volume vb"}
+	if res := a.Residue(""); len(g.Snapshots()) != 1 || !slices.Equal(res, want) {
+		t.Fatalf("group members = %d, array objects %v, want 1 snapshot in 1 group", len(g.Snapshots()), res)
 	}
 	if err := a.DeleteVolumeSnapshots("vb"); err != nil {
 		t.Fatal(err)
@@ -700,7 +714,7 @@ func TestDeleteVolumeSnapshotsShrinksGroups(t *testing.T) {
 	if err := a.DeleteSnapshotGroup("g"); !errors.Is(err, ErrNoSuchSnapshot) {
 		t.Fatalf("empty snapshot group survived: delete returned %v", err)
 	}
-	if u := a.Usage(); u.Snapshots != 0 || u.SnapshotGroups != 0 {
-		t.Fatalf("usage after deletes = %+v", u)
+	if res := a.Residue(""); !slices.Equal(res, []string{"volume va", "volume vb"}) {
+		t.Fatalf("array objects after deletes = %v", res)
 	}
 }

@@ -83,9 +83,6 @@ func (v *Volume) Journal() *Journal { return v.journal }
 // they are replication targets).
 func (v *Volume) SetReadOnly(ro bool) { v.readOnly = ro }
 
-// ReadOnly reports whether writes are rejected.
-func (v *Volume) ReadOnly() bool { return v.readOnly }
-
 // Writes returns the number of block writes served.
 func (v *Volume) Writes() int64 { return v.writes }
 

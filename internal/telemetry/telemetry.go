@@ -71,14 +71,6 @@ func New(env *sim.Env, cfg Config) *Registry {
 	return r
 }
 
-// SamplePeriod returns the probe sampling period (0 when disabled).
-func (r *Registry) SamplePeriod() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.period
-}
-
 // key canonicalizes name+labels: labels are sorted by key so registration
 // order cannot leak into export order.
 func key(name string, labels []Label) string {

@@ -302,7 +302,7 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 
 func TestNilRegistryQueries(t *testing.T) {
 	var r *Registry
-	if r.Series("x") != nil || r.TopK("x", 3, 0, time.Hour) != nil || r.SamplePeriod() != 0 {
+	if r.Series("x") != nil || r.TopK("x", 3, 0, time.Hour) != nil {
 		t.Fatal("nil registry queries must return zero values")
 	}
 	if p := r.Probe("x", func(time.Duration) (float64, bool) { return 0, true }); p != nil {

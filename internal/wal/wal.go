@@ -27,17 +27,6 @@ const (
 	TypeCommit RecordType = 2
 )
 
-func (t RecordType) String() string {
-	switch t {
-	case TypeUpdate:
-		return "update"
-	case TypeCommit:
-		return "commit"
-	default:
-		return fmt.Sprintf("RecordType(%d)", uint8(t))
-	}
-}
-
 // Errors returned by Decode and the scanners.
 var (
 	// ErrEndOfLog reports a clean end: a zeroed or never-written region.
@@ -226,12 +215,6 @@ func (b *BlockBuilder) Blocks() [][]byte {
 	b.full = nil
 	return out
 }
-
-// Pending reports whether any un-returned data is buffered.
-func (b *BlockBuilder) Pending() bool { return len(b.cur) > 0 || len(b.full) > 0 }
-
-// NextSeq returns the sequence number the next sealed block will carry.
-func (b *BlockBuilder) NextSeq() uint32 { return b.nextSeq }
 
 // ScanBlock decodes the records of one block after validating its header
 // against the wanted epoch and sequence number. ok reports whether the

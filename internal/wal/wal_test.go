@@ -166,11 +166,14 @@ func TestBlockBuilderPacksAndPads(t *testing.T) {
 	if err != nil || len(recs1) != 1 || !ok {
 		t.Fatalf("block1: %d recs ok=%v err=%v", len(recs1), ok, err)
 	}
-	if b.Pending() {
-		t.Fatal("builder not reset")
+	if rest := b.Blocks(); rest != nil {
+		t.Fatalf("builder not reset: %d more blocks", len(rest))
 	}
-	if b.NextSeq() != 2 {
-		t.Fatalf("next seq = %d", b.NextSeq())
+	if err := b.Append(r); err != nil {
+		t.Fatal(err)
+	}
+	if _, seq, ok := ReadBlockHeader(b.Blocks()[0]); !ok || seq != 2 {
+		t.Fatalf("next block's seq = %d ok=%v, want 2", seq, ok)
 	}
 }
 

@@ -219,15 +219,15 @@ func TestReadsDoNotJournal(t *testing.T) {
 		stock, _ := db.Open(p, "stock", kv, db.Config{})
 		s := NewShop(env, sales, stock, Config{})
 		s.Run(p, 5)
-		before := j.Appended()
+		before := j.Shards()[0].Appended()
 		for i := 0; i < 10; i++ {
 			if err := s.CheckOrder(p); err != nil {
 				t.Error(err)
 				return
 			}
 		}
-		if j.Appended() != before {
-			t.Errorf("reads appended %d journal records", j.Appended()-before)
+		if n := j.Shards()[0].Appended(); n != before {
+			t.Errorf("reads appended %d journal records", n-before)
 		}
 	})
 	env.Run(0)
