@@ -14,6 +14,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -93,6 +94,12 @@ type Array struct {
 	snapshots  map[string]*Snapshot
 	groups     map[string]*SnapshotGroup
 	globalSeq  int64 // global ack counter across all volumes
+
+	// slab is the chunk Write carves short prefixes from, front to back: its
+	// length is the part carved. No byte is carved twice, so every room keeps
+	// its bytes for as long as a block or a record holds it (and keeps its
+	// slab reachable as long).
+	slab []byte
 
 	// Stats: operations served and bytes written.
 	writeOps, readOps int64
@@ -231,6 +238,29 @@ func chargeBatch(p *sim.Proc, queue *sim.Resource, n int, lat time.Duration, yie
 			queue.Release()
 		}
 	}
+}
+
+// Carving: a prefix of at most maxRoom bytes is copied into a room cut from a
+// slabBytes chunk; a longer one gets its own allocation.
+const (
+	maxRoom   = 256
+	slabBytes = 4096
+)
+
+// carve returns a copy of data for Write to hand over: for a short prefix, a
+// room cut from the front of the array's slab and capped at its length, so an
+// append to the stored block copies instead of reaching the next room.
+func (a *Array) carve(data []byte) []byte {
+	n := len(data)
+	if n > maxRoom {
+		return bytes.Clone(data)
+	}
+	off := len(a.slab)
+	if off+n > cap(a.slab) {
+		a.slab, off = make([]byte, 0, slabBytes), 0
+	}
+	a.slab = a.slab[:off+n]
+	return append(a.slab[off:off:off+n], data...)
 }
 
 // nextGlobalSeq stamps one write ack in the array-wide order.

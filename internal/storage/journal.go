@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -35,7 +37,7 @@ type Journal struct {
 	env      *sim.Env
 	group    *ShardedJournal
 	id       string
-	pending  []Record
+	pending  backlog
 	appended int64
 	notEmpty *sim.Event
 }
@@ -72,7 +74,7 @@ func (j *Journal) RecordBytes() int { return j.group.array.cfg.BlockSize + recor
 
 // append adds a record in ack order and wakes a drain blocked on NotEmpty.
 func (j *Journal) append(vol VolumeID, block int64, data []byte, globalSeq int64, now time.Duration) {
-	j.pending = append(j.pending, Record{
+	j.pending.push(Record{
 		GlobalSeq: globalSeq,
 		Epoch:     j.group.epoch,
 		Volume:    vol,
@@ -85,38 +87,34 @@ func (j *Journal) append(vol VolumeID, block int64, data []byte, globalSeq int64
 }
 
 // Pending returns the number of records awaiting drain (the backlog).
-func (j *Journal) Pending() int { return len(j.pending) }
+func (j *Journal) Pending() int { return j.pending.n }
 
 // PendingBytes returns the wire size of the backlog.
-func (j *Journal) PendingBytes() int { return len(j.pending) * j.RecordBytes() }
+func (j *Journal) PendingBytes() int { return j.pending.n * j.RecordBytes() }
 
 // OldestPendingAck returns the ack time of the oldest undrained record and
 // whether one exists; the replication engine derives RPO from it.
 func (j *Journal) OldestPendingAck() (time.Duration, bool) {
-	if len(j.pending) == 0 {
+	if j.pending.n == 0 {
 		return 0, false
 	}
-	return j.pending[0].AckedAt, true
+	return j.pending.front().AckedAt, true
 }
 
 // OldestPendingEpoch returns the epoch of the oldest undrained record and
 // whether one exists. Epochs in a journal are non-decreasing, so the
 // multi-lane drain reads this as "every record of epochs < e is drained".
 func (j *Journal) OldestPendingEpoch() (int64, bool) {
-	if len(j.pending) == 0 {
+	if j.pending.n == 0 {
 		return 0, false
 	}
-	return j.pending[0].Epoch, true
+	return j.pending.front().Epoch, true
 }
 
 // PendingRecords returns a copy of the undrained records in sequence
 // order. Failback reads them to learn which source blocks diverged (they
 // carry updates the backup never received).
-func (j *Journal) PendingRecords() []Record {
-	out := make([]Record, len(j.pending))
-	copy(out, j.pending)
-	return out
-}
+func (j *Journal) PendingRecords() []Record { return j.pending.records() }
 
 // Appended returns the lifetime count of records written to the journal.
 func (j *Journal) Appended() int64 { return j.appended }
@@ -125,7 +123,7 @@ func (j *Journal) Appended() int64 { return j.appended }
 // non-empty (or immediately if it already is). Replication drains use it
 // together with sim.Proc.WaitAny to block on "records or stop".
 func (j *Journal) NotEmpty() *sim.Event {
-	if len(j.pending) > 0 {
+	if j.pending.n > 0 {
 		if !j.notEmpty.Triggered() {
 			j.notEmpty.Trigger()
 		}
@@ -145,27 +143,20 @@ func (j *Journal) NotEmpty() *sim.Event {
 // previous batch before taking the next one into the same buffer. To block
 // until there is something to take, wait on NotEmpty first.
 func (j *Journal) TryTakeInto(buf []Record, max int) []Record {
-	if len(j.pending) == 0 {
+	if j.pending.n == 0 {
 		return nil
 	}
-	if max <= 0 || max > len(j.pending) {
-		max = len(j.pending)
+	if max <= 0 || max > j.pending.n {
+		max = j.pending.n
 	}
-	buf = append(buf[:0], j.pending[:max]...)
-	rest := len(j.pending) - max
-	copy(j.pending, j.pending[max:])
-	for i := rest; i < len(j.pending); i++ {
-		j.pending[i] = Record{}
-	}
-	j.pending = j.pending[:rest]
-	return buf
+	return j.pending.popInto(buf[:0], max)
 }
 
 // pendingBytesOf returns the wire size of one volume's share of the
 // backlog (the reshard capacity check sums these per destination shard).
 func (j *Journal) pendingBytesOf(vol VolumeID) int {
 	var n int
-	for _, r := range j.pending {
+	for r := range j.pending.all() {
 		if r.Volume == vol {
 			n++
 		}
@@ -179,19 +170,15 @@ func (j *Journal) pendingBytesOf(vol VolumeID) int {
 // onto its new shard; counters are untouched (the records were appended
 // once and will still be drained once, just elsewhere).
 func (j *Journal) takeVolume(vol VolumeID) []Record {
-	var out []Record
-	kept := j.pending[:0]
-	for _, r := range j.pending {
+	var out, kept []Record
+	for r := range j.pending.all() {
 		if r.Volume == vol {
 			out = append(out, r)
 		} else {
 			kept = append(kept, r)
 		}
 	}
-	for i := len(kept); i < len(j.pending); i++ {
-		j.pending[i] = Record{}
-	}
-	j.pending = kept
+	j.pending = backlog{head: kept, n: len(kept)}
 	return out
 }
 
@@ -205,8 +192,8 @@ func (j *Journal) mergeIn(recs []Record) {
 	if len(recs) == 0 {
 		return
 	}
-	merged := make([]Record, 0, len(j.pending)+len(recs))
-	a, b := j.pending, recs
+	merged := make([]Record, 0, j.pending.n+len(recs))
+	a, b := j.pending.records(), recs
 	for len(a) > 0 && len(b) > 0 {
 		if a[0].GlobalSeq <= b[0].GlobalSeq {
 			merged = append(merged, a[0])
@@ -218,10 +205,100 @@ func (j *Journal) mergeIn(recs []Record) {
 	}
 	merged = append(merged, a...)
 	merged = append(merged, b...)
-	j.pending = merged
+	j.pending = backlog{head: merged, n: len(merged)}
 	j.notEmpty.Trigger()
 }
 
 func (j *Journal) String() string {
-	return fmt.Sprintf("Journal(%s){pending=%d}", j.id, len(j.pending))
+	return fmt.Sprintf("Journal(%s){pending=%d}", j.id, j.pending.n)
+}
+
+// segRecords is the length of the fixed segments a deep backlog chains.
+const segRecords = 256
+
+// backlog is a journal's pending records: a FIFO in GlobalSeq order that never
+// shifts a record. While shallow it is one slice, head, grown by append and
+// reset when it drains. Past segRecords records it chains fixed segments of
+// segRecords behind head; a drained segment is kept as spare for the next one
+// the tail needs, so a deep backlog in steady state allocates nothing. Every
+// popped slot is cleared: a drained record's Data is not held.
+type backlog struct {
+	head  []Record // the oldest segment; head[off:] are pending
+	off   int
+	tail  [][]Record // later segments, oldest first, each filled to its cap
+	spare []Record   // a drained segment, cleared, or nil
+	n     int        // records pending
+}
+
+// front returns the oldest pending record; the backlog must not be empty.
+func (b *backlog) front() *Record { return &b.head[b.off] }
+
+// push appends r after every pending record.
+func (b *backlog) push(r Record) {
+	b.n++
+	if len(b.tail) == 0 && len(b.head) < segRecords {
+		b.head = append(b.head, r)
+		return
+	}
+	if k := len(b.tail) - 1; k >= 0 && len(b.tail[k]) < cap(b.tail[k]) {
+		b.tail[k] = append(b.tail[k], r)
+		return
+	}
+	seg := b.spare
+	if b.spare = nil; seg == nil {
+		seg = make([]Record, 0, segRecords)
+	}
+	b.tail = append(b.tail, append(seg, r))
+}
+
+// popInto appends the k oldest records to buf, k at most n, clears their
+// slots and returns buf.
+func (b *backlog) popInto(buf []Record, k int) []Record {
+	for k > 0 {
+		seg := b.head[b.off:min(b.off+k, len(b.head))]
+		buf = append(buf, seg...)
+		clear(seg)
+		b.off += len(seg)
+		b.n -= len(seg)
+		k -= len(seg)
+		if b.off < len(b.head) {
+			break
+		}
+		// head is drained: reuse it as the shallow slice, or make it the
+		// spare and the oldest tail segment the head.
+		b.off = 0
+		if len(b.tail) == 0 {
+			b.head = b.head[:0]
+			break
+		}
+		if cap(b.head) >= segRecords {
+			b.spare = b.head[:0:segRecords]
+		}
+		b.head = b.tail[0]
+		b.tail = slices.Delete(b.tail, 0, 1)
+	}
+	return buf
+}
+
+// all yields the pending records, oldest first.
+func (b *backlog) all() iter.Seq[Record] {
+	return func(yield func(Record) bool) {
+		for _, r := range b.head[b.off:] {
+			if !yield(r) {
+				return
+			}
+		}
+		for _, seg := range b.tail {
+			for _, r := range seg {
+				if !yield(r) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// records returns a copy of the pending records, oldest first.
+func (b *backlog) records() []Record {
+	return slices.AppendSeq(make([]Record, 0, b.n), b.all())
 }

@@ -275,14 +275,20 @@ func TestShardedGroupLifecycleGuards(t *testing.T) {
 
 // TestPendingBytesEqualsBacklogScan pins the byte count every capacity check
 // reads: after each way the backlog can change — append, take, reshard
-// migration in both directions, overflow and its clearing — every shard's
-// PendingBytes is a whole block plus the record header per pending record.
+// migration in both directions, of a backlog shallow and deeper than one
+// segment, overflow and its clearing — every shard's PendingBytes is a whole
+// block plus the record header per pending record, and every shard's backlog
+// still ascends by GlobalSeq (checkShardInvariants).
 func TestPendingBytesEqualsBacklogScan(t *testing.T) {
 	env, a, sj := shardedFixture(t, 2, 8, 0)
 	reshard := func(n int) func() {
 		return func() {
+			before := sj.Pending()
 			if _, err := sj.Reshard(n); err != nil {
 				t.Fatal(err)
+			}
+			if sj.Pending() != before {
+				t.Fatalf("reshard to %d: %d records pending, %d before", n, sj.Pending(), before)
 			}
 		}
 	}
@@ -298,6 +304,12 @@ func TestPendingBytesEqualsBacklogScan(t *testing.T) {
 		{"grow 2->4 migrates", reshard(4)},
 		{"append after grow", func() { reshardWrite(t, env, a, sj, 24) }},
 		{"shrink 4->1 migrates", reshard(1)},
+		{"append past one segment", func() { reshardWrite(t, env, a, sj, 3*segRecords) }},
+		{"grow 1->3 migrates a deep backlog", func() {
+			sj.DecommissionRetired() // frees the IDs the 4->1 shrink retired
+			reshard(3)()
+		}},
+		{"shrink 3->1 merges it back", reshard(1)},
 		{"overflow", func() {
 			sj.SetCapacityPerShard(1)
 			if !sj.Overflowed() {
@@ -317,9 +329,10 @@ func TestPendingBytesEqualsBacklogScan(t *testing.T) {
 	}
 	for _, st := range steps {
 		st.do()
+		checkShardInvariants(t, sj)
 		for _, j := range append(sj.Shards(), sj.retired...) {
 			scan := 0
-			for range j.pending {
+			for range j.pending.all() {
 				scan += a.Config().BlockSize + recordHeaderBytes
 			}
 			if j.PendingBytes() != scan {
@@ -336,29 +349,40 @@ func TestPendingBytesEqualsBacklogScan(t *testing.T) {
 
 // BenchmarkJournalAppendTake is the journal's layer benchmark: one journaled
 // block write (media + journal append) per op, drained in 64-record batches
-// into a reused scratch — the shape every replication lane runs.
+// into a reused scratch — the shape every replication lane runs — behind a
+// backlog held at 0 records (shallow) or at 8,192 (deep, a slow link's).
 func BenchmarkJournalAppendTake(b *testing.B) {
-	env, a, sj := shardedFixture(b, 1, 1, 0)
-	v, _ := a.Volume(sj.Members()[0])
-	j := sj.Shards()[0]
-	buf := make([]byte, a.Config().BlockSize)
-	scratch := make([]Record, 0, 64)
-	done := 0
-	env.Process("load", func(p *sim.Proc) {
-		for {
-			if _, err := v.Write(p, int64(done%256), buf); err != nil {
-				b.Error(err)
-				return
+	for _, c := range []struct {
+		name string
+		held int
+	}{{"shallow", 0}, {"deep", 8192}} {
+		b.Run(c.name, func(b *testing.B) {
+			env, a, sj := shardedFixture(b, 1, 1, 0)
+			v, _ := a.Volume(sj.Members()[0])
+			j := sj.Shards()[0]
+			buf := make([]byte, a.Config().BlockSize)
+			scratch := make([]Record, 0, 64)
+			done := 0
+			env.Process("load", func(p *sim.Proc) {
+				for {
+					if _, err := v.Write(p, int64(done%256), buf); err != nil {
+						b.Error(err)
+						return
+					}
+					if done++; done > c.held && done%64 == 0 {
+						scratch = j.TryTakeInto(scratch, 64)
+					}
+				}
+			})
+			perOp := a.Config().WriteLatency + a.Config().JournalLatency
+			advance := func(n int) { env.Run(env.Now() + time.Duration(n)*perOp) }
+			advance(c.held + 2*segRecords) // warm up: backlog and scratch at their working size
+			if j.Pending() < c.held {
+				b.Fatalf("backlog of %d records, want %d held", j.Pending(), c.held)
 			}
-			if done++; done%64 == 0 {
-				scratch = j.TryTakeInto(scratch, 64)
-			}
-		}
-	})
-	perOp := a.Config().WriteLatency + a.Config().JournalLatency
-	advance := func(n int) { env.Run(env.Now() + time.Duration(n)*perOp) }
-	advance(256) // warm up: backlog and scratch at their working size
-	b.ReportAllocs()
-	b.ResetTimer()
-	advance(b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			advance(b.N)
+		})
+	}
 }

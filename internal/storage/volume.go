@@ -105,22 +105,34 @@ type Ack struct {
 // returns the ack. Data is the block or a prefix of it: 1 to BlockSize bytes,
 // the rest reading as zeroes, charged as a whole block either way. The caller
 // keeps its buffer: Write is WriteOwned of a copy of the shortest prefix that
-// reads the same, so a 4 KiB buffer carrying an 8-byte stamp stores 8 bytes.
+// reads the same, so a 4 KiB buffer carrying an 8-byte stamp stores 8 bytes,
+// carved from the array's slab (Array.carve).
 func (v *Volume) Write(p *sim.Proc, block int64, data []byte) (Ack, error) {
 	// Validate the caller's length, not the trimmed one: an oversized buffer
 	// of trailing zeroes is still an error.
 	if err := v.checkWrite(block, len(data)); err != nil {
 		return Ack{}, err
 	}
-	return v.WriteOwned(p, block, bytes.Clone(data[:shortestPrefix(data)]))
+	return v.WriteOwned(p, block, v.array.carve(data[:shortestPrefix(data)]))
 }
+
+// trimStride is the run of trailing zeroes shortestPrefix skips in one
+// comparison.
+const trimStride = 256
+
+var zeroStride [trimStride]byte
 
 // shortestPrefix returns one past the last non-zero byte of a non-empty data,
 // at least 1: a written all-zero block stays distinct from a never-written one.
-// It scans back a word at a time, so a buffer whose last byte is non-zero costs
-// one load; the 1 to 8 head bytes are read as one word, right-aligned.
+// It drops all-zero strides from the end, one comparison each, then scans back
+// a word at a time, which ends inside the last stride: a stamped 4 KiB buffer
+// costs 15 comparisons and 31 loads, where a word scan alone took 511. The 1
+// to 8 head bytes are read as one word, right-aligned.
 func shortestPrefix(data []byte) int {
 	n := len(data)
+	for n > trimStride && bytes.Equal(data[n-trimStride:n], zeroStride[:]) {
+		n -= trimStride
+	}
 	for ; n > 8; n -= 8 {
 		if w := binary.LittleEndian.Uint64(data[n-8 : n]); w != 0 {
 			return n - bits.LeadingZeros64(w)/8

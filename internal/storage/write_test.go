@@ -104,22 +104,96 @@ func TestWriteStoresShortestPrefix(t *testing.T) {
 }
 
 // shortestPrefix agrees with trimming trailing zeroes (kept at one byte) for
-// every length up to three words and every position of the last non-zero byte.
+// every length up to three words and every position of the last non-zero byte,
+// and for lengths that straddle one to three strides, 512 B and 4 KiB with the
+// last non-zero byte at every stride boundary, counted from either end, and one
+// byte either side of it.
 func TestShortestPrefixMatchesTrim(t *testing.T) {
+	check := func(n, last int) {
+		t.Helper()
+		data := make([]byte, n)
+		for i := 0; i <= last; i++ {
+			data[i] = byte(i%3) * 0x80 // zeroes inside the prefix too
+		}
+		if last >= 0 {
+			data[last] = 0x01
+		}
+		want := max(len(bytes.TrimRight(data, "\x00")), 1)
+		if got := shortestPrefix(data); got != want {
+			t.Fatalf("shortestPrefix of %d bytes, last non-zero at %d = %d, want %d", n, last, got, want)
+		}
+	}
 	for n := 1; n <= 24; n++ {
 		for last := -1; last < n; last++ {
-			data := make([]byte, n)
-			for i := 0; i <= last; i++ {
-				data[i] = byte(i%3) * 0x80 // zeroes inside the prefix too
-			}
-			if last >= 0 {
-				data[last] = 0x01
-			}
-			want := max(len(bytes.TrimRight(data, "\x00")), 1)
-			if got := shortestPrefix(data); got != want {
-				t.Fatalf("shortestPrefix(%x) = %d, want %d", data, got, want)
+			check(n, last)
+		}
+	}
+	const s = trimStride
+	for _, n := range []int{s - 1, s, s + 1, 2*s - 1, 2 * s, 2*s + 1, 3*s - 1, 3 * s, 3*s + 1, 512, 4096} {
+		lasts := []int{-1, 0, n - 1}
+		for b := s; b < n; b += s {
+			lasts = append(lasts, b-1, b, b+1, n-b-1, n-b, n-b+1)
+		}
+		for _, last := range lasts {
+			if last < n {
+				check(n, last)
 			}
 		}
+	}
+}
+
+// Write copies a short prefix into a room carved from the array's slab,
+// capped at its length: consecutive stamped writes are neighbours in one slab,
+// an append to one stored block copies rather than reaching the next, and on a
+// warm volume 512 stamped writes allocate at most the slabs they fill. A
+// full-block write keeps its own allocation.
+func TestWriteCarvesShortPrefixes(t *testing.T) {
+	env := sim.NewEnv(1)
+	a := NewArray(env, "main", Config{})
+	v, _ := a.CreateVolume("v", 512)
+	buf := make([]byte, a.Config().BlockSize)
+	full := block(a, 0xA5)
+	for i := range int64(512) {
+		v.Poke(i, full)
+	}
+	var writes int
+	env.Process("writer", func(p *sim.Proc) {
+		for ; ; writes++ {
+			binary.BigEndian.PutUint64(buf, uint64(writes+1))
+			if _, err := v.Write(p, int64(writes%512), buf); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	perOp := a.Config().WriteLatency
+	advance := func(n int) { env.Run(env.Now() + time.Duration(n)*perOp) }
+
+	advance(2)
+	first, second := v.Peek(0), v.Peek(1)
+	switch {
+	case writes != 2:
+		t.Fatalf("%d writes ran, want 2", writes)
+	case len(first) != 8 || cap(first) != 8 || len(second) != 8 || cap(second) != 8:
+		t.Fatalf("stored blocks of len/cap %d/%d and %d/%d, want 8/8", len(first), cap(first), len(second), cap(second))
+	case len(a.slab) < 16 || &first[0] != &a.slab[0] || &second[0] != &a.slab[8]:
+		t.Error("consecutive stamped writes were not carved side by side from the slab")
+	}
+	was := bytes.Clone(second)
+	if grown := append(first, 0xFF); &grown[0] == &first[0] || !bytes.Equal(second, was) {
+		t.Fatalf("an append to one stored block reached its neighbour: %x", second)
+	}
+
+	if allocs := testing.AllocsPerRun(1, func() { advance(512) }); allocs > 2 {
+		t.Errorf("512 stamped writes on a warm volume allocated %v objects, want at most 2", allocs)
+	}
+
+	// The write in flight was carved when it was issued; the next is full.
+	buf = bytes.Clone(full) // the writer stamps it: still a full block
+	carved, next := len(a.slab), writes+1
+	advance(2)
+	if got := v.Peek(int64(next % 512)); len(got) != len(full) || cap(got) != len(full) || len(a.slab) != carved {
+		t.Fatalf("a full-block write stored len %d cap %d and moved the slab %d -> %d", len(got), cap(got), carved, len(a.slab))
 	}
 }
 
