@@ -140,7 +140,6 @@ func (a *Array) CreateVolume(id VolumeID, sizeBlocks int64) (*Volume, error) {
 		id:         id,
 		array:      a,
 		sizeBlocks: sizeBlocks,
-		blocks:     make(map[int64][]byte),
 	}
 	if a.cfg.IsolatedVolumes {
 		v.queue = a.env.NewResource(1)

@@ -244,7 +244,7 @@ func TestAdoptedRecordBlockIsNeverWrittenInto(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if &bv.blocks[0][0] != &pv.blocks[0][0] {
+		if &bv.Peek(0)[0] != &pv.Peek(0)[0] {
 			t.Error("InstallDelta copied the record's block; the hand-over rule is not exercised")
 		}
 		snap, err := backup.CreateSnapshot("s", "v")

@@ -22,23 +22,19 @@ func (a *Array) CloneVolume(p *sim.Proc, snapID string, newID VolumeID) (*Volume
 	}
 	// The snapshot image = preserved originals overlaid on parent blocks
 	// that were never overwritten.
-	seen := make(map[int64]bool)
 	write := func(b int64, data []byte) {
 		chargeBatch(p, a.controller, 1, a.cfg.WriteLatency, false)
-		clone.blocks[b] = data // shared with the parent; neither ever writes into it
-		clone.writes++
-		a.writeOps++
-		a.bytesWritten += int64(a.cfg.BlockSize)
+		clone.put(b, data) // shared with the parent; neither ever writes into it
+		clone.countWrite()
 	}
 	for b, orig := range s.saved {
-		seen[b] = true
 		if orig != nil {
 			write(b, orig)
 		}
 	}
-	for b, cur := range s.parent.blocks {
-		if !seen[b] {
-			write(b, cur)
+	for _, b := range s.parent.WrittenBlocks() {
+		if _, saved := s.saved[b]; !saved {
+			write(b, s.parent.block(b))
 		}
 	}
 	return clone, nil

@@ -159,7 +159,7 @@ func (s *Snapshot) stored(block int64) []byte {
 	if orig, saved := s.saved[block]; saved {
 		return orig
 	}
-	return s.parent.blocks[block]
+	return s.parent.block(block)
 }
 
 // SnapshotGroup is a set of snapshots created atomically across multiple

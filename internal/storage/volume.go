@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 	"time"
@@ -19,7 +20,6 @@ type Volume struct {
 	id         VolumeID
 	array      *Array
 	sizeBlocks int64
-	blocks     map[int64][]byte
 	journal    *Journal
 	snapshots  []*Snapshot
 	readOnly   bool
@@ -31,15 +31,61 @@ type Volume struct {
 	writes, reads int64
 	cowCopies     int64 // blocks preserved for snapshots (write amplification)
 
-	// changed records blocks written since StartChangeTracking — the
+	// The block table, read by block and written by put: a map while the
+	// volume is sparse, then one slot per block (dense) and blocks nil.
+	blocks map[int64][]byte
+	dense  [][]byte
+
+	// changed has one bit per block written since StartChangeTracking — the
 	// delta-resync bitmap real arrays keep for failback. nil = off.
-	changed map[int64]bool
+	changed []uint64
+}
+
+// denseDivisor sets the table's switch: a volume turns dense when a write
+// would take its map past one block in denseDivisor. A dense slot is a slice
+// header, 24 B per block. A map entry is its key and that header, 32 B, in a
+// table that doubles when 7/8 full and so averages about 2/3 full: 48 B per
+// written block, and the tables it outgrew held about as much again. At 96 B
+// a written block, the map has allocated what the dense table costs once a
+// quarter of the blocks are written.
+const denseDivisor = 4
+
+// block returns the stored block, nil when it was never written (or lies
+// outside the volume).
+func (v *Volume) block(b int64) []byte {
+	if v.dense == nil {
+		return v.blocks[b]
+	}
+	if uint64(b) < uint64(len(v.dense)) {
+		return v.dense[b]
+	}
+	return nil
+}
+
+// put makes buf the stored block, first moving the map into a dense table
+// when this write would take it past its share.
+func (v *Volume) put(b int64, buf []byte) {
+	if v.dense == nil && int64(len(v.blocks)+1)*denseDivisor > v.sizeBlocks {
+		v.dense = make([][]byte, v.sizeBlocks)
+		for b, blk := range v.blocks {
+			v.dense[b] = blk
+		}
+		v.blocks = nil
+	}
+	if v.dense != nil {
+		v.dense[b] = buf
+		return
+	}
+	if v.blocks == nil {
+		v.blocks = make(map[int64][]byte)
+	}
+	v.blocks[b] = buf
 }
 
 // StartChangeTracking begins recording written block indexes (resets any
 // previous record). Replication failover turns this on for its targets so
 // failback can resynchronize only the delta.
-func (v *Volume) StartChangeTracking() { v.changed = make(map[int64]bool) }
+func (v *Volume) StartChangeTracking() { v.changed = make([]uint64, (v.sizeBlocks+63)/64) }
 
 // StopChangeTracking discards the change record.
 func (v *Volume) StopChangeTracking() { v.changed = nil }
@@ -52,17 +98,22 @@ func (v *Volume) TrackingChanges() bool { return v.changed != nil }
 // ChangedBlocks returns the blocks written since StartChangeTracking, in
 // ascending order.
 func (v *Volume) ChangedBlocks() []int64 {
-	out := make([]int64, 0, len(v.changed))
-	for b := range v.changed {
-		out = append(out, b)
+	n := 0
+	for _, w := range v.changed {
+		n += bits.OnesCount64(w)
 	}
-	slices.Sort(out)
+	out := make([]int64, 0, n)
+	for i, w := range v.changed {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, int64(i*64+bits.TrailingZeros64(w)))
+		}
+	}
 	return out
 }
 
 func (v *Volume) noteChange(block int64) {
 	if v.changed != nil {
-		v.changed[block] = true
+		v.changed[block/64] |= 1 << (block % 64)
 	}
 }
 
@@ -246,7 +297,7 @@ func (v *Volume) preserveForSnapshots(block int64) {
 		if _, saved := s.saved[block]; saved {
 			continue
 		}
-		s.saved[block] = v.blocks[block] // nil means "was unwritten (zeroes)"
+		s.saved[block] = v.block(block) // nil means "was unwritten (zeroes)"
 		v.cowCopies++
 	}
 }
@@ -263,7 +314,7 @@ func (v *Volume) Read(p *sim.Proc, block int64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, block)
 	}
 	v.chargeReads(p, 1, false)
-	return v.blocks[block], nil
+	return v.block(block), nil
 }
 
 // chargeReads passes the service time of one n-block read request
@@ -284,7 +335,7 @@ func (v *Volume) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error
 		return nil, fmt.Errorf("%w: %s[%d..%d)", ErrOutOfRange, v.id, start, start+int64(count))
 	}
 	v.chargeReads(p, count, false)
-	return sparseRange(count, func(i int) []byte { return v.blocks[start+int64(i)] }), nil
+	return sparseRange(count, func(i int) []byte { return v.block(start + int64(i)) }), nil
 }
 
 // sparseRange returns the count blocks at(0..count-1) gives, or nil when every
@@ -313,14 +364,14 @@ func (v *Volume) ReadBlocks(p *sim.Proc, ios []BlockIO) error {
 	}
 	v.chargeReads(p, len(ios), true)
 	for i := range ios {
-		ios[i].Data = v.blocks[ios[i].Block]
+		ios[i].Data = v.block(ios[i].Block)
 	}
 	return nil
 }
 
 // Peek is Read without consuming simulated time — the verification back door
 // used by the consistency checker; production code paths must use Read.
-func (v *Volume) Peek(block int64) []byte { return v.blocks[block] }
+func (v *Volume) Peek(block int64) []byte { return v.block(block) }
 
 // checkBlock validates a block index and a payload length against the volume:
 // a stored block is a prefix of 1 to BlockSize bytes.
@@ -340,7 +391,7 @@ func (v *Volume) checkBlock(block int64, n int) error {
 // up: neither the caller nor anyone it shared buf with may modify it again.
 func (v *Volume) install(block int64, buf []byte) {
 	v.preserveForSnapshots(block)
-	v.blocks[block] = buf
+	v.put(block, buf)
 	v.noteChange(block)
 }
 
@@ -400,16 +451,23 @@ func (v *Volume) Apply(p *sim.Proc, block int64, data []byte) error {
 }
 
 // WrittenBlocks returns the indexes of blocks that have been written, in
-// ascending order (verification helper).
+// ascending order (verification helper): a dense table is walked in order,
+// a map's keys are sorted.
 func (v *Volume) WrittenBlocks() []int64 {
-	out := make([]int64, 0, len(v.blocks))
-	for b := range v.blocks {
-		out = append(out, b)
+	if v.dense == nil {
+		out := slices.AppendSeq(make([]int64, 0, len(v.blocks)), maps.Keys(v.blocks))
+		slices.Sort(out)
+		return out
 	}
-	slices.Sort(out)
+	out := make([]int64, 0, len(v.dense))
+	for b, blk := range v.dense {
+		if blk != nil {
+			out = append(out, int64(b))
+		}
+	}
 	return out
 }
 
 func (v *Volume) String() string {
-	return fmt.Sprintf("Volume(%s/%s){%d blocks, %d written}", v.array.name, v.id, v.sizeBlocks, len(v.blocks))
+	return fmt.Sprintf("Volume(%s/%s){%d blocks, %d written}", v.array.name, v.id, v.sizeBlocks, len(v.WrittenBlocks()))
 }
