@@ -2,7 +2,7 @@
 # .github/workflows/ci.yml; each target's comment says what it checks and why
 # its settings are what they are.
 #
-#   ci               everything below except bench-record, profile-%, allocs-% and chaos
+#   ci               everything below except bench-record, profile-% and allocs-%
 #   fmt vet build test test-race
 #   layer-bench-smoke  every benchmark under internal/ once: does it still run
 #   tables-check     every experiment table equals the committed golden
@@ -12,7 +12,8 @@
 #   allocs-<w>       exact allocation sites of one ./benchmark workload (not part of ci)
 #   telemetry-smoke  E16 end to end twice, the two exports byte-identical; leaves telemetry.json
 #   autopilot-smoke  E17 end to end, its decision log equal to the committed golden; leaves e17-decisions.log
-#   chaos-smoke      25 seeded fault schedules under -race; `chaos` is the long sweep
+#   chaos-smoke      25 seeded fault schedules under -race
+#   chaos            500 seeded fault schedules at -steps medium, without -race
 #   lines            the Go line counts and DESIGN.md's size ROADMAP tracks, per internal/ package, cmd/ binary and example too (not part of ci)
 #   lines-diff       BASE=<rev>: non-test Go lines outside benchmark/ at BASE, in the working tree, and the difference (not part of ci)
 
@@ -20,7 +21,7 @@ GO ?= go
 
 .PHONY: ci fmt vet build test layer-bench-smoke test-race tables-check bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines lines-diff
 
-ci: fmt vet build test layer-bench-smoke test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke
+ci: fmt vet build test layer-bench-smoke test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke chaos
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -144,8 +145,9 @@ autopilot-smoke:
 chaos-smoke:
 	$(GO) run -race ./cmd/chaos -steps short -seeds 25 -log chaos-repro.log
 
-# The long sweep: not part of `make ci` — run it after changes to the
-# replication engines, recovery paths, or the declarative surface.
+# The long sweep, part of `make ci` (about 4 s on 2 vCPUs): 500 medium
+# schedules, failover, failback at every lane count and reshards among them.
+# A failing seed is reported, shrunk and logged as in chaos-smoke.
 chaos:
 	$(GO) run ./cmd/chaos -steps medium -seeds 500 -log chaos-repro.log
 

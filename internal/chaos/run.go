@@ -349,14 +349,8 @@ func (r *runner) failover(p *sim.Proc, f Fault) {
 }
 
 func (r *runner) failback(p *sim.Proc, f Fault) {
-	start := p.Now()
 	fb, err := r.sys.Failback(p)
-	elapsed := p.Now() - start
 	switch {
-	case errors.Is(err, core.ErrShardedFailback):
-		// The typed refusal must be prompt — a registry scan, not a burned
-		// wait timeout. TestChaosFailbackRefusal pins this.
-		r.logf(p, "fault #%02d failback: refused in %v: %v", f.Seq, elapsed, err)
 	case errors.Is(err, core.ErrNothingToFailBack):
 		r.logf(p, "fault #%02d failback: precondition absent (%v)", f.Seq, err)
 	case err != nil:
@@ -364,6 +358,12 @@ func (r *runner) failback(p *sim.Proc, f Fault) {
 	default:
 		r.logf(p, "fault #%02d failback: %d reverse groups, resync %v (delta %d / full %d blocks)",
 			f.Seq, len(fb.Reverse), fb.ResyncTime, fb.DeltaBlocks, fb.FullBlocks)
+		// A failed-over tenant's workload is stopped, so once a reverse
+		// group has drained, main must read as the backup does.
+		for _, rg := range fb.Reverse {
+			rg.CatchUp(p)
+			r.violations(p, invariants.CheckRoundTrip(rg.Name(), rg, r.sys.Backup.Array, r.sys.Main.Array))
+		}
 	}
 }
 
@@ -454,7 +454,7 @@ func (r *runner) squeeze(p *sim.Proc, f Fault) {
 		// The group froze: the fail-closed invariant must hold NOW.
 		r.violations(p, invariants.CheckFailClosed(t.ns, r.sys.Main.Array, sj))
 		sj.SetCapacityPerShard(0)
-		if err := eng.Resync(p, r.sys.Main.Array, 10); err != nil {
+		if err := eng.Resync(p, r.sys.Main.Array); err != nil {
 			r.fail(p, fmt.Errorf("squeeze resync %s: %w", t.ns, err))
 			return
 		}

@@ -33,9 +33,8 @@ const (
 	// (no catch-up first: whatever is in flight is lost) and verifies the
 	// recovered image is a consistent cut.
 	FaultFailover
-	// FaultFailback attempts core.Failback for every failed-over group.
-	// Against a sharded tenant this must refuse promptly with the typed
-	// core.ErrShardedFailback, not burn a wait timeout.
+	// FaultFailback runs core.Failback for every failed-over group, at any
+	// lane count, and checks each reverse group's round trip once it drains.
 	FaultFailback
 	// FaultJoin provisions a new tenant (its plan is already in
 	// Schedule.Tenants) and starts its workload under everyone else's load.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/invariants"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -125,10 +126,11 @@ func TestReshardTenantUnchangedSpecIsZeroMigration(t *testing.T) {
 	})
 }
 
-// TestFailbackShardedSentinel is the satellite regression: Failback on a
-// system whose failed-over group is sharded must refuse with the typed
-// sentinel BEFORE touching anything — no failed-over group is resynced, and an unrelated sharded tenant keeps draining healthily.
-func TestFailbackShardedSentinel(t *testing.T) {
+// TestShardedFailbackRoundTrips: a two-lane tenant fails over and back
+// through the same path a one-lane tenant takes. The reverse group runs two
+// lanes, main reads as the backup does once it drains, and an unrelated
+// sharded tenant keeps draining throughout.
+func TestShardedFailbackRoundTrips(t *testing.T) {
 	runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
 		// Tenant A: sharded, failed over. Tenant B: sharded, still draining.
 		bpA, err := sys.ProvisionTenant(p, shardedSpec("alpha"))
@@ -150,34 +152,34 @@ func TestFailbackShardedSentinel(t *testing.T) {
 			return
 		}
 
-		_, err = sys.Failback(p)
-		if !errors.Is(err, ErrShardedFailback) {
-			t.Errorf("Failback error = %v, want ErrShardedFailback", err)
+		fb, err := sys.Failback(p)
+		if err != nil {
+			t.Errorf("failback: %v", err)
 			return
 		}
-		// The refusal left the world untouched: no reverse groups started,
-		// alpha's journal attachments intact (failback would have dropped
-		// them), and beta still drains new commits to a consistent backup.
-		if len(sys.reverse) != 0 {
-			t.Errorf("%d reverse groups started despite refusal", len(sys.reverse))
+		if len(fb.Reverse) != 1 || fb.Reverse[0].Lanes() != 2 {
+			t.Errorf("reverse groups %v, want one of 2 lanes", fb.Reverse)
+			return
 		}
-		if sj, err := sys.Main.Array.ShardedJournal("jnl-backup-alpha-0"); err != nil {
-			t.Errorf("alpha journal gone after refused failback: %v", err)
-		} else if len(sj.Members()) != 2 {
-			t.Errorf("alpha journal members = %d, want 2", len(sj.Members()))
-		}
+		rg := fb.Reverse[0]
 		if err := bpB.Shop.Run(p, 4); err != nil {
 			t.Error(err)
 			return
 		}
+		if !rg.CatchUp(p) {
+			t.Error("alpha's reverse group did not catch up")
+		}
+		if vs := invariants.CheckRoundTrip("alpha", rg, sys.Backup.Array, sys.Main.Array); len(vs) != 0 {
+			t.Errorf("alpha after failback: %v", vs)
+		}
 		if !sys.CatchUp(p, "beta") {
-			t.Error("beta no longer drains after refused failback")
+			t.Error("beta no longer drains after alpha failed back")
 		}
 		if g := sys.Groups("beta")[0]; g.Stopped() || g.Backlog() != 0 {
 			t.Errorf("beta group unhealthy: stopped=%v backlog=%d", g.Stopped(), g.Backlog())
 		}
-		if _, err := sys.SnapshotBackup("beta", "post-refusal"); err != nil {
-			t.Errorf("beta snapshot after refusal: %v", err)
+		if _, err := sys.SnapshotBackup("beta", "post-failback"); err != nil {
+			t.Errorf("beta snapshot after alpha failed back: %v", err)
 		}
 	})
 }

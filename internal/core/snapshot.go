@@ -62,14 +62,6 @@ type FailoverResult struct {
 	RecoveryTime time.Duration
 }
 
-// ErrShardedFailback reports a Failback attempt that found a failed-over
-// group running more than one lane. Sharded failback is an open design
-// problem (the delta resync needs a per-shard REVERSE lane layout — see
-// DESIGN.md "Dynamic resharding"); until it exists, Failback refuses before
-// touching anything, so every group — failed-over or still draining — is
-// left exactly as it was.
-var ErrShardedFailback = errors.New("core: failback of a sharded group is not supported")
-
 // ErrNothingToFailBack reports a Failback that found no group to resync: none
 // has failed over, or an earlier Failback resynced every one that has.
 var ErrNothingToFailBack = errors.New("core: no failed-over groups to fail back")
@@ -92,22 +84,11 @@ type FailbackResult struct {
 func (sys *System) Failback(p *sim.Proc) (*FailbackResult, error) {
 	var res FailbackResult
 	start := p.Now()
-	// Refuse before touching anything: sharded failback is an open
-	// follow-up (see ROADMAP), and discovering that mid-loop would leave
-	// earlier groups resynced with reverse replication already running.
-	var failedOver []replication.Replicator
 	for _, g := range sys.Replication.AllGroups() {
 		if !g.FailedOver() {
 			continue
 		}
-		if g.Lanes() > 1 {
-			return nil, fmt.Errorf("%w: %s", ErrShardedFailback, g.Name())
-		}
-		failedOver = append(failedOver, g)
-	}
-	for _, g := range failedOver {
-		reverse, stats, err := g.Failback(p, sys.Main.Array,
-			sys.ReversePathFor(sys.Replication.NamespaceOf(g)), replication.Config{})
+		reverse, stats, err := g.Failback(p, sys.Main.Array, sys.ReversePathFor(sys.Replication.NamespaceOf(g)))
 		if errors.Is(err, replication.ErrFailedBack) {
 			continue // resynced by an earlier Failback
 		}

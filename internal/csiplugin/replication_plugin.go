@@ -85,8 +85,7 @@ func (rp *ReplicationPlugin) NamespaceOf(g replication.Replicator) string { retu
 // AllGroups returns every running engine (for site-wide operations), in
 // CR-name order. The deterministic order matters: site-wide operations
 // like Failback visit the groups sequentially, so a map-order walk would
-// make their simulated timing — and which group a typed refusal names —
-// vary between runs of the same seed.
+// make their simulated timing vary between runs of the same seed.
 func (rp *ReplicationPlugin) AllGroups() []replication.Replicator {
 	out := make([]replication.Replicator, 0, len(rp.groups))
 	for _, name := range slices.Sorted(maps.Keys(rp.groups)) {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/netlink"
-	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -73,7 +72,7 @@ func E10Failback(seed int64, outageOrders []int) (*Table, error) {
 		r.links.Heal()
 		err = runProc(r.env, "failback", 0, func(p *sim.Proc) error {
 			start := p.Now()
-			reverse, stats, err := r.groups[0].Failback(p, r.main, r.links.Reverse, replication.Config{})
+			reverse, stats, err := r.groups[0].Failback(p, r.main, r.links.Reverse)
 			if err != nil {
 				return err
 			}

@@ -21,6 +21,9 @@
 //   - epoch boundary: a group's backup image is an exact ack-order prefix
 //     and never exposes a record from an epoch newer than the last
 //     committed one;
+//   - round trip: a failback's reverse group keeps the epoch boundary, and
+//     once it has caught up every member volume reads the same at both
+//     sites;
 //   - zero residue: a decommissioned tenant left nothing behind on either
 //     array (volumes, journals, snapshots);
 //   - fail-closed overflow: a journal shard over its declared capacity has
@@ -33,8 +36,11 @@
 package invariants
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/consistency"
@@ -145,6 +151,42 @@ func CheckEpochBoundary(tenant string, g replication.Replicator) []Violation {
 			g.Name(), maxEpoch, bound))
 	}
 	return out
+}
+
+// CheckRoundTrip asserts a failback brought the main site home: the reverse
+// group keeps the epoch boundary, and — checked after its CatchUp, with
+// nothing writing — every member volume reads the same at from (the backup
+// site, where the reverse group journals) and to (the main site it drains
+// to), block by block. A member carries the same volume ID at both sites, as
+// the replication plugin provisions them. A block a site never wrote reads
+// as the zero block, and a stored prefix reads as zeroes past its end.
+func CheckRoundTrip(tenant string, reverse replication.Replicator, from, to *storage.Array) []Violation {
+	out := CheckEpochBoundary(tenant, reverse)
+	for _, id := range reverse.Members() {
+		fv, ferr := from.Volume(id)
+		tv, terr := to.Volume(id)
+		if err := errors.Join(ferr, terr); err != nil {
+			out = append(out, violate("round-trip", tenant, "%s member %s: %v", reverse.Name(), id, err))
+			continue
+		}
+		for _, b := range slices.Concat(fv.WrittenBlocks(), tv.WrittenBlocks()) {
+			if !sameBlock(fv.Peek(b), tv.Peek(b)) {
+				out = append(out, violate("round-trip", tenant, "%s volume %s block %d reads differently at %s and %s",
+					reverse.Name(), id, b, from.Name(), to.Name()))
+				break
+			}
+		}
+	}
+	return out
+}
+
+// sameBlock reports whether two stored blocks read the same, the shorter one
+// (nil included) reading as zeroes past its end.
+func sameBlock(a, b []byte) bool {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	return bytes.Equal(a, b[:len(a)]) && len(bytes.TrimRight(b[len(a):], "\x00")) == 0
 }
 
 // CheckZeroResidue asserts a decommissioned tenant reclaimed everything:

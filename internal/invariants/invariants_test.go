@@ -294,3 +294,41 @@ func TestCheckNoOrphanGroups(t *testing.T) {
 		t.Fatalf("order/content wrong: %v", vs)
 	}
 }
+
+// fakeReverse is a fakeImage with member volumes, what CheckRoundTrip reads.
+type fakeReverse struct {
+	fakeImage
+	members []storage.VolumeID
+}
+
+func (f fakeReverse) Members() []storage.VolumeID { return f.members }
+
+func TestCheckRoundTrip(t *testing.T) {
+	env := sim.NewEnv(1)
+	backup := storage.NewArray(env, "backup", storage.Config{})
+	main := storage.NewArray(env, "main", storage.Config{})
+	for _, a := range []*storage.Array{backup, main} {
+		if _, err := a.CreateVolume("v", 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bv, _ := backup.Volume("v")
+	mv, _ := main.Volume("v")
+	size := bv.BlockSize()
+	full := make([]byte, size)
+	full[0] = 0xAA
+	bv.Poke(0, full)
+	mv.Poke(0, full)
+	mv.Poke(1, make([]byte, size)) // a zero block against one never written
+	bv.Poke(2, []byte{0xAA})       // a prefix against the whole block it reads as
+	mv.Poke(2, full)
+	rev := fakeReverse{fakeImage: fakeImage{fakeRep: fakeRep{name: "fb-g"}, lanes: 2}, members: []storage.VolumeID{"v"}}
+	if vs := CheckRoundTrip("t0", rev, backup, main); len(vs) != 0 {
+		t.Fatalf("equal images flagged: %v", vs)
+	}
+	mv.Poke(3, []byte{1})
+	vs := CheckRoundTrip("t0", rev, backup, main)
+	if len(vs) != 1 || vs[0].Invariant != "round-trip" || !strings.Contains(vs[0].Detail, "volume v block 3") {
+		t.Fatalf("one differing block: violations = %v, want one naming volume v block 3", vs)
+	}
+}

@@ -318,13 +318,6 @@ func NewPair(env *sim.Env, cfg Config) *Pair {
 	return &Pair{Forward: New(env, cfg), Reverse: New(env, cfg)}
 }
 
-// NewPairAsym builds a pair whose directions differ — e.g. a fat forward
-// journal pipe with a thin ack return path, or heterogeneous fabric member
-// links whose two directions are provisioned independently.
-func NewPairAsym(env *sim.Env, fwd, rev Config) *Pair {
-	return &Pair{Forward: New(env, fwd), Reverse: New(env, rev)}
-}
-
 // RTT returns the configured round-trip time (both propagation delays,
 // excluding serialization and jitter).
 func (pr *Pair) RTT() time.Duration {

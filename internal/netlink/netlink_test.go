@@ -165,36 +165,6 @@ func TestRetransmitTimeoutFloorWithZeroPropagation(t *testing.T) {
 	}
 }
 
-func TestNewPairAsymDirectionsDiffer(t *testing.T) {
-	env := sim.NewEnv(1)
-	pr := NewPairAsym(env,
-		Config{Propagation: 10 * time.Millisecond, BandwidthBps: 1000},
-		Config{Propagation: 2 * time.Millisecond, BandwidthBps: 1e6})
-	if pr.RTT() != 12*time.Millisecond {
-		t.Fatalf("asym RTT = %v, want 12ms", pr.RTT())
-	}
-	var fwdTook, revTook time.Duration
-	env.Process("tx", func(p *sim.Proc) {
-		fwdTook = pr.Forward.Transfer(p, 1000) // 1s ser + 10ms prop
-		revTook = pr.Reverse.Transfer(p, 1000) // 1ms ser + 2ms prop
-	})
-	env.Run(0)
-	if fwdTook != 1010*time.Millisecond {
-		t.Fatalf("forward took %v, want 1.01s", fwdTook)
-	}
-	if revTook != 3*time.Millisecond {
-		t.Fatalf("reverse took %v, want 3ms", revTook)
-	}
-	pr.Partition()
-	if !pr.Forward.Partitioned() || !pr.Reverse.Partitioned() {
-		t.Fatal("asym pair partition incomplete")
-	}
-	pr.Heal()
-	if pr.Forward.Partitioned() || pr.Reverse.Partitioned() {
-		t.Fatal("asym pair heal incomplete")
-	}
-}
-
 func TestPartitionWhileRetransmitting(t *testing.T) {
 	// A transfer loses its first attempt, and the link partitions during
 	// the RTO wait (4 x 5ms propagation). The retry must block until heal,

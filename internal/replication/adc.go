@@ -260,9 +260,9 @@ func (g *Group) InitialCopy(p *sim.Proc, source *storage.Array) error {
 // bulkCopy streams the given blocks of one source volume to its target over
 // the volume's lane path in BatchMax-block batches: one link transfer and
 // one delta-set apply per batch instead of one scheduling event per block.
-// The initial copy and resync share it. Nothing is copied: the target adopts
-// the block borrowed from the source, and each side keeps it when the other
-// overwrites.
+// The initial copy, resync and failback share it. Nothing is copied: the
+// target adopts the block borrowed from the source, and each side keeps it
+// when the other overwrites.
 func (g *Group) bulkCopy(p *sim.Proc, sv *storage.Volume, blocks []int64) error {
 	tv, err := g.target.Volume(g.mapping[sv.ID()])
 	if err != nil {
@@ -288,10 +288,10 @@ func (g *Group) bulkCopy(p *sim.Proc, sv *storage.Volume, blocks []int64) error 
 	return nil
 }
 
-// resyncBlock is what a copy or resync ships for block b of src: the block
-// borrowed from src, which the target adopts, or — when src never wrote b, or
-// a restore erased it since it was tracked — the block of zeroes it reads as.
-// bulkCopy and Failback share it, so the two adopt paths agree on that case.
+// resyncBlock is what bulkCopy — initial copy, resync or failback — ships for
+// block b of src: the block borrowed from src, which the target adopts, or —
+// when src never wrote b, or a restore erased it since it was tracked — the
+// block of zeroes it reads as.
 func resyncBlock(src *storage.Volume, b int64) []byte {
 	if blk := src.Peek(b); blk != nil {
 		return blk
@@ -731,22 +731,22 @@ func (g *Group) UnappliedRecords() []storage.Record {
 	return out
 }
 
+// resyncPasses is how many delta copies Resync makes before it gives up.
+const resyncPasses = 10
+
 // Resync recovers a suspended pair: it drains the journal's consistent
 // remainder, then copies the tracked delta blocks — each volume over its own
 // lane path — until a full pass finds nothing new, and finally re-enables
 // journaling. During the block-level copy the target is NOT point-in-time
 // consistent (which is why operators snapshot the target before resyncing —
-// exactly the demo's snapshot group). maxPasses bounds convergence under
+// exactly the demo's snapshot group). resyncPasses bounds convergence under
 // continuous write load.
-func (g *Group) Resync(p *sim.Proc, source *storage.Array, maxPasses int) error {
+func (g *Group) Resync(p *sim.Proc, source *storage.Array) error {
 	if !g.journal.Overflowed() {
 		return nil
 	}
-	if maxPasses <= 0 {
-		maxPasses = 10
-	}
 	g.CatchUp(p)
-	for pass := 0; pass < maxPasses; pass++ {
+	for pass := 0; pass < resyncPasses; pass++ {
 		copied := false
 		for _, src := range g.journal.Members() {
 			sv, err := source.Volume(src)
@@ -773,7 +773,7 @@ func (g *Group) Resync(p *sim.Proc, source *storage.Array, maxPasses int) error 
 			return nil
 		}
 	}
-	return fmt.Errorf("replication %s: resync did not converge in %d passes", g.name, maxPasses)
+	return fmt.Errorf("replication %s: resync did not converge in %d passes", g.name, resyncPasses)
 }
 
 // Reshard transitions the running engine to len(paths) drain lanes with an

@@ -31,23 +31,25 @@ type FailbackStats struct {
 }
 
 // Failback resynchronizes the original source site from a failed-over
-// group's targets, once, and returns a new one-lane Group replicating in the
-// reverse direction (backup → original source). This is the disaster-recovery step
-// after the main site returns (§I's DR context, [6][7]):
+// group's targets, once, and returns a new Group replicating in the reverse
+// direction (backup → original source) with as many lanes as the old one,
+// every lane on reversePath. This is the disaster-recovery step after the
+// main site returns (§I's DR context, [6][7]):
 //
 //  1. the backup volumes' new writes start journaling into a fresh reverse
 //     consistency group (so production at the backup site continues
 //     un-slowed during the resync);
 //  2. the delta — blocks written at the backup since failover, plus blocks
 //     the old source had written that never reached the backup (the
-//     stranded journal backlog) — is copied back over the reverse link;
+//     stranded journal backlog) — is copied back by the reverse group's own
+//     bulk copy, each volume over its lane;
 //  3. the reverse drain starts, bringing the old source continuously in
 //     sync; the operator can later do a planned switchback.
 //
 // The old source's stranded journal is discarded (that data was lost by
 // the disaster; the backup's history won) and its volumes' journal
 // attachments are replaced by the reverse group's.
-func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabric.Path, cfg Config) (*Group, FailbackStats, error) {
+func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabric.Path) (*Group, FailbackStats, error) {
 	var stats FailbackStats
 	if !old.failedOver {
 		return nil, stats, ErrNotFailedOver
@@ -60,12 +62,9 @@ func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabri
 
 	// Blocks that diverged on the old source: the stranded backlog plus
 	// anything abandoned in flight at the split.
-	diverged := make(map[storage.VolumeID]map[int64]bool)
+	diverged := make(map[storage.VolumeID][]int64)
 	for _, rec := range old.UnappliedRecords() {
-		if diverged[rec.Volume] == nil {
-			diverged[rec.Volume] = make(map[int64]bool)
-		}
-		diverged[rec.Volume][rec.Block] = true
+		diverged[rec.Volume] = append(diverged[rec.Volume], rec.Block)
 	}
 	// Drop the stranded journal: the backup's history is authoritative now.
 	if err := source.DeleteShardedJournal(old.journal.ID()); err != nil {
@@ -81,19 +80,19 @@ func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabri
 		reverseVols[i] = dst
 		reverseMapping[dst] = src
 	}
-	rj, err := old.target.CreateConsistencyGroup("fb-"+old.name, reverseVols, 1)
+	rj, err := old.target.CreateConsistencyGroup("fb-"+old.name, reverseVols, old.Lanes())
 	if err != nil {
 		return nil, stats, err
 	}
-	reverse, err := NewGroup(old.env, "fb-"+old.name, rj, source, reverseMapping, []fabric.Path{reversePath}, cfg)
+	reverse, err := NewGroup(old.env, "fb-"+old.name, rj, source, reverseMapping,
+		slices.Repeat([]fabric.Path{reversePath}, old.Lanes()), old.cfg)
 	if err != nil {
 		return nil, stats, err
 	}
 
 	// Delta resync: backup content wins for every block in the union.
 	for _, src := range members {
-		dst := old.mapping[src]
-		bv, err := old.target.Volume(dst)
+		bv, err := old.target.Volume(old.mapping[src])
 		if err != nil {
 			return nil, stats, err
 		}
@@ -102,29 +101,14 @@ func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabri
 			return nil, stats, err
 		}
 		stats.TotalBlocks += len(bv.WrittenBlocks())
-		delta := make(map[int64]bool)
-		for _, b := range bv.ChangedBlocks() {
-			delta[b] = true
-		}
-		for b := range diverged[src] {
-			delta[b] = true
-		}
-		blocks := make([]int64, 0, len(delta))
-		for b := range delta {
-			blocks = append(blocks, b)
-		}
+		blocks := append(bv.ChangedBlocks(), diverged[src]...)
 		slices.Sort(blocks)
-		for _, b := range blocks {
-			// Borrowed from the backup and adopted by the source: no copy.
-			// A diverged block the backup never wrote resyncs as zeroes.
-			data := resyncBlock(bv, b)
-			reversePath.Transfer(p, bv.BlockSize()+64)
-			if err := sv.Apply(p, b, data); err != nil {
-				return nil, stats, fmt.Errorf("replication: failback apply %s[%d]: %w", src, b, err)
-			}
-			stats.DeltaBlocks++
-			stats.Bytes += int64(bv.BlockSize())
+		blocks = slices.Compact(blocks)
+		if err := reverse.bulkCopy(p, bv, blocks); err != nil {
+			return nil, stats, fmt.Errorf("replication: failback %s: %w", src, err)
 		}
+		stats.DeltaBlocks += len(blocks)
+		stats.Bytes += int64(len(blocks) * bv.BlockSize())
 		bv.StopChangeTracking()
 		// The old source is now the replication target: protect it.
 		sv.SetReadOnly(true)

@@ -3,6 +3,7 @@ package replication
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func TestFailbackRequiresFailover(t *testing.T) {
 	r := newRig(t, netlink.Config{})
 	g := r.newCG(t, Config{})
 	r.env.Process("t", func(p *sim.Proc) {
-		if _, _, err := g.Failback(p, r.main, r.links.Reverse, Config{}); !errors.Is(err, ErrNotFailedOver) {
+		if _, _, err := g.Failback(p, r.main, r.links.Reverse); !errors.Is(err, ErrNotFailedOver) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -55,13 +56,13 @@ func TestFailbackRequiresFailover(t *testing.T) {
 func TestSecondFailbackIsRefused(t *testing.T) {
 	r, g := failoverRig(t)
 	r.env.Process("t", func(p *sim.Proc) {
-		reverse, _, err := g.Failback(p, r.main, r.links.Reverse, Config{})
+		reverse, _, err := g.Failback(p, r.main, r.links.Reverse)
 		if err != nil {
 			t.Errorf("failback: %v", err)
 			return
 		}
 		before, start := r.main.Residue(""), p.Now()
-		if _, _, err := g.Failback(p, r.main, r.links.Reverse, Config{}); !errors.Is(err, ErrFailedBack) {
+		if _, _, err := g.Failback(p, r.main, r.links.Reverse); !errors.Is(err, ErrFailedBack) {
 			t.Errorf("second failback: %v, want ErrFailedBack", err)
 		}
 		if after := r.main.Residue(""); p.Now() != start || !slices.Equal(after, before) || reverse.Stopped() {
@@ -88,7 +89,7 @@ func TestFailbackResyncsDelta(t *testing.T) {
 	var reverse *Group
 	r.env.Process("failback", func(p *sim.Proc) {
 		var err error
-		reverse, stats, err = g.Failback(p, r.main, r.links.Reverse, Config{})
+		reverse, stats, err = g.Failback(p, r.main, r.links.Reverse)
 		if err != nil {
 			t.Error(err)
 			return
@@ -133,7 +134,7 @@ func TestFailbackResyncsTheBatchStillOnTheWire(t *testing.T) {
 	}
 	var stats FailbackStats
 	r.env.Process("failback", func(p *sim.Proc) {
-		reverse, st, err := g.Failback(p, r.main, r.links.Reverse, Config{})
+		reverse, st, err := g.Failback(p, r.main, r.links.Reverse)
 		if err != nil {
 			t.Error(err)
 			return
@@ -160,7 +161,7 @@ func TestFailbackReverseReplicationFlows(t *testing.T) {
 	var reverse *Group
 	r.env.Process("failback", func(p *sim.Proc) {
 		var err error
-		reverse, _, err = g.Failback(p, r.main, r.links.Reverse, Config{})
+		reverse, _, err = g.Failback(p, r.main, r.links.Reverse)
 		if err != nil {
 			t.Error(err)
 			return
@@ -192,7 +193,7 @@ func TestFailbackCrossVolumeOrderPreserved(t *testing.T) {
 	var reverse *Group
 	r.env.Process("failback", func(p *sim.Proc) {
 		var err error
-		reverse, _, err = g.Failback(p, r.main, r.links.Reverse, Config{})
+		reverse, _, err = g.Failback(p, r.main, r.links.Reverse)
 		if err != nil {
 			t.Error(err)
 			return
@@ -239,7 +240,7 @@ func TestFailbackDeltaSmallerThanFull(t *testing.T) {
 	r.env.Process("failback", func(p *sim.Proc) {
 		var err error
 		var rev *Group
-		rev, stats, err = g.Failback(p, r.main, r.links.Reverse, Config{})
+		rev, stats, err = g.Failback(p, r.main, r.links.Reverse)
 		if err != nil {
 			t.Error(err)
 			return
@@ -320,7 +321,7 @@ func TestBulkCopyAndFailbackAdoptTheBorrowedBlock(t *testing.T) {
 		})
 		r.env.Run(0)
 		r.env.Process("failback", func(p *sim.Proc) {
-			reverse, st, err := g.Failback(p, r.main, r.links.Reverse, Config{})
+			reverse, st, err := g.Failback(p, r.main, r.links.Reverse)
 			if err != nil {
 				t.Error(err)
 				return
@@ -340,4 +341,88 @@ func TestBulkCopyAndFailbackAdoptTheBorrowedBlock(t *testing.T) {
 		}
 		eitherSideOverwrites(t, bs, r.sales, 2, 3)
 	})
+}
+
+// TestFailbackAtAnyLaneCount fails a group back at one, two and four lanes
+// through the one path: records stranded in more than one shard and
+// production at the backup both resync, the reverse group runs as many
+// lanes as the old one, main reads as the backup does once it drains, and a
+// later backup write reaches main.
+func TestFailbackAtAnyLaneCount(t *testing.T) {
+	link := netlink.Config{Propagation: time.Millisecond, BandwidthBps: 2e7}
+	// readsSame compares two stored blocks as they read: a nil block, and a
+	// prefix past its end, read as zeroes.
+	readsSame := func(a, b []byte, size int) bool {
+		return bytes.Equal(append(bytes.Clone(a), make([]byte, size-len(a))...),
+			append(bytes.Clone(b), make([]byte, size-len(b))...))
+	}
+	for _, lanes := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			r := newShardedRig(t, lanes, 8, link, Config{BatchMax: 8})
+			g := r.g
+			g.Start()
+			r.env.Process("io", func(p *sim.Proc) {
+				for i := 0; i < 24; i++ {
+					r.seqWrite(p, t, i)
+				}
+				g.CatchUp(p)
+				g.Stop() // the split: what is written from here on strands
+				for i := 24; i < 40; i++ {
+					r.seqWrite(p, t, i)
+				}
+			})
+			r.env.Run(0)
+			stranded := 0
+			for _, j := range g.Journal().Shards() {
+				if len(j.PendingRecords()) > 0 {
+					stranded++
+				}
+			}
+			if lanes > 1 && stranded < 2 {
+				t.Fatalf("records stranded in %d shards, want more than one", stranded)
+			}
+			if _, err := g.Failover(); err != nil {
+				t.Fatal(err)
+			}
+			bv := func(i int) *storage.Volume { v, _ := r.backup.Volume(r.vols[i]); return v }
+			rev := netlink.NewPair(r.env, link).Reverse
+			r.env.Process("failback", func(p *sim.Proc) {
+				// Production at the backup: new blocks and an overwrite.
+				bv(0).Write(p, 5, fill(r.backup, 0x50))
+				bv(3).Write(p, 5, fill(r.backup, 0x53))
+				bv(2).Write(p, 1, fill(r.backup, 0x21))
+				reverse, stats, err := g.Failback(p, r.main, rev)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if reverse.Lanes() != lanes {
+					t.Errorf("reverse group runs %d lanes, want %d", reverse.Lanes(), lanes)
+				}
+				if want := 16 + 3; stats.DeltaBlocks != want {
+					t.Errorf("delta = %d blocks, want %d (16 stranded + 3 backup writes)", stats.DeltaBlocks, want)
+				}
+				bv(1).Write(p, 6, fill(r.backup, 0x61))
+				reverse.CatchUp(p)
+				reverse.Stop()
+			})
+			r.env.Run(0)
+			if t.Failed() {
+				return
+			}
+			size := r.main.Config().BlockSize
+			for _, id := range r.vols {
+				sv, _ := r.main.Volume(id)
+				tv, _ := r.backup.Volume(id)
+				for _, b := range slices.Concat(sv.WrittenBlocks(), tv.WrittenBlocks()) {
+					if !readsSame(sv.Peek(b), tv.Peek(b), size) {
+						t.Fatalf("volume %s block %d reads differently at main and backup", id, b)
+					}
+				}
+			}
+			if sv, _ := r.main.Volume(r.vols[1]); sv.Peek(6) == nil || sv.Peek(6)[0] != 0x61 {
+				t.Fatal("a backup write after failback did not reach main")
+			}
+		})
+	}
 }

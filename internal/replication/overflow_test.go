@@ -66,7 +66,7 @@ func TestResyncRecoversSuspendedPair(t *testing.T) {
 	r.links.Heal()
 	var resyncErr error
 	r.env.Process("resync", func(p *sim.Proc) {
-		resyncErr = g.Resync(p, r.main, 0)
+		resyncErr = g.Resync(p, r.main)
 	})
 	r.env.Run(0)
 	if resyncErr != nil {
@@ -119,7 +119,7 @@ func TestResyncConvergesUnderConcurrentWrites(t *testing.T) {
 	var resyncErr error
 	r.env.Process("resync", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		resyncErr = g.Resync(p, r.main, 0)
+		resyncErr = g.Resync(p, r.main)
 	})
 	r.env.Run(0)
 	if resyncErr != nil {

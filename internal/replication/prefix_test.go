@@ -40,7 +40,7 @@ func chargeRun(t *testing.T, data func(a *storage.Array, b byte) []byte) charges
 		shard := g.Journal().Shards()[0] // newSizedCG's one shard
 		c.pendingRecords, c.pendingBytes = shard.Pending(), shard.PendingBytes()
 		g.Start()
-		if err := g.Resync(p, r.main, 0); err != nil {
+		if err := g.Resync(p, r.main); err != nil {
 			t.Fatal(err)
 		}
 		r.stock.Write(p, 0, data(r.main, 0xEE))
@@ -58,7 +58,7 @@ func chargeRun(t *testing.T, data func(a *storage.Array, b byte) []byte) charges
 				t.Fatal(err)
 			}
 		}
-		reverse, stats, err := g.Failback(p, r.main, r.links.Reverse, Config{})
+		reverse, stats, err := g.Failback(p, r.main, r.links.Reverse)
 		if err != nil {
 			t.Fatal(err)
 		}

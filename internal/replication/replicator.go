@@ -21,7 +21,7 @@ type Replicator interface {
 	CatchUp(p *sim.Proc) bool
 	// Resync recovers a pair suspended by a journal overflow with a delta
 	// copy of the change-tracked blocks.
-	Resync(p *sim.Proc, source *storage.Array, maxPasses int) error
+	Resync(p *sim.Proc, source *storage.Array) error
 
 	RPO(now time.Duration) time.Duration
 	Backlog() int
@@ -59,8 +59,9 @@ type Replicator interface {
 	Failover() ([]*storage.Volume, error)
 	FailedOver() bool
 	// Failback resynchronizes source from a failed-over engine's targets
-	// and starts replication in the reverse direction over reversePath.
-	Failback(p *sim.Proc, source *storage.Array, reversePath fabric.Path, cfg Config) (*Group, FailbackStats, error)
+	// and starts replication in the reverse direction, every lane over
+	// reversePath.
+	Failback(p *sim.Proc, source *storage.Array, reversePath fabric.Path) (*Group, FailbackStats, error)
 }
 
 var _ Replicator = (*Group)(nil)

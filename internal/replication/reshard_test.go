@@ -503,7 +503,7 @@ func TestResyncConvergesAtAnyLaneCount(t *testing.T) {
 				}
 				r.sj.SetCapacityPerShard(0)
 				g.Start()
-				if err := g.Resync(p, r.main, 0); err != nil {
+				if err := g.Resync(p, r.main); err != nil {
 					t.Errorf("resync: %v", err)
 					return
 				}

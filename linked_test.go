@@ -36,7 +36,6 @@ var linkAllowlist = map[string]string{
 	"platform.APIServer.Each":        "TestFleetNeverMutatesSharedAPIObjects audits every stored object through it; Names drops the namespace, so Names and Cached cannot replace it",
 	"platform.Controller.Reconciles": "TestTagByHandNeedsNoTenantObject pins that a hand-tagged namespace charges no tenant-controller reconcile",
 	"platform.Controller.QueueLen":   "TestControllerDeduplicatesQueue and TestControllerDirtyKeyRequeuesOnce pin the work queue's dedup through it",
-	"netlink.NewPairAsym":            "the thin reverse link of a sharded failback's resync; waits on sharded failback (today TestNewPairAsymDirectionsDiffer alone calls it)",
 	"db.reader.SawTornTail":          "TestEveryCrashPointRecovers classifies each crash point by it, and that test stays unedited",
 	"storage.Volume.Writes":          "TestEveryCrashPointRecovers checks that a refused open wrote nothing by it, and that test stays unedited",
 	"storage.Volume.Reads":           "TestLogReadStopsWhereTheLogEnds and TestBothDoorsPreloadTheDataRegionOnFirstScan count a replay's block reads by it",
@@ -55,7 +54,7 @@ const (
 
 // maxUnlinked is linkAllowlist's ratchet: lower it when an entry goes, never
 // raise it.
-const maxUnlinked = 25
+const maxUnlinked = 24
 
 // TestEveryLibraryFunctionIsLinked builds every main package of the module
 // with inlining off, so a called function keeps its own symbol, and fails on
