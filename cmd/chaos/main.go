@@ -13,10 +13,17 @@
 //
 //	go run ./cmd/chaos -steps short -seed 42
 //
+// With -simprofile FILE, repro mode also writes the seed's simulated-time
+// profile (a gzip'd profile.proto, labelled by process and tenant):
+//
+//	go run ./cmd/chaos -steps medium -seed 42 -simprofile seed42.sim.pprof
+//	go tool pprof -top -tagfocus tenant=chaos-00 seed42.sim.pprof
+//
 // Exit status is 1 if any seed fails, 0 otherwise.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -25,6 +32,8 @@ import (
 	"sync"
 
 	"repro/internal/chaos"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -38,26 +47,32 @@ func main() {
 		logPath = flag.String("log", "", "write failing-seed repro logs to this file (for CI artifacts)")
 		plant   = flag.Bool("plant", false, "plant a backup corruption in every schedule (self-test: all seeds must fail and shrink)")
 		verbose = flag.Bool("v", false, "print every seed's summary, not just failures")
+		simprof = flag.String("simprofile", "", "with -seed: write the seed's simulated-time profile to this file")
 	)
 	flag.Parse()
 
 	if *seed >= 0 {
-		os.Exit(repro(*seed, *steps, *plant, *shrink))
+		os.Exit(repro(*seed, *steps, *plant, *shrink, *simprof))
+	}
+	if *simprof != "" {
+		fmt.Fprintln(os.Stderr, "chaos: -simprofile needs -seed")
+		os.Exit(2)
 	}
 	os.Exit(sweep(*base, *seeds, *steps, *plant, *shrink, *workers, *logPath, *verbose))
 }
 
 // repro replays one seed, prints the full deterministic log, and checks
-// that a second run is byte-identical.
-func repro(seed int64, steps string, plant, shrink bool) int {
-	res, sr, err := runSeed(seed, steps, plant, shrink)
+// that a second run is byte-identical. With simprofile set, the first run
+// records its simulated-time profile and writes it there.
+func repro(seed int64, steps string, plant, shrink bool, simprofile string) int {
+	res, sr, err := runSeed(seed, steps, plant, shrink, simprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		return 2
 	}
 	fmt.Print(res.LogText())
 
-	again, _, err := runSeed(seed, steps, plant, false)
+	again, _, err := runSeed(seed, steps, plant, false, "")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos: replay:", err)
 		return 2
@@ -99,7 +114,7 @@ func sweep(base int64, n int, steps string, plant, shrink bool, workers int, log
 			defer wg.Done()
 			for i := range jobs {
 				seed := base + int64(i)
-				res, sr, err := runSeed(seed, steps, plant, shrink)
+				res, sr, err := runSeed(seed, steps, plant, shrink, "")
 				results[i] = sweepResult{seed: seed, res: res, sr: sr, err: err}
 			}
 		}()
@@ -171,8 +186,9 @@ func sweep(base int64, n int, steps string, plant, shrink bool, workers int, log
 	return 0
 }
 
-// runSeed generates, runs, and (when asked and failing) shrinks one seed.
-func runSeed(seed int64, steps string, plant, shrink bool) (*chaos.Result, *chaos.ShrinkResult, error) {
+// runSeed generates, runs, and (when asked and failing) shrinks one seed,
+// writing the run's simulated-time profile to simprofile unless it is "".
+func runSeed(seed int64, steps string, plant, shrink bool, simprofile string) (*chaos.Result, *chaos.ShrinkResult, error) {
 	sch, err := chaos.Generate(seed, steps)
 	if err != nil {
 		return nil, nil, err
@@ -180,7 +196,20 @@ func runSeed(seed int64, steps string, plant, shrink bool) (*chaos.Result, *chao
 	if plant {
 		sch = sch.PlantCorruption()
 	}
-	res := chaos.Run(sch)
+	var res *chaos.Result
+	if simprofile == "" {
+		res = chaos.Run(sch)
+	} else {
+		var samples []sim.ProfileSample
+		res, samples = chaos.RunProfiled(sch)
+		var buf bytes.Buffer
+		if err := telemetry.WriteSimProfile(&buf, samples); err != nil {
+			return nil, nil, err
+		}
+		if err := os.WriteFile(simprofile, buf.Bytes(), 0o644); err != nil {
+			return nil, nil, err
+		}
+	}
 	var sr *chaos.ShrinkResult
 	if shrink && res.Failed() {
 		s := chaos.Shrink(sch, 200)

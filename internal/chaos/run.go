@@ -89,6 +89,17 @@ type runner struct {
 // Everything inside is driven by the deterministic kernel: same schedule in,
 // same Result out, byte for byte.
 func Run(sch *Schedule) *Result {
+	res, _ := run(sch, false)
+	return res
+}
+
+// RunProfiled is Run with the simulated-time profile on
+// (sim.Env.StartSimProfile), its samples labelled with the tenant a workload
+// process serves. Recording moves no step, so the Result is Run's; one
+// schedule records one profile.
+func RunProfiled(sch *Schedule) (*Result, []sim.ProfileSample) { return run(sch, true) }
+
+func run(sch *Schedule, profile bool) (*Result, []sim.ProfileSample) {
 	res := &Result{Schedule: sch}
 	links := make([]netlink.Config, sch.Links)
 	for i := range links {
@@ -104,6 +115,9 @@ func Run(sch *Schedule) *Result {
 		Storage:      storage.Config{IsolatedVolumes: true},
 		VolumeBlocks: 4096,
 	})
+	if profile {
+		sys.Env.StartSimProfile(workloadTenant)
+	}
 	r := &runner{sch: sch, sys: sys, res: res}
 	for i, plan := range sch.Tenants {
 		r.ten = append(r.ten, &runTenant{idx: i, ns: fmt.Sprintf("chaos-%02d", i), plan: plan})
@@ -124,7 +138,17 @@ func Run(sch *Schedule) *Result {
 		invariants.CheckNoWatches("main", sys.Main.API)...)
 	res.Violations = append(res.Violations,
 		invariants.CheckNoWatches("backup", sys.Backup.API)...)
-	return res
+	return res, sys.Env.SimProfile()
+}
+
+// workloadTenant names the tenant of a workload process ("wl:<ns>#<gen>",
+// startWorkload), "" for any other.
+func workloadTenant(process string) string {
+	if rest, ok := strings.CutPrefix(process, "wl:"); ok {
+		ns, _, _ := strings.Cut(rest, "#")
+		return ns
+	}
+	return ""
 }
 
 func (r *runner) logf(p *sim.Proc, format string, args ...any) {

@@ -192,15 +192,18 @@ func TestOpenViewAllocatesItsSlicesOnce(t *testing.T) {
 // The fleet's view shape: 512-byte blocks and a snapshot whose rows are all in
 // a short WAL, nothing checkpointed. The vector starts at the log's first two
 // chunks (3 blocks), which any non-empty log reads: a log of two live blocks
-// never sizes it by the WAL region, and the page scatter allocates its own. A
-// log that outgrows two chunks grows it to the region once, which the scatter
-// reuses. Either way OpenView makes the 8 allocations pinned above.
+// never sizes it by the WAL region, and the page scatter, with no room behind
+// the log's blocks, gets a vector of its own at the pages' count. A log that
+// outgrows two chunks grows the vector to the region once, and the scatter
+// takes the room behind the blocks read. Either way the scatter is the claimed
+// pages in block order, the log's blocks stay where the redo walked them, and
+// OpenView makes the 8 allocations pinned above.
 func TestOpenViewVectorReachesTheRegionOnlyPastTwoChunks(t *testing.T) {
 	inProcessOn(storage.Config{BlockSize: 512}, func(p *sim.Proc, a *storage.Array) {
 		for _, c := range []struct {
-			vlen, live int
-			region     bool // the vector reaches WALBlocks
-		}{{16, 2, false}, {96, 3, true}} {
+			vlen, live, read int
+			behind           bool // the scatter sits behind the log's blocks in a region-sized vector
+		}{{16, 2, 3, false}, {96, 3, 7, true}} {
 			image := walOnlyImage(t, p, a, storage.VolumeID(fmt.Sprint("image", c.vlen)), c.vlen)
 			var v *View
 			allocs := testing.AllocsPerRun(1, func() {
@@ -209,10 +212,19 @@ func TestOpenViewVectorReachesTheRegionOnlyPastTwoChunks(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			live, _ := v.LogBlocks()
-			if live != c.live || (cap(v.vec) >= v.cfg.WALBlocks) != c.region || allocs != 8 {
-				t.Fatalf("%d-byte rows: %d live log blocks, vector cap %d of a %d-block region, %v allocations; want %d live, region-sized %v, 8",
-					c.vlen, live, cap(v.vec), v.cfg.WALBlocks, allocs, c.live, c.region)
+			live, read := v.LogBlocks()
+			wantCap := 4 // walOnlyImage's pages
+			if c.behind {
+				wantCap = v.cfg.WALBlocks - read
+			}
+			if live != c.live || read != c.read || cap(v.vec) != wantCap || allocs != 8 {
+				t.Fatalf("%d-byte rows: %d live log blocks of %d read, scatter cap %d, %v allocations; want %d of %d, cap %d, 8",
+					c.vlen, live, read, cap(v.vec), allocs, c.live, c.read, wantCap)
+			}
+			for i, io := range v.vec {
+				if io.Block != v.dataBase+int64(i+1) { // keys 1..4 on pages 1..4
+					t.Fatalf("%d-byte rows: scatter %d read block %d, want %d", c.vlen, i, io.Block, v.dataBase+int64(i+1))
+				}
 			}
 		}
 	})

@@ -77,10 +77,23 @@ func doubling(l, w int) (chunks []int) {
 	return chunks
 }
 
-// The bounded log read is ScanLog over the whole region, read in doubling
-// chunks that stop where the log ends: the same records byte for byte and the
-// same error, for reads the doubling rule predicts — none past the chunk that
-// ends the log, none past the region — in that rule's rounds on the idle array.
+// logRecords is the valid prefix of a log region's first n blocks as a list:
+// the records wal.ValidPrefix counts, read back by wal.Walk.
+func logRecords(n int, block func(i int) []byte, epoch uint32) ([]wal.Record, error) {
+	count, err := wal.ValidPrefix(n, block, epoch)
+	var recs []wal.Record
+	wal.Walk(count, block, epoch, func(rec wal.Record) bool {
+		recs = append(recs, rec)
+		return true
+	})
+	return recs, err
+}
+
+// The bounded log read holds the valid prefix of the whole region, read in
+// doubling chunks that stop where the log ends: the same records byte for byte
+// and the same error, for reads the doubling rule predicts — none past the
+// chunk that ends the log, none past the region — in that rule's rounds on the
+// idle array.
 func TestLogReadStopsWhereTheLogEnds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	garbage := make([]byte, 4096)
@@ -112,13 +125,17 @@ func TestLogReadStopsWhereTheLogEnds(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := r.cfg.WALBlocks
-			want, wantErr := wal.ScanLog(w, func(i int) []byte { return vol.Peek(r.walBase + int64(i)) }, r.epoch)
+			want, wantErr := logRecords(w, func(i int) []byte { return vol.Peek(r.walBase + int64(i)) }, r.epoch)
 			reads, t0 := vol.Reads(), p.Now()
-			got, gotErr := r.readLog(p)
+			log, err := r.readLog(p)
 			reads, took := vol.Reads()-reads, p.Now()-t0
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotErr := logRecords(len(log), func(i int) []byte { return log[i].Data }, r.epoch)
 
 			if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Errorf("%s: read %d records (%v); ScanLog over the region %d (%v)", c.name, len(got), gotErr, len(want), wantErr)
+				t.Errorf("%s: read %d records (%v); the region's valid prefix %d (%v)", c.name, len(got), gotErr, len(want), wantErr)
 			}
 			if c.torn != errors.Is(gotErr, wal.ErrCorrupt) {
 				t.Errorf("%s: error %v, torn %v", c.name, gotErr, c.torn)

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 	"time"
 
@@ -68,7 +68,9 @@ type reader struct {
 	// vec is the one I/O vector: the replay's log chunks, its scatter read and
 	// Checkpoint's gather write fill it in turn, so it grows only past the
 	// largest of them. It starts at the log's first two chunks and reaches the
-	// log region's size only for a log that outgrows them.
+	// log region's size only for a log that outgrows them. The scatter takes
+	// the room behind the log's blocks, which its redo still walks, and gets a
+	// vector of its own only where that room is short.
 	vec []storage.BlockIO
 
 	committed []uint64 // IDs known committed, ascending and distinct
@@ -130,118 +132,133 @@ func (r *reader) open(p *sim.Proc, name string, vol BlockReader, cfg Config) err
 // replay redoes the WAL's valid prefix in memory: transactions with a commit
 // record in the prefix are applied in log order to owned copies of their
 // pages, everything else is discarded. It issues two reads — the log until it
-// ends, then every page the redo will touch as one sorted scatter — so the
-// redo itself runs with every page present and takes no simulated time.
+// ends, then every page the redo will touch as one scatter in block order — so
+// the redo itself runs with every page present and takes no simulated time.
 //
-// The owned copies share one array, sized once: each page is a capped slice of
-// it with room for its stored prefix and one more slot per committed update to
-// it (at most a block), so the redo never outgrows it. The committed set and
-// the page table are made once too, at the sizes the log gives them.
+// The records stay where they lie: wal.ValidPrefix checks the log blocks once
+// and counts the prefix's records, and the analysis, the claims and the redo
+// each wal.Walk it again in place. A claim is counted on its page, not listed:
+// the owned copies share one array, sized once, each page a capped slice of it
+// with room for its stored prefix and one more slot per committed update to it
+// (at most a block), so the redo never outgrows it. The committed set and the
+// page table are made once too, at the sizes the log gives them. A log with no
+// committed update makes no claim count, array or page table.
 func (r *reader) replay(p *sim.Proc) error {
 	start := p.Now()
-	recs, err := r.readLog(p)
-	if err != nil && !errors.Is(err, wal.ErrCorrupt) {
+	log, err := r.readLog(p)
+	if err != nil {
 		return err
 	}
 	r.logRead = p.Now() - start
+	block := func(i int) []byte { return log[i].Data }
+	count, err := wal.ValidPrefix(len(log), block, r.epoch)
 	r.torn = err != nil
+	walk := func(yield func(wal.Record) bool) { wal.Walk(count, block, r.epoch, yield) }
 	// Analysis: find transactions whose commit record survived.
-	commits, updates := 0, 0
-	for _, rec := range recs {
-		switch rec.Type {
-		case wal.TypeCommit:
+	commits := 0
+	walk(func(rec wal.Record) bool {
+		if rec.Type == wal.TypeCommit {
 			commits++
-		case wal.TypeUpdate:
-			updates++
 		}
 		if rec.TxID >= r.nextTxID {
 			r.nextTxID = rec.TxID + 1
 		}
-	}
+		return true
+	})
 	r.committed = make([]uint64, 0, commits)
-	for _, rec := range recs {
+	walk(func(rec wal.Record) bool {
 		if rec.Type == wal.TypeCommit {
 			r.committed = append(r.committed, rec.TxID)
 		}
-	}
+		return true
+	})
 	slices.Sort(r.committed)
 	r.committed = slices.Compact(r.committed)
-	// Claim the home page of every committed update, sort the claims, and move
-	// each page's first claim to the front: those are the pages, in block
-	// order, and behind them the further claims, sorted again. The records
-	// point into the log blocks themselves, not into the vector, so it is free
-	// to reuse.
-	r.vec = r.vecFor(updates)
-	for _, rec := range recs {
+	// Count the committed updates' claims on each data page, up to where the
+	// room stops growing: at a block's slots it is the block, whatever the
+	// page's prefix. (Past 255 slots, blocks over 32 KiB, a redo outgrowing
+	// its room copies as a commit's upsert does.)
+	var claims []uint8
+	most, n := uint8(min((r.blockSize+slotSize-1)/slotSize, math.MaxUint8)), 0
+	walk(func(rec wal.Record) bool {
 		if rec.Type == wal.TypeUpdate && r.HasCommitted(rec.TxID) {
-			r.vec = append(r.vec, storage.BlockIO{Block: r.pageBlock(rec.Key)})
+			if claims == nil {
+				claims = make([]uint8, r.dataPages)
+			}
+			c := &claims[r.pageBlock(rec.Key)-r.dataBase]
+			if *c == 0 {
+				n++
+			}
+			if *c < most {
+				*c++
+			}
+		}
+		return true
+	})
+	// The claimed pages, in block order, go in the vector behind the log's
+	// blocks, which the redo still walks, or in a vector of their own where
+	// there is no room behind them.
+	if r.vec = r.vec[len(log):len(log)]; cap(r.vec) < n {
+		r.vec = make([]storage.BlockIO, 0, n)
+	}
+	for i, c := range claims {
+		if c > 0 {
+			r.vec = append(r.vec, storage.BlockIO{Block: r.dataBase + int64(i)})
 		}
 	}
-	sortByBlock(r.vec)
-	n := 0
-	for i := range r.vec {
-		if n == 0 || r.vec[i].Block != r.vec[n-1].Block {
-			r.vec[n], r.vec[i] = r.vec[i], r.vec[n]
-			n++
-		}
-	}
-	pages, more := r.vec[:n], r.vec[n:]
-	sortByBlock(more)
 	start = p.Now()
-	if err := r.img.ReadBlocks(p, pages); err != nil {
+	if err := r.img.ReadBlocks(p, r.vec); err != nil {
 		return err
 	}
 	r.pageRead = p.Now() - start
+	room := func(io storage.BlockIO) int {
+		return min(len(io.Data)+int(claims[io.Block-r.dataBase])*slotSize, r.blockSize)
+	}
 	size := 0
-	r.eachRoom(pages, more, func(_ storage.BlockIO, room int) { size += room })
+	for _, io := range r.vec {
+		size += room(io)
+	}
 	arr, off := make([]byte, size), 0
 	if n > 0 {
 		r.pages = make(map[int64]page, n)
 	}
-	r.eachRoom(pages, more, func(io storage.BlockIO, room int) {
-		r.pages[io.Block] = page{data: append(arr[off:off:off+room], io.Data...), owned: true} // a never-written page (nil) is empty
-		off += room
-	})
+	for _, io := range r.vec {
+		rm := room(io)
+		r.pages[io.Block] = page{data: append(arr[off:off:off+rm], io.Data...), owned: true} // a never-written page (nil) is empty
+		off += rm
+	}
 	// Redo committed transactions' updates in log order.
-	for _, rec := range recs {
+	var redoErr error
+	walk(func(rec wal.Record) bool {
 		if rec.Type != wal.TypeUpdate || !r.HasCommitted(rec.TxID) {
-			continue
+			return true
 		}
-		block := r.pageBlock(rec.Key)
-		pg, err := pageUpsert(r.pages[block].data, Row{Key: rec.Key, TxID: rec.TxID, Val: rec.Val}, r.blockSize)
+		home := r.pageBlock(rec.Key)
+		pg, err := pageUpsert(r.pages[home].data, Row{Key: rec.Key, TxID: rec.TxID, Val: rec.Val}, r.blockSize)
 		if err != nil {
-			return fmt.Errorf("db: %s: redo tx %d: %w", r.name, rec.TxID, err)
+			redoErr = fmt.Errorf("db: %s: redo tx %d: %w", r.name, rec.TxID, err)
+			return false
 		}
-		r.pages[block] = page{data: pg, owned: true}
+		r.pages[home] = page{data: pg, owned: true}
+		return true
+	})
+	if redoErr != nil {
+		return redoErr
 	}
 	r.recovered = len(r.committed)
 	return nil
 }
 
-// eachRoom calls fn with each page the replay read and the room its redo
-// needs: its stored prefix plus one slot per committed update to it, at most a
-// block. pages are the distinct claimed blocks and more the further claims,
-// both in block order.
-func (r *reader) eachRoom(pages, more []storage.BlockIO, fn func(io storage.BlockIO, room int)) {
-	for _, io := range pages {
-		claims := 1
-		for ; len(more) > 0 && more[0].Block == io.Block; more = more[1:] {
-			claims++
-		}
-		fn(io, min(len(io.Data)+claims*slotSize, r.blockSize))
-	}
-}
-
 // readLog reads the WAL until the live log ends, not to the end of the region,
-// and decodes it. It reads chunks that double from one block — 1, 2, 4, …,
-// capped at what is left of the region — each one ReadBlocks of the I/O
-// vector, and stops after the chunk that holds the first block that is not
-// wal.LiveBlock: L live blocks cost at most min(2L+1, WALBlocks) reads, one
-// for an empty log. The error is wal.ScanLog's over the blocks read.
+// and returns the blocks it read, in region order: the front of the I/O vector.
+// It reads chunks that double from one block — 1, 2, 4, …, capped at what is
+// left of the region — each one ReadBlocks of the vector, and stops after the
+// chunk that holds the first block that is not wal.LiveBlock: L live blocks
+// cost at most min(2L+1, WALBlocks) reads, one for an empty log.
 //
 // The vector starts with room for the first two chunks, which any non-empty
 // log reads, and grows to the region once, only for a log that outgrows them.
-func (r *reader) readLog(p *sim.Proc) ([]wal.Record, error) {
+func (r *reader) readLog(p *sim.Proc) ([]storage.BlockIO, error) {
 	r.vec = r.vecFor(min(3, r.cfg.WALBlocks))
 	for chunk := 1; r.logLive == len(r.vec) && len(r.vec) < r.cfg.WALBlocks; chunk *= 2 {
 		n := len(r.vec)
@@ -260,7 +277,7 @@ func (r *reader) readLog(p *sim.Proc) ([]wal.Record, error) {
 		}
 	}
 	r.logReads = len(r.vec)
-	return wal.ScanLog(r.logReads, func(i int) []byte { return r.vec[i].Data }, r.epoch)
+	return r.vec, nil
 }
 
 // vecFor returns the I/O vector emptied, with room for n requests.

@@ -220,72 +220,79 @@ func (b *BlockBuilder) Blocks() [][]byte {
 // against the wanted epoch and sequence number. ok reports whether the
 // header matched (if not, the live log ends before this block).
 func ScanBlock(block []byte, epoch, seq uint32) (recs []Record, ok bool, err error) {
-	return appendScanBlock(nil, block, epoch, seq)
+	if !LiveBlock(block, epoch, seq) {
+		return nil, false, nil
+	}
+	err = eachRecord(block, epoch, func(r Record) { recs = append(recs, r) })
+	return recs, true, err
 }
 
-// appendScanBlock is ScanBlock appending to recs, so a log scan grows one
-// record slice instead of one per block plus the concatenation.
-func appendScanBlock(recs []Record, block []byte, epoch, seq uint32) ([]Record, bool, error) {
-	if !LiveBlock(block, epoch, seq) {
-		return recs, false, nil
-	}
-	off := BlockHeaderSize
-	for off < len(block) {
-		r, n, derr := Decode(block[off:])
-		if errors.Is(derr, ErrEndOfLog) {
-			return recs, true, nil
+// eachRecord calls fn with each record of one block that Decode accepts,
+// until the block ends — a zero byte, its last byte, or a record of another
+// epoch than the block's. The error is Decode's for a torn record.
+func eachRecord(block []byte, epoch uint32, fn func(Record)) error {
+	for off := BlockHeaderSize; off < len(block); {
+		r, n, err := Decode(block[off:])
+		if errors.Is(err, ErrEndOfLog) {
+			return nil
 		}
-		if derr != nil {
-			return recs, true, derr
+		if err != nil {
+			return err
 		}
 		if r.Epoch != epoch {
-			return recs, true, nil
+			return nil
 		}
-		recs = append(recs, r)
+		fn(r)
 		off += n
 	}
-	return recs, true, nil
+	return nil
 }
 
-// ScanLog decodes current-epoch records across the first n blocks of a log
-// region, block(i) returning block i, until the valid prefix ends: a block
-// that is not LiveBlock (a nil block — a sparse read's never-written one —
-// ends it like the zeroed block it stands for), or a torn record. Record
-// values point into the blocks. It returns all records in the valid prefix;
-// the error is nil for a clean end and ErrCorrupt when the prefix ends in a
-// torn record (the records before the tear are still returned — recovery
-// uses them). block is an accessor, not a slice, so a reader can scan the
-// blocks its I/O vector borrowed without building a second list of them.
-func ScanLog(n int, block func(i int) []byte, epoch uint32) ([]Record, error) {
-	// Size the result once, to the records the live blocks frame: no block
-	// outside the live-header prefix is scanned, and a scan decodes no record
-	// framedRecords does not count.
-	live, most := 0, 0
-	for live < n && LiveBlock(block(live), epoch, uint32(live)) {
-		most += framedRecords(block(live))
-		live++
-	}
-	if live == 0 {
-		return nil, nil
-	}
-	out := make([]Record, 0, most)
-	for i := range live {
-		var err error
-		if out, _, err = appendScanBlock(out, block(i), epoch, uint32(i)); err != nil {
-			return out, err
+// ValidPrefix checks the current-epoch records across the first n blocks of a
+// log region, block(i) returning block i, until the valid prefix ends: a
+// block that is not LiveBlock (a nil block — a sparse read's never-written one
+// — ends it like the zeroed block it stands for), or a torn record. It
+// returns how many records the prefix holds, each one's framing and checksum
+// checked once, so that Walk reads them back checking neither. The error is
+// nil for a clean end and ErrCorrupt when the prefix ends in a torn record
+// (the records before the tear are counted: recovery replays them). block is
+// an accessor, not a slice, so a reader checks the blocks its I/O vector
+// borrowed without building a second list of them.
+func ValidPrefix(n int, block func(i int) []byte, epoch uint32) (int, error) {
+	count := 0
+	for i := 0; i < n && LiveBlock(block(i), epoch, uint32(i)); i++ {
+		if err := eachRecord(block(i), epoch, func(Record) { count++ }); err != nil {
+			return count, err
 		}
 	}
-	return out, nil
+	return count, nil
 }
 
-// framedRecords counts the records a block frames, walking their magic bytes
-// and value lengths alone — no type, epoch or checksum check — so it is at
-// least the number a scan of the block decodes, and exactly that for a block
-// that is all one epoch's intact records.
-func framedRecords(block []byte) int {
-	n := 0
-	for off := BlockHeaderSize; off+headerSize <= len(block) && block[off] == magic; n++ {
-		off += Overhead + int(binary.LittleEndian.Uint16(block[off+22:off+24]))
+// Walk calls yield with the first count records of the log, in log order,
+// decoded in place — each Val points into its block — until yield returns
+// false. It checks no header, framing or checksum: count must be what
+// ValidPrefix returned for the same blocks and epoch. It ends each block's
+// records where ValidPrefix did, at a zero byte or a record of another epoch,
+// and reads no block past the one holding the last record.
+func Walk(count int, block func(i int) []byte, epoch uint32, yield func(Record) bool) {
+	for i := 0; count > 0; i++ {
+		b := block(i)
+		for off := BlockHeaderSize; count > 0 && off < len(b) && b[off] != 0; count-- {
+			h := b[off : off+headerSize : off+headerSize]
+			if binary.LittleEndian.Uint32(h[2:6]) != epoch {
+				break
+			}
+			end := off + headerSize + int(binary.LittleEndian.Uint16(h[22:24]))
+			if !yield(Record{
+				Type:  RecordType(h[1]),
+				Epoch: epoch,
+				TxID:  binary.LittleEndian.Uint64(h[6:14]),
+				Key:   binary.LittleEndian.Uint64(h[14:22]),
+				Val:   b[off+headerSize : end : end],
+			}) {
+				return
+			}
+			off = end + crcSize
+		}
 	}
-	return n
 }

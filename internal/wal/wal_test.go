@@ -216,9 +216,18 @@ func TestScanBlockRejectsWrongSeq(t *testing.T) {
 	}
 }
 
-// scanRegion is ScanLog over a whole region held as a slice.
+// scanRegion scans a whole region held as a slice for its valid prefix: the
+// records ValidPrefix counts, read back by Walk into a result sized once to
+// that count. The TestScanLog tests scan a log through it.
 func scanRegion(region [][]byte, epoch uint32) ([]Record, error) {
-	return ScanLog(len(region), func(i int) []byte { return region[i] }, epoch)
+	block := func(i int) []byte { return region[i] }
+	n, err := ValidPrefix(len(region), block, epoch)
+	recs := make([]Record, 0, n)
+	Walk(n, block, epoch, func(r Record) bool {
+		recs = append(recs, r)
+		return true
+	})
+	return recs, err
 }
 
 func TestScanLogAcrossBlocks(t *testing.T) {
@@ -319,12 +328,11 @@ func TestScanLogNilBlocksScanLikeZeroBlocks(t *testing.T) {
 	}
 }
 
-// ScanLog sizes its result once, to the records the live blocks frame by
-// magic byte and length: a torn record, a record of another epoch and one
-// whose length runs past the block are counted though not decoded, garbage
-// ends a block's count, and a torn block ahead of an intact one counts both.
-// So the bound is never below what a scan decodes, and the result never
-// regrows.
+// ValidPrefix counts exactly the records a scan decodes: a torn record, a
+// record of another epoch and one whose length runs past the block end a
+// block uncounted, garbage after a record ends it, and a torn block ends the
+// prefix ahead of an intact one. Walk reads back that many, the same ones, so
+// a result sized to the count is sized exactly and never regrows.
 func TestScanLogSizesItsResultOnce(t *testing.T) {
 	intact := func(seq uint32, epochs ...uint32) []byte {
 		b := NewBlockBuilder(512, 1, seq)
@@ -341,20 +349,56 @@ func TestScanLogSizesItsResultOnce(t *testing.T) {
 	garbage := intact(0, 1)
 	garbage[BlockHeaderSize+rec.EncodedSize()] = 0x77
 	for _, c := range []struct {
-		name          string
-		region        [][]byte
-		decoded, size int
+		name    string
+		region  [][]byte
+		decoded int
+		torn    bool
 	}{
-		{"torn record", [][]byte{torn}, 1, 3},
-		{"older epoch's record", [][]byte{intact(0, 1, 0, 1)}, 1, 3},
-		{"length past the block", [][]byte{overlong}, 1, 2},
-		{"garbage after a record", [][]byte{garbage}, 1, 1},
-		{"torn block ahead of an intact one", [][]byte{torn, intact(1, 1, 1)}, 1, 5},
+		{"torn record", [][]byte{torn}, 1, true},
+		{"older epoch's record", [][]byte{intact(0, 1, 0, 1)}, 1, false},
+		{"older epoch's record, then a live block", [][]byte{intact(0, 1, 0, 1), intact(1, 1, 1)}, 3, false},
+		{"length past the block", [][]byte{overlong}, 1, true},
+		{"garbage after a record", [][]byte{garbage}, 1, true},
+		{"torn block ahead of an intact one", [][]byte{torn, intact(1, 1, 1)}, 1, true},
 	} {
-		recs, _ := scanRegion(c.region, 1)
-		if len(recs) != c.decoded || cap(recs) != c.size {
-			t.Fatalf("%s: %d records in a result of %d; want %d in %d", c.name, len(recs), cap(recs), c.decoded, c.size)
+		var want []Record
+		for i, blk := range c.region {
+			recs, _, err := ScanBlock(blk, 1, uint32(i))
+			want = append(want, recs...)
+			if err != nil {
+				break
+			}
 		}
+		recs, err := scanRegion(c.region, 1)
+		if len(recs) != c.decoded || cap(recs) != c.decoded || errors.Is(err, ErrCorrupt) != c.torn || !slices.EqualFunc(recs, want, sameRecord) {
+			t.Fatalf("%s: %d records in a result of %d, %v; want %d as ScanBlock decodes them, torn %v", c.name, len(recs), cap(recs), err, c.decoded, c.torn)
+		}
+	}
+}
+
+func sameRecord(a, b Record) bool {
+	return a.Type == b.Type && a.Epoch == b.Epoch && a.TxID == b.TxID && a.Key == b.Key && bytes.Equal(a.Val, b.Val)
+}
+
+// Walk reads no block past the one that holds the last record it is asked
+// for, and stops when yield does.
+func TestWalkStopsWhereAsked(t *testing.T) {
+	b := NewBlockBuilder(256, 1, 0)
+	for i := uint64(0); i < 12; i++ {
+		b.Append(Record{Type: TypeUpdate, Epoch: 1, TxID: i, Key: i, Val: make([]byte, 30)})
+	}
+	region := b.Blocks() // 4 records a block
+	block := func(i int) []byte {
+		if i >= 2 {
+			t.Fatalf("Walk of 8 records read block %d", i)
+		}
+		return region[i]
+	}
+	seen := 0
+	Walk(8, block, 1, func(Record) bool { seen++; return true })
+	Walk(8, block, 1, func(r Record) bool { return r.TxID < 5 })
+	if seen != 8 {
+		t.Fatalf("walked %d records, want 8", seen)
 	}
 }
 
@@ -366,7 +410,8 @@ func TestScanLogEmptyRegion(t *testing.T) {
 }
 
 func TestBlockBuilderPropertyNoRecordLoss(t *testing.T) {
-	// Property: every appended record comes back from ScanLog, in order.
+	// Property: every appended record comes back from ValidPrefix and Walk, in
+	// order.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		b := NewBlockBuilder(512, 7, 0)

@@ -18,20 +18,10 @@ import (
 // longer than maxUnlinked — a function only tests call is deleted, and its
 // tests read the linked path for the same fact.
 var linkAllowlist = map[string]string{
-	"sim.Env.StartSimProfile":           simProfileWriter,
-	"sim.Env.SimProfile":                simProfileWriter,
-	"telemetry.WriteSimProfile":         simProfileWriter,
-	"telemetry.profileEncoder.str":      simProfileWriter,
-	"telemetry.profileEncoder.label":    simProfileWriter,
-	"telemetry.profileEncoder.location": simProfileWriter,
-	"telemetry.profileEncoder.function": simProfileWriter,
-	"telemetry.protoMsg.varint":         simProfileWriter,
-	"telemetry.protoMsg.uint":           simProfileWriter,
-	"telemetry.protoMsg.bytes":          simProfileWriter,
-	"telemetry.ReadProfile":             simProfileReader,
-	"telemetry.eachField":               simProfileReader,
-	"telemetry.fields12":                simProfileReader,
-	"telemetry.appendVarints":           simProfileReader,
+	"telemetry.ReadProfile":   simProfileReader,
+	"telemetry.eachField":     simProfileReader,
+	"telemetry.fields12":      simProfileReader,
+	"telemetry.appendVarints": simProfileReader,
 
 	"platform.APIServer.Each":        "TestFleetNeverMutatesSharedAPIObjects audits every stored object through it; Names drops the namespace, so Names and Cached cannot replace it",
 	"platform.Controller.Reconciles": "TestTagByHandNeedsNoTenantObject pins that a hand-tagged namespace charges no tenant-controller reconcile",
@@ -45,16 +35,13 @@ var linkAllowlist = map[string]string{
 	"fabric.TenantPath.Class":        "TestPerLaneQoSClasses pins which QoS class each of a tenant's lanes is bound to",
 }
 
-// The simulated-time profile is written and read only by tests until a
-// program turns it on.
-const (
-	simProfileWriter = "the simulated-time profile's writer; waits on a program flag that writes it (cmd/experiments -simprofile)"
-	simProfileReader = "the profile reader; waits on the benchmark reading its CPU and simulated-time profiles through it"
-)
+// cmd/chaos -simprofile writes the simulated-time profile; only tests read
+// one back.
+const simProfileReader = "the profile reader; waits on the benchmark reading its CPU and simulated-time profiles through it"
 
 // maxUnlinked is linkAllowlist's ratchet: lower it when an entry goes, never
 // raise it.
-const maxUnlinked = 24
+const maxUnlinked = 14
 
 // TestEveryLibraryFunctionIsLinked builds every main package of the module
 // with inlining off, so a called function keeps its own symbol, and fails on
