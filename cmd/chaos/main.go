@@ -19,6 +19,9 @@
 //	go run ./cmd/chaos -steps medium -seed 42 -simprofile seed42.sim.pprof
 //	go tool pprof -top -tagfocus tenant=chaos-00 seed42.sim.pprof
 //
+// -cpuprofile FILE and -exectrace FILE write a runtime CPU profile and a
+// runtime execution trace of the run, in either mode; both are off by default.
+//
 // Exit status is 1 if any seed fails, 0 otherwise.
 package main
 
@@ -48,17 +51,31 @@ func main() {
 		plant   = flag.Bool("plant", false, "plant a backup corruption in every schedule (self-test: all seeds must fail and shrink)")
 		verbose = flag.Bool("v", false, "print every seed's summary, not just failures")
 		simprof = flag.String("simprofile", "", "with -seed: write the seed's simulated-time profile to this file")
+		cpuprof = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		extrace = flag.String("exectrace", "", "write a runtime execution trace of the run to this file")
 	)
 	flag.Parse()
 
-	if *seed >= 0 {
-		os.Exit(repro(*seed, *steps, *plant, *shrink, *simprof))
-	}
-	if *simprof != "" {
+	if *seed < 0 && *simprof != "" {
 		fmt.Fprintln(os.Stderr, "chaos: -simprofile needs -seed")
 		os.Exit(2)
 	}
-	os.Exit(sweep(*base, *seeds, *steps, *plant, *shrink, *workers, *logPath, *verbose))
+	stop, err := telemetry.StartHostProfiles(*cpuprof, *extrace)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chaos:", err)
+		os.Exit(2)
+	}
+	status := 0
+	if *seed >= 0 {
+		status = repro(*seed, *steps, *plant, *shrink, *simprof)
+	} else {
+		status = sweep(*base, *seeds, *steps, *plant, *shrink, *workers, *logPath, *verbose)
+	}
+	if err := stop(); err != nil {
+		fmt.Fprintln(os.Stderr, "chaos:", err)
+		status = 2
+	}
+	os.Exit(status)
 }
 
 // repro replays one seed, prints the full deterministic log, and checks

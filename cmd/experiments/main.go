@@ -1,6 +1,8 @@
 // Command experiments regenerates every table/figure of the reproduction
 // (E1-E18; DESIGN.md carries the experiment index). Select a subset with
-// -run.
+// -run. -cpuprofile FILE and -exectrace FILE write a runtime CPU profile and
+// a runtime execution trace of the run; both are off by default and leave the
+// tables as they are.
 package main
 
 import (
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/telemetry"
 )
 
 // experiment is one catalog entry: its -run ID and the step that prints its
@@ -117,6 +120,8 @@ func main() {
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast pass")
 	telemetryOut := flag.String("telemetry", "", "write E16's telemetry export (Chrome trace-event JSON) to this path")
 	decisionsOut := flag.String("decisions", "", "write E17's autopilot decision log to this path")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	exectrace := flag.String("exectrace", "", "write a runtime execution trace of the run to this file")
 	flag.Parse()
 
 	cat := catalog(*seed, *quick, *telemetryOut, *decisionsOut)
@@ -129,11 +134,19 @@ func main() {
 		}
 		want[id] = true
 	}
+	stop, err := telemetry.StartHostProfiles(*cpuprofile, *exectrace)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, e := range cat {
 		if want["all"] || want[e.id] {
 			if err := e.run(); err != nil {
+				stop()
 				log.Fatalf("%s: %v", strings.ToUpper(e.id), err)
 			}
 		}
+	}
+	if err := stop(); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -254,13 +254,16 @@ func TestNewShopAllocBudget(t *testing.T) {
 // miss returned no error, status writes copied only the struct and the
 // reconcilers carried the names they derive, the phase cost 192 allocations
 // and 15,840 bytes. Before the databases it opens traded their committed and
-// owned maps for a sorted slice and one page table, it cost 146 and 14,304. It costs 142 and about
-// 14,050 now. A -race build adds up to 3 allocations and 300 bytes of the
-// detector's own, which the budgets hold, and about one run in twenty 600
-// bytes, which they do not (nor did the old budget of 148 and 14,528).
+// owned maps for a sorted slice and one page table, it cost 146 and 14,304.
+// Before the API store kept one index, and a status write shared the labels
+// and claim names it left unchanged with the version it replaced, it cost
+// 140 and 14,118. It costs 133 and 13,888 now. A -race build adds up to 3
+// allocations and 300 bytes of the detector's own, which the budgets hold,
+// and about one run in twenty 600 bytes, which they do not (nor did the old
+// budget of 148 and 14,528).
 const (
-	provisionAllocsBudget = 146
-	provisionBytesBudget  = 14_400
+	provisionAllocsBudget = 137
+	provisionBytesBudget  = 14_240
 )
 
 func TestProvisionAllocBudget(t *testing.T) {
@@ -318,6 +321,9 @@ func TestProvisionAllocBudget(t *testing.T) {
 // every run tears down the same tenant; no database is opened or read in it.
 // It costs 28 allocations and 1,104 bytes; a -race build adds up to 3
 // allocations and 670 bytes of the detector's own, which the budgets hold.
+// When the six budget tests run in one process, about one run in five reads
+// 1,141 bytes: one of its ten leavers pays about 370 bytes more, before the
+// API store kept one index as after it.
 const (
 	decommissionAllocsBudget = 32
 	decommissionBytesBudget  = 1_920

@@ -73,24 +73,23 @@ type APIConfig struct{}
 // with optimistic concurrency plus watches.
 //
 // Ownership follows the client-go lister contract. A stored object is
-// immutable: every write installs a new object (the one deep copy
-// Create/Update take to detach the caller's), and that same pointer is what
-// Get, List, Cached and watch events (values, see Event) hand to every
+// immutable: every write installs a new object, and that same pointer is
+// what Get, List, Cached and watch events (values, see Event) hand to every
 // reader. Readers must treat what they receive as read-only and DeepCopy
 // before a read-modify-write; in exchange reads copy nothing, and a Cached
-// miss is ok == false with nothing allocated. A status-only write may hand
-// Update a struct copy of the stored object (c := *stored, then set Status):
-// its slices and maps are the stored version's, which the caller must not
-// touch, and Update's own deep copy is what gets stored.
+// miss is ok == false with nothing allocated. Create stores a deep copy;
+// Update's copy shares the replaced version's Labels and PVCNames where the
+// caller's equal them, and never keeps the caller's own. A status-only write
+// may hand Update a struct copy of the stored object (c := *stored, then set
+// Status) whose slices and maps the caller must not touch.
 type APIServer struct {
-	env     *sim.Env
-	objects map[ObjectKey]Object
-	// byKind indexes the store per kind, each slice kept sorted by
-	// (namespace, name) on write: a namespace's objects are one contiguous
-	// run found by binary search, so List costs O(log n + result) with no
-	// per-call key collection or sort — at fleet scale a whole-kind scan per
-	// List call is quadratic in tenants.
-	byKind  map[Kind][]Object
+	env *sim.Env
+	// kinds is the one index: a run per kind in kind-name order (six kinds,
+	// so a scan finds one), each sorted by (namespace, name). A namespace's
+	// objects are one stretch found by binary search, so List costs
+	// O(log n + result) — at fleet scale a whole-kind scan per List call is
+	// quadratic in tenants.
+	kinds   []kindRun
 	rv      int64
 	watches []*Watch
 	// keyed holds single-object watches bucketed by key, so a notify
@@ -100,44 +99,55 @@ type APIServer struct {
 	calls int64
 }
 
+// kindRun is one kind's objects. An entry carries its key strings inline,
+// so a search compares them without calling GetMeta through the interface.
+type kindRun struct {
+	kind    Kind
+	entries []entry
+}
+
+type entry struct {
+	namespace, name string
+	obj             Object
+}
+
 // NewAPIServer returns an empty store.
 func NewAPIServer(env *sim.Env, _ APIConfig) *APIServer {
-	return &APIServer{
-		env:     env,
-		objects: make(map[ObjectKey]Object),
-		byKind:  make(map[Kind][]Object),
-		keyed:   make(map[ObjectKey][]*Watch),
-	}
+	return &APIServer{env: env, keyed: make(map[ObjectKey][]*Watch)}
 }
 
-// indexOf returns where key sorts in its kind's index and whether an object
-// with that key is there.
-func (s *APIServer) indexOf(key ObjectKey) (int, bool) {
-	return slices.BinarySearchFunc(s.byKind[key.Kind], key, func(o Object, k ObjectKey) int {
-		m := o.GetMeta()
-		if c := strings.Compare(m.Namespace, k.Namespace); c != 0 {
-			return c
+// run returns kind's run, or nil when nothing of that kind was ever stored.
+func (s *APIServer) run(kind Kind) *kindRun {
+	for i := range s.kinds {
+		if s.kinds[i].kind == kind {
+			return &s.kinds[i]
 		}
-		return strings.Compare(m.Name, k.Name)
-	})
+	}
+	return nil
 }
 
-// indexPut installs obj under key, replacing the previous version if any.
-func (s *APIServer) indexPut(key ObjectKey, obj Object) {
-	s.objects[key] = obj
-	i, found := s.indexOf(key)
-	if found {
-		s.byKind[key.Kind][i] = obj
-		return
+// lookup returns key's run (nil if its kind has none), the slot key sorts
+// at in it, and whether the object is there.
+func (s *APIServer) lookup(key ObjectKey) (r *kindRun, i int, found bool) {
+	if r = s.run(key.Kind); r == nil {
+		return nil, 0, false
 	}
-	s.byKind[key.Kind] = slices.Insert(s.byKind[key.Kind], i, obj)
-}
-
-func (s *APIServer) indexDelete(key ObjectKey) {
-	delete(s.objects, key)
-	if i, found := s.indexOf(key); found {
-		s.byKind[key.Kind] = slices.Delete(s.byKind[key.Kind], i, i+1)
+	lo, hi := 0, len(r.entries)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		c := strings.Compare(r.entries[h].namespace, key.Namespace)
+		if c == 0 {
+			if c = strings.Compare(r.entries[h].name, key.Name); c == 0 {
+				return r, h, true
+			}
+		}
+		if c < 0 {
+			lo = h + 1
+		} else {
+			hi = h
+		}
 	}
+	return r, lo, false
 }
 
 // Calls returns the number of API calls served (the operator-automation
@@ -158,14 +168,20 @@ func (s *APIServer) Create(p *sim.Proc, obj Object) error {
 	if key.Name == "" || key.Kind == "" {
 		return errors.New("platform: object needs kind and name")
 	}
-	if _, ok := s.objects[key]; ok {
+	r, i, found := s.lookup(key)
+	if found {
 		return &StatusError{Err: ErrExists, Key: key}
 	}
 	s.rv++
 	m.ResourceVersion = s.rv
 	m.CreatedAt = s.env.Now()
 	stored := obj.DeepCopy()
-	s.indexPut(key, stored)
+	if r == nil { // the kind's first object: its run goes in kind-name order
+		k := sort.Search(len(s.kinds), func(k int) bool { return s.kinds[k].kind >= key.Kind })
+		s.kinds = slices.Insert(s.kinds, k, kindRun{kind: key.Kind})
+		r = &s.kinds[k]
+	}
+	r.entries = slices.Insert(r.entries, i, entry{key.Namespace, key.Name, stored})
 	s.notify(Event{Type: Added, Object: stored})
 	return nil
 }
@@ -180,10 +196,11 @@ func (s *APIServer) Update(p *sim.Proc, obj Object) error {
 	s.charge(p)
 	m := obj.GetMeta()
 	key := m.Key()
-	cur, ok := s.objects[key]
-	if !ok {
+	r, i, found := s.lookup(key)
+	if !found {
 		return &StatusError{Err: ErrNotFound, Key: key}
 	}
+	cur := r.entries[i].obj
 	if cur == obj {
 		panic("platform: Update of " + key.String() + " with the stored object itself; DeepCopy before mutating")
 	}
@@ -194,8 +211,8 @@ func (s *APIServer) Update(p *sim.Proc, obj Object) error {
 	s.rv++
 	m.ResourceVersion = s.rv
 	m.CreatedAt = cm.CreatedAt
-	stored := obj.DeepCopy()
-	s.indexPut(key, stored)
+	stored := obj.storeCopy(cur)
+	r.entries[i].obj = stored
 	s.notify(Event{Type: Modified, Object: stored})
 	return nil
 }
@@ -219,8 +236,10 @@ func (s *APIServer) Get(p *sim.Proc, key ObjectKey) (Object, error) {
 // as fresh as the store; writes stay charged calls with their
 // ResourceVersion check.
 func (s *APIServer) Cached(key ObjectKey) (Object, bool) {
-	cur, ok := s.objects[key]
-	return cur, ok
+	if r, i, found := s.lookup(key); found {
+		return r.entries[i].obj, true
+	}
+	return nil, false
 }
 
 // List returns all objects of a kind, optionally restricted to a namespace
@@ -235,28 +254,33 @@ func (s *APIServer) List(p *sim.Proc, kind Kind, namespace string) []Object {
 // CachedList is List answered by the informer cache (see Cached): same
 // order, same ownership, no charge.
 func (s *APIServer) CachedList(kind Kind, namespace string) []Object {
-	all := s.byKind[kind]
-	if namespace == "" {
-		return slices.Clone(all)
-	}
-	// The empty name sorts before every name, so this is the namespace's
+	// The empty name sorts before every name, so lo is the namespace's
 	// first slot whether or not anything is in it.
-	lo, _ := s.indexOf(ObjectKey{Kind: kind, Namespace: namespace})
-	hi := lo
-	for hi < len(all) && all[hi].GetMeta().Namespace == namespace {
-		hi++
+	r, lo, _ := s.lookup(ObjectKey{Kind: kind, Namespace: namespace})
+	if r == nil {
+		return nil
 	}
-	return slices.Clone(all[lo:hi])
+	hi := len(r.entries)
+	if namespace != "" {
+		for hi = lo; hi < len(r.entries) && r.entries[hi].namespace == namespace; hi++ {
+		}
+	}
+	out := make([]Object, hi-lo)
+	for j := range out {
+		out[j] = r.entries[lo+j].obj
+	}
+	return out
 }
 
 // Delete removes the object.
 func (s *APIServer) Delete(p *sim.Proc, key ObjectKey) error {
 	s.charge(p)
-	cur, ok := s.objects[key]
-	if !ok {
+	r, i, found := s.lookup(key)
+	if !found {
 		return &StatusError{Err: ErrNotFound, Key: key}
 	}
-	s.indexDelete(key)
+	cur := r.entries[i].obj
+	r.entries = slices.Delete(r.entries, i, i+1)
 	s.notify(Event{Type: Deleted, Object: cur})
 	return nil
 }
@@ -335,8 +359,10 @@ func (s *APIServer) WatchKey(key ObjectKey) *Watch {
 // modeled API call.
 func (s *APIServer) Names(kind Kind) []string {
 	var out []string
-	for _, o := range s.byKind[kind] {
-		out = append(out, o.GetMeta().Name)
+	if r := s.run(kind); r != nil {
+		for _, e := range r.entries {
+			out = append(out, e.name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -348,14 +374,9 @@ func (s *APIServer) Names(kind Kind) []string {
 // read-only contract: an object's content never changes under one
 // resource version). fn must not mutate what it is shown.
 func (s *APIServer) Each(fn func(Object)) {
-	kinds := make([]Kind, 0, len(s.byKind))
-	for k := range s.byKind {
-		kinds = append(kinds, k)
-	}
-	slices.Sort(kinds)
-	for _, k := range kinds {
-		for _, o := range s.byKind[k] {
-			fn(o)
+	for _, r := range s.kinds {
+		for _, e := range r.entries {
+			fn(e.obj)
 		}
 	}
 }

@@ -7,6 +7,8 @@
 package platform
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/storage"
@@ -38,15 +40,29 @@ type Meta struct {
 // Key returns the store key ("namespace/name" or "name").
 func (m Meta) Key() ObjectKey { return ObjectKey{Kind: m.Kind, Namespace: m.Namespace, Name: m.Name} }
 
-func copyLabels(in map[string]string) map[string]string {
-	if in == nil {
-		return nil
+// storeLabels returns prev's labels when in equals them (prev is the stored
+// version an Update replaces, immutable), else a copy of in.
+func storeLabels(in map[string]string, prev Object) map[string]string {
+	if prev != nil && len(in) > 0 && maps.Equal(in, prev.GetMeta().Labels) {
+		return prev.GetMeta().Labels
 	}
-	out := make(map[string]string, len(in))
-	for k, v := range in {
-		out[k] = v
+	return maps.Clone(in)
+}
+
+// storeNames is storeLabels for the claim names of a ReplicationGroup or
+// Tenant.
+func storeNames(in []string, prev Object) []string {
+	var was []string
+	switch p := prev.(type) {
+	case *ReplicationGroup:
+		was = p.Spec.PVCNames
+	case *Tenant:
+		was = p.Spec.PVCNames
 	}
-	return out
+	if len(in) > 0 && slices.Equal(in, was) {
+		return was
+	}
+	return append([]string(nil), in...)
 }
 
 // ObjectKey names one object.
@@ -69,6 +85,10 @@ func (k ObjectKey) String() string {
 type Object interface {
 	GetMeta() *Meta
 	DeepCopy() Object
+	// storeCopy is DeepCopy for Update: the copy shares prev's (the replaced
+	// version's) Labels and PVCNames where they equal the receiver's.
+	// DeepCopy is storeCopy(nil).
+	storeCopy(prev Object) Object
 }
 
 // Namespace partitions the application environment (§II).
@@ -80,9 +100,11 @@ type Namespace struct {
 func (n *Namespace) GetMeta() *Meta { return &n.Meta }
 
 // DeepCopy returns an independent copy.
-func (n *Namespace) DeepCopy() Object {
+func (n *Namespace) DeepCopy() Object { return n.storeCopy(nil) }
+
+func (n *Namespace) storeCopy(prev Object) Object {
 	c := *n
-	c.Labels = copyLabels(n.Labels)
+	c.Labels = storeLabels(n.Labels, prev)
 	return &c
 }
 
@@ -98,9 +120,11 @@ type StorageClass struct {
 func (s *StorageClass) GetMeta() *Meta { return &s.Meta }
 
 // DeepCopy returns an independent copy.
-func (s *StorageClass) DeepCopy() Object {
+func (s *StorageClass) DeepCopy() Object { return s.storeCopy(nil) }
+
+func (s *StorageClass) storeCopy(prev Object) Object {
 	c := *s
-	c.Labels = copyLabels(s.Labels)
+	c.Labels = storeLabels(s.Labels, prev)
 	return &c
 }
 
@@ -136,9 +160,11 @@ type PVCStatus struct {
 func (c *PersistentVolumeClaim) GetMeta() *Meta { return &c.Meta }
 
 // DeepCopy returns an independent copy.
-func (c *PersistentVolumeClaim) DeepCopy() Object {
+func (c *PersistentVolumeClaim) DeepCopy() Object { return c.storeCopy(nil) }
+
+func (c *PersistentVolumeClaim) storeCopy(prev Object) Object {
 	cp := *c
-	cp.Labels = copyLabels(c.Labels)
+	cp.Labels = storeLabels(c.Labels, prev)
 	return &cp
 }
 
@@ -176,9 +202,11 @@ type PVStatus struct {
 func (v *PersistentVolume) GetMeta() *Meta { return &v.Meta }
 
 // DeepCopy returns an independent copy.
-func (v *PersistentVolume) DeepCopy() Object {
+func (v *PersistentVolume) DeepCopy() Object { return v.storeCopy(nil) }
+
+func (v *PersistentVolume) storeCopy(prev Object) Object {
 	cp := *v
-	cp.Labels = copyLabels(v.Labels)
+	cp.Labels = storeLabels(v.Labels, prev)
 	return &cp
 }
 
@@ -226,10 +254,12 @@ type ReplicationGroupStatus struct {
 func (g *ReplicationGroup) GetMeta() *Meta { return &g.Meta }
 
 // DeepCopy returns an independent copy.
-func (g *ReplicationGroup) DeepCopy() Object {
+func (g *ReplicationGroup) DeepCopy() Object { return g.storeCopy(nil) }
+
+func (g *ReplicationGroup) storeCopy(prev Object) Object {
 	cp := *g
-	cp.Labels = copyLabels(g.Labels)
-	cp.Spec.PVCNames = append([]string(nil), g.Spec.PVCNames...)
+	cp.Labels = storeLabels(g.Labels, prev)
+	cp.Spec.PVCNames = storeNames(g.Spec.PVCNames, prev)
 	return &cp
 }
 
@@ -349,9 +379,11 @@ type TenantStatus struct {
 func (t *Tenant) GetMeta() *Meta { return &t.Meta }
 
 // DeepCopy returns an independent copy.
-func (t *Tenant) DeepCopy() Object {
+func (t *Tenant) DeepCopy() Object { return t.storeCopy(nil) }
+
+func (t *Tenant) storeCopy(prev Object) Object {
 	cp := *t
-	cp.Labels = copyLabels(t.Labels)
-	cp.Spec.PVCNames = append([]string(nil), t.Spec.PVCNames...)
+	cp.Labels = storeLabels(t.Labels, prev)
+	cp.Spec.PVCNames = storeNames(t.Spec.PVCNames, prev)
 	return &cp
 }
