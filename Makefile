@@ -16,10 +16,11 @@
 #   chaos            500 seeded fault schedules at -steps medium, without -race
 #   lines            the Go line counts and DESIGN.md's size ROADMAP tracks, per internal/ package, cmd/ binary and example too (not part of ci)
 #   lines-diff       BASE=<rev>: non-test Go lines outside benchmark/ at BASE, in the working tree, and the difference (not part of ci)
+#   sim-diff         BASE=<rev>: experiment tables and five chaos replays at BASE and in the working tree, byte for byte (not part of ci)
 
 GO ?= go
 
-.PHONY: ci fmt vet build test layer-bench-smoke test-race tables-check bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines lines-diff
+.PHONY: ci fmt vet build test layer-bench-smoke test-race tables-check bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines lines-diff sim-diff
 
 ci: fmt vet build test layer-bench-smoke test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke chaos
 
@@ -177,3 +178,30 @@ lines-diff:
 	base=$$(cd "$$tmp" && $(PRODUCT_GO) | xargs cat | wc -l); \
 	head=$$($(PRODUCT_GO) | xargs cat | wc -l); \
 	printf 'non-test Go lines outside benchmark/: %s %d, working tree %d, difference %+d\n' "$(BASE)" $$base $$head $$((head - base))
+
+# The one-command proof that a change moves no simulated value: BASE is
+# extracted as lines-diff does, cmd/experiments and cmd/chaos are built
+# there and in the working tree, and each side runs `experiments -run all
+# -quick -seed 1` and the `chaos -steps medium` replay of seeds 1, 7, 42, 99
+# and 123. Every output must be byte-identical to BASE's; the first that is
+# not is printed as a diff and fails the target. The tables repeat
+# tables-check's command, but tables-check holds them to the working tree's
+# golden, which a change may regenerate; sim-diff holds them to BASE's run.
+sim-diff:
+	@test -n "$(BASE)" || { echo "usage: make sim-diff BASE=<rev>"; exit 2; }
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src" "$$tmp/base" "$$tmp/head" || exit 1; \
+	git archive "$(BASE)" | tar -x -C "$$tmp/src" || exit 1; \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/base/" ./cmd/experiments ./cmd/chaos) || exit 1; \
+	$(GO) build -o "$$tmp/head/" ./cmd/experiments ./cmd/chaos || exit 1; \
+	for side in base head; do \
+		"$$tmp/$$side/experiments" -run all -quick -seed 1 > "$$tmp/$$side/experiments.out" || exit 1; \
+		for seed in 1 7 42 99 123; do \
+			"$$tmp/$$side/chaos" -steps medium -seed $$seed > "$$tmp/$$side/chaos-$$seed.out"; \
+		done; \
+	done; \
+	for out in "$$tmp"/head/*.out; do \
+		f=$${out##*/}; \
+		diff -u "$$tmp/base/$$f" "$$out" || { echo "sim-diff: $$f differs from $(BASE)"; exit 1; }; \
+		printf 'sim-diff: %s identical (%d lines)\n' "$$f" "$$(wc -l < "$$out")"; \
+	done

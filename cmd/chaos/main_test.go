@@ -33,8 +33,9 @@ func logTime(t *testing.T, log string, re string) time.Duration {
 // the same bytes. Its samples sum per process to the process's lifetime where
 // the run's log fixes it: the driver runs from 0 to its "done" line, and each
 // workload process — one per name, labelled with its tenant — within the run.
-// Names the two sites share (one controller each) sum several lifetimes;
-// TestSimProfileSumsToEachLifetime pins the kernel's per-process exactness.
+// TestProcessNameSumsStayWithinTheRun holds every other name's sum
+// within the run; TestSimProfileSumsToEachLifetime pins the kernel's
+// per-process exactness.
 func TestSimProfileFlagWritesTheSeedsProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -248,3 +248,30 @@ func TestGenerateIncludesLinkLoss(t *testing.T) {
 		t.Fatal("no seed in 1..20 generated a linkloss fault")
 	}
 }
+
+// Each process name's summed sim-profile samples stay within the run.
+// Simulated time is charged only while a process blocks, so the samples of
+// processes that share a name sum past the run only when they overlap long
+// enough: two sites' controllers, two directions' dispatchers or several
+// watch pumps of one controller under one name would. Short-lived
+// processes of one name may still overlap (the netlink-retransmit of each
+// lost frame) while their sum stays within the run.
+func TestProcessNameSumsStayWithinTheRun(t *testing.T) {
+	sch, err := Generate(1, "medium")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, samples := RunProfiled(sch)
+	if res.Failed() {
+		t.Fatalf("seed 1 failed:\n%s", res.LogText())
+	}
+	sums := make(map[string]time.Duration)
+	for _, s := range samples {
+		sums[s.Process] += s.Time
+	}
+	for name, d := range sums {
+		if d > res.SimTime {
+			t.Errorf("process %q sums %v of simulated time over a %v run", name, d, res.SimTime)
+		}
+	}
+}

@@ -192,10 +192,8 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 	// fabric path. Goldens, probe keys and chaos logs print both "-0" names.
 	journalID := "jnl-" + rg.Name + "-0"
 	vols := make([]storage.VolumeID, len(members))
-	mapping := make(map[storage.VolumeID]storage.VolumeID, len(members))
 	for i, m := range members {
 		vols[i] = m.pv.Spec.VolumeID
-		mapping[vols[i]] = vols[i]
 	}
 	journal, err := rp.sites.MainArray.CreateConsistencyGroup(journalID, vols, max(rg.Spec.JournalShards, 1))
 	if errors.Is(err, storage.ErrJournalExists) {
@@ -205,7 +203,7 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 		return err
 	}
 	g, err := replication.NewGroup(rp.env, rg.Name+"-0", journal, rp.sites.BackupArray,
-		mapping, rp.sites.LanePaths(rg.Spec.SourceNamespace, journal.ShardCount()), rp.cfg)
+		rp.sites.LanePaths(rg.Spec.SourceNamespace, journal.ShardCount()), rp.cfg)
 	if err != nil {
 		return err
 	}

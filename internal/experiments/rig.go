@@ -152,21 +152,12 @@ func startADC(env *sim.Env, main, backup *storage.Array, name string, vols []sto
 	if err != nil {
 		return nil, err
 	}
-	g, err := replication.NewGroup(env, name, j, backup, ident(vols...), []fabric.Path{path}, cfg)
+	g, err := replication.NewGroup(env, name, j, backup, []fabric.Path{path}, cfg)
 	if err != nil {
 		return nil, err
 	}
 	g.Start()
 	return g, nil
-}
-
-// ident builds an identity volume mapping.
-func ident(vols ...storage.VolumeID) map[storage.VolumeID]storage.VolumeID {
-	m := make(map[storage.VolumeID]storage.VolumeID, len(vols))
-	for _, v := range vols {
-		m[v] = v
-	}
-	return m
 }
 
 // runOrders drives n orders to completion and returns the simulated span

@@ -16,6 +16,7 @@ package fabric
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/netlink"
@@ -243,13 +244,15 @@ func New(env *sim.Env, cfg Config) *Fabric {
 	for i, lc := range cfg.Links {
 		links[i] = netlink.New(env, lc)
 	}
-	return NewWithLinks(env, cfg, links)
+	return newWithLinks(env, cfg, links, "")
 }
 
-// NewWithLinks builds a fabric over already-constructed member links
-// (cfg.Links is ignored). The system assembly uses this to keep the member
-// links shared with the operator-facing netlink.Pair.
-func NewWithLinks(env *sim.Env, cfg Config, links []*netlink.Link) *Fabric {
+// newWithLinks builds a fabric over already-constructed member links
+// (cfg.Links is ignored); NewInterconnect uses it to keep the member links
+// shared with the operator-facing netlink.Pair. dir, when set, names the
+// direction in the dispatchers' process names, so the two directions'
+// dispatchers of one member are told apart.
+func newWithLinks(env *sim.Env, cfg Config, links []*netlink.Link, dir string) *Fabric {
 	cfg = cfg.withDefaults()
 	if len(links) == 0 {
 		panic("fabric: no member links")
@@ -277,9 +280,13 @@ func NewWithLinks(env *sim.Env, cfg Config, links []*netlink.Link) *Fabric {
 	}
 	f.scheduled = len(links) > 1 || len(cfg.Classes) > 0
 	if f.scheduled {
+		name := "fabric-dispatch:"
+		if dir != "" {
+			name += dir + ":"
+		}
 		for i := range f.links {
 			li := i
-			env.Process(fmt.Sprintf("fabric-dispatch:%d", li), func(p *sim.Proc) {
+			env.Process(name+strconv.Itoa(li), func(p *sim.Proc) {
 				f.dispatch(p, li)
 			})
 		}
@@ -305,8 +312,8 @@ func (ic *Interconnect) Stop() {
 // class/scheduling configuration.
 func NewInterconnect(env *sim.Env, cfg Config, fwd, rev []*netlink.Link) *Interconnect {
 	return &Interconnect{
-		Forward: NewWithLinks(env, cfg, fwd),
-		Reverse: NewWithLinks(env, cfg, rev),
+		Forward: newWithLinks(env, cfg, fwd, "forward"),
+		Reverse: newWithLinks(env, cfg, rev, "reverse"),
 	}
 }
 
@@ -397,9 +404,7 @@ func (f *Fabric) String() string {
 // dispatcher about to park with nothing it may carry: f.work, re-armed if
 // an earlier arrival already fired it.
 func (f *Fabric) idle() *sim.Event {
-	if f.work.Triggered() {
-		f.work = f.work.Renew()
-	}
+	f.work = f.work.Renew()
 	return f.work
 }
 

@@ -257,13 +257,16 @@ func TestNewShopAllocBudget(t *testing.T) {
 // owned maps for a sorted slice and one page table, it cost 146 and 14,304.
 // Before the API store kept one index, and a status write shared the labels
 // and claim names it left unchanged with the version it replaced, it cost
-// 140 and 14,118. It costs 133 and 13,888 now. A -race build adds up to 3
-// allocations and 300 bytes of the detector's own, which the budgets hold,
-// and about one run in twenty 600 bytes, which they do not (nor did the old
-// budget of 148 and 14,528).
+// 140 and 14,118. Before the replication engine found each backup twin by
+// its source volume's ID, where the plugin built an identity volume map per
+// group, and re-armed its pulses through Event.Renew, it cost 133 and
+// 13,888. It costs 131 and 13,552 now. A -race build adds up to 3
+// allocations and 340 bytes of the detector's own, which the budgets hold
+// with the file's 48 bytes of slack, and about one run in twenty 700 to 800
+// bytes, which they do not (nor did any budget before them).
 const (
-	provisionAllocsBudget = 137
-	provisionBytesBudget  = 14_240
+	provisionAllocsBudget = 135
+	provisionBytesBudget  = 13_940
 )
 
 func TestProvisionAllocBudget(t *testing.T) {

@@ -256,9 +256,7 @@ func (l *Link) HealedEvent() *sim.Event { return l.healed }
 // triggers — the counterpart of HealedEvent for a dispatcher whose in-flight
 // window is full. Fetch it anew for every wait: the link re-arms it.
 func (l *Link) DeliveredEvent() *sim.Event {
-	if l.deliveredEv.Triggered() {
-		l.deliveredEv = l.deliveredEv.Renew()
-	}
+	l.deliveredEv = l.deliveredEv.Renew()
 	return l.deliveredEv
 }
 

@@ -171,11 +171,12 @@ func (c *Controller) push(key ObjectKey) {
 	c.queue.Push(queuedKey{key: key, at: c.env.Now()})
 }
 
-// Start launches one watch pump per watched kind and the first worker.
+// Start launches one watch pump per watched kind, named by that kind, and
+// the first worker.
 func (c *Controller) Start() {
 	for _, src := range c.srcs {
 		w, mapFn := c.api.Watch(src.kind), src.mapFn
-		c.env.Process(c.name+":watch", func(p *sim.Proc) {
+		c.env.Process(c.name+":watch:"+string(src.kind), func(p *sim.Proc) {
 			defer w.Stop() // detach so the API server can compact the watch away
 			for {
 				for w.Pending() == 0 {
@@ -192,24 +193,23 @@ func (c *Controller) Start() {
 	c.startWorker()
 }
 
-// startWorker launches one more worker process on the queue. Its spans go on
-// a track of its own — reconciles of different workers overlap, and one
-// trace row may only hold spans that nest — the first worker keeping the
-// controller's bare name.
+// startWorker launches one more worker process on the queue, named by its
+// index. Its spans go on a track of its own — reconciles of different
+// workers overlap, and one trace row may only hold spans that nest — the
+// first worker keeping the controller's bare name.
 func (c *Controller) startWorker() {
+	idx := strconv.Itoa(c.workers)
 	track := c.name
 	if c.workers > 0 && c.tel != nil {
-		track += "/w" + strconv.Itoa(c.workers)
+		track += "/w" + idx
 	}
 	c.workers++
 	c.started.Set(int64(c.workers))
-	c.env.Process(c.name+":worker", func(p *sim.Proc) {
+	c.env.Process(c.name+":worker:"+idx, func(p *sim.Proc) {
 		wake := c.env.NewEvent()
 		for {
 			for c.queue.Len() == 0 {
-				if wake.Triggered() {
-					wake = wake.Renew() // only this worker ever waits on it
-				}
+				wake = wake.Renew() // only this worker ever waits on it
 				c.idle.Push(wake)
 				if p.WaitAny(wake, c.stop) == 1 {
 					return

@@ -75,7 +75,6 @@ type Group struct {
 	name    string
 	journal *storage.ShardedJournal
 	target  *storage.Array
-	mapping map[storage.VolumeID]storage.VolumeID
 	cfg     Config
 
 	lanes    []*drainLane // active lanes, index-aligned with journal shards
@@ -155,22 +154,16 @@ type drainLane struct {
 // NewGroup wires a consistency group's journal to target volumes. paths
 // carries one inter-site transfer path per journal shard (lane k drains
 // shard k over paths[k]) — a raw *netlink.Link or a QoS-classed
-// fabric.TenantPath are both fine. mapping translates each source volume ID
-// to its backup-site twin; every journal member must be mapped and every
-// mapped target must exist on the target array. The group keeps mapping;
-// the caller must not modify it afterwards.
+// fabric.TenantPath are both fine. A member's backup-site twin carries the
+// member's own volume ID, and every twin must exist on the target array.
 func NewGroup(env *sim.Env, name string, journal *storage.ShardedJournal, target *storage.Array,
-	mapping map[storage.VolumeID]storage.VolumeID, paths []fabric.Path, cfg Config) (*Group, error) {
+	paths []fabric.Path, cfg Config) (*Group, error) {
 	if len(paths) != journal.ShardCount() {
 		return nil, fmt.Errorf("replication: %s: %d paths for %d shards", name, len(paths), journal.ShardCount())
 	}
-	for _, src := range journal.Members() {
-		dst, ok := mapping[src]
-		if !ok {
-			return nil, fmt.Errorf("replication: journal member %s has no target mapping", src)
-		}
-		if _, err := target.Volume(dst); err != nil {
-			return nil, fmt.Errorf("replication: target for %s: %w", src, err)
+	for _, id := range journal.Members() {
+		if _, err := target.Volume(id); err != nil {
+			return nil, fmt.Errorf("replication: %s: twin of member %s: %w", name, id, err)
 		}
 	}
 	g := &Group{
@@ -178,7 +171,6 @@ func NewGroup(env *sim.Env, name string, journal *storage.ShardedJournal, target
 		name:      name,
 		journal:   journal,
 		target:    target,
-		mapping:   mapping,
 		cfg:       cfg.withDefaults(),
 		lanes:     make([]*drainLane, len(paths)),
 		stopEv:    env.NewEvent(),
@@ -264,7 +256,7 @@ func (g *Group) InitialCopy(p *sim.Proc, source *storage.Array) error {
 // target adopts the block borrowed from the source, and each side keeps it
 // when the other overwrites.
 func (g *Group) bulkCopy(p *sim.Proc, sv *storage.Volume, blocks []int64) error {
-	tv, err := g.target.Volume(g.mapping[sv.ID()])
+	tv, err := g.target.Volume(sv.ID())
 	if err != nil {
 		return err
 	}
@@ -470,12 +462,13 @@ func (g *Group) coordinate(p *sim.Proc) {
 			g.coordinating = false
 			return
 		}
-		if g.backlogRecords() == 0 {
+		if g.Backlog() == 0 {
 			evs := g.idleWait[:0]
 			for _, l := range g.lanes {
 				evs = append(evs, l.journal.NotEmpty())
 			}
-			evs = append(evs, g.renewed(&g.reconfigured), g.stopEv)
+			g.reconfigured = g.reconfigured.Renew()
+			evs = append(evs, g.reconfigured, g.stopEv)
 			g.idleWait = evs
 			if p.WaitAny(evs...) == len(evs)-1 {
 				return
@@ -486,7 +479,8 @@ func (g *Group) coordinate(p *sim.Proc) {
 		sealedAt := p.Now()
 		sp := g.tel.StartSpan("epoch", "epoch-drain", g.tenant)
 		for !g.allStagedThrough(sealed) {
-			if p.WaitAny(g.renewed(&g.progress), g.stopEv) == 1 {
+			g.progress = g.progress.Renew()
+			if p.WaitAny(g.progress, g.stopEv) == 1 {
 				return
 			}
 			if g.stopped {
@@ -584,7 +578,7 @@ func (g *Group) commitEpoch(p *sim.Proc, sealed int64) {
 // and its window commits in GlobalSeq order across lanes, so neither a
 // shard's Seq nor a lane's order is the order a volume must apply in.
 func (g *Group) install(r storage.Record) {
-	tv, err := g.target.Volume(g.mapping[r.Volume])
+	tv, err := g.target.Volume(r.Volume)
 	if err != nil {
 		panic(fmt.Sprintf("replication %s: target vanished: %v", g.name, err))
 	}
@@ -607,21 +601,10 @@ func (g *Group) install(r storage.Record) {
 	g.volSeq[r.Volume] = r.GlobalSeq
 }
 
-// renewed returns the pulse event *ev to wait on, replacing a stale fired one
-// — it marks progress the waiter has already seen — so the wait blocks
-// instead of spinning at the current instant. The pulsing side just triggers
-// whatever event stands there; triggering a fired event is a no-op.
-func (g *Group) renewed(ev **sim.Event) *sim.Event {
-	if (*ev).Triggered() {
-		*ev = g.env.NewEvent()
-	}
-	return *ev
-}
-
-// backlogRecords counts every record not yet applied at the target: journal
-// pending, in flight on a lane, or staged awaiting a commit — on active and
-// retiring lanes alike.
-func (g *Group) backlogRecords() int {
+// Backlog returns the number of journal records not yet applied at the
+// target: pending in a journal, in flight on a lane, or staged awaiting a
+// commit — on active and retiring lanes alike.
+func (g *Group) Backlog() int {
 	var n int
 	for _, l := range g.commitLanes() {
 		n += l.journal.Pending() + l.inflight + len(l.staged)
@@ -632,11 +615,12 @@ func (g *Group) backlogRecords() int {
 // CatchUp blocks until every journaled record is applied at the target, or
 // the group stops. It reports whether the group fully caught up.
 func (g *Group) CatchUp(p *sim.Proc) bool {
-	for g.backlogRecords() > 0 {
+	for g.Backlog() > 0 {
 		if g.stopped {
 			return false
 		}
-		if p.WaitAny(g.renewed(&g.committed), g.stopEv) == 1 {
+		g.committed = g.committed.Renew()
+		if p.WaitAny(g.committed, g.stopEv) == 1 {
 			return false
 		}
 	}
@@ -683,10 +667,6 @@ func (g *Group) RPO(now time.Duration) time.Duration {
 	}
 	return now - oldest
 }
-
-// Backlog returns the number of journal records not yet applied at the
-// target (pending, in flight, or staged).
-func (g *Group) Backlog() int { return g.backlogRecords() }
 
 // CommittedEpoch returns the highest epoch a barrier commit has exposed at
 // the target. A lane committing for itself applies the open epoch's records
@@ -925,7 +905,7 @@ func (g *Group) Failover() ([]*storage.Volume, error) {
 	g.failedOver = true
 	var vols []*storage.Volume
 	for _, src := range g.journal.Members() {
-		tv, err := g.target.Volume(g.mapping[src])
+		tv, err := g.target.Volume(src)
 		if err != nil {
 			return nil, err
 		}
@@ -943,5 +923,5 @@ func (g *Group) FailedOver() bool { return g.failedOver }
 
 func (g *Group) String() string {
 	return fmt.Sprintf("ADCGroup(%s){lanes=%d epoch=%d committed=%d applied=%d backlog=%d}",
-		g.name, len(g.lanes), g.journal.Epoch(), g.committedEpoch, g.appliedRecords, g.backlogRecords())
+		g.name, len(g.lanes), g.journal.Epoch(), g.committedEpoch, g.appliedRecords, g.Backlog())
 }

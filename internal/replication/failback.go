@@ -71,20 +71,14 @@ func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabri
 		return nil, stats, err
 	}
 
-	// Reverse consistency group on the backup array, attached before the
-	// copy so concurrent production writes are journaled and applied after.
-	reverseVols := make([]storage.VolumeID, len(members))
-	reverseMapping := make(map[storage.VolumeID]storage.VolumeID, len(members))
-	for i, src := range members {
-		dst := old.mapping[src]
-		reverseVols[i] = dst
-		reverseMapping[dst] = src
-	}
-	rj, err := old.target.CreateConsistencyGroup("fb-"+old.name, reverseVols, old.Lanes())
+	// Reverse consistency group over the same volume IDs on the backup array,
+	// attached before the copy so concurrent production writes are journaled
+	// and applied after.
+	rj, err := old.target.CreateConsistencyGroup("fb-"+old.name, members, old.Lanes())
 	if err != nil {
 		return nil, stats, err
 	}
-	reverse, err := NewGroup(old.env, "fb-"+old.name, rj, source, reverseMapping,
+	reverse, err := NewGroup(old.env, "fb-"+old.name, rj, source,
 		slices.Repeat([]fabric.Path{reversePath}, old.Lanes()), old.cfg)
 	if err != nil {
 		return nil, stats, err
@@ -92,7 +86,7 @@ func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabri
 
 	// Delta resync: backup content wins for every block in the union.
 	for _, src := range members {
-		bv, err := old.target.Volume(old.mapping[src])
+		bv, err := old.target.Volume(src)
 		if err != nil {
 			return nil, stats, err
 		}

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,9 +61,7 @@ func (r *rig) newSizedCG(t *testing.T, capacity int, cfg Config) *Group {
 		t.Fatal(err)
 	}
 	j.SetCapacityPerShard(capacity)
-	g, err := NewGroup(r.env, "cg", j, r.backup,
-		map[storage.VolumeID]storage.VolumeID{"sales": "sales", "stock": "stock"},
-		[]fabric.Path{r.links.Forward}, cfg)
+	g, err := NewGroup(r.env, "cg", j, r.backup, []fabric.Path{r.links.Forward}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,17 +76,27 @@ func fill(a *storage.Array, b byte) []byte {
 	return buf
 }
 
-func TestNewGroupValidatesMapping(t *testing.T) {
+// A member's backup twin is the target volume with the member's own ID; a
+// group whose member has none there is refused, by that member's name.
+func TestNewGroupRequiresEveryTwin(t *testing.T) {
 	r := newRig(t, netlink.Config{})
-	j, _ := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"}, 1)
-	path := []fabric.Path{r.links.Forward}
-	if _, err := NewGroup(r.env, "g", j, r.backup,
-		map[storage.VolumeID]storage.VolumeID{"sales": "sales"}, path, Config{}); err == nil {
-		t.Fatal("missing mapping accepted")
+	if _, err := r.main.CreateVolume("orders", 256); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewGroup(r.env, "g", j, r.backup,
-		map[storage.VolumeID]storage.VolumeID{"sales": "sales", "stock": "nope"}, path, Config{}); err == nil {
-		t.Fatal("unknown target accepted")
+	path := []fabric.Path{r.links.Forward}
+	j, _ := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "orders", "stock"}, 1)
+	_, err := NewGroup(r.env, "g", j, r.backup, path, Config{})
+	if err == nil {
+		t.Fatal("member without a twin accepted")
+	}
+	if !strings.Contains(err.Error(), "orders") || strings.Contains(err.Error(), "sales") {
+		t.Fatalf("refusal %q does not name the twinless member alone", err)
+	}
+	if _, err := r.backup.CreateVolume("orders", 256); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewGroup(r.env, "g", j, r.backup, path, Config{}); err != nil {
+		t.Fatalf("group with every twin refused: %v", err)
 	}
 }
 
@@ -430,8 +439,8 @@ func TestPerVolumeGroupsDivergeWithoutCG(t *testing.T) {
 	js, _ := main.CreateConsistencyGroup("j-sales", []storage.VolumeID{"sales"}, 1)
 	jk, _ := main.CreateConsistencyGroup("j-stock", []storage.VolumeID{"stock"}, 1)
 	path := []fabric.Path{links.Forward}
-	gs, _ := NewGroup(env, "g-sales", js, backup, map[storage.VolumeID]storage.VolumeID{"sales": "sales"}, path, Config{BatchMax: 8})
-	gk, _ := NewGroup(env, "g-stock", jk, backup, map[storage.VolumeID]storage.VolumeID{"stock": "stock"}, path, Config{BatchMax: 8})
+	gs, _ := NewGroup(env, "g-sales", js, backup, path, Config{BatchMax: 8})
+	gk, _ := NewGroup(env, "g-stock", jk, backup, path, Config{BatchMax: 8})
 	gs.Start()
 	gk.Start()
 	sales, _ := main.Volume("sales")
@@ -482,7 +491,7 @@ func TestBatchSizeAffectsTransferCount(t *testing.T) {
 		backup.CreateVolume("v", 1024)
 		link := netlink.New(env, netlink.Config{Propagation: 10 * time.Millisecond})
 		j, _ := main.CreateConsistencyGroup("j", []storage.VolumeID{"v"}, 1)
-		g, _ := NewGroup(env, "g", j, backup, map[storage.VolumeID]storage.VolumeID{"v": "v"}, []fabric.Path{link}, Config{BatchMax: batch})
+		g, _ := NewGroup(env, "g", j, backup, []fabric.Path{link}, Config{BatchMax: batch})
 		v, _ := main.Volume("v")
 		env.Process("io", func(p *sim.Proc) {
 			for i := int64(0); i < 100; i++ {

@@ -21,13 +21,7 @@ type SyncVolume struct {
 
 // NewSyncVolume pairs a source volume with its remote twin over a link pair.
 func NewSyncVolume(source, target *storage.Volume, links *netlink.Pair) *SyncVolume {
-	return NewSyncVolumeOnPaths(source, target, links.Forward, links.Reverse)
-}
-
-// NewSyncVolumeOnPaths is NewSyncVolume over explicit forward/reverse
-// transfer paths — how an SDC pair rides a QoS-classed inter-site fabric.
-func NewSyncVolumeOnPaths(source, target *storage.Volume, forward, reverse fabric.Path) *SyncVolume {
-	return &SyncVolume{source: source, target: target, forward: forward, reverse: reverse}
+	return &SyncVolume{source: source, target: target, forward: links.Forward, reverse: links.Reverse}
 }
 
 // WriteOwned stores the block locally, mirrors it remotely, and returns after

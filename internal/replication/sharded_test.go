@@ -58,11 +58,7 @@ func (r *shardedRig) wire(t testing.TB, paths []fabric.Path, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapping := make(map[storage.VolumeID]storage.VolumeID)
-	for _, id := range r.vols {
-		mapping[id] = id
-	}
-	g, err := NewGroup(r.env, "cg", sj, r.backup, mapping, paths, cfg)
+	g, err := NewGroup(r.env, "cg", sj, r.backup, paths, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,17 +218,8 @@ func TestGroupValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pair := netlink.NewPair(env, netlink.Config{})
-	if _, err := NewGroup(env, "g", sj, backup, map[storage.VolumeID]storage.VolumeID{"a": "a"},
-		[]fabric.Path{pair.Forward}, Config{}); err == nil {
+	if _, err := NewGroup(env, "g", sj, backup, []fabric.Path{pair.Forward}, Config{}); err == nil {
 		t.Fatal("path/shard count mismatch accepted")
-	}
-	if _, err := NewGroup(env, "g", sj, backup, map[storage.VolumeID]storage.VolumeID{},
-		[]fabric.Path{pair.Forward, pair.Forward}, Config{}); err == nil {
-		t.Fatal("missing mapping accepted")
-	}
-	if _, err := NewGroup(env, "g", sj, backup, map[storage.VolumeID]storage.VolumeID{"a": "nope"},
-		[]fabric.Path{pair.Forward, pair.Forward}, Config{}); err == nil {
-		t.Fatal("missing target accepted")
 	}
 }
 

@@ -22,7 +22,7 @@ func (g *Group) Instrument(reg *telemetry.Registry, tenant string) {
 		return float64(g.RPO(now)), live()
 	}, telemetry.L("tenant", tenant))
 	reg.Probe("backlog.records", func(time.Duration) (float64, bool) {
-		return float64(g.backlogRecords()), live()
+		return float64(g.Backlog()), live()
 	}, telemetry.L("tenant", tenant))
 	if g.coordinating {
 		g.instrumentBarrier()

@@ -183,8 +183,24 @@ func TestRenewKeepsAFiringSomeoneStillHasToObserve(t *testing.T) {
 	if renewed == ev || renewed.Triggered() {
 		t.Fatal("Renew reset an event with an unobserved firing")
 	}
-	if again := ev.Renew(); again != ev || ev.Triggered() {
+	again := ev.Renew()
+	if again != ev || again.Triggered() {
 		t.Fatal("Renew did not reuse the event once its waiter had resumed")
+	}
+}
+
+// An event that has not fired has no pending wakes, so Renew hands it back
+// as it is, allocating nothing: an owner re-arms with ev = ev.Renew() and
+// needs no check of its own first.
+func TestRenewOfAnUnfiredEventIsItself(t *testing.T) {
+	env := NewEnv(1)
+	ev := env.NewEvent()
+	got := ev.Renew()
+	if got != ev || got.Triggered() {
+		t.Fatal("Renew of an unfired event did not return it unfired")
+	}
+	if n := testing.AllocsPerRun(100, func() { ev = ev.Renew() }); n != 0 {
+		t.Fatalf("Renew of an unfired event allocates %v times", n)
 	}
 }
 

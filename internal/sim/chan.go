@@ -45,9 +45,7 @@ func (c *Chan[T]) Avail() *Event {
 
 // armed returns the availability event of an empty channel, untriggered.
 func (c *Chan[T]) armed() *Event {
-	if c.avail.triggered {
-		c.avail = c.avail.Renew()
-	}
+	c.avail = c.avail.Renew()
 	return c.avail
 }
 

@@ -59,12 +59,14 @@ func (ev *Event) wake(w *Proc) {
 	ev.env.schedule(ev.env.now, w, nil)
 }
 
-// Renew returns an untriggered event to use in place of a triggered one
-// whose owner wants to wait again: ev itself, reset, when every process its
-// trigger woke has already resumed — nothing can still observe the old
-// firing — and a fresh event otherwise. Only the event's owner may call it,
-// and only for events it does not hand out for others to keep: a holder of
-// the old pointer would see it untriggered again.
+// Renew returns an untriggered event for an owner that wants to wait again:
+// ev itself, reset, when every process its trigger woke has already resumed
+// — nothing can still observe the old firing — and a fresh event otherwise.
+// An unfired event never has pending wakes (only Trigger schedules them), so
+// for one Renew returns ev itself, unchanged and without allocating: an owner
+// re-arms with ev = ev.Renew() whether or not ev has fired. Only the event's
+// owner may call it, and only for events it does not hand out for others to
+// keep: a holder of the old pointer would see it untriggered again.
 func (ev *Event) Renew() *Event {
 	if ev.wakes > 0 {
 		return ev.env.NewEvent()

@@ -121,17 +121,14 @@ func (j *Journal) Appended() int64 { return j.appended }
 
 // NotEmpty returns an event that triggers when the journal next becomes
 // non-empty (or immediately if it already is). Replication drains use it
-// together with sim.Proc.WaitAny to block on "records or stop".
+// together with sim.Proc.WaitAny to block on "records or stop". Fetch it
+// anew for every wait: the journal re-arms the event in place.
 func (j *Journal) NotEmpty() *sim.Event {
 	if j.pending.n > 0 {
-		if !j.notEmpty.Triggered() {
-			j.notEmpty.Trigger()
-		}
+		j.notEmpty.Trigger()
 		return j.notEmpty
 	}
-	if j.notEmpty.Triggered() {
-		j.notEmpty = j.env.NewEvent()
-	}
+	j.notEmpty = j.notEmpty.Renew()
 	return j.notEmpty
 }
 
