@@ -421,6 +421,7 @@ func benchmarkRecover(b *testing.B, build func(tb testing.TB, p *sim.Proc, a *st
 	inProcess(func(p *sim.Proc, a *storage.Array) {
 		image := build(b, p, a)
 		b.ReportAllocs()
+		b.ResetTimer()
 		var d *DB
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()

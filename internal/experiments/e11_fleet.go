@@ -58,7 +58,8 @@ func E11FleetScale(seed int64, tenants, ordersPerTenant int) (*Table, error) {
 	t.AddRow("max tag -> replication ready", tot.MaxTimeToReady)
 	t.AddRow("mean failover recovery time", tot.MeanRecovery)
 	t.AddRow("fleet virtual time", f.Sys.Env.Now())
-	t.AddRow("kernel handoffs (process resumes)", kernel.Handoffs)
+	t.AddRow("kernel handoffs (coroutine switches)", kernel.Handoffs)
+	t.AddRow("kernel resumes in place (no switch)", kernel.InPlace)
 	t.AddRow("kernel inline steps (no handoff)", kernel.InlineSteps)
 	t.AddRow("kernel heap pushes", kernel.HeapPushes)
 	t.AddRow("kernel same-instant FIFO bypasses", kernel.FifoBypasses)

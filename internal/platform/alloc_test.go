@@ -234,6 +234,7 @@ func fleetObjects(tenants int) []Object {
 func BenchmarkAPIServerFill(b *testing.B) {
 	objs := fleetObjects(1024)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env := sim.NewEnv(1)
 		api := NewAPIServer(env, APIConfig{})

@@ -37,6 +37,19 @@ func sleepLoop(env *Env) {
 	})
 }
 
+// staggeredSleepers has two processes sleep 2 ns each, one nanosecond
+// apart: whenever one blocks the other is due first, so every resume is a
+// switch.
+func staggeredSleepers(env *Env) {
+	for i := range 2 {
+		env.ProcessAt("sleeper", time.Duration(i), func(p *Proc) {
+			for {
+				p.Sleep(2 * time.Nanosecond)
+			}
+		})
+	}
+}
+
 // waitTriggerLoop has one process wait on an event a second one fires every
 // nanosecond; the waiter re-arms the event it owns with Renew.
 func waitTriggerLoop(env *Env) {
@@ -115,6 +128,7 @@ func TestBlockingIsAllocationFreeInSteadyState(t *testing.T) {
 		setup func(*Env)
 	}{
 		{"Sleep", sleepLoop},
+		{"staggered Sleep", staggeredSleepers},
 		{"Wait+Trigger", waitTriggerLoop},
 		{"contended Acquire/Release", contendedResource},
 		{"Chan Put/Get", chanPutGet},
@@ -242,9 +256,15 @@ func BenchmarkResourceContended(b *testing.B) { benchSteady(b, contendedResource
 // BenchmarkChanPutGet: one op is one Put waking a consumer blocked in Get.
 func BenchmarkChanPutGet(b *testing.B) { benchSteady(b, chanPutGet) }
 
-// BenchmarkHandoff: one op is one handoff — a process resumed from a Sleep
-// and run until it blocks in the next one (one heap push and pop around it).
-func BenchmarkHandoff(b *testing.B) { benchSteady(b, sleepLoop) }
+// BenchmarkHandoff: one op is one handoff — of two staggered sleepers, the
+// one due resumed from its Sleep through a switch and run until it blocks in
+// the next one (one heap push and pop around it).
+func BenchmarkHandoff(b *testing.B) { benchSteady(b, staggeredSleepers) }
+
+// BenchmarkSleepInPlace: one op is one resume in place — a lone sleeper whose
+// own wake-up is always the next step, so each Sleep is a heap push and pop
+// with no switch. BenchmarkHandoff is the same step through a switch.
+func BenchmarkSleepInPlace(b *testing.B) { benchSteady(b, sleepLoop) }
 
 // BenchmarkHandoffPingPong: one op is two handoffs between two processes
 // over an Event — the trigger resumed from its Sleep through the heap, the

@@ -8,12 +8,14 @@
 // runs are fully reproducible, which is what lets the experiment harness
 // regenerate the paper's figures deterministically.
 //
-// The kernel has a two-tier step model. Ordinary steps resume a process
+// The kernel has three kinds of step. Ordinary steps resume a process
 // coroutine (a "handoff": the runtime switches to it and back directly, with
 // no channel and no scheduler wake-up); inline steps (Env.Immediate,
 // Env.After, Proc.Do) run a plain function on the scheduler goroutine with
 // no handoff at all, which is what makes zero-duration bookkeeping work
-// (apply a replicated record, requeue a controller key) nearly free.
+// (apply a replicated record, requeue a controller key) nearly free; and a
+// process whose own wake-up is the next step in the order resumes in place,
+// with no switch (Env.resumeInPlace).
 package sim
 
 import (
@@ -48,8 +50,9 @@ type Env struct {
 	seq       int64       // tiebreaker for events at the same timestamp
 	rng       *rand.Rand
 	running   bool
-	blocked   int64 // processes waiting on an untriggered Event
-	procs     int64 // live (started, unfinished) processes
+	horizon   time.Duration // Run's horizon while it runs (<= 0: none)
+	blocked   int64         // processes waiting on an untriggered Event
+	procs     int64         // live (started, unfinished) processes
 
 	stats   statCounters
 	traceOn bool
@@ -66,6 +69,7 @@ type statCounters struct {
 	heapPushes   int64
 	fifoBypasses int64
 	handoffs     int64
+	inPlace      int64
 	inlineSteps  int64
 	timerCancels int64
 }
@@ -77,7 +81,8 @@ type statCounters struct {
 type Stats struct {
 	HeapPushes   int64 // entries ordered through the binary heap
 	FifoBypasses int64 // same-instant entries that skipped the heap
-	Handoffs     int64 // process resumes (coroutine switch in, switch back out)
+	Handoffs     int64 // process resumes through a coroutine switch in and back out
+	InPlace      int64 // process resumes run where the process blocked, with no switch
 	InlineSteps  int64 // zero-duration steps run with no handoff
 	TimerCancels int64 // timer entries removed from the heap eagerly
 
@@ -94,6 +99,7 @@ func (e *Env) Stats() Stats {
 		HeapPushes:   e.stats.heapPushes,
 		FifoBypasses: e.stats.fifoBypasses,
 		Handoffs:     e.stats.handoffs,
+		InPlace:      e.stats.inPlace,
 		InlineSteps:  e.stats.inlineSteps,
 		TimerCancels: e.stats.timerCancels,
 	}
@@ -117,12 +123,15 @@ func (e *Env) Trace() []TraceEntry { return e.trace }
 
 // OnAdvance registers fn to be called every time virtual time advances: just
 // before the clock moves from `from` to `to` (to > from), including the final
-// cut to the horizon. Observers run on the scheduler goroutine between
-// instants — every process is parked and no step is executing — so they
-// may freely READ simulation state. They must not schedule events, start
-// processes, trigger events, or touch the RNG: an observer consumes no seqs
-// and adds no steps, which is what lets the telemetry plane sample on the
-// virtual clock without perturbing the (at, seq) total order.
+// cut to the horizon. Observers run between instants, after the instant
+// being left has drained and before the next step executes: on the
+// scheduler goroutine, or on the blocking process that resumes in place
+// (resumeInPlace), from inside its Sleep or park. Either way no step is
+// executing, so they may READ simulation state and nothing more. They must
+// not schedule events, start processes, trigger events, or touch the RNG:
+// an observer consumes no seqs and adds no steps, which is what lets the
+// telemetry plane sample on the virtual clock without perturbing the
+// (at, seq) total order.
 func (e *Env) OnAdvance(fn func(from, to time.Duration)) {
 	e.advance = append(e.advance, fn)
 }
@@ -363,7 +372,7 @@ func (e *Env) Run(horizon time.Duration) time.Duration {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
-	e.running = true
+	e.running, e.horizon = true, horizon
 	defer func() { e.running = false }()
 	for {
 		top := e.popDue()
@@ -390,15 +399,10 @@ func (e *Env) Run(horizon time.Duration) time.Duration {
 	}
 }
 
-// execOne runs a single step: copy out, recycle the slot, and either run the
-// inline function or run the process until it blocks or finishes (its panic
-// is Run's).
+// execOne runs a single step: take it, and either run the inline function or
+// run the process until it blocks or finishes (its panic is Run's).
 func (e *Env) execOne(top entryRef) {
-	ent := e.slab[top]
-	e.freeEntry(top)
-	if e.traceOn {
-		e.trace = append(e.trace, TraceEntry{At: ent.at, Seq: ent.seq})
-	}
+	ent := e.take(top)
 	if ent.fn != nil {
 		e.stats.inlineSteps++
 		ent.fn()
@@ -406,6 +410,46 @@ func (e *Env) execOne(top entryRef) {
 	}
 	e.stats.handoffs++
 	ent.proc.next()
+}
+
+// take copies out the step about to execute, recycles its slot and traces it.
+func (e *Env) take(id entryRef) scheduled {
+	ent := e.slab[id]
+	e.freeEntry(id)
+	if e.traceOn {
+		e.trace = append(e.trace, TraceEntry{At: ent.at, Seq: ent.seq})
+	}
+	return ent
+}
+
+// resumeInPlace executes wake, the blocking process's own entry (0 = none),
+// where the process stands when it is the step Run would execute next: the
+// same FIFO reset, clock advance (observers first), pop and take that Run and
+// execOne would make, and no switch to the scheduler and back. It reports
+// false, and changes nothing, when anything else comes first: a heap entry
+// due now, another FIFO head (a lazily canceled one too), an entry that
+// precedes wake or ties its at with an older seq, or Run's horizon.
+func (e *Env) resumeInPlace(wake entryRef) bool {
+	switch {
+	case wake == 0, len(e.heap) > 0 && e.slab[e.heap[0]].at <= e.now:
+		return false
+	case e.todayHead < len(e.today):
+		if e.today[e.todayHead] != wake {
+			return false
+		}
+		e.todayHead++
+	default:
+		at := e.slab[wake].at
+		if e.heap[0] != wake || e.horizon > 0 && at > e.horizon {
+			return false
+		}
+		e.today, e.todayHead = e.today[:0], 0
+		e.advanceTo(at)
+		e.heapPop()
+	}
+	e.take(wake)
+	e.stats.inPlace++
+	return true
 }
 
 // queued returns the number of pending entries across the heap and the

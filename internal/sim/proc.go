@@ -13,10 +13,12 @@ type Proc struct {
 	env  *Env
 	name string
 	// next runs the coroutine to its next block (or its end); yield, set on
-	// its first run, switches back to the scheduler.
-	next  func() (struct{}, bool)
-	yield func(struct{}) bool
-	done  bool
+	// its first run, switches back to the scheduler. profiled, also set
+	// then, says whether its blocks charge the sim-time profile.
+	next     func() (struct{}, bool)
+	yield    func(struct{}) bool
+	done     bool
+	profiled bool
 
 	// Wait registration. A process blocks in one wait at a time, so what a
 	// trigger needs to know about a waiter lives here and not in a
@@ -43,10 +45,7 @@ func (e *Env) startProc(p *Proc, at time.Duration, fn func(p *Proc)) {
 	// stop is never called: a process ends by returning, and a simulation
 	// abandoned with processes still blocked leaves those parked.
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		if pr := e.prof; pr != nil {
-			p.yield = pr.yield(p, yield)
-		}
+		p.yield, p.profiled = yield, e.prof != nil
 		fn(p)
 		p.done = true
 		e.procs--
@@ -91,20 +90,39 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.env.schedule(p.env.now+d, p, nil)
-	p.block()
+	if !p.resumed(p.env.schedule(p.env.now+d, p, nil)) {
+		p.yield(struct{}{})
+	}
 }
 
-// block switches back to the scheduler and returns when it resumes p. Every
-// blocking call reaches it, so with the sim-time profile on, the yield it
-// calls is the profile's (simProfile.yield).
-func (p *Proc) block() { p.yield(struct{}{}) }
+// resumed is the kernel's side of every blocking call (Sleep, park). It
+// reports true once p has resumed where it stands: in place, when wake, p's
+// own pending entry (0 = none), is the next step (Env.resumeInPlace). On
+// false the caller switches back to the scheduler with p.yield itself, since
+// after a switch every call frame between it and the process body costs a
+// mispredicted return. With the sim-time profile on, resumed makes the whole
+// block, switch included, and charges both ways of resuming alike.
+func (p *Proc) resumed(wake entryRef) bool {
+	if !p.profiled {
+		return p.env.resumeInPlace(wake)
+	}
+	pr := p.env.prof
+	i := pr.sample(p.name)
+	at := p.env.now
+	if !p.env.resumeInPlace(wake) {
+		p.yield(struct{}{})
+	}
+	pr.samples[i].Time += p.env.now - at
+	return true
+}
 
 // park blocks the process on the events it has registered with (or on a
 // Resource queue) until a trigger, a handoff or its timer resumes it.
 func (p *Proc) park() {
 	p.env.blocked++
-	p.block()
+	if !p.resumed(p.timer) {
+		p.yield(struct{}{})
+	}
 	p.env.blocked--
 	if ev := p.wokenBy; ev != nil {
 		ev.wakes--

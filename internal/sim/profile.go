@@ -33,15 +33,15 @@ type simProfile struct {
 
 // StartSimProfile begins charging simulated time to Go call stacks: every
 // blocking call (Sleep, Wait, WaitAny, WaitTimeout, Resource.Acquire and the
-// Chan gets all block through Proc.block) captures its stack inside the
+// Chan gets all block through Proc.resumed) captures its stack inside the
 // process, and its resume charges the time that passed since. Each sample is
 // labelled with the process's name and with tenantOf of it (nil labels no
 // tenant). Since simulated time passes only while processes block, the
 // samples of a process sum to its lifetime, from its first step to its
 // return. It covers the processes first resumed after it is called. Recording
-// consumes no seqs and adds no steps, so a run's step order is the same with
-// the profile on; off, it costs one nil check per process, at its first
-// resume, and nothing per block.
+// consumes no seqs and adds no steps, and a resume in place is charged as a
+// switched one is, so a run's step order and Stats are the same with the
+// profile on; off, it costs one flag check per block.
 func (e *Env) StartSimProfile(tenantOf func(process string) string) {
 	e.prof = &simProfile{tenantOf: tenantOf, index: map[string]int{}}
 }
@@ -55,23 +55,11 @@ func (e *Env) SimProfile() []ProfileSample {
 	return e.prof.samples
 }
 
-// yield returns what p blocks through in place of its coroutine's yield:
-// the same switch, between capturing the stack that blocks and charging the
-// simulated time that passed to it.
-func (pr *simProfile) yield(p *Proc, yield func(struct{}) bool) func(struct{}) bool {
-	return func(v struct{}) bool {
-		n := runtime.Callers(3, pr.pcs[:]) // from Proc.block's caller: Sleep, park
-		i := pr.sample(p.name, pr.pcs[:n])
-		at := p.env.now
-		ok := yield(v)
-		pr.samples[i].Time += p.env.now - at
-		return ok
-	}
-}
-
-// sample returns the index of the sample for name at stack, adding it on
-// first sight.
-func (pr *simProfile) sample(name string, stack []uintptr) int {
+// sample returns the index of the sample for name at the stack that is
+// blocking, from Proc.resumed's caller (Sleep, park) out, adding it on first
+// sight.
+func (pr *simProfile) sample(name string) int {
+	stack := pr.pcs[:runtime.Callers(3, pr.pcs[:])]
 	k := append(append(pr.key[:0], name...), 0)
 	for _, pc := range stack {
 		k = binary.LittleEndian.AppendUint64(k, uint64(pc))

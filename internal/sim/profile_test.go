@@ -68,6 +68,9 @@ func TestSimProfileSumsToEachLifetime(t *testing.T) {
 	if len(lives) != 3 {
 		t.Fatalf("%d of 3 processes returned", len(lives))
 	}
+	if st := env.Stats(); st.InPlace == 0 || st.Handoffs == 0 {
+		t.Fatalf("Stats %+v: the world must block both in place and through a switch", st)
+	}
 	sums := map[string]time.Duration{}
 	for _, s := range env.SimProfile() {
 		sums[s.Process] += s.Time
@@ -86,10 +89,10 @@ func TestSimProfileSumsToEachLifetime(t *testing.T) {
 	}
 }
 
-// Recording the profile adds no step and moves none, and one seed records
-// one profile.
+// Recording the profile adds no step and moves none, resumes as many
+// processes in place, and one seed records one profile.
 func TestSimProfileKeepsTheTrace(t *testing.T) {
-	run := func(profile bool) ([]TraceEntry, string) {
+	run := func(profile bool) ([]TraceEntry, Stats, string) {
 		env := NewEnv(3)
 		env.StartTrace()
 		if profile {
@@ -97,16 +100,19 @@ func TestSimProfileKeepsTheTrace(t *testing.T) {
 		}
 		buildRandomWorld(env, 5, 9)
 		env.Run(0)
-		return env.Trace(), fmt.Sprint(env.SimProfile())
+		return env.Trace(), env.Stats(), fmt.Sprint(env.SimProfile())
 	}
-	off, none := run(false)
-	on, prof := run(true)
-	again, prof2 := run(true)
+	off, offStats, none := run(false)
+	on, onStats, prof := run(true)
+	again, _, prof2 := run(true)
 	if none != "[]" {
 		t.Fatalf("profile off recorded %s", none)
 	}
 	if !slices.Equal(off, on) || !slices.Equal(on, again) {
 		t.Fatalf("traces of %d, %d and %d steps differ with the profile on", len(off), len(on), len(again))
+	}
+	if offStats != onStats || onStats.InPlace == 0 || onStats.Handoffs == 0 {
+		t.Fatalf("Stats %+v with the profile off, %+v on; want equal, with both kinds of resume", offStats, onStats)
 	}
 	if prof != prof2 {
 		t.Fatalf("one seed recorded two profiles:\n%s\n%s", prof, prof2)
