@@ -16,7 +16,7 @@
 #   chaos-smoke      25 seeded fault schedules under -race
 #   chaos            500 seeded fault schedules at -steps medium, without -race
 #   lines            the Go line counts and DESIGN.md's size ROADMAP tracks, per internal/ package, cmd/ binary and example too (not part of ci)
-#   lines-diff       BASE=<rev>: non-test Go lines outside benchmark/ at BASE, in the working tree, and the difference (not part of ci)
+#   lines-diff       BASE=<rev>: non-test Go lines outside benchmark/ at BASE, in the working tree, and the difference, then per changed internal/ and cmd/ directory (not part of ci)
 #   sim-diff         BASE=<rev>: experiment tables and five chaos replays at BASE and in the working tree, byte for byte (not part of ci)
 
 GO ?= go
@@ -189,14 +189,21 @@ lines:
 # The ≥150-line rule of a simplicity PR, checked against its parent
 # (make lines-diff BASE=HEAD~1): BASE is extracted with git archive into a
 # temporary directory and counted with `lines`' own find, as is the
-# working tree (untracked files included, as in `lines`).
+# working tree (untracked files included, as in `lines`). Then each
+# internal/ package and cmd/ binary whose non-test Go lines changed is
+# printed with its two counts and the difference.
 lines-diff:
 	@test -n "$(BASE)" || { echo "usage: make lines-diff BASE=<rev>"; exit 2; }
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	git archive "$(BASE)" | tar -x -C "$$tmp" || exit 1; \
 	base=$$(cd "$$tmp" && $(PRODUCT_GO) | xargs cat | wc -l); \
 	head=$$($(PRODUCT_GO) | xargs cat | wc -l); \
-	printf 'non-test Go lines outside benchmark/: %s %d, working tree %d, difference %+d\n' "$(BASE)" $$base $$head $$((head - base))
+	printf 'non-test Go lines outside benchmark/: %s %d, working tree %d, difference %+d\n' "$(BASE)" $$base $$head $$((head - base)); \
+	count() { find "$$1" -name '*.go' ! -name '*_test.go' 2>/dev/null | xargs -r cat | wc -l; }; \
+	for d in $$( (cd "$$tmp" && ls -d internal/*/ cmd/*/; cd "$(CURDIR)" && ls -d internal/*/ cmd/*/) | sort -u); do \
+		b=$$(count "$$tmp/$$d"); h=$$(count "$$d"); \
+		[ "$$b" -eq "$$h" ] || printf '  %s: %d -> %d, difference %+d\n' "$${d%/}" $$b $$h $$((h - b)); \
+	done
 
 # The one-command proof that a change moves no simulated value: BASE is
 # extracted as lines-diff does, cmd/experiments and cmd/chaos are built

@@ -99,8 +99,11 @@ func splitView(p *sim.Proc, sys *core.System, namespace string) {
 func pvLines(p *sim.Proc, api *platform.APIServer, namespace string) []string {
 	var out []string
 	for _, obj := range api.List(p, platform.KindPVC, namespace) {
-		c := obj.(*platform.PersistentVolumeClaim)
-		out = append(out, fmt.Sprintf("pvc %s/%s [%s]", c.Namespace, c.Name, c.Status.Phase))
+		c, phase := obj.(*platform.PersistentVolumeClaim), "Bound"
+		if c.Status.VolumeName == "" {
+			phase = "Pending"
+		}
+		out = append(out, fmt.Sprintf("pvc %s/%s [%s]", c.Namespace, c.Name, phase))
 	}
 	if len(out) == 0 {
 		out = append(out, "(no persistent volumes)")

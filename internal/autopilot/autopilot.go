@@ -102,14 +102,19 @@ type Autopilot struct {
 
 	lastReshard map[string]time.Duration // namespace → last actuation
 
-	// Admission state, keyed by fabric class name.
-	capBps    map[string]float64 // current cap; absent = not derated (uncapped)
-	demandBps map[string]float64 // peak measured throughput of the class
-	lastBytes map[string]int64   // ClassStats.Bytes at the previous tick
-	healthy   map[string]int     // consecutive all-healthy ticks while capped
+	// classes is the admission state of each shedable fabric class.
+	classes map[string]admission
+}
+
+// admission is what the autopilot keeps of one shedable fabric class.
+type admission struct {
+	capBps    float64 // current cap; 0 = not derated (uncapped)
+	demandBps float64 // peak measured throughput of the class
+	lastBytes int64   // ClassStats.Bytes at the previous tick
+	healthy   int     // consecutive all-healthy ticks while capped
 	// lastDerate is when the class was last halved; the next halving waits
 	// for the RPO window to hold only samples taken under it.
-	lastDerate map[string]time.Duration
+	lastDerate time.Duration
 }
 
 // New wires an autopilot to the system. The system must have the telemetry
@@ -125,11 +130,7 @@ func New(sys *core.System) (*Autopilot, error) {
 		sys:         sys,
 		stop:        sys.Env.NewEvent(),
 		lastReshard: make(map[string]time.Duration),
-		capBps:      make(map[string]float64),
-		demandBps:   make(map[string]float64),
-		lastBytes:   make(map[string]int64),
-		healthy:     make(map[string]int),
-		lastDerate:  make(map[string]time.Duration),
+		classes:     make(map[string]admission),
 	}
 	sys.SetPlacement(loggingPlacement{a})
 	return a, nil
@@ -258,8 +259,10 @@ func (a *Autopilot) reshardStep(p *sim.Proc, now time.Duration, ns string, cls p
 	// not surplus capacity: reclaiming lanes now would re-breach the moment
 	// the shed class is restored, and the two effectors would chase each
 	// other. Lanes are only given back once every cap has been lifted.
-	if target < cur && len(a.capBps) > 0 {
-		return
+	for _, st := range a.classes {
+		if target < cur && st.capBps > 0 {
+			return
+		}
 	}
 	err := a.sys.UpdateTenantSpec(p, ns, func(s *platform.TenantSpec) {
 		s.JournalShards = target
@@ -290,21 +293,18 @@ func (a *Autopilot) admissionStep(now time.Duration, worstFrac map[string]float6
 			continue // protected, never shed
 		}
 		fc := sc.Name // tenants without a QoSClass ride the class named like their SLO class
+		st := a.classes[fc]
 		// Measured throughput this period for the shedable class; the peak
 		// is tracked continuously so the first derate halves from observed
 		// demand and a restore knows when the class is fully back.
 		bytes := fwd.ClassStats(fc).Bytes
-		deltaBps := float64(bytes-a.lastBytes[fc]) / period.Seconds()
-		a.lastBytes[fc] = bytes
+		deltaBps := float64(bytes-st.lastBytes) / period.Seconds()
+		st.lastBytes = bytes
 		// Demand is a decaying peak of observed throughput: it must survive
 		// the lumpiness of batched transfers (an instantaneous delta can be
 		// zero mid-batch), but a stale burst must not pin the class capped
 		// forever — full restore requires cap×2 to reach demand.
-		if d := a.demandBps[fc] * demandDecay; deltaBps > d {
-			a.demandBps[fc] = deltaBps
-		} else {
-			a.demandBps[fc] = d
-		}
+		st.demandBps = max(deltaBps, st.demandBps*demandDecay)
 
 		breach, allHealthy := false, true
 		for _, pc := range classes {
@@ -319,18 +319,18 @@ func (a *Autopilot) admissionStep(now time.Duration, worstFrac map[string]float6
 			}
 		}
 
-		cap, capped := a.capBps[fc]
+		cap, capped := st.capBps, st.capBps > 0
 		if allHealthy {
-			a.healthy[fc]++
+			st.healthy++
 		} else {
-			a.healthy[fc] = 0
+			st.healthy = 0
 		}
 		switch {
 		case breach:
-			a.healthy[fc] = 0
+			st.healthy = 0
 			next := cap / 2
 			if !capped {
-				next = a.demandBps[fc] / 2
+				next = st.demandBps / 2
 			}
 			if next < minRateBps {
 				next = minRateBps
@@ -338,7 +338,7 @@ func (a *Autopilot) admissionStep(now time.Duration, worstFrac map[string]float6
 			if capped && next == cap {
 				break // already at the floor: nothing new to declare
 			}
-			if capped && now-a.lastDerate[fc] <= window {
+			if capped && now-st.lastDerate <= window {
 				// The window still holds samples from before the last
 				// halving: its effect is not observable yet, and halving again
 				// on the same evidence drives the cap far below the class's
@@ -347,28 +347,29 @@ func (a *Autopilot) admissionStep(now time.Duration, worstFrac map[string]float6
 				break
 			}
 			if fwd.SetClassRate(fc, next) {
-				a.lastDerate[fc] = now
-				a.capBps[fc] = next
+				st.lastDerate = now
+				st.capBps = next
 				a.record(now, fc, "derate", fmt.Sprintf("rate -> %.0f B/s (demand %.0f B/s)", next, deltaBps))
 			}
 		case capped && allHealthy:
 			// Each restore step is a probe; demand patience between steps so
 			// the protected classes' probed series can absorb the last one.
-			if a.healthy[fc] < restorePatience {
+			if st.healthy < restorePatience {
 				break
 			}
-			a.healthy[fc] = 0
+			st.healthy = 0
 			next := cap * 2
-			if next >= a.demandBps[fc] {
+			if next >= st.demandBps {
 				// Fully restored: lift the cap and forget the episode.
 				if fwd.SetClassRate(fc, 0) {
 					a.record(now, fc, "restore", fmt.Sprintf("rate -> uncapped (was capped at %.0f B/s)", cap))
 				}
-				delete(a.capBps, fc)
+				st.capBps = 0
 			} else if fwd.SetClassRate(fc, next) {
-				a.capBps[fc] = next
+				st.capBps = next
 				a.record(now, fc, "restore", fmt.Sprintf("rate -> %.0f B/s", next))
 			}
 		}
+		a.classes[fc] = st
 	}
 }

@@ -224,7 +224,7 @@ func (sys *System) waitTenantGone(p *sim.Proc, namespace string, timeout time.Du
 		if err != nil && !gone {
 			return err
 		}
-		if _, managed := sys.managedTenants[namespace]; gone && !managed && len(sys.TenantResidue(namespace)) == 0 {
+		if _, managed := sys.managed(namespace); gone && !managed && len(sys.TenantResidue(namespace)) == 0 {
 			return nil
 		}
 		if p.Now() >= deadline {

@@ -88,10 +88,21 @@ type Site struct {
 	Name  string
 	API   *platform.APIServer
 	Array *storage.Array
+	// Engines holds the replication engines that drain this site's array:
+	// the replication plugin's, by CR name, on the main site; Failback's
+	// reverse groups, by their own name, on the backup site. It outlives
+	// the controllers that start them.
+	Engines replication.Registry
 	// Snapshots is always nil; it stays only because benchmark/ reads
 	// Snapshots() off it (0 on a nil controller), and goes with the
 	// benchmark unfreeze (ROADMAP item 1).
 	Snapshots *csiplugin.SnapshotController
+}
+
+// newSite builds a site: its API server, its array and its engine registry.
+func newSite(env *sim.Env, name, array string, cfg storage.Config) *Site {
+	return &Site{Name: name, API: platform.NewAPIServer(env, platform.APIConfig{}),
+		Array: storage.NewArray(env, array, cfg), Engines: replication.Registry{}}
 }
 
 // System is the full two-site demonstration system.
@@ -113,27 +124,17 @@ type System struct {
 	Provisioner *csiplugin.Provisioner
 	Replication *csiplugin.ReplicationPlugin
 
-	// Per-namespace fabric paths (lazily created; one forward path per ADC
-	// drain lane, one reverse for failback).
-	lanePaths map[string][]*fabric.TenantPath
-	revPaths  map[string]*fabric.TenantPath
-
 	// Tenant lifecycle (tenant.go): the controller reconciling Tenant
-	// specs, the namespaces it manages (each with its ReplicationGroup key),
-	// and the fabric class each tenant's drain rides.
-	tenantCtrl     *platform.Controller
-	managedTenants map[string]platform.ObjectKey
-	tenantClass    map[string]string
+	// specs and its one record per namespace, rebuilt from the store and
+	// the engine registry whenever the controller starts.
+	tenantCtrl *platform.Controller
+	tenants    map[string]tenant
 
 	// SLO policy registry (Config.SLOClasses, defaults applied) and the
 	// active lane-placement policy (SetPlacement; nil = any member link,
 	// the dispatchers' choice).
 	sloClasses map[string]platform.SLOClass
 	placement  PlacementPolicy
-
-	// reverse holds the backup→main groups Failback started; they live
-	// outside the replication plugin's registry, so Stop tracks them here.
-	reverse []*replication.Group
 }
 
 // NewSystem builds and starts the demonstration system. The returned
@@ -143,23 +144,11 @@ func NewSystem(cfg Config) *System {
 	cfg = cfg.withDefaults()
 	env := sim.NewEnv(cfg.Seed)
 	sys := &System{
-		Env: env,
-		Cfg: cfg,
-		Main: &Site{
-			Name:  "main",
-			API:   platform.NewAPIServer(env, platform.APIConfig{}),
-			Array: storage.NewArray(env, "vsp-main", cfg.Storage),
-		},
-		Backup: &Site{
-			Name:  "backup",
-			API:   platform.NewAPIServer(env, platform.APIConfig{}),
-			Array: storage.NewArray(env, "vsp-backup", cfg.Storage),
-		},
-		lanePaths:      make(map[string][]*fabric.TenantPath),
-		revPaths:       make(map[string]*fabric.TenantPath),
-		managedTenants: make(map[string]platform.ObjectKey),
-		tenantClass:    make(map[string]string),
-		sloClasses:     make(map[string]platform.SLOClass, len(cfg.SLOClasses)),
+		Env:        env,
+		Cfg:        cfg,
+		Main:       newSite(env, "main", "vsp-main", cfg.Storage),
+		Backup:     newSite(env, "backup", "vsp-backup", cfg.Storage),
+		sloClasses: make(map[string]platform.SLOClass, len(cfg.SLOClasses)),
 	}
 	for _, sc := range cfg.SLOClasses {
 		sys.sloClasses[sc.Name] = sc.WithDefaults()
@@ -181,14 +170,7 @@ func NewSystem(cfg Config) *System {
 	sys.Fabric.Reverse.Instrument(sys.Telemetry, "rev")
 	sys.Provisioner = csiplugin.NewProvisioner(env, sys.Main.API,
 		map[string]*storage.Array{sys.Main.Array.Name(): sys.Main.Array})
-	sys.Replication = csiplugin.NewReplicationPlugin(env, csiplugin.SitePair{
-		MainAPI:     sys.Main.API,
-		BackupAPI:   sys.Backup.API,
-		MainArray:   sys.Main.Array,
-		BackupArray: sys.Backup.Array,
-		LanePaths:   sys.lanePathsFor,
-		Telemetry:   sys.Telemetry,
-	}, replication.Config{})
+	sys.Replication = sys.newReplicationPlugin()
 	sys.Operator = operator.New(env, sys.Main.API, operator.Config{Telemetry: sys.Telemetry})
 	sys.tenantCtrl = sys.newTenantController()
 
@@ -209,6 +191,20 @@ func NewSystem(cfg Config) *System {
 	return sys
 }
 
+// newReplicationPlugin builds a replication plugin over both sites. It keeps
+// nothing of its own: the engines it runs are the main site's.
+func (sys *System) newReplicationPlugin() *csiplugin.ReplicationPlugin {
+	return csiplugin.NewReplicationPlugin(sys.Env, csiplugin.SitePair{
+		MainAPI:     sys.Main.API,
+		BackupAPI:   sys.Backup.API,
+		MainArray:   sys.Main.Array,
+		BackupArray: sys.Backup.Array,
+		LanePaths:   sys.lanePathsFor,
+		Telemetry:   sys.Telemetry,
+		Engines:     sys.Main.Engines,
+	}, replication.Config{})
+}
+
 // Stop quiesces the system's background processes: every controller, every
 // running replication engine, and the fabric dispatchers. Call it (then
 // drain with Env.Run) when a run is complete and the system will be
@@ -221,10 +217,7 @@ func (sys *System) Stop() {
 	sys.Operator.Stop()
 	sys.Provisioner.Stop()
 	sys.Replication.Stop()
-	for _, g := range sys.Replication.AllGroups() {
-		g.Stop()
-	}
-	for _, g := range sys.reverse {
+	for _, g := range append(sys.Main.Engines.Sorted(), sys.Backup.Engines.Sorted()...) {
 		g.Stop()
 	}
 	sys.Fabric.Stop()
@@ -252,7 +245,7 @@ func (sys *System) provisionTimeout() time.Duration {
 // openDB opens the database on a bound claim's volume, named by the PV the
 // informer cache holds for it.
 func (sys *System) openDB(p *sim.Proc, namespace, claim string) (*db.DB, error) {
-	pv, err := csiplugin.ResolveClaimVolume(sys.Main.API, namespace, claim)
+	_, pv, err := csiplugin.ResolveClaimVolume(sys.Main.API, namespace, claim)
 	if err != nil {
 		return nil, err
 	}
@@ -359,9 +352,9 @@ func (sys *System) SLOClasses() []platform.SLOClass {
 // placement policy for a member-link pin as it does. Each lane gets its own
 // counted path so per-lane bytes and queueing delay stay observable.
 func (sys *System) lanePathsFor(namespace string, lanes int) []fabric.Path {
-	ps := sys.lanePaths[namespace]
-	for lane := len(ps); lane < lanes; lane++ {
-		class, owner := sys.tenantClass[namespace], "adc:"+namespace
+	t := sys.tenants[namespace]
+	for lane := len(t.lanes); lane < lanes; lane++ {
+		owner := "adc:" + namespace
 		if lane > 0 {
 			owner += ":s" + strconv.Itoa(lane)
 		}
@@ -369,25 +362,14 @@ func (sys *System) lanePathsFor(namespace string, lanes int) []fabric.Path {
 		if sys.placement != nil {
 			link = sys.placement.PlaceLane(namespace, lane, sys.Fabric.Forward)
 		}
-		ps = append(ps, sys.Fabric.Forward.PathOn(class, owner, link))
+		t.lanes = append(t.lanes, sys.Fabric.Forward.PathOn(sys.classOf(namespace, t), owner, link))
 	}
-	sys.lanePaths[namespace] = ps
+	sys.tenants[namespace] = t
 	out := make([]fabric.Path, lanes)
 	for i := range out {
-		out[i] = ps[i]
+		out[i] = t.lanes[i]
 	}
 	return out
-}
-
-// ReversePathFor returns the namespace's reverse (backup→main) fabric
-// path, used by failback resync and reverse replication.
-func (sys *System) ReversePathFor(namespace string) *fabric.TenantPath {
-	if tp, ok := sys.revPaths[namespace]; ok {
-		return tp
-	}
-	tp := sys.Fabric.Reverse.Path(sys.tenantClass[namespace], "failback:"+namespace)
-	sys.revPaths[namespace] = tp
-	return tp
 }
 
 // TenantPath returns the forward fabric path of a namespace that has only
@@ -395,7 +377,7 @@ func (sys *System) ReversePathFor(namespace string) *fabric.TenantPath {
 // counters. A namespace that has run more lanes reports all of them through
 // TenantLanePaths instead, so summing both accessors counts every path once.
 func (sys *System) TenantPath(namespace string) *fabric.TenantPath {
-	if ps := sys.lanePaths[namespace]; len(ps) == 1 {
+	if ps := sys.tenants[namespace].lanes; len(ps) == 1 {
 		return ps[0]
 	}
 	return nil
@@ -404,7 +386,7 @@ func (sys *System) TenantPath(namespace string) *fabric.TenantPath {
 // TenantLanePaths returns the per-lane forward paths of a namespace that has
 // run more than one drain lane (nil otherwise; see TenantPath).
 func (sys *System) TenantLanePaths(namespace string) []*fabric.TenantPath {
-	if ps := sys.lanePaths[namespace]; len(ps) > 1 {
+	if ps := sys.tenants[namespace].lanes; len(ps) > 1 {
 		return ps
 	}
 	return nil

@@ -88,7 +88,9 @@ func (sys *System) Failback(p *sim.Proc) (*FailbackResult, error) {
 		if !g.FailedOver() {
 			continue
 		}
-		reverse, stats, err := g.Failback(p, sys.Main.Array, sys.ReversePathFor(sys.Replication.NamespaceOf(g)))
+		ns := sys.Replication.NamespaceOf(g)
+		reverse, stats, err := g.Failback(p, sys.Main.Array,
+			sys.Fabric.Reverse.Path(sys.classOf(ns, sys.tenants[ns]), "failback:"+ns))
 		if errors.Is(err, replication.ErrFailedBack) {
 			continue // resynced by an earlier Failback
 		}
@@ -96,7 +98,7 @@ func (sys *System) Failback(p *sim.Proc) (*FailbackResult, error) {
 			return nil, err
 		}
 		res.Reverse = append(res.Reverse, reverse)
-		sys.reverse = append(sys.reverse, reverse)
+		sys.Backup.Engines[reverse.Name()] = reverse
 		res.DeltaBlocks += stats.DeltaBlocks
 		res.FullBlocks += stats.TotalBlocks
 	}

@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"repro/internal/csiplugin"
+	"repro/internal/fabric"
 	"repro/internal/operator"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -40,18 +41,67 @@ func tenantKey(namespace string) platform.ObjectKey {
 	return platform.ObjectKey{Kind: platform.KindTenant, Name: namespace}
 }
 
+// tenant is the system's record of one namespace: the ReplicationGroup key
+// of a managed tenant (zero for a namespace the controller does not manage)
+// and the forward path of every drain lane it has run.
+type tenant struct {
+	group platform.ObjectKey
+	lanes []*fabric.TenantPath
+}
+
+// managed returns the namespace's ReplicationGroup key and whether the
+// tenant controller manages it.
+func (sys *System) managed(ns string) (platform.ObjectKey, bool) {
+	g := sys.tenants[ns].group
+	return g, g.Name != ""
+}
+
+// manage marks the namespace managed and returns its ReplicationGroup key,
+// formatted once and carried in the record.
+func (sys *System) manage(ns string) platform.ObjectKey {
+	t := sys.tenants[ns]
+	if t.group.Name == "" {
+		t.group = platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: operator.GroupNameFor(ns)}
+		sys.tenants[ns] = t
+	}
+	return t.group
+}
+
+// specClass is the fabric class a spec asks for: its QoSClass, or else the
+// class named like its registered SLO class ("" = the default class).
+func (sys *System) specClass(spec platform.TenantSpec) string {
+	if _, ok := sys.sloClasses[spec.SLOClass]; spec.QoSClass == "" && ok {
+		return spec.SLOClass
+	}
+	return spec.QoSClass
+}
+
+// classOf is the fabric class a namespace's next path rides: its first
+// lane's once it has drained, so every lane rides one class, and its
+// spec's before that (the default class for a namespace with no Tenant).
+func (sys *System) classOf(ns string, t tenant) string {
+	if len(t.lanes) > 0 {
+		return t.lanes[0].Class()
+	}
+	if obj, ok := sys.Main.API.Cached(tenantKey(ns)); ok {
+		return sys.specClass(obj.(*platform.Tenant).Spec)
+	}
+	return ""
+}
+
 // newTenantController builds the tenant controller: the Tenant watch plus
 // ReplicationGroup/PVC/Namespace watches mapped back to tenant keys so
 // status converges on events instead of polling. All four kinds feed one
 // queue, so no two reconciles of one tenant ever run at once. The map
-// functions filter on the managed-tenant set, so a namespace made straight
-// on the API server (E2 tags one by hand) never costs a reconcile.
+// functions filter on the managed tenants, so a namespace made straight on
+// the API server (E2 tags one by hand) never costs a reconcile. The
+// controller starts with the records rebuilt and their keys queued.
 func (sys *System) newTenantController() *platform.Controller {
 	managedKey := func(ns string) (platform.ObjectKey, bool) {
-		_, managed := sys.managedTenants[ns]
-		return tenantKey(ns), managed
+		_, ok := sys.managed(ns)
+		return tenantKey(ns), ok
 	}
-	return platform.NewController(sys.Env, sys.Main.API, "tenant-controller",
+	ctrl := platform.NewController(sys.Env, sys.Main.API, "tenant-controller",
 		platform.KindTenant, nil, platform.ReconcilerFunc(sys.reconcileTenant),
 		platform.ControllerConfig{Telemetry: sys.Telemetry}).
 		Watches(platform.KindReplicationGroup, func(ev platform.Event) (platform.ObjectKey, bool) {
@@ -67,6 +117,36 @@ func (sys *System) newTenantController() *platform.Controller {
 		Watches(platform.KindNamespace, func(ev platform.Event) (platform.ObjectKey, bool) {
 			return managedKey(ev.Object.GetMeta().Name)
 		})
+	sys.rebuildTenants(ctrl)
+	return ctrl
+}
+
+// rebuildTenants makes the records from what the store and the engine
+// registry hold, keeping nothing of a predecessor's: a namespace is managed
+// while a claim on either site names its Tenant, and its lanes are its
+// engine's. It queues every Tenant and every managed namespace, so a
+// teardown left in backoff resumes.
+func (sys *System) rebuildTenants(ctrl *platform.Controller) {
+	sys.tenants = make(map[string]tenant)
+	for _, obj := range sys.Main.API.CachedList(platform.KindTenant, "") {
+		ctrl.Enqueue(obj.GetMeta().Key())
+	}
+	for _, api := range []*platform.APIServer{sys.Main.API, sys.Backup.API} {
+		for _, obj := range api.CachedList(platform.KindPVC, "") {
+			if ns := obj.(*platform.PersistentVolumeClaim).Spec.Tenant; ns != "" {
+				sys.manage(ns)
+				ctrl.Enqueue(tenantKey(ns))
+			}
+		}
+	}
+	for _, g := range sys.Main.Engines.Sorted() {
+		ns := sys.Replication.NamespaceOf(g)
+		t := sys.tenants[ns]
+		for _, path := range g.Paths() {
+			t.lanes = append(t.lanes, path.(*fabric.TenantPath))
+		}
+		sys.tenants[ns] = t
+	}
 }
 
 // reconcileTenant is the level-triggered spec→world hook. It is idempotent:
@@ -76,7 +156,7 @@ func (sys *System) newTenantController() *platform.Controller {
 func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 	obj, ok := sys.Main.API.Cached(key)
 	if !ok {
-		rgKey, managed := sys.managedTenants[key.Name]
+		rgKey, managed := sys.managed(key.Name)
 		if !managed {
 			return nil // never ours: an event for a namespace without a Tenant
 		}
@@ -92,31 +172,16 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 			fmt.Sprintf("spec namespace %q does not match object name %q", ns, tn.Name))
 	}
 	// Mark managed before touching the world so a spec deleted mid-reconcile
-	// still converges to teardown of whatever was already created. The
-	// tenant's ReplicationGroup key is formatted here, once, and carried.
-	rgKey, managed := sys.managedTenants[ns]
-	if !managed {
-		rgKey = platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: operator.GroupNameFor(ns)}
-		sys.managedTenants[ns] = rgKey
-	}
-	// Register the tenant's fabric class before any drain path exists for the
-	// namespace, so the replication plugin's first lane path lands in class.
-	// A spec that pins none rides the fabric class named like its SLO class.
+	// still converges to teardown of whatever was already created.
+	rgKey := sys.manage(ns)
 	// Lane paths are bound to a class when they are made, so once the tenant
 	// drains its class is fixed: a spec that changes it is Failed by both
 	// names (never Ready with lanes on two classes) until it is reverted.
-	qos := tn.Spec.QoSClass
-	if _, ok := sys.sloClasses[tn.Spec.SLOClass]; qos == "" && ok {
-		qos = tn.Spec.SLOClass
-	}
-	if bound := sys.tenantClass[ns]; qos != bound && len(sys.lanePaths[ns]) > 0 {
-		return sys.setTenantStatus(p, tn, platform.TenantFailed,
-			fmt.Sprintf("fabric class %q cannot change to %q: the drain lanes are bound to it", bound, qos))
-	}
-	if qos != "" {
-		sys.tenantClass[ns] = qos
-	} else {
-		delete(sys.tenantClass, ns)
+	if lanes := sys.tenants[ns].lanes; len(lanes) > 0 {
+		if bound, qos := lanes[0].Class(), sys.specClass(tn.Spec); bound != qos {
+			return sys.setTenantStatus(p, tn, platform.TenantFailed,
+				fmt.Sprintf("fabric class %q cannot change to %q: the drain lanes are bound to it", bound, qos))
+		}
 	}
 
 	// Namespace.
@@ -141,7 +206,7 @@ func (sys *System) reconcileTenant(p *sim.Proc, key platform.ObjectKey) error {
 		if _, ok := sys.Main.API.Cached(ck); !ok {
 			if err := sys.Main.API.Create(p, &platform.PersistentVolumeClaim{
 				Meta: platform.Meta{Kind: platform.KindPVC, Namespace: ns, Name: claim},
-				Spec: platform.PVCSpec{StorageClassName: StorageClassName, SizeBlocks: sys.Cfg.VolumeBlocks},
+				Spec: platform.PVCSpec{StorageClassName: StorageClassName, SizeBlocks: sys.Cfg.VolumeBlocks, Tenant: ns},
 			}); err != nil && !errors.Is(err, platform.ErrExists) {
 				return err
 			}
@@ -222,7 +287,7 @@ func (sys *System) tenantPhase(ns string, rgKey platform.ObjectKey, spec platfor
 		if !ok {
 			return platform.TenantProvisioning, "claim " + claim + " not created"
 		}
-		if obj.(*platform.PersistentVolumeClaim).Status.Phase != platform.ClaimBound {
+		if obj.(*platform.PersistentVolumeClaim).Status.VolumeName == "" {
 			return platform.TenantProvisioning, "claim " + claim + " not bound"
 		}
 	}
@@ -315,12 +380,9 @@ func (sys *System) teardownTenant(p *sim.Proc, ns string, rgKey platform.ObjectK
 	if res := sys.TenantResidue(ns); len(res) > 0 {
 		return fmt.Errorf("core: decommission %s: residue remains: %s", ns, strings.Join(res, "; "))
 	}
-	// 5. Reclaim the per-tenant bookkeeping. One queue never runs two
-	// reconciles of this key at once, so exactly one completes it.
-	delete(sys.lanePaths, ns)
-	delete(sys.revPaths, ns)
-	delete(sys.tenantClass, ns)
-	delete(sys.managedTenants, ns)
+	// 5. Reclaim the tenant's record. One queue never runs two reconciles of
+	// this key at once, so exactly one completes it.
+	delete(sys.tenants, ns)
 	return nil
 }
 
@@ -335,20 +397,19 @@ func (sys *System) teardownTenant(p *sim.Proc, ns string, rgKey platform.ObjectK
 // imperative — is excluded, otherwise decommissioning "shop" could wait
 // forever on "shop-2"'s healthy volumes.
 func (sys *System) TenantResidue(namespace string) []string {
-	known := make(map[string]bool, len(sys.managedTenants))
-	for ns := range sys.managedTenants {
-		known[ns] = true
-	}
-	for _, ns := range sys.Main.API.Names(platform.KindNamespace) {
-		known[ns] = true
-	}
 	var longer []string
-	for ns := range known {
+	known := func(ns string) {
 		if ns != namespace && strings.HasPrefix(ns, namespace) {
 			longer = append(longer,
 				string(csiplugin.VolumeIDForClaim(ns, "")),
 				"jnl-"+operator.GroupNameFor(ns)+"-")
 		}
+	}
+	for ns := range sys.tenants {
+		known(ns)
+	}
+	for _, ns := range sys.Main.API.Names(platform.KindNamespace) {
+		known(ns)
 	}
 	othersOwn := func(entry string) bool {
 		for _, p := range longer {

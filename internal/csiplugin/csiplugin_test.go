@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/invariants"
 	"repro/internal/netlink"
 	"repro/internal/platform"
 	"repro/internal/replication"
@@ -40,6 +41,7 @@ func newTwoSites(t *testing.T) *twoSites {
 			LanePaths: func(_ string, lanes int) []fabric.Path {
 				return slices.Repeat([]fabric.Path{link}, lanes)
 			},
+			Engines: replication.Registry{},
 		},
 	}
 	f.provisioner = NewProvisioner(env, f.sites.MainAPI,
@@ -85,8 +87,8 @@ func TestProvisionerBindsClaims(t *testing.T) {
 				return
 			}
 			c := obj.(*platform.PersistentVolumeClaim)
-			if c.Status.Phase != platform.ClaimBound {
-				t.Errorf("claim %s phase = %s", name, c.Status.Phase)
+			if c.Status.VolumeName == "" {
+				t.Errorf("claim %s is not bound", name)
 			}
 			if _, err := f.sites.MainArray.Volume(VolumeIDForClaim("shop", name)); err != nil {
 				t.Errorf("array volume missing: %v", err)
@@ -113,7 +115,7 @@ func TestProvisionerUnknownClassRetries(t *testing.T) {
 	f.env.Run(100 * time.Millisecond)
 	f.env.Process("check", func(p *sim.Proc) {
 		obj, _ := f.sites.MainAPI.Get(p, platform.ObjectKey{Kind: platform.KindPVC, Namespace: "shop", Name: "bad"})
-		if obj.(*platform.PersistentVolumeClaim).Status.Phase == platform.ClaimBound {
+		if obj.(*platform.PersistentVolumeClaim).Status.VolumeName != "" {
 			t.Error("claim with missing class bound")
 		}
 	})
@@ -183,6 +185,38 @@ func TestReplicationPluginConfiguresCG(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = rp.Groups("absent") }); n != 0 {
 		t.Errorf("Groups(absent) allocates %v per call, want 0", n)
+	}
+}
+
+// TestOrphanEngineKeepsItsNamespace deletes a CR while its plugin is down, so
+// the engine stays registered with no CR left to name its namespace:
+// CheckNoOrphanGroups still names the tenant it outlived, which NamespaceOf
+// reads from the registry's key, and a fresh plugin over the same registry
+// tears the orphan down.
+func TestOrphanEngineKeepsItsNamespace(t *testing.T) {
+	f := newTwoSites(t)
+	f.createClaims(t, "shop", "sales", "stock")
+	rp := f.createRG(t, "backup-shop", 0, "sales", "stock")
+	rp.Stop()
+	f.env.Process("delete", func(p *sim.Proc) {
+		if err := f.sites.MainAPI.Delete(p, groupKey("backup-shop")); err != nil {
+			t.Error(err)
+		}
+	})
+	f.env.Run(f.env.Now() + time.Second)
+	gone := func(string) bool { return false }
+	vs := invariants.CheckNoOrphanGroups(rp.AllGroups(), rp.NamespaceOf, gone)
+	if len(vs) != 1 || vs[0].Tenant != "shop" || !strings.Contains(vs[0].Detail, "outlived its tenant") {
+		t.Fatalf("violations = %v, want one engine that outlived tenant shop", vs)
+	}
+	fresh := NewReplicationPlugin(f.env, f.sites, replication.Config{})
+	fresh.Start()
+	f.env.Run(f.env.Now() + time.Second)
+	if vs := invariants.CheckNoOrphanGroups(fresh.AllGroups(), fresh.NamespaceOf, gone); len(vs) != 0 {
+		t.Errorf("a fresh plugin left the orphan registered: %v", vs)
+	}
+	if res := f.sites.MainArray.Residue("jnl-backup-shop-"); len(res) != 0 {
+		t.Errorf("the orphan's journal survives: %v", res)
 	}
 }
 

@@ -88,7 +88,7 @@ func (pr *Provisioner) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 		// tenants return their capacity to the array free lists.
 		return pr.unprovision(p, key)
 	}
-	if obj.(*platform.PersistentVolumeClaim).Status.Phase == platform.ClaimBound {
+	if obj.(*platform.PersistentVolumeClaim).Status.VolumeName != "" {
 		return nil
 	}
 	claim := obj.DeepCopy().(*platform.PersistentVolumeClaim) // bound and written back below
@@ -119,7 +119,6 @@ func (pr *Provisioner) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 	if err := pr.api.Create(p, pv); err != nil && !errors.Is(err, platform.ErrExists) {
 		return err
 	}
-	claim.Status.Phase = platform.ClaimBound
 	claim.Status.VolumeName = pvName
 	if err := pr.api.Update(p, claim); err != nil {
 		return err
@@ -156,22 +155,22 @@ func (pr *Provisioner) unprovision(p *sim.Proc, key platform.ObjectKey) error {
 	return nil
 }
 
-// ResolveClaimVolume maps a bound PVC to the PV holding its array volume,
-// read from the informer cache (no API call).
-func ResolveClaimVolume(api *platform.APIServer, namespace, name string) (*platform.PersistentVolume, error) {
+// ResolveClaimVolume returns a bound PVC and the PV holding its array
+// volume, read from the informer cache (no API call).
+func ResolveClaimVolume(api *platform.APIServer, namespace, name string) (*platform.PersistentVolumeClaim, *platform.PersistentVolume, error) {
 	key := platform.ObjectKey{Kind: platform.KindPVC, Namespace: namespace, Name: name}
 	obj, ok := api.Cached(key)
 	if !ok {
-		return nil, &platform.StatusError{Err: platform.ErrNotFound, Key: key}
+		return nil, nil, &platform.StatusError{Err: platform.ErrNotFound, Key: key}
 	}
 	claim := obj.(*platform.PersistentVolumeClaim)
-	if claim.Status.Phase != platform.ClaimBound || claim.Status.VolumeName == "" {
-		return nil, fmt.Errorf("%w: %s/%s", ErrClaimNotBound, namespace, name)
+	if claim.Status.VolumeName == "" {
+		return nil, nil, fmt.Errorf("%w: %s/%s", ErrClaimNotBound, namespace, name)
 	}
 	key = platform.ObjectKey{Kind: platform.KindPV, Name: claim.Status.VolumeName}
 	pvObj, ok := api.Cached(key)
 	if !ok {
-		return nil, &platform.StatusError{Err: platform.ErrNotFound, Key: key}
+		return nil, nil, &platform.StatusError{Err: platform.ErrNotFound, Key: key}
 	}
-	return pvObj.(*platform.PersistentVolume), nil
+	return claim, pvObj.(*platform.PersistentVolume), nil
 }

@@ -3,10 +3,11 @@ package csiplugin
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
+	"strings"
 
 	"repro/internal/fabric"
+	"repro/internal/operator"
 	"repro/internal/platform"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -29,6 +30,10 @@ type SitePair struct {
 	// lane probes under the source namespace, and instruments the plugin's
 	// own controller.
 	Telemetry *telemetry.Registry
+	// Engines is the main site's engine registry: the running engine of
+	// each configured CR, by CR name (one consistency group, one journal,
+	// one engine).
+	Engines replication.Registry
 }
 
 // ReplicationPlugin reconciles ReplicationGroup custom resources on the
@@ -40,30 +45,34 @@ type ReplicationPlugin struct {
 	sites SitePair
 	cfg   replication.Config
 	ctrl  *platform.Controller
-
-	// groups holds the running replication engine of each configured CR,
-	// by CR name: one consistency group, one journal, one engine.
-	groups map[string]replication.Replicator
-	// nsByGroup remembers which namespace each group replicates, so
-	// site-wide operations (failback) can pick that tenant's fabric path.
-	nsByGroup map[replication.Replicator]string
 }
 
 // NewReplicationPlugin builds the plugin; Start launches its controller.
 func NewReplicationPlugin(env *sim.Env, sites SitePair, cfg replication.Config) *ReplicationPlugin {
-	rp := &ReplicationPlugin{
-		env: env, sites: sites, cfg: cfg,
-		groups:    make(map[string]replication.Replicator),
-		nsByGroup: make(map[replication.Replicator]string),
-	}
+	rp := &ReplicationPlugin{env: env, sites: sites, cfg: cfg}
 	rp.ctrl = platform.NewController(env, sites.MainAPI, "replication-plugin",
 		platform.KindReplicationGroup, nil, platform.ReconcilerFunc(rp.reconcile),
 		platform.ControllerConfig{Telemetry: sites.Telemetry})
 	return rp
 }
 
-// Start launches the controller.
-func (rp *ReplicationPlugin) Start() { rp.ctrl.Start() }
+// Start launches the controller, first queueing every CR and every engine
+// in the registry: a plugin started fresh over a running site reconciles
+// what it missed, and tears down an engine whose CR went meanwhile.
+func (rp *ReplicationPlugin) Start() {
+	for _, obj := range rp.sites.MainAPI.CachedList(platform.KindReplicationGroup, "") {
+		rp.ctrl.Enqueue(obj.GetMeta().Key())
+	}
+	for _, name := range rp.sites.Engines.Names() {
+		rp.ctrl.Enqueue(groupKey(name))
+	}
+	rp.ctrl.Start()
+}
+
+// groupKey is the key of the ReplicationGroup CR of that name.
+func groupKey(name string) platform.ObjectKey {
+	return platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: name}
+}
 
 // Stop halts the controller (running replication groups keep draining; use
 // Groups to stop them explicitly).
@@ -72,27 +81,30 @@ func (rp *ReplicationPlugin) Stop() { rp.ctrl.Stop() }
 // Groups returns the running replication engine for a CR name: one element,
 // or nil (nothing allocated) while the CR is unconfigured or gone.
 func (rp *ReplicationPlugin) Groups(name string) []replication.Replicator {
-	if g, ok := rp.groups[name]; ok {
+	if g, ok := rp.sites.Engines[name]; ok {
 		return []replication.Replicator{g}
 	}
 	return nil
 }
 
-// NamespaceOf returns the namespace a group replicates (empty for groups
-// this plugin did not create).
-func (rp *ReplicationPlugin) NamespaceOf(g replication.Replicator) string { return rp.nsByGroup[g] }
+// NamespaceOf returns the namespace a registered engine replicates: its
+// CR's source namespace, or, once the CR is gone, the namespace its CR name
+// was minted from ("" for an engine the registry does not hold).
+func (rp *ReplicationPlugin) NamespaceOf(g replication.Replicator) string {
+	name := strings.TrimSuffix(g.Name(), "-0")
+	if rp.sites.Engines[name] != g {
+		return ""
+	}
+	if obj, ok := rp.sites.MainAPI.Cached(groupKey(name)); ok {
+		return obj.(*platform.ReplicationGroup).Spec.SourceNamespace
+	}
+	ns, _ := operator.NamespaceOfGroup(name)
+	return ns
+}
 
 // AllGroups returns every running engine (for site-wide operations), in
-// CR-name order. The deterministic order matters: site-wide operations
-// like Failback visit the groups sequentially, so a map-order walk would
-// make their simulated timing vary between runs of the same seed.
-func (rp *ReplicationPlugin) AllGroups() []replication.Replicator {
-	out := make([]replication.Replicator, 0, len(rp.groups))
-	for _, name := range slices.Sorted(maps.Keys(rp.groups)) {
-		out = append(out, rp.groups[name])
-	}
-	return out
-}
+// CR-name order.
+func (rp *ReplicationPlugin) AllGroups() []replication.Replicator { return rp.sites.Engines.Sorted() }
 
 // reconcile reads the informer cache (APIServer.Cached); only its writes
 // are round trips.
@@ -102,7 +114,7 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 		return rp.teardown(p, key.Name)
 	}
 	rg := obj.(*platform.ReplicationGroup)
-	if g, ok := rp.groups[rg.Name]; ok {
+	if g, ok := rp.sites.Engines[rg.Name]; ok {
 		// An engine's membership is fixed when it is configured: a claim that
 		// joined the namespace afterwards is in the spec but unjournaled and
 		// has no backup twin. Fail the CR by the claim's name rather than
@@ -134,17 +146,17 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 	// Resolve every claim to its source PV: its volume, and the PV name the
 	// backup twin takes.
 	type member struct {
-		pvcName string
-		pv      *platform.PersistentVolume
+		claim *platform.PersistentVolumeClaim
+		pv    *platform.PersistentVolume
 	}
 	members := make([]member, 0, len(rg.Spec.PVCNames))
 	for _, pvcName := range rg.Spec.PVCNames {
-		pv, err := ResolveClaimVolume(rp.sites.MainAPI, rg.Spec.SourceNamespace, pvcName)
+		claim, pv, err := ResolveClaimVolume(rp.sites.MainAPI, rg.Spec.SourceNamespace, pvcName)
 		if err != nil {
 			_ = rp.setPhase(p, rg, platform.GroupPending, err.Error())
 			return err // retry until the provisioner binds the claim
 		}
-		members = append(members, member{pvcName: pvcName, pv: pv})
+		members = append(members, member{claim: claim, pv: pv})
 	}
 	if len(members) == 0 {
 		return rp.setPhase(p, rg, platform.GroupFailed, "no PVCs to replicate")
@@ -165,18 +177,15 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 		pv := &platform.PersistentVolume{
 			Meta:   platform.Meta{Kind: platform.KindPV, Name: m.pv.Name},
 			Spec:   platform.PVSpec{ArrayName: rp.sites.BackupArray.Name(), VolumeID: volID, SizeBlocks: size},
-			Status: platform.PVStatus{Phase: platform.VolumeBound, ClaimName: m.pvcName},
+			Status: platform.PVStatus{Phase: platform.VolumeBound, ClaimName: m.claim.Name},
 		}
 		if err := rp.sites.BackupAPI.Create(p, pv); err != nil && !errors.Is(err, platform.ErrExists) {
 			return err
 		}
 		pvc := &platform.PersistentVolumeClaim{
-			Meta: platform.Meta{Kind: platform.KindPVC, Namespace: rg.Spec.SourceNamespace, Name: m.pvcName},
-			Spec: platform.PVCSpec{SizeBlocks: size},
-			Status: platform.PVCStatus{
-				Phase:      platform.ClaimBound,
-				VolumeName: pv.Name,
-			},
+			Meta:   platform.Meta{Kind: platform.KindPVC, Namespace: rg.Spec.SourceNamespace, Name: m.claim.Name},
+			Spec:   platform.PVCSpec{SizeBlocks: size, Tenant: m.claim.Spec.Tenant},
+			Status: platform.PVCStatus{VolumeName: pv.Name},
 		}
 		if err := rp.sites.BackupAPI.Create(p, pvc); err != nil && !errors.Is(err, platform.ErrExists) {
 			return err
@@ -212,8 +221,7 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 	}
 	g.Instrument(rp.sites.Telemetry, rg.Spec.SourceNamespace)
 	g.Start()
-	rp.groups[rg.Name] = g
-	rp.nsByGroup[g] = rg.Spec.SourceNamespace
+	rp.sites.Engines[rg.Name] = g
 
 	// Refresh the CR (phase Syncing bumped its version) and mark Ready: a
 	// status-only write, so a struct copy (Update copies what it stores).
@@ -246,16 +254,15 @@ func (rp *ReplicationPlugin) maybeReshard(p *sim.Proc, rg *platform.ReplicationG
 
 // teardown stops and forgets the engine configured for a deleted CR.
 func (rp *ReplicationPlugin) teardown(p *sim.Proc, name string) error {
-	g, ok := rp.groups[name]
+	g, ok := rp.sites.Engines[name]
 	if !ok {
 		return nil
 	}
 	g.Stop()
-	delete(rp.nsByGroup, g)
 	if err := rp.sites.MainArray.DeleteShardedJournal(g.JournalID()); err != nil && !errors.Is(err, storage.ErrNoSuchJournal) {
 		return err
 	}
-	delete(rp.groups, name)
+	delete(rp.sites.Engines, name)
 	return nil
 }
 

@@ -326,7 +326,7 @@ func (f *Fabric) Path(classname, owner string) *TenantPath {
 	if !ok {
 		c = f.classes[0]
 	}
-	return &TenantPath{fabric: f, class: c, owner: owner, pin: -1}
+	return &TenantPath{fabric: f, class: c, classname: classname, owner: owner, pin: -1}
 }
 
 // PathOn returns a tenant path pinned to member link `link`: its transfers
@@ -566,10 +566,11 @@ func (f *Fabric) pick(li int, now time.Duration) (*request, time.Duration) {
 // TenantPath is one tenant's handle into the fabric: transfers are admitted
 // under the bound QoS class, and the path keeps that tenant's counters.
 type TenantPath struct {
-	fabric *Fabric
-	class  *class
-	owner  string
-	pin    int // member link this path's transfers ride (-1 = any)
+	fabric    *Fabric
+	class     *class
+	classname string // as the path was asked for; "" or unknown = the default class
+	owner     string
+	pin       int // member link this path's transfers ride (-1 = any)
 
 	bytes         int64
 	transfers     int64
@@ -612,8 +613,9 @@ func (tp *TenantPath) record(size int, took, queueDelay time.Duration) {
 	}
 }
 
-// Class returns the QoS class the path is bound to.
-func (tp *TenantPath) Class() string { return tp.class.cfg.Name }
+// Class returns the QoS class name the path was made with, so a path made
+// with it rides the same class ("" and unknown names ride the default).
+func (tp *TenantPath) Class() string { return tp.classname }
 
 // Bytes returns the payload bytes this path has moved.
 func (tp *TenantPath) Bytes() int64 { return tp.bytes }

@@ -128,15 +128,6 @@ func (s *StorageClass) storeCopy(prev Object) Object {
 	return &c
 }
 
-// ClaimPhase is a PVC lifecycle phase.
-type ClaimPhase string
-
-// PVC phases.
-const (
-	ClaimPending ClaimPhase = "Pending"
-	ClaimBound   ClaimPhase = "Bound"
-)
-
 // PersistentVolumeClaim requests storage for an application.
 type PersistentVolumeClaim struct {
 	Meta
@@ -148,12 +139,17 @@ type PersistentVolumeClaim struct {
 type PVCSpec struct {
 	StorageClassName string
 	SizeBlocks       int64
+	// Tenant names the Tenant that declared the claim ("" for a claim made
+	// by hand). The tenant controller sets it when it creates the claim and
+	// the backup twin copies it, so a tenant's ownership outlives its Tenant
+	// object in the store until its teardown has deleted the claims.
+	Tenant string
 }
 
-// PVCStatus is filled by the storage plugin.
+// PVCStatus is filled by the storage plugin: a claim is bound exactly when
+// it names its PV.
 type PVCStatus struct {
-	Phase      ClaimPhase
-	VolumeName string // bound PV name
+	VolumeName string // bound PV name ("" while pending)
 }
 
 // GetMeta returns the object metadata.

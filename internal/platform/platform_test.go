@@ -155,11 +155,11 @@ func TestUpdateConflictOnStaleRV(t *testing.T) {
 		key := ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "sales"}
 		cur, _ := api.Get(p, key)
 		a, b := cur.DeepCopy(), cur.DeepCopy()
-		a.(*PersistentVolumeClaim).Status.Phase = ClaimBound
+		a.(*PersistentVolumeClaim).Status.VolumeName = "pv-a"
 		if err := api.Update(p, a); err != nil {
 			t.Fatal(err)
 		}
-		b.(*PersistentVolumeClaim).Status.Phase = ClaimPending
+		b.(*PersistentVolumeClaim).Status.VolumeName = "pv-b"
 		if err := api.Update(p, b); !errors.Is(err, ErrConflict) {
 			t.Fatalf("stale update: %v", err)
 		}
@@ -225,7 +225,7 @@ func TestWatchDeliversLifecycle(t *testing.T) {
 		key := ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "sales"}
 		obj, _ := api.Get(p, key)
 		obj = obj.DeepCopy()
-		obj.(*PersistentVolumeClaim).Status.Phase = ClaimBound
+		obj.(*PersistentVolumeClaim).Status.VolumeName = "pv-sales"
 		api.Update(p, obj)
 		api.Delete(p, key)
 	})

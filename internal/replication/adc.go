@@ -230,6 +230,15 @@ func (g *Group) Members() []storage.VolumeID { return g.journal.Members() }
 // retiring lanes mid-reshard are excluded.
 func (g *Group) Lanes() int { return len(g.lanes) }
 
+// Paths returns the path each active lane drains over, in lane order.
+func (g *Group) Paths() []fabric.Path {
+	out := make([]fabric.Path, len(g.lanes))
+	for i, l := range g.lanes {
+		out[i] = l.path
+	}
+	return out
+}
+
 // InitialCopy performs the ADC initialization bulk copy (§III-A1): every
 // written block of every source volume is transferred — over the volume's
 // own lane path — and applied to its target. Writes that land during the

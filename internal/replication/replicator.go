@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/fabric"
@@ -47,7 +48,9 @@ type Replicator interface {
 
 	// Lanes returns the engine's active drain-lane count. The reconcile
 	// loop diffs it against the declared shard count to detect reshard work.
+	// Paths returns the path each active lane drains over, in lane order.
 	Lanes() int
+	Paths() []fabric.Path
 	// Reshard transitions the engine to len(paths) drain lanes via an
 	// epoch-bounded live migration (lane k drains shard k over paths[k]);
 	// Resharding reports whether that migration window is still open and
@@ -65,3 +68,29 @@ type Replicator interface {
 }
 
 var _ Replicator = (*Group)(nil)
+
+// Registry holds a site's running engines by name. It belongs to the site,
+// not to the controller that starts them, so a controller started fresh
+// finds every engine its predecessor ran.
+type Registry map[string]Replicator
+
+// Names returns the registered names in order.
+func (r Registry) Names() []string {
+	names := make([]string, 0, len(r))
+	for name := range r {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// Sorted returns every engine in name order: site-wide walks (Failback,
+// Stop) visit engines one after another, so a map-order walk would make
+// their simulated timing vary between runs of one seed.
+func (r Registry) Sorted() []Replicator {
+	out := make([]Replicator, 0, len(r))
+	for _, name := range r.Names() {
+		out = append(out, r[name])
+	}
+	return out
+}

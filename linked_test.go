@@ -32,7 +32,6 @@ var linkAllowlist = map[string]string{
 	"sim.Env.Pending":                "TestWaitTimeoutReclaimsTimerEntry watches the event queue drain by it",
 	"sim.Env.Trace":                  "the golden-trace and replay tests compare two runs step by step through it",
 	"sim.Resource.InUse":             "TestResourceLimitsParallelism pins that a resource never grants more units than it has",
-	"fabric.TenantPath.Class":        "TestPerLaneQoSClasses pins which QoS class each of a tenant's lanes is bound to",
 }
 
 // cmd/chaos -simprofile writes the simulated-time profile; only tests read
@@ -41,7 +40,7 @@ const simProfileReader = "the profile reader; waits on the benchmark reading its
 
 // maxUnlinked is linkAllowlist's ratchet: lower it when an entry goes, never
 // raise it.
-const maxUnlinked = 14
+const maxUnlinked = 13
 
 // TestEveryLibraryFunctionIsLinked builds every main package of the module
 // with inlining off, so a called function keeps its own symbol, and fails on
