@@ -28,7 +28,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"time"
 
 	"repro/internal/sim"
@@ -323,7 +322,7 @@ func (d *DB) writeSuperblock(p *sim.Proc) error {
 	binary.LittleEndian.PutUint32(blk[6:10], d.epoch)
 	binary.LittleEndian.PutUint32(blk[10:14], uint32(d.cfg.WALBlocks))
 	binary.LittleEndian.PutUint64(blk[14:22], d.nextTxID)
-	binary.LittleEndian.PutUint32(blk[22:26], crc32.ChecksumIEEE(blk[0:22]))
+	binary.LittleEndian.PutUint32(blk[22:26], wal.Checksum(blk[0:22]))
 	_, err := d.vol.WriteOwned(p, 0, blk)
 	return err
 }

@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"slices"
 	"time"
@@ -443,7 +442,7 @@ func decodeSuperblock(blk []byte) (superblock, bool) {
 	if binary.LittleEndian.Uint32(blk[0:4]) != sbMagic {
 		return superblock{}, false
 	}
-	if binary.LittleEndian.Uint32(blk[22:26]) != crc32.ChecksumIEEE(blk[0:22]) {
+	if binary.LittleEndian.Uint32(blk[22:26]) != wal.Checksum(blk[0:22]) {
 		return superblock{}, false
 	}
 	return superblock{

@@ -3,13 +3,14 @@ package db
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
-	"hash/crc32"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // goodSuperblock builds a valid encoded superblock in a block-size buffer.
@@ -20,7 +21,7 @@ func goodSuperblock(blockSize int) []byte {
 	binary.LittleEndian.PutUint32(blk[6:10], 3)     // epoch
 	binary.LittleEndian.PutUint32(blk[10:14], 64)   // walBlocks
 	binary.LittleEndian.PutUint64(blk[14:22], 1000) // nextTxID
-	binary.LittleEndian.PutUint32(blk[22:26], crc32.ChecksumIEEE(blk[0:22]))
+	binary.LittleEndian.PutUint32(blk[22:26], wal.Checksum(blk[0:22]))
 	return blk
 }
 
@@ -112,6 +113,36 @@ func TestOpenCorruptSuperblockFailsClosed(t *testing.T) {
 				t.Fatal("Open did not format the zeroed volume")
 			}
 		})
+	})
+}
+
+// The superblock a fresh Open writes is pinned byte for byte, checksum
+// (wal.Checksum, CRC-32C) included, and a flip of any one of its bits is
+// ErrCorruptSuperblock from both doors.
+func TestSuperblockKnownAnswer(t *testing.T) {
+	const want = "4244425a" + "0100" + "01000000" + "40000000" + // magic, version, epoch, WAL blocks
+		"0100000000000000" + "c397f33d" // next txid, CRC-32C
+	withVolume(t, 256, func(p *sim.Proc, vol *storage.Volume) {
+		if _, err := Open(p, "x", vol, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		sb := bytes.Clone(vol.Peek(0))
+		if got := hex.EncodeToString(sb); got != want {
+			t.Fatalf("Open wrote superblock %s, want %s", got, want)
+		}
+		for bit := range 8 * len(sb) {
+			flipped := bytes.Clone(sb)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			if err := vol.Poke(0, flipped); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenView(p, "x", vol, Config{}); !errors.Is(err, ErrCorruptSuperblock) {
+				t.Fatalf("bit %d flipped: OpenView = %v, want ErrCorruptSuperblock", bit, err)
+			}
+			if _, err := Open(p, "x", vol, Config{}); !errors.Is(err, ErrCorruptSuperblock) {
+				t.Fatalf("bit %d flipped: Open = %v, want ErrCorruptSuperblock", bit, err)
+			}
+		}
 	})
 }
 

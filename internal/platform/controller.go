@@ -207,15 +207,16 @@ func (c *Controller) startWorker() {
 	c.started.Set(int64(c.workers))
 	c.env.Process(c.name+":worker:"+idx, func(p *sim.Proc) {
 		wake := c.env.NewEvent()
-		for {
-			for c.queue.Len() == 0 {
-				wake = wake.Renew() // only this worker ever waits on it
-				c.idle.Push(wake)
-				if p.WaitAny(wake, c.stop) == 1 {
-					return
-				}
+		for !c.stopped {
+			if c.queue.Len() > 0 {
+				c.reconcile(p, track)
+				continue
 			}
-			c.reconcile(p, track)
+			wake = wake.Renew() // only this worker ever waits on it
+			c.idle.Push(wake)
+			if p.WaitAny(wake, c.stop) == 1 {
+				return
+			}
 		}
 	})
 }
@@ -264,7 +265,7 @@ func (c *Controller) reconcile(p *sim.Proc, track string) {
 }
 
 // Stop halts the controller's processes: parked workers return at once, a
-// busy one when the queue is empty after its reconcile.
+// busy one once its reconcile returns, leaving any queued keys in the queue.
 func (c *Controller) Stop() {
 	c.stopped = true
 	c.stop.Trigger()

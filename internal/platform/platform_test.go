@@ -423,6 +423,43 @@ func TestControllerDeduplicatesQueue(t *testing.T) {
 	}
 }
 
+// Stop leaves queued keys queued: every worker busy when the stop comes
+// returns once its reconcile does, and a parked worker woken by a key just
+// before the stop returns without reconciling it, so a fresh controller over
+// the same store is the only one to reconcile them.
+func TestControllerStopLeavesQueuedKeys(t *testing.T) {
+	env := sim.NewEnv(1)
+	api := NewAPIServer(env, APIConfig{})
+	rec := &ledger{api: api, sleep: time.Millisecond}
+	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
+	procs := env.Procs()
+	c.Start()
+	const keys = 20
+	for i := range keys {
+		c.Enqueue(claimKey(i))
+	}
+	env.After(500*time.Microsecond, c.Stop)
+	env.Run(0)
+	if busy := reconcileWorkers; c.Reconciles() != int64(busy) || c.QueueLen() != keys-busy || len(rec.runs) != busy {
+		t.Fatalf("after the stop: %d reconciles (%d finished), %d keys queued; want %d, %d and %d",
+			c.Reconciles(), len(rec.runs), c.QueueLen(), busy, busy, keys-busy)
+	}
+	if env.Procs() != procs {
+		t.Fatalf("%d processes left running, want %d", env.Procs(), procs)
+	}
+
+	c = NewController(env, api, "woken", KindPVC, nil, rec, ControllerConfig{})
+	c.Start()
+	env.Run(env.Now() + time.Millisecond) // the one worker parks
+	c.Enqueue(claimKey(0))
+	c.Stop()
+	env.Run(0)
+	if c.Reconciles() != 0 || c.QueueLen() != 1 || env.Procs() != procs {
+		t.Fatalf("a worker woken before the stop: %d reconciles, %d keys queued, %d processes; want 0, 1 and %d",
+			c.Reconciles(), c.QueueLen(), env.Procs(), procs)
+	}
+}
+
 // The event arrives while the key's reconcile is failing: the dirty mark
 // queues it again at once and the backoff queues it again later, as
 // client-go's Done + AddRateLimited do.

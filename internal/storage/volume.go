@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/bits"
@@ -164,37 +163,36 @@ func (v *Volume) Write(p *sim.Proc, block int64, data []byte) (Ack, error) {
 	if err := v.checkWrite(block, len(data)); err != nil {
 		return Ack{}, err
 	}
-	return v.WriteOwned(p, block, v.array.carve(data[:shortestPrefix(data)]))
+	n, _ := shortestPrefix(data)
+	return v.WriteOwned(p, block, v.array.carve(data[:n]))
 }
 
-// trimStride is the run of trailing zeroes shortestPrefix skips in one
-// comparison.
-const trimStride = 256
-
-var zeroStride [trimStride]byte
-
 // shortestPrefix returns one past the last non-zero byte of a non-empty data,
-// at least 1: a written all-zero block stays distinct from a never-written one.
-// It drops all-zero strides from the end, one comparison each, then scans back
-// a word at a time, which ends inside the last stride: a stamped 4 KiB buffer
-// costs 15 comparisons and 31 loads, where a word scan alone took 511. The 1
-// to 8 head bytes are read as one word, right-aligned.
-func shortestPrefix(data []byte) int {
-	n := len(data)
-	for n > trimStride && bytes.Equal(data[n-trimStride:n], zeroStride[:]) {
-		n -= trimStride
-	}
-	for ; n > 8; n -= 8 {
-		if w := binary.LittleEndian.Uint64(data[n-8 : n]); w != 0 {
-			return n - bits.LeadingZeros64(w)/8
+// at least 1 (a written all-zero block stays distinct from a never-written
+// one), and the bytes its probes spanned. It is one search: the answer lies in
+// (lo, hi], data[hi:] reading as zeroes, and a probe at k asks in one wide
+// compare whether data[k:hi] does too. The first probes sit where written
+// blocks end: a full block's last byte, then all past a stamped block's first
+// word, then that word's last byte. Halving finds any other end.
+func shortestPrefix(data []byte) (n, span int) {
+	lo, hi := 0, len(data)
+	probe := func(k int) {
+		if lo < k && k < hi {
+			b := data[k:hi] // all zero: its first byte is, and each byte equals the next
+			if span += len(b); b[0] == 0 && bytes.Equal(b[:len(b)-1], b[1:]) {
+				hi = k
+			} else {
+				lo = k
+			}
 		}
 	}
-	var head [8]byte
-	copy(head[8-n:], data[:n])
-	if w := binary.LittleEndian.Uint64(head[:]); w != 0 {
-		return n - bits.LeadingZeros64(w)/8
+	probe(hi - 1)
+	probe(8)
+	probe(7)
+	for hi-lo > 1 {
+		probe(lo + (hi-lo)/2)
 	}
-	return 1
+	return hi, span
 }
 
 // WriteOwned is the host write for a caller that gives its buffer up: the

@@ -48,30 +48,32 @@ func measureWrite(t *testing.T, p *sim.Proc, v *Volume, j *Journal, write func()
 // moves every counter and the journal exactly as WriteOwned of the whole
 // buffer does.
 func TestWriteStoresShortestPrefix(t *testing.T) {
-	const size = 4096
-	stamped := func(seq uint64) []byte {
+	const size, large = 4096, 128 << 10
+	stamped := func(size int, seq uint64) []byte {
 		buf := make([]byte, size)
 		binary.BigEndian.PutUint64(buf, seq)
 		return buf
 	}
-	lastByte := make([]byte, size)
-	lastByte[size-1] = 0x01
+	lastByte := func(size int) []byte {
+		buf := make([]byte, size)
+		buf[size-1] = 0x01
+		return buf
+	}
 	for _, c := range []struct {
 		name        string
 		buf         []byte
 		len, maxCap int
 	}{
-		{"stamped 4 KiB buffer", stamped(1), 8, 8},
-		{"stamp 256", stamped(256), 7, 8},
+		{"stamped 4 KiB buffer", stamped(size, 1), 8, 8},
+		{"stamp 256", stamped(size, 256), 7, 8},
 		{"all zeroes", make([]byte, size), 1, 8},
-		{"last byte non-zero", lastByte, size, size},
+		{"last byte non-zero", lastByte(size), size, size},
+		{"stamped 128 KiB buffer", stamped(large, 1), 8, 8},
+		{"last byte of 128 KiB non-zero", lastByte(large), large, large},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			env := sim.NewEnv(1)
-			a := NewArray(env, "main", Config{})
-			if a.Config().BlockSize != size {
-				t.Fatalf("block size %d, want %d", a.Config().BlockSize, size)
-			}
+			a := NewArray(env, "main", Config{BlockSize: len(c.buf)})
 			v, _ := a.CreateVolume("v", 4)
 			j := journalOn(t, a, "cg", "v")
 			var ack1, ack2 Ack
@@ -104,10 +106,10 @@ func TestWriteStoresShortestPrefix(t *testing.T) {
 }
 
 // shortestPrefix agrees with trimming trailing zeroes (kept at one byte) for
-// every length up to three words and every position of the last non-zero byte,
-// and for lengths that straddle one to three strides, 512 B and 4 KiB with the
-// last non-zero byte at every stride boundary, counted from either end, and one
-// byte either side of it.
+// every length up to three words and for 512 B and 4 KiB, each with the last
+// non-zero byte at every position: that covers every probe boundary (the last
+// byte, the first word and its last byte, each halving point) and the bytes
+// either side of it, counted from either end.
 func TestShortestPrefixMatchesTrim(t *testing.T) {
 	check := func(n, last int) {
 		t.Helper()
@@ -119,24 +121,58 @@ func TestShortestPrefixMatchesTrim(t *testing.T) {
 			data[last] = 0x01
 		}
 		want := max(len(bytes.TrimRight(data, "\x00")), 1)
-		if got := shortestPrefix(data); got != want {
+		if got, _ := shortestPrefix(data); got != want {
 			t.Fatalf("shortestPrefix of %d bytes, last non-zero at %d = %d, want %d", n, last, got, want)
 		}
 	}
-	for n := 1; n <= 24; n++ {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 512, 4096} {
 		for last := -1; last < n; last++ {
 			check(n, last)
 		}
 	}
-	const s = trimStride
-	for _, n := range []int{s - 1, s, s + 1, 2*s - 1, 2 * s, 2*s + 1, 3*s - 1, 3 * s, 3*s + 1, 512, 4096} {
-		lasts := []int{-1, 0, n - 1}
-		for b := s; b < n; b += s {
-			lasts = append(lasts, b-1, b, b+1, n-b-1, n-b, n-b+1)
+}
+
+// FuzzShortestPrefix holds shortestPrefix to bytes.TrimRight on any buffer.
+func FuzzShortestPrefix(f *testing.F) {
+	for _, seed := range [][]byte{{0}, {1}, {0, 0x80}, {0x80, 0x80, 0}, make([]byte, 17), append(make([]byte, 8), 1)} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
 		}
-		for _, last := range lasts {
-			if last < n {
-				check(n, last)
+		want := max(len(bytes.TrimRight(data, "\x00")), 1)
+		if got, _ := shortestPrefix(data); got != want {
+			t.Fatalf("shortestPrefix(%x) = %d, want %d", data, got, want)
+		}
+	})
+}
+
+// The search's probes span no more bytes than its probe order promises, at
+// every block size: a full block settles on its last byte, a stamped one on
+// the last byte of its first word, its probes spanning the last byte, all
+// between the first word and it, and the word's last byte. A stamp or a block
+// that ends in a zero byte halves the first word from there. A search that
+// skipped one of those probes, put the middle one anywhere but 8, or compared
+// past the zeroes it already knew of, spans more.
+func TestShortestPrefixSpan(t *testing.T) {
+	for _, size := range []int{512, 4096, 128 << 10} {
+		wide := size - 9 // all past the first word but the last byte
+		for _, c := range []struct {
+			name  string
+			fill  byte
+			stamp uint64
+			span  int // one term per probe
+		}{
+			{"full", 0xA5, 1, 1},
+			{"stamped", 0, 1, 1 + wide + 1},
+			{"stamp 256", 0, 256, 1 + wide + 1 + 4 + 2 + 1},
+			{"all zeroes", 0, 0, 1 + wide + 1 + 4 + 2},
+		} {
+			buf := bytes.Repeat([]byte{c.fill}, size)
+			binary.BigEndian.PutUint64(buf, c.stamp)
+			if _, span := shortestPrefix(buf); span != c.span {
+				t.Errorf("%s %d-byte block: probes spanned %d bytes, want %d", c.name, size, span, c.span)
 			}
 		}
 	}
@@ -199,17 +235,20 @@ func TestWriteCarvesShortPrefixes(t *testing.T) {
 
 // BenchmarkVolumeWrite is the copying door's layer benchmark: one Write per op
 // of a 4 KiB buffer carrying the op's sequence in its first 8 bytes, as the
-// drain drivers stamp theirs, over zeroes (stamped) or over 0xA5 (full).
+// drain drivers stamp theirs, over zeroes (stamped), over 0xA5 (full), or over
+// a first half of 0xA5 and zeroes (half: the last non-zero byte mid-block, a
+// shape no workload writes, found by halving).
 func BenchmarkVolumeWrite(b *testing.B) {
 	for _, c := range []struct {
-		name string
-		fill byte
-	}{{"stamped", 0}, {"full", 0xA5}} {
+		name   string
+		filled int // leading bytes of 0xA5
+	}{{"stamped", 0}, {"full", 4096}, {"half", 2048}} {
 		b.Run(c.name, func(b *testing.B) {
 			env := sim.NewEnv(1)
 			a := NewArray(env, "main", Config{})
 			v, _ := a.CreateVolume("v", 512)
-			buf := bytes.Repeat([]byte{c.fill}, a.Config().BlockSize)
+			buf := make([]byte, a.Config().BlockSize)
+			copy(buf, bytes.Repeat([]byte{0xA5}, c.filled))
 			for i := range int64(512) {
 				v.Poke(i, buf)
 			}

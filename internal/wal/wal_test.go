@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"slices"
@@ -25,6 +26,30 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got.Type != r.Type || got.Epoch != r.Epoch || got.TxID != r.TxID || got.Key != r.Key || !bytes.Equal(got.Val, r.Val) {
 		t.Fatalf("round trip: got %+v want %+v", got, r)
+	}
+}
+
+// One record's encoding is pinned byte for byte, checksum included, so a
+// change to the format or to Checksum fails here instead of reading every
+// existing log as torn. Checksum is CRC-32C (its standard check value is
+// pinned too), and a flip of any one bit of the record fails closed.
+func TestEncodingKnownAnswer(t *testing.T) {
+	if got := Checksum([]byte("123456789")); got != 0xE3069283 {
+		t.Fatalf("Checksum of the CRC-32C check string = %#x, want 0xe3069283", got)
+	}
+	r := Record{Type: TypeUpdate, Epoch: 3, TxID: 42, Key: 7, Val: []byte("hello")}
+	const want = "a5" + "01" + "03000000" + "2a00000000000000" + "0700000000000000" + // magic, type, epoch, txid, key
+		"0500" + "68656c6c6f" + "51004a09" // vallen, val, CRC-32C
+	enc := AppendEncode(nil, r)
+	if got := hex.EncodeToString(enc); got != want {
+		t.Fatalf("encoded %s, want %s", got, want)
+	}
+	for bit := range 8 * len(enc) {
+		flipped := bytes.Clone(enc)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		if _, _, err := Decode(flipped); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("bit %d flipped: Decode = %v, want ErrCorrupt", bit, err)
+		}
 	}
 }
 
