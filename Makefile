@@ -9,7 +9,7 @@
 #   tables-check     every experiment table equals the committed golden
 #   bench-check      ./benchmark at seed 1 vs BENCH_results.json (the perf gate)
 #   bench-record     re-record BENCH_results.json
-#   profile-<w>      <w>.cpu.pprof + <w>.mem.pprof of one ./benchmark workload
+#   profile-<w>      <w>.cpu.pprof + <w>.mem.pprof of one ./benchmark workload, and the CPU top without calibration
 #   allocs-<w>       exact allocation sites of one ./benchmark workload (not part of ci)
 #   telemetry-smoke  E16 end to end twice, the two exports byte-identical; leaves telemetry.json
 #   autopilot-smoke  E17 end to end, its decision log equal to the committed golden; leaves e17-decisions.log
@@ -113,9 +113,13 @@ bench-record:
 # where -focus=runShop keeps only the driver closure. A simulated process is
 # a coroutine whose stack reaches back only to its own body, so on the other
 # workloads -focus on the frame that runs the timed simulation, drainPhase or
-# 'Fleet..Run'; -focus runDrain or runFleet matches a few percent.
+# 'Fleet..Run'; -focus runDrain or runFleet matches a few percent. The CPU
+# profile's top is also written to <w>.cpu.top.txt without main.calibrate,
+# the host-speed loop the benchmark times before every iteration (about 40% of
+# the samples), so its rows are the workload's own (shares still of the whole).
 profile-%:
 	$(GO) run ./benchmark --workload $* --seconds 5 -cpuprofile $*.cpu.pprof -memprofile $*.mem.pprof
+	$(GO) tool pprof -top -ignore 'main\.calibrate' $*.cpu.pprof > $*.cpu.top.txt
 
 # Exact allocation sites of one benchmark workload (make allocs-fleet_seq):
 # every allocation is recorded (GODEBUG=memprofilerate=1) into

@@ -11,7 +11,7 @@ import (
 
 // maxDesignBytes is DESIGN.md's byte budget: a ratchet like maxAllowlisted,
 // lowered when the file shrinks, never raised.
-const maxDesignBytes = 36532
+const maxDesignBytes = 36445
 
 var (
 	citedTest   = regexp.MustCompile(`\bTest[A-Z]\w*`)

@@ -628,7 +628,7 @@ func (r *runner) orphanCheck() []invariants.Violation {
 		}
 		return false
 	}
-	return invariants.CheckNoOrphanGroups(r.sys.Replication.AllGroups(), r.sys.Replication.NamespaceOf, live)
+	return invariants.CheckNoOrphanGroups(r.sys.Main.Engines.Sorted(), r.sys.Replication.NamespaceOf, live)
 }
 
 // finish drains and decommissions every remaining tenant, then runs the

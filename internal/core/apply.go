@@ -73,7 +73,12 @@ func (sys *System) validateSpec(spec platform.TenantSpec) error {
 			return fmt.Errorf("core: tenant %s references unregistered SLO class %q", spec.Namespace, spec.SLOClass)
 		}
 	}
-	return nil
+	// A typo'd profile would otherwise run as the business process.
+	switch spec.Profile {
+	case "", "oltp-external", "data-only":
+		return nil
+	}
+	return fmt.Errorf("core: tenant %s declares unknown profile %q", spec.Namespace, spec.Profile)
 }
 
 // condKind enumerates the observable tenant conditions.
@@ -140,97 +145,86 @@ func (c TenantCondition) String() string {
 // observe live outside the API server.
 func (sys *System) WaitTenantCondition(p *sim.Proc, namespace string, cond TenantCondition, timeout time.Duration) error {
 	switch cond.kind {
-	case condReady:
-		return sys.waitTenantReady(p, namespace, timeout)
-	case condBackupReady:
-		return sys.waitBackupGroupReady(p, namespace, timeout)
+	case condReady, condBackupReady:
+		return sys.waitPhase(p, namespace, cond.kind == condBackupReady, timeout)
 	case condResharded:
-		return sys.waitResharded(p, namespace, cond.shards, timeout)
+		// Every poll re-screens for the permanent can't-reshard states, so a
+		// wait racing a disaster (or a decommission — the tenant spec deleted
+		// under the wait) fails fast with ErrNotReshardable instead of
+		// dressing a permanent condition up as a timeout.
+		return poll(p, timeout, func() (bool, error) {
+			if err := sys.reshardable(p, namespace); errors.Is(err, platform.ErrNotFound) {
+				return false, fmt.Errorf("%w: tenant %s deleted mid-reshard", ErrNotReshardable, namespace)
+			} else if err != nil {
+				return false, err
+			}
+			gs := sys.Groups(namespace)
+			return len(gs) == 1 && gs[0].Lanes() == cond.shards && !gs[0].Resharding(), nil
+		}, func() error {
+			return fmt.Errorf("%w: tenant %s not resharded to %d lanes", ErrTimeout, namespace, cond.shards)
+		})
 	case condGone:
-		return sys.waitTenantGone(p, namespace, timeout)
+		// Gone is teardown converged to zero residue.
+		return poll(p, timeout, func() (bool, error) {
+			_, err := sys.Main.API.Get(p, tenantKey(namespace))
+			gone := errors.Is(err, platform.ErrNotFound)
+			if err != nil && !gone {
+				return false, err
+			}
+			_, managed := sys.managed(namespace)
+			return gone && !managed && len(sys.TenantResidue(namespace)) == 0, nil
+		}, func() error {
+			return fmt.Errorf("%w: tenant %s not reclaimed: %s", ErrTimeout, namespace,
+				strings.Join(sys.TenantResidue(namespace), "; "))
+		})
 	}
 	return fmt.Errorf("core: unknown tenant condition %v", cond)
 }
 
-func (sys *System) waitTenantReady(p *sim.Proc, namespace string, timeout time.Duration) error {
-	err := sys.waitObject(p, tenantKey(namespace), timeout, func(obj platform.Object) (bool, error) {
-		switch tn := obj.(*platform.Tenant); tn.Status.Phase {
-		case platform.TenantReady:
-			return true, nil
-		case platform.TenantFailed:
-			return true, fmt.Errorf("core: tenant %s failed: %s", namespace, tn.Status.Message)
-		}
-		return false, nil
-	})
-	if errors.Is(err, ErrTimeout) {
-		return fmt.Errorf("%w: tenant %s not ready", ErrTimeout, namespace)
+// waitPhase is the watched check of the status-shaped conditions: the
+// tenant's own phase (CondReady) or its ReplicationGroup's (CondBackupReady)
+// ends the wait at Ready, or at Failed with the status message.
+func (sys *System) waitPhase(p *sim.Proc, namespace string, backup bool, timeout time.Duration) error {
+	key := tenantKey(namespace)
+	if backup {
+		key = platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: operator.GroupNameFor(namespace)}
 	}
-	return err
-}
-
-func (sys *System) waitBackupGroupReady(p *sim.Proc, namespace string, timeout time.Duration) error {
-	key := platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: operator.GroupNameFor(namespace)}
 	err := sys.waitObject(p, key, timeout, func(obj platform.Object) (bool, error) {
-		rg := obj.(*platform.ReplicationGroup)
-		switch rg.Status.Phase {
-		case platform.GroupReady:
-			return true, nil
-		case platform.GroupFailed:
-			return true, fmt.Errorf("core: replication group failed: %s", rg.Status.Message)
+		switch o := obj.(type) {
+		case *platform.Tenant:
+			if o.Status.Phase == platform.TenantFailed {
+				return true, fmt.Errorf("core: tenant %s failed: %s", namespace, o.Status.Message)
+			}
+			return o.Status.Phase == platform.TenantReady, nil
+		case *platform.ReplicationGroup:
+			if o.Status.Phase == platform.GroupFailed {
+				return true, fmt.Errorf("core: replication group failed: %s", o.Status.Message)
+			}
+			return o.Status.Phase == platform.GroupReady, nil
 		}
 		return false, nil
 	})
-	if errors.Is(err, ErrTimeout) {
+	switch {
+	case !errors.Is(err, ErrTimeout):
+		return err
+	case backup:
 		return fmt.Errorf("%w: replication group for %s not ready", ErrTimeout, namespace)
 	}
-	return err
+	return fmt.Errorf("%w: tenant %s not ready", ErrTimeout, namespace)
 }
 
-// waitResharded polls until the tenant's engine runs exactly `shards` lanes
-// with the migration window closed. Every iteration re-screens for the
-// permanent can't-reshard states so a wait racing a disaster (or a
-// decommission — the tenant spec deleted under the wait) fails fast with
-// ErrNotReshardable instead of dressing a permanent condition up as a
-// timeout.
-func (sys *System) waitResharded(p *sim.Proc, namespace string, shards int, timeout time.Duration) error {
+// poll is the loop of the engine-shaped conditions: check until it reports
+// done or an error, sleeping pollInterval, doubling up to pollCap, between
+// checks; past the deadline, the wait ends with timedOut's error.
+func poll(p *sim.Proc, timeout time.Duration, check func() (bool, error), timedOut func() error) error {
 	deadline := p.Now() + timeout
-	wait := pollInterval
-	for {
-		if err := sys.reshardable(p, namespace); err != nil {
-			if errors.Is(err, platform.ErrNotFound) {
-				return fmt.Errorf("%w: tenant %s deleted mid-reshard", ErrNotReshardable, namespace)
-			}
+	for wait := pollInterval; ; wait = min(2*wait, pollCap) {
+		if done, err := check(); done || err != nil {
 			return err
 		}
-		if gs := sys.Groups(namespace); len(gs) == 1 {
-			if g := gs[0]; g.Lanes() == shards && !g.Resharding() {
-				return nil
-			}
-		}
 		if p.Now() >= deadline {
-			return fmt.Errorf("%w: tenant %s not resharded to %d lanes", ErrTimeout, namespace, shards)
+			return timedOut()
 		}
-		pollBackoff(p, &wait)
-	}
-}
-
-// waitTenantGone polls until teardown converged to zero residue.
-func (sys *System) waitTenantGone(p *sim.Proc, namespace string, timeout time.Duration) error {
-	deadline := p.Now() + timeout
-	wait := pollInterval
-	for {
-		_, err := sys.Main.API.Get(p, tenantKey(namespace))
-		gone := errors.Is(err, platform.ErrNotFound)
-		if err != nil && !gone {
-			return err
-		}
-		if _, managed := sys.managed(namespace); gone && !managed && len(sys.TenantResidue(namespace)) == 0 {
-			return nil
-		}
-		if p.Now() >= deadline {
-			return fmt.Errorf("%w: tenant %s not reclaimed: %s", ErrTimeout, namespace,
-				strings.Join(sys.TenantResidue(namespace), "; "))
-		}
-		pollBackoff(p, &wait)
+		p.Sleep(wait)
 	}
 }

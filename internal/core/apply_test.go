@@ -100,23 +100,36 @@ func TestWaitReshardedRacingDecommissionFailsFast(t *testing.T) {
 }
 
 // TestApplyTenantUnknownSLOClassFails: a spec naming an unregistered SLO
-// class must be refused at declaration time through either door a spec
-// comes in by — ApplyTenant or ProvisionTenant — not discovered downstream
-// as a tenant silently provisioned unmanaged.
+// class or an unknown profile must be refused at declaration time through
+// either door a spec comes in by — ApplyTenant or ProvisionTenant — before
+// any API call, not discovered downstream as a tenant silently provisioned
+// unmanaged, or with the wrong workload.
 func TestApplyTenantUnknownSLOClassFails(t *testing.T) {
-	runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
-		spec := tenantSpec("shop")
-		spec.SLOClass = "platinum"
-		if err := sys.ApplyTenant(p, spec); err == nil {
-			t.Error("apply with unregistered SLO class succeeded")
-		}
-		if _, err := sys.ProvisionTenant(p, spec); err == nil {
-			t.Error("provision with unregistered SLO class succeeded")
-		}
-		if _, err := sys.Main.API.Get(p, tenantKey("shop")); !errors.Is(err, platform.ErrNotFound) {
-			t.Errorf("a refused spec left a Tenant object behind (get: %v)", err)
-		}
-	})
+	for _, c := range []struct {
+		name string
+		edit func(*platform.TenantSpec)
+	}{
+		{"unregistered SLO class", func(s *platform.TenantSpec) { s.SLOClass = "platinum" }},
+		{"unknown profile", func(s *platform.TenantSpec) { s.Profile = "data_only" }},
+	} {
+		runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
+			spec := tenantSpec("shop")
+			c.edit(&spec)
+			calls := sys.Main.API.Calls()
+			if err := sys.ApplyTenant(p, spec); err == nil {
+				t.Errorf("%s: apply succeeded", c.name)
+			}
+			if _, err := sys.ProvisionTenant(p, spec); err == nil {
+				t.Errorf("%s: provision succeeded", c.name)
+			}
+			if got := sys.Main.API.Calls() - calls; got != 0 {
+				t.Errorf("%s: the refusals made %d API calls", c.name, got)
+			}
+			if _, err := sys.Main.API.Get(p, tenantKey("shop")); !errors.Is(err, platform.ErrNotFound) {
+				t.Errorf("%s: a refused spec left a Tenant object behind (get: %v)", c.name, err)
+			}
+		})
+	}
 }
 
 // TestCondGoneObservesDecommission: the Gone condition is satisfied exactly

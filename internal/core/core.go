@@ -171,7 +171,7 @@ func NewSystem(cfg Config) *System {
 	sys.Provisioner = csiplugin.NewProvisioner(env, sys.Main.API,
 		map[string]*storage.Array{sys.Main.Array.Name(): sys.Main.Array})
 	sys.Replication = sys.newReplicationPlugin()
-	sys.Operator = operator.New(env, sys.Main.API, operator.Config{Telemetry: sys.Telemetry})
+	sys.Operator = operator.New(env, sys.Main.API, sys.Telemetry)
 	sys.tenantCtrl = sys.newTenantController()
 
 	sys.Provisioner.Start()
@@ -265,14 +265,6 @@ const (
 	pollInterval = 10 * time.Millisecond
 	pollCap      = 160 * time.Millisecond
 )
-
-// pollBackoff sleeps the current poll interval and doubles it up to pollCap.
-func pollBackoff(p *sim.Proc, d *time.Duration) {
-	p.Sleep(*d)
-	if *d < pollCap {
-		*d *= 2
-	}
-}
 
 // waitObject blocks until check reports done on the keyed object's state (a
 // missing object just keeps waiting), or the timeout expires (ErrTimeout).
@@ -393,7 +385,7 @@ func (sys *System) TenantLanePaths(namespace string) []*fabric.TenantPath {
 }
 
 // Groups returns the running replication engines for a namespace.
-func (sys *System) Groups(namespace string) []replication.Replicator {
+func (sys *System) Groups(namespace string) []*replication.Group {
 	return sys.Replication.Groups(operator.GroupNameFor(namespace))
 }
 

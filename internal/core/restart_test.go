@@ -190,7 +190,7 @@ func TestRestartedControllersLoseNothing(t *testing.T) {
 			}
 		}
 		live := func(ns string) bool { _, ok := sys.managed(ns); return ok }
-		if vs := invariants.CheckNoOrphanGroups(sys.Replication.AllGroups(), sys.Replication.NamespaceOf, live); len(vs) > 0 {
+		if vs := invariants.CheckNoOrphanGroups(sys.Main.Engines.Sorted(), sys.Replication.NamespaceOf, live); len(vs) > 0 {
 			t.Errorf("%v", vs)
 		}
 	})

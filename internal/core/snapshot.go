@@ -84,7 +84,7 @@ type FailbackResult struct {
 func (sys *System) Failback(p *sim.Proc) (*FailbackResult, error) {
 	var res FailbackResult
 	start := p.Now()
-	for _, g := range sys.Replication.AllGroups() {
+	for _, g := range sys.Main.Engines.Sorted() {
 		if !g.FailedOver() {
 			continue
 		}

@@ -102,8 +102,7 @@ func (sys *System) newTenantController() *platform.Controller {
 		return tenantKey(ns), ok
 	}
 	ctrl := platform.NewController(sys.Env, sys.Main.API, "tenant-controller",
-		platform.KindTenant, nil, platform.ReconcilerFunc(sys.reconcileTenant),
-		platform.ControllerConfig{Telemetry: sys.Telemetry}).
+		platform.KindTenant, sys.reconcileTenant, sys.Telemetry).
 		Watches(platform.KindReplicationGroup, func(ev platform.Event) (platform.ObjectKey, bool) {
 			ns, ok := operator.NamespaceOfGroup(ev.Object.GetMeta().Name)
 			if !ok {
@@ -479,7 +478,7 @@ func (sys *System) ProvisionTenant(p *sim.Proc, spec platform.TenantSpec) (*Busi
 		}
 		// "oltp-external" leaves the workload to the caller — no throwaway
 		// default shop (the fleet seeds one per tenant).
-		if spec.Profile == "" || spec.Profile == "oltp" {
+		if spec.Profile == "" {
 			bp.Shop = workload.NewShop(sys.Env, bp.Sales, bp.Stock, workload.Config{Seed: sys.Cfg.Seed})
 		}
 	}

@@ -205,14 +205,14 @@ func TestOrphanEngineKeepsItsNamespace(t *testing.T) {
 	})
 	f.env.Run(f.env.Now() + time.Second)
 	gone := func(string) bool { return false }
-	vs := invariants.CheckNoOrphanGroups(rp.AllGroups(), rp.NamespaceOf, gone)
+	vs := invariants.CheckNoOrphanGroups(rp.sites.Engines.Sorted(), rp.NamespaceOf, gone)
 	if len(vs) != 1 || vs[0].Tenant != "shop" || !strings.Contains(vs[0].Detail, "outlived its tenant") {
 		t.Fatalf("violations = %v, want one engine that outlived tenant shop", vs)
 	}
 	fresh := NewReplicationPlugin(f.env, f.sites, replication.Config{})
 	fresh.Start()
 	f.env.Run(f.env.Now() + time.Second)
-	if vs := invariants.CheckNoOrphanGroups(fresh.AllGroups(), fresh.NamespaceOf, gone); len(vs) != 0 {
+	if vs := invariants.CheckNoOrphanGroups(fresh.sites.Engines.Sorted(), fresh.NamespaceOf, gone); len(vs) != 0 {
 		t.Errorf("a fresh plugin left the orphan registered: %v", vs)
 	}
 	if res := f.sites.MainArray.Residue("jnl-backup-shop-"); len(res) != 0 {
@@ -541,14 +541,14 @@ func TestReplicationPluginReshardsOnSpecChange(t *testing.T) {
 	pvcs := []string{"d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"}
 	f.createClaims(t, "shop", pvcs...)
 	rp := f.createRG(t, "backup-shop", 2, pvcs...)
-	before := rp.Groups("backup-shop")[0].(*replication.Group)
+	before := rp.Groups("backup-shop")[0]
 	if before.Lanes() != 2 {
 		t.Fatalf("lanes = %d, want 2", before.Lanes())
 	}
 
 	f.setRGShards(t, "backup-shop", 4)
 	after := rp.Groups("backup-shop")[0]
-	if after != replication.Replicator(before) {
+	if after != before {
 		t.Fatal("grow replaced the engine; it must reshard in place")
 	}
 	if before.Lanes() != 4 {
@@ -603,7 +603,7 @@ func TestReplicationPluginGrowsFromOneLane(t *testing.T) {
 	pvcs := []string{"d0", "d1", "d2", "d3"}
 	f.createClaims(t, "shop", pvcs...)
 	rp := f.createRG(t, "backup-shop", 1, pvcs...)
-	sg := rp.Groups("backup-shop")[0].(*replication.Group)
+	sg := rp.Groups("backup-shop")[0]
 	if sg.Lanes() != 1 {
 		t.Fatalf("shards=1 engine runs %d lanes", sg.Lanes())
 	}
@@ -626,7 +626,7 @@ func TestReplicationPluginGrowsFromOneLane(t *testing.T) {
 	}
 
 	f.setRGShards(t, "backup-shop", 4)
-	if rp.Groups("backup-shop")[0] != replication.Replicator(sg) {
+	if rp.Groups("backup-shop")[0] != sg {
 		t.Fatal("grow from one lane replaced the engine; it must reshard in place")
 	}
 	if sg.Lanes() != 4 {

@@ -55,8 +55,7 @@ type Provisioner struct {
 // from StorageClass.ArrayName).
 func NewProvisioner(env *sim.Env, api *platform.APIServer, arrays map[string]*storage.Array) *Provisioner {
 	pr := &Provisioner{env: env, api: api, arrays: arrays}
-	pr.ctrl = platform.NewController(env, api, "provisioner", platform.KindPVC, nil,
-		platform.ReconcilerFunc(pr.reconcile), platform.ControllerConfig{})
+	pr.ctrl = platform.NewController(env, api, "provisioner", platform.KindPVC, pr.reconcile, nil)
 	return pr
 }
 

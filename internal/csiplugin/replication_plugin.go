@@ -51,8 +51,7 @@ type ReplicationPlugin struct {
 func NewReplicationPlugin(env *sim.Env, sites SitePair, cfg replication.Config) *ReplicationPlugin {
 	rp := &ReplicationPlugin{env: env, sites: sites, cfg: cfg}
 	rp.ctrl = platform.NewController(env, sites.MainAPI, "replication-plugin",
-		platform.KindReplicationGroup, nil, platform.ReconcilerFunc(rp.reconcile),
-		platform.ControllerConfig{Telemetry: sites.Telemetry})
+		platform.KindReplicationGroup, rp.reconcile, sites.Telemetry)
 	return rp
 }
 
@@ -80,9 +79,9 @@ func (rp *ReplicationPlugin) Stop() { rp.ctrl.Stop() }
 
 // Groups returns the running replication engine for a CR name: one element,
 // or nil (nothing allocated) while the CR is unconfigured or gone.
-func (rp *ReplicationPlugin) Groups(name string) []replication.Replicator {
+func (rp *ReplicationPlugin) Groups(name string) []*replication.Group {
 	if g, ok := rp.sites.Engines[name]; ok {
-		return []replication.Replicator{g}
+		return []*replication.Group{g}
 	}
 	return nil
 }
@@ -90,7 +89,7 @@ func (rp *ReplicationPlugin) Groups(name string) []replication.Replicator {
 // NamespaceOf returns the namespace a registered engine replicates: its
 // CR's source namespace, or, once the CR is gone, the namespace its CR name
 // was minted from ("" for an engine the registry does not hold).
-func (rp *ReplicationPlugin) NamespaceOf(g replication.Replicator) string {
+func (rp *ReplicationPlugin) NamespaceOf(g *replication.Group) string {
 	name := strings.TrimSuffix(g.Name(), "-0")
 	if rp.sites.Engines[name] != g {
 		return ""
@@ -102,9 +101,24 @@ func (rp *ReplicationPlugin) NamespaceOf(g replication.Replicator) string {
 	return ns
 }
 
-// AllGroups returns every running engine (for site-wide operations), in
-// CR-name order.
-func (rp *ReplicationPlugin) AllGroups() []replication.Replicator { return rp.sites.Engines.Sorted() }
+// AllGroups returns every running engine in CR-name order, typed for the
+// benchmark's counters: they type-assert on an element, so it is an
+// interface. Site-wide walks use the registry's Sorted.
+func (rp *ReplicationPlugin) AllGroups() []counted {
+	names := rp.sites.Engines.Names()
+	out := make([]counted, len(names))
+	for i, name := range names {
+		out[i] = rp.sites.Engines[name]
+	}
+	return out
+}
+
+// counted is what the benchmark's counters read of an engine.
+type counted interface {
+	AppliedRecords() int64
+	AppliedBytes() int64
+	Lanes() int
+}
 
 // reconcile reads the informer cache (APIServer.Cached); only its writes
 // are round trips.
@@ -240,7 +254,7 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 // draining). The reconcile does not wait for the migration window to settle
 // — the engine drains it in the background and callers observe
 // Resharding()/Lanes().
-func (rp *ReplicationPlugin) maybeReshard(p *sim.Proc, rg *platform.ReplicationGroup, cur replication.Replicator) error {
+func (rp *ReplicationPlugin) maybeReshard(p *sim.Proc, rg *platform.ReplicationGroup, cur *replication.Group) error {
 	from, want := cur.Lanes(), max(rg.Spec.JournalShards, 1)
 	if from == want || cur.Stopped() || cur.FailedOver() {
 		return nil

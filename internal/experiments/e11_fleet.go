@@ -40,7 +40,7 @@ func E11FleetScale(seed int64, tenants, ordersPerTenant int) (*Table, error) {
 		return nil, fmt.Errorf("E11: %d tenants collapsed", tot.Collapsed)
 	}
 	var applied int64
-	for _, g := range f.Sys.Replication.AllGroups() {
+	for _, g := range f.Sys.Main.Engines.Sorted() {
 		applied += g.AppliedRecords()
 	}
 	kernel := f.Sys.Env.Stats()

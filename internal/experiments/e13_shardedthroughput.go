@@ -80,7 +80,7 @@ func e13Run(seed int64, shards, writes int, failover bool, o *e13Outcome) error 
 	})
 
 	var driveErr, cutErr error
-	var g replication.Replicator
+	var g *replication.Group
 	halfway, written := sys.Env.NewEvent(), sys.Env.NewEvent()
 	sys.Env.Process("driver", func(p *sim.Proc) {
 		defer written.Trigger()

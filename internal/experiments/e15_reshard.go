@@ -70,7 +70,7 @@ func e15Run(seed int64, writes int, failover bool, t *Table) error {
 
 	halfway, written, ready := sys.Env.NewEvent(), sys.Env.NewEvent(), sys.Env.NewEvent()
 	var bg []*core.BusinessProcess
-	var engine replication.Replicator
+	var engine *replication.Group
 	var startWrites time.Duration
 
 	// Driver: declare the write-heavy tenant on one journal shard, then the
@@ -132,7 +132,7 @@ func e15Run(seed int64, writes int, failover bool, t *Table) error {
 						return
 					}
 				}
-				engine.(*replication.Group).AwaitReshard(p)
+				engine.AwaitReshard(p)
 				settledAt, settledBytes = p.Now(), engine.AppliedBytes()
 				p.Wait(written)
 				postStart, postBase = p.Now(), engine.AppliedBytes()

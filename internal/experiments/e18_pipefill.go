@@ -119,7 +119,7 @@ func e18Run(seed int64, window, writes int, partition bool, o *e18Outcome) error
 		pace = 100 * time.Microsecond
 	}
 	var driveErr, cutErr error
-	var g replication.Replicator
+	var g *replication.Group
 	halfway, written := sys.Env.NewEvent(), sys.Env.NewEvent()
 	sys.Env.Process("driver", func(p *sim.Proc) {
 		defer written.Trigger()

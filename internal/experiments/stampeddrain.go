@@ -24,7 +24,7 @@ import (
 // volumes on `shards` journal shards (slo names its SLO class, "" for none),
 // waits until it is Ready, and returns its main-site volumes in claim order
 // and its replication engine.
-func provisionDataTenant(p *sim.Proc, sys *core.System, ns string, claims, shards int, slo string) ([]*storage.Volume, replication.Replicator, error) {
+func provisionDataTenant(p *sim.Proc, sys *core.System, ns string, claims, shards int, slo string) ([]*storage.Volume, *replication.Group, error) {
 	spec := platform.TenantSpec{
 		Namespace:     ns,
 		PVCNames:      make([]string, claims),
@@ -82,7 +82,7 @@ func writeStamped(p *sim.Proc, vols []*storage.Volume, writes int, pace time.Dur
 // the writer to finish acking into the stranded journal, and scores the
 // backup image: the highest K with writes 1..K all present, and whether the
 // image is exactly that prefix (a consistent cross-volume cut).
-func cutStamped(p *sim.Proc, g replication.Replicator, written *sim.Event) (int, bool, error) {
+func cutStamped(p *sim.Proc, g *replication.Group, written *sim.Event) (int, bool, error) {
 	vols, err := g.Failover()
 	if err != nil {
 		return 0, false, err

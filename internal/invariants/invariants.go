@@ -45,7 +45,6 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/platform"
-	"repro/internal/replication"
 	"repro/internal/storage"
 )
 
@@ -124,6 +123,24 @@ func CheckConsistentCut(tenant string, rep consistency.Report) []Violation {
 	return out
 }
 
+// Image is what the epoch-boundary and round-trip checks read of a
+// replication engine (*replication.Group): the high-water mark of what it
+// applied, the records it still holds, where its commit rule stands, and its
+// member volumes.
+type Image interface {
+	Named
+	AppliedHighWater() (globalSeq, epoch int64)
+	UnappliedRecords() []storage.Record
+	CommittedEpoch() int64
+	MigrationBarrier() int64
+	Lanes() int
+	Resharding() bool
+	Members() []storage.VolumeID
+}
+
+// Named is what CheckNoOrphanGroups reads of an engine.
+type Named interface{ Name() string }
+
 // CheckEpochBoundary asserts the bound both commit rules keep on a group's
 // backup image. The image is an exact ack-order prefix: every applied record
 // was acked before every record still unapplied (a lane commit extends the
@@ -134,7 +151,7 @@ func CheckConsistentCut(tenant string, rep consistency.Report) []Violation {
 // had committed for itself before the engine grew. Installs and the
 // committed-epoch advance happen in the same scheduler step, so this holds
 // at every step boundary — a violation means the barrier leaked.
-func CheckEpochBoundary(tenant string, g replication.Replicator) []Violation {
+func CheckEpochBoundary(tenant string, g Image) []Violation {
 	var out []Violation
 	maxApplied, maxEpoch := g.AppliedHighWater()
 	for _, r := range g.UnappliedRecords() {
@@ -160,7 +177,7 @@ func CheckEpochBoundary(tenant string, g replication.Replicator) []Violation {
 // to), block by block. A member carries the same volume ID at both sites, as
 // the replication plugin provisions them. A block a site never wrote reads
 // as the zero block, and a stored prefix reads as zeroes past its end.
-func CheckRoundTrip(tenant string, reverse replication.Replicator, from, to *storage.Array) []Violation {
+func CheckRoundTrip(tenant string, reverse Image, from, to *storage.Array) []Violation {
 	out := CheckEpochBoundary(tenant, reverse)
 	for _, id := range reverse.Members() {
 		fv, ferr := from.Volume(id)
@@ -239,8 +256,8 @@ func CheckFailClosed(tenant string, a *storage.Array, sj *storage.ShardedJournal
 // ("" = unowned), live reports whether that namespace is still managed.
 // Engines are examined in Name() order so the violation list is
 // deterministic regardless of registry iteration order.
-func CheckNoOrphanGroups(groups []replication.Replicator, nsOf func(replication.Replicator) string, live func(string) bool) []Violation {
-	sorted := make([]replication.Replicator, len(groups))
+func CheckNoOrphanGroups[G Named](groups []G, nsOf func(G) string, live func(string) bool) []Violation {
+	sorted := make([]G, len(groups))
 	copy(sorted, groups)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name() < sorted[j].Name() })
 	var out []Violation

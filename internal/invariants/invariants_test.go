@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/consistency"
-	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -206,22 +205,19 @@ func TestCheckFailClosed(t *testing.T) {
 	}
 }
 
-// fakeRep satisfies replication.Replicator via interface embedding; only
-// Name() is ever called by CheckNoOrphanGroups.
-type fakeRep struct {
-	replication.Replicator
-	name string
-}
+// fakeRep is a Named engine, what CheckNoOrphanGroups reads.
+type fakeRep struct{ name string }
 
 func (f fakeRep) Name() string { return f.name }
 
-// fakeImage is a Replicator exposing just what CheckEpochBoundary reads.
+// fakeImage is an Image, what CheckEpochBoundary and CheckRoundTrip read.
 type fakeImage struct {
 	fakeRep
 	applied, unapplied []storage.Record
 	committed, barrier int64
 	lanes              int
 	resharding         bool
+	members            []storage.VolumeID
 }
 
 func (f fakeImage) UnappliedRecords() []storage.Record { return f.unapplied }
@@ -229,6 +225,7 @@ func (f fakeImage) CommittedEpoch() int64              { return f.committed }
 func (f fakeImage) MigrationBarrier() int64            { return f.barrier }
 func (f fakeImage) Lanes() int                         { return f.lanes }
 func (f fakeImage) Resharding() bool                   { return f.resharding }
+func (f fakeImage) Members() []storage.VolumeID        { return f.members }
 
 // AppliedHighWater folds the applied records the way the engine's install
 // does.
@@ -281,8 +278,8 @@ func TestCheckEpochBoundaryBothCommitRules(t *testing.T) {
 
 func TestCheckNoOrphanGroups(t *testing.T) {
 	owner := map[string]string{"g-a": "ns-a", "g-b": "ns-b"}
-	groups := []replication.Replicator{fakeRep{name: "g-b"}, fakeRep{name: "g-a"}, fakeRep{name: "g-c"}}
-	nsOf := func(g replication.Replicator) string { return owner[g.Name()] }
+	groups := []fakeRep{{name: "g-b"}, {name: "g-a"}, {name: "g-c"}}
+	nsOf := func(g fakeRep) string { return owner[g.Name()] }
 	live := func(ns string) bool { return ns == "ns-a" }
 	vs := CheckNoOrphanGroups(groups, nsOf, live)
 	// g-a is owned and live; g-b outlived its tenant; g-c is unowned.
@@ -294,14 +291,6 @@ func TestCheckNoOrphanGroups(t *testing.T) {
 		t.Fatalf("order/content wrong: %v", vs)
 	}
 }
-
-// fakeReverse is a fakeImage with member volumes, what CheckRoundTrip reads.
-type fakeReverse struct {
-	fakeImage
-	members []storage.VolumeID
-}
-
-func (f fakeReverse) Members() []storage.VolumeID { return f.members }
 
 func TestCheckRoundTrip(t *testing.T) {
 	env := sim.NewEnv(1)
@@ -322,7 +311,7 @@ func TestCheckRoundTrip(t *testing.T) {
 	mv.Poke(1, make([]byte, size)) // a zero block against one never written
 	bv.Poke(2, []byte{0xAA})       // a prefix against the whole block it reads as
 	mv.Poke(2, full)
-	rev := fakeReverse{fakeImage: fakeImage{fakeRep: fakeRep{name: "fb-g"}, lanes: 2}, members: []storage.VolumeID{"v"}}
+	rev := fakeImage{fakeRep: fakeRep{name: "fb-g"}, lanes: 2, members: []storage.VolumeID{"v"}}
 	if vs := CheckRoundTrip("t0", rev, backup, main); len(vs) != 0 {
 		t.Fatalf("equal images flagged: %v", vs)
 	}

@@ -38,18 +38,10 @@ const TagValue = "ConsistentCopyToCloud"
 // value is the paper's single shared journal on one lane.
 const ShardsLabel = "backup-shards"
 
-// Config tunes operator behaviour.
-type Config struct {
-	// Telemetry, when set, instruments the operator's controller
-	// (reconcile latency, requeues, reconcile spans).
-	Telemetry *telemetry.Registry
-}
-
 // Operator is the namespace operator.
 type Operator struct {
 	env  *sim.Env
 	api  *platform.APIServer
-	cfg  Config
 	ctrl *platform.Controller
 
 	// groupKeys carries each live namespace's ReplicationGroup key, formatted
@@ -62,10 +54,11 @@ type Operator struct {
 // New builds the operator on the main site's API server. One controller
 // watches both namespaces (for the tag) and PVCs (so claims added after
 // tagging extend the replication group), on one queue keyed by namespace.
-func New(env *sim.Env, api *platform.APIServer, cfg Config) *Operator {
-	o := &Operator{env: env, api: api, cfg: cfg, groupKeys: make(map[string]platform.ObjectKey)}
-	o.ctrl = platform.NewController(env, api, "namespace-operator", platform.KindNamespace,
-		nil, platform.ReconcilerFunc(o.reconcile), platform.ControllerConfig{Telemetry: cfg.Telemetry}).
+// tel, when set, instruments the operator's controller (reconcile latency,
+// requeues, reconcile spans).
+func New(env *sim.Env, api *platform.APIServer, tel *telemetry.Registry) *Operator {
+	o := &Operator{env: env, api: api, groupKeys: make(map[string]platform.ObjectKey)}
+	o.ctrl = platform.NewController(env, api, "namespace-operator", platform.KindNamespace, o.reconcile, tel).
 		Watches(platform.KindPVC, func(ev platform.Event) (platform.ObjectKey, bool) {
 			return platform.ObjectKey{Kind: platform.KindNamespace, Name: ev.Object.GetMeta().Namespace}, true
 		})

@@ -14,11 +14,11 @@ type fixture struct {
 	op  *Operator
 }
 
-func newFixture(t *testing.T, cfg Config) *fixture {
+func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	env := sim.NewEnv(1)
 	api := platform.NewAPIServer(env, platform.APIConfig{})
-	op := New(env, api, cfg)
+	op := New(env, api, nil)
 	op.Start()
 	return &fixture{env: env, api: api, op: op}
 }
@@ -77,7 +77,7 @@ func (f *fixture) setLabel(t *testing.T, ns string, labels map[string]string) {
 }
 
 func TestTagCreatesReplicationGroup(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t)
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}, "sales", "stock")
 	rg, ok := f.group(t, "shop")
 	if !ok {
@@ -95,7 +95,7 @@ func TestTagCreatesReplicationGroup(t *testing.T) {
 }
 
 func TestUntaggedNamespaceIgnored(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t)
 	f.createNamespaceWithPVCs(t, "shop", nil, "sales")
 	if _, ok := f.group(t, "shop"); ok {
 		t.Fatal("ReplicationGroup created without tag")
@@ -103,7 +103,7 @@ func TestUntaggedNamespaceIgnored(t *testing.T) {
 }
 
 func TestWrongTagValueIgnored(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t)
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: "SomethingElse"}, "sales")
 	if _, ok := f.group(t, "shop"); ok {
 		t.Fatal("ReplicationGroup created for wrong tag value")
@@ -111,7 +111,7 @@ func TestWrongTagValueIgnored(t *testing.T) {
 }
 
 func TestTagAfterCreation(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t)
 	f.createNamespaceWithPVCs(t, "shop", nil, "sales", "stock")
 	if _, ok := f.group(t, "shop"); ok {
 		t.Fatal("premature group")
@@ -128,7 +128,7 @@ func TestTagAfterCreation(t *testing.T) {
 }
 
 func TestUntagRemovesGroup(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t)
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}, "sales")
 	if _, ok := f.group(t, "shop"); !ok {
 		t.Fatal("group missing")
@@ -153,7 +153,7 @@ func TestUntagRemovesGroup(t *testing.T) {
 }
 
 func TestNewPVCExtendsGroup(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t)
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}, "sales")
 	rg, _ := f.group(t, "shop")
 	if len(rg.Spec.PVCNames) != 1 {
@@ -175,7 +175,7 @@ func TestNewPVCExtendsGroup(t *testing.T) {
 }
 
 func TestTaggedEmptyNamespaceRetries(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t)
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}) // no PVCs
 	if _, ok := f.group(t, "shop"); ok {
 		t.Fatal("group created for empty namespace")
@@ -194,7 +194,7 @@ func TestTaggedEmptyNamespaceRetries(t *testing.T) {
 }
 
 func TestNamespaceDeletionRemovesGroup(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t)
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}, "sales")
 	f.env.Process("del", func(p *sim.Proc) {
 		f.api.Delete(p, platform.ObjectKey{Kind: platform.KindNamespace, Name: "shop"})
@@ -206,7 +206,7 @@ func TestNamespaceDeletionRemovesGroup(t *testing.T) {
 }
 
 func TestOperatorIdempotentOnRepeatedEvents(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t)
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}, "sales")
 	// Touch the namespace repeatedly; exactly one group, one create.
 	for i := 0; i < 3; i++ {
@@ -223,7 +223,7 @@ func TestOperatorIdempotentOnRepeatedEvents(t *testing.T) {
 func TestLostCreateRaceIsNotAConfiguration(t *testing.T) {
 	env := sim.NewEnv(1)
 	api := platform.NewAPIServer(env, platform.APIConfig{})
-	op := New(env, api, Config{}) // not started: the test drives reconcile
+	op := New(env, api, nil) // not started: the test drives reconcile
 	f := &fixture{env: env, api: api, op: op}
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue}, "sales")
 	var err error
@@ -253,7 +253,7 @@ func TestLostCreateRaceIsNotAConfiguration(t *testing.T) {
 // ShardsLabel on a namespace sets the ReplicationGroup's JournalShards; an
 // absent or unparsable value leaves it 0, the single shared journal.
 func TestShardsLabelOverridesJournalShards(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t)
 	f.createNamespaceWithPVCs(t, "sharded",
 		map[string]string{Tag: TagValue, ShardsLabel: "8"}, "sales", "stock")
 	rg, ok := f.group(t, "sharded")
@@ -289,7 +289,7 @@ func TestShardsLabelOverridesJournalShards(t *testing.T) {
 // must update the existing ReplicationGroup's JournalShards instead of
 // being silently ignored.
 func TestShardsLabelUpdatePropagates(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t)
 	f.createNamespaceWithPVCs(t, "shop", map[string]string{Tag: TagValue, ShardsLabel: "2"}, "sales", "stock")
 	rg, ok := f.group(t, "shop")
 	if !ok || rg.Spec.JournalShards != 2 {

@@ -264,13 +264,13 @@ func BenchmarkControllerBacklog(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env := sim.NewEnv(1)
 		api := NewAPIServer(env, APIConfig{})
-		c := NewController(env, api, "bench", KindPVC, nil,
-			ReconcilerFunc(func(p *sim.Proc, key ObjectKey) error {
+		c := NewController(env, api, "bench", KindPVC,
+			func(p *sim.Proc, key ObjectKey) error {
 				for call := 0; call < 3; call++ {
 					api.List(p, KindPVC, key.Namespace)
 				}
 				return nil
-			}), ControllerConfig{})
+			}, nil)
 		c.Start()
 		for _, key := range keys {
 			c.Enqueue(key)

@@ -10,27 +10,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Reconciler is the level-triggered reconcile hook: bring the world to the
-// state the object (named by key) declares. It must be idempotent; the
-// controller retries on error with backoff.
-type Reconciler interface {
-	Reconcile(p *sim.Proc, key ObjectKey) error
-}
-
-// ReconcilerFunc adapts a function to the Reconciler interface.
-type ReconcilerFunc func(p *sim.Proc, key ObjectKey) error
-
-// Reconcile calls f.
-func (f ReconcilerFunc) Reconcile(p *sim.Proc, key ObjectKey) error { return f(p, key) }
-
-// ControllerConfig configures a controller's instrumentation.
-type ControllerConfig struct {
-	// Telemetry, when set, records per-controller reconcile latency, queue
-	// wait (enqueue to pop), requeues, workers started, and reconcile-pass
-	// spans (one track per worker) into the registry.
-	Telemetry *telemetry.Registry
-}
-
 // The requeue delay after a reconcile error: retryDelay, doubling per
 // consecutive failure up to maxRetryDelay.
 const (
@@ -82,7 +61,7 @@ type Controller struct {
 	env   *sim.Env
 	api   *APIServer
 	srcs  []source
-	rec   Reconciler
+	rec   func(p *sim.Proc, key ObjectKey) error
 	queue ring.Ring[queuedKey]
 	state map[ObjectKey]keyState
 	// idle holds the park events of the workers waiting for a key, longest
@@ -104,24 +83,25 @@ type Controller struct {
 	started   *metrics.Gauge
 }
 
-// NewController builds a controller for kind on the API server. mapFn
-// converts each watch event into the key to reconcile (false = none);
-// nil maps events to their own object key.
+// NewController builds a controller for kind on the API server, each watch
+// event queueing its own object's key. rec is the level-triggered reconcile:
+// bring the world to the state the keyed object declares. It must be
+// idempotent; the controller retries it on error with backoff. tel, when
+// set, records per-controller reconcile latency, queue wait (enqueue to
+// pop), requeues, workers started, and reconcile-pass spans (one track per
+// worker).
 func NewController(env *sim.Env, api *APIServer, name string, kind Kind,
-	mapFn func(Event) (ObjectKey, bool), rec Reconciler, cfg ControllerConfig) *Controller {
-	if mapFn == nil {
-		mapFn = func(ev Event) (ObjectKey, bool) { return ev.Object.GetMeta().Key(), true }
-	}
+	rec func(p *sim.Proc, key ObjectKey) error, tel *telemetry.Registry) *Controller {
 	c := &Controller{
 		name:  name,
 		env:   env,
 		api:   api,
-		srcs:  []source{{kind, mapFn}},
+		srcs:  []source{{kind, func(ev Event) (ObjectKey, bool) { return ev.Object.GetMeta().Key(), true }}},
 		rec:   rec,
 		state: make(map[ObjectKey]keyState),
 		stop:  env.NewEvent(),
 		fails: make(map[ObjectKey]int),
-		tel:   cfg.Telemetry,
+		tel:   tel,
 	}
 	ctl := telemetry.L("controller", name)
 	c.latency = c.tel.Histogram("controller.reconcile.latency", ctl)
@@ -180,7 +160,7 @@ func (c *Controller) Start() {
 			defer w.Stop() // detach so the API server can compact the watch away
 			for {
 				for w.Pending() == 0 {
-					if p.WaitAny(watchAvail(w), c.stop) == 1 {
+					if p.WaitAny(w.ch.Avail(), c.stop) == 1 {
 						return
 					}
 				}
@@ -233,7 +213,7 @@ func (c *Controller) reconcile(p *sim.Proc, track string) {
 	if c.tel != nil {
 		sp = c.tel.StartSpan("reconcile", key.String(), track)
 	}
-	err := c.rec.Reconcile(p, key)
+	err := c.rec(p, key)
 	sp.End()
 	c.latency.Record(p.Now() - start)
 	// Back to rest, or straight back into the queue if an event came in
@@ -276,7 +256,3 @@ func (c *Controller) Reconciles() int64 { return c.reconciles }
 
 // QueueLen returns the number of keys waiting.
 func (c *Controller) QueueLen() int { return c.queue.Len() }
-
-// watchAvail adapts a Watch's availability to an event WaitAny can select
-// on: it returns an event that triggers when the watch has pending items.
-func watchAvail(w *Watch) *sim.Event { return w.ch.Avail() }

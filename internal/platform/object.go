@@ -354,9 +354,10 @@ type TenantSpec struct {
 	// when QoSClass is empty the tenant rides the fabric class of the same
 	// name. "" opts the tenant out of SLO management.
 	SLOClass string
-	// Profile names the tenant's workload shape. "" or "oltp" is the
-	// business process: ProvisionTenant opens the sales/stock databases and
-	// attaches a default shop workload. "oltp-external" opens the databases
+	// Profile names the tenant's workload shape, one of three (core refuses
+	// any other). "" is the business process: ProvisionTenant opens the
+	// sales/stock databases and attaches a default shop workload.
+	// "oltp-external" opens the databases
 	// but leaves the workload to the caller (the fleet attaches its own
 	// per-tenant-seeded shop). "data-only" provisions and replicates the
 	// claims as raw volumes (no databases opened) — the E13-style tenants.

@@ -359,7 +359,7 @@ func TestControllerReconcilesOnEvents(t *testing.T) {
 	env := sim.NewEnv(1)
 	api := NewAPIServer(env, APIConfig{})
 	rec := &countingReconciler{}
-	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
+	c := NewController(env, api, "test", KindPVC, rec.Reconcile, nil)
 	c.Start()
 	env.Process("driver", func(p *sim.Proc) {
 		api.Create(p, pvc("shop", "sales", "fast", 1))
@@ -385,7 +385,7 @@ func TestControllerRetriesWithBackoff(t *testing.T) {
 	env := sim.NewEnv(1)
 	api := NewAPIServer(env, APIConfig{})
 	rec := &countingReconciler{failTimes: 3}
-	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
+	c := NewController(env, api, "test", KindPVC, rec.Reconcile, nil)
 	c.Start()
 	env.Process("driver", func(p *sim.Proc) {
 		api.Create(p, pvc("shop", "sales", "fast", 1))
@@ -406,7 +406,7 @@ func TestControllerDeduplicatesQueue(t *testing.T) {
 	env := sim.NewEnv(1)
 	api := NewAPIServer(env, APIConfig{})
 	rec := &countingReconciler{}
-	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
+	c := NewController(env, api, "test", KindPVC, rec.Reconcile, nil)
 	key := ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "sales"}
 	for i := 0; i < 10; i++ {
 		c.Enqueue(key)
@@ -431,7 +431,7 @@ func TestControllerStopLeavesQueuedKeys(t *testing.T) {
 	env := sim.NewEnv(1)
 	api := NewAPIServer(env, APIConfig{})
 	rec := &ledger{api: api, sleep: time.Millisecond}
-	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
+	c := NewController(env, api, "test", KindPVC, rec.Reconcile, nil)
 	procs := env.Procs()
 	c.Start()
 	const keys = 20
@@ -448,7 +448,7 @@ func TestControllerStopLeavesQueuedKeys(t *testing.T) {
 		t.Fatalf("%d processes left running, want %d", env.Procs(), procs)
 	}
 
-	c = NewController(env, api, "woken", KindPVC, nil, rec, ControllerConfig{})
+	c = NewController(env, api, "woken", KindPVC, rec.Reconcile, nil)
 	c.Start()
 	env.Run(env.Now() + time.Millisecond) // the one worker parks
 	c.Enqueue(claimKey(0))
@@ -468,15 +468,15 @@ func TestControllerFailsWhileDirty(t *testing.T) {
 	api := NewAPIServer(env, APIConfig{})
 	key := ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "sales"}
 	var starts []time.Duration
-	c := NewController(env, api, "test", KindPVC, nil,
-		ReconcilerFunc(func(p *sim.Proc, _ ObjectKey) error {
+	c := NewController(env, api, "test", KindPVC,
+		func(p *sim.Proc, _ ObjectKey) error {
 			starts = append(starts, p.Now())
 			p.Sleep(1500 * time.Microsecond)
 			if len(starts) == 1 {
 				return errors.New("transient")
 			}
 			return nil
-		}), ControllerConfig{})
+		}, nil)
 	c.Start()
 	c.Enqueue(key)
 	env.After(time.Millisecond, func() { c.Enqueue(key) })
@@ -553,7 +553,7 @@ func TestControllerNeverRunsOneKeyTwice(t *testing.T) {
 	env := sim.NewEnv(1)
 	api := NewAPIServer(env, APIConfig{})
 	rec := &ledger{api: api, calls: 3}
-	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
+	c := NewController(env, api, "test", KindPVC, rec.Reconcile, nil)
 	c.Start()
 	const keys, updates = 4, 50
 	lastWrite := make([]time.Duration, keys)
@@ -606,7 +606,7 @@ func TestControllerDirtyKeyRequeuesOnce(t *testing.T) {
 	env := sim.NewEnv(1)
 	api := NewAPIServer(env, APIConfig{})
 	rec := &ledger{api: api, calls: 3}
-	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
+	c := NewController(env, api, "test", KindPVC, rec.Reconcile, nil)
 	c.Start()
 	key := claimKey(0)
 	c.Enqueue(key)
@@ -637,7 +637,7 @@ func TestControllerWatchesSecondKindMarksKeyDirty(t *testing.T) {
 	api := NewAPIServer(env, APIConfig{})
 	reg := telemetry.New(env, telemetry.Config{})
 	rec := &ledger{api: api, calls: 3}
-	c := NewController(env, api, "test", KindNamespace, nil, rec, ControllerConfig{Telemetry: reg}).
+	c := NewController(env, api, "test", KindNamespace, rec.Reconcile, reg).
 		Watches(KindPVC, func(ev Event) (ObjectKey, bool) {
 			return ObjectKey{Kind: KindNamespace, Name: ev.Object.GetMeta().Namespace}, true
 		})
@@ -676,7 +676,7 @@ func TestControllerBacklogDrainsOnEightWorkers(t *testing.T) {
 	api := NewAPIServer(env, APIConfig{})
 	reg := telemetry.New(env, telemetry.Config{})
 	rec := &ledger{api: api, calls: 3}
-	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{Telemetry: reg})
+	c := NewController(env, api, "test", KindPVC, rec.Reconcile, reg)
 	c.Start()
 	procs := env.Procs()
 	const keys = 1024
@@ -740,7 +740,7 @@ func TestControllerStartsNoWorkerWithoutBacklog(t *testing.T) {
 	env := sim.NewEnv(1)
 	api := NewAPIServer(env, APIConfig{})
 	rec := &ledger{sleep: 1250 * time.Microsecond}
-	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
+	c := NewController(env, api, "test", KindPVC, rec.Reconcile, nil)
 	c.Start()
 	procs := env.Procs()
 	c.Enqueue(claimKey(0))
@@ -768,7 +768,7 @@ func TestControllerStopReturnsEveryWorker(t *testing.T) {
 	env := sim.NewEnv(1)
 	api := NewAPIServer(env, APIConfig{})
 	rec := &ledger{api: api, calls: 3}
-	c := NewController(env, api, "test", KindPVC, nil, rec, ControllerConfig{})
+	c := NewController(env, api, "test", KindPVC, rec.Reconcile, nil)
 	before := env.Procs()
 	c.Start()
 	const keys = 12 // a round of eight, then four busy and four parked
@@ -794,10 +794,10 @@ func TestControllerCustomMapFn(t *testing.T) {
 	api := NewAPIServer(env, APIConfig{})
 	rec := &countingReconciler{}
 	// Map namespace events to a ReplicationGroup key — the NSO pattern.
-	mapFn := func(ev Event) (ObjectKey, bool) {
-		return ObjectKey{Kind: KindReplicationGroup, Name: ev.Object.GetMeta().Name}, true
-	}
-	c := NewController(env, api, "nso", KindNamespace, mapFn, rec, ControllerConfig{})
+	c := NewController(env, api, "nso", KindReplicationGroup, rec.Reconcile, nil).
+		Watches(KindNamespace, func(ev Event) (ObjectKey, bool) {
+			return ObjectKey{Kind: KindReplicationGroup, Name: ev.Object.GetMeta().Name}, true
+		})
 	c.Start()
 	env.Process("driver", func(p *sim.Proc) {
 		api.Create(p, &Namespace{Meta: Meta{Kind: KindNamespace, Name: "shop"}})
@@ -869,8 +869,8 @@ func TestStoppedWatchesCompactOnNotify(t *testing.T) {
 func TestControllerStopReleasesWatch(t *testing.T) {
 	env := sim.NewEnv(1)
 	api := NewAPIServer(env, APIConfig{})
-	ctrl := NewController(env, api, "test", KindPVC, nil,
-		ReconcilerFunc(func(p *sim.Proc, key ObjectKey) error { return nil }), ControllerConfig{})
+	ctrl := NewController(env, api, "test", KindPVC,
+		func(p *sim.Proc, key ObjectKey) error { return nil }, nil)
 	ctrl.Start()
 	env.Run(0)
 	if got := api.WatchCount(); got != 1 {

@@ -100,67 +100,26 @@ func (s *Snapshot) SizeBlocks() int64 { return s.parent.sizeBlocks }
 // BlockSize returns the array's block size in bytes.
 func (s *Snapshot) BlockSize() int { return s.parent.array.cfg.BlockSize }
 
-// Read returns the block content as of the snapshot instant, consuming the
-// array's read service time. Like every read it is borrowed (Volume.Read):
-// nil for a block unwritten at the snapshot instant, otherwise the stored
-// slice — a preserved original, or the parent's block the parent has not
-// overwritten since, which a later overwrite replaces rather than modifies.
-func (s *Snapshot) Read(p *sim.Proc, block int64) ([]byte, error) {
-	if block < 0 || block >= s.parent.sizeBlocks {
-		return nil, fmt.Errorf("%w: snapshot %s[%d]", ErrOutOfRange, s.id, block)
-	}
-	s.chargeReads(p, 1, false)
-	return s.stored(block), nil
-}
+// Read returns the block content as of the snapshot instant on the volume's
+// read path. Like every read it is borrowed (Volume.Read): nil for a block
+// unwritten at the snapshot instant, otherwise the stored slice — a preserved
+// original, or the parent's block the parent has not overwritten since, which
+// a later overwrite replaces rather than modifies.
+func (s *Snapshot) Read(p *sim.Proc, block int64) ([]byte, error) { return s.parent.read(p, s, block) }
 
-// chargeReads passes the service time of one n-block read request on the
-// array controller (snapshots are served by the shared controller even in
-// isolated mode) and counts the n reads.
-func (s *Snapshot) chargeReads(p *sim.Proc, n int, yields bool) {
-	a := s.parent.array
-	chargeBatch(p, a.controller, n, ReadLatency, yields)
-	a.readOps += int64(n)
-}
-
-// ReadRange reads count consecutive snapshot blocks starting at start as one
-// request, like Volume.ReadRange: sparse and borrowed, and nil as a whole when
-// no block in the range was written at the snapshot instant.
+// ReadRange is Volume.ReadRange of snapshot-time blocks.
 func (s *Snapshot) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
-	if count < 0 || start < 0 || start+int64(count) > s.parent.sizeBlocks {
-		return nil, fmt.Errorf("%w: snapshot %s[%d..%d)", ErrOutOfRange, s.id, start, start+int64(count))
-	}
-	s.chargeReads(p, count, false)
-	return sparseRange(count, func(i int) []byte { return s.stored(start + int64(i)) }), nil
+	return s.parent.readRange(p, s, start, count)
 }
 
-// ReadBlocks is one scatter read of snapshot-time blocks, like
-// Volume.ReadBlocks: validated whole, then charged, then filled.
+// ReadBlocks is Volume.ReadBlocks of snapshot-time blocks.
 func (s *Snapshot) ReadBlocks(p *sim.Proc, ios []BlockIO) error {
-	for _, io := range ios {
-		if io.Block < 0 || io.Block >= s.parent.sizeBlocks {
-			return fmt.Errorf("%w: snapshot %s[%d]", ErrOutOfRange, s.id, io.Block)
-		}
-	}
-	s.chargeReads(p, len(ios), true)
-	for i := range ios {
-		ios[i].Data = s.stored(ios[i].Block)
-	}
-	return nil
+	return s.parent.readBlocks(p, s, ios)
 }
 
 // Peek returns the snapshot-time block without consuming simulated time —
 // borrowed, like Read (verification helper).
-func (s *Snapshot) Peek(block int64) []byte { return s.stored(block) }
-
-// stored returns the slice holding the snapshot-time content of the block:
-// the preserved original if the parent has overwritten it since, otherwise
-// the parent's current block; nil when the block was unwritten.
-func (s *Snapshot) stored(block int64) []byte {
-	if orig, saved := s.saved[block]; saved {
-		return orig
-	}
-	return s.parent.block(block)
-}
+func (s *Snapshot) Peek(block int64) []byte { return s.parent.at(s, block) }
 
 // SnapshotGroup is a set of snapshots created atomically across multiple
 // volumes — the array's snapshot-group function (§III-A2). Because creation

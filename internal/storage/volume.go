@@ -307,21 +307,7 @@ func (v *Volume) preserveForSnapshots(block int64) {
 // into a stored block (every write installs a fresh slice), so a borrowed
 // block keeps the content it had when it was read; the caller in turn must
 // not modify it, and clones it if it needs one it can write.
-func (v *Volume) Read(p *sim.Proc, block int64) ([]byte, error) {
-	if block < 0 || block >= v.sizeBlocks {
-		return nil, fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, block)
-	}
-	v.chargeReads(p, 1, false)
-	return v.block(block), nil
-}
-
-// chargeReads passes the service time of one n-block read request
-// (chargeBatch: a range, or a vector that yields) and counts the n reads.
-func (v *Volume) chargeReads(p *sim.Proc, n int, yields bool) {
-	chargeBatch(p, v.service(), n, ReadLatency, yields)
-	v.reads += int64(n)
-	v.array.readOps += int64(n)
-}
+func (v *Volume) Read(p *sim.Proc, block int64) ([]byte, error) { return v.read(p, nil, block) }
 
 // ReadRange reads count consecutive blocks starting at start as one request:
 // one scheduler step, its service time chargeBatch's — count reads spread over
@@ -329,42 +315,89 @@ func (v *Volume) chargeReads(p *sim.Proc, n int, yields bool) {
 // The result is sparse and borrowed, block by block as Read's is, and nil as a
 // whole when no block in the range was written (charged the same).
 func (v *Volume) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
-	if count < 0 || start < 0 || start+int64(count) > v.sizeBlocks {
-		return nil, fmt.Errorf("%w: %s[%d..%d)", ErrOutOfRange, v.id, start, start+int64(count))
-	}
-	v.chargeReads(p, count, false)
-	return sparseRange(count, func(i int) []byte { return v.block(start + int64(i)) }), nil
+	return v.readRange(p, nil, start, count)
 }
 
-// sparseRange returns the count blocks at(0..count-1) gives, or nil when every
-// one is nil: the slice is made at the first written block.
-func sparseRange(count int, at func(i int) []byte) [][]byte {
+// ReadBlocks is one scatter read: ReadRange's request for the blocks the
+// vector names, in any order, each borrowed into its Data. A bad index fails
+// the whole vector before anything is charged or filled.
+func (v *Volume) ReadBlocks(p *sim.Proc, ios []BlockIO) error { return v.readBlocks(p, nil, ios) }
+
+// read, readRange and readBlocks are the one read path of a volume and of its
+// snapshots: s is the snapshot read, nil for the volume's own image. The two
+// differ only in the block lookup (at), the queue and the counters
+// (chargeReads).
+func (v *Volume) read(p *sim.Proc, s *Snapshot, block int64) ([]byte, error) {
+	if block < 0 || block >= v.sizeBlocks {
+		return nil, fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.label(s), block)
+	}
+	v.chargeReads(p, s, 1, false)
+	return v.at(s, block), nil
+}
+
+// readRange makes the result at the first written block, so a range with
+// none is nil.
+func (v *Volume) readRange(p *sim.Proc, s *Snapshot, start int64, count int) ([][]byte, error) {
+	if count < 0 || start < 0 || start+int64(count) > v.sizeBlocks {
+		return nil, fmt.Errorf("%w: %s[%d..%d)", ErrOutOfRange, v.label(s), start, start+int64(count))
+	}
+	v.chargeReads(p, s, count, false)
 	var out [][]byte
 	for i := range count {
-		if blk := at(i); blk != nil {
+		if blk := v.at(s, start+int64(i)); blk != nil {
 			if out == nil {
 				out = make([][]byte, count)
 			}
 			out[i] = blk
 		}
 	}
-	return out
+	return out, nil
 }
 
-// ReadBlocks is one scatter read: ReadRange's request for the blocks the
-// vector names, in any order, each borrowed into its Data. A bad index fails
-// the whole vector before anything is charged or filled.
-func (v *Volume) ReadBlocks(p *sim.Proc, ios []BlockIO) error {
+func (v *Volume) readBlocks(p *sim.Proc, s *Snapshot, ios []BlockIO) error {
 	for _, io := range ios {
 		if io.Block < 0 || io.Block >= v.sizeBlocks {
-			return fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, io.Block)
+			return fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.label(s), io.Block)
 		}
 	}
-	v.chargeReads(p, len(ios), true)
+	v.chargeReads(p, s, len(ios), true)
 	for i := range ios {
-		ios[i].Data = v.block(ios[i].Block)
+		ios[i].Data = v.at(s, ios[i].Block)
 	}
 	return nil
+}
+
+// chargeReads passes the service time of one n-block read request
+// (chargeBatch: a range, or a vector that yields) and counts the n reads. A
+// snapshot is served by the shared controller even in isolated mode, and its
+// reads count on the array only.
+func (v *Volume) chargeReads(p *sim.Proc, s *Snapshot, n int, yields bool) {
+	if s != nil {
+		chargeBatch(p, v.array.controller, n, ReadLatency, yields)
+	} else {
+		chargeBatch(p, v.service(), n, ReadLatency, yields)
+		v.reads += int64(n)
+	}
+	v.array.readOps += int64(n)
+}
+
+// at returns the block a read of s sees: the original s preserved if the
+// volume has overwritten the block since, otherwise the volume's current one.
+func (v *Volume) at(s *Snapshot, block int64) []byte {
+	if s != nil {
+		if orig, saved := s.saved[block]; saved {
+			return orig
+		}
+	}
+	return v.block(block)
+}
+
+// label names what a read addresses in its errors.
+func (v *Volume) label(s *Snapshot) string {
+	if s != nil {
+		return "snapshot " + s.id
+	}
+	return string(v.id)
 }
 
 // Peek is Read without consuming simulated time — the verification back door

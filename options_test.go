@@ -45,7 +45,8 @@ type listedPackage struct {
 // internal/ struct such a field holds as T, *T or []T — that no non-test file
 // outside its package writes, as a composite-literal key or an assignment
 // target: a setting nothing but its own package and the tests sets is a
-// constant in disguise. Every package of the module is type-checked from
+// constant in disguise. So is a parameter of an exported internal/ function
+// that every non-test call outside its package passes as nil. Every package of the module is type-checked from
 // source in dependency order, so a field is one object wherever it is used.
 func TestEveryOptionHasAWriter(t *testing.T) {
 	if testing.Short() {
@@ -86,6 +87,7 @@ func TestEveryOptionHasAWriter(t *testing.T) {
 	})
 	options := map[*types.Var]string{} // field -> "pkg.Type.Field"
 	written := map[*types.Var]bool{}
+	calls := map[*types.Func][]int{} // outside calls, then per parameter the calls passing nil
 	for _, lp := range pkgs {
 		var files []*ast.File
 		for _, name := range lp.GoFiles {
@@ -131,6 +133,8 @@ func TestEveryOptionHasAWriter(t *testing.T) {
 					if sel := assignedSelector(n.X); sel != nil {
 						markWritten(sel.Sel)
 					}
+				case *ast.CallExpr:
+					countNilArgs(n, info, pkg, calls)
 				}
 				return true
 			})
@@ -159,9 +163,51 @@ func TestEveryOptionHasAWriter(t *testing.T) {
 	if len(optionAllowlist) > maxAllowlisted {
 		t.Errorf("optionAllowlist has %d entries, more than %d: delete the unset option instead", len(optionAllowlist), maxAllowlisted)
 	}
+	for fn, n := range calls {
+		params := fn.Type().(*types.Signature).Params()
+		for i, nils := range n[1:] {
+			if nils == n[0] {
+				unset = append(unset, fn.FullName()+" parameter "+params.At(i).Name())
+			}
+		}
+	}
 	sort.Strings(unset)
 	for _, name := range unset {
 		t.Errorf("%s: no non-test code outside its package sets it; make it a constant or delete it", name)
+	}
+}
+
+// countNilArgs records a call, from outside its package, of an exported
+// function or method declared under internal/: calls[fn][0] counts the
+// calls, calls[fn][1+i] those passing a literal nil as parameter i (a
+// variadic tail is not counted). A parameter that every such call passes as
+// nil is an option nothing sets, as an unwritten field is.
+func countNilArgs(call *ast.CallExpr, info *types.Info, pkg *types.Package, calls map[*types.Func][]int) {
+	id, ok := call.Fun.(*ast.Ident)
+	if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
+		id, ok = sel.Sel, true
+	}
+	if !ok {
+		return
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || !fn.Exported() || fn.Pkg() == nil || fn.Pkg() == pkg || !strings.Contains(fn.Pkg().Path(), "/internal/") {
+		return
+	}
+	fn = fn.Origin()
+	sig := fn.Type().(*types.Signature)
+	n := sig.Params().Len()
+	if sig.Variadic() {
+		n--
+	}
+	if calls[fn] == nil {
+		calls[fn] = make([]int, 1+n)
+	}
+	calls[fn][0]++
+	for i, arg := range call.Args[:min(n, len(call.Args))] {
+		if id, ok := arg.(*ast.Ident); ok && info.Uses[id] == types.Universe.Lookup("nil") {
+			calls[fn][1+i]++
+		}
 	}
 }
 
