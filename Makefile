@@ -17,7 +17,7 @@
 #   chaos            500 seeded fault schedules at -steps medium, without -race
 #   lines            the Go line counts and DESIGN.md's size ROADMAP tracks, per internal/ package, cmd/ binary and example too (not part of ci)
 #   lines-diff       BASE=<rev>: non-test Go lines outside benchmark/ at BASE, in the working tree, and the difference, then per changed internal/ and cmd/ directory (not part of ci)
-#   sim-diff         BASE=<rev>: experiment tables and five chaos replays at BASE and in the working tree, byte for byte (not part of ci)
+#   sim-diff         BASE=<rev>: experiment tables, five chaos replays and their per-process sim-time sums at BASE and in the working tree, byte for byte (not part of ci)
 
 GO ?= go
 
@@ -213,8 +213,14 @@ lines-diff:
 # extracted as lines-diff does, cmd/experiments and cmd/chaos are built
 # there and in the working tree, and each side runs `experiments -run all
 # -quick -seed 1` and the `chaos -steps medium` replay of seeds 1, 7, 42, 99
-# and 123. Every output must be byte-identical to BASE's; the first that is
-# not is printed as a diff and fails the target. The tables repeat
+# and 123, each replay with -simprofile. `go tool pprof -raw` reads each
+# profile, and awk adds its sample values up per process label into
+# chaos-<seed>.sums.out, one "process nanoseconds" line each (printed with
+# %.0f, since mawk's %d stops at 2^31), so a moved sum names the process
+# whose simulated time moved. A profile's own bytes differ between any two
+# builds (PCs, source paths), so only the sums are compared. Every output
+# must be byte-identical to BASE's and every sums file non-empty; the first
+# that is not is printed as a diff and fails the target. The tables repeat
 # tables-check's command, but tables-check holds them to the working tree's
 # golden, which a change may regenerate; sim-diff holds them to BASE's run.
 sim-diff:
@@ -227,7 +233,9 @@ sim-diff:
 	for side in base head; do \
 		"$$tmp/$$side/experiments" -run all -quick -seed 1 > "$$tmp/$$side/experiments.out" || exit 1; \
 		for seed in 1 7 42 99 123; do \
-			"$$tmp/$$side/chaos" -steps medium -seed $$seed > "$$tmp/$$side/chaos-$$seed.out"; \
+			"$$tmp/$$side/chaos" -steps medium -seed $$seed -simprofile "$$tmp/$$side/chaos-$$seed.pprof" > "$$tmp/$$side/chaos-$$seed.out"; \
+			$(GO) tool pprof -raw "$$tmp/$$side/chaos-$$seed.pprof" 2>/dev/null | awk '/^Locations/{exit} /^ +[0-9]+: /{v=$$1+0; next} v!="" && match($$0,/process:\[[^]]*\]/){s[substr($$0,RSTART+9,RLENGTH-10)]+=v; v=""} END{for(p in s) printf "%s %.0f\n", p, s[p]}' | LC_ALL=C sort > "$$tmp/$$side/chaos-$$seed.sums.out"; \
+			test -s "$$tmp/$$side/chaos-$$seed.sums.out" || { echo "sim-diff: no per-process sums from chaos seed $$seed ($$side)"; exit 1; }; \
 		done; \
 	done; \
 	for out in "$$tmp"/head/*.out; do \

@@ -6,11 +6,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // logTime reads the simulated time of the first line of a repro log that
@@ -28,8 +27,15 @@ func logTime(t *testing.T, log string, re string) time.Duration {
 	return d
 }
 
+// A sample as `go tool pprof -raw` prints it: its one value and location ids,
+// then its labels on the next line, each as key:[value].
+var (
+	rawSample = regexp.MustCompile(`(?m)^ +(\d+): [\d ]+\n +(.+)$`)
+	rawLabel  = regexp.MustCompile(`(\w+):\[([^]]*)\]`)
+)
+
 // -seed N -simprofile FILE writes the replayed seed's simulated-time profile:
-// it reads back through telemetry.ReadProfile, and two runs of the seed write
+// it reads back through `go tool pprof -raw`, and two runs of the seed write
 // the same bytes. Its samples sum per process to the process's lifetime where
 // the run's log fixes it: the driver runs from 0 to its "done" line, and each
 // workload process — one per name, labelled with its tenant — within the run.
@@ -62,16 +68,21 @@ func TestSimProfileFlagWritesTheSeedsProfile(t *testing.T) {
 	if again, _ := run("b.pprof"); !bytes.Equal(raw, again) {
 		t.Fatal("two runs of seed 1 wrote different profiles")
 	}
-	prof, err := telemetry.ReadProfile(bytes.NewReader(raw))
+	txt, err := exec.Command("go", "tool", "pprof", "-raw", filepath.Join(dir, "a.pprof")).Output()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("go tool pprof -raw: %v", err)
 	}
 	sums := map[string]time.Duration{}
-	for _, s := range prof.Samples {
-		p := s.Labels["process"]
-		sums[p] += time.Duration(s.Values[0])
-		if ns, ok := strings.CutPrefix(p, "wl:"); ok && !strings.HasPrefix(ns, s.Labels["tenant"]+"#") {
-			t.Errorf("%s: tenant label %q", p, s.Labels["tenant"])
+	for _, m := range rawSample.FindAllStringSubmatch(string(txt), -1) {
+		v, _ := strconv.ParseInt(m[1], 10, 64)
+		labels := map[string]string{}
+		for _, l := range rawLabel.FindAllStringSubmatch(m[2], -1) {
+			labels[l[1]] = l[2]
+		}
+		p := labels["process"]
+		sums[p] += time.Duration(v)
+		if ns, ok := strings.CutPrefix(p, "wl:"); ok && !strings.HasPrefix(ns, labels["tenant"]+"#") {
+			t.Errorf("%s: tenant label %q", p, labels["tenant"])
 		}
 	}
 	end := logTime(t, log, `clean — .*, ([0-9.]+[µnm]?s) sim time`)

@@ -5,12 +5,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
-// -cpuprofile FILE writes a runtime CPU profile that telemetry.ReadProfile
+// -cpuprofile FILE writes a runtime CPU profile that `go tool pprof -raw`
 // reads, and -exectrace FILE a runtime execution trace; neither changes a
 // byte of the tables.
 func TestProfileFlagsLeaveTheTablesAlone(t *testing.T) {
@@ -35,16 +34,12 @@ func TestProfileFlagsLeaveTheTablesAlone(t *testing.T) {
 	if profiled := run("-cpuprofile", cpu, "-exectrace", trace); !bytes.Equal(profiled, plain) {
 		t.Errorf("tables differ with the profile flags on:\n%s\nwant:\n%s", profiled, plain)
 	}
-	raw, err := os.ReadFile(cpu)
+	txt, err := exec.Command("go", "tool", "pprof", "-raw", cpu).Output()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("go tool pprof -raw: %v", err)
 	}
-	prof, err := telemetry.ReadProfile(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prof.SampleTypes) != 2 || prof.SampleTypes[1] != (telemetry.SampleType{Type: "cpu", Unit: "nanoseconds"}) {
-		t.Errorf("CPU profile sample types %v, want samples/count and cpu/nanoseconds", prof.SampleTypes)
+	if _, body, _ := strings.Cut(string(txt), "Samples:\n"); !strings.HasPrefix(body, "samples/count cpu/nanoseconds\n") {
+		t.Errorf("CPU profile sample types %q, want samples/count and cpu/nanoseconds", strings.SplitN(body, "\n", 2)[0])
 	}
 	if tr, err := os.ReadFile(trace); err != nil || !bytes.HasPrefix(tr, []byte("go 1.")) {
 		t.Errorf("execution trace: %v, starts %q", err, tr[:min(len(tr), 16)])

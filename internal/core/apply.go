@@ -60,7 +60,7 @@ func (sys *System) ApplyTenant(p *sim.Proc, spec platform.TenantSpec) error {
 }
 
 // validateSpec is the declaration-time check every door a spec comes in by
-// shares (ApplyTenant, ProvisionTenant). It makes no API call.
+// shares (ApplyTenant, ProvisionTenant, UpdateTenantSpec). It makes no API call.
 func (sys *System) validateSpec(spec platform.TenantSpec) error {
 	if spec.Namespace == "" {
 		return fmt.Errorf("core: tenant spec needs a namespace")

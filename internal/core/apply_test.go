@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -103,7 +104,8 @@ func TestWaitReshardedRacingDecommissionFailsFast(t *testing.T) {
 // class or an unknown profile must be refused at declaration time through
 // either door a spec comes in by — ApplyTenant or ProvisionTenant — before
 // any API call, not discovered downstream as a tenant silently provisioned
-// unmanaged, or with the wrong workload.
+// unmanaged, or with the wrong workload. The same edit made to a valid
+// tenant through UpdateTenantSpec is refused too, and writes nothing.
 func TestApplyTenantUnknownSLOClassFails(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -127,6 +129,29 @@ func TestApplyTenantUnknownSLOClassFails(t *testing.T) {
 			}
 			if _, err := sys.Main.API.Get(p, tenantKey("shop")); !errors.Is(err, platform.ErrNotFound) {
 				t.Errorf("%s: a refused spec left a Tenant object behind (get: %v)", c.name, err)
+			}
+			if _, err := sys.ProvisionTenant(p, tenantSpec("shop")); err != nil {
+				t.Errorf("%s: provision of the valid spec: %v", c.name, err)
+				return
+			}
+			before, err := sys.Main.API.Get(p, tenantKey("shop"))
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+				return
+			}
+			if err := sys.UpdateTenantSpec(p, "shop", c.edit); err == nil {
+				t.Errorf("%s: update succeeded", c.name)
+			}
+			after, err := sys.Main.API.Get(p, tenantKey("shop"))
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+				return
+			}
+			if rv := after.GetMeta().ResourceVersion; rv != before.GetMeta().ResourceVersion {
+				t.Errorf("%s: a refused update moved the Tenant from version %d to %d", c.name, before.GetMeta().ResourceVersion, rv)
+			}
+			if got, want := after.(*platform.Tenant).Spec, before.(*platform.Tenant).Spec; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: a refused update stored spec %+v, want %+v", c.name, got, want)
 			}
 		})
 	}

@@ -488,7 +488,8 @@ func (sys *System) ProvisionTenant(p *sim.Proc, spec platform.TenantSpec) (*Busi
 // UpdateTenantSpec mutates a tenant's declared spec in place, retrying
 // version conflicts (the tenant controller updates the same object's status
 // concurrently). A mutation that leaves the spec unchanged performs no API
-// write at all — spec updates are only as loud as the drift they declare.
+// write at all — spec updates are only as loud as the drift they declare —
+// and one that makes the spec invalid (validateSpec) is refused unwritten.
 // The controller chain then reconciles the world to the new spec; block on
 // the outcome with WaitTenantCondition. It is the read-modify-write
 // primitive under ApplyTenant — reach for it when the caller must not
@@ -504,6 +505,9 @@ func (sys *System) UpdateTenantSpec(p *sim.Proc, namespace string, mutate func(*
 		mutate(&next.Spec)
 		if reflect.DeepEqual(tn.Spec, next.Spec) {
 			return nil
+		}
+		if err := sys.validateSpec(next.Spec); err != nil {
+			return err
 		}
 		err = sys.Main.API.Update(p, next)
 		if errors.Is(err, platform.ErrConflict) {

@@ -18,11 +18,6 @@ import (
 // longer than maxUnlinked — a function only tests call is deleted, and its
 // tests read the linked path for the same fact.
 var linkAllowlist = map[string]string{
-	"telemetry.ReadProfile":   simProfileReader,
-	"telemetry.eachField":     simProfileReader,
-	"telemetry.fields12":      simProfileReader,
-	"telemetry.appendVarints": simProfileReader,
-
 	"platform.APIServer.Each":        "TestFleetNeverMutatesSharedAPIObjects audits every stored object through it; Names drops the namespace, so Names and Cached cannot replace it",
 	"platform.Controller.Reconciles": "TestTagByHandNeedsNoTenantObject pins that a hand-tagged namespace charges no tenant-controller reconcile",
 	"platform.Controller.QueueLen":   "TestControllerDeduplicatesQueue and TestControllerDirtyKeyRequeuesOnce pin the work queue's dedup through it",
@@ -34,13 +29,9 @@ var linkAllowlist = map[string]string{
 	"sim.Resource.InUse":             "TestResourceLimitsParallelism pins that a resource never grants more units than it has",
 }
 
-// cmd/chaos -simprofile writes the simulated-time profile; only tests read
-// one back.
-const simProfileReader = "the profile reader; waits on the benchmark reading its CPU and simulated-time profiles through it"
-
 // maxUnlinked is linkAllowlist's ratchet: lower it when an entry goes, never
 // raise it.
-const maxUnlinked = 13
+const maxUnlinked = 9
 
 // TestEveryLibraryFunctionIsLinked builds every main package of the module
 // with inlining off, so a called function keeps its own symbol, and fails on
