@@ -18,12 +18,14 @@
 #   lines            the Go line counts and DESIGN.md's size ROADMAP tracks, per internal/ package, cmd/ binary and example too (not part of ci)
 #   lines-diff       BASE=<rev>: non-test Go lines outside benchmark/ at BASE, in the working tree, and the difference, then per changed internal/ and cmd/ directory (not part of ci)
 #   sim-diff         BASE=<rev>: experiment tables, five chaos replays and their per-process sim-time sums at BASE and in the working tree, byte for byte (not part of ci)
+#   pairs            BASE=<rev> [W=shop_adc] [N=10] [SEED=1]: N alternating runs of W's benchmark at BASE and in the working tree, a sign-test verdict per host metric (not part of ci)
+#   pairs-smoke      pairs at BASE=HEAD, W=drain_single, N=2: it runs, sim values agree, every verdict unresolved
 
 GO ?= go
 
-.PHONY: ci fmt vet build test layer-bench-check layer-bench-record test-race tables-check bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines lines-diff sim-diff
+.PHONY: ci fmt vet build test layer-bench-check layer-bench-record test-race tables-check bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines lines-diff sim-diff pairs pairs-smoke
 
-ci: fmt vet build test layer-bench-check test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke chaos
+ci: fmt vet build test layer-bench-check test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke chaos pairs-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -243,3 +245,47 @@ sim-diff:
 		diff -u "$$tmp/base/$$f" "$$out" || { echo "sim-diff: $$f differs from $(BASE)"; exit 1; }; \
 		printf 'sim-diff: %s identical (%d lines)\n' "$$f" "$$(wc -l < "$$out")"; \
 	done
+
+# A wall-time claim as one command: BASE is extracted as sim-diff does, and
+# ./benchmark is built there and in the working tree. N pairs of runs follow,
+# each `benchmark -workload W -seed SEED -trace 0` at the workload's fixed
+# iteration count, base first in even pairs and head first in odd ones, so a
+# drift of the host falls on both sides. Each run's final JSON line goes to
+# pairs-<W>.txt as `base <json>` or `head <json>`, and `cmd/layerbench
+# -pairs` reads it: per host metric (wall_s, setup_s, allocs_per_op,
+# alloc_mb_per_op) both medians and quartiles, the change and the pairs head
+# won, and the verdict of the sign-test rule — "better" or "worse" only with
+# 10 or more pairs, one side winning nine tenths of them and the medians apart
+# by more than base's q1–q3, else "unresolved". It fails when a simulation
+# metric, attempted or failed differs between any two runs.
+W ?= shop_adc
+N ?= 10
+SEED ?= 1
+
+pairs:
+	@test -n "$(BASE)" || { echo "usage: make pairs BASE=<rev> [W=<workload>] [N=<pairs>] [SEED=<seed>]"; exit 2; }
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src" "$$tmp/base" "$$tmp/head" || exit 1; \
+	git archive "$(BASE)" | tar -x -C "$$tmp/src" || exit 1; \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/base/" ./benchmark) || exit 1; \
+	$(GO) build -o "$$tmp/head/" ./benchmark || exit 1; \
+	$(GO) build -o "$$tmp/" ./cmd/layerbench || exit 1; \
+	: > pairs-$(W).txt; i=0; \
+	while [ $$i -lt $(N) ]; do \
+		if [ $$((i % 2)) -eq 0 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			out="$$("$$tmp/$$side/benchmark" -workload $(W) -seed $(SEED) -trace 0)" || { echo "pairs: $$side run $$((i + 1)) failed"; exit 1; }; \
+			printf '%s %s\n' $$side "$$(printf '%s\n' "$$out" | tail -n 1)" >> pairs-$(W).txt; \
+		done; \
+		i=$$((i + 1)); \
+	done; \
+	echo "pairs: $(W), seed $(SEED), at $(BASE) (base) and the working tree (head)"; \
+	"$$tmp/layerbench" -pairs < pairs-$(W).txt
+
+# The pairs target end to end on the cheapest workload: two pairs of HEAD
+# against the working tree. It must exit 0 (every simulation metric, attempted
+# and failed agree), and two pairs are too few for any verdict, so every host
+# metric reads "unresolved"; the grep fails it if one does not.
+pairs-smoke:
+	@$(MAKE) --no-print-directory pairs BASE=HEAD W=drain_single N=2 > pairs-smoke.txt; status=$$?; cat pairs-smoke.txt; exit $$status
+	@! grep -Eq ' (better|worse)$$' pairs-smoke.txt || { echo "pairs-smoke: a verdict from two pairs"; exit 1; }

@@ -19,6 +19,15 @@
 // to run on unchanged code: the check prints them and holds the row to its
 // custom metrics.
 //
+// With -pairs it reads, instead, the runs of `make pairs`: one `base <json>`
+// or `head <json>` line per run of either side's `benchmark -workload W`, the
+// sides alternating which goes first, the i-th run of each side forming pair
+// i. It prints each host-clock metric's medians, quartiles, change, pairs won
+// and a sign-test verdict (pairVerdict), and fails when a simulation metric,
+// attempted or failed differs between any two runs:
+//
+//	go run ./cmd/layerbench -pairs < runs.txt
+//
 // Exit status is 1 when the check fails, 2 on a usage or input error.
 package main
 
@@ -77,9 +86,21 @@ func main() {
 	record := flag.String("record", "", "write the ledger of the benchmark output on stdin to this file")
 	check := flag.String("check", "", "check the benchmark output on stdin against this ledger")
 	commit := flag.String("commit", "unknown", "with -record: the revision the output was measured on")
+	pairs := flag.Bool("pairs", false, "compare the base and head benchmark runs on stdin pair by pair")
 	flag.Parse()
+	if *pairs {
+		base, head, err := readPairs(os.Stdin)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "layerbench:", err)
+			os.Exit(2)
+		}
+		if !comparePairs(os.Stdout, base, head) {
+			os.Exit(1)
+		}
+		return
+	}
 	if (*record == "") == (*check == "") {
-		fmt.Fprintln(os.Stderr, "layerbench: give exactly one of -record FILE and -check FILE")
+		fmt.Fprintln(os.Stderr, "layerbench: give exactly one of -record FILE, -check FILE and -pairs")
 		os.Exit(2)
 	}
 	got, h, err := parse(os.Stdin)

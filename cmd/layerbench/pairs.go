@@ -1,0 +1,143 @@
+package main
+
+import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"io"
+	"maps"
+	"slices"
+	"strconv"
+	"strings"
+)
+
+// hostMetrics are the benchmark's end-to-end metrics read off the host clock
+// and allocator, every one better lower. They move from run to run, so a pair
+// comparison judges them; every other metric is the simulation's and must
+// read the same in every run of either side.
+var hostMetrics = []string{"wall_s", "setup_s", "allocs_per_op", "alloc_mb_per_op"}
+
+// minPairs and winShare are the sign-test rule: a verdict needs at least ten
+// pairs, and one side winning nine tenths of them, ties counting for neither.
+const (
+	minPairs = 10
+	winShare = 0.9
+)
+
+// result is the one JSON line `benchmark -workload W` ends its output with.
+type result struct {
+	Correct   bool `json:"correct"`
+	Attempted int  `json:"attempted"`
+	Failed    int  `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+// readPairs reads `base <json>` and `head <json>` lines, one per run of each
+// side's benchmark in the order they ran; the i-th run of each side is pair i.
+func readPairs(r io.Reader) (base, head []result, err error) {
+	sc := bufio.NewScanner(r)
+	for n := 1; sc.Scan(); n++ {
+		side, line, _ := strings.Cut(sc.Text(), " ")
+		var res result
+		if err := json.Unmarshal([]byte(line), &res); err != nil {
+			return nil, nil, fmt.Errorf("line %d: %v", n, err)
+		}
+		switch side {
+		case "base":
+			base = append(base, res)
+		case "head":
+			head = append(head, res)
+		default:
+			return nil, nil, fmt.Errorf("line %d: side %q is neither base nor head", n, side)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, nil, err
+	}
+	if len(base) == 0 || len(base) != len(head) {
+		return nil, nil, fmt.Errorf("%d base runs and %d head runs: want as many of each, at least one", len(base), len(head))
+	}
+	return base, head, nil
+}
+
+// comparePairs prints, per host metric, each side's median and quartiles, the
+// change of the medians, the pairs head won and the verdict, then the
+// simulation's metrics, attempted and failed. It reports false when one of
+// those differs between any two runs, or a run was not correct.
+func comparePairs(w io.Writer, base, head []result) bool {
+	runs := append(slices.Clone(base), head...)
+	fmt.Fprintf(w, "%d pairs; a verdict needs %d or more, one side winning %.0f%% of them and the medians apart by more than base's q1–q3\n",
+		len(base), minPairs, 100*winShare)
+	fmt.Fprintf(w, "%-20s %-34s %-34s %8s %6s  %s\n", "metric", "base median (q1–q3)", "head median (q1–q3)", "change", "won", "verdict")
+	for _, m := range hostMetrics {
+		b, h := values(base, m), values(head, m)
+		qb, qh := quartiles(b), quartiles(h)
+		won, verdict := pairVerdict(b, h)
+		fmt.Fprintf(w, "%-20s %-34s %-34s %+7.1f%% %6s  %s\n", m,
+			fmt.Sprintf("%.6g (%.6g–%.6g)", qb[1], qb[0], qb[2]), fmt.Sprintf("%.6g (%.6g–%.6g)", qh[1], qh[0], qh[2]),
+			100*(qh[1]-qb[1])/qb[1], fmt.Sprintf("%d/%d", won, len(b)), verdict)
+	}
+	ok := true
+	same := func(name string, v func(result) string) {
+		for i, r := range runs {
+			if v(r) != v(runs[0]) {
+				side, at := "base", i
+				if i >= len(base) {
+					side, at = "head", i-len(base)
+				}
+				fmt.Fprintf(w, "%-20s FAIL: %s in %s run %d, %s in base run 1\n", name, v(r), side, at+1, v(runs[0]))
+				ok = false
+				return
+			}
+		}
+		fmt.Fprintf(w, "%-20s %s in all %d runs\n", name, v(runs[0]), len(runs))
+	}
+	same("correct", func(r result) string { return strconv.FormatBool(r.Correct) })
+	same("attempted", func(r result) string { return strconv.Itoa(r.Attempted) })
+	same("failed", func(r result) string { return strconv.Itoa(r.Failed) })
+	for _, m := range slices.Sorted(maps.Keys(runs[0].Metrics)) {
+		if !slices.Contains(hostMetrics, m) {
+			same(m, func(r result) string { return strconv.FormatFloat(r.Metrics[m].Value, 'g', -1, 64) })
+		}
+	}
+	return ok && runs[0].Correct
+}
+
+func values(runs []result, metric string) []float64 {
+	vs := make([]float64, len(runs))
+	for i, r := range runs {
+		vs[i] = r.Metrics[metric].Value
+	}
+	return vs
+}
+
+// pairVerdict judges one lower-is-better metric over pairs (base[i], head[i]):
+// won is how many pairs head read lower. The verdict is "better" when head won
+// at least winShare of at least minPairs pairs and its median is below base's
+// by more than base's interquartile range, "worse" for the mirror image
+// (base winning as many, head's median as far above), else "unresolved".
+func pairVerdict(base, head []float64) (won int, verdict string) {
+	lost := 0
+	for i := range base {
+		switch {
+		case head[i] < base[i]:
+			won++
+		case head[i] > base[i]:
+			lost++
+		}
+	}
+	qb, qh := quartiles(base), quartiles(head)
+	apart := qb[2] - qb[0]
+	enough := func(wins int) bool {
+		return len(base) >= minPairs && float64(wins) >= winShare*float64(len(base))
+	}
+	switch {
+	case enough(won) && qb[1]-qh[1] > apart:
+		return won, "better"
+	case enough(lost) && qh[1]-qb[1] > apart:
+		return won, "worse"
+	}
+	return won, "unresolved"
+}

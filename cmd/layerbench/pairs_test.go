@@ -1,0 +1,136 @@
+package main
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// runLine is one side's run as `make pairs` records it: the side, then the
+// final JSON line of `benchmark -workload W`, here with wall_s, one
+// simulation metric and the fixed host metrics.
+func runLine(side string, wall, recoveryMs float64, attempted int) string {
+	return fmt.Sprintf(`%s {"correct":true,"attempted":%d,"failed":0,"metrics":{`+
+		`"alloc_mb_per_op":{"value":4.09,"unit":"MB"},"allocs_per_op":{"value":976.4,"unit":"count"},`+
+		`"recovery_ms":{"value":%v,"unit":"sim_ms"},"setup_s":{"value":0.11,"unit":"s"},"wall_s":{"value":%v,"unit":"s"}}}`,
+		side, attempted, recoveryMs, wall)
+}
+
+// pairsOutput renders n alternating pairs, base first in even pairs, whose
+// wall_s values wall gives.
+func pairsOutput(n int, wall func(side string, i int) float64) string {
+	var lines []string
+	for i := range n {
+		order := []string{"base", "head"}
+		if i%2 == 1 {
+			order = []string{"head", "base"}
+		}
+		for _, side := range order {
+			lines = append(lines, runLine(side, wall(side, i), 75.3, 544855))
+		}
+	}
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// verdictOf runs the comparison over output and returns whether it passed
+// and the printed row of metric.
+func verdictOf(t *testing.T, output, metric string) (bool, string) {
+	t.Helper()
+	base, head, err := readPairs(strings.NewReader(output))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var printed strings.Builder
+	ok := comparePairs(&printed, base, head)
+	for _, line := range strings.Split(printed.String(), "\n") {
+		if strings.HasPrefix(line, metric+" ") {
+			return ok, line
+		}
+	}
+	t.Fatalf("no %s row in:\n%s", metric, printed.String())
+	return false, ""
+}
+
+// The sign-test rule on canned runs: a verdict needs ten pairs, nine tenths of
+// them won by one side and medians apart by more than base's q1–q3; fewer
+// pairs, fewer wins or a gap inside base's spread read unresolved, and the
+// host metrics that never moved read unresolved with no pair won.
+func TestPairVerdictIsTheSignTestRule(t *testing.T) {
+	base := func(i int) float64 { return 0.0138 + 0.0001*float64(i%3) } // q1–q3 0.0138–0.0140
+	for _, c := range []struct {
+		name    string
+		n       int
+		head    func(i int) float64
+		verdict string
+		won     string
+	}{
+		{"10 of 10 pairs, 13% faster", 10, func(i int) float64 { return base(i) * 0.87 }, "better", "10/10"},
+		{"9 of 10 pairs, 13% faster", 10, func(i int) float64 {
+			if i == 4 {
+				return 0.02
+			}
+			return base(i) * 0.87
+		}, "better", "9/10"},
+		{"8 of 10 pairs", 10, func(i int) float64 {
+			if i < 2 {
+				return 0.02
+			}
+			return base(i) * 0.87
+		}, "unresolved", "8/10"},
+		{"10 of 10 pairs inside base's spread", 10, func(i int) float64 { return base(i) - 0.00001 }, "unresolved", "10/10"},
+		{"two pairs, far apart", 2, func(i int) float64 { return base(i) / 2 }, "unresolved", "2/2"},
+		{"10 of 10 pairs, 13% slower", 10, func(i int) float64 { return base(i) * 1.13 }, "worse", "0/10"},
+		{"ties", 10, base, "unresolved", "0/10"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			output := pairsOutput(c.n, func(side string, i int) float64 {
+				if side == "head" {
+					return c.head(i)
+				}
+				return base(i)
+			})
+			ok, row := verdictOf(t, output, "wall_s")
+			if f := strings.Fields(row); !ok || f[len(f)-1] != c.verdict || f[len(f)-2] != c.won {
+				t.Fatalf("passed %v, wall_s row %q: want verdict %s with %s pairs won", ok, row, c.verdict, c.won)
+			}
+			if _, row := verdictOf(t, output, "allocs_per_op"); !strings.HasSuffix(row, fmt.Sprintf(" 0/%d  unresolved", c.n)) {
+				t.Fatalf("an unmoved host metric reads %q", row)
+			}
+		})
+	}
+}
+
+// A simulation metric or attempted that differs between any two runs fails
+// the comparison and names the metric and the run; equal ones are listed.
+func TestPairsFailWhenASimValueMoves(t *testing.T) {
+	wall := func(string, int) float64 { return 0.0138 }
+	same := pairsOutput(3, wall)
+	if ok, row := verdictOf(t, same, "recovery_ms"); !ok || row != "recovery_ms          75.3 in all 6 runs" {
+		t.Fatalf("passed %v, recovery_ms row %q", ok, row)
+	}
+	for _, c := range []struct{ metric, from, to string }{
+		{"recovery_ms", `"value":75.3,`, `"value":75.30000000000001,`},
+		{"attempted", `"attempted":544855,`, `"attempted":544854,`},
+	} {
+		lines := strings.Split(same, "\n")
+		lines[3] = strings.Replace(lines[3], c.from, c.to, 1) // pair 2's base run
+		ok, row := verdictOf(t, strings.Join(lines, "\n"), c.metric)
+		if ok || !strings.Contains(row, "FAIL") || !strings.Contains(row, "base run 2") {
+			t.Fatalf("%s moved in one run: passed %v, row %q", c.metric, ok, row)
+		}
+	}
+}
+
+// Runs that do not pair up are an input error, not a verdict.
+func TestReadPairsRefusesUnpairedRuns(t *testing.T) {
+	for _, output := range []string{
+		"",
+		runLine("base", 0.0138, 75.3, 1) + "\n",
+		runLine("base", 0.0138, 75.3, 1) + "\n" + runLine("left", 0.0138, 75.3, 1) + "\n",
+		"base {not json}\n",
+	} {
+		if _, _, err := readPairs(strings.NewReader(output)); err == nil {
+			t.Fatalf("readPairs accepted %q", output)
+		}
+	}
+}

@@ -585,8 +585,7 @@ func (r *runner) openSide(p *sim.Proc, ns string, group *storage.SnapshotGroup, 
 // emptySet is the zero-commit CommitSet an unformatted backup reads as.
 type emptySet struct{}
 
-func (emptySet) HasCommitted(uint64) bool { return false }
-func (emptySet) CommittedTxns() []uint64  { return nil }
+func (emptySet) CommittedTxns() []uint64 { return nil }
 
 // checkpoint asserts every invariant that must hold at a recovery point:
 // per-tenant fail-closed journal state, epoch boundaries, an any-instant

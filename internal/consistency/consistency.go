@@ -8,13 +8,16 @@
 // per-volume replication does not.
 package consistency
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CommitSet is the recovered-commit view of one database image. db.DB and
-// db.View both satisfy it.
+// db.View both satisfy it. CommittedTxns lists the set ascending and distinct,
+// a copy the caller may keep: Verify reads nothing else.
 type CommitSet interface {
 	CommittedTxns() []uint64
-	HasCommitted(txid uint64) bool
 }
 
 // Report is the verdict on one backup image pair.
@@ -54,36 +57,61 @@ func (r Report) String() string {
 // Verify checks a recovered backup image pair against the main site's
 // ground-truth commit orders (workload.Shop provides them).
 func Verify(sales, stock CommitSet, salesOrder, stockOrder []uint64) Report {
-	// One listing per image: a database copies its committed set, kept sorted.
+	// One listing per image, both sorted: one merge finds what each lacks.
 	salesTxns, stockTxns := sales.CommittedTxns(), stock.CommittedTxns()
 	rep := Report{SalesTxns: len(salesTxns), StockTxns: len(stockTxns)}
-	for _, tx := range stockTxns {
-		if !sales.HasCommitted(tx) {
-			rep.OrphanStock = append(rep.OrphanStock, tx)
+	i, j := 0, 0
+	for i < len(salesTxns) || j < len(stockTxns) {
+		switch {
+		case j == len(stockTxns) || i < len(salesTxns) && salesTxns[i] < stockTxns[j]:
+			rep.DanglingSales = append(rep.DanglingSales, salesTxns[i])
+			i++
+		case i == len(salesTxns) || stockTxns[j] < salesTxns[i]:
+			rep.OrphanStock = append(rep.OrphanStock, stockTxns[j])
+			j++
+		default:
+			i, j = i+1, j+1
 		}
 	}
-	for _, tx := range salesTxns {
-		if !stock.HasCommitted(tx) {
-			rep.DanglingSales = append(rep.DanglingSales, tx)
-		}
-	}
-	rep.SalesPrefixOK, rep.LostSalesTxns = prefixCheck(sales, salesOrder)
-	rep.StockPrefixOK, rep.LostStockTxns = prefixCheck(stock, stockOrder)
+	rep.SalesPrefixOK, rep.LostSalesTxns = prefixCheck(salesTxns, salesOrder)
+	rep.StockPrefixOK, rep.LostStockTxns = prefixCheck(stockTxns, stockOrder)
 	return rep
 }
 
-// prefixCheck reports whether the recovered set is a prefix of order, and
-// how many trailing transactions are missing.
-func prefixCheck(set CommitSet, order []uint64) (ok bool, lost int) {
+// prefixCheck reports whether the recovered set, listed ascending, is a prefix
+// of order, and how many trailing transactions are missing.
+func prefixCheck(listing, order []uint64) (ok bool, lost int) {
+	c := cursor{set: listing}
 	n := 0
-	for n < len(order) && set.HasCommitted(order[n]) {
+	for n < len(order) && c.has(order[n]) {
 		n++
 	}
 	// Everything past the recovered prefix must be absent.
-	for i := n; i < len(order); i++ {
-		if set.HasCommitted(order[i]) {
+	for _, tx := range order[n:] {
+		if c.has(tx) {
 			return false, len(order) - n
 		}
 	}
 	return true, len(order) - n
+}
+
+// cursor looks IDs up in a sorted, distinct set for a caller that asks in
+// about ascending order, as a commit order runs: it looks where the last lookup
+// ended, and at the next entry, before it searches the whole set.
+// (internal/db's replay keeps the same rule.)
+type cursor struct {
+	set []uint64
+	at  int // where the last lookup ended
+}
+
+func (c *cursor) has(id uint64) bool {
+	for i := c.at; i < len(c.set) && i <= c.at+1; i++ {
+		if c.set[i] == id {
+			c.at = i
+			return true
+		}
+	}
+	i, ok := slices.BinarySearch(c.set, id)
+	c.at = i
+	return ok
 }

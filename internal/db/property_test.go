@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -208,4 +209,119 @@ func TestRecoveryFromReplicatedImageProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOutOfOrderCommitsRecoverThroughBothDoors commits BeginWithID
+// transactions whose IDs are shuffled and whose lives interleave — up to four
+// open at once, each committed or dropped in random order — over a log many
+// WAL blocks long on 512-byte blocks, so the replay's and Txn.Commit's lookups
+// of the committed set miss the entry they look at first. The live committed
+// set must list exactly the committed IDs; a crash image, and the same image
+// with its last WAL write torn, must open through both doors alike
+// (recoverBothDoors: committed set, RecoveredTxns, torn flag, every row), the
+// first to every committed ID and row, the torn one to all but the last
+// commit.
+func TestOutOfOrderCommitsRecoverThroughBothDoors(t *testing.T) {
+	cfg := Config{}
+	inProcessOn(storage.Config{BlockSize: 512}, func(p *sim.Proc, a *storage.Array) {
+		for seed := range int64(20) {
+			rng := rand.New(rand.NewSource(seed))
+			vol, err := a.CreateVolume(storage.VolumeID(fmt.Sprint("src", seed)), 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := Open(p, "src", vol, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := rng.Perm(80)
+			type open struct {
+				tx     *Txn
+				staged map[uint64][]byte
+			}
+			var live []open
+			var committed []uint64
+			model, before := map[uint64][]byte{}, map[uint64][]byte{}
+			for len(ids) > 0 || len(live) > 0 {
+				switch op := rng.Intn(6); {
+				case len(ids) > 0 && (op == 0 || len(live) == 0) && len(live) < 4:
+					id := uint64(ids[0])*3 + 1 // gaps between IDs, none zero
+					ids = ids[1:]
+					live = append(live, open{d.BeginWithID(id), map[uint64][]byte{}})
+				case op <= 3 || len(live) == 0:
+					if len(live) > 0 {
+						o := live[rng.Intn(len(live))]
+						key, val := uint64(1+rng.Intn(40)), []byte(fmt.Sprintf("tx%d-%d", o.tx.id, rng.Intn(1000)))
+						if err := o.tx.Put(key, val); err != nil {
+							t.Fatal(err)
+						}
+						o.staged[key] = val
+					}
+				default:
+					i := rng.Intn(len(live))
+					o := live[i]
+					live = slices.Delete(live, i, i+1)
+					if len(o.staged) == 0 || rng.Intn(6) == 0 {
+						continue // dropped uncommitted
+					}
+					if err := o.tx.Commit(p); err != nil {
+						t.Fatal(err)
+					}
+					clear(before)
+					maps.Copy(before, model)
+					maps.Copy(model, o.staged)
+					committed = append(committed, o.tx.id)
+				}
+			}
+			last := committed[len(committed)-1]
+			slices.Sort(committed)
+			if got := d.CommittedTxns(); !slices.Equal(got, committed) {
+				t.Fatalf("seed %d: live committed set %v, want %v", seed, got, committed)
+			}
+			if d.Checkpoints() != 0 {
+				t.Fatalf("seed %d: %d checkpoints; the log must hold every commit", seed, d.Checkpoints())
+			}
+			head := int64(0)
+			for b := int64(1); b <= 64; b++ {
+				if vol.Peek(b) != nil {
+					head = b
+				}
+			}
+			if head < 4 {
+				t.Fatalf("seed %d: the log ends in WAL block %d; want it to cross several blocks", seed, head)
+			}
+			for _, torn := range []bool{false, true} {
+				img := allocVolume(t, a, storage.VolumeID(fmt.Sprint("img", seed, torn)), vol)
+				want, wantRows := committed, model
+				if torn {
+					blk := bytes.Clone(vol.Peek(head))
+					blk[len(blk)-1] ^= 0xff // inside the last record: the last commit's
+					if err := img.Poke(head, blk); err != nil {
+						t.Fatal(err)
+					}
+					want = slices.DeleteFunc(slices.Clone(committed), func(id uint64) bool { return id == last })
+					wantRows = before
+				}
+				re, err := recoverBothDoors(p, a, img, cfg)
+				switch {
+				case err != nil:
+					t.Fatalf("seed %d, torn %v: %v", seed, torn, err)
+				case re.SawTornTail() != torn:
+					t.Fatalf("seed %d: torn tail %v, want %v", seed, re.SawTornTail(), torn)
+				case !slices.Equal(re.CommittedTxns(), want) || re.RecoveredTxns() != len(want):
+					t.Fatalf("seed %d, torn %v: recovered %v (%d redone), want %v", seed, torn, re.CommittedTxns(), re.RecoveredTxns(), want)
+				}
+				rows := 0
+				re.Scan(p, func(r Row) bool {
+					if rows++; !bytes.Equal(r.Val, wantRows[r.Key]) {
+						t.Fatalf("seed %d, torn %v: key %d = %q, want %q", seed, torn, r.Key, r.Val, wantRows[r.Key])
+					}
+					return true
+				})
+				if rows != len(wantRows) {
+					t.Fatalf("seed %d, torn %v: %d rows, want %d", seed, torn, rows, len(wantRows))
+				}
+			}
+		}
+	})
 }

@@ -179,8 +179,9 @@ func (r *reader) replay(p *sim.Proc) error {
 	// its room copies as a commit's upsert does.)
 	var claims []uint8
 	most, n := uint8(min((r.blockSize+slotSize-1)/slotSize, math.MaxUint8)), 0
+	committed := commitCursor{set: r.committed}
 	walk(func(rec wal.Record) bool {
-		if rec.Type == wal.TypeUpdate && r.HasCommitted(rec.TxID) {
+		if rec.Type == wal.TypeUpdate && committed.has(rec.TxID) {
 			if claims == nil {
 				claims = make([]uint8, r.dataPages)
 			}
@@ -228,8 +229,9 @@ func (r *reader) replay(p *sim.Proc) error {
 	}
 	// Redo committed transactions' updates in log order.
 	var redoErr error
+	committed = commitCursor{set: r.committed}
 	walk(func(rec wal.Record) bool {
-		if rec.Type != wal.TypeUpdate || !r.HasCommitted(rec.TxID) {
+		if rec.Type != wal.TypeUpdate || !committed.has(rec.TxID) {
 			return true
 		}
 		home := r.pageBlock(rec.Key)
@@ -410,6 +412,27 @@ func (r *reader) CommittedTxns() []uint64 {
 // HasCommitted reports whether the transaction ID is known committed.
 func (r *reader) HasCommitted(txid uint64) bool {
 	_, ok := slices.BinarySearch(r.committed, txid)
+	return ok
+}
+
+// commitCursor looks IDs up in a sorted, distinct set for a caller that asks
+// in about ascending order, as the log and the shop's IDs run: it looks where
+// the last lookup ended, and at the next entry, before it searches the whole
+// set.
+type commitCursor struct {
+	set []uint64
+	at  int // where the last lookup ended
+}
+
+func (c *commitCursor) has(id uint64) bool {
+	for i := c.at; i < len(c.set) && i <= c.at+1; i++ {
+		if c.set[i] == id {
+			c.at = i
+			return true
+		}
+	}
+	i, ok := slices.BinarySearch(c.set, id)
+	c.at = i
 	return ok
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/core"
@@ -21,11 +22,14 @@ import (
 // shorter allocates new ones (up to about 140 bytes a tenant more on 2 Ps).
 // Over 40 runs, alone and after the package's other tests, and under -race,
 // that read 19,541–19,557 bytes and 111 objects; the bytes budget is the
-// highest reading plus the file's 48 bytes of slack. A change that lowers it
-// ratchets the pin.
+// highest reading plus the file's 48 bytes of slack. Of those bytes,
+// 12,285–12,334 were scannable (/gc/scan/heap:bytes) over 80 runs, alone,
+// after the package's other tests and under -race; that budget is the highest
+// reading plus the same slack. A change that lowers either ratchets its pin.
 const (
 	liveTenants          = 256
 	liveBytesPerTenant   = 19_605
+	scanBytesPerTenant   = 12_382
 	liveObjectsPerTenant = 111
 )
 
@@ -47,26 +51,32 @@ func runParked(t *testing.T) *Fleet {
 }
 
 // settledHeap collects twice, so a sync.Pool's victim cache is gone too, and
-// reads the heap.
-func settledHeap() (m runtime.MemStats) {
+// reads the heap and the bytes of it the collector must scan, as the last
+// cycle left them (runtime/metrics /gc/scan/heap:bytes; a pointer-free object,
+// such as a []byte, costs the mark phase nothing).
+func settledHeap() (m runtime.MemStats, scan uint64) {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&m)
-	return m
+	s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	metrics.Read(s)
+	return m, s[0].Value.Uint64()
 }
 
 func TestParkedTenantLiveBytes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runParked(t) // grows the runtime's caches (dead coroutines' descriptors) once
-	before := settledHeap()
+	before, scanBefore := settledHeap()
 	f := runParked(t)
-	after := settledHeap()
+	after, scanAfter := settledHeap()
 	runtime.KeepAlive(f)
 	bytes := int64(after.HeapAlloc-before.HeapAlloc) / liveTenants
 	objects := int64(after.HeapObjects-before.HeapObjects) / liveTenants
-	t.Logf("a parked tenant holds %d bytes in %d objects (%d objects in all)", bytes, objects, after.HeapObjects-before.HeapObjects)
-	if bytes > liveBytesPerTenant || objects > liveObjectsPerTenant {
-		t.Fatalf("a parked tenant holds %d bytes in %d objects, budget %d and %d",
-			bytes, objects, liveBytesPerTenant, liveObjectsPerTenant)
+	scan := (int64(scanAfter) - int64(scanBefore)) / liveTenants
+	t.Logf("a parked tenant holds %d bytes, %d of them scannable, in %d objects (%d objects in all)",
+		bytes, scan, objects, after.HeapObjects-before.HeapObjects)
+	if bytes > liveBytesPerTenant || scan > scanBytesPerTenant || objects > liveObjectsPerTenant {
+		t.Fatalf("a parked tenant holds %d bytes, %d scannable, in %d objects, budget %d, %d and %d",
+			bytes, scan, objects, liveBytesPerTenant, scanBytesPerTenant, liveObjectsPerTenant)
 	}
 }
