@@ -6,7 +6,8 @@
 #   fmt vet build test test-race
 #   layer-bench-check  every benchmark under internal/ vs BENCH_layers.json (exact columns); each one still runs
 #   layer-bench-record re-record BENCH_layers.json
-#   tables-check     every experiment table equals the committed golden
+#   tables-check     every experiment table and five chaos replays (with their per-process sim-time sums) equal the committed goldens
+#   tables-record    rewrite those goldens (not part of ci)
 #   bench-check      ./benchmark at seed 1 vs BENCH_results.json (the perf gate)
 #   bench-record     re-record BENCH_results.json
 #   profile-<w>      <w>.cpu.pprof + <w>.mem.pprof of one ./benchmark workload, and the CPU top without calibration
@@ -17,13 +18,13 @@
 #   chaos            500 seeded fault schedules at -steps medium, without -race
 #   lines            the Go line counts and DESIGN.md's size ROADMAP tracks, per internal/ package, cmd/ binary and example too (not part of ci)
 #   lines-diff       BASE=<rev>: non-test Go lines outside benchmark/ at BASE, in the working tree, and the difference, then per changed internal/ and cmd/ directory (not part of ci)
-#   sim-diff         BASE=<rev>: experiment tables, five chaos replays and their per-process sim-time sums at BASE and in the working tree, byte for byte (not part of ci)
+#   sim-diff         BASE=<rev>: experiment tables, the CHAOS_SEEDS chaos replays and their per-process sim-time sums at BASE and in the working tree, byte for byte (not part of ci)
 #   pairs            BASE=<rev> [W=shop_adc] [N=10] [SEED=1]: N alternating runs of W's benchmark at BASE and in the working tree, a sign-test verdict per host metric (not part of ci)
 #   pairs-smoke      pairs at BASE=HEAD, W=drain_single, N=2: it runs, sim values agree, every verdict unresolved
 
 GO ?= go
 
-.PHONY: ci fmt vet build test layer-bench-check layer-bench-record test-race tables-check bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines lines-diff sim-diff pairs pairs-smoke
+.PHONY: ci fmt vet build test layer-bench-check layer-bench-record test-race tables-check tables-record bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines lines-diff sim-diff pairs pairs-smoke
 
 ci: fmt vet build test layer-bench-check test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke chaos pairs-smoke
 
@@ -68,17 +69,52 @@ layer-bench-check:
 test-race:
 	$(GO) test -race ./...
 
+# The seeds whose `chaos -steps medium` replays tables-check and sim-diff
+# hold: the ten chaos goldens fix them, so a command line cannot set them.
+override CHAOS_SEEDS := 1 7 42 99 123
+
+# $(call sim-sums,F) prints the simulated time of the -simprofile file F per
+# process label, one "process nanoseconds" line each, sorted: `go tool pprof
+# -raw` lists each sample's value and labels, and awk adds the values up
+# (printed with %.0f, since mawk's %d stops at 2^31). A profile's own bytes
+# differ between any two builds (PCs, source paths); its sums do not.
+override sim-sums = $(GO) tool pprof -raw "$(1)" 2>/dev/null | awk '/^Locations/{exit} /^ +[0-9]+: /{v=$$1+0; next} v!="" && match($$0,/process:\[[^]]*\]/){s[substr($$0,RSTART+9,RLENGTH-10)]+=v; v=""} END{for(p in s) printf "%s %.0f\n", p, s[p]}' | LC_ALL=C sort
+
 # The simulation-outcome gate: every table of `cmd/experiments` at -quick
-# -seed 1 must equal the committed golden byte for byte (stdout is
-# deterministic per seed). A PR that means to move a table regenerates the
-# golden with the same command and explains each changed line. It runs at
-# GOMAXPROCS=1 and at the host default: a table that depends on the host's
-# processor count fails one of the two.
+# -seed 1 must equal testdata/experiments-quick-seed1.golden byte for byte
+# (stdout is deterministic per seed), and so must the `cmd/chaos -steps
+# medium` replay of each of CHAOS_SEEDS and its per-process sim-time sums
+# (testdata/chaos-medium-seed<N>.golden and .sums.golden, about 0.2 s for
+# all five). A PR that means to move a value runs `make tables-record` and
+# explains each changed line. It runs at GOMAXPROCS=1 and at the host
+# default: an output that depends on the host's processor count fails one
+# of the two.
 tables-check:
-	@for procs in 1 default; do \
-		if [ $$procs = default ]; then run="$(GO) run"; else run="env GOMAXPROCS=$$procs $(GO) run"; fi; \
-		$$run ./cmd/experiments -run all -quick -seed 1 | diff -u testdata/experiments-quick-seed1.golden - || \
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/" ./cmd/experiments ./cmd/chaos || exit 1; \
+	for procs in 1 default; do \
+		if [ $$procs = default ]; then run=""; else run="env GOMAXPROCS=$$procs"; fi; \
+		$$run "$$tmp/experiments" -run all -quick -seed 1 | diff -u testdata/experiments-quick-seed1.golden - || \
 			{ echo "tables-check: at GOMAXPROCS=$$procs, experiment tables differ from testdata/experiments-quick-seed1.golden"; exit 1; }; \
+		for seed in $(CHAOS_SEEDS); do \
+			golden=testdata/chaos-medium-seed$$seed; \
+			$$run "$$tmp/chaos" -steps medium -seed $$seed -simprofile "$$tmp/chaos.pprof" | diff -u $$golden.golden - || \
+				{ echo "tables-check: at GOMAXPROCS=$$procs, chaos seed $$seed differs from $$golden.golden"; exit 1; }; \
+			$(call sim-sums,$$tmp/chaos.pprof) | diff -u $$golden.sums.golden - || \
+				{ echo "tables-check: at GOMAXPROCS=$$procs, chaos seed $$seed's sim-time sums differ from $$golden.sums.golden"; exit 1; }; \
+		done; \
+	done
+
+# Rewrite tables-check's goldens from the working tree.
+tables-record:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/" ./cmd/experiments ./cmd/chaos || exit 1; \
+	"$$tmp/experiments" -run all -quick -seed 1 > testdata/experiments-quick-seed1.golden || exit 1; \
+	for seed in $(CHAOS_SEEDS); do \
+		golden=testdata/chaos-medium-seed$$seed; \
+		"$$tmp/chaos" -steps medium -seed $$seed -simprofile "$$tmp/chaos.pprof" > $$golden.golden; \
+		$(call sim-sums,$$tmp/chaos.pprof) > $$golden.sums.golden; \
+		test -s $$golden.sums.golden || { echo "tables-record: no per-process sums from chaos seed $$seed"; exit 1; }; \
 	done
 
 # The performance gate: one full run of ./benchmark (five workloads, both
@@ -214,17 +250,13 @@ lines-diff:
 # The one-command proof that a change moves no simulated value: BASE is
 # extracted as lines-diff does, cmd/experiments and cmd/chaos are built
 # there and in the working tree, and each side runs `experiments -run all
-# -quick -seed 1` and the `chaos -steps medium` replay of seeds 1, 7, 42, 99
-# and 123, each replay with -simprofile. `go tool pprof -raw` reads each
-# profile, and awk adds its sample values up per process label into
-# chaos-<seed>.sums.out, one "process nanoseconds" line each (printed with
-# %.0f, since mawk's %d stops at 2^31), so a moved sum names the process
-# whose simulated time moved. A profile's own bytes differ between any two
-# builds (PCs, source paths), so only the sums are compared. Every output
+# -quick -seed 1` and the `chaos -steps medium` replay of each of
+# CHAOS_SEEDS with -simprofile, whose sim-sums go to chaos-<seed>.sums.out,
+# so a moved sum names the process whose simulated time moved. Every output
 # must be byte-identical to BASE's and every sums file non-empty; the first
-# that is not is printed as a diff and fails the target. The tables repeat
-# tables-check's command, but tables-check holds them to the working tree's
-# golden, which a change may regenerate; sim-diff holds them to BASE's run.
+# that is not is printed as a diff and fails the target. tables-check holds
+# the same outputs to the working tree's goldens, which a change may
+# regenerate; sim-diff holds them to BASE's run.
 sim-diff:
 	@test -n "$(BASE)" || { echo "usage: make sim-diff BASE=<rev>"; exit 2; }
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
@@ -234,9 +266,9 @@ sim-diff:
 	$(GO) build -o "$$tmp/head/" ./cmd/experiments ./cmd/chaos || exit 1; \
 	for side in base head; do \
 		"$$tmp/$$side/experiments" -run all -quick -seed 1 > "$$tmp/$$side/experiments.out" || exit 1; \
-		for seed in 1 7 42 99 123; do \
+		for seed in $(CHAOS_SEEDS); do \
 			"$$tmp/$$side/chaos" -steps medium -seed $$seed -simprofile "$$tmp/$$side/chaos-$$seed.pprof" > "$$tmp/$$side/chaos-$$seed.out"; \
-			$(GO) tool pprof -raw "$$tmp/$$side/chaos-$$seed.pprof" 2>/dev/null | awk '/^Locations/{exit} /^ +[0-9]+: /{v=$$1+0; next} v!="" && match($$0,/process:\[[^]]*\]/){s[substr($$0,RSTART+9,RLENGTH-10)]+=v; v=""} END{for(p in s) printf "%s %.0f\n", p, s[p]}' | LC_ALL=C sort > "$$tmp/$$side/chaos-$$seed.sums.out"; \
+			$(call sim-sums,$$tmp/$$side/chaos-$$seed.pprof) > "$$tmp/$$side/chaos-$$seed.sums.out"; \
 			test -s "$$tmp/$$side/chaos-$$seed.sums.out" || { echo "sim-diff: no per-process sums from chaos seed $$seed ($$side)"; exit 1; }; \
 		done; \
 	done; \

@@ -1,16 +1,16 @@
 // The declarative tenant surface: ApplyTenant declares a tenant's entire
 // desired state in one call (create the spec or replace it wholesale),
-// UpdateTenantSpec (tenant.go) is its read-modify-write sibling for a caller
-// that owns only some fields, and WaitTenantCondition blocks until the world
-// reaches a named observable condition. Spec in, condition out: enabling
-// backup is Spec.Backup + CondBackupReady, a reshard is Spec.JournalShards +
-// CondResharded, a decommission is the spec's deletion + CondGone.
+// UpdateTenantSpec (tenant.go) is the read-modify-write under it, for a
+// caller that owns only some fields, and WaitTenantCondition blocks until
+// the world reaches a named observable condition. Spec in, condition out:
+// enabling backup is Spec.Backup + CondBackupReady, a reshard is
+// Spec.JournalShards + CondResharded, a decommission is the spec's deletion
+// + CondGone.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"time"
 
@@ -19,43 +19,36 @@ import (
 	"repro/internal/sim"
 )
 
-// ApplyTenant declares the tenant's desired state: the spec is created if
-// absent, otherwise replaced wholesale (version conflicts with the
-// controller's status writes retry; an identical spec writes nothing). The
-// controller chain then converges the world — pair with WaitTenantCondition
-// to block on the outcome. Partial mutations of an existing spec are what
-// UpdateTenantSpec is for.
+// ApplyTenant declares the tenant's desired state: UpdateTenantSpec
+// replacing the whole spec (an identical spec writes nothing; version
+// conflicts with the controller's status writes retry), or the spec's
+// creation when no Tenant exists, also when a delete lands between the
+// update's read and its write: the apply is the latest declaration. A
+// create that loses a race to another creator retries as an update. The
+// controller chain then converges the world — pair with
+// WaitTenantCondition to block on the outcome. Partial mutations of an
+// existing spec are what UpdateTenantSpec is for.
 func (sys *System) ApplyTenant(p *sim.Proc, spec platform.TenantSpec) error {
 	if err := sys.validateSpec(spec); err != nil {
 		return err
 	}
-	ns := spec.Namespace
 	for {
-		obj, err := sys.Main.API.Get(p, tenantKey(ns))
-		if errors.Is(err, platform.ErrNotFound) {
-			err = sys.Main.API.Create(p, &platform.Tenant{
-				Meta:   platform.Meta{Kind: platform.KindTenant, Name: ns},
-				Spec:   spec,
-				Status: platform.TenantStatus{Phase: platform.TenantPending, Message: "spec accepted"},
-			})
-			if errors.Is(err, platform.ErrExists) {
-				continue // lost a create race: retry as an update
-			}
+		err := sys.UpdateTenantSpec(p, spec.Namespace, func(s *platform.TenantSpec) { *s = spec })
+		if !errors.Is(err, platform.ErrNotFound) {
 			return err
 		}
-		if err != nil {
+		if err = sys.Main.API.Create(p, pendingTenant(spec)); !errors.Is(err, platform.ErrExists) {
 			return err
 		}
-		if reflect.DeepEqual(obj.(*platform.Tenant).Spec, spec) {
-			return nil
-		}
-		tn := obj.DeepCopy().(*platform.Tenant)
-		tn.Spec = spec
-		err = sys.Main.API.Update(p, tn)
-		if errors.Is(err, platform.ErrConflict) {
-			continue
-		}
-		return err
+	}
+}
+
+// pendingTenant is the Tenant object a spec is first stored as.
+func pendingTenant(spec platform.TenantSpec) *platform.Tenant {
+	return &platform.Tenant{
+		Meta:   platform.Meta{Kind: platform.KindTenant, Name: spec.Namespace},
+		Spec:   spec,
+		Status: platform.TenantStatus{Phase: platform.TenantPending, Message: "spec accepted"},
 	}
 }
 

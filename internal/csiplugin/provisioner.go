@@ -148,9 +148,7 @@ func (pr *Provisioner) unprovision(p *sim.Proc, key platform.ObjectKey) error {
 			}
 		}
 	}
-	if err := pr.api.Delete(p, pvKey); err != nil && !errors.Is(err, platform.ErrNotFound) {
-		return err
-	}
+	pr.api.Delete(p, pvKey)
 	return nil
 }
 

@@ -38,6 +38,7 @@ type e12Scenario struct {
 	links       []netlink.Config
 	classes     []fabric.ClassConfig
 	noisy       bool
+	dedicated   bool // the victim's paths ride member 1, everyone else's member 0
 	linkFailure bool
 	window      int // per-link in-flight window (0 = stop-and-wait default)
 }
@@ -50,16 +51,11 @@ func e12Scenarios() []e12Scenario {
 		{Name: e12Silver, Weight: 2},
 		{Name: e12Bulk, Weight: 1},
 	}
-	dedicated := []fabric.ClassConfig{
-		{Name: e12Gold, Weight: 8, Links: []int{1}},
-		{Name: e12Silver, Weight: 2, Links: []int{0}},
-		{Name: e12Bulk, Weight: 1, Links: []int{0}},
-	}
 	return []e12Scenario{
 		{name: "baseline", links: thinLinks(1)},
 		{name: "no-qos", links: thinLinks(1), noisy: true},
 		{name: "weighted", links: thinLinks(1), classes: weighted, noisy: true},
-		{name: "dedicated", links: thinLinks(2), classes: dedicated, noisy: true},
+		{name: "dedicated", links: thinLinks(2), classes: weighted, noisy: true, dedicated: true},
 		{name: "link-failure", links: thinLinks(2), classes: weighted, noisy: true, linkFailure: true},
 	}
 }
@@ -104,12 +100,16 @@ func e12Run(seed int64, sc e12Scenario, orders int, t *Table) error {
 	main := storage.NewArray(env, "main", scfg)
 	backup := storage.NewArray(env, "backup", scfg)
 	fab := fabric.New(env, fabric.Config{Links: sc.links, Classes: sc.classes, WindowPerLink: sc.window})
+	victimLink, otherLink := -1, -1 // the members paths are pinned to (-1: any)
+	if sc.dedicated {
+		victimLink, otherLink = 1, 0
+	}
 
 	// Victim tenant: the standard two-volume shop on a consistency group.
 	if err := createTwins(main, backup, 2048, "v-sales", "v-stock"); err != nil {
 		return err
 	}
-	victimPath := fab.Path(e12Gold, "victim")
+	victimPath := fab.PathOn(e12Gold, "victim", victimLink)
 	vg, err := startADC(env, main, backup, "victim", []storage.VolumeID{"v-sales", "v-stock"},
 		victimPath, replication.Config{BatchMax: 16})
 	if err != nil {
@@ -117,7 +117,7 @@ func e12Run(seed int64, sc e12Scenario, orders int, t *Table) error {
 	}
 
 	// Noisy neighbor: independent single-volume copy sessions that flood.
-	noisyPath := fab.Path(e12Bulk, "noisy")
+	noisyPath := fab.PathOn(e12Bulk, "noisy", otherLink)
 	var others []*replication.Group
 	var noisyVols []storage.VolumeID
 	if sc.noisy {
@@ -144,7 +144,7 @@ func e12Run(seed int64, sc e12Scenario, orders int, t *Table) error {
 			return err
 		}
 		g, err := startADC(env, main, backup, string(id), []storage.VolumeID{id},
-			fab.Path(e12Silver, string(id)), replication.Config{BatchMax: 16})
+			fab.PathOn(e12Silver, string(id), otherLink), replication.Config{BatchMax: 16})
 		if err != nil {
 			return err
 		}

@@ -35,17 +35,14 @@ var (
 	_ Path = (*TenantPath)(nil)
 )
 
-// ClassConfig describes one QoS class at the fabric ingress.
+// ClassConfig describes one QoS class at the fabric ingress. A class rides
+// every member link; PathOn pins one path to one member.
 type ClassConfig struct {
 	// Name identifies the class to Fabric.Path lookups.
 	Name string
 	// Weight is the class's deficit-round-robin share (default 1). A class
 	// with weight 4 gets 4x the bytes of a weight-1 class under contention.
 	Weight int
-	// Links restricts the class to the given member-link indexes (nil =
-	// any member). A single-element slice pins the class to a dedicated
-	// link.
-	Links []int
 }
 
 // Config assembles a Fabric.
@@ -146,18 +143,6 @@ func (c *class) pop() *request {
 		c.head = 0
 	}
 	return r
-}
-
-func (c *class) allows(link int) bool {
-	if len(c.cfg.Links) == 0 {
-		return true
-	}
-	for _, li := range c.cfg.Links {
-		if li == link {
-			return true
-		}
-	}
-	return false
 }
 
 // refill tops the token bucket up to the burst depth.
@@ -488,7 +473,7 @@ func (f *Fabric) eligibleIndex(c *class, li int) int {
 }
 
 // pick runs one deficit-weighted round-robin selection over the classes
-// eligible for member link li. The cursor class is credited one quantum x
+// for member link li's dispatcher. The cursor class is credited one quantum x
 // weight on arrival and keeps the service slot until its deficit or queue
 // runs out, so a backlogged class is served in weight-proportional byte
 // bursts. Within a class, the oldest transfer this member may carry is
@@ -505,7 +490,7 @@ func (f *Fabric) pick(li int, now time.Duration) (*request, time.Duration) {
 	barren := 0 // consecutive visits that could not make progress
 	for barren < n {
 		c := f.classes[f.cursor]
-		if c.depth() == 0 || !c.allows(li) {
+		if c.depth() == 0 {
 			f.advance()
 			barren++
 			continue

@@ -282,8 +282,8 @@ func TestMemberPartitionFailsOverAndHealsBack(t *testing.T) {
 }
 
 func TestDedicatedLinkIsolatesClass(t *testing.T) {
-	// Class affinity: bulk floods member 0; gold is pinned to member 1 and
-	// must see unloaded latency.
+	// Link affinity: bulk's path floods member 0; gold's is pinned to member
+	// 1 and must see unloaded latency.
 	env := sim.NewEnv(1)
 	f := New(env, Config{
 		Links: []netlink.Config{
@@ -291,12 +291,12 @@ func TestDedicatedLinkIsolatesClass(t *testing.T) {
 			{Propagation: time.Millisecond, BandwidthBps: 1e6},
 		},
 		Classes: []ClassConfig{
-			{Name: "bulk", Weight: 1, Links: []int{0}},
-			{Name: "gold", Weight: 1, Links: []int{1}},
+			{Name: "bulk", Weight: 1},
+			{Name: "gold", Weight: 1},
 		},
 	})
-	bulk := f.Path("bulk", "noisy")
-	gold := f.Path("gold", "victim")
+	bulk := f.PathOn("bulk", "noisy", 0)
+	gold := f.PathOn("gold", "victim", 1)
 	horizon := time.Second
 	var bDone int
 	flood(env, bulk, 6, 50_000, horizon, &bDone)

@@ -102,14 +102,16 @@ func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 	if !ok {
 		// Namespace deleted: remove its replication configuration.
 		delete(o.groupKeys, key.Name)
-		return o.ensureAbsent(p, groupKey)
+		o.api.Delete(p, groupKey)
+		return nil
 	}
 	if !known {
 		o.groupKeys[key.Name] = groupKey
 	}
 	ns := obj.(*platform.Namespace)
 	if ns.Labels[Tag] != TagValue {
-		return o.ensureAbsent(p, groupKey)
+		o.api.Delete(p, groupKey)
+		return nil
 	}
 
 	// Tag present: discover the namespace's PVCs — the correspondence
@@ -158,13 +160,6 @@ func (o *Operator) reconcile(p *sim.Proc, key platform.ObjectKey) error {
 		return err
 	}
 	o.configured++
-	return nil
-}
-
-func (o *Operator) ensureAbsent(p *sim.Proc, groupKey platform.ObjectKey) error {
-	if err := o.api.Delete(p, groupKey); err != nil && !errors.Is(err, platform.ErrNotFound) {
-		return err
-	}
 	return nil
 }
 

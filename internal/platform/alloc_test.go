@@ -11,9 +11,9 @@ import (
 
 // Allocation pins for the API server's read-only sharing contract: reads
 // hand out the stored object (no copy), a charged miss costs its typed error
-// and a cache miss nothing, a namespace List costs its result slice, and a
-// write costs the one detaching copy alone: watch events are values, so
-// fan-out to any number of watchers allocates nothing.
+// and a cache miss or a delete miss nothing, a namespace List costs its
+// result slice, and a write costs the one detaching copy alone: watch events
+// are values, so fan-out to any number of watchers allocates nothing.
 
 const opsPerRun = 50
 
@@ -72,6 +72,24 @@ func TestGetMissAllocatesOnlyItsError(t *testing.T) {
 	env, api := fleetStore(t, 1024)
 	if n := allocsPerOp(env, func(p *sim.Proc) { api.Get(p, missKey) }); n > 1 {
 		t.Fatalf("Get miss allocates %v per call, want <= 1", n)
+	}
+}
+
+// Deleting an absent object succeeds: one charged round trip, no watch
+// event, nothing allocated.
+func TestDeleteMissIsOneFreeCall(t *testing.T) {
+	env, api := fleetStore(t, 1024)
+	w := api.Watch(KindPVC)
+	calls, start := api.Calls(), env.Now()
+	env.Process("delete", func(p *sim.Proc) { api.Delete(p, missKey) })
+	if took := env.Run(0) - start; took != roundTrip || api.Calls() != calls+1 {
+		t.Fatalf("Delete miss: %d calls in %v, want 1 in %v", api.Calls()-calls, took, roundTrip)
+	}
+	if w.Pending() != 0 {
+		t.Fatalf("Delete miss delivered %d watch events, want 0", w.Pending())
+	}
+	if n := allocsPerOp(env, func(p *sim.Proc) { api.Delete(p, missKey) }); n != 0 {
+		t.Fatalf("Delete miss allocates %v per call, want 0", n)
 	}
 }
 

@@ -89,14 +89,15 @@ type APIServer struct {
 	// objects are one stretch found by binary search, so List costs
 	// O(log n + result) — at fleet scale a whole-kind scan per List call is
 	// quadratic in tenants.
-	kinds   []kindRun
-	rv      int64
-	watches []*Watch
-	// keyed holds single-object watches bucketed by key, so a notify
-	// touches only the waiters of the object that changed instead of
-	// scanning every registered watch (quadratic at fleet scale).
-	keyed map[ObjectKey][]*Watch
-	calls int64
+	kinds []kindRun
+	rv    int64
+	// watches is the one watch registry: a bucket per key, in registration
+	// order. A kind watch sits under its kind's bare key (ObjectKey{Kind:
+	// kind}), which names no object, since every object has a name. A notify
+	// touches the changed object's two buckets instead of every watch
+	// (quadratic at fleet scale).
+	watches map[ObjectKey][]*Watch
+	calls   int64
 }
 
 // kindRun is one kind's objects. An entry carries its key strings inline,
@@ -113,7 +114,7 @@ type entry struct {
 
 // NewAPIServer returns an empty store.
 func NewAPIServer(env *sim.Env, _ APIConfig) *APIServer {
-	return &APIServer{env: env, keyed: make(map[ObjectKey][]*Watch)}
+	return &APIServer{env: env, watches: make(map[ObjectKey][]*Watch)}
 }
 
 // run returns kind's run, or nil when nothing of that kind was ever stored.
@@ -272,85 +273,66 @@ func (s *APIServer) CachedList(kind Kind, namespace string) []Object {
 	return out
 }
 
-// Delete removes the object.
-func (s *APIServer) Delete(p *sim.Proc, key ObjectKey) error {
+// Delete removes the object. Deleting an absent object succeeds: it is
+// still one charged round trip, and it notifies no watch.
+func (s *APIServer) Delete(p *sim.Proc, key ObjectKey) {
 	s.charge(p)
-	r, i, found := s.lookup(key)
-	if !found {
-		return &StatusError{Err: ErrNotFound, Key: key}
+	if r, i, found := s.lookup(key); found {
+		cur := r.entries[i].obj
+		r.entries = slices.Delete(r.entries, i, i+1)
+		s.notify(Event{Type: Deleted, Object: cur})
 	}
-	cur := r.entries[i].obj
-	r.entries = slices.Delete(r.entries, i, i+1)
-	s.notify(Event{Type: Deleted, Object: cur})
-	return nil
 }
 
-// notify fans an event out to matching watches, compacting stopped watches
-// out of the registry as it goes. Without the compaction a long-lived churny
-// run (controllers starting and stopping per tenant) appends stopped
-// watches that every notify must skip forever — the watch leak.
+// notify fans an event out to the object's kind watches, then to its key
+// watches, each bucket in registration order.
 func (s *APIServer) notify(ev Event) {
 	m := ev.Object.GetMeta()
-	kept := s.watches[:0]
-	for _, w := range s.watches {
-		if w.stopped {
-			continue
-		}
-		kept = append(kept, w)
-		if w.kind == m.Kind {
+	s.deliver(ObjectKey{Kind: m.Kind}, ev)
+	s.deliver(m.Key(), ev)
+}
+
+// deliver puts ev on every live watch of one bucket, compacting stopped
+// watches out as it goes. Without the compaction a long-lived churny run
+// (controllers starting and stopping per tenant) keeps stopped watches that
+// every notify must skip forever — the watch leak.
+func (s *APIServer) deliver(key ObjectKey, ev Event) {
+	bucket := s.watches[key]
+	kept := bucket[:0]
+	for _, w := range bucket {
+		if !w.stopped {
+			kept = append(kept, w)
 			w.ch.Put(ev)
 		}
 	}
-	for i := len(kept); i < len(s.watches); i++ {
-		s.watches[i] = nil // release the stopped watch for GC
+	if len(kept) == len(bucket) {
+		return
 	}
-	s.watches = kept
-	key := m.Key()
-	if bucket, ok := s.keyed[key]; ok {
-		keptK := bucket[:0]
-		for _, w := range bucket {
-			if w.stopped {
-				continue
-			}
-			keptK = append(keptK, w)
-			w.ch.Put(ev)
-		}
-		if len(keptK) == 0 {
-			delete(s.keyed, key)
-		} else {
-			for i := len(keptK); i < len(bucket); i++ {
-				bucket[i] = nil
-			}
-			s.keyed[key] = keptK
-		}
+	clear(bucket[len(kept):]) // release the stopped watches for GC
+	if len(kept) == 0 {
+		delete(s.watches, key)
+	} else {
+		s.watches[key] = kept
 	}
 }
 
-// Watch streams events for one kind — optionally for one object key only.
-// Events carry the stored objects themselves (read-only, see Event); the
-// watch starts empty (list first for existing state, the standard
-// contract).
+// Watch streams events for one kind or one object key. Events carry the
+// stored objects themselves (read-only, see Event); the watch starts empty
+// (list first for existing state, the standard contract).
 type Watch struct {
-	kind    Kind
-	keyed   bool
-	key     ObjectKey
-	ch      *sim.Chan[Event]
+	ch      sim.Chan[Event] // by value: the queue is no allocation of its own
 	stopped bool
 }
 
 // Watch registers a new watch for the kind.
-func (s *APIServer) Watch(kind Kind) *Watch {
-	w := &Watch{kind: kind, ch: sim.NewChan[Event](s.env)}
-	s.watches = append(s.watches, w)
-	return w
-}
+func (s *APIServer) Watch(kind Kind) *Watch { return s.WatchKey(ObjectKey{Kind: kind}) }
 
 // WatchKey registers a watch delivering only events for one object key —
 // the field-selector form clients use to wait on a single object's status
 // instead of polling Get in a loop.
 func (s *APIServer) WatchKey(key ObjectKey) *Watch {
-	w := &Watch{kind: key.Kind, keyed: true, key: key, ch: sim.NewChan[Event](s.env)}
-	s.keyed[key] = append(s.keyed[key], w)
+	w := &Watch{ch: *sim.NewChan[Event](s.env)}
+	s.watches[key] = append(s.watches[key], w)
 	return w
 }
 
@@ -382,15 +364,11 @@ func (s *APIServer) Each(fn func(Object)) {
 }
 
 // WatchCount returns the number of registered watches still delivering
-// (stopped watches linger only until the next notify compacts them).
+// (stopped watches linger only until the next notify of their bucket
+// compacts them).
 func (s *APIServer) WatchCount() int {
 	n := 0
-	for _, w := range s.watches {
-		if !w.stopped {
-			n++
-		}
-	}
-	for _, bucket := range s.keyed {
+	for _, bucket := range s.watches {
 		for _, w := range bucket {
 			if !w.stopped {
 				n++

@@ -37,6 +37,10 @@ type Meta struct {
 	CreatedAt       time.Duration
 }
 
+// GetMeta returns the object metadata; every kind has it through the
+// embedded Meta.
+func (m *Meta) GetMeta() *Meta { return m }
+
 // Key returns the store key ("namespace/name" or "name").
 func (m Meta) Key() ObjectKey { return ObjectKey{Kind: m.Kind, Namespace: m.Namespace, Name: m.Name} }
 
@@ -96,9 +100,6 @@ type Namespace struct {
 	Meta
 }
 
-// GetMeta returns the object metadata.
-func (n *Namespace) GetMeta() *Meta { return &n.Meta }
-
 // DeepCopy returns an independent copy.
 func (n *Namespace) DeepCopy() Object { return n.storeCopy(nil) }
 
@@ -115,9 +116,6 @@ type StorageClass struct {
 	// ArrayName routes provisioning to a specific storage array.
 	ArrayName string
 }
-
-// GetMeta returns the object metadata.
-func (s *StorageClass) GetMeta() *Meta { return &s.Meta }
 
 // DeepCopy returns an independent copy.
 func (s *StorageClass) DeepCopy() Object { return s.storeCopy(nil) }
@@ -151,9 +149,6 @@ type PVCSpec struct {
 type PVCStatus struct {
 	VolumeName string // bound PV name ("" while pending)
 }
-
-// GetMeta returns the object metadata.
-func (c *PersistentVolumeClaim) GetMeta() *Meta { return &c.Meta }
 
 // DeepCopy returns an independent copy.
 func (c *PersistentVolumeClaim) DeepCopy() Object { return c.storeCopy(nil) }
@@ -193,9 +188,6 @@ type PVStatus struct {
 	ClaimRef  ObjectKey // bound PVC
 	ClaimName string
 }
-
-// GetMeta returns the object metadata.
-func (v *PersistentVolume) GetMeta() *Meta { return &v.Meta }
 
 // DeepCopy returns an independent copy.
 func (v *PersistentVolume) DeepCopy() Object { return v.storeCopy(nil) }
@@ -245,9 +237,6 @@ type ReplicationGroupStatus struct {
 	JournalID string
 	Message   string
 }
-
-// GetMeta returns the object metadata.
-func (g *ReplicationGroup) GetMeta() *Meta { return &g.Meta }
 
 // DeepCopy returns an independent copy.
 func (g *ReplicationGroup) DeepCopy() Object { return g.storeCopy(nil) }
@@ -371,9 +360,6 @@ type TenantStatus struct {
 	// ReadyAt is the virtual time the tenant first reached Ready.
 	ReadyAt time.Duration
 }
-
-// GetMeta returns the object metadata.
-func (t *Tenant) GetMeta() *Meta { return &t.Meta }
 
 // DeepCopy returns an independent copy.
 func (t *Tenant) DeepCopy() Object { return t.storeCopy(nil) }

@@ -198,14 +198,13 @@ func TestDeleteAndNotFound(t *testing.T) {
 	run(t, func(p *sim.Proc, env *sim.Env, api *APIServer) {
 		api.Create(p, pvc("shop", "sales", "fast", 1))
 		key := ObjectKey{Kind: KindPVC, Namespace: "shop", Name: "sales"}
-		if err := api.Delete(p, key); err != nil {
-			t.Fatal(err)
-		}
+		api.Delete(p, key)
 		if _, err := api.Get(p, key); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("get after delete: %v", err)
 		}
-		if err := api.Delete(p, key); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("double delete: %v", err)
+		api.Delete(p, key) // deleting an absent object is no error
+		if _, err := api.Get(p, key); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("get after double delete: %v", err)
 		}
 	})
 }
@@ -256,12 +255,22 @@ func TestWatchFiltersKind(t *testing.T) {
 }
 
 // Every watcher of a write — kind-wide or keyed — receives the stored object
-// itself, detached from the writer.
+// itself, detached from the writer: the kind watches first, then the key
+// watches, each in registration order.
 func TestWatchEventCarriesStoredObject(t *testing.T) {
 	env := sim.NewEnv(1)
 	api := NewAPIServer(env, APIConfig{})
 	mine := pvc("shop", "sales", "fast", 100)
-	ws := []*Watch{api.Watch(KindPVC), api.Watch(KindPVC), api.WatchKey(mine.Key())}
+	ws := []*Watch{api.WatchKey(mine.Key()), api.Watch(KindPVC), api.WatchKey(mine.Key()), api.Watch(KindPVC)}
+	var woke []int
+	for i, w := range ws {
+		env.Process("waiter", func(p *sim.Proc) {
+			for w.Pending() == 0 {
+				p.Wait(w.ch.Avail())
+			}
+			woke = append(woke, i)
+		})
+	}
 	env.Process("driver", func(p *sim.Proc) {
 		api.Create(p, mine)
 		mine.Spec.SizeBlocks = 1
@@ -279,6 +288,9 @@ func TestWatchEventCarriesStoredObject(t *testing.T) {
 		}
 	})
 	env.Run(0)
+	if want := []int{1, 3, 0, 2}; !slices.Equal(woke, want) {
+		t.Errorf("delivery order %v, want %v (kind watches, then key watches)", woke, want)
+	}
 }
 
 func TestAPICallsConsumeTimeAndCount(t *testing.T) {
@@ -842,7 +854,14 @@ func TestStoppedWatchesCompactOnNotify(t *testing.T) {
 	if got := api.WatchCount(); got != 1 {
 		t.Fatalf("WatchCount = %d, want 1 live", got)
 	}
-	if got := len(api.watches); got != n+1 {
+	registered := func() int {
+		n := 0
+		for _, bucket := range api.watches {
+			n += len(bucket)
+		}
+		return n
+	}
+	if got := registered(); got != n+1 {
 		t.Fatalf("registry = %d before notify, want %d", got, n+1)
 	}
 	env.Process("driver", func(p *sim.Proc) {
@@ -851,7 +870,7 @@ func TestStoppedWatchesCompactOnNotify(t *testing.T) {
 		}
 	})
 	env.Run(0)
-	if got := len(api.watches); got != 1 {
+	if got := registered(); got != 1 {
 		t.Fatalf("registry = %d after notify, want 1 (stopped watches compacted)", got)
 	}
 	if keep.Pending() != 1 {
