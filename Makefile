@@ -21,12 +21,14 @@
 #   sim-diff         BASE=<rev>: experiment tables, the CHAOS_SEEDS chaos replays and their per-process sim-time sums at BASE and in the working tree, byte for byte (not part of ci)
 #   pairs            BASE=<rev> [W=shop_adc] [N=10] [SEED=1]: N alternating runs of W's benchmark at BASE and in the working tree, a sign-test verdict per host metric (not part of ci)
 #   pairs-smoke      pairs at BASE=HEAD, W=drain_single, N=2: it runs, sim values agree, every verdict unresolved
+#   layer-pairs      BASE=<rev> PKG=<dir> [BENCH=<regex>] [N=10]: N alternating runs of PKG's go test benchmarks at BASE and in the working tree, a sign-test verdict per benchmark on ns/op, B/op and allocs/op (not part of ci)
+#   layer-pairs-smoke  layer-pairs at BASE=HEAD, one internal/db benchmark, N=2: it runs, custom metrics agree, every verdict unresolved
 
 GO ?= go
 
-.PHONY: ci fmt vet build test layer-bench-check layer-bench-record test-race tables-check tables-record bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines lines-diff sim-diff pairs pairs-smoke
+.PHONY: ci fmt vet build test layer-bench-check layer-bench-record test-race tables-check tables-record bench-check bench-record telemetry-smoke autopilot-smoke chaos-smoke chaos lines lines-diff sim-diff pairs pairs-smoke layer-pairs layer-pairs-smoke
 
-ci: fmt vet build test layer-bench-check test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke chaos pairs-smoke
+ci: fmt vet build test layer-bench-check test-race tables-check bench-check telemetry-smoke autopilot-smoke chaos-smoke chaos pairs-smoke layer-pairs-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -321,3 +323,46 @@ pairs:
 pairs-smoke:
 	@$(MAKE) --no-print-directory pairs BASE=HEAD W=drain_single N=2 > pairs-smoke.txt; status=$$?; cat pairs-smoke.txt; exit $$status
 	@! grep -Eq ' (better|worse)$$' pairs-smoke.txt || { echo "pairs-smoke: a verdict from two pairs"; exit 1; }
+
+# The pairs verdict for the layer benchmarks beside a package: BASE is
+# extracted as pairs does, and PKG's test binary (PKG a directory, such as
+# ./internal/db) is built there and in the working tree with go test -c. N
+# pairs of runs follow, each binary run from its own package directory as
+# `-test.run '^$$' -test.bench BENCH -test.benchmem -test.count 1` (go test's
+# default benchtime), base first in even pairs and head first in odd ones.
+# Every output line goes to layer-pairs.txt prefixed `base ` or `head `, and
+# `cmd/layerbench -layer-pairs` reads it: per benchmark, ns/op, B/op and
+# allocs/op each get pairs' medians, quartiles, change, pairs won and
+# sign-test verdict. It fails when a benchmark's custom metric (a simulated
+# time) differs between any two runs, or the sides ran different benchmarks.
+PKG ?= ./internal/db
+BENCH ?= .
+
+layer-pairs:
+	@test -n "$(BASE)" || { echo "usage: make layer-pairs BASE=<rev> PKG=<dir> [BENCH=<regex>] [N=<pairs>]"; exit 2; }
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src" || exit 1; \
+	git archive "$(BASE)" | tar -x -C "$$tmp/src" || exit 1; \
+	(cd "$$tmp/src" && $(GO) test -c -o "$$tmp/base.test" $(PKG)) || exit 1; \
+	$(GO) test -c -o "$$tmp/head.test" $(PKG) || exit 1; \
+	$(GO) build -o "$$tmp/" ./cmd/layerbench || exit 1; \
+	: > layer-pairs.txt; i=0; \
+	while [ $$i -lt $(N) ]; do \
+		if [ $$((i % 2)) -eq 0 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			if [ $$side = base ]; then dir="$$tmp/src/$(PKG)"; else dir="$(PKG)"; fi; \
+			(cd "$$dir" && "$$tmp/$$side.test" -test.run '^$$' -test.bench '$(BENCH)' -test.benchmem -test.count 1 -test.timeout 10m) > "$$tmp/run.txt" || \
+				{ cat "$$tmp/run.txt"; echo "layer-pairs: $$side run $$((i + 1)) failed"; exit 1; }; \
+			sed "s/^/$$side /" "$$tmp/run.txt" >> layer-pairs.txt; \
+		done; \
+		i=$$((i + 1)); \
+	done; \
+	echo "layer-pairs: $(PKG) -bench '$(BENCH)', at $(BASE) (base) and the working tree (head)"; \
+	"$$tmp/layerbench" -layer-pairs < layer-pairs.txt
+
+# layer-pairs end to end on one cheap benchmark: two pairs of HEAD against the
+# working tree. It must exit 0 (the custom metrics agree), and two pairs are
+# too few for any verdict, so the grep fails it if one reads better or worse.
+layer-pairs-smoke:
+	@$(MAKE) --no-print-directory layer-pairs BASE=HEAD PKG=./internal/db BENCH='^BenchmarkTxnCommit$$' N=2 > layer-pairs-smoke.txt; status=$$?; cat layer-pairs-smoke.txt; exit $$status
+	@! grep -Eq ' (better|worse)$$' layer-pairs-smoke.txt || { echo "layer-pairs-smoke: a verdict from two pairs"; exit 1; }

@@ -28,6 +28,13 @@
 //
 //	go run ./cmd/layerbench -pairs < runs.txt
 //
+// With -layer-pairs it reads the runs of `make layer-pairs`: go test's
+// benchmark output of both sides' test binaries, each line prefixed `base `
+// or `head `, and prints the same verdict per benchmark on ns/op, B/op and
+// allocs/op; it fails when a custom metric differs between any two runs:
+//
+//	go run ./cmd/layerbench -layer-pairs < layer-pairs.txt
+//
 // Exit status is 1 when the check fails, 2 on a usage or input error.
 package main
 
@@ -50,7 +57,7 @@ import (
 // inexact names the rows whose allocs/op and B/op are not properties of the
 // code alone, with the cause. It is the one place the cause is kept.
 var inexact = map[string]string{
-	"repro/internal/db.Replay/shop": "at about 1.1 MB per op a run's total also holds allocations that follow the GC cycles it spans, so allocs/op reads 27 in some runs and 28 in others, and B/op by up to 1%",
+	"repro/internal/db.Replay/shop": "at about 1 MB per op a run's total also holds allocations that follow the GC cycles it spans, so allocs/op can read one more in some runs than in others, and B/op move by up to 1%",
 }
 
 // bytesBound is how far the median B/op may move, as a share of the ledger's.
@@ -87,8 +94,10 @@ func main() {
 	check := flag.String("check", "", "check the benchmark output on stdin against this ledger")
 	commit := flag.String("commit", "unknown", "with -record: the revision the output was measured on")
 	pairs := flag.Bool("pairs", false, "compare the base and head benchmark runs on stdin pair by pair")
+	layerPairs := flag.Bool("layer-pairs", false, "compare the base and head go test benchmark runs on stdin pair by pair")
 	flag.Parse()
-	if *pairs {
+	switch {
+	case *pairs:
 		base, head, err := readPairs(os.Stdin)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "layerbench:", err)
@@ -98,9 +107,19 @@ func main() {
 			os.Exit(1)
 		}
 		return
+	case *layerPairs:
+		base, head, err := readLayerPairs(os.Stdin)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "layerbench:", err)
+			os.Exit(2)
+		}
+		if !compareLayerPairs(os.Stdout, base, head) {
+			os.Exit(1)
+		}
+		return
 	}
 	if (*record == "") == (*check == "") {
-		fmt.Fprintln(os.Stderr, "layerbench: give exactly one of -record FILE, -check FILE and -pairs")
+		fmt.Fprintln(os.Stderr, "layerbench: give exactly one of -record FILE, -check FILE, -pairs and -layer-pairs")
 		os.Exit(2)
 	}
 	got, h, err := parse(os.Stdin)

@@ -72,12 +72,7 @@ func comparePairs(w io.Writer, base, head []result) bool {
 		len(base), minPairs, 100*winShare)
 	fmt.Fprintf(w, "%-20s %-34s %-34s %8s %6s  %s\n", "metric", "base median (q1–q3)", "head median (q1–q3)", "change", "won", "verdict")
 	for _, m := range hostMetrics {
-		b, h := values(base, m), values(head, m)
-		qb, qh := quartiles(b), quartiles(h)
-		won, verdict := pairVerdict(b, h)
-		fmt.Fprintf(w, "%-20s %-34s %-34s %+7.1f%% %6s  %s\n", m,
-			fmt.Sprintf("%.6g (%.6g–%.6g)", qb[1], qb[0], qb[2]), fmt.Sprintf("%.6g (%.6g–%.6g)", qh[1], qh[0], qh[2]),
-			100*(qh[1]-qb[1])/qb[1], fmt.Sprintf("%d/%d", won, len(b)), verdict)
+		fmt.Fprintf(w, "%-20s %s\n", m, verdictColumns(values(base, m), values(head, m)))
 	}
 	ok := true
 	same := func(name string, v func(result) string) {
@@ -103,6 +98,92 @@ func comparePairs(w io.Writer, base, head []result) bool {
 		}
 	}
 	return ok && runs[0].Correct
+}
+
+// verdictColumns prints one metric's pairs: each side's median and quartiles,
+// the change of the medians, the pairs head won and the verdict.
+func verdictColumns(b, h []float64) string {
+	qb, qh := quartiles(b), quartiles(h)
+	won, verdict := pairVerdict(b, h)
+	change := 0.0
+	if qb[1] != 0 {
+		change = 100 * (qh[1] - qb[1]) / qb[1]
+	}
+	return fmt.Sprintf("%-34s %-34s %+7.1f%% %6s  %s",
+		fmt.Sprintf("%.6g (%.6g–%.6g)", qb[1], qb[0], qb[2]), fmt.Sprintf("%.6g (%.6g–%.6g)", qh[1], qh[0], qh[2]),
+		change, fmt.Sprintf("%d/%d", won, len(b)), verdict)
+}
+
+// readLayerPairs reads the runs of `make layer-pairs`: go test's benchmark
+// output, each line prefixed `base ` or `head ` by the side whose test binary
+// printed it, the sides alternating which runs first. Each side's i-th result
+// of a benchmark is that benchmark's pair i, so both sides must have run the
+// same benchmarks as many times.
+func readLayerPairs(r io.Reader) (base, head map[string]*samples, err error) {
+	var out [2]strings.Builder
+	sc := bufio.NewScanner(r)
+	for n := 1; sc.Scan(); n++ {
+		side, line, _ := strings.Cut(sc.Text(), " ")
+		i := slices.Index([]string{"base", "head"}, side)
+		if i < 0 {
+			return nil, nil, fmt.Errorf("line %d: side %q is neither base nor head", n, side)
+		}
+		out[i].WriteString(line + "\n")
+	}
+	if err := sc.Err(); err != nil {
+		return nil, nil, err
+	}
+	if base, _, err = parse(strings.NewReader(out[0].String())); err != nil {
+		return nil, nil, fmt.Errorf("base: %v", err)
+	}
+	if head, _, err = parse(strings.NewReader(out[1].String())); err != nil {
+		return nil, nil, fmt.Errorf("head: %v", err)
+	}
+	for _, k := range slices.Sorted(maps.Keys(base)) {
+		if h := head[k]; h == nil || len(h.ns) != len(base[k].ns) {
+			return nil, nil, fmt.Errorf("%s: %d base runs and %d head runs: want as many of each", k, len(base[k].ns), len(head[k].ns))
+		}
+	}
+	if len(head) != len(base) {
+		return nil, nil, fmt.Errorf("head ran %d benchmarks, base %d: want the same ones", len(head), len(base))
+	}
+	return base, head, nil
+}
+
+// compareLayerPairs prints, per benchmark, the pairs verdict of its ns/op, B/op
+// and allocs/op, then each custom metric it reports (a simulated-time figure).
+// It reports false when a custom metric differs between any two runs.
+func compareLayerPairs(w io.Writer, base, head map[string]*samples) bool {
+	keys := slices.Sorted(maps.Keys(base))
+	fmt.Fprintf(w, "%d pairs; a verdict needs %d or more, one side winning %.0f%% of them and the medians apart by more than base's q1–q3\n",
+		len(base[keys[0]].ns), minPairs, 100*winShare)
+	fmt.Fprintf(w, "%-56s %-34s %-34s %8s %6s  %s\n", "benchmark", "base median (q1–q3)", "head median (q1–q3)", "change", "won", "verdict")
+	ok := true
+	for _, k := range keys {
+		b, h := base[k], head[k]
+		for _, c := range []struct {
+			unit       string
+			base, head []float64
+		}{{"ns/op", b.ns, h.ns}, {"B/op", b.bytes, h.bytes}, {"allocs/op", b.allocs, h.allocs}} {
+			fmt.Fprintf(w, "%-56s %s\n", k+" "+c.unit, verdictColumns(c.base, c.head))
+		}
+		for _, unit := range slices.Sorted(maps.Keys(b.metrics)) {
+			runs := append(slices.Clone(b.metrics[unit]), h.metrics[unit]...)
+			if len(h.metrics[unit]) != len(b.metrics[unit]) || slices.ContainsFunc(runs, func(v float64) bool { return v != runs[0] }) {
+				fmt.Fprintf(w, "%-56s FAIL: base %v, head %v\n", k+" "+unit, b.metrics[unit], h.metrics[unit])
+				ok = false
+				continue
+			}
+			fmt.Fprintf(w, "%-56s %v in all %d runs\n", k+" "+unit, runs[0], len(runs))
+		}
+		for unit := range h.metrics {
+			if _, known := b.metrics[unit]; !known {
+				fmt.Fprintf(w, "%-56s FAIL: head reports it, base does not\n", k+" "+unit)
+				ok = false
+			}
+		}
+	}
+	return ok
 }
 
 func values(runs []result, metric string) []float64 {

@@ -134,3 +134,107 @@ func TestReadPairsRefusesUnpairedRuns(t *testing.T) {
 		}
 	}
 }
+
+// layerRuns renders n alternating pairs of one package's go test output, as
+// `make layer-pairs` records it: each run a header and two benchmarks, Commit
+// at the ns/op and allocs/op commit gives, and Recover with its simulated-time
+// metric at the value recover gives.
+func layerRuns(n int, commit func(side string, i int) (ns, allocs float64), recover func(side string, i int) float64) string {
+	var out strings.Builder
+	for i := range n {
+		order := []string{"base", "head"}
+		if i%2 == 1 {
+			order = []string{"head", "base"}
+		}
+		for _, side := range order {
+			ns, allocs := commit(side, i)
+			for _, line := range []string{
+				"goos: linux",
+				"pkg: repro/internal/db",
+				fmt.Sprintf("BenchmarkTxnCommit \t 100000\t %v ns/op\t 147 B/op\t %v allocs/op", ns, allocs),
+				fmt.Sprintf("BenchmarkRecover/empty \t 10000\t 9868 ns/op\t %v flush-sim-µs\t 672 B/op\t 4 allocs/op", recover(side, i)),
+				"PASS",
+			} {
+				fmt.Fprintf(&out, "%s %s\n", side, line)
+			}
+		}
+	}
+	return out.String()
+}
+
+// layerVerdicts runs the comparison over output and returns whether it passed
+// and its printed rows by benchmark and unit.
+func layerVerdicts(t *testing.T, output string) (bool, map[string]string) {
+	t.Helper()
+	base, head, err := readLayerPairs(strings.NewReader(output))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var printed strings.Builder
+	ok := compareLayerPairs(&printed, base, head)
+	rows := map[string]string{}
+	for _, line := range strings.Split(printed.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 2 && strings.HasPrefix(f[0], "repro/") {
+			rows[f[0]+" "+f[1]] = line
+		}
+	}
+	return ok, rows
+}
+
+// make layer-pairs judges ns/op, B/op and allocs/op of every benchmark by the
+// rule make pairs judges wall_s by, and holds a benchmark's custom metrics
+// equal in every run: ten pairs whose head is 13% faster and allocates once
+// less read better on both columns and unresolved on the unmoved B/op; a
+// simulated-time metric that differs in one run fails the comparison.
+func TestLayerPairsJudgeEachColumn(t *testing.T) {
+	commit := func(side string, i int) (float64, float64) {
+		ns := 832 + float64(i%3)
+		if side == "head" {
+			return ns * 0.87, 0
+		}
+		return ns, 1
+	}
+	recover := func(string, int) float64 { return 200 }
+	ok, rows := layerVerdicts(t, layerRuns(10, commit, recover))
+	for key, want := range map[string]string{
+		"repro/internal/db.TxnCommit ns/op":            "10/10  better",
+		"repro/internal/db.TxnCommit allocs/op":        "10/10  better",
+		"repro/internal/db.TxnCommit B/op":             "0/10  unresolved",
+		"repro/internal/db.Recover/empty ns/op":        "0/10  unresolved",
+		"repro/internal/db.Recover/empty flush-sim-µs": "200 in all 20 runs",
+	} {
+		if !strings.HasSuffix(rows[key], want) {
+			t.Fatalf("%s row %q: want it to end %q", key, rows[key], want)
+		}
+	}
+	if !ok {
+		t.Fatal("no custom metric moved, yet the comparison failed")
+	}
+	moved := func(side string, i int) float64 {
+		if side == "base" && i == 1 {
+			return 300
+		}
+		return 200
+	}
+	if ok, rows := layerVerdicts(t, layerRuns(10, commit, moved)); ok || !strings.Contains(rows["repro/internal/db.Recover/empty flush-sim-µs"], "FAIL") {
+		t.Fatalf("a simulated-time metric moved in one run: passed %v, row %q", ok, rows["repro/internal/db.Recover/empty flush-sim-µs"])
+	}
+}
+
+// Runs that do not pair up, benchmark by benchmark, are an input error.
+func TestReadLayerPairsRefusesUnpairedRuns(t *testing.T) {
+	same := func(string, int) (float64, float64) { return 832, 0 }
+	flat := func(string, int) float64 { return 200 }
+	two := layerRuns(2, same, flat)
+	lines := strings.Split(two, "\n")
+	for _, output := range []string{
+		"",
+		strings.Join(lines[:5], "\n") + "\n", // one base run, no head run
+		strings.Join(append(lines[:12:12], lines[13:]...), "\n"), // one head run lacks TxnCommit
+		strings.Replace(two, "head goos", "left goos", 1),        // a side neither base nor head
+	} {
+		if _, _, err := readLayerPairs(strings.NewReader(output)); err == nil {
+			t.Fatalf("readLayerPairs accepted %q", output)
+		}
+	}
+}

@@ -117,10 +117,16 @@ func dirty(tb testing.TB, p *sim.Proc, d *DB, n int) {
 	}
 }
 
+// at returns the table's page for block: the zero page when it has none.
+func (t *pageTable) at(block int64) page {
+	pg, _ := t.get(block)
+	return pg
+}
+
 // tableCounts counts the reader's page table: the owned pages the next
 // checkpoint flushes, and the clean ones.
 func tableCounts(r *reader) (owned, clean int) {
-	for _, pg := range r.pages {
+	for _, pg := range r.pages.all {
 		if pg.owned {
 			owned++
 		} else {
@@ -163,28 +169,79 @@ func TestCheckpointAllocatesNoPage(t *testing.T) {
 }
 
 // OpenView of a crashed image allocates a fixed part sized once, however many
-// pages it redoes: the view, the committed set and the page table, each made
-// at its exact size (3 — a table of up to 8 pages is one allocation), the I/O
-// vector at the log's first two chunks and then once more — at the log
-// region's size for a log that outgrows them, else at the page scatter's —
-// the record slice, and the one array the redone pages share (5) — none of
-// which grows as it fills.
+// pages it redoes, and leaves the redo to the first read. The open makes the
+// view, the committed set, the claim counts and the I/O vector, at the log's
+// first two chunks and then once more — at the log region's size for a log
+// that outgrows them, else at the page scatter's (5). The first read makes the
+// page table at its exact size and the one array the redone pages share (2).
+// None of them grows as it fills, and a later read of a redone page allocates
+// nothing.
 func TestOpenViewAllocatesItsSlicesOnce(t *testing.T) {
 	inProcess(func(p *sim.Proc, a *storage.Array) {
 		const txns = 8
 		for _, pages := range []int{1, 4} {
 			image := crashedImage(t, p, a, storage.VolumeID(fmt.Sprint("image", pages)), txns, pages)
-			var v *View
-			allocs := testing.AllocsPerRun(1, func() {
-				var err error
-				if v, err = OpenView(p, "view", image, Config{}); err != nil {
+			views := make([]*View, 0, 2)
+			open := testing.AllocsPerRun(1, func() {
+				v, err := OpenView(p, "view", image, Config{})
+				if err != nil {
 					t.Fatal(err)
 				}
+				views = append(views, v)
 			})
-			if owned, _ := tableCounts(&v.reader); v.RecoveredTxns() != txns || owned != pages || allocs != 8 {
-				t.Fatalf("OpenView redid %d transactions into %d pages with %v allocations; want %d into %d with 8",
-					v.RecoveredTxns(), owned, allocs, txns, pages)
+			v := views[1]
+			unread, _ := tableCounts(&v.reader)
+			i := 0
+			first := testing.AllocsPerRun(1, func() {
+				if _, ok, err := views[i].Get(p, 1); !ok || err != nil {
+					t.Fatalf("key 1: found %v, %v", ok, err)
+				}
+				i++
+			})
+			later := testing.AllocsPerRun(1, func() { v.Get(p, 1) })
+			if owned, _ := tableCounts(&v.reader); v.RecoveredTxns() != txns || unread != 0 || owned != pages || open != 5 || first != 2 || later != 0 {
+				t.Fatalf("OpenView found %d transactions and held %d pages with %v allocations, its first read redid them into %d pages with %v, a later read made %v; want %d, 0 with 5, %d with 2, 0",
+					v.RecoveredTxns(), unread, open, owned, first, later, txns, pages)
 			}
+		}
+	})
+}
+
+// A Txn.Commit that writes a page of a table holding exactly 8 pages
+// allocates nothing: the page is written where its slot sits. (A Go map of 8
+// entries is one full group, which its next assignment, an overwrite too, turns
+// into a table: 3 allocations.) Each database holds 7 dirty pages and an 8th
+// read clean, all never written, and the measured commit writes the 8th, in
+// the arena's first chunk and the WAL's head block.
+func TestCommitInAFullEightPageTableAllocatesNothing(t *testing.T) {
+	inProcess(func(p *sim.Proc, a *storage.Array) {
+		var dbs [2]*DB
+		for i := range dbs {
+			vol, err := a.CreateVolume(storage.VolumeID(fmt.Sprint("v", i)), 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dbs[i], err = Open(p, "sales", vol, Config{}); err != nil {
+				t.Fatal(err)
+			}
+			dirty(t, p, dbs[i], 7)
+			if _, _, err := dbs[i].Get(p, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, seq := dbs[1], dbs[1].walSeq
+		i := 0
+		allocs := testing.AllocsPerRun(1, func() {
+			tx := dbs[i].BeginWithID(1)
+			tx.Put(8, make([]byte, 16))
+			if err := tx.Commit(p); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if owned, clean := tableCounts(&d.reader); owned != 8 || clean != 0 || d.walSeq != seq || allocs != 0 {
+			t.Fatalf("a commit into a table of %d owned and %d clean pages (%d WAL blocks started) allocated %v times; want 8 owned, no block started, 0",
+				owned, clean, d.walSeq-seq, allocs)
 		}
 	})
 }
@@ -196,8 +253,8 @@ func TestOpenViewAllocatesItsSlicesOnce(t *testing.T) {
 // the log's blocks, gets a vector of its own at the pages' count. A log that
 // outgrows two chunks grows the vector to the region once, and the scatter
 // takes the room behind the blocks read. Either way the scatter is the claimed
-// pages in block order, the log's blocks stay where the redo walked them, and
-// OpenView makes the 8 allocations pinned above.
+// pages in block order, the log's blocks stay where the redo will walk them,
+// and OpenView makes the 5 allocations pinned above.
 func TestOpenViewVectorReachesTheRegionOnlyPastTwoChunks(t *testing.T) {
 	inProcessOn(storage.Config{BlockSize: 512}, func(p *sim.Proc, a *storage.Array) {
 		for _, c := range []struct {
@@ -217,8 +274,8 @@ func TestOpenViewVectorReachesTheRegionOnlyPastTwoChunks(t *testing.T) {
 			if c.behind {
 				wantCap = v.cfg.WALBlocks - read
 			}
-			if live != c.live || read != c.read || cap(v.vec) != wantCap || allocs != 8 {
-				t.Fatalf("%d-byte rows: %d live log blocks of %d read, scatter cap %d, %v allocations; want %d of %d, cap %d, 8",
+			if live != c.live || read != c.read || cap(v.vec) != wantCap || allocs != 5 {
+				t.Fatalf("%d-byte rows: %d live log blocks of %d read, scatter cap %d, %v allocations; want %d of %d, cap %d, 5",
 					c.vlen, live, read, cap(v.vec), allocs, c.live, c.read, wantCap)
 			}
 			for i, io := range v.vec {
@@ -310,11 +367,11 @@ func recoveryAllocs(t *testing.T, p *sim.Proc, a *storage.Array, txns, pages int
 }
 
 // tableSink keeps tableAllocs's tables on the heap, as a reader's is.
-var tableSink map[int64]page
+var tableSink pageTable
 
 // tableAllocs counts the allocations of making a page table sized for n pages.
 func tableAllocs(n int) float64 {
-	return testing.AllocsPerRun(1, func() { tableSink = make(map[int64]page, n) })
+	return testing.AllocsPerRun(1, func() { tableSink = makePageTable(n) })
 }
 
 // Recovery allocates nothing per page it redoes: the redone pages share one

@@ -59,7 +59,7 @@ func TestAPageThatOutgrowsItsRoomLeavesItIntact(t *testing.T) {
 		}
 		commit(1, "one")
 		commit(2, "two")
-		room, next := d.pages[d.pageBlock(1)].data, d.pages[d.pageBlock(2)].data
+		room, next := d.pages.at(d.pageBlock(1)).data, d.pages.at(d.pageBlock(2)).data
 		if roomAt(d, vol.Peek(d.pageBlock(3))) != 0 || roomAt(d, room) != slotSize || roomAt(d, next) != 2*slotSize {
 			t.Fatalf("the handed-over page, key 1's and key 2's rooms sit at %d, %d, %d of one chunk; want 0, %d, %d",
 				roomAt(d, vol.Peek(d.pageBlock(3))), roomAt(d, room), roomAt(d, next), slotSize, 2*slotSize)
@@ -94,7 +94,7 @@ func TestAPageThatOutgrowsItsRoomLeavesItIntact(t *testing.T) {
 		}
 
 		commit(1+n, "grows") // key 1's page needs a second slot: it moves
-		moved := d.pages[d.pageBlock(1)].data
+		moved := d.pages.at(d.pageBlock(1)).data
 		if &moved[0] == &room[0] || len(moved) != 2*slotSize || cap(moved) != 2*slotSize {
 			t.Fatalf("key 1's page holds %d bytes with capacity %d, moved %v; want two slots in a new room of two",
 				len(moved), cap(moved), &moved[0] != &room[0])
@@ -132,7 +132,7 @@ func TestCommitRoomsDoubleToABlock(t *testing.T) {
 			if err := tx.Commit(p); err != nil {
 				t.Fatal(err)
 			}
-			if pg := d.pages[d.pageBlock(7)].data; len(pg) != (i+1)*slotSize || cap(pg) != want {
+			if pg := d.pages.at(d.pageBlock(7)).data; len(pg) != (i+1)*slotSize || cap(pg) != want {
 				t.Fatalf("after %d rows the page is %d bytes in a room of %d; want %d in %d", i+1, len(pg), cap(pg), (i+1)*slotSize, want)
 			}
 		}

@@ -151,7 +151,7 @@ func TestCommitFitCheckAgreesWithUpsertOnACopy(t *testing.T) {
 					ok = false
 				case got == nil:
 					for b, pg := range ref {
-						if !bytes.Equal(d.pages[b].data, pg) {
+						if !bytes.Equal(d.pages.at(b).data, pg) {
 							t.Errorf("seed %d round %d: page %d differs from the reference after commit", seed, round, b)
 							ok = false
 						}

@@ -14,7 +14,8 @@
 //     pages on disk never contain uncommitted data (no undo needed);
 //   - every open replays the WAL's valid prefix: transactions with a commit
 //     record in the prefix are redone in log order, everything else is
-//     discarded. Open checkpoints the result, OpenView keeps it in memory.
+//     discarded. Open checkpoints the result; OpenView keeps it in memory,
+//     redone at the view's first read.
 //
 // Volume layout: block 0 superblock | blocks 1..WALBlocks WAL | data pages.
 //
@@ -134,7 +135,11 @@ func Open(p *sim.Proc, name string, vol BlockWriter, cfg Config) (*DB, error) {
 	case err != nil:
 		return nil, err
 	}
-	if err := d.replay(p); err != nil {
+	rl, err := d.replay(p)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.redo(rl); err != nil { // the checkpoint flushes the redone pages
 		return nil, err
 	}
 	start := p.Now()
@@ -233,13 +238,13 @@ func (d *DB) walFits(sizes []int) bool {
 // page under it.
 func (d *DB) Checkpoint(p *sim.Proc) error {
 	n := 0
-	for _, pg := range d.pages {
+	for _, pg := range d.pages.all {
 		if pg.owned {
 			n++
 		}
 	}
 	d.vec = d.vecFor(n)
-	for b, pg := range d.pages {
+	for b, pg := range d.pages.all {
 		if pg.owned {
 			d.vec = append(d.vec, storage.BlockIO{Block: b, Data: pg.data[:len(pg.data):len(pg.data)]})
 		}
@@ -250,7 +255,7 @@ func (d *DB) Checkpoint(p *sim.Proc) error {
 	}
 	d.pageFlushes += int64(len(d.vec))
 	for _, io := range d.vec {
-		d.pages[io.Block] = page{data: io.Data}
+		d.pages.set(io.Block, page{data: io.Data})
 	}
 	d.epoch++
 	d.walSeq, d.head = 0, nil // the old head is the volume's; the next commit starts a new buffer

@@ -32,9 +32,9 @@ func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 		tx.Put(7, []byte("flushed"))
 		tx.Commit(p)
 		page := d.pageBlock(7)
-		owned := d.pages[page].data
+		owned := d.pages.at(page).data
 		d.Checkpoint(p)
-		if dirty, _ := tableCounts(&d.reader); dirty != 0 || &d.pages[page].data[0] != &owned[0] || &src.Peek(page)[0] != &owned[0] {
+		if dirty, _ := tableCounts(&d.reader); dirty != 0 || &d.pages.at(page).data[0] != &owned[0] || &src.Peek(page)[0] != &owned[0] {
 			t.Fatal("checkpoint must hand the dirty page to the volume and keep it as the clean page")
 		}
 		if stored := src.Peek(page); len(stored) != slotSize || cap(stored) != len(stored) {
@@ -75,7 +75,7 @@ func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 		if !bytes.Equal(src.Peek(page), flushed) {
 			t.Fatal("no-force: the commit changed the primary's stored page")
 		}
-		if pg := d.pages[page]; !pg.owned || &pg.data[0] == &owned[0] || len(pg.data) != 2*slotSize {
+		if pg := d.pages.at(page); !pg.owned || &pg.data[0] == &owned[0] || len(pg.data) != 2*slotSize {
 			t.Fatalf("the commit wrote into the page it had handed over, or left %d bytes, not two owned slots", len(pg.data))
 		}
 		d.Checkpoint(p)
@@ -88,7 +88,7 @@ func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 	env.Run(0)
 }
 
-// The replay redoes every page into one shared array, each page a capped slice
+// The redo copies every page into one shared array, each page a capped slice
 // with room for exactly what its redo appends. An upsert into a redone page
 // past that room copies the page out; the page laid out behind it in the array
 // keeps every byte.
@@ -113,7 +113,10 @@ func TestUpsertPastARedonePagesRoomCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, next := view.pages[view.pageBlock(1)].data, view.pages[view.pageBlock(2)].data
+		if _, _, err := view.Get(p, 1); err != nil { // the first read redoes the log
+			t.Fatal(err)
+		}
+		first, next := view.pages.at(view.pageBlock(1)).data, view.pages.at(view.pageBlock(2)).data
 		for _, pg := range [][]byte{first, next} {
 			if len(pg) != 2*slotSize || cap(pg) != len(pg) {
 				t.Fatalf("a redone page is %d bytes with capacity %d; want its two slots and no more room", len(pg), cap(pg))
@@ -263,7 +266,7 @@ func TestReadsCacheBorrowedPages(t *testing.T) {
 				t.Fatalf("cached page %d is not the volume's stored slice", b)
 			}
 		}
-		borrowed(d.pageBlock(7), d.pages[d.pageBlock(7)].data)
+		borrowed(d.pageBlock(7), d.pages.at(d.pageBlock(7)).data)
 		for i, pg := range d.region {
 			borrowed(d.dataBase+int64(i), pg)
 		}
@@ -315,7 +318,7 @@ func TestCheckpointAfterUnwrittenPreloadKeepsPagesClean(t *testing.T) {
 				t.Fatalf("get %d = %q, %v, %v; want %q", key, v, ok, err, want)
 			}
 			b := d.pageBlock(key)
-			if pg, stored := d.pages[b], vol.Peek(b); pg.owned || stored == nil || &pg.data[0] != &stored[0] {
+			if pg, stored := d.pages.at(b), vol.Peek(b); pg.owned || stored == nil || &pg.data[0] != &stored[0] {
 				t.Fatalf("page %d is not cached as the volume's stored slice", b)
 			}
 		}

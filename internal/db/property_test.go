@@ -17,8 +17,11 @@ import (
 // recoverBothDoors opens the crashed image read-only, then recovers it, and
 // requires the two doors — one reader behind both — to agree on what the image
 // holds: the committed set, the count redone, the torn-tail flag, every row,
-// and the reads the open charged (recovery's checkpoint only writes). It
-// returns the recovered database; an image OpenView refuses is not recovered.
+// and the reads the open charged (recovery's checkpoint only writes). A second
+// view, opened beside the first but read only after the recovery checkpointed
+// the image, must agree too: its redo, run at that first read, works from
+// what its open read. It returns the recovered database; an image OpenView
+// refuses is not recovered.
 func recoverBothDoors(p *sim.Proc, a *storage.Array, vol *storage.Volume, cfg Config) (*DB, error) {
 	rowsOf := func(scan func(*sim.Proc, func(Row) bool) error) (rows []string) {
 		scan(p, func(r Row) bool {
@@ -34,21 +37,32 @@ func recoverBothDoors(p *sim.Proc, a *storage.Array, vol *storage.Volume, cfg Co
 	}
 	viewReads := a.ReadOps() - before
 	viewRows := rowsOf(view.Scan)
+	late, err := OpenView(p, "late", vol, cfg)
+	if err != nil {
+		return nil, err
+	}
 	before = a.ReadOps()
 	d, err := Open(p, "x", vol, cfg)
 	if err != nil {
 		return nil, err
 	}
-	switch dbReads := a.ReadOps() - before; {
-	case !slices.Equal(view.CommittedTxns(), d.CommittedTxns()):
-		return nil, fmt.Errorf("committed: view %v, db %v", view.CommittedTxns(), d.CommittedTxns())
-	case view.RecoveredTxns() != d.RecoveredTxns() || view.SawTornTail() != d.SawTornTail():
-		return nil, fmt.Errorf("redone/torn tail: view %d/%v, db %d/%v",
-			view.RecoveredTxns(), view.SawTornTail(), d.RecoveredTxns(), d.SawTornTail())
-	case viewReads != dbReads:
-		return nil, fmt.Errorf("open charged the view %d reads and the db %d", viewReads, dbReads)
-	case !slices.Equal(viewRows, rowsOf(d.Scan)):
-		return nil, fmt.Errorf("rows: view %v, db %v", viewRows, rowsOf(d.Scan))
+	dbReads := a.ReadOps() - before
+	for _, v := range []struct {
+		door string
+		*View
+		rows []string
+	}{{"view", view, viewRows}, {"view read after the recovery", late, rowsOf(late.Scan)}} {
+		switch {
+		case !slices.Equal(v.CommittedTxns(), d.CommittedTxns()):
+			return nil, fmt.Errorf("committed: %s %v, db %v", v.door, v.CommittedTxns(), d.CommittedTxns())
+		case v.RecoveredTxns() != d.RecoveredTxns() || v.SawTornTail() != d.SawTornTail():
+			return nil, fmt.Errorf("redone/torn tail: %s %d/%v, db %d/%v",
+				v.door, v.RecoveredTxns(), v.SawTornTail(), d.RecoveredTxns(), d.SawTornTail())
+		case viewReads != dbReads:
+			return nil, fmt.Errorf("open charged the view %d reads and the db %d", viewReads, dbReads)
+		case !slices.Equal(v.rows, rowsOf(d.Scan)):
+			return nil, fmt.Errorf("rows: %s %v, db %v", v.door, v.rows, rowsOf(d.Scan))
+		}
 	}
 	return d, nil
 }
@@ -218,7 +232,8 @@ func TestRecoveryFromReplicatedImageProperty(t *testing.T) {
 // of the committed set miss the entry they look at first. The live committed
 // set must list exactly the committed IDs; a crash image, and the same image
 // with its last WAL write torn, must open through both doors alike
-// (recoverBothDoors: committed set, RecoveredTxns, torn flag, every row), the
+// (recoverBothDoors: committed set, RecoveredTxns, torn flag, every row, also
+// of a view read only after the recovery), the
 // first to every committed ID and row, the torn one to all but the last
 // commit.
 func TestOutOfOrderCommitsRecoverThroughBothDoors(t *testing.T) {

@@ -36,15 +36,15 @@ type BlockReader interface {
 
 // reader is the read half of a database, all that Open and OpenView share: the
 // volume layout, the superblock check, the replay of the WAL's valid prefix,
-// and the page lookup behind Get and Scan. A View is a reader and a replay
-// timer; a DB is a reader plus what writes.
+// and the page lookup behind Get and Scan. A View is a reader; a DB is a
+// reader plus what writes.
 //
-// Pages are cached by absolute block index in one table and copied on first
-// write. A clean page is borrowed: the slice the volume holds (nil = never
-// written), never written into. An owned page is a copy the replay took or, on
-// a DB, a room its commits carved (DB.writablePage) — the only pages upserted
-// into — until DB.Checkpoint hands it to the volume and it stays, clean, where
-// it sits; nothing else leaves a reader. Caching a clean page never replaces an
+// Pages are cached by absolute block index in one table (pageTable) and copied
+// on first write. A clean page is borrowed: the slice the volume holds (nil =
+// never written), never written into. An owned page is a copy the redo took
+// or, on a DB, a room its commits carved (DB.writablePage) — the only pages
+// upserted into — until DB.Checkpoint hands it to the volume and it stays,
+// clean, where it sits; nothing else leaves a reader. Caching a clean page never replaces an
 // owned one (loadPage). The reader itself only reads: what commits write with
 // lives on the DB, so a View carries none of it.
 type reader struct {
@@ -57,12 +57,13 @@ type reader struct {
 	dataBase  int64 // first data page block
 	dataPages int64
 
-	epoch    uint32 // log epoch: the superblock's, which Checkpoint bumps
-	nextTxID uint64
+	epoch     uint32 // log epoch: the superblock's, which Checkpoint bumps
+	torn      bool   // the replay hit a torn record at the end of the WAL prefix
+	preloaded bool   // Scan has preloaded the region: a block the table lacks is region's
+	nextTxID  uint64
 
-	pages     map[int64]page // the page table: made on first use, by the replay at its exact size
-	region    [][]byte       // clean pages of the whole data region once Scan preloaded it; nil while none was written
-	preloaded bool           // Scan has preloaded the region: a block the table lacks is region's
+	pages  pageTable // made on first use, by the redo at its exact size
+	region [][]byte  // clean pages of the whole data region once Scan preloaded it; nil while none was written
 
 	// vec is the one I/O vector: the replay's log chunks, its scatter read and
 	// Checkpoint's gather write fill it in turn, so it grows only past the
@@ -74,7 +75,10 @@ type reader struct {
 
 	committed []uint64 // IDs known committed, ascending and distinct
 	recovered int
-	torn      bool
+
+	// pending is a View's redo, which its first read runs (View.replayed);
+	// nil on a DB, which redoes at open.
+	pending *redoLog
 
 	logRead, pageRead time.Duration // the replay's two reads, in simulated time
 	logLive, logReads int           // WAL blocks the replay found live, and read to find them
@@ -86,6 +90,94 @@ type reader struct {
 type page struct {
 	data  []byte
 	owned bool
+}
+
+// pageTable maps a block to its page: one slice of slots, a power of two long,
+// probed linearly from the block's own index, so a run of consecutive pages
+// takes a run of slots. A page found is written where it sits, so overwriting
+// one (a commit's, the redo's, a checkpoint's) never allocates; only an insert
+// into a full table does, once per doubling. A table of 8 slots fills to the
+// last, as a Go map's one group does; a longer one fills to 7/8. Block 0 is
+// the superblock, never a page, so a slot holding block 0 is free.
+type pageTable struct {
+	slots []tableSlot
+	n     int // pages held
+}
+
+type tableSlot struct {
+	block int64
+	page
+}
+
+// tableFits returns how many pages a table of size slots holds.
+func tableFits(size int) int {
+	if size <= 8 {
+		return size
+	}
+	return size - size/8
+}
+
+// makePageTable returns an empty table that holds n pages without growing:
+// 8 slots, or the least power of two past that which fits n.
+func makePageTable(n int) pageTable {
+	size := 8
+	for tableFits(size) < n {
+		size *= 2
+	}
+	return pageTable{slots: make([]tableSlot, size)}
+}
+
+// find returns the slot holding block and true, else the free slot it would
+// take and false (-1 when the table is full).
+func (t *pageTable) find(block int64) (int, bool) {
+	mask := len(t.slots) - 1
+	for i, probes := int(block)&mask, 0; probes < len(t.slots); i, probes = (i+1)&mask, probes+1 {
+		switch t.slots[i].block {
+		case block:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+	return -1, false
+}
+
+func (t *pageTable) get(block int64) (page, bool) {
+	i, ok := t.find(block)
+	if !ok {
+		return page{}, false
+	}
+	return t.slots[i].page, true
+}
+
+// set stores pg as block's page: in its slot when the table holds it, else in
+// a free one, doubling the table first when it is full.
+func (t *pageTable) set(block int64, pg page) {
+	i, ok := t.find(block)
+	if !ok {
+		if t.n >= tableFits(len(t.slots)) {
+			old := t.slots
+			*t = makePageTable(t.n + 1)
+			for _, s := range old {
+				if s.block != 0 {
+					t.set(s.block, s.page)
+				}
+			}
+			i, _ = t.find(block)
+		}
+		t.slots[i].block = block
+		t.n++
+	}
+	t.slots[i].page = pg
+}
+
+// all yields every block the table holds with its page, in slot order.
+func (t *pageTable) all(yield func(int64, page) bool) {
+	for _, s := range t.slots {
+		if s.block != 0 && !yield(s.block, s.page) {
+			return
+		}
+	}
 }
 
 // open lays the database out on vol and checks its superblock; it writes
@@ -128,25 +220,34 @@ func (r *reader) open(p *sim.Proc, name string, vol BlockReader, cfg Config) err
 	return nil
 }
 
-// replay redoes the WAL's valid prefix in memory: transactions with a commit
-// record in the prefix are applied in log order to owned copies of their
-// pages, everything else is discarded. It issues two reads — the log until it
-// ends, then every page the redo will touch as one scatter in block order — so
-// the redo itself runs with every page present and takes no simulated time.
+// redoLog is what the redo of a replayed log needs: the log's blocks, its
+// valid prefix's record count and each data page's claim count. The claimed
+// pages are the reader's vector, which nothing refills before the redo.
+type redoLog struct {
+	blocks  []storage.BlockIO
+	records int
+	claims  []uint8
+}
+
+// replay reads what the redo of the WAL's valid prefix needs and finds which
+// transactions committed: those with a commit record in the prefix, whose
+// updates the redo applies in log order to owned copies of their pages;
+// everything else is discarded. It issues both of recovery's reads — the log
+// until it ends, then every page the redo will touch as one scatter in block
+// order — so the redo runs with every page present and takes no simulated
+// time, whenever it runs: Open runs it at once, a View at its first Get or
+// Scan.
 //
 // The records stay where they lie: wal.ValidPrefix checks the log blocks once
 // and counts the prefix's records, and the analysis, the claims and the redo
-// each wal.Walk it again in place. A claim is counted on its page, not listed:
-// the owned copies share one array, sized once, each page a capped slice of it
-// with room for its stored prefix and one more slot per committed update to it
-// (at most a block), so the redo never outgrows it. The committed set and the
-// page table are made once too, at the sizes the log gives them. A log with no
-// committed update makes no claim count, array or page table.
-func (r *reader) replay(p *sim.Proc) error {
+// each wal.Walk it again in place. A claim is counted on its page, not listed.
+// The committed set is made once, at the size the log gives it. A log with no
+// committed update makes no claim count.
+func (r *reader) replay(p *sim.Proc) (redoLog, error) {
 	start := p.Now()
 	log, err := r.readLog(p)
 	if err != nil {
-		return err
+		return redoLog{}, err
 	}
 	r.logRead = p.Now() - start
 	block := func(i int) []byte { return log[i].Data }
@@ -208,45 +309,66 @@ func (r *reader) replay(p *sim.Proc) error {
 	}
 	start = p.Now()
 	if err := r.img.ReadBlocks(p, r.vec); err != nil {
-		return err
+		return redoLog{}, err
 	}
 	r.pageRead = p.Now() - start
+	r.recovered = len(r.committed)
+	return redoLog{blocks: log, records: count, claims: claims}, nil
+}
+
+// redo applies the committed updates of the replayed log, in log order, to
+// owned copies of the pages the replay read. The copies share one array,
+// sized once, each page a capped slice of it with room for its stored prefix
+// and one more slot per committed update to it (at most a block), so the redo
+// never outgrows it; the page table is made once too, at the pages' count. A
+// log with no committed update makes neither.
+func (r *reader) redo(rl redoLog) error {
 	room := func(io storage.BlockIO) int {
-		return min(len(io.Data)+int(claims[io.Block-r.dataBase])*slotSize, r.blockSize)
+		return min(len(io.Data)+int(rl.claims[io.Block-r.dataBase])*slotSize, r.blockSize)
 	}
 	size := 0
 	for _, io := range r.vec {
 		size += room(io)
 	}
 	arr, off := make([]byte, size), 0
-	if n > 0 {
-		r.pages = make(map[int64]page, n)
+	if len(r.vec) > 0 {
+		r.pages = makePageTable(len(r.vec))
 	}
 	for _, io := range r.vec {
 		rm := room(io)
-		r.pages[io.Block] = page{data: append(arr[off:off:off+rm], io.Data...), owned: true} // a never-written page (nil) is empty
+		r.pages.set(io.Block, page{data: append(arr[off:off:off+rm], io.Data...), owned: true}) // a never-written page (nil) is empty
 		off += rm
 	}
-	// Redo committed transactions' updates in log order.
 	var redoErr error
-	committed = commitCursor{set: r.committed}
-	walk(func(rec wal.Record) bool {
+	committed := commitCursor{set: r.committed}
+	wal.Walk(rl.records, func(i int) []byte { return rl.blocks[i].Data }, r.epoch, func(rec wal.Record) bool {
 		if rec.Type != wal.TypeUpdate || !committed.has(rec.TxID) {
 			return true
 		}
 		home := r.pageBlock(rec.Key)
-		pg, err := pageUpsert(r.pages[home].data, Row{Key: rec.Key, TxID: rec.TxID, Val: rec.Val}, r.blockSize)
+		pg, _ := r.pages.get(home)
+		data, err := pageUpsert(pg.data, Row{Key: rec.Key, TxID: rec.TxID, Val: rec.Val}, r.blockSize)
 		if err != nil {
 			redoErr = fmt.Errorf("db: %s: redo tx %d: %w", r.name, rec.TxID, err)
 			return false
 		}
-		r.pages[home] = page{data: pg, owned: true}
+		r.pages.set(home, page{data: data, owned: true})
 		return true
 	})
-	if redoErr != nil {
-		return redoErr
+	return redoErr
+}
+
+// redone runs a View's pending redo, at its first read, and returns the redo's
+// error; a redo that failed stays pending, so every later read runs it again
+// and fails alike. On a DB, which redoes at open, nothing is pending.
+func (r *reader) redone() error {
+	if r.pending == nil {
+		return nil
 	}
-	r.recovered = len(r.committed)
+	if err := r.redo(*r.pending); err != nil {
+		return err
+	}
+	*r.pending, r.pending = redoLog{}, nil
 	return nil
 }
 
@@ -318,7 +440,7 @@ func (r *reader) pageBlock(key uint64) int64 {
 // region's clean page. A preloaded region that came back nil holds every page,
 // none written.
 func (r *reader) cached(block int64) (page, bool) {
-	if pg, ok := r.pages[block]; ok || !r.preloaded {
+	if pg, ok := r.pages.get(block); ok || !r.preloaded {
 		return pg, ok
 	}
 	if r.region == nil {
@@ -344,17 +466,8 @@ func (r *reader) loadPage(p *sim.Proc, block int64) ([]byte, error) {
 	if pg, ok := r.cached(block); ok {
 		return pg.data, nil
 	}
-	r.keep(block, page{data: data})
+	r.pages.set(block, page{data: data})
 	return data, nil
-}
-
-// keep stores pg as the block's table entry, making the table on first use
-// where the replay did not: a reader that only scans never makes one.
-func (r *reader) keep(block int64, pg page) {
-	if r.pages == nil {
-		r.pages = make(map[int64]page)
-	}
-	r.pages[block] = pg
 }
 
 // Get returns the value for key and whether it exists. The value is lent, not
@@ -367,6 +480,9 @@ func (r *reader) keep(block int64, pg page) {
 func (r *reader) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 	if key == 0 {
 		return nil, false, ErrZeroKey
+	}
+	if err := r.redone(); err != nil {
+		return nil, false, err
 	}
 	page, err := r.loadPage(p, r.pageBlock(key))
 	if err != nil {
@@ -385,6 +501,9 @@ func (r *reader) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 // The preload rule is "not preloaded yet", whatever pages Get cached singly
 // before — every one of them, even.
 func (r *reader) Scan(p *sim.Proc, fn func(Row) bool) error {
+	if err := r.redone(); err != nil {
+		return err
+	}
 	if !r.preloaded {
 		region, err := r.img.ReadRange(p, r.dataBase, int(r.dataPages))
 		if err != nil {

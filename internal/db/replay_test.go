@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -70,25 +71,24 @@ func (r *reader) modelReplay(p *sim.Proc) error {
 		return err
 	}
 	r.pageRead = p.Now() - start
-	r.pages = map[int64]page{}
 	for _, io := range pages {
 		c := 1
 		for ; len(more) > 0 && more[0].Block == io.Block; more = more[1:] {
 			c++
 		}
 		room := min(len(io.Data)+c*slotSize, r.blockSize)
-		r.pages[io.Block] = page{data: append(make([]byte, 0, room), io.Data...), owned: true}
+		r.pages.set(io.Block, page{data: append(make([]byte, 0, room), io.Data...), owned: true})
 	}
 	for _, rec := range recs {
 		if rec.Type != wal.TypeUpdate || !r.HasCommitted(rec.TxID) {
 			continue
 		}
 		block := r.pageBlock(rec.Key)
-		pg, err := pageUpsert(r.pages[block].data, Row{Key: rec.Key, TxID: rec.TxID, Val: rec.Val}, r.blockSize)
+		pg, err := pageUpsert(r.pages.at(block).data, Row{Key: rec.Key, TxID: rec.TxID, Val: rec.Val}, r.blockSize)
 		if err != nil {
 			return fmt.Errorf("db: %s: redo tx %d: %w", r.name, rec.TxID, err)
 		}
-		r.pages[block] = page{data: pg, owned: true}
+		r.pages.set(block, page{data: pg, owned: true})
 	}
 	r.recovered = len(r.committed)
 	return nil
@@ -287,14 +287,18 @@ func TestReplayMatchesRecordListModel(t *testing.T) {
 				if err := want.open(p, name, wantIO, Config{}); err != nil {
 					t.Fatal(err)
 				}
-				if err := got.replay(p); err != nil {
+				rl, err := got.replay(p)
+				if err != nil {
 					t.Fatalf("%s: %v", name, err)
+				}
+				if err := got.redo(rl); err != nil {
+					t.Fatalf("%s: redo: %v", name, err)
 				}
 				if err := want.modelReplay(p); err != nil {
 					t.Fatalf("%s: model: %v", name, err)
 				}
 				sameReplay(t, name, &got, &want, gotIO.vectors, wantIO.vectors)
-				for b, pg := range got.pages {
+				for b, pg := range got.pages.all {
 					if len(pg.data) == bs {
 						filled++
 					}
@@ -333,11 +337,11 @@ func sameReplay(t *testing.T, name string, got, want *reader, gotIO, wantIO [][]
 			got.LogReadTime(), got.PageReadTime(), got.logLive, got.logReads,
 			want.LogReadTime(), want.PageReadTime(), want.logLive, want.logReads)
 	}
-	if len(got.pages) != len(want.pages) {
-		t.Fatalf("%s: %d pages in the table; model %d", name, len(got.pages), len(want.pages))
+	if got.pages.n != want.pages.n {
+		t.Fatalf("%s: %d pages in the table; model %d", name, got.pages.n, want.pages.n)
 	}
-	for b, w := range want.pages {
-		g, ok := got.pages[b]
+	for b, w := range want.pages.all {
+		g, ok := got.pages.get(b)
 		if !ok || g.owned != w.owned || !bytes.Equal(g.data, w.data) || cap(g.data) != cap(w.data) || cap(g.data) > got.blockSize {
 			t.Fatalf("%s: page %d: present %v, owned %v, %d bytes in room %d; model owned %v, %d bytes in room %d (equal %v)", name, b,
 				ok, g.owned, len(g.data), cap(g.data), w.owned, len(w.data), cap(w.data), bytes.Equal(g.data, w.data))
@@ -346,7 +350,8 @@ func sameReplay(t *testing.T, name string, got, want *reader, gotIO, wantIO [][]
 }
 
 // BenchmarkReplay: one op replays two databases whose rows are all in their
-// WALs, by OpenView, the reader a failover's Open runs too. shop is
+// WALs, by OpenView and the redo a view runs at its first read: the reader a
+// failover's Open runs too. shop is
 // shop_adc's failover: 4,000 orders' sales (one row each) and stock (two lines
 // each, of 100 Zipf-skewed items) on 4 KiB blocks, 2,048-block volumes and a
 // 256-block WAL. fleet is one fleet tenant's 8 orders on 512-byte blocks and
@@ -370,6 +375,9 @@ func BenchmarkReplay(b *testing.B) {
 				for range b.N {
 					for _, img := range images {
 						v, err := OpenView(p, "replay", img, c.cfg)
+						if err == nil {
+							err = v.redone()
+						}
 						if err != nil || v.RecoveredTxns() != c.orders {
 							b.Fatalf("replayed %d of %d orders: %v", v.RecoveredTxns(), c.orders, err)
 						}
@@ -416,4 +424,47 @@ func shopImages(tb testing.TB, p *sim.Proc, a *storage.Array, blocks int64, cfg 
 		}
 	}
 	return images
+}
+
+// A view's redo runs at its first read, and a redo that fails fails that read
+// and every later one, while the open, which only reads, succeeded; Open of
+// the same image fails with the same error. Txn.Commit's fit check keeps such
+// a log out of the WAL, so the image's one transaction is flushed past it:
+// five new keys on one 512-byte page, which holds four rows.
+func TestAFailedRedoFailsEveryRead(t *testing.T) {
+	inProcessOn(storage.Config{BlockSize: 512}, func(p *sim.Proc, a *storage.Array) {
+		vol, err := a.CreateVolume("v", 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Open(p, "d", vol, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := d.Begin()
+		for k := range 5 {
+			tx.Put(1+uint64(k)*uint64(d.dataPages), []byte{byte(k)})
+		}
+		var sizes []int
+		for i := range 6 {
+			sizes = append(sizes, tx.record(i).EncodedSize())
+		}
+		if err := d.flushWAL(p, tx, sizes); err != nil {
+			t.Fatal(err)
+		}
+		view, err := OpenView(p, "view", vol, Config{})
+		if err != nil || view.RecoveredTxns() != 1 {
+			t.Fatalf("OpenView = %v, %d transactions found; want nil, 1", err, view.RecoveredTxns())
+		}
+		scan := func(*sim.Proc) error { return view.Scan(p, func(Row) bool { return true }) }
+		get := func(*sim.Proc) error { _, _, err := view.Get(p, 1); return err }
+		for i, read := range []func(*sim.Proc) error{get, scan, get} {
+			if err := read(p); !errors.Is(err, ErrPageFull) {
+				t.Fatalf("read %d of the view: %v, want ErrPageFull", i+1, err)
+			}
+		}
+		if _, err := Open(p, "again", vol, Config{}); !errors.Is(err, ErrPageFull) {
+			t.Fatalf("Open = %v, want ErrPageFull", err)
+		}
+	})
 }

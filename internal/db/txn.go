@@ -181,7 +181,7 @@ func (t *Txn) Commit(p *sim.Proc) error {
 			// The fit check above guaranteed room; this indicates a bug.
 			panic(fmt.Sprintf("db: %s: post-log upsert failed: %v", d.name, err))
 		}
-		d.keep(block, page{data: pg, owned: true})
+		d.pages.set(block, page{data: pg, owned: true})
 	}
 	// IDs mostly arrive in order: one past the last entry is appended unsearched.
 	if n := len(d.committed); n == 0 || d.committed[n-1] < t.id {

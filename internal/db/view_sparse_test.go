@@ -282,16 +282,16 @@ func TestPageCacheAndViewOverlayOwnTheirCopies(t *testing.T) {
 		// The owned pages are only what the replay cloned. A page read one at a
 		// time is the image's own slice: cached clean, where nothing writes,
 		// and read once.
-		if owned, _ := tableCounts(&view.reader); owned != 1 || &view.pages[page].data[0] == &peeked[0] {
+		if owned, _ := tableCounts(&view.reader); owned != 1 || &view.pages.at(page).data[0] == &peeked[0] {
 			t.Fatalf("owned = %d pages; want only a clone of the replayed page", owned)
 		}
 		other := view.pageBlock(8)
 		view.Get(p, 8)
 		ops := a.ReadOps()
 		view.Get(p, 8)
-		if _, clean := tableCounts(&view.reader); view.pages[other].owned || clean != 1 || a.ReadOps() != ops {
+		if _, clean := tableCounts(&view.reader); view.pages.at(other).owned || clean != 1 || a.ReadOps() != ops {
 			t.Fatalf("borrowed page: owned=%v, clean=%d, re-read=%v; want false, 1, false",
-				view.pages[other].owned, clean, a.ReadOps() != ops)
+				view.pages.at(other).owned, clean, a.ReadOps() != ops)
 		}
 
 		d, err = Open(p, "sales", vol, Config{}) // redo + recovery checkpoint

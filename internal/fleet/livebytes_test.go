@@ -20,17 +20,17 @@ import (
 // Both run on one P: each P keeps its own pool of dead goroutines'
 // descriptors, and a fleet measured on a P whose pool the first fleet left
 // shorter allocates new ones (up to about 140 bytes a tenant more on 2 Ps).
-// Over 40 runs, alone and after the package's other tests, and under -race,
-// that read 19,541–19,557 bytes and 111 objects; the bytes budget is the
+// Over 44 runs, alone and after the package's other tests, and under -race,
+// that read 18,921–18,972 bytes and 105 objects; the bytes budget is the
 // highest reading plus the file's 48 bytes of slack. Of those bytes,
-// 12,285–12,334 were scannable (/gc/scan/heap:bytes) over 80 runs, alone,
-// after the package's other tests and under -race; that budget is the highest
-// reading plus the same slack. A change that lowers either ratchets its pin.
+// 11,797–11,839 were scannable (/gc/scan/heap:bytes) over the same runs;
+// that budget is the highest reading plus the same slack. A change that
+// lowers either ratchets its pin.
 const (
 	liveTenants          = 256
-	liveBytesPerTenant   = 19_605
-	scanBytesPerTenant   = 12_382
-	liveObjectsPerTenant = 111
+	liveBytesPerTenant   = 19_020
+	scanBytesPerTenant   = 11_887
+	liveObjectsPerTenant = 105
 )
 
 // runParked runs a fleet of liveTenants tenants to quiescence.
