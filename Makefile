@@ -54,8 +54,7 @@ test:
 # every benchmark, so it also fails when one panics or calls b.Fatal; it fails
 # when the median allocs/op or a sim metric differs from the ledger, when the
 # median B/op moves more than 1%, or when a benchmark is added or gone without
-# a re-record. ns/op is printed, never judged, and the one row cmd/layerbench
-# names inexact is held to its sim metrics only. Both leave the raw output
+# a re-record. ns/op is printed, never judged. Both leave the raw output
 # in layer-bench.txt. A change that means to move an exact column re-records
 # and says why in CHANGES.md.
 LAYER_BENCH = $(GO) test -run '^$$' -bench . -benchmem -count 5 -benchtime 100ms ./internal/...

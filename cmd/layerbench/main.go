@@ -15,9 +15,7 @@
 // ledger's. go test prints allocs/op and B/op as a run's total over b.N
 // rounded down, so a run that overshoots b.N can read one allocation less
 // (BenchmarkDispatch/window=4 read 2 in one of five); the median takes that
-// out. A row named in inexact has an allocs/op and B/op that move from run
-// to run on unchanged code: the check prints them and holds the row to its
-// custom metrics.
+// out.
 //
 // With -pairs it reads, instead, the runs of `make pairs`: one `base <json>`
 // or `head <json>` line per run of either side's `benchmark -workload W`, the
@@ -53,12 +51,6 @@ import (
 	"strconv"
 	"strings"
 )
-
-// inexact names the rows whose allocs/op and B/op are not properties of the
-// code alone, with the cause. It is the one place the cause is kept.
-var inexact = map[string]string{
-	"repro/internal/db.Replay/shop": "at about 1 MB per op a run's total also holds allocations that follow the GC cycles it spans, so allocs/op can read one more in some runs than in others, and B/op move by up to 1%",
-}
 
 // bytesBound is how far the median B/op may move, as a share of the ledger's.
 const bytesBound = 0.01
@@ -266,7 +258,7 @@ func compare(w io.Writer, want ledger, got map[string]*samples) bool {
 	sort.Strings(keys)
 	ok := true
 	for _, k := range keys {
-		r, s, cause := want.Rows[k], got[k], inexact[k]
+		r, s := want.Rows[k], got[k]
 		var fails []string
 		switch {
 		case r == nil:
@@ -274,10 +266,10 @@ func compare(w io.Writer, want ledger, got map[string]*samples) bool {
 		case s == nil:
 			fails = append(fails, "not in this run")
 		default:
-			if a := quartiles(s.allocs)[1]; cause == "" && a != r.Allocs {
+			if a := quartiles(s.allocs)[1]; a != r.Allocs {
 				fails = append(fails, fmt.Sprintf("allocs/op %v (runs %v), ledger %v", a, s.allocs, r.Allocs))
 			}
-			if b := quartiles(s.bytes)[1]; cause == "" && math.Abs(b-r.Bytes) > bytesBound*r.Bytes {
+			if b := quartiles(s.bytes)[1]; math.Abs(b-r.Bytes) > bytesBound*r.Bytes {
 				fails = append(fails, fmt.Sprintf("B/op %v, ledger %v (bound %v%%)", b, r.Bytes, 100*bytesBound))
 			}
 			for unit, v := range r.Metrics {
@@ -294,8 +286,6 @@ func compare(w io.Writer, want ledger, got map[string]*samples) bool {
 		verdict := "exact"
 		if len(fails) > 0 {
 			verdict, ok = "FAIL: "+strings.Join(fails, "; "), false
-		} else if cause != "" {
-			verdict = fmt.Sprintf("allocs/op %v, B/op %v not gated: %s", s.allocs, s.bytes, cause)
 		}
 		fmt.Fprintf(w, "%-60s %s  %s\n", k, nsColumn(r, s), verdict)
 	}

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -95,7 +96,7 @@ type Autopilot struct {
 
 	// placer chooses the fabric member link for each new drain lane; every
 	// tick feeds it the members' utilization, and every answer it gives is
-	// recorded in the decision log (loggingPlacement).
+	// recorded in the decision log (PlaceLane).
 	placer LeastLoaded
 
 	decisions []Decision
@@ -132,8 +133,19 @@ func New(sys *core.System) (*Autopilot, error) {
 		lastReshard: make(map[string]time.Duration),
 		classes:     make(map[string]admission),
 	}
-	sys.SetPlacement(loggingPlacement{a})
+	sys.SetPlacement(a)
 	return a, nil
+}
+
+// PlaceLane implements core.PlacementPolicy: the placer's answer, landing in
+// the decision log. Placement runs inside reconcile steps, which the kernel
+// runs one at a time, so appending here is deterministic.
+func (a *Autopilot) PlaceLane(namespace string, lane int, f *fabric.Fabric) int {
+	li := a.placer.pick(f)
+	if li >= 0 {
+		a.record(a.sys.Env.Now(), namespace, "place-lane", fmt.Sprintf("lane %d -> link %d", lane, li))
+	}
+	return li
 }
 
 // Start launches the control process: one tick every period until Stop.

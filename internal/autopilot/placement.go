@@ -1,7 +1,6 @@
 package autopilot
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/fabric"
@@ -74,8 +73,9 @@ func (ll *LeastLoaded) Observe(f *fabric.Fabric) {
 	ll.observed = true
 }
 
-// PlaceLane implements core.PlacementPolicy.
-func (ll *LeastLoaded) PlaceLane(namespace string, lane int, f *fabric.Fabric) int {
+// pick returns the member link of f a new drain lane lands on, or -1 for the
+// any-link default.
+func (ll *LeastLoaded) pick(f *fabric.Fabric) int {
 	links := f.Links()
 	if len(links) < 2 {
 		return -1
@@ -118,19 +118,4 @@ func (ll *LeastLoaded) PlaceLane(namespace string, lane int, f *fabric.Fabric) i
 		ll.placed = append(ll.placed, placement{at: now, link: best})
 	}
 	return best
-}
-
-// loggingPlacement is the core.PlacementPolicy the autopilot installs: its
-// LeastLoaded placer, with every answer landing in the decision log.
-// Placement runs inside reconcile steps, which the kernel runs one at a
-// time, so appending here is deterministic.
-type loggingPlacement struct{ a *Autopilot }
-
-func (lp loggingPlacement) PlaceLane(namespace string, lane int, f *fabric.Fabric) int {
-	li := lp.a.placer.PlaceLane(namespace, lane, f)
-	if li >= 0 {
-		lp.a.record(lp.a.sys.Env.Now(), namespace, "place-lane",
-			fmt.Sprintf("lane %d -> link %d", lane, li))
-	}
-	return li
 }

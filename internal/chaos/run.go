@@ -416,23 +416,30 @@ func (r *runner) leave(p *sim.Proc, f Fault) {
 		return
 	}
 	r.stopWorkload(p, t)
-	// Drain, prove the backup complete and consistent, then decommission
-	// and hold the zero-residue invariant.
+	if r.retire(p, t, fmt.Sprintf("leave%02d", f.Seq)) {
+		r.logf(p, "fault #%02d leave %s: decommissioned after %d orders", f.Seq, t.ns, t.placed)
+	}
+}
+
+// retire drains a stopped tenant, proves its backup complete and consistent
+// (verified under tag, which also names the step in a failure),
+// decommissions it and holds the zero-residue invariant. It reports false
+// when it failed the run.
+func (r *runner) retire(p *sim.Proc, t *runTenant, tag string) bool {
 	r.sys.CatchUp(p, t.ns)
-	rep, err := r.verifyTenant(p, t, fmt.Sprintf("leave%02d", f.Seq))
+	rep, err := r.verifyTenant(p, t, tag)
 	if err != nil {
-		r.fail(p, fmt.Errorf("leave verify %s: %w", t.ns, err))
-		return
+		r.fail(p, fmt.Errorf("%s verify %s: %w", tag, t.ns, err))
+		return false
 	}
 	r.violations(p, invariants.CheckConsistentCut(t.ns, rep))
 	if err := r.sys.DecommissionTenant(p, t.ns); err != nil {
-		r.fail(p, fmt.Errorf("leave %s: %w", t.ns, err))
-		return
+		r.fail(p, fmt.Errorf("%s decommission %s: %w", tag, t.ns, err))
+		return false
 	}
-	t.left = true
-	t.alive = false
+	t.left, t.alive = true, false
 	r.violations(p, invariants.CheckZeroResidue(t.ns, r.sys.TenantResidue(t.ns)))
-	r.logf(p, "fault #%02d leave %s: decommissioned after %d orders", f.Seq, t.ns, t.placed)
+	return true
 }
 
 func (r *runner) reshard(p *sim.Proc, f Fault) {
@@ -640,23 +647,9 @@ func (r *runner) finish(p *sim.Proc) {
 		}
 	}
 	for _, t := range r.ten {
-		if !t.alive || t.failedOver {
-			continue
-		}
-		r.sys.CatchUp(p, t.ns)
-		rep, err := r.verifyTenant(p, t, "final")
-		if err != nil {
-			r.fail(p, fmt.Errorf("final verify %s: %w", t.ns, err))
+		if t.alive && !t.failedOver && !r.retire(p, t, "final") {
 			return
 		}
-		r.violations(p, invariants.CheckConsistentCut(t.ns, rep))
-		if err := r.sys.DecommissionTenant(p, t.ns); err != nil {
-			r.fail(p, fmt.Errorf("final decommission %s: %w", t.ns, err))
-			return
-		}
-		t.left = true
-		t.alive = false
-		r.violations(p, invariants.CheckZeroResidue(t.ns, r.sys.TenantResidue(t.ns)))
 	}
 	r.violations(p, r.orphanCheck())
 	total := 0

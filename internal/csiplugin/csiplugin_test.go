@@ -530,8 +530,8 @@ func (f *twoSites) setRGShards(t *testing.T, name string, shards int) {
 
 // TestReplicationPluginReshardsOnSpecChange drives a live 2->4->2 reshard
 // through the CR: the SAME engine reconfigures in place, replication keeps
-// working across both transitions, and the shrink decommissions the retired
-// shard journals.
+// working across both transitions, and the shard journals the shrink drops
+// leave the array.
 func TestReplicationPluginReshardsOnSpecChange(t *testing.T) {
 	f := newTwoSites(t)
 	pvcs := []string{"d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/replication"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // E13 scenario scale. One write-heavy tenant with many volumes in a single
@@ -79,30 +77,11 @@ func e13Run(seed int64, shards, writes int, failover bool, o *e13Outcome) error 
 		VolumeBlocks: int64(writes/e13Volumes + 2),
 	})
 
-	var driveErr, cutErr error
-	var g *replication.Group
-	halfway, written := sys.Env.NewEvent(), sys.Env.NewEvent()
-	sys.Env.Process("driver", func(p *sim.Proc) {
-		defer written.Trigger()
-		var vols []*storage.Volume
-		if vols, g, driveErr = provisionDataTenant(p, sys, e13Namespace, e13Volumes, shards, ""); driveErr != nil {
-			return
-		}
-		start := p.Now()
-		if driveErr = writeStamped(p, vols, writes, 0, halfway); driveErr != nil || failover {
-			return // on a failover run the disaster process owns the rest
-		}
-		g.CatchUp(p)
-		o.drain, o.bytes, o.epochs = p.Now()-start, g.AppliedBytes(), g.EpochCommits()
-	})
-	if failover {
-		sys.Env.Process("disaster", func(p *sim.Proc) {
-			p.Wait(halfway)
-			p.Sleep(30 * time.Millisecond) // let the drain run mid-backlog
-			o.cut, o.exact, cutErr = cutStamped(p, g, written)
-		})
-	}
-	sys.Env.Run(0)
-	quiesce(sys, 0)
-	return errors.Join(driveErr, cutErr)
+	var err error
+	o.cut, o.exact, err = runStamped(sys, e13Namespace, e13Volumes, shards, writes, 0, failover,
+		func(p *sim.Proc, g *replication.Group, start time.Duration) {
+			o.drain, o.bytes, o.epochs = p.Now()-start, g.AppliedBytes(), g.EpochCommits()
+		},
+		func(p *sim.Proc) { p.Sleep(30 * time.Millisecond) }) // let the drain run mid-backlog
+	return err
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -118,28 +117,15 @@ func e18Run(seed int64, window, writes int, partition bool, o *e18Outcome) error
 	if partition {
 		pace = 100 * time.Microsecond
 	}
-	var driveErr, cutErr error
-	var g *replication.Group
-	halfway, written := sys.Env.NewEvent(), sys.Env.NewEvent()
-	sys.Env.Process("driver", func(p *sim.Proc) {
-		defer written.Trigger()
-		var vols []*storage.Volume
-		if vols, g, driveErr = provisionDataTenant(p, sys, e18Namespace, e18Volumes, e18Shards, ""); driveErr != nil {
-			return
-		}
-		start := p.Now()
-		if driveErr = writeStamped(p, vols, writes, pace, halfway); driveErr != nil || partition {
-			return // on a partition run the disaster process owns the rest
-		}
-		g.CatchUp(p)
-		o.drain, o.bytes, o.maxInFlight = p.Now()-start, g.AppliedBytes(), link.MaxInFlight()
-		st := sys.Fabric.Forward.LinkWindowStats(0)
-		o.pipelined, o.windowStalls = st.Pipelined, st.WindowStalls
-		o.orderOK = link.OrderViolations() == 0
-	})
-	if partition {
-		sys.Env.Process("disaster", func(p *sim.Proc) {
-			p.Wait(halfway)
+	var err error
+	o.cut, o.exact, err = runStamped(sys, e18Namespace, e18Volumes, e18Shards, writes, pace, partition,
+		func(p *sim.Proc, g *replication.Group, start time.Duration) {
+			o.drain, o.bytes, o.maxInFlight = p.Now()-start, g.AppliedBytes(), link.MaxInFlight()
+			st := sys.Fabric.Forward.LinkWindowStats(0)
+			o.pipelined, o.windowStalls = st.Pipelined, st.WindowStalls
+			o.orderOK = link.OrderViolations() == 0
+		},
+		func(p *sim.Proc) {
 			// Writes are cheap and finish early; the drain is the long phase.
 			// Cut well into it so a meaningful prefix has committed, but
 			// before even the fastest window finishes.
@@ -153,10 +139,6 @@ func e18Run(seed int64, window, writes int, partition bool, o *e18Outcome) error
 			o.deliveredDuringCut = link.Transfers() - before
 			link.Heal()
 			p.Sleep(30 * time.Millisecond) // drain resumes over the healed link
-			o.cut, o.exact, cutErr = cutStamped(p, g, written)
 		})
-	}
-	sys.Env.Run(0)
-	quiesce(sys, 0)
-	return errors.Join(driveErr, cutErr)
+	return err
 }

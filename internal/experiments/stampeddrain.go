@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
@@ -17,8 +18,9 @@ import (
 // The stamped-drain scenario E13, E15 and E18 measure, written once (E17
 // uses its first step): a data-only tenant whose volumes take block writes
 // stamped with their ack sequence, so a backup image cut mid-drain can be
-// scored as a prefix of the tenant's cross-volume ack order. Each experiment
-// keeps its own processes and calls these from them.
+// scored as a prefix of the tenant's cross-volume ack order. E13 and E18 run
+// it whole through runStamped; E15 keeps its own processes and calls the
+// steps from them.
 
 // provisionDataTenant declares a data-only tenant of `claims` replicated
 // volumes on `shards` journal shards (slo names its SLO class, "" for none),
@@ -90,4 +92,39 @@ func cutStamped(p *sim.Proc, g *replication.Group, written *sim.Event) (int, boo
 	p.Wait(written)
 	cut, exact := invariants.StampedPrefix(vols)
 	return cut, exact, nil
+}
+
+// runStamped runs the stamped drain on sys and stops it: a "driver" process
+// provisions the tenant and writes the load at pace, then catches up and
+// calls drained with the load's start. With cut set, a "disaster" process
+// instead waits for half the acks, runs disaster and splits the pair; the
+// split's cutStamped score is returned (zero without cut).
+func runStamped(sys *core.System, ns string, claims, shards, writes int, pace time.Duration, cut bool,
+	drained func(p *sim.Proc, g *replication.Group, start time.Duration), disaster func(p *sim.Proc)) (k int, exact bool, err error) {
+	var cutErr error
+	var g *replication.Group
+	halfway, written := sys.Env.NewEvent(), sys.Env.NewEvent()
+	sys.Env.Process("driver", func(p *sim.Proc) {
+		defer written.Trigger()
+		var vols []*storage.Volume
+		if vols, g, err = provisionDataTenant(p, sys, ns, claims, shards, ""); err != nil {
+			return
+		}
+		start := p.Now()
+		if err = writeStamped(p, vols, writes, pace, halfway); err != nil || cut {
+			return // on a cut run the disaster process owns the rest
+		}
+		g.CatchUp(p)
+		drained(p, g, start)
+	})
+	if cut {
+		sys.Env.Process("disaster", func(p *sim.Proc) {
+			p.Wait(halfway)
+			disaster(p)
+			k, exact, cutErr = cutStamped(p, g, written)
+		})
+	}
+	sys.Env.Run(0)
+	quiesce(sys, 0)
+	return k, exact, errors.Join(err, cutErr)
 }

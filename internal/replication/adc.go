@@ -780,8 +780,8 @@ func (g *Group) Resync(p *sim.Proc, source *storage.Array) error {
 //     exact ack-order prefix throughout, and a failover raced into the
 //     migration window recovers either entirely pre- or entirely
 //     post-barrier state;
-//  4. once the barrier commits, retiring lanes are reaped and their shard
-//     journals decommissioned back to the array.
+//  4. once the barrier commits, retiring lanes are reaped; their shard
+//     journals left the group at step 1 and go with them.
 //
 // A single committing lane grows the same way: the barrier rule takes force
 // at the call (the batch the lane is applying, if any, completes first and
@@ -845,8 +845,7 @@ func (g *Group) Reshard(p *sim.Proc, paths []fabric.Path) (storage.ReshardStats,
 }
 
 // settleReshard closes the migration window once every record of epochs <=
-// the barrier is committed at the target, then reaps retiring lanes and
-// decommissions their shard journals.
+// the barrier is committed at the target, then reaps retiring lanes.
 func (g *Group) settleReshard() {
 	if !g.Resharding() {
 		return
@@ -873,7 +872,6 @@ func (g *Group) settleReshard() {
 	clear(g.retiring[len(kept):])
 	g.retiring = kept
 	if len(g.retiring) == 0 {
-		g.journal.DecommissionRetired()
 		g.reshardSettled.Trigger()
 		// Close the migration-window span exactly once per reshard; the
 		// zero-value reset makes later settle passes no-ops.
@@ -890,8 +888,8 @@ func (g *Group) Resharding() bool { return g.resharding || len(g.retiring) > 0 }
 func (g *Group) MigrationBarrier() int64 { return g.migrationBarrier }
 
 // AwaitReshard blocks until the most recent reshard has fully settled (the
-// barrier epoch committed, retiring lanes reaped, retired shard journals
-// decommissioned), reporting false if the group stops first.
+// barrier epoch committed, retiring lanes reaped), reporting false if the
+// group stops first.
 func (g *Group) AwaitReshard(p *sim.Proc) bool {
 	for g.Resharding() {
 		if g.stopped {

@@ -84,8 +84,8 @@ func TestLiveReshardGrowUnderLoad(t *testing.T) {
 }
 
 // TestLiveReshardShrinkReapsRetiredLanes reshards 4->2 mid-load: the two
-// retired lanes must commit what they had staged, then disappear along with
-// their decommissioned shard journals.
+// retired lanes must commit what they had staged, then disappear; their
+// shard journals are off the array.
 func TestLiveReshardShrinkReapsRetiredLanes(t *testing.T) {
 	link := netlink.Config{Propagation: time.Millisecond, BandwidthBps: 2e7}
 	r := newShardedRig(t, 4, 16, link, Config{BatchMax: 8})

@@ -89,7 +89,6 @@ type Array struct {
 	cfg        Config
 	controller *sim.Resource
 	volumes    map[VolumeID]*Volume
-	journals   map[string]*Journal
 	sharded    map[string]*ShardedJournal
 	snapshots  map[string]*Snapshot
 	groups     map[string]*SnapshotGroup
@@ -115,7 +114,6 @@ func NewArray(env *sim.Env, name string, cfg Config) *Array {
 		cfg:        cfg,
 		controller: env.NewResource(cfg.Parallelism),
 		volumes:    make(map[VolumeID]*Volume),
-		journals:   make(map[string]*Journal),
 		sharded:    make(map[string]*ShardedJournal),
 		snapshots:  make(map[string]*Snapshot),
 		groups:     make(map[string]*SnapshotGroup),
@@ -269,7 +267,7 @@ func (a *Array) nextGlobalSeq() int64 {
 }
 
 // Residue lists every array object still tied to the given ID prefix: a
-// volume whose ID starts with it, a shard journal named with it, a
+// volume whose ID starts with it, a group's shard journal named with it, a
 // consistency-group journal named with it or still carrying a matching
 // member, a snapshot of a matching volume, or a snapshot group with a
 // matching member. A fully decommissioned
@@ -281,12 +279,12 @@ func (a *Array) Residue(prefix string) []string {
 			out = append(out, "volume "+string(id))
 		}
 	}
-	for id := range a.journals {
-		if strings.HasPrefix(id, prefix) {
-			out = append(out, "journal "+id)
-		}
-	}
 	for id, sj := range a.sharded {
+		for _, j := range sj.shards {
+			if strings.HasPrefix(j.id, prefix) {
+				out = append(out, "journal "+j.id)
+			}
+		}
 		if strings.HasPrefix(id, prefix) {
 			out = append(out, "sharded journal "+id)
 			continue
@@ -325,5 +323,5 @@ func (a *Array) ReadOps() int64 { return a.readOps }
 func (a *Array) BytesWritten() int64 { return a.bytesWritten }
 
 func (a *Array) String() string {
-	return fmt.Sprintf("Array(%s){vols=%d journals=%d snaps=%d}", a.name, len(a.volumes), len(a.journals), len(a.snapshots))
+	return fmt.Sprintf("Array(%s){vols=%d journals=%d snaps=%d}", a.name, len(a.volumes), len(a.sharded), len(a.snapshots))
 }

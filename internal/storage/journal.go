@@ -149,63 +149,6 @@ func (j *Journal) TryTakeInto(buf []Record, max int) []Record {
 	return j.pending.popInto(buf[:0], max)
 }
 
-// pendingBytesOf returns the wire size of one volume's share of the
-// backlog (the reshard capacity check sums these per destination shard).
-func (j *Journal) pendingBytesOf(vol VolumeID) int {
-	var n int
-	for r := range j.pending.all() {
-		if r.Volume == vol {
-			n++
-		}
-	}
-	return n * j.RecordBytes()
-}
-
-// takeVolume extracts every pending record of one volume, preserving the
-// relative order of both the extracted and the remaining records. The
-// sharded-journal reshard uses it to migrate a re-placed volume's backlog
-// onto its new shard; counters are untouched (the records were appended
-// once and will still be drained once, just elsewhere).
-func (j *Journal) takeVolume(vol VolumeID) []Record {
-	var out, kept []Record
-	for r := range j.pending.all() {
-		if r.Volume == vol {
-			out = append(out, r)
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	j.pending = backlog{head: kept, n: len(kept)}
-	return out
-}
-
-// mergeIn splices records into the pending backlog by GlobalSeq — the
-// array-wide ack order, the one sequence a record carries. Both the backlog
-// and recs are GlobalSeq-ascending (append order is ack order), so the
-// merge keeps the result ascending, which in turn keeps epochs
-// non-decreasing: the invariant OldestPendingEpoch readers (the multi-lane
-// drain's barrier math) rely on.
-func (j *Journal) mergeIn(recs []Record) {
-	if len(recs) == 0 {
-		return
-	}
-	merged := make([]Record, 0, j.pending.n+len(recs))
-	a, b := j.pending.records(), recs
-	for len(a) > 0 && len(b) > 0 {
-		if a[0].GlobalSeq <= b[0].GlobalSeq {
-			merged = append(merged, a[0])
-			a = a[1:]
-		} else {
-			merged = append(merged, b[0])
-			b = b[1:]
-		}
-	}
-	merged = append(merged, a...)
-	merged = append(merged, b...)
-	j.pending = backlog{head: merged, n: len(merged)}
-	j.notEmpty.Trigger()
-}
-
 func (j *Journal) String() string {
 	return fmt.Sprintf("Journal(%s){pending=%d}", j.id, j.pending.n)
 }

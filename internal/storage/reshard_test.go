@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -106,7 +107,7 @@ func TestReshardGrowMigratesOnlyChangedPlacements(t *testing.T) {
 func TestReshardShrinkRetiresEmptiedShards(t *testing.T) {
 	env, a, sj := shardedFixture(t, 4, 16, 0)
 	reshardWrite(t, env, a, sj, 64)
-	prePending := sj.Pending()
+	prePending, old := sj.Pending(), sj.Shards()
 
 	stats, err := sj.Reshard(2)
 	if err != nil {
@@ -119,31 +120,26 @@ func TestReshardShrinkRetiresEmptiedShards(t *testing.T) {
 		t.Fatalf("pending %d, want %d", sj.Pending(), prePending)
 	}
 	checkShardInvariants(t, sj)
-	retired := sj.retired
-	if len(retired) != 2 {
-		t.Fatalf("retired = %d shards, want 2", len(retired))
-	}
-	for _, j := range retired {
+	// The dropped shards are empty and off the array at once: every volume
+	// they held moved, so nothing is left to decommission.
+	for _, j := range old[2:] {
 		if j.Pending() != 0 || len(j.Members()) != 0 {
-			t.Fatalf("retired shard %s still has pending=%d members=%d", j.ID(), j.Pending(), len(j.Members()))
+			t.Fatalf("dropped shard %s still has pending=%d members=%d", j.ID(), j.Pending(), len(j.Members()))
+		}
+		if res := a.Residue(j.ID()); len(res) != 0 {
+			t.Fatalf("dropped shard %s still on the array: %v", j.ID(), res)
 		}
 	}
 	if stats.MovedRecords == 0 || stats.MovedVolumes == 0 {
 		t.Fatalf("shrink moved nothing: %+v", stats)
 	}
-	if n := sj.DecommissionRetired(); n != 2 {
-		t.Fatalf("decommissioned %d, want 2", n)
-	}
-	if len(sj.retired) != 0 {
-		t.Fatal("retired list not emptied")
-	}
-	_ = env
 }
 
 // TestReshardResidueReturnsToSnapshot is the reshard leak regression:
-// growing and shrinking back, then decommissioning the retired shards, must
-// return Array.Residue to the pre-reshard listing (no leaked journal
-// regions), keep the backlog whole, and leave no reshard residue behind.
+// growing and shrinking back must return Array.Residue to the pre-reshard
+// listing at once (no leaked journal regions), keep the backlog whole, and
+// leave no reshard residue behind; growing back again needs no
+// decommission step first.
 func TestReshardResidueReturnsToSnapshot(t *testing.T) {
 	env, a, sj := shardedFixture(t, 2, 16, 0)
 	reshardWrite(t, env, a, sj, 48)
@@ -158,7 +154,6 @@ func TestReshardResidueReturnsToSnapshot(t *testing.T) {
 	if _, err := sj.Reshard(2); err != nil {
 		t.Fatal(err)
 	}
-	sj.DecommissionRetired()
 	if after := a.Residue(""); !slices.Equal(after, before) || sj.Pending() != pending {
 		t.Fatalf("after reshard round-trip: objects %v, pending %d; want pre-reshard %v, %d", after, sj.Pending(), before, pending)
 	}
@@ -169,7 +164,13 @@ func TestReshardResidueReturnsToSnapshot(t *testing.T) {
 		}
 	}
 	checkShardInvariants(t, sj)
-	_ = env
+	if _, err := sj.Reshard(4); err != nil {
+		t.Fatalf("growing back to 4 shards: %v", err)
+	}
+	if again := a.Residue(""); len(again) != len(before)+2 || sj.Pending() != pending {
+		t.Fatalf("array objects after growing back = %v, pending %d; want two shard journals more than %v, %d", again, sj.Pending(), before, pending)
+	}
+	checkShardInvariants(t, sj)
 }
 
 func TestReshardSameCountIsStructuralNoop(t *testing.T) {
@@ -220,9 +221,9 @@ func TestReshardRespectsShardCapacity(t *testing.T) {
 		t.Fatal("shrink past destination capacity must refuse")
 	}
 	// Refusal has zero side effects: no barrier sealed, nothing migrated,
-	// no shards created or retired.
+	// no shards created or dropped.
 	if sj.Epoch() != epoch || sj.Pending() != pending || sj.ShardCount() != 4 ||
-		len(sj.retired) != 0 || sj.Reshards() != 0 {
+		sj.Reshards() != 0 {
 		t.Fatalf("refused reshard left side effects: epoch=%d pending=%d shards=%d",
 			sj.Epoch(), sj.Pending(), sj.ShardCount())
 	}
@@ -239,5 +240,64 @@ func TestReshardRespectsShardCapacity(t *testing.T) {
 	}
 	if sj.ShardCount() != 1 {
 		t.Fatalf("shards = %d, want 1", sj.ShardCount())
+	}
+}
+
+// TestReshardWakesShardsInAttachOrder pins the order in which a reshard
+// wakes lanes parked on NotEmpty: a moved volume with pending records wakes
+// its new shard, the members taken in attach order — not in the records'
+// ack order, nor in shard order. A 4->2 shrink moves shard 2's volumes to
+// shard 0 and shard 3's to shard 1; the fixture attaches the volume bound
+// for shard 1 first and writes the one bound for shard 0 first, so the three
+// orders disagree.
+func TestReshardWakesShardsInAttachOrder(t *testing.T) {
+	env := sim.NewEnv(1)
+	a := NewArray(env, "main", Config{})
+	var to0, to1 VolumeID
+	for i := 0; to0 == "" || to1 == ""; i++ {
+		id := VolumeID(fmt.Sprintf("vol-%02d", i))
+		switch ShardFor(id, 4) {
+		case 2:
+			to0 = cmp.Or(to0, id)
+		case 3:
+			to1 = cmp.Or(to1, id)
+		}
+	}
+	for _, id := range []VolumeID{to1, to0} {
+		if _, err := a.CreateVolume(id, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sj, err := a.CreateConsistencyGroup("cg", []VolumeID{to1, to0}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := sj.Shards()
+	var woke []int
+	for _, k := range []int{0, 1} {
+		env.Process(fmt.Sprintf("lane-%d", k), func(p *sim.Proc) {
+			p.Wait(old[k].NotEmpty())
+			woke = append(woke, k)
+		})
+	}
+	env.Process("writer", func(p *sim.Proc) {
+		buf := make([]byte, a.Config().BlockSize)
+		for _, id := range []VolumeID{to0, to1} {
+			v, _ := a.Volume(id)
+			if _, err := v.Write(p, 0, buf); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if len(woke) != 0 {
+			t.Errorf("lanes woke before the reshard: %v", woke)
+		}
+		if _, err := sj.Reshard(2); err != nil {
+			t.Error(err)
+		}
+	})
+	env.Run(0)
+	if !slices.Equal(woke, []int{1, 0}) {
+		t.Fatalf("lanes woke in order %v, want [1 0] (attach order)", woke)
 	}
 }

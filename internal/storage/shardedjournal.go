@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strconv"
 
 	"repro/internal/sim"
@@ -42,11 +44,6 @@ type ShardedJournal struct {
 	// until a resync — a group with some shards journaling and some not
 	// could never replay a consistent cross-shard cut.
 	capacityPerShard int
-
-	// retired holds shard journals dropped by a shrink reshard, kept until
-	// their last in-flight records are accounted for and DecommissionRetired
-	// releases them back to the array.
-	retired []*Journal
 
 	// Reshard counters: lifetime transitions and migrated work. A
 	// shard-count-unchanged reconcile must leave all three untouched — the
@@ -103,11 +100,7 @@ func (a *Array) CreateConsistencyGroup(id string, vols []VolumeID, shards int) (
 		epoch:   1,
 	}
 	for k := range sj.shards {
-		sid := shardJournalID(id, k)
-		if _, ok := a.journals[sid]; ok {
-			return nil, fmt.Errorf("%w: %s", ErrJournalExists, sid)
-		}
-		sj.shards[k] = newJournal(sj, sid)
+		sj.shards[k] = newJournal(sj, shardJournalID(id, k))
 	}
 	for i, m := range vols {
 		v, err := a.Volume(m)
@@ -123,9 +116,6 @@ func (a *Array) CreateConsistencyGroup(id string, vols []VolumeID, shards int) (
 		}
 		v.journal = sj.shards[ShardFor(m, shards)]
 	}
-	for _, j := range sj.shards {
-		a.journals[j.id] = j
-	}
 	a.sharded[id] = sj
 	return sj, nil
 }
@@ -139,9 +129,8 @@ func (a *Array) ShardedJournal(id string) (*ShardedJournal, error) {
 	return sj, nil
 }
 
-// DeleteShardedJournal detaches every member volume and removes the group's
-// shard journals, including shards retired by a reshard but not yet
-// decommissioned (a teardown racing a live reshard must not leak them).
+// DeleteShardedJournal detaches every member volume and removes the group
+// with its shard journals.
 func (a *Array) DeleteShardedJournal(id string) error {
 	sj, ok := a.sharded[id]
 	if !ok {
@@ -152,13 +141,7 @@ func (a *Array) DeleteShardedJournal(id string) error {
 			v.journal = nil
 		}
 	}
-	for _, j := range sj.shards {
-		delete(a.journals, j.id)
-	}
-	for _, j := range sj.retired {
-		delete(a.journals, j.id)
-	}
-	sj.members, sj.retired = nil, nil
+	sj.members = nil
 	delete(a.sharded, id)
 	return nil
 }
@@ -279,15 +262,18 @@ type ReshardStats struct {
 //
 //   - the open epoch is sealed as the migration barrier, so the old and the
 //     new placement are separated by an exact cross-volume cut;
-//   - volumes are re-placed by the same stable hash over the new count;
-//     only members whose assignment changes migrate, and their pending
-//     (undrained) records move with them, merged into the destination
-//     shard's backlog by GlobalSeq — the array-wide ack order — which keeps
-//     every shard's backlog epoch-monotone for the drain's barrier math;
+//   - volumes are re-placed by the same stable hash over the new count, and
+//     every pending (undrained) record is pushed, in GlobalSeq order — the
+//     array-wide ack order — onto its volume's shard, so every shard's
+//     backlog stays epoch-monotone for the drain's barrier math; only
+//     members whose assignment changes count as moved;
 //   - a grow creates the added shard journals (inheriting the group's
-//     per-shard capacity); a shrink retires the dropped ones, which are
-//     empty of backlog after migration and wait in Retired() until the
-//     replication engine confirms their lanes idle and decommissions them.
+//     per-shard capacity); a shrink drops the shards from newCount on.
+//     Every volume of a dropped shard moves, so the dropped journals are
+//     empty and stay so: only a retiring drain lane still holds one.
+//
+// A moved volume with pending records wakes its new shard's NotEmpty, the
+// members taken in attach order: a parked lane's wake follows that order.
 //
 // Resharding to the current count is a structural no-op: no epoch is
 // sealed, nothing migrates, no counter moves. An overflowed group refuses
@@ -305,10 +291,12 @@ func (sj *ShardedJournal) Reshard(newCount int) (ReshardStats, error) {
 	if sj.overflowed {
 		return stats, fmt.Errorf("storage: sharded journal %s: cannot reshard while overflowed (resync first)", sj.id)
 	}
-	a := sj.array
-	for k := cur; k < newCount; k++ {
-		if _, ok := a.journals[shardJournalID(sj.id, k)]; ok {
-			return stats, fmt.Errorf("%w: %s", ErrJournalExists, shardJournalID(sj.id, k))
+	var recs []Record
+	held := make(map[VolumeID]int) // pending records per volume
+	for _, j := range sj.shards {
+		for r := range j.pending.all() {
+			recs = append(recs, r)
+			held[r.Volume]++
 		}
 	}
 	if sj.capacityPerShard > 0 {
@@ -318,19 +306,8 @@ func (sj *ShardedJournal) Reshard(newCount int) (ReshardStats, error) {
 		// invariant must not be bypassable by re-placement. The caller
 		// (controller backoff) retries once the drain has made room.
 		dest := make([]int, newCount)
-		for k := 0; k < newCount && k < cur; k++ {
-			dest[k] = sj.shards[k].PendingBytes()
-		}
-		for _, v := range sj.members {
-			oldIdx, newIdx := ShardFor(v, cur), ShardFor(v, newCount)
-			if oldIdx == newIdx {
-				continue
-			}
-			moved := sj.shards[oldIdx].pendingBytesOf(v)
-			if oldIdx < newCount {
-				dest[oldIdx] -= moved
-			}
-			dest[newIdx] += moved
+		for v, n := range held {
+			dest[ShardFor(v, newCount)] += n * sj.shards[0].RecordBytes()
 		}
 		for k, b := range dest {
 			if b > sj.capacityPerShard {
@@ -344,50 +321,33 @@ func (sj *ShardedJournal) Reshard(newCount int) (ReshardStats, error) {
 	// the old one out.
 	shards := make([]*Journal, max(cur, newCount))
 	copy(shards, sj.shards)
-	for k := cur; k < newCount; k++ {
-		shards[k] = newJournal(sj, shardJournalID(sj.id, k))
-		a.journals[shards[k].id] = shards[k]
+	for k := range shards {
+		if k >= cur {
+			shards[k] = newJournal(sj, shardJournalID(sj.id, k))
+		}
+		shards[k].pending = backlog{}
 	}
 	for _, v := range sj.members {
-		oldIdx, newIdx := ShardFor(v, cur), ShardFor(v, newCount)
-		if oldIdx == newIdx {
+		vol, to := sj.array.volumes[v], shards[ShardFor(v, newCount)]
+		if vol.journal == to {
 			continue
 		}
-		moved := shards[oldIdx].takeVolume(v)
-		a.volumes[v].journal = shards[newIdx]
-		shards[newIdx].mergeIn(moved)
+		vol.journal = to
 		stats.MovedVolumes++
-		stats.MovedRecords += len(moved)
+		stats.MovedRecords += held[v]
+		if held[v] > 0 {
+			to.notEmpty.Trigger()
+		}
 	}
-	if newCount < cur {
-		sj.retired = append(sj.retired, shards[newCount:]...)
+	slices.SortFunc(recs, func(x, y Record) int { return cmp.Compare(x.GlobalSeq, y.GlobalSeq) })
+	for _, r := range recs {
+		sj.array.volumes[r.Volume].journal.pending.push(r)
 	}
 	sj.shards = shards[:newCount:newCount]
 	sj.reshards++
 	sj.movedVolumes += int64(stats.MovedVolumes)
 	sj.movedRecords += int64(stats.MovedRecords)
 	return stats, nil
-}
-
-// DecommissionRetired releases every retired shard journal that is fully
-// drained (no backlog; migration moved its members off) back to the array, returning how many
-// were removed. The replication engine calls it once a retiring lane's last
-// staged records are committed; leftover backlog keeps a shard parked here.
-func (sj *ShardedJournal) DecommissionRetired() int {
-	kept := sj.retired[:0]
-	for _, j := range sj.retired {
-		if j.Pending() == 0 {
-			delete(sj.array.journals, j.id)
-		} else {
-			kept = append(kept, j)
-		}
-	}
-	n := len(sj.retired) - len(kept)
-	for i := len(kept); i < len(sj.retired); i++ {
-		sj.retired[i] = nil
-	}
-	sj.retired = kept
-	return n
 }
 
 // Reshards returns the lifetime count of shard-set transitions.

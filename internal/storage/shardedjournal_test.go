@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -305,10 +306,7 @@ func TestPendingBytesEqualsBacklogScan(t *testing.T) {
 		{"append after grow", func() { reshardWrite(t, env, a, sj, 24) }},
 		{"shrink 4->1 migrates", reshard(1)},
 		{"append past one segment", func() { reshardWrite(t, env, a, sj, 3*segRecords) }},
-		{"grow 1->3 migrates a deep backlog", func() {
-			sj.DecommissionRetired() // frees the IDs the 4->1 shrink retired
-			reshard(3)()
-		}},
+		{"grow 1->3 migrates a deep backlog", reshard(3)},
 		{"shrink 3->1 merges it back", reshard(1)},
 		{"overflow", func() {
 			sj.SetCapacityPerShard(1)
@@ -327,10 +325,16 @@ func TestPendingBytesEqualsBacklogScan(t *testing.T) {
 			}
 		}},
 	}
+	var seen []*Journal // every shard the group has had, dropped ones too
 	for _, st := range steps {
 		st.do()
 		checkShardInvariants(t, sj)
-		for _, j := range append(sj.Shards(), sj.retired...) {
+		for _, j := range sj.Shards() {
+			if !slices.Contains(seen, j) {
+				seen = append(seen, j)
+			}
+		}
+		for _, j := range seen {
 			scan := 0
 			for range j.pending.all() {
 				scan += a.Config().BlockSize + recordHeaderBytes
