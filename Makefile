@@ -19,9 +19,9 @@
 #   lines            the Go line counts and DESIGN.md's size ROADMAP tracks, per internal/ package, cmd/ binary and example too (not part of ci)
 #   lines-diff       BASE=<rev>: non-test Go lines outside benchmark/ at BASE, in the working tree, and the difference, then per changed internal/ and cmd/ directory (not part of ci)
 #   sim-diff         BASE=<rev>: experiment tables, the CHAOS_SEEDS chaos replays and their per-process sim-time sums at BASE and in the working tree, byte for byte (not part of ci)
-#   pairs            BASE=<rev> [W=shop_adc] [N=10] [SEED=1]: N alternating runs of W's benchmark at BASE and in the working tree, a sign-test verdict per host metric (not part of ci)
+#   pairs            BASE=<rev> [W=shop_adc] [N=10] [SEED=1]: N alternating runs of W's benchmark at BASE and in the working tree, judged by layerbench -pairs: a sign-test verdict per host metric (not part of ci)
 #   pairs-smoke      pairs at BASE=HEAD, W=drain_single, N=2: it runs, sim values agree, every verdict unresolved
-#   layer-pairs      BASE=<rev> PKG=<dir> [BENCH=<regex>] [N=10]: N alternating runs of PKG's go test benchmarks at BASE and in the working tree, a sign-test verdict per benchmark on ns/op, B/op and allocs/op (not part of ci)
+#   layer-pairs      BASE=<rev> PKG=<dir> [BENCH=<regex>] [N=10]: the pairs recipe on PKG's go test benchmarks, the same judge: a verdict per benchmark on ns/op, B/op and allocs/op (not part of ci)
 #   layer-pairs-smoke  layer-pairs at BASE=HEAD, one internal/db benchmark, N=2: it runs, custom metrics agree, every verdict unresolved
 
 GO ?= go
@@ -279,41 +279,64 @@ sim-diff:
 		printf 'sim-diff: %s identical (%d lines)\n' "$$f" "$$(wc -l < "$$out")"; \
 	done
 
-# A wall-time claim as one command: BASE is extracted as sim-diff does, and
-# ./benchmark is built there and in the working tree. N pairs of runs follow,
-# each `benchmark -workload W -seed SEED -trace 0` at the workload's fixed
-# iteration count, base first in even pairs and head first in odd ones, so a
-# drift of the host falls on both sides. Each run's final JSON line goes to
-# pairs-<W>.txt as `base <json>` or `head <json>`, and `cmd/layerbench
-# -pairs` reads it: per host metric (wall_s, setup_s, allocs_per_op,
-# alloc_mb_per_op) both medians and quartiles, the change and the pairs head
-# won, and the verdict of the sign-test rule — "better" or "worse" only with
-# 10 or more pairs, one side winning nine tenths of them and the medians apart
-# by more than base's q1–q3, else "unresolved". It fails when a simulation
-# metric, attempted or failed differs between any two runs.
+# A wall-time claim (pairs) or an ns/op claim on a layer benchmark
+# (layer-pairs) as one command, through one recipe: BASE is extracted as
+# sim-diff does, and PAIR_PKG is built there and in the working tree (pairs:
+# ./benchmark with go build; layer-pairs: PKG's test binary, PKG a directory
+# such as ./internal/db, with go test -c). N pairs of runs follow, each binary
+# run from its own package directory with PAIR_ARGS, base first in even pairs
+# and head first in odd ones, so a drift of the host falls on both sides.
+# pairs runs `-workload W -seed SEED -trace 0` at the workload's fixed
+# iteration count; layer-pairs runs `-test.bench BENCH -test.benchmem
+# -test.count 1` at go test's default benchtime (a package's whole set takes
+# about 15 s a run: narrow BENCH). Every output line goes to PAIR_OUT
+# prefixed `base ` or `head `, and `cmd/layerbench -pairs` reads it: per
+# benchmark row, each host-clock column (wall_s, setup_s, allocs_per_op,
+# alloc_mb_per_op; ns/op, B/op, allocs/op) gets both medians and quartiles,
+# the change, the pairs head won and the verdict of the sign-test rule —
+# "better" or "worse" only with 10 or more pairs, one side winning nine
+# tenths of them and the medians apart by more than base's q1–q3, else
+# "unresolved". It fails when any other column (a simulation metric,
+# attempted, failed) differs between two runs, a benchmark run was not
+# correct, or the sides ran different benchmarks.
 W ?= shop_adc
 N ?= 10
 SEED ?= 1
+PKG ?= ./internal/db
+BENCH ?= .
 
-pairs:
-	@test -n "$(BASE)" || { echo "usage: make pairs BASE=<rev> [W=<workload>] [N=<pairs>] [SEED=<seed>]"; exit 2; }
+pairs: PAIR_PKG = ./benchmark
+pairs: PAIR_BUILD = build
+pairs: PAIR_ARGS = -workload $(W) -seed $(SEED) -trace 0
+pairs: PAIR_OUT = pairs-$(W).txt
+pairs: PAIR_USAGE = BASE=<rev> [W=<workload>] [N=<pairs>] [SEED=<seed>]
+layer-pairs: PAIR_PKG = $(PKG)
+layer-pairs: PAIR_BUILD = test -c
+layer-pairs: PAIR_ARGS = -test.run '^$$' -test.bench '$(BENCH)' -test.benchmem -test.count 1 -test.timeout 10m
+layer-pairs: PAIR_OUT = layer-pairs.txt
+layer-pairs: PAIR_USAGE = BASE=<rev> PKG=<dir> [BENCH=<regex>] [N=<pairs>]
+
+pairs layer-pairs:
+	@test -n "$(BASE)" || { echo "usage: make $@ $(PAIR_USAGE)"; exit 2; }
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	mkdir "$$tmp/src" "$$tmp/base" "$$tmp/head" || exit 1; \
+	mkdir "$$tmp/src" || exit 1; \
 	git archive "$(BASE)" | tar -x -C "$$tmp/src" || exit 1; \
-	(cd "$$tmp/src" && $(GO) build -o "$$tmp/base/" ./benchmark) || exit 1; \
-	$(GO) build -o "$$tmp/head/" ./benchmark || exit 1; \
+	(cd "$$tmp/src" && $(GO) $(PAIR_BUILD) -o "$$tmp/base.bin" $(PAIR_PKG)) || exit 1; \
+	$(GO) $(PAIR_BUILD) -o "$$tmp/head.bin" $(PAIR_PKG) || exit 1; \
 	$(GO) build -o "$$tmp/" ./cmd/layerbench || exit 1; \
-	: > pairs-$(W).txt; i=0; \
+	: > $(PAIR_OUT); i=0; \
 	while [ $$i -lt $(N) ]; do \
 		if [ $$((i % 2)) -eq 0 ]; then order="base head"; else order="head base"; fi; \
 		for side in $$order; do \
-			out="$$("$$tmp/$$side/benchmark" -workload $(W) -seed $(SEED) -trace 0)" || { echo "pairs: $$side run $$((i + 1)) failed"; exit 1; }; \
-			printf '%s %s\n' $$side "$$(printf '%s\n' "$$out" | tail -n 1)" >> pairs-$(W).txt; \
+			if [ $$side = base ]; then dir="$$tmp/src/$(PAIR_PKG)"; else dir="$(PAIR_PKG)"; fi; \
+			(cd "$$dir" && "$$tmp/$$side.bin" $(PAIR_ARGS)) > "$$tmp/run.txt" || \
+				{ cat "$$tmp/run.txt"; echo "$@: $$side run $$((i + 1)) failed"; exit 1; }; \
+			sed "s/^/$$side /" "$$tmp/run.txt" >> $(PAIR_OUT); \
 		done; \
 		i=$$((i + 1)); \
 	done; \
-	echo "pairs: $(W), seed $(SEED), at $(BASE) (base) and the working tree (head)"; \
-	"$$tmp/layerbench" -pairs < pairs-$(W).txt
+	echo "$@: $(PAIR_PKG) $(PAIR_ARGS), at $(BASE) (base) and the working tree (head)"; \
+	"$$tmp/layerbench" -pairs < $(PAIR_OUT)
 
 # The pairs target end to end on the cheapest workload: two pairs of HEAD
 # against the working tree. It must exit 0 (every simulation metric, attempted
@@ -322,42 +345,6 @@ pairs:
 pairs-smoke:
 	@$(MAKE) --no-print-directory pairs BASE=HEAD W=drain_single N=2 > pairs-smoke.txt; status=$$?; cat pairs-smoke.txt; exit $$status
 	@! grep -Eq ' (better|worse)$$' pairs-smoke.txt || { echo "pairs-smoke: a verdict from two pairs"; exit 1; }
-
-# The pairs verdict for the layer benchmarks beside a package: BASE is
-# extracted as pairs does, and PKG's test binary (PKG a directory, such as
-# ./internal/db) is built there and in the working tree with go test -c. N
-# pairs of runs follow, each binary run from its own package directory as
-# `-test.run '^$$' -test.bench BENCH -test.benchmem -test.count 1` (go test's
-# default benchtime), base first in even pairs and head first in odd ones.
-# Every output line goes to layer-pairs.txt prefixed `base ` or `head `, and
-# `cmd/layerbench -layer-pairs` reads it: per benchmark, ns/op, B/op and
-# allocs/op each get pairs' medians, quartiles, change, pairs won and
-# sign-test verdict. It fails when a benchmark's custom metric (a simulated
-# time) differs between any two runs, or the sides ran different benchmarks.
-PKG ?= ./internal/db
-BENCH ?= .
-
-layer-pairs:
-	@test -n "$(BASE)" || { echo "usage: make layer-pairs BASE=<rev> PKG=<dir> [BENCH=<regex>] [N=<pairs>]"; exit 2; }
-	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	mkdir "$$tmp/src" || exit 1; \
-	git archive "$(BASE)" | tar -x -C "$$tmp/src" || exit 1; \
-	(cd "$$tmp/src" && $(GO) test -c -o "$$tmp/base.test" $(PKG)) || exit 1; \
-	$(GO) test -c -o "$$tmp/head.test" $(PKG) || exit 1; \
-	$(GO) build -o "$$tmp/" ./cmd/layerbench || exit 1; \
-	: > layer-pairs.txt; i=0; \
-	while [ $$i -lt $(N) ]; do \
-		if [ $$((i % 2)) -eq 0 ]; then order="base head"; else order="head base"; fi; \
-		for side in $$order; do \
-			if [ $$side = base ]; then dir="$$tmp/src/$(PKG)"; else dir="$(PKG)"; fi; \
-			(cd "$$dir" && "$$tmp/$$side.test" -test.run '^$$' -test.bench '$(BENCH)' -test.benchmem -test.count 1 -test.timeout 10m) > "$$tmp/run.txt" || \
-				{ cat "$$tmp/run.txt"; echo "layer-pairs: $$side run $$((i + 1)) failed"; exit 1; }; \
-			sed "s/^/$$side /" "$$tmp/run.txt" >> layer-pairs.txt; \
-		done; \
-		i=$$((i + 1)); \
-	done; \
-	echo "layer-pairs: $(PKG) -bench '$(BENCH)', at $(BASE) (base) and the working tree (head)"; \
-	"$$tmp/layerbench" -layer-pairs < layer-pairs.txt
 
 # layer-pairs end to end on one cheap benchmark: two pairs of HEAD against the
 # working tree. It must exit 0 (the custom metrics agree), and two pairs are

@@ -17,21 +17,16 @@
 // (BenchmarkDispatch/window=4 read 2 in one of five); the median takes that
 // out.
 //
-// With -pairs it reads, instead, the runs of `make pairs`: one `base <json>`
-// or `head <json>` line per run of either side's `benchmark -workload W`, the
-// sides alternating which goes first, the i-th run of each side forming pair
-// i. It prints each host-clock metric's medians, quartiles, change, pairs won
-// and a sign-test verdict (pairVerdict), and fails when a simulation metric,
-// attempted or failed differs between any two runs:
+// With -pairs it reads, instead, the runs of `make pairs` or `make
+// layer-pairs`: each line of either side's runs prefixed `base ` or `head `,
+// the i-th run of each side forming pair i. A side is go test's benchmark
+// output, or `benchmark -workload W` output whose final JSON lines make one
+// row named benchmark. Per row it prints each judged column's medians,
+// quartiles, change, pairs won and sign-test verdict (pairVerdict), and fails
+// when another column differs between two runs or is not in as many of each
+// side's, or when a benchmark run was not correct:
 //
-//	go run ./cmd/layerbench -pairs < runs.txt
-//
-// With -layer-pairs it reads the runs of `make layer-pairs`: go test's
-// benchmark output of both sides' test binaries, each line prefixed `base `
-// or `head `, and prints the same verdict per benchmark on ns/op, B/op and
-// allocs/op; it fails when a custom metric differs between any two runs:
-//
-//	go run ./cmd/layerbench -layer-pairs < layer-pairs.txt
+//	go run ./cmd/layerbench -pairs < pairs.txt
 //
 // Exit status is 1 when the check fails, 2 on a usage or input error.
 package main
@@ -39,15 +34,16 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"regexp"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -75,70 +71,56 @@ type ledger struct {
 	Rows map[string]*row `json:"rows"`
 }
 
-// samples is one benchmark's runs as go test printed them.
-type samples struct {
-	allocs, bytes, ns []float64
-	metrics           map[string][]float64
-}
+// samples is one row's runs: each column's value in every run, in the order
+// the runs printed it.
+type samples map[string][]float64
+
+// judged are the columns read off the host clock and allocator, every one
+// better lower: go test's and the benchmark's. They move from run to run, so
+// a pair comparison judges them; every other column is a simulation metric,
+// equal in every run, and the ledger keeps it under metrics.
+var judged = []string{"ns/op", "B/op", "allocs/op", "wall_s", "setup_s", "allocs_per_op", "alloc_mb_per_op"}
 
 func main() {
 	record := flag.String("record", "", "write the ledger of the benchmark output on stdin to this file")
 	check := flag.String("check", "", "check the benchmark output on stdin against this ledger")
 	commit := flag.String("commit", "unknown", "with -record: the revision the output was measured on")
-	pairs := flag.Bool("pairs", false, "compare the base and head benchmark runs on stdin pair by pair")
-	layerPairs := flag.Bool("layer-pairs", false, "compare the base and head go test benchmark runs on stdin pair by pair")
+	pairs := flag.Bool("pairs", false, "compare the base and head runs on stdin pair by pair")
 	flag.Parse()
-	switch {
-	case *pairs:
+	if *pairs {
 		base, head, err := readPairs(os.Stdin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "layerbench:", err)
-			os.Exit(2)
-		}
+		exitOn(err)
 		if !comparePairs(os.Stdout, base, head) {
-			os.Exit(1)
-		}
-		return
-	case *layerPairs:
-		base, head, err := readLayerPairs(os.Stdin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "layerbench:", err)
-			os.Exit(2)
-		}
-		if !compareLayerPairs(os.Stdout, base, head) {
 			os.Exit(1)
 		}
 		return
 	}
 	if (*record == "") == (*check == "") {
-		fmt.Fprintln(os.Stderr, "layerbench: give exactly one of -record FILE, -check FILE, -pairs and -layer-pairs")
-		os.Exit(2)
+		exitOn(errors.New("give exactly one of -record FILE, -check FILE and -pairs"))
 	}
 	got, h, err := parse(os.Stdin)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "layerbench:", err)
-		os.Exit(2)
-	}
+	exitOn(err)
 	h.Commit = *commit
 	if *record != "" {
-		if err := write(*record, summarize(got, h)); err != nil {
-			fmt.Fprintln(os.Stderr, "layerbench:", err)
-			os.Exit(2)
-		}
+		exitOn(write(*record, summarize(got, h)))
 		fmt.Printf("layerbench: recorded %d rows in %s\n", len(got), *record)
 		return
 	}
 	var want ledger
 	data, err := os.ReadFile(*check)
-	if err == nil {
-		err = json.Unmarshal(data, &want)
+	exitOn(err)
+	exitOn(json.Unmarshal(data, &want))
+	if !compare(os.Stdout, want, got) {
+		os.Exit(1)
 	}
+}
+
+// exitOn ends the program with status 2, a usage or input error, when err is
+// not nil.
+func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "layerbench:", err)
 		os.Exit(2)
-	}
-	if !compare(os.Stdout, want, got) {
-		os.Exit(1)
 	}
 }
 
@@ -148,9 +130,9 @@ var benchLine = regexp.MustCompile(`^Benchmark(\S+)\s+\d+\s+(.*)$`)
 
 // parse reads go test's benchmark output into samples keyed by
 // "<package>.<benchmark>", and the host it names.
-func parse(r io.Reader) (map[string]*samples, host, error) {
+func parse(r io.Reader) (map[string]samples, host, error) {
 	h := host{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
-	got := map[string]*samples{}
+	got := map[string]samples{}
 	pkg, procs := "", ""
 	if h.GOMAXPROCS > 1 {
 		procs = "-" + strconv.Itoa(h.GOMAXPROCS)
@@ -173,7 +155,7 @@ func parse(r io.Reader) (map[string]*samples, host, error) {
 		key := pkg + "." + strings.TrimSuffix(m[1], procs)
 		s := got[key]
 		if s == nil {
-			s = &samples{metrics: map[string][]float64{}}
+			s = samples{}
 			got[key] = s
 		}
 		f := strings.Fields(m[2])
@@ -182,18 +164,9 @@ func parse(r io.Reader) (map[string]*samples, host, error) {
 			if err != nil {
 				return nil, h, fmt.Errorf("%s: %q: %v", key, f[i], err)
 			}
-			switch unit := f[i+1]; unit {
-			case "ns/op":
-				s.ns = append(s.ns, v)
-			case "B/op":
-				s.bytes = append(s.bytes, v)
-			case "allocs/op":
-				s.allocs = append(s.allocs, v)
-			default:
-				s.metrics[unit] = append(s.metrics[unit], v)
-			}
+			s[f[i+1]] = append(s[f[i+1]], v)
 		}
-		if len(s.allocs) != len(s.ns) || len(s.bytes) != len(s.ns) {
+		if len(s["allocs/op"]) != len(s["ns/op"]) || len(s["B/op"]) != len(s["ns/op"]) {
 			return nil, h, fmt.Errorf("%s: a run without -benchmem columns", key)
 		}
 	}
@@ -216,19 +189,19 @@ func quartiles(xs []float64) [3]float64 {
 	return [3]float64{at(0.25), at(0.5), at(0.75)}
 }
 
-func summarize(got map[string]*samples, h host) ledger {
+func summarize(got map[string]samples, h host) ledger {
 	l := ledger{Host: h, Rows: map[string]*row{}}
 	for key, s := range got {
 		r := &row{
-			Allocs: quartiles(s.allocs)[1],
-			Bytes:  quartiles(s.bytes)[1],
-			NsOp:   quartiles(s.ns),
+			Allocs:  quartiles(s["allocs/op"])[1],
+			Bytes:   quartiles(s["B/op"])[1],
+			NsOp:    quartiles(s["ns/op"]),
+			Metrics: map[string]float64{},
 		}
-		for unit, vs := range s.metrics {
-			if r.Metrics == nil {
-				r.Metrics = map[string]float64{}
+		for unit, vs := range s {
+			if !slices.Contains(judged, unit) {
+				r.Metrics[unit] = quartiles(vs)[1]
 			}
-			r.Metrics[unit] = quartiles(vs)[1]
 		}
 		l.Rows[key] = r
 	}
@@ -245,19 +218,9 @@ func write(path string, l ledger) error {
 
 // compare prints one line per row, the ledger's figures against the run's,
 // and reports whether every exact column held.
-func compare(w io.Writer, want ledger, got map[string]*samples) bool {
-	keys := make([]string, 0, len(want.Rows)+len(got))
-	for k := range want.Rows {
-		keys = append(keys, k)
-	}
-	for k := range got {
-		if want.Rows[k] == nil {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
+func compare(w io.Writer, want ledger, got map[string]samples) bool {
 	ok := true
-	for _, k := range keys {
+	for _, k := range keys(want.Rows, got) {
 		r, s := want.Rows[k], got[k]
 		var fails []string
 		switch {
@@ -266,19 +229,19 @@ func compare(w io.Writer, want ledger, got map[string]*samples) bool {
 		case s == nil:
 			fails = append(fails, "not in this run")
 		default:
-			if a := quartiles(s.allocs)[1]; a != r.Allocs {
-				fails = append(fails, fmt.Sprintf("allocs/op %v (runs %v), ledger %v", a, s.allocs, r.Allocs))
+			if a := quartiles(s["allocs/op"])[1]; a != r.Allocs {
+				fails = append(fails, fmt.Sprintf("allocs/op %v (runs %v), ledger %v", a, s["allocs/op"], r.Allocs))
 			}
-			if b := quartiles(s.bytes)[1]; math.Abs(b-r.Bytes) > bytesBound*r.Bytes {
+			if b := quartiles(s["B/op"])[1]; math.Abs(b-r.Bytes) > bytesBound*r.Bytes {
 				fails = append(fails, fmt.Sprintf("B/op %v, ledger %v (bound %v%%)", b, r.Bytes, 100*bytesBound))
 			}
 			for unit, v := range r.Metrics {
-				if vs := s.metrics[unit]; len(vs) == 0 || slices.ContainsFunc(vs, func(x float64) bool { return x != v }) {
+				if vs := s[unit]; len(vs) == 0 || slices.ContainsFunc(vs, func(x float64) bool { return x != v }) {
 					fails = append(fails, fmt.Sprintf("%s %v, ledger %v", unit, vs, v))
 				}
 			}
-			for unit := range s.metrics {
-				if _, known := r.Metrics[unit]; !known {
+			for unit := range s {
+				if _, known := r.Metrics[unit]; !known && !slices.Contains(judged, unit) {
 					fails = append(fails, fmt.Sprintf("%s not in the ledger", unit))
 				}
 			}
@@ -292,15 +255,27 @@ func compare(w io.Writer, want ledger, got map[string]*samples) bool {
 	return ok
 }
 
+// keys returns the keys of a and b, sorted, each once.
+func keys[A, B any](a map[string]A, b map[string]B) []string {
+	ks := slices.Collect(maps.Keys(a))
+	for k := range b {
+		if _, in := a[k]; !in {
+			ks = append(ks, k)
+		}
+	}
+	slices.Sort(ks)
+	return ks
+}
+
 // nsColumn prints the median ns/op of the ledger and of the run, with the
 // run's quartiles: a figure to read, never a verdict.
-func nsColumn(r *row, s *samples) string {
+func nsColumn(r *row, s samples) string {
 	ledger, run := "-", "-"
 	if r != nil {
 		ledger = fmt.Sprintf("%.4g", r.NsOp[1])
 	}
 	if s != nil {
-		q := quartiles(s.ns)
+		q := quartiles(s["ns/op"])
 		run = fmt.Sprintf("%.4g (%.4g–%.4g)", q[1], q[0], q[2])
 	}
 	return fmt.Sprintf("ns/op %s → %s", ledger, run)

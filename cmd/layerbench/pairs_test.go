@@ -33,8 +33,20 @@ func pairsOutput(n int, wall func(side string, i int) float64) string {
 }
 
 // verdictOf runs the comparison over output and returns whether it passed
-// and the printed row of metric.
+// and the printed row of the benchmark's metric.
 func verdictOf(t *testing.T, output, metric string) (bool, string) {
+	t.Helper()
+	ok, rows := verdicts(t, output)
+	row, found := rows["benchmark "+metric]
+	if !found {
+		t.Fatalf("no %s row in %v", metric, rows)
+	}
+	return ok, row
+}
+
+// verdicts runs the comparison over output and returns whether it passed and
+// its printed rows by row and column.
+func verdicts(t *testing.T, output string) (bool, map[string]string) {
 	t.Helper()
 	base, head, err := readPairs(strings.NewReader(output))
 	if err != nil {
@@ -42,13 +54,13 @@ func verdictOf(t *testing.T, output, metric string) (bool, string) {
 	}
 	var printed strings.Builder
 	ok := comparePairs(&printed, base, head)
+	rows := map[string]string{}
 	for _, line := range strings.Split(printed.String(), "\n") {
-		if strings.HasPrefix(line, metric+" ") {
-			return ok, line
+		if f := strings.Fields(line); len(f) > 2 && f[0] != "column" {
+			rows[f[0]+" "+f[1]] = line
 		}
 	}
-	t.Fatalf("no %s row in:\n%s", metric, printed.String())
-	return false, ""
+	return ok, rows
 }
 
 // The sign-test rule on canned runs: a verdict needs ten pairs, nine tenths of
@@ -105,7 +117,7 @@ func TestPairVerdictIsTheSignTestRule(t *testing.T) {
 func TestPairsFailWhenASimValueMoves(t *testing.T) {
 	wall := func(string, int) float64 { return 0.0138 }
 	same := pairsOutput(3, wall)
-	if ok, row := verdictOf(t, same, "recovery_ms"); !ok || row != "recovery_ms          75.3 in all 6 runs" {
+	if ok, row := verdictOf(t, same, "recovery_ms"); !ok || row != fmt.Sprintf("%-56s 75.3 in all 6 runs", "benchmark recovery_ms") {
 		t.Fatalf("passed %v, recovery_ms row %q", ok, row)
 	}
 	for _, c := range []struct{ metric, from, to string }{
@@ -121,16 +133,22 @@ func TestPairsFailWhenASimValueMoves(t *testing.T) {
 	}
 }
 
-// Runs that do not pair up are an input error, not a verdict.
-func TestReadPairsRefusesUnpairedRuns(t *testing.T) {
-	for _, output := range []string{
-		"",
-		runLine("base", 0.0138, 75.3, 1) + "\n",
-		runLine("base", 0.0138, 75.3, 1) + "\n" + runLine("left", 0.0138, 75.3, 1) + "\n",
-		"base {not json}\n",
+// A benchmark run that was not correct, in every run alike, or a column only
+// head reports fails the comparison and names the column.
+func TestPairsFailOnAWrongRunOrAHeadOnlyColumn(t *testing.T) {
+	same := pairsOutput(3, func(string, int) float64 { return 0.0138 })
+	for _, c := range []struct{ column, from, to, side string }{
+		{"correct", `"correct":true`, `"correct":false`, ""},
+		{"extra_ms", `"metrics":{`, `"metrics":{"extra_ms":{"value":1,"unit":"sim_ms"},`, "head "},
 	} {
-		if _, _, err := readPairs(strings.NewReader(output)); err == nil {
-			t.Fatalf("readPairs accepted %q", output)
+		lines := strings.Split(same, "\n")
+		for i, line := range lines {
+			if strings.HasPrefix(line, c.side) {
+				lines[i] = strings.Replace(line, c.from, c.to, 1)
+			}
+		}
+		if ok, row := verdictOf(t, strings.Join(lines, "\n"), c.column); ok || !strings.Contains(row, "FAIL") {
+			t.Fatalf("%s: passed %v, row %q", c.column, ok, row)
 		}
 	}
 }
@@ -162,25 +180,6 @@ func layerRuns(n int, commit func(side string, i int) (ns, allocs float64), reco
 	return out.String()
 }
 
-// layerVerdicts runs the comparison over output and returns whether it passed
-// and its printed rows by benchmark and unit.
-func layerVerdicts(t *testing.T, output string) (bool, map[string]string) {
-	t.Helper()
-	base, head, err := readLayerPairs(strings.NewReader(output))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var printed strings.Builder
-	ok := compareLayerPairs(&printed, base, head)
-	rows := map[string]string{}
-	for _, line := range strings.Split(printed.String(), "\n") {
-		if f := strings.Fields(line); len(f) > 2 && strings.HasPrefix(f[0], "repro/") {
-			rows[f[0]+" "+f[1]] = line
-		}
-	}
-	return ok, rows
-}
-
 // make layer-pairs judges ns/op, B/op and allocs/op of every benchmark by the
 // rule make pairs judges wall_s by, and holds a benchmark's custom metrics
 // equal in every run: ten pairs whose head is 13% faster and allocates once
@@ -195,7 +194,7 @@ func TestLayerPairsJudgeEachColumn(t *testing.T) {
 		return ns, 1
 	}
 	recover := func(string, int) float64 { return 200 }
-	ok, rows := layerVerdicts(t, layerRuns(10, commit, recover))
+	ok, rows := verdicts(t, layerRuns(10, commit, recover))
 	for key, want := range map[string]string{
 		"repro/internal/db.TxnCommit ns/op":            "10/10  better",
 		"repro/internal/db.TxnCommit allocs/op":        "10/10  better",
@@ -216,25 +215,30 @@ func TestLayerPairsJudgeEachColumn(t *testing.T) {
 		}
 		return 200
 	}
-	if ok, rows := layerVerdicts(t, layerRuns(10, commit, moved)); ok || !strings.Contains(rows["repro/internal/db.Recover/empty flush-sim-µs"], "FAIL") {
+	if ok, rows := verdicts(t, layerRuns(10, commit, moved)); ok || !strings.Contains(rows["repro/internal/db.Recover/empty flush-sim-µs"], "FAIL") {
 		t.Fatalf("a simulated-time metric moved in one run: passed %v, row %q", ok, rows["repro/internal/db.Recover/empty flush-sim-µs"])
 	}
 }
 
-// Runs that do not pair up, benchmark by benchmark, are an input error.
-func TestReadLayerPairsRefusesUnpairedRuns(t *testing.T) {
+// Runs that do not pair up, row by row, or do not parse are an input error,
+// not a verdict.
+func TestReadPairsRefusesUnpairedRuns(t *testing.T) {
 	same := func(string, int) (float64, float64) { return 832, 0 }
 	flat := func(string, int) float64 { return 200 }
 	two := layerRuns(2, same, flat)
 	lines := strings.Split(two, "\n")
 	for _, output := range []string{
 		"",
-		strings.Join(lines[:5], "\n") + "\n", // one base run, no head run
-		strings.Join(append(lines[:12:12], lines[13:]...), "\n"), // one head run lacks TxnCommit
-		strings.Replace(two, "head goos", "left goos", 1),        // a side neither base nor head
+		runLine("base", 0.0138, 75.3, 1) + "\n", // one base run, no head run
+		runLine("base", 0.0138, 75.3, 1) + "\n" + runLine("left", 0.0138, 75.3, 1) + "\n",
+		"base {not json}\n",
+		strings.Join(lines[:5], "\n") + "\n",                                             // one base run, no head run
+		strings.Join(append(lines[:12:12], lines[13:]...), "\n"),                         // one head run lacks TxnCommit
+		strings.Replace(two, "head goos", "left goos", 1),                                // a side neither base nor head
+		runLine("base", 0.0138, 75.3, 1) + "\n" + strings.Join(lines[5:10], "\n") + "\n", // base ran the benchmark, head go test
 	} {
-		if _, _, err := readLayerPairs(strings.NewReader(output)); err == nil {
-			t.Fatalf("readLayerPairs accepted %q", output)
+		if _, _, err := readPairs(strings.NewReader(output)); err == nil {
+			t.Fatalf("readPairs accepted %q", output)
 		}
 	}
 }

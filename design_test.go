@@ -11,7 +11,7 @@ import (
 
 // maxDesignBytes is DESIGN.md's byte budget: a ratchet like maxAllowlisted,
 // lowered when the file shrinks, never raised.
-const maxDesignBytes = 36388
+const maxDesignBytes = 36365
 
 var (
 	citedTest   = regexp.MustCompile(`\bTest[A-Z]\w*`)
