@@ -309,15 +309,13 @@ pairs: PAIR_PKG = ./benchmark
 pairs: PAIR_BUILD = build
 pairs: PAIR_ARGS = -workload $(W) -seed $(SEED) -trace 0
 pairs: PAIR_OUT = pairs-$(W).txt
-pairs: PAIR_USAGE = BASE=<rev> [W=<workload>] [N=<pairs>] [SEED=<seed>]
 layer-pairs: PAIR_PKG = $(PKG)
 layer-pairs: PAIR_BUILD = test -c
 layer-pairs: PAIR_ARGS = -test.run '^$$' -test.bench '$(BENCH)' -test.benchmem -test.count 1 -test.timeout 10m
 layer-pairs: PAIR_OUT = layer-pairs.txt
-layer-pairs: PAIR_USAGE = BASE=<rev> PKG=<dir> [BENCH=<regex>] [N=<pairs>]
 
 pairs layer-pairs:
-	@test -n "$(BASE)" || { echo "usage: make $@ $(PAIR_USAGE)"; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make pairs BASE=<rev> [W=<workload>] [N=<pairs>] [SEED=<seed>], or make layer-pairs BASE=<rev> PKG=<dir> [BENCH=<regex>] [N=<pairs>]"; exit 2; }
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/src" || exit 1; \
 	git archive "$(BASE)" | tar -x -C "$$tmp/src" || exit 1; \

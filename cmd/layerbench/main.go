@@ -23,8 +23,8 @@
 // output, or `benchmark -workload W` output whose final JSON lines make one
 // row named benchmark. Per row it prints each judged column's medians,
 // quartiles, change, pairs won and sign-test verdict (pairVerdict), and fails
-// when another column differs between two runs or is not in as many of each
-// side's, or when a benchmark run was not correct:
+// when another column differs between two runs or is in more runs of one
+// side, or when a benchmark run was not correct:
 //
 //	go run ./cmd/layerbench -pairs < pairs.txt
 //
