@@ -220,22 +220,35 @@ func TestLayerPairsJudgeEachColumn(t *testing.T) {
 	}
 }
 
-// Runs that do not pair up, row by row, or do not parse are an input error,
-// not a verdict.
+// Benchmark runs that do not pair up or do not parse, or a side that ran the
+// benchmark against one that ran go test, are an input error, not a verdict.
 func TestReadPairsRefusesUnpairedRuns(t *testing.T) {
+	two := layerRuns(2, func(string, int) (float64, float64) { return 832, 0 }, func(string, int) float64 { return 200 })
+	for _, output := range []string{
+		"",
+		runLine("base", 0.0138, 75.3, 1) + "\n", // one base run, no head run
+		runLine("base", 0.0138, 75.3, 1) + "\n" + runLine("left", 0.0138, 75.3, 1) + "\n",
+		"base {not json}\n",
+		runLine("base", 0.0138, 75.3, 1) + "\n" + strings.Join(strings.Split(two, "\n")[5:10], "\n") + "\n", // base ran the benchmark, head go test
+	} {
+		if _, _, err := readPairs(strings.NewReader(output)); err == nil {
+			t.Fatalf("readPairs accepted %q", output)
+		}
+	}
+}
+
+// go test runs that do not pair up, benchmark by benchmark, are an input
+// error too.
+func TestReadLayerPairsRefusesUnpairedRuns(t *testing.T) {
 	same := func(string, int) (float64, float64) { return 832, 0 }
 	flat := func(string, int) float64 { return 200 }
 	two := layerRuns(2, same, flat)
 	lines := strings.Split(two, "\n")
 	for _, output := range []string{
 		"",
-		runLine("base", 0.0138, 75.3, 1) + "\n", // one base run, no head run
-		runLine("base", 0.0138, 75.3, 1) + "\n" + runLine("left", 0.0138, 75.3, 1) + "\n",
-		"base {not json}\n",
-		strings.Join(lines[:5], "\n") + "\n",                                             // one base run, no head run
-		strings.Join(append(lines[:12:12], lines[13:]...), "\n"),                         // one head run lacks TxnCommit
-		strings.Replace(two, "head goos", "left goos", 1),                                // a side neither base nor head
-		runLine("base", 0.0138, 75.3, 1) + "\n" + strings.Join(lines[5:10], "\n") + "\n", // base ran the benchmark, head go test
+		strings.Join(lines[:5], "\n") + "\n", // one base run, no head run
+		strings.Join(append(lines[:12:12], lines[13:]...), "\n"), // one head run lacks TxnCommit
+		strings.Replace(two, "head goos", "left goos", 1),        // a side neither base nor head
 	} {
 		if _, _, err := readPairs(strings.NewReader(output)); err == nil {
 			t.Fatalf("readPairs accepted %q", output)
