@@ -19,7 +19,7 @@
 #   lines            the Go line counts and DESIGN.md's size ROADMAP tracks, per internal/ package, cmd/ binary and example too (not part of ci)
 #   lines-diff       BASE=<rev>: non-test Go lines outside benchmark/ at BASE, in the working tree, and the difference, then per changed internal/ and cmd/ directory (not part of ci)
 #   sim-diff         BASE=<rev>: experiment tables, the CHAOS_SEEDS chaos replays and their per-process sim-time sums at BASE and in the working tree, byte for byte (not part of ci)
-#   pairs            BASE=<rev> [W=shop_adc] [N=10] [SEED=1]: N alternating runs of W's benchmark at BASE and in the working tree, judged by layerbench -pairs: a sign-test verdict per host metric (not part of ci)
+#   pairs            BASE=<rev> [W=shop_adc] [N=10] [SEED=1] [PROF=1]: N alternating runs of W's benchmark at BASE and in the working tree, judged by layerbench -pairs: a sign-test verdict per host metric; PROF=1 adds a CPU-profile diff (not part of ci)
 #   pairs-smoke      pairs at BASE=HEAD, W=drain_single, N=2: it runs, sim values agree, every verdict unresolved
 #   layer-pairs      BASE=<rev> PKG=<dir> [BENCH=<regex>] [N=10]: the pairs recipe on PKG's go test benchmarks, the same judge: a verdict per benchmark on ns/op, B/op and allocs/op (not part of ci)
 #   layer-pairs-smoke  layer-pairs at BASE=HEAD, one internal/db benchmark, N=2: it runs, custom metrics agree, every verdict unresolved
@@ -136,9 +136,12 @@ bench-check:
 
 # Re-record the baseline when a PR means to move a metric (say which and why
 # in CHANGES.md). The report stamps host, Go version and commit; the root
-# package's test refuses one that is partial or not from seed 1.
+# package's test refuses one that is partial or not from seed 1. Each record
+# is also appended, as one line, to BENCH_history.jsonl: the baseline's
+# trajectory across re-records.
 bench-record:
 	$(GO) run ./benchmark -seed 1 -out BENCH_results.json
+	jq -c . BENCH_results.json >> BENCH_history.jsonl
 
 # Profile one benchmark workload (make profile-fleet_seq, profile-shop_adc,
 # ...) for 5 s of measured iterations into <w>.cpu.pprof and <w>.mem.pprof,
@@ -298,7 +301,11 @@ sim-diff:
 # tenths of them and the medians apart by more than base's q1–q3, else
 # "unresolved". It fails when any other column (a simulation metric,
 # attempted, failed) differs between two runs, a benchmark run was not
-# correct, or the sides ran different benchmarks.
+# correct, or the sides ran different benchmarks. With PROF=1, once the
+# verdict is in, each side runs once more, untimed, with a CPU profile
+# (PAIR_PROF: 3 s of the workload, or the test binary's flag), and `go tool
+# pprof -top -cum -normalize -diff_base` of head against base (25 rows) is
+# written to PAIR_OUT's .prof.txt and printed: where the time moved.
 W ?= shop_adc
 N ?= 10
 SEED ?= 1
@@ -309,10 +316,12 @@ pairs: PAIR_PKG = ./benchmark
 pairs: PAIR_BUILD = build
 pairs: PAIR_ARGS = -workload $(W) -seed $(SEED) -trace 0
 pairs: PAIR_OUT = pairs-$(W).txt
+pairs: PAIR_PROF = -seconds 3 -cpuprofile
 layer-pairs: PAIR_PKG = $(PKG)
 layer-pairs: PAIR_BUILD = test -c
 layer-pairs: PAIR_ARGS = -test.run '^$$' -test.bench '$(BENCH)' -test.benchmem -test.count 1 -test.timeout 10m
 layer-pairs: PAIR_OUT = layer-pairs.txt
+layer-pairs: PAIR_PROF = -test.cpuprofile
 
 pairs layer-pairs:
 	@test -n "$(BASE)" || { echo "usage: make pairs BASE=<rev> [W=<workload>] [N=<pairs>] [SEED=<seed>], or make layer-pairs BASE=<rev> PKG=<dir> [BENCH=<regex>] [N=<pairs>]"; exit 2; }
@@ -334,7 +343,16 @@ pairs layer-pairs:
 		i=$$((i + 1)); \
 	done; \
 	echo "$@: $(PAIR_PKG) $(PAIR_ARGS), at $(BASE) (base) and the working tree (head)"; \
-	"$$tmp/layerbench" -pairs < $(PAIR_OUT)
+	"$$tmp/layerbench" -pairs < $(PAIR_OUT) || exit 1; \
+	if [ -n "$(PROF)" ]; then \
+		for side in base head; do \
+			if [ $$side = base ]; then dir="$$tmp/src/$(PAIR_PKG)"; else dir="$(PAIR_PKG)"; fi; \
+			(cd "$$dir" && "$$tmp/$$side.bin" $(PAIR_ARGS) $(PAIR_PROF) "$$tmp/$$side.prof") > /dev/null || \
+				{ echo "$@: $$side profile run failed"; exit 1; }; \
+		done; \
+		$(GO) tool pprof -top -cum -normalize -nodecount 25 -diff_base "$$tmp/base.prof" "$$tmp/head.prof" > $(PAIR_OUT:.txt=.prof.txt) || exit 1; \
+		cat $(PAIR_OUT:.txt=.prof.txt); \
+	fi
 
 # The pairs target end to end on the cheapest workload: two pairs of HEAD
 # against the working tree. It must exit 0 (every simulation metric, attempted

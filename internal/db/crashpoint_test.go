@@ -361,8 +361,8 @@ func TestEveryJournalCutOpensConsistent(t *testing.T) {
 							t.Fatal(err)
 						}
 						for _, r := range recs[:cut] {
-							if r.Volume == id {
-								twin.Poke(r.Block, r.Data)
+							if sj.Members()[r.Member] == id {
+								twin.Poke(int64(r.Block), r.Data)
 							}
 						}
 						d, err := recoverBothDoors(p, a, twin, cfg)

@@ -228,7 +228,7 @@ func TestRecoveryIsThreeRequestsAndABarrier(t *testing.T) {
 		}
 		sb, gathered := recs[pages], p.Now()-write
 		for i, r := range recs[:pages] {
-			if r.Block != d.dataBase+1+int64(i) || r.GlobalSeq != recs[0].GlobalSeq+int64(i) || r.AckedAt != gathered {
+			if int64(r.Block) != d.dataBase+1+int64(i) || r.GlobalSeq != recs[0].GlobalSeq+int64(i) || r.AckedAt != gathered {
 				t.Fatalf("record %d: block %d seq %d acked %v; want block %d seq %d acked %v",
 					i, r.Block, r.GlobalSeq, r.AckedAt, d.dataBase+1+int64(i), recs[0].GlobalSeq+int64(i), gathered)
 			}

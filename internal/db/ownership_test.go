@@ -44,7 +44,7 @@ func TestCommitAfterCheckpointCopiesTheHandedOverPage(t *testing.T) {
 
 		pending := j.PendingRecords()  // the page's record is still in the journal
 		rec := pending[len(pending)-2] // data page, then the superblock
-		if rec.Block != page || &rec.Data[0] != &owned[0] {
+		if int64(rec.Block) != page || &rec.Data[0] != &owned[0] {
 			t.Fatalf("journal record %d is block %d; want the handed-over page %d", len(pending)-2, rec.Block, page)
 		}
 		if err := twin.InstallDelta(page, rec.Data); err != nil { // the backup adopts it
@@ -175,7 +175,7 @@ func TestHandedOverWALBlocksNeverChange(t *testing.T) {
 			block := d.walBase + int64(d.walSeq)
 			pending := j.PendingRecords()
 			rec := pending[len(pending)-1]
-			if rec.Block != block {
+			if int64(rec.Block) != block {
 				t.Fatalf("%s: the last journal record is block %d, not the head block %d", version, rec.Block, block)
 			}
 			if err := twin.InstallDelta(block, rec.Data); err != nil {

@@ -190,7 +190,7 @@ func TestRecoveryFromReplicatedImageProperty(t *testing.T) {
 			recs := j.TryTakeInto(nil, 0)
 			cut := rng.Intn(len(recs) + 1)
 			for _, rec := range recs[:cut] {
-				if err := twin.Apply(p, rec.Block, rec.Data); err != nil {
+				if err := twin.Apply(p, int64(rec.Block), rec.Data); err != nil {
 					ok = false
 					return
 				}

@@ -114,12 +114,12 @@ type Group struct {
 
 	// What install has applied, kept for verification as running facts, not
 	// records: the highest GlobalSeq and Epoch, and the installs out of
-	// per-volume ack order against volSeq, the last GlobalSeq installed per
-	// source volume (made by the first install).
+	// per-volume ack order against each twin's seq, the last GlobalSeq
+	// installed for that member.
 	maxAppliedSeq   int64
 	maxAppliedEpoch int64
 	orderBreaks     int64
-	volSeq          map[storage.VolumeID]int64
+	twins           []twin // indexed by Record.Member; resolved by the first install
 
 	// Telemetry (set by Instrument; nil handles no-op when disabled).
 	tel          *telemetry.Registry
@@ -127,6 +127,13 @@ type Group struct {
 	epochLatency *metrics.Histogram
 	reshardSpan  telemetry.Span
 	laneGen      map[int]int // lane index -> registrations (probe-key generations)
+}
+
+// twin is one member's backup-site volume and the last GlobalSeq installed
+// into it.
+type twin struct {
+	vol *storage.Volume
+	seq int64
 }
 
 // drainLane is one shard's drain state. Each lane owns its batch scratch
@@ -336,8 +343,14 @@ func (g *Group) Stopped() bool { return g.stopped }
 
 // drainLane moves one shard's records across the lane's path, then either
 // stages them for the next epoch commit (barrier rule) or applies them
-// itself (lane commit).
+// itself (lane commit). An exiting lane drops its batch scratch and, when
+// its shard is empty, the shard's backlog storage: a parked tenant keeps no
+// idle room for records.
 func (g *Group) drainLane(p *sim.Proc, l *drainLane) {
+	defer func() {
+		l.batch = nil
+		l.journal.ReleaseIdle()
+	}()
 	for {
 		// A stop lands here — a batch boundary — leaving the backlog pending
 		// at the source (the RPO exposure), not lost in flight.
@@ -587,11 +600,19 @@ func (g *Group) commitEpoch(p *sim.Proc, sealed int64) {
 // and its window commits in GlobalSeq order across lanes, so neither a
 // shard's Seq nor a lane's order is the order a volume must apply in.
 func (g *Group) install(r storage.Record) {
-	tv, err := g.target.Volume(r.Volume)
-	if err != nil {
-		panic(fmt.Sprintf("replication %s: target vanished: %v", g.name, err))
+	if g.twins == nil {
+		g.twins = make([]twin, len(g.journal.Members()))
+		for m, id := range g.journal.Members() {
+			tv, err := g.target.Volume(id)
+			if err != nil {
+				panic(fmt.Sprintf("replication %s: target vanished: %v", g.name, err))
+			}
+			g.twins[m].vol = tv
+		}
 	}
-	if err := tv.InstallDelta(r.Block, r.Data); err != nil {
+	tw := &g.twins[r.Member]
+	tv := tw.vol
+	if err := tv.InstallDelta(int64(r.Block), r.Data); err != nil {
 		panic(fmt.Sprintf("replication %s: apply: %v", g.name, err))
 	}
 	if r.AckedAt > g.lastAppliedAck {
@@ -601,13 +622,10 @@ func (g *Group) install(r storage.Record) {
 	g.appliedBytes += int64(tv.BlockSize())
 	g.maxAppliedSeq = max(g.maxAppliedSeq, r.GlobalSeq)
 	g.maxAppliedEpoch = max(g.maxAppliedEpoch, r.Epoch)
-	if g.volSeq == nil {
-		g.volSeq = make(map[storage.VolumeID]int64, len(g.journal.Members()))
-	}
-	if r.GlobalSeq <= g.volSeq[r.Volume] {
+	if r.GlobalSeq <= tw.seq {
 		g.orderBreaks++
 	}
-	g.volSeq[r.Volume] = r.GlobalSeq
+	tw.seq = r.GlobalSeq
 }
 
 // Backlog returns the number of journal records not yet applied at the

@@ -62,9 +62,9 @@ func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabri
 
 	// Blocks that diverged on the old source: the stranded backlog plus
 	// anything abandoned in flight at the split.
-	diverged := make(map[storage.VolumeID][]int64)
+	diverged := make([][]int64, len(members)) // indexed by Record.Member
 	for _, rec := range old.UnappliedRecords() {
-		diverged[rec.Volume] = append(diverged[rec.Volume], rec.Block)
+		diverged[rec.Member] = append(diverged[rec.Member], int64(rec.Block))
 	}
 	// Drop the stranded journal: the backup's history is authoritative now.
 	if err := source.DeleteShardedJournal(old.journal.ID()); err != nil {
@@ -85,7 +85,7 @@ func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabri
 	}
 
 	// Delta resync: backup content wins for every block in the union.
-	for _, src := range members {
+	for m, src := range members {
 		bv, err := old.target.Volume(src)
 		if err != nil {
 			return nil, stats, err
@@ -95,7 +95,7 @@ func (old *Group) Failback(p *sim.Proc, source *storage.Array, reversePath fabri
 			return nil, stats, err
 		}
 		stats.TotalBlocks += len(bv.WrittenBlocks())
-		blocks := append(bv.ChangedBlocks(), diverged[src]...)
+		blocks := append(bv.ChangedBlocks(), diverged[m]...)
 		slices.Sort(blocks)
 		blocks = slices.Compact(blocks)
 		if err := reverse.bulkCopy(p, bv, blocks); err != nil {

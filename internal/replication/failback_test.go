@@ -123,6 +123,48 @@ func TestFailbackResyncsDelta(t *testing.T) {
 	reverse.Stop()
 }
 
+// Records name their volume by member index, so Failback must turn each
+// stranded record back into its own volume's divergence: a stranded write to
+// stock's block 7 and one to sales' block 5 roll back exactly those two
+// blocks, and neither volume gets the other's block copied onto it.
+func TestFailbackGroupsDivergedBlocksByVolume(t *testing.T) {
+	r := newRig(t, netlink.Config{Propagation: 2 * time.Millisecond})
+	g := r.newCG(t, Config{})
+	g.Start()
+	r.env.Process("io", func(p *sim.Proc) {
+		r.links.Partition()
+		r.stock.Write(p, 7, fill(r.main, 0x04))
+		r.sales.Write(p, 5, fill(r.main, 0x03))
+		p.Sleep(10 * time.Millisecond)
+	})
+	r.env.Run(0)
+	if _, err := g.Failover(); err != nil {
+		t.Fatal(err)
+	}
+	r.links.Heal()
+	var stats FailbackStats
+	r.env.Process("failback", func(p *sim.Proc) {
+		reverse, st, err := g.Failback(p, r.main, r.links.Reverse)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		stats = st
+		reverse.CatchUp(p)
+		reverse.Stop()
+	})
+	r.env.Run(0)
+	if stats.DeltaBlocks != 2 {
+		t.Fatalf("delta = %d blocks, want the two stranded writes", stats.DeltaBlocks)
+	}
+	if s, k := r.sales.Peek(5), r.stock.Peek(7); s == nil || s[0] == 0x03 || k == nil || k[0] == 0x04 {
+		t.Fatal("a stranded write survived failback: its block was not resynced on its own volume")
+	}
+	if r.sales.Peek(7) != nil || r.stock.Peek(5) != nil {
+		t.Fatal("failback copied one volume's diverged block onto the other")
+	}
+}
+
 // A batch the lane still has on the wire when Failback starts is unapplied
 // too: the partition held its transfer, the heal lets it run on, and only when
 // it returns does the lane notice the stop and book the batch as lost. Failback

@@ -130,11 +130,11 @@ func TestADCDrainsInOrder(t *testing.T) {
 // same source volume, and the two maxima move independently.
 func TestInstallRunningFacts(t *testing.T) {
 	r := newAllocRig(3)
-	rec := func(vol storage.VolumeID, globalSeq, epoch int64) storage.Record {
-		return storage.Record{Volume: vol, Block: 0, Data: []byte{1}, GlobalSeq: globalSeq, Epoch: epoch}
+	rec := func(member int32, globalSeq, epoch int64) storage.Record {
+		return storage.Record{Member: member, Block: 0, Data: []byte{1}, GlobalSeq: globalSeq, Epoch: epoch}
 	}
 
-	a := r.vols(0)[0]
+	const a, b = 0, 1 // the members' indices in each group
 	g := r.create(t, "same-volume", 0)
 	g.install(rec(a, 5, 1))
 	g.install(rec(a, 3, 1))
@@ -146,7 +146,6 @@ func TestInstallRunningFacts(t *testing.T) {
 		t.Fatalf("a repeated GlobalSeq on one volume: %d breaks, want 2", g.OrderBreaks())
 	}
 
-	a, b := r.vols(1)[0], r.vols(1)[1]
 	g = r.create(t, "two-volumes", 1)
 	g.install(rec(a, 5, 1))
 	g.install(rec(b, 3, 1))
@@ -156,7 +155,6 @@ func TestInstallRunningFacts(t *testing.T) {
 		t.Fatalf("ascending per volume, interleaved across two: %d breaks, want 0", g.OrderBreaks())
 	}
 
-	a, b = r.vols(2)[0], r.vols(2)[1]
 	g = r.create(t, "maxima", 2)
 	if seq, epoch := g.AppliedHighWater(); seq != 0 || epoch != 0 {
 		t.Fatalf("high water before any install = (%d, %d), want (0, 0)", seq, epoch)

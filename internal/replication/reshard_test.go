@@ -83,6 +83,61 @@ func TestLiveReshardGrowUnderLoad(t *testing.T) {
 	}
 }
 
+// TestReshardAppliesEachRecordToItsOwnTwin reshards 1 -> 4 -> 2 under load:
+// records move between shards and lanes by member index, and every applied
+// record still lands on the backup twin of the volume that wrote it, at the
+// block it wrote (seqWrite's stamp names both).
+func TestReshardAppliesEachRecordToItsOwnTwin(t *testing.T) {
+	link := netlink.Config{Propagation: time.Millisecond, BandwidthBps: 2e7}
+	r := newShardedRig(t, 1, 16, link, Config{BatchMax: 8})
+	r.g.Start()
+	const writes = 288
+	r.env.Process("writer", func(p *sim.Proc) {
+		for i := 0; i < writes; i++ {
+			r.seqWrite(p, t, i)
+			if i != writes/3 && i != 2*writes/3 {
+				continue
+			}
+			if !r.g.AwaitReshard(p) {
+				t.Error("reshard never settled")
+				return
+			}
+			lanes := 4
+			if i != writes/3 {
+				lanes = 2
+			}
+			if _, err := r.g.Reshard(p, lanePaths(r.env, lanes, link)); err != nil {
+				t.Errorf("reshard to %d: %v", lanes, err)
+				return
+			}
+		}
+		if !r.g.AwaitReshard(p) || !r.g.CatchUp(p) {
+			t.Error("the drain never caught up")
+		}
+	})
+	r.env.Run(0)
+	if t.Failed() {
+		return
+	}
+	if r.g.Lanes() != 2 || r.g.AppliedRecords() != writes || r.sj.MovedRecords() == 0 {
+		t.Fatalf("lanes=%d applied=%d moved=%d, want 2 lanes, all %d records and some migrated",
+			r.g.Lanes(), r.g.AppliedRecords(), r.sj.MovedRecords(), writes)
+	}
+	n := len(r.vols)
+	for k, id := range r.vols {
+		tv, _ := r.backup.Volume(id)
+		blocks := tv.WrittenBlocks()
+		if len(blocks) != writes/n {
+			t.Fatalf("twin %s holds %d blocks, want its volume's %d", id, len(blocks), writes/n)
+		}
+		for _, b := range blocks {
+			if i := int(stampOf(tv.Peek(b))) - 1; i%n != k || int64(i/n) != b {
+				t.Fatalf("twin %s block %d holds write %d, which volume %s wrote at block %d", id, b, i, r.vols[i%n], i/n)
+			}
+		}
+	}
+}
+
 // TestLiveReshardShrinkReapsRetiredLanes reshards 4->2 mid-load: the two
 // retired lanes must commit what they had staged, then disappear; their
 // shard journals are off the array.

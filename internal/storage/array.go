@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -126,13 +127,14 @@ func (a *Array) Name() string { return a.name }
 // Config returns the effective (defaulted) configuration.
 func (a *Array) Config() Config { return a.cfg }
 
-// CreateVolume provisions a volume of sizeBlocks blocks.
+// CreateVolume provisions a volume of sizeBlocks blocks, 1..math.MaxInt32
+// (a journal Record holds its block as an int32).
 func (a *Array) CreateVolume(id VolumeID, sizeBlocks int64) (*Volume, error) {
 	if _, ok := a.volumes[id]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrVolumeExists, id)
 	}
-	if sizeBlocks <= 0 {
-		return nil, fmt.Errorf("storage: volume %s: size must be positive", id)
+	if sizeBlocks <= 0 || sizeBlocks > math.MaxInt32 {
+		return nil, fmt.Errorf("storage: volume %s: size must be 1..%d blocks", id, math.MaxInt32)
 	}
 	v := &Volume{
 		id:         id,

@@ -228,11 +228,11 @@ func TestGatheredWriteJournalsInSliceOrder(t *testing.T) {
 			t.Fatalf("%d records for %d blocks", len(recs), len(order))
 		}
 		for i, r := range recs {
-			if r.Block != order[i] || r.GlobalSeq != first.GlobalSeq+1+int64(i) || r.AckedAt != p.Now() {
+			if int64(r.Block) != order[i] || r.GlobalSeq != first.GlobalSeq+1+int64(i) || r.AckedAt != p.Now() {
 				t.Errorf("record %d: block %d seq %d acked %v; want block %d seq %d acked %v",
 					i, r.Block, r.GlobalSeq, r.AckedAt, order[i], first.GlobalSeq+1+int64(i), p.Now())
 			}
-			if &r.Data[0] != &ios[i].Data[0] || &v.Peek(r.Block)[0] != &ios[i].Data[0] {
+			if &r.Data[0] != &ios[i].Data[0] || &v.Peek(int64(r.Block))[0] != &ios[i].Data[0] {
 				t.Errorf("record %d: the handed-over slice was copied", i)
 			}
 		}

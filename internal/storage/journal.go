@@ -16,11 +16,16 @@ import (
 // by GlobalSeq give the group's write order. Every record also carries the
 // group Epoch open at ack time — the cross-shard ordering barrier the
 // multi-lane drain commits on.
+//
+// The volume is named by Member, its index in the group's attach-order
+// Members(), which is fixed for the group's life; Block fits an int32
+// because CreateVolume caps a volume at math.MaxInt32 blocks. A record is
+// 56 bytes with one pointer (Data).
 type Record struct {
 	GlobalSeq int64
 	Epoch     int64
-	Volume    VolumeID
-	Block     int64
+	Member    int32
+	Block     int32
 	Data      []byte
 	AckedAt   time.Duration // main-site ack time, used for RPO measurement
 }
@@ -73,12 +78,12 @@ func (j *Journal) CapacityBytes() int { return j.group.capacityPerShard }
 func (j *Journal) RecordBytes() int { return j.group.array.cfg.BlockSize + recordHeaderBytes }
 
 // append adds a record in ack order and wakes a drain blocked on NotEmpty.
-func (j *Journal) append(vol VolumeID, block int64, data []byte, globalSeq int64, now time.Duration) {
+func (j *Journal) append(member int32, block int64, data []byte, globalSeq int64, now time.Duration) {
 	j.pending.push(Record{
 		GlobalSeq: globalSeq,
 		Epoch:     j.group.epoch,
-		Volume:    vol,
-		Block:     block,
+		Member:    member,
+		Block:     int32(block),
 		Data:      data,
 		AckedAt:   now,
 	})
@@ -147,6 +152,14 @@ func (j *Journal) TryTakeInto(buf []Record, max int) []Record {
 		max = j.pending.n
 	}
 	return j.pending.popInto(buf[:0], max)
+}
+
+// ReleaseIdle drops the backlog's storage when no record is pending; the
+// next append grows it anew. A drain lane calls it as it exits.
+func (j *Journal) ReleaseIdle() {
+	if j.pending.n == 0 {
+		j.pending = backlog{}
+	}
 }
 
 func (j *Journal) String() string {

@@ -1,21 +1,56 @@
 package storage
 
 import (
+	"math"
 	"testing"
 	"time"
+	"unsafe"
+
+	"repro/internal/sim"
 )
+
+// A Record is held wherever a write waits for the backup (shard backlog, lane
+// batch, staged epoch, lost list), so its size is a ratchet: 56 bytes, the
+// volume named by member index and the block an int32. The largest volume
+// CreateVolume accepts still journals its last block exactly.
+func TestRecordIs56Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != 56 {
+		t.Fatalf("storage.Record is %d bytes, want 56", n)
+	}
+	env := sim.NewEnv(1)
+	a := NewArray(env, "main", Config{})
+	a.CreateVolume("small", 1)
+	huge, err := a.CreateVolume("huge", math.MaxInt32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, err := a.CreateConsistencyGroup("cg", []VolumeID{"small", "huge"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Process("io", func(p *sim.Proc) {
+		if _, err := huge.Write(p, math.MaxInt32-1, block(a, 1)); err != nil {
+			t.Error(err)
+		}
+	})
+	env.Run(0)
+	recs := sj.Shards()[0].PendingRecords()
+	if len(recs) != 1 || recs[0].Member != 1 || recs[0].Block != math.MaxInt32-1 {
+		t.Fatalf("records %+v, want one of member 1 (huge) at block %d", recs, math.MaxInt32-1)
+	}
+}
 
 // deepJournal returns a one-shard journal and a function that appends its
 // next n records, GlobalSeq 1, 2, … in order, each with its own Data.
 func deepJournal(t *testing.T) (*Journal, func(n int)) {
 	t.Helper()
 	_, _, sj := shardedFixture(t, 1, 1, 0)
-	j, vol := sj.Shards()[0], sj.Members()[0]
+	j := sj.Shards()[0]
 	var seq int64
 	return j, func(n int) {
 		for range n {
 			seq++
-			j.append(vol, seq%256, []byte{byte(seq)}, seq, time.Duration(seq))
+			j.append(0, seq%256, []byte{byte(seq)}, seq, time.Duration(seq))
 		}
 	}
 }
@@ -86,7 +121,7 @@ func TestDrainedBacklogHoldsNoReferences(t *testing.T) {
 	}
 	for k, seg := range segs {
 		for i, r := range seg[:cap(seg)] {
-			if r.Data != nil || r.Volume != "" || r.GlobalSeq != 0 {
+			if r.Data != nil || r.Member != 0 || r.GlobalSeq != 0 {
 				t.Fatalf("segment %d slot %d of a drained backlog holds %+v", k, i, r)
 			}
 		}

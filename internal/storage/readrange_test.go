@@ -240,7 +240,7 @@ func TestAdoptedRecordBlockIsNeverWrittenInto(t *testing.T) {
 			return
 		}
 		rec := j.TryTakeInto(nil, 1)[0]
-		if err := bv.InstallDelta(rec.Block, rec.Data); err != nil {
+		if err := bv.InstallDelta(int64(rec.Block), rec.Data); err != nil {
 			t.Error(err)
 			return
 		}
@@ -259,8 +259,8 @@ func TestAdoptedRecordBlockIsNeverWrittenInto(t *testing.T) {
 			}
 		}
 		next := j.TryTakeInto(nil, 1)[0]
-		bv.InstallDelta(next.Block, next.Data) // backup overwrites under its snapshot
-		bv.Apply(p, 0, block(backup, 0x03))    // and again through the timed path
+		bv.InstallDelta(int64(next.Block), next.Data) // backup overwrites under its snapshot
+		bv.Apply(p, 0, block(backup, 0x03))           // and again through the timed path
 		pv.Write(p, 0, block(main, 0x04))
 		for name, tc := range map[string]struct {
 			got  []byte

@@ -50,8 +50,8 @@ func checkShardInvariants(t *testing.T, sj *ShardedJournal) {
 				t.Fatalf("shard %d backlog epoch regressed (%d after %d)", k, r.Epoch, lastEpoch)
 			}
 			lastSeq, lastEpoch = r.GlobalSeq, r.Epoch
-			if at := sj.ShardIndexOf(r.Volume); at != k {
-				t.Fatalf("shard %d holds record of %s, placed on shard %d", k, r.Volume, at)
+			if at := sj.ShardIndexOf(sj.members[r.Member]); at != k {
+				t.Fatalf("shard %d holds record of %s, placed on shard %d", k, sj.members[r.Member], at)
 			}
 		}
 	}
@@ -97,8 +97,8 @@ func TestReshardGrowMigratesOnlyChangedPlacements(t *testing.T) {
 	checkShardInvariants(t, sj)
 	for k, shard := range sj.shards {
 		for _, r := range shard.PendingRecords() {
-			if r.Epoch > stats.BarrierEpoch && ShardFor(r.Volume, 4) != k {
-				t.Fatalf("post-barrier record of %s on shard %d, want %d", r.Volume, k, ShardFor(r.Volume, 4))
+			if id := sj.members[r.Member]; r.Epoch > stats.BarrierEpoch && ShardFor(id, 4) != k {
+				t.Fatalf("post-barrier record of %s on shard %d, want %d", id, k, ShardFor(id, 4))
 			}
 		}
 	}

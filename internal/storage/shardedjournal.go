@@ -114,7 +114,7 @@ func (a *Array) CreateConsistencyGroup(id string, vols []VolumeID, shards int) (
 			}
 			return nil, err
 		}
-		v.journal = sj.shards[ShardFor(m, shards)]
+		v.journal, v.member = sj.shards[ShardFor(m, shards)], int32(i)
 	}
 	a.sharded[id] = sj
 	return sj, nil
@@ -292,11 +292,11 @@ func (sj *ShardedJournal) Reshard(newCount int) (ReshardStats, error) {
 		return stats, fmt.Errorf("storage: sharded journal %s: cannot reshard while overflowed (resync first)", sj.id)
 	}
 	var recs []Record
-	held := make(map[VolumeID]int) // pending records per volume
+	held := make([]int, len(sj.members)) // pending records per member
 	for _, j := range sj.shards {
 		for r := range j.pending.all() {
 			recs = append(recs, r)
-			held[r.Volume]++
+			held[r.Member]++
 		}
 	}
 	if sj.capacityPerShard > 0 {
@@ -306,8 +306,8 @@ func (sj *ShardedJournal) Reshard(newCount int) (ReshardStats, error) {
 		// invariant must not be bypassable by re-placement. The caller
 		// (controller backoff) retries once the drain has made room.
 		dest := make([]int, newCount)
-		for v, n := range held {
-			dest[ShardFor(v, newCount)] += n * sj.shards[0].RecordBytes()
+		for m, n := range held {
+			dest[ShardFor(sj.members[m], newCount)] += n * sj.shards[0].RecordBytes()
 		}
 		for k, b := range dest {
 			if b > sj.capacityPerShard {
@@ -327,21 +327,22 @@ func (sj *ShardedJournal) Reshard(newCount int) (ReshardStats, error) {
 		}
 		shards[k].pending = backlog{}
 	}
-	for _, v := range sj.members {
+	placed := make([]*Journal, len(sj.members)) // each member's new shard
+	for m, v := range sj.members {
 		vol, to := sj.array.volumes[v], shards[ShardFor(v, newCount)]
-		if vol.journal == to {
+		if placed[m] = to; vol.journal == to {
 			continue
 		}
 		vol.journal = to
 		stats.MovedVolumes++
-		stats.MovedRecords += held[v]
-		if held[v] > 0 {
+		stats.MovedRecords += held[m]
+		if held[m] > 0 {
 			to.notEmpty.Trigger()
 		}
 	}
 	slices.SortFunc(recs, func(x, y Record) int { return cmp.Compare(x.GlobalSeq, y.GlobalSeq) })
 	for _, r := range recs {
-		sj.array.volumes[r.Volume].journal.pending.push(r)
+		placed[r.Member].pending.push(r)
 	}
 	sj.shards = shards[:newCount:newCount]
 	sj.reshards++

@@ -107,8 +107,8 @@ func TestShardedWritesRouteToPlacedShard(t *testing.T) {
 	}
 	for k, shard := range sj.Shards() {
 		for _, r := range shard.PendingRecords() {
-			if sj.ShardIndexOf(r.Volume) != k {
-				t.Errorf("record for %s on shard %d, placed on %d", r.Volume, k, sj.ShardIndexOf(r.Volume))
+			if id := sj.Members()[r.Member]; sj.ShardIndexOf(id) != k {
+				t.Errorf("record for %s on shard %d, placed on %d", id, k, sj.ShardIndexOf(id))
 			}
 			if r.Epoch != 1 {
 				t.Errorf("record epoch = %d, want open epoch 1", r.Epoch)
@@ -215,10 +215,10 @@ func TestShardedTryTakeIntoBuffersAreIndependent(t *testing.T) {
 	snapshot := append([]Record(nil), b1...)
 	// Overwrite lane 0's batch wholesale; lane 1's batch must be untouched.
 	for i := range b0 {
-		b0[i] = Record{GlobalSeq: -1, Volume: "poison"}
+		b0[i] = Record{GlobalSeq: -1, Member: -1}
 	}
 	for i := range b1 {
-		if b1[i].GlobalSeq != snapshot[i].GlobalSeq || b1[i].Volume != snapshot[i].Volume {
+		if b1[i].GlobalSeq != snapshot[i].GlobalSeq || b1[i].Member != snapshot[i].Member {
 			t.Fatalf("shard 1 batch mutated by shard 0 write at %d: %+v", i, b1[i])
 		}
 	}

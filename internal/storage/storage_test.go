@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -39,6 +40,9 @@ func TestCreateAndListVolumes(t *testing.T) {
 	}
 	if _, err := a.CreateVolume("bad", 0); err == nil {
 		t.Fatal("zero-size volume accepted")
+	}
+	if _, err := a.CreateVolume("huge", math.MaxInt32+1); err == nil {
+		t.Fatal("a volume of math.MaxInt32+1 blocks accepted; a Record's int32 Block cannot name its last block")
 	}
 	ids := a.ListVolumes()
 	if len(ids) != 2 || ids[0] != "sales" || ids[1] != "stock" {
@@ -222,14 +226,15 @@ func TestGlobalSeqIsMonotonicAcrossVolumes(t *testing.T) {
 						t.Fatalf("fixture degenerate: group %d shard %d journaled nothing", i, k)
 					}
 					for n, r := range recs {
+						id := sj.Members()[r.Member]
 						if n > 0 && r.GlobalSeq <= recs[n-1].GlobalSeq {
 							t.Fatalf("group %d shard %d: record %d GlobalSeq %d after %d", i, k, n, r.GlobalSeq, recs[n-1].GlobalSeq)
 						}
 						if r.GlobalSeq < 1 || r.GlobalSeq > int64(len(acks)) {
-							t.Fatalf("record %s/%d carries GlobalSeq %d, no write's ack", r.Volume, r.Block, r.GlobalSeq)
+							t.Fatalf("record %s/%d carries GlobalSeq %d, no write's ack", id, r.Block, r.GlobalSeq)
 						}
-						if ack := acks[r.GlobalSeq-1]; ack.Volume != r.Volume || ack.Block != r.Block {
-							t.Fatalf("record %s/%d carries GlobalSeq %d, acked to %s/%d", r.Volume, r.Block, r.GlobalSeq, ack.Volume, ack.Block)
+						if ack := acks[r.GlobalSeq-1]; ack.Volume != id || ack.Block != int64(r.Block) {
+							t.Fatalf("record %s/%d carries GlobalSeq %d, acked to %s/%d", id, r.Block, r.GlobalSeq, ack.Volume, ack.Block)
 						}
 					}
 					merged = append(merged, recs...)
@@ -245,8 +250,8 @@ func TestGlobalSeqIsMonotonicAcrossVolumes(t *testing.T) {
 					t.Fatalf("group %d journaled %d records for %d writes", i, len(merged), len(want))
 				}
 				for n, r := range merged {
-					if r.Volume != want[n].Volume || r.Block != want[n].Block {
-						t.Fatalf("group %d merged record %d is %s/%d, write %d was %s/%d", i, n, r.Volume, r.Block, n, want[n].Volume, want[n].Block)
+					if id := sj.Members()[r.Member]; id != want[n].Volume || int64(r.Block) != want[n].Block {
+						t.Fatalf("group %d merged record %d is %s/%d, write %d was %s/%d", i, n, id, r.Block, n, want[n].Volume, want[n].Block)
 					}
 				}
 			}
@@ -279,8 +284,8 @@ func TestConsistencyGroupSharesOneOrder(t *testing.T) {
 		if r.GlobalSeq != int64(i+1) {
 			t.Fatalf("seq %d at %d", r.GlobalSeq, i)
 		}
-		if r.Volume != wantVols[i] {
-			t.Fatalf("record %d volume = %s, want %s", i, r.Volume, wantVols[i])
+		if id := j.group.members[r.Member]; id != wantVols[i] {
+			t.Fatalf("record %d volume = %s, want %s", i, id, wantVols[i])
 		}
 	}
 }

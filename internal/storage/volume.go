@@ -20,6 +20,7 @@ type Volume struct {
 	array      *Array
 	sizeBlocks int64
 	journal    *Journal
+	member     int32 // index in the journal group's Members(), while attached
 	snapshots  []*Snapshot
 	readOnly   bool
 
@@ -270,7 +271,7 @@ func (v *Volume) ack(p *sim.Proc, block int64, data []byte) Ack {
 			v.journal.group.overflow()
 			v.noteChange(block) // tracking started just now; cover this write
 		default:
-			v.journal.append(v.id, block, data, ack.GlobalSeq, ack.AckedAt)
+			v.journal.append(v.member, block, data, ack.GlobalSeq, ack.AckedAt)
 		}
 	}
 	return ack
