@@ -20,16 +20,16 @@ import (
 // Both run on one P: each P keeps its own pool of dead goroutines'
 // descriptors, and a fleet measured on a P whose pool the first fleet left
 // shorter allocates new ones (up to about 140 bytes a tenant more on 2 Ps).
-// Over 6 runs, alone and after the package's other tests, and under -race,
-// that read 16,833–16,841 bytes and 102 objects; the bytes budget is the
+// Over 5 runs, alone and after the package's other tests, and under -race,
+// that read 16,769–16,777 bytes and 102 objects; the bytes budget is the
 // highest reading plus the file's 48 bytes of slack. Of those bytes,
-// 9,645–9,653 were scannable (/gc/scan/heap:bytes) over the same runs;
+// 9,613–9,621 were scannable (/gc/scan/heap:bytes) over the same runs;
 // that budget is the highest reading plus the same slack. A change that
 // lowers either ratchets its pin.
 const (
 	liveTenants          = 256
-	liveBytesPerTenant   = 16_889
-	scanBytesPerTenant   = 9_701
+	liveBytesPerTenant   = 16_825
+	scanBytesPerTenant   = 9_669
 	liveObjectsPerTenant = 102
 )
 

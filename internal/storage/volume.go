@@ -20,9 +20,9 @@ type Volume struct {
 	array      *Array
 	sizeBlocks int64
 	journal    *Journal
-	member     int32 // index in the journal group's Members(), while attached
 	snapshots  []*Snapshot
 	readOnly   bool
+	member     int32 // index in the journal group's Members(), while attached
 
 	// queue is the volume's own service queue (Config.IsolatedVolumes);
 	// nil when the shared array controller serializes I/O.
