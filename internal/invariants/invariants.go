@@ -78,26 +78,35 @@ func violate(invariant, tenant, format string, args ...any) Violation {
 // newer leaked past the barrier). This is the E13/E15 write-heavy-tenant
 // check: each block's first 8 bytes carry the big-endian ack sequence of
 // the write that produced it. A block stored as a shorter prefix (stamp 256
-// is 7 bytes) reads its missing stamp bytes as zeroes.
+// is 7 bytes) reads its missing stamp bytes as zeroes. The blocks are read
+// in place; the one allocation is the presence set, one bool per written
+// block: n blocks hold an exact prefix only if their stamps lie in 1..n, so
+// a stamp of 0 or past n makes the image inexact.
 func StampedPrefix(vols []*storage.Volume) (int, bool) {
-	written, n := make([][]int64, len(vols)), 0
-	for i, v := range vols {
-		written[i] = v.WrittenBlocks()
-		n += len(written[i])
+	n := 0
+	for _, v := range vols {
+		n += v.WrittenCount()
 	}
-	present := make(map[uint64]bool, n)
-	for i, v := range vols {
-		for _, b := range written[i] {
+	present := make([]bool, n) // present[s-1]: a block carries stamp s
+	distinct, outside := 0, false
+	for _, v := range vols {
+		for _, blk := range v.Blocks() {
 			var stamp [8]byte
-			copy(stamp[:], v.Peek(b))
-			present[binary.BigEndian.Uint64(stamp[:])] = true
+			copy(stamp[:], blk)
+			switch s := binary.BigEndian.Uint64(stamp[:]); {
+			case s == 0 || s > uint64(n):
+				outside = true
+			case !present[s-1]:
+				present[s-1] = true
+				distinct++
+			}
 		}
 	}
-	k := uint64(0)
-	for present[k+1] {
+	k := 0
+	for k < n && present[k] {
 		k++
 	}
-	return int(k), len(present) == int(k)
+	return k, !outside && distinct == k
 }
 
 // CheckConsistentCut asserts the paper's core recovery invariant over a

@@ -84,20 +84,91 @@ func stampedImage(tb testing.TB, vols, blocks int) []*storage.Volume {
 }
 
 // StampedPrefix reads 8 bytes of every written block in place: what it
-// allocates is its presence map (which grows by doubling) and one index slice
-// per volume — nothing per block. It used to copy every 4 KiB block it looked
-// at, which was a quarter of all bytes the drain workloads allocated.
+// allocates is its presence set, one bool per written block, and nothing per
+// block or per volume. It used to copy every 4 KiB block it looked at, which
+// was a quarter of all bytes the drain workloads allocated, and then kept a
+// map of the stamps and a sorted index slice per volume.
 func TestStampedPrefixAllocatesNothingPerBlock(t *testing.T) {
 	const blocks = 2048
 	vols := stampedImage(t, 4, blocks)
 	if k, exact := StampedPrefix(vols); k != blocks || !exact {
 		t.Fatalf("prefix = %d exact=%v, want %d exact", k, exact, blocks)
 	}
-	n := testing.AllocsPerRun(5, func() { StampedPrefix(vols) })
-	if n > blocks/16 {
-		t.Fatalf("StampedPrefix over %d blocks allocates %v times: it copies what it scans", blocks, n)
+	if n := testing.AllocsPerRun(5, func() { StampedPrefix(vols) }); n != 1 {
+		t.Fatalf("StampedPrefix over %d blocks allocates %v times, want 1 (its presence set)", blocks, n)
 	}
-	t.Logf("StampedPrefix over %d blocks: %v allocations", blocks, n)
+}
+
+// mapStampedPrefix is StampedPrefix as a map of the stamps read through
+// WrittenBlocks and Peek: the reference the table test holds it to.
+func mapStampedPrefix(vols []*storage.Volume) (int, bool) {
+	present := map[uint64]bool{}
+	for _, v := range vols {
+		for _, b := range v.WrittenBlocks() {
+			var stamp [8]byte
+			copy(stamp[:], v.Peek(b))
+			present[binary.BigEndian.Uint64(stamp[:])] = true
+		}
+	}
+	k := uint64(0)
+	for present[k+1] {
+		k++
+	}
+	return int(k), len(present) == int(k)
+}
+
+// TestStampedPrefixMatchesMapReference holds StampedPrefix to the map-based
+// reference on images whose stamps are poked block by block over two volumes
+// of 64 blocks (sparse below 9 written blocks, dense above).
+func TestStampedPrefixMatchesMapReference(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		stamps [2][]uint64 // per volume, block i carries stamps[v][i]
+		k      int
+		exact  bool
+	}{
+		{"no blocks written", [2][]uint64{}, 0, true},
+		{"exact", [2][]uint64{{1, 3}, {2}}, 3, true},
+		{"zero stamp", [2][]uint64{{1, 0}, {2}}, 2, false},
+		{"only zero", [2][]uint64{{0}}, 0, false},
+		{"duplicated across volumes", [2][]uint64{{1, 2}, {2, 3}}, 3, true},
+		{"past the count", [2][]uint64{{1, 2}, {4}}, 2, false},
+		{"far past the count", [2][]uint64{{1 << 62}}, 0, false},
+		{"hole", [2][]uint64{{1, 2, 5}, {3, 6}}, 3, false},
+		{"no first stamp", [2][]uint64{{2, 3}}, 0, false},
+		{"dense exact", [2][]uint64{seqs(1, 40), seqs(41, 60)}, 60, true},
+		{"dense hole", [2][]uint64{seqs(1, 40), seqs(42, 61)}, 40, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a := storage.NewArray(sim.NewEnv(1), "m", storage.Config{})
+			vols := make([]*storage.Volume, len(c.stamps))
+			for i, stamps := range c.stamps {
+				vols[i], _ = a.CreateVolume(storage.VolumeID(fmt.Sprintf("v%d", i)), 64)
+				for b, seq := range stamps {
+					buf := make([]byte, 8)
+					binary.BigEndian.PutUint64(buf, seq)
+					if err := vols[i].Poke(int64(b), buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			k, exact := StampedPrefix(vols)
+			rk, rexact := mapStampedPrefix(vols)
+			if k != rk || exact != rexact || k != c.k || exact != c.exact {
+				t.Fatalf("StampedPrefix = %d exact=%v, reference %d exact=%v, want %d exact=%v",
+					k, exact, rk, rexact, c.k, c.exact)
+			}
+		})
+	}
+}
+
+// seqs returns the stamps from..to.
+func seqs(from, to uint64) []uint64 {
+	var out []uint64
+	for s := from; s <= to; s++ {
+		out = append(out, s)
+	}
+	return out
 }
 
 // BenchmarkStampedPrefix is the verifier's layer benchmark: one scan of an

@@ -32,9 +32,9 @@ func (a *Array) CloneVolume(p *sim.Proc, snapID string, newID VolumeID) (*Volume
 			write(b, orig)
 		}
 	}
-	for _, b := range s.parent.WrittenBlocks() {
+	for b, blk := range s.parent.Blocks() {
 		if _, saved := s.saved[b]; !saved {
-			write(b, s.parent.block(b))
+			write(b, blk)
 		}
 	}
 	return clone, nil

@@ -27,8 +27,9 @@ type modelSnap struct {
 }
 
 // TestBlockTableMatchesMapModel runs random Write, WriteOwned, InstallDelta,
-// Apply and Poke sequences on volumes of 1, 4, 64 and 257 blocks, each long
-// enough to take the block table from its map to its dense slice, with
+// Apply and Poke sequences on volumes of 1, 4, 64, 257 and 514 blocks, each
+// long enough to take the block table from its slot table to its dense slice
+// (on the write of the first block past one in eight), with
 // snapshots taken before, at and after the switch and change tracking
 // started a third of the way in and restarted at two thirds. Every read path
 // — Read, ReadRange (nil as a whole on an empty image), ReadBlocks,
@@ -36,7 +37,7 @@ type modelSnap struct {
 // and CloneVolume — must equal a map model of the same writes, and a block
 // handed over before the switch is still the stored slice after it.
 func TestBlockTableMatchesMapModel(t *testing.T) {
-	for _, size := range []int64{1, 4, 64, 257} {
+	for _, size := range []int64{1, 4, 64, 257, 514} {
 		for seed := range uint64(6) {
 			t.Run(fmt.Sprintf("blocks=%d/seed=%d", size, seed), func(t *testing.T) {
 				tableAgainstModel(t, size, seed)
@@ -185,8 +186,12 @@ func tableAgainstModel(t *testing.T, size int64, seed uint64) {
 				return
 			}
 			switch {
-			case switchedAt < 0 && v.dense != nil:
+			case switchedAt < 0 && v.slots == nil && v.written > 0:
 				switchedAt = step
+				if v.dense == nil || int64(len(model)) != size/denseDivisor+1 {
+					t.Errorf("step %d: the table turned dense (%v) at %d written blocks, want %d",
+						step, v.dense != nil, len(model), size/denseDivisor+1)
+				}
 				check(p, fmt.Sprintf("step %d (switch)", step))
 				snapshot() // at the switch
 			case switchedAt < 0 && rng.IntN(4) == 0 && len(snaps) < 4:

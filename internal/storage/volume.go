@@ -3,7 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
-	"maps"
+	"iter"
 	"math/bits"
 	"slices"
 	"time"
@@ -31,10 +31,12 @@ type Volume struct {
 	writes, reads int64
 	cowCopies     int64 // blocks preserved for snapshots (write amplification)
 
-	// The block table, read by block and written by put: a map while the
-	// volume is sparse, then one slot per block (dense) and blocks nil.
-	blocks map[int64][]byte
-	dense  [][]byte
+	// The block table, read by block and written by put: a slot table while
+	// the volume is sparse, then one slot per block (dense) and slots nil.
+	// written counts the blocks stored, in either form.
+	slots   blockTable
+	dense   [][]byte
+	written int
 
 	// changed has one bit per block written since StartChangeTracking — the
 	// delta-resync bitmap real arrays keep for failback. nil = off.
@@ -42,19 +44,69 @@ type Volume struct {
 }
 
 // denseDivisor sets the table's switch: a volume turns dense when a write
-// would take its map past one block in denseDivisor. A dense slot is a slice
-// header, 24 B per block. A map entry is its key and that header, 32 B, in a
-// table that doubles when 7/8 full and so averages about 2/3 full: 48 B per
-// written block, and the tables it outgrew held about as much again. At 96 B
-// a written block, the map has allocated what the dense table costs once a
-// quarter of the blocks are written.
-const denseDivisor = 4
+// would take it past one block in denseDivisor. A dense slot is a slice
+// header, 24 B per block. A sparse slot is 32 B, in a table that doubles when
+// 7/8 full: with the tables it outgrew, 64 blocks have cost 7,936 B (124 B a
+// block), two thirds of a 514-block volume's dense table. The volumes that
+// cross an eighth (drained ones, a shop's sales log) go on to fill, so the
+// switch comes no later; one in 16 turns a recovered 256-block volume dense,
+// and one in 32 costs the shop's volumes more than it saves.
+const denseDivisor = 8
+
+// blockTable holds a sparse volume's blocks: one slice of slots, a power of
+// two long, probed linearly from the block's own index, so a run of
+// consecutive blocks takes a run of slots. A table of 8 slots fills to the
+// last; a longer one fills to 7/8.
+type blockTable []blockSlot
+
+type blockSlot struct {
+	key  int64 // the block's index + 1; 0 marks a free slot
+	data []byte
+}
+
+// tableFits returns how many blocks a table of size slots holds.
+func tableFits(size int) int {
+	if size <= 8 {
+		return size
+	}
+	return size - size/8
+}
+
+// find returns the slot holding block b and true, else the free slot it would
+// take and false (-1 when the table is full: the probe ends after one lap).
+func (t blockTable) find(b int64) (int, bool) {
+	mask := len(t) - 1
+	for i, probes := int(b)&mask, 0; probes < len(t); i, probes = (i+1)&mask, probes+1 {
+		switch t[i].key {
+		case b + 1:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+	return -1, false
+}
+
+// grown returns t's blocks in a table twice as long, or of 8 slots.
+func (t blockTable) grown() blockTable {
+	g := make(blockTable, max(8, 2*len(t)))
+	for _, s := range t {
+		if s.key != 0 {
+			i, _ := g.find(s.key - 1)
+			g[i] = s
+		}
+	}
+	return g
+}
 
 // block returns the stored block, nil when it was never written (or lies
 // outside the volume).
 func (v *Volume) block(b int64) []byte {
 	if v.dense == nil {
-		return v.blocks[b]
+		if i, ok := v.slots.find(b); ok {
+			return v.slots[i].data
+		}
+		return nil
 	}
 	if uint64(b) < uint64(len(v.dense)) {
 		return v.dense[b]
@@ -62,25 +114,62 @@ func (v *Volume) block(b int64) []byte {
 	return nil
 }
 
-// put makes buf the stored block, first moving the map into a dense table
-// when this write would take it past its share.
+// put makes buf the stored block, first moving the slot table into a dense
+// table when this write would take the volume past its share.
 func (v *Volume) put(b int64, buf []byte) {
-	if v.dense == nil && int64(len(v.blocks)+1)*denseDivisor > v.sizeBlocks {
-		v.dense = make([][]byte, v.sizeBlocks)
-		for b, blk := range v.blocks {
-			v.dense[b] = blk
+	if v.dense == nil {
+		i, ok := v.slots.find(b)
+		switch {
+		case ok:
+			v.slots[i].data = buf
+			return
+		case int64(v.written+1)*denseDivisor <= v.sizeBlocks:
+			if v.written >= tableFits(len(v.slots)) {
+				v.slots = v.slots.grown()
+				i, _ = v.slots.find(b)
+			}
+			v.slots[i] = blockSlot{key: b + 1, data: buf}
+			v.written++
+			return
 		}
-		v.blocks = nil
+		v.dense = make([][]byte, v.sizeBlocks)
+		for _, s := range v.slots {
+			if s.key != 0 {
+				v.dense[s.key-1] = s.data
+			}
+		}
+		v.slots = nil
 	}
-	if v.dense != nil {
-		v.dense[b] = buf
-		return
+	if v.dense[b] == nil {
+		v.written++
 	}
-	if v.blocks == nil {
-		v.blocks = make(map[int64][]byte)
-	}
-	v.blocks[b] = buf
+	v.dense[b] = buf
 }
+
+// Blocks yields every written block and its stored slice, borrowed as a
+// read's is: in ascending order once the table is dense, in table order while
+// it is sparse. Its cost follows the blocks written (a dense table is one in
+// eight written at least), not the volume's size.
+func (v *Volume) Blocks() iter.Seq2[int64, []byte] {
+	return func(yield func(int64, []byte) bool) {
+		if v.dense == nil {
+			for _, s := range v.slots {
+				if s.key != 0 && !yield(s.key-1, s.data) {
+					return
+				}
+			}
+			return
+		}
+		for b, blk := range v.dense {
+			if blk != nil && !yield(int64(b), blk) {
+				return
+			}
+		}
+	}
+}
+
+// WrittenCount returns how many blocks have been written.
+func (v *Volume) WrittenCount() int { return v.written }
 
 // StartChangeTracking begins recording written block indexes (resets any
 // previous record). Replication failover turns this on for its targets so
@@ -483,23 +572,18 @@ func (v *Volume) Apply(p *sim.Proc, block int64, data []byte) error {
 }
 
 // WrittenBlocks returns the indexes of blocks that have been written, in
-// ascending order (verification helper): a dense table is walked in order,
-// a map's keys are sorted.
+// ascending order (verification helper).
 func (v *Volume) WrittenBlocks() []int64 {
-	if v.dense == nil {
-		out := slices.AppendSeq(make([]int64, 0, len(v.blocks)), maps.Keys(v.blocks))
-		slices.Sort(out)
-		return out
+	out := make([]int64, 0, v.written)
+	for b := range v.Blocks() {
+		out = append(out, b)
 	}
-	out := make([]int64, 0, len(v.dense))
-	for b, blk := range v.dense {
-		if blk != nil {
-			out = append(out, int64(b))
-		}
+	if v.dense == nil {
+		slices.Sort(out)
 	}
 	return out
 }
 
 func (v *Volume) String() string {
-	return fmt.Sprintf("Volume(%s/%s){%d blocks, %d written}", v.array.name, v.id, v.sizeBlocks, len(v.WrittenBlocks()))
+	return fmt.Sprintf("Volume(%s/%s){%d blocks, %d written}", v.array.name, v.id, v.sizeBlocks, v.written)
 }
