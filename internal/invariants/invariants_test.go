@@ -143,7 +143,10 @@ func TestStampedPrefixMatchesMapReference(t *testing.T) {
 			a := storage.NewArray(sim.NewEnv(1), "m", storage.Config{})
 			vols := make([]*storage.Volume, len(c.stamps))
 			for i, stamps := range c.stamps {
-				vols[i], _ = a.CreateVolume(storage.VolumeID(fmt.Sprintf("v%d", i)), 64)
+				var err error
+				if vols[i], err = a.CreateVolume(storage.VolumeID(fmt.Sprintf("v%d", i)), 64); err != nil {
+					t.Fatal(err)
+				}
 				for b, seq := range stamps {
 					buf := make([]byte, 8)
 					binary.BigEndian.PutUint64(buf, seq)
